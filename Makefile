@@ -16,7 +16,10 @@ all: check race chaos crash server-smoke net-chaos cold codec
 # `make ci` is the conventional alias the hosted pipeline and humans share.
 ci: all
 
-# Tier-1: formatting, vet, build everything, run the full test suite.
+# Tier-1: formatting, vet, build everything, run the full test suite —
+# and the same for the benchmark module, which imports internal/persist,
+# internal/pager and internal/wire directly: an internal API break must
+# fail here, not at the next benchmark run.
 # go vet's copylocks/atomic/unusedresult analyzers are the ones that bite
 # here: the alignment- and padding-sensitive structs (asyncShard's
 # cache-line pad, the shard.Queue slot array, the epoch pin slots) embed
@@ -29,6 +32,8 @@ check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 # Concurrency tier: every package under the race detector, twice (ordering
 # flakes rarely repeat). This covers the root concurrent/sharded churn

@@ -321,10 +321,7 @@ func (ct *coldTier) demoteLocked(s int) error {
 	// the shard's complete state.
 	t.drainForDemote(s, tr)
 	path := ct.coldPath(s)
-	if err := persist.SaveIndexedFile(path, ct.kind, func(sw *persist.Writer) error {
-		sw.SetCodec(t.SnapshotCodec())
-		return writeWalk(sw, tr.SnapshotWalk)
-	}); err != nil {
+	if err := writeSnapshotFile(path, ct.kind, t.SnapshotCodec(), true, walkSource(tr.SnapshotWalk)); err != nil {
 		return fmt.Errorf("hot: demoting shard %d: %w", s, err)
 	}
 	pr, err := persist.OpenPageReaderFile(path, ct.kind)
@@ -573,38 +570,25 @@ func (cs *coldShard) lookup(key []byte) (TID, bool) {
 // len returns the entry count recorded in the section trailer.
 func (cs *coldShard) len() int { return int(cs.pr.Count()) }
 
-// verify checks that every cold entry lies in the shard's boundary range.
-// Block CRCs, entry structure and ascending order are verified by the
-// reader on every decode.
-func (cs *coldShard) verify(bounds [][]byte) error {
-	for i := 0; i < cs.pr.Blocks(); i++ {
-		p, err := cs.pr.ReadBlock(i)
-		if err != nil {
-			return fmt.Errorf("hot: shard %d cold section: %w", cs.shard, err)
-		}
-		for j := 0; j < p.Len(); j++ {
-			if k := p.Key(j); !shard.Check(bounds, cs.shard, k) {
-				return fmt.Errorf("hot: shard %d: cold key %q outside shard range", cs.shard, k)
-			}
-		}
-	}
-	return nil
+// walk streams every entry of the cold section into fn, sequentially and
+// bypassing the page cache (a checkpoint or a verify touches every block
+// exactly once). Block CRCs, entry structure and ascending order are
+// verified by the reader on every decode.
+func (cs *coldShard) walk(fn persist.EntryFunc) error {
+	_, err := walkPageReader(cs.pr, fn)
+	return err
 }
 
-// writeTo streams the cold section's entries into a snapshot section
-// writer, sequentially and bypassing the page cache (a checkpoint
-// touches every block exactly once).
-func (cs *coldShard) writeTo(sw *persist.Writer) error {
-	for i := 0; i < cs.pr.Blocks(); i++ {
-		p, err := cs.pr.ReadBlock(i)
-		if err != nil {
-			return err
+// verify checks that every cold entry lies in the shard's boundary range.
+func (cs *coldShard) verify(bounds [][]byte) error {
+	err := cs.walk(func(k []byte, _ TID) error {
+		if !shard.Check(bounds, cs.shard, k) {
+			return fmt.Errorf("cold key %q outside shard range", k)
 		}
-		for j := 0; j < p.Len(); j++ {
-			if err := sw.WriteEntry(p.Key(j), p.TID(j)); err != nil {
-				return err
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("hot: shard %d cold section: %w", cs.shard, err)
 	}
 	return nil
 }

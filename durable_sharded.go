@@ -451,14 +451,7 @@ func openDurableSharded(dir string, loader Loader, kind uint16, check func(key [
 		// in-memory tries. The files stay on disk — the next Checkpoint
 		// removes them once the snapshot supersedes them.
 		for s, pr := range coldReaders {
-			n, werr := walkPageReader(pr, func(key []byte, tid TID) error {
-				if check != nil {
-					if cerr := check(key, tid); cerr != nil {
-						return cerr
-					}
-				}
-				return t.loadShardEntry(s, key, tid)
-			})
+			n, werr := walkPageReader(pr, t.shardSink(s, check))
 			info.SnapshotEntries += n
 			pr.Close()
 			if werr != nil {

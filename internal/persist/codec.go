@@ -132,23 +132,12 @@ func encodePacked(dst, raw []byte) ([]byte, bool) {
 	// ascending keys. Anything else is unpackable, not an error.
 	var keys [][]byte
 	var tids []uint64
-	pos := 0
-	for pos < len(raw) {
-		klen, n := binary.Uvarint(raw[pos:])
-		if n <= 0 || n != uvarintLen(klen) || klen > MaxKeyLen {
+	for pos := 0; pos < len(raw); {
+		key, tid, size, bad := decodeEntry(raw[pos:])
+		if bad != "" || size != uvarintLen(uint64(len(key)))+len(key)+uvarintLen(tid) {
 			return dst, false
 		}
-		pos += n
-		if pos+int(klen) > len(raw) {
-			return dst, false
-		}
-		key := raw[pos : pos+int(klen)]
-		pos += int(klen)
-		tid, n := binary.Uvarint(raw[pos:])
-		if n <= 0 || n != uvarintLen(tid) || tid > MaxTID {
-			return dst, false
-		}
-		pos += n
+		pos += size
 		if len(keys) > 0 && bytes.Compare(keys[len(keys)-1], key) >= 0 {
 			return dst, false
 		}
@@ -291,13 +280,11 @@ func decodePacked(packed []byte, blockOff int64) ([]byte, *FormatError) {
 	if flags&^(packedTIDsEmbedded|packedKeysFixed64) != 0 {
 		return bad("unknown flags %#x", flags)
 	}
-	pos := 1
-	n64, sz := binary.Uvarint(packed[pos:])
-	if sz <= 0 || n64 == 0 || n64 > maxBlockLen/2 {
+	n, sz, ok := checkedLen(packed[1:], maxBlockLen/2)
+	if !ok || n == 0 {
 		return bad("bad entry count")
 	}
-	pos += sz
-	n := int(n64)
+	pos := 1 + sz
 
 	// Key stream → a flat arena with an offset per key. Every size is
 	// bounded before it allocates or copies.
@@ -336,34 +323,32 @@ func decodePacked(packed []byte, blockOff int64) ([]byte, *FormatError) {
 		pos += packedBytes
 	} else {
 		for i := 0; i < n; i++ {
-			lcp := uint64(0)
+			lcp := 0
 			if i > 0 {
 				var m int
-				lcp, m = binary.Uvarint(packed[pos:])
-				if m <= 0 || lcp > uint64(offs[i]-offs[i-1]) {
+				if lcp, m, ok = checkedLen(packed[pos:], offs[i]-offs[i-1]); !ok {
 					return bad("bad key prefix length")
 				}
 				pos += m
 			}
-			slen, m := binary.Uvarint(packed[pos:])
-			// Bound slen on its own before summing: lcp is already capped
-			// at the previous key's length (≤ MaxKeyLen), so once slen is
-			// capped too the sum cannot wrap uint64.
-			if m <= 0 || slen > MaxKeyLen || lcp+slen > MaxKeyLen {
+			// slen is bounded by what lcp leaves of MaxKeyLen, so the two
+			// are never summed unchecked.
+			slen, m, ok := checkedLen(packed[pos:], MaxKeyLen-lcp)
+			if !ok {
 				return bad("bad key length")
 			}
 			pos += m
-			if pos+int(slen) > len(packed) {
+			if slen > len(packed)-pos {
 				return bad("key suffix runs past payload end")
 			}
-			if len(arena)+int(lcp+slen) > maxBlockLen {
+			if len(arena)+lcp+slen > maxBlockLen {
 				return bad("keys exceed block cap")
 			}
 			if i > 0 {
-				arena = append(arena, arena[offs[i-1]:offs[i-1]+int(lcp)]...)
+				arena = append(arena, arena[offs[i-1]:offs[i-1]+lcp]...)
 			}
-			arena = append(arena, packed[pos:pos+int(slen)]...)
-			pos += int(slen)
+			arena = append(arena, packed[pos:pos+slen]...)
+			pos += slen
 			offs = append(offs, len(arena))
 		}
 	}

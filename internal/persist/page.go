@@ -63,7 +63,7 @@ func (p *Page) Key(i int) []byte { return p.buf[p.offs[i]:p.offs[i+1]] }
 func (p *Page) TID(i int) uint64 { return p.tids[i] }
 
 // AppendEntry appends one entry. It is the page construction primitive
-// for decodePage and tests; it does not maintain Bytes.
+// for ReadBlock and tests; it does not maintain Bytes.
 func (p *Page) AppendEntry(key []byte, tid uint64) {
 	if p.offs == nil {
 		p.offs = append(p.offs, 0)
@@ -98,7 +98,6 @@ type PageReader struct {
 	r       io.ReaderAt
 	f       *os.File // owned when opened via OpenPageReaderFile
 	size    int64
-	kind    uint16
 	count   uint64
 	blocks  []BlockInfo
 	indexed bool // footer parsed (false: index rebuilt by sequential scan)
@@ -125,38 +124,37 @@ func OpenPageReaderFile(path string, wantKind uint16) (*PageReader, error) {
 	return pr, nil
 }
 
-// OpenPageReader validates the header and trailer of the size-byte
-// snapshot in r and loads its block index — from the HIDX footer when
-// present, else by a one-time sequential scan of the blocks (which also
-// verifies every CRC). It never reads entry payloads when the footer is
-// valid, so opening a multi-gigabyte snapshot touches only its edges.
+// OpenPageReader validates the header of the size-byte snapshot in r and
+// loads its block index — from the HIDX footer when present, else by a
+// one-time sequential scan of the section (which also verifies every CRC,
+// the key order and the trailer, exactly as Read does). It never reads entry
+// payloads when the footer is valid, so opening a multi-gigabyte snapshot
+// touches only its edges.
 func OpenPageReader(r io.ReaderAt, size int64, wantKind uint16) (*PageReader, error) {
-	pr := &PageReader{r: r, size: size, kind: wantKind}
-	if size < headerSize+trailerSize {
-		return nil, formatErr(ErrTruncated, size, "file size %d below header+trailer", size)
-	}
-	var h [headerSize]byte
-	if _, err := r.ReadAt(h[:], 0); err != nil {
-		return nil, formatErr(ErrTruncated, 0, "header: %v", err)
-	}
-	if !bytes.Equal(h[:8], Magic[:]) {
-		return nil, formatErr(ErrBadMagic, 0, "got % x, want % x", h[:8], Magic[:])
-	}
-	if got, want := binary.LittleEndian.Uint32(h[12:]), crc32.Checksum(h[:12], castagnoli); got != want {
-		return nil, formatErr(ErrChecksum, 0, "header CRC %#x, computed %#x", got, want)
-	}
-	if v := binary.LittleEndian.Uint16(h[8:]); v != Version {
-		return nil, formatErr(ErrVersionSkew, 8, "snapshot version %d, reader supports %d", v, Version)
-	}
-	if k := binary.LittleEndian.Uint16(h[10:]); k != wantKind {
-		return nil, formatErr(ErrWrongKind, 10, "snapshot kind %d, want %d", k, wantKind)
+	pr := &PageReader{r: r, size: size}
+	rd := &reader{r: io.NewSectionReader(r, 0, size)}
+	if _, damage := rd.header(wantKind); damage != nil {
+		return nil, damage
 	}
 	if pr.openFooter() {
 		return pr, nil
 	}
-	if err := pr.scan(); err != nil {
-		return nil, err
+	// No usable footer: rebuild the index with the sequential driver,
+	// noting each block's first key as its entries stream past.
+	var first []byte
+	count, damage, _ := rd.blocks(func(key []byte, _ uint64) error {
+		if first == nil {
+			first = append([]byte{}, key...)
+		}
+		return nil
+	}, func(off int64, _ Codec, stored, _ int) {
+		pr.blocks = append(pr.blocks, BlockInfo{Off: off, Len: stored, FirstKey: first})
+		first = nil
+	})
+	if damage != nil {
+		return nil, damage
 	}
+	pr.count = count
 	return pr, nil
 }
 
@@ -178,140 +176,24 @@ func (pr *PageReader) openFooter() bool {
 	}
 	idxLen := int64(binary.LittleEndian.Uint32(ft[4:]))
 	trailerOff := pr.size - indexFooterSize - idxLen - trailerSize
-	if idxLen > pr.size || trailerOff < headerSize {
+	if trailerOff < headerSize {
 		return false
 	}
-	idx := make([]byte, idxLen)
-	if _, err := pr.r.ReadAt(idx, trailerOff+trailerSize); err != nil {
+	tail := make([]byte, trailerSize+idxLen)
+	if _, err := pr.r.ReadAt(tail, trailerOff); err != nil {
 		return false
 	}
+	idx := tail[trailerSize:]
 	if crc32.Checksum(idx, castagnoli) != binary.LittleEndian.Uint32(ft[:4]) {
 		return false
 	}
-	count, ok := pr.readTrailer(trailerOff)
-	if !ok {
-		return false
-	}
-	// Parse the index entries, requiring exactly contiguous blocks from
-	// the header to the trailer with strictly ascending first keys.
-	var blocks []BlockInfo
-	off, pos := int64(0), 0
-	for pos < len(idx) {
-		d, n := binary.Uvarint(idx[pos:])
-		if n <= 0 {
-			return false
-		}
-		pos += n
-		length, n := binary.Uvarint(idx[pos:])
-		if n <= 0 || length == 0 || length > maxBlockLen {
-			return false
-		}
-		pos += n
-		klen, n := binary.Uvarint(idx[pos:])
-		if n <= 0 || klen > MaxKeyLen || pos+n+int(klen) > len(idx) {
-			return false
-		}
-		pos += n
-		key := append([]byte(nil), idx[pos:pos+int(klen)]...)
-		pos += int(klen)
-		off += int64(d)
-		want := int64(headerSize)
-		if len(blocks) > 0 {
-			prev := blocks[len(blocks)-1]
-			want = prev.Off + 8 + int64(prev.Len)
-			if bytes.Compare(prev.FirstKey, key) >= 0 {
-				return false
-			}
-		}
-		if off != want {
-			return false
-		}
-		blocks = append(blocks, BlockInfo{Off: off, Len: int(length), FirstKey: key})
-	}
-	end := int64(headerSize)
-	if len(blocks) > 0 {
-		last := blocks[len(blocks)-1]
-		end = last.Off + 8 + int64(last.Len)
-	}
-	if end != trailerOff {
-		return false
-	}
-	if count == 0 && len(blocks) > 0 {
+	count, damage := decodeTrailer(tail[:trailerSize], trailerOff)
+	blocks, ok := decodeIndex(idx, trailerOff)
+	if damage != nil || !ok || (count == 0) != (len(blocks) == 0) {
 		return false
 	}
 	pr.blocks, pr.count, pr.indexed = blocks, count, true
 	return true
-}
-
-// readTrailer validates the 16-byte trailer at off and returns its count.
-func (pr *PageReader) readTrailer(off int64) (uint64, bool) {
-	var t [trailerSize]byte
-	if _, err := pr.r.ReadAt(t[:], off); err != nil {
-		return 0, false
-	}
-	if binary.LittleEndian.Uint32(t[:4]) != 0 {
-		return 0, false
-	}
-	if crc32.Checksum(t[4:12], castagnoli) != binary.LittleEndian.Uint32(t[12:]) {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint64(t[4:12]), true
-}
-
-// scan rebuilds the block index by reading the file sequentially — the
-// fallback for pre-extension snapshots. Every block is CRC-verified and
-// decoded (order-checked against its neighbors), so a file that scans
-// clean serves ReadBlock without surprises.
-func (pr *PageReader) scan() error {
-	off := int64(headerSize)
-	var blocks []BlockInfo
-	var count uint64
-	var prevLast []byte
-	for {
-		var hdr [8]byte
-		if _, err := pr.r.ReadAt(hdr[:], off); err != nil {
-			return formatErr(ErrTruncated, off, "block header: %v", err)
-		}
-		word := binary.LittleEndian.Uint32(hdr[:4])
-		if word == 0 {
-			got, ok := pr.readTrailer(off)
-			if !ok {
-				return formatErr(ErrChecksum, off, "damaged trailer")
-			}
-			if got != count {
-				return formatErr(ErrCorrupt, off, "trailer count %d, found %d entries", got, count)
-			}
-			pr.blocks, pr.count = blocks, count
-			return nil
-		}
-		codec := Codec(word >> 24)
-		length := word & blockLenMask
-		if codec > readerCodecLimit {
-			return formatErr(ErrUnsupportedCodec, off, "block codec %q not supported by this reader", codec)
-		}
-		if length == 0 {
-			return formatErr(ErrCorrupt, off, "empty block")
-		}
-		if int64(length) > maxBlockLen {
-			return formatErr(ErrCorrupt, off, "block payload %d exceeds cap %d", length, maxBlockLen)
-		}
-		info := BlockInfo{Off: off, Len: int(length)}
-		page, err := pr.decodeAt(info)
-		if err != nil {
-			return err
-		}
-		if page.Len() == 0 {
-			return formatErr(ErrCorrupt, off, "empty block")
-		}
-		if prevLast != nil && bytes.Compare(prevLast, page.Key(0)) >= 0 {
-			return formatErr(ErrCorrupt, off, "keys not strictly ascending across blocks: %q then %q", prevLast, page.Key(0))
-		}
-		info.FirstKey = append([]byte(nil), page.Key(0)...)
-		prevLast = append(prevLast[:0], page.Key(page.Len()-1)...)
-		blocks = append(blocks, info)
-		count += uint64(page.Len())
-		off += 8 + int64(length)
-	}
 }
 
 // Close releases the file handle when the reader owns one.
@@ -361,83 +243,38 @@ func (pr *PageReader) FindBlock(key []byte) int {
 	return lo - 1
 }
 
-// ReadBlock fetches, CRC-verifies and decodes block i.
+// ReadBlock is the random-access driver: one ReaderAt call fetches block i
+// by the offset and stored length its index entry names — for a packed
+// block, the compressed size — and the shared decoders verify the length
+// word, the CRC over exactly those bytes, and the entry stream as it is
+// copied into the page's columns.
 func (pr *PageReader) ReadBlock(i int) (*Page, error) {
 	if i < 0 || i >= len(pr.blocks) {
 		return nil, fmt.Errorf("persist: block %d out of range [0,%d)", i, len(pr.blocks))
 	}
-	page, err := pr.decodeAt(pr.blocks[i])
-	if err != nil {
-		return nil, err
-	}
-	if pr.blocks[i].FirstKey != nil && (page.Len() == 0 || !bytes.Equal(page.Key(0), pr.blocks[i].FirstKey)) {
-		return nil, formatErr(ErrCorrupt, pr.blocks[i].Off, "block first key disagrees with index")
-	}
-	return page, nil
-}
-
-// decodeAt reads and decodes the block described by info, verifying its
-// length field, CRC and entry structure. info.Len is the stored payload
-// length — for a packed block, the compressed size — so a cold read
-// transfers the compressed bytes and expands them only after the CRC over
-// exactly those bytes has vouched for them.
-func (pr *PageReader) decodeAt(info BlockInfo) (*Page, error) {
+	info := pr.blocks[i]
 	raw := make([]byte, 8+info.Len)
 	if _, err := pr.r.ReadAt(raw, info.Off); err != nil {
 		return nil, formatErr(ErrTruncated, info.Off, "block: %v", err)
 	}
-	word := binary.LittleEndian.Uint32(raw[:4])
-	if got := word & blockLenMask; int(got) != info.Len {
-		return nil, formatErr(ErrCorrupt, info.Off, "block length %d disagrees with index %d", got, info.Len)
+	codec, length, damage := decodeBlockWord(binary.LittleEndian.Uint32(raw), info.Off)
+	if damage != nil {
+		return nil, damage
 	}
-	codec := Codec(word >> 24)
-	if codec > readerCodecLimit {
-		return nil, formatErr(ErrUnsupportedCodec, info.Off, "block codec %q not supported by this reader", codec)
+	if length != info.Len {
+		return nil, formatErr(ErrCorrupt, info.Off, "block length %d disagrees with index %d", length, info.Len)
 	}
-	payload := raw[8:]
-	if got, want := blockChecksum(codec, payload), binary.LittleEndian.Uint32(raw[4:8]); got != want {
-		return nil, formatErr(ErrChecksum, info.Off, "block CRC %#x, computed %#x", want, got)
-	}
-	if codec == CodecPacked {
-		expanded, damage := decodePacked(payload, info.Off)
-		if damage != nil {
-			return nil, damage
-		}
-		payload = expanded
-	}
-	return decodePage(payload, info.Off)
-}
-
-// decodePage parses one verified raw entry stream into a Page, enforcing
-// the entry structure and strictly ascending key order. Keys are copied
-// into the page's own column buffer, so the payload slice may be reused.
-func decodePage(payload []byte, blockOff int64) (*Page, error) {
 	p := &Page{}
-	pos := 0
-	var prev []byte
-	hasPrev := false
-	for pos < len(payload) {
-		entryOff := blockOff + 8 + int64(pos)
-		klen, n := binary.Uvarint(payload[pos:])
-		if n <= 0 || klen > MaxKeyLen {
-			return nil, formatErr(ErrCorrupt, entryOff, "bad key length")
-		}
-		pos += n
-		if pos+int(klen) > len(payload) {
-			return nil, formatErr(ErrCorrupt, entryOff, "key runs past block end")
-		}
-		key := payload[pos : pos+int(klen)]
-		pos += int(klen)
-		tid, n := binary.Uvarint(payload[pos:])
-		if n <= 0 || tid > MaxTID {
-			return nil, formatErr(ErrCorrupt, entryOff, "bad TID")
-		}
-		pos += n
-		if hasPrev && bytes.Compare(prev, key) >= 0 {
-			return nil, formatErr(ErrCorrupt, entryOff, "keys not strictly ascending: %q then %q", prev, key)
-		}
-		p.AppendEntry(key, tid)
-		prev, hasPrev = p.Key(p.Len()-1), true
+	_, _, damage, _ = decodeBlock(codec, binary.LittleEndian.Uint32(raw[4:]), raw[8:], info.Off, &keyOrder{},
+		func(key []byte, tid uint64) error {
+			p.AppendEntry(key, tid)
+			return nil
+		})
+	if damage != nil {
+		return nil, damage
+	}
+	if !bytes.Equal(p.Key(0), info.FirstKey) {
+		return nil, formatErr(ErrCorrupt, info.Off, "block first key disagrees with index")
 	}
 	p.Bytes = len(p.buf) + 4*len(p.offs) + 8*len(p.tids) + 64
 	return p, nil
@@ -447,17 +284,7 @@ func decodePage(payload []byte, blockOff int64) (*Page, error) {
 // resulting snapshot carries the HIDX footer and opens O(index) with
 // OpenPageReaderFile while remaining loadable by every sequential reader.
 func SaveIndexedFile(path string, kind uint16, write func(w *Writer) error) error {
-	return AtomicFile(path, func(f io.Writer) error {
-		sw, err := NewWriter(f, kind)
-		if err != nil {
-			return err
-		}
-		sw.EnableBlockIndex()
-		if err := write(sw); err != nil {
-			return err
-		}
-		return sw.Close()
-	})
+	return saveFile(path, kind, true, write)
 }
 
 // SectionInfo describes one section of a (possibly multiplexed) snapshot
@@ -495,29 +322,33 @@ func ScanSections(path string) ([]SectionInfo, error) {
 	}
 	size := st.Size()
 	var out []SectionInfo
-	off := int64(0)
-	for off < size {
-		// An index footer is only legal trailing the final section; its
-		// first byte can never start a section (sections start with the
-		// magic), so detect it by attempting a PageReader-style footer
-		// check on the remaining span before insisting on a header.
-		var h [8]byte
-		if _, err := f.ReadAt(h[:], off); err != nil {
-			return out, formatErr(ErrTruncated, off, "section header: %v", err)
-		}
-		if !bytes.Equal(h[:], Magic[:]) {
+	for off := int64(0); off < size; {
+		rd := &reader{r: io.NewSectionReader(f, off, size-off), off: off}
+		kind, damage := rd.header(anyKind)
+		if damage != nil {
+			// An index footer is only legal trailing the final section, and
+			// its bytes never form a section header.
 			if len(out) > 0 && isIndexTail(f, off, size) {
 				out[len(out)-1].IndexBytes = size - off
 				return out, nil
 			}
-			return out, formatErr(ErrBadMagic, off, "got % x, want % x", h[:], Magic[:])
+			return out, damage
 		}
-		sec, n, err := scanSection(f, off)
-		if err != nil {
-			return out, err
+		sec := SectionInfo{Kind: kind, UnpackedBytes: headerSize + trailerSize}
+		count, damage, _ := rd.blocks(func([]byte, uint64) error { return nil },
+			func(_ int64, codec Codec, _, raw int) {
+				sec.Blocks++
+				if codec == CodecPacked {
+					sec.PackedBlocks++
+				}
+				sec.UnpackedBytes += 8 + int64(raw)
+			})
+		if damage != nil {
+			return out, damage
 		}
+		sec.Entries, sec.Bytes = count, rd.off-off
 		out = append(out, sec)
-		off += n
+		off = rd.off
 	}
 	return out, nil
 }
@@ -534,79 +365,4 @@ func isIndexTail(r io.ReaderAt, off, size int64) bool {
 	}
 	return binary.LittleEndian.Uint32(ft[8:]) == indexMagic &&
 		int64(binary.LittleEndian.Uint32(ft[4:]))+indexFooterSize == size-off
-}
-
-// scanSection parses one section starting at base, returning its info and
-// total byte length.
-func scanSection(r io.ReaderAt, base int64) (SectionInfo, int64, error) {
-	var sec SectionInfo
-	var h [headerSize]byte
-	if _, err := r.ReadAt(h[:], base); err != nil {
-		return sec, 0, formatErr(ErrTruncated, base, "section header: %v", err)
-	}
-	if got, want := binary.LittleEndian.Uint32(h[12:]), crc32.Checksum(h[:12], castagnoli); got != want {
-		return sec, 0, formatErr(ErrChecksum, base, "header CRC %#x, computed %#x", got, want)
-	}
-	if v := binary.LittleEndian.Uint16(h[8:]); v != Version {
-		return sec, 0, formatErr(ErrVersionSkew, base+8, "snapshot version %d, reader supports %d", v, Version)
-	}
-	sec.Kind = binary.LittleEndian.Uint16(h[10:])
-	sec.UnpackedBytes = headerSize + trailerSize
-	off := base + headerSize
-	for {
-		var hdr [8]byte
-		if _, err := r.ReadAt(hdr[:], off); err != nil {
-			return sec, 0, formatErr(ErrTruncated, off, "block header: %v", err)
-		}
-		word := binary.LittleEndian.Uint32(hdr[:4])
-		if word == 0 {
-			var t [trailerSize]byte
-			if _, err := r.ReadAt(t[:], off); err != nil {
-				return sec, 0, formatErr(ErrTruncated, off, "trailer: %v", err)
-			}
-			if crc32.Checksum(t[4:12], castagnoli) != binary.LittleEndian.Uint32(t[12:]) {
-				return sec, 0, formatErr(ErrChecksum, off, "damaged trailer")
-			}
-			if got := binary.LittleEndian.Uint64(t[4:12]); got != sec.Entries {
-				return sec, 0, formatErr(ErrCorrupt, off, "trailer count %d, found %d entries", got, sec.Entries)
-			}
-			sec.Bytes = off + trailerSize - base
-			return sec, sec.Bytes, nil
-		}
-		codec := Codec(word >> 24)
-		length := word & blockLenMask
-		if codec > readerCodecLimit {
-			return sec, 0, formatErr(ErrUnsupportedCodec, off, "block codec %q not supported by this reader", codec)
-		}
-		if length == 0 {
-			return sec, 0, formatErr(ErrCorrupt, off, "empty block")
-		}
-		if int64(length) > maxBlockLen {
-			return sec, 0, formatErr(ErrCorrupt, off, "block payload %d exceeds cap %d", length, maxBlockLen)
-		}
-		raw := make([]byte, 8+length)
-		if _, err := r.ReadAt(raw, off); err != nil {
-			return sec, 0, formatErr(ErrTruncated, off, "block: %v", err)
-		}
-		if blockChecksum(codec, raw[8:]) != binary.LittleEndian.Uint32(raw[4:8]) {
-			return sec, 0, formatErr(ErrChecksum, off, "block CRC mismatch")
-		}
-		payload := raw[8:]
-		if codec == CodecPacked {
-			expanded, damage := decodePacked(payload, off)
-			if damage != nil {
-				return sec, 0, damage
-			}
-			payload = expanded
-			sec.PackedBlocks++
-		}
-		page, err := decodePage(payload, off)
-		if err != nil {
-			return sec, 0, err
-		}
-		sec.Blocks++
-		sec.Entries += uint64(page.Len())
-		sec.UnpackedBytes += 8 + int64(len(payload))
-		off += 8 + int64(length)
-	}
 }

@@ -181,8 +181,9 @@ func TestSaveIndexedFileSequentialCompat(t *testing.T) {
 // FuzzPageReader feeds arbitrary bytes to the paged open path: it must
 // never panic, and any file it accepts must serve internally consistent
 // reads — every block's keys strictly ascending, every self-lookup
-// through FindBlock landing back on its entry, and (on the scan path,
-// which decodes everything) the trailer count matching the entries.
+// through FindBlock landing back on its entry, (on the scan path, which
+// decodes everything) the trailer count matching the entries, and the
+// stream reader delivering exactly the entries the pages hold.
 func FuzzPageReader(f *testing.F) {
 	seed := func(es []entry, indexed bool) []byte {
 		var buf bytes.Buffer
@@ -225,6 +226,7 @@ func FuzzPageReader(f *testing.F) {
 		}
 		var total uint64
 		var prevLast []byte
+		var paged []entry
 		ordered, clean := true, true
 		for b := 0; b < pr.Blocks(); b++ {
 			page, err := pr.ReadBlock(b)
@@ -245,12 +247,31 @@ func FuzzPageReader(f *testing.F) {
 				if j, ok := page.Find(k); !ok || j != i {
 					t.Fatalf("block %d: Find(%q) = (%d, %v), want (%d, true)", b, k, j, ok, i)
 				}
+				paged = append(paged, entry{k, page.TID(i)})
 			}
 			prevLast = page.Key(page.Len() - 1)
 			total += uint64(page.Len())
 		}
 		if clean && !pr.Indexed() && total != pr.Count() {
 			t.Fatalf("scan-opened file decodes %d entries, trailer says %d", total, pr.Count())
+		}
+		if !pr.Indexed() || (clean && ordered && total == pr.Count()) {
+			// The scan path is the stream reader's own loop, and a footer
+			// whose every block then pages in, in order, to the trailer's
+			// count leaves nothing the stream reader could still object to:
+			// it must accept the same bytes and deliver the same entries.
+			streamed, _, err := readAll(data, KindTree)
+			if err != nil {
+				t.Fatalf("PageReader accepts what Read rejects: %v", err)
+			}
+			if len(streamed) != len(paged) {
+				t.Fatalf("Read delivered %d entries, pages hold %d", len(streamed), len(paged))
+			}
+			for i, e := range streamed {
+				if !bytes.Equal(e.key, paged[i].key) || e.tid != paged[i].tid {
+					t.Fatalf("entry %d: Read %q/%d, page %q/%d", i, e.key, e.tid, paged[i].key, paged[i].tid)
+				}
+			}
 		}
 		if clean && ordered {
 			// Globally ordered and fully readable: every first key must be

@@ -175,6 +175,14 @@ func (e *FormatError) Error() string {
 	return fmt.Sprintf("persist: %s at byte %d: %s", e.Kind, e.Offset, e.Detail)
 }
 
+// unusable reports header-level damage: the bytes are not a file of this
+// format at all, or one from an incompatible version or of another kind.
+// The salvaging readers return it as an error as well as in their report,
+// so callers that ignore the report cannot mistake it for an empty file.
+func (e *FormatError) unusable() bool {
+	return e != nil && (e.Kind == ErrBadMagic || e.Kind == ErrVersionSkew || e.Kind == ErrWrongKind)
+}
+
 func formatErr(kind ErrKind, off int64, format string, args ...any) *FormatError {
 	return &FormatError{Kind: kind, Offset: off, Detail: fmt.Sprintf(format, args...)}
 }

@@ -1,9 +1,7 @@
 package persist
 
 import (
-	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"io"
 	"os"
 )
@@ -20,15 +18,12 @@ type EntryFunc func(key []byte, tid uint64) error
 // only from blocks that validated completely, so fn never observes bytes a
 // checksum has not vouched for.
 func Read(r io.Reader, wantKind uint16, fn EntryFunc) (uint64, error) {
-	rd := &reader{r: r, wantKind: wantKind}
-	count, damage, err := rd.run(fn)
-	if err != nil {
-		return count, err
+	rd := &reader{r: r}
+	count, damage, err := rd.section(wantKind, fn)
+	if err == nil && damage != nil {
+		err = damage
 	}
-	if damage != nil {
-		return count, damage
-	}
-	return count, nil
+	return count, err
 }
 
 // Recover parses like Read but salvages: instead of failing on the first
@@ -37,22 +32,13 @@ func Read(r io.Reader, wantKind uint16, fn EntryFunc) (uint64, error) {
 // file's content — an fn error, or an unusable header (nothing salvageable,
 // reported as the error AND in the report's Damage).
 func Recover(r io.Reader, wantKind uint16, fn EntryFunc) (RecoveryReport, error) {
-	rd := &reader{r: r, wantKind: wantKind}
-	count, damage, err := rd.run(fn)
-	rep := RecoveryReport{Entries: count, Complete: damage == nil && err == nil}
-	rep.Damage = damage
-	if err != nil {
-		return rep, err
+	rd := &reader{r: r}
+	count, damage, err := rd.section(wantKind, fn)
+	rep := RecoveryReport{Entries: count, Complete: damage == nil && err == nil, Damage: damage}
+	if err == nil && damage.unusable() {
+		err = damage
 	}
-	if damage != nil && damage.Offset < headerSize+1 && count == 0 {
-		// Header-level damage: the file is not a snapshot at all (or an
-		// incompatible one); surface that as an error too so callers that
-		// ignore the report cannot mistake it for an empty index.
-		if damage.Kind == ErrBadMagic || damage.Kind == ErrVersionSkew || damage.Kind == ErrWrongKind {
-			return rep, damage
-		}
-	}
-	return rep, nil
+	return rep, err
 }
 
 // ReadFile is Read over the file at path.
@@ -75,140 +61,77 @@ func RecoverFile(path string, wantKind uint16, fn EntryFunc) (RecoveryReport, er
 	return Recover(f, wantKind, fn)
 }
 
-// reader holds one parse pass's state.
+// reader is the sequential driver: it pulls a section's units off an
+// io.Reader in file order and hands each to the decoders in decode.go. Every
+// whole-section walk runs through it — Read and Recover directly, PageReader's
+// open-time scan and ScanSections over an io.SectionReader — so all of them
+// report the same damage at the same offset.
 type reader struct {
-	r        io.Reader
-	wantKind uint16
-	off      int64
-	prevKey  []byte
-	count    uint64
-	hasPrev  bool
+	r   io.Reader
+	off int64 // file offset of the next unread byte
+	err error // what the last short read returned
 }
 
-// run parses the whole snapshot. It returns the delivered entry count, the
-// first damage found (nil for a clean file), and any out-of-band error
-// (fn failure). Read and Recover differ only in how they surface damage.
-func (rd *reader) run(fn EntryFunc) (uint64, *FormatError, error) {
-	if damage := rd.header(); damage != nil {
+// header reads and validates a section header.
+func (rd *reader) header(wantKind uint16) (uint16, *FormatError) {
+	var h [headerSize]byte
+	base := rd.off
+	if damage := rd.readFull(h[:], "header"); damage != nil {
+		return 0, damage
+	}
+	return decodeHeader(h[:], base, wantKind)
+}
+
+// blocks walks the units after the header through the trailer, delivering
+// entries to fn and, when onBlock is non-nil, each fully validated block's
+// offset, codec, stored and raw payload lengths to it. It returns the
+// entries delivered, the first damage found (nil for a clean section) and
+// any fn error.
+func (rd *reader) blocks(fn EntryFunc, onBlock func(off int64, codec Codec, stored, raw int)) (uint64, *FormatError, error) {
+	var ord keyOrder
+	var count uint64
+	for {
+		unitOff := rd.off
+		var unit [trailerSize]byte
+		if damage := rd.readFull(unit[:8], "block header"); damage != nil {
+			return count, damage, nil
+		}
+		codec, length, damage := decodeBlockWord(binary.LittleEndian.Uint32(unit[:4]), unitOff)
+		if damage != nil {
+			return count, damage, nil
+		}
+		if length == 0 {
+			if damage := rd.readFull(unit[8:], "trailer"); damage != nil {
+				return count, damage, nil
+			}
+			want, damage := decodeTrailer(unit[:], unitOff)
+			if damage == nil && want != count {
+				damage = formatErr(ErrCorrupt, unitOff, "trailer count %d, found %d entries", want, count)
+			}
+			return count, damage, nil
+		}
+		payload := make([]byte, length)
+		if damage := rd.readFull(payload, "block payload"); damage != nil {
+			return count, damage, nil
+		}
+		n, raw, damage, err := decodeBlock(codec, binary.LittleEndian.Uint32(unit[4:]), payload, unitOff, &ord, fn)
+		count += n
+		if damage != nil || err != nil {
+			return count, damage, err
+		}
+		if onBlock != nil {
+			onBlock(unitOff, codec, length, raw)
+		}
+	}
+}
+
+// section parses one whole section. Read and Recover differ only in how
+// they surface its damage.
+func (rd *reader) section(wantKind uint16, fn EntryFunc) (uint64, *FormatError, error) {
+	if _, damage := rd.header(wantKind); damage != nil {
 		return 0, damage, nil
 	}
-	for {
-		done, damage, err := rd.unit(fn)
-		if damage != nil || err != nil || done {
-			return rd.count, damage, err
-		}
-	}
-}
-
-// header validates the 16-byte header.
-func (rd *reader) header() *FormatError {
-	var h [headerSize]byte
-	if damage := rd.readFull(h[:], "header"); damage != nil {
-		return damage
-	}
-	if !bytes.Equal(h[:8], Magic[:]) {
-		return formatErr(ErrBadMagic, 0, "got % x, want % x", h[:8], Magic[:])
-	}
-	if got, want := binary.LittleEndian.Uint32(h[12:]), crc32.Checksum(h[:12], castagnoli); got != want {
-		return formatErr(ErrChecksum, 0, "header CRC %#x, computed %#x", got, want)
-	}
-	if v := binary.LittleEndian.Uint16(h[8:]); v != Version {
-		return formatErr(ErrVersionSkew, 8, "snapshot version %d, reader supports %d", v, Version)
-	}
-	if k := binary.LittleEndian.Uint16(h[10:]); k != rd.wantKind {
-		return formatErr(ErrWrongKind, 10, "snapshot kind %d, want %d", k, rd.wantKind)
-	}
-	rd.off = headerSize
-	return nil
-}
-
-// unit parses one block or the trailer. done reports a clean trailer.
-func (rd *reader) unit(fn EntryFunc) (done bool, damage *FormatError, err error) {
-	unitOff := rd.off
-	var hdr [8]byte
-	if damage := rd.readFull(hdr[:], "block header"); damage != nil {
-		return false, damage, nil
-	}
-	word := binary.LittleEndian.Uint32(hdr[:4])
-	blockCRC := binary.LittleEndian.Uint32(hdr[4:])
-	if word == 0 {
-		// Trailer: [0 u32 | count u64 | crc32(count) u32]. hdr already
-		// holds the zero length and the count's first half.
-		var rest [8]byte
-		if damage := rd.readFull(rest[:], "trailer"); damage != nil {
-			return false, damage, nil
-		}
-		var cb [8]byte
-		copy(cb[:4], hdr[4:])
-		copy(cb[4:], rest[:4])
-		crc := binary.LittleEndian.Uint32(rest[4:])
-		if got := crc32.Checksum(cb[:], castagnoli); got != crc {
-			return false, formatErr(ErrChecksum, unitOff, "trailer CRC %#x, computed %#x", crc, got), nil
-		}
-		count := binary.LittleEndian.Uint64(cb[:])
-		if count != rd.count {
-			return false, formatErr(ErrCorrupt, unitOff, "trailer count %d, found %d entries", count, rd.count), nil
-		}
-		return true, nil, nil
-	}
-	codec := Codec(word >> 24)
-	length := word & blockLenMask
-	if codec > readerCodecLimit {
-		return false, formatErr(ErrUnsupportedCodec, unitOff, "block codec %q not supported by this reader", codec), nil
-	}
-	if length == 0 {
-		return false, formatErr(ErrCorrupt, unitOff, "empty block"), nil
-	}
-	if length > maxBlockLen {
-		return false, formatErr(ErrCorrupt, unitOff, "block payload %d exceeds cap %d", length, maxBlockLen), nil
-	}
-	payload := make([]byte, length)
-	if damage := rd.readFull(payload, "block payload"); damage != nil {
-		return false, damage, nil
-	}
-	if got := blockChecksum(codec, payload); got != blockCRC {
-		return false, formatErr(ErrChecksum, unitOff, "block CRC %#x, computed %#x", blockCRC, got), nil
-	}
-	if codec == CodecPacked {
-		// The stored (compressed) bytes checksummed clean; expand them to
-		// the raw entry stream the loop below has always parsed. Entry
-		// offsets inside a packed block refer to the reconstructed stream.
-		raw, damage := decodePacked(payload, unitOff)
-		if damage != nil {
-			return false, damage, nil
-		}
-		payload = raw
-	}
-	// The block checksums clean: parse and deliver its entries.
-	pos := 0
-	for pos < len(payload) {
-		entryOff := unitOff + 8 + int64(pos)
-		klen, n := binary.Uvarint(payload[pos:])
-		if n <= 0 || klen > MaxKeyLen {
-			return false, formatErr(ErrCorrupt, entryOff, "bad key length"), nil
-		}
-		pos += n
-		if pos+int(klen) > len(payload) {
-			return false, formatErr(ErrCorrupt, entryOff, "key runs past block end"), nil
-		}
-		key := payload[pos : pos+int(klen)]
-		pos += int(klen)
-		tid, n := binary.Uvarint(payload[pos:])
-		if n <= 0 || tid > MaxTID {
-			return false, formatErr(ErrCorrupt, entryOff, "bad TID"), nil
-		}
-		pos += n
-		if rd.hasPrev && bytes.Compare(rd.prevKey, key) >= 0 {
-			return false, formatErr(ErrCorrupt, entryOff, "keys not strictly ascending: %q then %q", rd.prevKey, key), nil
-		}
-		rd.prevKey = append(rd.prevKey[:0], key...)
-		rd.hasPrev = true
-		if err := fn(key, tid); err != nil {
-			return false, nil, err
-		}
-		rd.count++
-	}
-	return false, nil, nil
+	return rd.blocks(fn, nil)
 }
 
 // readFull reads exactly len(p) bytes, converting any short read into a
@@ -217,7 +140,7 @@ func (rd *reader) readFull(p []byte, what string) *FormatError {
 	n, err := io.ReadFull(rd.r, p)
 	off := rd.off
 	rd.off += int64(n)
-	if err != nil {
+	if rd.err = err; err != nil {
 		return formatErr(ErrTruncated, off, "%s cut short after %d of %d bytes: %v", what, n, len(p), err)
 	}
 	return nil

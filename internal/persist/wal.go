@@ -104,20 +104,52 @@ type WALEntryFunc func(op WalOp, key []byte, tid uint64) error
 // non-nil only for failures outside the log's content: an fn error, or an
 // unusable header (not a WAL at all), which is also recorded as Damage.
 func ReplayWAL(r io.Reader, fn WALEntryFunc) (WALReplayReport, error) {
-	rd := &walReader{r: r}
-	rep, err := rd.run(fn)
-	if err != nil {
-		return rep, err
+	var rep WALReplayReport
+	stop := func(damage *FormatError) (WALReplayReport, error) {
+		rep.Damage = damage
+		return rep, nil
 	}
-	if rep.Damage != nil && rep.ValidSize == 0 {
-		// Header-level damage: the file is not a usable WAL at all.
-		// Surface that as an error too, so callers that ignore the report
-		// cannot mistake it for an empty log.
-		if k := rep.Damage.Kind; k == ErrBadMagic || k == ErrVersionSkew || k == ErrWrongKind {
-			return rep, rep.Damage
+	rd := &reader{r: r}
+	if _, damage := rd.header(KindWAL); damage.unusable() {
+		rep.Damage = damage
+		return rep, damage
+	} else if damage != nil {
+		return stop(damage)
+	}
+	rep.ValidSize = headerSize
+	var dec walDecoder
+	var rec []byte
+	for {
+		recOff := rd.off
+		var prefix [8]byte
+		if damage := rd.readFull(prefix[:], "record header"); damage != nil {
+			if rd.err == io.EOF {
+				// A WAL has no trailer; it simply ends at a record boundary.
+				rep.Complete = true
+				return rep, nil
+			}
+			return stop(damage)
 		}
+		length, damage := walRecordLen(prefix[:], recOff)
+		if damage != nil {
+			return stop(damage)
+		}
+		rec = append(append(rec[:0], prefix[:]...), make([]byte, length)...)
+		if damage := rd.readFull(rec[8:], "record payload"); damage != nil {
+			return stop(damage)
+		}
+		op, key, tid, damage := dec.record(rec, recOff)
+		if damage != nil {
+			return stop(damage)
+		}
+		if op != WalCheckpoint {
+			if err := fn(op, key, tid); err != nil {
+				return rep, err
+			}
+			rep.Records++
+		}
+		rep.Base, rep.LastLSN, rep.ValidSize = dec.base, dec.last, rd.off
 	}
-	return rep, nil
 }
 
 // ReplayWALFile is ReplayWAL over the file at path.
@@ -130,167 +162,68 @@ func ReplayWALFile(path string, fn WALEntryFunc) (WALReplayReport, error) {
 	return ReplayWAL(f, fn)
 }
 
-// walReader holds one replay pass's state.
-type walReader struct {
-	r   io.Reader
-	off int64
+// walRecordLen validates the 8-byte prefix of the record at off and returns
+// its payload length, so a driver knows how many more bytes the record
+// needs before any of them is allocated or read.
+func walRecordLen(prefix []byte, off int64) (int, *FormatError) {
+	length := binary.LittleEndian.Uint32(prefix)
+	if length == 0 || length > maxWalRecLen {
+		return 0, formatErr(ErrCorrupt, off, "record payload %d outside (0, %d]", length, maxWalRecLen)
+	}
+	return int(length), nil
 }
 
-func (rd *walReader) run(fn WALEntryFunc) (WALReplayReport, error) {
-	var rep WALReplayReport
-	var h [headerSize]byte
-	if damage := rd.readFull(h[:], "WAL header"); damage != nil {
-		rep.Damage = damage
-		return rep, nil
-	}
-	if damage := validateHeader(h, KindWAL); damage != nil {
-		rep.Damage = damage
-		return rep, nil
-	}
-	rep.ValidSize = headerSize
-	prev := uint64(0)
-	first := true
-	for {
-		recOff := rd.off
-		var hdr [8]byte
-		if damage := rd.readFullEOF(hdr[:], "record header"); damage != nil {
-			rep.Damage = damage
-			return rep, nil
-		} else if rd.off == recOff {
-			rep.Complete = true // clean EOF at a record boundary
-			return rep, nil
-		}
-		length := binary.LittleEndian.Uint32(hdr[:4])
-		recCRC := binary.LittleEndian.Uint32(hdr[4:])
-		if length == 0 || length > maxWalRecLen {
-			rep.Damage = formatErr(ErrCorrupt, recOff, "record payload %d outside (0, %d]", length, maxWalRecLen)
-			return rep, nil
-		}
-		payload := make([]byte, length)
-		if damage := rd.readFull(payload, "record payload"); damage != nil {
-			rep.Damage = damage
-			return rep, nil
-		}
-		if got := crc32.Checksum(payload, castagnoli); got != recCRC {
-			rep.Damage = formatErr(ErrChecksum, recOff, "record CRC %#x, computed %#x", recCRC, got)
-			return rep, nil
-		}
-		op, lsn, key, tid, damage := parseWalPayload(payload, recOff)
-		if damage != nil {
-			rep.Damage = damage
-			return rep, nil
-		}
-		if op == WalCheckpoint {
-			if !first {
-				rep.Damage = formatErr(ErrCorrupt, recOff, "checkpoint record not at log start")
-				return rep, nil
-			}
-			rep.Base, rep.LastLSN, prev = lsn, lsn, lsn
-		} else {
-			if lsn != prev+1 {
-				rep.Damage = formatErr(ErrCorrupt, recOff, "LSN %d after %d, want %d", lsn, prev, prev+1)
-				return rep, nil
-			}
-			prev = lsn
-			if err := fn(op, key, tid); err != nil {
-				return rep, err
-			}
-			rep.Records++
-			rep.LastLSN = lsn
-		}
-		first = false
-		rep.ValidSize = rd.off
-	}
+// walDecoder is the one record step both log drivers — ReplayWAL over a
+// stream, WALTailer over a live file — advance record by record. It owns
+// every rule about a record beyond its length: the CRC, the payload's
+// structure, where a checkpoint record may stand, and LSN continuity.
+type walDecoder struct {
+	base  uint64 // LSN of the leading checkpoint record (0 without one)
+	last  uint64 // LSN of the last record accepted
+	begun bool   // a record has been accepted
 }
 
-// parseWalPayload decodes and structurally validates one record payload.
-func parseWalPayload(p []byte, off int64) (op WalOp, lsn uint64, key []byte, tid uint64, damage *FormatError) {
-	op = WalOp(p[0])
-	if op > walOpMax {
-		return 0, 0, nil, 0, formatErr(ErrCorrupt, off, "unknown op %d", op)
+// record validates rec — the complete record, prefix and payload, found at
+// off — against the log so far and returns its operation; the key aliases
+// rec. A checkpoint record is legal only as the log's first record and sets
+// the base; every data record must carry exactly the next LSN. A log that
+// opens with a data record therefore has base 0 and starts at LSN 1.
+func (d *walDecoder) record(rec []byte, off int64) (op WalOp, key []byte, tid uint64, damage *FormatError) {
+	bad := func(format string, args ...any) (WalOp, []byte, uint64, *FormatError) {
+		return 0, nil, 0, formatErr(ErrCorrupt, off, format, args...)
 	}
-	pos := 1
-	lsn, n := binary.Uvarint(p[pos:])
+	crc, p := binary.LittleEndian.Uint32(rec[4:]), rec[8:]
+	if got := crc32.Checksum(p, castagnoli); got != crc {
+		return 0, nil, 0, formatErr(ErrChecksum, off, "record CRC %#x, computed %#x", crc, got)
+	}
+	if op = WalOp(p[0]); op > walOpMax {
+		return bad("unknown op %d", op)
+	}
+	lsn, n := binary.Uvarint(p[1:])
 	if n <= 0 {
-		return 0, 0, nil, 0, formatErr(ErrCorrupt, off, "bad LSN")
+		return bad("bad LSN")
 	}
-	pos += n
-	klen, n := binary.Uvarint(p[pos:])
-	if n <= 0 || klen > MaxKeyLen {
-		return 0, 0, nil, 0, formatErr(ErrCorrupt, off, "bad key length")
+	key, tid, size, what := decodeEntry(p[1+n:])
+	if what != "" {
+		return bad("%s", what)
 	}
-	pos += n
-	if pos+int(klen) > len(p) {
-		return 0, 0, nil, 0, formatErr(ErrCorrupt, off, "key runs past record end")
+	if rest := len(p) - 1 - n - size; rest != 0 {
+		return bad("%d trailing bytes in record", rest)
 	}
-	key = p[pos : pos+int(klen)]
-	pos += int(klen)
-	tid, n = binary.Uvarint(p[pos:])
-	if n <= 0 || tid > MaxTID {
-		return 0, 0, nil, 0, formatErr(ErrCorrupt, off, "bad TID")
+	switch {
+	case op == WalCheckpoint && (len(key) != 0 || tid != 0):
+		return bad("checkpoint record carries a key or TID")
+	case op == WalCheckpoint && d.begun:
+		return bad("checkpoint record not at log start")
+	case op == WalCheckpoint:
+		d.base = lsn
+	case op == WalDelete && tid != 0:
+		return bad("delete record carries TID %d", tid)
+	case lsn != d.last+1:
+		return bad("LSN %d after %d, want %d", lsn, d.last, d.last+1)
 	}
-	pos += n
-	if pos != len(p) {
-		return 0, 0, nil, 0, formatErr(ErrCorrupt, off, "%d trailing bytes in record", len(p)-pos)
-	}
-	switch op {
-	case WalCheckpoint:
-		if klen != 0 || tid != 0 {
-			return 0, 0, nil, 0, formatErr(ErrCorrupt, off, "checkpoint record carries a key or TID")
-		}
-	case WalDelete:
-		if tid != 0 {
-			return 0, 0, nil, 0, formatErr(ErrCorrupt, off, "delete record carries TID %d", tid)
-		}
-	}
-	return op, lsn, key, tid, nil
-}
-
-// validateHeader checks a 16-byte persist header against the wanted kind.
-func validateHeader(h [headerSize]byte, wantKind uint16) *FormatError {
-	for i := range Magic {
-		if h[i] != Magic[i] {
-			return formatErr(ErrBadMagic, 0, "got % x, want % x", h[:8], Magic[:])
-		}
-	}
-	if got, want := binary.LittleEndian.Uint32(h[12:]), crc32.Checksum(h[:12], castagnoli); got != want {
-		return formatErr(ErrChecksum, 0, "header CRC %#x, computed %#x", got, want)
-	}
-	if v := binary.LittleEndian.Uint16(h[8:]); v != Version {
-		return formatErr(ErrVersionSkew, 8, "version %d, reader supports %d", v, Version)
-	}
-	if k := binary.LittleEndian.Uint16(h[10:]); k != wantKind {
-		return formatErr(ErrWrongKind, 10, "kind %d, want %d", k, wantKind)
-	}
-	return nil
-}
-
-// readFull reads exactly len(p) bytes, converting any short read into a
-// typed truncation error at the current offset.
-func (rd *walReader) readFull(p []byte, what string) *FormatError {
-	n, err := io.ReadFull(rd.r, p)
-	off := rd.off
-	rd.off += int64(n)
-	if err != nil {
-		return formatErr(ErrTruncated, off, "%s cut short after %d of %d bytes: %v", what, n, len(p), err)
-	}
-	return nil
-}
-
-// readFullEOF is readFull, except a clean EOF before the first byte is not
-// damage (a WAL has no trailer; it simply ends). The caller distinguishes
-// the clean case by the unchanged offset.
-func (rd *walReader) readFullEOF(p []byte, what string) *FormatError {
-	n, err := io.ReadFull(rd.r, p)
-	off := rd.off
-	rd.off += int64(n)
-	if err == io.EOF && n == 0 {
-		return nil
-	}
-	if err != nil {
-		return formatErr(ErrTruncated, off, "%s cut short after %d of %d bytes: %v", what, n, len(p), err)
-	}
-	return nil
+	d.last, d.begun = lsn, true
+	return op, key, tid, nil
 }
 
 // WAL is one open write-ahead log: an append buffer, the file it drains
@@ -668,12 +601,10 @@ func (w *WAL) Path() string { return w.path }
 // it (the replication session guarantees that by holding the store's
 // checkpoint lock).
 type WALTailer struct {
-	f     *os.File
-	off   int64
-	base  uint64 // checkpoint LSN of the leading checkpoint record
-	prev  uint64 // LSN of the last record returned (base before any)
-	first bool   // the leading checkpoint record has not been read yet
-	buf   []byte
+	f   *os.File
+	off int64
+	dec walDecoder
+	buf []byte
 }
 
 // OpenWALTailer opens the log at path for incremental tailing, validating
@@ -684,16 +615,12 @@ func OpenWALTailer(path string) (*WALTailer, error) {
 	if err != nil {
 		return nil, err
 	}
-	var h [headerSize]byte
-	if _, err := f.ReadAt(h[:], 0); err != nil {
-		f.Close()
-		return nil, formatErr(ErrTruncated, 0, "log header: %v", err)
-	}
-	if damage := validateHeader(h, KindWAL); damage != nil {
+	rd := &reader{r: f}
+	if _, damage := rd.header(KindWAL); damage != nil {
 		f.Close()
 		return nil, damage
 	}
-	return &WALTailer{f: f, off: headerSize, first: true}, nil
+	return &WALTailer{f: f, off: rd.off}, nil
 }
 
 // Next returns the next data record whose bytes lie entirely below limit.
@@ -707,55 +634,35 @@ func (t *WALTailer) Next(limit int64) (op WalOp, key []byte, tid uint64, lsn uin
 		if t.off+8 > limit {
 			return 0, nil, 0, 0, false, nil
 		}
-		var hdr [8]byte
-		if _, err := t.f.ReadAt(hdr[:], t.off); err != nil {
+		var prefix [8]byte
+		if _, err := t.f.ReadAt(prefix[:], t.off); err != nil {
 			return 0, nil, 0, 0, false, formatErr(ErrTruncated, t.off, "record header below limit %d: %v", limit, err)
 		}
-		length := binary.LittleEndian.Uint32(hdr[:4])
-		recCRC := binary.LittleEndian.Uint32(hdr[4:])
-		if length == 0 || length > maxWalRecLen {
-			return 0, nil, 0, 0, false, formatErr(ErrCorrupt, t.off, "record payload %d outside (0, %d]", length, maxWalRecLen)
-		}
-		if t.off+8+int64(length) > limit {
-			return 0, nil, 0, 0, false, nil
-		}
-		if uint32(cap(t.buf)) < length {
-			t.buf = make([]byte, length)
-		}
-		payload := t.buf[:length]
-		if _, err := t.f.ReadAt(payload, t.off+8); err != nil {
-			return 0, nil, 0, 0, false, formatErr(ErrTruncated, t.off, "record payload below limit %d: %v", limit, err)
-		}
-		if got := crc32.Checksum(payload, castagnoli); got != recCRC {
-			return 0, nil, 0, 0, false, formatErr(ErrChecksum, t.off, "record CRC %#x, computed %#x", recCRC, got)
-		}
-		rop, rlsn, rkey, rtid, damage := parseWalPayload(payload, t.off)
+		length, damage := walRecordLen(prefix[:], t.off)
 		if damage != nil {
 			return 0, nil, 0, 0, false, damage
 		}
-		if rop == WalCheckpoint {
-			if !t.first {
-				return 0, nil, 0, 0, false, formatErr(ErrCorrupt, t.off, "checkpoint record not at log start")
-			}
-			t.base, t.prev, t.first = rlsn, rlsn, false
-			t.off += 8 + int64(length)
-			continue
+		end := t.off + 8 + int64(length)
+		if end > limit {
+			return 0, nil, 0, 0, false, nil
 		}
-		if t.first {
-			return 0, nil, 0, 0, false, formatErr(ErrCorrupt, t.off, "log opens without a checkpoint record")
+		t.buf = append(append(t.buf[:0], prefix[:]...), make([]byte, length)...)
+		if _, err := t.f.ReadAt(t.buf[8:], t.off+8); err != nil {
+			return 0, nil, 0, 0, false, formatErr(ErrTruncated, t.off+8, "record payload below limit %d: %v", limit, err)
 		}
-		if rlsn != t.prev+1 {
-			return 0, nil, 0, 0, false, formatErr(ErrCorrupt, t.off, "LSN %d after %d, want %d", rlsn, t.prev, t.prev+1)
+		if op, key, tid, damage = t.dec.record(t.buf, t.off); damage != nil {
+			return 0, nil, 0, 0, false, damage
 		}
-		t.prev = rlsn
-		t.off += 8 + int64(length)
-		return rop, rkey, rtid, rlsn, true, nil
+		t.off = end
+		if op != WalCheckpoint {
+			return op, key, tid, t.dec.last, true, nil
+		}
 	}
 }
 
 // Base returns the log's checkpoint base LSN; it is zero until the first
 // Next call has consumed the leading checkpoint record.
-func (t *WALTailer) Base() uint64 { return t.base }
+func (t *WALTailer) Base() uint64 { return t.dec.base }
 
 // Close releases the tailer's file descriptor.
 func (t *WALTailer) Close() error { return t.f.Close() }

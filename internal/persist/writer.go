@@ -227,10 +227,18 @@ func (sw *Writer) fail(err error) error {
 // the temp file is removed and path is left untouched, so the previous
 // snapshot, if any, remains loadable.
 func SaveFile(path string, kind uint16, write func(w *Writer) error) error {
+	return saveFile(path, kind, false, write)
+}
+
+// saveFile is SaveFile, with the HIDX block index appended when indexed.
+func saveFile(path string, kind uint16, indexed bool, write func(w *Writer) error) error {
 	return AtomicFile(path, func(f io.Writer) error {
 		sw, err := NewWriter(f, kind)
 		if err != nil {
 			return err
+		}
+		if indexed {
+			sw.EnableBlockIndex()
 		}
 		if err := write(sw); err != nil {
 			return err

@@ -367,15 +367,8 @@ func (f *Follower) Feed(r io.Reader) error {
 	if op != wire.RepManifest || len(body) != 0 {
 		return feedErr("manifest", fmt.Errorf("unexpected frame %#x", op))
 	}
-	var bounds [][]byte
-	if _, err := persist.Read(br, persist.KindShardManifest, func(key []byte, tid TID) error {
-		if tid != uint64(len(bounds)) {
-			return &SnapshotError{Kind: persist.ErrCorrupt,
-				Detail: fmt.Sprintf("manifest boundary %d carries TID %d", len(bounds), tid)}
-		}
-		bounds = append(bounds, append([]byte(nil), key...))
-		return nil
-	}); err != nil {
+	t, err := readManifest(br, f.loader)
+	if err != nil {
 		return feedErr("manifest", err)
 	}
 	// A fresh bootstrap invalidates whatever was held before (a full
@@ -383,7 +376,6 @@ func (f *Follower) Feed(r io.Reader) error {
 	// drops to zero before the new tree is visible, so concurrent reads
 	// degrade to ErrNotReady — never to answers mixing two streams — and
 	// grow back section by section.
-	t := newShardedFromBounds(f.loader, bounds)
 	f.ready.Store(0)
 	f.cuts = make([]uint64, len(t.shards))
 	f.lsns = make([]uint64, len(t.shards))
@@ -406,14 +398,7 @@ func (f *Follower) Feed(r io.Reader) error {
 			return feedErr("section", fmt.Errorf("section frame for shard %d, want %d", sh, i))
 		}
 		f.cuts[i] = cut
-		if _, err := persist.Read(br, persist.KindTree, func(key []byte, tid TID) error {
-			if f.onEntry != nil {
-				if oerr := f.onEntry(key, tid); oerr != nil {
-					return oerr
-				}
-			}
-			return t.loadShardEntry(i, key, tid)
-		}); err != nil {
+		if _, err := persist.Read(br, persist.KindTree, t.shardSink(i, f.onEntry)); err != nil {
 			return feedErr("section", err)
 		}
 		f.ready.Store(int32(i + 1))

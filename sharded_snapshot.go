@@ -41,17 +41,14 @@ func (t *ShardedTree) writeSectionsHook(w io.Writer, kind uint16, before, after 
 		}
 	}
 	codec := t.SnapshotCodec()
-	mw, err := persist.NewWriter(w, persist.KindShardManifest)
-	if err != nil {
-		return err
-	}
-	mw.SetCodec(codec)
-	for i, b := range t.bounds {
-		if err := mw.WriteEntry(b, uint64(i)); err != nil {
-			return err
+	if err := writeSnapshot(w, persist.KindShardManifest, codec, false, func(fn persist.EntryFunc) error {
+		for i, b := range t.bounds {
+			if err := fn(b, uint64(i)); err != nil {
+				return err
+			}
 		}
-	}
-	if err := mw.Close(); err != nil {
+		return nil
+	}); err != nil {
 		return err
 	}
 	if after != nil {
@@ -65,23 +62,17 @@ func (t *ShardedTree) writeSectionsHook(w io.Writer, kind uint16, before, after 
 				return err
 			}
 		}
-		sw, err := persist.NewWriter(w, kind)
-		if err != nil {
-			return err
-		}
-		sw.SetCodec(codec)
 		// A cold shard streams its section from the cold file — the
 		// entries are identical to what its trie held at demotion, and
 		// writers to it are demoted-out, so the section is as consistent
 		// as a hot shard's epoch-pinned walk.
+		var src entrySource
 		if tr, cs := t.view(i); tr != nil {
-			if err := writeWalk(sw, tr.SnapshotWalk); err != nil {
-				return err
-			}
-		} else if err := cs.writeTo(sw); err != nil {
-			return err
+			src = walkSource(tr.SnapshotWalk)
+		} else {
+			src = cs.walk
 		}
-		if err := sw.Close(); err != nil {
+		if err := writeSnapshot(w, kind, codec, false, src); err != nil {
 			return err
 		}
 		if after != nil {
@@ -185,35 +176,20 @@ func absolutize(err error, base int64) {
 func readSharded(r io.Reader, kind uint16, loader Loader, check func(key []byte, tid TID) error, salvage bool, skip func(i int) bool) (*ShardedTree, RecoveryReport, error) {
 	cr := &countingReader{r: r}
 	var rep RecoveryReport
-	var bounds [][]byte
-	_, err := persist.Read(cr, persist.KindShardManifest, func(key []byte, tid TID) error {
-		if tid != uint64(len(bounds)) {
-			return &SnapshotError{Kind: persist.ErrCorrupt,
-				Detail: fmt.Sprintf("manifest boundary %d carries TID %d", len(bounds), tid)}
-		}
-		bounds = append(bounds, append([]byte(nil), key...))
-		return nil
-	})
+	t, err := readManifest(cr, loader)
 	if err != nil {
 		errors.As(err, &rep.Damage)
 		return nil, rep, err
 	}
-	t := newShardedFromBounds(loader, bounds)
 	for i := range t.shards {
 		base := cr.n
-		sink := func(key []byte, tid TID) error {
-			if check != nil {
-				if cerr := check(key, tid); cerr != nil {
-					return cerr
-				}
-			}
-			return t.loadShardEntry(i, key, tid)
-		}
-		if skip != nil && skip(i) {
+		skipped := skip != nil && skip(i)
+		sink := t.shardSink(i, check)
+		if skipped {
 			sink = func([]byte, TID) error { return nil }
 		}
 		n, err := persist.Read(cr, kind, sink)
-		if skip == nil || !skip(i) {
+		if !skipped {
 			rep.Entries += n
 		}
 		if err != nil {
@@ -227,6 +203,39 @@ func readSharded(r io.Reader, kind uint16, loader Loader, check func(key []byte,
 	}
 	rep.Complete = true
 	return t, rep, nil
+}
+
+// readManifest parses a manifest section from r and returns the empty tree
+// its boundary table defines. Both consumers of the multiplexed format — the
+// file loaders above and the replication follower — start here.
+func readManifest(r io.Reader, loader Loader) (*ShardedTree, error) {
+	var bounds [][]byte
+	_, err := persist.Read(r, persist.KindShardManifest, func(key []byte, tid TID) error {
+		if tid != uint64(len(bounds)) {
+			return &SnapshotError{Kind: persist.ErrCorrupt,
+				Detail: fmt.Sprintf("manifest boundary %d carries TID %d", len(bounds), tid)}
+		}
+		bounds = append(bounds, append([]byte(nil), key...))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return newShardedFromBounds(loader, bounds), nil
+}
+
+// shardSink returns the callback that loads shard i's section, whether it
+// arrives from a snapshot file, a replication stream or a cold section:
+// each entry passes check (may be nil) and is then routed in.
+func (t *ShardedTree) shardSink(i int, check func(key []byte, tid TID) error) persist.EntryFunc {
+	return func(key []byte, tid TID) error {
+		if check != nil {
+			if err := check(key, tid); err != nil {
+				return err
+			}
+		}
+		return t.loadShardEntry(i, key, tid)
+	}
 }
 
 // LoadShardedTree rebuilds a ShardedTree from a sharded snapshot,

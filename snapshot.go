@@ -94,25 +94,14 @@ type RecoveryReport = persist.RecoveryReport
 // key order, keys resolved through the loader — to w. Use SaveFile for
 // crash-safe on-disk snapshots.
 func (t *Tree) Save(w io.Writer) error {
-	sw, err := persist.NewWriter(w, persist.KindTree)
-	if err != nil {
-		return err
-	}
-	sw.SetCodec(t.SnapshotCodec())
-	if err := writeWalk(sw, t.t.Walk); err != nil {
-		return err
-	}
-	return sw.Close()
+	return writeSnapshot(w, persist.KindTree, t.SnapshotCodec(), false, walkSource(t.t.Walk))
 }
 
 // SaveFile atomically writes a snapshot of the tree to path: the stream
 // goes to path+".tmp", is fsynced, renamed over path, and the directory is
 // fsynced. On any error path is left untouched.
 func (t *Tree) SaveFile(path string) error {
-	return persist.SaveFile(path, persist.KindTree, func(sw *persist.Writer) error {
-		sw.SetCodec(t.SnapshotCodec())
-		return writeWalk(sw, t.t.Walk)
-	})
+	return writeSnapshotFile(path, persist.KindTree, t.SnapshotCodec(), false, walkSource(t.t.Walk))
 }
 
 // SaveIndexedFile is SaveFile with the sparse per-block key index
@@ -121,10 +110,7 @@ func (t *Tree) SaveFile(path string) error {
 // being loaded. The file remains fully readable by LoadTreeFile and
 // older readers, which stop at the trailer.
 func (t *Tree) SaveIndexedFile(path string) error {
-	return persist.SaveIndexedFile(path, persist.KindTree, func(sw *persist.Writer) error {
-		sw.SetCodec(t.SnapshotCodec())
-		return writeWalk(sw, t.t.Walk)
-	})
+	return writeSnapshotFile(path, persist.KindTree, t.SnapshotCodec(), true, walkSource(t.t.Walk))
 }
 
 // LoadTree rebuilds a Tree from a snapshot, validating checksums, key
@@ -173,15 +159,47 @@ func (t *Tree) loadEntry(key []byte, tid TID) error {
 	return nil
 }
 
-// writeWalk streams a trie walk into a snapshot writer, surfacing writer
-// errors (the walk callback cannot return one).
-func writeWalk(sw *persist.Writer, walk func(func(key []byte, tid core.TID) bool) int) error {
-	var werr error
-	walk(func(key []byte, tid core.TID) bool {
-		werr = sw.WriteEntry(key, tid)
-		return werr == nil
+// entrySource streams entries in ascending key order into fn, stopping at
+// and returning fn's first error (or its own: a cold section's read can fail).
+type entrySource func(fn persist.EntryFunc) error
+
+// walkSource adapts a trie walk, whose callback cannot return an error, to
+// an entrySource.
+func walkSource(walk func(func(key []byte, tid core.TID) bool) int) entrySource {
+	return func(fn persist.EntryFunc) error {
+		var err error
+		walk(func(key []byte, tid core.TID) bool {
+			err = fn(key, tid)
+			return err == nil
+		})
+		return err
+	}
+}
+
+// writeSnapshot is the write side of every Save/Snapshot entry point: one
+// complete section of the given kind — header, src's entries as blocks under
+// codec, trailer, and the HIDX block index when indexed — streamed to w.
+func writeSnapshot(w io.Writer, kind uint16, codec SnapshotCodec, indexed bool, src entrySource) error {
+	sw, err := persist.NewWriter(w, kind)
+	if err != nil {
+		return err
+	}
+	sw.SetCodec(codec)
+	if indexed {
+		sw.EnableBlockIndex()
+	}
+	if err := src(sw.WriteEntry); err != nil {
+		return err
+	}
+	return sw.Close()
+}
+
+// writeSnapshotFile is writeSnapshot under the crash-safe file protocol:
+// temp file, fsync, atomic rename, directory fsync.
+func writeSnapshotFile(path string, kind uint16, codec SnapshotCodec, indexed bool, src entrySource) error {
+	return persist.AtomicFile(path, func(w io.Writer) error {
+		return writeSnapshot(w, kind, codec, indexed, src)
 	})
-	return werr
 }
 
 // ---- ConcurrentTree ----
@@ -194,25 +212,14 @@ func writeWalk(sw *persist.Writer, walk func(func(key []byte, tid core.TID) bool
 // like the paper's wait-free scans; what is included is always a
 // structurally consistent ascending key sequence.
 func (t *ConcurrentTree) Snapshot(w io.Writer) error {
-	sw, err := persist.NewWriter(w, persist.KindTree)
-	if err != nil {
-		return err
-	}
-	sw.SetCodec(t.SnapshotCodec())
-	if err := writeWalk(sw, t.t.SnapshotWalk); err != nil {
-		return err
-	}
-	return sw.Close()
+	return writeSnapshot(w, persist.KindTree, t.SnapshotCodec(), false, walkSource(t.t.SnapshotWalk))
 }
 
 // SnapshotFile atomically writes a point-in-time snapshot of the live tree
 // to path (see Snapshot for the concurrency semantics and SaveFile for the
 // durability protocol).
 func (t *ConcurrentTree) SnapshotFile(path string) error {
-	return persist.SaveFile(path, persist.KindTree, func(sw *persist.Writer) error {
-		sw.SetCodec(t.SnapshotCodec())
-		return writeWalk(sw, t.t.SnapshotWalk)
-	})
+	return writeSnapshotFile(path, persist.KindTree, t.SnapshotCodec(), false, walkSource(t.t.SnapshotWalk))
 }
 
 // LoadConcurrentTree rebuilds a ConcurrentTree from a snapshot (see
@@ -237,33 +244,18 @@ func LoadConcurrentTree(r io.Reader, loader Loader) (*ConcurrentTree, error) {
 // Save writes a snapshot of the map — every (key, value) pair in ascending
 // key order, keys in their original (unescaped) bytes — to w.
 func (m *Map) Save(w io.Writer) error {
-	sw, err := persist.NewWriter(w, persist.KindMap)
-	if err != nil {
-		return err
-	}
-	sw.SetCodec(m.SnapshotCodec())
-	if err := m.writeEntries(sw); err != nil {
-		return err
-	}
-	return sw.Close()
+	return writeSnapshot(w, persist.KindMap, m.SnapshotCodec(), false, walkSource(m.walk))
 }
 
 // SaveFile atomically writes a snapshot of the map to path (see
 // Tree.SaveFile for the durability protocol).
 func (m *Map) SaveFile(path string) error {
-	return persist.SaveFile(path, persist.KindMap, func(sw *persist.Writer) error {
-		sw.SetCodec(m.SnapshotCodec())
-		return m.writeEntries(sw)
-	})
+	return writeSnapshotFile(path, persist.KindMap, m.SnapshotCodec(), false, walkSource(m.walk))
 }
 
-func (m *Map) writeEntries(sw *persist.Writer) error {
-	var werr error
-	m.Range(nil, -1, func(key []byte, val uint64) bool {
-		werr = sw.WriteEntry(key, val)
-		return werr == nil
-	})
-	return werr
+// walk hands out every pair with its original (unescaped) key bytes.
+func (m *Map) walk(emit func(key []byte, val uint64) bool) int {
+	return m.Range(nil, -1, emit)
 }
 
 // LoadMap rebuilds a Map from a snapshot, returning a typed
@@ -313,24 +305,13 @@ func (m *Map) loadEntry(key []byte, val uint64) error {
 // Save writes a snapshot of the set — every value as its 8-byte big-endian
 // key with the value embedded as the TID — to w.
 func (s *Uint64Set) Save(w io.Writer) error {
-	sw, err := persist.NewWriter(w, persist.KindUint64Set)
-	if err != nil {
-		return err
-	}
-	sw.SetCodec(s.SnapshotCodec())
-	if err := writeWalk(sw, s.t.Walk); err != nil {
-		return err
-	}
-	return sw.Close()
+	return writeSnapshot(w, persist.KindUint64Set, s.SnapshotCodec(), false, walkSource(s.t.Walk))
 }
 
 // SaveFile atomically writes a snapshot of the set to path (see
 // Tree.SaveFile for the durability protocol).
 func (s *Uint64Set) SaveFile(path string) error {
-	return persist.SaveFile(path, persist.KindUint64Set, func(sw *persist.Writer) error {
-		sw.SetCodec(s.SnapshotCodec())
-		return writeWalk(sw, s.t.Walk)
-	})
+	return writeSnapshotFile(path, persist.KindUint64Set, s.SnapshotCodec(), false, walkSource(s.t.Walk))
 }
 
 // LoadUint64Set rebuilds a Uint64Set from a snapshot, returning a typed
@@ -391,22 +372,11 @@ func (s *Uint64Set) loadEntry(key []byte, tid TID) error {
 // blocking concurrent writers (see ConcurrentTree.Snapshot for the
 // semantics).
 func (s *ConcurrentUint64Set) Snapshot(w io.Writer) error {
-	sw, err := persist.NewWriter(w, persist.KindUint64Set)
-	if err != nil {
-		return err
-	}
-	sw.SetCodec(s.SnapshotCodec())
-	if err := writeWalk(sw, s.t.SnapshotWalk); err != nil {
-		return err
-	}
-	return sw.Close()
+	return writeSnapshot(w, persist.KindUint64Set, s.SnapshotCodec(), false, walkSource(s.t.SnapshotWalk))
 }
 
 // SnapshotFile atomically writes a point-in-time snapshot of the live set
 // to path (see ConcurrentTree.SnapshotFile).
 func (s *ConcurrentUint64Set) SnapshotFile(path string) error {
-	return persist.SaveFile(path, persist.KindUint64Set, func(sw *persist.Writer) error {
-		sw.SetCodec(s.SnapshotCodec())
-		return writeWalk(sw, s.t.SnapshotWalk)
-	})
+	return writeSnapshotFile(path, persist.KindUint64Set, s.SnapshotCodec(), false, walkSource(s.t.SnapshotWalk))
 }
