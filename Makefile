@@ -1,5 +1,5 @@
 # Development entry points. `make all` is the full local CI pass; the
-# hosted pipeline (.github/workflows/ci.yml) runs the same eight tiers as
+# hosted pipeline (.github/workflows/ci.yml) runs the same six tiers as
 # separate gating jobs (TestCIWorkflowCoversAllTiers keeps the two in
 # sync).
 
@@ -9,9 +9,9 @@ GO ?= go
 # FUZZTIME=20s to fit its time box.
 FUZZTIME ?= 30s
 
-.PHONY: all ci check race chaos crash wal server-smoke net-chaos cold codec fuzz bench bench-json clean
+.PHONY: all ci check race chaos crash wal server-smoke net-chaos fuzz bench bench-json clean
 
-all: check race chaos crash server-smoke net-chaos cold codec
+all: check race chaos crash server-smoke net-chaos
 
 # `make ci` is the conventional alias the hosted pipeline and humans share.
 ci: all
@@ -38,6 +38,23 @@ check:
 # Concurrency tier: every package under the race detector, twice (ordering
 # flakes rarely repeat). This covers the root concurrent/sharded churn
 # tests, the ROWEX writer path, epoch reclamation and the snapshot layer.
+# No test below is gated by -short or an environment variable, so this
+# one command is also, under -race:
+#   - the cold-tier e2e (TestColdTier*, internal/pager, the page-reader
+#     surface of internal/persist): a dataset several times the memory
+#     budget churned by concurrent writers, readers and random
+#     demote/promote transitions, reconciled byte-for-byte against an
+#     in-memory oracle; plus the durable recovery sequence (cold shards
+#     surviving reopen, lazy promotion at replay, the checkpoint cut
+#     replacing a promoted shard's cold file);
+#   - the packed-block codec suite (TestCodec* here and in
+#     internal/persist): encode/decode round trips across key shapes,
+#     byte-identity of raw files, truncation and bit-flip sweeps over
+#     packed snapshots (salvage never fabricates), the codec-skew matrix
+#     (packed file + codec-disabled reader fails typed, old raw files
+#     always load), the crash matrix swept over both codecs, and the cold
+#     tier serving reads from packed section files against a resident
+#     oracle.
 race:
 	$(GO) test -race -count=2 ./...
 
@@ -83,27 +100,6 @@ server-smoke:
 net-chaos:
 	$(GO) test -race -run 'TestNetChaos' -count=1 -v ./internal/server/
 	$(GO) test -race -count=1 ./internal/chaos/ ./internal/hotclient/
-
-# Cold-tier e2e: the pager-backed larger-than-RAM path under -race — a
-# dataset several times the memory budget churned by concurrent writers,
-# readers and random demote/promote transitions, reconciled byte-for-byte
-# against an in-memory oracle; plus the durable recovery sequence (cold
-# shards surviving reopen, lazy promotion at replay, checkpoint
-# supersession) and the page-cache/pager unit surface.
-cold:
-	$(GO) test -race -run 'TestColdTier' -count=1 -v .
-	$(GO) test -race -count=1 ./internal/pager/
-	$(GO) test -run 'TestPageReader|TestSaveIndexedFile' -count=1 ./internal/persist/
-
-# Codec tier: the packed-block snapshot codec under -race — encode/decode
-# round trips across key shapes, byte-identity of raw files, truncation
-# and bit-flip sweeps over packed snapshots (salvage never fabricates),
-# the codec-skew matrix (packed file + codec-disabled reader fails typed,
-# old raw files always load), the crash matrix swept over both codecs,
-# and the cold tier serving reads from packed section files against a
-# resident oracle.
-codec:
-	$(GO) test -race -run 'TestCodec' -count=1 -v ./internal/persist/ .
 
 # Short exploratory fuzz burst over each public-API fuzz target.
 # This list must track the Fuzz* functions across all _test.go files — add

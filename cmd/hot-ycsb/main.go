@@ -355,9 +355,14 @@ func main() {
 														bootBytes = cw.n
 														if durable != nil {
 															die(durable.Checkpoint())
-															fi, err := os.Stat(filepath.Join(walDir, "snap.hot"))
+															// The manifest plus one snap-NNN.hot per hot shard.
+															files, err := filepath.Glob(filepath.Join(walDir, "snap*.hot"))
 															die(err)
-															snapBytes = fi.Size()
+															for _, f := range files {
+																fi, err := os.Stat(f)
+																die(err)
+																snapBytes += fi.Size()
+															}
 														}
 													}
 													fmt.Printf("%-9s %-26s %-8s %-10s %6d %10.3f %9d",

@@ -102,16 +102,23 @@ func TestCodecDurableShardedReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	secs, err := persist.ScanSections(filepath.Join(dir, "snap.hot"))
-	if err != nil {
-		t.Fatal(err)
+	// The checkpoint wrote one snap-NNN.hot per shard; census them all.
+	files, err := filepath.Glob(filepath.Join(dir, "snap-*.hot"))
+	if err != nil || len(files) != 4 {
+		t.Fatalf("per-shard checkpoint files = %v (err %v), want 4", files, err)
 	}
 	packed := 0
 	var stored, unpacked int64
-	for _, s := range secs {
-		packed += s.PackedBlocks
-		stored += s.Bytes
-		unpacked += s.UnpackedBytes
+	for _, f := range files {
+		secs, err := persist.ScanSections(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range secs {
+			packed += s.PackedBlocks
+			stored += s.Bytes
+			unpacked += s.UnpackedBytes
+		}
 	}
 	if packed == 0 {
 		t.Fatal("packed-codec checkpoint wrote no packed blocks")

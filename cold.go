@@ -41,32 +41,32 @@ import (
 // ring it can drain inline (the writer token is necessarily free under
 // the exclusive lock) and a promote never races an apply.
 //
-// Demotion cut (durable mode). A demote runs as a per-shard
-// mini-checkpoint: under d.ckpt (serializing against Checkpoint, Close
-// and replication sessions) and the exclusive write guard, the drained
-// trie is written to cold-NNN.hot and the shard's log is rotated to its
-// last LSN. The cut is exact — every logged operation of the shard is in
-// the section, nothing after the section start is logged — so a cold
-// shard needs no WAL overlay at all: its section IS its durable state.
-// Recovery prefers a valid cold-NNN.hot over the shard's snap.hot
-// section (the cold file is always at least as new, and replaying any
-// overlapping log records is a convergent verbatim replay).
+// Demotion cut. A demote is the same cut a Checkpoint takes of a hot
+// shard (ShardedTree.cut in durable_sharded.go), aimed at the indexed
+// cold-NNN.hot: under d.ckpt (serializing against Checkpoint, Close and
+// replication sessions) and the exclusive write guard, the drained trie
+// is written out and the shard's log is rotated to its last LSN. The cut
+// is exact — every logged operation of the shard is in the section,
+// nothing after the section start is logged — so a cold shard needs no
+// WAL overlay at all: its section IS its durable state, which is why
+// Checkpoint skips cold shards and recovery opens the file instead of
+// loading it.
 //
-// Promotion deliberately takes neither d.ckpt nor any log lock: writers
-// are blocked on the commit locks for the whole of a Checkpoint, so a
-// promotion racing a checkpoint rebuilds exactly the content the cold
-// section holds — the checkpoint streams the same entries either way.
-// The promoted shard's subsequent writes land in its (already rotated)
-// log; the cold file stays on disk as the recovery base until the next
-// Checkpoint supersedes and removes it.
+// Promotion deliberately takes neither d.ckpt nor any log lock: it only
+// rebuilds in memory exactly what the section holds. The promoted
+// shard's subsequent writes land in its (already rotated) log; the cold
+// file stays its recovery base until the shard's next cut — a Checkpoint
+// (to snap-NNN.hot) or a re-demotion — replaces it.
 //
 // Cold read I/O failures panic, matching the durable log convention: a
 // store whose backing file rots under it cannot honor its contract.
 
 // ColdTierConfig configures EnableColdTier.
 type ColdTierConfig struct {
-	// Dir is where the per-shard cold section files (cold-NNN.hot) live.
-	// Empty selects the durable directory; a non-durable tree requires it.
+	// Dir is where a non-durable tree keeps its per-shard cold section
+	// files (cold-NNN.hot); it is required there. A durable tree ignores
+	// it: its cold files live in the durable directory, where recovery
+	// looks for them.
 	Dir string
 	// MemoryBudget is the resident-trie byte budget: once the estimated
 	// footprint of the hot shards exceeds it, the least-recently-written
@@ -182,26 +182,17 @@ func (t *ShardedTree) enableCold(cfg ColdTierConfig, kind uint16) error {
 }
 
 // armCold installs the cold tier without enableCold's immediate budget
-// pass. The durable open path must use this: it arms the tier
-// mid-recovery, after the snapshot loaded the hot shards but before the
-// recovered cold readers replace their empty placeholder tries, and a
-// maintenance pass at that instant could pick a placeholder as victim —
-// demoting it overwrites the shard's real cold file, its only durable
-// copy (the WAL was rotated at the original demotion cut), with an empty
-// section. Recovery runs the first maintain itself, once the cold
-// readers are installed and the logs replayed.
+// pass; the durable open arms it before recovering the shards and runs
+// the pass itself once they are all in place.
 func (t *ShardedTree) armCold(cfg ColdTierConfig, kind uint16) (*coldTier, error) {
-	if cfg.Dir == "" {
-		if t.dur == nil {
-			return nil, errors.New("hot: EnableColdTier on a non-durable tree requires ColdTierConfig.Dir")
-		}
-		cfg.Dir = t.dur.dir
+	if d := t.dur; d != nil {
+		// A durable tree keeps its cold files where recovery looks for them.
+		cfg.Dir, kind = d.dir, d.kind
+	} else if cfg.Dir == "" {
+		return nil, errors.New("hot: EnableColdTier on a non-durable tree requires ColdTierConfig.Dir")
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
-	}
-	if t.dur != nil {
-		kind = t.dur.kind
 	}
 	cacheBytes := cfg.CacheBytes
 	if cacheBytes <= 0 {
@@ -226,10 +217,10 @@ func (t *ShardedTree) armCold(cfg ColdTierConfig, kind uint16) (*coldTier, error
 
 // Demote snapshots shard s to its cold section file and drops its trie
 // from memory; subsequent reads are served through the page cache and
-// the next write promotes it back. Demoting a cold shard is a no-op. In
-// durable mode the demotion is a per-shard mini-checkpoint (see the file
-// comment); errors leave the shard hot and untouched, except a log
-// rotation failure, which poisons the logs exactly like Checkpoint's.
+// the next write promotes it back. Demoting a cold shard is a no-op.
+// Errors leave the shard hot and serving; in durable mode a failure to
+// rotate the log behind the installed section additionally poisons the
+// logs, exactly like Checkpoint's (both are the same cut).
 func (t *ShardedTree) Demote(s int) error {
 	ct := t.cold.Load()
 	if ct == nil {
@@ -252,7 +243,7 @@ func (t *ShardedTree) Demote(s int) error {
 
 // Promote rebuilds shard s's in-memory trie from its cold section and
 // retires the section from serving (the file stays on disk as the
-// durable recovery base until the next Checkpoint). Promoting a hot
+// durable recovery base until the shard's next cut). Promoting a hot
 // shard is a no-op. Writes to a cold shard call this implicitly.
 func (t *ShardedTree) Promote(s int) error {
 	ct := t.cold.Load()
@@ -304,7 +295,8 @@ func (t *ShardedTree) ColdStats() ColdTierStats {
 
 // ---- transitions ----
 
-// demoteLocked performs the hot→cold transition of shard s. Callers hold
+// demoteLocked performs the hot→cold transition of shard s: cut to the
+// cold name, then serve from the file and drop the trie. Callers hold
 // ct.mu, and d.ckpt in durable mode.
 func (ct *coldTier) demoteLocked(s int) error {
 	t := ct.t
@@ -317,14 +309,13 @@ func (ct *coldTier) demoteLocked(s int) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
 	// Under the exclusive guard no writer is mid-apply and none can
-	// deposit; drain what the ring already holds so the section below is
-	// the shard's complete state.
+	// deposit; drain what the ring already holds so the cut below is the
+	// shard's complete state.
 	t.drainForDemote(s, tr)
-	path := ct.coldPath(s)
-	if err := writeSnapshotFile(path, ct.kind, t.SnapshotCodec(), true, walkSource(tr.SnapshotWalk)); err != nil {
+	if err := t.cut(s, tr, true); err != nil {
 		return fmt.Errorf("hot: demoting shard %d: %w", s, err)
 	}
-	pr, err := persist.OpenPageReaderFile(path, ct.kind)
+	pr, err := persist.OpenPageReaderFile(ct.coldPath(s), ct.kind)
 	if err != nil {
 		return fmt.Errorf("hot: demoting shard %d: reopening %s: %w", s, coldFileName(s), err)
 	}
@@ -339,25 +330,11 @@ func (ct *coldTier) demoteLocked(s int) error {
 	ct.retired = ct.retired.Add(ops)
 	ct.retiredFreed += freed
 	ct.statsMu.Unlock()
-	gen := w.gen.Add(1)
-	sl.cold.Store(&coldShard{ct: ct, pr: pr, shard: s, gen: gen})
+	sl.cold.Store(&coldShard{ct: ct, pr: pr, shard: s, gen: w.gen.Add(1)})
 	sl.tree.Store(nil)
 	w.goBytes.Store(0)
 	w.lenAt.Store(0)
 	ct.demotions.Add(1)
-	if d := t.dur; d != nil {
-		// The section covers every logged operation of the shard: rotate
-		// the log to the cut so recovery replays nothing for it. A
-		// rotation failure poisons all logs, exactly like Checkpoint's —
-		// the store can no longer bound its replay.
-		if err := d.wals[s].Rotate(d.wals[s].LastLSN()); err != nil {
-			perr := fmt.Errorf("hot: rotating shard %d log after demotion: %w", s, err)
-			for _, wl := range d.wals {
-				wl.Poison(perr)
-			}
-			return perr
-		}
-	}
 	return nil
 }
 
@@ -365,10 +342,6 @@ func (ct *coldTier) demoteLocked(s int) error {
 func (ct *coldTier) promote(s int) error {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	return ct.promoteLocked(s)
-}
-
-func (ct *coldTier) promoteLocked(s int) error {
 	sl := &ct.t.shards[s]
 	cs := sl.cold.Load()
 	if cs == nil {

@@ -344,8 +344,9 @@ func TestColdTierStatsMonotonic(t *testing.T) {
 
 // TestColdTierDurableRecovery: shards demoted in durable mode stay cold
 // across a reopen (their section is the recovery base), a logged write
-// promotes lazily at replay, Checkpoint removes stale cold files for hot
-// shards, and a reopen without ColdTier folds everything back to memory.
+// promotes lazily at replay, a hot shard's Checkpoint cut replaces its cold
+// file with a snap-NNN.hot, and a reopen without ColdTier folds everything
+// back to memory.
 func TestColdTierDurableRecovery(t *testing.T) {
 	dir := t.TempDir()
 	keys := dataset.Generate(dataset.URL, 3000, 5)
@@ -412,7 +413,7 @@ func TestColdTierDurableRecovery(t *testing.T) {
 	}
 
 	// Reopen: shard 1 has a log tail, so replay materializes it; shard 3
-	// stays cold. Checkpoint then supersedes shard 1's stale cold file.
+	// stays cold. Checkpoint then cuts shard 1, superseding its cold file.
 	tr, info, err = OpenDurableShardedTree(dir, store.Key, 4, keys, DurableOptions{ColdTier: cfg})
 	if err != nil {
 		t.Fatal(err)
@@ -427,10 +428,16 @@ func TestColdTierDurableRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "cold-001.hot")); !os.IsNotExist(err) {
-		t.Fatalf("hot shard 1's stale cold file survived Checkpoint: %v", err)
+		t.Fatalf("hot shard 1's superseded cold file survived its Checkpoint cut: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "snap-001.hot")); err != nil {
+		t.Fatalf("hot shard 1's Checkpoint cut left no snap-001.hot: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "cold-003.hot")); err != nil {
 		t.Fatalf("cold shard 3's section should persist across Checkpoint: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "snap-003.hot")); !os.IsNotExist(err) {
+		t.Fatalf("Checkpoint wrote a snap-003.hot for cold shard 3: %v", err)
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -458,6 +465,9 @@ func TestColdTierDurableRecovery(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "cold-003.hot")); !os.IsNotExist(err) {
 		t.Fatalf("folded-back shard's cold file survived Checkpoint: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "snap-003.hot")); err != nil {
+		t.Fatalf("folded-back shard's Checkpoint cut left no snap-003.hot: %v", err)
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)

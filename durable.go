@@ -68,8 +68,8 @@ type DurableOptions struct {
 	// Codec selects the block codec for every snapshot the durable index
 	// writes — checkpoints and cold section files. The zero value is
 	// SnapshotCodecRaw. Reopening an existing store with a different codec
-	// is always safe: readers accept both codecs, and the next checkpoint
-	// rewrites the files in the configured one.
+	// is always safe: readers accept both codecs, and each shard's next
+	// cut (checkpoint or demotion) writes its file in the configured one.
 	Codec SnapshotCodec
 }
 
@@ -78,10 +78,12 @@ type DurableOptions struct {
 // damage that was tolerated along the way (torn tails cut off, corrupt
 // records discarded). Zero damage fields mean a clean recovery.
 type RecoveryInfo struct {
-	// SnapshotEntries is the number of entries restored from the snapshot.
+	// SnapshotEntries is the number of entries restored from the snapshot
+	// (for a sharded index: from the per-shard base files).
 	SnapshotEntries uint64
-	// SnapshotDamage is the damage that truncated the snapshot load, nil
-	// when the snapshot was complete or absent.
+	// SnapshotDamage is the first damage that truncated a snapshot load,
+	// nil when every snapshot file was complete or absent. A sharded
+	// index loses only the damaged shard's entries past the damage.
 	SnapshotDamage *SnapshotError
 	// WALRecords is the number of log records replayed across all logs.
 	WALRecords uint64

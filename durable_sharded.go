@@ -1,7 +1,7 @@
 package hot
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/hotindex/hot/internal/core"
 	"github.com/hotindex/hot/internal/persist"
 	"github.com/hotindex/hot/internal/shard"
 	"github.com/hotindex/hot/internal/tidstore"
@@ -19,25 +20,32 @@ import (
 // shards share no log file, no commit lock and no fsync. See durable.go
 // for the acknowledgement contract.
 //
-// Consistency hinges on one invariant: a shard's {log append, trie apply}
-// pair is atomic under the shard's commit lock. The fsync happens outside
-// the lock (group commit), but the cut a Checkpoint takes while holding
-// every commit lock is therefore exact — no operation is ever logged but
-// unapplied or applied but unlogged at the cut — so the snapshot written
-// at the cut covers precisely LSNs ≤ cut and each log can be rotated to
-// base = cut. Recovery replays each log's tail verbatim (inserts re-apply
-// as inserts, rejections and all), which converges to the pre-crash state
-// even when the snapshot is newer than a log's base (a crash between the
-// snapshot rename and a rotation): every key's final value is decided by
-// the last record touching it, or by the snapshot if no tail record does.
+// The durable directory holds, for N shards:
+//
+//	snap.hot      the manifest (boundary table), written once at first open
+//	snap-NNN.hot  shard NNN's base, written by a Checkpoint cut
+//	cold-NNN.hot  shard NNN's base, written (indexed) by a demotion cut
+//	wal-NNN.log   shard NNN's records since its base
+//
+// A shard has at most one base in steady state and none before its first
+// cut. Consistency hinges on one invariant: a shard's {log append, trie
+// apply} pair is atomic under the shard's commit lock, so a cut taken
+// under that lock is exact — the base covers precisely the LSNs the log
+// held and the log restarts there. One ordering rule covers every crash:
+// a cut removes the superseded sibling base only BEFORE it rotates the
+// log, so whenever two bases coexist the log still holds every record
+// since the older one, and replaying it verbatim (inserts re-apply as
+// inserts, rejections and all) over either converges to the pre-crash
+// state — every key's final value is decided by the last record touching
+// it, or by the base if no record does.
 
 // durableState is the write-ahead side of a durable ShardedTree.
 type durableState struct {
 	dir    string
-	kind   uint16 // snapshot section kind written at checkpoints
+	kind   uint16 // section kind of the shard base files
 	mu     []paddedMutex
 	wals   []*persist.WAL
-	ckpt   sync.Mutex  // serializes Checkpoint, Close and replication sessions
+	ckpt   sync.Mutex  // serializes Checkpoint, Demote, Close and replication sessions
 	closed atomic.Bool // set by Close under every commit lock
 }
 
@@ -50,7 +58,7 @@ type paddedMutex struct {
 
 func durableWalName(s int) string { return fmt.Sprintf("wal-%03d.log", s) }
 
-func (d *durableState) snapPath() string { return filepath.Join(d.dir, durableSnapName) }
+func snapFileName(s int) string { return fmt.Sprintf("snap-%03d.hot", s) }
 
 // append logs one operation to shard s's log. Callers hold d.mu[s]. A log
 // failure panics: the store can no longer honor its durability contract
@@ -85,43 +93,92 @@ func (d *durableState) commit(s int, lsn uint64) {
 	}
 }
 
-// Synchronous durable write paths: pin the shard hot under its shared
-// write guard (promoting a cold shard first — a no-op without a cold
-// tier), log under the commit lock, apply, then group-commit outside the
-// commit lock but still under the guard, so a demotion's cut never falls
-// between an append and its fsync.
-
-func (d *durableState) insert(t *ShardedTree, s int, key []byte, tid TID) bool {
+// write is the synchronous durable write path: pin the shard hot under its
+// shared write guard (promoting a cold shard first — a no-op without a
+// cold tier), log under the commit lock, apply, then group-commit outside
+// the commit lock but still under the guard, so a demotion's cut never
+// falls between an append and its fsync. It returns what the operation's
+// non-durable counterpart returns (old is Upsert's).
+func (d *durableState) write(t *ShardedTree, s int, op shard.Op) (old TID, ok bool) {
 	tr := t.lockShardWrite(s)
 	d.mu[s].Lock()
-	lsn := d.append(s, shard.Op{Key: key, TID: tid, Kind: shard.OpInsert})
-	ok := tr.Insert(key, tid)
+	lsn := d.append(s, op)
+	switch op.Kind {
+	case shard.OpInsert:
+		ok = tr.Insert(op.Key, op.TID)
+	case shard.OpUpsert:
+		old, ok = tr.Upsert(op.Key, op.TID)
+	default:
+		ok = tr.Delete(op.Key)
+	}
 	d.mu[s].Unlock()
 	d.commit(s, lsn)
 	t.unlockShardWrite(s)
-	return ok
+	return old, ok
 }
 
-func (d *durableState) upsert(t *ShardedTree, s int, key []byte, tid TID) (TID, bool) {
-	tr := t.lockShardWrite(s)
-	d.mu[s].Lock()
-	lsn := d.append(s, shard.Op{Key: key, TID: tid, Kind: shard.OpUpsert})
-	old, replaced := tr.Upsert(key, tid)
-	d.mu[s].Unlock()
-	d.commit(s, lsn)
-	t.unlockShardWrite(s)
-	return old, replaced
+// poison fails the store as a unit: every shard's log refuses further
+// appends, commits and rotations with err, which poison returns.
+func (d *durableState) poison(err error) error {
+	for _, w := range d.wals {
+		w.Poison(err)
+	}
+	return err
 }
 
-func (d *durableState) delete(t *ShardedTree, s int, key []byte) bool {
-	tr := t.lockShardWrite(s)
-	d.mu[s].Lock()
-	lsn := d.append(s, shard.Op{Key: key, Kind: shard.OpDelete})
-	ok := tr.Delete(key)
-	d.mu[s].Unlock()
-	d.commit(s, lsn)
-	t.unlockShardWrite(s)
-	return ok
+// clean reports whether shard s needs no cut: its log holds no record
+// past its base and that base is already a snap-NNN.hot.
+func (d *durableState) clean(s int) bool {
+	w := d.wals[s]
+	if w.Err() != nil || w.LastLSN() != w.Base() {
+		return false
+	}
+	_, err := os.Stat(filepath.Join(d.dir, snapFileName(s)))
+	return err == nil
+}
+
+// cut is the one way a shard's state becomes its durable base: under the
+// shard's commit lock it streams tr — the shard's resident trie — to
+// snap-NNN.hot (or, for a demotion, the indexed cold-NNN.hot) through the
+// crash-safe file protocol, removes the sibling base the new file
+// supersedes, and only then rotates the shard's log to its last LSN (the
+// ordering rule of the file comment). Writers to every other shard
+// proceed throughout. A failed write leaves the previous base and the
+// full log untouched and the store running; once the new base is
+// installed, a failed remove or rotate leaves a directory that still
+// recovers exactly but a live store that can no longer bound its replay,
+// so it poisons every log. A non-durable tree (cut only by its cold tier)
+// has no log: its cut is just the file.
+func (t *ShardedTree) cut(s int, tr *core.ConcurrentTrie, cold bool) error {
+	d := t.dur
+	var dir string
+	var kind uint16
+	if d != nil {
+		d.mu[s].Lock()
+		defer d.mu[s].Unlock()
+		dir, kind = d.dir, d.kind
+	} else {
+		ct := t.cold.Load()
+		dir, kind = ct.dir, ct.kind
+	}
+	name, sibling := snapFileName(s), coldFileName(s)
+	if cold {
+		name, sibling = sibling, name
+	}
+	if err := writeSnapshotFile(filepath.Join(dir, name), kind, t.SnapshotCodec(), cold, walkSource(tr.SnapshotWalk)); err != nil {
+		return err
+	}
+	if d == nil {
+		return nil
+	}
+	err := os.Remove(filepath.Join(dir, sibling))
+	if err == nil || os.IsNotExist(err) {
+		err = d.wals[s].Rotate(d.wals[s].LastLSN())
+	}
+	if err != nil {
+		return d.poison(fmt.Errorf("hot: retiring shard %d's log behind %s: %w", s, name, err))
+	}
+	return nil
 }
 
 // Durable reports whether the tree was opened in durable (write-ahead
@@ -141,22 +198,25 @@ func (t *ShardedTree) LogSize() int64 {
 	return n
 }
 
-// Checkpoint durably snapshots the whole tree and rotates every shard's
-// log behind it, bounding recovery replay to what comes after. It holds
-// every shard's commit lock for the duration — writers block, readers are
-// unaffected — so the cut is exact: the snapshot covers precisely the
-// records each log held, and each rotated log restarts at that base.
+// Checkpoint bounds recovery replay: it cuts every hot shard that has
+// logged a record since its last cut — one shard at a time, holding only
+// that shard's commit lock, so writers to the other shards never stall
+// and readers are unaffected — writing the shard's snap-NNN.hot and
+// rotating its log behind it. A cold shard is skipped (its cold-NNN.hot
+// already is its durable state, log rotated at the demotion), and so is
+// a hot shard with nothing logged past its snap-NNN.hot, so a checkpoint
+// costs what changed, not what is stored.
 //
-// Failure semantics: if writing the snapshot fails, the previous snapshot
-// and the full logs are untouched (AtomicFile never replaces its target on
-// error) and the store keeps running. If a log rotation fails, the new
-// snapshot is already installed and a failure at shard k leaves shards < k
-// rotated and shards ≥ k not. That on-disk state recovers exactly —
-// replaying log records the snapshot already covers is a verbatim replay
-// that converges to the same tree — but the live store can no longer bound
-// its replay or promise future rotations, so a rotation failure poisons
-// every shard's log: Checkpoint returns the error and any subsequent write
-// panics like any other log failure. Reopen the directory to recover.
+// Failure semantics: if writing a shard's file fails, that shard's
+// previous base and full log are untouched (AtomicFile never replaces its
+// target on error), the shards before it are already checkpointed, and the
+// store keeps running. If a log rotation fails, the new base is already
+// installed; that on-disk state recovers exactly — replaying log records
+// the base already covers is a verbatim replay that converges to the same
+// tree — but the live store can no longer bound its replay or promise
+// future rotations, so the failure poisons every shard's log: Checkpoint
+// returns the error and any subsequent write panics like any other log
+// failure. Reopen the directory to recover.
 func (t *ShardedTree) Checkpoint() error {
 	d := t.dur
 	if d == nil {
@@ -167,43 +227,14 @@ func (t *ShardedTree) Checkpoint() error {
 	if d.closed.Load() {
 		return ErrClosed
 	}
-	for s := range d.mu {
-		d.mu[s].Lock()
-	}
-	defer func() {
-		for s := range d.mu {
-			d.mu[s].Unlock()
+	for s := range t.shards {
+		// Demotion needs d.ckpt, so a shard seen hot here stays hot.
+		tr := t.shards[s].tree.Load()
+		if tr == nil || d.clean(s) {
+			continue
 		}
-	}()
-	if err := persist.AtomicFile(d.snapPath(), func(w io.Writer) error {
-		return t.writeSections(w, d.kind)
-	}); err != nil {
-		return err
-	}
-	for s := range d.wals {
-		// A hot shard's stale cold file (left by a demotion it has since
-		// been promoted out of, or by a previous ColdTier-enabled process
-		// whose section this open folded back into memory) is superseded
-		// by the snapshot just written and MUST go before this shard's
-		// log rotates: recovery prefers a cold file over the snapshot
-		// section, so rotating first would crash-expose a window where
-		// the stale image plus an empty log replays to old data. A cold
-		// shard keeps its file — that file IS its durable state.
-		if t.shards[s].cold.Load() == nil {
-			if err := os.Remove(filepath.Join(d.dir, coldFileName(s))); err != nil && !os.IsNotExist(err) {
-				perr := fmt.Errorf("hot: removing shard %d's stale cold file after the snapshot was replaced: %w", s, err)
-				for _, w := range d.wals {
-					w.Poison(perr)
-				}
-				return perr
-			}
-		}
-		if err := d.wals[s].Rotate(d.wals[s].LastLSN()); err != nil {
-			perr := fmt.Errorf("hot: rotating shard %d log after the snapshot was replaced: %w", s, err)
-			for _, w := range d.wals {
-				w.Poison(perr)
-			}
-			return perr
+		if err := t.cut(s, tr, false); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -270,14 +301,13 @@ func (t *ShardedTree) replayShardOp(s int, op persist.WalOp, key []byte, tid uin
 }
 
 // OpenDurableShardedTree opens (or creates) the durable sharded tree
-// stored in dir: `snap.hot` (the newest checkpoint snapshot, which also
-// records the shard boundaries) plus one `wal-NNN.log` per shard.
-// Recovery loads the snapshot — salvaging its longest valid prefix if
-// damaged — then replays each shard's log tail, truncating torn tails.
-// The shards and sample arguments are used only when dir holds no
-// snapshot yet (first open); an existing snapshot's boundary table always
-// wins, so the sample need not be stable across runs. The loader must
-// resolve TIDs exactly as in past runs.
+// stored in dir (see the file comment for the directory layout). Recovery
+// reads the manifest, then shard by shard loads the shard's base —
+// salvaging its longest valid prefix if damaged — and replays the shard's
+// log tail, truncating a torn tail. The shards and sample arguments are
+// used only when dir holds no manifest yet (first open); an existing
+// boundary table always wins, so the sample need not be stable across
+// runs. The loader must resolve TIDs exactly as in past runs.
 func OpenDurableShardedTree(dir string, loader Loader, shards int, sample [][]byte, opts DurableOptions) (*ShardedTree, RecoveryInfo, error) {
 	if loader == nil {
 		panic("hot: nil Loader")
@@ -301,167 +331,73 @@ func openDurableSharded(dir string, loader Loader, kind uint16, check func(key [
 			return re(key, tid)
 		}
 	}
-	// Discover per-shard cold section files (see cold.go). A valid
-	// cold-NNN.hot is always at least as new as the shard's snap.hot
-	// section — demotion rotates the shard's log at the section cut — so
-	// it supersedes the section as the shard's recovery base. A cold file
-	// that no longer opens is a hard error: unlike a torn WAL tail (an
-	// expected crash artifact), a rotten cold section held acknowledged
-	// data and needs operator attention.
-	coldReaders := map[int]*persist.PageReader{}
-	closeColds := func() {
-		for _, pr := range coldReaders {
-			pr.Close()
-		}
-	}
-	if coldFiles, gerr := filepath.Glob(filepath.Join(dir, "cold-*.hot")); gerr != nil {
-		return nil, info, gerr
-	} else {
-		for _, p := range coldFiles {
-			var s int
-			if _, serr := fmt.Sscanf(filepath.Base(p), "cold-%03d.hot", &s); serr != nil {
-				continue
-			}
-			pr, oerr := persist.OpenPageReaderFile(p, kind)
-			if oerr != nil {
-				closeColds()
-				return nil, info, fmt.Errorf("hot: opening shard %d cold section %s: %w", s, filepath.Base(p), oerr)
-			}
-			coldReaders[s] = pr
-		}
-	}
 	snap := filepath.Join(dir, durableSnapName)
-	var t *ShardedTree
-	if _, err := os.Stat(snap); err == nil {
-		f, oerr := os.Open(snap)
-		if oerr != nil {
-			closeColds()
-			return nil, info, oerr
-		}
-		nt, rep, lerr := readSharded(f, kind, loader, check, true, func(i int) bool {
-			_, cold := coldReaders[i]
-			return cold
-		})
-		f.Close()
-		if lerr != nil {
-			// Unusable manifest: without the boundary table the logs
-			// cannot be routed, so recovery needs operator attention.
-			closeColds()
-			return nil, info, lerr
-		}
-		t = nt
-		info.SnapshotEntries = rep.Entries
-		if !rep.Complete {
-			info.SnapshotDamage = rep.Damage
-		}
-	} else if !os.IsNotExist(err) {
-		closeColds()
+	t, legacy, err := openManifest(snap, kind, loader, check, &info)
+	if err != nil {
+		// Unusable manifest: without the boundary table the logs cannot
+		// be routed, so recovery needs operator attention.
 		return nil, info, err
 	}
-	fresh := t == nil
-	if fresh {
+	if t == nil {
 		if shards < 1 {
 			panic("hot: shard count must be >= 1")
 		}
-		// A fresh open must find a truly fresh directory. Write-ahead logs
-		// without their snapshot mean the snapshot was lost, not that the
-		// store is new: re-deriving boundaries from the (possibly different)
-		// sample would overwrite what remains of the old boundary table, and
-		// replay would then cut every log record routed outside its new
-		// shard's range — silently discarding acknowledged writes. Refuse.
-		if logs, err := filepath.Glob(filepath.Join(dir, "wal-*.log")); err != nil {
-			closeColds()
-			return nil, info, err
-		} else if len(logs) > 0 || len(coldReaders) > 0 {
-			names := make([]string, len(logs))
-			for i, l := range logs {
-				names[i] = filepath.Base(l)
+		// A fresh open must find a truly fresh directory. Logs or shard
+		// bases without the manifest mean the manifest was lost, not that
+		// the store is new: re-deriving boundaries from the (possibly
+		// different) sample would misroute every log record — replay cuts
+		// a record routed outside its shard's range — silently discarding
+		// acknowledged writes. Refuse.
+		var orphans []string
+		for _, pat := range []string{"wal-*.log", "cold-*.hot", "snap-*.hot"} {
+			found, gerr := filepath.Glob(filepath.Join(dir, pat))
+			if gerr != nil {
+				return nil, info, gerr
 			}
-			// Cold section files without their snapshot mean the same
-			// thing as orphaned logs: the directory held acknowledged
-			// writes whose boundary table is gone.
-			for s := range coldReaders {
-				names = append(names, coldFileName(s))
+			for _, p := range found {
+				orphans = append(orphans, filepath.Base(p))
 			}
-			closeColds()
-			return nil, info, &OrphanedLogError{Dir: dir, Logs: names}
 		}
+		if len(orphans) > 0 {
+			return nil, info, &OrphanedLogError{Dir: dir, Logs: orphans}
+		}
+		// Persist the boundaries before anything can be logged: recovery
+		// always restores them from the manifest — never re-derives them
+		// from a sample that might differ between runs.
 		t = newShardedFromBounds(loader, shard.Boundaries(shards, sample))
+		if err := persist.AtomicFile(snap, t.writeManifest); err != nil {
+			return nil, info, err
+		}
 	}
 	t.SetSnapshotCodec(opts.Codec)
 	d := &durableState{dir: dir, kind: kind,
 		mu:   make([]paddedMutex, len(t.shards)),
 		wals: make([]*persist.WAL, len(t.shards))}
-	if fresh {
-		// First durable open: persist the (empty) tree immediately so the
-		// shard boundaries are on disk. Recovery always restores bounds
-		// from the snapshot — never re-derives them from a sample that
-		// might differ between runs and misroute every log record.
-		if err := persist.AtomicFile(snap, func(w io.Writer) error {
-			return t.writeSections(w, kind)
-		}); err != nil {
-			return nil, info, err
+	fail := func(err error) (*ShardedTree, RecoveryInfo, error) {
+		for s, w := range d.wals {
+			if w != nil {
+				w.Close()
+			}
+			if cs := t.shards[s].cold.Load(); cs != nil {
+				cs.pr.Close()
+			}
 		}
+		return nil, info, err
 	}
-	for s := range coldReaders {
-		if s >= len(t.shards) {
-			closeColds()
-			return nil, info, fmt.Errorf("hot: %s names shard %d but the snapshot manifest defines %d shards",
-				coldFileName(s), s, len(t.shards))
-		}
-	}
+	var ct *coldTier
 	if opts.ColdTier != nil {
-		// Arm the cold tier before replay, so cold-recovered shards can
-		// be lazily materialized by their first log record. The cold
-		// files live in the durable directory by construction. armCold
-		// (not enableCold) on purpose: the shards that were cold in the
-		// previous run still hold empty placeholder tries at this point,
-		// and enableCold's immediate budget pass could demote one —
-		// overwriting its real cold file, the shard's only durable copy,
-		// with an empty section. The first pass runs at the end of this
-		// open instead, once the cold readers are installed and the logs
-		// replayed.
+		// Arm without enableCold's budget pass: that runs last, over the
+		// recovered tree. The cold files live in the durable directory.
 		cfg := *opts.ColdTier
 		cfg.Dir = dir
-		if _, err := t.armCold(cfg, kind); err != nil {
-			closeColds()
+		if ct, err = t.armCold(cfg, kind); err != nil {
 			return nil, info, err
-		}
-	}
-	if ct := t.cold.Load(); ct != nil {
-		for s, pr := range coldReaders {
-			if check != nil {
-				// The caller's recovery hook (RecoverEntry, set-entry
-				// validation) must still see every cold entry — a later
-				// promotion resolves the shard's TIDs through the
-				// caller's loader state, which is rebuilt right here.
-				n, werr := walkPageReader(pr, check)
-				info.SnapshotEntries += n
-				if werr != nil {
-					closeColds()
-					return nil, info, fmt.Errorf("hot: shard %d cold section: %w", s, werr)
-				}
-			}
-			gen := ct.ws[s].gen.Add(1)
-			t.shards[s].cold.Store(&coldShard{ct: ct, pr: pr, shard: s, gen: gen})
-			t.shards[s].tree.Store(nil)
-		}
-	} else {
-		// This run has no cold tier: fold the sections back into the
-		// in-memory tries. The files stay on disk — the next Checkpoint
-		// removes them once the snapshot supersedes them.
-		for s, pr := range coldReaders {
-			n, werr := walkPageReader(pr, t.shardSink(s, check))
-			info.SnapshotEntries += n
-			pr.Close()
-			if werr != nil {
-				closeColds()
-				return nil, info, fmt.Errorf("hot: shard %d cold section: %w", s, werr)
-			}
 		}
 	}
 	for s := range t.shards {
-		s := s
+		if err := t.recoverBase(s, d, ct, legacy, check, &info); err != nil {
+			return fail(err)
+		}
 		w, rep, err := resumeWAL(filepath.Join(dir, durableWalName(s)), func(op persist.WalOp, key []byte, tid uint64) error {
 			if check != nil && op != persist.WalDelete {
 				if cerr := check(key, tid); cerr != nil {
@@ -471,33 +407,130 @@ func openDurableSharded(dir string, loader Loader, kind uint16, check func(key [
 			return t.replayShardOp(s, op, key, tid)
 		}, opts.GroupCommitDelay)
 		if err != nil {
-			for _, pw := range d.wals {
-				if pw != nil {
-					pw.Close()
-				}
-			}
-			closeColds()
-			return nil, info, fmt.Errorf("hot: recovering shard %d log: %w", s, err)
+			return fail(fmt.Errorf("hot: recovering shard %d log: %w", s, err))
 		}
 		d.wals[s] = w
 		info.noteWALDamage(rep)
-	}
-	t.dur = d
-	// Shards still cold after replay (their log tails were empty) start
-	// this run cold; replayed shards were materialized by mustTree.
-	for s := range t.shards {
+		// Still cold after replay (an empty tail): the shard starts this
+		// run cold. A replayed shard was materialized by mustTree.
 		if t.shards[s].cold.Load() != nil {
 			info.ColdShards++
 		}
 	}
-	if ct := t.cold.Load(); ct != nil && ct.budget > 0 {
-		// The budget pass deferred from armCold: every shard slot now
-		// holds its real backing, so a tree loaded above budget demotes
-		// genuinely resident shards — never a placeholder standing in
-		// for a not-yet-installed cold section.
+	t.dur = d
+	if legacy {
+		// One-way upgrade of a directory whose snap.hot carried the shard
+		// sections: give every shard with content its own base, then
+		// shrink snap.hot to the manifest. A crash in between re-runs
+		// this — a per-shard base beats its legacy section.
+		for s := range t.shards {
+			if tr := t.shards[s].tree.Load(); tr != nil && tr.Len() > 0 {
+				if err := t.cut(s, tr, false); err != nil {
+					return fail(err)
+				}
+			}
+		}
+		if err := persist.AtomicFile(snap, t.writeManifest); err != nil {
+			return fail(err)
+		}
+	}
+	if ct != nil && ct.budget > 0 {
 		ct.maintain()
 	}
 	return t, info, nil
+}
+
+// openManifest reads the manifest at path and returns the empty tree its
+// boundary table defines, or a nil tree when the file does not exist. A
+// snap.hot with bytes after the manifest is the legacy layout — manifest
+// plus one section per shard in one file: it is loaded whole, salvaging
+// past damage, and reported as legacy.
+func openManifest(path string, kind uint16, loader Loader, check func(key []byte, tid TID) error, info *RecoveryInfo) (t *ShardedTree, legacy bool, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		if os.IsNotExist(err) {
+			err = nil
+		}
+		return nil, false, err
+	}
+	defer f.Close()
+	if t, err = readManifest(f, loader); err != nil {
+		return nil, false, err
+	}
+	var one [1]byte
+	if n, _ := f.Read(one[:]); n == 0 {
+		return t, false, nil
+	}
+	if _, err = f.Seek(0, io.SeekStart); err != nil {
+		return nil, false, err
+	}
+	t, rep, err := readSharded(f, kind, loader, check, true)
+	if err != nil {
+		return nil, false, err
+	}
+	info.SnapshotEntries = rep.Entries
+	info.SnapshotDamage = rep.Damage
+	return t, true, nil
+}
+
+// recoverBase installs shard s's recovery base into its slot: the cold
+// section if one exists — opened for paged reads when the cold tier is
+// armed, folded into the trie otherwise — else snap-NNN.hot, else nothing
+// (a shard never cut, whose log starts at LSN 0). If a crash left both
+// files either is correct (see the file comment); the cold one is taken.
+// Damage in snap-NNN.hot is salvaged — the valid prefix loads, the first
+// damage is reported — and costs only this shard; a cold section that
+// does not open or read is a hard error: unlike a torn log tail (an
+// expected crash artifact), it held acknowledged data nothing else covers.
+func (t *ShardedTree) recoverBase(s int, d *durableState, ct *coldTier, legacy bool, check func(key []byte, tid TID) error, info *RecoveryInfo) error {
+	pr, err := persist.OpenPageReaderFile(filepath.Join(d.dir, coldFileName(s)), d.kind)
+	if err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("hot: opening shard %d cold section %s: %w", s, coldFileName(s), err)
+	}
+	var f *os.File
+	if pr == nil {
+		if f, err = os.Open(filepath.Join(d.dir, snapFileName(s))); err != nil {
+			if os.IsNotExist(err) {
+				err = nil
+			}
+			return err
+		}
+		defer f.Close()
+	}
+	if legacy {
+		// The per-shard base supersedes what the legacy section loaded.
+		t.shards[s].tree.Store(core.NewConcurrent(core.Loader(t.loader)))
+	}
+	sink := t.shardSink(s, check)
+	if pr == nil {
+		n, err := persist.Read(f, d.kind, sink)
+		info.SnapshotEntries += n
+		if err != nil && info.SnapshotDamage == nil {
+			errors.As(err, &info.SnapshotDamage)
+		}
+		return nil
+	}
+	if ct != nil {
+		// Served from the file, not loaded — but the caller's recovery
+		// hook (RecoverEntry, set-entry validation) still sees every
+		// entry: a later promotion resolves the shard's TIDs through
+		// loader state that is rebuilt right here.
+		sink = check
+	}
+	if sink != nil {
+		n, err := walkPageReader(pr, sink)
+		info.SnapshotEntries += n
+		if err != nil {
+			pr.Close()
+			return fmt.Errorf("hot: shard %d cold section: %w", s, err)
+		}
+	}
+	if ct == nil {
+		return pr.Close()
+	}
+	t.shards[s].cold.Store(&coldShard{ct: ct, pr: pr, shard: s, gen: ct.ws[s].gen.Add(1)})
+	t.shards[s].tree.Store(nil)
+	return nil
 }
 
 // walkPageReader streams every entry of a cold section file through fn,
@@ -525,13 +558,7 @@ func walkPageReader(pr *persist.PageReader, fn func(key []byte, tid TID) error) 
 // integer set stored in dir (see OpenDurableShardedTree; the sample seeds
 // the shard boundaries on first open only).
 func OpenDurableShardedUint64Set(dir string, shards int, sample []uint64, opts DurableOptions) (*ShardedUint64Set, RecoveryInfo, error) {
-	skeys := make([][]byte, len(sample))
-	flat := make([]byte, 8*len(sample))
-	for i, v := range sample {
-		binary.BigEndian.PutUint64(flat[8*i:], v)
-		skeys[i] = flat[8*i : 8*i+8]
-	}
-	t, info, err := openDurableSharded(dir, tidstore.Uint64Key, persist.KindUint64Set, checkSetEntry, shards, skeys, opts)
+	t, info, err := openDurableSharded(dir, tidstore.Uint64Key, persist.KindUint64Set, checkSetEntry, shards, u64keys(sample), opts)
 	if err != nil {
 		return nil, info, err
 	}

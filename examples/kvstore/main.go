@@ -13,8 +13,11 @@
 // persisted as a single multiplexed sharded snapshot.
 //
 // To serve a store like this over a network instead of in-process, see
-// cmd/hot-server: the same durable sharded tree behind a TCP front end,
-// with streaming replication to read-only followers.
+// cmd/hot-server: the sharded tree opened durably behind a TCP front end,
+// with streaming replication to read-only followers. Its directory holds
+// snap.hot (the shard boundary manifest, written once) and, per shard, a
+// base file — snap-NNN.hot from a checkpoint or cold-NNN.hot from a
+// demotion — plus wal-NNN.log, the shard's writes since that base.
 package main
 
 import (

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -82,9 +83,11 @@ func TestMakefileFuzzListCoversAllTargets(t *testing.T) {
 
 // TestCIWorkflowCoversAllTiers guards against drift between the Makefile's
 // `all` target and the hosted CI pipeline: every verification tier that
-// `make all` runs locally must appear as a `make <tier>` step in
-// .github/workflows/ci.yml. Dropping a tier from the workflow would
-// silently stop gating merges on it.
+// `make all` runs locally — six of them — must appear as a `make <tier>`
+// step in .github/workflows/ci.yml, and every `make <tier>` step there
+// (the nightly fuzz burst aside) must be a tier of `all`. Dropping a tier
+// from the workflow would silently stop gating merges on it; a job for a
+// tier `all` no longer has would run a target that does not exist.
 func TestCIWorkflowCoversAllTiers(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -96,8 +99,8 @@ func TestCIWorkflowCoversAllTiers(t *testing.T) {
 		t.Fatal("no `all:` target found in the Makefile")
 	}
 	tiers := strings.Fields(string(m[1]))
-	if len(tiers) == 0 {
-		t.Fatal("the Makefile `all` target lists no tiers")
+	if len(tiers) != 6 {
+		t.Fatalf("the Makefile `all` target lists %d tiers %v, want 6", len(tiers), tiers)
 	}
 
 	wf, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
@@ -114,5 +117,10 @@ func TestCIWorkflowCoversAllTiers(t *testing.T) {
 	sort.Strings(missing)
 	if len(missing) > 0 {
 		t.Errorf("make all tiers with no `make <tier>` step in .github/workflows/ci.yml: %v", missing)
+	}
+	for _, step := range regexp.MustCompile(`(?m)run:\s*make\s+([\w-]+)`).FindAllSubmatch(wf, -1) {
+		if job := string(step[1]); job != "fuzz" && !slices.Contains(tiers, job) {
+			t.Errorf(".github/workflows/ci.yml runs `make %s`, which is not a tier of make all", job)
+		}
 	}
 }

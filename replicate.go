@@ -33,17 +33,17 @@ import (
 //     streams every record with LSN > cut as a TAIL frame, continuously.
 //
 // The session holds the store's checkpoint lock for its whole life, so no
-// Checkpoint can rotate a log out from under the tailers and no Close can
-// invalidate them. The flip side: ShardedTree.Close blocks until every
-// replication session is closed — a server must tear down its sessions
-// (close their connections) before closing the tree.
+// cut (Checkpoint or demotion) can rotate a log out from under the tailers
+// and no Close can invalidate them. The flip side: ShardedTree.Close
+// blocks until every replication session is closed — a server must tear
+// down its sessions (close their connections) before closing the tree.
 //
 // A follower that already completed a bootstrap can skip phase 1 on
 // reconnect: it presents its per-shard applied-LSN vector
 // (Follower.AppliedLSNs) and the leader, under the same checkpoint lock,
 // checks each shard's log retention — resumable exactly when
-// base ≤ appliedLSN ≤ lastLSN for every shard, i.e. no Checkpoint has
-// rotated a needed record away and the follower is not ahead of the
+// base ≤ appliedLSN ≤ lastLSN for every shard, i.e. no cut has rotated
+// a needed record away and the follower is not ahead of the
 // leader (a diverged history). On success the session tails from the
 // follower's own cuts (NewReplicationSessionFrom); otherwise it degrades
 // to the full two-phase stream on the same connection.
@@ -150,20 +150,29 @@ func (s *ReplicationSession) flush() error {
 // section pins its shard's root under an epoch guard; only the per-shard
 // cut read takes (and immediately releases) that shard's commit lock.
 func (s *ReplicationSession) StreamSnapshot() error {
-	before := func(i int) error {
-		if i < 0 {
-			return wire.WriteFrame(s.bw, wire.RepManifest, nil)
-		}
-		s.d.mu[i].Lock()
-		cut := s.d.wals[i].LastLSN()
-		s.d.mu[i].Unlock()
-		s.cuts[i] = cut
-		s.scratch = wire.AppendSection(s.scratch[:0], uint32(i), cut)
-		return wire.WriteFrame(s.bw, wire.RepSection, s.scratch)
-	}
-	after := func(int) error { return s.flush() }
-	if err := s.t.writeSectionsHook(s.bw, s.d.kind, before, after); err != nil {
+	if err := wire.WriteFrame(s.bw, wire.RepManifest, nil); err != nil {
 		return err
+	}
+	if err := s.t.writeManifest(s.bw); err != nil {
+		return err
+	}
+	if err := s.flush(); err != nil {
+		return err
+	}
+	for i := range s.cuts {
+		s.d.mu[i].Lock()
+		s.cuts[i] = s.d.wals[i].LastLSN()
+		s.d.mu[i].Unlock()
+		s.scratch = wire.AppendSection(s.scratch[:0], uint32(i), s.cuts[i])
+		if err := wire.WriteFrame(s.bw, wire.RepSection, s.scratch); err != nil {
+			return err
+		}
+		if err := s.t.writeShard(s.bw, s.d.kind, i); err != nil {
+			return err
+		}
+		if err := s.flush(); err != nil {
+			return err
+		}
 	}
 	if err := wire.WriteFrame(s.bw, wire.RepTailStart, nil); err != nil {
 		return err

@@ -147,7 +147,8 @@ func (t *ShardedTree) Boundaries() [][]byte {
 func (t *ShardedTree) Insert(key []byte, tid TID) bool {
 	s := shard.Find(t.bounds, key)
 	if t.dur != nil {
-		return t.dur.insert(t, s, key, tid)
+		_, ok := t.dur.write(t, s, shard.Op{Key: key, TID: tid, Kind: shard.OpInsert})
+		return ok
 	}
 	tr := t.lockShardWrite(s)
 	ok := tr.Insert(key, tid)
@@ -161,7 +162,7 @@ func (t *ShardedTree) Insert(key []byte, tid TID) bool {
 func (t *ShardedTree) Upsert(key []byte, tid TID) (old TID, replaced bool) {
 	s := shard.Find(t.bounds, key)
 	if t.dur != nil {
-		return t.dur.upsert(t, s, key, tid)
+		return t.dur.write(t, s, shard.Op{Key: key, TID: tid, Kind: shard.OpUpsert})
 	}
 	tr := t.lockShardWrite(s)
 	old, replaced = tr.Upsert(key, tid)
@@ -185,7 +186,8 @@ func (t *ShardedTree) Lookup(key []byte) (TID, bool) {
 func (t *ShardedTree) Delete(key []byte) bool {
 	s := shard.Find(t.bounds, key)
 	if t.dur != nil {
-		return t.dur.delete(t, s, key)
+		_, ok := t.dur.write(t, s, shard.Op{Key: key, Kind: shard.OpDelete})
+		return ok
 	}
 	tr := t.lockShardWrite(s)
 	ok := tr.Delete(key)
@@ -595,13 +597,19 @@ type ShardedUint64Set struct {
 // shards range partitions, with boundaries sampled from the values in
 // sample (see NewShardedTree).
 func NewShardedUint64Set(shards int, sample []uint64) *ShardedUint64Set {
-	skeys := make([][]byte, len(sample))
-	flat := make([]byte, 8*len(sample))
-	for i, v := range sample {
+	return &ShardedUint64Set{t: NewShardedTree(tidstore.Uint64Key, shards, u64keys(sample))}
+}
+
+// u64keys returns the 8-byte big-endian keys of vs, carved from one
+// allocation.
+func u64keys(vs []uint64) [][]byte {
+	keys := make([][]byte, len(vs))
+	flat := make([]byte, 8*len(vs))
+	for i, v := range vs {
 		binary.BigEndian.PutUint64(flat[8*i:], v)
-		skeys[i] = flat[8*i : 8*i+8]
+		keys[i] = flat[8*i : 8*i+8]
 	}
-	return &ShardedUint64Set{t: NewShardedTree(tidstore.Uint64Key, shards, skeys)}
+	return keys
 }
 
 // Insert adds v (< 2^63), reporting false if already present.
@@ -621,15 +629,7 @@ func (s *ShardedUint64Set) Contains(v uint64) bool {
 // shard (see ShardedTree.LookupBatch). The returned mask is owned by the
 // caller.
 func (s *ShardedUint64Set) LookupBatch(vs []uint64) []bool {
-	n := len(vs)
-	flat := make([]byte, 8*n)
-	keys := make([][]byte, n)
-	tids := make([]uint64, n)
-	for i, v := range vs {
-		binary.BigEndian.PutUint64(flat[8*i:], v)
-		keys[i] = flat[8*i : 8*i+8]
-	}
-	return s.t.LookupBatch(keys, tids)
+	return s.t.LookupBatch(u64keys(vs), make([]uint64, len(vs)))
 }
 
 // Delete removes v, reporting whether it was present.

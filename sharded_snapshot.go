@@ -20,73 +20,65 @@ import (
 // hits: the Recover loaders rebuild every shard before the first damaged
 // byte and report exactly what was lost. SnapshotFile uses the same
 // tmp+fsync+rename protocol as every other SaveFile in this package, so a
-// crash mid-save never clobbers the previous snapshot.
+// crash mid-save never clobbers the previous snapshot. The durable
+// directory (durable_sharded.go) stores the same two section shapes as
+// separate files; the replication bootstrap (replicate.go) frames them.
 
-// writeSections streams the manifest plus one data section per shard.
-func (t *ShardedTree) writeSections(w io.Writer, kind uint16) error {
-	return t.writeSectionsHook(w, kind, nil, nil)
-}
+// flusher is the optional flush surface of a snapshot destination (a
+// *bufio.Writer over a network connection, a compressing writer).
+type flusher interface{ Flush() error }
 
-// writeSectionsHook is writeSections with per-section callbacks: before(i)
-// runs before shard i's section starts streaming and after(i) once it is
-// complete; the manifest gets i == -1. Nil hooks are skipped. The
-// replication session uses before to record each shard's log cut (and emit
-// its framing) and after to flush the transport at every section boundary,
-// which is what lets a follower open shard i for reads while section i+1
-// still streams.
-func (t *ShardedTree) writeSectionsHook(w io.Writer, kind uint16, before, after func(i int) error) error {
-	if before != nil {
-		if err := before(-1); err != nil {
-			return err
-		}
-	}
-	codec := t.SnapshotCodec()
-	if err := writeSnapshot(w, persist.KindShardManifest, codec, false, func(fn persist.EntryFunc) error {
+// writeManifest streams the manifest section: the boundary key table.
+func (t *ShardedTree) writeManifest(w io.Writer) error {
+	return writeSnapshot(w, persist.KindShardManifest, t.SnapshotCodec(), false, func(fn persist.EntryFunc) error {
 		for i, b := range t.bounds {
 			if err := fn(b, uint64(i)); err != nil {
 				return err
 			}
 		}
 		return nil
-	}); err != nil {
+	})
+}
+
+// writeShard streams shard i's data section. A cold shard streams from
+// its cold file — the entries are identical to what its trie held at
+// demotion, and writers to it are demoted-out, so the section is as
+// consistent as a hot shard's epoch-pinned walk.
+func (t *ShardedTree) writeShard(w io.Writer, kind uint16, i int) error {
+	var src entrySource
+	if tr, cs := t.view(i); tr != nil {
+		src = walkSource(tr.SnapshotWalk)
+	} else {
+		src = cs.walk
+	}
+	return writeSnapshot(w, kind, t.SnapshotCodec(), false, src)
+}
+
+// writeSections streams the manifest plus one data section per shard,
+// flushing fl (when non-nil) at every section boundary.
+func (t *ShardedTree) writeSections(w io.Writer, kind uint16, fl flusher) error {
+	flush := func() error {
+		if fl == nil {
+			return nil
+		}
+		return fl.Flush()
+	}
+	if err := t.writeManifest(w); err != nil {
 		return err
 	}
-	if after != nil {
-		if err := after(-1); err != nil {
-			return err
-		}
+	if err := flush(); err != nil {
+		return err
 	}
 	for i := range t.shards {
-		if before != nil {
-			if err := before(i); err != nil {
-				return err
-			}
-		}
-		// A cold shard streams its section from the cold file — the
-		// entries are identical to what its trie held at demotion, and
-		// writers to it are demoted-out, so the section is as consistent
-		// as a hot shard's epoch-pinned walk.
-		var src entrySource
-		if tr, cs := t.view(i); tr != nil {
-			src = walkSource(tr.SnapshotWalk)
-		} else {
-			src = cs.walk
-		}
-		if err := writeSnapshot(w, kind, codec, false, src); err != nil {
+		if err := t.writeShard(w, kind, i); err != nil {
 			return err
 		}
-		if after != nil {
-			if err := after(i); err != nil {
-				return err
-			}
+		if err := flush(); err != nil {
+			return err
 		}
 	}
 	return nil
 }
-
-// flusher is the optional flush surface of a snapshot destination (a
-// *bufio.Writer over a network connection, a compressing writer).
-type flusher interface{ Flush() error }
 
 // SnapshotTo streams a point-in-time snapshot of the live sharded tree to w
 // exactly like Snapshot, and additionally flushes w after the manifest and
@@ -96,11 +88,8 @@ type flusher interface{ Flush() error }
 // verifiable snapshot of shards ≤ i without waiting for the rest — the
 // property streaming follower replication is built on (see Follower).
 func (t *ShardedTree) SnapshotTo(w io.Writer) error {
-	var after func(int) error
-	if fl, ok := w.(flusher); ok {
-		after = func(int) error { return fl.Flush() }
-	}
-	return t.writeSectionsHook(w, persist.KindTree, nil, after)
+	fl, _ := w.(flusher)
+	return t.writeSections(w, persist.KindTree, fl)
 }
 
 // Snapshot writes a point-in-time snapshot of the live sharded tree to w
@@ -110,7 +99,7 @@ func (t *ShardedTree) SnapshotTo(w io.Writer) error {
 // consistent; entries committed while the snapshot streams may or may not
 // be included (wait-free reader semantics).
 func (t *ShardedTree) Snapshot(w io.Writer) error {
-	return t.writeSections(w, persist.KindTree)
+	return t.writeSections(w, persist.KindTree, nil)
 }
 
 // SnapshotFile atomically writes a point-in-time snapshot of the live
@@ -118,9 +107,7 @@ func (t *ShardedTree) Snapshot(w io.Writer) error {
 // path+".tmp", which is fsynced, renamed over path, and the directory is
 // fsynced. On any error path is left untouched.
 func (t *ShardedTree) SnapshotFile(path string) error {
-	return persist.AtomicFile(path, func(w io.Writer) error {
-		return t.writeSections(w, persist.KindTree)
-	})
+	return persist.AtomicFile(path, t.Snapshot)
 }
 
 // loadShardEntry inserts one snapshot entry into shard i, converting
@@ -169,11 +156,8 @@ func absolutize(err error, base int64) {
 // from everything before the damage (later shards stay empty), with the
 // report describing the loss; in strict mode any damage is an error. A
 // damaged manifest is always an error — without the boundary table there
-// is no tree to build. A non-nil skip marks shards whose section should
-// be structurally validated but not restored — the durable open passes it
-// for shards superseded by a newer cold section file (see cold.go);
-// skipped entries do not count toward the report.
-func readSharded(r io.Reader, kind uint16, loader Loader, check func(key []byte, tid TID) error, salvage bool, skip func(i int) bool) (*ShardedTree, RecoveryReport, error) {
+// is no tree to build.
+func readSharded(r io.Reader, kind uint16, loader Loader, check func(key []byte, tid TID) error, salvage bool) (*ShardedTree, RecoveryReport, error) {
 	cr := &countingReader{r: r}
 	var rep RecoveryReport
 	t, err := readManifest(cr, loader)
@@ -183,15 +167,8 @@ func readSharded(r io.Reader, kind uint16, loader Loader, check func(key []byte,
 	}
 	for i := range t.shards {
 		base := cr.n
-		skipped := skip != nil && skip(i)
-		sink := t.shardSink(i, check)
-		if skipped {
-			sink = func([]byte, TID) error { return nil }
-		}
-		n, err := persist.Read(cr, kind, sink)
-		if !skipped {
-			rep.Entries += n
-		}
+		n, err := persist.Read(cr, kind, t.shardSink(i, check))
+		rep.Entries += n
 		if err != nil {
 			absolutize(err, base)
 			errors.As(err, &rep.Damage)
@@ -206,8 +183,9 @@ func readSharded(r io.Reader, kind uint16, loader Loader, check func(key []byte,
 }
 
 // readManifest parses a manifest section from r and returns the empty tree
-// its boundary table defines. Both consumers of the multiplexed format — the
-// file loaders above and the replication follower — start here.
+// its boundary table defines. Every consumer of a manifest — the file
+// loaders above, the durable open and the replication follower — starts
+// here.
 func readManifest(r io.Reader, loader Loader) (*ShardedTree, error) {
 	var bounds [][]byte
 	_, err := persist.Read(r, persist.KindShardManifest, func(key []byte, tid TID) error {
@@ -248,7 +226,7 @@ func LoadShardedTree(r io.Reader, loader Loader) (*ShardedTree, error) {
 	if loader == nil {
 		panic("hot: nil Loader")
 	}
-	t, _, err := readSharded(r, persist.KindTree, loader, nil, false, nil)
+	t, _, err := readSharded(r, persist.KindTree, loader, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -281,7 +259,7 @@ func RecoverShardedTreeFile(path string, loader Loader) (*ShardedTree, RecoveryR
 		return nil, RecoveryReport{}, err
 	}
 	defer f.Close()
-	return readSharded(f, persist.KindTree, loader, nil, true, nil)
+	return readSharded(f, persist.KindTree, loader, nil, true)
 }
 
 // ---- ShardedUint64Set ----
@@ -315,21 +293,19 @@ func (s *ShardedUint64Set) SnapshotCodec() SnapshotCodec { return s.t.SnapshotCo
 // Snapshot writes a point-in-time snapshot of the live sharded set to w
 // without blocking concurrent writers (see ShardedTree.Snapshot).
 func (s *ShardedUint64Set) Snapshot(w io.Writer) error {
-	return s.t.writeSections(w, persist.KindUint64Set)
+	return s.t.writeSections(w, persist.KindUint64Set, nil)
 }
 
 // SnapshotFile atomically writes a point-in-time snapshot of the live
 // sharded set to path (see ShardedTree.SnapshotFile).
 func (s *ShardedUint64Set) SnapshotFile(path string) error {
-	return persist.AtomicFile(path, func(w io.Writer) error {
-		return s.t.writeSections(w, persist.KindUint64Set)
-	})
+	return persist.AtomicFile(path, s.Snapshot)
 }
 
 // LoadShardedUint64Set rebuilds a ShardedUint64Set from a sharded
 // snapshot, returning a typed *SnapshotError on any corruption.
 func LoadShardedUint64Set(r io.Reader) (*ShardedUint64Set, error) {
-	t, _, err := readSharded(r, persist.KindUint64Set, tidstore.Uint64Key, checkSetEntry, false, nil)
+	t, _, err := readSharded(r, persist.KindUint64Set, tidstore.Uint64Key, checkSetEntry, false)
 	if err != nil {
 		return nil, err
 	}
@@ -355,7 +331,7 @@ func RecoverShardedUint64SetFile(path string) (*ShardedUint64Set, RecoveryReport
 		return nil, RecoveryReport{}, err
 	}
 	defer f.Close()
-	t, rep, err := readSharded(f, persist.KindUint64Set, tidstore.Uint64Key, checkSetEntry, true, nil)
+	t, rep, err := readSharded(f, persist.KindUint64Set, tidstore.Uint64Key, checkSetEntry, true)
 	if err != nil {
 		return nil, rep, err
 	}

@@ -8,25 +8,32 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/hotindex/hot/internal/chaos"
 )
 
-// WAL crash matrix: a subprocess runs a durable ShardedUint64Set under a
-// synchronous insert/delete stream with periodic checkpoints, recording
-// every operation in a side "oplog" — a synced intent line before the op,
-// a synced ack line after it returns (i.e. after its group-commit fsync).
-// The child is killed at every armed WAL fault point and at every snapshot
-// fault point (fired by the checkpoints, so the snapshot protocol is
-// exercised with logs to rotate behind it). The parent then reopens the
-// directory and requires a Verify-clean set whose contents are exactly the
-// acked operations applied in order — every acknowledged write recovered —
-// give or take only the single trailing intent that never acked (a write
-// in flight at the kill, which a real client would also see as
-// unacknowledged). WalTruncate needs a second phase: one child leaves a
-// torn tail (killed at WalTornWrite), the next is killed during recovery's
-// tail truncation, and the parent proves recovery is re-runnable.
+// WAL crash matrix: a subprocess runs a durable ShardedUint64Set with the
+// cold tier armed under a synchronous insert/delete stream interleaved
+// with the store's lifecycle events — periodic Checkpoints, Demotes, and
+// the promotions the writes trigger — recording every operation in a side
+// "oplog" — a synced intent line before the op, a synced ack line after it
+// returns (i.e. after its group-commit fsync). The child is killed at
+// every armed WAL fault point and, once per cut destination, at every
+// snapshot fault point and at the log rotation: the "snap" phase makes the
+// first armed cut a Checkpoint's (snap-NNN.hot superseding a cold-NNN.hot),
+// the "cold" phase a Demote's (cold-NNN.hot superseding a snap-NNN.hot),
+// and a side "cutlog" proves which one the kill landed in. The parent then
+// reopens copies of the wreck with and without the cold tier, each copy
+// once more under the other option, and every time requires a Verify-clean
+// set whose contents are exactly the acked operations applied in order —
+// every acknowledged write recovered — give or take only the single
+// trailing intent that never acked (a write in flight at the kill, which a
+// real client would also see as unacknowledged). WalTruncate needs a second
+// phase: one child leaves a torn tail (killed at WalTornWrite), the next is
+// killed during recovery's tail truncation, and the parent proves recovery
+// is re-runnable.
 
 const (
 	walCrashEnvPoint = "HOT_WAL_CRASH_POINT"
@@ -56,8 +63,14 @@ func walCrashOp(i int) (del bool, v uint64) {
 
 func walCrashVal(i int) uint64 { return uint64(i) * 2654435761 % 100000 }
 
-func walCrashOpen(dir string) (*ShardedUint64Set, RecoveryInfo, error) {
-	return OpenDurableShardedUint64Set(dir, walCrashShards, walCrashSample(), DurableOptions{})
+// walCrashOpen opens the matrix's store, with the cold tier armed for
+// manual transitions when cold is set.
+func walCrashOpen(dir string, cold bool) (*ShardedUint64Set, RecoveryInfo, error) {
+	var opts DurableOptions
+	if cold {
+		opts.ColdTier = &ColdTierConfig{}
+	}
+	return OpenDurableShardedUint64Set(dir, walCrashShards, walCrashSample(), opts)
 }
 
 func walCrashChild(pointName, dir, phase string) {
@@ -81,16 +94,45 @@ func walCrashChild(pointName, dir, phase string) {
 		reg := chaos.New(walCrashSeed)
 		reg.On(point, 1, chaos.Exit(walCrashExit))
 		reg.Arm()
-		_, _, err := walCrashOpen(dir)
+		_, _, err := walCrashOpen(dir, true)
 		chaos.Disarm()
 		fmt.Fprintf(os.Stderr, "recovery point %s never fired (open err: %v)\n", pointName, err)
 		os.Exit(5)
 	}
 
-	set, _, err := walCrashOpen(dir)
+	set, _, err := walCrashOpen(dir, true)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "child open: %v\n", err)
 		os.Exit(4)
+	}
+	cutlog, err := os.OpenFile(filepath.Join(dir, "cutlog"), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "child cutlog: %v\n", err)
+		os.Exit(4)
+	}
+	// Each lifecycle event notes its cut destination first, so the parent
+	// can tell which kind of cut a kill interrupted.
+	noteCut := func(dest string) {
+		if _, err := fmt.Fprintln(cutlog, dest); err == nil {
+			err = cutlog.Sync()
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "child cutlog write: %v\n", err)
+			os.Exit(4)
+		}
+	}
+	checkpoint := func() error {
+		noteCut("snap")
+		return set.Checkpoint()
+	}
+	demoteFrom := func(first int) error {
+		noteCut("cold")
+		for s := first; s < walCrashShards; s++ {
+			if err := set.Demote(s); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	oplog, err := os.OpenFile(filepath.Join(dir, "oplog"), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
@@ -122,25 +164,44 @@ func walCrashChild(pointName, dir, phase string) {
 		logLine("a", del, v)
 	}
 
-	// Unarmed warm-up, including a checkpoint, so the kill lands on a
-	// store with a non-trivial snapshot and live log tails.
+	// Unarmed warm-up, so the kill lands on a store with live log tails,
+	// at least one shard still cold, and a first armed cut that has a
+	// sibling base to supersede. The checkpoint gives every shard a
+	// snap-NNN.hot — what the "cold" phase's first armed event, a Demote
+	// of every shard, replaces (its warm-up ends by demoting the last
+	// shard, which that event finds already cold). The "snap" phase
+	// demotes every shard two writes before the end: those writes promote
+	// their shards back, so its first armed event, a Checkpoint, cuts
+	// only shards that have a cold-NNN.hot.
 	for i := 0; i < 40; i++ {
 		doOp(i)
+		var err error
 		if i == 20 {
-			if err := set.Checkpoint(); err != nil {
-				fmt.Fprintf(os.Stderr, "warm-up checkpoint: %v\n", err)
-				os.Exit(4)
-			}
+			err = checkpoint()
+		} else if i == 37 && phase == "snap" {
+			err = demoteFrom(0)
+		} else if i == 39 && phase == "cold" {
+			err = demoteFrom(walCrashShards - 1)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "warm-up lifecycle event at op %d: %v\n", i, err)
+			os.Exit(4)
 		}
 	}
 	reg := chaos.New(walCrashSeed)
 	reg.On(point, 1, chaos.Exit(walCrashExit))
 	reg.Arm()
 	for i := 40; i < 400; i++ {
-		if i%10 == 0 {
-			set.Checkpoint() // fires the rotate/snapshot points
+		// Alternate the two cuts every five ops, starting with the
+		// phase's own; both fire the snapshot and rotate points.
+		if i%5 == 0 {
+			if (i%10 == 0) == (phase == "snap") {
+				checkpoint()
+			} else {
+				demoteFrom(0)
+			}
 		}
-		doOp(i) // fires the append/sync points
+		doOp(i) // fires the append/sync points, promoting a cold shard
 	}
 	chaos.Disarm()
 	fmt.Fprintf(os.Stderr, "point %s never fired\n", pointName)
@@ -234,37 +295,78 @@ func sameUint64s(a, b []uint64) bool {
 	return true
 }
 
-// walCrashVerify reopens the killed child's directory and requires a
-// Verify-clean set holding exactly the acked ops applied in order, with
-// the trailing unacked intent (at most one) allowed either way.
-func walCrashVerify(t *testing.T, dir string) {
+// walCrashVerify reopens the killed child's directory, with the cold tier
+// armed or not, and requires a Verify-clean set holding exactly the acked
+// ops applied in order, with the trailing unacked intent (at most one)
+// allowed either way.
+func walCrashVerify(t *testing.T, dir string, cold bool) {
 	t.Helper()
-	set, info, err := walCrashOpen(dir)
+	set, info, err := walCrashOpen(dir, cold)
 	if err != nil {
-		t.Fatalf("recovery open: %v", err)
+		t.Fatalf("recovery open (cold tier %v): %v", cold, err)
 	}
 	defer set.Close()
 	if err := set.Verify(); err != nil {
-		t.Fatalf("recovered set fails Verify: %v", err)
+		t.Fatalf("recovered set (cold tier %v) fails Verify: %v", cold, err)
 	}
 	acked, pending := walCrashReplayOplog(t, dir)
 	got := walCrashContents(set)
 	model := walCrashModel(acked)
 	if sameUint64s(got, walCrashModelSlice(model)) {
-		t.Logf("recovered %d acked ops exactly (snapshot %d entries, %d log records, %d damaged logs)",
-			len(acked), info.SnapshotEntries, info.WALRecords, info.WALDamaged)
+		t.Logf("cold tier %v: recovered %d acked ops exactly (base files %d entries, %d cold shards, %d log records, %d damaged logs)",
+			cold, len(acked), info.SnapshotEntries, info.ColdShards, info.WALRecords, info.WALDamaged)
 		return
 	}
 	if pending != nil {
 		withPending := walCrashModel(append(append([]walCrashLoggedOp(nil), acked...), *pending))
 		if sameUint64s(got, walCrashModelSlice(withPending)) {
-			t.Logf("recovered %d acked ops plus the in-flight %+v (snapshot %d, log records %d)",
-				len(acked), *pending, info.SnapshotEntries, info.WALRecords)
+			t.Logf("cold tier %v: recovered %d acked ops plus the in-flight %+v (base files %d, log records %d)",
+				cold, len(acked), *pending, info.SnapshotEntries, info.WALRecords)
 			return
 		}
 	}
-	t.Fatalf("recovered contents (%d values) match neither the acked state (%d values) nor acked+in-flight (pending %+v)",
-		len(got), len(model), pending)
+	t.Fatalf("cold tier %v: recovered contents (%d values) match neither the acked state (%d values) nor acked+in-flight (pending %+v)",
+		cold, len(got), len(model), pending)
+}
+
+// walCrashVerifyBoth checks the wreck under both open configurations:
+// two copies, one first opened with the cold tier and one without, each
+// then reopened under the other option — a recovery must also leave a
+// directory the other configuration recovers.
+func walCrashVerifyBoth(t *testing.T, dir string) {
+	t.Helper()
+	for _, first := range []bool{true, false} {
+		cp := t.TempDir()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err == nil {
+				err = os.WriteFile(filepath.Join(cp, e.Name()), b, 0o644)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		walCrashVerify(t, cp, first)
+		walCrashVerify(t, cp, !first)
+	}
+}
+
+// walCrashLastCut returns the destination of the last cut the child began.
+func walCrashLastCut(t *testing.T, dir string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, "cutlog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Fields(string(b))
+	if len(lines) == 0 {
+		t.Fatal("empty cutlog")
+	}
+	return lines[len(lines)-1]
 }
 
 func TestWALCrashMatrix(t *testing.T) {
@@ -289,12 +391,21 @@ func TestWALCrashMatrix(t *testing.T) {
 		}
 	}
 
-	// Single-phase points: the kill lands mid-write or mid-checkpoint.
-	points := []chaos.Point{
-		chaos.WalAppend,
-		chaos.WalTornWrite,
-		chaos.WalSync,
-		chaos.WalRotate,
+	// Log write points: the kill lands mid-write.
+	for _, point := range []chaos.Point{chaos.WalAppend, chaos.WalTornWrite, chaos.WalSync} {
+		point := point
+		t.Run(point.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			runChild(t, dir, point, "snap")
+			walCrashVerifyBoth(t, dir)
+		})
+	}
+
+	// Cut points: every step of the one cut primitive — base file tmp
+	// written, renamed, sibling removed (WalRotate fires after the remove,
+	// before the log is replaced) — killed once inside a Checkpoint's cut
+	// and once inside a Demote's.
+	for _, point := range []chaos.Point{
 		chaos.SnapWriteHeader,
 		chaos.SnapWriteBlock,
 		chaos.SnapTornWrite,
@@ -302,14 +413,20 @@ func TestWALCrashMatrix(t *testing.T) {
 		chaos.SnapClose,
 		chaos.SnapRename,
 		chaos.SnapDirSync,
-	}
-	for _, point := range points {
-		point := point
-		t.Run(point.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			runChild(t, dir, point, "")
-			walCrashVerify(t, dir)
-		})
+		chaos.WalRotate,
+	} {
+		for _, dest := range []string{"snap", "cold"} {
+			point, dest := point, dest
+			t.Run(point.String()+"/"+dest, func(t *testing.T) {
+				dir := t.TempDir()
+				runChild(t, dir, point, dest)
+				if got := walCrashLastCut(t, dir); got != dest {
+					t.Fatalf("%v fired inside a %q cut, want a %q cut", point, got, dest)
+				}
+				t.Logf("%v fired inside a %s cut", point, dest)
+				walCrashVerifyBoth(t, dir)
+			})
+		}
 	}
 
 	// Two-phase WalTruncate: child A leaves a torn log tail, child B is
@@ -317,9 +434,9 @@ func TestWALCrashMatrix(t *testing.T) {
 	// parent proves the recovery is re-runnable on top of both crashes.
 	t.Run(chaos.WalTruncate.String(), func(t *testing.T) {
 		dir := t.TempDir()
-		runChild(t, dir, chaos.WalTornWrite, "")
+		runChild(t, dir, chaos.WalTornWrite, "snap")
 		runChild(t, dir, chaos.WalTruncate, "recover")
-		walCrashVerify(t, dir)
+		walCrashVerifyBoth(t, dir)
 	})
 }
 
