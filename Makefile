@@ -9,7 +9,7 @@ GO ?= go
 # FUZZTIME=20s to fit its time box.
 FUZZTIME ?= 30s
 
-.PHONY: all ci check race chaos crash wal server-smoke net-chaos fuzz bench bench-json clean
+.PHONY: all ci check race chaos crash server-smoke net-chaos fuzz bench clean
 
 all: check race chaos crash server-smoke net-chaos
 
@@ -78,12 +78,6 @@ crash:
 	$(GO) test -run 'TestShardedCrashMatrix' -count=1 -v .
 	$(GO) test -race -run 'TestWALCrashMatrix' -count=1 -v .
 
-# Quick durability smoke: the WAL unit surface (framing, group commit,
-# damage sweeps, injection) and the durable round-trip/recovery tests.
-wal:
-	$(GO) test -run 'TestWAL' -count=1 ./internal/persist/
-	$(GO) test -run 'TestDurable|TestWALCrashMatrix' -count=1 .
-
 # End-to-end network smoke: a durable leader on a loopback socket, a
 # client loading and reading over the wire, and a follower bootstrapped by
 # streaming replication that then serves reads — the whole cmd/hot-server
@@ -121,36 +115,6 @@ fuzz:
 
 bench:
 	$(GO) test -bench . -benchtime 1s -run - .
-
-# Machine-readable throughput snapshot: the Figure 8 core (workload C and
-# the load phase) at laptop scale, scalar and batched lookups, written as
-# JSON records {dataset, workload, dist, index, batch, mops, misses}.
-# The second run sweeps shard counts for the range-sharded tree (shards=0
-# is the unsharded baseline) into BENCH_4.json; the third sweeps the
-# zipfian submission-queue before/after (async=0 vs 1) into BENCH_5.json;
-# the fourth measures WAL overhead (wal=0 vs 1, sync and async writers)
-# into BENCH_6.json; the fifth measures the network tax — the same
-# workload through cmd/hot-server over a loopback socket (net=0 vs 1,
-# with and without the WAL) — into BENCH_7.json; the sixth measures tail
-# latency under connection concurrency — the networked workload through a
-# client pool at increasing -conns, with p50/p99/p999 per record — into
-# BENCH_8.json; the seventh measures the cost of running larger than RAM —
-# the durable workload unbounded vs. memory budgets of roughly 1/2 and 1/4
-# of the resident footprint, with demotion/promotion counts and the page-
-# cache hit rate per record — into BENCH_9.json; the eighth measures the
-# packed snapshot codec — the durable workload with raw vs packed blocks,
-# with and without a cold-tier budget, recording checkpoint and
-# replication-bootstrap bytes plus read-latency percentiles over packed
-# cold pages — into BENCH_10.json.
-bench-json:
-	$(GO) run ./cmd/hot-ycsb -n 200000 -ops 400000 -workloads C,load -indexes hot -batch 0,16 -json BENCH_2.json
-	$(GO) run ./cmd/hot-ycsb -n 200000 -ops 400000 -workloads load,A -datasets integer,url -indexes hot -shards 1,2,4,8 -json BENCH_4.json
-	$(GO) run ./cmd/hot-ycsb -n 200000 -ops 400000 -workloads load,A -datasets integer,url -dists zipf -indexes hot -shards 8 -async 0,1 -json BENCH_5.json
-	$(GO) run ./cmd/hot-ycsb -n 200000 -ops 400000 -workloads load,A -datasets integer -indexes hot -shards 8 -async 0,1 -wal 0,1 -json BENCH_6.json
-	$(GO) run ./cmd/hot-ycsb -n 100000 -ops 200000 -workloads C -datasets integer -indexes hot -shards 4 -net 0,1 -wal 0,1 -json BENCH_7.json
-	$(GO) run ./cmd/hot-ycsb -n 100000 -ops 200000 -workloads C,A -datasets integer -indexes hot -shards 4 -net 1 -conns 4,64,256 -latency -json BENCH_8.json
-	$(GO) run ./cmd/hot-ycsb -n 200000 -ops 400000 -workloads C,A -datasets integer,url -indexes hot -shards 8 -wal 1 -mem-budget 0,-2,-4 -json BENCH_9.json
-	$(GO) run ./cmd/hot-ycsb -n 200000 -ops 400000 -workloads C -datasets integer,url -indexes hot -shards 8 -wal 1 -mem-budget 0,-2 -codec raw,packed -latency -json BENCH_10.json
 
 clean:
 	$(GO) clean -testcache

@@ -2,9 +2,9 @@ package hot
 
 // This file is the benchmark harness for the paper's evaluation section:
 // one benchmark family per figure, plus ablations of the design choices
-// DESIGN.md calls out. The cmd/hot-* binaries run the same experiments at
-// arbitrary scale with tabular output; these benchmarks are the
-// go-test-native entry points:
+// DESIGN.md calls out. cmd/hot-exp runs the same experiments at arbitrary
+// scale with tabular output; these benchmarks are the go-test-native
+// entry points:
 //
 //	Figure 8  — BenchmarkFig8Lookup / Fig8Scan / Fig8Insert
 //	            (workload C, workload E, load phase; per data set & index)
@@ -166,7 +166,7 @@ func BenchmarkFig8Insert(b *testing.B) {
 
 // BenchmarkAppendixA runs all six YCSB core workloads in their uniform and
 // zipfian variants (Appendix A's 48-configuration grid, here over the url
-// data set per index; use cmd/hot-ycsb -all for the full grid).
+// data set per index; use cmd/hot-exp ycsb -all for the full grid).
 func BenchmarkAppendixA(b *testing.B) {
 	for _, w := range ycsb.Core() {
 		for _, dist := range []ycsb.Distribution{ycsb.Uniform, ycsb.Zipfian} {

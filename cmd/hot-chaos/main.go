@@ -1,4 +1,4 @@
-// hot-chaos is the robustness analogue of hot-ycsb: instead of measuring
+// hot-chaos is the robustness analogue of hot-exp ycsb: instead of measuring
 // throughput it tries to break the ROWEX trie. It runs seeded rounds of
 // concurrent inserts, upserts, deletes, lookups and ordered scans with the
 // fault-injection points of internal/chaos armed — widened lock windows,

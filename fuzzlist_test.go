@@ -124,3 +124,63 @@ func TestCIWorkflowCoversAllTiers(t *testing.T) {
 		}
 	}
 }
+
+// TestDocsNameOnlyWhatExists guards against drift between the documents
+// that tell a reader what to run and the tree they describe: every command
+// (`cmd/<name>`, or a bare `hot-<name>`), every `make <target>` and every
+// checked-in `BENCH_*.json` or `results/` file they name must exist.
+// Renaming or deleting a tool, target or result file without its mentions
+// fails here. ROADMAP.md and CHANGES.md are history and exempt.
+func TestDocsNameOnlyWhatExists(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([\w-]+):`).FindAllSubmatch(mk, -1) {
+		targets[string(m[1])] = true
+	}
+
+	var (
+		// A tool name, and in the second group what makes it something
+		// else: a longer hyphenated word, a temp-file pattern (hot-x-*),
+		// an index label (hot-s4).
+		toolRe = regexp.MustCompile(`(?:^|[^\w-])(?:cmd/)?(hot-[a-z]+)([\w-]*)`)
+		// `make a b VAR=x` in backticks, a CI `run: make a`, or a line of
+		// a code block that starts with make and one target.
+		makeRe = regexp.MustCompile("(?m)(?:`|run: *)make((?: +[\\w=-]+)+)|^make +([\\w-]+) *(?:#|$)")
+		fileRe = regexp.MustCompile(`(?:^|[^\w/.])(BENCH_\w+\.json|results/[\w.*-]*\w)`)
+	)
+	notTools := map[string]bool{"hot-shard": true} // "a hot shard", hyphenated as a modifier
+	for _, doc := range []string{
+		"README.md", "DESIGN.md", "EXPERIMENTS.md", "Makefile",
+		filepath.Join(".claude", "skills", "verify", "SKILL.md"),
+		filepath.Join(".github", "workflows", "ci.yml"),
+	} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range toolRe.FindAllSubmatch(text, -1) {
+			name := string(m[1])
+			if len(m[2]) > 0 || notTools[name] {
+				continue
+			}
+			if fi, err := os.Stat(filepath.Join("cmd", name)); err != nil || !fi.IsDir() {
+				t.Errorf("%s names %s, but there is no cmd/%s", doc, name, name)
+			}
+		}
+		for _, m := range makeRe.FindAllSubmatch(text, -1) {
+			for _, target := range strings.Fields(string(m[1]) + " " + string(m[2])) {
+				if !strings.Contains(target, "=") && !targets[target] {
+					t.Errorf("%s names `make %s`, but the Makefile has no such target", doc, target)
+				}
+			}
+		}
+		for _, m := range fileRe.FindAllSubmatch(text, -1) {
+			if found, _ := filepath.Glob(string(m[1])); len(found) == 0 {
+				t.Errorf("%s names %s, which is not checked in", doc, m[1])
+			}
+		}
+	}
+}

@@ -1,5 +1,5 @@
 // Package bench wires the index structures, data sets and YCSB workloads
-// together for the experiment drivers (cmd/hot-*) and the root benchmark
+// together for the experiment driver (cmd/hot-exp) and the root benchmark
 // suite: a uniform way to construct each evaluated index over a tuple
 // store and to query its memory footprint.
 package bench
@@ -18,8 +18,7 @@ import (
 
 // Instance is one index under test.
 type Instance struct {
-	Name string
-	Idx  ycsb.Index
+	Idx ycsb.Index
 	// PaperBytes returns the index's memory footprint in the paper's C++
 	// node layouts (Figure 9's measure).
 	PaperBytes func() int
@@ -33,25 +32,18 @@ func New(name string, store *tidstore.Store) (Instance, error) {
 	switch name {
 	case "hot":
 		t := core.New(store.Key)
-		return Instance{Name: name, Idx: t, PaperBytes: func() int { return t.Memory().PaperBytes }}, nil
+		return Instance{Idx: t, PaperBytes: func() int { return t.Memory().PaperBytes }}, nil
 	case "art":
 		t := art.New(store.Key)
-		return Instance{Name: name, Idx: t, PaperBytes: func() int { return t.Memory().PaperBytes }}, nil
+		return Instance{Idx: t, PaperBytes: func() int { return t.Memory().PaperBytes }}, nil
 	case "btree":
 		t := btree.New(store.Key)
-		return Instance{Name: name, Idx: t, PaperBytes: func() int { return t.Memory().PaperBytes }}, nil
+		return Instance{Idx: t, PaperBytes: func() int { return t.Memory().PaperBytes }}, nil
 	case "masstree":
 		t := masstree.New()
-		return Instance{Name: name, Idx: t, PaperBytes: func() int { return t.Memory().PaperBytes }}, nil
+		return Instance{Idx: t, PaperBytes: func() int { return t.Memory().PaperBytes }}, nil
 	}
 	return Instance{}, fmt.Errorf("bench: unknown index %q (hot|art|btree|masstree)", name)
-}
-
-// NewInstance wraps an externally constructed index (e.g. the public
-// package's sharded tree, which internal packages cannot import without a
-// cycle through the root test files) as an Instance.
-func NewInstance(name string, idx ycsb.Index, paperBytes func() int) Instance {
-	return Instance{Name: name, Idx: idx, PaperBytes: paperBytes}
 }
 
 // Data is a generated data set registered in a tuple store, ready to feed

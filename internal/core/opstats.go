@@ -92,7 +92,7 @@ func (s OpStats) Add(other OpStats) OpStats {
 }
 
 // String formats every counter in a fixed order, so the drivers
-// (cmd/hot-ycsb, cmd/hot-chaos) and tests report uniformly. The
+// (cmd/hot-exp, cmd/hot-chaos) and tests report uniformly. The
 // submission-queue block is appended only when the async path was used, so
 // unsharded reports stay unchanged.
 func (s OpStats) String() string {

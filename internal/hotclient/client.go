@@ -4,7 +4,7 @@
 // barrier — mirroring the index's own async write contract, so a networked
 // workload keeps the same acknowledgement semantics as an in-process one.
 // A Client is safe for one goroutine; share a connection by sharing
-// nothing (open one Client per worker, as hot-ycsb does).
+// nothing (open one Client per worker).
 package hotclient
 
 import (

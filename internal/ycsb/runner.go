@@ -3,8 +3,6 @@ package ycsb
 import (
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -23,27 +21,6 @@ type Index interface {
 // the returned mask says which keys were found.
 type BatchIndex interface {
 	LookupBatch(keys [][]byte, out []uint64) []bool
-}
-
-// Sharded is optionally implemented by range-partitioned indexes (the
-// contract matches hot.ShardedTree): Shard routes a key to its partition
-// and Shards reports the partition count. LoadParallel uses it to give
-// every partition a dedicated writer, so concurrent loaders never contend
-// on a shared synchronization domain.
-type Sharded interface {
-	Shard(k []byte) int
-	Shards() int
-}
-
-// AsyncIndex is optionally implemented by indexes with an asynchronous
-// write path (the contract matches hot.ShardedTree): InsertAsync and
-// UpsertAsync submit without waiting for application, and Flush blocks
-// until every prior submission has applied, returning the cumulative
-// applied/rejected totals so callers can check deltas across phases.
-type AsyncIndex interface {
-	InsertAsync(k []byte, tid uint64)
-	UpsertAsync(k []byte, tid uint64)
-	Flush() (applied, rejected uint64)
 }
 
 // Result is one benchmark phase's outcome.
@@ -85,16 +62,8 @@ type Runner struct {
 	// capture enabled, the read that fills a batch absorbs the whole
 	// flush in its recorded latency.
 	BatchLookups int
-	// Async routes writes through AsyncIndex when the index implements it
-	// (ignored otherwise): LoadParallel stripes InsertAsync submissions
-	// across the workers instead of bucketing by shard, and Run submits
-	// updates and read-modify-writes through UpsertAsync. Transaction-phase
-	// inserts stay synchronous — the picker domain grows with each insert,
-	// so the key must be resident before a later read can target it. Every
-	// timed phase ends with a Flush inside the timed region.
-	Async bool
-	seed  int64
-	nLoad int
+	seed         int64
+	nLoad        int
 }
 
 // NewRunner builds a runner; loadN keys are inserted by Load, the rest
@@ -109,15 +78,6 @@ func NewRunner(idx Index, keys [][]byte, tids []uint64, loadN int, seed int64) *
 // Load runs the insert-only load phase (keys arrive in generation order,
 // which is random for all data sets).
 func (r *Runner) Load() Result {
-	if ai, ok := r.asyncIdx(); ok {
-		_, rej0 := ai.Flush()
-		start := time.Now()
-		for i := 0; i < r.nLoad; i++ {
-			ai.InsertAsync(r.Keys[i], r.TIDs[i])
-		}
-		elapsed := r.flushLoad(ai, rej0, start)
-		return Result{Ops: r.nLoad, Elapsed: elapsed}
-	}
 	start := time.Now()
 	for i := 0; i < r.nLoad; i++ {
 		if !r.Idx.Insert(r.Keys[i], r.TIDs[i]) {
@@ -127,216 +87,12 @@ func (r *Runner) Load() Result {
 	return Result{Ops: r.nLoad, Elapsed: time.Since(start)}
 }
 
-// asyncIdx returns the index's async write surface when Async is requested
-// and the index provides one.
-func (r *Runner) asyncIdx() (AsyncIndex, bool) {
-	if !r.Async {
-		return nil, false
-	}
-	ai, ok := r.Idx.(AsyncIndex)
-	return ai, ok
-}
-
-// flushLoad completes an async load phase: the Flush barrier is part of the
-// timed region, and load keys are unique so any rejected delta means the
-// submission path lost or duplicated an op.
-func (r *Runner) flushLoad(ai AsyncIndex, rej0 uint64, start time.Time) time.Duration {
-	_, rej := ai.Flush()
-	elapsed := time.Since(start)
-	if rej != rej0 {
-		panic(fmt.Sprintf("ycsb: async load rejected %d inserts (duplicate keys?)", rej-rej0))
-	}
-	return elapsed
-}
-
-// LoadParallel runs the insert-only load phase from workers goroutines.
-// The index must be safe for concurrent inserts. When it is Sharded, the
-// load keys are first bucketed by shard and each bucket is driven by
-// exactly one worker at a time (workers steal whole buckets), so no two
-// goroutines ever write the same shard's synchronization domain;
-// otherwise the keys are striped across the workers. The timed region
-// includes the bucketing — routing is part of the sharded write path.
-func (r *Runner) LoadParallel(workers int) Result {
-	if workers <= 1 {
-		return r.Load()
-	}
-	if ai, ok := r.asyncIdx(); ok {
-		// Async path: no bucketing — workers submit a plain stripe of the
-		// key stream and the per-shard submission queues absorb the
-		// cross-shard collisions that bucketing exists to avoid.
-		_, rej0 := ai.Flush()
-		start := time.Now()
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < r.nLoad; i += workers {
-					ai.InsertAsync(r.Keys[i], r.TIDs[i])
-				}
-			}(w)
-		}
-		wg.Wait()
-		elapsed := r.flushLoad(ai, rej0, start)
-		return Result{Ops: r.nLoad, Elapsed: elapsed}
-	}
-	start := time.Now()
-	var buckets [][]int
-	if sh, ok := r.Idx.(Sharded); ok && sh.Shards() > 1 {
-		buckets = make([][]int, sh.Shards())
-		for i := 0; i < r.nLoad; i++ {
-			s := sh.Shard(r.Keys[i])
-			buckets[s] = append(buckets[s], i)
-		}
-	} else {
-		buckets = make([][]int, workers)
-		for i := 0; i < r.nLoad; i++ {
-			buckets[i%workers] = append(buckets[i%workers], i)
-		}
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= len(buckets) {
-					return
-				}
-				for _, i := range buckets[b] {
-					if !r.Idx.Insert(r.Keys[i], r.TIDs[i]) {
-						panic(fmt.Sprintf("ycsb: load insert %d failed (duplicate key?)", i))
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return Result{Ops: r.nLoad, Elapsed: time.Since(start)}
-}
-
-// RunParallel executes ops transaction-phase operations of workload w from
-// workers concurrent client goroutines — the standard YCSB client model,
-// and the only way the write convoy that the sharded tree's submission
-// queues address actually forms. The index must be safe for the workload's
-// concurrent operations. Each worker draws from its own seeded generator
-// and picker over the load-phase domain; unlike Run, transaction-phase
-// inserts claim reserve keys from a shared counter and do not grow the
-// pickers' domains, so later reads never target a possibly-in-flight
-// insert (which also lets Async mode submit them through InsertAsync).
-// With Async set, updates, read-modify-writes and inserts go through the
-// AsyncIndex surface and the phase ends with a Flush inside the timed
-// region. BatchLookups is ignored — parallel reads are issued scalar.
-func (r *Runner) RunParallel(w Workload, dist Distribution, ops, workers int) Result {
-	if workers <= 1 {
-		return r.Run(w, dist, ops)
-	}
-	ai, _ := r.asyncIdx()
-	var nextIns atomic.Int64
-	nextIns.Store(int64(r.nLoad))
-	perWorker := ops / workers
-	if perWorker == 0 {
-		perWorker = 1
-	}
-	results := make([]Result, workers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(r.seed + int64(wk)*7919))
-			picker := NewPicker(dist, r.nLoad)
-			res := &results[wk]
-			res.Ops = perWorker
-			if r.CaptureLatency {
-				res.Latency = &Histogram{}
-			}
-			sink := uint64(0)
-			var opStart time.Time
-			for i := 0; i < perWorker; i++ {
-				if res.Latency != nil {
-					opStart = time.Now()
-				}
-				switch w.pick(rng.Float64()) {
-				case OpRead:
-					idx := picker.Next(rng)
-					tid, ok := r.Idx.Lookup(r.Keys[idx])
-					if !ok {
-						res.NotFound++
-					}
-					sink += tid
-				case OpUpdate:
-					idx := picker.Next(rng)
-					if ai != nil {
-						ai.UpsertAsync(r.Keys[idx], r.TIDs[idx])
-					} else {
-						r.Idx.Upsert(r.Keys[idx], r.TIDs[idx])
-					}
-				case OpInsert:
-					if j := nextIns.Add(1) - 1; int(j) < len(r.Keys) {
-						if ai != nil {
-							ai.InsertAsync(r.Keys[j], r.TIDs[j])
-						} else {
-							r.Idx.Insert(r.Keys[j], r.TIDs[j])
-						}
-					}
-				case OpScan:
-					idx := picker.Next(rng)
-					n := 1 + rng.Intn(w.MaxScanLen)
-					res.Scanned += r.Idx.Scan(r.Keys[idx], n, func(tid uint64) bool {
-						sink += tid
-						return true
-					})
-				case OpRMW:
-					idx := picker.Next(rng)
-					tid, ok := r.Idx.Lookup(r.Keys[idx])
-					if !ok {
-						res.NotFound++
-					}
-					if ai != nil {
-						ai.UpsertAsync(r.Keys[idx], tid)
-					} else {
-						r.Idx.Upsert(r.Keys[idx], tid)
-					}
-				}
-				if res.Latency != nil {
-					res.Latency.Record(time.Since(opStart))
-				}
-			}
-			if sink == 0x12345678DEADBEEF {
-				fmt.Println() // defeat dead-code elimination of the lookups
-			}
-		}(wk)
-	}
-	wg.Wait()
-	if ai != nil {
-		ai.Flush()
-	}
-	total := Result{Elapsed: time.Since(start)}
-	if r.CaptureLatency {
-		total.Latency = &Histogram{}
-	}
-	for i := range results {
-		total.Ops += results[i].Ops
-		total.NotFound += results[i].NotFound
-		total.Scanned += results[i].Scanned
-		if total.Latency != nil && results[i].Latency != nil {
-			total.Latency.Merge(results[i].Latency)
-		}
-	}
-	return total
-}
-
 // Run executes ops transaction-phase operations of workload w under the
 // given request distribution.
 func (r *Runner) Run(w Workload, dist Distribution, ops int) Result {
 	rng := rand.New(rand.NewSource(r.seed))
 	picker := NewPicker(dist, r.nLoad)
 	inserted := r.nLoad
-	asyncIdx, _ := r.asyncIdx()
 	res := Result{Ops: ops}
 	if r.CaptureLatency {
 		res.Latency = &Histogram{}
@@ -403,11 +159,7 @@ func (r *Runner) Run(w Workload, dist Distribution, ops int) Result {
 			if idx >= inserted {
 				idx = inserted - 1
 			}
-			if asyncIdx != nil {
-				asyncIdx.UpsertAsync(r.Keys[idx], r.TIDs[idx])
-			} else {
-				r.Idx.Upsert(r.Keys[idx], r.TIDs[idx])
-			}
+			r.Idx.Upsert(r.Keys[idx], r.TIDs[idx])
 		case OpInsert:
 			if batch > 0 {
 				flush()
@@ -439,11 +191,7 @@ func (r *Runner) Run(w Workload, dist Distribution, ops int) Result {
 			if !ok {
 				res.NotFound++
 			}
-			if asyncIdx != nil {
-				asyncIdx.UpsertAsync(r.Keys[idx], tid)
-			} else {
-				r.Idx.Upsert(r.Keys[idx], tid)
-			}
+			r.Idx.Upsert(r.Keys[idx], tid)
 		}
 		if res.Latency != nil {
 			res.Latency.Record(time.Since(opStart))
@@ -451,9 +199,6 @@ func (r *Runner) Run(w Workload, dist Distribution, ops int) Result {
 	}
 	if batch > 0 {
 		flush()
-	}
-	if asyncIdx != nil {
-		asyncIdx.Flush() // completion barrier: async updates count only once applied
 	}
 	res.Elapsed = time.Since(start)
 	if sink == 0x12345678DEADBEEF {
