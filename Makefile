@@ -9,7 +9,7 @@ GO ?= go
 # FUZZTIME=20s to fit its time box.
 FUZZTIME ?= 30s
 
-.PHONY: all ci check race chaos crash server-smoke net-chaos fuzz bench clean
+.PHONY: all ci check race chaos crash server-smoke net-chaos fuzz bench loc clean
 
 all: check race chaos crash server-smoke net-chaos
 
@@ -115,6 +115,19 @@ fuzz:
 
 bench:
 	$(GO) test -bench . -benchtime 1s -run - .
+
+# Code-only line table — non-test Go lines that are neither blank nor a
+# comment line, for the root package, every internal/* and cmd/* package,
+# and everything outside benchmark/ (examples included): the figure the
+# simplicity PRs report before and after in CHANGES.md. Not a tier of all.
+loc:
+	@count() { cat /dev/null "$$@" | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l; }; \
+	printf '%-24s %6d\n' . $$(count $$(ls *.go | grep -v _test.go)); \
+	for d in internal/* cmd/*; do \
+		printf '%-24s %6d\n' $$d $$(count $$(find $$d -name '*.go' ! -name '*_test.go')); \
+	done; \
+	printf '%-24s %6d\n' 'total outside benchmark/' \
+		$$(count $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*'))
 
 clean:
 	$(GO) clean -testcache

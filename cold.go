@@ -125,8 +125,7 @@ type coldWard struct {
 type coldTier struct {
 	t      *ShardedTree
 	dir    string
-	kind   uint16 // section kind of the cold files
-	budget int64  // resident-trie byte budget (0: manual only)
+	budget int64 // resident-trie byte budget (0: manual only)
 	cache  *pager.Cache
 
 	mu sync.Mutex // serializes demote/promote transitions
@@ -165,11 +164,7 @@ func (ct *coldTier) coldPath(s int) string { return filepath.Join(ct.dir, coldFi
 // right after construction or a durable open; DurableOptions.ColdTier
 // does the latter for you) and at most once.
 func (t *ShardedTree) EnableColdTier(cfg ColdTierConfig) error {
-	return t.enableCold(cfg, persist.KindTree)
-}
-
-func (t *ShardedTree) enableCold(cfg ColdTierConfig, kind uint16) error {
-	ct, err := t.armCold(cfg, kind)
+	ct, err := t.armCold(cfg)
 	if err != nil {
 		return err
 	}
@@ -181,13 +176,13 @@ func (t *ShardedTree) enableCold(cfg ColdTierConfig, kind uint16) error {
 	return nil
 }
 
-// armCold installs the cold tier without enableCold's immediate budget
+// armCold installs the cold tier without EnableColdTier's immediate budget
 // pass; the durable open arms it before recovering the shards and runs
 // the pass itself once they are all in place.
-func (t *ShardedTree) armCold(cfg ColdTierConfig, kind uint16) (*coldTier, error) {
+func (t *ShardedTree) armCold(cfg ColdTierConfig) (*coldTier, error) {
 	if d := t.dur; d != nil {
 		// A durable tree keeps its cold files where recovery looks for them.
-		cfg.Dir, kind = d.dir, d.kind
+		cfg.Dir = d.dir
 	} else if cfg.Dir == "" {
 		return nil, errors.New("hot: EnableColdTier on a non-durable tree requires ColdTierConfig.Dir")
 	}
@@ -204,7 +199,6 @@ func (t *ShardedTree) armCold(cfg ColdTierConfig, kind uint16) (*coldTier, error
 	ct := &coldTier{
 		t:      t,
 		dir:    cfg.Dir,
-		kind:   kind,
 		budget: cfg.MemoryBudget,
 		cache:  pager.New(cacheBytes),
 		ws:     make([]coldWard, len(t.shards)),
@@ -315,7 +309,7 @@ func (ct *coldTier) demoteLocked(s int) error {
 	if err := t.cut(s, tr, true); err != nil {
 		return fmt.Errorf("hot: demoting shard %d: %w", s, err)
 	}
-	pr, err := persist.OpenPageReaderFile(ct.coldPath(s), ct.kind)
+	pr, err := persist.OpenPageReaderFile(ct.coldPath(s), t.kind)
 	if err != nil {
 		return fmt.Errorf("hot: demoting shard %d: reopening %s: %w", s, coldFileName(s), err)
 	}
@@ -372,23 +366,41 @@ func (ct *coldTier) promote(s int) error {
 	return nil
 }
 
-// buildTree rebuilds a trie from a cold section, reading its blocks
-// sequentially (bypassing the page cache: every block is touched exactly
-// once and the shard is about to stop being cold).
+// buildTree rebuilds a trie from a cold section: a new trie, and the
+// section walked into the shard's loader — sequentially, bypassing the
+// page cache (every block is touched exactly once and the shard is about
+// to stop being cold). A section that load refuses leaves the shard cold.
 func (ct *coldTier) buildTree(cs *coldShard) (*core.ConcurrentTrie, error) {
-	tr := core.NewConcurrent(core.Loader(ct.t.loader))
-	for i := 0; i < cs.pr.Blocks(); i++ {
-		p, err := cs.pr.ReadBlock(i)
-		if err != nil {
-			return nil, err
-		}
-		b := tr.BeginBatch()
-		for j := 0; j < p.Len(); j++ {
-			b.Insert(p.Key(j), p.TID(j))
-		}
-		b.End()
+	tr := ct.t.newTrie()
+	sink, end := ct.t.load(cs.shard, tr)
+	defer end()
+	return tr, cs.walk(sink)
+}
+
+// vetCold is load without the insert, for a cold section a durable open is
+// about to serve from its file: the section is held to vet — by a full
+// walk when the tree has a check, which must see every entry (a later
+// promotion resolves the shard's TIDs through loader state that
+// RecoverEntry rebuilds right here) and whose accepted entries it counts;
+// else by its first and last key alone, one block decode, so a
+// larger-than-RAM store reopens without reading its cold data. Keys ascend
+// within a section, so the two ends bound everything between them.
+func (t *ShardedTree) vetCold(s int, pr *persist.PageReader) (uint64, error) {
+	if t.check != nil {
+		return walkPageReader(pr, func(key []byte, tid TID) error { return t.vet(s, key, tid) })
 	}
-	return tr, nil
+	last := pr.Blocks() - 1
+	if last < 0 {
+		return 0, nil
+	}
+	p, err := pr.ReadBlock(last)
+	if err == nil {
+		err = t.vet(s, pr.FirstKey(0), 0)
+	}
+	if err == nil {
+		err = t.vet(s, p.Key(p.Len()-1), 0)
+	}
+	return 0, err
 }
 
 // ---- write guard ----
@@ -628,9 +640,7 @@ func (c *coldCursor) next() {
 
 // EnableColdTier arms the pager-backed cold tier on the sharded set (see
 // ShardedTree.EnableColdTier).
-func (s *ShardedUint64Set) EnableColdTier(cfg ColdTierConfig) error {
-	return s.t.enableCold(cfg, persist.KindUint64Set)
-}
+func (s *ShardedUint64Set) EnableColdTier(cfg ColdTierConfig) error { return s.t.EnableColdTier(cfg) }
 
 // Demote snapshots shard i to its cold section and drops its trie from
 // memory (see ShardedTree.Demote).

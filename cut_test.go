@@ -85,7 +85,7 @@ func TestCheckpointWritesOnlyWhatChanged(t *testing.T) {
 		}
 	}
 	var section bytes.Buffer
-	if err := tr.writeShard(&section, persist.KindTree, hot); err != nil {
+	if err := tr.writeShard(&section, hot); err != nil {
 		t.Fatal(err)
 	}
 

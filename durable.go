@@ -47,12 +47,13 @@ type DurableOptions struct {
 	// RecoverEntry, when non-nil, receives every (key, TID) pair about to
 	// be restored during an OpenDurableShardedTree — each snapshot entry
 	// and each replayed insert/upsert log record, before it is applied to
-	// the trie. It lets a caller rebuild the TID→key resolution state its
-	// Loader depends on with no persistence of its own: the snapshot and
-	// the log both carry the full key bytes (hot-server rebuilds its key
-	// arena this way). Returning an error rejects the entry, with the same
-	// consequences as any other damaged entry: a snapshot load stops there
-	// and a log replay cuts the log at the previous record.
+	// the trie — and is never called after the open returns. It lets a
+	// caller rebuild the TID→key resolution state its Loader depends on
+	// with no persistence of its own: the snapshot and the log both carry
+	// the full key bytes (hot-server rebuilds its key arena this way).
+	// Returning an error rejects the entry, with the same consequences as
+	// any other damaged entry: a snapshot load stops there and a log
+	// replay cuts the log at the previous record.
 	RecoverEntry func(key []byte, tid TID) error
 
 	// ColdTier, when non-nil, arms the pager-backed cold tier on the
@@ -209,8 +210,18 @@ type DurableMap struct {
 // ahead log of everything since). Recovery loads the snapshot — salvaging
 // the longest valid prefix if it is damaged — then replays the log's valid
 // record prefix, truncating any torn tail.
+//
+// A map has no Loader to rebuild and no shards to demote, so it cannot
+// honor opts.RecoverEntry or opts.ColdTier; setting either is an error
+// rather than a hook that silently never runs.
 func OpenDurableMap(dir string, opts DurableOptions) (*DurableMap, RecoveryInfo, error) {
 	var info RecoveryInfo
+	if opts.RecoverEntry != nil {
+		return nil, info, errors.New("hot: OpenDurableMap does not support DurableOptions.RecoverEntry")
+	}
+	if opts.ColdTier != nil {
+		return nil, info, errors.New("hot: OpenDurableMap does not support DurableOptions.ColdTier")
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, info, err
 	}

@@ -12,13 +12,17 @@ import (
 	"github.com/hotindex/hot/internal/core"
 	"github.com/hotindex/hot/internal/persist"
 	"github.com/hotindex/hot/internal/shard"
-	"github.com/hotindex/hot/internal/tidstore"
 )
 
 // Durable mode for the sharded index types: one write-ahead log per shard,
 // so logging scales with the shards exactly like the writes themselves —
 // shards share no log file, no commit lock and no fsync. See durable.go
-// for the acknowledgement contract.
+// for the acknowledgement contract. This file holds the log's two
+// primitives (append, commit), the cut that retires a log behind a base,
+// and the open; the function that couples append, apply and commit is
+// ShardedTree.run (sharded_async.go), and a base enters a shard through
+// ShardedTree.load (sharded_snapshot.go) — there is no durable-only write
+// path and no recovery-only loader.
 //
 // The durable directory holds, for N shards:
 //
@@ -42,7 +46,6 @@ import (
 // durableState is the write-ahead side of a durable ShardedTree.
 type durableState struct {
 	dir    string
-	kind   uint16 // section kind of the shard base files
 	mu     []paddedMutex
 	wals   []*persist.WAL
 	ckpt   sync.Mutex  // serializes Checkpoint, Demote, Close and replication sessions
@@ -60,6 +63,16 @@ func durableWalName(s int) string { return fmt.Sprintf("wal-%03d.log", s) }
 
 func snapFileName(s int) string { return fmt.Sprintf("snap-%03d.hot", s) }
 
+// shard.OpKind borrows the log's record codes — the WAL byte is the
+// on-disk format and does not move — so logging and replaying an op are
+// conversions. A drift between the two enumerations fails to compile here:
+// the index is then a negative or out-of-range constant.
+var (
+	_ = [1]struct{}{}[shard.OpInsert-shard.OpKind(persist.WalInsert)]
+	_ = [1]struct{}{}[shard.OpUpsert-shard.OpKind(persist.WalUpsert)]
+	_ = [1]struct{}{}[shard.OpDelete-shard.OpKind(persist.WalDelete)]
+)
+
 // append logs one operation to shard s's log. Callers hold d.mu[s]. A log
 // failure panics: the store can no longer honor its durability contract
 // (see durable.go). Writing after Close is a caller bug and panics with a
@@ -69,16 +82,7 @@ func (d *durableState) append(s int, op shard.Op) uint64 {
 	if d.closed.Load() {
 		panic("hot: write to a closed durable index")
 	}
-	var wop persist.WalOp
-	switch op.Kind {
-	case shard.OpInsert:
-		wop = persist.WalInsert
-	case shard.OpUpsert:
-		wop = persist.WalUpsert
-	default:
-		wop = persist.WalDelete
-	}
-	lsn, err := d.wals[s].Append(wop, op.Key, op.TID)
+	lsn, err := d.wals[s].Append(persist.WalOp(op.Kind), op.Key, op.TID)
 	if err != nil {
 		panic(fmt.Sprintf("hot: shard %d write-ahead append failed: %v", s, err))
 	}
@@ -91,30 +95,6 @@ func (d *durableState) commit(s int, lsn uint64) {
 	if err := d.wals[s].Commit(lsn); err != nil {
 		panic(fmt.Sprintf("hot: shard %d log commit failed: %v", s, err))
 	}
-}
-
-// write is the synchronous durable write path: pin the shard hot under its
-// shared write guard (promoting a cold shard first — a no-op without a
-// cold tier), log under the commit lock, apply, then group-commit outside
-// the commit lock but still under the guard, so a demotion's cut never
-// falls between an append and its fsync. It returns what the operation's
-// non-durable counterpart returns (old is Upsert's).
-func (d *durableState) write(t *ShardedTree, s int, op shard.Op) (old TID, ok bool) {
-	tr := t.lockShardWrite(s)
-	d.mu[s].Lock()
-	lsn := d.append(s, op)
-	switch op.Kind {
-	case shard.OpInsert:
-		ok = tr.Insert(op.Key, op.TID)
-	case shard.OpUpsert:
-		old, ok = tr.Upsert(op.Key, op.TID)
-	default:
-		ok = tr.Delete(op.Key)
-	}
-	d.mu[s].Unlock()
-	d.commit(s, lsn)
-	t.unlockShardWrite(s)
-	return old, ok
 }
 
 // poison fails the store as a unit: every shard's log refuses further
@@ -152,20 +132,18 @@ func (d *durableState) clean(s int) bool {
 func (t *ShardedTree) cut(s int, tr *core.ConcurrentTrie, cold bool) error {
 	d := t.dur
 	var dir string
-	var kind uint16
 	if d != nil {
 		d.mu[s].Lock()
 		defer d.mu[s].Unlock()
-		dir, kind = d.dir, d.kind
+		dir = d.dir
 	} else {
-		ct := t.cold.Load()
-		dir, kind = ct.dir, ct.kind
+		dir = t.cold.Load().dir
 	}
 	name, sibling := snapFileName(s), coldFileName(s)
 	if cold {
 		name, sibling = sibling, name
 	}
-	if err := writeSnapshotFile(filepath.Join(dir, name), kind, t.SnapshotCodec(), cold, walkSource(tr.SnapshotWalk)); err != nil {
+	if err := writeSnapshotFile(filepath.Join(dir, name), t.kind, t.SnapshotCodec(), cold, walkSource(tr.SnapshotWalk)); err != nil {
 		return err
 	}
 	if d == nil {
@@ -276,30 +254,6 @@ func (t *ShardedTree) Close() error {
 	return first
 }
 
-// replayShardOp applies one replayed log record to shard s, verbatim: a
-// rejected insert or absent delete replays as the no-op it was live. A key
-// outside the shard's range means the record belongs to a different
-// boundary generation (or is corrupt despite its CRC) and rejects the
-// record, cutting the log there. A shard recovered cold is materialized
-// lazily by its first replayed record (mustTree promotes it); shards
-// whose log tail is empty stay cold through recovery.
-func (t *ShardedTree) replayShardOp(s int, op persist.WalOp, key []byte, tid uint64) error {
-	if !shard.Check(t.bounds, s, key) {
-		return &SnapshotError{Kind: persist.ErrCorrupt,
-			Detail: fmt.Sprintf("log record key %q outside shard %d's range", key, s)}
-	}
-	tr := t.mustTree(s)
-	switch op {
-	case persist.WalInsert:
-		tr.Insert(key, tid)
-	case persist.WalUpsert:
-		tr.Upsert(key, tid)
-	case persist.WalDelete:
-		tr.Delete(key)
-	}
-	return nil
-}
-
 // OpenDurableShardedTree opens (or creates) the durable sharded tree
 // stored in dir (see the file comment for the directory layout). Recovery
 // reads the manifest, then shard by shard loads the shard's base —
@@ -309,22 +263,23 @@ func (t *ShardedTree) replayShardOp(s int, op persist.WalOp, key []byte, tid uin
 // boundary table always wins, so the sample need not be stable across
 // runs. The loader must resolve TIDs exactly as in past runs.
 func OpenDurableShardedTree(dir string, loader Loader, shards int, sample [][]byte, opts DurableOptions) (*ShardedTree, RecoveryInfo, error) {
-	if loader == nil {
-		panic("hot: nil Loader")
-	}
-	return openDurableSharded(dir, loader, persist.KindTree, nil, shards, sample, opts)
+	return openDurableSharded(dir, treeFlavor(loader), shards, sample, opts)
 }
 
-func openDurableSharded(dir string, loader Loader, kind uint16, check func(key []byte, tid TID) error, shards int, sample [][]byte, opts DurableOptions) (*ShardedTree, RecoveryInfo, error) {
+func openDurableSharded(dir string, fl flavor, shards int, sample [][]byte, opts DurableOptions) (*ShardedTree, RecoveryInfo, error) {
 	var info RecoveryInfo
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, info, err
 	}
+	// RecoverEntry rides the tree's own check for the duration of the open
+	// and is taken off again before the tree is returned: what enters a
+	// shard later (a promotion's section) is none of the caller's hook's
+	// business.
+	own := fl.check
 	if re := opts.RecoverEntry; re != nil {
-		inner := check
-		check = func(key []byte, tid TID) error {
-			if inner != nil {
-				if err := inner(key, tid); err != nil {
+		fl.check = func(key []byte, tid TID) error {
+			if own != nil {
+				if err := own(key, tid); err != nil {
 					return err
 				}
 			}
@@ -332,16 +287,14 @@ func openDurableSharded(dir string, loader Loader, kind uint16, check func(key [
 		}
 	}
 	snap := filepath.Join(dir, durableSnapName)
-	t, legacy, err := openManifest(snap, kind, loader, check, &info)
+	t, legacy, err := openManifest(snap, fl, &info)
 	if err != nil {
 		// Unusable manifest: without the boundary table the logs cannot
 		// be routed, so recovery needs operator attention.
 		return nil, info, err
 	}
 	if t == nil {
-		if shards < 1 {
-			panic("hot: shard count must be >= 1")
-		}
+		t = newSharded(fl, shards, sample)
 		// A fresh open must find a truly fresh directory. Logs or shard
 		// bases without the manifest mean the manifest was lost, not that
 		// the store is new: re-deriving boundaries from the (possibly
@@ -364,13 +317,12 @@ func openDurableSharded(dir string, loader Loader, kind uint16, check func(key [
 		// Persist the boundaries before anything can be logged: recovery
 		// always restores them from the manifest — never re-derives them
 		// from a sample that might differ between runs.
-		t = newShardedFromBounds(loader, shard.Boundaries(shards, sample))
 		if err := persist.AtomicFile(snap, t.writeManifest); err != nil {
 			return nil, info, err
 		}
 	}
 	t.SetSnapshotCodec(opts.Codec)
-	d := &durableState{dir: dir, kind: kind,
+	d := &durableState{dir: dir,
 		mu:   make([]paddedMutex, len(t.shards)),
 		wals: make([]*persist.WAL, len(t.shards))}
 	fail := func(err error) (*ShardedTree, RecoveryInfo, error) {
@@ -386,25 +338,20 @@ func openDurableSharded(dir string, loader Loader, kind uint16, check func(key [
 	}
 	var ct *coldTier
 	if opts.ColdTier != nil {
-		// Arm without enableCold's budget pass: that runs last, over the
-		// recovered tree. The cold files live in the durable directory.
+		// Arm without EnableColdTier's budget pass: that runs last, over
+		// the recovered tree. The cold files live in the durable directory.
 		cfg := *opts.ColdTier
 		cfg.Dir = dir
-		if ct, err = t.armCold(cfg, kind); err != nil {
+		if ct, err = t.armCold(cfg); err != nil {
 			return nil, info, err
 		}
 	}
 	for s := range t.shards {
-		if err := t.recoverBase(s, d, ct, legacy, check, &info); err != nil {
+		if err := t.recoverBase(s, d, ct, legacy, &info); err != nil {
 			return fail(err)
 		}
 		w, rep, err := resumeWAL(filepath.Join(dir, durableWalName(s)), func(op persist.WalOp, key []byte, tid uint64) error {
-			if check != nil && op != persist.WalDelete {
-				if cerr := check(key, tid); cerr != nil {
-					return cerr
-				}
-			}
-			return t.replayShardOp(s, op, key, tid)
+			return t.replay(s, shard.Op{Key: key, TID: tid, Kind: shard.OpKind(op)})
 		}, opts.GroupCommitDelay)
 		if err != nil {
 			return fail(fmt.Errorf("hot: recovering shard %d log: %w", s, err))
@@ -434,6 +381,7 @@ func openDurableSharded(dir string, loader Loader, kind uint16, check func(key [
 			return fail(err)
 		}
 	}
+	t.check = own
 	if ct != nil && ct.budget > 0 {
 		ct.maintain()
 	}
@@ -445,7 +393,7 @@ func openDurableSharded(dir string, loader Loader, kind uint16, check func(key [
 // snap.hot with bytes after the manifest is the legacy layout — manifest
 // plus one section per shard in one file: it is loaded whole, salvaging
 // past damage, and reported as legacy.
-func openManifest(path string, kind uint16, loader Loader, check func(key []byte, tid TID) error, info *RecoveryInfo) (t *ShardedTree, legacy bool, err error) {
+func openManifest(path string, fl flavor, info *RecoveryInfo) (t *ShardedTree, legacy bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -454,7 +402,7 @@ func openManifest(path string, kind uint16, loader Loader, check func(key []byte
 		return nil, false, err
 	}
 	defer f.Close()
-	if t, err = readManifest(f, loader); err != nil {
+	if t, err = readManifest(f, fl); err != nil {
 		return nil, false, err
 	}
 	var one [1]byte
@@ -464,7 +412,7 @@ func openManifest(path string, kind uint16, loader Loader, check func(key []byte
 	if _, err = f.Seek(0, io.SeekStart); err != nil {
 		return nil, false, err
 	}
-	t, rep, err := readSharded(f, kind, loader, check, true)
+	t, rep, err := readSharded(f, fl, true)
 	if err != nil {
 		return nil, false, err
 	}
@@ -478,17 +426,32 @@ func openManifest(path string, kind uint16, loader Loader, check func(key []byte
 // armed, folded into the trie otherwise — else snap-NNN.hot, else nothing
 // (a shard never cut, whose log starts at LSN 0). If a crash left both
 // files either is correct (see the file comment); the cold one is taken.
+// Whatever the source, it enters through load, or — served from the file
+// instead of loaded — through vetCold, which holds it to the same rules.
 // Damage in snap-NNN.hot is salvaged — the valid prefix loads, the first
 // damage is reported — and costs only this shard; a cold section that
-// does not open or read is a hard error: unlike a torn log tail (an
+// does not open, read or vet is a hard error: unlike a torn log tail (an
 // expected crash artifact), it held acknowledged data nothing else covers.
-func (t *ShardedTree) recoverBase(s int, d *durableState, ct *coldTier, legacy bool, check func(key []byte, tid TID) error, info *RecoveryInfo) error {
-	pr, err := persist.OpenPageReaderFile(filepath.Join(d.dir, coldFileName(s)), d.kind)
+func (t *ShardedTree) recoverBase(s int, d *durableState, ct *coldTier, legacy bool, info *RecoveryInfo) error {
+	pr, err := persist.OpenPageReaderFile(filepath.Join(d.dir, coldFileName(s)), t.kind)
 	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("hot: opening shard %d cold section %s: %w", s, coldFileName(s), err)
 	}
+	if pr != nil && ct != nil {
+		n, err := t.vetCold(s, pr)
+		info.SnapshotEntries += n
+		if err != nil {
+			pr.Close()
+			return fmt.Errorf("hot: shard %d cold section: %w", s, err)
+		}
+		t.shards[s].cold.Store(&coldShard{ct: ct, pr: pr, shard: s, gen: ct.ws[s].gen.Add(1)})
+		t.shards[s].tree.Store(nil)
+		return nil
+	}
 	var f *os.File
-	if pr == nil {
+	if pr != nil {
+		defer pr.Close()
+	} else {
 		if f, err = os.Open(filepath.Join(d.dir, snapFileName(s))); err != nil {
 			if os.IsNotExist(err) {
 				err = nil
@@ -497,39 +460,27 @@ func (t *ShardedTree) recoverBase(s int, d *durableState, ct *coldTier, legacy b
 		}
 		defer f.Close()
 	}
+	tr := t.shards[s].tree.Load()
 	if legacy {
 		// The per-shard base supersedes what the legacy section loaded.
-		t.shards[s].tree.Store(core.NewConcurrent(core.Loader(t.loader)))
+		tr = t.newTrie()
+		t.shards[s].tree.Store(tr)
 	}
-	sink := t.shardSink(s, check)
-	if pr == nil {
-		n, err := persist.Read(f, d.kind, sink)
-		info.SnapshotEntries += n
-		if err != nil && info.SnapshotDamage == nil {
-			errors.As(err, &info.SnapshotDamage)
-		}
-		return nil
-	}
-	if ct != nil {
-		// Served from the file, not loaded — but the caller's recovery
-		// hook (RecoverEntry, set-entry validation) still sees every
-		// entry: a later promotion resolves the shard's TIDs through
-		// loader state that is rebuilt right here.
-		sink = check
-	}
-	if sink != nil {
+	sink, end := t.load(s, tr)
+	defer end()
+	if pr != nil {
 		n, err := walkPageReader(pr, sink)
 		info.SnapshotEntries += n
 		if err != nil {
-			pr.Close()
 			return fmt.Errorf("hot: shard %d cold section: %w", s, err)
 		}
+		return nil
 	}
-	if ct == nil {
-		return pr.Close()
+	n, err := persist.Read(f, t.kind, sink)
+	info.SnapshotEntries += n
+	if err != nil && info.SnapshotDamage == nil {
+		errors.As(err, &info.SnapshotDamage)
 	}
-	t.shards[s].cold.Store(&coldShard{ct: ct, pr: pr, shard: s, gen: ct.ws[s].gen.Add(1)})
-	t.shards[s].tree.Store(nil)
 	return nil
 }
 
@@ -558,7 +509,7 @@ func walkPageReader(pr *persist.PageReader, fn func(key []byte, tid TID) error) 
 // integer set stored in dir (see OpenDurableShardedTree; the sample seeds
 // the shard boundaries on first open only).
 func OpenDurableShardedUint64Set(dir string, shards int, sample []uint64, opts DurableOptions) (*ShardedUint64Set, RecoveryInfo, error) {
-	t, info, err := openDurableSharded(dir, tidstore.Uint64Key, persist.KindUint64Set, checkSetEntry, shards, u64keys(sample), opts)
+	t, info, err := openDurableSharded(dir, setFlavor, shards, u64keys(sample), opts)
 	if err != nil {
 		return nil, info, err
 	}

@@ -294,12 +294,13 @@ func FuzzSnapshotLoad(f *testing.F) {
 		// LoadTree documents, so the harness rejects it like corruption.
 		store := map[uint64][]byte{}
 		tr := New(func(tid TID, _ []byte) []byte { return store[tid] })
+		insert := loadInto(tr.t.Insert)
 		_, err := persist.Read(bytes.NewReader(data), persist.KindTree, func(key []byte, tid uint64) error {
 			if prev, dup := store[tid]; dup && !bytes.Equal(prev, key) {
 				return &SnapshotError{Kind: SnapErrCorrupt, Detail: "TID reused for a different key"}
 			}
 			store[tid] = append([]byte(nil), key...)
-			return tr.loadEntry(key, tid)
+			return insert(key, tid)
 		})
 		if err == nil {
 			if verr := tr.Verify(); verr != nil {

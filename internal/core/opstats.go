@@ -37,79 +37,80 @@ type OpStats struct {
 	Promotions    uint64 // shards promoted back to in-memory trees
 }
 
+// opStatsFields is the one table of OpStats' counters: Sub, Add and String
+// iterate it, so a new counter is one struct field plus one row here
+// (TestOpStatsTableCoversEveryField fails when the row is forgotten).
+// String prints group 0 always and a later group only when one of its
+// members is nonzero, so unsharded reports carry no queue block and
+// budget-less ones no cold-tier block. A gauge is a point-in-time value:
+// Sub passes it through unsubtracted.
+var opStatsFields = [...]struct {
+	name  string
+	group int
+	gauge bool
+	at    func(*OpStats) *uint64
+}{
+	{"normal", 0, false, func(s *OpStats) *uint64 { return &s.Normal }},
+	{"pushdown", 0, false, func(s *OpStats) *uint64 { return &s.Pushdown }},
+	{"pullup", 0, false, func(s *OpStats) *uint64 { return &s.PullUp }},
+	{"intermediate", 0, false, func(s *OpStats) *uint64 { return &s.Intermediate }},
+	{"newroot", 0, false, func(s *OpStats) *uint64 { return &s.NewRoot }},
+	{"restarts", 0, false, func(s *OpStats) *uint64 { return &s.Restarts }},
+	{"backoffs", 0, false, func(s *OpStats) *uint64 { return &s.Backoffs }},
+	{"validationfails", 0, false, func(s *OpStats) *uint64 { return &s.ValidationFails }},
+	{"contended", 0, false, func(s *OpStats) *uint64 { return &s.Contended }},
+	{"enqueued", 1, false, func(s *OpStats) *uint64 { return &s.Enqueued }},
+	{"steals", 1, false, func(s *OpStats) *uint64 { return &s.Steals }},
+	{"drains", 1, false, func(s *OpStats) *uint64 { return &s.Drains }},
+	{"drained", 1, false, func(s *OpStats) *uint64 { return &s.Drained }},
+	{"queuefull", 1, false, func(s *OpStats) *uint64 { return &s.QueueFull }},
+	{"queuedepth", 1, true, func(s *OpStats) *uint64 { return &s.QueueDepth }},
+	{"pagehits", 2, false, func(s *OpStats) *uint64 { return &s.PageHits }},
+	{"pagemisses", 2, false, func(s *OpStats) *uint64 { return &s.PageMisses }},
+	{"pageevictions", 2, false, func(s *OpStats) *uint64 { return &s.PageEvictions }},
+	{"demotions", 2, false, func(s *OpStats) *uint64 { return &s.Demotions }},
+	{"promotions", 2, false, func(s *OpStats) *uint64 { return &s.Promotions }},
+}
+
 // Sub returns s - prev counter-wise: the activity between two snapshots.
 // QueueDepth is a gauge, not a counter, and passes through unsubtracted.
 func (s OpStats) Sub(prev OpStats) OpStats {
-	return OpStats{
-		Normal:          s.Normal - prev.Normal,
-		Pushdown:        s.Pushdown - prev.Pushdown,
-		PullUp:          s.PullUp - prev.PullUp,
-		Intermediate:    s.Intermediate - prev.Intermediate,
-		NewRoot:         s.NewRoot - prev.NewRoot,
-		Restarts:        s.Restarts - prev.Restarts,
-		Backoffs:        s.Backoffs - prev.Backoffs,
-		ValidationFails: s.ValidationFails - prev.ValidationFails,
-		Contended:       s.Contended - prev.Contended,
-		Enqueued:        s.Enqueued - prev.Enqueued,
-		Steals:          s.Steals - prev.Steals,
-		Drains:          s.Drains - prev.Drains,
-		Drained:         s.Drained - prev.Drained,
-		QueueFull:       s.QueueFull - prev.QueueFull,
-		QueueDepth:      s.QueueDepth,
-		PageHits:        s.PageHits - prev.PageHits,
-		PageMisses:      s.PageMisses - prev.PageMisses,
-		PageEvictions:   s.PageEvictions - prev.PageEvictions,
-		Demotions:       s.Demotions - prev.Demotions,
-		Promotions:      s.Promotions - prev.Promotions,
+	for _, f := range opStatsFields {
+		if !f.gauge {
+			*f.at(&s) -= *f.at(&prev)
+		}
 	}
+	return s
 }
 
 // Add returns s + other counter-wise: the aggregate activity of several
 // synchronization domains (the shard layer sums its per-shard tries).
 func (s OpStats) Add(other OpStats) OpStats {
-	return OpStats{
-		Normal:          s.Normal + other.Normal,
-		Pushdown:        s.Pushdown + other.Pushdown,
-		PullUp:          s.PullUp + other.PullUp,
-		Intermediate:    s.Intermediate + other.Intermediate,
-		NewRoot:         s.NewRoot + other.NewRoot,
-		Restarts:        s.Restarts + other.Restarts,
-		Backoffs:        s.Backoffs + other.Backoffs,
-		ValidationFails: s.ValidationFails + other.ValidationFails,
-		Contended:       s.Contended + other.Contended,
-		Enqueued:        s.Enqueued + other.Enqueued,
-		Steals:          s.Steals + other.Steals,
-		Drains:          s.Drains + other.Drains,
-		Drained:         s.Drained + other.Drained,
-		QueueFull:       s.QueueFull + other.QueueFull,
-		QueueDepth:      s.QueueDepth + other.QueueDepth,
-		PageHits:        s.PageHits + other.PageHits,
-		PageMisses:      s.PageMisses + other.PageMisses,
-		PageEvictions:   s.PageEvictions + other.PageEvictions,
-		Demotions:       s.Demotions + other.Demotions,
-		Promotions:      s.Promotions + other.Promotions,
+	for _, f := range opStatsFields {
+		*f.at(&s) += *f.at(&other)
 	}
+	return s
 }
 
 // String formats every counter in a fixed order, so the drivers
 // (cmd/hot-exp, cmd/hot-chaos) and tests report uniformly. The
 // submission-queue block is appended only when the async path was used, so
-// unsharded reports stay unchanged.
+// unsharded reports stay unchanged; the cold-tier block likewise.
 func (s OpStats) String() string {
-	out := fmt.Sprintf(
-		"normal=%d pushdown=%d pullup=%d intermediate=%d newroot=%d "+
-			"restarts=%d backoffs=%d validationfails=%d contended=%d",
-		s.Normal, s.Pushdown, s.PullUp, s.Intermediate, s.NewRoot,
-		s.Restarts, s.Backoffs, s.ValidationFails, s.Contended)
-	if s.Enqueued|s.Steals|s.Drains|s.Drained|s.QueueFull|s.QueueDepth != 0 {
-		out += fmt.Sprintf(" enqueued=%d steals=%d drains=%d drained=%d queuefull=%d queuedepth=%d",
-			s.Enqueued, s.Steals, s.Drains, s.Drained, s.QueueFull, s.QueueDepth)
+	var used [3]bool
+	used[0] = true
+	for _, f := range opStatsFields {
+		if *f.at(&s) != 0 {
+			used[f.group] = true
+		}
 	}
-	if s.PageHits|s.PageMisses|s.PageEvictions|s.Demotions|s.Promotions != 0 {
-		out += fmt.Sprintf(" pagehits=%d pagemisses=%d pageevictions=%d demotions=%d promotions=%d",
-			s.PageHits, s.PageMisses, s.PageEvictions, s.Demotions, s.Promotions)
+	var out []byte
+	for _, f := range opStatsFields {
+		if used[f.group] {
+			out = fmt.Appendf(out, " %s=%d", f.name, *f.at(&s))
+		}
 	}
-	return out
+	return string(out[1:])
 }
 
 // OpStats returns the insertion-case counters. The robustness counters are

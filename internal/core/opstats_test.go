@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/hotindex/hot/internal/dataset"
@@ -90,5 +91,64 @@ func TestOpStatsQueueCounters(t *testing.T) {
 	if got, want := plain.String(), "normal=2 pushdown=0 pullup=0 intermediate=0 newroot=0 "+
 		"restarts=0 backoffs=0 validationfails=0 contended=0"; got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
+	}
+}
+
+// TestOpStatsTableCoversEveryField is the drift guard of opStatsFields:
+// every field of the struct is a uint64 counter with exactly one row, so a
+// counter added without its row fails here instead of silently staying out
+// of Sub, Add and String.
+func TestOpStatsTableCoversEveryField(t *testing.T) {
+	var s OpStats
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		field, ok := v.Field(i).Addr().Interface().(*uint64)
+		if !ok {
+			t.Fatalf("OpStats.%s is not a uint64 counter", name)
+		}
+		rows := 0
+		for _, f := range opStatsFields {
+			if f.at(&s) == field {
+				rows++
+			}
+		}
+		if rows != 1 {
+			t.Errorf("OpStats.%s has %d rows in opStatsFields, want 1", name, rows)
+		}
+	}
+	if len(opStatsFields) != v.NumField() {
+		t.Errorf("opStatsFields has %d rows for %d fields", len(opStatsFields), v.NumField())
+	}
+}
+
+// TestOpStatsStringFixtures pins String's bytes — the drivers' logs and
+// the wire STATS text are compared across builds — for the three shapes a
+// report takes: plain, submission queues active, cold tier active.
+func TestOpStatsStringFixtures(t *testing.T) {
+	const plain = "normal=1 pushdown=2 pullup=3 intermediate=4 newroot=5 " +
+		"restarts=6 backoffs=7 validationfails=8 contended=9"
+	base := OpStats{Normal: 1, Pushdown: 2, PullUp: 3, Intermediate: 4, NewRoot: 5,
+		Restarts: 6, Backoffs: 7, ValidationFails: 8, Contended: 9}
+	queues, cold := base, base
+	queues.QueueDepth = 15
+	cold.PageHits, cold.PageMisses, cold.PageEvictions, cold.Demotions, cold.Promotions = 16, 17, 18, 19, 20
+	for _, c := range []struct {
+		s    OpStats
+		want string
+	}{
+		{base, plain},
+		{queues, plain + " enqueued=0 steals=0 drains=0 drained=0 queuefull=0 queuedepth=15"},
+		{cold, plain + " pagehits=16 pagemisses=17 pageevictions=18 demotions=19 promotions=20"},
+	} {
+		if got := c.s.String(); got != c.want {
+			t.Errorf("String() = %q, want %q", got, c.want)
+		}
+	}
+	both := cold.Add(OpStats{Enqueued: 10, Steals: 11, Drains: 12, Drained: 13, QueueFull: 14, QueueDepth: 15})
+	want := plain + " enqueued=10 steals=11 drains=12 drained=13 queuefull=14 queuedepth=15" +
+		" pagehits=16 pagemisses=17 pageevictions=18 demotions=19 promotions=20"
+	if got := both.String(); got != want {
+		t.Errorf("String() = %q, want %q", got, want)
 	}
 }

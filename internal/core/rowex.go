@@ -78,32 +78,29 @@ func (t *ConcurrentTrie) ReclaimStats() (freed uint64, pending int64) {
 }
 
 // Insert stores tid under k, reporting false if the key already exists.
+// Like Upsert and Delete it is a WriterBatch of one operation: the
+// retry–pin–advance protocol exists once, on the batch.
 func (t *ConcurrentTrie) Insert(k []byte, tid TID) bool {
-	inserted, _, _ := t.write(k, tid, false)
+	b := t.BeginBatch()
+	inserted := b.Insert(k, tid)
+	b.End()
 	return inserted
 }
 
 // Upsert stores tid under k, returning the replaced TID if one existed.
 func (t *ConcurrentTrie) Upsert(k []byte, tid TID) (old TID, replaced bool) {
-	_, old, replaced = t.write(k, tid, true)
+	b := t.BeginBatch()
+	old, replaced = b.Upsert(k, tid)
+	b.End()
 	return old, replaced
 }
 
-func (t *ConcurrentTrie) write(k []byte, tid TID, upsert bool) (inserted bool, old TID, replaced bool) {
-	checkKey(k)
-	checkTID(tid)
-	for attempt := 0; ; attempt++ {
-		g := t.gc.Enter()
-		inserted, old, replaced, ok := t.tryWrite(k, tid, upsert)
-		g.Exit()
-		if ok {
-			if attempt > 0 || inserted || replaced {
-				t.maybeAdvance()
-			}
-			return inserted, old, replaced
-		}
-		t.restartBackoff(attempt)
-	}
+// Delete removes k, reporting whether it was present.
+func (t *ConcurrentTrie) Delete(k []byte) bool {
+	b := t.BeginBatch()
+	deleted := b.Delete(k)
+	b.End()
+	return deleted
 }
 
 // tryWrite performs one optimistic write attempt. ok=false requests a
@@ -172,33 +169,18 @@ func (t *ConcurrentTrie) tryWrite(k []byte, tid TID, upsert bool) (inserted bool
 	return true, 0, false, true
 }
 
-// Delete removes k, reporting whether it was present.
-func (t *ConcurrentTrie) Delete(k []byte) bool {
-	checkKey(k)
-	for attempt := 0; ; attempt++ {
-		g := t.gc.Enter()
-		deleted, ok := t.tryDelete(k)
-		g.Exit()
-		if ok {
-			if deleted {
-				t.maybeAdvance()
-			}
-			return deleted
-		}
-		t.restartBackoff(attempt)
-	}
-}
-
-// WriterBatch amortizes the per-write epoch protocol over a run of writes
-// issued by one goroutine: the epoch is pinned once lazily and held across
-// consecutive successful writes, and the reclamation-advance check runs
-// once at End instead of per operation. The sharded index's submission-
-// queue drains use it to apply a backlog slice with the shard's epoch
-// already warm. The batch is single-goroutine state; it must be closed
-// with End and must not be held across blocking calls — a held pin stalls
-// epoch advance, so batches are expected to be short (a drain slice). A
-// restart unpins for the backoff's duration, keeping restart storms from
-// blocking reclamation.
+// WriterBatch is the writer side of the trie: every Insert, Upsert and
+// Delete runs through one, and it owns the restart loop. Over a run of
+// writes issued by one goroutine it amortizes the per-write epoch protocol:
+// the epoch is pinned once lazily and held across consecutive successful
+// writes, and the reclamation-advance check runs once at End instead of per
+// operation — ConcurrentTrie's own write methods are a batch of one, the
+// sharded index's drain slices and section loads a batch of many with the
+// shard's epoch already warm. The batch is single-goroutine state; it must
+// be closed with End and must not be held across blocking calls — a held
+// pin stalls epoch advance, so batches are expected to be short (a drain
+// slice). A restart unpins for the backoff's duration, keeping restart
+// storms from blocking reclamation.
 type WriterBatch struct {
 	t       *ConcurrentTrie
 	g       epoch.Guard

@@ -18,12 +18,15 @@ import "sync/atomic"
 // which is what lets the submitting worker go steal work elsewhere.
 
 // OpKind discriminates the write operations a submission queue carries.
+// The values are the write-ahead log's record codes (persist.WalInsert..
+// WalDelete; the hot package pins the equality at compile time), so an op
+// is logged and replayed by conversion, and the zero Op is "no operation".
 type OpKind uint8
 
 const (
 	// OpInsert is an Insert: a no-op (counted as rejected) when the key
 	// already exists.
-	OpInsert OpKind = iota
+	OpInsert OpKind = iota + 1
 	// OpUpsert is an Upsert: inserts or overwrites, never rejected.
 	OpUpsert
 	// OpDelete is a Delete: a no-op (counted as rejected) when the key is

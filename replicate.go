@@ -167,7 +167,7 @@ func (s *ReplicationSession) StreamSnapshot() error {
 		if err := wire.WriteFrame(s.bw, wire.RepSection, s.scratch); err != nil {
 			return err
 		}
-		if err := s.t.writeShard(s.bw, s.d.kind, i); err != nil {
+		if err := s.t.writeShard(s.bw, i); err != nil {
 			return err
 		}
 		if err := s.flush(); err != nil {
@@ -302,8 +302,7 @@ func (s *ReplicationSession) Close() {
 // which is only legal after a complete bootstrap. ReplicaClient drives
 // exactly this loop.
 type Follower struct {
-	loader  Loader
-	onEntry func(key []byte, tid TID) error
+	fl      flavor // of every tree a bootstrap builds; check is onEntry
 	tree    atomic.Pointer[ShardedTree]
 	ready   atomic.Int32
 	tailed  atomic.Uint64
@@ -319,10 +318,9 @@ type Follower struct {
 // DurableOptions.RecoverEntry; an error rejects the entry and kills the
 // feed. Servers use it to mirror the leader's TID→key table.
 func NewFollower(loader Loader, onEntry func(key []byte, tid TID) error) *Follower {
-	if loader == nil {
-		panic("hot: nil Loader")
-	}
-	return &Follower{loader: loader, onEntry: onEntry}
+	fl := treeFlavor(loader)
+	fl.check = onEntry
+	return &Follower{fl: fl}
 }
 
 // feedErr wraps a framing-level problem with its phase for diagnosis.
@@ -376,7 +374,7 @@ func (f *Follower) Feed(r io.Reader) error {
 	if op != wire.RepManifest || len(body) != 0 {
 		return feedErr("manifest", fmt.Errorf("unexpected frame %#x", op))
 	}
-	t, err := readManifest(br, f.loader)
+	t, err := readManifest(br, f.fl)
 	if err != nil {
 		return feedErr("manifest", err)
 	}
@@ -407,7 +405,10 @@ func (f *Follower) Feed(r io.Reader) error {
 			return feedErr("section", fmt.Errorf("section frame for shard %d, want %d", sh, i))
 		}
 		f.cuts[i] = cut
-		if _, err := persist.Read(br, persist.KindTree, t.shardSink(i, f.onEntry)); err != nil {
+		sink, end := t.load(i, t.shards[i].tree.Load())
+		_, err = persist.Read(br, t.kind, sink)
+		end()
+		if err != nil {
 			return feedErr("section", err)
 		}
 		f.ready.Store(int32(i + 1))
@@ -451,7 +452,7 @@ func (f *Follower) feedTail(br *bufio.Reader, t *ShardedTree, fbuf []byte) error
 		if !ok || int(sh) >= len(t.shards) {
 			return feedErr("tail", fmt.Errorf("malformed tail frame"))
 		}
-		if wop < byte(persist.WalInsert) || wop > byte(persist.WalDelete) {
+		if wop < byte(shard.OpInsert) || wop > byte(shard.OpDelete) {
 			return feedErr("tail", fmt.Errorf("tail op %#x", wop))
 		}
 		s := int(sh)
@@ -465,13 +466,7 @@ func (f *Follower) feedTail(br *bufio.Reader, t *ShardedTree, fbuf []byte) error
 		if len(key) == 0 || len(key) > MaxKeyLen || tid > MaxTID {
 			return feedErr("tail", fmt.Errorf("shard %d record out of range", s))
 		}
-		pop := persist.WalOp(wop)
-		if f.onEntry != nil && pop != persist.WalDelete {
-			if oerr := f.onEntry(key, tid); oerr != nil {
-				return feedErr("tail", oerr)
-			}
-		}
-		if rerr := t.replayShardOp(s, pop, key, tid); rerr != nil {
+		if rerr := t.replay(s, shard.Op{Key: key, TID: tid, Kind: shard.OpKind(wop)}); rerr != nil {
 			return feedErr("tail", rerr)
 		}
 		f.lsns[s] = lsn

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"github.com/hotindex/hot/internal/core"
+	"github.com/hotindex/hot/internal/persist"
 	"github.com/hotindex/hot/internal/shard"
 	"github.com/hotindex/hot/internal/tidstore"
 )
@@ -32,13 +33,35 @@ import (
 // equal to a boundary routes to the shard above it.
 type ShardedTree struct {
 	codecOpt
-	loader Loader
+	flavor
 	shards []shardSlot
 	bounds [][]byte // len(shards)-1 ascending boundary keys
 	async  *asyncState
 	dur    *durableState            // non-nil when opened in durable (WAL) mode
 	cold   atomic.Pointer[coldTier] // non-nil once EnableColdTier armed the pager
 }
+
+// flavor is everything that tells one sharded index type from another: how
+// its TIDs resolve to keys, the section kind its files and streams carry,
+// and the validator every entry entering a shard must pass (nil: none).
+// The constructor sets it once; nothing below threads it by hand.
+type flavor struct {
+	loader Loader
+	kind   uint16
+	check  func(key []byte, tid TID) error
+}
+
+// treeFlavor is ShardedTree's own flavor over the caller's loader.
+func treeFlavor(loader Loader) flavor {
+	if loader == nil {
+		panic("hot: nil Loader")
+	}
+	return flavor{loader: loader, kind: persist.KindTree}
+}
+
+// setFlavor is ShardedUint64Set's: embedded keys, set sections, and the
+// key-equals-TID rule on every entry.
+var setFlavor = flavor{tidstore.Uint64Key, persist.KindUint64Set, checkSetEntry}
 
 // shardSlot is one shard's backing: exactly one of (tree, cold) is
 // non-nil in steady state. Transitions install the new backing before
@@ -92,25 +115,32 @@ func (t *ShardedTree) mustTree(s int) *core.ConcurrentTrie {
 // fewer than shards partitions (see Shards). The loader must be safe for
 // concurrent use.
 func NewShardedTree(loader Loader, shards int, sample [][]byte) *ShardedTree {
-	if loader == nil {
-		panic("hot: nil Loader")
-	}
+	return newSharded(treeFlavor(loader), shards, sample)
+}
+
+// newSharded samples the boundary table for a fresh tree of flavor fl.
+func newSharded(fl flavor, shards int, sample [][]byte) *ShardedTree {
 	if shards < 1 {
 		panic("hot: shard count must be >= 1")
 	}
-	return newShardedFromBounds(loader, shard.Boundaries(shards, sample))
+	return newShardedFromBounds(fl, shard.Boundaries(shards, sample))
 }
 
 // newShardedFromBounds builds the shard set for an explicit boundary
 // table, the constructor the snapshot loaders use.
-func newShardedFromBounds(loader Loader, bounds [][]byte) *ShardedTree {
-	t := &ShardedTree{loader: loader, bounds: bounds}
+func newShardedFromBounds(fl flavor, bounds [][]byte) *ShardedTree {
+	t := &ShardedTree{flavor: fl, bounds: bounds}
 	t.shards = make([]shardSlot, len(bounds)+1)
 	for i := range t.shards {
-		t.shards[i].tree.Store(core.NewConcurrent(core.Loader(loader)))
+		t.shards[i].tree.Store(t.newTrie())
 	}
 	t.async = newAsyncState(len(t.shards), defaultQueueCapacity)
 	return t
+}
+
+// newTrie returns an empty trie for one shard slot.
+func (t *ShardedTree) newTrie() *core.ConcurrentTrie {
+	return core.NewConcurrent(core.Loader(t.loader))
 }
 
 // Shards returns the number of range partitions.
@@ -145,14 +175,7 @@ func (t *ShardedTree) Boundaries() [][]byte {
 // group-commit fsynced before Insert returns. A cold owning shard is
 // promoted first.
 func (t *ShardedTree) Insert(key []byte, tid TID) bool {
-	s := shard.Find(t.bounds, key)
-	if t.dur != nil {
-		_, ok := t.dur.write(t, s, shard.Op{Key: key, TID: tid, Kind: shard.OpInsert})
-		return ok
-	}
-	tr := t.lockShardWrite(s)
-	ok := tr.Insert(key, tid)
-	t.unlockShardWrite(s)
+	_, ok := t.writeSync(shard.Op{Key: key, TID: tid, Kind: shard.OpInsert})
 	return ok
 }
 
@@ -160,14 +183,7 @@ func (t *ShardedTree) Insert(key []byte, tid TID) bool {
 // TID if one existed. In durable mode the write is logged and group-commit
 // fsynced before Upsert returns. A cold owning shard is promoted first.
 func (t *ShardedTree) Upsert(key []byte, tid TID) (old TID, replaced bool) {
-	s := shard.Find(t.bounds, key)
-	if t.dur != nil {
-		return t.dur.write(t, s, shard.Op{Key: key, TID: tid, Kind: shard.OpUpsert})
-	}
-	tr := t.lockShardWrite(s)
-	old, replaced = tr.Upsert(key, tid)
-	t.unlockShardWrite(s)
-	return old, replaced
+	return t.writeSync(shard.Op{Key: key, TID: tid, Kind: shard.OpUpsert})
 }
 
 // Lookup returns the TID stored under key. It is wait-free: a cold
@@ -184,15 +200,21 @@ func (t *ShardedTree) Lookup(key []byte) (TID, bool) {
 // present. In durable mode the write is logged and group-commit fsynced
 // before Delete returns. A cold owning shard is promoted first.
 func (t *ShardedTree) Delete(key []byte) bool {
-	s := shard.Find(t.bounds, key)
-	if t.dur != nil {
-		_, ok := t.dur.write(t, s, shard.Op{Key: key, Kind: shard.OpDelete})
-		return ok
-	}
-	tr := t.lockShardWrite(s)
-	ok := tr.Delete(key)
-	t.unlockShardWrite(s)
+	_, ok := t.writeSync(shard.Op{Key: key, Kind: shard.OpDelete})
 	return ok
+}
+
+// writeSync is the synchronous entrance to run (sharded_async.go): validate
+// before any lock is held, route, pin the shard hot under its shared write
+// guard, run the one op, release. It returns what the op's method returns
+// (old is Upsert's).
+func (t *ShardedTree) writeSync(op shard.Op) (old TID, ok bool) {
+	checkOp(op.Key, op.TID)
+	s := shard.Find(t.bounds, op.Key)
+	tr := t.lockShardWrite(s)
+	old, ok, _ = t.run(s, tr, op, 0)
+	t.unlockShardWrite(s)
+	return old, ok
 }
 
 // LookupBatch looks up all keys as one batch (see Tree.LookupBatch): the
@@ -597,7 +619,7 @@ type ShardedUint64Set struct {
 // shards range partitions, with boundaries sampled from the values in
 // sample (see NewShardedTree).
 func NewShardedUint64Set(shards int, sample []uint64) *ShardedUint64Set {
-	return &ShardedUint64Set{t: NewShardedTree(tidstore.Uint64Key, shards, u64keys(sample))}
+	return &ShardedUint64Set{t: newSharded(setFlavor, shards, u64keys(sample))}
 }
 
 // u64keys returns the 8-byte big-endian keys of vs, carved from one

@@ -1,24 +1,31 @@
 package hot
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"time"
 
 	"github.com/hotindex/hot/internal/chaos"
 	"github.com/hotindex/hot/internal/core"
+	"github.com/hotindex/hot/internal/persist"
 	"github.com/hotindex/hot/internal/shard"
 )
 
-// This file is the asynchronous write path of the sharded index types: a
-// per-shard bounded MPSC submission queue (internal/shard.Queue) drained in
-// batches by whichever goroutine holds the shard's writer token — a
-// flat-combining layer over the per-shard ROWEX writers.
+// This file is the write path of the sharded index types. Every operation
+// reaches a shard's trie through one function, run: a synchronous call is
+// run with one op (ShardedTree.writeSync), an async submission that finds
+// its shard idle is the same, and a drain slice is run over the shard's
+// ring. Around it sits the asynchronous layer: a per-shard bounded MPSC
+// submission queue (internal/shard.Queue) drained in batches by whichever
+// goroutine holds the shard's writer token — a flat-combining layer over
+// the per-shard ROWEX writers. Synchronous writers do not take the token:
+// they run concurrently under ROWEX, as on a ConcurrentTree.
 //
-// The problem it solves: a zipfian insert stream convoys all writers on the
-// hot shard's node locks, so adding workers stops adding throughput (the
-// contention wall of the paper's Section 6.5 scalability experiment). With
-// the submission queues, exactly one goroutine at a time writes a given
+// The problem the queues solve: a zipfian insert stream convoys all writers
+// on the hot shard's node locks, so adding workers stops adding throughput
+// (the contention wall of the paper's Section 6.5 scalability experiment).
+// With the submission queues, exactly one goroutine at a time drains a given
 // shard: everyone else deposits into the shard's ring in O(1) and moves on,
 // and the current writer applies the backlog in batches while it already
 // holds the shard's locks warm. A worker that finds its target ring full
@@ -122,7 +129,7 @@ func (t *ShardedTree) AsyncQueueCapacity() int { return t.async.ws[0].q.Cap() }
 // counted in Flush's rejected total (the async analogue of Insert returning
 // false). The key slice must remain valid and unmodified until Flush.
 func (t *ShardedTree) InsertAsync(key []byte, tid TID) {
-	checkAsync(key, tid)
+	checkOp(key, tid)
 	t.submitAsync(shard.Op{Key: key, TID: tid, Kind: shard.OpInsert})
 }
 
@@ -130,7 +137,7 @@ func (t *ShardedTree) InsertAsync(key []byte, tid TID) {
 // overwritten, never rejected. The key slice must remain valid and
 // unmodified until Flush.
 func (t *ShardedTree) UpsertAsync(key []byte, tid TID) {
-	checkAsync(key, tid)
+	checkOp(key, tid)
 	t.submitAsync(shard.Op{Key: key, TID: tid, Kind: shard.OpUpsert})
 }
 
@@ -138,14 +145,17 @@ func (t *ShardedTree) UpsertAsync(key []byte, tid TID) {
 // makes the op a no-op counted in Flush's rejected total. The key slice
 // must remain valid and unmodified until Flush.
 func (t *ShardedTree) DeleteAsync(key []byte) {
-	checkAsync(key, 0)
+	checkOp(key, 0)
 	t.submitAsync(shard.Op{Key: key, Kind: shard.OpDelete})
 }
 
-// checkAsync validates async submissions eagerly, so malformed ops panic on
-// the submitting goroutine like their synchronous counterparts instead of
-// on whichever goroutine happens to drain them.
-func checkAsync(key []byte, tid TID) {
+// checkOp is the contract check of every write entrance, synchronous and
+// async alike, made before routing and before any lock is taken: a
+// malformed op panics on the calling goroutine with one message and leaves
+// nothing held — not inside the trie under the write guard, not inside the
+// log under the commit lock, and not on whichever goroutine happens to
+// drain it.
+func checkOp(key []byte, tid TID) {
 	if len(key) > MaxKeyLen {
 		panic("hot: key exceeds MaxKeyLen")
 	}
@@ -235,7 +245,10 @@ func (t *ShardedTree) submitAsync(op shard.Op) {
 		// writer and apply directly. The empty check keeps FIFO order with
 		// ops this goroutine already queued.
 		if w.q.Empty() && w.busy.CompareAndSwap(false, true) {
-			t.applyOp(s, tr, op)
+			if _, ok, _ := t.run(s, tr, op, 0); !ok && op.Kind != shard.OpUpsert {
+				w.rejected.Add(1)
+			}
+			w.applied.Add(1)
 			t.drainLocked(s, tr, w)
 			t.unlockShardWrite(s)
 			return
@@ -275,53 +288,18 @@ func (t *ShardedTree) submitAsync(op shard.Op) {
 	}
 }
 
-// drainLocked applies the shard's queued backlog in drainSlice batches,
+// drainLocked applies the shard's queued backlog one run per drainSlice,
 // handing the writer token off after every slice so no goroutine monopolizes
 // a hot shard: a still-backlogged ring is re-acquired immediately unless
 // another worker — a stealer, a depositing producer's lost-wakeup guard, or
 // Flush — takes the token over first, in which case that worker continues
 // the drain. The final release re-checks the ring, so a deposit that raced
 // the release is never stranded. Callers must hold w.busy.
-//
-// In durable mode every op is appended to the shard's write-ahead log
-// before it is applied (both under the shard's commit lock, so a
-// checkpoint cut is exact), and the whole slice is group-committed with
-// one fsync before its ops count as applied — Flush's completion barrier
-// is therefore also a durability barrier.
 func (t *ShardedTree) drainLocked(s int, tr *core.ConcurrentTrie, w *asyncShard) {
 	a := t.async
-	d := t.dur
 	slice := w.sliceLen()
 	for {
-		n := 0
-		var last uint64
-		if d != nil {
-			d.mu[s].Lock()
-		}
-		b := tr.BeginBatch()
-		for n < slice {
-			op, ok := w.q.TryPop()
-			if !ok {
-				break
-			}
-			if d != nil {
-				last = d.append(s, op)
-			}
-			t.applyBatched(s, &b, op)
-			n++
-		}
-		b.End()
-		if d != nil {
-			d.mu[s].Unlock()
-		}
-		if n > 0 {
-			if d != nil {
-				// One fsync acknowledges the whole slice; only then may
-				// the ops count as applied, or Flush would return before
-				// they were durable.
-				d.commit(s, last)
-			}
-			w.applied.Add(uint64(n))
+		if _, _, n := t.run(s, tr, shard.Op{}, slice); n > 0 {
 			a.drains.Add(1)
 			a.drained.Add(uint64(n))
 		}
@@ -373,60 +351,95 @@ func (t *ShardedTree) drainForDemote(s int, tr *core.ConcurrentTrie) {
 	t.drainLocked(s, tr, w)
 }
 
-// applyOp applies one submission to shard s and accounts its completion.
-// In durable mode it logs before applying and commits before counting the
-// op as applied, like a one-op drain slice.
-func (t *ShardedTree) applyOp(s int, tr *core.ConcurrentTrie, op shard.Op) {
-	w := &t.async.ws[s]
-	if d := t.dur; d != nil {
+// run is the one way operations enter shard s's trie. tr is the shard's
+// resident trie, pinned by the caller's write guard (lockShardWrite); the
+// ops are first, when it has a Kind, and then up to slice ops popped from
+// the shard's ring (callers passing slice > 0 hold the writer token). All
+// of them go through one writer batch — one epoch pin, one reclamation
+// check. On a durable tree each op is appended to the shard's write-ahead
+// log before it is applied, the pairs atomic under the shard's commit lock
+// so a cut is exact, and the whole run is group-committed with one fsync
+// after the lock is released (appends proceed while it runs) but still
+// under the caller's guard, so a demotion's cut never falls between an
+// append and its fsync. Only then do the ring ops count as applied, which
+// makes Flush's completion barrier a durability barrier too. run returns
+// first's result (old is Upsert's) and the number of ring ops it ran.
+func (t *ShardedTree) run(s int, tr *core.ConcurrentTrie, first shard.Op, slice int) (old TID, ok bool, n int) {
+	d, w := t.dur, &t.async.ws[s]
+	var lsn, rejected uint64
+	if d != nil {
 		d.mu[s].Lock()
-		lsn := d.append(s, op)
-		t.applyTree(s, tr, op)
+	}
+	b := tr.BeginBatch()
+	if first.Kind != 0 {
+		if d != nil {
+			lsn = d.append(s, first)
+		}
+		old, ok = applyOp(&b, first)
+	}
+	for ; n < slice; n++ {
+		op, more := w.q.TryPop()
+		if !more {
+			break
+		}
+		if d != nil {
+			lsn = d.append(s, op)
+		}
+		if _, done := applyOp(&b, op); !done && op.Kind != shard.OpUpsert {
+			rejected++
+		}
+	}
+	b.End()
+	if d != nil {
 		d.mu[s].Unlock()
-		d.commit(s, lsn)
-	} else {
-		t.applyTree(s, tr, op)
+		if lsn != 0 {
+			d.commit(s, lsn)
+		}
 	}
-	w.applied.Add(1)
+	if n > 0 {
+		w.rejected.Add(rejected)
+		w.applied.Add(uint64(n))
+	}
+	return old, ok, n
 }
 
-// applyTree applies one submission to shard s's trie, counting no-op
-// rejections. Completion accounting (applied) is the caller's, so the
-// durable path can defer it past the log commit.
-func (t *ShardedTree) applyTree(s int, tr *core.ConcurrentTrie, op shard.Op) {
-	w := &t.async.ws[s]
+// applyOp is the only switch over op kinds that touches a trie: it applies
+// op through b and returns what the op's synchronous method returns (old is
+// Upsert's). A false ok on an insert or delete is the no-op the async
+// accounting calls rejected.
+func applyOp(b *core.WriterBatch, op shard.Op) (old TID, ok bool) {
 	switch op.Kind {
 	case shard.OpInsert:
-		if !tr.Insert(op.Key, op.TID) {
-			w.rejected.Add(1)
-		}
+		return 0, b.Insert(op.Key, op.TID)
 	case shard.OpUpsert:
-		tr.Upsert(op.Key, op.TID)
-	case shard.OpDelete:
-		if !tr.Delete(op.Key) {
-			w.rejected.Add(1)
-		}
+		return b.Upsert(op.Key, op.TID)
+	default:
+		return 0, b.Delete(op.Key)
 	}
 }
 
-// applyBatched applies one drained submission to shard s through the
-// slice's shared writer batch, so the whole slice pays for a single epoch
-// pin and a single reclamation-advance check. Completion accounting is
-// drainLocked's, per slice.
-func (t *ShardedTree) applyBatched(s int, b *core.WriterBatch, op shard.Op) {
-	w := &t.async.ws[s]
-	switch op.Kind {
-	case shard.OpInsert:
-		if !b.Insert(op.Key, op.TID) {
-			w.rejected.Add(1)
-		}
-	case shard.OpUpsert:
-		b.Upsert(op.Key, op.TID)
-	case shard.OpDelete:
-		if !b.Delete(op.Key) {
-			w.rejected.Add(1)
+// replay applies one logged record to shard s — recovery's log tail and the
+// follower's — verbatim and never logged: a rejected insert or absent
+// delete replays as the no-op it was live. The record passes the tree's
+// check (deletes carry no TID and skip it), and a key outside the shard's
+// range means the record belongs to a different boundary generation (or is
+// corrupt despite its CRC) and rejects it, cutting the log there. A shard
+// recovered cold is materialized lazily by its first replayed record
+// (mustTree promotes it); shards whose tail is empty stay cold.
+func (t *ShardedTree) replay(s int, op shard.Op) error {
+	if t.check != nil && op.Kind != shard.OpDelete {
+		if err := t.check(op.Key, op.TID); err != nil {
+			return err
 		}
 	}
+	if !shard.Check(t.bounds, s, op.Key) {
+		return &SnapshotError{Kind: persist.ErrCorrupt,
+			Detail: fmt.Sprintf("log record key %q outside shard %d's range", op.Key, s)}
+	}
+	b := t.mustTree(s).BeginBatch()
+	applyOp(&b, op)
+	b.End()
+	return nil
 }
 
 // queueOpStats folds the submission-queue counters into an aggregated

@@ -6,9 +6,9 @@ import (
 	"io"
 	"os"
 
+	"github.com/hotindex/hot/internal/core"
 	"github.com/hotindex/hot/internal/persist"
 	"github.com/hotindex/hot/internal/shard"
-	"github.com/hotindex/hot/internal/tidstore"
 )
 
 // Sharded snapshot persistence: a ShardedTree multiplexes its whole state
@@ -44,19 +44,19 @@ func (t *ShardedTree) writeManifest(w io.Writer) error {
 // its cold file — the entries are identical to what its trie held at
 // demotion, and writers to it are demoted-out, so the section is as
 // consistent as a hot shard's epoch-pinned walk.
-func (t *ShardedTree) writeShard(w io.Writer, kind uint16, i int) error {
+func (t *ShardedTree) writeShard(w io.Writer, i int) error {
 	var src entrySource
 	if tr, cs := t.view(i); tr != nil {
 		src = walkSource(tr.SnapshotWalk)
 	} else {
 		src = cs.walk
 	}
-	return writeSnapshot(w, kind, t.SnapshotCodec(), false, src)
+	return writeSnapshot(w, t.kind, t.SnapshotCodec(), false, src)
 }
 
 // writeSections streams the manifest plus one data section per shard,
 // flushing fl (when non-nil) at every section boundary.
-func (t *ShardedTree) writeSections(w io.Writer, kind uint16, fl flusher) error {
+func (t *ShardedTree) writeSections(w io.Writer, fl flusher) error {
 	flush := func() error {
 		if fl == nil {
 			return nil
@@ -70,7 +70,7 @@ func (t *ShardedTree) writeSections(w io.Writer, kind uint16, fl flusher) error 
 		return err
 	}
 	for i := range t.shards {
-		if err := t.writeShard(w, kind, i); err != nil {
+		if err := t.writeShard(w, i); err != nil {
 			return err
 		}
 		if err := flush(); err != nil {
@@ -89,7 +89,7 @@ func (t *ShardedTree) writeSections(w io.Writer, kind uint16, fl flusher) error 
 // property streaming follower replication is built on (see Follower).
 func (t *ShardedTree) SnapshotTo(w io.Writer) error {
 	fl, _ := w.(flusher)
-	return t.writeSections(w, persist.KindTree, fl)
+	return t.writeSections(w, fl)
 }
 
 // Snapshot writes a point-in-time snapshot of the live sharded tree to w
@@ -99,7 +99,7 @@ func (t *ShardedTree) SnapshotTo(w io.Writer) error {
 // consistent; entries committed while the snapshot streams may or may not
 // be included (wait-free reader semantics).
 func (t *ShardedTree) Snapshot(w io.Writer) error {
-	return t.writeSections(w, persist.KindTree, nil)
+	return t.writeSections(w, nil)
 }
 
 // SnapshotFile atomically writes a point-in-time snapshot of the live
@@ -110,19 +110,46 @@ func (t *ShardedTree) SnapshotFile(path string) error {
 	return persist.AtomicFile(path, t.Snapshot)
 }
 
-// loadShardEntry inserts one snapshot entry into shard i, converting
-// misrouted keys (a key whose bytes belong to a different shard's range —
-// a manifest/section mismatch) and non-prefix-free keys into typed
-// corruption errors.
-func (t *ShardedTree) loadShardEntry(i int, key []byte, tid TID) error {
+// loadBatch is how many entries load inserts under one writer batch before
+// releasing it, so epoch reclamation keeps pace with a long section.
+const loadBatch = 1024
+
+// load is the one way a sorted section enters shard i: it returns the sink
+// that vets each entry and inserts it into tr — the shard's trie, or the
+// one about to become it — through a writer batch released every loadBatch
+// entries, and the end that releases the last batch (call it once the
+// section's source is exhausted, whatever it returned). File snapshots, a
+// durable open's bases, a follower's bootstrap and a promotion all load
+// through here, so a key that is foreign to the shard, fails the tree's
+// check or is not prefix-free is the same typed corruption error at each.
+func (t *ShardedTree) load(i int, tr *core.ConcurrentTrie) (sink persist.EntryFunc, end func()) {
+	b := tr.BeginBatch()
+	insert := loadInto(b.Insert)
+	n := 0
+	return func(key []byte, tid TID) error {
+		if err := t.vet(i, key, tid); err != nil {
+			return err
+		}
+		if n++; n%loadBatch == 0 {
+			b.End()
+		}
+		return insert(key, tid)
+	}, b.End
+}
+
+// vet is the admission rule of shard i's sections, with or without an
+// insert behind it: the tree's own check, then the shard's range — a key
+// whose bytes belong to another shard is a manifest/section mismatch.
+func (t *ShardedTree) vet(i int, key []byte, tid TID) error {
+	if t.check != nil {
+		if err := t.check(key, tid); err != nil {
+			return err
+		}
+	}
 	if !shard.Check(t.bounds, i, key) {
 		return &SnapshotError{Kind: persist.ErrCorrupt,
 			Detail: fmt.Sprintf("key %q belongs to shard %d but was stored in shard section %d",
 				key, shard.Find(t.bounds, key), i)}
-	}
-	if !t.mustTree(i).Insert(key, tid) {
-		return &SnapshotError{Kind: persist.ErrCorrupt,
-			Detail: fmt.Sprintf("key %q not prefix-free under zero-padding", key)}
 	}
 	return nil
 }
@@ -149,25 +176,26 @@ func absolutize(err error, base int64) {
 	}
 }
 
-// readSharded parses one multiplexed sharded snapshot: the manifest, then
-// one kind-section per shard, entries validated by check (may be nil) and
-// routed into the shard whose section delivered them. In salvage mode a
-// damaged or corrupt section stops the load and returns the tree built
-// from everything before the damage (later shards stay empty), with the
-// report describing the loss; in strict mode any damage is an error. A
-// damaged manifest is always an error — without the boundary table there
-// is no tree to build.
-func readSharded(r io.Reader, kind uint16, loader Loader, check func(key []byte, tid TID) error, salvage bool) (*ShardedTree, RecoveryReport, error) {
+// readSharded parses one multiplexed sharded snapshot of flavor fl: the
+// manifest, then one section per shard, each loaded into the shard whose
+// section delivered it. In salvage mode a damaged or corrupt section stops
+// the load and returns the tree built from everything before the damage
+// (later shards stay empty), with the report describing the loss; in
+// strict mode any damage is an error. A damaged manifest is always an
+// error — without the boundary table there is no tree to build.
+func readSharded(r io.Reader, fl flavor, salvage bool) (*ShardedTree, RecoveryReport, error) {
 	cr := &countingReader{r: r}
 	var rep RecoveryReport
-	t, err := readManifest(cr, loader)
+	t, err := readManifest(cr, fl)
 	if err != nil {
 		errors.As(err, &rep.Damage)
 		return nil, rep, err
 	}
 	for i := range t.shards {
 		base := cr.n
-		n, err := persist.Read(cr, kind, t.shardSink(i, check))
+		sink, end := t.load(i, t.shards[i].tree.Load())
+		n, err := persist.Read(cr, t.kind, sink)
+		end()
 		rep.Entries += n
 		if err != nil {
 			absolutize(err, base)
@@ -186,7 +214,7 @@ func readSharded(r io.Reader, kind uint16, loader Loader, check func(key []byte,
 // its boundary table defines. Every consumer of a manifest — the file
 // loaders above, the durable open and the replication follower — starts
 // here.
-func readManifest(r io.Reader, loader Loader) (*ShardedTree, error) {
+func readManifest(r io.Reader, fl flavor) (*ShardedTree, error) {
 	var bounds [][]byte
 	_, err := persist.Read(r, persist.KindShardManifest, func(key []byte, tid TID) error {
 		if tid != uint64(len(bounds)) {
@@ -199,21 +227,7 @@ func readManifest(r io.Reader, loader Loader) (*ShardedTree, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newShardedFromBounds(loader, bounds), nil
-}
-
-// shardSink returns the callback that loads shard i's section, whether it
-// arrives from a snapshot file, a replication stream or a cold section:
-// each entry passes check (may be nil) and is then routed in.
-func (t *ShardedTree) shardSink(i int, check func(key []byte, tid TID) error) persist.EntryFunc {
-	return func(key []byte, tid TID) error {
-		if check != nil {
-			if err := check(key, tid); err != nil {
-				return err
-			}
-		}
-		return t.loadShardEntry(i, key, tid)
-	}
+	return newShardedFromBounds(fl, bounds), nil
 }
 
 // LoadShardedTree rebuilds a ShardedTree from a sharded snapshot,
@@ -223,10 +237,7 @@ func (t *ShardedTree) shardSink(i int, check func(key []byte, tid TID) error) pe
 // damage) on any corruption. The loader must resolve every TID stored in
 // the snapshot, exactly as it did when the snapshot was saved.
 func LoadShardedTree(r io.Reader, loader Loader) (*ShardedTree, error) {
-	if loader == nil {
-		panic("hot: nil Loader")
-	}
-	t, _, err := readSharded(r, persist.KindTree, loader, nil, false)
+	t, _, err := readSharded(r, treeFlavor(loader), false)
 	if err != nil {
 		return nil, err
 	}
@@ -251,15 +262,13 @@ func LoadShardedTreeFile(path string, loader Loader) (*ShardedTree, error) {
 // the error is non-nil only when nothing could be loaded at all (an
 // unreadable file or manifest).
 func RecoverShardedTreeFile(path string, loader Loader) (*ShardedTree, RecoveryReport, error) {
-	if loader == nil {
-		panic("hot: nil Loader")
-	}
+	fl := treeFlavor(loader)
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, RecoveryReport{}, err
 	}
 	defer f.Close()
-	return readSharded(f, persist.KindTree, loader, nil, true)
+	return readSharded(f, fl, true)
 }
 
 // ---- ShardedUint64Set ----
@@ -292,20 +301,16 @@ func (s *ShardedUint64Set) SnapshotCodec() SnapshotCodec { return s.t.SnapshotCo
 
 // Snapshot writes a point-in-time snapshot of the live sharded set to w
 // without blocking concurrent writers (see ShardedTree.Snapshot).
-func (s *ShardedUint64Set) Snapshot(w io.Writer) error {
-	return s.t.writeSections(w, persist.KindUint64Set, nil)
-}
+func (s *ShardedUint64Set) Snapshot(w io.Writer) error { return s.t.Snapshot(w) }
 
 // SnapshotFile atomically writes a point-in-time snapshot of the live
 // sharded set to path (see ShardedTree.SnapshotFile).
-func (s *ShardedUint64Set) SnapshotFile(path string) error {
-	return persist.AtomicFile(path, s.Snapshot)
-}
+func (s *ShardedUint64Set) SnapshotFile(path string) error { return s.t.SnapshotFile(path) }
 
 // LoadShardedUint64Set rebuilds a ShardedUint64Set from a sharded
 // snapshot, returning a typed *SnapshotError on any corruption.
 func LoadShardedUint64Set(r io.Reader) (*ShardedUint64Set, error) {
-	t, _, err := readSharded(r, persist.KindUint64Set, tidstore.Uint64Key, checkSetEntry, false)
+	t, _, err := readSharded(r, setFlavor, false)
 	if err != nil {
 		return nil, err
 	}
@@ -331,7 +336,7 @@ func RecoverShardedUint64SetFile(path string) (*ShardedUint64Set, RecoveryReport
 		return nil, RecoveryReport{}, err
 	}
 	defer f.Close()
-	t, rep, err := readSharded(f, persist.KindUint64Set, tidstore.Uint64Key, checkSetEntry, true)
+	t, rep, err := readSharded(f, setFlavor, true)
 	if err != nil {
 		return nil, rep, err
 	}

@@ -120,7 +120,7 @@ func (t *Tree) SaveIndexedFile(path string) error {
 // did when the snapshot was saved.
 func LoadTree(r io.Reader, loader Loader) (*Tree, error) {
 	t := New(loader)
-	if _, err := persist.Read(r, persist.KindTree, t.loadEntry); err != nil {
+	if _, err := persist.Read(r, persist.KindTree, loadInto(t.t.Insert)); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -129,7 +129,7 @@ func LoadTree(r io.Reader, loader Loader) (*Tree, error) {
 // LoadTreeFile is LoadTree over the file at path.
 func LoadTreeFile(path string, loader Loader) (*Tree, error) {
 	t := New(loader)
-	if _, err := persist.ReadFile(path, persist.KindTree, t.loadEntry); err != nil {
+	if _, err := persist.ReadFile(path, persist.KindTree, loadInto(t.t.Insert)); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -141,22 +141,26 @@ func LoadTreeFile(path string, loader Loader) (*Tree, error) {
 // loaded at all (unreadable file, or not a tree snapshot).
 func RecoverTreeFile(path string, loader Loader) (*Tree, RecoveryReport, error) {
 	t := New(loader)
-	rep, err := persist.RecoverFile(path, persist.KindTree, t.loadEntry)
+	rep, err := persist.RecoverFile(path, persist.KindTree, loadInto(t.t.Insert))
 	if err != nil {
 		return nil, rep, err
 	}
 	return t, rep, nil
 }
 
-// loadEntry inserts one snapshot entry, converting insertion rejections
-// (duplicate keys under zero-padding, i.e. a non-prefix-free key set) into
-// typed corruption errors instead of building a silently wrong tree.
-func (t *Tree) loadEntry(key []byte, tid TID) error {
-	if !t.t.Insert(key, tid) {
-		return &SnapshotError{Kind: persist.ErrCorrupt,
-			Detail: fmt.Sprintf("key %q not prefix-free under zero-padding", key)}
+// loadInto returns the sink every tree-shaped load ends in — Tree,
+// ConcurrentTree and a shard's writer batch alike: insert, converting a
+// rejection (a duplicate key under zero-padding, i.e. a non-prefix-free key
+// set) into a typed corruption error instead of building a silently wrong
+// tree.
+func loadInto(insert func(key []byte, tid TID) bool) persist.EntryFunc {
+	return func(key []byte, tid TID) error {
+		if !insert(key, tid) {
+			return &SnapshotError{Kind: persist.ErrCorrupt,
+				Detail: fmt.Sprintf("key %q not prefix-free under zero-padding", key)}
+		}
+		return nil
 	}
-	return nil
 }
 
 // entrySource streams entries in ascending key order into fn, stopping at
@@ -226,14 +230,7 @@ func (t *ConcurrentTree) SnapshotFile(path string) error {
 // LoadTree; the load itself is single-threaded).
 func LoadConcurrentTree(r io.Reader, loader Loader) (*ConcurrentTree, error) {
 	t := NewConcurrent(loader)
-	_, err := persist.Read(r, persist.KindTree, func(key []byte, tid TID) error {
-		if !t.t.Insert(key, tid) {
-			return &SnapshotError{Kind: persist.ErrCorrupt,
-				Detail: fmt.Sprintf("key %q not prefix-free under zero-padding", key)}
-		}
-		return nil
-	})
-	if err != nil {
+	if _, err := persist.Read(r, persist.KindTree, loadInto(t.t.Insert)); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -344,24 +341,15 @@ func RecoverUint64SetFile(path string) (*Uint64Set, RecoveryReport, error) {
 	return s, rep, nil
 }
 
-// loadEntry validates the embedded-key convention — the 8-byte big-endian
-// key must decode to exactly the stored TID — before inserting.
+// loadEntry holds the entry to the embedded-key convention (checkSetEntry)
+// before inserting it.
 func (s *Uint64Set) loadEntry(key []byte, tid TID) error {
-	if len(key) != 8 {
-		return &SnapshotError{Kind: persist.ErrCorrupt,
-			Detail: fmt.Sprintf("set key length %d, want 8", len(key))}
+	if err := checkSetEntry(key, tid); err != nil {
+		return err
 	}
-	var v uint64
-	for _, b := range key {
-		v = v<<8 | uint64(b)
-	}
-	if v != tid {
+	if !s.Insert(tid) {
 		return &SnapshotError{Kind: persist.ErrCorrupt,
-			Detail: fmt.Sprintf("set key decodes to %d, TID is %d", v, tid)}
-	}
-	if !s.Insert(v) {
-		return &SnapshotError{Kind: persist.ErrCorrupt,
-			Detail: fmt.Sprintf("duplicate set value %d", v)}
+			Detail: fmt.Sprintf("duplicate set value %d", tid)}
 	}
 	return nil
 }
