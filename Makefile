@@ -114,7 +114,7 @@ fuzz:
 	$(GO) test -fuzz FuzzWireResume -fuzztime $(FUZZTIME) ./internal/wire/
 
 bench:
-	$(GO) test -bench . -benchtime 1s -run - .
+	$(GO) test -bench . -benchtime 1s -run - . ./internal/persist
 
 # Code-only line table — non-test Go lines that are neither blank nor a
 # comment line, for the root package, every internal/* and cmd/* package,

@@ -20,11 +20,13 @@ package hot
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"sync/atomic"
 	"testing"
 
 	"github.com/hotindex/hot/internal/art"
 	"github.com/hotindex/hot/internal/bench"
+	"github.com/hotindex/hot/internal/chaos"
 	"github.com/hotindex/hot/internal/core"
 	"github.com/hotindex/hot/internal/dataset"
 	"github.com/hotindex/hot/internal/masstree"
@@ -297,6 +299,57 @@ func BenchmarkAblationNodeLayouts(b *testing.B) {
 				tr.Lookup(d.Keys[rng.Intn(benchKeys)])
 			}
 		})
+	}
+}
+
+// BenchmarkDurableAsyncLoad is the durable server's load phase without the
+// network: one goroutine InsertAsyncs url keys into an 8-shard durable tree
+// and calls Flush every 1 024 — the op benchmark/'s serve-durable insert_kops
+// cell pays per ADD, minus wire and socket. Beside ns/op and allocs/op it
+// reports fsyncs/op: the wal/sync hits of one further window of writes and
+// its Flush, counted after the timed loop because an armed chaos registry
+// taxes every injection point on the write path.
+func BenchmarkDurableAsyncLoad(b *testing.B) {
+	d := benchData(b, dataset.URL)
+	const shards, window = 8, 1024
+	dir := b.TempDir()
+	var tr *ShardedTree
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := i % benchKeys
+		if k == 0 { // a fresh store for every pass over the keys
+			b.StopTimer()
+			if tr != nil {
+				if err := tr.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			err := os.RemoveAll(dir)
+			if err == nil {
+				tr, _, err = OpenDurableShardedTree(dir, d.Store.Key, shards, d.Keys[:benchKeys], DurableOptions{})
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		tr.InsertAsync(d.Keys[k], d.TIDs[k])
+		if k%window == window-1 {
+			tr.Flush()
+		}
+	}
+	tr.Flush()
+	b.StopTimer()
+	reg := chaos.New(benchSeed)
+	reg.Arm()
+	for k := 0; k < window; k++ {
+		tr.UpsertAsync(d.Keys[k], d.TIDs[k])
+	}
+	tr.Flush()
+	chaos.Disarm()
+	b.ReportMetric(float64(reg.Hits(chaos.WalSync))/window, "fsyncs/op")
+	if err := tr.Close(); err != nil {
+		b.Fatal(err)
 	}
 }
 

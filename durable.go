@@ -24,11 +24,24 @@ import (
 //
 //   - Synchronous writes (Insert/Upsert/Delete, DurableMap.Set): durable
 //     when the call returns.
-//   - Asynchronous writes (InsertAsync/...): durable when Flush returns —
-//     each drain slice commits with one shared fsync before its ops count
-//     as applied, so the Flush barrier is also a durability barrier. Ops
-//     still queued when the process dies were never acknowledged and may
-//     be lost.
+//   - Asynchronous writes (InsertAsync/...): durable when Flush returns.
+//     An async write is appended to its shard's log and applied — visible
+//     to every reader — as soon as its shard gets to it, with no fsync:
+//     that is left owed to the shard's next barrier. Flush is the barrier
+//     a caller asks for: once everything submitted before it is applied,
+//     it syncs every shard whose log runs ahead of its durable LSN, all of
+//     them at once. The others come for free: Close; a synchronous write
+//     to the same shard (its commit covers every earlier record); a cut of
+//     the shard by Checkpoint or a demotion, and a replication bootstrap
+//     (both sync before they read the shard's state); a follower's poll
+//     (each pass of a replication tailer syncs first, so a follower is
+//     only ever sent durable records); and a bound — the run that finds
+//     256 KiB of a shard's records waiting commits before it returns, so
+//     a submitter that never flushes risks at most that much per shard.
+//     Writes no barrier has covered were never acknowledged: a crash may
+//     lose them — of one goroutine's un-flushed stream each shard keeps
+//     some prefix — and a reader may have seen a value the crash then
+//     loses, as it always could between an op's apply and its fsync.
 //
 // A durable index that cannot reach its log can no longer honor that
 // contract, so the plain write methods panic on log I/O errors (the error

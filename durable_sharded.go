@@ -18,11 +18,12 @@ import (
 // so logging scales with the shards exactly like the writes themselves —
 // shards share no log file, no commit lock and no fsync. See durable.go
 // for the acknowledgement contract. This file holds the log's two
-// primitives (append, commit), the cut that retires a log behind a base,
-// and the open; the function that couples append, apply and commit is
-// ShardedTree.run (sharded_async.go), and a base enters a shard through
-// ShardedTree.load (sharded_snapshot.go) — there is no durable-only write
-// path and no recovery-only loader.
+// primitives (append, commit), the barrier that pays the fsyncs async
+// writes leave owed (settle), the cut that retires a log behind a base,
+// and the open; the function that couples append and apply, and commit
+// when its caller waits for it, is ShardedTree.run (sharded_async.go), and
+// a base enters a shard through ShardedTree.load (sharded_snapshot.go) —
+// there is no durable-only write path and no recovery-only loader.
 //
 // The durable directory holds, for N shards:
 //
@@ -35,9 +36,10 @@ import (
 // cut. Consistency hinges on one invariant: a shard's {log append, trie
 // apply} pair is atomic under the shard's commit lock, so a cut taken
 // under that lock is exact — the base covers precisely the LSNs the log
-// held and the log restarts there. One ordering rule covers every crash:
-// a cut removes the superseded sibling base only BEFORE it rotates the
-// log, so whenever two bases coexist the log still holds every record
+// held, every one of them synced to the log file before the base is
+// written, and the log restarts there. One ordering rule covers every
+// crash: a cut removes the superseded sibling base only BEFORE it rotates
+// the log, so whenever two bases coexist the log still holds every record
 // since the older one, and replaying it verbatim (inserts re-apply as
 // inserts, rejections and all) over either converges to the pre-crash
 // state — every key's final value is decided by the last record touching
@@ -97,6 +99,54 @@ func (d *durableState) commit(s int, lsn uint64) {
 	}
 }
 
+// maxOwedBytes bounds the fsync debt one shard may carry: an async run that
+// finds this many bytes of appended records not yet written to the log
+// commits before it returns (ShardedTree.run). About 3 700 records of a
+// 55-byte key — far more than any submitter that reaches a barrier now and
+// then accumulates, and little enough that one that never does holds at
+// most this much per shard in memory and at risk.
+const maxOwedBytes = 256 << 10
+
+// settle pays the fsyncs async runs left owed. An async write is appended
+// and applied at once and becomes durable at the shard's next barrier:
+// this one (Flush), a synchronous write to the shard (its commit covers
+// every earlier record), a cut or a replication bootstrap of the shard
+// (both sync before they read its state), a pass of a replication tailer,
+// the maxOwedBytes bound, or Close. settle commits every shard whose log
+// holds records past its durable LSN — the last of them on the calling
+// goroutine, the others each on one of their own — so a barrier behind
+// writes to k shards costs one round of k overlapped fsyncs, and a barrier
+// behind one write costs exactly the one inline fsync a synchronous write
+// does. A shard someone else is already syncing is waited for, not synced
+// twice (the log's group commit). A failure panics, as in commit.
+func (d *durableState) settle() {
+	var wg sync.WaitGroup
+	errs := make([]error, len(d.wals))
+	last := -1
+	for s, w := range d.wals {
+		if w.LastLSN() == w.DurableLSN() {
+			continue
+		}
+		if last >= 0 {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				errs[s] = d.wals[s].Sync()
+			}(last)
+		}
+		last = s
+	}
+	if last >= 0 {
+		errs[last] = d.wals[last].Sync()
+	}
+	wg.Wait()
+	for s, err := range errs {
+		if err != nil {
+			panic(fmt.Sprintf("hot: shard %d log commit failed: %v", s, err))
+		}
+	}
+}
+
 // poison fails the store as a unit: every shard's log refuses further
 // appends, commits and rotations with err, which poison returns.
 func (d *durableState) poison(err error) error {
@@ -118,13 +168,20 @@ func (d *durableState) clean(s int) bool {
 }
 
 // cut is the one way a shard's state becomes its durable base: under the
-// shard's commit lock it streams tr — the shard's resident trie — to
-// snap-NNN.hot (or, for a demotion, the indexed cold-NNN.hot) through the
-// crash-safe file protocol, removes the sibling base the new file
-// supersedes, and only then rotates the shard's log to its last LSN (the
-// ordering rule of the file comment). Writers to every other shard
-// proceed throughout. A failed write leaves the previous base and the
-// full log untouched and the store running; once the new base is
+// shard's commit lock it makes the shard's log durable through its last
+// LSN, streams tr — the shard's resident trie — to snap-NNN.hot (or, for a
+// demotion, the indexed cold-NNN.hot) through the crash-safe file
+// protocol, removes the sibling base the new file supersedes, and only
+// then rotates the shard's log to that LSN (the ordering rule of the file
+// comment). The sync comes first because a cut may fall between an async
+// run's append and the fsync it left owed: the base would cover those
+// records, and a crash after the base is installed but before the rotation
+// would replay a log that stops short of its own base — some keys restored
+// at the base's LSN, others rolled back to the log's. With the log synced
+// first the rule holds as stated: the log on disk always reaches the base
+// that supersedes it. Writers to every other shard proceed throughout. A
+// failed sync or write leaves the previous base and the full log untouched
+// (a failed sync has poisoned the shard's log); once the new base is
 // installed, a failed remove or rotate leaves a directory that still
 // recovers exactly but a live store that can no longer bound its replay,
 // so it poisons every log. A non-durable tree (cut only by its cold tier)
@@ -136,6 +193,9 @@ func (t *ShardedTree) cut(s int, tr *core.ConcurrentTrie, cold bool) error {
 		d.mu[s].Lock()
 		defer d.mu[s].Unlock()
 		dir = d.dir
+		if err := d.wals[s].Sync(); err != nil {
+			return fmt.Errorf("hot: syncing shard %d's log ahead of its cut: %w", s, err)
+		}
 	} else {
 		dir = t.cold.Load().dir
 	}
@@ -218,15 +278,17 @@ func (t *ShardedTree) Checkpoint() error {
 	return nil
 }
 
-// Close flushes the async backlog, makes every logged write durable, and
-// closes the logs. On a non-durable tree it is just the Flush barrier.
+// Close waits for the async backlog to apply, makes every logged write
+// durable — owed async writes included — and closes the logs, returning
+// the first log error instead of panicking on it as Flush would. On a
+// non-durable tree it is just the Flush barrier.
 // Close is idempotent — a second call returns nil without touching the
 // logs. The tree must not be written after Close: durable writes panic
 // with a clear error instead of failing deep inside the log layer.
 func (t *ShardedTree) Close() error {
 	d := t.dur
 	if d == nil {
-		t.Flush()
+		t.barrier()
 		return nil
 	}
 	d.ckpt.Lock()
@@ -234,7 +296,7 @@ func (t *ShardedTree) Close() error {
 	if d.closed.Load() {
 		return nil
 	}
-	t.Flush()
+	t.barrier()
 	// Set the closed flag under every commit lock, so it is ordered against
 	// all in-flight appends: any write that got its lock first is logged and
 	// closed out below; any write that gets its lock later panics cleanly.

@@ -12,6 +12,7 @@ import (
 
 	"github.com/hotindex/hot/internal/chaos"
 	"github.com/hotindex/hot/internal/dataset"
+	"github.com/hotindex/hot/internal/persist"
 	"github.com/hotindex/hot/internal/tidstore"
 )
 
@@ -146,6 +147,91 @@ func TestDurableShardedTreeMixedSyncAsync(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDurableAsyncOwedBound: a submitter that never reaches a barrier does
+// not grow a shard's log buffer without limit — the run that finds
+// maxOwedBytes waiting commits — and Close settles whatever is still owed.
+func TestDurableAsyncOwedBound(t *testing.T) {
+	dir := t.TempDir()
+	const shards, n = 4, 200000
+	sample := make([]uint64, 64)
+	for i := range sample {
+		sample[i] = uint64(i) * n / 64
+	}
+	set, _, err := OpenDurableShardedUint64Set(dir, shards, sample, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The smallest record an 8-byte key makes: length|CRC word, op, one-byte
+	// LSN, key length, key, one-byte TID. One run may overshoot the bound by
+	// what it holds, at most a drain slice.
+	const maxOwed = maxOwedBytes/(8+1+1+1+8+1) + drainSlice
+	var settled uint64
+	for i := uint64(0); i < n; i++ {
+		set.InsertAsync(i * 7919 % n) // 7919 is coprime to n: a permutation, interleaving the shards
+		if i%512 != 0 {
+			continue
+		}
+		settled = 0
+		for s, w := range set.t.dur.wals {
+			last, durable := w.LastLSN(), w.DurableLSN()
+			if last-durable > maxOwed {
+				t.Fatalf("after %d un-flushed inserts shard %d owes %d records, bound is %d", i, s, last-durable, maxOwed)
+			}
+			settled += durable
+		}
+	}
+	if settled == 0 {
+		t.Fatalf("%d un-flushed inserts never crossed the bound: the test exercises nothing", n)
+	}
+	if err := set.Close(); err != nil {
+		t.Fatal(err)
+	}
+	set, info, err := OpenDurableShardedUint64Set(dir, shards, sample, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	if info.WALRecords != n || info.WALDamaged != 0 || set.Len() != n {
+		t.Fatalf("reopen recovered %d records (%d damaged logs) into %d values, want all %d", info.WALRecords, info.WALDamaged, set.Len(), n)
+	}
+}
+
+// TestDurableOwedFsyncFailure: the fsync an async write leaves owed can fail
+// at the barrier that pays it. Flush then panics on its caller, as a
+// synchronous write's commit would, and Close returns the error; neither
+// acknowledges the write, and the log stays poisoned.
+func TestDurableOwedFsyncFailure(t *testing.T) {
+	open := func(t *testing.T) *ShardedUint64Set {
+		set, _, err := OpenDurableShardedUint64Set(t.TempDir(), 4, walCrashSample(), DurableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		set.InsertAsync(1)
+		reg := chaos.New(1)
+		reg.On(chaos.WalSync, 1, nil)
+		reg.Arm()
+		t.Cleanup(chaos.Disarm)
+		return set
+	}
+	t.Run("flush", func(t *testing.T) {
+		set := open(t)
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "log commit failed") {
+				t.Fatalf("Flush over a failing fsync: recovered %v, want a log commit panic", r)
+			}
+			if err := set.Close(); !errors.Is(err, persist.ErrInjected) {
+				t.Fatalf("Close after the failed Flush = %v, want the sticky log error", err)
+			}
+		}()
+		set.Flush()
+	})
+	t.Run("close", func(t *testing.T) {
+		if err := open(t).Close(); !errors.Is(err, persist.ErrInjected) {
+			t.Fatalf("Close over a failing fsync = %v, want the injected error", err)
+		}
+	})
 }
 
 func TestDurableCheckpointTruncatesLogs(t *testing.T) {

@@ -80,6 +80,27 @@ func checkTree(t *testing.T, tr *ShardedTree, want []pathEntry) {
 	}
 }
 
+// copyDir copies the regular files of dir into a fresh temporary directory
+// — a durable store as a crash at this instant would leave it.
+func copyDir(t *testing.T, dir string) string {
+	t.Helper()
+	cp := t.TempDir()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(cp, e.Name()), b, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cp
+}
+
 // ---- write path ----
 
 // writeFixture is the input of the write-path table: a key table, a loader
@@ -262,9 +283,96 @@ func runWritePathTable(t *testing.T, fx writeFixture) {
 		reg.Arm()
 		driveAsync(t, tr, fx.ops, rejected)
 		chaos.Disarm()
-		t.Logf("%d async durable writes from one goroutine took %d fsyncs", len(fx.ops), reg.Hits(chaos.WalSync))
+		// The acknowledgement point, pinned: async durable writes owe their
+		// fsync to the barrier, which pays at most one per shard.
+		if got := reg.Hits(chaos.WalSync); got == 0 || got > shards {
+			t.Fatalf("%d async durable writes and one Flush took %d fsyncs, want 1..%d", len(fx.ops), got, shards)
+		}
 		checkTree(t, tr, want)
 		replayed(t, tr, dir)
+	})
+	// byShard groups the fixture's keys by owning shard: index i of a group
+	// is the key's index in fx.keys, which is also a TID that resolves to it.
+	byShard := func(tr *ShardedTree) [][]int {
+		out := make([][]int, tr.Shards())
+		for i, k := range fx.keys {
+			out[tr.Shard(k)] = append(out[tr.Shard(k)], i)
+		}
+		return out
+	}
+	t.Run("durable-async-one", func(t *testing.T) {
+		tr := open(t, t.TempDir())
+		defer tr.Close()
+		reg := chaos.New(1)
+		reg.Arm()
+		tr.UpsertAsync(fx.keys[0], 0)
+		tr.Flush()
+		tr.Flush() // nothing owed: no fsync
+		chaos.Disarm()
+		if got := reg.Hits(chaos.WalSync); got != 1 {
+			t.Fatalf("one async durable write and its Flush took %d fsyncs, want exactly 1", got)
+		}
+	})
+	t.Run("durable-sync-behind-async", func(t *testing.T) {
+		// A synchronous write is a barrier for its shard: its one fsync
+		// covers every async record the shard still owed.
+		dir := t.TempDir()
+		tr := open(t, dir)
+		defer tr.Close()
+		var idx []int
+		for _, g := range byShard(tr) {
+			if len(g) > len(idx) {
+				idx = g
+			}
+		}
+		reg := chaos.New(1)
+		reg.Arm()
+		for n := 0; n < 100; n++ {
+			i := idx[n%len(idx)]
+			tr.UpsertAsync(fx.keys[i], TID(n%4*len(fx.keys)+i))
+		}
+		tr.Upsert(fx.keys[idx[0]], TID(idx[0]))
+		chaos.Disarm()
+		if got := reg.Hits(chaos.WalSync); got != 1 {
+			t.Fatalf("a synchronous write behind 100 owed async writes took %d fsyncs, want exactly 1", got)
+		}
+		// What a crash right now would leave: the directory as it stands,
+		// nothing closed, nothing flushed.
+		re, info, err := OpenDurableShardedTree(copyDir(t, dir), fx.store.Key, shards, nil, DurableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		if info.WALRecords != 101 {
+			t.Fatalf("recovered %d log records, want all 101", info.WALRecords)
+		}
+		checkTree(t, re, treeEntries(tr))
+	})
+	t.Run("durable-concurrent-flush", func(t *testing.T) {
+		// Two barriers racing over the same debt share each shard's fsync
+		// (the log's group commit): nobody syncs a shard twice.
+		tr := open(t, t.TempDir())
+		defer tr.Close()
+		groups := byShard(tr)
+		reg := chaos.New(1)
+		reg.Arm()
+		const rounds = 20
+		for r := 0; r < rounds; r++ {
+			for _, g := range groups {
+				tr.UpsertAsync(fx.keys[g[0]], TID(r%4*len(fx.keys)+g[0]))
+			}
+			done := make(chan struct{})
+			go func() {
+				tr.Flush()
+				close(done)
+			}()
+			tr.Flush()
+			<-done
+		}
+		chaos.Disarm()
+		if got, want := reg.Hits(chaos.WalSync), uint64(rounds*len(groups)); got != want {
+			t.Fatalf("%d rounds of two concurrent Flushes over %d dirty shards took %d fsyncs, want %d", rounds, len(groups), got, want)
+		}
 	})
 	t.Run("follower", func(t *testing.T) {
 		// The first half reaches the follower as bootstrap sections, the

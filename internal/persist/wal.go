@@ -329,18 +329,20 @@ func walFileProlog(base uint64) []byte {
 	return appendWalRecord(h[:], WalCheckpoint, base, nil, 0)
 }
 
-// appendWalRecord serializes one record onto dst.
+// appendWalRecord serializes one record onto dst, in place: the payload is
+// built directly behind a reserved length|CRC word that is patched once the
+// payload is complete, so an append costs no scratch buffer.
 func appendWalRecord(dst []byte, op WalOp, lsn uint64, key []byte, tid uint64) []byte {
-	var payload [maxWalRecLen]byte
-	payload[0] = byte(op)
-	n := 1
-	n += binary.PutUvarint(payload[n:], lsn)
-	n += binary.PutUvarint(payload[n:], uint64(len(key)))
-	n += copy(payload[n:], key)
-	n += binary.PutUvarint(payload[n:], tid)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload[:n], castagnoli))
-	return append(dst, payload[:n]...)
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, byte(op))
+	dst = binary.AppendUvarint(dst, lsn)
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	dst = append(dst, key...)
+	dst = binary.AppendUvarint(dst, tid)
+	payload := dst[start+8:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+	return dst
 }
 
 // Append assigns the next LSN to one operation and buffers its record; no
@@ -578,6 +580,15 @@ func (w *WAL) Base() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.base
+}
+
+// Buffered returns the byte length of the appended records no commit has
+// written to the file yet — the fsync debt a caller that defers its commits
+// is running up.
+func (w *WAL) Buffered() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.buf)
 }
 
 // Size returns the valid byte length of the current log file, buffered

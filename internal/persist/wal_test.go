@@ -100,6 +100,79 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWALRecordGoldenBytes pins the record serialization byte for byte, one
+// record of each op kind: logs written by every earlier version must keep
+// replaying, and logs written now must replay under them.
+func TestWALRecordGoldenBytes(t *testing.T) {
+	for _, c := range []struct {
+		op   WalOp
+		lsn  uint64
+		key  []byte
+		tid  uint64
+		want string
+	}{
+		{WalCheckpoint, 300, nil, 0, "0500000099abfe0200ac020000"},
+		{WalInsert, 1, []byte("a"), 7, "05000000c5f893420101016107"},
+		{WalUpsert, 301, []byte("http://example.com/a/b"), MaxTID,
+			"23000000b7e9327f02ad0216687474703a2f2f6578616d706c652e636f6d2f612f62ffffffffffffffff7f"},
+		{WalDelete, 1 << 40, []byte{0, 0xff, 0x80}, 0, "0c000000d04eb625038080808080200300ff8000"},
+	} {
+		// Onto a non-empty buffer: the length|CRC word is patched in place.
+		got := appendWalRecord([]byte("prior"), c.op, c.lsn, c.key, c.tid)
+		if !bytes.HasPrefix(got, []byte("prior")) || fmt.Sprintf("%x", got[5:]) != c.want {
+			t.Errorf("%v record = %x, want prior|%s", c.op, got, c.want)
+		}
+	}
+}
+
+// typicalURLKey has the length of the benchmark's url keys (≈ 55 bytes).
+var typicalURLKey = []byte("http://www.example.com/some/path/of/typical/url/length")
+
+// TestWALAppendAllocs: an append serializes straight into the log's buffer
+// and the two buffers trade places at every commit, so a steady append
+// stream allocates nothing.
+func TestWALAppendAllocs(t *testing.T) {
+	w, err := CreateWAL(filepath.Join(t.TempDir(), "wal.log"), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	const appends = 1000
+	perRun := testing.AllocsPerRun(20, func() {
+		var lsn uint64
+		for i := 0; i < appends; i++ {
+			lsn, _ = w.Append(WalUpsert, typicalURLKey, uint64(i))
+		}
+		if err := w.Commit(lsn); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perAppend := perRun / appends; perAppend >= 0.1 {
+		t.Fatalf("%.3f allocations per append, want < 0.1", perAppend)
+	}
+}
+
+// BenchmarkWALAppend is the cost of logging one record of a typical url
+// key, one Commit (write + fsync) per 1 024 appends amortized in.
+func BenchmarkWALAppend(b *testing.B) {
+	w, err := CreateWAL(filepath.Join(b.TempDir(), "wal.log"), 0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lsn, err := w.Append(WalUpsert, typicalURLKey, uint64(i))
+		if err == nil && i%1024 == 1023 {
+			err = w.Commit(lsn)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestWALEmpty(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	w, err := CreateWAL(path, 0, 0)

@@ -3,8 +3,10 @@
 // index over the wire package's length-prefixed protocol. Reads run
 // straight on the epoch-protected shards (wait-free, no server-side
 // locks); writes go through the index's async submission path, so a
-// connection can pipeline writes back to back and use FLUSH as its
-// durability/completion barrier. A server is either a leader (owns the
+// connection can pipeline writes back to back — each is applied, and
+// readable, as it arrives — and use FLUSH as its completion barrier and, on
+// a durable server, its durability point: writes no FLUSH has covered yet
+// are not promised to survive a crash. A server is either a leader (owns the
 // index, optionally durable) or a follower (bootstraps from a leader's
 // replication stream and serves reads from the replicated shard prefix).
 package server
@@ -539,6 +541,8 @@ func (s *Server) ServeConn(rw io.ReadWriter) {
 				writeErr(bw, "follower is read-only")
 				continue
 			}
+			// The acknowledgement: every write this connection sent before
+			// the FLUSH is applied and, on a durable server, on disk.
 			applied, rejected := s.tree.Flush()
 			wbuf = wire.AppendUint64(wbuf[:0], applied)
 			wbuf = wire.AppendUint64(wbuf, rejected)

@@ -32,6 +32,18 @@ import (
 //  2. Tail: the leader tails each shard's write-ahead log (WALTailer) and
 //     streams every record with LSN > cut as a TAIL frame, continuously.
 //
+// A follower is only ever sent durable records: a section's cut is
+// committed before the section is streamed, and the tail ships only records
+// a completed fsync covers. Every LSN a follower counts as applied is
+// therefore one its leader would recover after a crash — a follower is
+// never ahead of its leader's log, which is what makes its applied-LSN
+// vector a safe resume offer. (A section walked while writers run may
+// additionally show records above its cut, as it always could; each
+// arrives again on the tail once it is durable.) Async leader writes are
+// durable only at a barrier (see durable.go), so the session is one itself:
+// each tail pass syncs the logs before it reads them, and a leader that
+// takes nothing but un-flushed async writes still feeds its followers.
+//
 // The session holds the store's checkpoint lock for its whole life, so no
 // cut (Checkpoint or demotion) can rotate a log out from under the tailers
 // and no Close can invalidate them. The flip side: ShardedTree.Close
@@ -148,7 +160,10 @@ func (s *ReplicationSession) flush() error {
 // section with its log cut, each flushed as it completes, ending with a
 // TAILSTART frame. The snapshot is wait-free for leader writers — each
 // section pins its shard's root under an epoch guard; only the per-shard
-// cut read takes (and immediately releases) that shard's commit lock.
+// cut read takes (and immediately releases) that shard's commit lock. The
+// cut is committed, outside the lock, before its section is streamed: the
+// section shows every record up to the cut, owed async ones included, and
+// a follower must not hold what the leader could still lose.
 func (s *ReplicationSession) StreamSnapshot() error {
 	if err := wire.WriteFrame(s.bw, wire.RepManifest, nil); err != nil {
 		return err
@@ -163,6 +178,9 @@ func (s *ReplicationSession) StreamSnapshot() error {
 		s.d.mu[i].Lock()
 		s.cuts[i] = s.d.wals[i].LastLSN()
 		s.d.mu[i].Unlock()
+		if err := s.d.wals[i].Commit(s.cuts[i]); err != nil {
+			return fmt.Errorf("hot: syncing shard %d log to its cut: %w", i, err)
+		}
 		s.scratch = wire.AppendSection(s.scratch[:0], uint32(i), s.cuts[i])
 		if err := wire.WriteFrame(s.bw, wire.RepSection, s.scratch); err != nil {
 			return err
@@ -181,11 +199,13 @@ func (s *ReplicationSession) StreamSnapshot() error {
 }
 
 // StreamTail runs the tail phase until stop is closed or the transport
-// fails: it polls each shard's log and streams every committed record above
-// that shard's cut, in per-shard LSN order. Only bytes below each log's
-// Size() are parsed — Size advances exactly at group-commit completion, so
-// the tailer never races an in-flight append. When stop is already closed
-// StreamTail still drains everything committed so far (exactly one pass)
+// fails: it polls each shard's log and streams every durable record above
+// that shard's cut, in per-shard LSN order. Each pass first syncs the log —
+// a no-op unless async writes left an fsync owed — and then parses only
+// bytes below its Size(), which advances exactly at group-commit
+// completion, so the tailer never races an in-flight append and never
+// ships a record the leader could lose. When stop is already closed
+// StreamTail still drains everything appended so far (exactly one pass)
 // before returning.
 func (s *ReplicationSession) StreamTail(stop <-chan struct{}) error {
 	tailers := make([]*persist.WALTailer, len(s.d.wals))
@@ -212,6 +232,9 @@ func (s *ReplicationSession) StreamTail(stop <-chan struct{}) error {
 	for {
 		sent := false
 		for i, tl := range tailers {
+			if err := s.d.wals[i].Sync(); err != nil {
+				return fmt.Errorf("hot: syncing shard %d log: %w", i, err)
+			}
 			limit := s.d.wals[i].Size()
 			for {
 				op, key, tid, lsn, ok, err := tl.Next(limit)

@@ -3,7 +3,9 @@ package hot
 import (
 	"bytes"
 	"errors"
+	"io"
 	"testing"
+	"time"
 
 	"github.com/hotindex/hot/internal/dataset"
 	"github.com/hotindex/hot/internal/tidstore"
@@ -330,6 +332,97 @@ func TestReplicationResumeTail(t *testing.T) {
 	if fol.TailRecords() != before {
 		t.Fatalf("idle resume applied %d records", fol.TailRecords()-before)
 	}
+}
+
+// TestReplicationTailIsABarrier: async leader writes owe their fsync to the
+// next barrier and the tail ships durable records only, so the tailer has to
+// be a barrier itself — a leader that takes nothing but un-flushed async
+// writes must still feed its follower, and must never feed it a record it
+// could itself lose.
+func TestReplicationTailIsABarrier(t *testing.T) {
+	keys := dataset.Generate(dataset.Integer, 2000, 19)
+	store := &tidstore.Store{}
+	for _, k := range keys {
+		store.Add(k)
+	}
+	tr, _, err := OpenDurableShardedTree(t.TempDir(), store.Key, 4, keys, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	holds := func(fol *Follower, n int) {
+		t.Helper()
+		if err := fol.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		if fol.Len() != n {
+			t.Fatalf("follower holds %d keys, want %d", fol.Len(), n)
+		}
+		for i, k := range keys[:n] {
+			if tid, found, err := fol.Lookup(k); err != nil || !found || tid != TID(i) {
+				t.Fatalf("follower key %d = (%d, %v, %v)", i, tid, found, err)
+			}
+		}
+		for s, lsn := range fol.AppliedLSNs() {
+			if durable := tr.dur.wals[s].DurableLSN(); lsn > durable {
+				t.Fatalf("follower applied shard %d through LSN %d, the leader is durable through %d", s, lsn, durable)
+			}
+		}
+	}
+
+	// A live session beside a leader that never calls Flush: the poll
+	// passes alone must carry every write across.
+	pr, pw := io.Pipe()
+	fol := NewFollower(store.Key, nil)
+	fed := make(chan error, 1)
+	go func() { fed <- fol.Feed(pr) }()
+	sess, err := tr.NewReplicationSession(pw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	ran := make(chan error, 1)
+	go func() { ran <- sess.Run(stop) }()
+	for i, k := range keys[:1000] {
+		tr.UpsertAsync(k, TID(i))
+	}
+	// Converging takes a poll pass or two, milliseconds; the deadline only
+	// has to tell slow from never.
+	for deadline := time.Now().Add(10 * time.Second); !fol.Bootstrapped() || fol.Len() != 1000; {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower holds %d of 1000 un-flushed async writes after 10s", fol.Len())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	if err := <-ran; err != nil {
+		t.Fatal(err)
+	}
+	sess.Close()
+	pw.Close()
+	if err := <-fed; err != nil {
+		t.Fatal(err)
+	}
+	holds(fol, 1000)
+
+	// The drain-once contract: a tail whose stop is already closed still
+	// ships everything submitted before the call.
+	rec := &recordingSink{}
+	sess, resumed, err := tr.NewReplicationSessionFrom(rec, fol.AppliedLSNs())
+	if err != nil || !resumed {
+		t.Fatalf("resume = (%v, %v)", resumed, err)
+	}
+	for i, k := range keys[1000:] {
+		tr.UpsertAsync(k, TID(1000+i))
+	}
+	if err := sess.Run(stop); err != nil {
+		t.Fatal(err)
+	}
+	sess.Close()
+	if err := fol.Feed(bytes.NewReader(rec.buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	holds(fol, 2000)
 }
 
 // TestReplicationResumeDeclined pins the fallback: when the leader's logs

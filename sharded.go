@@ -212,7 +212,7 @@ func (t *ShardedTree) writeSync(op shard.Op) (old TID, ok bool) {
 	checkOp(op.Key, op.TID)
 	s := shard.Find(t.bounds, op.Key)
 	tr := t.lockShardWrite(s)
-	old, ok, _ = t.run(s, tr, op, 0)
+	old, ok, _ = t.run(s, tr, op, 0, true)
 	t.unlockShardWrite(s)
 	return old, ok
 }

@@ -37,7 +37,9 @@ import (
 // different goroutines, or a mix of async and synchronous writes to the
 // same key, are unordered unless externally synchronized. Readers may
 // observe an async op any time after submission — applying is eager, Flush
-// is a completion barrier, not a publication point.
+// is a completion barrier, not a publication point. On a durable tree it
+// is also the durability point: an applied async op owes its fsync to the
+// next barrier (see run and durableState.settle).
 
 // asyncShard is one shard's submission state: the ring, the writer token
 // that elects the single current drainer, and the shard's own
@@ -125,9 +127,12 @@ func (t *ShardedTree) AsyncQueueCapacity() int { return t.async.ws[0].q.Cap() }
 
 // InsertAsync submits an asynchronous Insert of tid under key. It returns
 // once the op is applied or deposited in the owning shard's submission
-// queue; Flush waits for application. A duplicate key makes the op a no-op
-// counted in Flush's rejected total (the async analogue of Insert returning
-// false). The key slice must remain valid and unmodified until Flush.
+// queue; Flush waits for application and, on a durable tree, makes the op
+// durable (until then it is applied but not promised — see durable.go; the
+// same holds for UpsertAsync and DeleteAsync). A duplicate key makes the op
+// a no-op counted in Flush's rejected total (the async analogue of Insert
+// returning false). The key slice must remain valid and unmodified until
+// Flush.
 func (t *ShardedTree) InsertAsync(key []byte, tid TID) {
 	checkOp(key, tid)
 	t.submitAsync(shard.Op{Key: key, TID: tid, Kind: shard.OpInsert})
@@ -164,15 +169,34 @@ func checkOp(key []byte, tid TID) {
 	}
 }
 
-// Flush is the async completion barrier: it drives every submission queue
-// dry, helping drain backlogged shards itself, and returns once every op
-// submitted before the call has been applied. It returns the cumulative
-// totals since construction: applied counts ops applied to their shard,
-// rejected the subset that were no-ops (duplicate inserts, absent deletes)
-// — callers track deltas across phases. Concurrent submitters may race new
-// ops past a Flush; each caller is guaranteed completion of its own
-// submissions only.
+// Flush is the async barrier. It drives every submission queue dry, helping
+// drain backlogged shards itself, until every op submitted before the call
+// has been applied; on a durable tree it then pays the fsyncs those ops
+// left owed (durableState.settle), so that when Flush returns they are
+// durable too — this is the acknowledgement point of an async write. It
+// returns the cumulative totals since construction: applied counts ops
+// applied to their shard, rejected the subset that were no-ops (duplicate
+// inserts, absent deletes) — callers track deltas across phases. Concurrent
+// submitters may race new ops past a Flush; each caller is guaranteed
+// completion of its own submissions only. A log failure panics, like a
+// synchronous write's.
 func (t *ShardedTree) Flush() (applied, rejected uint64) {
+	t.barrier()
+	if t.dur != nil {
+		t.dur.settle()
+	}
+	a := t.async
+	for i := range a.ws {
+		applied += a.ws[i].applied.Load()
+		rejected += a.ws[i].rejected.Load()
+	}
+	return applied, rejected
+}
+
+// barrier is Flush's completion half: it returns once every op submitted
+// before the call has been applied (and, on a durable tree, appended to its
+// shard's log — run does both under one lock).
+func (t *ShardedTree) barrier() {
 	a := t.async
 	targets := make([]uint64, len(a.ws))
 	for i := range a.ws {
@@ -200,7 +224,7 @@ func (t *ShardedTree) Flush() (applied, rejected uint64) {
 			}
 		}
 		if done {
-			break
+			return
 		}
 		if helped {
 			spin = 0
@@ -215,11 +239,6 @@ func (t *ShardedTree) Flush() (applied, rejected uint64) {
 			time.Sleep(10 * time.Microsecond)
 		}
 	}
-	for i := range a.ws {
-		applied += a.ws[i].applied.Load()
-		rejected += a.ws[i].rejected.Load()
-	}
-	return applied, rejected
 }
 
 // AsyncPending reports how many submitted async ops have not been applied
@@ -245,7 +264,7 @@ func (t *ShardedTree) submitAsync(op shard.Op) {
 		// writer and apply directly. The empty check keeps FIFO order with
 		// ops this goroutine already queued.
 		if w.q.Empty() && w.busy.CompareAndSwap(false, true) {
-			if _, ok, _ := t.run(s, tr, op, 0); !ok && op.Kind != shard.OpUpsert {
+			if _, ok, _ := t.run(s, tr, op, 0, false); !ok && op.Kind != shard.OpUpsert {
 				w.rejected.Add(1)
 			}
 			w.applied.Add(1)
@@ -299,7 +318,7 @@ func (t *ShardedTree) drainLocked(s int, tr *core.ConcurrentTrie, w *asyncShard)
 	a := t.async
 	slice := w.sliceLen()
 	for {
-		if _, _, n := t.run(s, tr, shard.Op{}, slice); n > 0 {
+		if _, _, n := t.run(s, tr, shard.Op{}, slice, false); n > 0 {
 			a.drains.Add(1)
 			a.drained.Add(uint64(n))
 		}
@@ -358,13 +377,18 @@ func (t *ShardedTree) drainForDemote(s int, tr *core.ConcurrentTrie) {
 // of them go through one writer batch — one epoch pin, one reclamation
 // check. On a durable tree each op is appended to the shard's write-ahead
 // log before it is applied, the pairs atomic under the shard's commit lock
-// so a cut is exact, and the whole run is group-committed with one fsync
-// after the lock is released (appends proceed while it runs) but still
-// under the caller's guard, so a demotion's cut never falls between an
-// append and its fsync. Only then do the ring ops count as applied, which
-// makes Flush's completion barrier a durability barrier too. run returns
-// first's result (old is Upsert's) and the number of ring ops it ran.
-func (t *ShardedTree) run(s int, tr *core.ConcurrentTrie, first shard.Op, slice int) (old TID, ok bool, n int) {
+// so a cut is exact. What happens to the fsync depends on who is waiting
+// for it. A synchronous run (commit: writeSync's one op) group-commits its
+// own LSN after the lock is released — appends proceed while the fsync
+// runs — and so pays for every record the shard still owed. An async run
+// leaves its fsync owed to the next barrier (durableState.settle lists
+// them): its ring ops count as applied as soon as they are, and Flush,
+// which waits for exactly that, then settles the debt. Only an async run
+// that finds maxOwedBytes of records waiting commits before it returns, so
+// a submitter that never reaches a barrier cannot grow the log's buffer
+// without bound. run returns first's result (old is Upsert's) and the
+// number of ring ops it ran.
+func (t *ShardedTree) run(s int, tr *core.ConcurrentTrie, first shard.Op, slice int, commit bool) (old TID, ok bool, n int) {
 	d, w := t.dur, &t.async.ws[s]
 	var lsn, rejected uint64
 	if d != nil {
@@ -392,7 +416,7 @@ func (t *ShardedTree) run(s int, tr *core.ConcurrentTrie, first shard.Op, slice 
 	b.End()
 	if d != nil {
 		d.mu[s].Unlock()
-		if lsn != 0 {
+		if lsn != 0 && (commit || d.wals[s].Buffered() >= maxOwedBytes) {
 			d.commit(s, lsn)
 		}
 	}

@@ -34,14 +34,27 @@ import (
 // phase: one child leaves a torn tail (killed at WalTornWrite), the next is
 // killed during recovery's tail truncation, and the parent proves recovery
 // is re-runnable.
+//
+// The async matrix runs the same kills against the other acknowledgement
+// point. After the same warm-up the child submits the stream in batches of
+// walCrashBatch InsertAsync/DeleteAsync calls, one intent line before a
+// batch and one ack line after its Flush returns, and every second batch
+// has its lifecycle event in the middle — between un-flushed submissions,
+// so the cut lands on records whose fsync is still owed. The parent
+// requires every acked batch exactly and, of the one batch in flight, in
+// each shard some prefix of the ops submitted to it, in submission order,
+// and nothing else: an un-flushed async write may or may not survive, but
+// never without the ones its shard applied before it.
 
 const (
 	walCrashEnvPoint = "HOT_WAL_CRASH_POINT"
 	walCrashEnvDir   = "HOT_WAL_CRASH_DIR"
 	walCrashEnvPhase = "HOT_WAL_CRASH_PHASE"
+	walCrashEnvAsync = "HOT_WAL_CRASH_ASYNC"
 	walCrashSeed     = 91
 	walCrashShards   = 4
 	walCrashExit     = 3
+	walCrashBatch    = 32 // ops per async batch: eight to a shard
 )
 
 func walCrashSample() []uint64 {
@@ -53,10 +66,14 @@ func walCrashSample() []uint64 {
 }
 
 // walCrashOp derives the deterministic op stream: three inserts, then a
-// delete of the value inserted three ops earlier.
-func walCrashOp(i int) (del bool, v uint64) {
+// delete of the value inserted lag+3 ops earlier. The synchronous stream has
+// no lag. The async stream lags by one batch, so a batch's deletes undo
+// inserts the log already holds durably: a recovery that restored a base
+// covering such a delete but replayed a log that stops short of it would
+// bring the value back, which no prefix of the batch explains.
+func walCrashOp(i, lag int) (del bool, v uint64) {
 	if i%4 == 3 {
-		return true, walCrashVal(i - 3)
+		return true, walCrashVal(i - 3 - lag)
 	}
 	return false, walCrashVal(i)
 }
@@ -73,7 +90,7 @@ func walCrashOpen(dir string, cold bool) (*ShardedUint64Set, RecoveryInfo, error
 	return OpenDurableShardedUint64Set(dir, walCrashShards, walCrashSample(), opts)
 }
 
-func walCrashChild(pointName, dir, phase string) {
+func walCrashChild(pointName, dir, phase string, async bool) {
 	var point chaos.Point
 	found := false
 	for _, p := range chaos.Points() {
@@ -139,11 +156,7 @@ func walCrashChild(pointName, dir, phase string) {
 		fmt.Fprintf(os.Stderr, "child oplog: %v\n", err)
 		os.Exit(4)
 	}
-	logLine := func(tag string, del bool, v uint64) {
-		kind := "s"
-		if del {
-			kind = "d"
-		}
+	logLine := func(tag, kind string, v uint64) {
 		if _, err := fmt.Fprintf(oplog, "%s %s %d\n", tag, kind, v); err != nil {
 			fmt.Fprintf(os.Stderr, "child oplog write: %v\n", err)
 			os.Exit(4)
@@ -154,14 +167,18 @@ func walCrashChild(pointName, dir, phase string) {
 		}
 	}
 	doOp := func(i int) {
-		del, v := walCrashOp(i)
-		logLine("i", del, v)
+		del, v := walCrashOp(i, 0)
+		kind := "s"
+		if del {
+			kind = "d"
+		}
+		logLine("i", kind, v)
 		if del {
 			set.Delete(v)
 		} else {
 			set.Insert(v)
 		}
-		logLine("a", del, v)
+		logLine("a", kind, v)
 	}
 
 	// Unarmed warm-up, so the kill lands on a store with live log tails,
@@ -191,17 +208,44 @@ func walCrashChild(pointName, dir, phase string) {
 	reg := chaos.New(walCrashSeed)
 	reg.On(point, 1, chaos.Exit(walCrashExit))
 	reg.Arm()
-	for i := 40; i < 400; i++ {
-		// Alternate the two cuts every five ops, starting with the
-		// phase's own; both fire the snapshot and rotate points.
-		if i%5 == 0 {
-			if (i%10 == 0) == (phase == "snap") {
-				checkpoint()
-			} else {
-				demoteFrom(0)
+	if !async {
+		for i := 40; i < 400; i++ {
+			// Alternate the two cuts every five ops, starting with the
+			// phase's own; both fire the snapshot and rotate points.
+			if i%5 == 0 {
+				if (i%10 == 0) == (phase == "snap") {
+					checkpoint()
+				} else {
+					demoteFrom(0)
+				}
 			}
+			doOp(i) // fires the append/sync points, promoting a cold shard
 		}
-		doOp(i) // fires the append/sync points, promoting a cold shard
+	} else {
+		for b := 0; b < 24; b++ {
+			first := 40 + b*walCrashBatch
+			logLine("i", "b", uint64(first))
+			for i := first; i < first+walCrashBatch; i++ {
+				// Every second batch is cut in the middle, the phase's own
+				// cut first: the first batch's Flush fires the append/sync
+				// points, the second's cut the snapshot and rotate points —
+				// on shards that owe the fsync of half a batch.
+				if b%2 == 1 && i == first+walCrashBatch/2 {
+					if (b%4 == 1) == (phase == "snap") {
+						checkpoint()
+					} else {
+						demoteFrom(0)
+					}
+				}
+				if del, v := walCrashOp(i, walCrashBatch); del {
+					set.DeleteAsync(v)
+				} else {
+					set.InsertAsync(v)
+				}
+			}
+			set.Flush()
+			logLine("a", "b", uint64(first))
+		}
 	}
 	chaos.Disarm()
 	fmt.Fprintf(os.Stderr, "point %s never fired\n", pointName)
@@ -214,14 +258,17 @@ type walCrashLoggedOp struct {
 }
 
 // walCrashReplayOplog parses the child's oplog into the fully-acked op
-// sequence plus the single trailing unacked intent, if any.
-func walCrashReplayOplog(t *testing.T, dir string) (acked []walCrashLoggedOp, pending *walCrashLoggedOp) {
+// sequence plus the ops of the single trailing unacked intent, if any: one
+// synchronous op, or every op of one async batch ("b" lines name a batch by
+// the index of its first op).
+func walCrashReplayOplog(t *testing.T, dir string) (acked, pending []walCrashLoggedOp) {
 	t.Helper()
 	f, err := os.Open(filepath.Join(dir, "oplog"))
 	if err != nil {
 		t.Fatalf("oplog: %v", err)
 	}
 	defer f.Close()
+	var intent string
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		var tag, kind string
@@ -229,19 +276,25 @@ func walCrashReplayOplog(t *testing.T, dir string) (acked []walCrashLoggedOp, pe
 		if _, err := fmt.Sscanf(sc.Text(), "%s %s %d", &tag, &kind, &v); err != nil {
 			t.Fatalf("oplog line %q: %v", sc.Text(), err)
 		}
-		op := walCrashLoggedOp{del: kind == "d", v: v}
+		ops := []walCrashLoggedOp{{del: kind == "d", v: v}}
+		if kind == "b" {
+			ops = ops[:0]
+			for i := int(v); i < int(v)+walCrashBatch; i++ {
+				del, val := walCrashOp(i, walCrashBatch)
+				ops = append(ops, walCrashLoggedOp{del, val})
+			}
+		}
 		switch tag {
 		case "i":
 			if pending != nil {
 				t.Fatalf("two unacked intents in oplog (single-threaded child)")
 			}
-			p := op
-			pending = &p
+			pending, intent = ops, sc.Text()[1:]
 		case "a":
-			if pending == nil || *pending != op {
-				t.Fatalf("ack %+v without matching intent %+v", op, pending)
+			if pending == nil || sc.Text()[1:] != intent {
+				t.Fatalf("ack %q without matching intent %q", sc.Text(), intent)
 			}
-			acked = append(acked, op)
+			acked = append(acked, ops...)
 			pending = nil
 		default:
 			t.Fatalf("oplog tag %q", tag)
@@ -253,8 +306,8 @@ func walCrashReplayOplog(t *testing.T, dir string) (acked []walCrashLoggedOp, pe
 	return acked, pending
 }
 
-func walCrashModel(ops []walCrashLoggedOp) map[uint64]bool {
-	m := make(map[uint64]bool)
+// walCrashApply applies ops, in order, to the model set m.
+func walCrashApply(m map[uint64]bool, ops []walCrashLoggedOp) {
 	for _, op := range ops {
 		if op.del {
 			delete(m, op.v)
@@ -262,7 +315,6 @@ func walCrashModel(ops []walCrashLoggedOp) map[uint64]bool {
 			m[op.v] = true
 		}
 	}
-	return m
 }
 
 func walCrashContents(s *ShardedUint64Set) []uint64 {
@@ -296,9 +348,10 @@ func sameUint64s(a, b []uint64) bool {
 }
 
 // walCrashVerify reopens the killed child's directory, with the cold tier
-// armed or not, and requires a Verify-clean set holding exactly the acked
-// ops applied in order, with the trailing unacked intent (at most one)
-// allowed either way.
+// armed or not, and requires a Verify-clean set that holds, shard by shard,
+// exactly the acked ops applied in order plus some prefix of the unacked
+// intent's ops routed to that shard — for a synchronous op, the op or not;
+// for an async batch, what each shard's log had made durable of it.
 func walCrashVerify(t *testing.T, dir string, cold bool) {
 	t.Helper()
 	set, info, err := walCrashOpen(dir, cold)
@@ -309,24 +362,34 @@ func walCrashVerify(t *testing.T, dir string, cold bool) {
 	if err := set.Verify(); err != nil {
 		t.Fatalf("recovered set (cold tier %v) fails Verify: %v", cold, err)
 	}
-	acked, pending := walCrashReplayOplog(t, dir)
-	got := walCrashContents(set)
-	model := walCrashModel(acked)
-	if sameUint64s(got, walCrashModelSlice(model)) {
-		t.Logf("cold tier %v: recovered %d acked ops exactly (base files %d entries, %d cold shards, %d log records, %d damaged logs)",
-			cold, len(acked), info.SnapshotEntries, info.ColdShards, info.WALRecords, info.WALDamaged)
-		return
+	shardOf := func(v uint64) int { return set.t.Shard(u64keyAlloc(v)) }
+	byShard := func(ops []walCrashLoggedOp) [][]walCrashLoggedOp {
+		out := make([][]walCrashLoggedOp, walCrashShards)
+		for _, op := range ops {
+			out[shardOf(op.v)] = append(out[shardOf(op.v)], op)
+		}
+		return out
 	}
-	if pending != nil {
-		withPending := walCrashModel(append(append([]walCrashLoggedOp(nil), acked...), *pending))
-		if sameUint64s(got, walCrashModelSlice(withPending)) {
-			t.Logf("cold tier %v: recovered %d acked ops plus the in-flight %+v (base files %d, log records %d)",
-				cold, len(acked), *pending, info.SnapshotEntries, info.WALRecords)
-			return
+	ackedOps, pendingOps := walCrashReplayOplog(t, dir)
+	acked, pending := byShard(ackedOps), byShard(pendingOps)
+	got := make([][]uint64, walCrashShards)
+	for _, v := range walCrashContents(set) {
+		got[shardOf(v)] = append(got[shardOf(v)], v)
+	}
+	kept := make([]int, walCrashShards)
+	for s := range got {
+		model := make(map[uint64]bool)
+		walCrashApply(model, acked[s])
+		for kept[s] = 0; !sameUint64s(got[s], walCrashModelSlice(model)); kept[s]++ {
+			if kept[s] == len(pending[s]) {
+				t.Fatalf("cold tier %v: shard %d recovered %d values, which is not its acked state (%d ops) plus any prefix of its %d in-flight ops %+v",
+					cold, s, len(got[s]), len(acked[s]), len(pending[s]), pending[s])
+			}
+			walCrashApply(model, pending[s][kept[s]:kept[s]+1])
 		}
 	}
-	t.Fatalf("cold tier %v: recovered contents (%d values) match neither the acked state (%d values) nor acked+in-flight (pending %+v)",
-		cold, len(got), len(model), pending)
+	t.Logf("cold tier %v: recovered %d acked ops exactly, plus per shard %v of the %d in flight (base files %d entries, %d cold shards, %d log records, %d damaged logs)",
+		cold, len(ackedOps), kept, len(pendingOps), info.SnapshotEntries, info.ColdShards, info.WALRecords, info.WALDamaged)
 }
 
 // walCrashVerifyBoth checks the wreck under both open configurations:
@@ -336,20 +399,7 @@ func walCrashVerify(t *testing.T, dir string, cold bool) {
 func walCrashVerifyBoth(t *testing.T, dir string) {
 	t.Helper()
 	for _, first := range []bool{true, false} {
-		cp := t.TempDir()
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range ents {
-			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
-			if err == nil {
-				err = os.WriteFile(filepath.Join(cp, e.Name()), b, 0o644)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
+		cp := copyDir(t, dir)
 		walCrashVerify(t, cp, first)
 		walCrashVerify(t, cp, !first)
 	}
@@ -371,19 +421,22 @@ func walCrashLastCut(t *testing.T, dir string) string {
 
 func TestWALCrashMatrix(t *testing.T) {
 	if p := os.Getenv(walCrashEnvPoint); p != "" {
-		walCrashChild(p, os.Getenv(walCrashEnvDir), os.Getenv(walCrashEnvPhase))
+		walCrashChild(p, os.Getenv(walCrashEnvDir), os.Getenv(walCrashEnvPhase), os.Getenv(walCrashEnvAsync) != "")
 	}
 	if testing.Short() {
 		t.Skip("subprocess crash matrix skipped in -short")
 	}
 
-	runChild := func(t *testing.T, dir string, point chaos.Point, phase string) {
+	runChild := func(t *testing.T, dir string, point chaos.Point, phase string, async bool) {
 		t.Helper()
 		cmd := exec.Command(os.Args[0], "-test.run=^TestWALCrashMatrix$")
 		cmd.Env = append(os.Environ(),
 			walCrashEnvPoint+"="+point.String(),
 			walCrashEnvDir+"="+dir,
 			walCrashEnvPhase+"="+phase)
+		if async {
+			cmd.Env = append(cmd.Env, walCrashEnvAsync+"=1")
+		}
 		out, err := cmd.CombinedOutput()
 		ee, ok := err.(*exec.ExitError)
 		if !ok || ee.ExitCode() != walCrashExit {
@@ -391,41 +444,47 @@ func TestWALCrashMatrix(t *testing.T) {
 		}
 	}
 
-	// Log write points: the kill lands mid-write.
-	for _, point := range []chaos.Point{chaos.WalAppend, chaos.WalTornWrite, chaos.WalSync} {
-		point := point
-		t.Run(point.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			runChild(t, dir, point, "snap")
-			walCrashVerifyBoth(t, dir)
-		})
-	}
+	// Both acknowledgement points: synchronous ops (ack = return), then
+	// async batches (ack = Flush's return), under "async/".
+	for _, prefix := range []string{"", "async/"} {
+		prefix, async := prefix, prefix != ""
 
-	// Cut points: every step of the one cut primitive — base file tmp
-	// written, renamed, sibling removed (WalRotate fires after the remove,
-	// before the log is replaced) — killed once inside a Checkpoint's cut
-	// and once inside a Demote's.
-	for _, point := range []chaos.Point{
-		chaos.SnapWriteHeader,
-		chaos.SnapWriteBlock,
-		chaos.SnapTornWrite,
-		chaos.SnapSync,
-		chaos.SnapClose,
-		chaos.SnapRename,
-		chaos.SnapDirSync,
-		chaos.WalRotate,
-	} {
-		for _, dest := range []string{"snap", "cold"} {
-			point, dest := point, dest
-			t.Run(point.String()+"/"+dest, func(t *testing.T) {
+		// Log write points: the kill lands mid-write.
+		for _, point := range []chaos.Point{chaos.WalAppend, chaos.WalTornWrite, chaos.WalSync} {
+			point := point
+			t.Run(prefix+point.String(), func(t *testing.T) {
 				dir := t.TempDir()
-				runChild(t, dir, point, dest)
-				if got := walCrashLastCut(t, dir); got != dest {
-					t.Fatalf("%v fired inside a %q cut, want a %q cut", point, got, dest)
-				}
-				t.Logf("%v fired inside a %s cut", point, dest)
+				runChild(t, dir, point, "snap", async)
 				walCrashVerifyBoth(t, dir)
 			})
+		}
+
+		// Cut points: every step of the one cut primitive — base file tmp
+		// written, renamed, sibling removed (WalRotate fires after the
+		// remove, before the log is replaced) — killed once inside a
+		// Checkpoint's cut and once inside a Demote's.
+		for _, point := range []chaos.Point{
+			chaos.SnapWriteHeader,
+			chaos.SnapWriteBlock,
+			chaos.SnapTornWrite,
+			chaos.SnapSync,
+			chaos.SnapClose,
+			chaos.SnapRename,
+			chaos.SnapDirSync,
+			chaos.WalRotate,
+		} {
+			for _, dest := range []string{"snap", "cold"} {
+				point, dest := point, dest
+				t.Run(prefix+point.String()+"/"+dest, func(t *testing.T) {
+					dir := t.TempDir()
+					runChild(t, dir, point, dest, async)
+					if got := walCrashLastCut(t, dir); got != dest {
+						t.Fatalf("%v fired inside a %q cut, want a %q cut", point, got, dest)
+					}
+					t.Logf("%v fired inside a %s cut", point, dest)
+					walCrashVerifyBoth(t, dir)
+				})
+			}
 		}
 	}
 
@@ -434,8 +493,8 @@ func TestWALCrashMatrix(t *testing.T) {
 	// parent proves the recovery is re-runnable on top of both crashes.
 	t.Run(chaos.WalTruncate.String(), func(t *testing.T) {
 		dir := t.TempDir()
-		runChild(t, dir, chaos.WalTornWrite, "snap")
-		runChild(t, dir, chaos.WalTruncate, "recover")
+		runChild(t, dir, chaos.WalTornWrite, "snap", false)
+		runChild(t, dir, chaos.WalTruncate, "recover", false)
 		walCrashVerifyBoth(t, dir)
 	})
 }
