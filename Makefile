@@ -118,8 +118,10 @@ bench:
 
 # Code-only line table — non-test Go lines that are neither blank nor a
 # comment line, for the root package, every internal/* and cmd/* package,
-# and everything outside benchmark/ (examples included): the figure the
-# simplicity PRs report before and after in CHANGES.md. Not a tier of all.
+# and everything outside benchmark/ (examples included) — plus the root
+# package's exported surface, one line of `go doc -all` per function,
+# method, type, var and const group: the figures the simplicity PRs report
+# before and after in CHANGES.md. Not a tier of all.
 loc:
 	@count() { cat /dev/null "$$@" | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l; }; \
 	printf '%-24s %6d\n' . $$(count $$(ls *.go | grep -v _test.go)); \
@@ -127,7 +129,9 @@ loc:
 		printf '%-24s %6d\n' $$d $$(count $$(find $$d -name '*.go' ! -name '*_test.go')); \
 	done; \
 	printf '%-24s %6d\n' 'total outside benchmark/' \
-		$$(count $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*'))
+		$$(count $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*')); \
+	printf '%-24s %6d\n' 'exported (root)' \
+		$$($(GO) doc -all . | grep -cE '^(func|type|    func|var|const)')
 
 clean:
 	$(GO) clean -testcache

@@ -3,9 +3,7 @@ package hot
 import (
 	"bytes"
 	"errors"
-	"math/rand"
 	"path/filepath"
-	"sort"
 	"testing"
 
 	"github.com/hotindex/hot/internal/dataset"
@@ -143,91 +141,6 @@ func TestCodecDurableShardedReopen(t *testing.T) {
 		}
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
-		}
-	}
-}
-
-// TestCodecPackedUint64Set checks the frozen packed set against a map
-// oracle — membership, ordered iteration, duplicates collapsed — and that
-// its footprint actually undercuts the 8-bytes-per-value flat baseline.
-func TestCodecPackedUint64Set(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	vals := make([]uint64, 0, 50000)
-	oracle := make(map[uint64]bool, 50000)
-	v := uint64(0)
-	for i := 0; i < 50000; i++ {
-		v += 1 + rng.Uint64()%4096
-		vals = append(vals, v)
-		oracle[v] = true
-	}
-	// Shuffle and duplicate some values: PackUint64s must sort and dedup.
-	input := append(append([]uint64(nil), vals...), vals[:1000]...)
-	rng.Shuffle(len(input), func(i, j int) { input[i], input[j] = input[j], input[i] })
-
-	p := PackUint64s(input)
-	if p.Len() != len(vals) {
-		t.Fatalf("Len = %d, want %d (duplicates not collapsed?)", p.Len(), len(vals))
-	}
-	for _, v := range vals[:2000] {
-		if !p.Contains(v) {
-			t.Fatalf("Contains(%d) = false for a member", v)
-		}
-	}
-	miss := 0
-	for i := 0; i < 2000; i++ {
-		x := rng.Uint64()
-		if !oracle[x] && p.Contains(x) {
-			t.Fatalf("Contains(%d) = true for a non-member", x)
-		}
-		if !oracle[x] {
-			miss++
-		}
-	}
-	if miss == 0 {
-		t.Fatal("probe set never missed; test is vacuous")
-	}
-	var got []uint64
-	p.Ascend(0, -1, func(x uint64) bool {
-		got = append(got, x)
-		return true
-	})
-	sorted := append([]uint64(nil), vals...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	if len(got) != len(sorted) {
-		t.Fatalf("Ascend yielded %d values, want %d", len(got), len(sorted))
-	}
-	for i := range sorted {
-		if got[i] != sorted[i] {
-			t.Fatalf("Ascend diverges at %d: %d vs %d", i, got[i], sorted[i])
-		}
-	}
-	// Ranged iteration starts exactly at the first value >= from.
-	from := sorted[len(sorted)/2]
-	var first uint64
-	p.Ascend(from, 1, func(x uint64) bool { first = x; return true })
-	if first != from {
-		t.Fatalf("Ascend(%d) started at %d", from, first)
-	}
-
-	m := p.Memory()
-	if m.GoBytes >= m.PaperBytes {
-		t.Fatalf("packed set uses %d B, flat baseline %d B — no win", m.GoBytes, m.PaperBytes)
-	}
-	t.Logf("packed set: %d values, %d B packed vs %d B flat (%.1f%%)",
-		p.Len(), m.GoBytes, m.PaperBytes, 100*float64(m.GoBytes)/float64(m.PaperBytes))
-
-	// Pack() from a live set agrees with PackUint64s on the same values.
-	s := NewUint64Set()
-	for _, x := range vals[:5000] {
-		s.Insert(x)
-	}
-	q := s.Pack()
-	if q.Len() != 5000 {
-		t.Fatalf("Pack() Len = %d, want 5000", q.Len())
-	}
-	for _, x := range vals[:5000] {
-		if !q.Contains(x) {
-			t.Fatalf("Pack() lost %d", x)
 		}
 	}
 }

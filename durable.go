@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sync"
 	"time"
 
 	"github.com/hotindex/hot/internal/persist"
@@ -22,8 +20,8 @@ import (
 //
 // What "acknowledged" means:
 //
-//   - Synchronous writes (Insert/Upsert/Delete, DurableMap.Set): durable
-//     when the call returns.
+//   - Synchronous writes (Insert/Upsert/Delete): durable when the call
+//     returns.
 //   - Asynchronous writes (InsertAsync/...): durable when Flush returns.
 //     An async write is appended to its shard's log and applied — visible
 //     to every reader — as soon as its shard gets to it, with no fsync:
@@ -198,200 +196,4 @@ func (info *RecoveryInfo) noteWALDamage(rep persist.WALReplayReport) {
 			info.WALDamage = rep.Damage
 		}
 	}
-}
-
-// ---- DurableMap ----
-
-// DurableMap is Map with a write-ahead log under it — the single-tree
-// durable variant (see the package durability comment above for the
-// acknowledgement contract). Every Set and Delete is logged and fsynced
-// before it returns; Checkpoint snapshots the map and truncates the log;
-// reopening the same directory recovers every acknowledged write after a
-// crash at any point. Unlike Map, DurableMap is safe for concurrent use
-// (a single mutex orders all operations; the group-committed fsync
-// dominates write cost anyway).
-type DurableMap struct {
-	mu   sync.Mutex
-	m    *Map
-	wal  *persist.WAL
-	dir  string
-	ckpt sync.Mutex // serializes Checkpoint against itself
-}
-
-// OpenDurableMap opens (or creates) the durable map stored in dir:
-// `snap.hot` (the newest checkpoint snapshot) plus `wal.log` (the write-
-// ahead log of everything since). Recovery loads the snapshot — salvaging
-// the longest valid prefix if it is damaged — then replays the log's valid
-// record prefix, truncating any torn tail.
-//
-// A map has no Loader to rebuild and no shards to demote, so it cannot
-// honor opts.RecoverEntry or opts.ColdTier; setting either is an error
-// rather than a hook that silently never runs.
-func OpenDurableMap(dir string, opts DurableOptions) (*DurableMap, RecoveryInfo, error) {
-	var info RecoveryInfo
-	if opts.RecoverEntry != nil {
-		return nil, info, errors.New("hot: OpenDurableMap does not support DurableOptions.RecoverEntry")
-	}
-	if opts.ColdTier != nil {
-		return nil, info, errors.New("hot: OpenDurableMap does not support DurableOptions.ColdTier")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, info, err
-	}
-	m := NewMap()
-	haveSnap := false
-	snap := filepath.Join(dir, durableSnapName)
-	if _, err := os.Stat(snap); err == nil {
-		haveSnap = true
-		mm, rep, lerr := RecoverMapFile(snap)
-		if lerr != nil {
-			return nil, info, lerr
-		}
-		m = mm
-		info.SnapshotEntries = rep.Entries
-		if !rep.Complete {
-			info.SnapshotDamage = rep.Damage
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, info, err
-	}
-	w, rep, err := resumeWAL(filepath.Join(dir, "wal.log"), func(op persist.WalOp, key []byte, tid uint64) error {
-		if len(key) > MaxMapKeyLen {
-			return &SnapshotError{Kind: persist.ErrCorrupt,
-				Detail: fmt.Sprintf("log record key length %d exceeds MaxMapKeyLen %d", len(key), MaxMapKeyLen)}
-		}
-		switch op {
-		case persist.WalInsert:
-			if _, ok := m.Get(key); !ok {
-				m.Set(key, tid)
-			}
-		case persist.WalUpsert:
-			m.Set(key, tid)
-		case persist.WalDelete:
-			m.Delete(key)
-		}
-		return nil
-	}, opts.GroupCommitDelay)
-	if err != nil {
-		return nil, info, err
-	}
-	if !haveSnap && rep.Base > 0 {
-		// The log's checkpoint base proves a checkpoint completed, so a
-		// snapshot existed and is now missing — everything with LSN ≤ base
-		// is unrecoverable from the log alone. A fresh start here would
-		// silently lose it.
-		w.Close()
-		return nil, info, &OrphanedLogError{Dir: dir, Logs: []string{"wal.log"}}
-	}
-	info.noteWALDamage(rep)
-	m.SetSnapshotCodec(opts.Codec)
-	return &DurableMap{m: m, wal: w, dir: dir}, info, nil
-}
-
-// append logs one operation, panicking on log failure (see the durability
-// contract above).
-func (dm *DurableMap) append(op persist.WalOp, key []byte, val uint64) uint64 {
-	lsn, err := dm.wal.Append(op, key, val)
-	if err != nil {
-		panic(fmt.Sprintf("hot: durable map write-ahead append failed: %v", err))
-	}
-	return lsn
-}
-
-func (dm *DurableMap) commit(lsn uint64) {
-	if err := dm.wal.Commit(lsn); err != nil {
-		panic(fmt.Sprintf("hot: durable map log commit failed: %v", err))
-	}
-}
-
-// Set durably stores val under key, replacing any existing value: the
-// write is logged and group-commit fsynced before Set returns. It reports
-// whether the key was newly inserted.
-func (dm *DurableMap) Set(key []byte, val uint64) bool {
-	if len(key) > MaxMapKeyLen {
-		panic(fmt.Sprintf("hot: Map key length %d exceeds MaxMapKeyLen %d", len(key), MaxMapKeyLen))
-	}
-	dm.mu.Lock()
-	lsn := dm.append(persist.WalUpsert, key, val)
-	ok := dm.m.Set(key, val)
-	dm.mu.Unlock()
-	dm.commit(lsn)
-	return ok
-}
-
-// Delete durably removes key, reporting whether it was present.
-func (dm *DurableMap) Delete(key []byte) bool {
-	dm.mu.Lock()
-	lsn := dm.append(persist.WalDelete, key, 0)
-	ok := dm.m.Delete(key)
-	dm.mu.Unlock()
-	dm.commit(lsn)
-	return ok
-}
-
-// Get returns the value stored under key.
-func (dm *DurableMap) Get(key []byte) (uint64, bool) {
-	dm.mu.Lock()
-	defer dm.mu.Unlock()
-	return dm.m.Get(key)
-}
-
-// Range invokes fn for up to max entries with key ≥ start in ascending key
-// order (see Map.Range). The map is locked for the duration.
-func (dm *DurableMap) Range(start []byte, max int, fn func(key []byte, val uint64) bool) int {
-	dm.mu.Lock()
-	defer dm.mu.Unlock()
-	return dm.m.Range(start, max, fn)
-}
-
-// Len returns the number of stored keys.
-func (dm *DurableMap) Len() int {
-	dm.mu.Lock()
-	defer dm.mu.Unlock()
-	return dm.m.Len()
-}
-
-// Verify checks the underlying trie's structural invariants.
-func (dm *DurableMap) Verify() error {
-	dm.mu.Lock()
-	defer dm.mu.Unlock()
-	return dm.m.Verify()
-}
-
-// LogSize returns the current byte length of the write-ahead log — what a
-// Checkpoint would truncate.
-func (dm *DurableMap) LogSize() int64 { return dm.wal.Size() }
-
-// Checkpoint durably snapshots the map and rotates the log behind it, so
-// recovery replays only what came after. Writers are held off for the
-// duration.
-//
-// Failure semantics: if writing the snapshot fails, the previous snapshot
-// and the full log are untouched (SaveFile never replaces its target on
-// error) and the map keeps running. If the subsequent log rotation fails,
-// the new snapshot is already in place; the on-disk state still recovers
-// exactly (replaying log records the snapshot already covers converges to
-// the same map), but the live store can no longer bound its replay, so the
-// failure poisons the log — Checkpoint returns the error and any later
-// write panics like any other log failure. Reopen the directory to
-// recover.
-func (dm *DurableMap) Checkpoint() error {
-	dm.ckpt.Lock()
-	defer dm.ckpt.Unlock()
-	dm.mu.Lock()
-	defer dm.mu.Unlock()
-	if err := dm.m.SaveFile(filepath.Join(dm.dir, durableSnapName)); err != nil {
-		return err
-	}
-	if err := dm.wal.Rotate(dm.wal.LastLSN()); err != nil {
-		dm.wal.Poison(err)
-		return err
-	}
-	return nil
-}
-
-// Close makes every logged write durable and closes the log. The map must
-// be quiescent.
-func (dm *DurableMap) Close() error {
-	return dm.wal.Close()
 }

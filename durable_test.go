@@ -1,6 +1,7 @@
 package hot
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -317,112 +318,6 @@ func TestDurableNotDurableErrors(t *testing.T) {
 	}
 }
 
-func TestDurableMapRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	m, info, err := OpenDurableMap(dir, DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.SnapshotEntries != 0 || info.WALRecords != 0 {
-		t.Fatalf("fresh open reported recovery: %+v", info)
-	}
-	const n = 1000
-	for i := 0; i < n; i++ {
-		key := []byte(fmt.Sprintf("key-%04d", i))
-		if !m.Set(key, uint64(i)) {
-			t.Fatalf("set %d reported existing", i)
-		}
-	}
-	for i := 0; i < n; i += 3 {
-		if !m.Delete([]byte(fmt.Sprintf("key-%04d", i))) {
-			t.Fatalf("delete %d missed", i)
-		}
-	}
-	// Overwrites replay as upserts.
-	m.Set([]byte("key-0001"), 9999)
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	m2, info, err := OpenDurableMap(dir, DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if info.WALRecords != n+(n+2)/3+1 {
-		t.Fatalf("replayed %d records", info.WALRecords)
-	}
-	for i := 0; i < n; i++ {
-		v, ok := m2.Get([]byte(fmt.Sprintf("key-%04d", i)))
-		switch {
-		case i == 1:
-			if !ok || v != 9999 {
-				t.Fatalf("overwritten key: %d %v", v, ok)
-			}
-		case i%3 == 0:
-			if ok {
-				t.Fatalf("deleted key %d survived", i)
-			}
-		default:
-			if !ok || v != uint64(i) {
-				t.Fatalf("key %d: %d %v", i, v, ok)
-			}
-		}
-	}
-
-	// Checkpoint truncates; a reopen then replays nothing.
-	if err := m2.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	m3, info, err := OpenDurableMap(dir, DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m3.Close()
-	if info.WALRecords != 0 || int(info.SnapshotEntries) != m3.Len() {
-		t.Fatalf("post-checkpoint recovery: %+v vs len %d", info, m3.Len())
-	}
-}
-
-func TestDurableMapConcurrent(t *testing.T) {
-	dir := t.TempDir()
-	m, _, err := OpenDurableMap(dir, DurableOptions{GroupCommitDelay: 100 * time.Microsecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers, per = 4, 50
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				m.Set([]byte(fmt.Sprintf("w%d-%03d", g, i)), uint64(g*per+i))
-			}
-		}(g)
-	}
-	wg.Wait()
-	if m.Len() != workers*per {
-		t.Fatalf("len %d", m.Len())
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	m2, info, err := OpenDurableMap(dir, DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m2.Close()
-	if m2.Len() != workers*per || int(info.WALRecords) != workers*per {
-		t.Fatalf("recovered len %d, records %d", m2.Len(), info.WALRecords)
-	}
-}
-
 // TestDurableShardedOrphanedWALRefusal: write-ahead logs without their
 // snapshot mean the snapshot was lost, not that the store is new. A fresh
 // open must refuse — re-deriving boundaries would misroute the surviving
@@ -460,6 +355,65 @@ func TestDurableShardedOrphanedWALRefusal(t *testing.T) {
 	for s, name := range oe.Logs {
 		if name != fmt.Sprintf("wal-%03d.log", s) {
 			t.Fatalf("log %d listed as %q", s, name)
+		}
+	}
+}
+
+// TestDurableShardedForeignDirectoryRefusal: a directory in the single-map
+// durable layout this package once wrote — a Map snapshot as snap.hot, one
+// wal.log beside it — is not a sharded store. Both durable opens must say
+// so with a typed wrong-kind error and leave both files as they found
+// them, whether or not the cold tier is asked for.
+func TestDurableShardedForeignDirectoryRefusal(t *testing.T) {
+	dir := t.TempDir()
+	m := NewMap()
+	for i := 0; i < 100; i++ {
+		m.Set([]byte(fmt.Sprintf("key-%04d", i)), uint64(i))
+	}
+	snap, log := filepath.Join(dir, durableSnapName), filepath.Join(dir, "wal.log")
+	if err := m.SaveFile(snap); err != nil {
+		t.Fatal(err)
+	}
+	w, err := persist.CreateWAL(log, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 100; i < 105; i++ {
+		if _, err := w.Append(persist.WalUpsert, []byte(fmt.Sprintf("key-%04d", i)), uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	read := func() [2][]byte {
+		var b [2][]byte
+		for i, p := range []string{snap, log} {
+			var err error
+			if b[i], err = os.ReadFile(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b
+	}
+	before := read()
+
+	store := &tidstore.Store{}
+	for _, opts := range []DurableOptions{{}, {ColdTier: &ColdTierConfig{MemoryBudget: 1 << 20}}} {
+		_, _, terr := OpenDurableShardedTree(dir, store.Key, 4, nil, opts)
+		_, _, serr := OpenDurableShardedUint64Set(dir, 4, nil, opts)
+		for _, err := range []error{terr, serr} {
+			var se *SnapshotError
+			if !errors.As(err, &se) || se.Kind != SnapErrWrongKind {
+				t.Fatalf("cold=%v: open of a map directory = %v, want SnapErrWrongKind", opts.ColdTier != nil, err)
+			}
+		}
+		after := read()
+		if !bytes.Equal(before[0], after[0]) || !bytes.Equal(before[1], after[1]) {
+			t.Fatalf("cold=%v: a refused open modified the directory", opts.ColdTier != nil)
+		}
+		if names, _ := filepath.Glob(filepath.Join(dir, "*")); len(names) != 2 {
+			t.Fatalf("cold=%v: a refused open left %v behind", opts.ColdTier != nil, names)
 		}
 	}
 }

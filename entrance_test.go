@@ -869,27 +869,3 @@ func TestColdTierPromoteRefusesForeignSection(t *testing.T) {
 		}
 	})
 }
-
-// TestDurableMapRejectsUnsupportedOptions: options OpenDurableMap cannot
-// honor are an error naming the field, not a hook that never runs.
-func TestDurableMapRejectsUnsupportedOptions(t *testing.T) {
-	for _, c := range []struct {
-		opts DurableOptions
-		want string // "" = accepted
-	}{
-		{DurableOptions{}, ""},
-		{DurableOptions{GroupCommitDelay: time.Millisecond, Codec: SnapshotCodecPacked}, ""},
-		{DurableOptions{RecoverEntry: func([]byte, TID) error { return nil }}, "RecoverEntry"},
-		{DurableOptions{ColdTier: &ColdTierConfig{}}, "ColdTier"},
-	} {
-		dm, _, err := OpenDurableMap(t.TempDir(), c.opts)
-		if c.want == "" {
-			if err != nil {
-				t.Fatalf("%+v: %v", c.opts, err)
-			}
-			dm.Close()
-		} else if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Fatalf("OpenDurableMap = %v, want an error naming %s", err, c.want)
-		}
-	}
-}

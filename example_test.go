@@ -1,10 +1,50 @@
 package hot_test
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"os/exec"
+	"regexp"
+	"strconv"
+	"testing"
 
 	hot "github.com/hotindex/hot"
 )
+
+// TestExamplesRun runs the four programs under examples/ the way the README
+// says to, each with its temporary files confined to the test's own
+// directory: `go build ./...` proves they compile, only this proves they
+// still run to completion. kvstore runs twice against the same directory —
+// the second run must find both of its stores where the first left them.
+func TestExamplesRun(t *testing.T) {
+	tmp := t.TempDir()
+	run := func(name string) []byte {
+		cmd := exec.Command("go", "run", "./examples/"+name)
+		cmd.Env = append(os.Environ(), "TMPDIR="+tmp)
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("go run ./examples/%s: %v\n%s", name, err, out)
+		}
+		return out
+	}
+	for _, name := range []string{"quickstart", "emailindex", "concurrent", "kvstore"} {
+		run(name)
+	}
+	out := run("kvstore")
+	recovered := func(text []byte, re string) {
+		m := regexp.MustCompile(re).FindSubmatch(text)
+		if m == nil {
+			t.Fatalf("kvstore's second run printed no line matching %s:\n%s", re, out)
+		}
+		if n, _ := strconv.Atoi(string(m[1])); n == 0 {
+			t.Fatalf("kvstore's second run recovered nothing (%s):\n%s", m[0], out)
+		}
+	}
+	first, _, _ := bytes.Cut(out, []byte("\n"))
+	recovered(first, `^recovered (\d+) keys`)
+	recovered(out, `(?m)^durable: recovered (\d+) keys`)
+}
 
 func ExampleMap() {
 	m := hot.NewMap()

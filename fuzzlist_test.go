@@ -1,6 +1,9 @@
 package hot
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -128,9 +131,13 @@ func TestCIWorkflowCoversAllTiers(t *testing.T) {
 // TestDocsNameOnlyWhatExists guards against drift between the documents
 // that tell a reader what to run and the tree they describe: every command
 // (`cmd/<name>`, or a bare `hot-<name>`), every `make <target>` and every
-// checked-in `BENCH_*.json` or `results/` file they name must exist.
-// Renaming or deleting a tool, target or result file without its mentions
-// fails here. ROADMAP.md and CHANGES.md are history and exempt.
+// checked-in `BENCH_*.json` or `results/` file they name must exist, and so
+// must every Go name the prose documents spell out — `hot.<Ident>` is an
+// exported declaration of the root package, a backticked constructor-shaped
+// identifier (Open*/New*/Load*/Recover*/Pack*) one of the root package or
+// an internal/* package. Renaming or deleting a tool, target, result file
+// or entry point without its mentions fails here. ROADMAP.md and CHANGES.md
+// are history and exempt.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -152,6 +159,10 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		fileRe = regexp.MustCompile(`(?:^|[^\w/.])(BENCH_\w+\.json|results/[\w.*-]*\w)`)
 	)
 	notTools := map[string]bool{"hot-shard": true} // "a hot shard", hyphenated as a modifier
+	root, all := exportedNames(t)
+	if bad := undeclaredGoNames([]byte("`hot.NoSuchIndex`, `OpenNoSuchStore(dir)` and `Tree.LoadNothing`"), root, all); len(bad) != 3 {
+		t.Fatalf("the Go-name check let a dangling name through: flagged only %v", bad)
+	}
 	for _, doc := range []string{
 		"README.md", "DESIGN.md", "EXPERIMENTS.md", "Makefile",
 		filepath.Join(".claude", "skills", "verify", "SKILL.md"),
@@ -182,5 +193,84 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 				t.Errorf("%s names %s, which is not checked in", doc, m[1])
 			}
 		}
+		if strings.HasSuffix(doc, ".md") {
+			for _, name := range undeclaredGoNames(text, root, all) {
+				t.Errorf("%s names %s, which no package declares", doc, name)
+			}
+		}
 	}
+}
+
+// exportedNames parses the non-test source of the root package and of every
+// internal/* package and returns the exported names they declare: root
+// holds the root package's package-level declarations (what `hot.X` can
+// mean), all adds its methods, struct fields and interface methods and
+// everything the internal packages export.
+func exportedNames(t *testing.T) (root, all map[string]bool) {
+	root, all = map[string]bool{}, map[string]bool{}
+	dirs, err := filepath.Glob(filepath.Join("internal", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range append([]string{"."}, dirs...) {
+		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		note := func(id *ast.Ident, pkgLevel bool) {
+			if id.IsExported() {
+				all[id.Name] = true
+				if pkgLevel && dir == "." {
+					root[id.Name] = true
+				}
+			}
+		}
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				ast.Inspect(f, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.FuncDecl:
+						note(n.Name, n.Recv == nil)
+						return false // nothing declared inside a function is a name a document can mean
+					case *ast.TypeSpec:
+						note(n.Name, true)
+					case *ast.ValueSpec:
+						for _, id := range n.Names {
+							note(id, true)
+						}
+					case *ast.Field: // a struct's fields, an interface's methods
+						for _, id := range n.Names {
+							note(id, false)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	return root, all
+}
+
+// undeclaredGoNames returns the Go names text spells out that resolve to
+// nothing: `hot.X` with X not in root, and inside a backticked span an
+// Open*/New*/Load*/Recover*/Pack* identifier not in all (a trailing `*`
+// makes it a pattern, not a name).
+func undeclaredGoNames(text []byte, root, all map[string]bool) []string {
+	var bad []string
+	for _, m := range regexp.MustCompile(`\bhot\.([A-Z]\w*)`).FindAllSubmatch(text, -1) {
+		if !root[string(m[1])] {
+			bad = append(bad, "hot."+string(m[1]))
+		}
+	}
+	bareRe := regexp.MustCompile(`\b((?:Open|New|Load|Recover|Pack)\w*)(\*?)`)
+	for _, span := range regexp.MustCompile("`[^`\n]+`").FindAll(text, -1) {
+		for _, m := range bareRe.FindAllSubmatch(span, -1) {
+			if len(m[2]) == 0 && !all[string(m[1])] {
+				bad = append(bad, string(m[1]))
+			}
+		}
+	}
+	return bad
 }

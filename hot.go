@@ -26,8 +26,7 @@
 //     uint64 values.
 //   - Uint64Set stores 63-bit integers with the keys embedded directly in
 //     the TIDs (the paper's optimization for fixed-size keys ≤ 8 bytes);
-//     ConcurrentUint64Set and ShardedUint64Set are its synchronized and
-//     range-partitioned variants.
+//     ShardedUint64Set is its concurrent, range-partitioned variant.
 //
 // All of them share one method surface — the Index interface — implemented
 // once in the shared surface layer (surface.go), so callers can swap

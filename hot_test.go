@@ -266,42 +266,3 @@ func TestConcurrentTreePublicAPI(t *testing.T) {
 		t.Error("stats methods broken")
 	}
 }
-
-func TestConcurrentUint64Set(t *testing.T) {
-	s := NewConcurrentUint64Set()
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < 8000; i += 4 {
-				s.Insert(uint64(i))
-			}
-		}(w)
-	}
-	wg.Wait()
-	if s.Len() != 8000 {
-		t.Fatalf("len = %d", s.Len())
-	}
-	for i := 0; i < 8000; i++ {
-		if !s.Contains(uint64(i)) {
-			t.Fatalf("missing %d", i)
-		}
-	}
-	n := 0
-	prev := int64(-1)
-	s.Ascend(0, -1, func(v uint64) bool {
-		if int64(v) <= prev {
-			t.Fatalf("out of order: %d after %d", v, prev)
-		}
-		prev = int64(v)
-		n++
-		return true
-	})
-	if n != 8000 {
-		t.Fatalf("ascend visited %d", n)
-	}
-	if !s.Delete(4000) || s.Contains(4000) {
-		t.Fatal("delete failed")
-	}
-}

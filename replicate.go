@@ -143,6 +143,10 @@ func (t *ShardedTree) NewReplicationSessionFrom(w io.Writer, applied []uint64) (
 	return s, resumed, nil
 }
 
+// flusher is the optional flush surface of a session's transport (a
+// *bufio.Writer over a network connection, a compressing writer).
+type flusher interface{ Flush() error }
+
 // flush pushes buffered frames to the transport, propagating to the raw
 // writer's own Flush when it has one (a section boundary must reach the
 // follower, not sit in a second buffer).

@@ -3,6 +3,7 @@ package hot
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"github.com/hotindex/hot/internal/core"
@@ -671,7 +672,7 @@ func (s *ShardedUint64Set) Shards() int { return s.t.Shards() }
 func (s *ShardedUint64Set) Ascend(from uint64, max int, fn func(uint64) bool) int {
 	var b [8]byte
 	if max < 0 {
-		max = s.t.Len()
+		max = math.MaxInt
 	}
 	return s.t.Scan(u64key(from, &b), max, fn)
 }

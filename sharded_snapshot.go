@@ -24,10 +24,6 @@ import (
 // directory (durable_sharded.go) stores the same two section shapes as
 // separate files; the replication bootstrap (replicate.go) frames them.
 
-// flusher is the optional flush surface of a snapshot destination (a
-// *bufio.Writer over a network connection, a compressing writer).
-type flusher interface{ Flush() error }
-
 // writeManifest streams the manifest section: the boundary key table.
 func (t *ShardedTree) writeManifest(w io.Writer) error {
 	return writeSnapshot(w, persist.KindShardManifest, t.SnapshotCodec(), false, func(fn persist.EntryFunc) error {
@@ -54,42 +50,17 @@ func (t *ShardedTree) writeShard(w io.Writer, i int) error {
 	return writeSnapshot(w, t.kind, t.SnapshotCodec(), false, src)
 }
 
-// writeSections streams the manifest plus one data section per shard,
-// flushing fl (when non-nil) at every section boundary.
-func (t *ShardedTree) writeSections(w io.Writer, fl flusher) error {
-	flush := func() error {
-		if fl == nil {
-			return nil
-		}
-		return fl.Flush()
-	}
+// writeSections streams the manifest plus one data section per shard.
+func (t *ShardedTree) writeSections(w io.Writer) error {
 	if err := t.writeManifest(w); err != nil {
-		return err
-	}
-	if err := flush(); err != nil {
 		return err
 	}
 	for i := range t.shards {
 		if err := t.writeShard(w, i); err != nil {
 			return err
 		}
-		if err := flush(); err != nil {
-			return err
-		}
 	}
 	return nil
-}
-
-// SnapshotTo streams a point-in-time snapshot of the live sharded tree to w
-// exactly like Snapshot, and additionally flushes w after the manifest and
-// after every completed shard section when w implements Flush() error. The
-// flush points make the stream incrementally consumable over a pipe or
-// socket: a receiver that has read through section i holds a complete,
-// verifiable snapshot of shards ≤ i without waiting for the rest — the
-// property streaming follower replication is built on (see Follower).
-func (t *ShardedTree) SnapshotTo(w io.Writer) error {
-	fl, _ := w.(flusher)
-	return t.writeSections(w, fl)
 }
 
 // Snapshot writes a point-in-time snapshot of the live sharded tree to w
@@ -99,7 +70,7 @@ func (t *ShardedTree) SnapshotTo(w io.Writer) error {
 // consistent; entries committed while the snapshot streams may or may not
 // be included (wait-free reader semantics).
 func (t *ShardedTree) Snapshot(w io.Writer) error {
-	return t.writeSections(w, nil)
+	return t.writeSections(w)
 }
 
 // SnapshotFile atomically writes a point-in-time snapshot of the live

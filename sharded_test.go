@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -551,5 +552,55 @@ func TestShardedTreeDegenerate(t *testing.T) {
 	}
 	if _, ok := st.Lookup(k); !ok {
 		t.Fatal("lookup in 1-shard tree failed")
+	}
+}
+
+// TestShardedUint64SetAscendUnbounded: Ascend(from, -1, fn) has no bound —
+// not even the cardinality read before the walk. 1 000 values are present
+// and another goroutine inserts 1 000 more above the cursor while the walk
+// runs; how many of those a wait-free cursor meets is the trie's business,
+// so the reference is the tree's own Scan with no bound over the same
+// history: Ascend must visit exactly as many, which is more than it began
+// with.
+func TestShardedUint64SetAscendUnbounded(t *testing.T) {
+	const n = 1000
+	sample := make([]uint64, n)
+	for i := range sample {
+		sample[i] = uint64(i)
+	}
+	walk := func(scan func(set *ShardedUint64Set, fn func(uint64) bool) int) int {
+		set := NewShardedUint64Set(4, sample)
+		for _, v := range sample {
+			set.Insert(v)
+		}
+		var prev uint64
+		return scan(set, func(v uint64) bool {
+			if v == 0 {
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					for w := uint64(n); w < 2*n; w++ {
+						set.Insert(w)
+					}
+				}()
+				<-done
+			} else if v <= prev {
+				t.Errorf("walk not sorted: %d after %d", v, prev)
+			}
+			prev = v
+			return true
+		})
+	}
+	want := walk(func(set *ShardedUint64Set, fn func(uint64) bool) int {
+		return set.t.Scan(make([]byte, 8), math.MaxInt, fn)
+	})
+	got := walk(func(set *ShardedUint64Set, fn func(uint64) bool) int {
+		return set.Ascend(0, -1, fn)
+	})
+	if want <= n {
+		t.Fatalf("unbounded Scan met %d values, none of the concurrent inserts; the test is vacuous", want)
+	}
+	if got != want {
+		t.Fatalf("Ascend(0, -1) visited %d values, an unbounded Scan of the same history %d", got, want)
 	}
 }

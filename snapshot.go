@@ -148,11 +148,10 @@ func RecoverTreeFile(path string, loader Loader) (*Tree, RecoveryReport, error) 
 	return t, rep, nil
 }
 
-// loadInto returns the sink every tree-shaped load ends in — Tree,
-// ConcurrentTree and a shard's writer batch alike: insert, converting a
-// rejection (a duplicate key under zero-padding, i.e. a non-prefix-free key
-// set) into a typed corruption error instead of building a silently wrong
-// tree.
+// loadInto returns the sink every tree-shaped load ends in — Tree and a
+// shard's writer batch alike: insert, converting a rejection (a duplicate
+// key under zero-padding, i.e. a non-prefix-free key set) into a typed
+// corruption error instead of building a silently wrong tree.
 func loadInto(insert func(key []byte, tid TID) bool) persist.EntryFunc {
 	return func(key []byte, tid TID) error {
 		if !insert(key, tid) {
@@ -224,16 +223,6 @@ func (t *ConcurrentTree) Snapshot(w io.Writer) error {
 // durability protocol).
 func (t *ConcurrentTree) SnapshotFile(path string) error {
 	return writeSnapshotFile(path, persist.KindTree, t.SnapshotCodec(), false, walkSource(t.t.SnapshotWalk))
-}
-
-// LoadConcurrentTree rebuilds a ConcurrentTree from a snapshot (see
-// LoadTree; the load itself is single-threaded).
-func LoadConcurrentTree(r io.Reader, loader Loader) (*ConcurrentTree, error) {
-	t := NewConcurrent(loader)
-	if _, err := persist.Read(r, persist.KindTree, loadInto(t.t.Insert)); err != nil {
-		return nil, err
-	}
-	return t, nil
 }
 
 // ---- Map ----
@@ -330,17 +319,6 @@ func LoadUint64SetFile(path string) (*Uint64Set, error) {
 	return s, nil
 }
 
-// RecoverUint64SetFile rebuilds a Uint64Set from the longest valid prefix
-// of a possibly damaged snapshot (see RecoverTreeFile).
-func RecoverUint64SetFile(path string) (*Uint64Set, RecoveryReport, error) {
-	s := NewUint64Set()
-	rep, err := persist.RecoverFile(path, persist.KindUint64Set, s.loadEntry)
-	if err != nil {
-		return nil, rep, err
-	}
-	return s, rep, nil
-}
-
 // loadEntry holds the entry to the embedded-key convention (checkSetEntry)
 // before inserting it.
 func (s *Uint64Set) loadEntry(key []byte, tid TID) error {
@@ -352,19 +330,4 @@ func (s *Uint64Set) loadEntry(key []byte, tid TID) error {
 			Detail: fmt.Sprintf("duplicate set value %d", tid)}
 	}
 	return nil
-}
-
-// ---- ConcurrentUint64Set ----
-
-// Snapshot writes a point-in-time snapshot of the live set to w without
-// blocking concurrent writers (see ConcurrentTree.Snapshot for the
-// semantics).
-func (s *ConcurrentUint64Set) Snapshot(w io.Writer) error {
-	return writeSnapshot(w, persist.KindUint64Set, s.SnapshotCodec(), false, walkSource(s.t.SnapshotWalk))
-}
-
-// SnapshotFile atomically writes a point-in-time snapshot of the live set
-// to path (see ConcurrentTree.SnapshotFile).
-func (s *ConcurrentUint64Set) SnapshotFile(path string) error {
-	return writeSnapshotFile(path, persist.KindUint64Set, s.SnapshotCodec(), false, walkSource(s.t.SnapshotWalk))
 }

@@ -6,10 +6,10 @@ import "github.com/hotindex/hot/internal/core"
 // operations common to every index type are implemented. Tree,
 // ConcurrentTree and the sharded types expose the same method set — the
 // Index interface below — and the delegating types (Tree, ConcurrentTree,
-// Map, Uint64Set, ConcurrentUint64Set) obtain their shared methods by
-// embedding base or statsBase instead of hand-duplicating the delegation
-// per type. ShardedTree implements Index with its own fan-out logic on top
-// of the same surface.
+// Map, Uint64Set) obtain their shared methods by embedding base or
+// statsBase instead of hand-duplicating the delegation per type.
+// ShardedTree implements Index with its own fan-out logic on top of the
+// same surface.
 
 // Index is the unified index surface: the method set shared by every
 // TID-keyed index type in this package (Tree, ConcurrentTree, ShardedTree).

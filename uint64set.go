@@ -11,7 +11,7 @@ import (
 // Optimized Trie, using the paper's embedded-key optimization: fixed-size
 // keys up to 8 bytes are stored directly inside their tuple identifiers,
 // so the set needs no tuple store at all. Not safe for concurrent use; see
-// ConcurrentUint64Set.
+// ShardedUint64Set.
 type Uint64Set struct {
 	statsBase // shared Len/Height/Memory/Verify surface
 	codecOpt
@@ -91,64 +91,7 @@ func (s *Uint64Set) Min() (uint64, bool) {
 	return v, found
 }
 
-// ConcurrentUint64Set is Uint64Set over the ROWEX-synchronized trie; all
-// methods are safe for concurrent use.
-type ConcurrentUint64Set struct {
-	statsBase // shared Len/Height/Memory/Verify surface
-	codecOpt
-	t *core.ConcurrentTrie
-}
-
-// NewConcurrentUint64Set returns an empty concurrent integer set.
-func NewConcurrentUint64Set() *ConcurrentUint64Set {
-	t := core.NewConcurrent(tidstore.Uint64Key)
-	return &ConcurrentUint64Set{statsBase: statsBase{t}, t: t}
-}
-
 func u64key(v uint64, buf *[8]byte) []byte {
 	binary.BigEndian.PutUint64(buf[:], v)
 	return buf[:]
-}
-
-// Insert adds v (< 2^63), reporting false if already present.
-func (s *ConcurrentUint64Set) Insert(v uint64) bool {
-	var b [8]byte
-	return s.t.Insert(u64key(v, &b), v)
-}
-
-// Contains reports whether v is in the set. It is wait-free.
-func (s *ConcurrentUint64Set) Contains(v uint64) bool {
-	var b [8]byte
-	_, ok := s.t.Lookup(u64key(v, &b))
-	return ok
-}
-
-// LookupBatch reports membership of all values as one batch (see
-// Uint64Set.LookupBatch). The whole batch observes a single root snapshot
-// and is wait-free like Contains; the returned mask is owned by the caller.
-func (s *ConcurrentUint64Set) LookupBatch(vs []uint64) []bool {
-	n := len(vs)
-	flat := make([]byte, 8*n)
-	keys := make([][]byte, n)
-	tids := make([]uint64, n)
-	for i, v := range vs {
-		binary.BigEndian.PutUint64(flat[8*i:], v)
-		keys[i] = flat[8*i : 8*i+8]
-	}
-	return s.t.LookupBatch(keys, tids)
-}
-
-// Delete removes v, reporting whether it was present.
-func (s *ConcurrentUint64Set) Delete(v uint64) bool {
-	var b [8]byte
-	return s.t.Delete(u64key(v, &b))
-}
-
-// Ascend invokes fn for up to max values ≥ from in ascending order.
-func (s *ConcurrentUint64Set) Ascend(from uint64, max int, fn func(uint64) bool) int {
-	var b [8]byte
-	if max < 0 {
-		max = s.t.Len()
-	}
-	return s.t.Scan(u64key(from, &b), max, fn)
 }
