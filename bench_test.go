@@ -353,6 +353,73 @@ func BenchmarkDurableAsyncLoad(b *testing.B) {
 	}
 }
 
+// BenchmarkColdLookup takes a cold read apart: one shard of url keys demoted
+// to a packed section, scrambled-zipf point lookups, under three page-cache
+// budgets — everything resident (the price of finding a key in a cached
+// page), a single page (nearly every lookup faults: fetch, verify and admit
+// one block) and, zipf, coldZipfShare of what the resident run held, counted
+// in whatever form this commit keeps a page in. hit_rate says what each
+// budget bought; cacheB/key what a cached key costs.
+func BenchmarkColdLookup(b *testing.B) {
+	const coldZipfShare = 0.85 // ≈ 0.9 hit rate under the scrambled-zipf stream
+	d := benchData(b, dataset.URL)
+	picks := make([]int32, 1<<16)
+	rng, picker := rand.New(rand.NewSource(benchSeed)), ycsb.NewPicker(ycsb.Zipfian, benchKeys)
+	for i := range picks {
+		picks[i] = int32(picker.Next(rng))
+	}
+	var residentBytes int64
+	for _, cfg := range []struct {
+		name  string
+		cache func() int64
+	}{
+		{"resident", func() int64 { return 1 << 40 }},
+		{"thrash", func() int64 { return 1 }},
+		{"zipf", func() int64 { return int64(coldZipfShare * float64(residentBytes)) }},
+	} {
+		b.Run(cfg.name, func(b *testing.B) {
+			if cfg.cache() == 0 {
+				b.Skip("sized from the resident run: select it too")
+			}
+			t := NewShardedTree(d.Store.Key, 1, nil)
+			t.SetSnapshotCodec(SnapshotCodecPacked)
+			for i := 0; i < benchKeys; i++ {
+				t.Insert(d.Keys[i], d.TIDs[i])
+			}
+			err := t.EnableColdTier(ColdTierConfig{Dir: b.TempDir(), CacheBytes: cfg.cache()})
+			if err == nil {
+				err = t.Demote(0)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < benchKeys; i++ { // every page faulted once, then the stream's own warm-up
+				t.Lookup(d.Keys[i])
+			}
+			for _, k := range picks {
+				t.Lookup(d.Keys[k])
+			}
+			before := t.ColdStats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := picks[i%len(picks)]
+				if tid, ok := t.Lookup(d.Keys[k]); !ok || tid != d.TIDs[k] {
+					b.Fatalf("cold lookup of key %d = (%d, %v)", k, tid, ok)
+				}
+			}
+			b.StopTimer()
+			after := t.ColdStats()
+			hits, misses := after.CacheHits-before.CacheHits, after.CacheMisses-before.CacheMisses
+			b.ReportMetric(float64(hits)/float64(hits+misses), "hit_rate")
+			b.ReportMetric(float64(after.CacheBytes)/benchKeys, "cacheB/key")
+			if cfg.name == "resident" {
+				residentBytes = after.CacheBytes
+			}
+		})
+	}
+}
+
 // BenchmarkAblationFanout sweeps the maximum node fanout k (the paper
 // fixes k = 32 and motivates the choice in Section 4.1; its future work
 // asks about higher fanouts — this sweeps the reachable range downward,

@@ -18,11 +18,12 @@ import (
 // DEMOTED — its trie snapshotted to a per-shard indexed section on disk
 // and dropped from memory — and served cold from that section through a
 // fixed-budget LRU page cache (internal/pager). Reads against a cold
-// shard binary-search the section's sparse block index and fault exactly
-// the blocks they touch; writes transparently PROMOTE the shard back to
-// an in-memory trie first. A MemoryBudget drives automatic demotion of
-// the least-recently-written shards, so the resident working set tracks
-// the write skew while the full key space stays serviceable.
+// shard binary-search the section's sparse block index, fault exactly
+// the blocks they touch and are answered from the block as stored;
+// writes transparently PROMOTE the shard back to an in-memory trie
+// first. A MemoryBudget drives automatic demotion of the
+// least-recently-written shards, so the resident working set tracks the
+// write skew while the full key space stays serviceable.
 //
 // State machine. Each shard slot holds two atomic pointers, (tree, cold),
 // of which exactly one is non-nil in steady state. Transitions install
@@ -74,8 +75,11 @@ type ColdTierConfig struct {
 	// stays hot). Zero disables automatic demotion — Demote/Promote
 	// remain available explicitly.
 	MemoryBudget int64
-	// CacheBytes bounds the decoded pages the cold read path keeps
-	// resident. Zero selects MemoryBudget/8, floored at 8 MiB.
+	// CacheBytes bounds the pages the cold read path keeps resident. A
+	// page is a block as stored — for a packed section, the compressed
+	// payload — plus a small restart table, so the budget buys roughly
+	// CacheBytes of the section files themselves. Zero selects
+	// MemoryBudget/8, floored at 8 MiB.
 	CacheBytes int64
 }
 
@@ -90,7 +94,7 @@ type ColdTierStats struct {
 	CacheHits      uint64 // cold reads served from the page cache
 	CacheMisses    uint64 // cold reads that faulted a block from disk
 	CacheEvictions uint64 // pages evicted to keep the cache in budget
-	CacheBytes     int64  // decoded page bytes resident right now
+	CacheBytes     int64  // resident page bytes right now: stored blocks + their restart tables
 	CachePages     int    // pages resident right now
 	Demotions      uint64 // hot→cold transitions
 	Promotions     uint64 // cold→hot transitions
@@ -398,7 +402,9 @@ func (t *ShardedTree) vetCold(s int, pr *persist.PageReader) (uint64, error) {
 		err = t.vet(s, pr.FirstKey(0), 0)
 	}
 	if err == nil {
-		err = t.vet(s, p.Key(p.Len()-1), 0)
+		var it persist.PageIter
+		p.SeekIndex(&it, p.Len()-1)
+		err = t.vet(s, it.Key(), 0)
 	}
 	return 0, err
 }
@@ -537,19 +543,14 @@ func (cs *coldShard) mustPage(b int) *persist.Page {
 	return p
 }
 
-// lookup serves a point read: block via the sparse index, entry via
-// binary search in the decoded page.
+// lookup serves a point read: block via the sparse index, entry via the
+// page's restart table and a short step through its stored stream.
 func (cs *coldShard) lookup(key []byte) (TID, bool) {
 	b := cs.pr.FindBlock(key)
 	if b < 0 {
 		return 0, false
 	}
-	p := cs.mustPage(b)
-	i, ok := p.Find(key)
-	if !ok {
-		return 0, false
-	}
-	return p.TID(i), true
+	return cs.mustPage(b).Lookup(key)
 }
 
 // len returns the entry count recorded in the section trailer.
@@ -587,8 +588,8 @@ func (cs *coldShard) verify(bounds [][]byte) error {
 type coldCursor struct {
 	cs   *coldShard
 	blk  int
-	idx  int
 	page *persist.Page
+	it   persist.PageIter
 }
 
 func (c *coldCursor) seek(cs *coldShard, from []byte) {
@@ -597,42 +598,38 @@ func (c *coldCursor) seek(cs *coldShard, from []byte) {
 	if cs.pr.Blocks() == 0 {
 		return
 	}
-	if from == nil {
-		c.blk = 0
-		c.loadBlock()
-		return
+	c.blk = 0
+	if from != nil {
+		c.blk = cs.pr.FindBlock(from)
 	}
-	c.blk = cs.pr.FindBlock(from)
-	c.loadBlock()
-	if c.page == nil {
-		return
-	}
-	c.idx, _ = c.page.Find(from)
-	if c.idx >= c.page.Len() {
+	c.loadBlock(from)
+	if c.page != nil && !c.it.Valid() {
 		// from sorts after the block's last entry: the next block starts
 		// at the first key > from (its FirstKey exceeds from).
 		c.blk++
-		c.loadBlock()
+		c.loadBlock(nil)
 	}
 }
 
-func (c *coldCursor) loadBlock() {
-	c.idx = 0
+// loadBlock faults block c.blk and positions on its first key ≥ from.
+func (c *coldCursor) loadBlock(from []byte) {
 	if c.blk >= c.cs.pr.Blocks() {
 		c.page = nil
 		return
 	}
 	c.page = c.cs.mustPage(c.blk)
+	c.page.Seek(&c.it, from)
 }
 
 func (c *coldCursor) valid() bool { return c.page != nil }
-func (c *coldCursor) key() []byte { return c.page.Key(c.idx) }
-func (c *coldCursor) tid() uint64 { return c.page.TID(c.idx) }
+
+// key is valid until next, like a hot shard's shardSource.key.
+func (c *coldCursor) key() []byte { return c.it.Key() }
+func (c *coldCursor) tid() uint64 { return c.it.TID() }
 func (c *coldCursor) next() {
-	c.idx++
-	if c.idx >= c.page.Len() {
+	if c.it.Next(); !c.it.Valid() {
 		c.blk++
-		c.loadBlock()
+		c.loadBlock(nil)
 	}
 }
 

@@ -599,3 +599,169 @@ func TestColdTierUint64Set(t *testing.T) {
 		t.Fatal("set write did not promote")
 	}
 }
+
+// TestColdCursorMatchesModel seeks a cursor over fully demoted shards at
+// every 7th key, and at the gap above it, and requires the sorted tail from
+// there — far enough to cross block and shard boundaries — key and TID, for
+// both codecs. One cursor is re-seeked throughout, so its key buffer is
+// carried from page to page; the closing Verify and lookups would show a
+// cached page that reuse had written into.
+func TestColdCursorMatchesModel(t *testing.T) {
+	for _, kind := range []dataset.Kind{dataset.URL, dataset.Integer} {
+		for _, codec := range []SnapshotCodec{SnapshotCodecRaw, SnapshotCodecPacked} {
+			keys := dataset.Generate(kind, 6000, 11)
+			store := &tidstore.Store{}
+			tids := make(map[string]TID, len(keys))
+			for i, k := range keys {
+				store.Add(k)
+				tids[string(k)] = TID(i)
+			}
+			st, _ := buildPair(keys, store, 2)
+			st.SetSnapshotCodec(codec)
+			if err := st.EnableColdTier(ColdTierConfig{Dir: t.TempDir()}); err != nil {
+				t.Fatal(err)
+			}
+			for s := 0; s < st.Shards(); s++ {
+				if err := st.Demote(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sorted := dataset.SortedCopy(keys)
+			c := &ShardedCursor{}
+			check := func(from []byte, at int) {
+				t.Helper()
+				st.SeekCursor(c, from)
+				for i := at; i < len(sorted) && i < at+700; i++ {
+					if !c.Valid() || !bytes.Equal(c.Key(), sorted[i]) || c.TID() != tids[string(sorted[i])] {
+						t.Fatalf("%v/%v: seek %q: entry %d is not %q", kind, codec, from, i, sorted[i])
+					}
+					c.Next()
+				}
+				if at+700 >= len(sorted) && c.Valid() {
+					t.Fatalf("%v/%v: seek %q runs past the last key", kind, codec, from)
+				}
+			}
+			check(nil, 0)
+			for i := 0; i < len(sorted); i += 7 {
+				check(sorted[i], i)
+				check(append(append([]byte{}, sorted[i]...), 0), i+1)
+			}
+			if err := st.Verify(); err != nil {
+				t.Fatal(err)
+			}
+			for i, k := range keys {
+				if tid, ok := st.Lookup(k); !ok || tid != TID(i) {
+					t.Fatalf("%v/%v: after the seeks Lookup(%q) = (%d, %v), want %d", kind, codec, k, tid, ok, i)
+				}
+			}
+		}
+	}
+}
+
+// TestColdCacheHoldsStoredBytes is the root-level guard against a decoded
+// copy of a block growing back beside the stored one: with every page of a
+// demoted store resident, the cache accounts at most 1.3 times what the
+// sections take on disk.
+func TestColdCacheHoldsStoredBytes(t *testing.T) {
+	keys := dataset.Generate(dataset.URL, 20000, 5)
+	store := &tidstore.Store{}
+	for _, k := range keys {
+		store.Add(k)
+	}
+	for _, codec := range []SnapshotCodec{SnapshotCodecRaw, SnapshotCodecPacked} {
+		st, _ := buildPair(keys, store, 2)
+		st.SetSnapshotCodec(codec)
+		if err := st.EnableColdTier(ColdTierConfig{Dir: t.TempDir()}); err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < st.Shards(); s++ {
+			if err := st.Demote(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, k := range keys {
+			if tid, ok := st.Lookup(k); !ok || tid != TID(i) {
+				t.Fatalf("%v: cold lookup %q = (%d, %v)", codec, k, tid, ok)
+			}
+		}
+		cs := st.ColdStats()
+		if cs.CacheEvictions != 0 || cs.CacheBytes < cs.ColdBytes*9/10 || float64(cs.CacheBytes) > 1.3*float64(cs.ColdBytes) {
+			t.Fatalf("%v: %d pages hold %d bytes for %d on disk (%d evictions)", codec, cs.CachePages, cs.CacheBytes, cs.ColdBytes, cs.CacheEvictions)
+		}
+	}
+}
+
+// TestParentWrittenDirectoryServes opens testdata/durable-pr22 — a durable
+// directory written by the commit before pages were served from the stored
+// block (PR 22: packed codec, four shards, shards 0 and 1 demoted to cold
+// sections, 2 and 3 checkpointed with a log tail behind the checkpoint) —
+// and requires every key it was given, cold and hot, with and without a
+// cold tier: same bytes in, same answers out.
+func TestParentWrittenDirectoryServes(t *testing.T) {
+	keys := dataset.Generate(dataset.URL, 3000, 23)
+	store := &tidstore.Store{}
+	for _, k := range keys {
+		store.Add(k)
+	}
+	for _, cold := range []*ColdTierConfig{{}, nil} {
+		dir := t.TempDir()
+		files, err := filepath.Glob("testdata/durable-pr22/*")
+		if err != nil || len(files) != 9 {
+			t.Fatalf("fixture: %d files, %v", len(files), err)
+		}
+		for _, f := range files {
+			b, err := os.ReadFile(f)
+			if err == nil {
+				err = os.WriteFile(filepath.Join(dir, filepath.Base(f)), b, 0o644)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, info, err := OpenDurableShardedTree(dir, store.Key, 4, nil, DurableOptions{ColdTier: cold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCold := 0
+		if cold != nil {
+			wantCold = 2
+		}
+		if info.ColdShards != wantCold || info.SnapshotDamage != nil || info.WALDamage != nil || info.WALRecords != 89 {
+			t.Fatalf("recovery = %+v, want %d cold shards, 89 log records, no damage", info, wantCold)
+		}
+		found := 0
+		for i, k := range keys {
+			// The writer skipped the late keys that would have promoted a
+			// cold shard.
+			written := i < 2800 || st.Shard(k) >= 2
+			tid, ok := st.Lookup(k)
+			if ok != written || (ok && tid != TID(i)) {
+				t.Fatalf("cold=%v: Lookup(%q) = (%d, %v), written %v as %d", cold != nil, k, tid, ok, written, i)
+			}
+			if ok {
+				found++
+			}
+		}
+		if found != 2889 || st.Len() != found {
+			t.Fatalf("cold=%v: %d keys found, Len %d, want 2889", cold != nil, found, st.Len())
+		}
+		if err := st.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		var prev []byte
+		n := 0
+		for c := st.Iter(nil); c.Valid(); c.Next() {
+			if prev != nil && bytes.Compare(prev, c.Key()) >= 0 {
+				t.Fatalf("cold=%v: scan out of order at %q", cold != nil, c.Key())
+			}
+			prev = append(prev[:0], c.Key()...)
+			n++
+		}
+		if n != found {
+			t.Fatalf("cold=%v: scan yields %d keys, want %d", cold != nil, n, found)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -555,8 +555,9 @@ func walkPageReader(pr *persist.PageReader, fn func(key []byte, tid TID) error) 
 		if err != nil {
 			return n, err
 		}
-		for j := 0; j < p.Len(); j++ {
-			if err := fn(p.Key(j), p.TID(j)); err != nil {
+		var it persist.PageIter
+		for p.Seek(&it, nil); it.Valid(); it.Next() {
+			if err := fn(it.Key(), it.TID()); err != nil {
 				return n, err
 			}
 			n++

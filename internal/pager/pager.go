@@ -1,7 +1,8 @@
 // Package pager implements the fixed-budget LRU page cache behind the
-// cold shard tier: decoded snapshot blocks (persist.Page) keyed by
+// cold shard tier: snapshot blocks (persist.Page — the verified block as
+// stored plus its restart table, accounted by Page.Bytes) keyed by
 // (shard, generation, block), with singleflight load deduplication so a
-// hot page being faulted by many readers is fetched and decoded exactly
+// hot page being faulted by many readers is fetched and verified exactly
 // once.
 //
 // The generation in the key is the invalidation mechanism: promoting a
@@ -32,7 +33,7 @@ type Stats struct {
 	Hits      uint64 // Gets served from cache (including singleflight waiters)
 	Misses    uint64 // Gets that loaded from disk
 	Evictions uint64 // pages evicted to stay within budget
-	Bytes     int64  // decoded bytes resident right now
+	Bytes     int64  // sum of the resident pages' Page.Bytes right now
 	Pages     int    // pages resident right now
 }
 
@@ -50,7 +51,7 @@ type flight struct {
 	err  error
 }
 
-// Cache is a budget-bounded LRU over decoded pages. All methods are safe
+// Cache is a budget-bounded LRU over pages. All methods are safe
 // for concurrent use; loads run outside the cache lock.
 type Cache struct {
 	budget int64
@@ -67,8 +68,8 @@ type Cache struct {
 	evictions atomic.Uint64
 }
 
-// New returns a cache evicting least-recently-used pages once the decoded
-// footprint exceeds budget bytes. A budget ≤ 0 selects a small default
+// New returns a cache evicting least-recently-used pages once their summed
+// Page.Bytes exceeds budget bytes. A budget ≤ 0 selects a small default
 // rather than an unbounded cache.
 func New(budget int64) *Cache {
 	if budget <= 0 {

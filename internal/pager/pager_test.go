@@ -12,11 +12,7 @@ import (
 	"github.com/hotindex/hot/internal/persist"
 )
 
-func page(bytes int) *persist.Page {
-	p := &persist.Page{Bytes: bytes}
-	p.AppendEntry([]byte("k"), 1)
-	return p
-}
+func page(bytes int) *persist.Page { return &persist.Page{Bytes: bytes} }
 
 func mustGet(t *testing.T, c *Cache, k Key, p *persist.Page) {
 	t.Helper()

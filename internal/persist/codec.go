@@ -261,150 +261,140 @@ func encodePacked(dst, raw []byte) ([]byte, bool) {
 	return dst, true
 }
 
-// decodePacked expands a packed payload back into the exact raw entry
-// stream it was encoded from. Arbitrary bytes are safe input: any
-// structural violation — unknown flags, out-of-bounds lengths or widths,
-// overflowing deltas, trailing bytes, a reconstruction larger than the
-// block cap — returns a typed corruption error at blockOff, never a
-// panic and never an unchecked byte. The caller's entry loop still
-// enforces key order and TID bounds on the reconstruction, exactly as it
-// does for raw payloads.
-func decodePacked(packed []byte, blockOff int64) ([]byte, *FormatError) {
-	bad := func(format string, args ...any) ([]byte, *FormatError) {
-		return nil, formatErr(ErrCorrupt, blockOff, "packed block: "+format, args...)
-	}
-	if len(packed) < 2 {
-		return bad("%d bytes is too short", len(packed))
-	}
-	flags := packed[0]
-	if flags&^(packedTIDsEmbedded|packedKeysFixed64) != 0 {
-		return bad("unknown flags %#x", flags)
-	}
-	n, sz, ok := checkedLen(packed[1:], maxBlockLen/2)
-	if !ok || n == 0 {
-		return bad("bad entry count")
-	}
-	pos := 1 + sz
+// keyForm names how a block payload stores its keys.
+type keyForm uint8
 
-	// Key stream → a flat arena with an offset per key. Every size is
-	// bounded before it allocates or copies.
-	arena := make([]byte, 0, len(packed))
-	offs := make([]int, 0, n+1)
-	offs = append(offs, 0)
-	if flags&packedKeysFixed64 != 0 {
-		if pos+8+1 > len(packed) {
-			return bad("delta key stream cut short")
-		}
-		v := binary.BigEndian.Uint64(packed[pos:])
-		pos += 8
-		width := uint(packed[pos])
-		pos++
-		if width > 64 {
-			return bad("key delta width %d", width)
-		}
-		packedBytes := bits.PackedLen(n-1, width)
-		if pos+packedBytes > len(packed) {
-			return bad("delta key stream cut short")
-		}
-		if 8*n > maxBlockLen {
-			return bad("keys exceed block cap")
-		}
-		for i := 0; i < n; i++ {
-			if i > 0 {
-				d := bits.PackedAt(packed[pos:], i-1, width) + 1
-				if d == 0 || v+d < v {
-					return bad("key delta overflows")
-				}
-				v += d
-			}
-			arena = binary.BigEndian.AppendUint64(arena, v)
-			offs = append(offs, len(arena))
-		}
-		pos += packedBytes
-	} else {
-		for i := 0; i < n; i++ {
-			lcp := 0
-			if i > 0 {
-				var m int
-				if lcp, m, ok = checkedLen(packed[pos:], offs[i]-offs[i-1]); !ok {
-					return bad("bad key prefix length")
-				}
-				pos += m
-			}
-			// slen is bounded by what lcp leaves of MaxKeyLen, so the two
-			// are never summed unchecked.
-			slen, m, ok := checkedLen(packed[pos:], MaxKeyLen-lcp)
-			if !ok {
-				return bad("bad key length")
-			}
-			pos += m
-			if slen > len(packed)-pos {
-				return bad("key suffix runs past payload end")
-			}
-			if len(arena)+lcp+slen > maxBlockLen {
-				return bad("keys exceed block cap")
-			}
-			if i > 0 {
-				arena = append(arena, arena[offs[i-1]:offs[i-1]+lcp]...)
-			}
-			arena = append(arena, packed[pos:pos+slen]...)
-			pos += slen
-			offs = append(offs, len(arena))
-		}
-	}
+const (
+	// formRaw: the raw codec's `uvarint len | key | uvarint tid` entries,
+	// each key verbatim and its TID inline.
+	formRaw keyForm = iota
+	// formFront: packed, front-coded against the previous key.
+	formFront
+	// formFixed64: packed, 8-byte keys as bit-packed deltas.
+	formFixed64
+)
 
-	// TID stream.
-	tids := make([]uint64, n)
-	if flags&packedTIDsEmbedded != 0 {
-		for i := 0; i < n; i++ {
-			if offs[i+1]-offs[i] != 8 {
-				return bad("embedded TID on a %d-byte key", offs[i+1]-offs[i])
-			}
-			tids[i] = binary.BigEndian.Uint64(arena[offs[i]:])
-		}
-	} else {
-		base, m := binary.Uvarint(packed[pos:])
-		if m <= 0 {
-			return bad("bad TID base")
-		}
-		pos += m
-		if pos >= len(packed) {
-			return bad("TID stream cut short")
-		}
-		width := uint(packed[pos])
-		pos++
-		if width > 64 {
-			return bad("TID width %d", width)
-		}
-		packedBytes := bits.PackedLen(n, width)
-		if pos+packedBytes > len(packed) {
-			return bad("TID stream cut short")
-		}
-		for i := 0; i < n; i++ {
-			d := bits.PackedAt(packed[pos:], i, width)
-			if base+d < base {
-				return bad("TID overflows")
-			}
-			tids[i] = base + d
-		}
-		pos += packedBytes
-	}
-	if pos != len(packed) {
-		return bad("%d trailing bytes", len(packed)-pos)
-	}
+// block is one block unit exactly as stored — the 8-byte length/CRC prefix
+// and the payload behind it — plus where walkBlock found its two streams.
+// Every offset indexes unit. The layout fields are only meaningful once
+// walkBlock has vouched for the unit.
+type block struct {
+	unit     []byte
+	form     keyForm
+	embedded bool // packed: no TID stream, each TID is its 8-byte key's value
+	n        int  // entries
+	keys     int  // offset of the key stream's first entry
+	keyWidth uint // formFixed64: bits per delta, packed from keys+9
+	tids     int  // packed, not embedded: offset of the bit-packed TID offsets
+	tidBase  uint64
+	tidWidth uint
+}
 
-	// Reassemble the canonical raw entry stream.
-	raw := make([]byte, 0, len(arena)+10*n)
-	for i := 0; i < n; i++ {
-		key := arena[offs[i]:offs[i+1]]
-		raw = binary.AppendUvarint(raw, uint64(len(key)))
-		raw = append(raw, key...)
-		raw = binary.AppendUvarint(raw, tids[i])
+// blockIter steps a block's entries in stored order. It is the one place
+// that knows how each key form advances, and it checks every step — length
+// bounds before any add, lcp within the previous key, suffix within the
+// unit, strict key order — so walkBlock validates by stepping and a Page
+// serves reads by stepping the same code from a restart point.
+type blockIter struct {
+	b   *block
+	i   int    // index of the current entry, -1 before the first
+	pos int    // formRaw, formFront: offset of the next entry
+	key []byte // current key, valid until next
+	tid uint64 // formRaw: the current entry's inline TID
+	// buf is where a packed block's keys are rebuilt, each over the last;
+	// key is then buf. A raw block's keys alias the unit and buf is unused.
+	buf []byte
+}
+
+func (b *block) iter() blockIter { return blockIter{b: b, i: -1, pos: b.keys} }
+
+// more reports whether an entry follows the current one. A raw block's
+// count is only known once its stream has been walked to the end.
+func (it *blockIter) more() bool {
+	if it.b.form == formRaw {
+		return it.pos < len(it.b.unit)
 	}
-	if len(raw) > maxBlockLen {
-		return bad("expands past block cap")
+	return it.i+1 < it.b.n
+}
+
+// next advances to the following entry, or says what is wrong with it.
+// Strict order costs no rebuilt key: a front-coded key shares its first lcp
+// bytes with its predecessor, so the two compare as the predecessor's tail
+// does against the stored suffix, and a delta-packed key ascends because
+// its delta is positive and does not wrap.
+func (it *blockIter) next() (bad string) {
+	p := it.b.unit
+	switch it.b.form {
+	case formRaw:
+		key, tid, size, bad := decodeEntry(p[it.pos:])
+		if bad != "" {
+			return bad
+		}
+		if it.i >= 0 && bytes.Compare(it.key, key) >= 0 {
+			return fmt.Sprintf("keys not strictly ascending: %q then %q", it.key, key)
+		}
+		it.key, it.tid, it.pos = key, tid, it.pos+size
+	case formFront:
+		lcp := 0
+		if it.i >= 0 {
+			var m int
+			var ok bool
+			if lcp, m, ok = checkedLen(p[it.pos:], len(it.key)); !ok {
+				return "bad key prefix length"
+			}
+			it.pos += m
+		}
+		// slen is bounded by what lcp leaves of MaxKeyLen, so the two are
+		// never summed unchecked.
+		slen, m, ok := checkedLen(p[it.pos:], MaxKeyLen-lcp)
+		if !ok {
+			return "bad key length"
+		}
+		it.pos += m
+		if slen > len(p)-it.pos {
+			return "key suffix runs past payload end"
+		}
+		suffix := p[it.pos : it.pos+slen]
+		if it.i >= 0 && bytes.Compare(it.key[lcp:], suffix) >= 0 {
+			return "keys not strictly ascending"
+		}
+		it.buf = append(it.buf[:lcp], suffix...)
+		it.key, it.pos = it.buf, it.pos+slen
+	case formFixed64:
+		if it.i < 0 {
+			it.buf = append(it.buf[:0], p[it.b.keys:it.b.keys+8]...)
+			it.key = it.buf
+			break
+		}
+		v := binary.BigEndian.Uint64(it.key)
+		d := bits.PackedAt(p[it.b.keys+9:], it.i, it.b.keyWidth) + 1
+		if d == 0 || v+d < v {
+			return "key delta overflows"
+		}
+		binary.BigEndian.PutUint64(it.key, v+d)
 	}
-	return raw, nil
+	it.i++
+	return ""
+}
+
+// mustNext is next over a unit walkBlock has already vouched for, where a
+// failing step can only be a bug.
+func (it *blockIter) mustNext() {
+	if bad := it.next(); bad != "" {
+		panic("persist: validated block no longer steps: " + bad)
+	}
+}
+
+// curTID returns the current entry's TID.
+func (it *blockIter) curTID() uint64 {
+	switch b := it.b; {
+	case b.form == formRaw:
+		return it.tid
+	case b.embedded:
+		return binary.BigEndian.Uint64(it.key)
+	default:
+		return b.tidBase + bits.PackedAt(b.unit[b.tids:], it.i, b.tidWidth)
+	}
 }
 
 // lcpLen returns the longest-common-prefix length of a and b.

@@ -9,11 +9,13 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/hotindex/hot/internal/dataset"
 )
 
 // buildSnapCodec is buildSnap with a codec selected (and optionally the
 // block index enabled), returning the blob and how many blocks packed.
-func buildSnapCodec(t *testing.T, kind uint16, es []entry, codec Codec, indexed bool) ([]byte, int) {
+func buildSnapCodec(t testing.TB, kind uint16, es []entry, codec Codec, indexed bool) ([]byte, int) {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, kind)
@@ -33,6 +35,35 @@ func buildSnapCodec(t *testing.T, kind uint16, es []entry, codec Codec, indexed 
 		t.Fatal(err)
 	}
 	return buf.Bytes(), w.PackedBlocks()
+}
+
+// rawPayload is the raw entry stream of es.
+func rawPayload(es []entry) []byte {
+	var payload []byte
+	for _, e := range es {
+		payload = binary.AppendUvarint(payload, uint64(len(e.key)))
+		payload = append(payload, e.key...)
+		payload = binary.AppendUvarint(payload, e.tid)
+	}
+	return payload
+}
+
+// frameBlock frames payload as one block unit of codec with a valid CRC, so
+// that what it holds is judged by the walker and not by the checksum.
+func frameBlock(codec Codec, payload []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(codec)<<24|uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, blockChecksum(codec, payload))
+	return append(b, payload...)
+}
+
+// blockEntries runs one block unit through the sequential driver.
+func blockEntries(unit []byte) ([]entry, *FormatError) {
+	var es []entry
+	_, _, damage, _ := decodeBlock(unit, 0, &keyOrder{}, func(k []byte, tid uint64) error {
+		es = append(es, entry{append([]byte{}, k...), tid})
+		return nil
+	})
+	return es, damage
 }
 
 // codecShapes enumerates the entry shapes the packed codec specializes
@@ -64,7 +95,14 @@ func codecShapes() map[string][]entry {
 		binary.BigEndian.PutUint64(k, v)
 		sparse[i] = entry{key: k, tid: uint64(i)}
 	}
+	// The cold tier's own shape: long keys with long shared prefixes, TIDs
+	// in load order rather than key order.
+	urls := make([]entry, 4000)
+	for i, k := range dataset.SortedCopy(dataset.Generate(dataset.URL, len(urls), 7)) {
+		urls[i] = entry{key: k, tid: uint64(rng.Intn(1 << 20))}
+	}
 	return map[string][]entry{
+		"urls":         urls,
 		"int-embedded": intEmbedded,
 		"int-store":    intStore,
 		"int-sparse":   sparse,
@@ -137,9 +175,9 @@ func TestCodecFallbackRaw(t *testing.T) {
 	}
 }
 
-// TestCodecEncodeDecodeExact round-trips raw payloads through
-// encodePacked/decodePacked directly: the decode must reproduce the input
-// byte for byte (the property the CRC envelope and salvage rely on).
+// TestCodecEncodeDecodeExact round-trips raw payloads through encodePacked
+// and the walker directly: the entries it delivers must re-encode to the
+// input byte for byte (the property the CRC envelope and salvage rely on).
 func TestCodecEncodeDecodeExact(t *testing.T) {
 	for name, es := range codecShapes() {
 		t.Run(name, func(t *testing.T) {
@@ -148,9 +186,7 @@ func TestCodecEncodeDecodeExact(t *testing.T) {
 				if len(payload) >= blockTarget {
 					break // the writer never lets a block grow past this
 				}
-				payload = binary.AppendUvarint(payload, uint64(len(e.key)))
-				payload = append(payload, e.key...)
-				payload = binary.AppendUvarint(payload, e.tid)
+				payload = append(payload, rawPayload([]entry{e})...)
 			}
 			enc, ok := encodePacked(nil, payload)
 			if !ok {
@@ -159,11 +195,11 @@ func TestCodecEncodeDecodeExact(t *testing.T) {
 				}
 				t.Fatal("encodePacked declined a compressible payload")
 			}
-			dec, damage := decodePacked(enc, 0)
+			dec, damage := blockEntries(frameBlock(CodecPacked, enc))
 			if damage != nil {
-				t.Fatalf("decodePacked: %v", damage)
+				t.Fatalf("packed block: %v", damage)
 			}
-			if !bytes.Equal(dec, payload) {
+			if !bytes.Equal(rawPayload(dec), payload) {
 				t.Fatal("decode is not byte-identical to the original payload")
 			}
 		})
@@ -363,10 +399,11 @@ func TestCodecPageReader(t *testing.T) {
 	}
 }
 
-// FuzzBlockCodec fuzzes both codec directions: decodePacked must never
-// panic on arbitrary bytes and must fail with a typed error or return a
-// structurally valid entry stream; payloads that encode cleanly must
-// round-trip byte-identically.
+// FuzzBlockCodec fuzzes both codec directions: the walker must never panic
+// on arbitrary bytes framed as a packed block, and must refuse them with a
+// typed error or deliver a valid entry list — the same verdict and the same
+// entries through the sequential driver and through a Page; payloads that
+// encode cleanly must come back entry for entry.
 func FuzzBlockCodec(f *testing.F) {
 	for _, es := range codecShapes() {
 		var payload []byte
@@ -374,9 +411,7 @@ func FuzzBlockCodec(f *testing.F) {
 			if len(payload) >= blockTarget {
 				break
 			}
-			payload = binary.AppendUvarint(payload, uint64(len(e.key)))
-			payload = append(payload, e.key...)
-			payload = binary.AppendUvarint(payload, e.tid)
+			payload = append(payload, rawPayload([]entry{e})...)
 		}
 		f.Add(payload)
 		if enc, ok := encodePacked(nil, payload); ok {
@@ -392,40 +427,47 @@ func FuzzBlockCodec(f *testing.F) {
 	f.Add([]byte{0x00, 0x02, 0x01, 'a', 0x01,
 		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Direction 1: data as a hostile packed payload. Must not panic; a
-		// successful decode must at least be a structurally parseable entry
-		// stream with bounded key lengths (key order and TID bounds are the
-		// outer entry loop's job, same as for raw payloads).
-		dec, damage := decodePacked(data, 0)
+		// Direction 1: data as a hostile packed payload under a valid CRC.
+		// Must not panic; what is accepted must be a valid entry list, and
+		// the page built from the same bytes must hold exactly it.
+		unit := frameBlock(CodecPacked, data)
+		dec, damage := blockEntries(unit)
+		page, pdamage := newPage(unit, 0)
+		if (damage == nil) != (pdamage == nil) || (damage != nil && *damage != *pdamage) {
+			t.Fatalf("sequential driver: %v, page: %v", damage, pdamage)
+		}
 		if damage == nil {
-			pos := 0
-			for pos < len(dec) {
-				klen, m := binary.Uvarint(dec[pos:])
-				if m <= 0 || klen > MaxKeyLen {
-					t.Fatalf("decode emitted bad key length at %d", pos)
+			paged := pageEntries(page)
+			if len(dec) == 0 || len(paged) != len(dec) || page.Len() != len(dec) {
+				t.Fatalf("%d entries delivered, page holds %d of %d", len(dec), len(paged), page.Len())
+			}
+			for i, e := range dec {
+				if len(e.key) > MaxKeyLen || e.tid > MaxTID || (i > 0 && bytes.Compare(dec[i-1].key, e.key) >= 0) {
+					t.Fatalf("entry %d (%q, %d) breaks the format's rules", i, e.key, e.tid)
 				}
-				pos += m + int(klen)
-				if pos > len(dec) {
-					t.Fatalf("decode emitted key past end")
+				if !bytes.Equal(paged[i].key, e.key) || paged[i].tid != e.tid {
+					t.Fatalf("entry %d: page %q/%d, stream %q/%d", i, paged[i].key, paged[i].tid, e.key, e.tid)
 				}
-				if _, m := binary.Uvarint(dec[pos:]); m <= 0 {
-					t.Fatalf("decode emitted unparseable TID at %d", pos)
-				} else {
-					pos += m
+				if j, ok := page.Find(e.key); !ok || j != i || page.TID(j) != e.tid {
+					t.Fatalf("Find(%q) = (%d, %v), want (%d, true)", e.key, j, ok, i)
 				}
 			}
 		}
-		// Direction 2: data as a raw payload. If it encodes, it must decode
-		// back byte-identically. Oversized payloads are out of contract —
-		// the writer seals blocks at blockTarget — so skip them: decode
-		// rightly rejects reconstructions past the block cap.
+		// Direction 2: data as a raw payload. If it encodes, the walker
+		// must deliver the input's own entries. Oversized payloads are out
+		// of contract — the writer seals blocks at blockTarget — so skip
+		// them: the walker rightly rejects what expands past the block cap.
 		if enc, ok := encodePacked(nil, data); ok && len(data) <= blockTarget {
-			rt, damage := decodePacked(enc, 0)
+			want, damage := blockEntries(frameBlock(CodecRaw, data))
+			if damage != nil {
+				t.Fatalf("encoded a payload the raw walk rejects: %v", damage)
+			}
+			rt, damage := blockEntries(frameBlock(CodecPacked, enc))
 			if damage != nil {
 				t.Fatalf("clean encode failed to decode: %v", damage)
 			}
-			if !bytes.Equal(rt, data) {
-				t.Fatal("encode/decode round trip not byte-identical")
+			if !bytes.Equal(rawPayload(rt), rawPayload(want)) {
+				t.Fatal("encode/decode round trip lost or changed an entry")
 			}
 		}
 	})

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+
+	"github.com/hotindex/hot/internal/bits"
 )
 
 // The snapshot format's decoders. Every rule a reader enforces lives in
@@ -104,42 +106,161 @@ type keyOrder struct {
 	set  bool
 }
 
-// decodeBlock validates one block — stored payload against its CRC, packed
-// payloads expanded only after that, then the entry stream's structure and
-// strict key order, continuing from ord — and delivers each entry to fn as
-// it is validated. The key slices alias the decoded payload. It returns the
-// entries delivered and the length of the raw entry stream; a non-nil err
-// is fn's.
-func decodeBlock(codec Codec, crc uint32, payload []byte, off int64, ord *keyOrder, fn EntryFunc) (n uint64, rawLen int, damage *FormatError, err error) {
-	if got := blockChecksum(codec, payload); got != crc {
-		return 0, 0, formatErr(ErrChecksum, off, "block CRC %#x, computed %#x", crc, got), nil
+// walkBlock is the one validating walker: every rule of a block unit — the
+// length word against the bytes fetched, the CRC over the stored payload, a
+// packed payload's header, each key step (blockIter.next), strict key order
+// continuing from ord, what a packed block would expand to, the TID stream's
+// width, overflow and MaxTID, no trailing bytes — is enforced here and
+// nowhere else, over the bytes as stored: nothing is expanded. As each key is
+// validated, a non-nil page notes its restart points and a non-nil fn is
+// handed the entry — of a raw block only, whose TIDs are inline (a packed
+// block's TID stream sits behind its keys and is validated after them). It
+// returns the block's layout, the entries fn took and the length of the raw
+// entry stream the block stands for; a non-nil err is fn's.
+func walkBlock(unit []byte, off int64, ord *keyOrder, page *Page, fn EntryFunc) (b block, n uint64, rawLen int, damage *FormatError, err error) {
+	codec, length, damage := decodeBlockWord(binary.LittleEndian.Uint32(unit), off)
+	if damage != nil {
+		return b, 0, 0, damage, nil
+	}
+	if length != len(unit)-8 {
+		return b, 0, 0, formatErr(ErrCorrupt, off, "block length %d disagrees with the %d bytes fetched", length, len(unit)-8), nil
+	}
+	if got, crc := blockChecksum(codec, unit[8:]), binary.LittleEndian.Uint32(unit[4:]); got != crc {
+		return b, 0, 0, formatErr(ErrChecksum, off, "block CRC %#x, computed %#x", crc, got), nil
+	}
+	b = block{unit: unit, keys: 8}
+	// Raw damage is reported at the entry, packed damage at the block: a
+	// position inside a compressed stream names no entry. (Not a closure
+	// over b: that would move the layout every step reads to the heap.)
+	fail := func(pos int, format string, args ...any) *FormatError {
+		if codec == CodecPacked {
+			pos, format = 0, "packed block: "+format
+		}
+		return formatErr(ErrCorrupt, off+int64(pos), format, args...)
 	}
 	if codec == CodecPacked {
-		// Entry offsets inside a packed block refer to the expanded stream.
-		if payload, damage = decodePacked(payload, off); damage != nil {
-			return 0, 0, damage, nil
+		if length < 2 {
+			return b, n, rawLen, fail(0, "%d bytes is too short", length), nil
+		}
+		flags := unit[8]
+		if flags&^(packedTIDsEmbedded|packedKeysFixed64) != 0 {
+			return b, n, rawLen, fail(0, "unknown flags %#x", flags), nil
+		}
+		count, sz, ok := checkedLen(unit[9:], maxBlockLen/2)
+		if !ok || count == 0 {
+			return b, n, rawLen, fail(0, "bad entry count"), nil
+		}
+		b.form, b.embedded, b.n, b.keys = formFront, flags&packedTIDsEmbedded != 0, count, 9+sz
+		if flags&packedKeysFixed64 != 0 {
+			b.form = formFixed64
+			if b.keys+9 > len(unit) {
+				return b, n, rawLen, fail(0, "delta key stream cut short"), nil
+			}
+			if b.keyWidth = uint(unit[b.keys+8]); b.keyWidth > 64 {
+				return b, n, rawLen, fail(0, "key delta width %d", b.keyWidth), nil
+			}
+			if b.keys+9+bits.PackedLen(count-1, b.keyWidth) > len(unit) {
+				return b, n, rawLen, fail(0, "delta key stream cut short"), nil
+			}
 		}
 	}
-	prev, set := ord.last, ord.set
-	for pos := 0; pos < len(payload); {
-		entryOff := off + 8 + int64(pos)
-		key, tid, size, bad := decodeEntry(payload[pos:])
-		if bad != "" {
-			return n, len(payload), formatErr(ErrCorrupt, entryOff, "%s", bad), nil
+
+	it := b.iter()
+	for it.more() {
+		entry := it.pos
+		if bad := it.next(); bad != "" {
+			return b, n, rawLen, fail(entry, "%s", bad), nil
 		}
-		if set && bytes.Compare(prev, key) >= 0 {
-			return n, len(payload), formatErr(ErrCorrupt, entryOff, "keys not strictly ascending: %q then %q", prev, key), nil
+		if it.i == 0 && ord.set && bytes.Compare(ord.last, it.key) >= 0 {
+			return b, n, rawLen, fail(entry, "keys not strictly ascending: %q then %q", ord.last, it.key), nil
 		}
-		prev, set = key, true
-		if err := fn(key, tid); err != nil {
-			return n, len(payload), nil, err
+		if codec == CodecPacked {
+			rawLen += uvarintLen(uint64(len(it.key))) + len(it.key)
+			if b.embedded {
+				if len(it.key) != 8 {
+					return b, n, rawLen, fail(0, "embedded TID on a %d-byte key", len(it.key)), nil
+				}
+				tid := it.curTID()
+				if tid > MaxTID {
+					return b, n, rawLen, fail(0, "bad TID"), nil
+				}
+				rawLen += uvarintLen(tid)
+			}
+			if rawLen > maxBlockLen {
+				return b, n, rawLen, fail(0, "expands past block cap"), nil
+			}
 		}
-		n++
-		pos += size
+		if page != nil {
+			page.noteRestart(&it)
+		}
+		if fn != nil && codec == CodecRaw {
+			if err := fn(it.key, it.tid); err != nil {
+				return b, n, rawLen, nil, err
+			}
+			n++
+		}
 	}
-	// Only the block's last key outlives its payload buffer.
-	ord.last, ord.set = append(ord.last[:0], prev...), set
-	return n, len(payload), nil, nil
+	if codec == CodecRaw {
+		b.n, rawLen = it.i+1, length
+	} else {
+		end := it.pos
+		if b.form == formFixed64 {
+			end = b.keys + 9 + bits.PackedLen(b.n-1, b.keyWidth)
+		}
+		if !b.embedded {
+			base, m := binary.Uvarint(unit[end:])
+			if m <= 0 {
+				return b, n, rawLen, fail(0, "bad TID base"), nil
+			}
+			if end += m; end >= len(unit) {
+				return b, n, rawLen, fail(0, "TID stream cut short"), nil
+			}
+			width := uint(unit[end])
+			if end++; width > 64 {
+				return b, n, rawLen, fail(0, "TID width %d", width), nil
+			}
+			if end+bits.PackedLen(b.n, width) > len(unit) {
+				return b, n, rawLen, fail(0, "TID stream cut short"), nil
+			}
+			for i := 0; i < b.n; i++ {
+				tid := base + bits.PackedAt(unit[end:], i, width)
+				if tid < base || tid > MaxTID {
+					return b, n, rawLen, fail(0, "bad TID"), nil
+				}
+				rawLen += uvarintLen(tid)
+			}
+			b.tids, b.tidBase, b.tidWidth = end, base, width
+			end += bits.PackedLen(b.n, width)
+		}
+		if end != len(unit) {
+			return b, n, rawLen, fail(0, "%d trailing bytes", len(unit)-end), nil
+		}
+		if rawLen > maxBlockLen {
+			return b, n, rawLen, fail(0, "expands past block cap"), nil
+		}
+	}
+	// Only the block's last key outlives its unit.
+	ord.last, ord.set = append(ord.last[:0], it.key...), true
+	return b, n, rawLen, nil, nil
+}
+
+// decodeBlock is the sequential drivers' use of walkBlock: it delivers each
+// entry of the unit at off to fn — a raw block's as they are validated, a
+// packed block's once the whole block has been — and returns the entries
+// delivered and the length of the raw entry stream. The key slices are only
+// valid during the call.
+func decodeBlock(unit []byte, off int64, ord *keyOrder, fn EntryFunc) (n uint64, rawLen int, damage *FormatError, err error) {
+	b, n, rawLen, damage, err := walkBlock(unit, off, ord, nil, fn)
+	if damage != nil || err != nil || b.form == formRaw {
+		return n, rawLen, damage, err
+	}
+	for it := b.iter(); it.more(); n++ {
+		it.mustNext()
+		if err := fn(it.key, it.curTID()); err != nil {
+			return n, rawLen, nil, err
+		}
+	}
+	return n, rawLen, nil, nil
 }
 
 // decodeIndex parses the HIDX block index idx of a section whose trailer

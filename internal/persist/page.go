@@ -7,6 +7,9 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"unsafe"
+
+	"github.com/hotindex/hot/internal/bits"
 )
 
 // Block index ("HIDX") — the cold-tier extension of the snapshot format.
@@ -37,63 +40,187 @@ type BlockInfo struct {
 	FirstKey []byte // key of the block's first entry
 }
 
-// Page is one decoded snapshot block in compact column form: all keys
-// back to back in one buffer sliced by an offset table, TIDs in a
-// parallel array. Compared to a per-key slice-header layout this roughly
-// halves the resident footprint of 8-byte-key pages, so a page-cache
-// budget holds proportionally more entries. The page is immutable once
-// returned and safe for concurrent readers.
+// restartEvery is the spacing of a Page's restart points. A lookup steps
+// at most this many entries after its binary search; a restart costs one
+// full key and 8 bytes, so 16 keeps the table near a sixth of a packed url
+// block while the steps stay cheaper than the fault that loaded the page.
+const restartEvery = 16
+
+// restart lets iteration begin mid-block: the key of the entry just before
+// a multiple of restartEvery, and where the entry after it starts.
+type restart struct {
+	pos  uint32 // unit offset of the following entry (unused for formFixed64)
+	kend uint32 // end of the key in Page.arena; it starts at the previous kend
+}
+
+// Page is one snapshot block as stored: the CRC-verified unit kept whole —
+// a packed block is never expanded — plus a sparse restart table recorded
+// by the validating walk that admitted it. Reads binary-search the restart
+// keys and step at most restartEvery entries of the stored stream. The
+// restarts live here and not on disk because that walk must visit every key
+// anyway; the file format owes them nothing. The page is immutable once
+// returned and safe for concurrent readers, each with its own PageIter.
 type Page struct {
-	buf  []byte   // concatenated keys
-	offs []uint32 // len n+1; key i is buf[offs[i]:offs[i+1]]
-	tids []uint64
-	// Bytes estimates the decoded heap footprint, the unit the page
-	// cache's budget is accounted in.
+	block
+	restarts []restart
+	arena    []byte // restart keys, back to back
+	// Bytes is the page's heap footprint — this struct, the stored unit and
+	// the restart table — the unit the page cache's budget is accounted in.
 	Bytes int
 }
 
-// Len returns the number of entries in the page.
-func (p *Page) Len() int { return len(p.tids) }
-
-// Key returns entry i's key. The slice aliases the page's buffer and must
-// not be modified.
-func (p *Page) Key(i int) []byte { return p.buf[p.offs[i]:p.offs[i+1]] }
-
-// TID returns entry i's TID.
-func (p *Page) TID(i int) uint64 { return p.tids[i] }
-
-// AppendEntry appends one entry. It is the page construction primitive
-// for ReadBlock and tests; it does not maintain Bytes.
-func (p *Page) AppendEntry(key []byte, tid uint64) {
-	if p.offs == nil {
-		p.offs = append(p.offs, 0)
+// newPage admits the block unit fetched from off through walkBlock and
+// records its restart table.
+func newPage(unit []byte, off int64) (*Page, *FormatError) {
+	// Room for most blocks' tables at once; the exact-size copy below drops
+	// the slack either way.
+	p := &Page{restarts: make([]restart, 0, 64), arena: make([]byte, 0, 4<<10)}
+	var damage *FormatError
+	if p.block, _, _, damage, _ = walkBlock(unit, off, &keyOrder{}, p, nil); damage != nil {
+		return nil, damage
 	}
-	p.buf = append(p.buf, key...)
-	p.offs = append(p.offs, uint32(len(p.buf)))
-	p.tids = append(p.tids, tid)
+	// Append's growth would otherwise keep up to twice the table alive.
+	p.restarts = append(make([]restart, 0, len(p.restarts)), p.restarts...)
+	p.arena = append(make([]byte, 0, len(p.arena)), p.arena...)
+	p.Bytes = int(unsafe.Sizeof(*p)) + cap(p.unit) + cap(p.restarts)*int(unsafe.Sizeof(restart{})) + cap(p.arena)
+	return p, nil
+}
+
+// noteRestart is walkBlock's hook on every validated key: the entry before
+// each multiple of restartEvery, unless it is the block's last, becomes a
+// restart point.
+func (p *Page) noteRestart(it *blockIter) {
+	if (it.i+1)%restartEvery == 0 && it.more() {
+		p.arena = append(p.arena, it.key...)
+		p.restarts = append(p.restarts, restart{pos: uint32(it.pos), kend: uint32(len(p.arena))})
+	}
+}
+
+// Len returns the number of entries in the page.
+func (p *Page) Len() int { return p.n }
+
+// rewind returns an iterator just before entry r*restartEvery — the next
+// step lands on it — that rebuilds keys in buf.
+func (p *Page) rewind(buf []byte, r int) blockIter {
+	it := p.iter()
+	it.buf = buf[:0]
+	if r > 0 {
+		it.i, it.pos = r*restartEvery-1, int(p.restarts[r-1].pos)
+		if it.key = p.restartKey(r - 1); p.form != formRaw {
+			it.buf = append(it.buf, it.key...)
+			it.key = it.buf
+		}
+	}
+	return it
+}
+
+// restartKey returns the key restart j recorded.
+func (p *Page) restartKey(j int) []byte {
+	start := uint32(0)
+	if j > 0 {
+		start = p.restarts[j-1].kend
+	}
+	return p.arena[start:p.restarts[j].kend]
+}
+
+// step advances it over the page's validated unit, to index Len once past
+// the last entry.
+func (p *Page) step(it *blockIter) {
+	if it.i+1 >= p.n {
+		it.i = p.n
+		return
+	}
+	it.mustNext()
+}
+
+// seek returns an iterator on the first entry whose key is ≥ key, at index
+// Len when there is none: a binary search of the restart keys, then at most
+// restartEvery steps of the stored stream.
+func (p *Page) seek(buf, key []byte) blockIter {
+	// Every entry up to a restart key below key sorts below it too.
+	lo, hi := 0, len(p.restarts)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if bytes.Compare(p.restartKey(mid), key) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	it := p.rewind(buf, lo)
+	for p.step(&it); it.i < p.n && bytes.Compare(it.key, key) < 0; {
+		p.step(&it)
+	}
+	return it
+}
+
+// at returns an iterator on entry i, which must be in [0, Len).
+func (p *Page) at(buf []byte, i int) blockIter {
+	it := p.rewind(buf, i/restartEvery)
+	for it.i < i {
+		p.step(&it)
+	}
+	return it
+}
+
+// Lookup returns the TID stored under key.
+func (p *Page) Lookup(key []byte) (uint64, bool) {
+	it := p.seek(nil, key)
+	if it.i == p.n || !bytes.Equal(it.key, key) {
+		return 0, false
+	}
+	return it.curTID(), true
 }
 
 // Find returns the position of key in the page and whether it is present;
 // when absent, the returned index is where key would be inserted (the
 // first entry > key).
 func (p *Page) Find(key []byte) (int, bool) {
-	lo, hi := 0, p.Len()
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(p.Key(mid), key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < p.Len() && bytes.Equal(p.Key(lo), key)
+	it := p.seek(nil, key)
+	return it.i, it.i < p.n && bytes.Equal(it.key, key)
 }
+
+// TID returns entry i's TID.
+func (p *Page) TID(i int) uint64 {
+	if p.form != formRaw && !p.embedded {
+		return p.tidBase + bits.PackedAt(p.unit[p.tids:], i, p.tidWidth)
+	}
+	it := p.at(nil, i)
+	return it.curTID()
+}
+
+// PageIter is a position in a Page, for readers that walk it. It rebuilds a
+// packed block's keys in one buffer of its own, kept across Seeks, so Key is
+// valid only until the next Next or Seek.
+type PageIter struct {
+	p  *Page
+	it blockIter
+}
+
+// Seek positions it at the page's first entry whose key is ≥ key (a nil
+// key: the first entry), invalid when there is none.
+func (p *Page) Seek(it *PageIter, key []byte) { it.p, it.it = p, p.seek(it.it.buf, key) }
+
+// SeekIndex positions it at entry i, which must be in [0, Len).
+func (p *Page) SeekIndex(it *PageIter, i int) { it.p, it.it = p, p.at(it.it.buf, i) }
+
+// Valid reports whether the iterator is on an entry.
+func (it *PageIter) Valid() bool { return it.it.i < it.p.n }
+
+// Key returns the current entry's key, valid until the next Next or Seek.
+func (it *PageIter) Key() []byte { return it.it.key }
+
+// TID returns the current entry's TID.
+func (it *PageIter) TID() uint64 { return it.it.curTID() }
+
+// Next advances to the following entry.
+func (it *PageIter) Next() { it.p.step(&it.it) }
 
 // PageReader serves point reads over a single-section snapshot file
 // without materializing the index: it locates the block owning a key via
-// the sparse block index, then fetches, CRC-verifies and decodes exactly
-// that block. All methods are safe for concurrent use; each ReadBlock is
-// one ReaderAt call plus a decode of at most maxBlockLen bytes.
+// the sparse block index, then fetches and verifies exactly that block,
+// which it serves as stored. All methods are safe for concurrent use; each
+// ReadBlock is one ReaderAt call plus one walk of at most maxBlockLen bytes.
 type PageReader struct {
 	r       io.ReaderAt
 	f       *os.File // owned when opened via OpenPageReaderFile
@@ -245,38 +372,25 @@ func (pr *PageReader) FindBlock(key []byte) int {
 
 // ReadBlock is the random-access driver: one ReaderAt call fetches block i
 // by the offset and stored length its index entry names — for a packed
-// block, the compressed size — and the shared decoders verify the length
-// word, the CRC over exactly those bytes, and the entry stream as it is
-// copied into the page's columns.
+// block, the compressed size — and walkBlock verifies the length word, the
+// CRC over exactly those bytes, and the stored streams, which the returned
+// page then serves as they are.
 func (pr *PageReader) ReadBlock(i int) (*Page, error) {
 	if i < 0 || i >= len(pr.blocks) {
 		return nil, fmt.Errorf("persist: block %d out of range [0,%d)", i, len(pr.blocks))
 	}
 	info := pr.blocks[i]
-	raw := make([]byte, 8+info.Len)
-	if _, err := pr.r.ReadAt(raw, info.Off); err != nil {
+	unit := make([]byte, 8+info.Len)
+	if _, err := pr.r.ReadAt(unit, info.Off); err != nil {
 		return nil, formatErr(ErrTruncated, info.Off, "block: %v", err)
 	}
-	codec, length, damage := decodeBlockWord(binary.LittleEndian.Uint32(raw), info.Off)
+	p, damage := newPage(unit, info.Off)
 	if damage != nil {
 		return nil, damage
 	}
-	if length != info.Len {
-		return nil, formatErr(ErrCorrupt, info.Off, "block length %d disagrees with index %d", length, info.Len)
-	}
-	p := &Page{}
-	_, _, damage, _ = decodeBlock(codec, binary.LittleEndian.Uint32(raw[4:]), raw[8:], info.Off, &keyOrder{},
-		func(key []byte, tid uint64) error {
-			p.AppendEntry(key, tid)
-			return nil
-		})
-	if damage != nil {
-		return nil, damage
-	}
-	if !bytes.Equal(p.Key(0), info.FirstKey) {
+	if it := p.at(nil, 0); !bytes.Equal(it.key, info.FirstKey) {
 		return nil, formatErr(ErrCorrupt, info.Off, "block first key disagrees with index")
 	}
-	p.Bytes = len(p.buf) + 4*len(p.offs) + 8*len(p.tids) + 64
 	return p, nil
 }
 

@@ -21,7 +21,7 @@ func TestCheckedLen(t *testing.T) {
 	if v, n, ok := checkedLen(wrap[5:], MaxKeyLen-1); ok {
 		t.Fatalf("2^64-1 accepted as length %d (%d bytes)", v, n)
 	}
-	if _, damage := decodePacked(wrap, 0); damage == nil || damage.Kind != ErrCorrupt {
+	if _, damage := blockEntries(frameBlock(CodecPacked, wrap)); damage == nil || damage.Kind != ErrCorrupt {
 		t.Fatalf("wrap reproducer decoded: %v", damage)
 	}
 	for _, tc := range []struct {
@@ -47,17 +47,7 @@ func TestCheckedLen(t *testing.T) {
 }
 
 // rawBlock frames es as one raw block with a valid CRC.
-func rawBlock(es ...entry) []byte {
-	var payload []byte
-	for _, e := range es {
-		payload = binary.AppendUvarint(payload, uint64(len(e.key)))
-		payload = append(payload, e.key...)
-		payload = binary.AppendUvarint(payload, e.tid)
-	}
-	b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
-	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, castagnoli))
-	return append(b, payload...)
-}
+func rawBlock(es ...entry) []byte { return frameBlock(CodecRaw, rawPayload(es)) }
 
 // TestSwappedBlocksRejected is the drift reproducer: two blocks, each
 // valid on its own (clean CRCs, ascending inside), stored in the wrong
@@ -148,6 +138,42 @@ func sectionEntries(blob []byte, kinds []uint16) [][]entry {
 	return out
 }
 
+// frontLayout locates the fields of a front-coded packed payload with a TID
+// stream, for tests that rewrite one of them.
+type frontLayout struct {
+	n        int
+	firstKey []byte
+	entries  []int // offset of each entry: its lcp byte, or the first key's length
+	tidBase  int   // offset of the TID stream's base uvarint
+	tidWidth int   // offset of its width byte
+}
+
+func frontCodedLayout(t *testing.T, p []byte) frontLayout {
+	t.Helper()
+	n, sz := binary.Uvarint(p[1:])
+	if p[0] != 0 || n < 128 || sz != 2 {
+		t.Fatalf("fixture block has flags %#x and %d entries, want front-coded keys, a TID stream and a 2-byte count", p[0], n)
+	}
+	lay, pos := frontLayout{n: int(n)}, 1+sz
+	for i := 0; i < lay.n; i++ {
+		lay.entries = append(lay.entries, pos)
+		if i > 0 {
+			if p[pos] >= 0x80 {
+				t.Fatalf("fixture entry %d has a multi-byte lcp", i)
+			}
+			pos++
+		}
+		slen, m := binary.Uvarint(p[pos:])
+		pos += m + int(slen)
+		if i == 0 {
+			lay.firstKey = p[pos-int(slen) : pos]
+		}
+	}
+	_, m := binary.Uvarint(p[pos:])
+	lay.tidBase, lay.tidWidth = pos, pos+m
+	return lay
+}
+
 // TestDriverParity builds raw and packed, indexed and plain, single- and
 // multi-section files, damages each in every way the format can be damaged,
 // and requires Read, Recover, OpenPageReader (scan path) and ScanSections to
@@ -155,23 +181,24 @@ func sectionEntries(blob []byte, kinds []uint16) [][]entry {
 // precede it.
 func TestDriverParity(t *testing.T) {
 	type file struct {
-		name  string
-		blob  []byte
-		kinds []uint16
+		name   string
+		blob   []byte
+		kinds  []uint16
+		packed bool
 	}
 	es := genEntries(2500, 40) // several blocks under either codec
 	var files []file
 	for _, codec := range []Codec{CodecRaw, CodecPacked} {
 		for _, indexed := range []bool{false, true} {
 			blob, _ := buildSnapCodec(t, KindTree, es, codec, indexed)
-			files = append(files, file{fmt.Sprintf("%s/indexed=%v/single", codec, indexed), blob, []uint16{KindTree}})
+			files = append(files, file{fmt.Sprintf("%s/indexed=%v/single", codec, indexed), blob, []uint16{KindTree}, codec == CodecPacked})
 		}
 		manifest, _ := buildSnapCodec(t, KindShardManifest, genEntries(3, 8), codec, false)
 		lo, _ := buildSnapCodec(t, KindTree, es[:1200], codec, false)
 		hi, _ := buildSnapCodec(t, KindTree, es[1200:], codec, false)
 		multi := append(append(append([]byte{}, manifest...), lo...), hi...)
 		files = append(files, file{fmt.Sprintf("%s/multi", codec), multi,
-			[]uint16{KindShardManifest, KindTree, KindTree}})
+			[]uint16{KindShardManifest, KindTree, KindTree}, codec == CodecPacked})
 	}
 
 	for _, f := range files {
@@ -203,6 +230,10 @@ func TestDriverParity(t *testing.T) {
 			name      string
 			blob      []byte
 			reordered bool // what precedes the damage is not a prefix of the original
+			// A CRC-clean rewrite of one block: where it sits and how long its
+			// payload now is, so the random driver can be aimed at it whatever
+			// became of the footer.
+			hostile *BlockInfo
 		}
 		var table []damage
 		flip := func(what string, off int64) {
@@ -258,6 +289,34 @@ func TestDriverParity(t *testing.T) {
 		swapped = append(swapped, f.blob[b.off+b.size:]...)
 		table = append(table, damage{name: "swapped blocks", blob: swapped, reordered: true})
 
+		// Hostile bytes under a valid checksum: the last block's payload
+		// rewritten one rule at a time with the CRC recomputed, so the walker
+		// and not the checksum must refuse it — identically from Read and,
+		// below, from ReadBlock.
+		if last := blocks[len(blocks)-1]; f.packed {
+			payload := f.blob[last.off+8 : last.off+last.size]
+			lay := frontCodedLayout(t, payload)
+			rewrite := func(name string, mutate func(p []byte) []byte) {
+				unit := frameBlock(CodecPacked, mutate(append([]byte{}, payload...)))
+				b := append(append(append([]byte{}, f.blob[:last.off]...), unit...), f.blob[last.off+last.size:]...)
+				table = append(table, damage{name: name, blob: b,
+					hostile: &BlockInfo{Off: last.off, Len: len(unit) - 8, FirstKey: lay.firstKey}})
+			}
+			set := func(at int, v byte) func([]byte) []byte {
+				return func(p []byte) []byte { p[at] = v; return p }
+			}
+			rewrite("lcp past the previous key", set(lay.entries[1], 0x7f))
+			rewrite("suffix past the end", func(p []byte) []byte { return p[:lay.entries[lay.n-1]+2] })
+			rewrite("count too large", func(p []byte) []byte { p[1]++; return p })
+			rewrite("count too small", func(p []byte) []byte { p[1]--; return p })
+			rewrite("TID width 65", set(lay.tidWidth, 65))
+			rewrite("TID above MaxTID", func(p []byte) []byte {
+				return append(binary.AppendUvarint(p[:lay.tidBase:lay.tidBase], MaxTID+1), payload[lay.tidWidth:]...)
+			})
+			rewrite("neighbours out of order", set(lay.entries[2]+2, 0x00))
+			rewrite("trailing byte", func(p []byte) []byte { return append(p, 0) })
+		}
+
 		want := sectionEntries(f.blob, f.kinds)
 		for _, d := range table {
 			got := driverErrors(t, d.blob, f.kinds)
@@ -309,6 +368,16 @@ func TestDriverParity(t *testing.T) {
 					t.Errorf("%s: %s: ScanSections section %d = %+v, Read delivered %d", f.name, d.name, i, info, len(secs[i]))
 				}
 			}
+			if d.hostile != nil {
+				if ref == nil || ref.Kind != ErrCorrupt {
+					t.Errorf("%s: %s: Read = %v, want corrupt structure", f.name, d.name, got["Read"])
+				}
+				pr := &PageReader{r: bytes.NewReader(d.blob), blocks: []BlockInfo{*d.hostile}}
+				_, err := pr.ReadBlock(0)
+				if fe, _ := err.(*FormatError); fe == nil || ref == nil || fe.Kind != ref.Kind || fe.Offset != ref.Offset {
+					t.Errorf("%s: %s: ReadBlock = %v, Read = %v", f.name, d.name, err, got["Read"])
+				}
+			}
 			if len(f.kinds) > 1 {
 				continue
 			}
@@ -321,9 +390,7 @@ func TestDriverParity(t *testing.T) {
 			for b := 0; b < pr.Blocks() && rerr == nil; b++ {
 				var p *Page
 				if p, rerr = pr.ReadBlock(b); rerr == nil {
-					for j := 0; j < p.Len(); j++ {
-						paged = append(paged, entry{p.Key(j), p.TID(j)})
-					}
+					paged = append(paged, pageEntries(p)...)
 				}
 			}
 			if ref == nil && (rerr != nil || len(paged) != len(es)) {

@@ -92,29 +92,30 @@ func (rd *reader) blocks(fn EntryFunc, onBlock func(off int64, codec Codec, stor
 	var count uint64
 	for {
 		unitOff := rd.off
-		var unit [trailerSize]byte
-		if damage := rd.readFull(unit[:8], "block header"); damage != nil {
+		var head [trailerSize]byte
+		if damage := rd.readFull(head[:8], "block header"); damage != nil {
 			return count, damage, nil
 		}
-		codec, length, damage := decodeBlockWord(binary.LittleEndian.Uint32(unit[:4]), unitOff)
+		codec, length, damage := decodeBlockWord(binary.LittleEndian.Uint32(head[:4]), unitOff)
 		if damage != nil {
 			return count, damage, nil
 		}
 		if length == 0 {
-			if damage := rd.readFull(unit[8:], "trailer"); damage != nil {
+			if damage := rd.readFull(head[8:], "trailer"); damage != nil {
 				return count, damage, nil
 			}
-			want, damage := decodeTrailer(unit[:], unitOff)
+			want, damage := decodeTrailer(head[:], unitOff)
 			if damage == nil && want != count {
 				damage = formatErr(ErrCorrupt, unitOff, "trailer count %d, found %d entries", want, count)
 			}
 			return count, damage, nil
 		}
-		payload := make([]byte, length)
-		if damage := rd.readFull(payload, "block payload"); damage != nil {
+		unit := make([]byte, 8+length)
+		copy(unit, head[:8])
+		if damage := rd.readFull(unit[8:], "block payload"); damage != nil {
 			return count, damage, nil
 		}
-		n, raw, damage, err := decodeBlock(codec, binary.LittleEndian.Uint32(unit[4:]), payload, unitOff, &ord, fn)
+		n, raw, damage, err := decodeBlock(unit, unitOff, &ord, fn)
 		count += n
 		if damage != nil || err != nil {
 			return count, damage, err

@@ -336,6 +336,11 @@ type deadlineRW struct {
 func (d *deadlineRW) Read(p []byte) (int, error) {
 	if d.conn != nil && d.srv.idleTimeout > 0 && !d.repl {
 		d.conn.SetReadDeadline(time.Now().Add(d.srv.idleTimeout))
+		// Shutdown marks the server closed, then expires every read
+		// deadline; arming ours after its pass would undo the wake-up.
+		if d.srv.closed.Load() {
+			d.conn.SetReadDeadline(time.Now())
+		}
 	}
 	n, err := d.rw.Read(p)
 	d.note(err)

@@ -467,41 +467,40 @@ func (t *ShardedTree) Verify() error {
 // shardSource adapts one shard's stream into a keyed merge source. A hot
 // shard contributes its trie iterator, resolving the current TID's key
 // through the loader into a per-source scratch buffer; a cold shard
-// contributes a coldCursor whose keys come decoded straight off the page
-// — no loader round-trip. Either way the merge compares the heads of all
+// contributes a coldCursor whose keys are stepped straight off the stored
+// page — no loader round-trip. Either way the merge compares the heads of all
 // shards byte-wise.
 type shardSource struct {
 	loader Loader
 	it     core.Iterator
-	cc     coldCursor
-	isCold bool
+	cc     *coldCursor // nil: the shard is hot
 	buf    []byte
 	key    []byte
 }
 
 func (s *shardSource) Valid() bool {
-	if s.isCold {
+	if s.cc != nil {
 		return s.cc.valid()
 	}
 	return s.it.Valid()
 }
 
 func (s *shardSource) Key() []byte {
-	if s.isCold {
+	if s.cc != nil {
 		return s.cc.key()
 	}
 	return s.key
 }
 
 func (s *shardSource) TID() uint64 {
-	if s.isCold {
+	if s.cc != nil {
 		return s.cc.tid()
 	}
 	return s.it.TID()
 }
 
 func (s *shardSource) Next() {
-	if s.isCold {
+	if s.cc != nil {
 		s.cc.next()
 		return
 	}
@@ -526,6 +525,7 @@ func (s *shardSource) resolve() {
 // ShardedTree.SeekCursor.
 type ShardedCursor struct {
 	srcs []shardSource
+	cold []coldCursor // the cold shards' cursors, allocated at the first one: a hot tree's scan never pays for them
 	refs []shard.Source
 	m    shard.Merge
 }
@@ -587,7 +587,7 @@ func (t *ShardedTree) seekCursorN(c *ShardedCursor, start []byte, limit int) {
 		}
 		tr, cs := t.view(i)
 		if tr != nil {
-			s.isCold = false
+			s.cc = nil
 			s.it = tr.Iter(from)
 			s.resolve()
 		} else {
@@ -595,7 +595,10 @@ func (t *ShardedTree) seekCursorN(c *ShardedCursor, start []byte, limit int) {
 			// concurrent promotion leaves the open section file intact,
 			// so the cursor keeps streaming it (wait-free semantics,
 			// like a trie cursor observing a retired root).
-			s.isCold = true
+			if len(c.cold) < len(t.shards) {
+				c.cold = make([]coldCursor, len(t.shards))
+			}
+			s.cc = &c.cold[i]
 			s.cc.seek(cs, from)
 		}
 		if s.Valid() {
