@@ -420,6 +420,48 @@ func BenchmarkColdLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkShardedScan is the per-scan cost the end-to-end scan_kops cells
+// are made of: a 50-entry TID-only Scan of url keys from a uniform start
+// key, with every shard hot or every shard demoted to a packed section
+// under a cache that holds them all, on 1 and on 8 shards — a scan's cost
+// must not grow with the shards it never reaches.
+func BenchmarkShardedScan(b *testing.B) {
+	d := benchData(b, dataset.URL)
+	for _, tier := range []string{"hot", "cold"} {
+		for _, shards := range []int{1, 8} {
+			b.Run(fmt.Sprintf("%s/shards=%d", tier, shards), func(b *testing.B) {
+				t := NewShardedTree(d.Store.Key, shards, d.Keys[:benchKeys])
+				t.SetSnapshotCodec(SnapshotCodecPacked)
+				for i := 0; i < benchKeys; i++ {
+					t.Insert(d.Keys[i], d.TIDs[i])
+				}
+				if tier == "cold" {
+					if err := t.EnableColdTier(ColdTierConfig{Dir: b.TempDir(), CacheBytes: 1 << 40}); err != nil {
+						b.Fatal(err)
+					}
+					for s := 0; s < t.Shards(); s++ {
+						if err := t.Demote(s); err != nil {
+							b.Fatal(err)
+						}
+					}
+					t.Scan(nil, benchKeys, func(TID) bool { return true }) // every page faulted once
+				}
+				rng := rand.New(rand.NewSource(benchSeed))
+				sink := uint64(0)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					t.Scan(d.Keys[rng.Intn(benchKeys)], 50, func(tid TID) bool {
+						sink += tid
+						return true
+					})
+				}
+				_ = sink
+			})
+		}
+	}
+}
+
 // BenchmarkAblationFanout sweeps the maximum node fanout k (the paper
 // fixes k = 32 and motivates the choice in Section 4.1; its future work
 // asks about higher fanouts — this sweeps the reachable range downward,

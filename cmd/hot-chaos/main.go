@@ -11,7 +11,7 @@
 // writer path instead: every shard's ROWEX writers and epoch domain see
 // the injections, and between rounds each shard is verified individually
 // (structural invariants plus shard-range containment) while the
-// aggregate Len is checked against a full cross-shard merged scan oracle.
+// aggregate Len is checked against a full cross-shard scan oracle.
 // Sharded runs additionally route half of the mutations through the
 // asynchronous submission-queue path (UpsertAsync/DeleteAsync) with the
 // queue-push and writer-handoff fault points armed, and Flush the queues
@@ -106,8 +106,8 @@ func main() {
 			fmt.Printf("round %d: CORRUPTION: %v\n", r, err)
 			continue
 		}
-		// Quiescent scan oracle: a full ordered scan (the cross-shard k-way
-		// merge when sharded) must visit exactly Len() keys, strictly
+		// Quiescent scan oracle: a full ordered scan (shard after shard
+		// when sharded) must visit exactly Len() keys, strictly
 		// ascending.
 		if got, want := oracleScanCount(tr, store, *nkeys), tr.Len(); got != want {
 			corruptions++

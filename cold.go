@@ -580,17 +580,22 @@ func (cs *coldShard) verify(bounds [][]byte) error {
 }
 
 // coldCursor iterates a cold image in ascending key order, pulling
-// blocks through the page cache. It captures the coldShard it was seeked
-// on, so a concurrent promotion does not disturb it: the section file
-// stays open and immutable, the cursor simply observes the shard as of
-// its seek (the same wait-free semantics as a trie cursor observing an
-// old root).
+// blocks through the page cache. A ShardedCursor owns exactly one and
+// seeks it on each cold shard its stream reaches. It captures the
+// coldShard it was seeked on, so a concurrent promotion does not disturb
+// it: the section file stays open and immutable, the cursor simply
+// observes the shard as of its seek (the same wait-free semantics as a
+// trie cursor observing an old root).
 type coldCursor struct {
 	cs   *coldShard
 	blk  int
-	page *persist.Page
+	page *persist.Page // nil: not on an entry
 	it   persist.PageIter
 }
+
+// release drops the image, and with it the cursor's hold on the section's
+// file handle; the iterator's key buffer stays for the next seek.
+func (c *coldCursor) release() { c.cs, c.page = nil, nil }
 
 func (c *coldCursor) seek(cs *coldShard, from []byte) {
 	c.cs = cs
@@ -623,7 +628,7 @@ func (c *coldCursor) loadBlock(from []byte) {
 
 func (c *coldCursor) valid() bool { return c.page != nil }
 
-// key is valid until next, like a hot shard's shardSource.key.
+// key is stepped off the stored page and valid until next.
 func (c *coldCursor) key() []byte { return c.it.Key() }
 func (c *coldCursor) tid() uint64 { return c.it.TID() }
 func (c *coldCursor) next() {

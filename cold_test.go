@@ -658,6 +658,97 @@ func TestColdCursorMatchesModel(t *testing.T) {
 	}
 }
 
+// TestColdScanTouchesOnlyWhatItReaches: with shards 2..7 of eight demoted,
+// a scan that stays inside hot shard 0 makes no page-cache access at all,
+// and one that runs off the end of hot shard 1 into cold shard 2 makes
+// exactly one — shard 2's first page; shards 3..7 are never opened.
+func TestColdScanTouchesOnlyWhatItReaches(t *testing.T) {
+	keys := dataset.Generate(dataset.URL, 8000, 37)
+	store := &tidstore.Store{}
+	for _, k := range keys {
+		store.Add(k)
+	}
+	st, _ := buildPair(keys, store, 8)
+	if err := st.EnableColdTier(ColdTierConfig{Dir: t.TempDir()}); err != nil {
+		t.Fatal(err)
+	}
+	for s := 2; s < 8; s++ {
+		if err := st.Demote(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sorted := dataset.SortedCopy(keys)
+	accesses := func() uint64 {
+		cs := st.ColdStats()
+		return cs.CacheHits + cs.CacheMisses
+	}
+	scan := func(at, n int) {
+		t.Helper()
+		i := at
+		st.Scan(sorted[at], n, func(tid TID) bool {
+			if !bytes.Equal(store.Key(tid, nil), sorted[i]) {
+				t.Fatalf("scan from key %d: entry %d is %q, want %q", at, i-at, store.Key(tid, nil), sorted[i])
+			}
+			i++
+			return true
+		})
+		if i != at+n {
+			t.Fatalf("scan from key %d yields %d entries, want %d", at, i-at, n)
+		}
+	}
+	before := accesses()
+	scan(0, 50)
+	if d := accesses() - before; d != 0 {
+		t.Fatalf("a scan inside hot shard 0 made %d page-cache accesses", d)
+	}
+	before = accesses()
+	scan(st.ShardLen(0)+st.ShardLen(1)-10, 20) // 10 entries of shard 1, 10 of shard 2
+	if d := accesses() - before; d != 1 {
+		t.Fatalf("a scan crossing into cold shard 2 made %d page-cache accesses, want 1", d)
+	}
+}
+
+// TestColdCursorParkedAcrossTransition: a cursor parked on shard i's last
+// entry has not opened shard i+1 yet, so whatever happens to that shard
+// meanwhile — demoted, or demoted and promoted again — the cursor picks up
+// its backing as it is on arrival and continues in oracle order.
+func TestColdCursorParkedAcrossTransition(t *testing.T) {
+	keys := dataset.Generate(dataset.URL, 4000, 41)
+	store := &tidstore.Store{}
+	for _, k := range keys {
+		store.Add(k)
+	}
+	st, _ := buildPair(keys, store, 4)
+	if err := st.EnableColdTier(ColdTierConfig{Dir: t.TempDir()}); err != nil {
+		t.Fatal(err)
+	}
+	sorted := dataset.SortedCopy(keys)
+	last := -1
+	for i := 0; i+1 < st.Shards(); i++ {
+		last += st.ShardLen(i)
+		for _, promote := range []bool{false, true} {
+			c := st.Iter(sorted[last])
+			if err := st.Demote(i + 1); err != nil {
+				t.Fatal(err)
+			}
+			if promote {
+				if err := st.Promote(i + 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for j := last; j < len(sorted); j++ {
+				if !c.Valid() || !bytes.Equal(c.Key(), sorted[j]) {
+					t.Fatalf("parked on shard %d (promote=%v): entry %d is not %q", i, promote, j-last, sorted[j])
+				}
+				c.Next()
+			}
+			if c.Valid() {
+				t.Fatalf("parked on shard %d (promote=%v): cursor runs past the last key", i, promote)
+			}
+		}
+	}
+}
+
 // TestColdCacheHoldsStoredBytes is the root-level guard against a decoded
 // copy of a block growing back beside the stored one: with every page of a
 // demoted store resident, the cache accounts at most 1.3 times what the

@@ -240,8 +240,8 @@ func main() {
 		tr.Insert(skeys[0], tid)
 	}
 
-	// The merged cursor walks all shards as one globally ordered stream,
-	// crossing shard boundaries transparently.
+	// The cursor walks the shards one after the next as one globally
+	// ordered stream, crossing shard boundaries transparently.
 	fmt.Println("first 3 wiki entries via cross-shard cursor:")
 	c := tr.Iter([]byte("/wiki/"))
 	for i := 0; i < 3 && c.Valid(); i++ {

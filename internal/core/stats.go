@@ -33,7 +33,7 @@ type MemoryStats struct {
 	ResidentShards int   // shards currently served from in-memory trees
 	ColdShards     int   // shards currently served from their snapshot section
 	ColdBytes      int64 // on-disk bytes of the cold shards' snapshot files
-	CacheBytes     int64 // decoded pages resident in the page cache right now
+	CacheBytes     int64 // stored blocks plus restart tables resident in the page cache right now
 }
 
 // Merge folds other into s: the combined leaf-depth distribution of

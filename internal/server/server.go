@@ -75,8 +75,8 @@ type Options struct {
 	// through an LRU page cache (see hot.EnableColdTier). Requires Dir
 	// (the cold sections live in the durable directory).
 	MemoryBudget int64
-	// CacheBytes bounds the cold tier's decoded page cache; zero selects
-	// MemoryBudget/8, floored at 8 MiB.
+	// CacheBytes bounds the cold tier's page cache — blocks as stored plus
+	// their restart tables; zero selects MemoryBudget/8, floored at 8 MiB.
 	CacheBytes int64
 }
 
@@ -390,6 +390,10 @@ func (s *Server) ServeConn(rw io.ReadWriter) {
 	bw := bufio.NewWriterSize(d, 64<<10)
 	defer bw.Flush()
 	var rbuf, wbuf []byte
+	// A leader's SCANs reposition this one cursor. Between SCANs it keeps the
+	// backing of the one shard it stopped in reachable, until the next SCAN
+	// or the idle timeout.
+	var cur hot.ShardedCursor
 	for {
 		if br.Buffered() == 0 {
 			if err := bw.Flush(); err != nil {
@@ -492,12 +496,12 @@ func (s *Server) ServeConn(rw io.ReadWriter) {
 					continue
 				}
 			} else {
-				c := s.tree.Iter(start)
-				for c.Valid() && n < int(max) {
-					if !add(c.Key(), c.TID()) {
+				s.tree.SeekCursor(&cur, start)
+				for cur.Valid() && n < int(max) {
+					if !add(cur.Key(), cur.TID()) {
 						break
 					}
-					c.Next()
+					cur.Next()
 				}
 			}
 			binary.LittleEndian.PutUint32(wbuf[:4], uint32(n))

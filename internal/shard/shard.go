@@ -1,7 +1,9 @@
 // Package shard implements the range-partitioning substrate of the sharded
 // HOT index types: boundary selection from a sampled key table, key→shard
-// routing, and the k-way merge cursor that presents the per-shard ordered
-// streams as one globally ordered stream.
+// routing, the range check every entry entering a shard must pass, and the
+// per-shard submission queue of the async write path. Because the shards
+// partition the key space by range, the globally ordered stream is shard
+// i's stream followed by shard i+1's; scans need no merge.
 //
 // A shard table is a strictly ascending slice of boundary keys; with
 // len(bounds) = N-1 boundaries, shard i (0-based) owns exactly the keys k

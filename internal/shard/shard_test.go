@@ -3,9 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -116,101 +114,6 @@ func TestFindAndCheckBoundaryConvention(t *testing.T) {
 		s := Find(bounds, k)
 		if !Check(bounds, s, k) {
 			t.Fatalf("Find(%q)=%d but Check rejects it", k, s)
-		}
-	}
-}
-
-// sliceSource adapts a sorted (key, tid) slice to the Source interface.
-type sliceSource struct {
-	keys [][]byte
-	tids []uint64
-	pos  int
-}
-
-func (s *sliceSource) Valid() bool { return s.pos < len(s.keys) }
-func (s *sliceSource) Key() []byte { return s.keys[s.pos] }
-func (s *sliceSource) TID() uint64 { return s.tids[s.pos] }
-func (s *sliceSource) Next()       { s.pos++ }
-
-func TestMergeAgainstSortOracle(t *testing.T) {
-	// Scatter random keys across k sources (sorted within each), merge,
-	// and compare with sorting the union — including duplicate keys across
-	// sources, which must surface in source order.
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 50; trial++ {
-		nSrc := 1 + rng.Intn(6)
-		srcs := make([]Source, nSrc)
-		type pair struct {
-			key []byte
-			tid uint64
-			src int
-		}
-		var all []pair
-		for si := 0; si < nSrc; si++ {
-			n := rng.Intn(40)
-			keys := make([][]byte, n)
-			tids := make([]uint64, n)
-			for i := range keys {
-				keys[i] = u64(uint64(rng.Intn(64))) // small space: forces duplicates
-				tids[i] = uint64(si*1000 + i)
-			}
-			sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
-			// Dedupe within a source (sources are strictly ascending).
-			outK, outT := keys[:0], tids[:0]
-			for i := range keys {
-				if i > 0 && bytes.Equal(keys[i-1], keys[i]) {
-					continue
-				}
-				outK = append(outK, keys[i])
-				outT = append(outT, tids[len(outK)-1])
-			}
-			srcs[si] = &sliceSource{keys: outK, tids: outT}
-			for i := range outK {
-				all = append(all, pair{outK[i], outT[i], si})
-			}
-		}
-		sort.SliceStable(all, func(i, j int) bool {
-			if c := bytes.Compare(all[i].key, all[j].key); c != 0 {
-				return c < 0
-			}
-			return all[i].src < all[j].src
-		})
-		var m Merge
-		m.Reset(srcs)
-		for i, want := range all {
-			if !m.Valid() {
-				t.Fatalf("trial %d: merge exhausted at %d of %d", trial, i, len(all))
-			}
-			if !bytes.Equal(m.Key(), want.key) || m.TID() != want.tid {
-				t.Fatalf("trial %d entry %d: got (%x, %d), want (%x, %d)",
-					trial, i, m.Key(), m.TID(), want.key, want.tid)
-			}
-			m.Next()
-		}
-		if m.Valid() {
-			t.Fatalf("trial %d: merge has extra entries", trial)
-		}
-	}
-}
-
-func TestMergeReuseAcrossResets(t *testing.T) {
-	// A Merge must be fully reusable: Reset with new sources after
-	// exhaustion, including resetting to zero sources.
-	var m Merge
-	m.Reset(nil)
-	if m.Valid() {
-		t.Fatal("empty merge claims validity")
-	}
-	for round := 0; round < 3; round++ {
-		s := &sliceSource{keys: [][]byte{[]byte("a"), []byte("b")}, tids: []uint64{1, 2}}
-		m.Reset([]Source{s})
-		var got []string
-		for m.Valid() {
-			got = append(got, string(m.Key()))
-			m.Next()
-		}
-		if fmt.Sprint(got) != "[a b]" {
-			t.Fatalf("round %d: %v", round, got)
 		}
 	}
 }

@@ -163,7 +163,8 @@ type Stats struct {
 	CacheHits      uint64 `json:"cache_hits"`
 	CacheMisses    uint64 `json:"cache_misses"`
 	CacheEvictions uint64 `json:"cache_evictions"`
-	// CacheBytes is the decoded page bytes resident in the page cache.
+	// CacheBytes is the bytes resident in the page cache: blocks as
+	// stored plus their restart tables.
 	CacheBytes int64 `json:"cache_bytes"`
 	// Demotions and Promotions count hot→cold and cold→hot shard
 	// transitions since the server started.

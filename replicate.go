@@ -610,20 +610,7 @@ func (f *Follower) Scan(start []byte, max int, fn func(key []byte, tid TID) bool
 	if shard.Find(t.bounds, start) >= ready {
 		return 0, ErrNotReady
 	}
-	if max <= 0 {
-		return 0, nil
-	}
-	var c ShardedCursor
-	t.seekCursorN(&c, start, ready)
-	n := 0
-	for c.Valid() && n < max {
-		n++
-		if !fn(c.Key(), c.TID()) {
-			break
-		}
-		c.Next()
-	}
-	return n, nil
+	return t.scanN(start, max, ready, func(c *ShardedCursor) bool { return fn(c.Key(), c.TID()) }), nil
 }
 
 // Verify runs structural invariant checks over the ready shard prefix.

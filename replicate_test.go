@@ -132,6 +132,23 @@ func TestReplicationStreamPrefixes(t *testing.T) {
 				t.Fatalf("prefix %d: key %d in shard %d (ready %d): err = %v, want ErrNotReady", p, i, s, ready, lerr)
 			}
 		}
+		// A scan from the smallest key serves the ready shards in order
+		// and stops at the frontier.
+		var prev []byte
+		n, serr := fol.Scan(nil, len(keys)+1, func(k []byte, _ TID) bool {
+			if shardOf(k) >= ready || bytes.Compare(prev, k) >= 0 {
+				t.Fatalf("prefix %d (ready %d): scan yields %x after %x", p, ready, k, prev)
+			}
+			prev = append(prev[:0], k...)
+			return true
+		})
+		if ready == 0 {
+			if !errors.Is(serr, ErrNotReady) {
+				t.Fatalf("prefix %d: scan with nothing ready: err = %v, want ErrNotReady", p, serr)
+			}
+		} else if serr != nil || n != wantLen[ready] {
+			t.Fatalf("prefix %d: scan = (%d, %v), want the %d keys of %d ready shards", p, n, serr, wantLen[ready], ready)
+		}
 	}
 }
 

@@ -25,10 +25,11 @@ import (
 // The tree satisfies the same unified Index surface as Tree and
 // ConcurrentTree: point operations route to the owning shard, LookupBatch
 // buckets the batch per shard and runs the memory-level-parallel kernel
-// per bucket, ordered scans and cursors merge the per-shard streams back
-// into one globally ordered stream, and the statistics and Verify methods
-// aggregate across shards. Snapshots multiplex all shards into one
-// crash-safe file (see Snapshot and LoadShardedTreeFile).
+// per bucket, ordered scans and cursors walk the shards one after the next
+// (a range partition's global order, so only the shard a scan is in is ever
+// open), and the statistics and Verify methods aggregate across shards.
+// Snapshots multiplex all shards into one crash-safe file (see Snapshot and
+// LoadShardedTreeFile).
 //
 // Boundaries are fixed at construction from a sampled key table; a key
 // equal to a boundary routes to the shard above it.
@@ -290,25 +291,12 @@ func (t *ShardedTree) LookupBatch(keys [][]byte, out []TID) []bool {
 }
 
 // Scan invokes fn for up to max entries in ascending key order across all
-// shards, starting at the first key ≥ start. The per-shard streams are
-// k-way merged, so the output is byte-identical to a single tree holding
+// shards, starting at the first key ≥ start. The shards are walked one
+// after the next, so the output is byte-identical to a single tree holding
 // the union of the shards; concurrent writers may commit before or after
 // any step (wait-free reader semantics per shard).
 func (t *ShardedTree) Scan(start []byte, max int, fn func(TID) bool) int {
-	if max <= 0 {
-		return 0
-	}
-	var c ShardedCursor
-	t.SeekCursor(&c, start)
-	n := 0
-	for c.Valid() && n < max {
-		n++
-		if !fn(c.TID()) {
-			break
-		}
-		c.Next()
-	}
-	return n
+	return t.scanN(start, max, len(t.shards), func(c *ShardedCursor) bool { return fn(c.TID()) })
 }
 
 // Len returns the total number of stored keys across all shards (cold
@@ -355,9 +343,9 @@ func (t *ShardedTree) Depths() DepthStats {
 // Memory computes the aggregate memory footprint and node-layout census
 // of all shards (the boundary table is negligible and not counted).
 // Nodes/PaperBytes/GoBytes cover the resident tries only; cold shards
-// report their on-disk section size in ColdBytes and the decoded pages
-// currently cached in CacheBytes, so the resident tree footprint and the
-// page-cache footprint never blend (see MemoryStats).
+// report their on-disk section size in ColdBytes and the stored blocks
+// (plus restart tables) currently cached in CacheBytes, so the resident
+// tree footprint and the page-cache footprint never blend (see MemoryStats).
 func (t *ShardedTree) Memory() MemoryStats {
 	var m MemoryStats
 	ct := t.cold.Load()
@@ -464,86 +452,84 @@ func (t *ShardedTree) Verify() error {
 
 // ---- cursors ----
 
-// shardSource adapts one shard's stream into a keyed merge source. A hot
-// shard contributes its trie iterator, resolving the current TID's key
-// through the loader into a per-source scratch buffer; a cold shard
-// contributes a coldCursor whose keys are stepped straight off the stored
-// page — no loader round-trip. Either way the merge compares the heads of all
-// shards byte-wise.
-type shardSource struct {
-	loader Loader
-	it     core.Iterator
-	cc     *coldCursor // nil: the shard is hot
-	buf    []byte
-	key    []byte
-}
-
-func (s *shardSource) Valid() bool {
-	if s.cc != nil {
-		return s.cc.valid()
-	}
-	return s.it.Valid()
-}
-
-func (s *shardSource) Key() []byte {
-	if s.cc != nil {
-		return s.cc.key()
-	}
-	return s.key
-}
-
-func (s *shardSource) TID() uint64 {
-	if s.cc != nil {
-		return s.cc.tid()
-	}
-	return s.it.TID()
-}
-
-func (s *shardSource) Next() {
-	if s.cc != nil {
-		s.cc.next()
-		return
-	}
-	s.it.Next()
-	s.resolve()
-}
-
-func (s *shardSource) resolve() {
-	if s.it.Valid() {
-		if s.buf == nil {
-			s.buf = make([]byte, 0, 64)
-		}
-		s.key = s.loader(s.it.TID(), s.buf[:0])
-	}
-}
-
 // ShardedCursor iterates a ShardedTree's entries in ascending key order
-// across all shards, the pull-based counterpart of ShardedTree.Scan: a
-// k-way merge of the per-shard cursors. Like ConcurrentTree's cursor it
-// stays usable while other goroutines modify the tree, observing each node
-// atomically. Obtain one with ShardedTree.Iter or reposition one with
-// ShardedTree.SeekCursor.
+// across all shards, the pull-based counterpart of ShardedTree.Scan. The
+// shards are a range partition, so the global order is one shard after the
+// next: the cursor holds exactly one open shard — a trie iterator when the
+// shard is hot, a page cursor when it is cold — and opens the following
+// shard only when this one is exhausted. A shard's backing (trie root or
+// cold image) is captured when the cursor reaches it. Like ConcurrentTree's
+// cursor it stays usable while other goroutines modify the tree, observing
+// each node atomically. Obtain one with ShardedTree.Iter or reposition one
+// with ShardedTree.SeekCursor.
 type ShardedCursor struct {
-	srcs []shardSource
-	cold []coldCursor // the cold shards' cursors, allocated at the first one: a hot tree's scan never pays for them
-	refs []shard.Source
-	m    shard.Merge
+	t     *ShardedTree
+	s     int // the open shard
+	limit int // the stream ends before shard limit
+	// At most one of it and cc is valid: the open shard's stream.
+	it  core.Iterator
+	cc  coldCursor
+	buf []byte // Key's scratch for the loader
 }
 
 // Valid reports whether the cursor is positioned on an entry.
-func (c *ShardedCursor) Valid() bool { return c.m.Valid() }
+func (c *ShardedCursor) Valid() bool { return c.it.Valid() || c.cc.valid() }
 
 // TID returns the entry under the cursor. It must only be called while
 // Valid reports true.
-func (c *ShardedCursor) TID() TID { return c.m.TID() }
+func (c *ShardedCursor) TID() TID {
+	if c.cc.valid() {
+		return c.cc.tid()
+	}
+	return c.it.TID()
+}
 
-// Key returns the key under the cursor, resolved through the loader. The
-// slice is only valid until the next Next or SeekCursor call. It must only
-// be called while Valid reports true.
-func (c *ShardedCursor) Key() []byte { return c.m.Key() }
+// Key returns the key under the cursor: resolved through the loader in a
+// hot shard, stepped off the stored page in a cold one. The slice is only
+// valid until the next Next or SeekCursor call. It must only be called
+// while Valid reports true.
+func (c *ShardedCursor) Key() []byte {
+	if c.cc.valid() {
+		return c.cc.key()
+	}
+	if c.buf == nil {
+		c.buf = make([]byte, 0, 64)
+	}
+	return c.t.loader(c.it.TID(), c.buf[:0])
+}
 
-// Next advances to the next entry in global key order.
-func (c *ShardedCursor) Next() { c.m.Next() }
+// Next advances to the next entry in global key order; on an exhausted or
+// zero-valued cursor it does nothing.
+func (c *ShardedCursor) Next() {
+	if c.cc.valid() {
+		c.cc.next()
+	} else {
+		c.it.Next()
+	}
+	c.settle()
+}
+
+// settle moves an exhausted stream on to the smallest key of the next
+// non-empty shard below limit.
+func (c *ShardedCursor) settle() {
+	for !c.Valid() && c.s+1 < c.limit {
+		c.s++
+		c.open(nil)
+	}
+}
+
+// open captures shard c.s's current backing and positions on its first key
+// ≥ from. A cold image stays readable after a concurrent promotion (the
+// section file is open and immutable), as a retired trie root does.
+func (c *ShardedCursor) open(from []byte) {
+	if tr, cs := c.t.view(c.s); tr != nil {
+		c.it = tr.Iter(from)
+		c.cc.release()
+	} else {
+		c.it = core.Iterator{}
+		c.cc.seek(cs, from)
+	}
+}
 
 // Iter returns a cursor positioned at the first key ≥ start (nil start:
 // the smallest key across all shards).
@@ -554,58 +540,42 @@ func (t *ShardedTree) Iter(start []byte) *ShardedCursor {
 }
 
 // SeekCursor repositions c at the first key ≥ start, reusing the cursor's
-// per-shard source storage. The cursor may be zero-valued or previously
-// exhausted. Shards whose whole range sorts below start are skipped
-// outright; the shard owning start is seeked at start and every higher
-// shard at its own lower bound, which together yield exactly the global
-// ascending stream of keys ≥ start — including a start equal to a shard
-// boundary, which lands on the owning (higher) shard's first key.
+// storage. The cursor may be zero-valued or previously exhausted. Only the
+// shard owning start is opened, at start — a start equal to a shard
+// boundary lands on the owning (higher) shard's first key; lower shards
+// are never touched and higher ones only when the stream reaches them.
 func (t *ShardedTree) SeekCursor(c *ShardedCursor, start []byte) {
 	t.seekCursorN(c, start, len(t.shards))
 }
 
-// seekCursorN is SeekCursor restricted to the first limit shards: the merge
-// covers shards [Find(start), limit) only, so the stream is exactly the
-// ready prefix of the key space — what a replication follower may serve
-// while later shards are still streaming in.
+// seekCursorN is SeekCursor restricted to the first limit shards, which
+// must include start's own: the stream is exactly the ready prefix of the
+// key space — what a replication follower may serve while later shards are
+// still streaming in.
 func (t *ShardedTree) seekCursorN(c *ShardedCursor, start []byte, limit int) {
-	if cap(c.srcs) < len(t.shards) {
-		c.srcs = make([]shardSource, len(t.shards))
+	c.t, c.s, c.limit = t, shard.Find(t.bounds, start), limit
+	c.open(start)
+	c.settle()
+}
+
+// scanN is the one bounded cursor loop under Scan and Follower.Scan: fn
+// sees up to max entries ≥ start out of the first limit shards, in order,
+// and stops the walk by returning false.
+func (t *ShardedTree) scanN(start []byte, max, limit int, fn func(*ShardedCursor) bool) int {
+	if max <= 0 {
+		return 0
 	}
-	c.srcs = c.srcs[:len(t.shards)]
-	first := 0
-	if start != nil {
-		first = shard.Find(t.bounds, start)
+	var c ShardedCursor
+	t.seekCursorN(&c, start, limit)
+	n := 0
+	for c.Valid() && n < max {
+		n++
+		if !fn(&c) {
+			break
+		}
+		c.Next()
 	}
-	c.refs = c.refs[:0]
-	for i := first; i < limit; i++ {
-		s := &c.srcs[i]
-		s.loader = t.loader
-		var from []byte
-		if i == first {
-			from = start
-		}
-		tr, cs := t.view(i)
-		if tr != nil {
-			s.cc = nil
-			s.it = tr.Iter(from)
-			s.resolve()
-		} else {
-			// The source captures the cold image as of this seek: a
-			// concurrent promotion leaves the open section file intact,
-			// so the cursor keeps streaming it (wait-free semantics,
-			// like a trie cursor observing a retired root).
-			if len(c.cold) < len(t.shards) {
-				c.cold = make([]coldCursor, len(t.shards))
-			}
-			s.cc = &c.cold[i]
-			s.cc.seek(cs, from)
-		}
-		if s.Valid() {
-			c.refs = append(c.refs, s)
-		}
-	}
-	c.m.Reset(c.refs)
+	return n
 }
 
 // ---- ShardedUint64Set ----

@@ -216,6 +216,91 @@ func TestShardedCursorReuse(t *testing.T) {
 	}
 }
 
+// TestShardedScanOpensOneShard: a scan pays for the shard it is in, not for
+// the shards it will never reach. A TID-only 50-entry scan that stays
+// inside shard 1 resolves at most one key (the seek's candidate compare)
+// and allocates the same small amount on 8 shards and on 64.
+func TestShardedScanOpensOneShard(t *testing.T) {
+	keys := dataset.Generate(dataset.URL, 8000, 29)
+	s := &tidstore.Store{}
+	for _, k := range keys {
+		s.Add(k)
+	}
+	sorted := dataset.SortedCopy(keys)
+	var loads atomic.Int64
+	loader := func(tid TID, buf []byte) []byte {
+		loads.Add(1)
+		return s.Key(tid, buf)
+	}
+	for _, shards := range []int{8, 64} {
+		st := NewShardedTree(loader, shards, keys)
+		for i, k := range keys {
+			st.Insert(k, TID(i))
+		}
+		if st.Shards() != shards || st.ShardLen(1) < 50 {
+			t.Fatalf("%d shards requested: got %d, shard 1 holds %d keys", shards, st.Shards(), st.ShardLen(1))
+		}
+		start := st.Boundaries()[0] // shard 1's lower bound
+		at := sort.Search(len(sorted), func(i int) bool { return bytes.Compare(sorted[i], start) >= 0 })
+		var got []TID
+		scan := func() {
+			got = got[:0]
+			st.Scan(start, 50, func(tid TID) bool {
+				got = append(got, tid)
+				return true
+			})
+		}
+		loads.Store(0)
+		scan()
+		if n := loads.Load(); n > 1 {
+			t.Fatalf("%d shards: a TID-only scan inside one shard called the loader %d times", shards, n)
+		}
+		for i, tid := range got {
+			if !bytes.Equal(s.Key(tid, nil), sorted[at+i]) {
+				t.Fatalf("%d shards: entry %d is %q, want %q", shards, i, s.Key(tid, nil), sorted[at+i])
+			}
+		}
+		if len(got) != 50 {
+			t.Fatalf("%d shards: scan yields %d entries, want 50", shards, len(got))
+		}
+		if allocs := testing.AllocsPerRun(100, scan); allocs > 4 {
+			t.Fatalf("%d shards: a 50-entry scan allocates %.0f times", shards, allocs)
+		}
+	}
+}
+
+// TestShardedCursorNextAtRest: Next on a zero-valued cursor and on an
+// exhausted one does nothing — no panic, still invalid, and the cursor can
+// be seeked again afterwards.
+func TestShardedCursorNextAtRest(t *testing.T) {
+	keys := dataset.Generate(dataset.Integer, 500, 31)
+	s := &tidstore.Store{}
+	for _, k := range keys {
+		s.Add(k)
+	}
+	st, _ := buildPair(keys, s, 4)
+	var c ShardedCursor
+	c.Next()
+	if c.Valid() {
+		t.Fatal("zero-valued cursor valid after Next")
+	}
+	n := 0
+	for st.SeekCursor(&c, nil); c.Valid(); c.Next() {
+		n++
+	}
+	if n != len(keys) {
+		t.Fatalf("full walk visits %d of %d keys", n, len(keys))
+	}
+	c.Next()
+	c.Next()
+	if c.Valid() {
+		t.Fatal("exhausted cursor valid after Next")
+	}
+	if st.SeekCursor(&c, nil); !c.Valid() || !bytes.Equal(c.Key(), dataset.SortedCopy(keys)[0]) {
+		t.Fatal("exhausted cursor does not seek back to the smallest key")
+	}
+}
+
 // TestShardedLookupBatch: the bucketed batch kernel must agree with scalar
 // lookups for present and absent keys alike, and the out slice contract
 // (0 for misses) must hold.
@@ -333,7 +418,7 @@ func TestShardedConcurrentChurn(t *testing.T) {
 
 // TestShardedMidScanDelete: a cursor must stay well-formed (ascending,
 // terminating) while a concurrent writer deletes the keys ahead of it —
-// including keys in shards the merge has not reached yet.
+// including keys in shards the scan has not reached yet.
 func TestShardedMidScanDelete(t *testing.T) {
 	const nKeys = 4096
 	s := &tidstore.Store{}
