@@ -26,6 +26,8 @@ ci: all
 # sync/atomic types that must never be copied by value — keep
 # internal/shard, internal/core and internal/epoch in the vet set when
 # narrowing the package list.
+# The last two lines vet and build the !amd64 side of internal/bits
+# (bits_noasm.go), which an amd64 build never compiles.
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
@@ -34,6 +36,8 @@ check:
 	$(GO) test ./...
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) build ./...
 
 # Concurrency tier: every package under the race detector, twice (ordering
 # flakes rarely repeat). This covers the root concurrent/sharded churn
@@ -110,23 +114,27 @@ fuzz:
 	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) .
 	$(GO) test -fuzz FuzzPageReader -fuzztime $(FUZZTIME) ./internal/persist/
 	$(GO) test -fuzz FuzzBlockCodec -fuzztime $(FUZZTIME) ./internal/persist/
+	$(GO) test -fuzz FuzzSearch -fuzztime $(FUZZTIME) ./internal/bits/
 	$(GO) test -fuzz FuzzServerFrame -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -fuzz FuzzWireResume -fuzztime $(FUZZTIME) ./internal/wire/
 
 bench:
-	$(GO) test -bench . -benchtime 1s -run - . ./internal/persist
+	$(GO) test -bench . -benchtime 1s -run - . ./internal/persist ./internal/bits
 
 # Code-only line table — non-test Go lines that are neither blank nor a
 # comment line, for the root package, every internal/* and cmd/* package,
-# and everything outside benchmark/ (examples included) — plus the root
-# package's exported surface, one line of `go doc -all` per function,
-# method, type, var and const group: the figures the simplicity PRs report
-# before and after in CHANGES.md. Not a tier of all.
+# and everything outside benchmark/ (examples included) — plus, on a line
+# of its own, the same count over each package's assembly (.s) files, and
+# the root package's exported surface, one line of `go doc -all` per
+# function, method, type, var and const group: the figures the simplicity
+# PRs report before and after in CHANGES.md. Not a tier of all.
 loc:
 	@count() { cat /dev/null "$$@" | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l; }; \
 	printf '%-24s %6d\n' . $$(count $$(ls *.go | grep -v _test.go)); \
 	for d in internal/* cmd/*; do \
 		printf '%-24s %6d\n' $$d $$(count $$(find $$d -name '*.go' ! -name '*_test.go')); \
+		asm=$$(find $$d -name '*.s'); \
+		if [ -n "$$asm" ]; then printf '%-24s %6d\n' "$$d (.s)" $$(count $$asm); fi; \
 	done; \
 	printf '%-24s %6d\n' 'total outside benchmark/' \
 		$$(count $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*')); \

@@ -1,11 +1,18 @@
 // Package bits provides the low-level data-parallel primitives HOT's node
-// implementation is built on: software replacements for the BMI2 PEXT/PDEP
-// instructions and SWAR (SIMD-within-a-register) comparison kernels that
-// stand in for the paper's AVX2 partial-key search.
+// implementation is built on: the fused node search of the paper's Section
+// 4.3 (PEXT the search key's discriminative bits, compare them against
+// every partial key at once, bit-scan the comply mask), PEXT itself, the
+// prefix-match kernels of the insert path and fixed-width bit packing.
+//
+// On amd64 CPUs with BMI2 and LZCNT the search and PEXT run as native
+// instructions (bits_amd64.s), chosen once at start-up from CPUID.
+// Everywhere else they run as a table-driven software PEXT plus SWAR
+// (SIMD-within-a-register) comply kernels; that portable path is also the
+// oracle the native one is fuzzed against.
 //
 // Partial-key arrays are byte-packed little-endian lanes (8, 16 or 32 bits
 // wide) padded to a multiple of 8 bytes, so every kernel runs on whole
-// 64-bit words loaded with a single instruction.
+// 64-bit words and none reads past the end of the array.
 //
 // All functions are allocation-free and have scalar reference
 // implementations (see reference.go) used by the property tests.
@@ -16,40 +23,90 @@ import (
 	mathbits "math/bits"
 )
 
+// Native reports whether Search, SearchProbe and Pext64 run as native
+// instructions. It is set once at start-up from CPUID; tests and
+// benchmarks clear it to drive the portable path on a host that has the
+// instructions, and must restore it before anything else searches.
+var Native = hasNative()
+
+// Search returns the index of the result candidate among the n partial
+// keys packed in keys as width-bit lanes (width 8, 16 or 32): the highest
+// entry whose sparse partial key pk satisfies pk&probe == pk, where probe
+// is Pext64(w, mask) truncated to width bits — the paper's
+// retrieveResultCandidates plus bit scan reverse. It returns -1 when no
+// entry complies.
+//
+// len(keys) must be a positive multiple of 8 holding at most 32 lanes,
+// and 1 ≤ n ≤ the lanes it holds. Lanes past n are ignored, and nothing
+// past len(keys) is read.
+func Search(w, mask uint64, keys []byte, n, width int) int {
+	return search(w, mask, keys, n, width)
+}
+
+// SearchProbe is Search with an already extracted probe, for keys whose
+// discriminative bits span more than one extraction word.
+func SearchProbe(probe uint32, keys []byte, n, width int) int {
+	// PEXT under an all-ones mask is the identity.
+	return search(uint64(probe), ^uint64(0), keys, n, width)
+}
+
+// searchGo is the portable Search.
+func searchGo(w, mask uint64, keys []byte, n, width int) int {
+	probe := pextGo(w, mask)
+	var m uint32
+	switch width {
+	case 8:
+		m = Comply8(keys, n, uint8(probe))
+	case 16:
+		m = Comply16(keys, n, uint16(probe))
+	default:
+		m = Comply32(keys, n, uint32(probe))
+	}
+	return 31 - mathbits.LeadingZeros32(m)
+}
+
+// Pext64 extracts the bits of v selected by mask and packs them into the
+// low bits of the result, lowest mask bit first — the semantics of the x86
+// BMI2 PEXT instruction.
+func Pext64(v, mask uint64) uint64 {
+	return pext(v, mask)
+}
+
+// Pext32 is Pext64 restricted to 32-bit operands.
+func Pext32(v, mask uint32) uint32 {
+	return uint32(Pext64(uint64(v), uint64(mask)))
+}
+
 // pextTab[m][v] packs the bits of byte v selected by mask m into the low
 // bits (LSB-first), the byte-wise building block of the software PEXT.
 var pextTab [256][256]uint8
 
-// pdepTab[m][v] scatters the low bits of v into the positions selected by
-// mask m, the byte-wise building block of the software PDEP.
-var pdepTab [256][256]uint8
-
 func init() {
 	for m := 0; m < 256; m++ {
 		for v := 0; v < 256; v++ {
-			var e, d uint8
+			var e uint8
 			out := 0
 			for bit := 0; bit < 8; bit++ {
 				if m&(1<<bit) != 0 {
 					if v&(1<<bit) != 0 {
 						e |= 1 << out
 					}
-					if v&(1<<out) != 0 {
-						d |= 1 << bit
-					}
 					out++
 				}
 			}
 			pextTab[m][v] = e
-			pdepTab[m][v] = d
 		}
 	}
 }
 
-// Pext64 extracts the bits of v selected by mask and packs them into the
-// low bits of the result, lowest mask bit first — the semantics of the x86
-// BMI2 PEXT instruction, implemented byte-wise with lookup tables.
-func Pext64(v, mask uint64) uint64 {
+// pextGo is the portable Pext64: a shift and a mask when the mask bits
+// are contiguous (a dense key region's common case), otherwise byte-wise
+// lookup tables.
+func pextGo(v, mask uint64) uint64 {
+	tz := uint(mathbits.TrailingZeros64(mask))
+	if run := mask >> tz; run&(run+1) == 0 {
+		return v >> tz & run
+	}
 	var res uint64
 	out := 0
 	for mask != 0 {
@@ -61,31 +118,6 @@ func Pext64(v, mask uint64) uint64 {
 		v >>= 8
 	}
 	return res
-}
-
-// Pdep64 deposits the low bits of v into the positions selected by mask,
-// lowest mask bit first — the semantics of the x86 BMI2 PDEP instruction.
-func Pdep64(v, mask uint64) uint64 {
-	var res uint64
-	sh := 0
-	for m, in := mask, 0; m != 0; m >>= 8 {
-		if mb := uint8(m); mb != 0 {
-			res |= uint64(pdepTab[mb][uint8(v>>in)]) << sh
-			in += mathbits.OnesCount8(mb)
-		}
-		sh += 8
-	}
-	return res
-}
-
-// Pext32 is Pext64 restricted to 32-bit operands.
-func Pext32(v, mask uint32) uint32 {
-	return uint32(Pext64(uint64(v), uint64(mask)))
-}
-
-// Pdep32 is Pdep64 restricted to 32-bit operands.
-func Pdep32(v, mask uint32) uint32 {
-	return uint32(Pdep64(uint64(v), uint64(mask)))
 }
 
 const (
@@ -134,8 +166,7 @@ func movemask32(z uint64) uint32 {
 
 // Comply8 computes the HOT "comply" mask over n 8-bit sparse partial keys
 // packed in pks (padded to a multiple of 8 bytes): bit i of the result is
-// set iff pks[i]&probe == pks[i]. This is the SWAR stand-in for the
-// paper's searchPartialKeys8 (AVX2 compare + movemask).
+// set iff pks[i]&probe == pks[i]. It is the portable compare of Search.
 func Comply8(pks []byte, n int, probe uint8) uint32 {
 	probeW := uint64(probe) * lo8
 	var mask uint32

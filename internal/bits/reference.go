@@ -3,9 +3,9 @@ package bits
 import "encoding/binary"
 
 // This file contains straightforward scalar reference implementations of
-// the SWAR kernels. They define the expected semantics for the property
-// tests and serve as the baseline of the SWAR-vs-scalar ablation
-// benchmark.
+// the search, PEXT and SWAR kernels. They define the expected semantics
+// for the property tests and the differential fuzz target, and serve as
+// the baseline of the SWAR-vs-scalar ablation benchmark.
 
 // Comply8Scalar is the scalar reference for Comply8.
 func Comply8Scalar(pks []byte, n int, probe uint8) uint32 {
@@ -83,21 +83,6 @@ func Pext64Reference(v, mask uint64) uint64 {
 				res |= 1 << out
 			}
 			out++
-		}
-	}
-	return res
-}
-
-// Pdep64Reference is a bit-at-a-time reference for Pdep64.
-func Pdep64Reference(v, mask uint64) uint64 {
-	var res uint64
-	var in uint
-	for bit := 0; bit < 64; bit++ {
-		if mask&(1<<bit) != 0 {
-			if v&(1<<in) != 0 {
-				res |= 1 << bit
-			}
-			in++
 		}
 	}
 	return res

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/hotindex/hot/internal/bits"
 	"github.com/hotindex/hot/internal/dataset"
 	"github.com/hotindex/hot/internal/tidstore"
 )
@@ -182,57 +183,79 @@ func BenchmarkConcurrentLookup(b *testing.B) {
 	})
 }
 
-// BenchmarkExtract compares the three extraction paths in isolation (the
+var sink uint64
+
+// runPaths runs f once per internal/bits path: "native" (skipped on a CPU
+// without BMI2 and LZCNT) and "go", the portable path, side by side.
+func runPaths(b *testing.B, name string, f func(b *testing.B)) {
+	has := bits.Native
+	for _, path := range []string{"native", "go"} {
+		b.Run(name+"/"+path, func(b *testing.B) {
+			if path == "native" && !has {
+				b.Skip("no native kernels on this CPU")
+			}
+			defer func() { bits.Native = has }()
+			bits.Native = path == "native"
+			f(b)
+		})
+	}
+}
+
+// BenchmarkExtract compares the extraction layouts in isolation (the
 // single- vs multi-mask ablation of Section 4.1).
 func BenchmarkExtract(b *testing.B) {
 	k := make([]byte, 64)
 	rand.New(rand.NewSource(5)).Read(k)
-	specs := map[string]extractSpec{
-		"single-contiguous": buildSpec([]uint16{8, 9, 10, 11, 12}),
-		"single-pext":       buildSpec([]uint16{3, 17, 31, 45, 59}),
-		"multi8":            buildSpec([]uint16{3, 100, 200, 300, 400}),
-		"multi16":           buildSpec([]uint16{0, 50, 100, 150, 200, 250, 300, 350, 400, 450}),
-	}
-	for name, spec := range specs {
-		spec := spec
-		b.Run(name, func(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		d    []uint16
+	}{
+		{"single-contiguous", []uint16{8, 9, 10, 11, 12}},
+		{"single-pext", []uint16{3, 17, 31, 45, 59}},
+		{"multi8", []uint16{3, 100, 200, 300, 400}},
+		{"multi16", []uint16{0, 50, 100, 150, 200, 250, 300, 350, 400, 450}},
+	} {
+		spec := buildSpec(c.d)
+		runPaths(b, c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = spec.extract(k)
+				sink += uint64(spec.extract(k))
 			}
 		})
 	}
 }
 
-// BenchmarkNodeSearch measures intra-node candidate search on the largest
-// node of each partial-key width found in a trie over the url data set
-// (the width mix is the first adaptivity dimension of Section 4.1).
+// BenchmarkNodeSearch measures one node visit — extraction, compare and
+// bit scan — on the largest node of each physical layout (Figure 6) found
+// in tries over the four data sets, on both internal/bits paths.
 func BenchmarkNodeSearch(b *testing.B) {
-	tr, s, _ := benchTrie(b, dataset.URL, 100000)
-	best := map[uint8]*node{}
-	var walk func(nd *node)
-	walk = func(nd *node) {
-		if cur := best[nd.width]; cur == nil || nd.n > cur.n {
-			best[nd.width] = nd
-		}
-		for i := range nd.slots {
-			if c := nd.slots[i].loadChild(); c != nil {
-				walk(c)
-			}
-		}
+	type pick struct {
+		nd    *node
+		probe []byte
 	}
-	walk(tr.root.Load().n)
-	for _, width := range []uint8{8, 16, 32} {
-		nd := best[width]
-		name := map[uint8]string{8: "8bit", 16: "16bit", 32: "32bit"}[width]
-		b.Run(name, func(b *testing.B) {
-			if nd == nil {
-				b.Skip("no node of this width in the data set")
+	var best [numLayouts]pick
+	for _, kind := range dataset.Kinds() {
+		tr, s, _ := benchTrie(b, kind, 50000)
+		var walk func(nd *node)
+		walk = func(nd *node) {
+			if cur := best[nd.layout()].nd; cur == nil || nd.n > cur.n {
+				best[nd.layout()] = pick{nd, s.Key(minLeafTID(nd), nil)}
 			}
-			probe := s.Key(minLeafTID(nd), nil)
-			b.ReportMetric(float64(nd.n), "entries")
-			b.ResetTimer()
+			for i := range nd.slots {
+				if c := nd.slots[i].loadChild(); c != nil {
+					walk(c)
+				}
+			}
+		}
+		walk(tr.root.Load().n)
+	}
+	for l, p := range best {
+		if p.nd == nil {
+			continue
+		}
+		runPaths(b, layoutKind(l).String(), func(b *testing.B) {
+			b.ReportMetric(float64(p.nd.n), "entries")
 			for i := 0; i < b.N; i++ {
-				_ = nd.search(probe)
+				sink += uint64(p.nd.search(p.probe))
 			}
 		})
 	}

@@ -5,6 +5,10 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"github.com/hotindex/hot/internal/bits"
+	"github.com/hotindex/hot/internal/dataset"
+	"github.com/hotindex/hot/internal/tidstore"
 )
 
 func TestInsertColumn(t *testing.T) {
@@ -178,5 +182,45 @@ func TestExtractPastKeyEnd(t *testing.T) {
 		if got>>uint(len(d)-1) != 1 || got&lowMask32(len(d)-1) != 0 {
 			t.Errorf("d=%v: got %#b", d, got)
 		}
+	}
+}
+
+// TestSearchPathsAgree checks that every node of a trie over each data set
+// picks the same candidate on the native kernels as on the portable path,
+// for probes that are present, absent and routed elsewhere.
+func TestSearchPathsAgree(t *testing.T) {
+	if !bits.Native {
+		t.Skip("no native kernels on this CPU: the portable path is the only one")
+	}
+	defer func() { bits.Native = true }()
+	rng := rand.New(rand.NewSource(24))
+	for _, kind := range dataset.Kinds() {
+		keys := dataset.Generate(kind, 20000, 1)
+		s := &tidstore.Store{}
+		tr := New(s.Key)
+		for _, k := range keys[:10000] {
+			tr.Insert(k, s.Add(k))
+		}
+		var census [numLayouts]int
+		var walk func(nd *node)
+		walk = func(nd *node) {
+			census[nd.layout()]++
+			for i := 0; i < 100; i++ {
+				k := keys[rng.Intn(len(keys))]
+				bits.Native = true
+				want := nd.search(k)
+				bits.Native = false
+				if got := nd.search(k); got != want {
+					t.Fatalf("%v: %v node, key %x: go path %d, native %d", kind, nd.layout(), k, got, want)
+				}
+			}
+			for i := range nd.slots {
+				if c := nd.slots[i].loadChild(); c != nil {
+					walk(c)
+				}
+			}
+		}
+		walk(tr.root.Load().n)
+		t.Logf("%v: nodes per layout %v", kind, census)
 	}
 }

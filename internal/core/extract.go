@@ -27,14 +27,12 @@ const (
 // per-node hot path of every lookup; the PEXT-based layouts below mirror the
 // paper's extractSingleMask / extractMultiMask* primitives.
 type extractSpec struct {
-	kind       extractKind
-	contiguous bool   // single-mask fast path: mask bits are contiguous
-	shift      uint8  // contiguous: right-shift of the window
-	firstByte  int    // single-mask: starting byte of the 8-byte window
-	mask       uint64 // single-mask: window bits to extract (big-endian window)
-	offsets    []uint16
-	masks      []uint8
-	groups     []extractGroup // multi-mask: precomputed per-word extraction
+	kind      extractKind
+	firstByte int    // single-mask: starting byte of the 8-byte window
+	mask      uint64 // single-mask: window bits to extract (big-endian window)
+	offsets   []uint16
+	masks     []uint8
+	groups    []extractGroup // multi-mask: precomputed per-word extraction
 }
 
 // extractGroup is up to 8 (offset, mask) pairs assembled into one 64-bit
@@ -56,15 +54,7 @@ func buildSpec(d []uint16) extractSpec {
 		for _, p := range d {
 			mask |= 1 << (63 - (int(p) - first*8))
 		}
-		spec := extractSpec{kind: extractSingle, firstByte: first, mask: mask}
-		// A dense key region often yields contiguous discriminative bits;
-		// extraction then degenerates to a shift+mask (no PEXT needed).
-		tz := mathbits.TrailingZeros64(mask)
-		if mask>>tz == 1<<uint(len(d))-1 {
-			spec.contiguous = true
-			spec.shift = uint8(tz)
-		}
-		return spec
+		return extractSpec{kind: extractSingle, firstByte: first, mask: mask}
 	}
 	var spec extractSpec
 	for _, p := range d {
@@ -104,29 +94,30 @@ func buildSpec(d []uint16) extractSpec {
 // extract gathers the discriminative bits of k into a dense partial key.
 func (s *extractSpec) extract(k []byte) uint32 {
 	if s.kind == extractSingle {
-		w := beWindow(k, s.firstByte)
-		if s.contiguous {
-			return uint32((w & s.mask) >> s.shift)
-		}
-		return uint32(bits.Pext64(w, s.mask))
+		return uint32(bits.Pext64(beWindow(k, s.firstByte), s.mask))
 	}
 	return s.extractMulti(k)
 }
 
-// extractMulti is the multi-mask slow path of extract, split out so the
-// single-mask path stays small enough for the probe kernels in node.go to
-// inline it around their comply calls.
+// extractMulti is the multi-mask half of extract: one PEXT per group,
+// concatenated.
 func (s *extractSpec) extractMulti(k []byte) uint32 {
 	var pk uint32
 	for gi := range s.groups {
 		g := &s.groups[gi]
-		var w uint64
-		for i := 0; i < int(g.noff); i++ {
-			w |= uint64(key.Byte(k, int(g.offsets[i]))) << (56 - 8*i)
-		}
-		pk = pk<<g.nbits | uint32(bits.Pext64(w, g.maskWord))
+		pk = pk<<g.nbits | uint32(bits.Pext64(g.gather(k), g.maskWord))
 	}
 	return pk
+}
+
+// gather loads the group's key bytes into one big-endian word, the word
+// its maskWord extracts from; bytes past the end of k read as zero.
+func (g *extractGroup) gather(k []byte) uint64 {
+	var w uint64
+	for i := 0; i < int(g.noff); i++ {
+		w |= uint64(key.Byte(k, int(g.offsets[i]))) << (56 - 8*i)
+	}
+	return w
 }
 
 // beWindow loads key bytes [first, first+8) as a big-endian word, padding
@@ -134,6 +125,12 @@ func (s *extractSpec) extractMulti(k []byte) uint32 {
 func beWindow(k []byte, first int) uint64 {
 	if first+8 <= len(k) {
 		return binary.BigEndian.Uint64(k[first:])
+	}
+	if len(k) >= 8 {
+		// The window runs off the key's end — on fixed 8-byte keys, every
+		// node below the root: load the key's last 8 bytes and shift the
+		// missing ones in as zeros (a shift of 64 or more yields 0).
+		return binary.BigEndian.Uint64(k[len(k)-8:]) << (8 * uint(first+8-len(k)))
 	}
 	var w uint64
 	for i := first; i < len(k); i++ {

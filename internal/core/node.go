@@ -146,46 +146,20 @@ func (nd *node) pks(dst []uint32) []uint32 {
 // paper's retrieveResultCandidates + bit scan reverse). Entry 0's partial
 // key is always 0 and always complies, so the comply mask is never empty.
 //
-// The body is specialized per layout rather than funneled through
-// spec.extract + a width switch: single-mask extraction is inlined around
-// the width-matched comply kernel, with a fused fast path for the
-// width-8 + single-mask combination — the dominant layout in the paper's
-// Figure 6 census — so the hot descent pays no per-node dispatch beyond
-// two predictable branches.
+// Single-mask and multi8 nodes (one extraction group) hand bits.Search the
+// key word and the mask to extract with, so extraction, compare and bit
+// scan are one call per node visit; multi16 and multi32 nodes extract
+// group by group first.
 func (nd *node) search(k []byte) int {
 	sp := &nd.spec
-	if sp.kind == extractSingle {
-		w := beWindow(k, sp.firstByte)
-		if nd.width == 8 {
-			// Fused width-8 + single-mask fast path.
-			var probe uint8
-			if sp.contiguous {
-				probe = uint8((w & sp.mask) >> sp.shift)
-			} else {
-				probe = uint8(bits.Pext64(w, sp.mask))
-			}
-			return 31 - mathbits.LeadingZeros32(bits.Comply8(nd.keys, int(nd.n), probe))
-		}
-		var probe uint32
-		if sp.contiguous {
-			probe = uint32((w & sp.mask) >> sp.shift)
-		} else {
-			probe = uint32(bits.Pext64(w, sp.mask))
-		}
-		if nd.width == 16 {
-			return 31 - mathbits.LeadingZeros32(bits.Comply16(nd.keys, int(nd.n), uint16(probe)))
-		}
-		return 31 - mathbits.LeadingZeros32(bits.Comply32(nd.keys, int(nd.n), probe))
+	switch sp.kind {
+	case extractSingle:
+		return bits.Search(beWindow(k, sp.firstByte), sp.mask, nd.keys, int(nd.n), int(nd.width))
+	case extractMulti8:
+		g := &sp.groups[0]
+		return bits.Search(g.gather(k), g.maskWord, nd.keys, int(nd.n), int(nd.width))
 	}
-	probe := sp.extractMulti(k)
-	switch nd.width {
-	case 8:
-		return 31 - mathbits.LeadingZeros32(bits.Comply8(nd.keys, int(nd.n), uint8(probe)))
-	case 16:
-		return 31 - mathbits.LeadingZeros32(bits.Comply16(nd.keys, int(nd.n), uint16(probe)))
-	default:
-		return 31 - mathbits.LeadingZeros32(bits.Comply32(nd.keys, int(nd.n), probe))
-	}
+	return bits.SearchProbe(sp.extractMulti(k), nd.keys, int(nd.n), int(nd.width))
 }
 
 // complyRangeOf returns the contiguous index range [lo, hi] of entries whose
