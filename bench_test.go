@@ -488,10 +488,14 @@ func BenchmarkAblationFanout(b *testing.B) {
 // BenchmarkAblationROWEXOverhead compares single-threaded insert+lookup
 // throughput of the unsynchronized trie against the ROWEX trie on one
 // thread, isolating the synchronization cost (locks, epoch guards,
-// copy-on-write without node recycling).
+// copy-on-write without node recycling). The insert/exclusive row is the
+// same ConcurrentTrie written through its exclusive Writer — the path a
+// ShardedTree shard takes — so the three insert rows price the latch and
+// the recycling separately.
 func BenchmarkAblationROWEXOverhead(b *testing.B) {
 	d := benchData(b, dataset.Integer)
 	b.Run("insert/single-threaded", func(b *testing.B) {
+		b.ReportAllocs()
 		var tr *core.Trie
 		for i := 0; i < b.N; i++ {
 			if i%benchKeys == 0 {
@@ -500,7 +504,18 @@ func BenchmarkAblationROWEXOverhead(b *testing.B) {
 			tr.Insert(d.Keys[i%benchKeys], d.TIDs[i%benchKeys])
 		}
 	})
+	b.Run("insert/exclusive", func(b *testing.B) {
+		b.ReportAllocs()
+		var w core.Writer
+		for i := 0; i < b.N; i++ {
+			if i%benchKeys == 0 {
+				w = core.NewConcurrent(d.Store.Key).Writer()
+			}
+			w.Insert(d.Keys[i%benchKeys], d.TIDs[i%benchKeys])
+		}
+	})
 	b.Run("insert/rowex", func(b *testing.B) {
+		b.ReportAllocs()
 		var tr *core.ConcurrentTrie
 		for i := 0; i < b.N; i++ {
 			if i%benchKeys == 0 {
@@ -516,12 +531,14 @@ func BenchmarkAblationROWEXOverhead(b *testing.B) {
 		ct.Insert(d.Keys[i], d.TIDs[i])
 	}
 	b.Run("lookup/single-threaded", func(b *testing.B) {
+		b.ReportAllocs()
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < b.N; i++ {
 			st.Lookup(d.Keys[rng.Intn(benchKeys)])
 		}
 	})
 	b.Run("lookup/rowex", func(b *testing.B) {
+		b.ReportAllocs()
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < b.N; i++ {
 			ct.Lookup(d.Keys[rng.Intn(benchKeys)])

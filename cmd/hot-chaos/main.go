@@ -8,14 +8,18 @@
 // restart/backoff/validation and epoch-contention counters.
 //
 // With -shards N the same fault pressure is aimed at the range-sharded
-// writer path instead: every shard's ROWEX writers and epoch domain see
-// the injections, and between rounds each shard is verified individually
-// (structural invariants plus shard-range containment) while the
-// aggregate Len is checked against a full cross-shard scan oracle.
-// Sharded runs additionally route half of the mutations through the
-// asynchronous submission-queue path (UpsertAsync/DeleteAsync) with the
-// queue-push and writer-handoff fault points armed, and Flush the queues
-// before each round's verification.
+// writer path instead: the shard writer lock, the submission queues and
+// the shards' epoch domains. A shard runs no ROWEX — its writes are
+// serialized by the lock — so the three lock-window points
+// (rowex/between-locks, before-validate, before-unlock) are never reached
+// and restarts stay 0, while after-traverse and mid-copy, windows every
+// copy-on-write writer has, still fire against wait-free readers. Between
+// rounds each shard is verified individually (structural invariants plus
+// shard-range containment) while the aggregate Len is checked against a
+// full cross-shard scan oracle. Sharded runs additionally route half of
+// the mutations through the asynchronous submission-queue path
+// (UpsertAsync/DeleteAsync) with the queue-push and writer-handoff fault
+// points armed, and Flush the queues before each round's verification.
 //
 //	hot-chaos -seed 1 -ops 100000          # acceptance run
 //	hot-chaos -shards 8                    # sharded writer path

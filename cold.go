@@ -376,9 +376,7 @@ func (ct *coldTier) promote(s int) error {
 // to stop being cold). A section that load refuses leaves the shard cold.
 func (ct *coldTier) buildTree(cs *coldShard) (*core.ConcurrentTrie, error) {
 	tr := ct.t.newTrie()
-	sink, end := ct.t.load(cs.shard, tr)
-	defer end()
-	return tr, cs.walk(sink)
+	return tr, cs.walk(ct.t.load(cs.shard, tr))
 }
 
 // vetCold is load without the insert, for a cold section a durable open is

@@ -130,7 +130,7 @@ func TestCheckpointWritesOnlyWhatChanged(t *testing.T) {
 }
 
 // TestCheckpointDoesNotStallOtherShards parks a Checkpoint inside its cut
-// of shard 0 — mid-file, holding that shard's commit lock — and requires a
+// of shard 0 — mid-file, holding that shard's writer lock — and requires a
 // durable write to shard 1 to be acknowledged meanwhile.
 func TestCheckpointDoesNotStallOtherShards(t *testing.T) {
 	dir := t.TempDir()

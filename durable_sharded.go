@@ -16,7 +16,7 @@ import (
 
 // Durable mode for the sharded index types: one write-ahead log per shard,
 // so logging scales with the shards exactly like the writes themselves —
-// shards share no log file, no commit lock and no fsync. See durable.go
+// shards share no log file, no lock and no fsync. See durable.go
 // for the acknowledgement contract. This file holds the log's two
 // primitives (append, commit), the barrier that pays the fsyncs async
 // writes leave owed (settle), the cut that retires a log behind a base,
@@ -34,10 +34,10 @@ import (
 //
 // A shard has at most one base in steady state and none before its first
 // cut. Consistency hinges on one invariant: a shard's {log append, trie
-// apply} pair is atomic under the shard's commit lock, so a cut taken
-// under that lock is exact — the base covers precisely the LSNs the log
-// held, every one of them synced to the log file before the base is
-// written, and the log restarts there. One ordering rule covers every
+// apply} pair is atomic under the shard's writer lock (asyncShard.mu), so
+// a cut taken under that lock is exact — the base covers precisely the
+// LSNs the log held, every one of them synced to the log file before the
+// base is written, and the log restarts there. One ordering rule covers every
 // crash: a cut removes the superseded sibling base only BEFORE it rotates
 // the log, so whenever two bases coexist the log still holds every record
 // since the older one, and replaying it verbatim (inserts re-apply as
@@ -48,17 +48,9 @@ import (
 // durableState is the write-ahead side of a durable ShardedTree.
 type durableState struct {
 	dir    string
-	mu     []paddedMutex
 	wals   []*persist.WAL
 	ckpt   sync.Mutex  // serializes Checkpoint, Demote, Close and replication sessions
-	closed atomic.Bool // set by Close under every commit lock
-}
-
-// paddedMutex keeps the per-shard commit locks on separate cache lines, in
-// the spirit of asyncShard's padding.
-type paddedMutex struct {
-	sync.Mutex
-	_ [56]byte
+	closed atomic.Bool // set by Close under every shard's writer lock
 }
 
 func durableWalName(s int) string { return fmt.Sprintf("wal-%03d.log", s) }
@@ -75,11 +67,11 @@ var (
 	_ = [1]struct{}{}[shard.OpDelete-shard.OpKind(persist.WalDelete)]
 )
 
-// append logs one operation to shard s's log. Callers hold d.mu[s]. A log
-// failure panics: the store can no longer honor its durability contract
-// (see durable.go). Writing after Close is a caller bug and panics with a
-// clear message — the check is race-free because Close sets the flag while
-// holding every commit lock.
+// append logs one operation to shard s's log. Callers hold the shard's
+// writer lock. A log failure panics: the store can no longer honor its
+// durability contract (see durable.go). Writing after Close is a caller bug
+// and panics with a clear message — the check is race-free because Close
+// sets the flag while holding every writer lock.
 func (d *durableState) append(s int, op shard.Op) uint64 {
 	if d.closed.Load() {
 		panic("hot: write to a closed durable index")
@@ -92,7 +84,8 @@ func (d *durableState) append(s int, op shard.Op) uint64 {
 }
 
 // commit group-commits shard s's log through lsn, panicking on failure.
-// Callers must NOT hold d.mu[s]: appends proceed while the fsync runs.
+// Callers must NOT hold the shard's writer lock: appends proceed while the
+// fsync runs.
 func (d *durableState) commit(s int, lsn uint64) {
 	if err := d.wals[s].Commit(lsn); err != nil {
 		panic(fmt.Sprintf("hot: shard %d log commit failed: %v", s, err))
@@ -168,7 +161,7 @@ func (d *durableState) clean(s int) bool {
 }
 
 // cut is the one way a shard's state becomes its durable base: under the
-// shard's commit lock it makes the shard's log durable through its last
+// shard's writer lock it makes the shard's log durable through its last
 // LSN, streams tr — the shard's resident trie — to snap-NNN.hot (or, for a
 // demotion, the indexed cold-NNN.hot) through the crash-safe file
 // protocol, removes the sibling base the new file supersedes, and only
@@ -187,11 +180,11 @@ func (d *durableState) clean(s int) bool {
 // so it poisons every log. A non-durable tree (cut only by its cold tier)
 // has no log: its cut is just the file.
 func (t *ShardedTree) cut(s int, tr *core.ConcurrentTrie, cold bool) error {
-	d := t.dur
+	d, w := t.dur, &t.async.ws[s]
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	var dir string
 	if d != nil {
-		d.mu[s].Lock()
-		defer d.mu[s].Unlock()
 		dir = d.dir
 		if err := d.wals[s].Sync(); err != nil {
 			return fmt.Errorf("hot: syncing shard %d's log ahead of its cut: %w", s, err)
@@ -238,7 +231,7 @@ func (t *ShardedTree) LogSize() int64 {
 
 // Checkpoint bounds recovery replay: it cuts every hot shard that has
 // logged a record since its last cut — one shard at a time, holding only
-// that shard's commit lock, so writers to the other shards never stall
+// that shard's writer lock, so writers to the other shards never stall
 // and readers are unaffected — writing the shard's snap-NNN.hot and
 // rotating its log behind it. A cold shard is skipped (its cold-NNN.hot
 // already is its durable state, log rotated at the demotion), and so is
@@ -297,15 +290,16 @@ func (t *ShardedTree) Close() error {
 		return nil
 	}
 	t.barrier()
-	// Set the closed flag under every commit lock, so it is ordered against
+	// Set the closed flag under every writer lock, so it is ordered against
 	// all in-flight appends: any write that got its lock first is logged and
 	// closed out below; any write that gets its lock later panics cleanly.
-	for s := range d.mu {
-		d.mu[s].Lock()
+	ws := t.async.ws
+	for s := range ws {
+		ws[s].mu.Lock()
 	}
 	d.closed.Store(true)
-	for s := range d.mu {
-		d.mu[s].Unlock()
+	for s := range ws {
+		ws[s].mu.Unlock()
 	}
 	var first error
 	for s := range d.wals {
@@ -384,9 +378,7 @@ func openDurableSharded(dir string, fl flavor, shards int, sample [][]byte, opts
 		}
 	}
 	t.SetSnapshotCodec(opts.Codec)
-	d := &durableState{dir: dir,
-		mu:   make([]paddedMutex, len(t.shards)),
-		wals: make([]*persist.WAL, len(t.shards))}
+	d := &durableState{dir: dir, wals: make([]*persist.WAL, len(t.shards))}
 	fail := func(err error) (*ShardedTree, RecoveryInfo, error) {
 		for s, w := range d.wals {
 			if w != nil {
@@ -528,8 +520,7 @@ func (t *ShardedTree) recoverBase(s int, d *durableState, ct *coldTier, legacy b
 		tr = t.newTrie()
 		t.shards[s].tree.Store(tr)
 	}
-	sink, end := t.load(s, tr)
-	defer end()
+	sink := t.load(s, tr)
 	if pr != nil {
 		n, err := walkPageReader(pr, sink)
 		info.SnapshotEntries += n

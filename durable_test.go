@@ -420,7 +420,7 @@ func TestDurableShardedForeignDirectoryRefusal(t *testing.T) {
 
 // TestDurableShardedClosed pins the Close contract: Close is idempotent,
 // a closed store refuses checkpoints with ErrClosed, and a write after
-// Close panics with a clear hot:-prefixed message at the commit-lock
+// Close panics with a clear hot:-prefixed message at the writer-lock
 // boundary instead of failing deep inside the log layer.
 func TestDurableShardedClosed(t *testing.T) {
 	dir := t.TempDir()
@@ -494,7 +494,7 @@ func TestDurableShardedCheckpointRotateFaultMiddleShard(t *testing.T) {
 
 	// The store is poisoned as a unit: another checkpoint fails too, and
 	// reads still work while writes to ANY shard panic (checked last — the
-	// panic legitimately abandons a commit lock, so no Close after it).
+	// panic legitimately abandons a shard writer lock, so no Close after it).
 	if err := tr.Checkpoint(); err == nil {
 		t.Fatal("checkpoint on a poisoned store returned nil")
 	}

@@ -708,7 +708,7 @@ func within(t *testing.T, what string, fn func()) {
 
 // TestShardedContractViolationLeavesNoLock: an oversize key or TID is
 // rejected before routing and locking, identically at every entrance, so
-// the panic strands no commit lock and no write guard.
+// the panic strands no shard writer lock and no write guard.
 func TestShardedContractViolationLeavesNoLock(t *testing.T) {
 	keys := dataset.Generate(dataset.Integer, 400, 3)
 	store := &tidstore.Store{}

@@ -151,7 +151,7 @@ func main() {
 	//
 	// hot.Map is single-threaded and durable only at its saves. A
 	// hot.ShardedTree opened durably is neither: N range partitions, each
-	// an independent ROWEX writer and epoch domain with its own write-ahead
+	// an independent writer and epoch domain with its own write-ahead
 	// log. The tree layer has no key escape, so the keys get a NUL
 	// terminator to stay prefix-free.
 	skeys := make([][]byte, 0, store.Len())

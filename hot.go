@@ -18,8 +18,10 @@
 //     ROWEX synchronization: wait-free readers, lock-only-what-you-modify
 //     writers.
 //   - ShardedTree range-partitions the key space across N independent
-//     ConcurrentTrees, each with its own ROWEX writer and epoch domain, so
+//     concurrent tries, each with its own writer lock and epoch domain, so
 //     writers to different shards never contend — the write-scaling layer.
+//     A shard admits one writer at a time and runs no ROWEX; readers stay
+//     wait-free.
 //   - Map is the convenience layer for applications without a tuple store:
 //     it keeps its own key storage, accepts arbitrary byte keys (an
 //     order-preserving escape makes them prefix-free) and maps them to
@@ -115,8 +117,8 @@ func NewWithFanout(loader Loader, k int) *Tree {
 // All methods are safe for concurrent use; the loader must be too.
 //
 // The shared index surface comes from the embedded surface layer (see
-// Index); ShardedTree composes N of these trees into one write-scalable
-// index.
+// Index); ShardedTree composes N of the same tries, one writer each, into
+// one write-scalable index.
 type ConcurrentTree struct {
 	base
 	codecOpt

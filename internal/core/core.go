@@ -12,12 +12,17 @@
 // overall height minimal: like a B-tree, the height only grows when a new
 // root is created.
 //
-// The package provides two tries sharing one node representation:
+// The package provides two tries sharing one node representation and one
+// write body (tree.write, tree.del), which three writers run:
 //
-//   - Trie: single-threaded, no synchronization overhead.
+//   - Trie: single-threaded, no synchronization overhead; replaced nodes
+//     are recycled straight into its pool.
 //   - ConcurrentTrie: the paper's ROWEX protocol (Section 5) — wait-free
 //     readers, writers lock only the nodes they modify, copy-on-write node
 //     replacement, obsolete markers and epoch-based reclamation.
+//   - ConcurrentTrie.Writer: the trie's exclusive writer, for a caller that
+//     already serializes its writes — copy-on-write and epoch retirement,
+//     so readers stay wait-free, but no locks, validation or restarts.
 //
 // Keys are arbitrary []byte (up to MaxKeyLen) compared as zero-padded bit
 // strings; key sets must be prefix-free. Values are 63-bit tuple

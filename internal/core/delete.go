@@ -1,5 +1,10 @@
 package core
 
+import (
+	"github.com/hotindex/hot/internal/chaos"
+	"github.com/hotindex/hot/internal/key"
+)
+
 // deleteCase classifies the removal work, mirroring the paper's deletion
 // cases (Section 3.2): a normal delete rebuilds the affected node; an
 // underflow (node left with one entry) eliminates the node, linking the
@@ -72,4 +77,44 @@ func (t *tree) execDelete(plan deletePlan, replaced []*node) []*node {
 		t.size.Add(-1)
 		return append(replaced, a.nd, p.nd)
 	}
+}
+
+// del is the one delete body, shared by every writer exactly like write
+// (see there for the latch and the step order). ok=false means the latch
+// failed validation: nothing changed and the caller restarts.
+func (t *tree) del(k []byte, sc *scratch, latch *ConcurrentTrie) (deleted, ok bool) {
+	rb := t.root.Load()
+	if rb.n == nil {
+		if !rb.leaf {
+			return false, true
+		}
+		if latch != nil {
+			if !latch.lockRoot(rb) {
+				return false, false
+			}
+			defer latch.unlock(nil, 0, true)
+		}
+		if !key.Equal(t.load(rb.tid, sc.buf[:0]), k) {
+			return false, true
+		}
+		t.root.Store(emptyRoot)
+		t.size.Add(-1)
+		return true, true
+	}
+	stack, cand := descend(rb.n, k, sc.stack[:0])
+	sc.stack = stack[:0]
+	chaos.Fire(chaos.RowexAfterTraverse)
+	if !key.Equal(t.load(cand, sc.buf[:0]), k) {
+		return false, true
+	}
+	plan := planDelete(stack, cand)
+	if latch != nil && !latch.lock(stack, plan.lockTop, plan.useRoot, cand) {
+		return false, false
+	}
+	sc.replaced = t.execDelete(plan, sc.replaced[:0])
+	t.retire(sc.replaced)
+	if latch != nil {
+		latch.unlock(stack, plan.lockTop, plan.useRoot)
+	}
+	return true, true
 }

@@ -7,13 +7,13 @@ import (
 
 	"github.com/hotindex/hot/internal/chaos"
 	"github.com/hotindex/hot/internal/epoch"
-	"github.com/hotindex/hot/internal/key"
 )
 
 // ConcurrentTrie is the ROWEX-synchronized Height Optimized Trie of
 // Section 5. Readers are wait-free: they never take locks and never
 // restart, relying on atomic child-pointer loads and on obsolete nodes
-// remaining intact until reclaimed. Writers perform the paper's five steps:
+// remaining intact until reclaimed. Insert, Upsert and Delete perform the
+// paper's five writer steps:
 //
 //	(a) traverse and determine the set of affected nodes,
 //	(b) lock them bottom-up,
@@ -22,11 +22,12 @@ import (
 //	    obsolete,
 //	(e) unlock top-down.
 //
-// Obsolete nodes are retired to an epoch-based reclamation manager.
+// A writer that is alone by construction uses Writer instead, which runs
+// the same body without (b), (c), (e) and the restart. Obsolete nodes are
+// retired to an epoch-based reclamation manager either way.
 type ConcurrentTrie struct {
 	tree
 	rootMu sync.Mutex // guards root-box swaps (the "lock above the root")
-	gc     epoch.Manager
 }
 
 // NewConcurrent returns an empty concurrent HOT trie. The loader must be
@@ -34,6 +35,7 @@ type ConcurrentTrie struct {
 func NewConcurrent(loader Loader) *ConcurrentTrie {
 	t := &ConcurrentTrie{}
 	t.init(loader, MaxFanout)
+	t.gc = &epoch.Manager{}
 	return t
 }
 
@@ -78,232 +80,113 @@ func (t *ConcurrentTrie) ReclaimStats() (freed uint64, pending int64) {
 }
 
 // Insert stores tid under k, reporting false if the key already exists.
-// Like Upsert and Delete it is a WriterBatch of one operation: the
-// retry–pin–advance protocol exists once, on the batch.
 func (t *ConcurrentTrie) Insert(k []byte, tid TID) bool {
-	b := t.BeginBatch()
-	inserted := b.Insert(k, tid)
-	b.End()
+	inserted, _, _ := t.rowexWrite(k, tid, false)
 	return inserted
 }
 
 // Upsert stores tid under k, returning the replaced TID if one existed.
 func (t *ConcurrentTrie) Upsert(k []byte, tid TID) (old TID, replaced bool) {
-	b := t.BeginBatch()
-	old, replaced = b.Upsert(k, tid)
-	b.End()
+	_, old, replaced = t.rowexWrite(k, tid, true)
 	return old, replaced
+}
+
+// rowexWrite runs the shared write body with the trie as its latch, one
+// epoch-pinned attempt at a time, until an attempt validates.
+func (t *ConcurrentTrie) rowexWrite(k []byte, tid TID, upsert bool) (inserted bool, old TID, replaced bool) {
+	checkKey(k)
+	checkTID(tid)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	for attempt := 0; ; attempt++ {
+		g := t.gc.Enter()
+		inserted, old, replaced, ok := t.write(k, tid, upsert, sc, t)
+		g.Exit() // unpinned while backing off, so reclamation can advance
+		if ok {
+			t.maybeAdvance()
+			return inserted, old, replaced
+		}
+		t.restartBackoff(attempt)
+	}
 }
 
 // Delete removes k, reporting whether it was present.
 func (t *ConcurrentTrie) Delete(k []byte) bool {
-	b := t.BeginBatch()
-	deleted := b.Delete(k)
-	b.End()
-	return deleted
-}
-
-// tryWrite performs one optimistic write attempt. ok=false requests a
-// restart (validation failed against a concurrent modification).
-func (t *ConcurrentTrie) tryWrite(k []byte, tid TID, upsert bool) (inserted bool, old TID, replaced, ok bool) {
-	rb := t.root.Load()
-	if rb.n == nil {
-		// Empty or single-leaf tree: serialize on the root lock.
-		t.rootMu.Lock()
-		defer t.rootMu.Unlock()
-		if t.root.Load() != rb {
-			t.ops.validationFails.Add(1)
-			return false, 0, false, false
+	checkKey(k)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	for attempt := 0; ; attempt++ {
+		g := t.gc.Enter()
+		deleted, ok := t.del(k, sc, t)
+		g.Exit()
+		if ok {
+			t.maybeAdvance()
+			return deleted
 		}
-		if !rb.leaf {
-			t.root.Store(&rootBox{tid: tid, leaf: true})
-			t.size.Add(1)
-			return true, 0, false, true
-		}
-		mb, differ := key.MismatchBit(t.load(rb.tid, nil), k)
-		if !differ {
-			if upsert {
-				t.root.Store(&rootBox{tid: tid, leaf: true})
-				return false, rb.tid, true, true
-			}
-			return false, 0, false, true
-		}
-		var nd *node
-		if key.Bit(k, mb) == 1 {
-			nd = nodeFrom2(uint16(mb), leafSlot(rb.tid), leafSlot(tid), nil)
-		} else {
-			nd = nodeFrom2(uint16(mb), leafSlot(tid), leafSlot(rb.tid), nil)
-		}
-		t.root.Store(&rootBox{n: nd})
-		t.size.Add(1)
-		return true, 0, false, true
-	}
-
-	stack, cand := descend(rb.n, k, make([]pathEntry, 0, 8))
-	chaos.Fire(chaos.RowexAfterTraverse)
-	mb, differ := key.MismatchBit(t.load(cand, nil), k)
-	if !differ {
-		if !upsert {
-			return false, 0, false, true // duplicate: no locks needed
-		}
-		last := len(stack) - 1
-		lockTop := max(last-1, 0)
-		if !t.lockLevels(stack, lockTop, last, last == 0, rb, cand, true) {
-			return false, 0, false, false
-		}
-		nd2 := stack[last].nd.withSlotReplaced(stack[last].idx, leafSlot(tid), nil)
-		t.replaceAt(stack, last, nd2)
-		t.retireNodes([]*node{stack[last].nd})
-		t.unlockLevels(stack, lockTop, last, last == 0)
-		return false, cand, true, true
-	}
-
-	plan := planInsert(stack, cand, mb, key.Bit(k, mb), t.k)
-	last := len(stack) - 1
-	if !t.lockLevels(stack, plan.lockTop, last, plan.useRoot, rb, cand, true) {
-		return false, 0, false, false
-	}
-	replacedNodes := t.execInsert(plan, tid, nil)
-	t.retireNodes(replacedNodes)
-	t.unlockLevels(stack, plan.lockTop, last, plan.useRoot)
-	return true, 0, false, true
-}
-
-// WriterBatch is the writer side of the trie: every Insert, Upsert and
-// Delete runs through one, and it owns the restart loop. Over a run of
-// writes issued by one goroutine it amortizes the per-write epoch protocol:
-// the epoch is pinned once lazily and held across consecutive successful
-// writes, and the reclamation-advance check runs once at End instead of per
-// operation — ConcurrentTrie's own write methods are a batch of one, the
-// sharded index's drain slices and section loads a batch of many with the
-// shard's epoch already warm. The batch is single-goroutine state; it must
-// be closed with End and must not be held across blocking calls — a held
-// pin stalls epoch advance, so batches are expected to be short (a drain
-// slice). A restart unpins for the backoff's duration, keeping restart
-// storms from blocking reclamation.
-type WriterBatch struct {
-	t       *ConcurrentTrie
-	g       epoch.Guard
-	pinned  bool
-	mutated bool
-}
-
-// BeginBatch opens an amortized writer batch; no epoch is pinned until the
-// first write.
-func (t *ConcurrentTrie) BeginBatch() WriterBatch { return WriterBatch{t: t} }
-
-func (b *WriterBatch) pin() {
-	if !b.pinned {
-		b.g = b.t.gc.Enter()
-		b.pinned = true
+		t.restartBackoff(attempt)
 	}
 }
 
-func (b *WriterBatch) unpin() {
-	if b.pinned {
-		b.g.Exit()
-		b.pinned = false
-	}
-}
+// Writer is a ConcurrentTrie's exclusive writer: the shared write body
+// without the latch — no epoch pin, no lock, no validation, no restart.
+// Replaced nodes still go to the epoch manager, so readers stay wait-free
+// while it writes. The caller guarantees that no other write of any kind
+// (Writer or ROWEX) runs on the trie at the same time: a ShardedTree shard
+// holds its writer lock, and a section load writes a trie no other writer
+// can reach.
+type Writer struct{ t *ConcurrentTrie }
 
-// Insert is the batched analogue of ConcurrentTrie.Insert.
-func (b *WriterBatch) Insert(k []byte, tid TID) bool {
-	inserted, _, _ := b.write(k, tid, false)
+// Writer returns the trie's exclusive writer.
+func (t *ConcurrentTrie) Writer() Writer { return Writer{t} }
+
+// Insert is ConcurrentTrie.Insert for the exclusive writer.
+func (w Writer) Insert(k []byte, tid TID) bool {
+	checkKey(k)
+	checkTID(tid)
+	inserted, _, _, _ := w.t.write(k, tid, false, &w.t.sc, nil)
+	w.t.maybeAdvance()
 	return inserted
 }
 
-// Upsert is the batched analogue of ConcurrentTrie.Upsert.
-func (b *WriterBatch) Upsert(k []byte, tid TID) (old TID, replaced bool) {
-	_, old, replaced = b.write(k, tid, true)
+// Upsert is ConcurrentTrie.Upsert for the exclusive writer.
+func (w Writer) Upsert(k []byte, tid TID) (old TID, replaced bool) {
+	checkKey(k)
+	checkTID(tid)
+	_, old, replaced, _ = w.t.write(k, tid, true, &w.t.sc, nil)
+	w.t.maybeAdvance()
 	return old, replaced
 }
 
-func (b *WriterBatch) write(k []byte, tid TID, upsert bool) (inserted bool, old TID, replaced bool) {
+// Delete is ConcurrentTrie.Delete for the exclusive writer.
+func (w Writer) Delete(k []byte) bool {
 	checkKey(k)
-	checkTID(tid)
-	for attempt := 0; ; attempt++ {
-		b.pin()
-		inserted, old, replaced, ok := b.t.tryWrite(k, tid, upsert)
-		if ok {
-			if attempt > 0 || inserted || replaced {
-				b.mutated = true
-			}
-			return inserted, old, replaced
-		}
-		b.unpin() // let reclamation advance while we back off
-		b.t.restartBackoff(attempt)
-	}
+	deleted, _ := w.t.del(k, &w.t.sc, nil)
+	w.t.maybeAdvance()
+	return deleted
 }
 
-// Delete is the batched analogue of ConcurrentTrie.Delete.
-func (b *WriterBatch) Delete(k []byte) bool {
-	checkKey(k)
-	for attempt := 0; ; attempt++ {
-		b.pin()
-		deleted, ok := b.t.tryDelete(k)
-		if ok {
-			if deleted {
-				b.mutated = true
-			}
-			return deleted
-		}
-		b.unpin()
-		b.t.restartBackoff(attempt)
+// lockRoot is the latch's lock for the empty and single-leaf shapes: the
+// root box, reporting false (holding nothing) when rb is no longer the
+// published root.
+func (t *ConcurrentTrie) lockRoot(rb *rootBox) bool {
+	t.rootMu.Lock()
+	if t.root.Load() != rb {
+		t.ops.validationFails.Add(1)
+		t.rootMu.Unlock()
+		return false
 	}
+	return true
 }
 
-// End releases the batch's epoch pin and runs the deferred reclamation-
-// advance check. The batch may be reused after End.
-func (b *WriterBatch) End() {
-	b.unpin()
-	if b.mutated {
-		b.t.maybeAdvance()
-		b.mutated = false
-	}
-}
-
-func (t *ConcurrentTrie) tryDelete(k []byte) (deleted, ok bool) {
-	rb := t.root.Load()
-	if rb.n == nil {
-		if !rb.leaf {
-			return false, true
-		}
-		t.rootMu.Lock()
-		defer t.rootMu.Unlock()
-		if t.root.Load() != rb {
-			t.ops.validationFails.Add(1)
-			return false, false
-		}
-		if !key.Equal(t.load(rb.tid, nil), k) {
-			return false, true
-		}
-		t.root.Store(emptyRoot)
-		t.size.Add(-1)
-		return true, true
-	}
-	stack, cand := descend(rb.n, k, make([]pathEntry, 0, 8))
-	chaos.Fire(chaos.RowexAfterTraverse)
-	if !key.Equal(t.load(cand, nil), k) {
-		return false, true
-	}
-	plan := planDelete(stack, cand)
+// lock implements steps (b) and (c) for stack levels [lo, last]: acquire
+// the nodes' locks bottom-up (deepest first, the root lock last when
+// useRoot) and validate that every locked node is still reachable and not
+// obsolete, that the path links between locked levels are intact, and that
+// the final slot still holds the candidate leaf. On validation failure
+// everything is unlocked and false is returned (the caller restarts).
+func (t *ConcurrentTrie) lock(stack []pathEntry, lo int, useRoot bool, cand TID) bool {
 	last := len(stack) - 1
-	if !t.lockLevels(stack, plan.lockTop, last, plan.useRoot, rb, cand, true) {
-		return false, false
-	}
-	t.retireNodes(t.execDelete(plan, nil))
-	t.unlockLevels(stack, plan.lockTop, last, plan.useRoot)
-	return true, true
-}
-
-// lockLevels implements steps (b) and (c): acquire the affected nodes'
-// locks bottom-up (deepest first, the root lock last) and validate that
-// every locked node is still reachable and not obsolete, that the path
-// links between locked levels are intact, and that the final slot still
-// holds the candidate leaf. On validation failure everything is unlocked
-// and false is returned (the caller restarts).
-func (t *ConcurrentTrie) lockLevels(stack []pathEntry, lo, hi int, useRoot bool, rb *rootBox, cand TID, candIsLeaf bool) bool {
-	for i := hi; i >= lo; i-- {
+	for i := last; i >= lo; i-- {
 		stack[i].nd.mu.Lock()
 		chaos.Fire(chaos.RowexBetweenLocks)
 	}
@@ -312,62 +195,38 @@ func (t *ConcurrentTrie) lockLevels(stack []pathEntry, lo, hi int, useRoot bool,
 	}
 	chaos.Fire(chaos.RowexBeforeValidate)
 	valid := true
-	for i := lo; i <= hi && valid; i++ {
-		if stack[i].nd.obsolete.Load() {
-			valid = false
-			break
-		}
-		if i < hi {
-			// The traversal link must still hold; a concurrent writer that
-			// changed it would have had to lock stack[i], which excludes us.
-			if stack[i].nd.slots[stack[i].idx].loadChild() != stack[i+1].nd {
-				valid = false
-			}
-		}
+	for i := lo; i <= last && valid; i++ {
+		// A concurrent writer that changed a traversal link would have had
+		// to lock stack[i], which excludes us.
+		valid = !stack[i].nd.obsolete.Load() &&
+			(i == last || stack[i].nd.slots[stack[i].idx].loadChild() == stack[i+1].nd)
 	}
-	if valid && candIsLeaf && hi == len(stack)-1 {
-		lastS := &stack[len(stack)-1]
-		s := &lastS.nd.slots[lastS.idx]
-		if s.loadChild() != nil || s.tid != cand {
-			valid = false
-		}
+	if valid {
+		s := &stack[last].nd.slots[stack[last].idx]
+		valid = s.loadChild() == nil && s.tid == cand
 	}
-	if valid && useRoot {
-		if cur := t.root.Load(); cur.n != stack[0].nd {
-			valid = false
-		}
-		_ = rb
-	}
-	// The link above the lock window must also be intact when the topmost
-	// locked node is not reached through the root box.
-	if valid && !useRoot && lo == 0 {
-		if cur := t.root.Load(); cur.n != stack[0].nd {
-			valid = false
-		}
+	// A window that starts at the root (always so with useRoot) is reached
+	// through the root box, which must still hold it.
+	if valid && lo == 0 {
+		valid = t.root.Load().n == stack[0].nd
 	}
 	if !valid {
 		t.ops.validationFails.Add(1)
-		t.unlockLevels(stack, lo, hi, useRoot)
+		t.unlock(stack, lo, useRoot)
 		return false
 	}
 	return true
 }
 
-func (t *ConcurrentTrie) unlockLevels(stack []pathEntry, lo, hi int, useRoot bool) {
+// unlock implements step (e), top-down; with an empty stack it releases
+// what lockRoot took.
+func (t *ConcurrentTrie) unlock(stack []pathEntry, lo int, useRoot bool) {
 	chaos.Fire(chaos.RowexBeforeUnlock)
 	if useRoot {
 		t.rootMu.Unlock()
 	}
-	for i := lo; i <= hi; i++ {
+	for i := lo; i < len(stack); i++ {
 		stack[i].nd.mu.Unlock()
-	}
-}
-
-// retireNodes marks nodes obsolete and hands them to the epoch manager.
-func (t *ConcurrentTrie) retireNodes(nodes []*node) {
-	for _, nd := range nodes {
-		nd.obsolete.Store(true)
-		t.gc.Retire(nil)
 	}
 }
 

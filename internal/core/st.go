@@ -1,15 +1,11 @@
 package core
 
-import "github.com/hotindex/hot/internal/key"
-
-// Trie is the single-threaded Height Optimized Trie. It must not be
-// accessed concurrently; use ConcurrentTrie for shared access.
+// Trie is the single-threaded Height Optimized Trie: the shared write body
+// with no latch, recycling replaced nodes straight into its pool. It must
+// not be accessed concurrently; use ConcurrentTrie for shared access.
 type Trie struct {
 	tree
-	buf      []byte
-	stack    []pathEntry
-	replaced []*node
-	batch    batchState
+	batch batchState
 }
 
 // New returns an empty HOT trie resolving keys through loader.
@@ -22,14 +18,12 @@ func NewWithFanout(loader Loader, k int) *Trie {
 	t := &Trie{}
 	t.init(loader, k)
 	t.pool = &nodePool{}
-	t.buf = make([]byte, 0, 64)
-	t.stack = make([]pathEntry, 0, 16)
 	return t
 }
 
 // Lookup returns the TID stored under k.
 func (t *Trie) Lookup(k []byte) (TID, bool) {
-	return t.lookup(k, t.buf[:0])
+	return t.lookup(k, t.sc.buf[:0])
 }
 
 // LookupBatch looks up all keys as one batch, storing each key's TID in
@@ -47,112 +41,44 @@ func (t *Trie) LookupBatch(keys [][]byte, out []TID) []bool {
 // the smallest key), like tree.Iter but threading the trie's scratch key
 // buffer so opening a cursor performs no allocation inside the loader.
 func (t *Trie) Iter(start []byte) Iterator {
-	return t.iter(start, t.buf[:0], nil)
+	return t.iter(start, t.sc.buf[:0], nil)
 }
 
 // SeekIter repositions it at the first key ≥ start, reusing the iterator's
 // stack storage; steady-state repositioning allocates nothing. The
 // iterator may be zero-valued or previously exhausted.
 func (t *Trie) SeekIter(it *Iterator, start []byte) {
-	*it = t.iter(start, t.buf[:0], it.stack)
+	*it = t.iter(start, t.sc.buf[:0], it.stack)
 }
 
 // Scan invokes fn for up to max entries in ascending key order starting at
 // the first key ≥ start (nil start scans from the smallest key). It returns
 // the number of entries visited; fn returning false stops the scan early.
 func (t *Trie) Scan(start []byte, max int, fn func(TID) bool) int {
-	return t.scan(start, max, fn, t.buf[:0])
+	return t.scan(start, max, fn, t.sc.buf[:0])
 }
 
 // Insert stores tid under k. It reports false (without modification) when k
 // is already present.
 func (t *Trie) Insert(k []byte, tid TID) bool {
-	inserted, _, _ := t.write(k, tid, false)
+	checkKey(k)
+	checkTID(tid)
+	inserted, _, _, _ := t.write(k, tid, false, &t.sc, nil)
 	return inserted
 }
 
 // Upsert stores tid under k, replacing any existing value. It returns the
 // previous TID when the key was already present.
 func (t *Trie) Upsert(k []byte, tid TID) (old TID, replaced bool) {
-	_, old, replaced = t.write(k, tid, true)
-	return old, replaced
-}
-
-// write implements Insert and Upsert.
-func (t *Trie) write(k []byte, tid TID, upsert bool) (inserted bool, old TID, replaced bool) {
 	checkKey(k)
 	checkTID(tid)
-	rb := t.root.Load()
-	switch {
-	case rb.n == nil && !rb.leaf:
-		t.root.Store(&rootBox{tid: tid, leaf: true})
-		t.size.Add(1)
-		return true, 0, false
-	case rb.leaf:
-		mb, differ := key.MismatchBit(t.load(rb.tid, t.buf[:0]), k)
-		if !differ {
-			if upsert {
-				old = rb.tid
-				t.root.Store(&rootBox{tid: tid, leaf: true})
-				return false, old, true
-			}
-			return false, 0, false
-		}
-		var nd *node
-		if key.Bit(k, mb) == 1 {
-			nd = nodeFrom2(uint16(mb), leafSlot(rb.tid), leafSlot(tid), t.pool)
-		} else {
-			nd = nodeFrom2(uint16(mb), leafSlot(tid), leafSlot(rb.tid), t.pool)
-		}
-		t.root.Store(&rootBox{n: nd})
-		t.size.Add(1)
-		return true, 0, false
-	}
-	stack, cand := descend(rb.n, k, t.stack[:0])
-	t.stack = stack[:0]
-	mb, differ := key.MismatchBit(t.load(cand, t.buf[:0]), k)
-	if !differ {
-		if upsert {
-			last := len(stack) - 1
-			old := stack[last].nd
-			nd2 := old.withSlotReplaced(stack[last].idx, leafSlot(tid), t.pool)
-			t.replaceAt(stack, last, nd2)
-			t.pool.put(old)
-			return false, cand, true
-		}
-		return false, 0, false
-	}
-	plan := planInsert(stack, cand, mb, key.Bit(k, mb), t.k)
-	t.replaced = t.execInsert(plan, tid, t.replaced[:0])
-	for _, nd := range t.replaced {
-		t.pool.put(nd)
-	}
-	return true, 0, false
+	_, old, replaced, _ = t.write(k, tid, true, &t.sc, nil)
+	return old, replaced
 }
 
 // Delete removes k, reporting whether it was present.
 func (t *Trie) Delete(k []byte) bool {
 	checkKey(k)
-	rb := t.root.Load()
-	switch {
-	case rb.n == nil && !rb.leaf:
-		return false
-	case rb.leaf:
-		if !key.Equal(t.load(rb.tid, t.buf[:0]), k) {
-			return false
-		}
-		t.root.Store(emptyRoot)
-		t.size.Add(-1)
-		return true
-	}
-	stack, cand := descend(rb.n, k, t.stack[:0])
-	t.stack = stack[:0]
-	if !key.Equal(t.load(cand, t.buf[:0]), k) {
-		return false
-	}
-	t.replaced = t.execDelete(planDelete(stack, cand), t.replaced[:0])
-	for _, nd := range t.replaced {
-		t.pool.put(nd)
-	}
-	return true
+	deleted, _ := t.del(k, &t.sc, nil)
+	return deleted
 }

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"github.com/hotindex/hot/internal/chaos"
+	"github.com/hotindex/hot/internal/epoch"
 	"github.com/hotindex/hot/internal/key"
 )
 
@@ -18,16 +20,23 @@ type rootBox struct {
 
 var emptyRoot = &rootBox{}
 
-// tree holds the state shared by the single-threaded Trie and the ROWEX
-// ConcurrentTrie: the root pointer, the entry count and the TID→key loader.
+// tree holds the state shared by the single-threaded Trie and the
+// ConcurrentTrie: the root pointer, the entry count, the TID→key loader and
+// the one write body every writer runs (write, del).
 type tree struct {
 	loader Loader
 	root   atomic.Pointer[rootBox]
 	size   atomic.Int64
-	// pool recycles retired nodes; non-nil only for the single-threaded
-	// trie (the concurrent trie leaves reclamation to the epoch manager
-	// and the garbage collector).
+	// Replaced nodes go to exactly one of pool and gc. pool recycles them
+	// and is non-nil only for the single-threaded trie, whose replaced
+	// nodes no reader can still hold; gc is the concurrent trie's epoch
+	// manager, which retires them (reclamation is left to the garbage
+	// collector).
 	pool *nodePool
+	gc   *epoch.Manager
+	// sc is the exclusive writer's scratch — Trie's, or a ConcurrentTrie
+	// Writer's. ROWEX writers run concurrently and bring their own.
+	sc scratch
 	// k is the maximum node fanout (the paper's k, default MaxFanout).
 	// Smaller values trade tree height for cheaper node operations; the
 	// fanout ablation benchmark sweeps it.
@@ -61,6 +70,7 @@ func (t *tree) init(loader Loader, k int) {
 	t.loader = loader
 	t.k = k
 	t.root.Store(emptyRoot)
+	t.sc = newScratch()
 }
 
 // Len returns the number of keys stored.
@@ -142,16 +152,17 @@ func (t *tree) lookup(k, buf []byte) (TID, bool) {
 	}
 }
 
-// insertCase classifies what an insert has to do (Section 3.2).
+// insertCase classifies what a write has to do: one of the insertion cases
+// of Section 3.2, or an Upsert's replacement of an existing key's TID.
 type insertCase uint8
 
 const (
 	caseNormal   insertCase = iota // splice into the affected node (may overflow)
 	casePushdown                   // new 2-entry node below a leaf slot
+	caseReplace                    // copy the leaf's node with the new TID in its slot
 )
 
-// insertPlan is the pure outcome of insertion analysis, shared by the
-// single-threaded and the ROWEX write paths.
+// insertPlan is the pure outcome of write analysis.
 type insertPlan struct {
 	stack   []pathEntry
 	cand    TID // candidate leaf whose key determined the mismatch
@@ -250,6 +261,10 @@ func (t *tree) execInsert(plan insertPlan, tid TID, replaced []*node) []*node {
 	stack := plan.stack
 	a := stack[plan.ai]
 
+	if plan.what == caseReplace {
+		t.replaceAt(stack, plan.ai, a.nd.withSlotReplaced(a.idx, leafSlot(tid), t.pool))
+		return append(replaced, a.nd)
+	}
 	if plan.what == casePushdown {
 		existing := a.nd.slots[a.idx] // leaf slot, stable under the node lock
 		var c *node
@@ -315,6 +330,102 @@ func (t *tree) execInsert(plan insertPlan, tid TID, replaced []*node) []*node {
 	t.replaceAt(stack, plan.ai, nd2)
 	t.size.Add(1)
 	return replaced
+}
+
+// scratch is one writer's reusable working storage.
+type scratch struct {
+	buf      []byte      // the loader's key buffer
+	stack    []pathEntry // the descent path
+	replaced []*node     // the nodes the write replaced
+}
+
+func newScratch() scratch {
+	return scratch{buf: make([]byte, 0, 64), stack: make([]pathEntry, 0, 16)}
+}
+
+// scratchPool lends ROWEX writers, which run concurrently, their scratch.
+var scratchPool = sync.Pool{New: func() any { sc := newScratch(); return &sc }}
+
+// write is the one insert/upsert body, run by Trie and by a
+// ConcurrentTrie's exclusive Writer with a nil latch, and by ROWEX with the
+// trie itself as the latch: (a) traverse and plan, (b, c) lock and
+// validate through the latch, (d) copy, publish and retire the replaced
+// nodes, (e) unlock. Retiring before the unlock matters: a node a racing
+// writer locks next must already read as obsolete. ok=false means the
+// latch failed validation: nothing changed and the caller restarts. The
+// caller has checked k and tid.
+func (t *tree) write(k []byte, tid TID, upsert bool, sc *scratch, latch *ConcurrentTrie) (inserted bool, old TID, replaced, ok bool) {
+	rb := t.root.Load()
+	if rb.n == nil {
+		// Empty or single-leaf tree: the root box is all there is.
+		if latch != nil {
+			if !latch.lockRoot(rb) {
+				return false, 0, false, false
+			}
+			defer latch.unlock(nil, 0, true)
+		}
+		if !rb.leaf {
+			t.root.Store(&rootBox{tid: tid, leaf: true})
+			t.size.Add(1)
+			return true, 0, false, true
+		}
+		mb, differ := key.MismatchBit(t.load(rb.tid, sc.buf[:0]), k)
+		if !differ {
+			if upsert {
+				t.root.Store(&rootBox{tid: tid, leaf: true})
+				return false, rb.tid, true, true
+			}
+			return false, 0, false, true
+		}
+		s0, s1 := leafSlot(tid), leafSlot(rb.tid)
+		if key.Bit(k, mb) == 1 {
+			s0, s1 = s1, s0
+		}
+		t.root.Store(&rootBox{n: nodeFrom2(uint16(mb), s0, s1, t.pool)})
+		t.size.Add(1)
+		return true, 0, false, true
+	}
+
+	stack, cand := descend(rb.n, k, sc.stack[:0])
+	sc.stack = stack[:0]
+	chaos.Fire(chaos.RowexAfterTraverse)
+	mb, differ := key.MismatchBit(t.load(cand, sc.buf[:0]), k)
+	var plan insertPlan
+	switch {
+	case differ:
+		plan = planInsert(stack, cand, mb, key.Bit(k, mb), t.k)
+	case !upsert:
+		return false, 0, false, true // duplicate: nothing to lock
+	default:
+		last := len(stack) - 1
+		plan = insertPlan{stack: stack, ai: last, what: caseReplace, lockTop: max(last-1, 0), useRoot: last == 0}
+	}
+	if latch != nil && !latch.lock(stack, plan.lockTop, plan.useRoot, cand) {
+		return false, 0, false, false
+	}
+	sc.replaced = t.execInsert(plan, tid, sc.replaced[:0])
+	t.retire(sc.replaced)
+	if latch != nil {
+		latch.unlock(stack, plan.lockTop, plan.useRoot)
+	}
+	if differ {
+		return true, 0, false, true
+	}
+	return false, cand, true, true
+}
+
+// retire disposes of the nodes a write replaced: straight into the pool
+// when there is one, otherwise marked obsolete — a racing ROWEX writer that
+// locks one fails validation — and retired to the epoch manager.
+func (t *tree) retire(nodes []*node) {
+	for _, nd := range nodes {
+		if t.pool != nil {
+			t.pool.put(nd)
+			continue
+		}
+		nd.obsolete.Store(true)
+		t.gc.Retire(nil)
+	}
 }
 
 // replaceAt publishes repl in place of the node at stack level: a child

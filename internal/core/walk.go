@@ -35,7 +35,7 @@ func (t *tree) walkAll(fn func(key []byte, tid TID) bool, buf []byte) int {
 // the call. fn returning false stops early. The trie must not be modified
 // during the walk.
 func (t *Trie) Walk(fn func(key []byte, tid TID) bool) int {
-	return t.walkAll(fn, t.buf[:0])
+	return t.walkAll(fn, t.sc.buf[:0])
 }
 
 // SnapshotWalk invokes fn for every (key, TID) entry in ascending key

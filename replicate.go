@@ -20,8 +20,8 @@ import (
 //  1. Bootstrap: the shard manifest, then one complete snapshot section per
 //     shard. Each section is preceded by a SECTION frame carrying the
 //     shard's log cut — the shard's last assigned LSN, read under the
-//     shard's commit lock immediately before the section is walked. The
-//     commit-lock invariant (a shard's {log append, trie apply} pair is
+//     shard's writer lock immediately before the section is walked. The
+//     writer-lock invariant (a shard's {log append, trie apply} pair is
 //     atomic under its lock, see durable_sharded.go) makes the cut a lower
 //     bound: every operation with LSN ≤ cut is applied before the walk
 //     starts, so the section contains at least the state at the cut, and
@@ -164,7 +164,7 @@ func (s *ReplicationSession) flush() error {
 // section with its log cut, each flushed as it completes, ending with a
 // TAILSTART frame. The snapshot is wait-free for leader writers — each
 // section pins its shard's root under an epoch guard; only the per-shard
-// cut read takes (and immediately releases) that shard's commit lock. The
+// cut read takes (and immediately releases) that shard's writer lock. The
 // cut is committed, outside the lock, before its section is streamed: the
 // section shows every record up to the cut, owed async ones included, and
 // a follower must not hold what the leader could still lose.
@@ -179,9 +179,10 @@ func (s *ReplicationSession) StreamSnapshot() error {
 		return err
 	}
 	for i := range s.cuts {
-		s.d.mu[i].Lock()
+		w := &s.t.async.ws[i]
+		w.mu.Lock()
 		s.cuts[i] = s.d.wals[i].LastLSN()
-		s.d.mu[i].Unlock()
+		w.mu.Unlock()
 		if err := s.d.wals[i].Commit(s.cuts[i]); err != nil {
 			return fmt.Errorf("hot: syncing shard %d log to its cut: %w", i, err)
 		}
@@ -432,10 +433,7 @@ func (f *Follower) Feed(r io.Reader) error {
 			return feedErr("section", fmt.Errorf("section frame for shard %d, want %d", sh, i))
 		}
 		f.cuts[i] = cut
-		sink, end := t.load(i, t.shards[i].tree.Load())
-		_, err = persist.Read(br, t.kind, sink)
-		end()
-		if err != nil {
+		if _, err = persist.Read(br, t.kind, t.load(i, t.shards[i].tree.Load())); err != nil {
 			return feedErr("section", err)
 		}
 		f.ready.Store(int32(i + 1))

@@ -13,14 +13,16 @@ import (
 )
 
 // ShardedTree is a range-partitioned Height Optimized Trie: the key space
-// is split at N-1 boundary keys into N shards, each a full ROWEX-
-// synchronized concurrent trie with its own writer locks and its own epoch
-// reclamation domain. Writers to different shards share no synchronization
-// state at all — no common locks, no common epoch slots, no common
-// counters — so insert/update/delete throughput scales with the number of
-// concurrently written shards instead of flattening against one tree's
-// synchronization domain. Readers are wait-free exactly as on
-// ConcurrentTree.
+// is split at N-1 boundary keys into N shards, each a concurrent trie with
+// its own writer lock and its own epoch reclamation domain. A shard admits
+// one writer at a time — synchronous or async, durable or not — which
+// writes through the trie's exclusive writer: copy-on-write and epoch
+// retirement, but no node locks, validation or restarts (no ROWEX).
+// Writers to different shards share no synchronization state at all — no
+// common locks, no common epoch slots, no common counters — so
+// insert/update/delete throughput scales with the number of concurrently
+// written shards, not with writers per shard. Readers are wait-free exactly
+// as on ConcurrentTree.
 //
 // The tree satisfies the same unified Index surface as Tree and
 // ConcurrentTree: point operations route to the owning shard, LookupBatch
@@ -367,8 +369,8 @@ func (t *ShardedTree) Memory() MemoryStats {
 	return m
 }
 
-// OpStats returns the insertion-case and ROWEX robustness counters summed
-// across all shards, plus the async submission-queue counters (deposits,
+// OpStats returns the insertion-case counters summed across all shards
+// (shards run no ROWEX, so their restart and validation counters stay 0), plus the async submission-queue counters (deposits,
 // stolen drains, drain batches, full-ring rejections and the current queue
 // depth across all shards) and, when a cold tier is enabled, the pager
 // counters. Counters of demoted tries are carried forward, so aggregates
@@ -581,7 +583,7 @@ func (t *ShardedTree) scanN(start []byte, max, limit int, fn func(*ShardedCursor
 // ---- ShardedUint64Set ----
 
 // ShardedUint64Set is an ordered set of 63-bit integers range-partitioned
-// across independent ROWEX shard domains — Uint64Set's write-scaling
+// across independent single-writer shards — Uint64Set's write-scaling
 // variant, built on ShardedTree with the paper's embedded-key
 // optimization (the 8-byte big-endian key is the TID). All methods are
 // safe for concurrent use.

@@ -3,6 +3,7 @@ package hot
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,21 +17,24 @@ import (
 // reaches a shard's trie through one function, run: a synchronous call is
 // run with one op (ShardedTree.writeSync), an async submission that finds
 // its shard idle is the same, and a drain slice is run over the shard's
-// ring. Around it sits the asynchronous layer: a per-shard bounded MPSC
-// submission queue (internal/shard.Queue) drained in batches by whichever
-// goroutine holds the shard's writer token — a flat-combining layer over
-// the per-shard ROWEX writers. Synchronous writers do not take the token:
-// they run concurrently under ROWEX, as on a ConcurrentTree.
+// ring. run holds the shard's writer lock and writes through the trie's
+// exclusive core.Writer, so a shard has one writer at a time and runs no
+// ROWEX: no node locks, no validation, no restarts — readers stay
+// wait-free. Around it sits the asynchronous layer: a per-shard bounded
+// MPSC submission queue (internal/shard.Queue) drained in batches by
+// whichever goroutine holds the shard's writer token — a flat-combining
+// layer over the shard's writer. Synchronous writers do not take the
+// token, only the lock; the unit of write parallelism is the shard.
 //
 // The problem the queues solve: a zipfian insert stream convoys all writers
-// on the hot shard's node locks, so adding workers stops adding throughput
+// on the hot shard's writer lock, so adding workers stops adding throughput
 // (the contention wall of the paper's Section 6.5 scalability experiment).
 // With the submission queues, exactly one goroutine at a time drains a given
 // shard: everyone else deposits into the shard's ring in O(1) and moves on,
-// and the current writer applies the backlog in batches while it already
-// holds the shard's locks warm. A worker that finds its target ring full
-// does not block — it steals a drain for some other backlogged shard first,
-// so all workers stay busy even when one shard absorbs most of the stream.
+// and the current writer applies the backlog in batches under one hold of
+// the lock. A worker that finds its target ring full does not block — it
+// steals a drain for some other backlogged shard first, so all workers stay
+// busy even when one shard absorbs most of the stream.
 //
 // Ordering: ops submitted by one goroutine to one shard apply in submission
 // order (same key ⇒ same shard ⇒ per-key FIFO per submitter). Ops from
@@ -41,18 +45,23 @@ import (
 // is also the durability point: an applied async op owes its fsync to the
 // next barrier (see run and durableState.settle).
 
-// asyncShard is one shard's submission state: the ring, the writer token
-// that elects the single current drainer, and the shard's own
-// submitted/applied/rejected accounting — per-shard so the per-op hot path
-// never touches a tree-global cache line shared with other shards'
-// appliers.
+// asyncShard is one shard's write state: the ring, the writer token that
+// elects the single current drainer, the writer lock every write to the
+// shard's trie runs under, and the shard's own submitted/applied/rejected
+// accounting — per-shard so the per-op hot path never touches a
+// tree-global cache line shared with other shards' appliers.
 type asyncShard struct {
 	q         *shard.Queue
 	submitted atomic.Uint64 // ops accepted by the *Async methods for this shard
 	applied   atomic.Uint64 // ops applied to this shard
 	rejected  atomic.Uint64 // applied ops that were no-ops (dup insert / absent delete)
 	busy      atomic.Bool   // writer token: held by the shard's current drainer
-	_         [23]byte      // pad to a cache line: no false sharing between shards
+	// mu is the shard's writer lock: run holds it around every write, and
+	// on a durable tree around the write's log append too, so a cut, Close
+	// or replication bootstrap taken under it sees the log and the trie
+	// agree (durable_sharded.go).
+	mu sync.Mutex
+	_  [20]byte // pad to a cache line: no false sharing between shards
 }
 
 // asyncState is the ShardedTree-wide submission bookkeeping. The remaining
@@ -157,9 +166,8 @@ func (t *ShardedTree) DeleteAsync(key []byte) {
 // checkOp is the contract check of every write entrance, synchronous and
 // async alike, made before routing and before any lock is taken: a
 // malformed op panics on the calling goroutine with one message and leaves
-// nothing held — not inside the trie under the write guard, not inside the
-// log under the commit lock, and not on whichever goroutine happens to
-// drain it.
+// nothing held — not the write guard, not the writer lock around the trie
+// and the log, and not on whichever goroutine happens to drain it.
 func checkOp(key []byte, tid TID) {
 	if len(key) > MaxKeyLen {
 		panic("hot: key exceeds MaxKeyLen")
@@ -374,13 +382,13 @@ func (t *ShardedTree) drainForDemote(s int, tr *core.ConcurrentTrie) {
 // resident trie, pinned by the caller's write guard (lockShardWrite); the
 // ops are first, when it has a Kind, and then up to slice ops popped from
 // the shard's ring (callers passing slice > 0 hold the writer token). All
-// of them go through one writer batch — one epoch pin, one reclamation
-// check. On a durable tree each op is appended to the shard's write-ahead
-// log before it is applied, the pairs atomic under the shard's commit lock
-// so a cut is exact. What happens to the fsync depends on who is waiting
-// for it. A synchronous run (commit: writeSync's one op) group-commits its
-// own LSN after the lock is released — appends proceed while the fsync
-// runs — and so pays for every record the shard still owed. An async run
+// of them run under the shard's writer lock, durable or not, through the
+// trie's exclusive Writer. On a durable tree each op is appended to the
+// shard's write-ahead log before it is applied, the pairs atomic under
+// that lock so a cut is exact. What happens to the fsync depends on who is
+// waiting for it. A synchronous run (commit: writeSync's one op)
+// group-commits its own LSN after the lock is released — appends proceed
+// while the fsync runs — and so pays for every record the shard still owed. An async run
 // leaves its fsync owed to the next barrier (durableState.settle lists
 // them): its ring ops count as applied as soon as they are, and Flush,
 // which waits for exactly that, then settles the debt. Only an async run
@@ -389,17 +397,14 @@ func (t *ShardedTree) drainForDemote(s int, tr *core.ConcurrentTrie) {
 // without bound. run returns first's result (old is Upsert's) and the
 // number of ring ops it ran.
 func (t *ShardedTree) run(s int, tr *core.ConcurrentTrie, first shard.Op, slice int, commit bool) (old TID, ok bool, n int) {
-	d, w := t.dur, &t.async.ws[s]
+	d, w, wr := t.dur, &t.async.ws[s], tr.Writer()
 	var lsn, rejected uint64
-	if d != nil {
-		d.mu[s].Lock()
-	}
-	b := tr.BeginBatch()
+	w.mu.Lock()
 	if first.Kind != 0 {
 		if d != nil {
 			lsn = d.append(s, first)
 		}
-		old, ok = applyOp(&b, first)
+		old, ok = applyOp(wr, first)
 	}
 	for ; n < slice; n++ {
 		op, more := w.q.TryPop()
@@ -409,16 +414,13 @@ func (t *ShardedTree) run(s int, tr *core.ConcurrentTrie, first shard.Op, slice 
 		if d != nil {
 			lsn = d.append(s, op)
 		}
-		if _, done := applyOp(&b, op); !done && op.Kind != shard.OpUpsert {
+		if _, done := applyOp(wr, op); !done && op.Kind != shard.OpUpsert {
 			rejected++
 		}
 	}
-	b.End()
-	if d != nil {
-		d.mu[s].Unlock()
-		if lsn != 0 && (commit || d.wals[s].Buffered() >= maxOwedBytes) {
-			d.commit(s, lsn)
-		}
+	w.mu.Unlock()
+	if d != nil && lsn != 0 && (commit || d.wals[s].Buffered() >= maxOwedBytes) {
+		d.commit(s, lsn)
 	}
 	if n > 0 {
 		w.rejected.Add(rejected)
@@ -428,17 +430,17 @@ func (t *ShardedTree) run(s int, tr *core.ConcurrentTrie, first shard.Op, slice 
 }
 
 // applyOp is the only switch over op kinds that touches a trie: it applies
-// op through b and returns what the op's synchronous method returns (old is
+// op through w and returns what the op's synchronous method returns (old is
 // Upsert's). A false ok on an insert or delete is the no-op the async
 // accounting calls rejected.
-func applyOp(b *core.WriterBatch, op shard.Op) (old TID, ok bool) {
+func applyOp(w core.Writer, op shard.Op) (old TID, ok bool) {
 	switch op.Kind {
 	case shard.OpInsert:
-		return 0, b.Insert(op.Key, op.TID)
+		return 0, w.Insert(op.Key, op.TID)
 	case shard.OpUpsert:
-		return b.Upsert(op.Key, op.TID)
+		return w.Upsert(op.Key, op.TID)
 	default:
-		return 0, b.Delete(op.Key)
+		return 0, w.Delete(op.Key)
 	}
 }
 
@@ -449,7 +451,10 @@ func applyOp(b *core.WriterBatch, op shard.Op) (old TID, ok bool) {
 // range means the record belongs to a different boundary generation (or is
 // corrupt despite its CRC) and rejects it, cutting the log there. A shard
 // recovered cold is materialized lazily by its first replayed record
-// (mustTree promotes it); shards whose tail is empty stay cold.
+// (mustTree promotes it); shards whose tail is empty stay cold. replay
+// writes through the trie's exclusive Writer without the writer lock: its
+// callers are recovery, before the tree is returned, and a follower's one
+// feed goroutine, so it is the shard's only writer by construction.
 func (t *ShardedTree) replay(s int, op shard.Op) error {
 	if t.check != nil && op.Kind != shard.OpDelete {
 		if err := t.check(op.Key, op.TID); err != nil {
@@ -460,9 +465,7 @@ func (t *ShardedTree) replay(s int, op shard.Op) error {
 		return &SnapshotError{Kind: persist.ErrCorrupt,
 			Detail: fmt.Sprintf("log record key %q outside shard %d's range", op.Key, s)}
 	}
-	b := t.mustTree(s).BeginBatch()
-	applyOp(&b, op)
-	b.End()
+	applyOp(t.mustTree(s).Writer(), op)
 	return nil
 }
 

@@ -382,3 +382,90 @@ func TestAsyncMixedSyncChurn(t *testing.T) {
 		t.Fatalf("scan visited %d, Len = %d", n, st.Len())
 	}
 }
+
+// TestShardWritesTakeNoROWEXLock: a shard has one writer at a time — its
+// writer lock, durable or not — so no write to a ShardedTree ever enters
+// ROWEX's lock window. Eight goroutines churn sync and async upserts and
+// deletes over disjoint key stripes of a four-shard tree with the three
+// lock-window chaos points armed to count; none may be reached, nothing
+// may restart, and the tree must verify and equal the writers' union
+// model.
+func TestShardWritesTakeNoROWEXLock(t *testing.T) {
+	lockWindow := []chaos.Point{chaos.RowexBetweenLocks, chaos.RowexBeforeValidate, chaos.RowexBeforeUnlock}
+	reg := chaos.New(27)
+	for _, p := range lockWindow {
+		reg.On(p, 1, nil)
+	}
+	reg.Arm()
+	defer chaos.Disarm()
+
+	store, keys, sample := asyncFixtureKeys(4000, 0.7, 29)
+	alt := make([]TID, len(keys)) // a second TID per key, so upserts change values
+	for i, k := range keys {
+		alt[i] = store.Add(k)
+	}
+	st := NewShardedTree(store.Key, 4, sample)
+	st.SetAsyncQueueCapacity(8)
+	const workers = 8
+	models := make([]map[int]TID, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		models[w] = map[int]TID{}
+		wg.Add(1)
+		go func(w int, model map[int]TID) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w) * 7))
+			// Even workers write async, odd workers synchronously: per-key
+			// order holds within each.
+			for i := 0; i < 4000; i++ {
+				ki := w + workers*rng.Intn(len(keys)/workers)
+				tid := TID(ki)
+				if rng.Intn(2) == 0 {
+					tid = alt[ki]
+				}
+				switch {
+				case rng.Intn(3) == 0:
+					delete(model, ki)
+					if w%2 == 0 {
+						st.DeleteAsync(keys[ki])
+					} else {
+						st.Delete(keys[ki])
+					}
+				default:
+					model[ki] = tid
+					if w%2 == 0 {
+						st.UpsertAsync(keys[ki], tid)
+					} else {
+						st.Upsert(keys[ki], tid)
+					}
+				}
+			}
+		}(w, models[w])
+	}
+	wg.Wait()
+	st.Flush()
+
+	for _, p := range lockWindow {
+		if n := reg.Hits(p); n != 0 {
+			t.Errorf("%s reached %d times by shard writes", p, n)
+		}
+	}
+	if o := st.OpStats(); o.Restarts != 0 || o.ValidationFails != 0 {
+		t.Errorf("shard writes restarted: %s", o)
+	}
+	if err := st.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, model := range models {
+		want += len(model)
+		for ki, tid := range model {
+			if got, ok := st.Lookup(keys[ki]); !ok || got != tid {
+				t.Fatalf("key %d: Lookup = (%d, %v), want %d", ki, got, ok, tid)
+			}
+		}
+	}
+	if st.Len() != want {
+		t.Fatalf("Len = %d, model holds %d", st.Len(), want)
+	}
+}

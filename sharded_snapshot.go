@@ -81,31 +81,23 @@ func (t *ShardedTree) SnapshotFile(path string) error {
 	return persist.AtomicFile(path, t.Snapshot)
 }
 
-// loadBatch is how many entries load inserts under one writer batch before
-// releasing it, so epoch reclamation keeps pace with a long section.
-const loadBatch = 1024
-
 // load is the one way a sorted section enters shard i: it returns the sink
 // that vets each entry and inserts it into tr — the shard's trie, or the
-// one about to become it — through a writer batch released every loadBatch
-// entries, and the end that releases the last batch (call it once the
-// section's source is exhausted, whatever it returned). File snapshots, a
-// durable open's bases, a follower's bootstrap and a promotion all load
-// through here, so a key that is foreign to the shard, fails the tree's
-// check or is not prefix-free is the same typed corruption error at each.
-func (t *ShardedTree) load(i int, tr *core.ConcurrentTrie) (sink persist.EntryFunc, end func()) {
-	b := tr.BeginBatch()
-	insert := loadInto(b.Insert)
-	n := 0
+// one about to become it — through the trie's exclusive Writer, without
+// the writer lock. load is exclusive by construction: the trie is not
+// published yet (a file load, a durable open, a promotion), or its only
+// writer is a follower's one feed goroutine. File snapshots, a durable
+// open's bases, a follower's bootstrap and a promotion all load through
+// here, so a key that is foreign to the shard, fails the tree's check or
+// is not prefix-free is the same typed corruption error at each.
+func (t *ShardedTree) load(i int, tr *core.ConcurrentTrie) persist.EntryFunc {
+	insert := loadInto(tr.Writer().Insert)
 	return func(key []byte, tid TID) error {
 		if err := t.vet(i, key, tid); err != nil {
 			return err
 		}
-		if n++; n%loadBatch == 0 {
-			b.End()
-		}
 		return insert(key, tid)
-	}, b.End
+	}
 }
 
 // vet is the admission rule of shard i's sections, with or without an
@@ -164,9 +156,7 @@ func readSharded(r io.Reader, fl flavor, salvage bool) (*ShardedTree, RecoveryRe
 	}
 	for i := range t.shards {
 		base := cr.n
-		sink, end := t.load(i, t.shards[i].tree.Load())
-		n, err := persist.Read(cr, t.kind, sink)
-		end()
+		n, err := persist.Read(cr, t.kind, t.load(i, t.shards[i].tree.Load()))
 		rep.Entries += n
 		if err != nil {
 			absolutize(err, base)
