@@ -46,11 +46,14 @@ check:
 # one command is also, under -race:
 #   - the cold-tier e2e (TestColdTier*, internal/pager, the page-reader
 #     surface of internal/persist): a dataset several times the memory
-#     budget churned by concurrent writers, readers and random
-#     demote/promote transitions, reconciled byte-for-byte against an
-#     in-memory oracle; plus the durable recovery sequence (cold shards
-#     surviving reopen, lazy promotion at replay, the checkpoint cut
-#     replacing a promoted shard's cold file);
+#     budget churned by concurrent writers — whose inserts and upserts
+#     land in cold shards' deltas and whose deletes promote — readers and
+#     random demote/fold/promote transitions, reconciled byte-for-byte
+#     against an in-memory oracle; a zipf upsert stream folded under a
+#     budget; plus the durable recovery sequence (cold shards surviving
+#     reopen, a log tail replayed into a cold shard's delta, the
+#     checkpoint folding it, the checkpoint cut replacing a promoted
+#     shard's cold file);
 #   - the packed-block codec suite (TestCodec* here and in
 #     internal/persist): encode/decode round trips across key shapes,
 #     byte-identity of raw files, truncation and bit-flip sweeps over
@@ -63,8 +66,10 @@ race:
 	$(GO) test -race -count=2 ./...
 
 # Chaos smoke: seeded concurrent churn with every injection point armed,
-# against both the single ConcurrentTree and the range-sharded writer path;
-# fails on any structural-invariant violation.
+# against both the single ConcurrentTree and the range-sharded writer path
+# — the latter over a cold tier, so its writes include cold shards' delta
+# writes, delete promotions and folds; fails on any structural-invariant
+# violation.
 chaos:
 	$(GO) run ./cmd/hot-chaos -seed 1 -ops 100000
 	$(GO) run ./cmd/hot-chaos -seed 1 -ops 100000 -shards 4
@@ -74,8 +79,9 @@ chaos:
 # tree from what is left on disk — for both the flat snapshot format and
 # the multiplexed sharded format. The WAL matrix additionally kills a
 # durable writer at every log I/O point (append, torn write, fsync,
-# rotate, recovery-time truncation) plus every snapshot point mid-
-# checkpoint, and requires recovery of every acknowledged write; it runs
+# rotate, recovery-time truncation) plus every snapshot point mid-cut —
+# a checkpoint's, a demotion's and a checkpoint's fold of cold shards'
+# deltas — and requires recovery of every acknowledged write; it runs
 # under -race because group commit is the one multi-goroutine WAL path.
 crash:
 	$(GO) test -run 'TestCrashMatrix' -count=1 -v ./internal/persist/

@@ -20,6 +20,13 @@
 // the mutations through the asynchronous submission-queue path
 // (UpsertAsync/DeleteAsync) with the queue-push and writer-handoff fault
 // points armed, and Flush the queues before each round's verification.
+// They also run over a cold tier: the tree is seeded with every key, a
+// tier is armed in a temporary directory and every other shard demoted,
+// and a few times a round one worker demotes every other shard again — so
+// the workers' upserts land in cold shards' deltas, their deletes
+// promote, and the re-demotions fold the deltas and demote what the
+// deletes promoted, all under the armed points (the opstats line counts
+// demotions, promotions and folds).
 //
 //	hot-chaos -seed 1 -ops 100000          # acceptance run
 //	hot-chaos -shards 8                    # sharded writer path
@@ -66,8 +73,19 @@ func main() {
 
 	store, keys := genKeys(*nkeys, *seed)
 	var tr index
+	var coldDir string
 	if *shards > 0 {
-		tr = hot.NewShardedTree(store.Key, *shards, keys)
+		st := hot.NewShardedTree(store.Key, *shards, keys)
+		var err error
+		coldDir, err = tierSharded(st, keys)
+		if coldDir != "" {
+			defer os.RemoveAll(coldDir)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "hot-chaos: arming the cold tier:", err)
+			os.Exit(1)
+		}
+		tr = st
 	} else {
 		tr = hot.NewConcurrent(store.Key)
 	}
@@ -149,6 +167,7 @@ func main() {
 	}
 	if corruptions > 0 {
 		fmt.Printf("FAIL: %d corruption(s) detected\n", corruptions)
+		os.RemoveAll(coldDir)
 		os.Exit(1)
 	}
 	fmt.Println("OK: zero corruption errors")
@@ -209,6 +228,35 @@ func defaultWorkers() int {
 	return 4
 }
 
+// tierSharded seeds st with every key under its canonical TID, arms a cold
+// tier in a fresh temporary directory — returned for removal, also on
+// error — and demotes every other shard.
+func tierSharded(st *hot.ShardedTree, keys [][]byte) (string, error) {
+	for i, k := range keys {
+		st.Upsert(k, hot.TID(i))
+	}
+	dir, err := os.MkdirTemp("", "hot-chaos-cold-")
+	if err != nil {
+		return "", err
+	}
+	if err := st.EnableColdTier(hot.ColdTierConfig{Dir: dir}); err != nil {
+		return dir, err
+	}
+	demoteEveryOther(st)
+	return dir, nil
+}
+
+// demoteEveryOther demotes shards 0, 2, 4, …: a hot one is cut to its
+// section, a cold one's delta folded into a fresh one. A failed cut is a
+// broken store and panics.
+func demoteEveryOther(st *hot.ShardedTree) {
+	for s := 0; s < st.Shards(); s += 2 {
+		if err := st.Demote(s); err != nil {
+			panic(fmt.Sprintf("hot-chaos: demoting shard %d: %v", s, err))
+		}
+	}
+}
+
 // genKeys registers n distinct 8-byte keys in a fresh store.
 func genKeys(n int, seed int64) (*tidstore.Store, [][]byte) {
 	s := &tidstore.Store{}
@@ -235,15 +283,21 @@ func genKeys(n int, seed int64) (*tidstore.Store, [][]byte) {
 // queues; upserts always write the key's canonical TID, so sync/async
 // reorderings never change a stored value and the lookup probe stays
 // valid. Scans double as wait-free-reader integrity probes: observed keys
-// must be strictly ascending.
+// must be strictly ascending. On a sharded tree worker 0 also demotes
+// every other shard four times a round, each time twice two of its ops
+// apart, so the second pass folds the deltas the first one's cold shards
+// took meanwhile — and no more often: a demotion costs the next delete to
+// that shard a promotion, a trie rebuilt whole.
 func runRound(tr index, store *tidstore.Store, keys [][]byte,
 	workers, ops int, seed int64, scanFaults *atomic.Uint64) {
 	ai, _ := tr.(asyncIndex)
+	st, _ := tr.(*hot.ShardedTree)
 	var wg sync.WaitGroup
 	perWorker := ops / workers
 	if perWorker == 0 {
 		perWorker = 1
 	}
+	demoteEvery := perWorker/4 + 1
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -251,6 +305,9 @@ func runRound(tr index, store *tidstore.Store, keys [][]byte,
 			rng := rand.New(rand.NewSource(seed + int64(w)))
 			var prevKey []byte
 			for i := 0; i < perWorker; i++ {
+				if j := i % demoteEvery; st != nil && w == 0 && (j == 0 || j == 2) {
+					demoteEveryOther(st)
+				}
 				ki := rng.Intn(len(keys))
 				k := keys[ki]
 				switch c := rng.Intn(100); {

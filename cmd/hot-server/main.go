@@ -91,8 +91,8 @@ func main() {
 		fmt.Printf(" resumes=%d full_resyncs=%d", st.Resumes, st.FullResyncs)
 	}
 	if st.MemBudget > 0 {
-		fmt.Printf(" cold_shards=%d demotions=%d promotions=%d cache_hits=%d cache_misses=%d cache_evictions=%d",
-			st.ColdShards, st.Demotions, st.Promotions, st.CacheHits, st.CacheMisses, st.CacheEvictions)
+		fmt.Printf(" cold_shards=%d demotions=%d promotions=%d folds=%d delta_keys=%d cache_hits=%d cache_misses=%d cache_evictions=%d",
+			st.ColdShards, st.Demotions, st.Promotions, st.Folds, st.DeltaKeys, st.CacheHits, st.CacheMisses, st.CacheEvictions)
 	}
 	fmt.Println(")")
 	// Drain gracefully, but never hang a shutdown longer than 30s.

@@ -71,8 +71,9 @@ type DurableOptions struct {
 	// opened index (see ShardedTree.EnableColdTier). The Dir field is
 	// ignored: a durable index keeps its cold section files in its own
 	// directory. Shards that were cold when the previous run stopped are
-	// recovered cold — their sections are opened, not loaded — so a
-	// larger-than-RAM store reopens without materializing its cold data.
+	// recovered cold — their sections are opened, not loaded, and their
+	// log tails replayed into their deltas — so a larger-than-RAM store
+	// reopens without materializing its cold data.
 	// When ColdTier is nil, any cold sections found are folded back into
 	// memory and superseded at the next Checkpoint.
 	ColdTier *ColdTierConfig
@@ -81,7 +82,7 @@ type DurableOptions struct {
 	// writes — checkpoints and cold section files. The zero value is
 	// SnapshotCodecRaw. Reopening an existing store with a different codec
 	// is always safe: readers accept both codecs, and each shard's next
-	// cut (checkpoint or demotion) writes its file in the configured one.
+	// cut (checkpoint, demotion or fold) writes its file in the configured one.
 	Codec SnapshotCodec
 }
 
@@ -107,8 +108,8 @@ type RecoveryInfo struct {
 	// was clean.
 	WALDamage *SnapshotError
 	// ColdShards is how many shards were recovered cold — served from
-	// their cold section files without materializing a trie (always 0
-	// unless DurableOptions.ColdTier was set).
+	// their cold section files and deltas without materializing a trie
+	// (always 0 unless DurableOptions.ColdTier was set).
 	ColdShards int
 }
 

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/hotindex/hot/internal/core"
 	"github.com/hotindex/hot/internal/persist"
 	"github.com/hotindex/hot/internal/shard"
 )
@@ -150,11 +149,15 @@ func (d *durableState) poison(err error) error {
 }
 
 // clean reports whether shard s needs no cut: its log holds no record
-// past its base and that base is already a snap-NNN.hot.
-func (d *durableState) clean(s int) bool {
+// past its base, and that base is of the shard's kind — a cold shard is
+// served from its cold-NNN.hot, a hot one needs a snap-NNN.hot.
+func (d *durableState) clean(s int, cold bool) bool {
 	w := d.wals[s]
 	if w.Err() != nil || w.LastLSN() != w.Base() {
 		return false
+	}
+	if cold {
+		return true
 	}
 	_, err := os.Stat(filepath.Join(d.dir, snapFileName(s)))
 	return err == nil
@@ -162,8 +165,9 @@ func (d *durableState) clean(s int) bool {
 
 // cut is the one way a shard's state becomes its durable base: under the
 // shard's writer lock it makes the shard's log durable through its last
-// LSN, streams tr — the shard's resident trie — to snap-NNN.hot (or, for a
-// demotion, the indexed cold-NNN.hot) through the crash-safe file
+// LSN, streams src — the shard's resident trie, or a cold shard's section
+// and delta merged — to snap-NNN.hot (or, for a demotion or a fold, the
+// indexed cold-NNN.hot) through the crash-safe file
 // protocol, removes the sibling base the new file supersedes, and only
 // then rotates the shard's log to that LSN (the ordering rule of the file
 // comment). The sync comes first because a cut may fall between an async
@@ -179,7 +183,7 @@ func (d *durableState) clean(s int) bool {
 // recovers exactly but a live store that can no longer bound its replay,
 // so it poisons every log. A non-durable tree (cut only by its cold tier)
 // has no log: its cut is just the file.
-func (t *ShardedTree) cut(s int, tr *core.ConcurrentTrie, cold bool) error {
+func (t *ShardedTree) cut(s int, src entrySource, cold bool) error {
 	d, w := t.dur, &t.async.ws[s]
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -196,7 +200,7 @@ func (t *ShardedTree) cut(s int, tr *core.ConcurrentTrie, cold bool) error {
 	if cold {
 		name, sibling = sibling, name
 	}
-	if err := writeSnapshotFile(filepath.Join(dir, name), t.kind, t.SnapshotCodec(), cold, walkSource(tr.SnapshotWalk)); err != nil {
+	if err := writeSnapshotFile(filepath.Join(dir, name), t.kind, t.SnapshotCodec(), cold, src); err != nil {
 		return err
 	}
 	if d == nil {
@@ -229,14 +233,16 @@ func (t *ShardedTree) LogSize() int64 {
 	return n
 }
 
-// Checkpoint bounds recovery replay: it cuts every hot shard that has
-// logged a record since its last cut — one shard at a time, holding only
-// that shard's writer lock, so writers to the other shards never stall
-// and readers are unaffected — writing the shard's snap-NNN.hot and
-// rotating its log behind it. A cold shard is skipped (its cold-NNN.hot
-// already is its durable state, log rotated at the demotion), and so is
-// a hot shard with nothing logged past its snap-NNN.hot, so a checkpoint
-// costs what changed, not what is stored.
+// Checkpoint bounds recovery replay: it cuts every shard that has logged
+// a record since its last cut — one shard at a time, holding only that
+// shard's writer lock (and a cold shard's write guard), so writers to the
+// other shards never stall and readers are unaffected — and rotates its
+// log behind the new base. A hot shard's base is its snap-NNN.hot; a cold
+// shard is folded: its section and delta, merged, become a fresh
+// cold-NNN.hot and its delta empties. A shard with nothing logged past a
+// base of its kind is skipped — a cold one whose log did not move, a hot
+// one already on its snap-NNN.hot — so a checkpoint costs what changed,
+// not what is stored.
 //
 // Failure semantics: if writing a shard's file fails, that shard's
 // previous base and full log are untouched (AtomicFile never replaces its
@@ -259,12 +265,20 @@ func (t *ShardedTree) Checkpoint() error {
 		return ErrClosed
 	}
 	for s := range t.shards {
-		// Demotion needs d.ckpt, so a shard seen hot here stays hot.
-		tr := t.shards[s].tree.Load()
-		if tr == nil || d.clean(s) {
+		if d.clean(s, t.IsCold(s)) {
 			continue
 		}
-		if err := t.cut(s, tr, false); err != nil {
+		if ct := t.cold.Load(); ct != nil {
+			folded, err := ct.fold(s)
+			if err != nil {
+				return err
+			}
+			if folded {
+				continue
+			}
+		}
+		// Demotion needs d.ckpt, so a shard fold found hot stays hot.
+		if err := t.cut(s, walkSource(t.shards[s].tree.Load().SnapshotWalk), false); err != nil {
 			return err
 		}
 	}
@@ -412,8 +426,8 @@ func openDurableSharded(dir string, fl flavor, shards int, sample [][]byte, opts
 		}
 		d.wals[s] = w
 		info.noteWALDamage(rep)
-		// Still cold after replay (an empty tail): the shard starts this
-		// run cold. A replayed shard was materialized by mustTree.
+		// Still cold after replay — its tail, if any, in its delta: the
+		// shard starts this run cold. A replayed delete promoted it.
 		if t.shards[s].cold.Load() != nil {
 			info.ColdShards++
 		}
@@ -426,7 +440,7 @@ func openDurableSharded(dir string, fl flavor, shards int, sample [][]byte, opts
 		// this — a per-shard base beats its legacy section.
 		for s := range t.shards {
 			if tr := t.shards[s].tree.Load(); tr != nil && tr.Len() > 0 {
-				if err := t.cut(s, tr, false); err != nil {
+				if err := t.cut(s, walkSource(tr.SnapshotWalk), false); err != nil {
 					return fail(err)
 				}
 			}

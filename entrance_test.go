@@ -69,11 +69,15 @@ func followerEntries(t *testing.T, f *Follower) []pathEntry {
 	return out
 }
 
-// checkTree holds a tree to the model: contents, scan order, invariants.
+// checkTree holds a tree to the model: contents, scan order, Len,
+// invariants.
 func checkTree(t *testing.T, tr *ShardedTree, want []pathEntry) {
 	t.Helper()
 	if err := sameEntries(treeEntries(tr), want); err != nil {
 		t.Fatal(err)
+	}
+	if tr.Len() != len(want) {
+		t.Fatalf("Len %d, want %d", tr.Len(), len(want))
 	}
 	if err := tr.Verify(); err != nil {
 		t.Fatal(err)
@@ -373,6 +377,67 @@ func runWritePathTable(t *testing.T, fx writeFixture) {
 		if got, want := reg.Hits(chaos.WalSync), uint64(rounds*len(groups)); got != want {
 			t.Fatalf("%d rounds of two concurrent Flushes over %d dirty shards took %d fsyncs, want %d", rounds, len(groups), got, want)
 		}
+	})
+	// tiered drives fx.ops through drive in steps of tierStep ops with every
+	// shard demoted before each step: inserts and upserts land in deltas
+	// over sections — an insert of a section key rejected, an upsert
+	// replacing the section's TID — a delete promotes its shard, and the
+	// next step's Demote folds the delta or demotes the trie again. The
+	// tree must have folded and promoted along the way.
+	const tierStep = 40
+	tiered := func(t *testing.T, tr *ShardedTree, drive func(lo, hi int)) {
+		t.Helper()
+		for lo := 0; lo < len(fx.ops); lo += tierStep {
+			for s := 0; s < tr.Shards(); s++ {
+				if err := tr.Demote(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			drive(lo, min(lo+tierStep, len(fx.ops)))
+		}
+		if cs := tr.ColdStats(); cs.Folds == 0 || cs.Promotions == 0 {
+			t.Fatalf("tiered run never folded or never promoted: %+v", cs)
+		}
+	}
+	newTiered := func(t *testing.T) *ShardedTree {
+		t.Helper()
+		tr := NewShardedTree(fx.store.Key, shards, fx.keys)
+		if err := tr.EnableColdTier(ColdTierConfig{Dir: t.TempDir()}); err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	t.Run("tiered-sync", func(t *testing.T) {
+		tr := newTiered(t)
+		tiered(t, tr, func(lo, hi int) { driveSync(t, tr, fx.ops[lo:hi], results[lo:hi]) })
+		checkTree(t, tr, want)
+	})
+	t.Run("tiered-async", func(t *testing.T) {
+		tr := newTiered(t)
+		tiered(t, tr, func(lo, hi int) { driveAsync(t, tr, fx.ops[lo:hi], rejected[lo:hi]) })
+		checkTree(t, tr, want)
+	})
+	t.Run("tiered-durable", func(t *testing.T) {
+		// A reopen with the tier armed replays the cold shards' tails into
+		// their deltas; one without it folds everything into tries.
+		dir := t.TempDir()
+		opts := DurableOptions{ColdTier: &ColdTierConfig{}}
+		tr, _, err := OpenDurableShardedTree(dir, fx.store.Key, shards, fx.keys, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tiered(t, tr, func(lo, hi int) { driveSync(t, tr, fx.ops[lo:hi], results[lo:hi]) })
+		checkTree(t, tr, want)
+		for _, opts := range []DurableOptions{opts, {}} {
+			if err := tr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if tr, _, err = OpenDurableShardedTree(dir, fx.store.Key, shards, nil, opts); err != nil {
+				t.Fatal(err)
+			}
+			checkTree(t, tr, want)
+		}
+		tr.Close()
 	})
 	t.Run("follower", func(t *testing.T) {
 		// The first half reaches the follower as bootstrap sections, the
@@ -818,7 +883,7 @@ func TestColdTierSwappedSectionsRefused(t *testing.T) {
 // TestColdTierPromoteRefusesForeignSection: promotion enters through load,
 // so a section that went bad under an open cold shard is a typed error out
 // of Promote — the shard stays cold and serving — and a panic, with no
-// lock held, out of a write that needed the promotion.
+// lock held, out of a delete, the write that needs the promotion.
 func TestColdTierPromoteRefusesForeignSection(t *testing.T) {
 	fx := seededLoadFixture(800, 4, 41)
 	tr := newShardedFromBounds(treeFlavor(fx.store.Key), fx.bounds)
@@ -860,8 +925,8 @@ func TestColdTierPromoteRefusesForeignSection(t *testing.T) {
 	if tid, ok := tr.Lookup(sec[0].key); !ok || tid != sec[0].tid {
 		t.Fatalf("cold shard stopped serving after a refused promotion: (%d, %v)", tid, ok)
 	}
-	if recovered(func() { tr.Upsert(sec[0].key, sec[0].tid) }) == nil {
-		t.Fatal("write needing the refused promotion did not panic")
+	if recovered(func() { tr.Delete(sec[0].key) }) == nil {
+		t.Fatal("delete needing the refused promotion did not panic")
 	}
 	within(t, "Demote of a neighbour", func() {
 		if err := tr.Demote(0); err != nil {

@@ -35,6 +35,7 @@ type OpStats struct {
 	PageEvictions uint64 // pages evicted to keep the cache within budget
 	Demotions     uint64 // shards demoted to their snapshot section
 	Promotions    uint64 // shards promoted back to in-memory trees
+	Folds         uint64 // cold shards' deltas folded into fresh sections
 }
 
 // opStatsFields is the one table of OpStats' counters: Sub, Add and String
@@ -70,6 +71,7 @@ var opStatsFields = [...]struct {
 	{"pageevictions", 2, false, func(s *OpStats) *uint64 { return &s.PageEvictions }},
 	{"demotions", 2, false, func(s *OpStats) *uint64 { return &s.Demotions }},
 	{"promotions", 2, false, func(s *OpStats) *uint64 { return &s.Promotions }},
+	{"folds", 2, false, func(s *OpStats) *uint64 { return &s.Folds }},
 }
 
 // Sub returns s - prev counter-wise: the activity between two snapshots.

@@ -132,14 +132,14 @@ func TestOpStatsStringFixtures(t *testing.T) {
 		Restarts: 6, Backoffs: 7, ValidationFails: 8, Contended: 9}
 	queues, cold := base, base
 	queues.QueueDepth = 15
-	cold.PageHits, cold.PageMisses, cold.PageEvictions, cold.Demotions, cold.Promotions = 16, 17, 18, 19, 20
+	cold.PageHits, cold.PageMisses, cold.PageEvictions, cold.Demotions, cold.Promotions, cold.Folds = 16, 17, 18, 19, 20, 21
 	for _, c := range []struct {
 		s    OpStats
 		want string
 	}{
 		{base, plain},
 		{queues, plain + " enqueued=0 steals=0 drains=0 drained=0 queuefull=0 queuedepth=15"},
-		{cold, plain + " pagehits=16 pagemisses=17 pageevictions=18 demotions=19 promotions=20"},
+		{cold, plain + " pagehits=16 pagemisses=17 pageevictions=18 demotions=19 promotions=20 folds=21"},
 	} {
 		if got := c.s.String(); got != c.want {
 			t.Errorf("String() = %q, want %q", got, c.want)
@@ -147,7 +147,7 @@ func TestOpStatsStringFixtures(t *testing.T) {
 	}
 	both := cold.Add(OpStats{Enqueued: 10, Steals: 11, Drains: 12, Drained: 13, QueueFull: 14, QueueDepth: 15})
 	want := plain + " enqueued=10 steals=11 drains=12 drained=13 queuefull=14 queuedepth=15" +
-		" pagehits=16 pagemisses=17 pageevictions=18 demotions=19 promotions=20"
+		" pagehits=16 pagemisses=17 pageevictions=18 demotions=19 promotions=20 folds=21"
 	if got := both.String(); got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}

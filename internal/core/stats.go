@@ -15,8 +15,9 @@ type DepthStats struct {
 // the C++ node layouts of Figure 6 (what the paper's Figure 9 measures);
 // GoBytes estimates the actual Go heap footprint of this implementation.
 //
-// Nodes/PaperBytes/GoBytes count only resident in-memory trees: a demoted
-// (cold) shard contributes nothing to them. The cold tier is reported
+// Nodes/PaperBytes/GoBytes count only resident in-memory trees — a hot
+// shard's trie, a demoted (cold) shard's delta of writes taken since its
+// section was cut — never a cold section. The cold tier is reported
 // separately — ColdShards and CacheBytes — so resident tree bytes and
 // page-cache bytes are never blended into one number.
 type MemoryStats struct {

@@ -6,8 +6,9 @@
 // once.
 //
 // The generation in the key is the invalidation mechanism: promoting a
-// shard back to memory bumps its generation, making every cached page of
-// the old cold image unreachable, and InvalidateShard frees them eagerly.
+// shard back to memory, or folding its delta into a fresh section, bumps
+// its generation, making every cached page of the old cold image
+// unreachable, and InvalidateShard frees them eagerly.
 // Evicted pages are not destroyed — readers holding a *Page keep using it
 // (pages are immutable); the allocator reclaims them when the last reader
 // drops its reference.
@@ -24,7 +25,7 @@ import (
 // Key identifies one cached page.
 type Key struct {
 	Shard int
-	Gen   uint64 // shard's cold generation; bumped on promotion
+	Gen   uint64 // shard's cold generation; bumped at every transition
 	Block int
 }
 

@@ -687,5 +687,7 @@ func (s *Server) stats() wire.Stats {
 		CacheBytes:     cold.CacheBytes,
 		Demotions:      cold.Demotions,
 		Promotions:     cold.Promotions,
+		Folds:          cold.Folds,
+		DeltaKeys:      cold.DeltaKeys,
 	}
 }

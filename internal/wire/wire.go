@@ -167,9 +167,14 @@ type Stats struct {
 	// stored plus their restart tables.
 	CacheBytes int64 `json:"cache_bytes"`
 	// Demotions and Promotions count hot→cold and cold→hot shard
-	// transitions since the server started.
+	// transitions since the server started; Folds counts cold shards'
+	// deltas cut into fresh sections.
 	Demotions  uint64 `json:"demotions"`
 	Promotions uint64 `json:"promotions"`
+	Folds      uint64 `json:"folds"`
+	// DeltaKeys is the keys the cold shards hold in their resident deltas
+	// right now: writes taken since their sections were last cut.
+	DeltaKeys int `json:"delta_keys"`
 }
 
 // MarshalStats encodes s for a RepStats frame.

@@ -155,7 +155,8 @@ func (t *ShardedTree) Shards() int { return len(t.shards) }
 func (t *ShardedTree) Shard(key []byte) int { return shard.Find(t.bounds, key) }
 
 // ShardLen returns the number of keys stored in shard i (a cold shard
-// reports its section's entry count).
+// reports its section's entry count plus its delta's keys the section
+// lacks).
 func (t *ShardedTree) ShardLen(i int) int {
 	tr, cs := t.view(i)
 	if tr != nil {
@@ -176,8 +177,8 @@ func (t *ShardedTree) Boundaries() [][]byte {
 
 // Insert stores tid under key in the owning shard, reporting false when
 // the key already exists. In durable mode the write is logged and
-// group-commit fsynced before Insert returns. A cold owning shard is
-// promoted first.
+// group-commit fsynced before Insert returns. A cold owning shard takes it
+// into its delta, rejecting a key its section holds.
 func (t *ShardedTree) Insert(key []byte, tid TID) bool {
 	_, ok := t.writeSync(shard.Op{Key: key, TID: tid, Kind: shard.OpInsert})
 	return ok
@@ -185,7 +186,9 @@ func (t *ShardedTree) Insert(key []byte, tid TID) bool {
 
 // Upsert stores tid under key in the owning shard, returning the replaced
 // TID if one existed. In durable mode the write is logged and group-commit
-// fsynced before Upsert returns. A cold owning shard is promoted first.
+// fsynced before Upsert returns. A cold owning shard takes it into its
+// delta; the TID replaced is the delta's, or the section's when the delta
+// held none.
 func (t *ShardedTree) Upsert(key []byte, tid TID) (old TID, replaced bool) {
 	return t.writeSync(shard.Op{Key: key, TID: tid, Kind: shard.OpUpsert})
 }
@@ -202,21 +205,22 @@ func (t *ShardedTree) Lookup(key []byte) (TID, bool) {
 
 // Delete removes key from the owning shard, reporting whether it was
 // present. In durable mode the write is logged and group-commit fsynced
-// before Delete returns. A cold owning shard is promoted first.
+// before Delete returns. A cold owning shard is promoted first — a delete
+// is the one write a cold shard does not take into its delta.
 func (t *ShardedTree) Delete(key []byte) bool {
 	_, ok := t.writeSync(shard.Op{Key: key, Kind: shard.OpDelete})
 	return ok
 }
 
 // writeSync is the synchronous entrance to run (sharded_async.go): validate
-// before any lock is held, route, pin the shard hot under its shared write
-// guard, run the one op, release. It returns what the op's method returns
+// before any lock is held, route, pin the shard's backing under its shared
+// write guard, run the one op, release. It returns what the op's method returns
 // (old is Upsert's).
 func (t *ShardedTree) writeSync(op shard.Op) (old TID, ok bool) {
 	checkOp(op.Key, op.TID)
 	s := shard.Find(t.bounds, op.Key)
-	tr := t.lockShardWrite(s)
-	old, ok, _ = t.run(s, tr, op, 0, true)
+	p := t.lockShardWrite(s, op.Kind)
+	old, ok, _ = t.run(s, p, op, 0, true)
 	t.unlockShardWrite(s)
 	return old, ok
 }
@@ -301,8 +305,9 @@ func (t *ShardedTree) Scan(start []byte, max int, fn func(TID) bool) int {
 	return t.scanN(start, max, len(t.shards), func(c *ShardedCursor) bool { return fn(c.TID()) })
 }
 
-// Len returns the total number of stored keys across all shards (cold
-// shards contribute their section's entry count).
+// Len returns the total number of stored keys across all shards (a cold
+// shard contributes its section's entry count plus its delta's keys the
+// section lacks).
 func (t *ShardedTree) Len() int {
 	n := 0
 	for s := range t.shards {
@@ -344,10 +349,11 @@ func (t *ShardedTree) Depths() DepthStats {
 
 // Memory computes the aggregate memory footprint and node-layout census
 // of all shards (the boundary table is negligible and not counted).
-// Nodes/PaperBytes/GoBytes cover the resident tries only; cold shards
-// report their on-disk section size in ColdBytes and the stored blocks
-// (plus restart tables) currently cached in CacheBytes, so the resident
-// tree footprint and the page-cache footprint never blend (see MemoryStats).
+// Nodes/PaperBytes/GoBytes cover the resident tries only — the hot
+// shards' and the cold shards' deltas; cold shards report their on-disk
+// section size in ColdBytes and the stored blocks (plus restart tables)
+// currently cached in CacheBytes, so the resident tree footprint and the
+// page-cache footprint never blend (see MemoryStats).
 func (t *ShardedTree) Memory() MemoryStats {
 	var m MemoryStats
 	ct := t.cold.Load()
@@ -359,6 +365,9 @@ func (t *ShardedTree) Memory() MemoryStats {
 				m.ResidentShards++
 			}
 		} else {
+			if d := cs.delta.Load(); d != nil {
+				m = m.Add(d.Memory())
+			}
 			m.ColdShards++
 			m.ColdBytes += cs.pr.SizeBytes()
 		}
@@ -396,6 +405,7 @@ func (t *ShardedTree) OpStats() OpStats {
 		o.PageEvictions = cs.Evictions
 		o.Demotions = ct.demotions.Load()
 		o.Promotions = ct.promotions.Load()
+		o.Folds = ct.folds.Load()
 	}
 	return o
 }
@@ -458,7 +468,8 @@ func (t *ShardedTree) Verify() error {
 // across all shards, the pull-based counterpart of ShardedTree.Scan. The
 // shards are a range partition, so the global order is one shard after the
 // next: the cursor holds exactly one open shard — a trie iterator when the
-// shard is hot, a page cursor when it is cold — and opens the following
+// shard is hot, a page cursor merged with the delta's iterator when it is
+// cold — and opens the following
 // shard only when this one is exhausted. A shard's backing (trie root or
 // cold image) is captured when the cursor reaches it. Like ConcurrentTree's
 // cursor it stays usable while other goroutines modify the tree, observing
@@ -487,7 +498,8 @@ func (c *ShardedCursor) TID() TID {
 }
 
 // Key returns the key under the cursor: resolved through the loader in a
-// hot shard, stepped off the stored page in a cold one. The slice is only
+// hot shard or a cold shard's delta, stepped off the stored page in a
+// cold section. The slice is only
 // valid until the next Next or SeekCursor call. It must only be called
 // while Valid reports true.
 func (c *ShardedCursor) Key() []byte {

@@ -14,11 +14,12 @@ import (
 )
 
 // This file is the write path of the sharded index types. Every operation
-// reaches a shard's trie through one function, run: a synchronous call is
-// run with one op (ShardedTree.writeSync), an async submission that finds
-// its shard idle is the same, and a drain slice is run over the shard's
-// ring. run holds the shard's writer lock and writes through the trie's
-// exclusive core.Writer, so a shard has one writer at a time and runs no
+// reaches a shard through one function, run: a synchronous call is run
+// with one op (ShardedTree.writeSync), an async submission that finds its
+// shard idle is the same, and a drain slice is run over the shard's ring.
+// run holds the shard's writer lock and writes through the exclusive
+// core.Writer of the shard's trie — or of a cold shard's delta (cold.go) —
+// so a shard has one writer at a time and runs no
 // ROWEX: no node locks, no validation, no restarts — readers stay
 // wait-free. Around it sits the asynchronous layer: a per-shard bounded
 // MPSC submission queue (internal/shard.Queue) drained in batches by
@@ -219,13 +220,12 @@ func (t *ShardedTree) barrier() {
 			}
 			done = false
 			if !w.q.Empty() {
-				// A non-empty ring implies the shard is hot (deposits
-				// only happen under the shared write guard while hot,
-				// and demotion drains the ring), so the guard below
-				// never triggers a promotion.
-				tr := t.lockShardWrite(s)
+				// A drain pins the shard as it is: a cold shard's ring
+				// holds no delete (see submitAsync), so its backlog goes
+				// to the delta and the guard never promotes anything.
+				p := t.lockShardWrite(s, 0)
 				if w.busy.CompareAndSwap(false, true) {
-					t.drainLocked(s, tr, w)
+					t.drainLocked(s, p, w)
 					helped = true
 				}
 				t.unlockShardWrite(s)
@@ -257,26 +257,27 @@ func (t *ShardedTree) AsyncPending() int { return int(t.async.pending()) }
 // path: idle shard), deposits it into the shard's ring, or — when the ring
 // is full — steals a drain for another backlogged shard and retries.
 // Every deposit, token acquisition and apply happens under the shard's
-// shared write guard (a no-op without a cold tier): a cold target shard is
-// promoted by the guard, and demotion — which holds the guard exclusively
-// — therefore never races a deposit, so a cold shard's ring is always
-// empty.
+// shared write guard (a no-op without a cold tier): a delete's guard
+// promotes a cold target shard, an insert or upsert is deposited into a
+// cold shard's ring and applied to its delta, and every transition — which
+// holds the guard exclusively — drains the ring first, so a cold shard's
+// ring never holds a delete.
 func (t *ShardedTree) submitAsync(op shard.Op) {
 	a := t.async
 	s := shard.Find(t.bounds, op.Key)
 	w := &a.ws[s]
 	w.submitted.Add(1)
 	for attempt := 0; ; attempt++ {
-		tr := t.lockShardWrite(s)
+		p := t.lockShardWrite(s, op.Kind)
 		// Fast path: the shard is idle and has no backlog — become its
 		// writer and apply directly. The empty check keeps FIFO order with
 		// ops this goroutine already queued.
 		if w.q.Empty() && w.busy.CompareAndSwap(false, true) {
-			if _, ok, _ := t.run(s, tr, op, 0, false); !ok && op.Kind != shard.OpUpsert {
+			if _, ok, _ := t.run(s, p, op, 0, false); !ok && op.Kind != shard.OpUpsert {
 				w.rejected.Add(1)
 			}
 			w.applied.Add(1)
-			t.drainLocked(s, tr, w)
+			t.drainLocked(s, p, w)
 			t.unlockShardWrite(s)
 			return
 		}
@@ -287,7 +288,7 @@ func (t *ShardedTree) submitAsync(op shard.Op) {
 			// between our token check and the deposit. If the token is free
 			// now, take it and drain our own deposit.
 			if w.busy.CompareAndSwap(false, true) {
-				t.drainLocked(s, tr, w)
+				t.drainLocked(s, p, w)
 			}
 			t.unlockShardWrite(s)
 			return
@@ -296,7 +297,7 @@ func (t *ShardedTree) submitAsync(op shard.Op) {
 		// Ring full. If the token is free the backlog has no drainer (every
 		// producer lost the same race) — drain it ourselves, then retry.
 		if w.busy.CompareAndSwap(false, true) {
-			t.drainLocked(s, tr, w)
+			t.drainLocked(s, p, w)
 			t.unlockShardWrite(s)
 			continue
 		}
@@ -322,11 +323,11 @@ func (t *ShardedTree) submitAsync(op shard.Op) {
 // Flush — takes the token over first, in which case that worker continues
 // the drain. The final release re-checks the ring, so a deposit that raced
 // the release is never stranded. Callers must hold w.busy.
-func (t *ShardedTree) drainLocked(s int, tr *core.ConcurrentTrie, w *asyncShard) {
+func (t *ShardedTree) drainLocked(s int, p pin, w *asyncShard) {
 	a := t.async
 	slice := w.sliceLen()
 	for {
-		if _, _, n := t.run(s, tr, shard.Op{}, slice, false); n > 0 {
+		if _, _, n := t.run(s, p, shard.Op{}, slice, false); n > 0 {
 			a.drains.Add(1)
 			a.drained.Add(uint64(n))
 		}
@@ -340,9 +341,9 @@ func (t *ShardedTree) drainLocked(s int, tr *core.ConcurrentTrie, w *asyncShard)
 }
 
 // stealOne scans the other shards for a backlogged ring with a free writer
-// token, drains the first one found and reports whether it helped. The
-// ring pre-check keeps it away from cold shards — their rings are always
-// empty — so the write guard it takes never promotes anything.
+// token, drains the first one found and reports whether it helped. A drain
+// pins the shard as it is — a cold shard's backlog goes to its delta — so
+// the write guard it takes never promotes anything.
 func (t *ShardedTree) stealOne(except int) bool {
 	a := t.async
 	for i := 1; i < len(a.ws); i++ {
@@ -354,10 +355,10 @@ func (t *ShardedTree) stealOne(except int) bool {
 		if w.q.Empty() {
 			continue
 		}
-		tr := t.lockShardWrite(s)
+		p := t.lockShardWrite(s, 0)
 		if !w.q.Empty() && w.busy.CompareAndSwap(false, true) {
 			a.steals.Add(1)
-			t.drainLocked(s, tr, w)
+			t.drainLocked(s, p, w)
 			t.unlockShardWrite(s)
 			return true
 		}
@@ -366,24 +367,26 @@ func (t *ShardedTree) stealOne(except int) bool {
 	return false
 }
 
-// drainForDemote empties shard s's submission ring during a demotion.
-// The caller holds the shard's write guard exclusively, so no depositor
-// can race and the writer token is necessarily free (every holder takes
-// it under the shared guard): the CAS always wins on the spot.
-func (t *ShardedTree) drainForDemote(s int, tr *core.ConcurrentTrie) {
+// drainExclusive empties shard s's submission ring into p, its backing,
+// during a transition. The caller holds the shard's write guard
+// exclusively, so no depositor can race and the writer token is
+// necessarily free (every holder takes it under the shared guard): the CAS
+// always wins on the spot.
+func (t *ShardedTree) drainExclusive(s int, p pin) {
 	w := &t.async.ws[s]
 	if !w.busy.CompareAndSwap(false, true) {
-		panic("hot: shard writer token held during demotion")
+		panic("hot: shard writer token held during a transition")
 	}
-	t.drainLocked(s, tr, w)
+	t.drainLocked(s, p, w)
 }
 
-// run is the one way operations enter shard s's trie. tr is the shard's
-// resident trie, pinned by the caller's write guard (lockShardWrite); the
-// ops are first, when it has a Kind, and then up to slice ops popped from
-// the shard's ring (callers passing slice > 0 hold the writer token). All
-// of them run under the shard's writer lock, durable or not, through the
-// trie's exclusive Writer. On a durable tree each op is appended to the
+// run is the one way operations enter shard s. p is the shard's backing,
+// pinned by the caller's write guard (lockShardWrite): its resident trie,
+// or — for inserts and upserts — a cold shard's delta. The ops are first,
+// when it has a Kind, and then up to slice ops popped from the shard's
+// ring (callers passing slice > 0 hold the writer token). All of them run
+// under the shard's writer lock, durable or not, through pin.apply. On a
+// durable tree each op is appended to the
 // shard's write-ahead log before it is applied, the pairs atomic under
 // that lock so a cut is exact. What happens to the fsync depends on who is
 // waiting for it. A synchronous run (commit: writeSync's one op)
@@ -396,15 +399,15 @@ func (t *ShardedTree) drainForDemote(s int, tr *core.ConcurrentTrie) {
 // a submitter that never reaches a barrier cannot grow the log's buffer
 // without bound. run returns first's result (old is Upsert's) and the
 // number of ring ops it ran.
-func (t *ShardedTree) run(s int, tr *core.ConcurrentTrie, first shard.Op, slice int, commit bool) (old TID, ok bool, n int) {
-	d, w, wr := t.dur, &t.async.ws[s], tr.Writer()
+func (t *ShardedTree) run(s int, p pin, first shard.Op, slice int, commit bool) (old TID, ok bool, n int) {
+	d, w := t.dur, &t.async.ws[s]
 	var lsn, rejected uint64
 	w.mu.Lock()
 	if first.Kind != 0 {
 		if d != nil {
 			lsn = d.append(s, first)
 		}
-		old, ok = applyOp(wr, first)
+		old, ok = p.apply(first)
 	}
 	for ; n < slice; n++ {
 		op, more := w.q.TryPop()
@@ -414,7 +417,7 @@ func (t *ShardedTree) run(s int, tr *core.ConcurrentTrie, first shard.Op, slice 
 		if d != nil {
 			lsn = d.append(s, op)
 		}
-		if _, done := applyOp(wr, op); !done && op.Kind != shard.OpUpsert {
+		if _, done := p.apply(op); !done && op.Kind != shard.OpUpsert {
 			rejected++
 		}
 	}
@@ -429,8 +432,9 @@ func (t *ShardedTree) run(s int, tr *core.ConcurrentTrie, first shard.Op, slice 
 	return old, ok, n
 }
 
-// applyOp is the only switch over op kinds that touches a trie: it applies
-// op through w and returns what the op's synchronous method returns (old is
+// applyOp is the only switch over op kinds that touches a trie — a cold
+// shard's delta included (coldShard.apply calls it): it applies op through
+// w and returns what the op's synchronous method returns (old is
 // Upsert's). A false ok on an insert or delete is the no-op the async
 // accounting calls rejected.
 func applyOp(w core.Writer, op shard.Op) (old TID, ok bool) {
@@ -450,9 +454,9 @@ func applyOp(w core.Writer, op shard.Op) (old TID, ok bool) {
 // check (deletes carry no TID and skip it), and a key outside the shard's
 // range means the record belongs to a different boundary generation (or is
 // corrupt despite its CRC) and rejects it, cutting the log there. A shard
-// recovered cold is materialized lazily by its first replayed record
-// (mustTree promotes it); shards whose tail is empty stay cold. replay
-// writes through the trie's exclusive Writer without the writer lock: its
+// recovered cold stays cold: its tail's inserts and upserts go to its
+// delta, exactly as they did live, and only a delete promotes it (mustTree).
+// replay writes through the exclusive Writer without the writer lock: its
 // callers are recovery, before the tree is returned, and a follower's one
 // feed goroutine, so it is the shard's only writer by construction.
 func (t *ShardedTree) replay(s int, op shard.Op) error {
@@ -465,7 +469,11 @@ func (t *ShardedTree) replay(s int, op shard.Op) error {
 		return &SnapshotError{Kind: persist.ErrCorrupt,
 			Detail: fmt.Sprintf("log record key %q outside shard %d's range", op.Key, s)}
 	}
-	applyOp(t.mustTree(s).Writer(), op)
+	if cs := t.shards[s].cold.Load(); cs != nil && op.Kind != shard.OpDelete {
+		cs.apply(op)
+	} else {
+		applyOp(t.mustTree(s).Writer(), op)
+	}
 	return nil
 }
 

@@ -36,10 +36,10 @@ func (t *ShardedTree) writeManifest(w io.Writer) error {
 	})
 }
 
-// writeShard streams shard i's data section. A cold shard streams from
-// its cold file — the entries are identical to what its trie held at
-// demotion, and writers to it are demoted-out, so the section is as
-// consistent as a hot shard's epoch-pinned walk.
+// writeShard streams shard i's data section. A cold shard streams its
+// cold file merged with its delta (coldShard.walk): the file is immutable
+// and the delta's walk observes nodes atomically, so the section is as
+// consistent as a hot shard's walk.
 func (t *ShardedTree) writeShard(w io.Writer, i int) error {
 	var src entrySource
 	if tr, cs := t.view(i); tr != nil {
