@@ -26,8 +26,10 @@ ci: all
 # sync/atomic types that must never be copied by value — keep
 # internal/shard, internal/core and internal/epoch in the vet set when
 # narrowing the package list.
-# The last two lines vet and build the !amd64 side of internal/bits
-# (bits_noasm.go), which an amd64 build never compiles.
+# The last three lines vet and build the !amd64 side of internal/bits
+# (bits_noasm.go), which an amd64 build never compiles, and run
+# internal/core as a 32-bit program: its 64-bit atomic TID stores fault on
+# a word that is not 8-byte aligned there (see core's slot layout).
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
@@ -38,6 +40,7 @@ check:
 	$(GO) -C benchmark test ./...
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) build ./...
+	GOARCH=386 $(GO) test ./internal/core
 
 # Concurrency tier: every package under the race detector, twice (ordering
 # flakes rarely repeat). This covers the root concurrent/sharded churn

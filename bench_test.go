@@ -491,7 +491,9 @@ func BenchmarkAblationFanout(b *testing.B) {
 // copy-on-write without node recycling). The insert/exclusive row is the
 // same ConcurrentTrie written through its exclusive Writer — the path a
 // ShardedTree shard takes — so the three insert rows price the latch and
-// the recycling separately.
+// the recycling separately. The three upsert rows store a present url
+// key's TID again, uniformly over 300 k keys: in place on every writer,
+// so they differ by the latch alone (one node lock for ROWEX).
 func BenchmarkAblationROWEXOverhead(b *testing.B) {
 	d := benchData(b, dataset.Integer)
 	b.Run("insert/single-threaded", func(b *testing.B) {
@@ -544,4 +546,28 @@ func BenchmarkAblationROWEXOverhead(b *testing.B) {
 			ct.Lookup(d.Keys[rng.Intn(benchKeys)])
 		}
 	})
+	u := benchData(b, dataset.URL)
+	ust := core.New(u.Store.Key)
+	uct := core.NewConcurrent(u.Store.Key) // the exclusive and rowex rows take turns
+	for i := 0; i < benchKeys; i++ {
+		ust.Insert(u.Keys[i], u.TIDs[i])
+		uct.Insert(u.Keys[i], u.TIDs[i])
+	}
+	for _, row := range []struct {
+		name   string
+		upsert func([]byte, TID) (TID, bool)
+	}{
+		{"upsert/single-threaded", ust.Upsert},
+		{"upsert/exclusive", uct.Writer().Upsert},
+		{"upsert/rowex", uct.Upsert},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			rng := rand.New(rand.NewSource(1))
+			for i := 0; i < b.N; i++ {
+				j := rng.Intn(benchKeys)
+				row.upsert(u.Keys[j], u.TIDs[j])
+			}
+		})
+	}
 }

@@ -12,8 +12,9 @@
 // the shards' epoch domains. A shard runs no ROWEX — its writes are
 // serialized by the lock — so the three lock-window points
 // (rowex/between-locks, before-validate, before-unlock) are never reached
-// and restarts stay 0, while after-traverse and mid-copy, windows every
-// copy-on-write writer has, still fire against wait-free readers. Between
+// and restarts stay 0, while after-traverse (every write) and mid-copy
+// (every insert and delete; an upsert of a present key stores its TID in
+// place and copies nothing) still fire against wait-free readers. Between
 // rounds each shard is verified individually (structural invariants plus
 // shard-range containment) while the aggregate Len is checked against a
 // full cross-shard scan oracle. Sharded runs additionally route half of

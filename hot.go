@@ -112,8 +112,10 @@ func NewWithFanout(loader Loader, k int) *Tree {
 
 // ConcurrentTree is a Height Optimized Trie synchronized with the paper's
 // ROWEX protocol: reads and scans are wait-free (they never lock, block or
-// restart); writers lock only the nodes they modify and replace them
-// copy-on-write, retiring obsolete nodes through epoch-based reclamation.
+// restart); writers lock only the nodes they modify. Inserts and deletes
+// replace them copy-on-write, retiring obsolete nodes through epoch-based
+// reclamation; an upsert of a present key stores its TID in place under
+// the leaf node's lock alone.
 // All methods are safe for concurrent use; the loader must be too.
 //
 // The shared index surface comes from the embedded surface layer (see

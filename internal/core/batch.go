@@ -49,8 +49,9 @@ func (st *batchState) foundSlice(n int) []bool {
 
 // lookupBatch resolves keys[i] into out[i] for every i, returning a mask
 // of which keys were present (out[i] is 0 for absent keys). The whole
-// batch descends from one root snapshot. The returned slice is st.found,
-// reused by the next call with the same state.
+// batch descends from one root load; in-place child and TID stores still
+// reach it, so each answer is a value its key held during the call. The
+// returned slice is st.found, reused by the next call with the same state.
 func (t *tree) lookupBatch(keys [][]byte, out []TID, st *batchState) []bool {
 	n := len(keys)
 	if len(out) < n {
@@ -98,7 +99,7 @@ func (t *tree) lookupBatch(keys [][]byte, out []TID, st *batchState) []bool {
 					continue
 				}
 				st.nodes[i] = nil
-				st.tids[i] = s.tid
+				st.tids[i] = s.loadTID()
 				active--
 			}
 		}

@@ -19,10 +19,15 @@
 //     are recycled straight into its pool.
 //   - ConcurrentTrie: the paper's ROWEX protocol (Section 5) — wait-free
 //     readers, writers lock only the nodes they modify, copy-on-write node
-//     replacement, obsolete markers and epoch-based reclamation.
+//     replacement for inserts and deletes, obsolete markers and epoch-based
+//     reclamation.
 //   - ConcurrentTrie.Writer: the trie's exclusive writer, for a caller that
 //     already serializes its writes — copy-on-write and epoch retirement,
 //     so readers stay wait-free, but no locks, validation or restarts.
+//
+// On every writer an upsert of a present key copies nothing: it stores the
+// new TID into the leaf slot with one atomic store (under ROWEX, holding
+// the leaf node's lock alone).
 //
 // Keys are arbitrary []byte (up to MaxKeyLen) compared as zero-padded bit
 // strings; key sets must be prefix-free. Values are 63-bit tuple

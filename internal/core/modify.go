@@ -5,9 +5,9 @@ import "sync"
 // This file implements the structure-modifying node operations of Sections
 // 3.2 and 4.4: splicing a new entry next to the subtree it diverges from,
 // splitting an overflowed entry sequence at its root BiNode, and the
-// copy-on-write helpers used by updates and deletes. All operations build
-// fresh nodes; published nodes are never mutated except for atomic child
-// pointer stores.
+// copy-on-write helpers used by deletes. All operations build fresh nodes;
+// published nodes are never mutated except for atomic child pointer and
+// TID stores.
 //
 // newNode copies all of its inputs, so the transient entry sequences live
 // in pooled scratch buffers rather than garbage (copy-on-write makes

@@ -11,17 +11,22 @@ import (
 )
 
 // slot is one node entry value: either a leaf holding a TID (child == nil)
-// or a link to a child node. tid is written only while the slot is being
-// constructed, before the node is published; child may additionally be
-// swapped in place later (leaf-node pushdown, copy-on-write child
-// replacement, intermediate node creation) — always through atomic
-// operations, so wait-free readers observe either the old or the new child.
-// child is an unsafe.Pointer rather than an atomic.Pointer[node] so that
-// slots are plain copyable values during node construction; it always holds
-// either nil or a *node, so the GC traces it precisely.
+// or a link to a child node. Both words may change in place after the node
+// is published — by a ROWEX writer only while it holds the node's lock, and
+// always through atomic operations, so wait-free readers observe either the
+// old or the new value: tid when an upsert of the leaf's key stores its new
+// TID, child on leaf-node pushdown, copy-on-write child replacement and
+// intermediate node creation.
+// child and tid are plain words rather than atomic.Pointer[node] and
+// atomic.Uint64 so that slots are plain copyable values during node
+// construction; child always holds either nil or a *node, so the GC traces
+// it precisely. A 64-bit atomic needs an 8-byte aligned word on 32-bit
+// platforms too, so tid comes first and a slot is 16 bytes everywhere:
+// every tid in a node's slot array is then 8-byte aligned.
 type slot struct {
+	tid   TID // accessed atomically after publication
+	_     [8 - unsafe.Sizeof(uintptr(0))]byte
 	child unsafe.Pointer // *node, accessed atomically after publication
-	tid   TID
 }
 
 func leafSlot(tid TID) slot {
@@ -42,6 +47,16 @@ func (s *slot) storeChild(c *node) {
 	atomic.StorePointer(&s.child, unsafe.Pointer(c))
 }
 
+// loadTID returns the leaf's TID (a plain load on amd64).
+func (s *slot) loadTID() TID {
+	return atomic.LoadUint64(&s.tid)
+}
+
+// storeTID publishes a leaf's new TID in place.
+func (s *slot) storeTID(tid TID) {
+	atomic.StoreUint64(&s.tid, tid)
+}
+
 // subtreeHeight is the paper's h() of whatever hangs in the slot: 0 for a
 // leaf entry, the node height for a child link.
 func (s *slot) subtreeHeight() uint8 {
@@ -53,8 +68,9 @@ func (s *slot) subtreeHeight() uint8 {
 
 // node is a HOT compound node: a linearized k-constrained binary Patricia
 // trie with 2..MaxFanout entries in ascending key order. All fields except
-// the slots' child pointers, the lock and the obsolete flag are immutable
-// after the node is published; structural changes replace the whole node
+// the slots' child pointers and TIDs, the lock and the obsolete flag are
+// immutable after the node is published: an upsert of a present key stores
+// its TID in place, while inserts and deletes replace the whole node
 // (copy-on-write).
 type node struct {
 	mu       sync.Mutex  // ROWEX writer lock (ignored by readers)

@@ -18,8 +18,9 @@ import (
 //	(a) traverse and determine the set of affected nodes,
 //	(b) lock them bottom-up,
 //	(c) validate that none is obsolete (restart otherwise),
-//	(d) apply the copy-on-write modification, marking replaced nodes
-//	    obsolete,
+//	(d) apply the modification: an insert or delete copies the affected
+//	    nodes and marks the replaced ones obsolete, an upsert of a present
+//	    key stores its new TID into the leaf slot in place,
 //	(e) unlock top-down.
 //
 // A writer that is alone by construction uses Writer instead, which runs
@@ -49,10 +50,11 @@ func (t *ConcurrentTrie) Lookup(k []byte) (TID, bool) {
 
 // LookupBatch looks up all keys as one batch, storing each key's TID in the
 // corresponding out slot (0 when absent) and returning a mask of which keys
-// were found; len(out) must be at least len(keys). The whole batch reads
-// from a single root snapshot under one epoch guard, advancing the descents
-// in lockstep so their memory stalls overlap. The returned mask is owned by
-// the caller.
+// were found; len(out) must be at least len(keys). The whole batch runs
+// under one epoch guard, advancing the descents in lockstep so their memory
+// stalls overlap. Writers are not held off, so each answer is a value its
+// key held during the call, not a point-in-time view of the whole batch.
+// The returned mask is owned by the caller.
 func (t *ConcurrentTrie) LookupBatch(keys [][]byte, out []TID) []bool {
 	st := batchStatePool.Get().(*batchState)
 	g := t.gc.Enter()
@@ -203,7 +205,7 @@ func (t *ConcurrentTrie) lock(stack []pathEntry, lo int, useRoot bool, cand TID)
 	}
 	if valid {
 		s := &stack[last].nd.slots[stack[last].idx]
-		valid = s.loadChild() == nil && s.tid == cand
+		valid = s.loadChild() == nil && s.loadTID() == cand
 	}
 	// A window that starts at the root (always so with useRoot) is reached
 	// through the root box, which must still hold it.

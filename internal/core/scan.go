@@ -23,7 +23,7 @@ func (it *Iterator) TID() TID {
 		return it.leafTID
 	}
 	top := &it.stack[len(it.stack)-1]
-	return top.nd.slots[top.idx].tid
+	return top.nd.slots[top.idx].loadTID()
 }
 
 // Next advances to the next leaf in key order.
@@ -80,7 +80,7 @@ func (t *tree) seek(root *node, start, buf []byte, stack []pathEntry) Iterator {
 	// Find the candidate leaf for start, keeping the path.
 	it.stack, _ = descend(root, start, it.stack)
 	top := &it.stack[len(it.stack)-1]
-	cand := top.nd.slots[top.idx].tid
+	cand := top.nd.slots[top.idx].loadTID()
 	mb, differ := key.MismatchBit(t.load(cand, buf), start)
 	if !differ {
 		it.valid = true

@@ -118,7 +118,7 @@ func descend(root *node, k []byte, stack []pathEntry) ([]pathEntry, TID) {
 			nd = c
 			continue
 		}
-		return stack, s.tid
+		return stack, s.loadTID()
 	}
 }
 
@@ -136,7 +136,7 @@ func (t *tree) lookup(k, buf []byte) (TID, bool) {
 				nd = c
 				continue
 			}
-			tid := s.tid
+			tid := s.loadTID()
 			if !key.Equal(t.load(tid, buf), k) {
 				return 0, false
 			}
@@ -152,14 +152,13 @@ func (t *tree) lookup(k, buf []byte) (TID, bool) {
 	}
 }
 
-// insertCase classifies what a write has to do: one of the insertion cases
-// of Section 3.2, or an Upsert's replacement of an existing key's TID.
+// insertCase classifies what an insert of a new key has to do: one of the
+// insertion cases of Section 3.2.
 type insertCase uint8
 
 const (
 	caseNormal   insertCase = iota // splice into the affected node (may overflow)
 	casePushdown                   // new 2-entry node below a leaf slot
-	caseReplace                    // copy the leaf's node with the new TID in its slot
 )
 
 // insertPlan is the pure outcome of write analysis.
@@ -261,10 +260,6 @@ func (t *tree) execInsert(plan insertPlan, tid TID, replaced []*node) []*node {
 	stack := plan.stack
 	a := stack[plan.ai]
 
-	if plan.what == caseReplace {
-		t.replaceAt(stack, plan.ai, a.nd.withSlotReplaced(a.idx, leafSlot(tid), t.pool))
-		return append(replaced, a.nd)
-	}
 	if plan.what == casePushdown {
 		existing := a.nd.slots[a.idx] // leaf slot, stable under the node lock
 		var c *node
@@ -349,9 +344,10 @@ var scratchPool = sync.Pool{New: func() any { sc := newScratch(); return &sc }}
 // write is the one insert/upsert body, run by Trie and by a
 // ConcurrentTrie's exclusive Writer with a nil latch, and by ROWEX with the
 // trie itself as the latch: (a) traverse and plan, (b, c) lock and
-// validate through the latch, (d) copy, publish and retire the replaced
-// nodes, (e) unlock. Retiring before the unlock matters: a node a racing
-// writer locks next must already read as obsolete. ok=false means the
+// validate through the latch, (d) store a present key's new TID in place,
+// or else copy, publish and retire the replaced nodes, (e) unlock.
+// Retiring before the unlock matters: a node a racing writer locks next
+// must already read as obsolete. ok=false means the
 // latch failed validation: nothing changed and the caller restarts. The
 // caller has checked k and tid.
 func (t *tree) write(k []byte, tid TID, upsert bool, sc *scratch, latch *ConcurrentTrie) (inserted bool, old TID, replaced, ok bool) {
@@ -390,16 +386,27 @@ func (t *tree) write(k []byte, tid TID, upsert bool, sc *scratch, latch *Concurr
 	sc.stack = stack[:0]
 	chaos.Fire(chaos.RowexAfterTraverse)
 	mb, differ := key.MismatchBit(t.load(cand, sc.buf[:0]), k)
-	var plan insertPlan
-	switch {
-	case differ:
-		plan = planInsert(stack, cand, mb, key.Bit(k, mb), t.k)
-	case !upsert:
-		return false, 0, false, true // duplicate: nothing to lock
-	default:
+	if !differ {
+		if !upsert {
+			return false, 0, false, true // duplicate: nothing to lock
+		}
+		// A present key: store its new TID in the leaf slot. Nothing is
+		// copied, published or retired, so the latch locks the leaf's node
+		// alone — never its parent or the root box — and its validation is
+		// what makes the store safe: the node is not obsolete (no copy of it
+		// can lose the store), the slot is still a leaf holding cand (no
+		// pushdown races it), and at depth 0 the root box still holds it.
 		last := len(stack) - 1
-		plan = insertPlan{stack: stack, ai: last, what: caseReplace, lockTop: max(last-1, 0), useRoot: last == 0}
+		if latch != nil && !latch.lock(stack, last, false, cand) {
+			return false, 0, false, false
+		}
+		stack[last].nd.slots[stack[last].idx].storeTID(tid)
+		if latch != nil {
+			latch.unlock(stack, last, false)
+		}
+		return false, cand, true, true
 	}
+	plan := planInsert(stack, cand, mb, key.Bit(k, mb), t.k)
 	if latch != nil && !latch.lock(stack, plan.lockTop, plan.useRoot, cand) {
 		return false, 0, false, false
 	}
@@ -408,10 +415,7 @@ func (t *tree) write(k []byte, tid TID, upsert bool, sc *scratch, latch *Concurr
 	if latch != nil {
 		latch.unlock(stack, plan.lockTop, plan.useRoot)
 	}
-	if differ {
-		return true, 0, false, true
-	}
-	return false, cand, true, true
+	return true, 0, false, true
 }
 
 // retire disposes of the nodes a write replaced: straight into the pool

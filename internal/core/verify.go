@@ -206,15 +206,16 @@ func (v *verifier) walk(nd *node, minBit int) (uint8, *CorruptionError) {
 			continue
 		}
 		v.leaves++
-		k := v.t.load(nd.slots[i].tid, nil)
+		stored := nd.slots[i].loadTID()
+		k := v.t.load(stored, nil)
 		if v.prevKey != nil && key.Compare(v.prevKey, k) >= 0 {
 			return 0, v.corrupt(InvLeafOrder, i, "%q then %q", v.prevKey, k)
 		}
 		v.prevKey = append(v.prevKey[:0], k...)
-		if tid, ok := v.t.lookup(k, nil); !ok || tid != nd.slots[i].tid {
+		if tid, ok := v.t.lookup(k, nil); !ok || tid != stored {
 			return 0, v.corrupt(InvLookup, i,
 				"stored key %q resolves to (%d, %v), want (%d, true)",
-				k, tid, ok, nd.slots[i].tid)
+				k, tid, ok, stored)
 		}
 	}
 	if v.strict && nd.height != maxChild+1 {

@@ -39,14 +39,15 @@ func (t *Trie) Walk(fn func(key []byte, tid TID) bool) int {
 }
 
 // SnapshotWalk invokes fn for every (key, TID) entry in ascending key
-// order while holding a single epoch guard across the whole walk, pinning
-// the nodes reachable from one root snapshot. Concurrent writers are never
-// blocked — they proceed copy-on-write and merely cannot reclaim retired
-// nodes until the walk exits — so this is the non-blocking point-in-time
-// feed for persisting a live ConcurrentTrie. Entries committed by writers
-// racing the walk may or may not be observed, exactly like the paper's
-// wait-free scans; the key order of what is observed is always strictly
-// ascending.
+// order while holding a single epoch guard across the whole walk, so no
+// node it reaches is reclaimed under it. Concurrent writers are never
+// blocked — inserts and deletes proceed copy-on-write and merely cannot
+// reclaim retired nodes until the walk exits, upserts of present keys
+// store in place — so this is the non-blocking feed for persisting a live
+// ConcurrentTrie. Entries committed by writers racing the walk may or may
+// not be observed, exactly like the paper's wait-free scans: each observed
+// TID is one its key held during the walk, and the key order of what is
+// observed is always strictly ascending.
 func (t *ConcurrentTrie) SnapshotWalk(fn func(key []byte, tid TID) bool) int {
 	g := t.gc.Enter()
 	defer g.Exit()

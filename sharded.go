@@ -16,8 +16,9 @@ import (
 // is split at N-1 boundary keys into N shards, each a concurrent trie with
 // its own writer lock and its own epoch reclamation domain. A shard admits
 // one writer at a time — synchronous or async, durable or not — which
-// writes through the trie's exclusive writer: copy-on-write and epoch
-// retirement, but no node locks, validation or restarts (no ROWEX).
+// writes through the trie's exclusive writer: copy-on-write inserts and
+// deletes with epoch retirement and in-place upserts of present keys, but
+// no node locks, validation or restarts (no ROWEX).
 // Writers to different shards share no synchronization state at all — no
 // common locks, no common epoch slots, no common counters — so
 // insert/update/delete throughput scales with the number of concurrently
@@ -228,9 +229,9 @@ func (t *ShardedTree) writeSync(op shard.Op) (old TID, ok bool) {
 // LookupBatch looks up all keys as one batch (see Tree.LookupBatch): the
 // batch is bucketed per shard and each bucket runs the memory-level-
 // parallel descent kernel against its shard, so the cache misses of the
-// independent descents overlap within every bucket. Each bucket observes a
-// single root snapshot of its shard and is wait-free like Lookup. The
-// returned mask is owned by the caller.
+// independent descents overlap within every bucket. Each answer is a value
+// its key held during the call, and each bucket is wait-free like Lookup.
+// The returned mask is owned by the caller.
 func (t *ShardedTree) LookupBatch(keys [][]byte, out []TID) []bool {
 	n := len(keys)
 	if len(out) < n {

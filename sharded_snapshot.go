@@ -63,20 +63,20 @@ func (t *ShardedTree) writeSections(w io.Writer) error {
 	return nil
 }
 
-// Snapshot writes a point-in-time snapshot of the live sharded tree to w
-// without blocking concurrent writers: each shard section pins its shard's
-// root under an epoch guard exactly like ConcurrentTree.Snapshot. The
-// sections are taken one after another, so the file is per-shard
-// consistent; entries committed while the snapshot streams may or may not
-// be included (wait-free reader semantics).
+// Snapshot writes a snapshot of the live sharded tree to w without
+// blocking concurrent writers: each shard section walks its shard under an
+// epoch guard exactly like ConcurrentTree.Snapshot. The sections are taken
+// one after another; entries committed while the snapshot streams may or
+// may not be included, and each included entry is a value its key held
+// during its section's walk (wait-free reader semantics).
 func (t *ShardedTree) Snapshot(w io.Writer) error {
 	return t.writeSections(w)
 }
 
-// SnapshotFile atomically writes a point-in-time snapshot of the live
-// sharded tree to path: manifest and all shard sections stream to
-// path+".tmp", which is fsynced, renamed over path, and the directory is
-// fsynced. On any error path is left untouched.
+// SnapshotFile atomically writes a snapshot of the live sharded tree to
+// path: manifest and all shard sections stream to path+".tmp", which is
+// fsynced, renamed over path, and the directory is fsynced. On any error
+// path is left untouched.
 func (t *ShardedTree) SnapshotFile(path string) error {
 	return persist.AtomicFile(path, t.Snapshot)
 }
@@ -260,12 +260,12 @@ func (s *ShardedUint64Set) SetSnapshotCodec(c SnapshotCodec) { s.t.SetSnapshotCo
 // SnapshotCodec returns the codec subsequent snapshot writes will use.
 func (s *ShardedUint64Set) SnapshotCodec() SnapshotCodec { return s.t.SnapshotCodec() }
 
-// Snapshot writes a point-in-time snapshot of the live sharded set to w
-// without blocking concurrent writers (see ShardedTree.Snapshot).
+// Snapshot writes a snapshot of the live sharded set to w without
+// blocking concurrent writers (see ShardedTree.Snapshot).
 func (s *ShardedUint64Set) Snapshot(w io.Writer) error { return s.t.Snapshot(w) }
 
-// SnapshotFile atomically writes a point-in-time snapshot of the live
-// sharded set to path (see ShardedTree.SnapshotFile).
+// SnapshotFile atomically writes a snapshot of the live sharded set to
+// path (see ShardedTree.SnapshotFile).
 func (s *ShardedUint64Set) SnapshotFile(path string) error { return s.t.SnapshotFile(path) }
 
 // LoadShardedUint64Set rebuilds a ShardedUint64Set from a sharded

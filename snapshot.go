@@ -207,20 +207,21 @@ func writeSnapshotFile(path string, kind uint16, codec SnapshotCodec, indexed bo
 
 // ---- ConcurrentTree ----
 
-// Snapshot writes a point-in-time snapshot of the live tree to w without
-// blocking concurrent writers: the walk pins the current root under a
-// single epoch guard, so writers proceed copy-on-write (their retired
-// nodes are simply not reclaimed until the snapshot finishes). Entries
-// committed while the snapshot streams may or may not be included, exactly
-// like the paper's wait-free scans; what is included is always a
-// structurally consistent ascending key sequence.
+// Snapshot writes a snapshot of the live tree to w without blocking
+// concurrent writers: the walk runs under a single epoch guard, so writers
+// proceed — inserts and deletes copy-on-write, their retired nodes simply
+// not reclaimed until the snapshot finishes, and upserts of present keys in
+// place. Entries committed while the snapshot streams may or may not be
+// included, exactly like the paper's wait-free scans: each included entry
+// is a value its key held during the walk, and what is included is always
+// a structurally consistent ascending key sequence.
 func (t *ConcurrentTree) Snapshot(w io.Writer) error {
 	return writeSnapshot(w, persist.KindTree, t.SnapshotCodec(), false, walkSource(t.t.SnapshotWalk))
 }
 
-// SnapshotFile atomically writes a point-in-time snapshot of the live tree
-// to path (see Snapshot for the concurrency semantics and SaveFile for the
-// durability protocol).
+// SnapshotFile atomically writes a snapshot of the live tree to path (see
+// Snapshot for the concurrency semantics and SaveFile for the durability
+// protocol).
 func (t *ConcurrentTree) SnapshotFile(path string) error {
 	return writeSnapshotFile(path, persist.KindTree, t.SnapshotCodec(), false, walkSource(t.t.SnapshotWalk))
 }

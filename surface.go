@@ -146,9 +146,9 @@ func (b *base) Lookup(key []byte) (TID, bool) { return b.ic.Lookup(key) }
 // cache misses instead of serializing as repeated Lookup calls do —
 // substantially faster for point-lookup-heavy workloads that can amortize
 // batches of 8+ keys. On Tree the returned mask is scratch owned by the
-// tree, valid until the next LookupBatch call; on ConcurrentTree the whole
-// batch observes a single root snapshot, is wait-free like Lookup, and the
-// mask is owned by the caller.
+// tree, valid until the next LookupBatch call; on ConcurrentTree each
+// answer is a value its key held during the call, the batch is wait-free
+// like Lookup, and the mask is owned by the caller.
 func (b *base) LookupBatch(keys [][]byte, out []TID) []bool {
 	return b.ic.LookupBatch(keys, out)
 }
