@@ -126,6 +126,7 @@ fuzz:
 	$(GO) test -fuzz FuzzSearch -fuzztime $(FUZZTIME) ./internal/bits/
 	$(GO) test -fuzz FuzzServerFrame -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -fuzz FuzzWireResume -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -fuzz FuzzClientReply -fuzztime $(FUZZTIME) ./internal/hotclient/
 
 bench:
 	$(GO) test -bench . -benchtime 1s -run - . ./internal/persist ./internal/bits

@@ -187,7 +187,9 @@ func (c *Client) Flush() (applied, rejected uint64, err error) {
 }
 
 // Scan returns up to max entries with key ≥ start in key order. The entry
-// keys are copies, valid indefinitely.
+// keys are copies, valid indefinitely; they share one buffer allocated per
+// call, each capped at its own length, so appending to one key never
+// overwrites another.
 func (c *Client) Scan(start []byte, max int) ([]Entry, error) {
 	c.wbuf = wire.AppendScan(c.wbuf[:0], start, uint32(max))
 	rop, body, err := c.roundTrip(wire.OpScan, c.wbuf)
@@ -201,8 +203,14 @@ func (c *Client) Scan(start []byte, max int) ([]Entry, error) {
 	if !ok {
 		return nil, fmt.Errorf("hotclient: short ENTRIES reply")
 	}
-	out := make([]Entry, 0, n)
-	for i := uint32(0); i < n; i++ {
+	// An entry takes at least 10 bytes (tid u64 | key length u16), so a
+	// count the body cannot hold is refused before it sizes an allocation.
+	if uint64(n) > uint64(len(body)/10) {
+		return nil, fmt.Errorf("hotclient: ENTRIES count %d exceeds its %d-byte body", n, len(body))
+	}
+	out := make([]Entry, n)
+	keys := make([]byte, 0, len(body)-10*int(n))
+	for i := range out {
 		tid, rest, ok := wire.Uint64(body)
 		if !ok || len(rest) < 2 {
 			return nil, fmt.Errorf("hotclient: truncated ENTRIES reply")
@@ -212,7 +220,9 @@ func (c *Client) Scan(start []byte, max int) ([]Entry, error) {
 		if len(rest) < klen {
 			return nil, fmt.Errorf("hotclient: truncated ENTRIES reply")
 		}
-		out = append(out, Entry{Key: append([]byte(nil), rest[:klen]...), TID: tid})
+		a := len(keys)
+		keys = append(keys, rest[:klen]...)
+		out[i] = Entry{Key: keys[a:len(keys):len(keys)], TID: tid}
 		body = rest[klen:]
 	}
 	return out, nil

@@ -390,6 +390,7 @@ func (s *Server) ServeConn(rw io.ReadWriter) {
 	bw := bufio.NewWriterSize(d, 64<<10)
 	defer bw.Flush()
 	var rbuf, wbuf []byte
+	var tids []hot.TID // a leader's BATCH lookups land here
 	// A leader's SCANs reposition this one cursor. Between SCANs it keeps the
 	// backing of the one shard it stopped in reachable, until the next SCAN
 	// or the idle timeout.
@@ -537,10 +538,12 @@ func (s *Server) ServeConn(rw io.ReadWriter) {
 					continue
 				}
 			} else {
-				out := make([]hot.TID, len(keys))
-				found := s.tree.LookupBatch(keys, out)
+				if cap(tids) < len(keys) {
+					tids = make([]hot.TID, len(keys))
+				}
+				found := s.tree.LookupBatch(keys, tids[:len(keys)])
 				for i := range keys {
-					wbuf = appendBatchHit(wbuf, found[i], out[i])
+					wbuf = appendBatchHit(wbuf, found[i], tids[i])
 				}
 			}
 			wire.WriteFrame(bw, wire.RepBatch, wbuf)
