@@ -49,8 +49,8 @@ check:
 # one command is also, under -race:
 #   - the cold-tier e2e (TestColdTier*, internal/pager, the page-reader
 #     surface of internal/persist): a dataset several times the memory
-#     budget churned by concurrent writers — whose inserts and upserts
-#     land in cold shards' deltas and whose deletes promote — readers and
+#     budget churned by concurrent writers — whose inserts, upserts and
+#     deletes land in cold shards' deltas, a delete as a tombstone — readers and
 #     random demote/fold/promote transitions, reconciled byte-for-byte
 #     against an in-memory oracle; a zipf upsert stream folded under a
 #     budget; plus the durable recovery sequence (cold shards surviving
@@ -71,8 +71,8 @@ race:
 # Chaos smoke: seeded concurrent churn with every injection point armed,
 # against both the single ConcurrentTree and the range-sharded writer path
 # — the latter over a cold tier, so its writes include cold shards' delta
-# writes, delete promotions and folds; fails on any structural-invariant
-# violation.
+# writes (deletes as tombstones) and folds; fails on any structural-invariant
+# violation, and the sharded run on any write that promoted a shard.
 chaos:
 	$(GO) run ./cmd/hot-chaos -seed 1 -ops 100000
 	$(GO) run ./cmd/hot-chaos -seed 1 -ops 100000 -shards 4
@@ -121,6 +121,7 @@ fuzz:
 	$(GO) test -fuzz FuzzShardedSnapshotLoad -fuzztime $(FUZZTIME) .
 	$(GO) test -fuzz FuzzSnapshotRoundTrip -fuzztime $(FUZZTIME) .
 	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) .
+	$(GO) test -fuzz FuzzTieredShardOps -fuzztime $(FUZZTIME) .
 	$(GO) test -fuzz FuzzPageReader -fuzztime $(FUZZTIME) ./internal/persist/
 	$(GO) test -fuzz FuzzBlockCodec -fuzztime $(FUZZTIME) ./internal/persist/
 	$(GO) test -fuzz FuzzSearch -fuzztime $(FUZZTIME) ./internal/bits/
@@ -137,10 +138,12 @@ bench:
 # of its own, the same count over each package's assembly (.s) files, and
 # the root package's exported surface, one line of `go doc -all` per
 # function, method, type, var and const group: the figures the simplicity
-# PRs report before and after in CHANGES.md. Not a tier of all.
+# PRs report before and after in CHANGES.md. Below the `.` line, the root
+# package file by file. Not a tier of all.
 loc:
 	@count() { cat /dev/null "$$@" | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l; }; \
 	printf '%-24s %6d\n' . $$(count $$(ls *.go | grep -v _test.go)); \
+	for f in $$(ls *.go | grep -v _test.go); do printf '  %-22s %6d\n' $$f $$(count $$f); done; \
 	for d in internal/* cmd/*; do \
 		printf '%-24s %6d\n' $$d $$(count $$(find $$d -name '*.go' ! -name '*_test.go')); \
 		asm=$$(find $$d -name '*.s'); \

@@ -24,10 +24,11 @@
 // They also run over a cold tier: the tree is seeded with every key, a
 // tier is armed in a temporary directory and every other shard demoted,
 // and a few times a round one worker demotes every other shard again — so
-// the workers' upserts land in cold shards' deltas, their deletes
-// promote, and the re-demotions fold the deltas and demote what the
-// deletes promoted, all under the armed points (the opstats line counts
-// demotions, promotions and folds).
+// the workers' upserts and deletes land in cold shards' deltas, a delete of
+// a section key as a tombstone, and the re-demotions fold the deltas, all
+// under the armed points (the opstats line counts demotions, promotions
+// and folds). Nothing calls Promote, so a sharded run fails if any write
+// promoted a shard.
 //
 //	hot-chaos -seed 1 -ops 100000          # acceptance run
 //	hot-chaos -shards 8                    # sharded writer path
@@ -151,6 +152,10 @@ func main() {
 	if n := scanFaults.Load(); n > 0 {
 		corruptions++
 		fmt.Printf("scan order violations: %d\n", n)
+	}
+	if n := tr.OpStats().Promotions; n > 0 {
+		corruptions++
+		fmt.Printf("writes promoted shards %d times\n", n)
 	}
 
 	elapsed := time.Since(start)
@@ -287,8 +292,8 @@ func genKeys(n int, seed int64) (*tidstore.Store, [][]byte) {
 // must be strictly ascending. On a sharded tree worker 0 also demotes
 // every other shard four times a round, each time twice two of its ops
 // apart, so the second pass folds the deltas the first one's cold shards
-// took meanwhile — and no more often: a demotion costs the next delete to
-// that shard a promotion, a trie rebuilt whole.
+// took meanwhile — and no more often: a fold rewrites the shard's whole
+// section.
 func runRound(tr index, store *tidstore.Store, keys [][]byte,
 	workers, ops int, seed int64, scanFaults *atomic.Uint64) {
 	ai, _ := tr.(asyncIndex)

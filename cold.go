@@ -15,43 +15,48 @@ import (
 	"github.com/hotindex/hot/internal/shard"
 )
 
-// Larger-than-RAM operation for the sharded index types: a shard can be
-// DEMOTED — its trie cut to a per-shard indexed section on disk and
-// dropped from memory — and served cold from that section through a
-// fixed-budget LRU page cache (internal/pager). Reads against a cold
-// shard binary-search the section's sparse block index, fault exactly
-// the blocks they touch and are answered from the block as stored.
+// Larger-than-RAM operation for the sharded index types. Every shard is one
+// immutable state behind one atomic pointer (shardSlot): a SECTION — the
+// shard's entries cut to an indexed per-shard file on disk — under a DELTA,
+// a resident trie that takes the shard's writes. A HOT shard has no section:
+// its delta is the whole shard, a plain trie. A COLD shard is served from
+// its section through a fixed-budget LRU page cache (internal/pager) —
+// reads binary-search the section's sparse block index, fault exactly the
+// blocks they touch and are answered from the block as stored — and from
+// its delta, allocated at the shard's first write (a cold shard nobody
+// writes costs nothing), which every read consults first.
 //
-// A cold shard takes inserts and upserts into its DELTA: a small resident
-// trie, allocated at the shard's first write (a cold shard nobody writes
-// costs nothing), that every read consults before the section. A write
-// never re-inserts the section; only a delete still PROMOTES the shard — a
-// trie rebuilt from section and delta — first. A FOLD, the cut of section
-// and delta merged to a fresh section, is the only thing that empties a
-// delta. A MemoryBudget counts hot tries and deltas alike: the budget pass
-// demotes the least-recently-written hot shards down to one, then folds
-// the largest deltas, so the resident set tracks the write skew while the
-// full key space stays serviceable.
+// A cold shard's delta takes every write. An insert or upsert stores its
+// TID. A delete of a key the section holds stores a TOMBSTONE: the marked
+// TID tombBit | block<<tombShift | index, the key's position in the shard's
+// own section, which the delta's loader (shardState.key) resolves from the
+// section's page — never through the caller's Loader. Reads treat a
+// tombstone as a miss, and every merged stream drops it together with its
+// section twin. The section is immutable and a state owns exactly one, so a
+// position never goes stale.
 //
-// State machine. Each shard slot holds two atomic pointers, (tree, cold),
-// of which exactly one is non-nil in steady state. Transitions install
-// the new backing before clearing the old (readers may transiently see
-// both and prefer the tree, whose content equals the cold image at that
-// instant), so readers stay wait-free: no read path ever takes a lock.
+// Transitions. Each builds a fresh state and installs it with one store:
 //
-//	hot  --Demote-->          cold   cut the trie to a section
-//	cold --Demote/fold-->     cold   cut section+delta to a fresh section
-//	cold --Promote/delete-->  hot    rebuild a trie from section+delta
+//	hot  --Demote-->         cold  cut the delta to a section
+//	cold --Demote/fold-->    cold  cut section and delta, merged, to a fresh section
+//	cold --Promote-->        hot   rebuild a delta from section and delta, merged
+//
+// A cut or a rebuild drops every tombstone with its twin, so a state
+// without a section never holds one. Readers stay wait-free: no read path
+// takes a lock, and one that loaded the old state finishes on it (its
+// section file is released by the runtime once the last cursor drops it —
+// never closed eagerly). A MemoryBudget counts hot tries and cold deltas
+// alike: the budget pass demotes the least-recently-written hot shards
+// down to one, then folds the largest deltas, so the resident set tracks
+// the write skew while the full key space stays serviceable.
 //
 // Write guard. Every write path — synchronous, durable and the async
-// submission queues — holds the shard's wmu in shared mode across its
-// ring deposits, writer-token acquisitions and applies, after pinning the
-// shard's backing (lockShardWrite), which promotes only for a delete.
-// Transitions take wmu exclusively, so a transition observes a quiescent
-// shard whose submission ring it can drain inline (the writer token is
-// necessarily free under the exclusive lock) and never races an apply. A
-// cold shard's ring holds inserts and upserts only: a delete is deposited
-// while its shard is hot, and every transition drains the ring first.
+// submission queues — holds the shard's wmu in shared mode across its ring
+// deposits, writer-token acquisitions and applies, and applies to the state
+// it loaded under it (lockShardWrite). Transitions take wmu exclusively, so
+// a transition observes a quiescent shard whose submission ring it can
+// drain inline into the state it replaces (the writer token is necessarily
+// free under the exclusive lock) and never races an apply.
 //
 // Demotion and fold are one cut. It is the same cut a Checkpoint takes
 // of a hot shard (ShardedTree.cut in durable_sharded.go), aimed at the
@@ -110,7 +115,7 @@ type ColdTierStats struct {
 	ResidentShards int    // shards served from in-memory tries
 	ColdShards     int    // shards served from their cold section
 	ColdBytes      int64  // on-disk bytes of the cold sections
-	DeltaKeys      int    // keys held in the cold shards' deltas right now
+	DeltaKeys      int    // leaves of the cold shards' deltas right now, tombstones included
 	CacheHits      uint64 // cold reads served from the page cache
 	CacheMisses    uint64 // cold reads that faulted a block from disk
 	CacheEvictions uint64 // pages evicted to keep the cache in budget
@@ -140,8 +145,8 @@ type coldWard struct {
 	wmu sync.RWMutex
 
 	access atomic.Uint64 // coarse clock value of the last write
-	// goBytes caches GoBytes of the shard's resident trie — its tree when
-	// hot, its delta when cold (0: not measured) — at Len lenAt.
+	// goBytes caches GoBytes of the shard's delta (0: not measured) at Len
+	// lenAt.
 	goBytes atomic.Int64
 	lenAt   atomic.Int64
 	gen     atomic.Uint64 // cold generation; bumped at every transition
@@ -164,29 +169,50 @@ type coldTier struct {
 	promotions atomic.Uint64
 	folds      atomic.Uint64
 
-	// Demoted tries' final counters, folded into the aggregates so
-	// OpStats and ReclaimStats never go backwards across a demotion.
+	// Replaced deltas' final counters, folded into the aggregates so
+	// OpStats and ReclaimStats never go backwards across a transition.
 	statsMu      sync.Mutex
 	retired      OpStats
 	retiredFreed uint64
 }
 
-// coldShard serves one demoted shard from its section file and its delta.
-// The section is immutable; a transition installs a fresh coldShard or a
-// trie and abandons this one (the file handle is released by the runtime
-// once the last cursor drops it — never closed eagerly, cold cursors may
-// still be mid-scan).
-type coldShard struct {
-	ct    *coldTier
+// shardState is one shard as readers and writers find it: a section under
+// a delta (see the file comment). Nothing in it changes after it is
+// installed but the delta's contents, its one-time allocation and added; a
+// transition installs a fresh state and abandons this one.
+type shardState struct {
+	// pr is the section, nil for a hot shard; ct, shard and gen name its
+	// pages in the cache.
 	pr    *persist.PageReader
+	ct    *coldTier
 	shard int
 	gen   uint64
-	// delta holds the inserts and upserts the shard took since its section
-	// was cut, nil before the first. It is written by apply alone — under
-	// the shard's writer lock, or by replay — and read wait-free.
+	// delta holds the writes the shard took since its section was cut — the
+	// whole shard when there is none — and is nil in a cold shard before its
+	// first write. It is written by apply alone — under the shard's writer
+	// lock, or by replay — and read wait-free.
 	delta atomic.Pointer[core.ConcurrentTrie]
-	added atomic.Int64 // delta keys the section lacks: len is Count + added
+	// added is, in a sectioned state, the live delta keys the section lacks
+	// minus the tombstones: len is Count + added.
+	added atomic.Int64
 }
+
+// hotState is the state of a hot shard whose trie is tr.
+func hotState(tr *core.ConcurrentTrie) *shardState {
+	st := &shardState{}
+	st.delta.Store(tr)
+	return st
+}
+
+// A tombstone's TID: tombBit, above every TID a caller may store, then the
+// deleted key's block in the section, then its index in the block.
+const (
+	tombBit   = 1 << 63
+	tombShift = 15
+)
+
+// Every index of a block fits below tombShift.
+var _ = [1]struct{}{}[persist.MaxBlockEntries>>tombShift]
 
 func coldFileName(s int) string { return fmt.Sprintf("cold-%03d.hot", s) }
 
@@ -246,11 +272,11 @@ func (t *ShardedTree) armCold(cfg ColdTierConfig) (*coldTier, error) {
 // Demote cuts shard s to its cold section file and serves it from there:
 // a hot shard's trie is dropped from memory, a cold shard's delta is
 // folded into a fresh section (a cold shard without one is left as it
-// is). Reads are then served through the page cache; inserts and upserts
-// go to the shard's delta, and a delete promotes it back. Errors leave the
-// shard as it was and serving; in durable mode a failure to rotate the log
-// behind the installed section additionally poisons the logs, exactly
-// like Checkpoint's (both are the same cut).
+// is). Reads are then served through the page cache, and writes go to the
+// shard's delta. Errors leave the shard as it was and serving; in durable
+// mode a failure to rotate the log behind the installed section
+// additionally poisons the logs, exactly like Checkpoint's (both are the
+// same cut).
 func (t *ShardedTree) Demote(s int) error {
 	ct := t.cold.Load()
 	if ct == nil {
@@ -268,16 +294,16 @@ func (t *ShardedTree) Demote(s int) error {
 	}
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	if cs := t.shards[s].cold.Load(); cs != nil && cs.delta.Load() == nil {
+	if st := t.shards[s].Load(); st.pr != nil && st.delta.Load() == nil {
 		return nil // cold, with nothing to fold
 	}
 	return ct.cutCold(s)
 }
 
-// Promote rebuilds shard s's in-memory trie from its cold section and its
-// delta and retires the section from serving (the file stays on disk as
-// the durable recovery base until the shard's next cut). Promoting a hot
-// shard is a no-op. A delete reaching a cold shard calls this implicitly.
+// Promote folds shard s's cold section and its delta into a fresh
+// in-memory trie, deleted keys dropped, and retires the section from
+// serving (the file stays on disk as the durable recovery base until the
+// shard's next cut). Promoting a hot shard is a no-op; no write promotes.
 func (t *ShardedTree) Promote(s int) error {
 	ct := t.cold.Load()
 	if ct == nil {
@@ -289,10 +315,10 @@ func (t *ShardedTree) Promote(s int) error {
 	return ct.promote(s)
 }
 
-// IsCold reports whether shard s is currently served from its cold
-// section.
+// IsCold reports whether shard s currently has a section: served from its
+// cold section file and its delta.
 func (t *ShardedTree) IsCold(s int) bool {
-	return t.shards[s].cold.Load() != nil
+	return t.shards[s].Load().pr != nil
 }
 
 // ColdStats returns the cold tier's current state and counters; the zero
@@ -316,14 +342,14 @@ func (t *ShardedTree) ColdStats() ColdTierStats {
 		Folds:          ct.folds.Load(),
 	}
 	for s := range t.shards {
-		tr, c := t.view(s)
-		if tr != nil {
+		sh := t.shards[s].Load()
+		if sh.pr == nil {
 			st.ResidentShards++
 			continue
 		}
 		st.ColdShards++
-		st.ColdBytes += c.pr.SizeBytes()
-		if d := c.delta.Load(); d != nil {
+		st.ColdBytes += sh.pr.SizeBytes()
+		if d := sh.delta.Load(); d != nil {
 			st.DeltaKeys += d.Len()
 		}
 	}
@@ -335,57 +361,59 @@ func (t *ShardedTree) ColdStats() ColdTierStats {
 // cutCold cuts shard s to its cold section and serves it from there: a hot
 // shard's trie is demoted, a cold shard's section and delta are folded
 // into a fresh section — one cut of the shard's whole stream either way,
-// ending with an empty delta. Callers hold ct.mu, and d.ckpt in durable
-// mode.
+// ending with no delta. Callers hold ct.mu, and d.ckpt in durable mode.
 func (ct *coldTier) cutCold(s int) error {
 	t := ct.t
-	sl := &t.shards[s]
 	w := &ct.ws[s]
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	tr, cs := t.view(s)
-	var what string
-	var src entrySource
-	if tr != nil {
-		what, src = "demoting", walkSource(tr.SnapshotWalk)
-	} else {
-		what, src = "folding", cs.walk
+	st := t.shards[s].Load()
+	what := "demoting"
+	if st.pr != nil {
+		what = "folding"
 	}
 	// Under the exclusive guard no writer is mid-apply and none can
 	// deposit; drain what the ring already holds so the cut below is the
 	// shard's complete state.
-	t.drainExclusive(s, pin{tr, cs})
-	if err := t.cut(s, src, true); err != nil {
+	t.drainExclusive(s, st)
+	if err := t.cut(s, st.walk, true); err != nil {
 		return fmt.Errorf("hot: %s shard %d: %w", what, s, err)
 	}
 	pr, err := persist.OpenPageReaderFile(ct.coldPath(s), t.kind)
 	if err != nil {
 		return fmt.Errorf("hot: %s shard %d: reopening %s: %w", what, s, coldFileName(s), err)
 	}
-	if tr != nil {
-		// Fold the trie's final counters into the retired aggregates
-		// before the slot flip: OpStats/ReclaimStats read the aggregates
-		// first, then the live trees, so this order at worst double-counts
-		// the shard for an instant — never the transient dip that would
-		// break the "aggregates never decrease across a demotion"
-		// guarantee.
-		ops := tr.OpStats()
-		freed, _ := tr.ReclaimStats()
-		ct.statsMu.Lock()
-		ct.retired = ct.retired.Add(ops)
-		ct.retiredFreed += freed
-		ct.statsMu.Unlock()
+	ct.retire(st)
+	if st.pr == nil {
 		ct.demotions.Add(1)
 	} else {
 		// The fresh section's block layout need not match the old one's.
 		ct.cache.InvalidateShard(s)
 		ct.folds.Add(1)
 	}
-	sl.cold.Store(&coldShard{ct: ct, pr: pr, shard: s, gen: w.gen.Add(1)})
-	sl.tree.Store(nil)
+	t.shards[s].Store(&shardState{ct: ct, pr: pr, shard: s, gen: w.gen.Add(1)})
 	w.goBytes.Store(0)
 	w.lenAt.Store(0)
 	return nil
+}
+
+// retire folds the final counters of st's delta, about to be replaced,
+// into the retired aggregates. It runs before the slot flip: OpStats and
+// ReclaimStats read the aggregates first, then the live deltas, so this
+// order at worst double-counts the delta for an instant — never the
+// transient dip that would break the "aggregates never decrease across a
+// transition" guarantee.
+func (ct *coldTier) retire(st *shardState) {
+	d := st.delta.Load()
+	if d == nil {
+		return
+	}
+	ops := d.OpStats()
+	freed, _ := d.ReclaimStats()
+	ct.statsMu.Lock()
+	ct.retired = ct.retired.Add(ops)
+	ct.retiredFreed += freed
+	ct.statsMu.Unlock()
 }
 
 // fold is Checkpoint's cut of a cold shard (cutCold), made whether or not
@@ -394,57 +422,47 @@ func (ct *coldTier) cutCold(s int) error {
 func (ct *coldTier) fold(s int) (bool, error) {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	if ct.t.shards[s].cold.Load() == nil {
+	if !ct.t.IsCold(s) {
 		return false, nil
 	}
 	return true, ct.cutCold(s)
 }
 
-// promote performs the cold→hot transition of shard s (no-op when hot).
+// promote performs the cold→hot transition of shard s (no-op when hot): a
+// new trie, section and delta walked into the shard's loader — the section
+// sequentially, bypassing the page cache (every block is touched exactly
+// once and the shard is about to stop being cold). A stream that load
+// refuses leaves the shard cold.
 func (ct *coldTier) promote(s int) error {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	sl := &ct.t.shards[s]
-	cs := sl.cold.Load()
-	if cs == nil {
+	t := ct.t
+	st := t.shards[s].Load()
+	if st.pr == nil {
 		return nil // already hot
 	}
 	w := &ct.ws[s]
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	// Inserts and upserts deposited while cold go to the delta first, so
-	// the trie is built from the shard's complete state.
-	ct.t.drainExclusive(s, pin{cs: cs})
-	tr, err := ct.buildTree(cs)
-	if err != nil {
+	// Writes deposited while cold go to the delta first, so the trie is
+	// built from the shard's complete state.
+	t.drainExclusive(s, st)
+	tr := t.newTrie()
+	if err := st.walk(t.load(s, tr)); err != nil {
 		return fmt.Errorf("hot: promoting shard %d: %w", s, err)
 	}
-	sl.tree.Store(tr)
-	sl.cold.Store(nil)
+	ct.retire(st)
+	t.shards[s].Store(hotState(tr))
 	// Bump the generation and drop the image's cached pages: a future
 	// demotion writes a fresh section whose block layout need not match.
 	w.gen.Add(1)
 	ct.cache.InvalidateShard(s)
 	m := tr.Memory()
 	w.goBytes.Store(int64(m.GoBytes))
-	n := int64(tr.Len())
-	if n < 1 {
-		n = 1
-	}
-	w.lenAt.Store(n)
+	w.lenAt.Store(max(int64(tr.Len()), 1))
 	w.access.Store(ct.clock.Load())
 	ct.promotions.Add(1)
 	return nil
-}
-
-// buildTree rebuilds a trie from a cold shard: a new trie, and section and
-// delta walked into the shard's loader — the section sequentially,
-// bypassing the page cache (every block is touched exactly once and the
-// shard is about to stop being cold). A stream that load refuses leaves
-// the shard cold.
-func (ct *coldTier) buildTree(cs *coldShard) (*core.ConcurrentTrie, error) {
-	tr := ct.t.newTrie()
-	return tr, cs.walk(ct.t.load(cs.shard, tr))
 }
 
 // vetCold is load without the insert, for a cold section a durable open is
@@ -477,46 +495,14 @@ func (t *ShardedTree) vetCold(s int, pr *persist.PageReader) (uint64, error) {
 
 // ---- write guard ----
 
-// pin is a shard's backing as a write found it under the shard's shared
-// write guard: the resident trie, or a cold shard, whose delta takes
-// inserts and upserts. Exactly one is set, and the guard keeps it current
-// until unlockShardWrite.
-type pin struct {
-	tr *core.ConcurrentTrie
-	cs *coldShard
-}
-
-// apply runs op on the pinned backing; callers hold the shard's writer
-// lock.
-func (p pin) apply(op shard.Op) (old TID, ok bool) {
-	if p.cs != nil {
-		return p.cs.apply(op)
-	}
-	return applyOp(p.tr.Writer(), op)
-}
-
-// lockShardWrite pins shard s for one write of kind k: the shared guard is
-// acquired and, for a delete, the shard promoted if it is cold, retrying
-// until both hold at once; every other kind — and a ring drain, kind 0 —
-// takes the shard as it is. It returns the pinned backing with the guard
-// held; pair with unlockShardWrite. Without a cold tier it degenerates to
-// a plain load.
-func (t *ShardedTree) lockShardWrite(s int, k shard.OpKind) pin {
-	ct := t.cold.Load()
-	if ct == nil {
-		return pin{tr: t.shards[s].tree.Load()}
-	}
-	for {
+// lockShardWrite takes shard s's shared write guard and returns the state
+// the write applies to, which the guard keeps current until
+// unlockShardWrite. Without a cold tier it is a plain load.
+func (t *ShardedTree) lockShardWrite(s int) *shardState {
+	if ct := t.cold.Load(); ct != nil {
 		ct.ws[s].wmu.RLock()
-		tr, cs := t.view(s)
-		if cs == nil || k != shard.OpDelete {
-			return pin{tr, cs}
-		}
-		ct.ws[s].wmu.RUnlock()
-		if err := ct.promote(s); err != nil {
-			panic(fmt.Sprintf("hot: promoting shard %d for a delete: %v", s, err))
-		}
 	}
+	return t.shards[s].Load()
 }
 
 // unlockShardWrite releases the shared guard and runs the recency/budget
@@ -577,13 +563,13 @@ func (ct *coldTier) survey() (tries, deltas int64, hot, victim, fold int) {
 	var victimAccess uint64
 	var foldBytes int64
 	for s := range ct.t.shards {
-		tr, cs := ct.t.view(s)
-		if tr == nil {
-			d := cs.delta.Load()
-			if d == nil {
+		st := ct.t.shards[s].Load()
+		tr := st.delta.Load()
+		if st.pr != nil {
+			if tr == nil {
 				continue
 			}
-			b := ct.shardBytes(s, d)
+			b := ct.shardBytes(s, tr)
 			deltas += b
 			if fold < 0 || b > foldBytes {
 				fold, foldBytes = s, b
@@ -649,97 +635,161 @@ func (ct *coldTier) maintain() {
 	}
 }
 
-// ---- cold writes ----
+// ---- writes ----
 
-// apply runs an insert or upsert on the cold shard — through applyOp into
-// its delta, allocated here at the first — with the results the shard's
-// one map must give: an insert of a key the section holds is rejected, and
-// an upsert of a key new to the delta replaces the section's TID, if any.
-// An upsert tries the delta first and looks the section up only on a delta
-// miss. A delete never gets here: it promotes the shard first.
-func (cs *coldShard) apply(op shard.Op) (old TID, ok bool) {
+// apply runs op on the state; callers hold the shard's writer lock, or are
+// replay. A hot shard writes its trie through applyOp. A cold shard writes
+// its delta, allocated here at the first write, with the results the
+// shard's one map must give:
+//   - an insert of a key the section holds is rejected, unless the delta
+//     holds the key's tombstone, which it replaces;
+//   - an upsert replaces the delta's TID, else the section's, if any — but
+//     not a tombstone, which it replaces as an insert would;
+//   - a delete of a key the section holds stores the key's tombstone over
+//     whatever the delta held (rejected when that is the tombstone), and a
+//     delete of any other key is the delta's own.
+//
+// An insert or delete looks the section up first, an upsert only on a
+// delta miss.
+func (st *shardState) apply(op shard.Op) (old TID, ok bool) {
+	d := st.delta.Load()
+	if st.pr == nil {
+		return applyOp(d.Writer(), op)
+	}
+	if d == nil {
+		d = core.NewConcurrent(st.key)
+		st.delta.Store(d)
+	}
+	w := d.Writer()
 	switch op.Kind {
-	case shard.OpDelete:
-		panic(fmt.Sprintf("hot: delete applied to cold shard %d (a delete promotes)", cs.shard))
 	case shard.OpInsert:
-		if _, held := cs.lookupSection(op.Key); held {
+		if _, held := st.find(op.Key); held {
+			if tid, ok := d.Lookup(op.Key); !ok || tid&tombBit == 0 {
+				return 0, false
+			}
+			w.Upsert(op.Key, op.TID)
+		} else if !w.Insert(op.Key, op.TID) {
 			return 0, false
 		}
-	}
-	d := cs.delta.Load()
-	if d == nil {
-		d = cs.ct.t.newTrie()
-		cs.delta.Store(d)
-	}
-	old, ok = applyOp(d.Writer(), op)
-	switch {
-	case op.Kind == shard.OpInsert && ok:
-		cs.added.Add(1)
-	case op.Kind == shard.OpUpsert && !ok:
-		// New to the delta: the TID it replaces is the section's, if any.
-		if old, ok = cs.lookupSection(op.Key); !ok {
-			cs.added.Add(1)
+		st.added.Add(1)
+		return 0, true
+	case shard.OpUpsert:
+		old, ok = w.Upsert(op.Key, op.TID)
+		switch {
+		case ok && old&tombBit != 0:
+			st.added.Add(1)
+			return 0, false
+		case !ok:
+			// New to the delta: the TID it replaces is the section's, if any.
+			if old, ok = st.lookupSection(op.Key); !ok {
+				st.added.Add(1)
+			}
 		}
+		return old, ok
+	default:
+		if tomb, held := st.find(op.Key); held {
+			if old, ok = w.Upsert(op.Key, tomb); ok && old&tombBit != 0 {
+				return 0, false
+			}
+		} else if !w.Delete(op.Key) {
+			return 0, false
+		}
+		st.added.Add(-1)
+		return 0, true
 	}
-	return old, ok
+}
+
+// find returns the tombstone of key — its position in the section — and
+// whether the section holds key at all.
+func (st *shardState) find(key []byte) (tomb TID, held bool) {
+	b := st.pr.FindBlock(key)
+	if b < 0 {
+		return 0, false
+	}
+	i, held := st.mustPage(b).Find(key)
+	return tombBit | TID(b)<<tombShift | TID(i), held
 }
 
 // ---- cold reads ----
 
+// key is a cold shard's delta loader: a tombstone resolves to a copy of
+// the key of the section entry it names, every other TID through the
+// tree's loader. The copy is fresh: buf may alias what the tree's loader
+// returned last (a tuple store's key), and the next buf may alias this
+// result, which the tree's loader may write into.
+func (st *shardState) key(tid TID, buf []byte) []byte {
+	if tid&tombBit == 0 {
+		return st.ct.t.loader(tid, buf)
+	}
+	var it persist.PageIter
+	st.mustPage(int(tid&^tombBit>>tombShift)).SeekIndex(&it, int(tid&(1<<tombShift-1)))
+	return bytes.Clone(it.Key())
+}
+
 // page fetches block b of the cold image through the page cache.
-func (cs *coldShard) page(b int) (*persist.Page, error) {
-	return cs.ct.cache.Get(pager.Key{Shard: cs.shard, Gen: cs.gen, Block: b}, func() (*persist.Page, error) {
-		return cs.pr.ReadBlock(b)
+func (st *shardState) page(b int) (*persist.Page, error) {
+	return st.ct.cache.Get(pager.Key{Shard: st.shard, Gen: st.gen, Block: b}, func() (*persist.Page, error) {
+		return st.pr.ReadBlock(b)
 	})
 }
 
 // mustPage is page for the read paths, which have no error channel: cold
 // I/O failure panics (see the file comment).
-func (cs *coldShard) mustPage(b int) *persist.Page {
-	p, err := cs.page(b)
+func (st *shardState) mustPage(b int) *persist.Page {
+	p, err := st.page(b)
 	if err != nil {
-		panic(fmt.Sprintf("hot: shard %d cold read failed: %v", cs.shard, err))
+		panic(fmt.Sprintf("hot: shard %d cold read failed: %v", st.shard, err))
 	}
 	return p
 }
 
-// lookup serves a point read: the delta, then the section.
-func (cs *coldShard) lookup(key []byte) (TID, bool) {
-	if d := cs.delta.Load(); d != nil {
+// lookup serves a cold point read: the delta, where a tombstone is a miss,
+// then the section.
+func (st *shardState) lookup(key []byte) (TID, bool) {
+	if d := st.delta.Load(); d != nil {
 		if tid, ok := d.Lookup(key); ok {
+			if tid&tombBit != 0 {
+				return 0, false
+			}
 			return tid, true
 		}
 	}
-	return cs.lookupSection(key)
+	return st.lookupSection(key)
 }
 
 // lookupSection reads the section alone: block via the sparse index, entry
 // via the page's restart table and a short step through its stored stream.
-func (cs *coldShard) lookupSection(key []byte) (TID, bool) {
-	b := cs.pr.FindBlock(key)
+func (st *shardState) lookupSection(key []byte) (TID, bool) {
+	b := st.pr.FindBlock(key)
 	if b < 0 {
 		return 0, false
 	}
-	return cs.mustPage(b).Lookup(key)
+	return st.mustPage(b).Lookup(key)
 }
 
-// len returns the entry count recorded in the section trailer plus the
-// delta's keys the section lacks.
-func (cs *coldShard) len() int { return int(cs.pr.Count()) + int(cs.added.Load()) }
+// len returns the shard's key count: its trie's, or the entry count
+// recorded in the section trailer plus added.
+func (st *shardState) len() int {
+	if st.pr == nil {
+		return st.delta.Load().Len()
+	}
+	return int(st.pr.Count()) + int(st.added.Load())
+}
 
 // deltaStream is a cold shard's delta as one ordered stream: the trie's
-// iterator and the key it is on, resolved through the loader once per step.
+// iterator and the key it is on, resolved through the delta's loader once
+// per step.
 type deltaStream struct {
-	it     core.Iterator
-	key    []byte
-	loader Loader
+	it  core.Iterator
+	key []byte
+	st  *shardState
 }
 
-// seek positions the stream on cs's first delta key ≥ from in byte order,
+// seek positions the stream on st's first delta key ≥ from in byte order,
 // the section's; without a delta it is exhausted.
-func (ds *deltaStream) seek(cs *coldShard, from []byte) {
-	ds.it, ds.loader = core.Iterator{}, cs.ct.t.loader
-	if d := cs.delta.Load(); d != nil {
+func (ds *deltaStream) seek(st *shardState, from []byte) {
+	ds.it, ds.st = core.Iterator{}, st
+	if d := st.delta.Load(); d != nil {
 		ds.it = d.Iter(from)
 		ds.resolve()
 		// The trie seeks under zero padding, where a key equals itself
@@ -752,6 +802,7 @@ func (ds *deltaStream) seek(cs *coldShard, from []byte) {
 
 func (ds *deltaStream) valid() bool { return ds.it.Valid() }
 func (ds *deltaStream) tid() TID    { return ds.it.TID() }
+func (ds *deltaStream) tomb() bool  { return ds.it.TID()&tombBit != 0 }
 
 func (ds *deltaStream) next() {
 	ds.it.Next()
@@ -760,18 +811,22 @@ func (ds *deltaStream) next() {
 
 func (ds *deltaStream) resolve() {
 	if ds.it.Valid() {
-		ds.key = ds.loader(ds.it.TID(), ds.key[:0])
+		ds.key = ds.st.key(ds.it.TID(), ds.key[:0])
 	}
 }
 
-// walk streams every entry of the shard into fn in ascending order: the
-// section — sequentially, bypassing the page cache (a cut, a promotion or
-// a verify touches every block exactly once), its CRCs, entry structure
-// and order verified by the reader on every decode — merged with the
-// delta, whose TID wins a key both hold.
-func (cs *coldShard) walk(fn persist.EntryFunc) error {
+// walk streams every entry of the shard into fn in ascending order. A hot
+// shard walks its trie. A cold shard walks its section — sequentially,
+// bypassing the page cache (a cut, a promotion or a verify touches every
+// block exactly once), its CRCs, entry structure and order verified by the
+// reader on every decode — merged with the delta, whose TID wins a key both
+// hold and whose tombstone drops it.
+func (st *shardState) walk(fn persist.EntryFunc) error {
+	if st.pr == nil {
+		return walkSource(st.delta.Load().SnapshotWalk)(fn)
+	}
 	var ds deltaStream
-	ds.seek(cs, nil)
+	ds.seek(st, nil)
 	// below streams the delta's entries up to key (all of them for nil)
 	// and reports whether the last was key itself.
 	below := func(key []byte) (bool, error) {
@@ -783,8 +838,12 @@ func (cs *coldShard) walk(fn persist.EntryFunc) error {
 			if c > 0 {
 				break
 			}
-			if err := fn(ds.key, ds.tid()); err != nil {
-				return false, err
+			if !ds.tomb() {
+				if err := fn(ds.key, ds.tid()); err != nil {
+					return false, err
+				}
+			} else if c < 0 {
+				return false, fmt.Errorf("tombstone of %q has no section entry", ds.key)
 			}
 			ds.next()
 			if c == 0 {
@@ -793,7 +852,7 @@ func (cs *coldShard) walk(fn persist.EntryFunc) error {
 		}
 		return false, nil
 	}
-	_, err := walkPageReader(cs.pr, func(key []byte, tid TID) error {
+	_, err := walkPageReader(st.pr, func(key []byte, tid TID) error {
 		if held, err := below(key); held || err != nil {
 			return err
 		}
@@ -807,39 +866,39 @@ func (cs *coldShard) walk(fn persist.EntryFunc) error {
 
 // verify checks the delta's structure, that every entry of the shard lies
 // in its boundary range, and that len counts them.
-func (cs *coldShard) verify(bounds [][]byte) error {
-	if d := cs.delta.Load(); d != nil {
+func (st *shardState) verify(s int, bounds [][]byte) error {
+	if d := st.delta.Load(); d != nil {
 		if err := d.Verify(); err != nil {
-			return fmt.Errorf("hot: shard %d delta: %w", cs.shard, err)
+			return fmt.Errorf("hot: shard %d: %w", s, err)
 		}
 	}
 	n := 0
-	err := cs.walk(func(k []byte, _ TID) error {
-		if !shard.Check(bounds, cs.shard, k) {
-			return fmt.Errorf("cold key %q outside shard range", k)
+	err := st.walk(func(k []byte, _ TID) error {
+		if !shard.Check(bounds, s, k) {
+			return fmt.Errorf("key %q outside shard range", k)
 		}
 		n++
 		return nil
 	})
-	if err == nil && n != cs.len() {
-		err = fmt.Errorf("%d entries, Len counts %d", n, cs.len())
+	if err == nil && n != st.len() {
+		err = fmt.Errorf("%d entries, Len counts %d", n, st.len())
 	}
 	if err != nil {
-		return fmt.Errorf("hot: shard %d cold section: %w", cs.shard, err)
+		return fmt.Errorf("hot: shard %d: %w", s, err)
 	}
 	return nil
 }
 
 // coldCursor iterates a cold shard in ascending key order: the section's
 // blocks pulled through the page cache, merged with the delta's stream,
-// whose entry wins a tie. A ShardedCursor owns exactly one and seeks it on
-// each cold shard its stream reaches. It captures the coldShard it was
-// seeked on, so a concurrent transition does not disturb it: the section
-// file stays open and immutable, the cursor simply observes the shard as
-// of its seek (the same wait-free semantics as a trie cursor observing an
-// old root).
+// whose entry wins a tie and whose tombstone skips it. A ShardedCursor owns
+// exactly one and seeks it on each cold shard its stream reaches. It
+// captures the state it was seeked on, so a concurrent transition does not
+// disturb it: the section file stays open and immutable, the cursor simply
+// observes the shard as of its seek (the same wait-free semantics as a trie
+// cursor observing an old root).
 type coldCursor struct {
-	cs   *coldShard
+	st   *shardState
 	blk  int
 	page *persist.Page // nil: the section stream is exhausted
 	it   persist.PageIter
@@ -851,18 +910,18 @@ type coldCursor struct {
 // release drops the image, and with it the cursor's hold on the section's
 // file handle; the iterators' key buffers stay for the next seek.
 func (c *coldCursor) release() {
-	c.cs, c.page, c.delta = nil, nil, false
-	c.ds.it = core.Iterator{}
+	c.st, c.page, c.delta = nil, nil, false
+	c.ds.it, c.ds.st = core.Iterator{}, nil
 }
 
-func (c *coldCursor) seek(cs *coldShard, from []byte) {
-	c.cs = cs
+func (c *coldCursor) seek(st *shardState, from []byte) {
+	c.st = st
 	c.page = nil
-	c.ds.seek(cs, from)
-	if cs.pr.Blocks() > 0 {
+	c.ds.seek(st, from)
+	if st.pr.Blocks() > 0 {
 		c.blk = 0
 		if from != nil {
-			c.blk = cs.pr.FindBlock(from)
+			c.blk = st.pr.FindBlock(from)
 		}
 		c.loadBlock(from)
 		if c.page != nil && !c.it.Valid() {
@@ -877,25 +936,32 @@ func (c *coldCursor) seek(cs *coldShard, from []byte) {
 
 // loadBlock faults block c.blk and positions on its first key ≥ from.
 func (c *coldCursor) loadBlock(from []byte) {
-	if c.blk >= c.cs.pr.Blocks() {
+	if c.blk >= c.st.pr.Blocks() {
 		c.page = nil
 		return
 	}
-	c.page = c.cs.mustPage(c.blk)
+	c.page = c.st.mustPage(c.blk)
 	c.page.Seek(&c.it, from)
 }
 
 // pick puts the smaller of the two streams' keys under the cursor — the
-// delta's on a tie, stepping the section past its twin.
+// delta's on a tie, stepping the section past its twin — and steps past a
+// tombstone and its twin.
 func (c *coldCursor) pick() {
-	if c.delta = c.ds.valid(); !c.delta || c.page == nil {
-		return
-	}
-	switch cmp := bytes.Compare(c.ds.key, c.it.Key()); {
-	case cmp > 0:
-		c.delta = false
-	case cmp == 0:
-		c.stepPage()
+	for c.delta = c.ds.valid(); c.delta; c.delta = c.ds.valid() {
+		if c.page != nil {
+			switch cmp := bytes.Compare(c.ds.key, c.it.Key()); {
+			case cmp > 0:
+				c.delta = false
+				return
+			case cmp == 0:
+				c.stepPage()
+			}
+		}
+		if !c.ds.tomb() {
+			return
+		}
+		c.ds.next()
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -16,8 +17,8 @@ import (
 
 // TestColdTierOracle demotes every shard and requires the cold read paths
 // — Lookup, LookupBatch, Scan, Verify — to agree with a fully resident
-// oracle byte for byte, then checks that an insert stays cold in the
-// shard's delta and that a delete promotes.
+// oracle byte for byte, then checks that an insert and a delete stay cold
+// in the shard's delta.
 func TestColdTierOracle(t *testing.T) {
 	for _, kind := range []dataset.Kind{dataset.URL, dataset.Integer} {
 		t.Run(fmt.Sprint(kind), func(t *testing.T) {
@@ -98,15 +99,16 @@ func TestColdTierOracle(t *testing.T) {
 			if got := st.ColdStats(); got.Promotions != 0 || got.DeltaKeys != 1 || st.Len() != oracle.Len()+1 {
 				t.Fatalf("after a cold insert: %+v, Len %d", got, st.Len())
 			}
-			// A delete is the write that still promotes.
-			if !st.Delete(nk) {
-				t.Fatal("delete of the delta's key missed it")
+			// A delete stays cold too: the delta's own key goes, a section
+			// key leaves a tombstone, a second delete of it is rejected.
+			if !st.Delete(nk) || !st.Delete(keys[0]) || st.Delete(keys[0]) {
+				t.Fatal("deletes from a cold shard disagree with the oracle")
 			}
-			if st.IsCold(owner) {
-				t.Fatalf("shard %d still cold after a delete", owner)
+			if _, ok := st.Lookup(keys[0]); ok || !st.IsCold(owner) {
+				t.Fatalf("deleted section key found (%v), or shard %d promoted", ok, owner)
 			}
-			if got := st.ColdStats(); got.Promotions != 1 || st.Len() != oracle.Len() {
-				t.Fatalf("after the delete: %+v, Len %d", got, st.Len())
+			if got := st.ColdStats(); got.Promotions != 0 || st.Len() != oracle.Len()-1 {
+				t.Fatalf("after the deletes: %+v, Len %d", got, st.Len())
 			}
 		})
 	}
@@ -466,6 +468,39 @@ func TestColdTierStatsMonotonic(t *testing.T) {
 	if after.PageHits+after.PageMisses == 0 {
 		t.Fatal("cold lookups left no page counters")
 	}
+	// Inserts into a cold shard run in its delta, whose counters count
+	// too — once the delta holds two keys, every insert is one case — and
+	// survive the fold that replaces the delta.
+	cases := func() uint64 {
+		o := st.OpStats()
+		return o.Normal + o.Pushdown + o.PullUp + o.Intermediate + o.NewRoot
+	}
+	const n = 100
+	var fresh [][]byte
+	for _, k := range keys {
+		if st.Shard(k) == 0 && len(fresh) < n+2 {
+			fresh = append(fresh, append(append([]byte(nil), k...), "-cold"...))
+		}
+	}
+	var base uint64
+	for i, k := range fresh {
+		if i == 2 {
+			base = cases()
+		}
+		if !st.Insert(k, store.Add(k)) {
+			t.Fatalf("cold insert %d rejected", i)
+		}
+	}
+	if got := cases(); got < base+n {
+		t.Fatalf("%d cold inserts raised the insertion cases from %d to %d", n, base, got)
+	}
+	base = cases()
+	if err := st.Demote(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := cases(); got < base || st.ColdStats().Folds != 1 {
+		t.Fatalf("the fold lowered the insertion cases from %d to %d", base, got)
+	}
 }
 
 // TestColdTierDurableRecovery: shards demoted in durable mode stay cold
@@ -575,10 +610,13 @@ func TestColdTierDurableRecovery(t *testing.T) {
 	if err := tr.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	// A delete promotes shard 1; its next Checkpoint cut is a snap-001.hot
-	// superseding the cold file.
-	if !tr.Delete(nk) || tr.IsCold(1) || !tr.Insert(nk, ntid) {
-		t.Fatal("delete and re-insert through a promotion of shard 1 failed")
+	// A delete and a re-insert stay in shard 1's delta; promoted, its next
+	// Checkpoint cut is a snap-001.hot superseding the cold file.
+	if !tr.Delete(nk) || !tr.Insert(nk, ntid) || !tr.IsCold(1) {
+		t.Fatal("delete and re-insert into cold shard 1 failed")
+	}
+	if err := tr.Promote(1); err != nil || tr.IsCold(1) {
+		t.Fatalf("Promote(1) = %v", err)
 	}
 	if err := tr.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -748,11 +786,11 @@ func TestColdTierUint64Set(t *testing.T) {
 	if got := s.ColdStats(); got.Promotions != 0 || got.DeltaKeys != 1 || s.Len() != len(vals)+1 {
 		t.Fatalf("set insert into a cold shard: %+v, Len %d", got, s.Len())
 	}
-	if !s.Delete(vals[0]) {
+	if !s.Delete(vals[0]) || s.Contains(vals[0]) {
 		t.Fatal("delete from cold set missed")
 	}
-	if got := s.ColdStats(); got.Promotions != 1 || s.Len() != len(vals) {
-		t.Fatalf("set delete did not promote: %+v, Len %d", got, s.Len())
+	if got := s.ColdStats(); got.Promotions != 0 || got.DeltaKeys != 2 || s.Len() != len(vals) {
+		t.Fatalf("set delete into a cold shard: %+v, Len %d", got, s.Len())
 	}
 }
 
@@ -763,9 +801,13 @@ func TestColdTierUint64Set(t *testing.T) {
 // in every position the cursor's merge can meet one: below the first
 // block, equal to a block's first key (a new TID, which the delta must
 // win), between two blocks, above the last key, and in a third shard
-// demoted empty. One cursor is re-seeked throughout, so its key buffers
-// are carried from page to page; the closing Verify and lookups would show
-// a cached page that reuse had written into.
+// demoted empty; and tombstones, which must hide their section entry, in
+// the same positions: the shard's first key, a block's first key, the last
+// key before a block and the shard's last key — plus a deleted key
+// inserted again and a renewed key deleted. One cursor is re-seeked
+// throughout, so its key buffers are carried from page to page; the
+// closing Verify and lookups would show a cached page that reuse had
+// written into.
 func TestColdCursorMatchesModel(t *testing.T) {
 	for _, kind := range []dataset.Kind{dataset.URL, dataset.Integer} {
 		for _, codec := range []SnapshotCodec{SnapshotCodecRaw, SnapshotCodecPacked} {
@@ -800,7 +842,7 @@ func TestColdCursorMatchesModel(t *testing.T) {
 				}
 			}
 			var deltas [][]byte
-			add := func(k []byte) { // a key new to the shard
+			add := func(k []byte) { // a key new to the shard, or deleted
 				tid := store.Add(k)
 				if !st.Insert(k, tid) {
 					t.Fatalf("%v: cold insert of %q rejected", kind, k)
@@ -816,33 +858,58 @@ func TestColdCursorMatchesModel(t *testing.T) {
 				model[string(k)] = tid
 				deltas = append(deltas, k)
 			}
+			drop := func(k []byte) { // a key the section holds
+				if !st.Delete(k) || st.Delete(k) {
+					t.Fatalf("%v: cold deletes of %q disagree with the model", kind, k)
+				}
+				delete(model, string(k))
+				deltas = append(deltas, k)
+			}
 			add(pool[0])           // below the first block
 			add(pool[len(pool)-3]) // above the last key
 			add(top)               // the empty shard
 			add(pool[len(pool)-1])
+			half := len(sorted) / 2
+			drop(sorted[half-1])        // the first shard's last key
+			drop(sorted[len(sorted)-1]) // the second shard's last key
+			drop(sorted[half+1])
+			add(sorted[half+1]) // deleted, then inserted again
+			renew(sorted[half+2])
+			drop(sorted[half+2]) // renewed, then deleted
 			for s := 0; s < 2; s++ {
-				pr := st.shards[s].cold.Load().pr
+				pr := st.shards[s].Load().pr
 				between := 0
 				for b := 0; b < pr.Blocks(); b++ {
 					first := pr.FirstKey(b)
-					renew(first) // equal to a block's first key
+					if (s+b)%2 == 0 {
+						drop(first) // shard 0: its first key, below everything
+					} else {
+						renew(first) // equal to a block's first key
+					}
 					if b == 0 {
 						continue
 					}
 					// Between block b-1's last key and block b's first, when
-					// the pool has a key there.
-					below := sorted[sort.Search(len(sorted), func(i int) bool { return bytes.Compare(sorted[i], first) >= 0 })-1]
+					// the pool has a key there; and the last key before the
+					// block deleted.
+					at := sort.Search(len(sorted), func(i int) bool { return bytes.Compare(sorted[i], first) >= 0 })
+					below := sorted[at-1]
 					if p := pool[sort.Search(len(pool), func(i int) bool { return bytes.Compare(pool[i], below) > 0 })]; bytes.Compare(p, first) < 0 {
 						add(p)
 						between++
 					}
+					drop(below)
 				}
 				if pr.Blocks() > 1 && between == 0 {
 					t.Fatalf("%v/%v: shard %d has %d blocks and no pool key between any two", kind, codec, s, pr.Blocks())
 				}
 			}
-			if cs := st.ColdStats(); cs.ColdShards != 3 || cs.Promotions != 0 || cs.DeltaKeys != len(deltas) {
-				t.Fatalf("%v/%v: %+v after %d delta writes", kind, codec, cs, len(deltas))
+			touched := make(map[string]bool)
+			for _, k := range deltas {
+				touched[string(k)] = true
+			}
+			if cs := st.ColdStats(); cs.ColdShards != 3 || cs.Promotions != 0 || cs.DeltaKeys != len(touched) {
+				t.Fatalf("%v/%v: %+v after writes to %d keys", kind, codec, cs, len(touched))
 			}
 			msorted := make([][]byte, 0, len(model))
 			for k := range model {
@@ -1085,4 +1152,142 @@ func TestParentWrittenDirectoryServes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// FuzzTieredShardOps drives a three-shard tree under a cold tier with an
+// operation tape and holds it to a map: the reply of every write and the
+// Lookup of its key after every step, and after every lifecycle event Len,
+// a full cursor walk and Verify. The tape starts on every other key of the
+// table cut to sections, so deletes meet section keys, delta keys and keys
+// the delta renewed. An op is three bytes: its kind in the low three bits
+// of the first (the TID variant above them), then a big-endian index into
+// the key table.
+func FuzzTieredShardOps(f *testing.F) {
+	const n, variants = 3600, 2
+	keys := dataset.Generate(dataset.URL, n, 17)
+	store := &tidstore.Store{}
+	for v := 0; v < variants; v++ {
+		for _, k := range keys {
+			store.Add(k) // TID v*n+i resolves to keys[i]
+		}
+	}
+	sorted := dataset.SortedCopy(keys)
+	bounds := [][]byte{sorted[n/3], sorted[2*n/3]}
+	const (
+		opInsert byte = iota
+		opUpsert
+		opDelete
+		opLookup
+		opScan
+		opDemote
+		opPromote
+		opFold
+	)
+	open := func(t testing.TB) (*ShardedTree, map[string]TID) {
+		tr := newShardedFromBounds(treeFlavor(store.Key), bounds)
+		model := make(map[string]TID, n)
+		for i := 0; i < n; i += 2 {
+			tr.Insert(keys[i], TID(i))
+			model[string(keys[i])] = TID(i)
+		}
+		if err := tr.EnableColdTier(ColdTierConfig{Dir: t.TempDir()}); err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < tr.Shards(); s++ {
+			if err := tr.Demote(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tr, model
+	}
+	step := func(kind byte, variant, i int) []byte {
+		return []byte{kind | byte(variant)<<3, byte(i >> 8), byte(i)}
+	}
+	tape := func(steps ...[]byte) []byte { return bytes.Join(steps, nil) }
+	// Key 4 and 6 start in a section, key 7 does not; first is the first
+	// key of a block.
+	tr, _ := open(f)
+	fk := tr.shards[1].Load().pr.FirstKey(1)
+	first := slices.IndexFunc(keys, func(k []byte) bool { return bytes.Equal(k, fk) })
+	f.Add(tape(step(opDelete, 0, first), step(opLookup, 0, first), step(opInsert, 1, first), step(opFold, 0, first)))
+	f.Add(tape(step(opDelete, 0, 4), step(opFold, 0, 4), step(opLookup, 0, 4)))
+	f.Add(tape(step(opDelete, 0, first), step(opPromote, 0, first), step(opScan, 0, first)))
+	f.Add(tape(step(opUpsert, 1, first), step(opDelete, 0, first), step(opScan, 0, first), step(opDemote, 0, first)))
+	f.Add(tape(step(opDelete, 0, 6), step(opDelete, 0, 6), step(opInsert, 0, 7), step(opDelete, 0, 7), step(opUpsert, 1, 6)))
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		tr, model := open(t)
+		check := func() {
+			t.Helper()
+			want := make([]pathEntry, 0, len(model))
+			for _, k := range sorted {
+				if tid, ok := model[string(k)]; ok {
+					want = append(want, pathEntry{k, tid})
+				}
+			}
+			checkTree(t, tr, want)
+		}
+		for ; len(ops) >= 3; ops = ops[3:] {
+			i := (int(ops[1])<<8 | int(ops[2])) % n
+			k, tid := keys[i], TID(int(ops[0]>>3)%variants*n+i)
+			s := tr.Shard(k)
+			have, present := model[string(k)]
+			switch ops[0] & 7 {
+			case opInsert:
+				if ok := tr.Insert(k, tid); ok == present {
+					t.Fatalf("Insert(%d) = %v with the key present %v", i, ok, present)
+				} else if ok {
+					model[string(k)] = tid
+				}
+			case opUpsert:
+				if old, ok := tr.Upsert(k, tid); ok != present || old != have {
+					t.Fatalf("Upsert(%d) = (%d, %v), model (%d, %v)", i, old, ok, have, present)
+				}
+				model[string(k)] = tid
+			case opDelete:
+				if ok := tr.Delete(k); ok != present {
+					t.Fatalf("Delete(%d) = %v with the key present %v", i, ok, present)
+				}
+				delete(model, string(k))
+			case opLookup:
+			case opScan:
+				var got []TID
+				tr.Scan(k, 20, func(tid TID) bool { got = append(got, tid); return true })
+				j := sort.Search(n, func(j int) bool { return bytes.Compare(sorted[j], k) >= 0 })
+				var want []TID
+				for ; j < n && len(want) < 20; j++ {
+					if tid, ok := model[string(sorted[j])]; ok {
+						want = append(want, tid)
+					}
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("Scan(%d) = %v, want %v", i, got, want)
+				}
+			case opDemote, opPromote, opFold:
+				var err error
+				switch ops[0] & 7 {
+				case opDemote:
+					err = tr.Demote(s)
+				case opPromote:
+					err = tr.Promote(s)
+				default:
+					if tr.IsCold(s) {
+						err = tr.Demote(s)
+					}
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				check()
+			}
+			if got, ok := tr.Lookup(k); got != model[string(k)] || ok != hasKey(model, k) {
+				t.Fatalf("op %d on key %d: Lookup = (%d, %v), model (%d, %v)", ops[0]&7, i, got, ok, model[string(k)], hasKey(model, k))
+			}
+		}
+		check()
+	})
+}
+
+func hasKey(m map[string]TID, k []byte) bool {
+	_, ok := m[string(k)]
+	return ok
 }

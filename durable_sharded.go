@@ -165,10 +165,9 @@ func (d *durableState) clean(s int, cold bool) bool {
 
 // cut is the one way a shard's state becomes its durable base: under the
 // shard's writer lock it makes the shard's log durable through its last
-// LSN, streams src — the shard's resident trie, or a cold shard's section
-// and delta merged — to snap-NNN.hot (or, for a demotion or a fold, the
-// indexed cold-NNN.hot) through the crash-safe file
-// protocol, removes the sibling base the new file supersedes, and only
+// LSN, streams src — the shard's walk (shardState.walk) — to snap-NNN.hot
+// (or, for a demotion or a fold, the indexed cold-NNN.hot) through the
+// crash-safe file protocol, removes the sibling base the new file supersedes, and only
 // then rotates the shard's log to that LSN (the ordering rule of the file
 // comment). The sync comes first because a cut may fall between an async
 // run's append and the fsync it left owed: the base would cover those
@@ -278,7 +277,7 @@ func (t *ShardedTree) Checkpoint() error {
 			}
 		}
 		// Demotion needs d.ckpt, so a shard fold found hot stays hot.
-		if err := t.cut(s, walkSource(t.shards[s].tree.Load().SnapshotWalk), false); err != nil {
+		if err := t.cut(s, t.shards[s].Load().walk, false); err != nil {
 			return err
 		}
 	}
@@ -398,8 +397,8 @@ func openDurableSharded(dir string, fl flavor, shards int, sample [][]byte, opts
 			if w != nil {
 				w.Close()
 			}
-			if cs := t.shards[s].cold.Load(); cs != nil {
-				cs.pr.Close()
+			if pr := t.shards[s].Load().pr; pr != nil {
+				pr.Close()
 			}
 		}
 		return nil, info, err
@@ -426,9 +425,9 @@ func openDurableSharded(dir string, fl flavor, shards int, sample [][]byte, opts
 		}
 		d.wals[s] = w
 		info.noteWALDamage(rep)
-		// Still cold after replay — its tail, if any, in its delta: the
-		// shard starts this run cold. A replayed delete promoted it.
-		if t.shards[s].cold.Load() != nil {
+		// A shard recovered cold starts this run cold, its tail, if any, in
+		// its delta.
+		if t.IsCold(s) {
 			info.ColdShards++
 		}
 	}
@@ -439,8 +438,8 @@ func openDurableSharded(dir string, fl flavor, shards int, sample [][]byte, opts
 		// shrink snap.hot to the manifest. A crash in between re-runs
 		// this — a per-shard base beats its legacy section.
 		for s := range t.shards {
-			if tr := t.shards[s].tree.Load(); tr != nil && tr.Len() > 0 {
-				if err := t.cut(s, walkSource(tr.SnapshotWalk), false); err != nil {
+			if st := t.shards[s].Load(); st.pr == nil && st.len() > 0 {
+				if err := t.cut(s, st.walk, false); err != nil {
 					return fail(err)
 				}
 			}
@@ -512,8 +511,7 @@ func (t *ShardedTree) recoverBase(s int, d *durableState, ct *coldTier, legacy b
 			pr.Close()
 			return fmt.Errorf("hot: shard %d cold section: %w", s, err)
 		}
-		t.shards[s].cold.Store(&coldShard{ct: ct, pr: pr, shard: s, gen: ct.ws[s].gen.Add(1)})
-		t.shards[s].tree.Store(nil)
+		t.shards[s].Store(&shardState{ct: ct, pr: pr, shard: s, gen: ct.ws[s].gen.Add(1)})
 		return nil
 	}
 	var f *os.File
@@ -528,11 +526,11 @@ func (t *ShardedTree) recoverBase(s int, d *durableState, ct *coldTier, legacy b
 		}
 		defer f.Close()
 	}
-	tr := t.shards[s].tree.Load()
+	tr := t.shards[s].Load().delta.Load()
 	if legacy {
 		// The per-shard base supersedes what the legacy section loaded.
 		tr = t.newTrie()
-		t.shards[s].tree.Store(tr)
+		t.shards[s].Store(hotState(tr))
 	}
 	sink := t.load(s, tr)
 	if pr != nil {

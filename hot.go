@@ -48,7 +48,8 @@ type TID = uint64
 
 // Loader resolves the key bytes stored under a TID. buf may be used as
 // scratch space; the returned slice may alias it and must remain valid and
-// immutable while the entry is in the index.
+// immutable while the entry is in the index. It is never called for a
+// tombstone, the marker a sharded tree's cold shard keeps for a deleted key.
 type Loader = func(tid TID, buf []byte) []byte
 
 // Stats aliases for the documentation of Tree.Depths and Tree.Memory.

@@ -135,7 +135,9 @@ func (t *ConcurrentTrie) Delete(k []byte) bool {
 // while it writes. The caller guarantees that no other write of any kind
 // (Writer or ROWEX) runs on the trie at the same time: a ShardedTree shard
 // holds its writer lock, and a section load writes a trie no other writer
-// can reach.
+// can reach. Insert and Upsert store any 64-bit TID: their callers validate
+// what they take from outside against MaxTID first, and a sharded delta
+// keeps its tombstones in the bit above it.
 type Writer struct{ t *ConcurrentTrie }
 
 // Writer returns the trie's exclusive writer.
@@ -144,7 +146,6 @@ func (t *ConcurrentTrie) Writer() Writer { return Writer{t} }
 // Insert is ConcurrentTrie.Insert for the exclusive writer.
 func (w Writer) Insert(k []byte, tid TID) bool {
 	checkKey(k)
-	checkTID(tid)
 	inserted, _, _, _ := w.t.write(k, tid, false, &w.t.sc, nil)
 	w.t.maybeAdvance()
 	return inserted
@@ -153,7 +154,6 @@ func (w Writer) Insert(k []byte, tid TID) bool {
 // Upsert is ConcurrentTrie.Upsert for the exclusive writer.
 func (w Writer) Upsert(k []byte, tid TID) (old TID, replaced bool) {
 	checkKey(k)
-	checkTID(tid)
 	_, old, replaced, _ = w.t.write(k, tid, true, &w.t.sc, nil)
 	w.t.maybeAdvance()
 	return old, replaced

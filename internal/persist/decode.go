@@ -146,7 +146,7 @@ func walkBlock(unit []byte, off int64, ord *keyOrder, page *Page, fn EntryFunc) 
 		if flags&^(packedTIDsEmbedded|packedKeysFixed64) != 0 {
 			return b, n, rawLen, fail(0, "unknown flags %#x", flags), nil
 		}
-		count, sz, ok := checkedLen(unit[9:], maxBlockLen/2)
+		count, sz, ok := checkedLen(unit[9:], MaxBlockEntries)
 		if !ok || count == 0 {
 			return b, n, rawLen, fail(0, "bad entry count"), nil
 		}

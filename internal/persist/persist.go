@@ -102,6 +102,10 @@ const (
 	// allocation when parsing hostile length fields; the writer never
 	// exceeds blockTarget plus one max-size entry.
 	maxBlockLen = blockTarget + MaxKeyLen + 2*10
+
+	// MaxBlockEntries bounds the entries of one block: a raw entry takes at
+	// least two payload bytes, and a packed block's count is held to it.
+	MaxBlockEntries = maxBlockLen / 2
 )
 
 // castagnoli is the CRC32-C table used for every checksum in the format.

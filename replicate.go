@@ -433,7 +433,7 @@ func (f *Follower) Feed(r io.Reader) error {
 			return feedErr("section", fmt.Errorf("section frame for shard %d, want %d", sh, i))
 		}
 		f.cuts[i] = cut
-		if _, err = persist.Read(br, t.kind, t.load(i, t.shards[i].tree.Load())); err != nil {
+		if _, err = persist.Read(br, t.kind, t.load(i, t.shards[i].Load().delta.Load())); err != nil {
 			return feedErr("section", err)
 		}
 		f.ready.Store(int32(i + 1))
@@ -573,7 +573,7 @@ func (f *Follower) Len() int {
 	t, ready := f.snapshot()
 	n := 0
 	for i := 0; i < ready; i++ {
-		n += t.mustTree(i).Len()
+		n += t.ShardLen(i)
 	}
 	return n
 }
@@ -589,7 +589,7 @@ func (f *Follower) Lookup(key []byte) (TID, bool, error) {
 	if s >= ready {
 		return 0, false, ErrNotReady
 	}
-	tid, ok := t.mustTree(s).Lookup(key)
+	tid, ok := t.Lookup(key)
 	return tid, ok, nil
 }
 
@@ -615,7 +615,7 @@ func (f *Follower) Scan(start []byte, max int, fn func(key []byte, tid TID) bool
 func (f *Follower) Verify() error {
 	t, ready := f.snapshot()
 	for i := 0; i < ready; i++ {
-		if err := t.mustTree(i).Verify(); err != nil {
+		if err := t.shards[i].Load().delta.Load().Verify(); err != nil {
 			return fmt.Errorf("hot: follower shard %d: %w", i, err)
 		}
 	}

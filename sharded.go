@@ -2,7 +2,6 @@ package hot
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"sync/atomic"
 
@@ -68,45 +67,16 @@ func treeFlavor(loader Loader) flavor {
 // key-equals-TID rule on every entry.
 var setFlavor = flavor{tidstore.Uint64Key, persist.KindUint64Set, checkSetEntry}
 
-// shardSlot is one shard's backing: exactly one of (tree, cold) is
-// non-nil in steady state. Transitions install the new backing before
-// clearing the old, so a reader that loads both non-nil prefers the tree
-// — whose content equals the cold image at that instant, because writers
-// are excluded for the whole transition (see cold.go).
-type shardSlot struct {
-	tree atomic.Pointer[core.ConcurrentTrie]
-	cold atomic.Pointer[coldShard]
-}
+// shardSlot is one shard's backing: a pointer to its state (cold.go),
+// which a transition replaces with one store.
+type shardSlot struct{ atomic.Pointer[shardState] }
 
-// view returns shard s's current backing; exactly one return is non-nil.
-func (t *ShardedTree) view(s int) (*core.ConcurrentTrie, *coldShard) {
-	sl := &t.shards[s]
-	for {
-		if tr := sl.tree.Load(); tr != nil {
-			return tr, nil
-		}
-		if cs := sl.cold.Load(); cs != nil {
-			return nil, cs
-		}
-		// A transition is mid-install (new pointer stored, old not yet
-		// cleared is the only published order, so this loop terminates).
-	}
-}
-
-// mustTree returns shard s's in-memory trie, promoting a cold shard
-// first. For paths that require a resident trie (replication, recovery,
-// verification helpers); read paths use view and stay wait-free.
-func (t *ShardedTree) mustTree(s int) *core.ConcurrentTrie {
-	for {
-		if tr := t.shards[s].tree.Load(); tr != nil {
-			return tr
-		}
-		ct := t.cold.Load()
-		if ct == nil {
-			panic("hot: shard has neither a trie nor a cold section")
-		}
-		if err := ct.promote(s); err != nil {
-			panic(fmt.Sprintf("hot: promoting shard %d: %v", s, err))
+// eachDelta calls fn with every shard's delta: a hot shard's whole trie, a
+// cold shard's delta once it took a write.
+func (t *ShardedTree) eachDelta(fn func(d *core.ConcurrentTrie)) {
+	for s := range t.shards {
+		if d := t.shards[s].Load().delta.Load(); d != nil {
+			fn(d)
 		}
 	}
 }
@@ -137,7 +107,7 @@ func newShardedFromBounds(fl flavor, bounds [][]byte) *ShardedTree {
 	t := &ShardedTree{flavor: fl, bounds: bounds}
 	t.shards = make([]shardSlot, len(bounds)+1)
 	for i := range t.shards {
-		t.shards[i].tree.Store(t.newTrie())
+		t.shards[i].Store(hotState(t.newTrie()))
 	}
 	t.async = newAsyncState(len(t.shards), defaultQueueCapacity)
 	return t
@@ -157,14 +127,8 @@ func (t *ShardedTree) Shard(key []byte) int { return shard.Find(t.bounds, key) }
 
 // ShardLen returns the number of keys stored in shard i (a cold shard
 // reports its section's entry count plus its delta's keys the section
-// lacks).
-func (t *ShardedTree) ShardLen(i int) int {
-	tr, cs := t.view(i)
-	if tr != nil {
-		return tr.Len()
-	}
-	return cs.len()
-}
+// lacks, minus the section keys it deleted).
+func (t *ShardedTree) ShardLen(i int) int { return t.shards[i].Load().len() }
 
 // Boundaries returns a copy of the boundary key table: boundary i is the
 // inclusive lower bound of shard i+1.
@@ -179,7 +143,7 @@ func (t *ShardedTree) Boundaries() [][]byte {
 // Insert stores tid under key in the owning shard, reporting false when
 // the key already exists. In durable mode the write is logged and
 // group-commit fsynced before Insert returns. A cold owning shard takes it
-// into its delta, rejecting a key its section holds.
+// into its delta, rejecting a key its section holds unless it was deleted.
 func (t *ShardedTree) Insert(key []byte, tid TID) bool {
 	_, ok := t.writeSync(shard.Op{Key: key, TID: tid, Kind: shard.OpInsert})
 	return ok
@@ -189,7 +153,7 @@ func (t *ShardedTree) Insert(key []byte, tid TID) bool {
 // TID if one existed. In durable mode the write is logged and group-commit
 // fsynced before Upsert returns. A cold owning shard takes it into its
 // delta; the TID replaced is the delta's, or the section's when the delta
-// held none.
+// held none — nothing when the key was deleted.
 func (t *ShardedTree) Upsert(key []byte, tid TID) (old TID, replaced bool) {
 	return t.writeSync(shard.Op{Key: key, TID: tid, Kind: shard.OpUpsert})
 }
@@ -197,31 +161,31 @@ func (t *ShardedTree) Upsert(key []byte, tid TID) (old TID, replaced bool) {
 // Lookup returns the TID stored under key. It is wait-free: a cold
 // owning shard is served from the page cache without promotion.
 func (t *ShardedTree) Lookup(key []byte) (TID, bool) {
-	tr, cs := t.view(shard.Find(t.bounds, key))
-	if tr != nil {
-		return tr.Lookup(key)
+	st := t.shards[shard.Find(t.bounds, key)].Load()
+	if st.pr == nil {
+		return st.delta.Load().Lookup(key)
 	}
-	return cs.lookup(key)
+	return st.lookup(key)
 }
 
 // Delete removes key from the owning shard, reporting whether it was
 // present. In durable mode the write is logged and group-commit fsynced
-// before Delete returns. A cold owning shard is promoted first — a delete
-// is the one write a cold shard does not take into its delta.
+// before Delete returns. A cold owning shard stays cold: a key its section
+// holds leaves a tombstone in its delta.
 func (t *ShardedTree) Delete(key []byte) bool {
 	_, ok := t.writeSync(shard.Op{Key: key, Kind: shard.OpDelete})
 	return ok
 }
 
 // writeSync is the synchronous entrance to run (sharded_async.go): validate
-// before any lock is held, route, pin the shard's backing under its shared
+// before any lock is held, route, load the shard's state under its shared
 // write guard, run the one op, release. It returns what the op's method returns
 // (old is Upsert's).
 func (t *ShardedTree) writeSync(op shard.Op) (old TID, ok bool) {
 	checkOp(op.Key, op.TID)
 	s := shard.Find(t.bounds, op.Key)
-	p := t.lockShardWrite(s, op.Kind)
-	old, ok, _ = t.run(s, p, op, 0, true)
+	st := t.lockShardWrite(s)
+	old, ok, _ = t.run(s, st, op, 0, true)
 	t.unlockShardWrite(s)
 	return old, ok
 }
@@ -238,12 +202,12 @@ func (t *ShardedTree) LookupBatch(keys [][]byte, out []TID) []bool {
 		panic("hot: LookupBatch out slice shorter than keys")
 	}
 	if len(t.shards) == 1 {
-		if tr, cs := t.view(0); tr != nil {
-			return tr.LookupBatch(keys, out)
+		if st := t.shards[0].Load(); st.pr == nil {
+			return st.delta.Load().LookupBatch(keys, out)
 		} else {
 			found := make([]bool, n)
 			for i, k := range keys {
-				out[i], found[i] = cs.lookup(k)
+				out[i], found[i] = st.lookup(k)
 			}
 			return found
 		}
@@ -277,9 +241,9 @@ func (t *ShardedTree) LookupBatch(keys [][]byte, out []TID) []bool {
 		if lo == hi {
 			continue
 		}
-		tr, cs := t.view(s)
-		if tr != nil {
-			bfound := tr.LookupBatch(bkeys[lo:hi], bout[lo:hi])
+		st := t.shards[s].Load()
+		if st.pr == nil {
+			bfound := st.delta.Load().LookupBatch(bkeys[lo:hi], bout[lo:hi])
 			for j := lo; j < hi; j++ {
 				oi := order[j]
 				out[oi] = bout[j]
@@ -291,7 +255,7 @@ func (t *ShardedTree) LookupBatch(keys [][]byte, out []TID) []bool {
 		// bucket touches one shard's blocks, so its faults coalesce.
 		for j := lo; j < hi; j++ {
 			oi := order[j]
-			out[oi], found[oi] = cs.lookup(bkeys[j])
+			out[oi], found[oi] = st.lookup(bkeys[j])
 		}
 	}
 	return found
@@ -306,46 +270,30 @@ func (t *ShardedTree) Scan(start []byte, max int, fn func(TID) bool) int {
 	return t.scanN(start, max, len(t.shards), func(c *ShardedCursor) bool { return fn(c.TID()) })
 }
 
-// Len returns the total number of stored keys across all shards (a cold
-// shard contributes its section's entry count plus its delta's keys the
-// section lacks).
+// Len returns the total number of stored keys across all shards (see
+// ShardLen).
 func (t *ShardedTree) Len() int {
 	n := 0
 	for s := range t.shards {
-		tr, cs := t.view(s)
-		if tr != nil {
-			n += tr.Len()
-		} else {
-			n += cs.len()
-		}
+		n += t.ShardLen(s)
 	}
 	return n
 }
 
-// Height returns the maximum resident shard height in compound nodes;
-// cold shards have no trie and contribute nothing.
+// Height returns the maximum height in compound nodes of the shards'
+// resident tries: the hot shards' and the cold shards' deltas.
 func (t *ShardedTree) Height() int {
 	h := 0
-	for s := range t.shards {
-		if tr := t.shards[s].tree.Load(); tr != nil {
-			if sh := tr.Height(); sh > h {
-				h = sh
-			}
-		}
-	}
+	t.eachDelta(func(d *core.ConcurrentTrie) { h = max(h, d.Height()) })
 	return h
 }
 
-// Depths computes the leaf-depth distribution merged across the resident
-// shards; cold shards have no trie and contribute nothing.
+// Depths computes the leaf-depth distribution merged across the shards'
+// resident tries: the hot shards' and the cold shards' deltas.
 func (t *ShardedTree) Depths() DepthStats {
-	var d DepthStats
-	for s := range t.shards {
-		if tr := t.shards[s].tree.Load(); tr != nil {
-			d = d.Merge(tr.Depths())
-		}
-	}
-	return d
+	var ds DepthStats
+	t.eachDelta(func(d *core.ConcurrentTrie) { ds = ds.Merge(d.Depths()) })
+	return ds
 }
 
 // Memory computes the aggregate memory footprint and node-layout census
@@ -358,19 +306,13 @@ func (t *ShardedTree) Depths() DepthStats {
 func (t *ShardedTree) Memory() MemoryStats {
 	var m MemoryStats
 	ct := t.cold.Load()
+	t.eachDelta(func(d *core.ConcurrentTrie) { m = m.Add(d.Memory()) })
 	for s := range t.shards {
-		tr, cs := t.view(s)
-		if tr != nil {
-			m = m.Add(tr.Memory())
-			if ct != nil {
-				m.ResidentShards++
-			}
-		} else {
-			if d := cs.delta.Load(); d != nil {
-				m = m.Add(d.Memory())
-			}
+		if pr := t.shards[s].Load().pr; pr != nil {
 			m.ColdShards++
-			m.ColdBytes += cs.pr.SizeBytes()
+			m.ColdBytes += pr.SizeBytes()
+		} else if ct != nil {
+			m.ResidentShards++
 		}
 	}
 	if ct != nil {
@@ -379,12 +321,13 @@ func (t *ShardedTree) Memory() MemoryStats {
 	return m
 }
 
-// OpStats returns the insertion-case counters summed across all shards
-// (shards run no ROWEX, so their restart and validation counters stay 0), plus the async submission-queue counters (deposits,
-// stolen drains, drain batches, full-ring rejections and the current queue
-// depth across all shards) and, when a cold tier is enabled, the pager
-// counters. Counters of demoted tries are carried forward, so aggregates
-// never decrease across a demotion.
+// OpStats returns the insertion-case counters summed across all shards'
+// tries, cold shards' deltas included (shards run no ROWEX, so their
+// restart and validation counters stay 0), plus the async submission-queue
+// counters (deposits, stolen drains, drain batches, full-ring rejections
+// and the current queue depth across all shards) and, when a cold tier is
+// enabled, the pager counters. Counters of replaced tries are carried
+// forward, so aggregates never decrease across a transition.
 func (t *ShardedTree) OpStats() OpStats {
 	var o OpStats
 	ct := t.cold.Load()
@@ -393,11 +336,7 @@ func (t *ShardedTree) OpStats() OpStats {
 		o = o.Add(ct.retired)
 		ct.statsMu.Unlock()
 	}
-	for s := range t.shards {
-		if tr := t.shards[s].tree.Load(); tr != nil {
-			o = o.Add(tr.OpStats())
-		}
-	}
+	t.eachDelta(func(d *core.ConcurrentTrie) { o = o.Add(d.OpStats()) })
 	t.async.queueOpStats(&o)
 	if ct != nil {
 		cs := ct.cache.Stats()
@@ -412,52 +351,35 @@ func (t *ShardedTree) OpStats() OpStats {
 }
 
 // ReclaimStats reports the epoch reclamation counters summed across all
-// shard domains, carrying demoted domains' freed totals forward.
+// shard domains, cold shards' deltas included, carrying replaced domains'
+// freed totals forward.
 func (t *ShardedTree) ReclaimStats() (freed uint64, pending int64) {
 	if ct := t.cold.Load(); ct != nil {
 		ct.statsMu.Lock()
 		freed += ct.retiredFreed
 		ct.statsMu.Unlock()
 	}
-	for s := range t.shards {
-		if tr := t.shards[s].tree.Load(); tr != nil {
-			f, p := tr.ReclaimStats()
-			freed += f
-			pending += p
-		}
-	}
+	t.eachDelta(func(d *core.ConcurrentTrie) {
+		f, p := d.ReclaimStats()
+		freed += f
+		pending += p
+	})
 	return freed, pending
 }
 
 // Verify checks every shard's structural invariants (see Tree.Verify) and
 // the shard layer's own invariant: every key stored in a shard lies inside
-// the shard's boundary range. Cold shards are verified from their section
-// files — every block is re-read, CRC-checked and bounds-checked. Errors
+// the shard's boundary range, and Len counts them. Cold shards are verified
+// from their section files merged with their deltas — every block is
+// re-read, CRC-checked and bounds-checked, and every tombstone must hide a
+// section entry. Errors
 // are wrapped with the offending shard index; the underlying
 // *CorruptionError remains available via errors.As. Like
 // ConcurrentTree.Verify it must run in a quiescent state.
 func (t *ShardedTree) Verify() error {
 	for i := range t.shards {
-		tr, cs := t.view(i)
-		if tr == nil {
-			if err := cs.verify(t.bounds); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := tr.Verify(); err != nil {
-			return fmt.Errorf("hot: shard %d: %w", i, err)
-		}
-		var bad error
-		tr.SnapshotWalk(func(k []byte, tid TID) bool {
-			if !shard.Check(t.bounds, i, k) {
-				bad = fmt.Errorf("hot: shard %d: key %q outside shard range", i, k)
-				return false
-			}
-			return true
-		})
-		if bad != nil {
-			return bad
+		if err := t.shards[i].Load().verify(i, t.bounds); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -533,16 +455,16 @@ func (c *ShardedCursor) settle() {
 	}
 }
 
-// open captures shard c.s's current backing and positions on its first key
+// open captures shard c.s's current state and positions on its first key
 // ≥ from. A cold image stays readable after a concurrent promotion (the
 // section file is open and immutable), as a retired trie root does.
 func (c *ShardedCursor) open(from []byte) {
-	if tr, cs := c.t.view(c.s); tr != nil {
-		c.it = tr.Iter(from)
+	if st := c.t.shards[c.s].Load(); st.pr == nil {
+		c.it = st.delta.Load().Iter(from)
 		c.cc.release()
 	} else {
 		c.it = core.Iterator{}
-		c.cc.seek(cs, from)
+		c.cc.seek(st, from)
 	}
 }
 

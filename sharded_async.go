@@ -18,7 +18,7 @@ import (
 // with one op (ShardedTree.writeSync), an async submission that finds its
 // shard idle is the same, and a drain slice is run over the shard's ring.
 // run holds the shard's writer lock and writes through the exclusive
-// core.Writer of the shard's trie — or of a cold shard's delta (cold.go) —
+// core.Writer of the shard's delta (cold.go: a hot shard's whole trie) —
 // so a shard has one writer at a time and runs no
 // ROWEX: no node locks, no validation, no restarts — readers stay
 // wait-free. Around it sits the asynchronous layer: a per-shard bounded
@@ -220,12 +220,9 @@ func (t *ShardedTree) barrier() {
 			}
 			done = false
 			if !w.q.Empty() {
-				// A drain pins the shard as it is: a cold shard's ring
-				// holds no delete (see submitAsync), so its backlog goes
-				// to the delta and the guard never promotes anything.
-				p := t.lockShardWrite(s, 0)
+				st := t.lockShardWrite(s)
 				if w.busy.CompareAndSwap(false, true) {
-					t.drainLocked(s, p, w)
+					t.drainLocked(s, st, w)
 					helped = true
 				}
 				t.unlockShardWrite(s)
@@ -257,27 +254,25 @@ func (t *ShardedTree) AsyncPending() int { return int(t.async.pending()) }
 // path: idle shard), deposits it into the shard's ring, or — when the ring
 // is full — steals a drain for another backlogged shard and retries.
 // Every deposit, token acquisition and apply happens under the shard's
-// shared write guard (a no-op without a cold tier): a delete's guard
-// promotes a cold target shard, an insert or upsert is deposited into a
-// cold shard's ring and applied to its delta, and every transition — which
-// holds the guard exclusively — drains the ring first, so a cold shard's
-// ring never holds a delete.
+// shared write guard (a no-op without a cold tier), and every transition —
+// which holds the guard exclusively — drains the ring into the state it
+// replaces first.
 func (t *ShardedTree) submitAsync(op shard.Op) {
 	a := t.async
 	s := shard.Find(t.bounds, op.Key)
 	w := &a.ws[s]
 	w.submitted.Add(1)
 	for attempt := 0; ; attempt++ {
-		p := t.lockShardWrite(s, op.Kind)
+		st := t.lockShardWrite(s)
 		// Fast path: the shard is idle and has no backlog — become its
 		// writer and apply directly. The empty check keeps FIFO order with
 		// ops this goroutine already queued.
 		if w.q.Empty() && w.busy.CompareAndSwap(false, true) {
-			if _, ok, _ := t.run(s, p, op, 0, false); !ok && op.Kind != shard.OpUpsert {
+			if _, ok, _ := t.run(s, st, op, 0, false); !ok && op.Kind != shard.OpUpsert {
 				w.rejected.Add(1)
 			}
 			w.applied.Add(1)
-			t.drainLocked(s, p, w)
+			t.drainLocked(s, st, w)
 			t.unlockShardWrite(s)
 			return
 		}
@@ -288,7 +283,7 @@ func (t *ShardedTree) submitAsync(op shard.Op) {
 			// between our token check and the deposit. If the token is free
 			// now, take it and drain our own deposit.
 			if w.busy.CompareAndSwap(false, true) {
-				t.drainLocked(s, p, w)
+				t.drainLocked(s, st, w)
 			}
 			t.unlockShardWrite(s)
 			return
@@ -297,7 +292,7 @@ func (t *ShardedTree) submitAsync(op shard.Op) {
 		// Ring full. If the token is free the backlog has no drainer (every
 		// producer lost the same race) — drain it ourselves, then retry.
 		if w.busy.CompareAndSwap(false, true) {
-			t.drainLocked(s, p, w)
+			t.drainLocked(s, st, w)
 			t.unlockShardWrite(s)
 			continue
 		}
@@ -323,11 +318,11 @@ func (t *ShardedTree) submitAsync(op shard.Op) {
 // Flush — takes the token over first, in which case that worker continues
 // the drain. The final release re-checks the ring, so a deposit that raced
 // the release is never stranded. Callers must hold w.busy.
-func (t *ShardedTree) drainLocked(s int, p pin, w *asyncShard) {
+func (t *ShardedTree) drainLocked(s int, st *shardState, w *asyncShard) {
 	a := t.async
 	slice := w.sliceLen()
 	for {
-		if _, _, n := t.run(s, p, shard.Op{}, slice, false); n > 0 {
+		if _, _, n := t.run(s, st, shard.Op{}, slice, false); n > 0 {
 			a.drains.Add(1)
 			a.drained.Add(uint64(n))
 		}
@@ -341,9 +336,7 @@ func (t *ShardedTree) drainLocked(s int, p pin, w *asyncShard) {
 }
 
 // stealOne scans the other shards for a backlogged ring with a free writer
-// token, drains the first one found and reports whether it helped. A drain
-// pins the shard as it is — a cold shard's backlog goes to its delta — so
-// the write guard it takes never promotes anything.
+// token, drains the first one found and reports whether it helped.
 func (t *ShardedTree) stealOne(except int) bool {
 	a := t.async
 	for i := 1; i < len(a.ws); i++ {
@@ -355,10 +348,10 @@ func (t *ShardedTree) stealOne(except int) bool {
 		if w.q.Empty() {
 			continue
 		}
-		p := t.lockShardWrite(s, 0)
+		st := t.lockShardWrite(s)
 		if !w.q.Empty() && w.busy.CompareAndSwap(false, true) {
 			a.steals.Add(1)
-			t.drainLocked(s, p, w)
+			t.drainLocked(s, st, w)
 			t.unlockShardWrite(s)
 			return true
 		}
@@ -367,26 +360,25 @@ func (t *ShardedTree) stealOne(except int) bool {
 	return false
 }
 
-// drainExclusive empties shard s's submission ring into p, its backing,
+// drainExclusive empties shard s's submission ring into st, its state,
 // during a transition. The caller holds the shard's write guard
 // exclusively, so no depositor can race and the writer token is
 // necessarily free (every holder takes it under the shared guard): the CAS
 // always wins on the spot.
-func (t *ShardedTree) drainExclusive(s int, p pin) {
+func (t *ShardedTree) drainExclusive(s int, st *shardState) {
 	w := &t.async.ws[s]
 	if !w.busy.CompareAndSwap(false, true) {
 		panic("hot: shard writer token held during a transition")
 	}
-	t.drainLocked(s, p, w)
+	t.drainLocked(s, st, w)
 }
 
-// run is the one way operations enter shard s. p is the shard's backing,
-// pinned by the caller's write guard (lockShardWrite): its resident trie,
-// or — for inserts and upserts — a cold shard's delta. The ops are first,
-// when it has a Kind, and then up to slice ops popped from the shard's
-// ring (callers passing slice > 0 hold the writer token). All of them run
-// under the shard's writer lock, durable or not, through pin.apply. On a
-// durable tree each op is appended to the
+// run is the one way operations enter shard s. st is the shard's state,
+// kept current by the caller's write guard (lockShardWrite). The ops are
+// first, when it has a Kind, and then up to slice ops popped from the
+// shard's ring (callers passing slice > 0 hold the writer token). All of
+// them run under the shard's writer lock, durable or not, through
+// shardState.apply. On a durable tree each op is appended to the
 // shard's write-ahead log before it is applied, the pairs atomic under
 // that lock so a cut is exact. What happens to the fsync depends on who is
 // waiting for it. A synchronous run (commit: writeSync's one op)
@@ -399,7 +391,7 @@ func (t *ShardedTree) drainExclusive(s int, p pin) {
 // a submitter that never reaches a barrier cannot grow the log's buffer
 // without bound. run returns first's result (old is Upsert's) and the
 // number of ring ops it ran.
-func (t *ShardedTree) run(s int, p pin, first shard.Op, slice int, commit bool) (old TID, ok bool, n int) {
+func (t *ShardedTree) run(s int, st *shardState, first shard.Op, slice int, commit bool) (old TID, ok bool, n int) {
 	d, w := t.dur, &t.async.ws[s]
 	var lsn, rejected uint64
 	w.mu.Lock()
@@ -407,7 +399,7 @@ func (t *ShardedTree) run(s int, p pin, first shard.Op, slice int, commit bool) 
 		if d != nil {
 			lsn = d.append(s, first)
 		}
-		old, ok = p.apply(first)
+		old, ok = st.apply(first)
 	}
 	for ; n < slice; n++ {
 		op, more := w.q.TryPop()
@@ -417,7 +409,7 @@ func (t *ShardedTree) run(s int, p pin, first shard.Op, slice int, commit bool) 
 		if d != nil {
 			lsn = d.append(s, op)
 		}
-		if _, done := p.apply(op); !done && op.Kind != shard.OpUpsert {
+		if _, done := st.apply(op); !done && op.Kind != shard.OpUpsert {
 			rejected++
 		}
 	}
@@ -432,10 +424,9 @@ func (t *ShardedTree) run(s int, p pin, first shard.Op, slice int, commit bool) 
 	return old, ok, n
 }
 
-// applyOp is the only switch over op kinds that touches a trie — a cold
-// shard's delta included (coldShard.apply calls it): it applies op through
-// w and returns what the op's synchronous method returns (old is
-// Upsert's). A false ok on an insert or delete is the no-op the async
+// applyOp is a hot shard's write (shardState.apply calls it): it applies
+// op through w and returns what the op's synchronous method returns (old
+// is Upsert's). A false ok on an insert or delete is the no-op the async
 // accounting calls rejected.
 func applyOp(w core.Writer, op shard.Op) (old TID, ok bool) {
 	switch op.Kind {
@@ -454,9 +445,8 @@ func applyOp(w core.Writer, op shard.Op) (old TID, ok bool) {
 // check (deletes carry no TID and skip it), and a key outside the shard's
 // range means the record belongs to a different boundary generation (or is
 // corrupt despite its CRC) and rejects it, cutting the log there. A shard
-// recovered cold stays cold: its tail's inserts and upserts go to its
-// delta, exactly as they did live, and only a delete promotes it (mustTree).
-// replay writes through the exclusive Writer without the writer lock: its
+// recovered cold stays cold: its tail goes to its delta, exactly as it did
+// live. replay writes through the exclusive Writer without the writer lock: its
 // callers are recovery, before the tree is returned, and a follower's one
 // feed goroutine, so it is the shard's only writer by construction.
 func (t *ShardedTree) replay(s int, op shard.Op) error {
@@ -469,11 +459,7 @@ func (t *ShardedTree) replay(s int, op shard.Op) error {
 		return &SnapshotError{Kind: persist.ErrCorrupt,
 			Detail: fmt.Sprintf("log record key %q outside shard %d's range", op.Key, s)}
 	}
-	if cs := t.shards[s].cold.Load(); cs != nil && op.Kind != shard.OpDelete {
-		cs.apply(op)
-	} else {
-		applyOp(t.mustTree(s).Writer(), op)
-	}
+	t.shards[s].Load().apply(op)
 	return nil
 }
 

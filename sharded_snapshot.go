@@ -37,17 +37,11 @@ func (t *ShardedTree) writeManifest(w io.Writer) error {
 }
 
 // writeShard streams shard i's data section. A cold shard streams its
-// cold file merged with its delta (coldShard.walk): the file is immutable
+// cold file merged with its delta (shardState.walk): the file is immutable
 // and the delta's walk observes nodes atomically, so the section is as
 // consistent as a hot shard's walk.
 func (t *ShardedTree) writeShard(w io.Writer, i int) error {
-	var src entrySource
-	if tr, cs := t.view(i); tr != nil {
-		src = walkSource(tr.SnapshotWalk)
-	} else {
-		src = cs.walk
-	}
-	return writeSnapshot(w, t.kind, t.SnapshotCodec(), false, src)
+	return writeSnapshot(w, t.kind, t.SnapshotCodec(), false, t.shards[i].Load().walk)
 }
 
 // writeSections streams the manifest plus one data section per shard.
@@ -156,7 +150,7 @@ func readSharded(r io.Reader, fl flavor, salvage bool) (*ShardedTree, RecoveryRe
 	}
 	for i := range t.shards {
 		base := cr.n
-		n, err := persist.Read(cr, t.kind, t.load(i, t.shards[i].tree.Load()))
+		n, err := persist.Read(cr, t.kind, t.load(i, t.shards[i].Load().delta.Load()))
 		rep.Entries += n
 		if err != nil {
 			absolutize(err, base)

@@ -486,7 +486,7 @@ func TestShardedVerifyDetectsMisroute(t *testing.T) {
 	// largest key's neighborhood into shard 0 directly.
 	big := append(bytes.Repeat([]byte{0xFE}, 8), 0x01)
 	s.Add(big)
-	if !st.mustTree(0).Insert(big, TID(len(keys))) {
+	if !st.shards[0].Load().delta.Load().Insert(big, TID(len(keys))) {
 		t.Fatal("direct shard insert failed")
 	}
 	err := st.Verify()

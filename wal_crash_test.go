@@ -16,9 +16,9 @@ import (
 
 // WAL crash matrix: a subprocess runs a durable ShardedUint64Set with the
 // cold tier armed under a synchronous insert/delete stream interleaved
-// with the store's lifecycle events — periodic Checkpoints, Demotes, the
-// delta writes cold shards take and the promotions deletes trigger —
-// recording every operation in a side
+// with the store's lifecycle events — periodic Checkpoints, Demotes, and
+// the delta writes cold shards take, a delete of a section key as a
+// tombstone — recording every operation in a side
 // "oplog" — a synced intent line before the op, a synced ack line after it
 // returns (i.e. after its group-commit fsync). The child is killed at
 // every armed WAL fault point and, once per cut destination, at every
@@ -29,8 +29,9 @@ import (
 // over the old one, its delta — the log tail past the old one — folded
 // in), and a side "cutlog", where each event notes the kind of the cut it
 // is about to make first, proves which one the kill landed in. The fold
-// phase's stream never deletes, so its shards stay cold throughout, and it
-// runs the WAL fault points too: its writes are delta writes. The parent then
+// phase's shards stay cold throughout — its deletes, of section keys and of
+// delta keys alike, stay in the deltas — and it runs the WAL fault points
+// too: its writes are delta writes. The parent then
 // reopens copies of the wreck with and without the cold tier, each copy
 // once more under the other option, and every time requires a Verify-clean
 // set whose contents are exactly the acked operations applied in order —
@@ -74,14 +75,13 @@ func walCrashSample() []uint64 {
 }
 
 // walCrashOp derives the deterministic op stream: three inserts, then a
-// delete of the value inserted lag+3 ops earlier — or, in an inserts-only
-// stream, a fourth insert. The synchronous stream has
+// delete of the value inserted lag+3 ops earlier. The synchronous stream has
 // no lag. The async stream lags by one batch, so a batch's deletes undo
 // inserts the log already holds durably: a recovery that restored a base
 // covering such a delete but replayed a log that stops short of it would
 // bring the value back, which no prefix of the batch explains.
-func walCrashOp(i, lag int, insertsOnly bool) (del bool, v uint64) {
-	if i%4 == 3 && !insertsOnly {
+func walCrashOp(i, lag int) (del bool, v uint64) {
+	if i%4 == 3 {
 		return true, walCrashVal(i - 3 - lag)
 	}
 	return false, walCrashVal(i)
@@ -155,7 +155,7 @@ func walCrashChild(pointName, dir, phase string, async bool) {
 			// Checkpoint snaps over their cold-NNN.hot instead of folding
 			// them; the fold phase covers folds.
 			for s := 0; s < walCrashShards; s++ {
-				if cs := set.t.shards[s].cold.Load(); cs != nil && cs.delta.Load() != nil {
+				if st := set.t.shards[s].Load(); st.pr != nil && st.delta.Load() != nil {
 					if err := set.Promote(s); err != nil {
 						return err
 					}
@@ -189,10 +189,9 @@ func walCrashChild(pointName, dir, phase string, async bool) {
 			os.Exit(4)
 		}
 	}
-	// The fold phase never deletes: a delete would promote its shard.
-	inserts := phase == "fold"
+	fold := phase == "fold"
 	doOp := func(i int) {
-		del, v := walCrashOp(i, 0, inserts)
+		del, v := walCrashOp(i, 0)
 		kind := "s"
 		if del {
 			kind = "d"
@@ -212,12 +211,12 @@ func walCrashChild(pointName, dir, phase string, async bool) {
 	// snap-NNN.hot — what the "cold" phase's first armed event, a Demote
 	// of every shard, replaces (its warm-up ends by demoting the last
 	// shard, which that event finds already cold). The "snap" phase
-	// demotes every shard two writes before the end: the delete among those
-	// writes promotes its shard back and the insert lands in a delta, which
-	// its Checkpoints promote first, so its first armed event cuts only
-	// shards that have a cold-NNN.hot. The "fold" phase demotes every shard
-	// ten writes before the end: those writes are the log tails its armed
-	// Checkpoints fold.
+	// demotes every shard two writes before the end: those writes land in
+	// deltas, which its Checkpoints promote first, so its first armed event
+	// cuts only shards that have a cold-NNN.hot. The "fold" phase demotes
+	// every shard ten writes before the end: those writes — deletes of
+	// section keys among them — are the log tails its armed Checkpoints
+	// fold.
 	for i := 0; i < 40; i++ {
 		doOp(i)
 		var err error
@@ -241,7 +240,7 @@ func walCrashChild(pointName, dir, phase string, async bool) {
 		// The fold phase cuts one op later, so that its first armed event
 		// is a delta write over the tails the warm-up left.
 		cutAt := 0
-		if inserts {
+		if fold {
 			cutAt = 1
 		}
 		for i := 40; i < 400; i++ {
@@ -249,42 +248,38 @@ func walCrashChild(pointName, dir, phase string, async bool) {
 			// phase's own — the fold phase folds every time; all of them
 			// fire the snapshot and rotate points.
 			if i%5 == cutAt {
-				if inserts || (i%10 == 0) == (phase == "snap") {
+				if fold || (i%10 == 0) == (phase == "snap") {
 					checkpoint()
 				} else {
 					demoteFrom(0)
 				}
 			}
-			doOp(i) // fires the append/sync points: a delta write, or a delete promoting
+			doOp(i) // fires the append/sync points: a delta write in the fold phase
 		}
 	} else {
-		tag := "b" // "f": an inserts-only batch
-		if inserts {
-			tag = "f"
-		}
 		for b := 0; b < 24; b++ {
 			first := 40 + b*walCrashBatch
-			logLine("i", tag, uint64(first))
+			logLine("i", "b", uint64(first))
 			for i := first; i < first+walCrashBatch; i++ {
 				// Every second batch is cut in the middle, the phase's own
 				// cut first: the first batch's Flush fires the append/sync
 				// points, the second's cut the snapshot and rotate points —
 				// on shards that owe the fsync of half a batch.
 				if b%2 == 1 && i == first+walCrashBatch/2 {
-					if inserts || (b%4 == 1) == (phase == "snap") {
+					if fold || (b%4 == 1) == (phase == "snap") {
 						checkpoint()
 					} else {
 						demoteFrom(0)
 					}
 				}
-				if del, v := walCrashOp(i, walCrashBatch, inserts); del {
+				if del, v := walCrashOp(i, walCrashBatch); del {
 					set.DeleteAsync(v)
 				} else {
 					set.InsertAsync(v)
 				}
 			}
 			set.Flush()
-			logLine("a", tag, uint64(first))
+			logLine("a", "b", uint64(first))
 		}
 	}
 	chaos.Disarm()
@@ -300,7 +295,7 @@ type walCrashLoggedOp struct {
 // walCrashReplayOplog parses the child's oplog into the fully-acked op
 // sequence plus the ops of the single trailing unacked intent, if any: one
 // synchronous op, or every op of one async batch ("b" lines name a batch by
-// the index of its first op, "f" lines an inserts-only one).
+// the index of its first op).
 func walCrashReplayOplog(t *testing.T, dir string) (acked, pending []walCrashLoggedOp) {
 	t.Helper()
 	f, err := os.Open(filepath.Join(dir, "oplog"))
@@ -317,10 +312,10 @@ func walCrashReplayOplog(t *testing.T, dir string) (acked, pending []walCrashLog
 			t.Fatalf("oplog line %q: %v", sc.Text(), err)
 		}
 		ops := []walCrashLoggedOp{{del: kind == "d", v: v}}
-		if kind == "b" || kind == "f" {
+		if kind == "b" {
 			ops = ops[:0]
 			for i := int(v); i < int(v)+walCrashBatch; i++ {
-				del, val := walCrashOp(i, walCrashBatch, kind == "f")
+				del, val := walCrashOp(i, walCrashBatch)
 				ops = append(ops, walCrashLoggedOp{del, val})
 			}
 		}
@@ -463,11 +458,11 @@ func walCrashFirstCut(t *ShardedTree, dir string, demote bool, first int) string
 		return err == nil
 	}
 	for s := first; s < walCrashShards; s++ {
-		cs := t.shards[s].cold.Load()
+		st := t.shards[s].Load()
 		switch {
-		case demote && cs != nil && cs.delta.Load() == nil, !demote && t.dur.clean(s, cs != nil):
+		case demote && st.pr != nil && st.delta.Load() == nil, !demote && t.dur.clean(s, st.pr != nil):
 			continue // the call skips shard s
-		case cs != nil:
+		case st.pr != nil:
 			return "fold"
 		case demote && has(snapFileName(s)):
 			return "cold"
