@@ -55,8 +55,8 @@ check:
 #     against an in-memory oracle; a zipf upsert stream folded under a
 #     budget; plus the durable recovery sequence (cold shards surviving
 #     reopen, a log tail replayed into a cold shard's delta, the
-#     checkpoint folding it, the checkpoint cut replacing a promoted
-#     shard's cold file);
+#     checkpoint folding it, a promoted shard's checkpoint cut, a
+#     salvaged base healed, a legacy cold-NNN.hot removed by a cut);
 #   - the packed-block codec suite (TestCodec* here and in
 #     internal/persist): encode/decode round trips across key shapes,
 #     byte-identity of raw files, truncation and bit-flip sweeps over

@@ -17,7 +17,7 @@ import (
 
 // Larger-than-RAM operation for the sharded index types. Every shard is one
 // immutable state behind one atomic pointer (shardSlot): a SECTION — the
-// shard's entries cut to an indexed per-shard file on disk — under a DELTA,
+// shard's entries cut to its indexed base file, snap-NNN.hot — under a DELTA,
 // a resident trie that takes the shard's writes. A HOT shard has no section:
 // its delta is the whole shard, a plain trie. A COLD shard is served from
 // its section through a fixed-budget LRU page cache (internal/pager) —
@@ -37,9 +37,12 @@ import (
 //
 // Transitions. Each builds a fresh state and installs it with one store:
 //
-//	hot  --Demote-->         cold  cut the delta to a section
-//	cold --Demote/fold-->    cold  cut section and delta, merged, to a fresh section
-//	cold --Promote-->        hot   rebuild a delta from section and delta, merged
+//	hot  --Demote-->                   cold  cut the delta to a section
+//	cold --Demote/Checkpoint/budget--> cold  cut section and delta, merged, to a fresh section
+//	cold --Promote-->                  hot   rebuild a delta from section and delta, merged
+//
+// A Checkpoint of a hot shard writes the same file without a transition:
+// the shard stays hot, and a reopen under a tier serves it from that base.
 //
 // A cut or a rebuild drops every tombstone with its twin, so a state
 // without a section never holds one. Readers stay wait-free: no read path
@@ -58,38 +61,39 @@ import (
 // drain inline into the state it replaces (the writer token is necessarily
 // free under the exclusive lock) and never races an apply.
 //
-// Demotion and fold are one cut. It is the same cut a Checkpoint takes
-// of a hot shard (ShardedTree.cut in durable_sharded.go), aimed at the
-// indexed cold-NNN.hot: under d.ckpt (serializing against Checkpoint,
-// Close and replication sessions) and the exclusive write guard, the
-// shard's drained stream is written out and its log is rotated to its last
-// LSN. The cut is exact — every logged operation of the shard is in the
-// section, nothing after the section start is logged — so a cold shard's
-// durable state is its section plus the log tail past it, which is exactly
-// what its delta holds: Checkpoint folds a cold shard whose log moved and
-// skips one whose log did not, and recovery opens the file and replays
-// the tail into the delta.
+// Demotion, fold and Checkpoint are one cut (ShardedTree.cut in
+// durable_sharded.go), which always writes the indexed snap-NNN.hot: under
+// d.ckpt (serializing against Checkpoint, Close and replication sessions),
+// and the exclusive write guard when the file is to be served, the shard's
+// drained stream is written out, its log is rotated to its last LSN, and
+// the file becomes the section of a shard that had one or is being demoted. The cut is exact — every logged
+// operation of the shard is in the base, nothing after the base is logged —
+// so a shard's durable state is always its base plus the log tail past it,
+// which is exactly what a cold shard's delta holds: Checkpoint folds a cold
+// shard whose log moved and skips one whose log did not, and an open with a
+// tier serves every base as a section and replays the tail into the delta.
 //
 // Promotion deliberately takes neither d.ckpt nor any log lock: it only
 // rebuilds in memory exactly what section and delta hold. The promoted
-// shard's subsequent writes land in its log; the cold file stays its
-// recovery base until the shard's next cut — a Checkpoint (to
-// snap-NNN.hot) or a re-demotion — replaces it.
+// shard's subsequent writes land in its log; the file stays its base until
+// the shard's next cut replaces it, and a tiered reopen before then serves
+// the shard from it again.
 //
 // Cold read I/O failures panic, matching the durable log convention: a
 // store whose backing file rots under it cannot honor its contract.
 
 // ColdTierConfig configures EnableColdTier.
 type ColdTierConfig struct {
-	// Dir is where a non-durable tree keeps its per-shard cold section
-	// files (cold-NNN.hot); it is required there. A durable tree ignores
-	// it: its cold files live in the durable directory, where recovery
+	// Dir is where a non-durable tree keeps its per-shard section files
+	// (snap-NNN.hot); it is required there. A durable tree ignores it: its
+	// sections are its bases, in the durable directory, where recovery
 	// looks for them.
 	Dir string
 	// MemoryBudget is the resident byte budget: the estimated footprint
 	// of the hot shards' tries plus the cold shards' deltas. Once it is
-	// exceeded, the least-recently-written hot shards are demoted (at
-	// least one shard always stays hot), then the largest deltas are
+	// exceeded, the least-recently-written hot shards are demoted (the
+	// pass keeps one hot, but after a tiered reopen none may be: every
+	// shard that has a base reopens cold), then the largest deltas are
 	// folded into their sections, until it fits. A budget the last hot
 	// shard's trie alone exceeds cannot be met: the deltas may then grow
 	// to the whole budget beside that trie before the largest are folded.
@@ -214,9 +218,9 @@ const (
 // Every index of a block fits below tombShift.
 var _ = [1]struct{}{}[persist.MaxBlockEntries>>tombShift]
 
+// coldFileName is a shard's base as a demotion wrote it before every cut
+// wrote snap-NNN.hot: recovery still reads it, and the next cut removes it.
 func coldFileName(s int) string { return fmt.Sprintf("cold-%03d.hot", s) }
-
-func (ct *coldTier) coldPath(s int) string { return filepath.Join(ct.dir, coldFileName(s)) }
 
 // EnableColdTier arms the pager-backed cold tier: shards may be demoted
 // to per-shard section files under cfg.Dir and served through the LRU
@@ -269,10 +273,10 @@ func (t *ShardedTree) armCold(cfg ColdTierConfig) (*coldTier, error) {
 	return ct, nil
 }
 
-// Demote cuts shard s to its cold section file and serves it from there:
-// a hot shard's trie is dropped from memory, a cold shard's delta is
-// folded into a fresh section (a cold shard without one is left as it
-// is). Reads are then served through the page cache, and writes go to the
+// Demote cuts shard s to its base file, snap-NNN.hot, and serves it from
+// there: a hot shard's trie is dropped from memory, a cold shard's delta is
+// folded into a fresh section (a cold shard without one is left as it is).
+// Reads are then served through the page cache, and writes go to the
 // shard's delta. Errors leave the shard as it was and serving; in durable
 // mode a failure to rotate the log behind the installed section
 // additionally poisons the logs, exactly like Checkpoint's (both are the
@@ -297,13 +301,15 @@ func (t *ShardedTree) Demote(s int) error {
 	if st := t.shards[s].Load(); st.pr != nil && st.delta.Load() == nil {
 		return nil // cold, with nothing to fold
 	}
-	return ct.cutCold(s)
+	return t.cut(s, true)
 }
 
 // Promote folds shard s's cold section and its delta into a fresh
 // in-memory trie, deleted keys dropped, and retires the section from
-// serving (the file stays on disk as the durable recovery base until the
-// shard's next cut). Promoting a hot shard is a no-op; no write promotes.
+// serving. The file stays on disk as the shard's durable base until its
+// next cut, so a reopen under DurableOptions.ColdTier before that cut
+// serves the shard from it again. Promoting a hot shard is a no-op; no
+// write promotes.
 func (t *ShardedTree) Promote(s int) error {
 	ct := t.cold.Load()
 	if ct == nil {
@@ -316,7 +322,7 @@ func (t *ShardedTree) Promote(s int) error {
 }
 
 // IsCold reports whether shard s currently has a section: served from its
-// cold section file and its delta.
+// base file and its delta.
 func (t *ShardedTree) IsCold(s int) bool {
 	return t.shards[s].Load().pr != nil
 }
@@ -358,30 +364,13 @@ func (t *ShardedTree) ColdStats() ColdTierStats {
 
 // ---- transitions ----
 
-// cutCold cuts shard s to its cold section and serves it from there: a hot
-// shard's trie is demoted, a cold shard's section and delta are folded
-// into a fresh section — one cut of the shard's whole stream either way,
-// ending with no delta. Callers hold ct.mu, and d.ckpt in durable mode.
-func (ct *coldTier) cutCold(s int) error {
-	t := ct.t
-	w := &ct.ws[s]
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	st := t.shards[s].Load()
-	what := "demoting"
-	if st.pr != nil {
-		what = "folding"
-	}
-	// Under the exclusive guard no writer is mid-apply and none can
-	// deposit; drain what the ring already holds so the cut below is the
-	// shard's complete state.
-	t.drainExclusive(s, st)
-	if err := t.cut(s, st.walk, true); err != nil {
-		return fmt.Errorf("hot: %s shard %d: %w", what, s, err)
-	}
-	pr, err := persist.OpenPageReaderFile(ct.coldPath(s), t.kind)
+// install serves shard s from the file at path, just cut from st, its
+// state (ShardedTree.cut): a hot shard's demotion or a cold shard's fold,
+// ending with no delta. Callers hold the shard's write guard exclusively.
+func (ct *coldTier) install(s int, st *shardState, path string) error {
+	pr, err := persist.OpenPageReaderFile(path, ct.t.kind)
 	if err != nil {
-		return fmt.Errorf("hot: %s shard %d: reopening %s: %w", what, s, coldFileName(s), err)
+		return fmt.Errorf("hot: shard %d: reopening %s: %w", s, filepath.Base(path), err)
 	}
 	ct.retire(st)
 	if st.pr == nil {
@@ -391,10 +380,16 @@ func (ct *coldTier) cutCold(s int) error {
 		ct.cache.InvalidateShard(s)
 		ct.folds.Add(1)
 	}
-	t.shards[s].Store(&shardState{ct: ct, pr: pr, shard: s, gen: w.gen.Add(1)})
-	w.goBytes.Store(0)
-	w.lenAt.Store(0)
+	ct.t.shards[s].Store(ct.section(s, pr))
+	ct.ws[s].goBytes.Store(0)
+	ct.ws[s].lenAt.Store(0)
 	return nil
+}
+
+// section is a state serving shard s from pr, under a fresh generation of
+// the shard's cached pages.
+func (ct *coldTier) section(s int, pr *persist.PageReader) *shardState {
+	return &shardState{ct: ct, pr: pr, shard: s, gen: ct.ws[s].gen.Add(1)}
 }
 
 // retire folds the final counters of st's delta, about to be replaced,
@@ -414,18 +409,6 @@ func (ct *coldTier) retire(st *shardState) {
 	ct.retired = ct.retired.Add(ops)
 	ct.retiredFreed += freed
 	ct.statsMu.Unlock()
-}
-
-// fold is Checkpoint's cut of a cold shard (cutCold), made whether or not
-// the delta holds anything — the shard's log moved. It reports false,
-// doing nothing, when shard s is hot. Callers hold d.ckpt.
-func (ct *coldTier) fold(s int) (bool, error) {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	if !ct.t.IsCold(s) {
-		return false, nil
-	}
-	return true, ct.cutCold(s)
 }
 
 // promote performs the cold→hot transition of shard s (no-op when hot): a
@@ -465,21 +448,20 @@ func (ct *coldTier) promote(s int) error {
 	return nil
 }
 
-// vetCold is load without the insert, for a cold section a durable open is
-// about to serve from its file: the section is held to vet — by a full
-// walk when the tree has a check, which must see every entry (a later
-// promotion resolves the shard's TIDs through loader state that
-// RecoverEntry rebuilds right here) and whose accepted entries it counts;
-// else by its first and last key alone, one block decode, so a
+// vetCold is load without the insert, for a base a durable open is about
+// to serve from its file: the section is held to vet — by a full walk when
+// the tree has a check, which must see every entry (a later promotion
+// resolves the shard's TIDs through loader state that RecoverEntry rebuilds
+// right here); else by its first and last key alone, one block decode, so a
 // larger-than-RAM store reopens without reading its cold data. Keys ascend
 // within a section, so the two ends bound everything between them.
-func (t *ShardedTree) vetCold(s int, pr *persist.PageReader) (uint64, error) {
+func (t *ShardedTree) vetCold(s int, pr *persist.PageReader) error {
 	if t.check != nil {
 		return walkPageReader(pr, func(key []byte, tid TID) error { return t.vet(s, key, tid) })
 	}
 	last := pr.Blocks() - 1
 	if last < 0 {
-		return 0, nil
+		return nil
 	}
 	p, err := pr.ReadBlock(last)
 	if err == nil {
@@ -490,7 +472,7 @@ func (t *ShardedTree) vetCold(s int, pr *persist.PageReader) (uint64, error) {
 		p.SeekIndex(&it, p.Len()-1)
 		err = t.vet(s, it.Key(), 0)
 	}
-	return 0, err
+	return err
 }
 
 // ---- write guard ----
@@ -623,9 +605,9 @@ func (ct *coldTier) maintain() {
 		case tries+deltas <= ct.budget:
 			return
 		case hot > 1:
-			err = ct.cutCold(victim)
+			err = t.cut(victim, true)
 		case fold >= 0 && deltas > ct.deltaRoom(tries):
-			err = ct.cutCold(fold)
+			err = t.cut(fold, true)
 		default:
 			return
 		}
@@ -852,7 +834,7 @@ func (st *shardState) walk(fn persist.EntryFunc) error {
 		}
 		return false, nil
 	}
-	_, err := walkPageReader(st.pr, func(key []byte, tid TID) error {
+	err := walkPageReader(st.pr, func(key []byte, tid TID) error {
 		if held, err := below(key); held || err != nil {
 			return err
 		}

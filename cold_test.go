@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/hotindex/hot/internal/dataset"
+	"github.com/hotindex/hot/internal/persist"
 	"github.com/hotindex/hot/internal/tidstore"
 )
 
@@ -506,10 +507,12 @@ func TestColdTierStatsMonotonic(t *testing.T) {
 // TestColdTierDurableRecovery: shards demoted in durable mode stay cold
 // across a reopen (their section is the recovery base), a logged write to
 // a cold shard stays cold — recovery replays it into the shard's delta —,
-// Checkpoint folds that delta into a fresh cold file and leaves an idle
-// cold shard alone, a promoted shard's Checkpoint cut replaces its cold
-// file with a snap-NNN.hot, and a reopen without ColdTier folds
-// everything back to memory.
+// Checkpoint folds that delta into a fresh indexed base and leaves an idle
+// cold shard alone, a promoted shard's Checkpoint cut leaves it hot, a
+// reopen without ColdTier folds everything back to memory and its idle
+// Checkpoint writes nothing, and a reopen with ColdTier then serves every
+// shard from its base — the shards the Checkpoints cut while hot too —
+// counting its entries in SnapshotEntries as the untiered reopen did.
 func TestColdTierDurableRecovery(t *testing.T) {
 	dir := t.TempDir()
 	keys := dataset.Generate(dataset.URL, 3000, 5)
@@ -577,7 +580,8 @@ func TestColdTierDurableRecovery(t *testing.T) {
 
 	// Reopen: shard 1's log tail replays into its delta, so both demoted
 	// shards come back cold. Checkpoint folds shard 1 — a fresh
-	// cold-001.hot, its log rotated, its delta empty — and skips shard 3.
+	// snap-001.hot, its log rotated, its delta empty — skips shard 3, and
+	// cuts hot shards 0 and 2, which stay hot.
 	tr, info, err = OpenDurableShardedTree(dir, store.Key, 4, keys, DurableOptions{ColdTier: cfg})
 	if err != nil {
 		t.Fatal(err)
@@ -588,7 +592,7 @@ func TestColdTierDurableRecovery(t *testing.T) {
 	if tid, ok := tr.Lookup(nk); !ok || tid != ntid {
 		t.Fatalf("replayed cold write = (%d, %v)", tid, ok)
 	}
-	cold3, err := os.Stat(filepath.Join(dir, "cold-003.hot"))
+	cold3, err := os.Stat(filepath.Join(dir, "snap-003.hot"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,20 +602,24 @@ func TestColdTierDurableRecovery(t *testing.T) {
 	if cs := tr.ColdStats(); !tr.IsCold(1) || cs.Folds != 1 || cs.DeltaKeys != 0 || tr.dur.wals[1].LastLSN() != tr.dur.wals[1].Base() {
 		t.Fatalf("Checkpoint over a cold delta: IsCold(1)=%v, %+v, shard 1 log not rotated", tr.IsCold(1), cs)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "snap-001.hot")); !os.IsNotExist(err) {
-		t.Fatalf("Checkpoint's fold of cold shard 1 wrote a snap-001.hot: %v", err)
+	if tr.IsCold(0) || tr.IsCold(2) {
+		t.Fatal("Checkpoint demoted a hot shard")
 	}
-	if fi, err := os.Stat(filepath.Join(dir, "cold-003.hot")); err != nil || !os.SameFile(fi, cold3) {
+	for s := 0; s < 4; s++ {
+		pr, err := persist.OpenPageReaderFile(filepath.Join(dir, snapFileName(s)), persist.KindTree)
+		if err != nil || !pr.Indexed() {
+			t.Fatalf("shard %d's base after the Checkpoint: %v, want an indexed snap-NNN.hot", s, err)
+		}
+		pr.Close()
+	}
+	if fi, err := os.Stat(filepath.Join(dir, "snap-003.hot")); err != nil || !os.SameFile(fi, cold3) {
 		t.Fatalf("Checkpoint rewrote idle cold shard 3's section: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "snap-003.hot")); !os.IsNotExist(err) {
-		t.Fatalf("Checkpoint wrote a snap-003.hot for cold shard 3: %v", err)
 	}
 	if err := tr.Verify(); err != nil {
 		t.Fatal(err)
 	}
 	// A delete and a re-insert stay in shard 1's delta; promoted, its next
-	// Checkpoint cut is a snap-001.hot superseding the cold file.
+	// Checkpoint cut leaves it hot.
 	if !tr.Delete(nk) || !tr.Insert(nk, ntid) || !tr.IsCold(1) {
 		t.Fatal("delete and re-insert into cold shard 1 failed")
 	}
@@ -621,24 +629,21 @@ func TestColdTierDurableRecovery(t *testing.T) {
 	if err := tr.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "cold-001.hot")); !os.IsNotExist(err) {
-		t.Fatalf("hot shard 1's superseded cold file survived its Checkpoint cut: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "snap-001.hot")); err != nil {
-		t.Fatalf("hot shard 1's Checkpoint cut left no snap-001.hot: %v", err)
+	if tr.IsCold(1) || tr.dur.wals[1].LastLSN() != tr.dur.wals[1].Base() {
+		t.Fatal("promoted shard 1's Checkpoint cut demoted it or left its log")
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Reopen WITHOUT ColdTier: the cold section folds back into memory and
-	// the next checkpoint supersedes it.
+	// Reopen WITHOUT ColdTier: every base folds back into memory, and a
+	// Checkpoint with nothing logged writes nothing.
 	tr, info, err = OpenDurableShardedTree(dir, store.Key, 4, keys, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.ColdShards != 0 || tr.IsCold(3) {
-		t.Fatalf("ColdTier-nil reopen kept shards cold: info=%+v", info)
+	if info.ColdShards != 0 || tr.IsCold(3) || info.SnapshotEntries != uint64(len(keys)) {
+		t.Fatalf("ColdTier-nil reopen: %+v, want no cold shard and %d entries", info, len(keys))
 	}
 	for i, k := range keys {
 		if tid, ok := tr.Lookup(k); !ok || tid != TID(i) {
@@ -648,26 +653,38 @@ func TestColdTierDurableRecovery(t *testing.T) {
 	if err := tr.Verify(); err != nil {
 		t.Fatal(err)
 	}
+	before := dirCensus(t, dir)
 	if err := tr.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "cold-003.hot")); !os.IsNotExist(err) {
-		t.Fatalf("folded-back shard's cold file survived Checkpoint: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "snap-003.hot")); err != nil {
-		t.Fatalf("folded-back shard's Checkpoint cut left no snap-003.hot: %v", err)
+	if changed, removed := censusChanges(before, dirCensus(t, dir)); len(changed)+len(removed) != 0 {
+		t.Fatalf("idle Checkpoint changed %v, removed %v", changed, removed)
 	}
 	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Reopen WITH ColdTier: every shard has a base, so every shard is
+	// served from it — hot shards 0 and 2, cut by a Checkpoint, included.
+	tr, info, err = OpenDurableShardedTree(dir, store.Key, 4, keys, DurableOptions{ColdTier: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	if info.ColdShards != 4 || info.SnapshotEntries != uint64(len(keys)) {
+		t.Fatalf("tiered reopen over four bases: %+v, want 4 cold shards holding %d entries", info, len(keys))
+	}
+	if err := tr.Verify(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestColdTierReopenUnderBudget: reopening a store whose previous run
-// left shards cold, with a MemoryBudget below the loaded resident
-// footprint, must never pick a not-yet-installed cold shard as a
-// demotion victim. Before the open-path fix, the enable-time budget pass
-// ran while recovered cold shards were still empty placeholder tries and
-// could demote one — atomically replacing the shard's real cold file,
+// left a shard cold, with a MemoryBudget below the resident footprint the
+// other shards' logs rebuild, must never pick a not-yet-installed cold
+// shard as a demotion victim. Before the open-path fix, the enable-time
+// budget pass ran while recovered cold shards were still empty placeholder
+// tries and could demote one — atomically replacing the shard's real base,
 // its only durable copy (the WAL was rotated at the original demotion
 // cut), with an empty section. The loss stayed silent until the next
 // open, which this test performs.
@@ -688,16 +705,12 @@ func TestColdTierReopenUnderBudget(t *testing.T) {
 			t.Fatalf("insert %d failed", i)
 		}
 	}
-	// Checkpoint first: the hot shards' data must be in the snapshot, so
-	// the reopen loads a large resident footprint BEFORE the WALs replay —
-	// the window in which a premature budget pass sees the cold shard as
-	// an empty placeholder trie.
-	if err := tr.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	// Demote shard 0: with all recency clocks equal, the maintenance scan
-	// picks the lowest index first, so a placeholder-demoting budget pass
-	// at reopen would clobber exactly this shard's section.
+	// No Checkpoint: shards 1–3 keep their state in their logs alone, so
+	// they reopen hot, a large resident footprint. Demote shard 0, which
+	// reopens served from its base: with all recency clocks equal, the
+	// maintenance scan picks the lowest index first, so a
+	// placeholder-demoting budget pass at reopen would clobber exactly this
+	// shard's section.
 	if err := tr.Demote(0); err != nil {
 		t.Fatal(err)
 	}
@@ -706,7 +719,7 @@ func TestColdTierReopenUnderBudget(t *testing.T) {
 	}
 
 	// Reopen far above budget: the open-time pass must demote only the
-	// genuinely resident shards, after shard 0's cold reader is installed.
+	// genuinely resident shards 1–3, after shard 0's base is installed.
 	small := &ColdTierConfig{MemoryBudget: 1}
 	tr, info, err := OpenDurableShardedTree(dir, store.Key, 4, keys, DurableOptions{ColdTier: small})
 	if err != nil {
@@ -1083,8 +1096,10 @@ func TestColdCacheHoldsStoredBytes(t *testing.T) {
 // directory written by the commit before pages were served from the stored
 // block (PR 22: packed codec, four shards, shards 0 and 1 demoted to cold
 // sections, 2 and 3 checkpointed with a log tail behind the checkpoint) —
-// and requires every key it was given, cold and hot, with and without a
-// cold tier: same bytes in, same answers out.
+// and requires every key it was given, with and without a cold tier: same
+// bytes in, same answers out. Under the tier all four shards are served
+// from their bases, the legacy cold-NNN.hot and the unindexed snap-NNN.hot
+// alike, their log tails in their deltas.
 func TestParentWrittenDirectoryServes(t *testing.T) {
 	keys := dataset.Generate(dataset.URL, 3000, 23)
 	store := &tidstore.Store{}
@@ -1112,7 +1127,7 @@ func TestParentWrittenDirectoryServes(t *testing.T) {
 		}
 		wantCold := 0
 		if cold != nil {
-			wantCold = 2
+			wantCold = 4 // every shard with a base: the checkpointed ones too
 		}
 		if info.ColdShards != wantCold || info.SnapshotDamage != nil || info.WALDamage != nil || info.WALRecords != 89 {
 			t.Fatalf("recovery = %+v, want %d cold shards, 89 log records, no damage", info, wantCold)
@@ -1157,7 +1172,7 @@ func TestParentWrittenDirectoryServes(t *testing.T) {
 // FuzzTieredShardOps drives a three-shard tree under a cold tier with an
 // operation tape and holds it to a map: the reply of every write and the
 // Lookup of its key after every step, and after every lifecycle event Len,
-// a full cursor walk and Verify. The tape starts on every other key of the
+// a full cursor walk, Verify and a tier directory without cold-NNN.hot. The tape starts on every other key of the
 // table cut to sections, so deletes meet section keys, delta keys and keys
 // the delta renewed. An op is three bytes: its kind in the low three bits
 // of the first (the TID variant above them), then a big-endian index into
@@ -1183,14 +1198,15 @@ func FuzzTieredShardOps(f *testing.F) {
 		opPromote
 		opFold
 	)
-	open := func(t testing.TB) (*ShardedTree, map[string]TID) {
+	open := func(t testing.TB) (*ShardedTree, map[string]TID, string) {
 		tr := newShardedFromBounds(treeFlavor(store.Key), bounds)
 		model := make(map[string]TID, n)
 		for i := 0; i < n; i += 2 {
 			tr.Insert(keys[i], TID(i))
 			model[string(keys[i])] = TID(i)
 		}
-		if err := tr.EnableColdTier(ColdTierConfig{Dir: t.TempDir()}); err != nil {
+		dir := t.TempDir()
+		if err := tr.EnableColdTier(ColdTierConfig{Dir: dir}); err != nil {
 			t.Fatal(err)
 		}
 		for s := 0; s < tr.Shards(); s++ {
@@ -1198,7 +1214,7 @@ func FuzzTieredShardOps(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		return tr, model
+		return tr, model, dir
 	}
 	step := func(kind byte, variant, i int) []byte {
 		return []byte{kind | byte(variant)<<3, byte(i >> 8), byte(i)}
@@ -1206,7 +1222,7 @@ func FuzzTieredShardOps(f *testing.F) {
 	tape := func(steps ...[]byte) []byte { return bytes.Join(steps, nil) }
 	// Key 4 and 6 start in a section, key 7 does not; first is the first
 	// key of a block.
-	tr, _ := open(f)
+	tr, _, _ := open(f)
 	fk := tr.shards[1].Load().pr.FirstKey(1)
 	first := slices.IndexFunc(keys, func(k []byte) bool { return bytes.Equal(k, fk) })
 	f.Add(tape(step(opDelete, 0, first), step(opLookup, 0, first), step(opInsert, 1, first), step(opFold, 0, first)))
@@ -1215,9 +1231,13 @@ func FuzzTieredShardOps(f *testing.F) {
 	f.Add(tape(step(opUpsert, 1, first), step(opDelete, 0, first), step(opScan, 0, first), step(opDemote, 0, first)))
 	f.Add(tape(step(opDelete, 0, 6), step(opDelete, 0, 6), step(opInsert, 0, 7), step(opDelete, 0, 7), step(opUpsert, 1, 6)))
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		tr, model := open(t)
+		tr, model, dir := open(t)
 		check := func() {
 			t.Helper()
+			// Every cut writes the one base kind.
+			if legacy, err := filepath.Glob(filepath.Join(dir, "cold-*.hot")); err != nil || len(legacy) != 0 {
+				t.Fatalf("tier directory holds %v (%v)", legacy, err)
+			}
 			want := make([]pathEntry, 0, len(model))
 			for _, k := range sorted {
 				if tid, ok := model[string(k)]; ok {

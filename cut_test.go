@@ -3,8 +3,10 @@ package hot
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -57,8 +59,8 @@ func censusChanges(before, after map[string]os.FileInfo) (changed, removed []str
 
 // TestCheckpointWritesOnlyWhatChanged: a Checkpoint over a store with
 // three of four shards cold writes the one hot shard and nothing else —
-// the cold files are not read back and rewritten — and a second Checkpoint
-// with no write in between touches no file at all.
+// the cold shards' bases are not read back and rewritten — and a second
+// Checkpoint with no write in between touches no file at all.
 func TestCheckpointWritesOnlyWhatChanged(t *testing.T) {
 	dir := t.TempDir()
 	keys := dataset.Generate(dataset.URL, 4000, 23)
@@ -112,15 +114,6 @@ func TestCheckpointWritesOnlyWhatChanged(t *testing.T) {
 	if sz := int64(section.Len()); written < sz || written > sz+block {
 		t.Fatalf("Checkpoint wrote %d B, want within a block of the hot shard's %d B section", written, sz)
 	}
-	for s := 0; s < 4; s++ {
-		if s == hot {
-			continue
-		}
-		if _, err := os.Stat(filepath.Join(dir, snapFileName(s))); !os.IsNotExist(err) {
-			t.Fatalf("Checkpoint wrote %s for a cold shard: %v", snapFileName(s), err)
-		}
-	}
-
 	if err := tr.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -330,4 +323,275 @@ func TestDurableLegacyDirectoryUpgrade(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSalvagedBaseIsHealed: an untiered open that salvages a damaged base
+// cuts the shard afresh before it returns, so the damage is reported once —
+// the next untiered open finds none and the same contents — and a tiered
+// open, which refuses a damaged base, then serves the shard.
+func TestSalvagedBaseIsHealed(t *testing.T) {
+	dir := t.TempDir()
+	keys := dataset.Generate(dataset.URL, 6000, 53)
+	store := &tidstore.Store{}
+	for _, k := range keys {
+		store.Add(k)
+	}
+	open := func(opts DurableOptions) (*ShardedTree, RecoveryInfo) {
+		t.Helper()
+		tr, info, err := OpenDurableShardedTree(dir, store.Key, 4, keys, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		return tr, info
+	}
+	tr, _ := open(DurableOptions{})
+	for i, k := range keys {
+		tr.Insert(k, TID(i))
+	}
+	if err := tr.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Flip a byte of shard 1's last block: a CRC failure past a valid prefix.
+	path := filepath.Join(dir, snapFileName(1))
+	secs, err := persist.ScanSections(path)
+	if err != nil || len(secs) != 1 || secs[0].Blocks < 2 {
+		t.Fatalf("shard 1's base: %+v (%v), want one section of two blocks or more", secs, err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const trailer = 16
+	b[secs[0].Bytes-trailer-8] ^= 0x40
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	tr, info := open(DurableOptions{})
+	n := tr.Len()
+	if info.SnapshotDamage == nil || n >= len(keys) {
+		t.Fatalf("first open over the damage: %d keys, damage %v, want the last block salvaged away", n, info.SnapshotDamage)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, info = open(DurableOptions{})
+	if info.SnapshotDamage != nil || tr.Len() != n {
+		t.Fatalf("second open: %d keys, damage %v, want %d keys and no damage", tr.Len(), info.SnapshotDamage, n)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, info = open(DurableOptions{ColdTier: &ColdTierConfig{}})
+	defer tr.Close()
+	if info.ColdShards != 4 || tr.Len() != n {
+		t.Fatalf("tiered open after the heal: %+v, %d keys, want 4 cold shards and %d keys", info, tr.Len(), n)
+	}
+}
+
+// TestCutRemovesLegacyColdBase: a cut of a shard whose base is a legacy
+// cold-NNN.hot — a demotion's file as testdata/durable-pr22 holds it, which
+// no cut writes any more — replaces it with an indexed snap-NNN.hot, under
+// either open option, and the other option reopens the same contents. A
+// rotation that fails after the cut removed the legacy file leaves a
+// directory that recovers exactly.
+func TestCutRemovesLegacyColdBase(t *testing.T) {
+	keys := dataset.Generate(dataset.URL, 3000, 23)
+	store := &tidstore.Store{}
+	for _, k := range keys {
+		store.Add(k)
+	}
+	// write opens the fixture under cold and upserts one key of each shard
+	// to a fresh TID of the same key, returning the tree and its contents.
+	write := func(t *testing.T, dir string, cold *ColdTierConfig) (*ShardedTree, []pathEntry) {
+		t.Helper()
+		tr, _, err := OpenDurableShardedTree(dir, store.Key, 4, nil, DurableOptions{ColdTier: cold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < tr.Shards(); s++ {
+			i := slices.IndexFunc(keys, func(k []byte) bool { return tr.Shard(k) == s })
+			if _, ok := tr.Upsert(keys[i], store.Add(keys[i])); !ok {
+				t.Fatalf("shard %d: key %d absent from the fixture", s, i)
+			}
+		}
+		return tr, treeEntries(tr)
+	}
+	reopen := func(t *testing.T, dir string, cold *ColdTierConfig, want []pathEntry) {
+		t.Helper()
+		tr, _, err := OpenDurableShardedTree(dir, store.Key, 4, nil, DurableOptions{ColdTier: cold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		checkTree(t, tr, want)
+	}
+	options := []*ColdTierConfig{{}, nil}
+	for i, cold := range options {
+		t.Run(fmt.Sprintf("tiered=%v", cold != nil), func(t *testing.T) {
+			dir := copyDir(t, "testdata/durable-pr22")
+			tr, want := write(t, dir, cold)
+			if err := tr.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if legacy, err := filepath.Glob(filepath.Join(dir, "cold-*.hot")); err != nil || len(legacy) != 0 {
+				t.Fatalf("after the Checkpoint: %v (%v), want no cold-NNN.hot", legacy, err)
+			}
+			for s := 0; s < 4; s++ {
+				pr, err := persist.OpenPageReaderFile(filepath.Join(dir, snapFileName(s)), persist.KindTree)
+				if err != nil || !pr.Indexed() {
+					t.Fatalf("shard %d: %v, want an indexed snap-NNN.hot", s, err)
+				}
+				pr.Close()
+			}
+			reopen(t, dir, options[1-i], want)
+		})
+	}
+	t.Run("idle", func(t *testing.T) {
+		// Shards 0 and 1 logged nothing past their legacy bases: a
+		// Checkpoint leaves them alone, whatever their file's name.
+		dir := copyDir(t, "testdata/durable-pr22")
+		tr, _, err := OpenDurableShardedTree(dir, store.Key, 4, nil, DurableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		before := dirCensus(t, dir)
+		if err := tr.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		changed, removed := censusChanges(before, dirCensus(t, dir))
+		for _, name := range append(changed, removed...) {
+			if name == coldFileName(0) || name == coldFileName(1) || name == snapFileName(0) || name == snapFileName(1) {
+				t.Fatalf("Checkpoint rewrote an idle shard: changed %v, removed %v", changed, removed)
+			}
+		}
+	})
+	t.Run("rotate-fault", func(t *testing.T) {
+		dir := copyDir(t, "testdata/durable-pr22")
+		tr, want := write(t, dir, nil)
+		reg := chaos.New(3)
+		reg.OnAfter(chaos.WalRotate, 0, 1, nil)
+		reg.Arm()
+		err := tr.Checkpoint()
+		chaos.Disarm()
+		if !errors.Is(err, persist.ErrInjected) {
+			t.Fatalf("Checkpoint = %v, want the injected rotation fault", err)
+		}
+		tr.Close() // the failed rotation poisoned the logs
+		// Shard 0's cut installed its snap-000.hot and removed the legacy
+		// file; its log still holds every record since the legacy base.
+		if _, err := os.Stat(filepath.Join(dir, coldFileName(0))); !os.IsNotExist(err) {
+			t.Fatalf("%s survived its cut: %v", coldFileName(0), err)
+		}
+		for _, cold := range options {
+			reopen(t, copyDir(t, dir), cold, want)
+		}
+	})
+}
+
+// TestCheckpointUnderTieredChurn: writers — synchronous and async, inserts
+// then deletes — run against a durable store under a cold tier whose budget
+// pass demotes and folds as they go, while another goroutine loops
+// Checkpoint, Demote and Promote. The store must hold exactly the model,
+// and reopen to it under either option.
+func TestCheckpointUnderTieredChurn(t *testing.T) {
+	dir := t.TempDir()
+	keys := dataset.Generate(dataset.URL, 4000, 61)
+	store := &tidstore.Store{}
+	for _, k := range keys {
+		store.Add(k)
+	}
+	tiered := &ColdTierConfig{MemoryBudget: 1}
+	tr, _, err := OpenDurableShardedTree(dir, store.Key, 4, keys, DurableOptions{ColdTier: tiered})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := func(i int) bool { return i%3 == 0 }
+	const writers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(keys); i += writers {
+				if i%2 == 0 {
+					tr.Insert(keys[i], TID(i))
+				} else {
+					tr.InsertAsync(keys[i], TID(i))
+				}
+			}
+			for i := w; i < len(keys); i += writers {
+				if gone(i) {
+					tr.DeleteAsync(keys[i])
+				}
+			}
+		}(w)
+	}
+	stop, stopped := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for it := 0; ; it++ {
+			select {
+			case <-stop:
+				stopped <- nil
+				return
+			default:
+			}
+			var err error
+			switch s := it % 4; it % 3 {
+			case 0:
+				err = tr.Checkpoint()
+			case 1:
+				err = tr.Demote(s)
+			default:
+				err = tr.Promote(s)
+			}
+			if err != nil {
+				stopped <- err
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	if err := <-stopped; err != nil {
+		t.Fatal(err)
+	}
+	if _, rejected := tr.Flush(); rejected != 0 {
+		t.Fatalf("%d async writes rejected", rejected)
+	}
+	index := make(map[string]int, len(keys))
+	for i, k := range keys {
+		index[string(k)] = i
+	}
+	var want []pathEntry
+	for _, k := range dataset.SortedCopy(keys) {
+		if i := index[string(k)]; !gone(i) {
+			want = append(want, pathEntry{k, TID(i)})
+		}
+	}
+	checkTree(t, tr, want)
+	if cs := tr.ColdStats(); cs.Demotions == 0 || cs.Folds == 0 || cs.Promotions == 0 {
+		t.Fatalf("the churn made no transition of some kind: %+v", cs)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, cold := range []*ColdTierConfig{tiered, nil} {
+		tr, _, err := OpenDurableShardedTree(copyDir(t, dir), store.Key, 4, nil, DurableOptions{ColdTier: cold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkTree(t, tr, want)
+		tr.Close()
+	}
 }

@@ -69,17 +69,21 @@ type DurableOptions struct {
 
 	// ColdTier, when non-nil, arms the pager-backed cold tier on the
 	// opened index (see ShardedTree.EnableColdTier). The Dir field is
-	// ignored: a durable index keeps its cold section files in its own
-	// directory. Shards that were cold when the previous run stopped are
-	// recovered cold — their sections are opened, not loaded, and their
-	// log tails replayed into their deltas — so a larger-than-RAM store
-	// reopens without materializing its cold data.
-	// When ColdTier is nil, any cold sections found are folded back into
-	// memory and superseded at the next Checkpoint.
+	// ignored: a durable index's sections are its per-shard base files.
+	// It also decides how each base is recovered — the file never does.
+	// With ColdTier, every shard that has a base is recovered cold, served
+	// from it: the base is opened and vetted by its two end keys (by every
+	// entry when RecoverEntry or the tree's own check is set), not loaded,
+	// its log tail replays into the shard's delta, and a damaged base fails
+	// the open. So a larger-than-RAM store reopens without materializing
+	// its cold data, and a shard a Checkpoint cut while hot reopens cold.
+	// Without ColdTier, every base is loaded into memory, and a damaged one
+	// is salvaged — its valid prefix kept, the damage reported in
+	// RecoveryInfo.SnapshotDamage — and cut afresh before the open returns.
 	ColdTier *ColdTierConfig
 
 	// Codec selects the block codec for every snapshot the durable index
-	// writes — checkpoints and cold section files. The zero value is
+	// writes — every per-shard base. The zero value is
 	// SnapshotCodecRaw. Reopening an existing store with a different codec
 	// is always safe: readers accept both codecs, and each shard's next
 	// cut (checkpoint, demotion or fold) writes its file in the configured one.
@@ -108,8 +112,8 @@ type RecoveryInfo struct {
 	// was clean.
 	WALDamage *SnapshotError
 	// ColdShards is how many shards were recovered cold — served from
-	// their cold section files and deltas without materializing a trie
-	// (always 0 unless DurableOptions.ColdTier was set).
+	// their base files and deltas without materializing a trie: under
+	// DurableOptions.ColdTier every shard that has a base, else 0.
 	ColdShards int
 }
 

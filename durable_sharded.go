@@ -27,22 +27,25 @@ import (
 // The durable directory holds, for N shards:
 //
 //	snap.hot      the manifest (boundary table), written once at first open
-//	snap-NNN.hot  shard NNN's base, written by a Checkpoint cut
-//	cold-NNN.hot  shard NNN's base, written (indexed) by a demotion cut
+//	snap-NNN.hot  shard NNN's base, with the HIDX block index, written by
+//	              every cut: a Checkpoint, a Demote, a budget fold
 //	wal-NNN.log   shard NNN's records since its base
 //
-// A shard has at most one base in steady state and none before its first
-// cut. Consistency hinges on one invariant: a shard's {log append, trie
-// apply} pair is atomic under the shard's writer lock (asyncShard.mu), so
-// a cut taken under that lock is exact — the base covers precisely the
-// LSNs the log held, every one of them synced to the log file before the
-// base is written, and the log restarts there. One ordering rule covers every
-// crash: a cut removes the superseded sibling base only BEFORE it rotates
-// the log, so whenever two bases coexist the log still holds every record
-// since the older one, and replaying it verbatim (inserts re-apply as
-// inserts, rejections and all) over either converges to the pre-crash
-// state — every key's final value is decided by the last record touching
-// it, or by the base if no record does.
+// A directory written before the one base kind may also hold a legacy
+// cold-NNN.hot, a demotion's base: recovery reads it when the shard has no
+// snap-NNN.hot, and the shard's next cut removes it. A shard has at most one
+// base in steady state and none before its first cut; the open option, not
+// the file, decides how it is recovered (recoverBase). Consistency hinges on
+// one invariant: a shard's {log append, trie apply} pair is atomic under the
+// shard's writer lock (asyncShard.mu), so a cut taken under that lock is
+// exact — the base covers precisely the LSNs the log held, every one of them
+// synced to the log file before the base is written, and the log restarts
+// there. One ordering rule covers every crash: a cut removes the superseded
+// legacy base only BEFORE it rotates the log, so whenever two bases coexist
+// the log still holds every record since the older one, and replaying it
+// verbatim (inserts re-apply as inserts, rejections and all) over either
+// converges to the pre-crash state — every key's final value is decided by
+// the last record touching it, or by the base if no record does.
 
 // durableState is the write-ahead side of a durable ShardedTree.
 type durableState struct {
@@ -148,42 +151,47 @@ func (d *durableState) poison(err error) error {
 	return err
 }
 
-// clean reports whether shard s needs no cut: its log holds no record
-// past its base, and that base is of the shard's kind — a cold shard is
-// served from its cold-NNN.hot, a hot one needs a snap-NNN.hot.
-func (d *durableState) clean(s int, cold bool) bool {
+// clean reports whether shard s needs no cut: its log holds no record past
+// its base, whichever file that base is.
+func (d *durableState) clean(s int) bool {
 	w := d.wals[s]
-	if w.Err() != nil || w.LastLSN() != w.Base() {
-		return false
-	}
-	if cold {
-		return true
-	}
-	_, err := os.Stat(filepath.Join(d.dir, snapFileName(s)))
-	return err == nil
+	return w.Err() == nil && w.LastLSN() == w.Base()
 }
 
-// cut is the one way a shard's state becomes its durable base: under the
-// shard's writer lock it makes the shard's log durable through its last
-// LSN, streams src — the shard's walk (shardState.walk) — to snap-NNN.hot
-// (or, for a demotion or a fold, the indexed cold-NNN.hot) through the
-// crash-safe file protocol, removes the sibling base the new file supersedes, and only
-// then rotates the shard's log to that LSN (the ordering rule of the file
-// comment). The sync comes first because a cut may fall between an async
-// run's append and the fsync it left owed: the base would cover those
-// records, and a crash after the base is installed but before the rotation
-// would replay a log that stops short of its own base — some keys restored
-// at the base's LSN, others rolled back to the log's. With the log synced
-// first the rule holds as stated: the log on disk always reaches the base
-// that supersedes it. Writers to every other shard proceed throughout. A
-// failed sync or write leaves the previous base and the full log untouched
-// (a failed sync has poisoned the shard's log); once the new base is
-// installed, a failed remove or rotate leaves a directory that still
-// recovers exactly but a live store that can no longer bound its replay,
-// so it poisons every log. A non-durable tree (cut only by its cold tier)
-// has no log: its cut is just the file.
-func (t *ShardedTree) cut(s int, src entrySource, cold bool) error {
-	d, w := t.dur, &t.async.ws[s]
+// cut is the one way a shard's state becomes its base: under the shard's
+// writer lock it makes the shard's log durable through its last LSN, streams
+// the shard's walk (shardState.walk) to an indexed snap-NNN.hot through the
+// crash-safe file protocol, removes a legacy cold-NNN.hot the new file
+// supersedes, and only then rotates the shard's log to that LSN (the
+// ordering rule of the file comment). The fresh file becomes the shard's
+// section — served through the cold tier (coldTier.install) — when the shard
+// already had one or demote is set; a hot shard's Checkpoint cut leaves it
+// hot. Serving is a transition: it drains the shard under its exclusive
+// write guard first, and callers hold the tier's ct.mu. The sync comes first
+// because a cut may fall between an async run's append and the fsync it left
+// owed: the base would cover those records, and a crash after the base is
+// installed but before the rotation would replay a log that stops short of
+// its own base — some keys restored at the base's LSN, others rolled back to
+// the log's. With the log synced first the rule holds as stated: the log on
+// disk always reaches the base that supersedes it. Writers to every other
+// shard proceed throughout. A failed sync or write leaves the previous base
+// and the full log untouched (a failed sync has poisoned the shard's log);
+// once the new base is installed, a failed remove or rotate leaves a
+// directory that still recovers exactly but a live store that can no longer
+// bound its replay, so it poisons every log. A non-durable tree (cut only by
+// its cold tier) has no log: its cut is just the file.
+func (t *ShardedTree) cut(s int, demote bool) error {
+	d, ct, st := t.dur, t.cold.Load(), t.shards[s].Load()
+	serve := ct != nil && (demote || st.pr != nil)
+	if serve {
+		// Under the exclusive guard no writer is mid-apply and none can
+		// deposit; drain what the ring already holds so the cut below is the
+		// shard's complete state.
+		ct.ws[s].wmu.Lock()
+		defer ct.ws[s].wmu.Unlock()
+		t.drainExclusive(s, st)
+	}
+	w := &t.async.ws[s]
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var dir string
@@ -193,24 +201,23 @@ func (t *ShardedTree) cut(s int, src entrySource, cold bool) error {
 			return fmt.Errorf("hot: syncing shard %d's log ahead of its cut: %w", s, err)
 		}
 	} else {
-		dir = t.cold.Load().dir
+		dir = ct.dir
 	}
-	name, sibling := snapFileName(s), coldFileName(s)
-	if cold {
-		name, sibling = sibling, name
-	}
-	if err := writeSnapshotFile(filepath.Join(dir, name), t.kind, t.SnapshotCodec(), cold, src); err != nil {
+	path := filepath.Join(dir, snapFileName(s))
+	if err := writeSnapshotFile(path, t.kind, t.SnapshotCodec(), true, st.walk); err != nil {
 		return err
 	}
-	if d == nil {
-		return nil
+	if d != nil {
+		err := os.Remove(filepath.Join(dir, coldFileName(s)))
+		if err == nil || os.IsNotExist(err) {
+			err = d.wals[s].Rotate(d.wals[s].LastLSN())
+		}
+		if err != nil {
+			return d.poison(fmt.Errorf("hot: retiring shard %d's log behind %s: %w", s, snapFileName(s), err))
+		}
 	}
-	err := os.Remove(filepath.Join(dir, sibling))
-	if err == nil || os.IsNotExist(err) {
-		err = d.wals[s].Rotate(d.wals[s].LastLSN())
-	}
-	if err != nil {
-		return d.poison(fmt.Errorf("hot: retiring shard %d's log behind %s: %w", s, name, err))
+	if serve {
+		return ct.install(s, st, path)
 	}
 	return nil
 }
@@ -236,12 +243,11 @@ func (t *ShardedTree) LogSize() int64 {
 // a record since its last cut — one shard at a time, holding only that
 // shard's writer lock (and a cold shard's write guard), so writers to the
 // other shards never stall and readers are unaffected — and rotates its
-// log behind the new base. A hot shard's base is its snap-NNN.hot; a cold
-// shard is folded: its section and delta, merged, become a fresh
-// cold-NNN.hot and its delta empties. A shard with nothing logged past a
-// base of its kind is skipped — a cold one whose log did not move, a hot
-// one already on its snap-NNN.hot — so a checkpoint costs what changed,
-// not what is stored.
+// log behind the new base, snap-NNN.hot. A hot shard stays hot; a cold
+// shard is folded: its section and delta, merged, become the fresh file it
+// is served from and its delta empties. A shard whose log did not move is
+// skipped, whatever its base file, so a checkpoint costs what changed, not
+// what is stored.
 //
 // Failure semantics: if writing a shard's file fails, that shard's
 // previous base and full log are untouched (AtomicFile never replaces its
@@ -263,21 +269,15 @@ func (t *ShardedTree) Checkpoint() error {
 	if d.closed.Load() {
 		return ErrClosed
 	}
+	if ct := t.cold.Load(); ct != nil {
+		ct.mu.Lock() // a cold shard's cut is a transition
+		defer ct.mu.Unlock()
+	}
 	for s := range t.shards {
-		if d.clean(s, t.IsCold(s)) {
+		if d.clean(s) {
 			continue
 		}
-		if ct := t.cold.Load(); ct != nil {
-			folded, err := ct.fold(s)
-			if err != nil {
-				return err
-			}
-			if folded {
-				continue
-			}
-		}
-		// Demotion needs d.ckpt, so a shard fold found hot stays hot.
-		if err := t.cut(s, t.shards[s].Load().walk, false); err != nil {
+		if err := t.cut(s, false); err != nil {
 			return err
 		}
 	}
@@ -413,8 +413,10 @@ func openDurableSharded(dir string, fl flavor, shards int, sample [][]byte, opts
 			return nil, info, err
 		}
 	}
+	var recut []int
 	for s := range t.shards {
-		if err := t.recoverBase(s, d, ct, legacy, &info); err != nil {
+		salvaged, err := t.recoverBase(s, dir, ct, legacy, &info)
+		if err != nil {
 			return fail(err)
 		}
 		w, rep, err := resumeWAL(filepath.Join(dir, durableWalName(s)), func(op persist.WalOp, key []byte, tid uint64) error {
@@ -427,23 +429,27 @@ func openDurableSharded(dir string, fl flavor, shards int, sample [][]byte, opts
 		info.noteWALDamage(rep)
 		// A shard recovered cold starts this run cold, its tail, if any, in
 		// its delta.
-		if t.IsCold(s) {
+		st := t.shards[s].Load()
+		if st.pr != nil {
 			info.ColdShards++
+		}
+		if salvaged || legacy && st.pr == nil && st.len() > 0 {
+			recut = append(recut, s)
 		}
 	}
 	t.dur = d
-	if legacy {
-		// One-way upgrade of a directory whose snap.hot carried the shard
-		// sections: give every shard with content its own base, then
-		// shrink snap.hot to the manifest. A crash in between re-runs
-		// this — a per-shard base beats its legacy section.
-		for s := range t.shards {
-			if st := t.shards[s].Load(); st.pr == nil && st.len() > 0 {
-				if err := t.cut(s, st.walk, false); err != nil {
-					return fail(err)
-				}
-			}
+	// Before the open returns, cut every shard whose base was salvaged — so
+	// its damage is reported once, and a tiered open can serve it — and, the
+	// one-way upgrade of a directory whose snap.hot carried the shard
+	// sections, every shard with content, then shrink snap.hot to the
+	// manifest. A crash in between re-runs this: a per-shard base beats its
+	// legacy section.
+	for _, s := range recut {
+		if err := t.cut(s, false); err != nil {
+			return fail(err)
 		}
+	}
+	if legacy {
 		if err := persist.AtomicFile(snap, t.writeManifest); err != nil {
 			return fail(err)
 		}
@@ -488,85 +494,77 @@ func openManifest(path string, fl flavor, info *RecoveryInfo) (t *ShardedTree, l
 	return t, true, nil
 }
 
-// recoverBase installs shard s's recovery base into its slot: the cold
-// section if one exists — opened for paged reads when the cold tier is
-// armed, folded into the trie otherwise — else snap-NNN.hot, else nothing
-// (a shard never cut, whose log starts at LSN 0). If a crash left both
-// files either is correct (see the file comment); the cold one is taken.
-// Whatever the source, it enters through load, or — served from the file
-// instead of loaded — through vetCold, which holds it to the same rules.
-// Damage in snap-NNN.hot is salvaged — the valid prefix loads, the first
-// damage is reported — and costs only this shard; a cold section that
-// does not open, read or vet is a hard error: unlike a torn log tail (an
-// expected crash artifact), it held acknowledged data nothing else covers.
-func (t *ShardedTree) recoverBase(s int, d *durableState, ct *coldTier, legacy bool, info *RecoveryInfo) error {
-	pr, err := persist.OpenPageReaderFile(filepath.Join(d.dir, coldFileName(s)), t.kind)
-	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("hot: opening shard %d cold section %s: %w", s, coldFileName(s), err)
+// recoverBase installs shard s's base, if it has one, into its slot:
+// snap-NNN.hot, else a legacy cold-NNN.hot (if a crash left both, either is
+// correct — see the file comment — and snap-NNN.hot is taken). The open
+// option decides how, never the file. Under a cold tier the base becomes
+// the shard's section, nothing inserted: opened for paged reads and held to
+// the shard's rules by vetCold; one that does not open or vet is a hard
+// error — unlike a torn log tail (an expected crash artifact), it holds
+// acknowledged data nothing else covers. Without a tier it is loaded
+// sequentially through load, and damage is salvaged: the valid prefix
+// loads, the first damage is reported, and salvaged asks the open for the
+// cut that heals the shard.
+func (t *ShardedTree) recoverBase(s int, dir string, ct *coldTier, legacy bool, info *RecoveryInfo) (salvaged bool, err error) {
+	path := filepath.Join(dir, snapFileName(s))
+	if _, err := os.Stat(path); os.IsNotExist(err) {
+		path = filepath.Join(dir, coldFileName(s))
 	}
-	if pr != nil && ct != nil {
-		n, err := t.vetCold(s, pr)
-		info.SnapshotEntries += n
-		if err != nil {
-			pr.Close()
-			return fmt.Errorf("hot: shard %d cold section: %w", s, err)
-		}
-		t.shards[s].Store(&shardState{ct: ct, pr: pr, shard: s, gen: ct.ws[s].gen.Add(1)})
-		return nil
-	}
-	var f *os.File
-	if pr != nil {
-		defer pr.Close()
-	} else {
-		if f, err = os.Open(filepath.Join(d.dir, snapFileName(s))); err != nil {
-			if os.IsNotExist(err) {
-				err = nil
+	if ct != nil {
+		pr, err := persist.OpenPageReaderFile(path, t.kind)
+		if err == nil {
+			if err = t.vetCold(s, pr); err != nil {
+				pr.Close()
 			}
-			return err
 		}
-		defer f.Close()
+		if err != nil {
+			if os.IsNotExist(err) {
+				return false, nil
+			}
+			return false, fmt.Errorf("hot: shard %d base %s: %w", s, filepath.Base(path), err)
+		}
+		info.SnapshotEntries += pr.Count()
+		t.shards[s].Store(ct.section(s, pr))
+		return false, nil
 	}
+	f, err := os.Open(path)
+	if err != nil {
+		if os.IsNotExist(err) {
+			err = nil
+		}
+		return false, err
+	}
+	defer f.Close()
 	tr := t.shards[s].Load().delta.Load()
 	if legacy {
 		// The per-shard base supersedes what the legacy section loaded.
 		tr = t.newTrie()
 		t.shards[s].Store(hotState(tr))
 	}
-	sink := t.load(s, tr)
-	if pr != nil {
-		n, err := walkPageReader(pr, sink)
-		info.SnapshotEntries += n
-		if err != nil {
-			return fmt.Errorf("hot: shard %d cold section: %w", s, err)
-		}
-		return nil
-	}
-	n, err := persist.Read(f, t.kind, sink)
+	n, err := persist.Read(f, t.kind, t.load(s, tr))
 	info.SnapshotEntries += n
 	if err != nil && info.SnapshotDamage == nil {
 		errors.As(err, &info.SnapshotDamage)
 	}
-	return nil
+	return err != nil, nil
 }
 
-// walkPageReader streams every entry of a cold section file through fn,
-// block by block, returning how many entries fn accepted.
-func walkPageReader(pr *persist.PageReader, fn func(key []byte, tid TID) error) (uint64, error) {
-	var n uint64
+// walkPageReader streams every entry of a section file through fn, block
+// by block.
+func walkPageReader(pr *persist.PageReader, fn func(key []byte, tid TID) error) error {
 	for i := 0; i < pr.Blocks(); i++ {
 		p, err := pr.ReadBlock(i)
 		if err != nil {
-			return n, err
+			return err
 		}
 		var it persist.PageIter
 		for p.Seek(&it, nil); it.Valid(); it.Next() {
 			if err := fn(it.Key(), it.TID()); err != nil {
-				return n, err
+				return err
 			}
-			n++
 		}
 	}
-	return n, nil
+	return nil
 }
 
 // ---- ShardedUint64Set ----

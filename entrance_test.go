@@ -557,7 +557,8 @@ func (fx loadFixture) multiplexed(w io.Writer) error {
 }
 
 // directory is the durable shape: the manifest plus one base per shard
-// under name (snapFileName or coldFileName, the latter indexed).
+// under name — snapFileName, or the legacy coldFileName — with or without
+// the HIDX block index.
 func (fx loadFixture) directory(t *testing.T, name func(int) string, indexed bool) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -635,7 +636,7 @@ func loadEntrances(fx loadFixture) []loadEntrance {
 		}
 		return loadOutcome{got: treeEntries(tr), damage: info.SnapshotDamage}
 	}
-	return []loadEntrance{
+	out := []loadEntrance{
 		{"LoadShardedTreeFile", true, func(t *testing.T) loadOutcome {
 			tr, err := LoadShardedTreeFile(file(t), fx.store.Key)
 			if err != nil {
@@ -653,21 +654,12 @@ func loadEntrances(fx loadFixture) []loadEntrance {
 			}
 			return loadOutcome{got: treeEntries(tr), damage: rep.Damage}
 		}},
-		{"durable/snap-NNN", false, func(t *testing.T) loadOutcome {
-			return durable(t, fx.directory(t, snapFileName, false), DurableOptions{})
-		}},
 		{"durable/legacy-snap", false, func(t *testing.T) loadOutcome {
 			dir := t.TempDir()
 			if err := persist.AtomicFile(filepath.Join(dir, durableSnapName), fx.multiplexed); err != nil {
 				t.Fatal(err)
 			}
 			return durable(t, dir, DurableOptions{})
-		}},
-		{"durable/cold-NNN-folded", true, func(t *testing.T) loadOutcome {
-			return durable(t, fx.directory(t, coldFileName, true), DurableOptions{})
-		}},
-		{"durable/cold-NNN-opened-then-promoted", true, func(t *testing.T) loadOutcome {
-			return durable(t, fx.directory(t, coldFileName, true), DurableOptions{ColdTier: &ColdTierConfig{}})
 		}},
 		{"follower-bootstrap", true, func(t *testing.T) loadOutcome {
 			fol := NewFollower(fx.store.Key, nil)
@@ -680,6 +672,29 @@ func loadEntrances(fx loadFixture) []loadEntrance {
 			return loadOutcome{got: followerEntries(t, fol)}
 		}},
 	}
+	// A per-shard base — an indexed snap-NNN.hot as every cut writes it, an
+	// unindexed one as older cuts wrote it, a legacy cold-NNN.hot — enters
+	// as the open option says: folded into memory and salvaged without a
+	// tier, served and strict under one (then promoted here, so it is
+	// walked whole).
+	for _, base := range []struct {
+		name    string
+		file    func(int) string
+		indexed bool
+	}{
+		{"snap-NNN", snapFileName, true},
+		{"snap-NNN-unindexed", snapFileName, false},
+		{"cold-NNN", coldFileName, true},
+	} {
+		out = append(out,
+			loadEntrance{"durable/" + base.name + "-folded", false, func(t *testing.T) loadOutcome {
+				return durable(t, fx.directory(t, base.file, base.indexed), DurableOptions{})
+			}},
+			loadEntrance{"durable/" + base.name + "-opened-then-promoted", true, func(t *testing.T) loadOutcome {
+				return durable(t, fx.directory(t, base.file, base.indexed), DurableOptions{ColdTier: &ColdTierConfig{}})
+			}})
+	}
+	return out
 }
 
 // runLoadPathTable delivers clean through every entrance and requires
@@ -829,10 +844,12 @@ func TestShardedContractViolationLeavesNoLock(t *testing.T) {
 	})
 }
 
-// TestColdTierSwappedSectionsRefused: two cold files swapped in a closed
-// durable directory must fail the reopen that would serve them — with a
-// recovery hook (the full walk) and without one (the two ends alone) —
-// exactly as the reopen that folds them into memory always did.
+// TestColdTierSwappedSectionsRefused: two bases swapped in a closed
+// durable directory fail every reopen that would serve them — with a
+// recovery hook (the full walk) and without one (the two ends alone) — and
+// every reopen that loads them salvages around them, reporting the foreign
+// keys as corruption. Each open gets its own copy: a salvaging open heals
+// the shards it salvaged.
 func TestColdTierSwappedSectionsRefused(t *testing.T) {
 	dir := t.TempDir()
 	keys := dataset.Generate(dataset.URL, 3000, 5)
@@ -855,7 +872,7 @@ func TestColdTierSwappedSectionsRefused(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	one, two, tmp := filepath.Join(dir, coldFileName(1)), filepath.Join(dir, coldFileName(2)), filepath.Join(dir, "swap")
+	one, two, tmp := filepath.Join(dir, snapFileName(1)), filepath.Join(dir, snapFileName(2)), filepath.Join(dir, "swap")
 	for _, mv := range [][2]string{{one, tmp}, {two, one}, {tmp, two}} {
 		if err := os.Rename(mv[0], mv[1]); err != nil {
 			t.Fatal(err)
@@ -868,12 +885,22 @@ func TestColdTierSwappedSectionsRefused(t *testing.T) {
 		"folded, no tier":           {},
 		"folded, RecoverEntry":      {RecoverEntry: hook},
 	} {
-		tr, _, err := OpenDurableShardedTree(dir, store.Key, 4, keys, opts)
+		tr, info, err := OpenDurableShardedTree(copyDir(t, dir), store.Key, 4, keys, opts)
+		var se *SnapshotError
+		if opts.ColdTier == nil {
+			if err != nil {
+				t.Fatalf("%s: reopen over swapped bases = %v, want them salvaged", name, err)
+			}
+			tr.Close()
+			if se = info.SnapshotDamage; se == nil || se.Kind != SnapErrCorrupt || !strings.Contains(se.Error(), "shard section 1") {
+				t.Fatalf("%s: salvage reported %v, want SnapErrCorrupt in shard 1's section", name, se)
+			}
+			continue
+		}
 		if err == nil {
 			tr.Close()
-			t.Fatalf("%s: reopen over swapped cold sections returned nil", name)
+			t.Fatalf("%s: reopen over swapped bases returned nil", name)
 		}
-		var se *SnapshotError
 		if !errors.As(err, &se) || se.Kind != SnapErrCorrupt || !strings.Contains(err.Error(), "shard 1 ") {
 			t.Fatalf("%s: reopen = %v, want SnapErrCorrupt naming shard 1", name, err)
 		}
@@ -909,7 +936,7 @@ func TestColdTierPromoteRefusesForeignSection(t *testing.T) {
 	if err := fx.section(&doctored, 1, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, coldFileName(1)), doctored.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, snapFileName(1)), doctored.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -21,9 +21,11 @@
 // cmd/hot-server: the same durable open behind a TCP front end (its key
 // table, internal/server.KeyMap, is rebuilt the same way), with streaming
 // replication to read-only followers. The directory holds snap.hot (the
-// shard boundary manifest, written once) and, per shard, a base file —
-// snap-NNN.hot from a checkpoint or cold-NNN.hot from a demotion — plus
-// wal-NNN.log, the shard's writes since that base.
+// shard boundary manifest, written once) and, per shard, one base file,
+// snap-NNN.hot — written by a checkpoint or a demotion alike, with a block
+// index, so a reopen with DurableOptions.ColdTier can serve the shard from
+// it instead of loading it — plus wal-NNN.log, the shard's writes since
+// that base.
 package main
 
 import (
@@ -250,10 +252,11 @@ func main() {
 	}
 
 	// Checkpoint: cut every shard that logged since its last cut — its
-	// trie streamed to snap-NNN.hot (temp file + fsync + atomic rename),
-	// its log truncated behind it — so the next start replays only what
-	// comes after. A crash mid-checkpoint leaves each shard with its
-	// previous base plus its full log — nothing is lost either way.
+	// trie streamed to its indexed snap-NNN.hot (temp file + fsync +
+	// atomic rename), its log truncated behind it — so the next start
+	// replays only what comes after. A crash mid-checkpoint leaves each
+	// shard with its previous base plus its full log — nothing is lost
+	// either way.
 	start = time.Now()
 	before := tr.LogSize()
 	if err := tr.Checkpoint(); err != nil {

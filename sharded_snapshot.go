@@ -37,7 +37,7 @@ func (t *ShardedTree) writeManifest(w io.Writer) error {
 }
 
 // writeShard streams shard i's data section. A cold shard streams its
-// cold file merged with its delta (shardState.walk): the file is immutable
+// section merged with its delta (shardState.walk): the file is immutable
 // and the delta's walk observes nodes atomically, so the section is as
 // consistent as a hot shard's walk.
 func (t *ShardedTree) writeShard(w io.Writer, i int) error {

@@ -21,14 +21,15 @@ import (
 // tombstone — recording every operation in a side
 // "oplog" — a synced intent line before the op, a synced ack line after it
 // returns (i.e. after its group-commit fsync). The child is killed at
-// every armed WAL fault point and, once per cut destination, at every
-// snapshot fault point and at the log rotation: the "snap" phase makes the
-// first armed cut a Checkpoint's (snap-NNN.hot superseding a cold-NNN.hot),
-// the "cold" phase a Demote's (cold-NNN.hot superseding a snap-NNN.hot),
-// the "fold" phase a Checkpoint's fold of cold shards (a fresh cold-NNN.hot
-// over the old one, its delta — the log tail past the old one — folded
-// in), and a side "cutlog", where each event notes the kind of the cut it
-// is about to make first, proves which one the kill landed in. The fold
+// every armed WAL fault point and, once per kind of cut, at every snapshot
+// fault point and at the log rotation. Every cut writes the shard's
+// snap-NNN.hot over its previous one; the kinds differ in the shard's
+// state: the "snap" phase makes the first armed cut a Checkpoint of a hot
+// shard (which stays hot), the "cold" phase a Demote of a hot shard, the
+// "fold" phase a Checkpoint's fold of a cold shard (its delta — the log
+// tail past the old base — folded in), and a side "cutlog", where each
+// event notes the kind of the cut it is about to make first, proves which
+// one the kill landed in. The fold
 // phase's shards stay cold throughout — its deletes, of section keys and of
 // delta keys alike, stay in the deltas — and it runs the WAL fault points
 // too: its writes are delta writes. The parent then
@@ -140,7 +141,7 @@ func walCrashChild(pointName, dir, phase string, async bool) {
 	// so the parent can tell which kind of cut a kill interrupted (a kill
 	// point fires at its first hit, so in that event's first cut).
 	noteCut := func(demote bool, first int) {
-		dest := walCrashFirstCut(set.t, dir, demote, first)
+		dest := walCrashFirstCut(set.t, demote, first)
 		if _, err := fmt.Fprintln(cutlog, dest); err == nil {
 			err = cutlog.Sync()
 		}
@@ -150,18 +151,6 @@ func walCrashChild(pointName, dir, phase string, async bool) {
 		}
 	}
 	checkpoint := func() error {
-		if phase == "snap" {
-			// Promote the cold shards holding a delta, so that this
-			// Checkpoint snaps over their cold-NNN.hot instead of folding
-			// them; the fold phase covers folds.
-			for s := 0; s < walCrashShards; s++ {
-				if st := set.t.shards[s].Load(); st.pr != nil && st.delta.Load() != nil {
-					if err := set.Promote(s); err != nil {
-						return err
-					}
-				}
-			}
-		}
 		noteCut(false, 0)
 		return set.Checkpoint()
 	}
@@ -205,25 +194,21 @@ func walCrashChild(pointName, dir, phase string, async bool) {
 		logLine("a", kind, v)
 	}
 
-	// Unarmed warm-up, so the kill lands on a store with live log tails,
-	// at least one shard still cold, and a first armed cut that has a
-	// sibling base to supersede. The checkpoint gives every shard a
-	// snap-NNN.hot — what the "cold" phase's first armed event, a Demote
-	// of every shard, replaces (its warm-up ends by demoting the last
-	// shard, which that event finds already cold). The "snap" phase
-	// demotes every shard two writes before the end: those writes land in
-	// deltas, which its Checkpoints promote first, so its first armed event
-	// cuts only shards that have a cold-NNN.hot. The "fold" phase demotes
-	// every shard ten writes before the end: those writes — deletes of
-	// section keys among them — are the log tails its armed Checkpoints
-	// fold.
+	// Unarmed warm-up, so the kill lands on a store with live log tails and
+	// a first armed cut that has a base to supersede. The checkpoint gives
+	// every shard a snap-NNN.hot, and leaves every shard hot — what the
+	// "snap" phase's first armed event, a Checkpoint, cuts. The "cold"
+	// phase's, a Demote of every shard, finds the last shard already cold:
+	// its warm-up ends by demoting it. The "fold" phase demotes every shard
+	// ten writes before the end: those writes — deletes of section keys
+	// among them — are the log tails its armed Checkpoints fold.
 	for i := 0; i < 40; i++ {
 		doOp(i)
 		var err error
 		switch {
 		case i == 20:
 			err = checkpoint()
-		case i == 37 && phase == "snap", i == 29 && phase == "fold":
+		case i == 29 && phase == "fold":
 			err = demoteFrom(0)
 		case i == 39 && phase == "cold":
 			err = demoteFrom(walCrashShards - 1)
@@ -446,30 +431,22 @@ func walCrashVerifyBoth(t *testing.T, dir string, fold bool) {
 }
 
 // walCrashFirstCut names the first cut a Checkpoint (demote false), or a
-// Demote of every shard from first up (demote true), is about to make in t,
-// durable in dir, by the base file it writes and the one that file
-// supersedes: "snap", a hot shard's snap-NNN.hot over its cold-NNN.hot;
-// "cold", a hot shard's cold-NNN.hot over its snap-NNN.hot; "fold", a cold
-// shard's fresh cold-NNN.hot over its own. It follows the two calls' skip
-// rules, and names any other first cut "other" and no cut at all "none".
-func walCrashFirstCut(t *ShardedTree, dir string, demote bool, first int) string {
-	has := func(name string) bool {
-		_, err := os.Stat(filepath.Join(dir, name))
-		return err == nil
-	}
+// Demote of every shard from first up (demote true), is about to make in t
+// by the state of the shard it cuts: "snap", a hot shard's Checkpoint;
+// "cold", a hot shard's demotion; "fold", a cold shard's fold. It follows
+// the two calls' skip rules, and names no cut at all "none".
+func walCrashFirstCut(t *ShardedTree, demote bool, first int) string {
 	for s := first; s < walCrashShards; s++ {
 		st := t.shards[s].Load()
 		switch {
-		case demote && st.pr != nil && st.delta.Load() == nil, !demote && t.dur.clean(s, st.pr != nil):
+		case demote && st.pr != nil && st.delta.Load() == nil, !demote && t.dur.clean(s):
 			continue // the call skips shard s
 		case st.pr != nil:
 			return "fold"
-		case demote && has(snapFileName(s)):
+		case demote:
 			return "cold"
-		case !demote && has(coldFileName(s)):
-			return "snap"
 		}
-		return "other"
+		return "snap"
 	}
 	return "none"
 }
@@ -537,10 +514,10 @@ func TestWALCrashMatrix(t *testing.T) {
 		}
 
 		// Cut points: every step of the one cut primitive — base file tmp
-		// written, renamed, sibling removed (WalRotate fires after the
+		// written, renamed, legacy base removed (WalRotate fires after the
 		// remove, before the log is replaced) — killed once inside a
-		// Checkpoint's cut, once inside a Demote's and once inside a
-		// Checkpoint's fold.
+		// Checkpoint's cut of a hot shard, once inside a Demote's and once
+		// inside a Checkpoint's fold.
 		for _, point := range []chaos.Point{
 			chaos.SnapWriteHeader,
 			chaos.SnapWriteBlock,
