@@ -151,22 +151,42 @@ func FuzzTreeVerify(f *testing.F) {
 }
 
 // FuzzLookupBatch cross-checks batched lookups against scalar Lookup: a
-// tree is built from the tape's first half and probed with batches decoded
-// from the whole tape, so probes mix present keys, absent keys and
-// prefix-colliding near-misses. Batch and scalar answers must agree
-// exactly, at any batch size.
+// tree and a three-shard sharded tree are built from the tape's first half
+// and probed with batches decoded from the whole tape, so probes mix
+// present keys, absent keys and prefix-colliding near-misses. The sharded
+// tree runs under a cold tier with its middle shard demoted, and every
+// third key is then deleted from both, so its batches cross hot shards, a
+// section and a delta holding tombstones. Each index's batch answers must
+// agree exactly with its scalar ones, and the two indexes with each other,
+// at any batch size.
 func FuzzLookupBatch(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17})
 	f.Add(bytes.Repeat([]byte{0xAB, 0x00, 0xFF, 0x7F}, 24))
 	f.Add([]byte("batch\x00lookup\x01oracle\x02probe"))
+	f.Add([]byte("\x10aaaaaaa\x60bbbbbbb\xb0ccccccc\x61bbbbbbb\x62bbbbbbb\x11aaaaaaa\xb1ccccccc"))
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		s := &tidstore.Store{}
 		tr := New(s.Key)
+		sh := newShardedFromBounds(treeFlavor(s.Key), [][]byte{{0x55}, {0xAA}})
+		var stored [][]byte
 		for i := 0; i+8 <= len(tape)/2; i += 8 {
 			k := tape[i : i+8] // fixed 8-byte keys are prefix-free
 			if _, ok := tr.Lookup(k); !ok {
-				tr.Insert(k, s.Add(k))
+				tid := s.Add(k)
+				tr.Insert(k, tid)
+				sh.Insert(k, tid)
+				stored = append(stored, k)
 			}
+		}
+		if err := sh.EnableColdTier(ColdTierConfig{Dir: t.TempDir()}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sh.Demote(1); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(stored); i += 3 {
+			tr.Delete(stored[i])
+			sh.Delete(stored[i])
 		}
 		var probes [][]byte
 		for i := 0; i+8 <= len(tape); i += 4 { // overlapping windows: near-miss probes
@@ -178,16 +198,17 @@ func FuzzLookupBatch(f *testing.F) {
 		batch := 1 + int(tape[0])%(len(probes)+1)
 		out := make([]uint64, batch)
 		for base := 0; base < len(probes); base += batch {
-			end := base + batch
-			if end > len(probes) {
-				end = len(probes)
-			}
-			chunk := probes[base:end]
-			found := tr.LookupBatch(chunk, out)
-			for i, k := range chunk {
-				wantTID, wantOK := tr.Lookup(k)
-				if found[i] != wantOK || (wantOK && out[i] != wantTID) {
-					t.Fatalf("probe %x: batch (%d,%v), scalar (%d,%v)", k, out[i], found[i], wantTID, wantOK)
+			chunk := probes[base:min(base+batch, len(probes))]
+			for _, idx := range []Index{tr, sh} {
+				found := idx.LookupBatch(chunk, out)
+				for i, k := range chunk {
+					wantTID, wantOK := idx.Lookup(k)
+					if treeTID, treeOK := tr.Lookup(k); treeTID != wantTID || treeOK != wantOK {
+						t.Fatalf("probe %x: %T (%d,%v), tree (%d,%v)", k, idx, wantTID, wantOK, treeTID, treeOK)
+					}
+					if found[i] != wantOK || out[i] != wantTID {
+						t.Fatalf("probe %x: %T batch (%d,%v), scalar (%d,%v)", k, idx, out[i], found[i], wantTID, wantOK)
+					}
 				}
 			}
 		}

@@ -51,16 +51,19 @@ func (t *ConcurrentTrie) Lookup(k []byte) (TID, bool) {
 // LookupBatch looks up all keys as one batch, storing each key's TID in the
 // corresponding out slot (0 when absent) and returning a mask of which keys
 // were found; len(out) must be at least len(keys). The whole batch runs
-// under one epoch guard, advancing the descents in lockstep so their memory
-// stalls overlap. Writers are not held off, so each answer is a value its
-// key held during the call, not a point-in-time view of the whole batch.
-// The returned mask is owned by the caller.
+// under one epoch guard, advancing the descents together so their memory
+// stalls overlap (see batchState.lookup). Writers are not held off, so
+// each answer is a value its key held during the call, not a point-in-time
+// view of the whole batch. The returned mask is owned by the caller.
 func (t *ConcurrentTrie) LookupBatch(keys [][]byte, out []TID) []bool {
+	found := make([]bool, len(keys))
+	checkBatch(len(keys), out, found)
 	st := batchStatePool.Get().(*batchState)
+	st.every(&t.tree, len(keys))
 	g := t.gc.Enter()
-	found := t.lookupBatch(keys, out, st)
+	st.lookup(keys, out, found)
 	g.Exit()
-	st.found = nil // handed to the caller; must not be pooled
+	st.release()
 	batchStatePool.Put(st)
 	return found
 }

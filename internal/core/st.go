@@ -29,12 +29,17 @@ func (t *Trie) Lookup(k []byte) (TID, bool) {
 // LookupBatch looks up all keys as one batch, storing each key's TID in
 // the corresponding out slot (0 when absent) and returning a mask of which
 // keys were found. len(out) must be at least len(keys). The descents
-// advance through the trie in lockstep, overlapping the memory stalls that
-// serialize repeated Lookup calls; steady-state calls allocate nothing.
-// The returned mask is scratch owned by the trie, valid until the next
-// LookupBatch call.
+// advance through the trie together, overlapping the memory stalls that
+// serialize repeated Lookup calls (see batchState.lookup); steady-state
+// calls allocate nothing. The returned mask is scratch owned by the trie,
+// valid until the next LookupBatch call.
 func (t *Trie) LookupBatch(keys [][]byte, out []TID) []bool {
-	return t.lookupBatch(keys, out, &t.batch)
+	st := &t.batch
+	found := st.foundSlice(len(keys))
+	checkBatch(len(keys), out, found)
+	st.every(&t.tree, len(keys))
+	st.lookup(keys, out, found)
+	return found
 }
 
 // Iter returns an iterator positioned at the first key ≥ start (nil start:
