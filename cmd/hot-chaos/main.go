@@ -26,9 +26,9 @@
 // and a few times a round one worker demotes every other shard again — so
 // the workers' upserts and deletes land in cold shards' deltas, a delete of
 // a section key as a tombstone, and the re-demotions fold the deltas, all
-// under the armed points (the opstats line counts demotions, promotions
-// and folds). Nothing calls Promote, so a sharded run fails if any write
-// promoted a shard.
+// under the armed points (the totals' stats line counts demotions,
+// promotions and folds). Nothing calls Promote, so a sharded run fails if
+// any write promoted a shard.
 //
 //	hot-chaos -seed 1 -ops 100000          # acceptance run
 //	hot-chaos -shards 8                    # sharded writer path
@@ -153,9 +153,10 @@ func main() {
 		corruptions++
 		fmt.Printf("scan order violations: %d\n", n)
 	}
-	if n := tr.OpStats().Promotions; n > 0 {
+	sh, sharded := tr.(*hot.ShardedTree)
+	if sharded && sh.ColdStats().Promotions > 0 {
 		corruptions++
-		fmt.Printf("writes promoted shards %d times\n", n)
+		fmt.Printf("writes promoted shards %d times\n", sh.ColdStats().Promotions)
 	}
 
 	elapsed := time.Since(start)
@@ -164,6 +165,9 @@ func main() {
 	fmt.Printf("\ntotals after %.2fs (%.3f mops):\n", elapsed.Seconds(),
 		float64(*ops)/elapsed.Seconds()/1e6)
 	fmt.Printf("  opstats: %s\n", st)
+	if sharded {
+		fmt.Printf("  stats: %s\n", sh.Stats())
+	}
 	fmt.Printf("  reclaim: freed=%d pending=%d\n", freed, pending)
 	if !*disarmed {
 		fmt.Printf("  survived faults: %d\n", reg.FiredTotal())

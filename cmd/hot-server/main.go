@@ -24,6 +24,7 @@ import (
 
 	"github.com/hotindex/hot/internal/hotclient"
 	"github.com/hotindex/hot/internal/server"
+	"github.com/hotindex/hot/internal/wire"
 )
 
 func main() {
@@ -83,18 +84,7 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
-	st := s.Stats()
-	fmt.Printf("hot-server: shutting down (conns=%d rejected=%d deadline_closes=%d", st.Conns, st.RejectedConns, st.DeadlineCloses)
-	if st.Follower {
-		fmt.Printf(" reconnects=%d resumes=%d full_resyncs=%d", st.Reconnects, st.Resumes, st.FullResyncs)
-	} else if st.Durable {
-		fmt.Printf(" resumes=%d full_resyncs=%d", st.Resumes, st.FullResyncs)
-	}
-	if st.MemBudget > 0 {
-		fmt.Printf(" cold_shards=%d demotions=%d promotions=%d folds=%d delta_keys=%d cache_hits=%d cache_misses=%d cache_evictions=%d",
-			st.ColdShards, st.Demotions, st.Promotions, st.Folds, st.DeltaKeys, st.CacheHits, st.CacheMisses, st.CacheEvictions)
-	}
-	fmt.Println(")")
+	fmt.Println(shutdownLine(s.Stats()))
 	// Drain gracefully, but never hang a shutdown longer than 30s.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -102,6 +92,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hot-server: close:", err)
 		os.Exit(1)
 	}
+}
+
+// shutdownLine is what hot-server prints as it stops: every STATS row.
+func shutdownLine(st wire.Stats) string {
+	return "hot-server: shutting down (" + st.String() + ")"
 }
 
 // runSmoke exercises the full networked stack in one process: a durable
@@ -152,6 +147,14 @@ func runSmoke() error {
 	if err != nil || len(entries) != 5 || !bytes.Equal(entries[0].Key, key(10)) {
 		return fmt.Errorf("scan from %q returned %d entries (err %v), want 5 from that key", key(10), len(entries), err)
 	}
+	// STATS rows are read by name: an absent one fails the smoke.
+	st, err := c.Stats()
+	keys, ok1 := st.Get("len")
+	durable, ok2 := st.Get("durable")
+	logBytes, ok3 := st.Get("log_bytes")
+	if err != nil || !ok1 || !ok2 || !ok3 || keys != n || durable != 1 || logBytes == 0 {
+		return fmt.Errorf("leader stats = %v (err %v), want len=%d durable=true log_bytes>0", st, err, n)
+	}
 
 	fol, err := server.New(server.Options{Follow: laddr})
 	if err != nil {
@@ -187,9 +190,11 @@ func runSmoke() error {
 	if err != nil || !found || tid != 43 {
 		return fmt.Errorf("follower get = (%d, %v, %v), want (43, true, nil)", tid, found, err)
 	}
-	st, err := fc.Stats()
-	if err != nil || !st.Follower || st.Ready != 4 {
-		return fmt.Errorf("follower stats = %+v (err %v)", st, err)
+	st, err = fc.Stats()
+	follower, ok1 := st.Get("follower")
+	ready, ok2 := st.Get("ready")
+	if err != nil || !ok1 || !ok2 || follower != 1 || ready != 4 {
+		return fmt.Errorf("follower stats = %v (err %v), want follower=true ready=4", st, err)
 	}
 	return nil
 }

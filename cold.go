@@ -328,7 +328,8 @@ func (t *ShardedTree) IsCold(s int) bool {
 }
 
 // ColdStats returns the cold tier's current state and counters; the zero
-// value when no cold tier is enabled.
+// value when no cold tier is enabled. Its walk over the shards is the one
+// shard census: Memory and the STATS rows read it.
 func (t *ShardedTree) ColdStats() ColdTierStats {
 	ct := t.cold.Load()
 	if ct == nil {

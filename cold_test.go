@@ -455,8 +455,8 @@ func TestColdTierStatsMonotonic(t *testing.T) {
 	if total := after.Normal + after.Pushdown + after.PullUp + after.Intermediate + after.NewRoot; total < before.Normal+before.Pushdown+before.PullUp+before.Intermediate+before.NewRoot {
 		t.Fatalf("insertion counters went backwards across demotion: %d -> %d", before, total)
 	}
-	if after.Demotions != uint64(st.Shards()) {
-		t.Fatalf("Demotions = %d, want %d", after.Demotions, st.Shards())
+	if cs := st.ColdStats(); cs.Demotions != uint64(st.Shards()) {
+		t.Fatalf("Demotions = %d, want %d", cs.Demotions, st.Shards())
 	}
 	freedAfter, _ := st.ReclaimStats()
 	if freedAfter < freedBefore {
@@ -465,8 +465,7 @@ func TestColdTierStatsMonotonic(t *testing.T) {
 	for _, k := range keys[:100] {
 		st.Lookup(k)
 	}
-	after = st.OpStats()
-	if after.PageHits+after.PageMisses == 0 {
+	if cs := st.ColdStats(); cs.CacheHits+cs.CacheMisses == 0 {
 		t.Fatal("cold lookups left no page counters")
 	}
 	// Inserts into a cold shard run in its delta, whose counters count

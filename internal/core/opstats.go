@@ -27,24 +27,15 @@ type OpStats struct {
 	Drained    uint64 // async ops applied from rings (avg batch = Drained/Drains)
 	QueueFull  uint64 // deposits rejected by a full ring
 	QueueDepth uint64 // ops queued right now (gauge, not cumulative)
-
-	// Cold-tier counters of the sharded pager path (see ShardedTree's
-	// cold tier); always zero when no memory budget is active.
-	PageHits      uint64 // cold reads served from the page cache
-	PageMisses    uint64 // cold reads that fetched and decoded a block
-	PageEvictions uint64 // pages evicted to keep the cache within budget
-	Demotions     uint64 // shards demoted to their snapshot section
-	Promotions    uint64 // shards promoted back to in-memory trees
-	Folds         uint64 // cold shards' deltas folded into fresh sections
 }
 
 // opStatsFields is the one table of OpStats' counters: Sub, Add and String
 // iterate it, so a new counter is one struct field plus one row here
 // (TestOpStatsTableCoversEveryField fails when the row is forgotten).
-// String prints group 0 always and a later group only when one of its
-// members is nonzero, so unsharded reports carry no queue block and
-// budget-less ones no cold-tier block. A gauge is a point-in-time value:
-// Sub passes it through unsubtracted.
+// String prints group 0 always and group 1 only when one of its members is
+// nonzero, so unsharded reports carry no queue block. A gauge is a
+// point-in-time value: Sub passes it through unsubtracted. The cold tier's
+// counters are not here: they are ShardedTree's STATS rows.
 var opStatsFields = [...]struct {
 	name  string
 	group int
@@ -66,12 +57,6 @@ var opStatsFields = [...]struct {
 	{"drained", 1, false, func(s *OpStats) *uint64 { return &s.Drained }},
 	{"queuefull", 1, false, func(s *OpStats) *uint64 { return &s.QueueFull }},
 	{"queuedepth", 1, true, func(s *OpStats) *uint64 { return &s.QueueDepth }},
-	{"pagehits", 2, false, func(s *OpStats) *uint64 { return &s.PageHits }},
-	{"pagemisses", 2, false, func(s *OpStats) *uint64 { return &s.PageMisses }},
-	{"pageevictions", 2, false, func(s *OpStats) *uint64 { return &s.PageEvictions }},
-	{"demotions", 2, false, func(s *OpStats) *uint64 { return &s.Demotions }},
-	{"promotions", 2, false, func(s *OpStats) *uint64 { return &s.Promotions }},
-	{"folds", 2, false, func(s *OpStats) *uint64 { return &s.Folds }},
 }
 
 // Sub returns s - prev counter-wise: the activity between two snapshots.
@@ -97,9 +82,9 @@ func (s OpStats) Add(other OpStats) OpStats {
 // String formats every counter in a fixed order, so the drivers
 // (cmd/hot-exp, cmd/hot-chaos) and tests report uniformly. The
 // submission-queue block is appended only when the async path was used, so
-// unsharded reports stay unchanged; the cold-tier block likewise.
+// unsharded reports stay unchanged.
 func (s OpStats) String() string {
-	var used [3]bool
+	var used [2]bool
 	used[0] = true
 	for _, f := range opStatsFields {
 		if *f.at(&s) != 0 {

@@ -122,33 +122,27 @@ func TestOpStatsTableCoversEveryField(t *testing.T) {
 	}
 }
 
-// TestOpStatsStringFixtures pins String's bytes — the drivers' logs and
-// the wire STATS text are compared across builds — for the three shapes a
-// report takes: plain, submission queues active, cold tier active.
+// TestOpStatsStringFixtures pins String's bytes — the drivers' logs are
+// compared across builds — for the two shapes a report takes: plain and
+// submission queues active.
 func TestOpStatsStringFixtures(t *testing.T) {
 	const plain = "normal=1 pushdown=2 pullup=3 intermediate=4 newroot=5 " +
 		"restarts=6 backoffs=7 validationfails=8 contended=9"
 	base := OpStats{Normal: 1, Pushdown: 2, PullUp: 3, Intermediate: 4, NewRoot: 5,
 		Restarts: 6, Backoffs: 7, ValidationFails: 8, Contended: 9}
-	queues, cold := base, base
+	queues := base
 	queues.QueueDepth = 15
-	cold.PageHits, cold.PageMisses, cold.PageEvictions, cold.Demotions, cold.Promotions, cold.Folds = 16, 17, 18, 19, 20, 21
 	for _, c := range []struct {
 		s    OpStats
 		want string
 	}{
 		{base, plain},
 		{queues, plain + " enqueued=0 steals=0 drains=0 drained=0 queuefull=0 queuedepth=15"},
-		{cold, plain + " pagehits=16 pagemisses=17 pageevictions=18 demotions=19 promotions=20 folds=21"},
+		{base.Add(OpStats{Enqueued: 10, Steals: 11, Drains: 12, Drained: 13, QueueFull: 14, QueueDepth: 15}),
+			plain + " enqueued=10 steals=11 drains=12 drained=13 queuefull=14 queuedepth=15"},
 	} {
 		if got := c.s.String(); got != c.want {
 			t.Errorf("String() = %q, want %q", got, c.want)
 		}
-	}
-	both := cold.Add(OpStats{Enqueued: 10, Steals: 11, Drains: 12, Drained: 13, QueueFull: 14, QueueDepth: 15})
-	want := plain + " enqueued=10 steals=11 drains=12 drained=13 queuefull=14 queuedepth=15" +
-		" pagehits=16 pagemisses=17 pageevictions=18 demotions=19 promotions=20 folds=21"
-	if got := both.String(); got != want {
-		t.Errorf("String() = %q, want %q", got, want)
 	}
 }

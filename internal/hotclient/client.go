@@ -258,14 +258,14 @@ func (c *Client) GetBatch(keys [][]byte, out []uint64) ([]bool, error) {
 	return found, nil
 }
 
-// Stats fetches the server's stats snapshot.
+// Stats fetches the server's STATS rows; read one with Get.
 func (c *Client) Stats() (wire.Stats, error) {
 	rop, body, err := c.roundTrip(wire.OpStats, nil)
 	if err != nil {
-		return wire.Stats{}, err
+		return nil, err
 	}
 	if rop != wire.RepStats {
-		return wire.Stats{}, fmt.Errorf("hotclient: unexpected reply %#x to STATS", rop)
+		return nil, fmt.Errorf("hotclient: unexpected reply %#x to STATS", rop)
 	}
 	return wire.UnmarshalStats(body)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -37,12 +38,24 @@ func heapAllocated() uint64 {
 	return ms.TotalAlloc
 }
 
-// FuzzClientReply answers Get, Scan, GetBatch and Flush with arbitrary
-// bytes: truncated frames, hostile lengths and counts, wrong opcodes. Each
-// call returns an error or a well-formed result, never panics, and never
-// allocates more than a small multiple of the reply's size — a count read
-// off the wire must not size an allocation the reply cannot back.
+// FuzzClientReply answers Get, Scan, GetBatch, Flush and Stats with
+// arbitrary bytes: truncated frames, hostile lengths and counts, wrong
+// opcodes, malformed STATS objects. Each call returns an error or a
+// well-formed result, never panics, and never allocates more than a small
+// multiple of the reply's size — a count read off the wire must not size
+// an allocation the reply cannot back.
 func FuzzClientReply(f *testing.F) {
+	srv, err := server.New(server.Options{Shards: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(replyFrame(wire.RepStats, wire.MarshalStats(srv.Stats())))
+	srv.Close()
+	f.Add(replyFrame(wire.RepStats, []byte(`{}`)))
+	f.Add(replyFrame(wire.RepStats, []byte(`{"len":1,"durable":tr`)))
+	f.Add(replyFrame(wire.RepStats, []byte(`[1,2]`)))
+	f.Add(replyFrame(wire.RepStats, []byte(`{"len":1,"len":2}`)))
+	f.Add(replyFrame(wire.RepStats, []byte(`{"len":1180591620717411303424}`)))
 	entries := appendEntry(appendEntry(wire.AppendUint32(nil, 2), 7, "alpha"), 8, "beta")
 	f.Add(replyFrame(wire.RepValue, wire.AppendUint64(nil, 42)))
 	f.Add(replyFrame(wire.RepMissing, nil))
@@ -61,6 +74,7 @@ func FuzzClientReply(f *testing.F) {
 	f.Fuzz(func(t *testing.T, reply []byte) {
 		var ents []Entry
 		var found []bool
+		var st wire.Stats
 		var err error
 		calls := []struct {
 			name string
@@ -70,6 +84,7 @@ func FuzzClientReply(f *testing.F) {
 			{"Scan", func(c *Client) { ents, err = c.Scan(keys[0], 10) }},
 			{"GetBatch", func(c *Client) { found, err = c.GetBatch(keys, make([]uint64, len(keys))) }},
 			{"Flush", func(c *Client) { _, _, err = c.Flush() }},
+			{"Stats", func(c *Client) { st, err = c.Stats() }},
 		}
 		for _, call := range calls {
 			// The allocation counter is process-wide, and the fuzzing engine
@@ -80,7 +95,7 @@ func FuzzClientReply(f *testing.F) {
 				c := New(replyConn{bytes.NewReader(reply)})
 				c.rbuf = frameBuf
 				c.wbuf = make([]byte, 0, 64)
-				ents, found, err = nil, nil, nil
+				ents, found, st, err = nil, nil, nil, nil
 				before := heapAllocated()
 				call.do(c)
 				least = min(least, heapAllocated()-before)
@@ -113,6 +128,11 @@ func FuzzClientReply(f *testing.F) {
 			case "GetBatch":
 				if len(found) != len(keys) {
 					t.Fatalf("GetBatch returned %d flags for %d keys", len(found), len(keys))
+				}
+			case "Stats":
+				again, err := wire.UnmarshalStats(wire.MarshalStats(st))
+				if err != nil || len(st) > wire.MaxStats || !reflect.DeepEqual(again, st) {
+					t.Fatalf("Stats decoded %v, which re-encodes to %v (err %v)", st, again, err)
 				}
 			}
 		}

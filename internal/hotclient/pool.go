@@ -249,7 +249,7 @@ func (p *Pool) GetBatch(keys [][]byte, out []uint64) (found []bool, err error) {
 	return found, err
 }
 
-// Stats fetches the server's stats snapshot. Retried (pure read).
+// Stats fetches the server's STATS rows. Retried (pure read).
 func (p *Pool) Stats() (st wire.Stats, err error) {
 	err = p.do(true, func(c *Client) error {
 		var e error

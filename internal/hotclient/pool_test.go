@@ -97,8 +97,8 @@ func TestPoolBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Len == 0 {
-		t.Fatal("Stats.Len = 0 after load")
+	if n, ok := st.Get("len"); !ok || n == 0 {
+		t.Fatalf("Stats len = (%d, %v) after load, want a nonzero row", n, ok)
 	}
 	if p.Retries() != 0 {
 		t.Fatalf("healthy pool made %d retries", p.Retries())

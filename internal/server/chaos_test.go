@@ -162,8 +162,8 @@ func TestNetChaosPartitionHealResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Follower || st.Reconnects == 0 || st.Resumes == 0 || st.FullResyncs != 0 {
-		t.Fatalf("follower STATS = %+v, want reconnects>0 resumes>0 full_resyncs=0", st)
+	if stat(t, st, "follower") == 0 || stat(t, st, "reconnects") == 0 || stat(t, st, "resumes") == 0 || stat(t, st, "full_resyncs") != 0 {
+		t.Fatalf("follower STATS = %v, want reconnects>0 resumes>0 full_resyncs=0", st)
 	}
 }
 
@@ -413,8 +413,8 @@ func TestNetChaosOverloadBusy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.RejectedConns == 0 || st.Conns != 2 {
-		t.Fatalf("stats = conns %d rejected %d, want 2 and ≥1", st.Conns, st.RejectedConns)
+	if conns, rejected := stat(t, st, "conns"), stat(t, st, "rejected_conns"); rejected == 0 || conns != 2 {
+		t.Fatalf("stats = conns %d rejected %d, want 2 and ≥1", conns, rejected)
 	}
 
 	// Freeing a slot re-admits new clients (the accept loop re-checks the
@@ -476,7 +476,7 @@ func TestNetChaosIdleEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.DeadlineCloses == 0 {
+	if stat(t, st, "deadline_closes") == 0 {
 		t.Fatal("idle eviction not counted")
 	}
 }

@@ -561,7 +561,7 @@ func (s *Server) ServeConn(rw io.ReadWriter) {
 			wire.WriteFrame(bw, wire.RepFlushed, wbuf)
 
 		case wire.OpStats:
-			wire.WriteFrame(bw, wire.RepStats, wire.MarshalStats(s.stats()))
+			wire.WriteFrame(bw, wire.RepStats, wire.MarshalStats(s.Stats()))
 
 		case wire.OpRepl, wire.OpReplResume:
 			if s.fol != nil || !s.tree.Durable() {
@@ -649,48 +649,47 @@ func appendBatchHit(b []byte, found bool, tid hot.TID) []byte {
 	return wire.AppendUint64(b, tid)
 }
 
-// Stats snapshots the server's counters — the same frame STATS serves,
-// available in-process (hot-server logs it at shutdown).
-func (s *Server) Stats() wire.Stats { return s.stats() }
+// serverRows are the server's own STATS rows, after the store's: a
+// follower's replication feed (on a leader every shard is ready and the
+// feed's rows read 0), then the connections. TestServerRowsCoverEveryCounter
+// fails when a counter of Server, Follower or ReplicaClient has no row.
+var serverRows = [...]wire.Row[*Server]{
+	{Name: "ready", Unit: "shards", Gauge: true, Read: role(func(s *Server) uint64 { return uint64(s.tree.Shards()) },
+		func(rc *hot.ReplicaClient) uint64 { return uint64(rc.Follower().Ready()) })},
+	{Name: "follower", Unit: "bool", Gauge: true, Read: func(s *Server) uint64 { return wire.Flag(s.fol != nil) }},
+	{Name: "tail_records", Unit: "records", Read: role(zero, func(rc *hot.ReplicaClient) uint64 { return rc.Follower().TailRecords() })},
+	{Name: "bootstraps", Unit: "count", Read: role(zero, func(rc *hot.ReplicaClient) uint64 { return rc.Follower().Bootstraps() })},
+	{Name: "reconnects", Unit: "conns", Read: role(zero, (*hot.ReplicaClient).Reconnects)},
+	{Name: "conns", Unit: "conns", Gauge: true, Read: func(s *Server) uint64 { return uint64(s.active.Load()) }},
+	{Name: "rejected_conns", Unit: "conns", Read: func(s *Server) uint64 { return s.rejected.Load() }},
+	{Name: "deadline_closes", Unit: "conns", Read: func(s *Server) uint64 { return s.deadlineCloses.Load() }},
+	// A leader counts the sessions it resumed and the resume offers it
+	// declined; a follower the sessions it consumed and its re-bootstraps.
+	{Name: "resumes", Unit: "count", Read: role(func(s *Server) uint64 { return s.resumeSessions.Load() }, (*hot.ReplicaClient).Resumes)},
+	{Name: "full_resyncs", Unit: "count", Read: role(func(s *Server) uint64 { return s.fullResyncs.Load() }, (*hot.ReplicaClient).FullResyncs)},
+}
 
-func (s *Server) stats() wire.Stats {
-	if s.fol != nil {
-		return wire.Stats{
-			Len:            s.fol.Len(),
-			Shards:         s.fol.Shards(),
-			Ready:          s.fol.Ready(),
-			Follower:       true,
-			TailRecords:    s.fol.TailRecords(),
-			Conns:          int(s.active.Load()),
-			RejectedConns:  s.rejected.Load(),
-			DeadlineCloses: s.deadlineCloses.Load(),
-			Reconnects:     s.rc.Reconnects(),
-			Resumes:        s.rc.Resumes(),
-			FullResyncs:    s.rc.FullResyncs(),
+// role reads a row from the leader, or on a follower from its feed.
+func role(leader func(*Server) uint64, follower func(*hot.ReplicaClient) uint64) func(*Server) uint64 {
+	return func(s *Server) uint64 {
+		if s.rc != nil {
+			return follower(s.rc)
 		}
+		return leader(s)
 	}
-	cold := s.tree.ColdStats()
-	return wire.Stats{
-		Len:            s.tree.Len(),
-		Shards:         s.tree.Shards(),
-		Ready:          s.tree.Shards(),
-		Durable:        s.tree.Durable(),
-		LogBytes:       s.tree.LogSize(),
-		Pending:        s.tree.AsyncPending(),
-		Conns:          int(s.active.Load()),
-		RejectedConns:  s.rejected.Load(),
-		DeadlineCloses: s.deadlineCloses.Load(),
-		Resumes:        s.resumeSessions.Load(),
-		FullResyncs:    s.fullResyncs.Load(),
-		ColdShards:     cold.ColdShards,
-		MemBudget:      cold.MemoryBudget,
-		CacheHits:      cold.CacheHits,
-		CacheMisses:    cold.CacheMisses,
-		CacheEvictions: cold.CacheEvictions,
-		CacheBytes:     cold.CacheBytes,
-		Demotions:      cold.Demotions,
-		Promotions:     cold.Promotions,
-		Folds:          cold.Folds,
-		DeltaKeys:      cold.DeltaKeys,
+}
+
+func zero(*Server) uint64 { return 0 }
+
+// Stats snapshots the server's rows: the store's (hot.ShardedTree.Stats,
+// or the follower's), then serverRows. It is the reply STATS serves,
+// available in-process (hot-server prints it at shutdown).
+func (s *Server) Stats() wire.Stats {
+	var st wire.Stats
+	if s.fol != nil {
+		st = s.fol.Stats()
+	} else {
+		st = s.tree.Stats()
 	}
+	return wire.AppendRows(st, serverRows[:], s)
 }

@@ -8,9 +8,20 @@ import (
 	"time"
 
 	"github.com/hotindex/hot/internal/hotclient"
+	"github.com/hotindex/hot/internal/wire"
 )
 
 func testKey(i int) []byte { return []byte(fmt.Sprintf("key-%05d", i)) }
+
+// stat reads the STATS row named name; a reply without it fails the test.
+func stat(t *testing.T, st wire.Stats, name string) uint64 {
+	t.Helper()
+	v, ok := st.Get(name)
+	if !ok {
+		t.Fatalf("STATS has no %q row: %v", name, st)
+	}
+	return v
+}
 
 func newLeader(t *testing.T, durable bool, shards, n int) (*Server, string) {
 	t.Helper()
@@ -114,8 +125,12 @@ func TestServerRoundTrips(t *testing.T) {
 	}
 
 	st, err := c.Stats()
-	if err != nil || st.Len != n-1 || st.Shards != 4 || st.Ready != 4 || st.Durable || st.Follower {
-		t.Fatalf("Stats = %+v (err %v)", st, err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stat(t, st, "len") != n-1 || stat(t, st, "shards") != 4 || stat(t, st, "ready") != 4 ||
+		stat(t, st, "durable") != 0 || stat(t, st, "follower") != 0 {
+		t.Fatalf("Stats = %v", st)
 	}
 }
 

@@ -27,7 +27,7 @@
 //	ENTRIES  n u32 | n × (tid u64 | klen u16 | key)
 //	BATCH    n u32 | n × (found u8 | tid u64)
 //	FLUSHED  applied u64 | rejected u64
-//	STATS    JSON (see Stats)
+//	STATS    JSON object, one key per row (see Stats)
 //
 // Writes are fire-and-forget so a client can pipeline them back to back;
 // FLUSH is the acknowledgement point (in durable mode, the fsync barrier).
@@ -58,9 +58,12 @@ package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"strconv"
+	"strings"
 )
 
 const (
@@ -113,81 +116,152 @@ const (
 	RepPing
 )
 
-// Stats is the STATS reply payload, JSON-encoded (stats are rare and
-// human-facing; the stable binary framing is not worth its rigidity here).
-type Stats struct {
-	// Len is the number of stored keys (on a follower: in ready shards).
-	Len int `json:"len"`
-	// Shards is the number of range partitions.
-	Shards int `json:"shards"`
-	// Ready is the replicated shard prefix open for reads — equal to
-	// Shards on a leader, growing section by section on a follower.
-	Ready int `json:"ready"`
-	// Durable reports write-ahead-logged mode.
-	Durable bool `json:"durable"`
-	// Follower reports read-only replication mode.
-	Follower bool `json:"follower"`
-	// LogBytes is the total write-ahead log length (leader, durable mode).
-	LogBytes int64 `json:"log_bytes"`
-	// Pending is the async write backlog (submitted, not yet applied).
-	Pending int `json:"pending"`
-	// TailRecords is the number of tail records applied (follower).
-	TailRecords uint64 `json:"tail_records"`
-	// Conns is the number of connections currently served.
-	Conns int `json:"conns"`
-	// RejectedConns counts connections refused with a busy ERR because the
-	// server was at its connection limit.
-	RejectedConns uint64 `json:"rejected_conns"`
-	// DeadlineCloses counts connections closed by an idle-read or write
-	// deadline expiring.
-	DeadlineCloses uint64 `json:"deadline_closes"`
-	// Reconnects counts a follower's successful re-dials of its leader
-	// after the initial connection (follower mode).
-	Reconnects uint64 `json:"reconnects"`
-	// Resumes counts replication sessions continued from the follower's
-	// applied-LSN frontier without a snapshot phase: sessions served on a
-	// leader, sessions consumed on a follower.
-	Resumes uint64 `json:"resumes"`
-	// FullResyncs counts resume attempts that fell back to a full snapshot
-	// stream because the logs had rotated past the requested frontier.
-	FullResyncs uint64 `json:"full_resyncs"`
-	// ColdShards is the number of shards currently served from their
-	// on-disk cold section (leader with a memory budget; see MemBudget).
-	ColdShards int `json:"cold_shards"`
-	// MemBudget is the configured resident-trie byte budget (0: cold tier
-	// disabled or manual-only).
-	MemBudget int64 `json:"mem_budget"`
-	// CacheHits and CacheMisses count cold reads served from the page
-	// cache versus faulted from disk; CacheEvictions counts pages dropped
-	// to keep the cache within its budget.
-	CacheHits      uint64 `json:"cache_hits"`
-	CacheMisses    uint64 `json:"cache_misses"`
-	CacheEvictions uint64 `json:"cache_evictions"`
-	// CacheBytes is the bytes resident in the page cache: blocks as
-	// stored plus their restart tables.
-	CacheBytes int64 `json:"cache_bytes"`
-	// Demotions and Promotions count hot→cold and cold→hot shard
-	// transitions since the server started; Folds counts cold shards'
-	// deltas cut into fresh sections.
-	Demotions  uint64 `json:"demotions"`
-	Promotions uint64 `json:"promotions"`
-	Folds      uint64 `json:"folds"`
-	// DeltaKeys is the keys the cold shards hold in their resident deltas
-	// right now: writes taken since their sections were last cut.
-	DeltaKeys int `json:"delta_keys"`
+// MaxStats caps the rows of one STATS reply; UnmarshalStats rejects more.
+const MaxStats = 256
+
+// A Row is one counter or gauge of a STATS reply, defined once next to the
+// code that owns its value: Read takes the value from S, a snapshot of that
+// code's state read once per reply. Name is the STATS key, a lower-case
+// identifier. A row whose Unit is "bool" is a flag (Read returns 0 or 1)
+// and encodes as a JSON boolean; every other unit names what a number
+// counts.
+type Row[S any] struct {
+	Name  string
+	Unit  string
+	Gauge bool // a point-in-time value; a counter only grows
+	Read  func(S) uint64
 }
 
-// MarshalStats encodes s for a RepStats frame.
-func MarshalStats(s Stats) []byte {
-	b, _ := json.Marshal(s) // Stats has no unmarshalable fields
+// A Stat is one row's value. A decoded reply carries no gauge bit, and
+// no unit but "bool" on a flag.
+type Stat struct {
+	Name  string
+	Unit  string
+	Gauge bool
+	Value uint64
+}
+
+// Stats is a STATS reply: one value per row, in table order.
+type Stats []Stat
+
+// AppendRows appends the value of every row, read from src.
+func AppendRows[S any](st Stats, rows []Row[S], src S) Stats {
+	for _, r := range rows {
+		st = append(st, Stat{r.Name, r.Unit, r.Gauge, r.Read(src)})
+	}
+	return st
+}
+
+// Flag is a flag row's value: 1 for true.
+func Flag(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// Get returns the value of the row named name.
+func (st Stats) Get(name string) (uint64, bool) {
+	for _, s := range st {
+		if s.Name == name {
+			return s.Value, true
+		}
+	}
+	return 0, false
+}
+
+// String formats the rows as space-separated name=value pairs, a flag as
+// true or false: the line hot-server prints at shutdown.
+func (st Stats) String() string { return string(st.append(nil, "", " ", "=")) }
+
+// MarshalStats encodes st for a RepStats frame: one JSON object, a key per
+// row in table order, with no white space.
+func MarshalStats(st Stats) []byte { return append(st.append([]byte{'{'}, `"`, ",", `":`), '}') }
+
+// append writes the rows as quote name eq value, separated by sep.
+func (st Stats) append(b []byte, quote, sep, eq string) []byte {
+	for i, s := range st {
+		if i > 0 {
+			b = append(b, sep...)
+		}
+		b = append(append(append(b, quote...), s.Name...), eq...)
+		switch {
+		case s.Unit != "bool":
+			b = strconv.AppendUint(b, s.Value, 10)
+		case s.Value != 0:
+			b = append(b, "true"...)
+		default:
+			b = append(b, "false"...)
+		}
+	}
 	return b
 }
 
-// UnmarshalStats decodes a RepStats frame body.
+// UnmarshalStats decodes a RepStats frame body as MarshalStats writes it:
+// a JSON object with no white space of at most MaxStats distinct keys,
+// each a lower-case identifier valued true, false or an unsigned 64-bit
+// integer. The rows keep the reply's order; a boolean decodes as a flag.
+// It parses by hand: encoding/json allocates about 30 times a reply's
+// size decoding it, and a client must allocate no more than a small
+// multiple of what the server sent (FuzzClientReply holds it to 8 times).
 func UnmarshalStats(b []byte) (Stats, error) {
-	var s Stats
-	err := json.Unmarshal(b, &s)
-	return s, err
+	s := string(b) // the one copy every name aliases
+	n := 0
+	if err := eachStat(s, func(Stat) { n++ }); err != nil {
+		return nil, err
+	}
+	if n > MaxStats {
+		return nil, fmt.Errorf("wire: STATS reply has %d rows, more than MaxStats", n)
+	}
+	st := make(Stats, 0, n)
+	eachStat(s, func(r Stat) { st = append(st, r) })
+	// A repeated key sorts next to its twin.
+	var order [MaxStats]uint16
+	for i := range st {
+		order[i] = uint16(i)
+	}
+	slices.SortFunc(order[:n], func(a, b uint16) int { return strings.Compare(st[a].Name, st[b].Name) })
+	for i := 1; i < n; i++ {
+		if name := st[order[i]].Name; name == st[order[i-1]].Name {
+			return nil, fmt.Errorf("wire: STATS key %q repeated", name)
+		}
+	}
+	return st, nil
+}
+
+var errStatsSyntax = errors.New("wire: STATS reply is not a flat JSON object of identifiers valued by numbers and booleans")
+
+// eachStat calls fn with each row of the STATS body s.
+func eachStat(s string, fn func(Stat)) error {
+	body, open := strings.CutPrefix(s, "{")
+	body, closed := strings.CutSuffix(body, "}")
+	if !open || !closed {
+		return errStatsSyntax
+	}
+	for more := body != ""; more; {
+		var row string
+		row, body, more = strings.Cut(body, ",")
+		key, val, _ := strings.Cut(row, ":")
+		name, open := strings.CutPrefix(key, `"`)
+		name, closed := strings.CutSuffix(name, `"`)
+		if !open || !closed || name == "" || strings.Trim(name, "abcdefghijklmnopqrstuvwxyz0123456789_") != "" {
+			return errStatsSyntax
+		}
+		r := Stat{Name: name}
+		switch {
+		case val == "true" || val == "false":
+			r.Unit, r.Value = "bool", Flag(val == "true")
+		case len(val) > 1 && val[0] == '0':
+			return errStatsSyntax
+		default:
+			var err error
+			if r.Value, err = strconv.ParseUint(val, 10, 64); err != nil {
+				return fmt.Errorf("wire: STATS key %q: %w", name, err)
+			}
+		}
+		fn(r)
+	}
+	return nil
 }
 
 // WriteFrame writes one frame. Callers batch frames through a buffered

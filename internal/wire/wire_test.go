@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 )
@@ -144,11 +145,47 @@ func FuzzWireResume(f *testing.F) {
 	})
 }
 
-func TestStatsRoundTrip(t *testing.T) {
-	in := Stats{Len: 10, Shards: 4, Ready: 2, Durable: true, Follower: true, LogBytes: 123, Pending: 5, TailRecords: 77,
-		Conns: 3, RejectedConns: 2, DeadlineCloses: 1, Reconnects: 4, Resumes: 5, FullResyncs: 6}
-	out, err := UnmarshalStats(MarshalStats(in))
-	if err != nil || out != in {
-		t.Fatalf("stats round trip = %+v (err %v), want %+v", out, err, in)
+// TestUnmarshalStatsGrammar pins what a STATS body may be: a flat object
+// of distinct identifier keys whose values are booleans or unsigned 64-bit
+// integers, with no white space: what MarshalStats writes.
+func TestUnmarshalStatsGrammar(t *testing.T) {
+	for _, body := range []string{
+		`{}`, `{"len":0}`, `{"len":18446744073709551615,"durable":false}`, `{"a":true,"b_2":1}`,
+	} {
+		if _, err := UnmarshalStats([]byte(body)); err != nil {
+			t.Errorf("UnmarshalStats(%s) = %v, want rows", body, err)
+		}
+	}
+	for _, body := range []string{
+		``, `[]`, `1`, `{`, `{"len":1`, `{"len":1,}`, `{"len":1}x`, `{"len":-1}`, `{"len":1.5}`, `{"len":01}`,
+		`{"len":1180591620717411303424}`, `{"len":"1"}`, `{"len":null}`, `{"len":{}}`, `{"a":1,"a":2}`,
+		`{"l\u0065n":1}`, `{len:1}`, `{"len":truex}`, `{"len" :1}`, `{"Len":1}`, `{"":1}`, `{"a":1:2}`, `{,}`,
+	} {
+		if st, err := UnmarshalStats([]byte(body)); err == nil {
+			t.Errorf("UnmarshalStats(%s) = %v, want an error", body, st)
+		}
+	}
+	rows := func(n int) []byte {
+		b := []byte{'{'}
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = fmt.Appendf(b, `"%c%c":0`, 'a'+i/26, 'a'+i%26)
+		}
+		return append(b, '}')
+	}
+	if st, err := UnmarshalStats(rows(MaxStats)); err != nil || len(st) != MaxStats {
+		t.Errorf("UnmarshalStats of MaxStats rows = %d rows (err %v)", len(st), err)
+	}
+	if st, err := UnmarshalStats(rows(MaxStats + 1)); err == nil {
+		t.Errorf("UnmarshalStats accepted %d rows, more than MaxStats", len(st))
+	}
+	st, err := UnmarshalStats([]byte(`{"durable":true,"len":7}`))
+	if v, ok := st.Get("len"); err != nil || len(st) != 2 || st[0].Unit != "bool" || st[0].Value != 1 || !ok || v != 7 {
+		t.Fatalf("decoded %+v (err %v)", st, err)
+	}
+	if got := string(MarshalStats(st)); got != `{"durable":true,"len":7}` {
+		t.Fatalf("re-encoded as %s", got)
 	}
 }

@@ -578,6 +578,14 @@ func (f *Follower) Len() int {
 	return n
 }
 
+// Stats snapshots the store's STATS rows as a follower has them: the keys
+// of the ready shard prefix and the shard count; a follower is neither
+// durable nor tiered and queues no writes.
+func (f *Follower) Stats() wire.Stats {
+	s := storeStats{len: f.Len(), shards: f.Shards()}
+	return wire.AppendRows(nil, storeRows[:], &s)
+}
+
 // Lookup returns the TID stored under key, or ErrNotReady when key's shard
 // has not fully arrived yet.
 func (f *Follower) Lookup(key []byte) (TID, bool, error) {

@@ -11,6 +11,7 @@ import (
 	"github.com/hotindex/hot/internal/persist"
 	"github.com/hotindex/hot/internal/shard"
 	"github.com/hotindex/hot/internal/tidstore"
+	"github.com/hotindex/hot/internal/wire"
 )
 
 // ShardedTree is a range-partitioned Height Optimized Trie: the key space
@@ -303,22 +304,13 @@ func (t *ShardedTree) Depths() DepthStats {
 // shards' and the cold shards' deltas; cold shards report their on-disk
 // section size in ColdBytes and the stored blocks (plus restart tables)
 // currently cached in CacheBytes, so the resident tree footprint and the
-// page-cache footprint never blend (see MemoryStats).
+// page-cache footprint never blend (see MemoryStats). The shard counts and
+// byte totals are ColdStats' own.
 func (t *ShardedTree) Memory() MemoryStats {
 	var m MemoryStats
-	ct := t.cold.Load()
 	t.eachDelta(func(d *core.ConcurrentTrie) { m = m.Add(d.Memory()) })
-	for s := range t.shards {
-		if pr := t.shards[s].Load().pr; pr != nil {
-			m.ColdShards++
-			m.ColdBytes += pr.SizeBytes()
-		} else if ct != nil {
-			m.ResidentShards++
-		}
-	}
-	if ct != nil {
-		m.CacheBytes = ct.cache.Stats().Bytes
-	}
+	cs := t.ColdStats()
+	m.ResidentShards, m.ColdShards, m.ColdBytes, m.CacheBytes = cs.ResidentShards, cs.ColdShards, cs.ColdBytes, cs.CacheBytes
 	return m
 }
 
@@ -326,28 +318,18 @@ func (t *ShardedTree) Memory() MemoryStats {
 // tries, cold shards' deltas included (shards run no ROWEX, so their
 // restart and validation counters stay 0), plus the async submission-queue
 // counters (deposits, stolen drains, drain batches, full-ring rejections
-// and the current queue depth across all shards) and, when a cold tier is
-// enabled, the pager counters. Counters of replaced tries are carried
-// forward, so aggregates never decrease across a transition.
+// and the current queue depth across all shards). Counters of replaced
+// tries are carried forward, so aggregates never decrease across a
+// transition. The cold tier's counters are in ColdStats.
 func (t *ShardedTree) OpStats() OpStats {
 	var o OpStats
-	ct := t.cold.Load()
-	if ct != nil {
+	if ct := t.cold.Load(); ct != nil {
 		ct.statsMu.Lock()
 		o = o.Add(ct.retired)
 		ct.statsMu.Unlock()
 	}
 	t.eachDelta(func(d *core.ConcurrentTrie) { o = o.Add(d.OpStats()) })
 	t.async.queueOpStats(&o)
-	if ct != nil {
-		cs := ct.cache.Stats()
-		o.PageHits = cs.Hits
-		o.PageMisses = cs.Misses
-		o.PageEvictions = cs.Evictions
-		o.Demotions = ct.demotions.Load()
-		o.Promotions = ct.promotions.Load()
-		o.Folds = ct.folds.Load()
-	}
 	return o
 }
 
@@ -366,6 +348,50 @@ func (t *ShardedTree) ReclaimStats() (freed uint64, pending int64) {
 		pending += p
 	})
 	return freed, pending
+}
+
+// storeStats is one STATS snapshot of a sharded store, read once; every
+// row of storeRows reads it. A follower fills only len and shards.
+type storeStats struct {
+	len, shards, pending int
+	durable              bool
+	logBytes             int64
+	cold                 ColdTierStats
+}
+
+// storeRows is the one table of a sharded store's STATS rows: one per
+// storeStats field, ColdTierStats' included (TestStoreRowsCoverEveryField
+// fails when a field has no row). hot-server's STATS reply is these rows
+// followed by the server's own.
+var storeRows = [...]wire.Row[*storeStats]{
+	{Name: "len", Unit: "keys", Gauge: true, Read: func(s *storeStats) uint64 { return uint64(s.len) }},
+	{Name: "shards", Unit: "shards", Gauge: true, Read: func(s *storeStats) uint64 { return uint64(s.shards) }},
+	{Name: "durable", Unit: "bool", Gauge: true, Read: func(s *storeStats) uint64 { return wire.Flag(s.durable) }},
+	{Name: "log_bytes", Unit: "bytes", Gauge: true, Read: func(s *storeStats) uint64 { return uint64(s.logBytes) }},
+	{Name: "pending", Unit: "ops", Gauge: true, Read: func(s *storeStats) uint64 { return uint64(s.pending) }},
+	{Name: "cold_tier", Unit: "bool", Gauge: true, Read: func(s *storeStats) uint64 { return wire.Flag(s.cold.Enabled) }},
+	{Name: "mem_budget", Unit: "bytes", Gauge: true, Read: func(s *storeStats) uint64 { return uint64(s.cold.MemoryBudget) }},
+	{Name: "resident_shards", Unit: "shards", Gauge: true, Read: func(s *storeStats) uint64 { return uint64(s.cold.ResidentShards) }},
+	{Name: "cold_shards", Unit: "shards", Gauge: true, Read: func(s *storeStats) uint64 { return uint64(s.cold.ColdShards) }},
+	{Name: "cold_bytes", Unit: "bytes", Gauge: true, Read: func(s *storeStats) uint64 { return uint64(s.cold.ColdBytes) }},
+	{Name: "delta_keys", Unit: "keys", Gauge: true, Read: func(s *storeStats) uint64 { return uint64(s.cold.DeltaKeys) }},
+	{Name: "cache_hits", Unit: "reads", Read: func(s *storeStats) uint64 { return s.cold.CacheHits }},
+	{Name: "cache_misses", Unit: "reads", Read: func(s *storeStats) uint64 { return s.cold.CacheMisses }},
+	{Name: "cache_evictions", Unit: "pages", Read: func(s *storeStats) uint64 { return s.cold.CacheEvictions }},
+	{Name: "cache_bytes", Unit: "bytes", Gauge: true, Read: func(s *storeStats) uint64 { return uint64(s.cold.CacheBytes) }},
+	{Name: "cache_pages", Unit: "pages", Gauge: true, Read: func(s *storeStats) uint64 { return uint64(s.cold.CachePages) }},
+	{Name: "demotions", Unit: "shards", Read: func(s *storeStats) uint64 { return s.cold.Demotions }},
+	{Name: "promotions", Unit: "shards", Read: func(s *storeStats) uint64 { return s.cold.Promotions }},
+	{Name: "folds", Unit: "shards", Read: func(s *storeStats) uint64 { return s.cold.Folds }},
+}
+
+// Stats snapshots the store's STATS rows: key count, shards, durability,
+// log bytes, the async backlog and every ColdTierStats field. Read one
+// with Get; String formats them all.
+func (t *ShardedTree) Stats() wire.Stats {
+	s := storeStats{len: t.Len(), shards: t.Shards(), pending: t.AsyncPending(),
+		durable: t.Durable(), logBytes: t.LogSize(), cold: t.ColdStats()}
+	return wire.AppendRows(nil, storeRows[:], &s)
 }
 
 // Verify checks every shard's structural invariants (see Tree.Verify) and

@@ -6,13 +6,17 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"github.com/hotindex/hot/internal/dataset"
 	"github.com/hotindex/hot/internal/tidstore"
+	"github.com/hotindex/hot/internal/wire"
 )
 
 // scanSeq collects an index's full key sequence in scan order.
@@ -755,4 +759,55 @@ func TestShardedUint64SetAscendUnbounded(t *testing.T) {
 	if got != want {
 		t.Fatalf("Ascend(0, -1) visited %d values, an unbounded Scan of the same history %d", got, want)
 	}
+}
+
+// TestStoreRowsCoverEveryField is the drift guard of storeRows: setting
+// any one field of a STATS snapshot, ColdTierStats' included, moves
+// exactly one row, so a field added without its row fails here instead of
+// staying out of STATS. Row names must be distinct lower-case identifiers,
+// which the STATS encoder writes without escaping.
+func TestStoreRowsCoverEveryField(t *testing.T) {
+	rows := func(s *storeStats) wire.Stats { return wire.AppendRows(nil, storeRows[:], s) }
+	zero := rows(&storeStats{})
+	seen := map[string]bool{}
+	for _, r := range zero {
+		if seen[r.Name] || strings.Trim(r.Name, "abcdefghijklmnopqrstuvwxyz_") != "" {
+			t.Errorf("row name %q is repeated or not a lower-case identifier", r.Name)
+		}
+		seen[r.Name] = true
+	}
+	var walk func(index []int, typ reflect.Type, path string)
+	walk = func(index []int, typ reflect.Type, path string) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			at := append(append([]int(nil), index...), i)
+			if f.Type.Kind() == reflect.Struct {
+				walk(at, f.Type, path+f.Name+".")
+				continue
+			}
+			var s storeStats
+			v := reflect.ValueOf(&s).Elem().FieldByIndex(at)
+			v = reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()
+			switch v.Kind() {
+			case reflect.Bool:
+				v.SetBool(true)
+			case reflect.Int, reflect.Int64:
+				v.SetInt(1)
+			case reflect.Uint64:
+				v.SetUint(1)
+			default:
+				t.Fatalf("storeStats.%s%s is a %s, not a counter, gauge or flag", path, f.Name, v.Kind())
+			}
+			moved := 0
+			for j, r := range rows(&s) {
+				if r.Value != zero[j].Value {
+					moved++
+				}
+			}
+			if moved != 1 {
+				t.Errorf("storeStats.%s%s moves %d STATS rows, want 1", path, f.Name, moved)
+			}
+		}
+	}
+	walk(nil, reflect.TypeOf(storeStats{}), "")
 }
