@@ -15,7 +15,7 @@ import (
 	"github.com/hotindex/hot/internal/shard"
 )
 
-// Larger-than-RAM operation for the sharded index types. Every shard is one
+// Larger-than-RAM operation for ShardedTree. Every shard is one
 // immutable state behind one atomic pointer (shardSlot): a SECTION — the
 // shard's entries cut to its indexed base file, snap-NNN.hot — under a DELTA,
 // a resident trie that takes the shard's writes. A HOT shard has no section:
@@ -369,7 +369,7 @@ func (t *ShardedTree) ColdStats() ColdTierStats {
 // state (ShardedTree.cut): a hot shard's demotion or a cold shard's fold,
 // ending with no delta. Callers hold the shard's write guard exclusively.
 func (ct *coldTier) install(s int, st *shardState, path string) error {
-	pr, err := persist.OpenPageReaderFile(path, ct.t.kind)
+	pr, err := persist.OpenPageReaderFile(path, persist.KindTree)
 	if err != nil {
 		return fmt.Errorf("hot: shard %d: reopening %s: %w", s, filepath.Base(path), err)
 	}
@@ -981,24 +981,3 @@ func (c *coldCursor) next() {
 	}
 	c.pick()
 }
-
-// ---- ShardedUint64Set surface ----
-
-// EnableColdTier arms the pager-backed cold tier on the sharded set (see
-// ShardedTree.EnableColdTier).
-func (s *ShardedUint64Set) EnableColdTier(cfg ColdTierConfig) error { return s.t.EnableColdTier(cfg) }
-
-// Demote cuts shard i to its cold section — dropping its trie from memory,
-// or folding its delta (see ShardedTree.Demote).
-func (s *ShardedUint64Set) Demote(i int) error { return s.t.Demote(i) }
-
-// Promote rebuilds shard i's trie from its cold section and delta (see
-// ShardedTree.Promote).
-func (s *ShardedUint64Set) Promote(i int) error { return s.t.Promote(i) }
-
-// IsCold reports whether shard i is currently cold.
-func (s *ShardedUint64Set) IsCold(i int) bool { return s.t.IsCold(i) }
-
-// ColdStats returns the cold tier's state and counters (see
-// ShardedTree.ColdStats).
-func (s *ShardedUint64Set) ColdStats() ColdTierStats { return s.t.ColdStats() }

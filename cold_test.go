@@ -761,15 +761,17 @@ func TestColdTierReopenUnderBudget(t *testing.T) {
 	}
 }
 
-// TestColdTierUint64Set: the set facade demotes and serves cold too.
+// TestColdTierUint64Set: a ShardedTree over the embedded-key loader, the
+// sharded integer set, demotes and serves cold too — sections hold the
+// 8-byte keys, and a cold shard's insert and delete land in its delta.
 func TestColdTierUint64Set(t *testing.T) {
 	vals := make([]uint64, 3000)
 	for i := range vals {
 		vals[i] = uint64(i)*2654435761 + 17
 	}
-	s := NewShardedUint64Set(4, vals)
+	s := NewShardedTree(tidstore.Uint64Key, 4, u64Keys(vals))
 	for _, v := range vals {
-		if !s.Insert(v) {
+		if !s.Insert(u64Key(v), v) {
 			t.Fatalf("insert %d failed", v)
 		}
 	}
@@ -781,24 +783,28 @@ func TestColdTierUint64Set(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	contains := func(v uint64) bool {
+		_, ok := s.Lookup(u64Key(v))
+		return ok
+	}
 	for _, v := range vals {
-		if !s.Contains(v) {
+		if !contains(v) {
 			t.Fatalf("cold set lost %d", v)
 		}
 	}
-	if s.Contains(1) {
+	if contains(1) {
 		t.Fatal("cold set invented a member")
 	}
 	if err := s.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Insert(999_999_999_999) {
+	if !s.Insert(u64Key(999_999_999_999), 999_999_999_999) {
 		t.Fatal("insert into cold set failed")
 	}
 	if got := s.ColdStats(); got.Promotions != 0 || got.DeltaKeys != 1 || s.Len() != len(vals)+1 {
 		t.Fatalf("set insert into a cold shard: %+v, Len %d", got, s.Len())
 	}
-	if !s.Delete(vals[0]) || s.Contains(vals[0]) {
+	if !s.Delete(u64Key(vals[0])) || contains(vals[0]) {
 		t.Fatal("delete from cold set missed")
 	}
 	if got := s.ColdStats(); got.Promotions != 0 || got.DeltaKeys != 2 || s.Len() != len(vals) {
@@ -840,7 +846,7 @@ func TestColdCursorMatchesModel(t *testing.T) {
 			}
 			// Three shards: the section's keys split in two, and one from
 			// top up, above them all, demoted empty.
-			st := newShardedFromBounds(treeFlavor(store.Key), [][]byte{sorted[len(sorted)/2], top})
+			st := newShardedFromBounds(store.Key, [][]byte{sorted[len(sorted)/2], top})
 			for i, k := range keys {
 				st.Insert(k, TID(i))
 			}
@@ -1198,7 +1204,7 @@ func FuzzTieredShardOps(f *testing.F) {
 		opFold
 	)
 	open := func(t testing.TB) (*ShardedTree, map[string]TID, string) {
-		tr := newShardedFromBounds(treeFlavor(store.Key), bounds)
+		tr := newShardedFromBounds(store.Key, bounds)
 		model := make(map[string]TID, n)
 		for i := 0; i < n; i += 2 {
 			tr.Insert(keys[i], TID(i))

@@ -129,23 +129,23 @@ var errNotDurable = errors.New("hot: index not opened in durable mode")
 // panic instead — see ShardedTree.Close.
 var ErrClosed = errors.New("hot: durable index is closed")
 
-// OrphanedLogError is returned when a durable open finds write-ahead logs
-// in a directory whose snapshot is missing. The logs prove the directory
-// held acknowledged writes; proceeding with a fresh open would re-derive
-// shard boundaries from the caller's sample, and replay would then cut
-// every log record that falls outside its new shard's range — silently
-// discarding durable data. The open refuses instead: restore the snapshot,
-// or move the logs aside deliberately.
+// OrphanedLogError is returned when a durable open finds shard files —
+// write-ahead logs or shard bases — in a directory whose snap.hot is
+// missing. They prove the directory held acknowledged writes; proceeding
+// with a fresh open would re-derive shard boundaries from the caller's
+// sample, and replay would then cut every log record that falls outside its
+// new shard's range — silently discarding durable data. The open refuses
+// instead: restore snap.hot, or move the shard files aside deliberately.
 type OrphanedLogError struct {
 	// Dir is the durable directory.
 	Dir string
-	// Logs is the base names of the write-ahead logs found without their
-	// snapshot.
+	// Logs is the base names of the shard files found without snap.hot:
+	// wal-NNN.log, snap-NNN.hot and legacy cold-NNN.hot.
 	Logs []string
 }
 
 func (e *OrphanedLogError) Error() string {
-	return fmt.Sprintf("hot: durable directory %s has no %s but holds write-ahead logs %v; "+
+	return fmt.Sprintf("hot: durable directory %s has no %s but holds shard files %v; "+
 		"refusing a fresh open that would discard their acknowledged writes", e.Dir, durableSnapName, e.Logs)
 }
 

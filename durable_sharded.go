@@ -13,10 +13,10 @@ import (
 	"github.com/hotindex/hot/internal/shard"
 )
 
-// Durable mode for the sharded index types: one write-ahead log per shard,
-// so logging scales with the shards exactly like the writes themselves —
-// shards share no log file, no lock and no fsync. See durable.go
-// for the acknowledgement contract. This file holds the log's two
+// Durable mode for ShardedTree: one write-ahead log per shard, so logging
+// scales with the shards exactly like the writes themselves — shards share
+// no log file, no lock and no fsync. See durable.go for the
+// acknowledgement contract. This file holds the log's two
 // primitives (append, commit), the barrier that pays the fsyncs async
 // writes leave owed (settle), the cut that retires a log behind a base,
 // and the open; the function that couples append and apply, and commit
@@ -204,7 +204,7 @@ func (t *ShardedTree) cut(s int, demote bool) error {
 		dir = ct.dir
 	}
 	path := filepath.Join(dir, snapFileName(s))
-	if err := writeSnapshotFile(path, t.kind, t.SnapshotCodec(), true, st.walk); err != nil {
+	if err := writeSnapshotFile(path, persist.KindTree, t.SnapshotCodec(), true, st.walk); err != nil {
 		return err
 	}
 	if d != nil {
@@ -332,38 +332,24 @@ func (t *ShardedTree) Close() error {
 // boundary table always wins, so the sample need not be stable across
 // runs. The loader must resolve TIDs exactly as in past runs.
 func OpenDurableShardedTree(dir string, loader Loader, shards int, sample [][]byte, opts DurableOptions) (*ShardedTree, RecoveryInfo, error) {
-	return openDurableSharded(dir, treeFlavor(loader), shards, sample, opts)
-}
-
-func openDurableSharded(dir string, fl flavor, shards int, sample [][]byte, opts DurableOptions) (*ShardedTree, RecoveryInfo, error) {
+	mustLoader(loader)
 	var info RecoveryInfo
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, info, err
 	}
-	// RecoverEntry rides the tree's own check for the duration of the open
-	// and is taken off again before the tree is returned: what enters a
-	// shard later (a promotion's section) is none of the caller's hook's
-	// business.
-	own := fl.check
-	if re := opts.RecoverEntry; re != nil {
-		fl.check = func(key []byte, tid TID) error {
-			if own != nil {
-				if err := own(key, tid); err != nil {
-					return err
-				}
-			}
-			return re(key, tid)
-		}
-	}
+	// RecoverEntry is the tree's check for the duration of the open and is
+	// taken off again before the tree is returned: what enters a shard later
+	// (a promotion's section) is none of the caller's hook's business.
 	snap := filepath.Join(dir, durableSnapName)
-	t, legacy, err := openManifest(snap, fl, &info)
+	t, legacy, err := openManifest(snap, loader, opts.RecoverEntry, &info)
 	if err != nil {
 		// Unusable manifest: without the boundary table the logs cannot
 		// be routed, so recovery needs operator attention.
 		return nil, info, err
 	}
 	if t == nil {
-		t = newSharded(fl, shards, sample)
+		t = newSharded(loader, shards, sample)
+		t.check = opts.RecoverEntry
 		// A fresh open must find a truly fresh directory. Logs or shard
 		// bases without the manifest mean the manifest was lost, not that
 		// the store is new: re-deriving boundaries from the (possibly
@@ -454,7 +440,7 @@ func openDurableSharded(dir string, fl flavor, shards int, sample [][]byte, opts
 			return fail(err)
 		}
 	}
-	t.check = own
+	t.check = nil
 	if ct != nil && ct.budget > 0 {
 		ct.maintain()
 	}
@@ -466,7 +452,7 @@ func openDurableSharded(dir string, fl flavor, shards int, sample [][]byte, opts
 // snap.hot with bytes after the manifest is the legacy layout — manifest
 // plus one section per shard in one file: it is loaded whole, salvaging
 // past damage, and reported as legacy.
-func openManifest(path string, fl flavor, info *RecoveryInfo) (t *ShardedTree, legacy bool, err error) {
+func openManifest(path string, loader Loader, check persist.EntryFunc, info *RecoveryInfo) (t *ShardedTree, legacy bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -475,7 +461,7 @@ func openManifest(path string, fl flavor, info *RecoveryInfo) (t *ShardedTree, l
 		return nil, false, err
 	}
 	defer f.Close()
-	if t, err = readManifest(f, fl); err != nil {
+	if t, err = readManifest(f, loader, check); err != nil {
 		return nil, false, err
 	}
 	var one [1]byte
@@ -485,7 +471,7 @@ func openManifest(path string, fl flavor, info *RecoveryInfo) (t *ShardedTree, l
 	if _, err = f.Seek(0, io.SeekStart); err != nil {
 		return nil, false, err
 	}
-	t, rep, err := readSharded(f, fl, true)
+	t, rep, err := readSharded(f, loader, check, true)
 	if err != nil {
 		return nil, false, err
 	}
@@ -504,14 +490,15 @@ func openManifest(path string, fl flavor, info *RecoveryInfo) (t *ShardedTree, l
 // acknowledged data nothing else covers. Without a tier it is loaded
 // sequentially through load, and damage is salvaged: the valid prefix
 // loads, the first damage is reported, and salvaged asks the open for the
-// cut that heals the shard.
+// cut that heals the shard. A base of another index kind is not damage but
+// a foreign file, refused before anything is written under either option.
 func (t *ShardedTree) recoverBase(s int, dir string, ct *coldTier, legacy bool, info *RecoveryInfo) (salvaged bool, err error) {
 	path := filepath.Join(dir, snapFileName(s))
 	if _, err := os.Stat(path); os.IsNotExist(err) {
 		path = filepath.Join(dir, coldFileName(s))
 	}
 	if ct != nil {
-		pr, err := persist.OpenPageReaderFile(path, t.kind)
+		pr, err := persist.OpenPageReaderFile(path, persist.KindTree)
 		if err == nil {
 			if err = t.vetCold(s, pr); err != nil {
 				pr.Close()
@@ -541,8 +528,11 @@ func (t *ShardedTree) recoverBase(s int, dir string, ct *coldTier, legacy bool, 
 		tr = t.newTrie()
 		t.shards[s].Store(hotState(tr))
 	}
-	n, err := persist.Read(f, t.kind, t.load(s, tr))
+	n, err := persist.Read(f, persist.KindTree, t.load(s, tr))
 	info.SnapshotEntries += n
+	if foreign(err) {
+		return false, fmt.Errorf("hot: shard %d base %s: %w", s, filepath.Base(path), err)
+	}
 	if err != nil && info.SnapshotDamage == nil {
 		errors.As(err, &info.SnapshotDamage)
 	}
@@ -566,30 +556,3 @@ func walkPageReader(pr *persist.PageReader, fn func(key []byte, tid TID) error) 
 	}
 	return nil
 }
-
-// ---- ShardedUint64Set ----
-
-// OpenDurableShardedUint64Set opens (or creates) the durable sharded
-// integer set stored in dir (see OpenDurableShardedTree; the sample seeds
-// the shard boundaries on first open only).
-func OpenDurableShardedUint64Set(dir string, shards int, sample []uint64, opts DurableOptions) (*ShardedUint64Set, RecoveryInfo, error) {
-	t, info, err := openDurableSharded(dir, setFlavor, shards, u64keys(sample), opts)
-	if err != nil {
-		return nil, info, err
-	}
-	return &ShardedUint64Set{t: t}, info, nil
-}
-
-// Durable reports whether the set was opened in durable mode.
-func (s *ShardedUint64Set) Durable() bool { return s.t.Durable() }
-
-// LogSize returns the total byte length of the per-shard write-ahead logs.
-func (s *ShardedUint64Set) LogSize() int64 { return s.t.LogSize() }
-
-// Checkpoint durably snapshots the set and rotates the logs behind it (see
-// ShardedTree.Checkpoint).
-func (s *ShardedUint64Set) Checkpoint() error { return s.t.Checkpoint() }
-
-// Close flushes the async backlog, makes every logged write durable and
-// closes the logs (see ShardedTree.Close).
-func (s *ShardedUint64Set) Close() error { return s.t.Close() }

@@ -17,10 +17,19 @@ import (
 	"github.com/hotindex/hot/internal/tidstore"
 )
 
-func TestDurableShardedUint64SetRoundTrip(t *testing.T) {
+// openDurableU64 opens the durable sharded integer set in dir: a
+// ShardedTree whose TIDs are their own 8-byte keys (tidstore.Uint64Key),
+// every recovered entry held to that convention (checkSetEntry), so a
+// tiered open walks every base it serves.
+func openDurableU64(dir string, shards int, sample []uint64, opts DurableOptions) (*ShardedTree, RecoveryInfo, error) {
+	opts.RecoverEntry = checkSetEntry
+	return OpenDurableShardedTree(dir, tidstore.Uint64Key, shards, u64Keys(sample), opts)
+}
+
+func TestDurableShardedEmbeddedKeyRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	sample := walCrashSample()
-	set, info, err := OpenDurableShardedUint64Set(dir, 4, sample, DurableOptions{})
+	set, info, err := openDurableU64(dir, 4, sample, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,12 +41,12 @@ func TestDurableShardedUint64SetRoundTrip(t *testing.T) {
 	}
 	const n = 2000
 	for v := uint64(0); v < n; v++ {
-		if !set.Insert(v * 37 % 100000) {
+		if !set.Insert(u64Key(v*37%100000), v*37%100000) {
 			t.Fatalf("insert %d rejected", v)
 		}
 	}
 	for v := uint64(0); v < n; v += 4 {
-		if !set.Delete(v * 37 % 100000) {
+		if !set.Delete(u64Key(v * 37 % 100000)) {
 			t.Fatalf("delete %d missed", v)
 		}
 	}
@@ -46,7 +55,7 @@ func TestDurableShardedUint64SetRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	set2, info, err := OpenDurableShardedUint64Set(dir, 4, sample, DurableOptions{})
+	set2, info, err := openDurableU64(dir, 4, sample, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +74,7 @@ func TestDurableShardedUint64SetRoundTrip(t *testing.T) {
 	}
 	for v := uint64(0); v < n; v++ {
 		val := v * 37 % 100000
-		if got := set2.Contains(val); got != (v%4 != 0) {
+		if _, got := set2.Lookup(u64Key(val)); got != (v%4 != 0) {
 			// Hash collisions can re-insert a deleted value later in the
 			// stream; recompute the truth the slow way before failing.
 			truth := map[uint64]bool{}
@@ -160,7 +169,7 @@ func TestDurableAsyncOwedBound(t *testing.T) {
 	for i := range sample {
 		sample[i] = uint64(i) * n / 64
 	}
-	set, _, err := OpenDurableShardedUint64Set(dir, shards, sample, DurableOptions{})
+	set, _, err := openDurableU64(dir, shards, sample, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,12 +179,12 @@ func TestDurableAsyncOwedBound(t *testing.T) {
 	const maxOwed = maxOwedBytes/(8+1+1+1+8+1) + drainSlice
 	var settled uint64
 	for i := uint64(0); i < n; i++ {
-		set.InsertAsync(i * 7919 % n) // 7919 is coprime to n: a permutation, interleaving the shards
+		set.InsertAsync(u64Key(i*7919%n), i*7919%n) // 7919 is coprime to n: a permutation, interleaving the shards
 		if i%512 != 0 {
 			continue
 		}
 		settled = 0
-		for s, w := range set.t.dur.wals {
+		for s, w := range set.dur.wals {
 			last, durable := w.LastLSN(), w.DurableLSN()
 			if last-durable > maxOwed {
 				t.Fatalf("after %d un-flushed inserts shard %d owes %d records, bound is %d", i, s, last-durable, maxOwed)
@@ -189,7 +198,7 @@ func TestDurableAsyncOwedBound(t *testing.T) {
 	if err := set.Close(); err != nil {
 		t.Fatal(err)
 	}
-	set, info, err := OpenDurableShardedUint64Set(dir, shards, sample, DurableOptions{})
+	set, info, err := openDurableU64(dir, shards, sample, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,12 +213,12 @@ func TestDurableAsyncOwedBound(t *testing.T) {
 // synchronous write's commit would, and Close returns the error; neither
 // acknowledges the write, and the log stays poisoned.
 func TestDurableOwedFsyncFailure(t *testing.T) {
-	open := func(t *testing.T) *ShardedUint64Set {
-		set, _, err := OpenDurableShardedUint64Set(t.TempDir(), 4, walCrashSample(), DurableOptions{})
+	open := func(t *testing.T) *ShardedTree {
+		set, _, err := openDurableU64(t.TempDir(), 4, walCrashSample(), DurableOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		set.InsertAsync(1)
+		set.InsertAsync(u64Key(1), 1)
 		reg := chaos.New(1)
 		reg.On(chaos.WalSync, 1, nil)
 		reg.Arm()
@@ -237,12 +246,12 @@ func TestDurableOwedFsyncFailure(t *testing.T) {
 
 func TestDurableCheckpointTruncatesLogs(t *testing.T) {
 	dir := t.TempDir()
-	set, _, err := OpenDurableShardedUint64Set(dir, 4, walCrashSample(), DurableOptions{})
+	set, _, err := openDurableU64(dir, 4, walCrashSample(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := uint64(0); v < 3000; v++ {
-		set.Insert(v)
+		set.Insert(u64Key(v), v)
 	}
 	grown := set.LogSize()
 	if err := set.Checkpoint(); err != nil {
@@ -254,7 +263,7 @@ func TestDurableCheckpointTruncatesLogs(t *testing.T) {
 	if err := set.Close(); err != nil {
 		t.Fatal(err)
 	}
-	set2, info, err := OpenDurableShardedUint64Set(dir, 4, walCrashSample(), DurableOptions{})
+	set2, info, err := openDurableU64(dir, 4, walCrashSample(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +278,7 @@ func TestDurableCheckpointTruncatesLogs(t *testing.T) {
 
 func TestDurableGroupCommitConcurrent(t *testing.T) {
 	dir := t.TempDir()
-	set, _, err := OpenDurableShardedUint64Set(dir, 4, walCrashSample(),
+	set, _, err := openDurableU64(dir, 4, walCrashSample(),
 		DurableOptions{GroupCommitDelay: 200 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +290,7 @@ func TestDurableGroupCommitConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				set.Insert(uint64(g*per + i))
+				set.Insert(u64Key(uint64(g*per+i)), uint64(g*per+i))
 			}
 		}(g)
 	}
@@ -289,7 +298,7 @@ func TestDurableGroupCommitConcurrent(t *testing.T) {
 	if err := set.Close(); err != nil {
 		t.Fatal(err)
 	}
-	set2, info, err := OpenDurableShardedUint64Set(dir, 4, walCrashSample(), DurableOptions{})
+	set2, info, err := openDurableU64(dir, 4, walCrashSample(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,52 +327,66 @@ func TestDurableNotDurableErrors(t *testing.T) {
 	}
 }
 
-// TestDurableShardedOrphanedWALRefusal: write-ahead logs without their
-// snapshot mean the snapshot was lost, not that the store is new. A fresh
-// open must refuse — re-deriving boundaries would misroute the surviving
-// log records and silently discard acknowledged writes.
+// TestDurableShardedOrphanedWALRefusal: shard files without snap.hot mean
+// snap.hot was lost, not that the store is new. A fresh open must refuse —
+// re-deriving boundaries would misroute the surviving log records and
+// silently discard acknowledged writes — and name every shard file it
+// found: the write-ahead logs, and the shard bases once a checkpoint cut
+// them.
 func TestDurableShardedOrphanedWALRefusal(t *testing.T) {
-	dir := t.TempDir()
 	keys := dataset.Generate(dataset.Integer, 500, 5)
 	store := &tidstore.Store{}
 	for _, k := range keys {
 		store.Add(k)
 	}
-	tr, _, err := OpenDurableShardedTree(dir, store.Key, 4, keys, DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		tr.Insert(k, TID(i))
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, checkpoint := range []bool{false, true} {
+		dir := t.TempDir()
+		tr, _, err := OpenDurableShardedTree(dir, store.Key, 4, keys, DurableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range keys {
+			tr.Insert(k, TID(i))
+		}
+		var want []string
+		for s := 0; s < 4; s++ {
+			want = append(want, fmt.Sprintf("wal-%03d.log", s))
+		}
+		if checkpoint {
+			if err := tr.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			for s := 0; s < 4; s++ {
+				want = append(want, fmt.Sprintf("snap-%03d.hot", s))
+			}
+		}
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	// Simulate losing the snapshot between runs.
-	if err := os.Remove(filepath.Join(dir, durableSnapName)); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = OpenDurableShardedTree(dir, store.Key, 4, keys, DurableOptions{})
-	var oe *OrphanedLogError
-	if !errors.As(err, &oe) {
-		t.Fatalf("reopen without snapshot = %v, want *OrphanedLogError", err)
-	}
-	if oe.Dir != dir || len(oe.Logs) != 4 {
-		t.Fatalf("error names %d logs in %q, want 4 in %q", len(oe.Logs), oe.Dir, dir)
-	}
-	for s, name := range oe.Logs {
-		if name != fmt.Sprintf("wal-%03d.log", s) {
-			t.Fatalf("log %d listed as %q", s, name)
+		// Simulate losing snap.hot between runs.
+		if err := os.Remove(filepath.Join(dir, durableSnapName)); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = OpenDurableShardedTree(dir, store.Key, 4, keys, DurableOptions{})
+		var oe *OrphanedLogError
+		if !errors.As(err, &oe) {
+			t.Fatalf("checkpointed=%v: reopen without snap.hot = %v, want *OrphanedLogError", checkpoint, err)
+		}
+		if oe.Dir != dir || fmt.Sprint(oe.Logs) != fmt.Sprint(want) {
+			t.Fatalf("checkpointed=%v: error names %v in %q, want %v in %q", checkpoint, oe.Logs, oe.Dir, want, dir)
+		}
+		if !strings.Contains(err.Error(), "shard files") {
+			t.Fatalf("checkpointed=%v: message %q does not say shard files", checkpoint, err)
 		}
 	}
 }
 
 // TestDurableShardedForeignDirectoryRefusal: a directory in the single-map
 // durable layout this package once wrote — a Map snapshot as snap.hot, one
-// wal.log beside it — is not a sharded store. Both durable opens must say
-// so with a typed wrong-kind error and leave both files as they found
-// them, whether or not the cold tier is asked for.
+// wal.log beside it — is not a sharded store. The durable open must say so
+// with a typed wrong-kind error and leave both files as they found them,
+// whether or not the cold tier is asked for.
 func TestDurableShardedForeignDirectoryRefusal(t *testing.T) {
 	dir := t.TempDir()
 	m := NewMap()
@@ -400,13 +423,10 @@ func TestDurableShardedForeignDirectoryRefusal(t *testing.T) {
 
 	store := &tidstore.Store{}
 	for _, opts := range []DurableOptions{{}, {ColdTier: &ColdTierConfig{MemoryBudget: 1 << 20}}} {
-		_, _, terr := OpenDurableShardedTree(dir, store.Key, 4, nil, opts)
-		_, _, serr := OpenDurableShardedUint64Set(dir, 4, nil, opts)
-		for _, err := range []error{terr, serr} {
-			var se *SnapshotError
-			if !errors.As(err, &se) || se.Kind != SnapErrWrongKind {
-				t.Fatalf("cold=%v: open of a map directory = %v, want SnapErrWrongKind", opts.ColdTier != nil, err)
-			}
+		_, _, err := OpenDurableShardedTree(dir, store.Key, 4, nil, opts)
+		var se *SnapshotError
+		if !errors.As(err, &se) || se.Kind != SnapErrWrongKind {
+			t.Fatalf("cold=%v: open of a map directory = %v, want SnapErrWrongKind", opts.ColdTier != nil, err)
 		}
 		after := read()
 		if !bytes.Equal(before[0], after[0]) || !bytes.Equal(before[1], after[1]) {
@@ -527,6 +547,64 @@ func TestDurableShardedCheckpointRotateFaultMiddleShard(t *testing.T) {
 	for i, k := range keys {
 		if tid, ok := tr2.Lookup(k); !ok || tid != TID(i) {
 			t.Fatalf("key %d = (%d, %v) after recovery", i, tid, ok)
+		}
+	}
+}
+
+// TestDurableShardedRefusesSetDirectory: a durable directory of the
+// integer-set layout (u64SetVals) — snap.hot the shard manifest, and per
+// shard a base of integer-set sections beside its log — is not a
+// ShardedTree's, even over the embedded-key loader. The open must refuse
+// it with a typed wrong-kind error, tiered or not, and leave every file as
+// it found it: an untiered open must not salvage a foreign base down to
+// nothing and cut the empty shard over it.
+func TestDurableShardedRefusesSetDirectory(t *testing.T) {
+	dir := t.TempDir()
+	kind, write := u64SetUnit(-1)
+	if err := persist.SaveFile(filepath.Join(dir, durableSnapName), kind, write); err != nil {
+		t.Fatal(err)
+	}
+	for s := range u64SetVals {
+		kind, write := u64SetUnit(s)
+		if err := persist.SaveIndexedFile(filepath.Join(dir, snapFileName(s)), kind, write); err != nil {
+			t.Fatal(err)
+		}
+		w, err := persist.CreateWAL(filepath.Join(dir, durableWalName(s)), uint64(len(u64SetVals[s])), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := u64SetVals[s][0] + 1
+		if _, err := w.Append(persist.WalInsert, u64Key(v), v); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func() map[string]string {
+		files := map[string]string{}
+		names, err := filepath.Glob(filepath.Join(dir, "*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range names {
+			b, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[filepath.Base(p)] = string(b)
+		}
+		return files
+	}
+	before := read()
+	for _, opts := range []DurableOptions{{}, {ColdTier: &ColdTierConfig{}}} {
+		_, _, err := openDurableU64(dir, 2, nil, opts)
+		var se *SnapshotError
+		if !errors.As(err, &se) || se.Kind != SnapErrWrongKind {
+			t.Fatalf("cold=%v: open of an integer-set directory = %v, want SnapErrWrongKind", opts.ColdTier != nil, err)
+		}
+		if after := read(); fmt.Sprint(after) != fmt.Sprint(before) {
+			t.Fatalf("cold=%v: a refused open changed the directory: %d files before, %d after", opts.ColdTier != nil, len(before), len(after))
 		}
 	}
 }

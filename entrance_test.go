@@ -529,7 +529,7 @@ func (fx loadFixture) all() (out []pathEntry) {
 }
 
 func (fx loadFixture) manifest(w io.Writer) error {
-	return newShardedFromBounds(treeFlavor(fx.store.Key), fx.bounds).writeManifest(w)
+	return newShardedFromBounds(fx.store.Key, fx.bounds).writeManifest(w)
 }
 
 func (fx loadFixture) section(w io.Writer, s int, indexed bool) error {
@@ -912,7 +912,7 @@ func TestColdTierSwappedSectionsRefused(t *testing.T) {
 // of Promote — the shard stays cold, serving and writable.
 func TestColdTierPromoteRefusesForeignSection(t *testing.T) {
 	fx := seededLoadFixture(800, 4, 41)
-	tr := newShardedFromBounds(treeFlavor(fx.store.Key), fx.bounds)
+	tr := newShardedFromBounds(fx.store.Key, fx.bounds)
 	for _, e := range fx.all() {
 		tr.Insert(e.key, e.tid)
 	}

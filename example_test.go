@@ -2,6 +2,7 @@ package hot_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"os/exec"
@@ -95,6 +96,34 @@ func ExampleUint64Set() {
 	// size: 3
 	// 42
 	// 99
+}
+
+// A ShardedTree of integers needs no tuple store: a loader that writes the
+// TID's 8 big-endian bytes makes every value its own key and TID, the
+// paper's embedded-key optimization. The same loader serves every sharded
+// entrance — OpenDurableShardedTree, LoadShardedTreeFile, NewFollower.
+func ExampleShardedTree_integerKeys() {
+	embedded := func(tid hot.TID, buf []byte) []byte {
+		return binary.BigEndian.AppendUint64(buf[:0], tid)
+	}
+	key := func(v uint64) []byte { return binary.BigEndian.AppendUint64(nil, v) }
+
+	set := hot.NewShardedTree(embedded, 4, [][]byte{key(100), key(200), key(300)})
+	for _, v := range []uint64{250, 7, 120, 999, 42} {
+		set.Insert(key(v), v)
+	}
+	_, ok := set.Lookup(key(120))
+	fmt.Println(ok, set.Len(), set.Shards())
+	// Up to 3 values ≥ 40, in order across the shards.
+	set.Scan(key(40), 3, func(v hot.TID) bool {
+		fmt.Println(v)
+		return true
+	})
+	// Output:
+	// true 5 4
+	// 42
+	// 120
+	// 250
 }
 
 func ExampleNew() {

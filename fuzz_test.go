@@ -167,7 +167,7 @@ func FuzzLookupBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		s := &tidstore.Store{}
 		tr := New(s.Key)
-		sh := newShardedFromBounds(treeFlavor(s.Key), [][]byte{{0x55}, {0xAA}})
+		sh := newShardedFromBounds(s.Key, [][]byte{{0x55}, {0xAA}})
 		var stored [][]byte
 		for i := 0; i+8 <= len(tape)/2; i += 8 {
 			k := tape[i : i+8] // fixed 8-byte keys are prefix-free
@@ -345,7 +345,8 @@ func FuzzSnapshotLoad(f *testing.F) {
 // loaders (manifest section + per-shard sections): they may never panic,
 // and anything that loads cleanly must pass the aggregated Verify walk,
 // including the shard-range containment checks. Seeds are valid sharded
-// tree and set snapshots so mutation starts past the framing.
+// snapshots — over a tuple store and over the embedded-key loader — so
+// mutation starts past the framing.
 func FuzzShardedSnapshotLoad(f *testing.F) {
 	seed := func(build func() ([]byte, error)) {
 		blob, err := build()
@@ -367,9 +368,9 @@ func FuzzShardedSnapshotLoad(f *testing.F) {
 		return buf.Bytes(), err
 	})
 	seed(func() ([]byte, error) {
-		set := NewShardedUint64Set(4, []uint64{1 << 20, 1 << 40, 1 << 60})
+		set := NewShardedTree(tidstore.Uint64Key, 4, u64Keys([]uint64{1 << 20, 1 << 40, 1 << 60}))
 		for v := uint64(3); v < 1<<62; v = v*5 + 1 {
-			set.Insert(v)
+			set.Insert(u64Key(v), v)
 		}
 		var buf bytes.Buffer
 		err := set.Snapshot(&buf)
@@ -378,12 +379,6 @@ func FuzzShardedSnapshotLoad(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("HOTSNAP\x01"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The set loader is self-contained (keys embed the TID).
-		if set, err := LoadShardedUint64Set(bytes.NewReader(data)); err == nil {
-			if verr := set.Verify(); verr != nil {
-				t.Fatalf("loaded sharded set fails Verify: %v", verr)
-			}
-		}
 		// Tree loads need a loader resolving every TID in the image; harvest
 		// one from the raw sections first, the same way FuzzSnapshotLoad does
 		// for the flat tree. A TID reused for two different keys breaks the

@@ -1,6 +1,7 @@
 package hot
 
 import (
+	"flag"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -204,10 +205,14 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 // exportedNames parses the non-test source of the root package and of every
 // internal/* package and returns the exported names they declare: root
 // holds the root package's package-level declarations (what `hot.X` can
-// mean), all adds its methods, struct fields and interface methods and
-// everything the internal packages export.
+// mean) and its exported methods as Recv.Name — those of an unexported
+// type too when a struct embeds it, which promotes them —; all adds the
+// plain method names, struct fields and interface methods and everything
+// the internal packages export.
 func exportedNames(t *testing.T) (root, all map[string]bool) {
 	root, all = map[string]bool{}, map[string]bool{}
+	var methods [][2]string // the root package's exported methods: receiver, name
+	embedded := map[string]bool{}
 	dirs, err := filepath.Glob(filepath.Join("internal", "*"))
 	if err != nil {
 		t.Fatal(err)
@@ -233,6 +238,9 @@ func exportedNames(t *testing.T) (root, all map[string]bool) {
 					switch n := n.(type) {
 					case *ast.FuncDecl:
 						note(n.Name, n.Recv == nil)
+						if n.Recv != nil && n.Name.IsExported() && dir == "." {
+							methods = append(methods, [2]string{recvName(n.Recv.List[0].Type), n.Name.Name})
+						}
 						return false // nothing declared inside a function is a name a document can mean
 					case *ast.TypeSpec:
 						note(n.Name, true)
@@ -244,14 +252,86 @@ func exportedNames(t *testing.T) (root, all map[string]bool) {
 						for _, id := range n.Names {
 							note(id, false)
 						}
+						if len(n.Names) == 0 && dir == "." {
+							embedded[recvName(n.Type)] = true
+						}
 					}
 					return true
 				})
 			}
 		}
 	}
+	for _, m := range methods {
+		if ast.IsExported(m[0]) || embedded[m[0]] {
+			root[m[0]+"."+m[1]] = true
+		}
+	}
 	return root, all
 }
+
+// recvName is the type name of a method's receiver expression: T, *T, T[P].
+func recvName(x ast.Expr) string {
+	for {
+		switch e := x.(type) {
+		case *ast.StarExpr:
+			x = e.X
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.IndexListExpr:
+			x = e.X
+		case *ast.Ident:
+			return e.Name
+		default:
+			return "?"
+		}
+	}
+}
+
+// TestPublicSurfaceMatchesFixture pins the root package's public surface:
+// every exported package-level name and every exported method (Recv.Name)
+// is listed in testdata/api.txt, one per line, sorted, and nothing else is.
+// A change that adds or removes a public name must update the fixture, so
+// the name shows in the change's diff. Regenerate it with
+// `go test -run TestPublicSurfaceMatchesFixture -update-api .`.
+func TestPublicSurfaceMatchesFixture(t *testing.T) {
+	root, _ := exportedNames(t)
+	got := make([]string, 0, len(root))
+	for name := range root {
+		got = append(got, name)
+	}
+	sort.Strings(got)
+	const path = "testdata/api.txt"
+	if *updateAPI {
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Fields(string(raw))
+	if !slices.IsSorted(want) {
+		t.Errorf("%s is not sorted", path)
+	}
+	gotSet, wantSet := map[string]bool{}, map[string]bool{}
+	for _, n := range got {
+		gotSet[n] = true
+	}
+	for _, n := range want {
+		wantSet[n] = true
+		if !gotSet[n] {
+			t.Errorf("%s lists %s, which the root package no longer exports", path, n)
+		}
+	}
+	for _, n := range got {
+		if !wantSet[n] {
+			t.Errorf("the root package exports %s, which %s does not list", n, path)
+		}
+	}
+}
+
+var updateAPI = flag.Bool("update-api", false, "rewrite testdata/api.txt from the root package's exported names")
 
 // undeclaredGoNames returns the Go names text spells out that resolve to
 // nothing: `hot.X` with X not in root, and inside a backticked span an

@@ -27,8 +27,10 @@
 //     order-preserving escape makes them prefix-free) and maps them to
 //     uint64 values.
 //   - Uint64Set stores 63-bit integers with the keys embedded directly in
-//     the TIDs (the paper's optimization for fixed-size keys ≤ 8 bytes);
-//     ShardedUint64Set is its concurrent, range-partitioned variant.
+//     the TIDs (the paper's optimization for fixed-size keys ≤ 8 bytes). The
+//     embedded key is a choice of Loader, not of type: a ShardedTree whose
+//     loader writes the TID's 8 big-endian bytes is the concurrent,
+//     range-partitioned integer set (see ExampleShardedTree_integerKeys).
 //
 // All of them share one method surface — the Index interface — implemented
 // once in the shared surface layer (surface.go), so callers can swap
@@ -99,15 +101,6 @@ type Tree struct {
 // New returns an empty Tree resolving TIDs through loader.
 func New(loader Loader) *Tree {
 	t := core.New(core.Loader(loader))
-	return &Tree{base: newBase(t), t: t}
-}
-
-// NewWithFanout returns an empty Tree with a maximum node fanout of k
-// (2..MaxFanout). The paper's design point is k = 32; smaller values trade
-// tree height for cheaper intra-node operations and exist mainly for
-// experimentation (see the fanout ablation benchmark).
-func NewWithFanout(loader Loader, k int) *Tree {
-	t := core.NewWithFanout(core.Loader(loader), k)
 	return &Tree{base: newBase(t), t: t}
 }
 

@@ -1,5 +1,5 @@
 // Package shard implements the range-partitioning substrate of the sharded
-// HOT index types: boundary selection from a sampled key table, key→shard
+// HOT index: boundary selection from a sampled key table, key→shard
 // routing, the range check every entry entering a shard must pass, and the
 // per-shard submission queue of the async write path. Because the shards
 // partition the key space by range, the globally ordered stream is shard

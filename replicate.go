@@ -77,18 +77,13 @@ type ReplicationSession struct {
 	scratch []byte
 	locked  bool
 	resumed bool
-
-	// PingEvery is how long the tail may stay idle before the session
-	// emits a PING frame so the follower's read deadline does not mistake
-	// a quiet leader for a dead connection. Zero means the 1s default;
-	// negative disables pings. Set before Run.
-	PingEvery time.Duration
 }
 
-// defaultPingEvery is the idle-tail keepalive interval. It must be
-// comfortably below any follower read deadline (ReplicaOptions.ReadTimeout
-// defaults to 15s).
-const defaultPingEvery = time.Second
+// pingEvery is how long the tail may stay idle before the session emits a
+// PING frame, so the follower's read deadline does not mistake a quiet
+// leader for a dead connection. It must be comfortably below any follower
+// read deadline (ReplicaOptions.ReadTimeout defaults to 15s).
+const pingEvery = time.Second
 
 // NewReplicationSession starts a replication session writing to w. It
 // blocks while a Checkpoint, Close or another session is in progress, then
@@ -229,10 +224,6 @@ func (s *ReplicationSession) StreamTail(stop <-chan struct{}) error {
 			t.Close()
 		}
 	}()
-	pingEvery := s.PingEvery
-	if pingEvery == 0 {
-		pingEvery = defaultPingEvery
-	}
 	lastActive := time.Now()
 	for {
 		sent := false
@@ -275,7 +266,7 @@ func (s *ReplicationSession) StreamTail(stop <-chan struct{}) error {
 		// (the drain-once contract above). The write doubles as the
 		// liveness probe — a wedged consumer fails it at the transport's
 		// write deadline instead of holding the checkpoint lock forever.
-		if pingEvery > 0 && time.Since(lastActive) >= pingEvery {
+		if time.Since(lastActive) >= pingEvery {
 			if err := wire.WriteFrame(s.bw, wire.RepPing, nil); err != nil {
 				return err
 			}
@@ -330,7 +321,8 @@ func (s *ReplicationSession) Close() {
 // which is only legal after a complete bootstrap. ReplicaClient drives
 // exactly this loop.
 type Follower struct {
-	fl      flavor // of every tree a bootstrap builds; check is onEntry
+	loader  Loader            // of every tree a bootstrap builds
+	check   persist.EntryFunc // onEntry, every tree's check
 	tree    atomic.Pointer[ShardedTree]
 	ready   atomic.Int32
 	tailed  atomic.Uint64
@@ -346,9 +338,7 @@ type Follower struct {
 // DurableOptions.RecoverEntry; an error rejects the entry and kills the
 // feed. Servers use it to mirror the leader's TID→key table.
 func NewFollower(loader Loader, onEntry func(key []byte, tid TID) error) *Follower {
-	fl := treeFlavor(loader)
-	fl.check = onEntry
-	return &Follower{fl: fl}
+	return &Follower{loader: mustLoader(loader), check: onEntry}
 }
 
 // feedErr wraps a framing-level problem with its phase for diagnosis.
@@ -402,7 +392,7 @@ func (f *Follower) Feed(r io.Reader) error {
 	if op != wire.RepManifest || len(body) != 0 {
 		return feedErr("manifest", fmt.Errorf("unexpected frame %#x", op))
 	}
-	t, err := readManifest(br, f.fl)
+	t, err := readManifest(br, f.loader, f.check)
 	if err != nil {
 		return feedErr("manifest", err)
 	}
@@ -433,7 +423,7 @@ func (f *Follower) Feed(r io.Reader) error {
 			return feedErr("section", fmt.Errorf("section frame for shard %d, want %d", sh, i))
 		}
 		f.cuts[i] = cut
-		if _, err = persist.Read(br, t.kind, t.load(i, t.shards[i].Load().delta.Load())); err != nil {
+		if _, err = persist.Read(br, persist.KindTree, t.load(i, t.shards[i].Load().delta.Load())); err != nil {
 			return feedErr("section", err)
 		}
 		f.ready.Store(int32(i + 1))

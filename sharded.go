@@ -2,7 +2,6 @@ package hot
 
 import (
 	"cmp"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -10,7 +9,6 @@ import (
 	"github.com/hotindex/hot/internal/core"
 	"github.com/hotindex/hot/internal/persist"
 	"github.com/hotindex/hot/internal/shard"
-	"github.com/hotindex/hot/internal/tidstore"
 	"github.com/hotindex/hot/internal/wire"
 )
 
@@ -40,7 +38,10 @@ import (
 // equal to a boundary routes to the shard above it.
 type ShardedTree struct {
 	codecOpt
-	flavor
+	loader Loader
+	// check vets every entry entering a shard (nil: none): a durable open's
+	// RecoverEntry while the open runs, a follower's onEntry.
+	check  persist.EntryFunc
 	shards []shardSlot
 	bounds [][]byte // len(shards)-1 ascending boundary keys
 	async  *asyncState
@@ -48,27 +49,14 @@ type ShardedTree struct {
 	cold   atomic.Pointer[coldTier] // non-nil once EnableColdTier armed the pager
 }
 
-// flavor is everything that tells one sharded index type from another: how
-// its TIDs resolve to keys, the section kind its files and streams carry,
-// and the validator every entry entering a shard must pass (nil: none).
-// The constructor sets it once; nothing below threads it by hand.
-type flavor struct {
-	loader Loader
-	kind   uint16
-	check  func(key []byte, tid TID) error
-}
-
-// treeFlavor is ShardedTree's own flavor over the caller's loader.
-func treeFlavor(loader Loader) flavor {
+// mustLoader is the contract check of every public entrance that takes a
+// loader: a nil one panics at the call, not at the first key it resolves.
+func mustLoader(loader Loader) Loader {
 	if loader == nil {
 		panic("hot: nil Loader")
 	}
-	return flavor{loader: loader, kind: persist.KindTree}
+	return loader
 }
-
-// setFlavor is ShardedUint64Set's: embedded keys, set sections, and the
-// key-equals-TID rule on every entry.
-var setFlavor = flavor{tidstore.Uint64Key, persist.KindUint64Set, checkSetEntry}
 
 // shardSlot is one shard's backing: a pointer to its state (cold.go),
 // which a transition replaces with one store.
@@ -93,21 +81,21 @@ func (t *ShardedTree) eachDelta(fn func(d *core.ConcurrentTrie)) {
 // fewer than shards partitions (see Shards). The loader must be safe for
 // concurrent use.
 func NewShardedTree(loader Loader, shards int, sample [][]byte) *ShardedTree {
-	return newSharded(treeFlavor(loader), shards, sample)
+	return newSharded(mustLoader(loader), shards, sample)
 }
 
-// newSharded samples the boundary table for a fresh tree of flavor fl.
-func newSharded(fl flavor, shards int, sample [][]byte) *ShardedTree {
+// newSharded samples the boundary table for a fresh tree.
+func newSharded(loader Loader, shards int, sample [][]byte) *ShardedTree {
 	if shards < 1 {
 		panic("hot: shard count must be >= 1")
 	}
-	return newShardedFromBounds(fl, shard.Boundaries(shards, sample))
+	return newShardedFromBounds(loader, shard.Boundaries(shards, sample))
 }
 
 // newShardedFromBounds builds the shard set for an explicit boundary
 // table, the constructor the snapshot loaders use.
-func newShardedFromBounds(fl flavor, bounds [][]byte) *ShardedTree {
-	t := &ShardedTree{flavor: fl, bounds: bounds}
+func newShardedFromBounds(loader Loader, bounds [][]byte) *ShardedTree {
+	t := &ShardedTree{loader: loader, bounds: bounds}
 	t.shards = make([]shardSlot, len(bounds)+1)
 	for i := range t.shards {
 		t.shards[i].Store(hotState(t.newTrie()))
@@ -541,90 +529,3 @@ func (t *ShardedTree) scanN(start []byte, max, limit int, fn func(*ShardedCursor
 	}
 	return n
 }
-
-// ---- ShardedUint64Set ----
-
-// ShardedUint64Set is an ordered set of 63-bit integers range-partitioned
-// across independent single-writer shards — Uint64Set's write-scaling
-// variant, built on ShardedTree with the paper's embedded-key
-// optimization (the 8-byte big-endian key is the TID). All methods are
-// safe for concurrent use.
-type ShardedUint64Set struct {
-	t *ShardedTree
-}
-
-// NewShardedUint64Set returns an empty sharded integer set over at most
-// shards range partitions, with boundaries sampled from the values in
-// sample (see NewShardedTree).
-func NewShardedUint64Set(shards int, sample []uint64) *ShardedUint64Set {
-	return &ShardedUint64Set{t: newSharded(setFlavor, shards, u64keys(sample))}
-}
-
-// u64keys returns the 8-byte big-endian keys of vs, carved from one
-// allocation.
-func u64keys(vs []uint64) [][]byte {
-	keys := make([][]byte, len(vs))
-	putU64Keys(keys, make([]byte, 8*len(vs)), vs)
-	return keys
-}
-
-// Insert adds v (< 2^63), reporting false if already present.
-func (s *ShardedUint64Set) Insert(v uint64) bool {
-	var b [8]byte
-	return s.t.Insert(u64key(v, &b), v)
-}
-
-// Contains reports whether v is in the set. It is wait-free.
-func (s *ShardedUint64Set) Contains(v uint64) bool {
-	var b [8]byte
-	_, ok := s.t.Lookup(u64key(v, &b))
-	return ok
-}
-
-// LookupBatch reports membership of all values as one batch (see
-// ShardedTree.LookupBatch). The returned mask is owned by the caller and is
-// the call's one allocation.
-func (s *ShardedUint64Set) LookupBatch(vs []uint64) []bool {
-	b := u64BatchPool.Get().(*u64Batch)
-	found := s.t.LookupBatch(b.encode(vs))
-	u64BatchPool.Put(b)
-	return found
-}
-
-var u64BatchPool = sync.Pool{New: func() any { return new(u64Batch) }}
-
-// Delete removes v, reporting whether it was present.
-func (s *ShardedUint64Set) Delete(v uint64) bool {
-	var b [8]byte
-	return s.t.Delete(u64key(v, &b))
-}
-
-// Len returns the set's cardinality across all shards.
-func (s *ShardedUint64Set) Len() int { return s.t.Len() }
-
-// Shards returns the number of range partitions.
-func (s *ShardedUint64Set) Shards() int { return s.t.Shards() }
-
-// Ascend invokes fn for up to max values ≥ from in ascending order across
-// all shards (max < 0 means unbounded).
-func (s *ShardedUint64Set) Ascend(from uint64, max int, fn func(uint64) bool) int {
-	var b [8]byte
-	if max < 0 {
-		max = math.MaxInt
-	}
-	return s.t.Scan(u64key(from, &b), max, fn)
-}
-
-// Height returns the maximum shard height.
-func (s *ShardedUint64Set) Height() int { return s.t.Height() }
-
-// OpStats reports the aggregated per-shard insertion-case, robustness and
-// submission-queue counters (see ShardedTree.OpStats).
-func (s *ShardedUint64Set) OpStats() OpStats { return s.t.OpStats() }
-
-// Memory computes the aggregate memory statistics of all shards.
-func (s *ShardedUint64Set) Memory() MemoryStats { return s.t.Memory() }
-
-// Verify checks every shard's structural invariants and the shard-range
-// invariant (see ShardedTree.Verify); it must run in a quiescent state.
-func (s *ShardedUint64Set) Verify() error { return s.t.Verify() }

@@ -13,10 +13,10 @@ import (
 	"github.com/hotindex/hot/internal/shard"
 )
 
-// This file is the write path of the sharded index types. Every operation
-// reaches a shard through one function, run: a synchronous call is run
-// with one op (ShardedTree.writeSync), an async submission that finds its
-// shard idle is the same, and a drain slice is run over the shard's ring.
+// This file is ShardedTree's write path. Every operation reaches a shard
+// through one function, run: a synchronous call is run with one op
+// (ShardedTree.writeSync), an async submission that finds its shard idle is
+// the same, and a drain slice is run over the shard's ring.
 // run holds the shard's writer lock and writes through the exclusive
 // core.Writer of the shard's delta (cold.go: a hot shard's whole trie) —
 // so a shard has one writer at a time and runs no
@@ -77,8 +77,7 @@ type asyncState struct {
 	queueFull atomic.Uint64 // deposits rejected by a full ring
 }
 
-// defaultQueueCapacity is the per-shard ring size NewShardedTree starts
-// with; SetAsyncQueueCapacity resizes it.
+// defaultQueueCapacity is the per-shard submission ring size.
 const defaultQueueCapacity = 1024
 
 // drainSlice caps how many queued ops a drainer applies per batch before
@@ -118,22 +117,6 @@ func (a *asyncState) pending() uint64 {
 	}
 	return p
 }
-
-// SetAsyncQueueCapacity resizes every shard's submission ring to hold
-// capacity ops (minimum 1). It must be called in an async-quiescent state —
-// no in-flight *Async ops (Flush first); it panics otherwise.
-func (t *ShardedTree) SetAsyncQueueCapacity(capacity int) {
-	a := t.async
-	if a.pending() != 0 {
-		panic("hot: SetAsyncQueueCapacity with async ops in flight (Flush first)")
-	}
-	for i := range a.ws {
-		a.ws[i].q = shard.NewQueue(capacity)
-	}
-}
-
-// AsyncQueueCapacity returns the per-shard submission ring capacity.
-func (t *ShardedTree) AsyncQueueCapacity() int { return t.async.ws[0].q.Cap() }
 
 // InsertAsync submits an asynchronous Insert of tid under key. It returns
 // once the op is applied or deposited in the owning shard's submission
@@ -476,39 +459,4 @@ func (a *asyncState) queueOpStats(o *OpStats) {
 		depth += a.ws[i].q.Len()
 	}
 	o.QueueDepth = uint64(depth)
-}
-
-// ---- ShardedUint64Set async surface ----
-
-// InsertAsync submits an asynchronous insert of v (< 2^63); a value already
-// present becomes a rejected no-op (see ShardedTree.InsertAsync).
-func (s *ShardedUint64Set) InsertAsync(v uint64) {
-	s.t.InsertAsync(u64keyAlloc(v), v)
-}
-
-// DeleteAsync submits an asynchronous delete of v; an absent value becomes
-// a rejected no-op.
-func (s *ShardedUint64Set) DeleteAsync(v uint64) {
-	s.t.DeleteAsync(u64keyAlloc(v))
-}
-
-// Flush waits for every previously submitted async op to apply, returning
-// the cumulative applied/rejected totals (see ShardedTree.Flush).
-func (s *ShardedUint64Set) Flush() (applied, rejected uint64) { return s.t.Flush() }
-
-// AsyncPending reports the live async backlog (see ShardedTree.AsyncPending).
-func (s *ShardedUint64Set) AsyncPending() int { return s.t.AsyncPending() }
-
-// SetAsyncQueueCapacity resizes the per-shard submission rings (see
-// ShardedTree.SetAsyncQueueCapacity).
-func (s *ShardedUint64Set) SetAsyncQueueCapacity(capacity int) {
-	s.t.SetAsyncQueueCapacity(capacity)
-}
-
-// u64keyAlloc heap-allocates the 8-byte big-endian key of v: async ops hold
-// their key until applied, so the stack buffer trick of the sync path does
-// not apply.
-func u64keyAlloc(v uint64) []byte {
-	b := make([]byte, 8)
-	return u64key(v, (*[8]byte)(b))
 }

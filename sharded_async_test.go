@@ -11,6 +11,14 @@ import (
 	"github.com/hotindex/hot/internal/tidstore"
 )
 
+// withQueueCapacity gives every shard of st, which must not have been
+// written yet, a submission ring of capacity ops: a small ring drives the
+// full-ring paths (self-drains, steals, backoff) that the default rarely
+// reaches.
+func withQueueCapacity(st *ShardedTree, capacity int) {
+	st.async = newAsyncState(len(st.shards), capacity)
+}
+
 // asyncFixtureKeys generates n distinct 8-byte keys whose top byte is drawn
 // from hotFrac-weighted ranges: hotFrac of the keys land below boundary
 // byte 64 (shards 0–1 of a uniform 8-way split), the rest are uniform. The
@@ -116,7 +124,7 @@ func TestAsyncZipfHotShard(t *testing.T) {
 	for round := 0; ; round++ {
 		store, keys, sample := asyncFixtureKeys(nKeys, 0.85, 1000+int64(round))
 		st := NewShardedTree(store.Key, 8, sample)
-		st.SetAsyncQueueCapacity(4)
+		withQueueCapacity(st, 4)
 		if hot := st.Shard(keys[0][:8]); hot < 0 { // routing sanity only
 			t.Fatal("unreachable")
 		}
@@ -174,9 +182,9 @@ func TestAsyncZipfHotShard(t *testing.T) {
 func TestAsyncQueueCapacityOne(t *testing.T) {
 	store, keys, sample := asyncFixtureKeys(6000, 0.5, 3)
 	st := NewShardedTree(store.Key, 4, sample)
-	st.SetAsyncQueueCapacity(1)
-	if got := st.AsyncQueueCapacity(); got != 1 {
-		t.Fatalf("AsyncQueueCapacity = %d, want 1", got)
+	withQueueCapacity(st, 1)
+	if got := st.async.ws[0].q.Cap(); got != 1 {
+		t.Fatalf("queue capacity = %d, want 1", got)
 	}
 	const workers = 8
 	var wg sync.WaitGroup
@@ -233,77 +241,6 @@ func TestAsyncOrderingAndRejects(t *testing.T) {
 	if tid, ok := st.Lookup(k); !ok || tid != 0 {
 		t.Fatalf("lookup after UpsertAsync = (%d, %v), want (0, true)", tid, ok)
 	}
-
-	// SetAsyncQueueCapacity is guarded against in-flight ops only; after a
-	// Flush it must succeed.
-	st.SetAsyncQueueCapacity(8)
-	if got := st.AsyncQueueCapacity(); got != 8 {
-		t.Fatalf("AsyncQueueCapacity = %d, want 8", got)
-	}
-}
-
-// TestShardedUint64SetAsync covers the integer-set async surface.
-func TestShardedUint64SetAsync(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	sample := make([]uint64, 2048)
-	for i := range sample {
-		sample[i] = rng.Uint64() >> 1
-	}
-	s := NewShardedUint64Set(8, sample)
-	vals := make([]uint64, 8000)
-	seen := map[uint64]bool{}
-	for i := range vals {
-		v := rng.Uint64() >> 1
-		for seen[v] {
-			v = rng.Uint64() >> 1
-		}
-		seen[v] = true
-		vals[i] = v
-	}
-	const workers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(vals); i += workers {
-				s.InsertAsync(vals[i])
-			}
-		}(w)
-	}
-	wg.Wait()
-	if applied, rejected := s.Flush(); applied != uint64(len(vals)) || rejected != 0 {
-		t.Fatalf("Flush = (%d, %d), want (%d, 0)", applied, rejected, len(vals))
-	}
-	if s.Len() != len(vals) {
-		t.Fatalf("Len = %d, want %d", s.Len(), len(vals))
-	}
-	for _, v := range vals {
-		if !s.Contains(v) {
-			t.Fatalf("missing %d", v)
-		}
-	}
-	// Async delete half; the rest must survive.
-	for i, v := range vals {
-		if i%2 == 0 {
-			s.DeleteAsync(v)
-		}
-	}
-	s.Flush()
-	if s.AsyncPending() != 0 {
-		t.Fatalf("AsyncPending = %d after Flush", s.AsyncPending())
-	}
-	for i, v := range vals {
-		if got, want := s.Contains(v), i%2 != 0; got != want {
-			t.Fatalf("Contains(%d) = %v, want %v", v, got, want)
-		}
-	}
-	if err := s.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if o := s.OpStats(); o.Drained == 0 && o.Enqueued > 0 {
-		t.Fatalf("enqueued ops never drained: %s", o)
-	}
 }
 
 // TestAsyncMixedSyncChurn interleaves synchronous writers, async writers
@@ -321,7 +258,7 @@ func TestAsyncMixedSyncChurn(t *testing.T) {
 
 	store, keys, sample := asyncFixtureKeys(4000, 0.7, 23)
 	st := NewShardedTree(store.Key, 4, sample)
-	st.SetAsyncQueueCapacity(8)
+	withQueueCapacity(st, 8)
 	const (
 		workers = 8
 		perW    = 4000
@@ -405,7 +342,7 @@ func TestShardWritesTakeNoROWEXLock(t *testing.T) {
 		alt[i] = store.Add(k)
 	}
 	st := NewShardedTree(store.Key, 4, sample)
-	st.SetAsyncQueueCapacity(8)
+	withQueueCapacity(st, 8)
 	const workers = 8
 	models := make([]map[int]TID, workers)
 	var wg sync.WaitGroup

@@ -41,7 +41,7 @@ func (t *ShardedTree) writeManifest(w io.Writer) error {
 // and the delta's walk observes nodes atomically, so the section is as
 // consistent as a hot shard's walk.
 func (t *ShardedTree) writeShard(w io.Writer, i int) error {
-	return writeSnapshot(w, t.kind, t.SnapshotCodec(), false, t.shards[i].Load().walk)
+	return writeSnapshot(w, persist.KindTree, t.SnapshotCodec(), false, t.shards[i].Load().walk)
 }
 
 // writeSections streams the manifest plus one data section per shard.
@@ -133,29 +133,30 @@ func absolutize(err error, base int64) {
 	}
 }
 
-// readSharded parses one multiplexed sharded snapshot of flavor fl: the
-// manifest, then one section per shard, each loaded into the shard whose
-// section delivered it. In salvage mode a damaged or corrupt section stops
-// the load and returns the tree built from everything before the damage
-// (later shards stay empty), with the report describing the loss; in
-// strict mode any damage is an error. A damaged manifest is always an
-// error — without the boundary table there is no tree to build.
-func readSharded(r io.Reader, fl flavor, salvage bool) (*ShardedTree, RecoveryReport, error) {
+// readSharded parses one multiplexed sharded snapshot, every entry held to
+// check (nil: none) as it loads: the manifest, then one section per shard,
+// each loaded into the shard whose section delivered it. In salvage mode a
+// damaged or corrupt section stops the load and returns the tree built from
+// everything before the damage (later shards stay empty), with the report
+// describing the loss; in strict mode any damage is an error, and so in
+// either mode is a section of another index kind. A damaged manifest is
+// always an error — without the boundary table there is no tree to build.
+func readSharded(r io.Reader, loader Loader, check persist.EntryFunc, salvage bool) (*ShardedTree, RecoveryReport, error) {
 	cr := &countingReader{r: r}
 	var rep RecoveryReport
-	t, err := readManifest(cr, fl)
+	t, err := readManifest(cr, loader, check)
 	if err != nil {
 		errors.As(err, &rep.Damage)
 		return nil, rep, err
 	}
 	for i := range t.shards {
 		base := cr.n
-		n, err := persist.Read(cr, t.kind, t.load(i, t.shards[i].Load().delta.Load()))
+		n, err := persist.Read(cr, persist.KindTree, t.load(i, t.shards[i].Load().delta.Load()))
 		rep.Entries += n
 		if err != nil {
 			absolutize(err, base)
 			errors.As(err, &rep.Damage)
-			if salvage {
+			if salvage && !foreign(err) {
 				return t, rep, nil
 			}
 			return nil, rep, err
@@ -165,11 +166,19 @@ func readSharded(r io.Reader, fl flavor, salvage bool) (*ShardedTree, RecoveryRe
 	return t, rep, nil
 }
 
+// foreign reports a section of another index kind: a file that is not a
+// ShardedTree's, which no salvage may cut down to an empty prefix.
+func foreign(err error) bool {
+	var se *SnapshotError
+	return errors.As(err, &se) && se.Kind == SnapErrWrongKind
+}
+
 // readManifest parses a manifest section from r and returns the empty tree
-// its boundary table defines. Every consumer of a manifest — the file
+// its boundary table defines, resolving through loader and vetting every
+// entry that enters it with check. Every consumer of a manifest — the file
 // loaders above, the durable open and the replication follower — starts
 // here.
-func readManifest(r io.Reader, fl flavor) (*ShardedTree, error) {
+func readManifest(r io.Reader, loader Loader, check persist.EntryFunc) (*ShardedTree, error) {
 	var bounds [][]byte
 	_, err := persist.Read(r, persist.KindShardManifest, func(key []byte, tid TID) error {
 		if tid != uint64(len(bounds)) {
@@ -182,7 +191,9 @@ func readManifest(r io.Reader, fl flavor) (*ShardedTree, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newShardedFromBounds(fl, bounds), nil
+	t := newShardedFromBounds(loader, bounds)
+	t.check = check
+	return t, nil
 }
 
 // LoadShardedTree rebuilds a ShardedTree from a sharded snapshot,
@@ -192,7 +203,7 @@ func readManifest(r io.Reader, fl flavor) (*ShardedTree, error) {
 // damage) on any corruption. The loader must resolve every TID stored in
 // the snapshot, exactly as it did when the snapshot was saved.
 func LoadShardedTree(r io.Reader, loader Loader) (*ShardedTree, error) {
-	t, _, err := readSharded(r, treeFlavor(loader), false)
+	t, _, err := readSharded(r, mustLoader(loader), nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -215,85 +226,14 @@ func LoadShardedTreeFile(path string, loader Loader) (*ShardedTree, error) {
 // contributes its valid block prefix, and later shards are left empty.
 // The report says how much was salvaged and what damage stopped the read;
 // the error is non-nil only when nothing could be loaded at all (an
-// unreadable file or manifest).
+// unreadable file or manifest) or a section is of another index kind — a
+// file that is not a ShardedTree's, which salvage must not cut down.
 func RecoverShardedTreeFile(path string, loader Loader) (*ShardedTree, RecoveryReport, error) {
-	fl := treeFlavor(loader)
+	mustLoader(loader)
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, RecoveryReport{}, err
 	}
 	defer f.Close()
-	return readSharded(f, fl, true)
-}
-
-// ---- ShardedUint64Set ----
-
-// checkSetEntry validates the embedded-key convention for sharded set
-// sections: the 8-byte big-endian key must decode to exactly the stored
-// TID.
-func checkSetEntry(key []byte, tid TID) error {
-	if len(key) != 8 {
-		return &SnapshotError{Kind: persist.ErrCorrupt,
-			Detail: fmt.Sprintf("set key length %d, want 8", len(key))}
-	}
-	var v uint64
-	for _, b := range key {
-		v = v<<8 | uint64(b)
-	}
-	if v != tid {
-		return &SnapshotError{Kind: persist.ErrCorrupt,
-			Detail: fmt.Sprintf("set key decodes to %d, TID is %d", v, tid)}
-	}
-	return nil
-}
-
-// SetSnapshotCodec selects the block codec for the set's subsequent
-// snapshot and checkpoint writes (see codecOpt.SetSnapshotCodec).
-func (s *ShardedUint64Set) SetSnapshotCodec(c SnapshotCodec) { s.t.SetSnapshotCodec(c) }
-
-// SnapshotCodec returns the codec subsequent snapshot writes will use.
-func (s *ShardedUint64Set) SnapshotCodec() SnapshotCodec { return s.t.SnapshotCodec() }
-
-// Snapshot writes a snapshot of the live sharded set to w without
-// blocking concurrent writers (see ShardedTree.Snapshot).
-func (s *ShardedUint64Set) Snapshot(w io.Writer) error { return s.t.Snapshot(w) }
-
-// SnapshotFile atomically writes a snapshot of the live sharded set to
-// path (see ShardedTree.SnapshotFile).
-func (s *ShardedUint64Set) SnapshotFile(path string) error { return s.t.SnapshotFile(path) }
-
-// LoadShardedUint64Set rebuilds a ShardedUint64Set from a sharded
-// snapshot, returning a typed *SnapshotError on any corruption.
-func LoadShardedUint64Set(r io.Reader) (*ShardedUint64Set, error) {
-	t, _, err := readSharded(r, setFlavor, false)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedUint64Set{t: t}, nil
-}
-
-// LoadShardedUint64SetFile is LoadShardedUint64Set over the file at path.
-func LoadShardedUint64SetFile(path string) (*ShardedUint64Set, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadShardedUint64Set(f)
-}
-
-// RecoverShardedUint64SetFile rebuilds a ShardedUint64Set from the longest
-// valid prefix of a possibly damaged sharded snapshot (see
-// RecoverShardedTreeFile).
-func RecoverShardedUint64SetFile(path string) (*ShardedUint64Set, RecoveryReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, RecoveryReport{}, err
-	}
-	defer f.Close()
-	t, rep, err := readSharded(f, setFlavor, true)
-	if err != nil {
-		return nil, rep, err
-	}
-	return &ShardedUint64Set{t: t}, rep, nil
+	return readSharded(f, loader, nil, true)
 }

@@ -177,8 +177,9 @@ func TestShardedSnapshotDamageSweep(t *testing.T) {
 }
 
 // TestShardedSnapshotKindMismatch: a plain tree snapshot is not a sharded
-// snapshot and vice versa; both directions must fail with ErrWrongKind
-// rather than misparse.
+// snapshot and vice versa, and a sharded image of integer-set sections is
+// not a ShardedTree's; each must fail with ErrWrongKind rather than
+// misparse.
 func TestShardedSnapshotKindMismatch(t *testing.T) {
 	s := &tidstore.Store{}
 	k := []byte("key\x00")
@@ -202,36 +203,81 @@ func TestShardedSnapshotKindMismatch(t *testing.T) {
 	if _, err := LoadTree(bytes.NewReader(sb.Bytes()), s.Key); err == nil {
 		t.Fatal("sharded snapshot loaded as plain")
 	}
-	// A sharded TREE snapshot must not load as a sharded SET either: the
-	// section kinds differ even though the manifest parses.
-	set := NewShardedUint64Set(2, []uint64{1 << 40, 1 << 50})
-	set.Insert(42)
+	// Nor does a sharded image whose sections hold another kind: the
+	// integer-set layout (u64SetVals) parses up to its first section
+	// and is then refused, also by the salvaging reader, which must not cut
+	// a foreign file down to an empty prefix.
 	var setb bytes.Buffer
-	if err := set.Snapshot(&setb); err != nil {
+	for s := -1; s < len(u64SetVals); s++ {
+		kind, write := u64SetUnit(s)
+		sw, err := persist.NewWriter(&setb, kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := write(sw); err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "set.hot")
+	if err := os.WriteFile(path, setb.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadShardedTree(bytes.NewReader(setb.Bytes()), s.Key); err == nil {
-		t.Fatal("sharded set snapshot loaded as sharded tree")
+	_, err := LoadShardedTree(bytes.NewReader(setb.Bytes()), tidstore.Uint64Key)
+	_, _, rerr := RecoverShardedTreeFile(path, tidstore.Uint64Key)
+	for _, err := range []error{err, rerr} {
+		if se, ok := err.(*SnapshotError); !ok || se.Kind != SnapErrWrongKind {
+			t.Fatalf("sharded image of integer-set sections: want ErrWrongKind, got %v", err)
+		}
 	}
 }
 
-// TestShardedUint64SetSnapshotRoundTrip covers the set flavor, including
-// salvage of a clean file and the embedded-key validation.
-func TestShardedUint64SetSnapshotRoundTrip(t *testing.T) {
+// u64SetVals is a two-shard integer set, split at u64SetBound, in the
+// layout an integer-set sharded type of an earlier build wrote: a shard
+// manifest like a ShardedTree's, but sections of kind KindUint64Set, each
+// value under its own 8-byte key.
+var (
+	u64SetBound = u64Key(1 << 40)
+	u64SetVals  = [2][]uint64{{7, 42}, {1 << 41, 1 << 50}}
+)
+
+// u64SetUnit returns the kind and the entries of one unit of that layout,
+// for internal/persist to write: the manifest for s = -1, else shard s's
+// section.
+func u64SetUnit(s int) (uint16, func(*persist.Writer) error) {
+	if s < 0 {
+		return persist.KindShardManifest, func(w *persist.Writer) error { return w.WriteEntry(u64SetBound, 0) }
+	}
+	return persist.KindUint64Set, func(w *persist.Writer) error {
+		for _, v := range u64SetVals[s] {
+			if err := w.WriteEntry(u64Key(v), v); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// TestShardedEmbeddedKeySnapshotRoundTrip: a ShardedTree over the
+// embedded-key loader snapshots and loads back through the same loader,
+// strictly and salvaged, with nothing but the file.
+func TestShardedEmbeddedKeySnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	vals := make([]uint64, 2000)
 	for i := range vals {
 		vals[i] = rng.Uint64() >> 1
 	}
-	set := NewShardedUint64Set(4, vals)
+	set := NewShardedTree(tidstore.Uint64Key, 4, u64Keys(vals))
 	for _, v := range vals {
-		set.Insert(v)
+		set.Insert(u64Key(v), v)
 	}
 	path := filepath.Join(t.TempDir(), "set.hot")
 	if err := set.SnapshotFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadShardedUint64SetFile(path)
+	got, err := LoadShardedTreeFile(path, tidstore.Uint64Key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,13 +288,13 @@ func TestShardedUint64SetSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range vals[:200] {
-		if !got.Contains(v) {
-			t.Fatalf("missing %d after round trip", v)
+		if tid, ok := got.Lookup(u64Key(v)); !ok || tid != v {
+			t.Fatalf("value %d after round trip: (%d, %v)", v, tid, ok)
 		}
 	}
-	rec, rep, err := RecoverShardedUint64SetFile(path)
+	rec, rep, err := RecoverShardedTreeFile(path, tidstore.Uint64Key)
 	if err != nil || !rep.Complete {
-		t.Fatalf("recover clean set file: err=%v rep=%+v", err, rep)
+		t.Fatalf("recover clean file: err=%v rep=%+v", err, rep)
 	}
 	if rec.Len() != set.Len() {
 		t.Fatalf("recovered %d of %d", rec.Len(), set.Len())

@@ -29,6 +29,19 @@ func scanSeq(idx Index, s *tidstore.Store) [][]byte {
 	return out
 }
 
+// u64Key is v's 8-byte big-endian key, the key the embedded-key loader
+// (tidstore.Uint64Key) resolves TID v to.
+func u64Key(v uint64) []byte { return tidstore.Uint64Key(v, nil) }
+
+// u64Keys is u64Key of every value.
+func u64Keys(vs []uint64) [][]byte {
+	keys := make([][]byte, len(vs))
+	for i, v := range vs {
+		keys[i] = u64Key(v)
+	}
+	return keys
+}
+
 // buildPair loads the same keys into a ShardedTree and a single-tree
 // oracle.
 func buildPair(keys [][]byte, s *tidstore.Store, shards int) (*ShardedTree, *Tree) {
@@ -349,7 +362,7 @@ func TestShardedLookupBatch(t *testing.T) {
 	}
 }
 
-// TestShardedLookupBatchAllocs pins the sharded batch paths to one
+// TestShardedLookupBatchAllocs pins the sharded batch path to one
 // allocation per call, the mask handed to the caller: routing, the
 // cross-shard descent and the cold shard's point reads draw their scratch
 // from pools.
@@ -374,20 +387,6 @@ func TestShardedLookupBatchAllocs(t *testing.T) {
 	st.LookupBatch(probe, out) // warm the pools and the page cache
 	if allocs := testing.AllocsPerRun(100, func() { st.LookupBatch(probe, out) }); allocs != 1 {
 		t.Fatalf("ShardedTree.LookupBatch allocates %v per call, want 1", allocs)
-	}
-
-	vs := make([]uint64, 4000)
-	for i := range vs {
-		vs[i] = uint64(i) * 0x9E3779B97F4A7C15 >> 1
-	}
-	set := NewShardedUint64Set(8, vs)
-	for _, v := range vs {
-		set.Insert(v)
-	}
-	batch := vs[100:132]
-	set.LookupBatch(batch)
-	if allocs := testing.AllocsPerRun(100, func() { set.LookupBatch(batch) }); allocs != 1 {
-		t.Fatalf("ShardedUint64Set.LookupBatch allocates %v per call, want 1", allocs)
 	}
 }
 
@@ -608,19 +607,19 @@ func TestShardedStatsAggregate(t *testing.T) {
 	}
 }
 
-// TestShardedUint64Set exercises the integer-set wrapper end to end:
-// inserts, membership, batched membership, ordered ascent across shard
-// boundaries, deletes.
-func TestShardedUint64Set(t *testing.T) {
+// TestShardedTreeEmbeddedKeys runs a ShardedTree as an integer set, the
+// paper's embedded-key optimization: the loader writes the TID's 8
+// big-endian bytes, so there is no tuple store. Inserts, point and batched
+// lookups, an ordered scan across shard boundaries and deletes.
+func TestShardedTreeEmbeddedKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	vals := make([]uint64, 3000)
 	for i := range vals {
 		vals[i] = rng.Uint64() >> 1
 	}
-	sample := append([]uint64(nil), vals...)
-	set := NewShardedUint64Set(8, sample)
+	set := NewShardedTree(tidstore.Uint64Key, 8, u64Keys(vals))
 	for _, v := range vals {
-		set.Insert(v)
+		set.Insert(u64Key(v), v)
 	}
 	inserted := make(map[uint64]bool, len(vals))
 	for _, v := range vals {
@@ -632,42 +631,48 @@ func TestShardedUint64Set(t *testing.T) {
 	if err := set.Verify(); err != nil {
 		t.Fatal(err)
 	}
+	contains := func(v uint64) bool {
+		tid, ok := set.Lookup(u64Key(v))
+		if ok && tid != v {
+			t.Fatalf("value %d stored under TID %d", v, tid)
+		}
+		return ok
+	}
 	for _, v := range vals[:200] {
-		if !set.Contains(v) {
+		if !contains(v) {
 			t.Fatalf("missing %d", v)
 		}
 	}
-	if set.Contains(1) != inserted[1] {
+	if contains(1) != inserted[1] {
 		t.Fatal("absent-value membership wrong")
 	}
 	// Batched membership vs scalar.
-	probe := append(append([]uint64(nil), vals[:100]...), 1, 2, 3)
-	mask := set.LookupBatch(probe)
-	for i, v := range probe {
-		if mask[i] != set.Contains(v) {
-			t.Fatalf("batch membership of %d diverges", v)
+	probe := u64Keys(append(append([]uint64(nil), vals[:100]...), 1, 2, 3))
+	mask := set.LookupBatch(probe, make([]TID, len(probe)))
+	for i, k := range probe {
+		if mask[i] != contains(binary.BigEndian.Uint64(k)) {
+			t.Fatalf("batch membership of %x diverges", k)
 		}
 	}
-	// Ascend must be globally sorted across shards.
+	// The scan must be globally sorted across shards.
 	var prev uint64
 	n := 0
-	set.Ascend(0, -1, func(v uint64) bool {
+	set.Scan(nil, math.MaxInt, func(v uint64) bool {
 		if n > 0 && v <= prev {
-			t.Fatalf("Ascend not sorted at %d: %d after %d", n, v, prev)
+			t.Fatalf("scan not sorted at %d: %d after %d", n, v, prev)
 		}
 		prev = v
 		n++
 		return true
 	})
 	if n != set.Len() {
-		t.Fatalf("Ascend visited %d of %d", n, set.Len())
-	}
-	// Deletes.
-	for _, v := range vals[:500] {
-		set.Delete(v)
+		t.Fatalf("scan visited %d of %d", n, set.Len())
 	}
 	for _, v := range vals[:500] {
-		if set.Contains(v) {
+		set.Delete(u64Key(v))
+	}
+	for _, v := range vals[:500] {
+		if contains(v) {
 			t.Fatalf("deleted %d still present", v)
 		}
 	}
@@ -675,7 +680,7 @@ func TestShardedUint64Set(t *testing.T) {
 		t.Fatal(err)
 	}
 	if set.Shards() < 2 || set.Height() < 0 || set.Memory().Nodes <= 0 {
-		t.Fatal("set introspection broken")
+		t.Fatal("introspection broken")
 	}
 }
 
@@ -708,56 +713,6 @@ func TestShardedTreeDegenerate(t *testing.T) {
 	}
 	if _, ok := st.Lookup(k); !ok {
 		t.Fatal("lookup in 1-shard tree failed")
-	}
-}
-
-// TestShardedUint64SetAscendUnbounded: Ascend(from, -1, fn) has no bound —
-// not even the cardinality read before the walk. 1 000 values are present
-// and another goroutine inserts 1 000 more above the cursor while the walk
-// runs; how many of those a wait-free cursor meets is the trie's business,
-// so the reference is the tree's own Scan with no bound over the same
-// history: Ascend must visit exactly as many, which is more than it began
-// with.
-func TestShardedUint64SetAscendUnbounded(t *testing.T) {
-	const n = 1000
-	sample := make([]uint64, n)
-	for i := range sample {
-		sample[i] = uint64(i)
-	}
-	walk := func(scan func(set *ShardedUint64Set, fn func(uint64) bool) int) int {
-		set := NewShardedUint64Set(4, sample)
-		for _, v := range sample {
-			set.Insert(v)
-		}
-		var prev uint64
-		return scan(set, func(v uint64) bool {
-			if v == 0 {
-				done := make(chan struct{})
-				go func() {
-					defer close(done)
-					for w := uint64(n); w < 2*n; w++ {
-						set.Insert(w)
-					}
-				}()
-				<-done
-			} else if v <= prev {
-				t.Errorf("walk not sorted: %d after %d", v, prev)
-			}
-			prev = v
-			return true
-		})
-	}
-	want := walk(func(set *ShardedUint64Set, fn func(uint64) bool) int {
-		return set.t.Scan(make([]byte, 8), math.MaxInt, fn)
-	})
-	got := walk(func(set *ShardedUint64Set, fn func(uint64) bool) int {
-		return set.Ascend(0, -1, fn)
-	})
-	if want <= n {
-		t.Fatalf("unbounded Scan met %d values, none of the concurrent inserts; the test is vacuous", want)
-	}
-	if got != want {
-		t.Fatalf("Ascend(0, -1) visited %d values, an unbounded Scan of the same history %d", got, want)
 	}
 }
 

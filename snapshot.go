@@ -1,6 +1,7 @@
 package hot
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -70,8 +71,8 @@ const (
 func ParseSnapshotCodec(s string) (SnapshotCodec, error) { return persist.ParseCodec(s) }
 
 // codecOpt carries an index's snapshot codec selection. Every index type
-// embeds it; the sharded set delegates to its underlying tree. Atomic so a
-// configuration call cannot race a concurrent snapshot.
+// embeds it. Atomic so a configuration call cannot race a concurrent
+// snapshot.
 type codecOpt struct{ codec atomic.Uint32 }
 
 // SetSnapshotCodec selects the block codec used by this index's subsequent
@@ -318,6 +319,20 @@ func LoadUint64SetFile(path string) (*Uint64Set, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// checkSetEntry validates the embedded-key convention of integer-set
+// entries: the 8-byte big-endian key must decode to exactly the stored TID.
+func checkSetEntry(key []byte, tid TID) error {
+	if len(key) != 8 {
+		return &SnapshotError{Kind: persist.ErrCorrupt,
+			Detail: fmt.Sprintf("set key length %d, want 8", len(key))}
+	}
+	if v := binary.BigEndian.Uint64(key); v != tid {
+		return &SnapshotError{Kind: persist.ErrCorrupt,
+			Detail: fmt.Sprintf("set key decodes to %d, TID is %d", v, tid)}
+	}
+	return nil
 }
 
 // loadEntry holds the entry to the embedded-key convention (checkSetEntry)

@@ -11,8 +11,9 @@ import (
 // Uint64Set is an ordered set of 63-bit integers backed by a Height
 // Optimized Trie, using the paper's embedded-key optimization: fixed-size
 // keys up to 8 bytes are stored directly inside their tuple identifiers,
-// so the set needs no tuple store at all. Not safe for concurrent use; see
-// ShardedUint64Set.
+// so the set needs no tuple store at all. Not safe for concurrent use; a
+// ShardedTree over the same embedded-key Loader is its concurrent,
+// range-partitioned form (see ExampleShardedTree_integerKeys).
 type Uint64Set struct {
 	statsBase // shared Len/Height/Memory/Verify surface
 	codecOpt
@@ -65,18 +66,12 @@ func (b *u64Batch) encode(vs []uint64) ([][]byte, []TID) {
 	b.flat = slices.Grow(b.flat[:0], 8*n)[:8*n]
 	b.keys = slices.Grow(b.keys[:0], n)[:n]
 	b.out = slices.Grow(b.out[:0], n)[:n]
-	putU64Keys(b.keys, b.flat, vs)
-	return b.keys, b.out
-}
-
-// putU64Keys writes the 8-byte big-endian key of every vs[i] into flat and
-// points keys[i] at it; len(flat) must be at least 8*len(vs).
-func putU64Keys(keys [][]byte, flat []byte, vs []uint64) {
 	for i, v := range vs {
-		k := flat[8*i : 8*i+8]
+		k := b.flat[8*i : 8*i+8]
 		binary.BigEndian.PutUint64(k, v)
-		keys[i] = k
+		b.keys[i] = k
 	}
+	return b.keys, b.out
 }
 
 // Delete removes v, reporting whether it was present.
@@ -100,9 +95,4 @@ func (s *Uint64Set) Min() (uint64, bool) {
 		return false
 	})
 	return v, found
-}
-
-func u64key(v uint64, buf *[8]byte) []byte {
-	binary.BigEndian.PutUint64(buf[:], v)
-	return buf[:]
 }

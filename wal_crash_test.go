@@ -3,6 +3,7 @@ package hot
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -14,8 +15,8 @@ import (
 	"github.com/hotindex/hot/internal/chaos"
 )
 
-// WAL crash matrix: a subprocess runs a durable ShardedUint64Set with the
-// cold tier armed under a synchronous insert/delete stream interleaved
+// WAL crash matrix: a subprocess runs a durable ShardedTree over 8-byte
+// embedded integer keys (tidstore.Uint64Key) with the cold tier armed under a synchronous insert/delete stream interleaved
 // with the store's lifecycle events — periodic Checkpoints, Demotes, and
 // the delta writes cold shards take, a delete of a section key as a
 // tombstone — recording every operation in a side
@@ -35,7 +36,7 @@ import (
 // too: its writes are delta writes. The parent then
 // reopens copies of the wreck with and without the cold tier, each copy
 // once more under the other option, and every time requires a Verify-clean
-// set whose contents are exactly the acked operations applied in order —
+// tree whose contents are exactly the acked operations applied in order —
 // every acknowledged write recovered, and after a fold-phase kill under the
 // cold tier every shard still cold with its tail in its delta — give or
 // take only the single
@@ -92,12 +93,12 @@ func walCrashVal(i int) uint64 { return uint64(i) * 2654435761 % 100000 }
 
 // walCrashOpen opens the matrix's store, with the cold tier armed for
 // manual transitions when cold is set.
-func walCrashOpen(dir string, cold bool) (*ShardedUint64Set, RecoveryInfo, error) {
+func walCrashOpen(dir string, cold bool) (*ShardedTree, RecoveryInfo, error) {
 	var opts DurableOptions
 	if cold {
 		opts.ColdTier = &ColdTierConfig{}
 	}
-	return OpenDurableShardedUint64Set(dir, walCrashShards, walCrashSample(), opts)
+	return openDurableU64(dir, walCrashShards, walCrashSample(), opts)
 }
 
 func walCrashChild(pointName, dir, phase string, async bool) {
@@ -141,7 +142,7 @@ func walCrashChild(pointName, dir, phase string, async bool) {
 	// so the parent can tell which kind of cut a kill interrupted (a kill
 	// point fires at its first hit, so in that event's first cut).
 	noteCut := func(demote bool, first int) {
-		dest := walCrashFirstCut(set.t, demote, first)
+		dest := walCrashFirstCut(set, demote, first)
 		if _, err := fmt.Fprintln(cutlog, dest); err == nil {
 			err = cutlog.Sync()
 		}
@@ -187,9 +188,9 @@ func walCrashChild(pointName, dir, phase string, async bool) {
 		}
 		logLine("i", kind, v)
 		if del {
-			set.Delete(v)
+			set.Delete(u64Key(v))
 		} else {
-			set.Insert(v)
+			set.Insert(u64Key(v), v)
 		}
 		logLine("a", kind, v)
 	}
@@ -258,9 +259,9 @@ func walCrashChild(pointName, dir, phase string, async bool) {
 					}
 				}
 				if del, v := walCrashOp(i, walCrashBatch); del {
-					set.DeleteAsync(v)
+					set.DeleteAsync(u64Key(v))
 				} else {
-					set.InsertAsync(v)
+					set.InsertAsync(u64Key(v), v)
 				}
 			}
 			set.Flush()
@@ -337,9 +338,9 @@ func walCrashApply(m map[uint64]bool, ops []walCrashLoggedOp) {
 	}
 }
 
-func walCrashContents(s *ShardedUint64Set) []uint64 {
+func walCrashContents(s *ShardedTree) []uint64 {
 	var vs []uint64
-	s.Ascend(0, -1, func(v uint64) bool {
+	s.Scan(nil, math.MaxInt, func(v uint64) bool {
 		vs = append(vs, v)
 		return true
 	})
@@ -368,7 +369,7 @@ func sameUint64s(a, b []uint64) bool {
 }
 
 // walCrashVerify reopens the killed child's directory, with the cold tier
-// armed or not, and requires a Verify-clean set that holds, shard by shard,
+// armed or not, and requires a Verify-clean tree that holds, shard by shard,
 // exactly the acked ops applied in order plus some prefix of the unacked
 // intent's ops routed to that shard — for a synchronous op, the op or not;
 // for an async batch, what each shard's log had made durable of it. After a
@@ -382,12 +383,12 @@ func walCrashVerify(t *testing.T, dir string, cold, fold bool) {
 	}
 	defer set.Close()
 	if err := set.Verify(); err != nil {
-		t.Fatalf("recovered set (cold tier %v) fails Verify: %v", cold, err)
+		t.Fatalf("recovered tree (cold tier %v) fails Verify: %v", cold, err)
 	}
 	if cs := set.ColdStats(); cold && fold && (cs.ColdShards != walCrashShards || cs.Promotions != 0 || cs.DeltaKeys == 0) {
 		t.Fatalf("fold-phase recovery under the cold tier: %+v, want every shard cold, none promoted, tails in deltas", cs)
 	}
-	shardOf := func(v uint64) int { return set.t.Shard(u64keyAlloc(v)) }
+	shardOf := func(v uint64) int { return set.Shard(u64Key(v)) }
 	byShard := func(ops []walCrashLoggedOp) [][]walCrashLoggedOp {
 		out := make([][]walCrashLoggedOp, walCrashShards)
 		for _, op := range ops {
