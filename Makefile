@@ -125,6 +125,7 @@ fuzz:
 	$(GO) test -fuzz FuzzPageReader -fuzztime $(FUZZTIME) ./internal/persist/
 	$(GO) test -fuzz FuzzBlockCodec -fuzztime $(FUZZTIME) ./internal/persist/
 	$(GO) test -fuzz FuzzSearch -fuzztime $(FUZZTIME) ./internal/bits/
+	$(GO) test -fuzz FuzzNodeBlock -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -fuzz FuzzServerFrame -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -fuzz FuzzWireResume -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz FuzzClientReply -fuzztime $(FUZZTIME) ./internal/hotclient/

@@ -124,7 +124,7 @@ func (st *batchState) lookup(keys [][]byte, out []TID, found []bool) {
 			var sink uint64
 			for j := 0; j < live; j++ {
 				nd := st.nodes[j]
-				sink += uint64(nd.n) + binary.LittleEndian.Uint64(nd.keys)
+				sink += uint64(nd.n) + binary.LittleEndian.Uint64(nd.keys())
 			}
 			st.sink += sink
 			// Search: every node is resident now.
@@ -135,7 +135,7 @@ func (st *batchState) lookup(keys [][]byte, out []TID, found []bool) {
 			// retire the lane.
 			w := 0
 			for j := 0; j < live; j++ {
-				s := &st.nodes[j].slots[st.idx[j]]
+				s := st.nodes[j].slot(st.idx[j])
 				if c := s.loadChild(); c != nil {
 					st.lane[w], st.nodes[w] = st.lane[j], c
 					w++

@@ -244,10 +244,10 @@ func BenchmarkExtract(b *testing.B) {
 		{"multi8", []uint16{3, 100, 200, 300, 400}},
 		{"multi16", []uint16{0, 50, 100, 150, 200, 250, 300, 350, 400, 450}},
 	} {
-		spec := buildSpec(c.d)
+		nd := specNode(c.d)
 		runPaths(b, c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sink += uint64(spec.extract(k))
+				sink += uint64(nd.extract(k))
 			}
 		})
 	}
@@ -269,8 +269,8 @@ func BenchmarkNodeSearch(b *testing.B) {
 			if cur := best[nd.layout()].nd; cur == nil || nd.n > cur.n {
 				best[nd.layout()] = pick{nd, s.Key(minLeafTID(nd), nil)}
 			}
-			for i := range nd.slots {
-				if c := nd.slots[i].loadChild(); c != nil {
+			for i := range int(nd.n) {
+				if c := nd.slot(i).loadChild(); c != nil {
 					walk(c)
 				}
 			}
@@ -293,7 +293,7 @@ func BenchmarkNodeSearch(b *testing.B) {
 // minLeafTID returns the TID of the leftmost leaf under nd.
 func minLeafTID(nd *node) TID {
 	for {
-		s := &nd.slots[0]
+		s := nd.slot(0)
 		if c := s.loadChild(); c != nil {
 			nd = c
 			continue

@@ -118,25 +118,48 @@ func TestCanonicalizeAfterRemoval(t *testing.T) {
 	}
 }
 
+// specNode returns a node over the discriminative bits d for the
+// extraction tests: len(d)+1 leaf entries with placeholder partial keys.
+func specNode(d []uint16) *node {
+	n := len(d) + 1
+	pks := make([]uint32, n)
+	slots := make([]slot, n)
+	for i := range pks {
+		pks[i], slots[i] = uint32(i), leafSlot(TID(i))
+	}
+	return newNode(nil, 1, d, pks, slots)
+}
+
+// extract returns k's dense partial key the way search extracts it for
+// nd's kind.
+func (nd *node) extract(k []byte) uint32 {
+	switch nd.kind {
+	case extractSingle:
+		return uint32(bits.Pext64(beWindow(k, int(nd.offs[0])), nd.mask))
+	case extractMulti8:
+		return uint32(bits.Pext64(nd.gather(k), nd.mask))
+	}
+	return nd.extractMulti(k)
+}
+
 func TestBuildSpecSingleVsMulti(t *testing.T) {
 	// Bits within one 8-byte window → single mask.
-	s := buildSpec([]uint16{3, 9, 60})
-	if s.kind != extractSingle || s.firstByte != 0 {
-		t.Errorf("spec = %+v, want single mask at byte 0", s)
+	nd := specNode([]uint16{3, 9, 60})
+	if nd.kind != extractSingle || nd.offs[0] != 0 {
+		t.Errorf("header = %+v, want single mask at byte 0", *nd)
 	}
 	// Spread beyond 64 bits → multi mask.
-	s = buildSpec([]uint16{3, 200})
-	if s.kind != extractMulti8 || len(s.offsets) != 2 {
-		t.Errorf("spec = %+v, want multi8 with 2 offsets", s)
+	nd = specNode([]uint16{3, 200})
+	if nd.kind != extractMulti8 || nd.noff != 2 {
+		t.Errorf("header = %+v, want multi8 with 2 offsets", *nd)
 	}
 	// >8 distinct bytes → still multi8 up to 8, then multi16.
 	var d []uint16
 	for i := 0; i < 9; i++ {
 		d = append(d, uint16(i*100))
 	}
-	s = buildSpec(d)
-	if s.kind != extractMulti16 {
-		t.Errorf("9 bytes spread: kind = %v, want multi16", s.kind)
+	if nd = specNode(d); nd.kind != extractMulti16 {
+		t.Errorf("9 bytes spread: kind = %v, want multi16", nd.kind)
 	}
 }
 
@@ -161,14 +184,14 @@ func TestExtractMatchesBitByBit(t *testing.T) {
 			}
 		}
 		sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
-		spec := buildSpec(d)
-		got := spec.extract(k)
+		nd := specNode(d)
+		got := nd.extract(k)
 		var want uint32
 		for _, p := range d {
 			want = want<<1 | uint32(k[p>>3]>>(7-(p&7))&1)
 		}
 		if got != want {
-			t.Fatalf("extract mismatch: key=%x d=%v kind=%v got=%#b want=%#b", k, d, spec.kind, got, want)
+			t.Fatalf("extract mismatch: key=%x d=%v kind=%v got=%#b want=%#b", k, d, nd.kind, got, want)
 		}
 	}
 }
@@ -177,8 +200,7 @@ func TestExtractPastKeyEnd(t *testing.T) {
 	// Bits beyond the key read as zero in every layout.
 	k := []byte{0xFF}
 	for _, d := range [][]uint16{{0, 50}, {0, 200}, {0, 100, 300, 900}} {
-		spec := buildSpec(d)
-		got := spec.extract(k)
+		got := specNode(d).extract(k)
 		if got>>uint(len(d)-1) != 1 || got&lowMask32(len(d)-1) != 0 {
 			t.Errorf("d=%v: got %#b", d, got)
 		}
@@ -214,8 +236,8 @@ func TestSearchPathsAgree(t *testing.T) {
 					t.Fatalf("%v: %v node, key %x: go path %d, native %d", kind, nd.layout(), k, got, want)
 				}
 			}
-			for i := range nd.slots {
-				if c := nd.slots[i].loadChild(); c != nil {
+			for i := range int(nd.n) {
+				if c := nd.slot(i).loadChild(); c != nil {
 					walk(c)
 				}
 			}

@@ -12,6 +12,13 @@
 // overall height minimal: like a B-tree, the height only grows when a new
 // root is created.
 //
+// A node is one allocation: a 32-byte header (sizes and the extraction
+// word), the partial keys, the slots, then what only writers read — the
+// discriminative bit positions, the lock and the obsolete flag. The block
+// is a Go type of its class, one per (entry count, partial-key width)
+// (node.go), so the GC traces the child pointers precisely, and a node
+// visit reads the header's cache line, where the keys start, and one slot.
+//
 // The package provides two tries sharing one node representation and one
 // write body (tree.write, tree.del), which three writers run:
 //

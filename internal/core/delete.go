@@ -61,7 +61,7 @@ func (t *tree) execDelete(plan deletePlan, replaced []*node) []*node {
 		t.size.Add(-1)
 		return append(replaced, a.nd)
 	case delUnderflowRoot:
-		other := a.nd.slots[1-a.idx]
+		other := *a.nd.slot(1 - a.idx)
 		if c := other.loadChild(); c != nil {
 			t.root.Store(&rootBox{n: c})
 		} else {
@@ -70,7 +70,7 @@ func (t *tree) execDelete(plan deletePlan, replaced []*node) []*node {
 		t.size.Add(-1)
 		return append(replaced, a.nd)
 	default: // delUnderflowInner
-		other := a.nd.slots[1-a.idx]
+		other := *a.nd.slot(1 - a.idx)
 		p := stack[last-1]
 		p2 := p.nd.withSlotReplaced(p.idx, other, t.pool)
 		t.replaceAt(stack, last-1, p2)

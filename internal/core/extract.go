@@ -21,103 +21,80 @@ const (
 	extractMulti32
 )
 
-// extractSpec turns a search key into its dense partial key: the node's
-// discriminative bits gathered MSB-first (column 0 = most significant
-// discriminative bit = most significant partial-key bit). Extraction is the
-// per-node hot path of every lookup; the PEXT-based layouts below mirror the
-// paper's extractSingleMask / extractMultiMask* primitives.
-type extractSpec struct {
-	kind      extractKind
-	firstByte int    // single-mask: starting byte of the 8-byte window
-	mask      uint64 // single-mask: window bits to extract (big-endian window)
-	offsets   []uint16
-	masks     []uint8
-	groups    []extractGroup // multi-mask: precomputed per-word extraction
-}
-
-// extractGroup is up to 8 (offset, mask) pairs assembled into one 64-bit
-// PEXT, precomputed at node-build time so probing only gathers key bytes.
-type extractGroup struct {
-	maskWord uint64
-	nbits    uint8
-	noff     uint8
-	offsets  [8]uint16
-}
-
-// buildSpec derives the smallest extraction representation for the
-// discriminative bit positions d (ascending).
-func buildSpec(d []uint16) extractSpec {
+// setSpec derives the smallest extraction representation for the
+// discriminative bit positions d (ascending) into nd's header, which must
+// be zero but for the sizes. Extraction turns a search key into its dense
+// partial key: the node's discriminative bits gathered MSB-first (column 0
+// = most significant discriminative bit = most significant partial-key
+// bit). It is the per-node hot path of every lookup; the PEXT-based
+// layouts mirror the paper's extractSingleMask / extractMultiMask8
+// primitives. A multi-mask word holds the first 8 (offset, mask) pairs;
+// multi16 and multi32 nodes extract the bits of further key bytes one by
+// one from dbits.
+func (nd *node) setSpec(d []uint16) {
 	first := int(d[0]) >> 3
-	last := int(d[len(d)-1])
-	if last-first*8 < 64 {
-		var mask uint64
+	if int(d[len(d)-1])-first*8 < 64 {
+		nd.kind = extractSingle
+		nd.offs[0] = uint16(first)
 		for _, p := range d {
-			mask |= 1 << (63 - (int(p) - first*8))
+			nd.mask |= 1 << (63 - (int(p) - first*8))
 		}
-		return extractSpec{kind: extractSingle, firstByte: first, mask: mask}
+		return
 	}
-	var spec extractSpec
-	for _, p := range d {
-		b := p >> 3
-		if len(spec.offsets) == 0 || spec.offsets[len(spec.offsets)-1] != b {
-			spec.offsets = append(spec.offsets, b)
-			spec.masks = append(spec.masks, 0)
-		}
-		spec.masks[len(spec.masks)-1] |= 1 << (7 - (p & 7))
-	}
-	switch {
-	case len(spec.offsets) <= 8:
-		spec.kind = extractMulti8
-	case len(spec.offsets) <= 16:
-		spec.kind = extractMulti16
+	switch pairs := keyBytesSpanned(d); {
+	case pairs <= 8:
+		nd.kind = extractMulti8
+	case pairs <= 16:
+		nd.kind = extractMulti16
 	default:
-		spec.kind = extractMulti32
+		nd.kind = extractMulti32
 	}
-	for g := 0; g < len(spec.offsets); g += 8 {
-		end := g + 8
-		if end > len(spec.offsets) {
-			end = len(spec.offsets)
+	// One byte of the word per (offset, mask) pair, first pair highest.
+	for _, p := range d {
+		if b := p >> 3; nd.noff == 0 || nd.offs[nd.noff-1] != b {
+			if int(nd.noff) == len(nd.offs) {
+				break
+			}
+			nd.offs[nd.noff] = b
+			nd.noff++
 		}
-		var eg extractGroup
-		for i := g; i < end; i++ {
-			sh := uint(56 - 8*(i-g))
-			eg.maskWord |= uint64(spec.masks[i]) << sh
-			eg.offsets[i-g] = spec.offsets[i]
+		nd.mask |= 1 << (63 - 8*uint(nd.noff-1) - uint(p&7))
+	}
+}
+
+// keyBytesSpanned returns the number of distinct key bytes the bit
+// positions d (ascending) fall in: a multi-mask node's (offset, mask)
+// pairs.
+func keyBytesSpanned(d []uint16) int {
+	n, prev := 0, -1
+	for _, p := range d {
+		if b := int(p >> 3); b != prev {
+			n, prev = n+1, b
 		}
-		eg.noff = uint8(end - g)
-		eg.nbits = uint8(mathbits.OnesCount64(eg.maskWord))
-		spec.groups = append(spec.groups, eg)
 	}
-	return spec
+	return n
 }
 
-// extract gathers the discriminative bits of k into a dense partial key.
-func (s *extractSpec) extract(k []byte) uint32 {
-	if s.kind == extractSingle {
-		return uint32(bits.Pext64(beWindow(k, s.firstByte), s.mask))
-	}
-	return s.extractMulti(k)
-}
-
-// extractMulti is the multi-mask half of extract: one PEXT per group,
-// concatenated.
-func (s *extractSpec) extractMulti(k []byte) uint32 {
-	var pk uint32
-	for gi := range s.groups {
-		g := &s.groups[gi]
-		pk = pk<<g.nbits | uint32(bits.Pext64(g.gather(k), g.maskWord))
-	}
-	return pk
-}
-
-// gather loads the group's key bytes into one big-endian word, the word
-// its maskWord extracts from; bytes past the end of k read as zero.
-func (g *extractGroup) gather(k []byte) uint64 {
+// gather loads a multi-mask node's first 8 key bytes into one big-endian
+// word, the word its mask extracts from; bytes past the end of k read as
+// zero.
+func (nd *node) gather(k []byte) uint64 {
 	var w uint64
-	for i := 0; i < int(g.noff); i++ {
-		w |= uint64(key.Byte(k, int(g.offsets[i]))) << (56 - 8*i)
+	for i := 0; i < int(nd.noff); i++ {
+		w |= uint64(key.Byte(k, int(nd.offs[i]))) << (56 - 8*i)
 	}
 	return w
+}
+
+// extractMulti extracts a multi-mask node's dense partial key: the bits
+// in its first 8 key bytes through the word, those of any further bytes
+// (multi16, multi32) one by one.
+func (nd *node) extractMulti(k []byte) uint32 {
+	pk := uint32(bits.Pext64(nd.gather(k), nd.mask))
+	for _, p := range nd.dbits()[mathbits.OnesCount64(nd.mask):] {
+		pk = pk<<1 | uint32(key.Bit(k, int(p)))
+	}
+	return pk
 }
 
 // beWindow loads key bytes [first, first+8) as a big-endian word, padding

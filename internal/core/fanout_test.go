@@ -45,8 +45,8 @@ func TestFanoutRange(t *testing.T) {
 			if int(nd.n) > maxSeen {
 				maxSeen = int(nd.n)
 			}
-			for i := range nd.slots {
-				if c := nd.slots[i].loadChild(); c != nil {
+			for i := range int(nd.n) {
+				if c := nd.slot(i).loadChild(); c != nil {
 					walk(c)
 				}
 			}

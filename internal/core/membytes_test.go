@@ -1,64 +1,83 @@
 package core
 
 import (
+	"runtime"
 	"testing"
-	"unsafe"
 )
 
-// nodeFootprint computes a node's Go heap footprint from its actual
-// fields: the struct itself plus every backing array, with element sizes
-// taken from the types rather than hardcoded. This is the ground truth
-// goBytes must reproduce; in particular multi-mask nodes hang their
-// precomputed extraction groups (several dozen bytes each) off the spec,
-// and an accounting that omits them or guesses the header size
-// misreports exactly the layouts the paper's Figure 6 census is about.
-func nodeFootprint(nd *node) int {
-	return int(unsafe.Sizeof(*nd)) +
-		len(nd.spec.offsets)*int(unsafe.Sizeof(uint16(0))) +
-		len(nd.spec.masks)*int(unsafe.Sizeof(uint8(0))) +
-		len(nd.spec.groups)*int(unsafe.Sizeof(extractGroup{})) +
-		len(nd.dbits)*int(unsafe.Sizeof(uint16(0))) +
-		len(nd.keys) +
-		len(nd.slots)*int(unsafe.Sizeof(slot{}))
+// classShape returns the entry count and width of class cls (the inverse
+// of classOf).
+func classShape(cls int) (n int, width uint8) {
+	return cls % (MaxFanout + 1), 8 << (cls / (MaxFanout + 1))
 }
 
-// TestGoBytesMultiMask builds a multi-mask node whose discriminative bits
-// span well past a single 8-byte window and cross-checks goBytes against
-// the node's actual field sizes.
-func TestGoBytesMultiMask(t *testing.T) {
-	// 10 discriminative bits, one every 3 bytes: 10 distinct byte
-	// offsets → extractMulti16 with two extraction groups.
-	d := make([]uint16, 10)
-	for i := range d {
-		d[i] = uint16(i * 24)
+// classNodes returns, for every node class that can hold minCols
+// discriminative bits, the inputs of a node of that class: its entry
+// count's leaves and placeholder partial keys, and the most discriminative
+// bits its width holds, placed by pos.
+func classNodes(minCols int, pos func(col int) uint16) (ds [][]uint16, pks [][]uint32, slots [][]slot) {
+	for cls := range classes {
+		if classes[cls].typ == nil {
+			continue
+		}
+		n, width := classShape(cls)
+		d := make([]uint16, min(n-1, maxCols(width)))
+		if len(d) < minCols {
+			continue
+		}
+		for i := range d {
+			d[i] = pos(i)
+		}
+		p := make([]uint32, n)
+		s := make([]slot, n)
+		for i := range p {
+			p[i], s[i] = uint32(i), leafSlot(TID(i))
+		}
+		ds, pks, slots = append(ds, d), append(pks, p), append(slots, s)
 	}
-	pks := []uint32{0, 1, 2, 3}
-	slots := []slot{leafSlot(1), leafSlot(2), leafSlot(3), leafSlot(4)}
-	nd := newNode(nil, 1, d, pks, slots)
+	return ds, pks, slots
+}
 
-	if nd.spec.kind != extractMulti16 {
-		t.Fatalf("spec kind = %v, want extractMulti16", nd.spec.kind)
+// checkGoBytes builds 1000 nodes of every class that holds minCols
+// discriminative bits, placed by pos, requires each to have the kind ok accepts, and checks
+// goBytes against what the allocator handed out: never more, and less only
+// by Go's size-class rounding (at most 12.5%).
+func checkGoBytes(t *testing.T, minCols int, pos func(col int) uint16, ok func(extractKind) bool) {
+	const reps = 1000
+	ds, pks, slots := classNodes(minCols, pos)
+	live := make([]*node, reps)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sum := 0
+	for c := range ds {
+		for r := range live {
+			live[r] = newNode(nil, 1, ds[c], pks[c], slots[c])
+			sum += live[r].goBytes()
+		}
+		if !ok(live[0].kind) {
+			t.Fatalf("n=%d ncols=%d: kind %v", live[0].n, live[0].ncols, live[0].kind)
+		}
 	}
-	if len(nd.spec.groups) != 2 || len(nd.spec.offsets) != 10 {
-		t.Fatalf("groups=%d offsets=%d, want 2 and 10", len(nd.spec.groups), len(nd.spec.offsets))
-	}
-	if got, want := nd.goBytes(), nodeFootprint(nd); got != want {
-		t.Fatalf("goBytes() = %d, want %d (field-size ground truth)", got, want)
+	runtime.ReadMemStats(&after)
+	alloc := int(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("%d classes: Σ goBytes %d, allocated %d (%.3f×)", len(ds), sum, alloc, float64(alloc)/float64(sum))
+	if alloc < sum || alloc > sum*9/8 {
+		t.Fatalf("allocated %d bytes for Σ goBytes = %d; want within [1, 1.125]×", alloc, sum)
 	}
 }
 
-// TestGoBytesSingleMask covers the group-free layout too, so the header
-// accounting is pinned for both families.
+// TestGoBytesSingleMask checks goBytes against the allocator for
+// single-mask nodes: every discriminative bit in the first key bytes.
 func TestGoBytesSingleMask(t *testing.T) {
-	d := []uint16{0, 5, 9}
-	pks := []uint32{0, 1, 4, 7}
-	slots := []slot{leafSlot(1), leafSlot(2), leafSlot(3), leafSlot(4)}
-	nd := newNode(nil, 1, d, pks, slots)
+	checkGoBytes(t, 1, func(col int) uint16 { return uint16(col) },
+		func(k extractKind) bool { return k == extractSingle })
+}
 
-	if nd.spec.kind != extractSingle {
-		t.Fatalf("spec kind = %v, want extractSingle", nd.spec.kind)
-	}
-	if got, want := nd.goBytes(), nodeFootprint(nd); got != want {
-		t.Fatalf("goBytes() = %d, want %d (field-size ground truth)", got, want)
-	}
+// TestGoBytesMultiMask checks goBytes against the allocator for
+// multi-mask nodes: one discriminative bit every 9 key bytes, so every
+// column is a pair of its own (multi8, multi16 or multi32 by count). A
+// single bit always fits one window, so 2-entry nodes are left out.
+func TestGoBytesMultiMask(t *testing.T) {
+	checkGoBytes(t, 2, func(col int) uint16 { return uint16(col * 72) },
+		func(k extractKind) bool { return k != extractSingle })
 }

@@ -12,7 +12,7 @@ import "sync"
 // newNode copies all of its inputs, so the transient entry sequences live
 // in pooled scratch buffers rather than garbage (copy-on-write makes
 // insertion allocation-heavy by design; the pool keeps it to the node's
-// own exact-fit arrays).
+// own block).
 
 // entryBuf holds one transient entry sequence of up to MaxFanout+1 entries
 // (an overflowed node before its split).
@@ -59,18 +59,19 @@ func (nd *node) spliceAndBuild(op spliceOp, pool *nodePool, k int) (res *node, l
 	eb := bufPool.Get().(*entryBuf)
 	defer bufPool.Put(eb)
 
-	ncols := len(nd.dbits)
+	dbits := nd.dbits()
+	ncols := len(dbits)
 	pos, present := nd.columnOf(op.mb)
 
 	newCols := ncols
 	if !present {
 		newCols++
 	}
-	d := append(eb.d[:0], nd.dbits[:pos]...)
+	d := append(eb.d[:0], dbits[:pos]...)
 	if !present {
 		d = append(d, op.mb)
 	}
-	d = append(d, nd.dbits[pos:]...)
+	d = append(d, dbits[pos:]...)
 
 	n := int(nd.n)
 	pks := nd.pks(eb.pks[:0])
@@ -107,9 +108,9 @@ func (nd *node) spliceAndBuild(op spliceOp, pool *nodePool, k int) (res *node, l
 		}
 	}
 
-	slots := append(eb.slots[:0], nd.slots[:insertAt]...)
+	slots := append(eb.slots[:0], nd.slots()[:insertAt]...)
 	slots = append(slots, op.newSlot)
-	slots = append(slots, nd.slots[insertAt:]...)
+	slots = append(slots, nd.slots()[insertAt:]...)
 	if op.refReplace != nil {
 		ri := op.refIdx
 		if insertAt <= ri {
@@ -175,9 +176,9 @@ func nodeFrom2(bit uint16, s0, s1 slot, pool *nodePool) *node {
 func (nd *node) withSlotReplaced(idx int, s slot, pool *nodePool) *node {
 	eb := bufPool.Get().(*entryBuf)
 	pks := nd.pks(eb.pks[:0])
-	slots := append(eb.slots[:0], nd.slots...)
+	slots := append(eb.slots[:0], nd.slots()...)
 	slots[idx] = s
-	res := newNode(pool, maxChildHeight(slots)+1, nd.dbits, pks, slots)
+	res := newNode(pool, maxChildHeight(slots)+1, nd.dbits(), pks, slots)
 	bufPool.Put(eb)
 	return res
 }
@@ -191,9 +192,9 @@ func (nd *node) withoutEntry(idx int, pool *nodePool) *node {
 	pks = append(pks[:idx], pks[idx+1:]...)
 	var db [MaxFanout]uint16
 	var pb [MaxFanout]uint32
-	d, cpks := canonicalize(nd.dbits, pks, db[:0], pb[:0])
-	slots := append(eb.slots[:0], nd.slots[:idx]...)
-	slots = append(slots, nd.slots[idx+1:]...)
+	d, cpks := canonicalize(nd.dbits(), pks, db[:0], pb[:0])
+	slots := append(eb.slots[:0], nd.slots()[:idx]...)
+	slots = append(slots, nd.slots()[idx+1:]...)
 	res := newNode(pool, maxChildHeight(slots)+1, d, cpks, slots)
 	bufPool.Put(eb)
 	return res

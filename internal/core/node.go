@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	mathbits "math/bits"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -66,22 +67,116 @@ func (s *slot) subtreeHeight() uint8 {
 	return 0
 }
 
-// node is a HOT compound node: a linearized k-constrained binary Patricia
-// trie with 2..MaxFanout entries in ascending key order. All fields except
-// the slots' child pointers and TIDs, the lock and the obsolete flag are
-// immutable after the node is published: an upsert of a present key stores
-// its TID in place, while inserts and deletes replace the whole node
-// (copy-on-write).
+// node is the header of a HOT compound node: a linearized k-constrained
+// binary Patricia trie with 2..MaxFanout entries in ascending key order.
+// A node is one allocation, a block of its class (see nodeClass), laid out
+// in the order a search touches it (Figure 6):
+//
+//	header  this struct, 32 bytes: the extraction word and the sizes
+//	keys    n partial keys, width bits each, padded to 8 bytes
+//	slots   n slots, 16 bytes each
+//	dbits   the ncols discriminative bit positions, ascending
+//	cold    the ROWEX lock and the obsolete flag
+//
+// A lookup reads the header and the keys, which start on the header's
+// cache line, then one slot; dbits and cold are for writers only. Every
+// offset follows from n and width, so no slice header is loaded on the
+// way. All of the block except the slots' child pointers and TIDs and the
+// cold part is immutable after the node is published: an upsert of a
+// present key stores its TID in place, while inserts and deletes replace
+// the whole node (copy-on-write).
 type node struct {
+	// mask is the PEXT mask applied to the node's extraction word: a bit
+	// per discriminative bit, in a big-endian window of 8 key bytes
+	// (single mask) or over the key bytes offs names (multi mask).
+	mask uint64
+	// offs[0] is the single-mask window's first byte; a multi-mask node
+	// gathers key bytes offs[:noff] into its word (the first 8 of its
+	// bytes; see extractMulti for the rest).
+	offs   [8]uint16
+	noff   uint8
+	kind   extractKind
+	height uint8 // paper's h(n): 1 + max height of child nodes, 1 if leaves only
+	n      uint8 // number of entries
+	width  uint8 // partial key width in bits: 8, 16 or 32
+	ncols  uint8 // number of discriminative bits, in [1, MaxFanout-1]
+	cls    uint8 // the node's class: index into classes
+}
+
+// The header fits in 32 bytes, so the keys start on its cache line.
+const headerSize = 32
+
+var _ [headerSize - unsafe.Sizeof(node{})]struct{}
+
+const slotSize = int(unsafe.Sizeof(slot{}))
+
+// nodeCold is the writers' state at the end of a node's block.
+type nodeCold struct {
 	mu       sync.Mutex  // ROWEX writer lock (ignored by readers)
 	obsolete atomic.Bool // set when replaced by a copy
-	height   uint8       // paper's h(n): 1 + max height of child nodes, 1 if leaves only
-	n        uint8       // number of entries
-	width    uint8       // partial key width in bits: 8, 16 or 32
-	spec     extractSpec
-	dbits    []uint16 // discriminative bit positions, ascending; len in [1, MaxFanout-1]
-	keys     []byte   // n little-endian lanes of width bits, padded to 8-byte multiple
-	slots    []slot   // len == n
+}
+
+// nodeClass is one block type: every node with the same entry count and
+// partial-key width shares it. Each class is a Go struct type built once
+// by reflect.StructOf, so the GC traces exactly the slots' child words and
+// nothing else in the block.
+type nodeClass struct {
+	typ  reflect.Type
+	size int     // the block's size in bytes
+	cold uintptr // offset of the nodeCold
+}
+
+// classes holds one class per (width, entry count): index classOf(n,
+// width). Classes no node can have (a width wider than n-1 columns need)
+// are left zero.
+var classes = buildClasses()
+
+// classOf returns the class index of a node of n entries and the given
+// partial-key width.
+func classOf(n int, width uint8) uint8 {
+	return uint8((mathbits.TrailingZeros8(width)-3)*(MaxFanout+1) + n)
+}
+
+// maxCols is the number of discriminative bits a width holds: columns
+// beyond it need the next width (see pkWidth).
+func maxCols(width uint8) int {
+	if width == 32 {
+		return MaxFanout - 1
+	}
+	return int(width)
+}
+
+func buildClasses() (cs [3 * (MaxFanout + 1)]nodeClass) {
+	hdr := reflect.TypeOf(node{})
+	for _, width := range []uint8{8, 16, 32} {
+		for n := 2; n <= MaxFanout; n++ {
+			ncols := min(n-1, maxCols(width))
+			if pkWidth(ncols) != width {
+				continue // every column count n allows fits a narrower width
+			}
+			typ := reflect.StructOf([]reflect.StructField{
+				{Name: "Header", Type: hdr},
+				{Name: "Keys", Type: reflect.ArrayOf(keyBytes(n, width), reflect.TypeOf(byte(0)))},
+				{Name: "Slots", Type: reflect.ArrayOf(n, reflect.TypeOf(slot{}))},
+				{Name: "Dbits", Type: reflect.ArrayOf(ncols, reflect.TypeOf(uint16(0)))},
+				{Name: "Cold", Type: reflect.TypeOf(nodeCold{})},
+			})
+			// The accessors compute these offsets; the type must agree.
+			if kb := keyBytes(n, width); typ.Field(1).Offset != headerSize ||
+				typ.Field(2).Offset != uintptr(headerSize+kb) ||
+				typ.Field(3).Offset != uintptr(headerSize+kb+n*slotSize) {
+				panic("core: node block layout disagrees with its accessors")
+			}
+			cs[classOf(n, width)] = nodeClass{typ: typ, size: int(typ.Size()), cold: typ.Field(4).Offset}
+		}
+	}
+	return cs
+}
+
+// keyBytes is the size of the partial-key array of n entries of the given
+// width: whole 64-bit words, so the search kernels read nothing past it.
+func keyBytes(n int, width uint8) int {
+	return (n*int(width)/8 + 7) &^ 7
 }
 
 // pkWidth returns the narrowest partial-key width that fits nbits columns.
@@ -96,28 +191,57 @@ func pkWidth(nbits int) uint8 {
 	}
 }
 
+// keys returns the node's partial keys: n little-endian lanes of width
+// bits, padded to a multiple of 8 bytes.
+func (nd *node) keys() []byte {
+	return unsafe.Slice((*byte)(unsafe.Add(unsafe.Pointer(nd), headerSize)), keyBytes(int(nd.n), nd.width))
+}
+
+// slot returns entry i's slot.
+func (nd *node) slot(i int) *slot {
+	return (*slot)(unsafe.Add(unsafe.Pointer(nd), headerSize+keyBytes(int(nd.n), nd.width)+i*slotSize))
+}
+
+// slots returns the node's n slots.
+func (nd *node) slots() []slot {
+	return unsafe.Slice(nd.slot(0), nd.n)
+}
+
+// dbits returns the discriminative bit positions, ascending.
+func (nd *node) dbits() []uint16 {
+	off := headerSize + keyBytes(int(nd.n), nd.width) + int(nd.n)*slotSize
+	return unsafe.Slice((*uint16)(unsafe.Add(unsafe.Pointer(nd), off)), nd.ncols)
+}
+
+// cold returns the node's lock and obsolete flag.
+func (nd *node) cold() *nodeCold {
+	return (*nodeCold)(unsafe.Add(unsafe.Pointer(nd), classes[nd.cls].cold))
+}
+
 // newNode builds a node from ascending discriminative bit positions d,
 // sparse partial keys pks (dense-packed: column i at bit len(d)-1-i) and
-// entry slots. All inputs are copied into exact-fit storage, so callers
-// may pass scratch buffers; storage is drawn from pool when one is given.
+// entry slots. All inputs are copied into the node's block, so callers may
+// pass scratch buffers; the block is drawn from pool when one is given.
 func newNode(pool *nodePool, height uint8, d []uint16, pks []uint32, slots []slot) *node {
-	width := pkWidth(len(d))
-	keyBytes := (len(pks)*int(width)/8 + 7) / 8 * 8
-	nd := pool.prepare(len(slots), len(d), keyBytes)
-	nd.height = height
-	nd.n = uint8(len(slots))
-	nd.width = width
-	nd.spec = buildSpec(d)
-	copy(nd.dbits, d)
-	copy(nd.slots, slots)
+	n, width := len(slots), pkWidth(len(d))
+	cls := classOf(n, width)
+	nd := pool.get(cls)
+	if nd == nil {
+		nd = (*node)(reflect.New(classes[cls].typ).UnsafePointer())
+	}
+	*nd = node{height: height, n: uint8(n), width: width, ncols: uint8(len(d)), cls: cls}
+	nd.setSpec(d)
+	copy(nd.dbits(), d)
+	copy(nd.slots(), slots)
+	keys := nd.keys()
 	for i, pk := range pks {
 		switch width {
 		case 8:
-			nd.keys[i] = uint8(pk)
+			keys[i] = uint8(pk)
 		case 16:
-			binary.LittleEndian.PutUint16(nd.keys[2*i:], uint16(pk))
+			binary.LittleEndian.PutUint16(keys[2*i:], uint16(pk))
 		default:
-			binary.LittleEndian.PutUint32(nd.keys[4*i:], pk)
+			binary.LittleEndian.PutUint32(keys[4*i:], pk)
 		}
 	}
 	return nd
@@ -125,13 +249,14 @@ func newNode(pool *nodePool, height uint8, d []uint16, pks []uint32, slots []slo
 
 // pk returns entry i's sparse partial key widened to 32 bits.
 func (nd *node) pk(i int) uint32 {
+	keys := nd.keys()
 	switch nd.width {
 	case 8:
-		return uint32(nd.keys[i])
+		return uint32(keys[i])
 	case 16:
-		return uint32(binary.LittleEndian.Uint16(nd.keys[2*i:]))
+		return uint32(binary.LittleEndian.Uint16(keys[2*i:]))
 	default:
-		return binary.LittleEndian.Uint32(nd.keys[4*i:])
+		return binary.LittleEndian.Uint32(keys[4*i:])
 	}
 }
 
@@ -139,20 +264,8 @@ func (nd *node) pk(i int) uint32 {
 // modifications, which operate on uint32 regardless of storage width).
 func (nd *node) pks(dst []uint32) []uint32 {
 	dst = dst[:0]
-	n := int(nd.n)
-	switch nd.width {
-	case 8:
-		for i := 0; i < n; i++ {
-			dst = append(dst, uint32(nd.keys[i]))
-		}
-	case 16:
-		for i := 0; i < n; i++ {
-			dst = append(dst, uint32(binary.LittleEndian.Uint16(nd.keys[2*i:])))
-		}
-	default:
-		for i := 0; i < n; i++ {
-			dst = append(dst, binary.LittleEndian.Uint32(nd.keys[4*i:]))
-		}
+	for i := 0; i < int(nd.n); i++ {
+		dst = append(dst, nd.pk(i))
 	}
 	return dst
 }
@@ -162,20 +275,18 @@ func (nd *node) pks(dst []uint32) []uint32 {
 // paper's retrieveResultCandidates + bit scan reverse). Entry 0's partial
 // key is always 0 and always complies, so the comply mask is never empty.
 //
-// Single-mask and multi8 nodes (one extraction group) hand bits.Search the
+// Single-mask and multi8 nodes (one extraction word) hand bits.Search the
 // key word and the mask to extract with, so extraction, compare and bit
 // scan are one call per node visit; multi16 and multi32 nodes extract
-// group by group first.
+// first.
 func (nd *node) search(k []byte) int {
-	sp := &nd.spec
-	switch sp.kind {
+	switch nd.kind {
 	case extractSingle:
-		return bits.Search(beWindow(k, sp.firstByte), sp.mask, nd.keys, int(nd.n), int(nd.width))
+		return bits.Search(beWindow(k, int(nd.offs[0])), nd.mask, nd.keys(), int(nd.n), int(nd.width))
 	case extractMulti8:
-		g := &sp.groups[0]
-		return bits.Search(g.gather(k), g.maskWord, nd.keys, int(nd.n), int(nd.width))
+		return bits.Search(nd.gather(k), nd.mask, nd.keys(), int(nd.n), int(nd.width))
 	}
-	return bits.SearchProbe(sp.extractMulti(k), nd.keys, int(nd.n), int(nd.width))
+	return bits.SearchProbe(nd.extractMulti(k), nd.keys(), int(nd.n), int(nd.width))
 }
 
 // complyRangeOf returns the contiguous index range [lo, hi] of entries whose
@@ -188,11 +299,11 @@ func (nd *node) complyRangeOf(prefix, prefixMask uint32) (lo, hi int) {
 	var m uint32
 	switch nd.width {
 	case 8:
-		m = bits.PrefixMatch8(nd.keys, int(nd.n), uint8(prefix), uint8(prefixMask))
+		m = bits.PrefixMatch8(nd.keys(), int(nd.n), uint8(prefix), uint8(prefixMask))
 	case 16:
-		m = bits.PrefixMatch16(nd.keys, int(nd.n), uint16(prefix), uint16(prefixMask))
+		m = bits.PrefixMatch16(nd.keys(), int(nd.n), uint16(prefix), uint16(prefixMask))
 	default:
-		m = bits.PrefixMatch32(nd.keys, int(nd.n), prefix, prefixMask)
+		m = bits.PrefixMatch32(nd.keys(), int(nd.n), prefix, prefixMask)
 	}
 	lo = mathbits.TrailingZeros32(m)
 	hi = 31 - mathbits.LeadingZeros32(m)
@@ -204,28 +315,35 @@ func (nd *node) complyRangeOf(prefix, prefixMask uint32) (lo, hi int) {
 // BiNode on that path is the divergence point with the nearest neighbour
 // entry, so it is the higher of the two adjacent divergence columns.
 func (nd *node) pathMaxBit(idx int) int {
-	ncols := len(nd.dbits)
+	d := nd.dbits()
 	best := -1
 	if idx > 0 {
-		x := nd.pk(idx-1) ^ nd.pk(idx)
-		if b := int(nd.dbits[ncols-1-(31-mathbits.LeadingZeros32(x))]); b > best {
+		if b := divergeBit(d, nd.pk(idx-1), nd.pk(idx)); b > best {
 			best = b
 		}
 	}
 	if idx+1 < int(nd.n) {
-		x := nd.pk(idx) ^ nd.pk(idx+1)
-		if b := int(nd.dbits[ncols-1-(31-mathbits.LeadingZeros32(x))]); b > best {
+		if b := divergeBit(d, nd.pk(idx), nd.pk(idx+1)); b > best {
 			best = b
 		}
 	}
 	return best
 }
 
-// columnOf returns the index of absolute bit position p in nd.dbits and
+// divergeBit returns the discriminative bit of the BiNode where the
+// adjacent partial keys a < b branch apart: the most significant differing
+// column. Columns are ordered most significant first, so column c maps to
+// partial-key bit len(d)-1-c.
+func divergeBit(d []uint16, a, b uint32) int {
+	hb := mathbits.Len32(a^b) - 1
+	return int(d[len(d)-1-hb])
+}
+
+// columnOf returns the index of absolute bit position p in nd.dbits() and
 // whether it is present; when absent, the returned index is where p would
 // be inserted.
 func (nd *node) columnOf(p uint16) (int, bool) {
-	d := nd.dbits
+	d := nd.dbits()
 	lo, hi := 0, len(d)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -253,7 +371,7 @@ func maxChildHeight(slots []slot) uint8 {
 // layout identifies the node's physical layout (Figure 6) for statistics
 // and memory accounting.
 func (nd *node) layout() layoutKind {
-	switch nd.spec.kind {
+	switch nd.kind {
 	case extractSingle:
 		switch nd.width {
 		case 8:
@@ -285,32 +403,22 @@ func (nd *node) layout() layoutKind {
 // paperBytes returns the node's size in the paper's C++ layout: an 8-byte
 // header (height, type, lock, used-entries mask), the bit-position
 // representation (single mask: 1-byte offset + 8-byte mask; multi mask: one
-// byte offset + one 8-bit mask per pair), n partial keys of the node's
-// width and n 8-byte values.
+// byte offset + one 8-bit mask per key byte holding a discriminative bit),
+// n partial keys of the node's width and n 8-byte values.
 func (nd *node) paperBytes() int {
 	sz := 8
-	if nd.spec.kind == extractSingle {
+	if nd.kind == extractSingle {
 		sz += 1 + 8
 	} else {
-		sz += 2 * len(nd.spec.offsets)
+		sz += 2 * keyBytesSpanned(nd.dbits())
 	}
 	sz += int(nd.n) * int(nd.width) / 8
 	sz += int(nd.n) * 8
 	return sz
 }
 
-// goBytes estimates the node's actual Go heap footprint: the node struct
-// itself (mutex, atomics, inline spec, slice headers) plus the backing
-// arrays of every slice hanging off it — the spec's offset/mask pairs and
-// the precomputed extraction groups of multi-mask nodes, the bit
-// positions, the key array and the slots.
+// goBytes returns the node's Go heap footprint: its block, the one
+// allocation that holds all of it.
 func (nd *node) goBytes() int {
-	sz := int(unsafe.Sizeof(*nd))
-	sz += 2 * len(nd.spec.offsets)
-	sz += len(nd.spec.masks)
-	sz += int(unsafe.Sizeof(extractGroup{})) * len(nd.spec.groups)
-	sz += 2 * len(nd.dbits)
-	sz += len(nd.keys)
-	sz += int(unsafe.Sizeof(slot{})) * len(nd.slots)
-	return sz
+	return classes[nd.cls].size
 }

@@ -1,0 +1,158 @@
+package core
+
+import (
+	"fmt"
+	mathbits "math/bits"
+	"math/rand"
+	"slices"
+	"testing"
+	"unsafe"
+
+	"github.com/hotindex/hot/internal/bits"
+	"github.com/hotindex/hot/internal/key"
+)
+
+// TestNodeClassAlignment checks that every class places its slots, and so
+// every slot's tid, at a multiple of 8 bytes from the block's start, which
+// Go aligns to 8 bytes (the first word of an allocated struct): a 64-bit
+// atomic faults on a word that is not 8-byte aligned on 32-bit targets
+// (`GOARCH=386 go test` runs this), and a misaligned class should fail
+// here by name rather than in a random store.
+func TestNodeClassAlignment(t *testing.T) {
+	tidOff := unsafe.Offsetof(slot{}.tid)
+	for cls, c := range classes {
+		if c.typ == nil {
+			continue
+		}
+		n, width := classShape(cls)
+		name := fmt.Sprintf("n=%d/width=%d", n, width)
+		slots := c.typ.Field(2).Offset
+		if slots%8 != 0 || (slots+tidOff)%8 != 0 || slotSize%8 != 0 {
+			t.Errorf("class %s: slots at %d, tid at +%d, slot size %d: tid not 8-byte aligned",
+				name, slots, tidOff, slotSize)
+		}
+	}
+}
+
+// FuzzNodeBlock builds a node from random sorted discriminative bits,
+// partial keys and slots, checks every accessor against its inputs — also
+// after the block went through the pool — and checks search against a
+// linear scan with the scalar comply reference, on both search paths.
+func FuzzNodeBlock(f *testing.F) {
+	f.Add(int64(1), uint8(20), uint8(8), uint16(40), []byte("http://example.com/a"))
+	f.Add(int64(2), uint8(32), uint8(31), uint16(2000), []byte("x"))
+	f.Add(int64(3), uint8(2), uint8(1), uint16(1), []byte{})
+	f.Add(int64(4), uint8(18), uint8(12), uint16(900), []byte("\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"))
+	f.Add(int64(5), uint8(9), uint8(7), uint16(2000), []byte("\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"))
+	f.Fuzz(func(t *testing.T, seed int64, nIn, colsIn uint8, spread uint16, k []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + int(nIn)%(MaxFanout-1)
+		// n distinct partial keys need at least Len(n-1) columns.
+		ncols := max(1+int(colsIn)%(n-1), mathbits.Len(uint(n-1)))
+		span := max(ncols, 1+int(spread)%2048)
+
+		d := make([]uint16, 0, ncols)
+		for _, p := range rng.Perm(span)[:ncols] {
+			d = append(d, uint16(p))
+		}
+		slices.Sort(d)
+		pks := []uint32{0}
+		for len(pks) < n {
+			if p := uint32(rng.Int63n(1 << ncols)); !slices.Contains(pks, p) {
+				pks = append(pks, p)
+			}
+		}
+		slices.Sort(pks)
+		child := specNode([]uint16{0})
+		slots := make([]slot, n)
+		for i := range slots {
+			if rng.Intn(4) == 0 {
+				slots[i] = childSlot(child)
+			} else {
+				slots[i] = leafSlot(TID(rng.Int63()))
+			}
+		}
+		height := uint8(1 + rng.Intn(8))
+
+		pool := &nodePool{}
+		nd := newNode(pool, height, d, pks, slots)
+		checkBlock(t, nd, height, d, pks, slots, k)
+		pool.put(nd)
+		if again := newNode(pool, height, d, pks, slots); again != nd {
+			t.Fatal("pool did not hand back the block of the same class")
+		}
+		checkBlock(t, nd, height, d, pks, slots, k)
+	})
+}
+
+// checkBlock checks nd against the inputs it was built from.
+func checkBlock(t *testing.T, nd *node, height uint8, d []uint16, pks []uint32, slots []slot, k []byte) {
+	t.Helper()
+	n := len(slots)
+	if int(nd.n) != n || nd.height != height || !slices.Equal(nd.dbits(), d) || !slices.Equal(nd.pks(nil), pks) {
+		t.Fatalf("header n=%d h=%d dbits=%v pks=%v, want n=%d h=%d dbits=%v pks=%v",
+			nd.n, nd.height, nd.dbits(), nd.pks(nil), n, height, d, pks)
+	}
+	for i := range slots {
+		s := nd.slot(i)
+		if s.loadChild() != slots[i].loadChild() || s.loadTID() != slots[i].tid {
+			t.Fatalf("slot %d = (%p, %d), want (%p, %d)", i, s.loadChild(), s.loadTID(), slots[i].loadChild(), slots[i].tid)
+		}
+	}
+	if c := nd.cold(); c.obsolete.Load() || !c.mu.TryLock() {
+		t.Fatal("fresh node is obsolete or locked")
+	} else {
+		c.mu.Unlock()
+	}
+
+	// The layout follows from the bits alone.
+	width := pkWidth(len(d))
+	first := int(d[0]) / 8 * 8
+	pairs := keyBytesSpanned(d)
+	var want layoutKind
+	paper := 8 + n*int(width)/8 + n*8
+	switch {
+	case int(d[len(d)-1])-first < 64:
+		want = [...]layoutKind{8: LayoutSingle8, 16: LayoutSingle16, 32: LayoutSingle32}[width]
+		paper += 9
+	case pairs <= 8:
+		want = [...]layoutKind{8: LayoutMulti8x8, 16: LayoutMulti8x16, 32: LayoutMulti8x32}[width]
+		paper += 2 * pairs
+	case pairs <= 16:
+		want = [...]layoutKind{16: LayoutMulti16x16, 32: LayoutMulti16x32}[width]
+		paper += 2 * pairs
+	default:
+		want, paper = LayoutMulti32x32, paper+2*pairs
+	}
+	if nd.layout() != want || nd.paperBytes() != paper {
+		t.Fatalf("layout %v, paperBytes %d; want %v, %d", nd.layout(), nd.paperBytes(), want, paper)
+	}
+
+	// Extraction gathers k's bits at d; search picks the highest entry
+	// whose partial key complies with them.
+	var probe uint32
+	for _, p := range d {
+		probe = probe<<1 | uint32(key.Bit(k, int(p)))
+	}
+	if got := nd.extract(k); got != probe {
+		t.Fatalf("extract(%x) = %#b, want %#b (dbits %v)", k, got, probe, d)
+	}
+	var m uint32
+	switch width {
+	case 8:
+		m = bits.Comply8Scalar(nd.keys(), n, uint8(probe))
+	case 16:
+		m = bits.Comply16Scalar(nd.keys(), n, uint16(probe))
+	default:
+		m = bits.Comply32Scalar(nd.keys(), n, probe)
+	}
+	wantIdx := mathbits.Len32(m) - 1
+	native := bits.Native
+	defer func() { bits.Native = native }()
+	for _, bits.Native = range []bool{native, false} {
+		if got := nd.search(k); got != wantIdx {
+			t.Fatalf("native=%v: search(%x) = %d, want %d (probe %#b, pks %v, dbits %v)",
+				bits.Native, k, got, wantIdx, probe, pks, d)
+		}
+	}
+}

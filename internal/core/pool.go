@@ -1,81 +1,41 @@
 package core
 
-import "sync"
-
 // nodePool recycles retired nodes for the single-threaded trie: every
-// copy-on-write modification frees exactly one node of a known entry
-// count, so reusing its exact-fit arrays removes most allocator and GC
-// work from the insert path (the C++ implementation leans on a fast
-// allocator in the same way). The concurrent trie does not use the pool —
-// its obsolete nodes must survive until the epoch manager retires them and
-// wait-free readers may hold them arbitrarily long, so they are left to
-// the garbage collector.
+// copy-on-write modification frees exactly one node of a known class, so
+// reusing its block removes most allocator and GC work from the insert
+// path (the C++ implementation leans on a fast allocator in the same way).
+// The concurrent trie does not use the pool — its obsolete nodes must
+// survive until the epoch manager retires them and wait-free readers may
+// hold them arbitrarily long, so they are left to the garbage collector.
 type nodePool struct {
-	lists [MaxFanout + 1][]*node
+	lists [len(classes)][]*node
 }
 
-// poolClassCap bounds each size class so class imbalance cannot hoard
-// memory.
+// poolClassCap bounds each class so class imbalance cannot hoard memory.
 const poolClassCap = 32
 
-// get returns a recycled node with capacity for n entries, or nil.
-func (p *nodePool) get(n int) *node {
+// get returns a recycled block of class cls, or nil.
+func (p *nodePool) get(cls uint8) *node {
 	if p == nil {
 		return nil
 	}
-	l := p.lists[n]
+	l := p.lists[cls]
 	if len(l) == 0 {
 		return nil
 	}
 	nd := l[len(l)-1]
-	p.lists[n] = l[:len(l)-1]
+	p.lists[cls] = l[:len(l)-1]
 	return nd
 }
 
 // put recycles a retired node. The caller guarantees no reader can still
 // observe it.
 func (p *nodePool) put(nd *node) {
-	if p == nil || nd == nil {
-		return
-	}
-	n := int(nd.n)
-	if len(p.lists[n]) >= poolClassCap {
+	if p == nil || nd == nil || len(p.lists[nd.cls]) >= poolClassCap {
 		return
 	}
 	// Drop references so recycled nodes do not retain subtrees.
-	for i := range nd.slots {
-		nd.slots[i] = slot{}
-	}
-	nd.mu = sync.Mutex{}
-	nd.obsolete.Store(false)
-	p.lists[n] = append(p.lists[n], nd)
-}
-
-// prepare readies a node for n entries, ncols discriminative bits and
-// keyBytes partial-key bytes, reusing recycled arrays when their capacity
-// suffices.
-func (p *nodePool) prepare(n, ncols, keyBytes int) *node {
-	nd := p.get(n)
-	if nd == nil {
-		return &node{
-			dbits: make([]uint16, ncols),
-			keys:  make([]byte, keyBytes),
-			slots: make([]slot, n),
-		}
-	}
-	if cap(nd.dbits) >= ncols {
-		nd.dbits = nd.dbits[:ncols]
-	} else {
-		nd.dbits = make([]uint16, ncols)
-	}
-	if cap(nd.keys) >= keyBytes {
-		nd.keys = nd.keys[:keyBytes]
-		for i := range nd.keys {
-			nd.keys[i] = 0
-		}
-	} else {
-		nd.keys = make([]byte, keyBytes)
-	}
-	nd.slots = nd.slots[:n] // class match guarantees capacity
-	return nd
+	clear(nd.slots())
+	*nd.cold() = nodeCold{}
+	p.lists[nd.cls] = append(p.lists[nd.cls], nd)
 }

@@ -192,7 +192,7 @@ func (t *ConcurrentTrie) lockRoot(rb *rootBox) bool {
 func (t *ConcurrentTrie) lock(stack []pathEntry, lo int, useRoot bool, cand TID) bool {
 	last := len(stack) - 1
 	for i := last; i >= lo; i-- {
-		stack[i].nd.mu.Lock()
+		stack[i].nd.cold().mu.Lock()
 		chaos.Fire(chaos.RowexBetweenLocks)
 	}
 	if useRoot {
@@ -203,11 +203,11 @@ func (t *ConcurrentTrie) lock(stack []pathEntry, lo int, useRoot bool, cand TID)
 	for i := lo; i <= last && valid; i++ {
 		// A concurrent writer that changed a traversal link would have had
 		// to lock stack[i], which excludes us.
-		valid = !stack[i].nd.obsolete.Load() &&
-			(i == last || stack[i].nd.slots[stack[i].idx].loadChild() == stack[i+1].nd)
+		valid = !stack[i].nd.cold().obsolete.Load() &&
+			(i == last || stack[i].nd.slot(stack[i].idx).loadChild() == stack[i+1].nd)
 	}
 	if valid {
-		s := &stack[last].nd.slots[stack[last].idx]
+		s := stack[last].nd.slot(stack[last].idx)
 		valid = s.loadChild() == nil && s.loadTID() == cand
 	}
 	// A window that starts at the root (always so with useRoot) is reached
@@ -231,7 +231,7 @@ func (t *ConcurrentTrie) unlock(stack []pathEntry, lo int, useRoot bool) {
 		t.rootMu.Unlock()
 	}
 	for i := lo; i < len(stack); i++ {
-		stack[i].nd.mu.Unlock()
+		stack[i].nd.cold().mu.Unlock()
 	}
 }
 

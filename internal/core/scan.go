@@ -23,7 +23,7 @@ func (it *Iterator) TID() TID {
 		return it.leafTID
 	}
 	top := &it.stack[len(it.stack)-1]
-	return top.nd.slots[top.idx].loadTID()
+	return top.nd.slot(top.idx).loadTID()
 }
 
 // Next advances to the next leaf in key order.
@@ -52,7 +52,7 @@ func (it *Iterator) Next() {
 func (it *Iterator) descendLeftmost() {
 	for {
 		top := &it.stack[len(it.stack)-1]
-		c := top.nd.slots[top.idx].loadChild()
+		c := top.nd.slot(top.idx).loadChild()
 		if c == nil {
 			return
 		}
@@ -80,7 +80,7 @@ func (t *tree) seek(root *node, start, buf []byte, stack []pathEntry) Iterator {
 	// Find the candidate leaf for start, keeping the path.
 	it.stack, _ = descend(root, start, it.stack)
 	top := &it.stack[len(it.stack)-1]
-	cand := top.nd.slots[top.idx].loadTID()
+	cand := top.nd.slot(top.idx).loadTID()
 	mb, differ := key.MismatchBit(t.load(cand, buf), start)
 	if !differ {
 		it.valid = true

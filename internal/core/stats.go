@@ -123,8 +123,8 @@ func (t *tree) Depths() DepthStats {
 	}
 	var walk func(nd *node, d int)
 	walk = func(nd *node, d int) {
-		for i := range nd.slots {
-			if c := nd.slots[i].loadChild(); c != nil {
+		for i := range int(nd.n) {
+			if c := nd.slot(i).loadChild(); c != nil {
 				walk(c, d+1)
 				continue
 			}
@@ -160,8 +160,8 @@ func (t *tree) Memory() MemoryStats {
 		m.GoBytes += nd.goBytes()
 		m.Layouts[nd.layout()]++
 		m.FanoutSum += int(nd.n)
-		for i := range nd.slots {
-			if c := nd.slots[i].loadChild(); c != nil {
+		for i := range int(nd.n) {
+			if c := nd.slot(i).loadChild(); c != nil {
 				walk(c)
 			}
 		}

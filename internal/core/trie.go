@@ -113,7 +113,7 @@ func descend(root *node, k []byte, stack []pathEntry) ([]pathEntry, TID) {
 	for {
 		idx := nd.search(k)
 		stack = append(stack, pathEntry{nd, idx})
-		s := &nd.slots[idx]
+		s := nd.slot(idx)
 		if c := s.loadChild(); c != nil {
 			nd = c
 			continue
@@ -131,7 +131,7 @@ func (t *tree) lookup(k, buf []byte) (TID, bool) {
 		nd := rb.n
 		for {
 			idx := nd.search(k)
-			s := &nd.slots[idx]
+			s := nd.slot(idx)
 			if c := s.loadChild(); c != nil {
 				nd = c
 				continue
@@ -242,7 +242,7 @@ func planInsert(stack []pathEntry, cand TID, mb int, bitv uint, k int) insertPla
 // splits on the path through entry idx.
 func affectedRange(nd *node, idx, mb int) (lo, hi int) {
 	pos, _ := nd.columnOf(uint16(mb))
-	ncols := len(nd.dbits)
+	ncols := int(nd.ncols)
 	// Columns strictly above mb (more significant discriminative bits).
 	prefixMask := lowMask32(ncols) &^ lowMask32(ncols-pos)
 	if prefixMask == 0 {
@@ -261,14 +261,14 @@ func (t *tree) execInsert(plan insertPlan, tid TID, replaced []*node) []*node {
 	a := stack[plan.ai]
 
 	if plan.what == casePushdown {
-		existing := a.nd.slots[a.idx] // leaf slot, stable under the node lock
+		existing := *a.nd.slot(a.idx) // leaf slot, stable under the node lock
 		var c *node
 		if plan.bitv == 1 {
 			c = nodeFrom2(uint16(plan.mb), existing, leafSlot(tid), t.pool)
 		} else {
 			c = nodeFrom2(uint16(plan.mb), leafSlot(tid), existing, t.pool)
 		}
-		a.nd.slots[a.idx].storeChild(c)
+		a.nd.slot(a.idx).storeChild(c)
 		t.size.Add(1)
 		t.ops.pushdown.Add(1)
 		return replaced
@@ -317,7 +317,7 @@ func (t *tree) execInsert(plan insertPlan, tid TID, replaced []*node) []*node {
 			// Intermediate node creation keeps the overall height unchanged.
 			t.ops.intermediate.Add(1)
 			m := nodeFrom2(splitBit, left, right, t.pool)
-			parent.nd.slots[parent.idx].storeChild(m)
+			parent.nd.slot(parent.idx).storeChild(m)
 			t.size.Add(1)
 			return replaced
 		}
@@ -400,7 +400,7 @@ func (t *tree) write(k []byte, tid TID, upsert bool, sc *scratch, latch *Concurr
 		if latch != nil && !latch.lock(stack, last, false, cand) {
 			return false, 0, false, false
 		}
-		stack[last].nd.slots[stack[last].idx].storeTID(tid)
+		stack[last].nd.slot(stack[last].idx).storeTID(tid)
 		if latch != nil {
 			latch.unlock(stack, last, false)
 		}
@@ -427,7 +427,7 @@ func (t *tree) retire(nodes []*node) {
 			t.pool.put(nd)
 			continue
 		}
-		nd.obsolete.Store(true)
+		nd.cold().obsolete.Store(true)
 		t.gc.Retire(nil)
 	}
 }
@@ -441,7 +441,7 @@ func (t *tree) replaceAt(stack []pathEntry, level int, repl *node) {
 		return
 	}
 	p := stack[level-1]
-	p.nd.slots[p.idx].storeChild(repl)
+	p.nd.slot(p.idx).storeChild(repl)
 }
 
 func max(a, b int) int {

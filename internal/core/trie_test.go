@@ -391,12 +391,12 @@ func TestInsertionOrderIndependence(t *testing.T) {
 		rb := tr.root.Load()
 		var walk func(nd *node)
 		walk = func(nd *node) {
-			b = append(b, fmt.Sprintf("[h%d d%v p%v ", nd.height, nd.dbits, nd.pks(nil))...)
-			for i := range nd.slots {
-				if c := nd.slots[i].loadChild(); c != nil {
+			b = append(b, fmt.Sprintf("[h%d d%v p%v ", nd.height, nd.dbits(), nd.pks(nil))...)
+			for i := range int(nd.n) {
+				if c := nd.slot(i).loadChild(); c != nil {
 					walk(c)
 				} else {
-					b = append(b, fmt.Sprintf("k%q ", s.Key(nd.slots[i].tid, nil))...)
+					b = append(b, fmt.Sprintf("k%q ", s.Key(nd.slot(i).tid, nil))...)
 				}
 			}
 			b = append(b, ']')

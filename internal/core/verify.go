@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	mathbits "math/bits"
 
 	"github.com/hotindex/hot/internal/key"
 )
@@ -136,14 +135,14 @@ func (t *tree) verify(strictHeights bool) error {
 // bit nd may use (one past the deepest BiNode on the path leading to nd).
 // It returns the subtree height in compound nodes.
 func (v *verifier) walk(nd *node, minBit int) (uint8, *CorruptionError) {
-	if nd.obsolete.Load() {
+	if nd.cold().obsolete.Load() {
 		return 0, v.corrupt(InvObsoleteReachable, -1, "reachable node is marked obsolete")
 	}
 	n := int(nd.n)
 	if n < 2 || n > v.t.k {
 		return 0, v.corrupt(InvFanout, -1, "%d entries, want 2..%d", n, v.t.k)
 	}
-	d := nd.dbits
+	d := nd.dbits()
 	if len(d) < 1 || len(d) > n-1 {
 		return 0, v.corrupt(InvDiscriminativeBits, -1,
 			"%d discriminative bits for %d entries, want 1..%d", len(d), n, n-1)
@@ -193,7 +192,7 @@ func (v *verifier) walk(nd *node, minBit int) (uint8, *CorruptionError) {
 				pathMax = b
 			}
 		}
-		if c := nd.slots[i].loadChild(); c != nil {
+		if c := nd.slot(i).loadChild(); c != nil {
 			v.path = append(v.path, i)
 			h, err := v.walk(c, pathMax+1)
 			v.path = v.path[:len(v.path)-1]
@@ -206,7 +205,7 @@ func (v *verifier) walk(nd *node, minBit int) (uint8, *CorruptionError) {
 			continue
 		}
 		v.leaves++
-		stored := nd.slots[i].loadTID()
+		stored := nd.slot(i).loadTID()
 		k := v.t.load(stored, nil)
 		if v.prevKey != nil && key.Compare(v.prevKey, k) >= 0 {
 			return 0, v.corrupt(InvLeafOrder, i, "%q then %q", v.prevKey, k)
@@ -227,15 +226,6 @@ func (v *verifier) walk(nd *node, minBit int) (uint8, *CorruptionError) {
 			"height %d below subtree height %d", nd.height, maxChild+1)
 	}
 	return nd.height, nil
-}
-
-// divergeBit returns the discriminative bit of the BiNode where the
-// adjacent partial keys a < b branch apart: the most significant differing
-// column. Columns are ordered most significant first, so column c maps to
-// partial-key bit len(d)-1-c.
-func divergeBit(d []uint16, a, b uint32) int {
-	hb := mathbits.Len32(a^b) - 1
-	return int(d[len(d)-1-hb])
 }
 
 func equalU16(a, b []uint16) bool {

@@ -26,7 +26,7 @@ func buildCorruptible(t *testing.T) (*Trie, *node) {
 func firstChild(t *testing.T, nd *node) *node {
 	t.Helper()
 	for i := 0; i < int(nd.n); i++ {
-		if c := nd.slots[i].loadChild(); c != nil {
+		if c := nd.slot(i).loadChild(); c != nil {
 			return c
 		}
 	}
@@ -48,17 +48,17 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 			firstChild(t, root).n = 1
 		}},
 		{"dbits-order", InvDiscriminativeBits, func(t *testing.T, tr *Trie, root *node) {
-			nd := firstChild(t, root)
-			if len(nd.dbits) < 2 {
+			d := firstChild(t, root).dbits()
+			if len(d) < 2 {
 				t.Skip("child has a single discriminative bit")
 			}
-			nd.dbits[0], nd.dbits[1] = nd.dbits[1], nd.dbits[0]
+			d[0], d[1] = d[1], d[0]
 		}},
 		{"dbits-path-bound", InvDiscriminativeBits, func(t *testing.T, tr *Trie, root *node) {
-			firstChild(t, root).dbits[0] = 0 // bits must grow along the path
+			firstChild(t, root).dbits()[0] = 0 // bits must grow along the path
 		}},
 		{"obsolete-reachable", InvObsoleteReachable, func(t *testing.T, tr *Trie, root *node) {
-			firstChild(t, root).obsolete.Store(true)
+			firstChild(t, root).cold().obsolete.Store(true)
 		}},
 		{"height-bound", InvHeightBound, func(t *testing.T, tr *Trie, root *node) {
 			root.height = 1 // root must sit above its subtrees
