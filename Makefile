@@ -131,7 +131,7 @@ fuzz:
 	$(GO) test -fuzz FuzzClientReply -fuzztime $(FUZZTIME) ./internal/hotclient/
 
 bench:
-	$(GO) test -bench . -benchtime 1s -run - . ./internal/persist ./internal/bits
+	$(GO) test -bench . -benchtime 1s -run - . ./internal/persist ./internal/bits ./internal/core
 
 # Code-only line table — non-test Go lines that are neither blank nor a
 # comment line, for the root package, every internal/* and cmd/* package,

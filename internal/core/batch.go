@@ -10,16 +10,19 @@ import (
 )
 
 // Batched lookups. A single lookup's descent is a chain of dependent
-// loads — node header, partial keys, slot, child — so every cache miss
-// serializes. A batched lookup keeps up to batchLanes independent descents
-// in flight and advances them one node per round. Each round makes three
-// passes over the live lanes, each pass issuing one load per lane back to
-// back: touch every lane's node and the first word of its partial keys,
-// then search every node (now cache-resident), then load every lane's slot
-// and step to the child or resolve the TID. Within a pass no lane's load
-// waits on another's, so the out-of-order window holds all the lanes'
-// misses at once — the Go-portable form of software prefetching, the
-// remedy the Cuckoo Trie applies to DRAM-bound probes.
+// loads — probe key, node header, partial keys, slot, child, and at the
+// end the candidate's tuple — so every cache miss serializes. A batched
+// lookup keeps up to batchLanes independent lookups in flight and issues
+// each kind of load for all of them back to back, in touch-then-use
+// passes: touch every lane's probe key as it is seeded; then, one node
+// per round, touch every lane's node and the first word of its partial
+// keys, search every node (now cache-resident), and load every lane's
+// slot to step to the child or resolve the TID; then fetch every
+// candidate's key through its trie's loader and touch it, and only then
+// compare each with its probe. Within a pass no lane's load waits on
+// another's, so the out-of-order window holds all the lanes' misses at
+// once — the Go-portable form of software prefetching, the remedy the
+// Cuckoo Trie applies to DRAM-bound probes.
 //
 // Every lane carries its own trie: one batch may descend many tries at
 // once (LookupBatchAcross), which is how a sharded index runs a single
@@ -31,11 +34,15 @@ import (
 // the DRAM-bound 1M-key lookup benchmark (16 left ~15% on the table).
 const batchLanes = 32
 
+// laneKeyBytes is the capacity of each lane's key-load buffer; a loader
+// that writes a longer key appends past it into memory of its own.
+const laneKeyBytes = 64
+
 // batchState is the reusable scratch of a batched lookup: every key's
 // trie, the live lanes' descent frontier, the epoch guards the call holds
-// and a key-load buffer for the final false-positive checks. Trie keeps
-// one (steady-state batched lookups allocate nothing, and found is the
-// mask it hands back); the concurrent entries draw from a pool.
+// and the lanes' key-load buffers for the final false-positive checks.
+// Trie keeps one (steady-state batched lookups allocate nothing, and found
+// is the mask it hands back); the concurrent entries draw from a pool.
 type batchState struct {
 	trees []*tree // per key: the trie it is looked up in, nil to skip it
 	// The live lanes, compacted after every round: each lane's key index,
@@ -49,9 +56,17 @@ type batchState struct {
 	// guards are the epoch guards of the tries a call pinned, released
 	// when it returns.
 	guards []epoch.Guard
-	buf    []byte
+	// keyBuf backs one laneKeyBytes buffer per lane: a loader may write
+	// the key into its buf, and every candidate of a chunk is loaded
+	// before any is compared. The buffers belong to the state; a slice a
+	// loader returned is never kept as a buffer, since it may alias a
+	// store's tuple arena (and one pooled state serves many loaders).
+	keyBuf []byte
+	// loaded holds the chunk's candidate keys between the fetch and the
+	// compare pass, cleared before lookup returns.
+	loaded [batchLanes][]byte
 	found  []bool
-	// sink absorbs the touch pass's loads so the compiler keeps them.
+	// sink absorbs the touch passes' loads so the compiler keeps them.
 	sink uint64
 }
 
@@ -96,14 +111,18 @@ func (st *batchState) release() {
 // without a trie is left as it was. Lanes start at their tries' roots,
 // loaded when the lane is seeded; in-place child and TID stores still
 // reach a descent, so each answer is a value its key held during the call.
-// The caller holds whatever epoch guards the tries need.
+// The caller holds whatever epoch guards the tries need. The candidates'
+// loaded keys are dropped before it returns, so a pooled state holds no
+// tuple memory.
 func (st *batchState) lookup(keys [][]byte, out []TID, found []bool) {
-	if st.buf == nil {
-		st.buf = make([]byte, 0, 64)
+	if st.keyBuf == nil {
+		st.keyBuf = make([]byte, batchLanes*laneKeyBytes)
 	}
 	trees := st.trees
+	var sink uint64
 	for next := 0; next < len(keys); {
-		// Seed up to batchLanes lanes; a rootless trie resolves at once.
+		// Seed up to batchLanes lanes, touching each probe key's first and
+		// last byte; a rootless trie resolves at once.
 		m, live := 0, 0
 		for ; next < len(keys) && m < batchLanes; next++ {
 			tr := trees[next]
@@ -112,6 +131,7 @@ func (st *batchState) lookup(keys [][]byte, out []TID, found []bool) {
 			}
 			st.chunk[m] = next
 			m++
+			sink += ends(keys[next])
 			if rb := tr.root.Load(); rb.n != nil {
 				st.lane[live], st.nodes[live] = next, rb.n
 				live++
@@ -121,12 +141,10 @@ func (st *batchState) lookup(keys [][]byte, out []TID, found []bool) {
 		}
 		for live > 0 {
 			// Touch: each lane's node header and first partial-key word.
-			var sink uint64
 			for j := 0; j < live; j++ {
 				nd := st.nodes[j]
 				sink += uint64(nd.n) + binary.LittleEndian.Uint64(nd.keys())
 			}
-			st.sink += sink
 			// Search: every node is resident now.
 			for j := 0; j < live; j++ {
 				st.idx[j] = st.nodes[j].search(keys[st.lane[j]])
@@ -146,10 +164,20 @@ func (st *batchState) lookup(keys [][]byte, out []TID, found []bool) {
 			}
 			live = w
 		}
-		// Final false-positive checks (Listing 2, line 7), one key load
-		// per candidate.
-		for _, i := range st.chunk[:m] {
-			if found[i] && !key.Equal(trees[i].load(out[i], st.buf[:0]), keys[i]) {
+		// Fetch: load every candidate's key into its lane's own buffer and
+		// touch its first and last byte.
+		for j, i := range st.chunk[:m] {
+			if !found[i] {
+				continue
+			}
+			k := trees[i].load(out[i], st.keyBuf[j*laneKeyBytes:j*laneKeyBytes:(j+1)*laneKeyBytes])
+			sink += ends(k)
+			st.loaded[j] = k
+		}
+		// Compare: the false-positive checks (Listing 2, line 7), every
+		// candidate's key resident now.
+		for j, i := range st.chunk[:m] {
+			if found[i] && !key.Equal(st.loaded[j], keys[i]) {
 				found[i] = false
 			}
 			if !found[i] {
@@ -157,6 +185,17 @@ func (st *batchState) lookup(keys [][]byte, out []TID, found []bool) {
 			}
 		}
 	}
+	st.sink += sink
+	clear(st.loaded[:])
+}
+
+// ends reads k's first and last byte, which touches both cache lines a key
+// of up to 64 bytes can span.
+func ends(k []byte) uint64 {
+	if len(k) == 0 {
+		return 0
+	}
+	return uint64(k[0]) + uint64(k[len(k)-1])
 }
 
 // LookupBatchAcross looks up keys[i] in tries[which[i]] for every i as one

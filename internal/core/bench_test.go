@@ -66,20 +66,20 @@ func BenchmarkLookup(b *testing.B) {
 // BenchmarkLookupBatch compares scalar point lookups against the batched
 // memory-level-parallel descent at 1M keys per data set — large enough
 // that the upper trie levels no longer fit in L2, so the batch's
-// overlapping cache misses show up as throughput. sharded8 spreads the same
-// keys over 8 concurrent tries, as a sharded index does, and runs every
-// 32-key batch across them through LookupBatchAcross. Every path must
-// report 0 allocs/op.
+// overlapping cache misses show up as throughput. Every path probes all
+// the loaded keys, once each per cycle in one random order, so the probe
+// keys and the tuples the final checks load miss the cache as the nodes
+// do. sharded8 spreads the same keys over 8 concurrent tries, as a
+// sharded index does, and runs every 32-key batch across them through
+// LookupBatchAcross. Every path must report 0 allocs/op.
 func BenchmarkLookupBatch(b *testing.B) {
 	for _, kind := range dataset.Kinds() {
 		b.Run(kind.String(), func(b *testing.B) {
 			tr, s, keys := benchTrie(b, kind, 1_000_000)
-			rng := rand.New(rand.NewSource(2))
-			probes := make([][]byte, 4096)
-			home := make([]int, len(probes))
-			for i := range probes {
-				home[i] = rng.Intn(len(keys))
-				probes[i] = keys[home[i]]
+			home := rand.New(rand.NewSource(2)).Perm(len(keys))
+			probes := make([][]byte, len(keys))
+			for i, h := range home {
+				probes[i] = keys[h]
 			}
 			b.Run("scalar", func(b *testing.B) {
 				b.ReportAllocs()

@@ -199,6 +199,15 @@ func (t *ShardedTree) LookupBatch(keys [][]byte, out []TID) []bool {
 	b.states = slices.Grow(b.states[:0], len(t.shards))[:len(t.shards)]
 	b.slot = slices.Grow(b.slot[:0], len(t.shards))[:len(t.shards)]
 	b.which = slices.Grow(b.which[:0], n)[:n]
+	// Touch every key's first and last byte back to back, so the routing
+	// compares below find the keys resident instead of missing one by one.
+	var sink uint64
+	for _, k := range keys {
+		if len(k) > 0 {
+			sink += uint64(k[0]) + uint64(k[len(k)-1])
+		}
+	}
+	b.sink += sink
 	// Each shard's state is loaded once, at its first key, and a hot
 	// shard's trie is listed once, so pinning stays linear in the batch.
 	for i, k := range keys {
@@ -244,6 +253,7 @@ type shardBatch struct {
 	tries  []*core.ConcurrentTrie
 	which  []int
 	cold   []coldProbe
+	sink   uint64 // absorbs the key touch pass's loads
 }
 
 // coldProbe is a key of a cold shard: its shard and its index in the batch.

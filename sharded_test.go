@@ -318,75 +318,125 @@ func TestShardedCursorNextAtRest(t *testing.T) {
 	}
 }
 
+// shardedBatchInputs builds a sharded tree and its probes for the batch
+// tests, with either loader: a tuple store over email keys, or the 8-byte
+// embedded-key loader over even values, which writes each key into the
+// buffer it is handed. The probes mix present keys, near-misses one byte
+// or bit off a stored key and absent keys.
+var shardedBatchInputs = []struct {
+	name  string
+	build func(shards int) (*ShardedTree, [][]byte)
+}{
+	{"tidstore", func(shards int) (*ShardedTree, [][]byte) {
+		keys := dataset.Generate(dataset.Email, 2500, 23)
+		s := &tidstore.Store{}
+		for _, k := range keys {
+			s.Add(k)
+		}
+		st, _ := buildPair(keys, s, shards)
+		return st, batchProbes(keys, func(k []byte) []byte {
+			nm := append([]byte(nil), k...)
+			nm[len(nm)-2] ^= 1 // the byte before the terminator
+			return nm
+		}, func(i int) []byte { return []byte(fmt.Sprintf("zz-absent-%05d\x00", i)) })
+	}},
+	{"embedded", func(shards int) (*ShardedTree, [][]byte) {
+		rng := rand.New(rand.NewSource(37))
+		vals := make([]uint64, 2500)
+		for i := range vals {
+			vals[i] = uint64(rng.Intn(1<<16))<<20 | uint64(i)<<1
+		}
+		keys := u64Keys(vals)
+		st := NewShardedTree(tidstore.Uint64Key, shards, keys)
+		for i, v := range vals {
+			st.Insert(keys[i], v)
+		}
+		return st, batchProbes(keys, func(k []byte) []byte {
+			return u64Key(binary.BigEndian.Uint64(k) + 1)
+		}, func(i int) []byte { return u64Key(1<<40 | uint64(i)) })
+	}},
+}
+
+// batchProbes draws 300 probes over keys: a third absent (absent(i) for
+// the i-th probe), a sixth near-misses (nearMiss of a stored key), the
+// rest stored keys.
+func batchProbes(keys [][]byte, nearMiss func([]byte) []byte, absent func(i int) []byte) [][]byte {
+	rng := rand.New(rand.NewSource(29))
+	probe := make([][]byte, 0, 300)
+	for i := 0; i < 300; i++ {
+		switch k := keys[rng.Intn(len(keys))]; rng.Intn(6) {
+		case 0, 1:
+			probe = append(probe, absent(i))
+		case 2:
+			probe = append(probe, nearMiss(k))
+		default:
+			probe = append(probe, k)
+		}
+	}
+	return probe
+}
+
 // TestShardedLookupBatch: the cross-shard batch kernel must agree with scalar
-// lookups for present and absent keys alike, and the out slice contract
-// (0 for misses) must hold.
+// lookups for present, near-miss and absent keys alike, with both loaders,
+// at batch sizes around the lane count, and the out slice contract (0 for
+// misses) must hold.
 func TestShardedLookupBatch(t *testing.T) {
 	for _, shards := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("s%d", shards), func(t *testing.T) {
-			keys := dataset.Generate(dataset.Email, 2500, 23)
-			s := &tidstore.Store{}
-			for _, k := range keys {
-				s.Add(k)
-			}
-			st, _ := buildPair(keys, s, shards)
-
-			rng := rand.New(rand.NewSource(29))
-			probe := make([][]byte, 0, 300)
-			for i := 0; i < 300; i++ {
-				if rng.Intn(3) == 0 {
-					probe = append(probe, []byte(fmt.Sprintf("zz-absent-%05d\x00", i)))
-				} else {
-					probe = append(probe, keys[rng.Intn(len(keys))])
-				}
-			}
-			out := make([]TID, len(probe))
-			found := st.LookupBatch(probe, out)
-			for i, k := range probe {
-				wantTID, wantOK := st.Lookup(k)
-				if found[i] != wantOK {
-					t.Fatalf("probe %d (%q): batch found=%v, scalar=%v", i, k, found[i], wantOK)
-				}
-				if wantOK && out[i] != wantTID {
-					t.Fatalf("probe %d: batch TID %d, scalar %d", i, out[i], wantTID)
-				}
-				if !wantOK && out[i] != 0 {
-					t.Fatalf("probe %d: miss slot not zeroed (%d)", i, out[i])
-				}
-			}
-			// Empty batch must be a no-op.
-			if got := st.LookupBatch(nil, out); len(got) != 0 {
-				t.Fatalf("empty batch returned mask of %d", len(got))
+			for _, in := range shardedBatchInputs {
+				t.Run(in.name, func(t *testing.T) {
+					st, probes := in.build(shards)
+					for _, size := range []int{31, 32, 33, len(probes)} {
+						probe := probes[:size]
+						out := make([]TID, len(probe))
+						found := st.LookupBatch(probe, out)
+						for i, k := range probe {
+							wantTID, wantOK := st.Lookup(k)
+							if found[i] != wantOK {
+								t.Fatalf("size %d probe %d (%q): batch found=%v, scalar=%v", size, i, k, found[i], wantOK)
+							}
+							if wantOK && out[i] != wantTID {
+								t.Fatalf("size %d probe %d: batch TID %d, scalar %d", size, i, out[i], wantTID)
+							}
+							if !wantOK && out[i] != 0 {
+								t.Fatalf("size %d probe %d: miss slot not zeroed (%d)", size, i, out[i])
+							}
+						}
+					}
+					// Empty batch must be a no-op.
+					if got := st.LookupBatch(nil, nil); len(got) != 0 {
+						t.Fatalf("empty batch returned mask of %d", len(got))
+					}
+				})
 			}
 		})
 	}
 }
 
 // TestShardedLookupBatchAllocs pins the sharded batch path to one
-// allocation per call, the mask handed to the caller: routing, the
-// cross-shard descent and the cold shard's point reads draw their scratch
-// from pools.
+// allocation per call, the mask handed to the caller, with both loaders:
+// routing, the cross-shard descent and the cold shard's point reads draw
+// their scratch from pools.
 func TestShardedLookupBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race drops pooled scratch at random")
 	}
-	keys := dataset.Generate(dataset.URL, 4000, 41)
-	s := &tidstore.Store{}
-	for _, k := range keys {
-		s.Add(k)
-	}
-	st, _ := buildPair(keys, s, 8)
-	if err := st.EnableColdTier(ColdTierConfig{Dir: t.TempDir()}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Demote(3); err != nil {
-		t.Fatal(err)
-	}
-	probe := append(keys[:31:31], []byte("zz-absent\x00"))
-	out := make([]TID, len(probe))
-	st.LookupBatch(probe, out) // warm the pools and the page cache
-	if allocs := testing.AllocsPerRun(100, func() { st.LookupBatch(probe, out) }); allocs != 1 {
-		t.Fatalf("ShardedTree.LookupBatch allocates %v per call, want 1", allocs)
+	for _, in := range shardedBatchInputs {
+		t.Run(in.name, func(t *testing.T) {
+			st, probe := in.build(8)
+			if err := st.EnableColdTier(ColdTierConfig{Dir: t.TempDir()}); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Demote(3); err != nil {
+				t.Fatal(err)
+			}
+			probe = probe[:32]
+			out := make([]TID, len(probe))
+			st.LookupBatch(probe, out) // warm the pools and the page cache
+			if allocs := testing.AllocsPerRun(100, func() { st.LookupBatch(probe, out) }); allocs != 1 {
+				t.Fatalf("ShardedTree.LookupBatch allocates %v per call, want 1", allocs)
+			}
+		})
 	}
 }
 

@@ -142,8 +142,9 @@ func (b *base) Lookup(key []byte) (TID, bool) { return b.ic.Lookup(key) }
 // LookupBatch looks up all keys as one batch, storing each key's TID in the
 // corresponding out slot (0 when absent) and returning a mask of which keys
 // were found; len(out) must be at least len(keys). The descents advance
-// through the trie in lockstep, so the independent node reads overlap their
-// cache misses instead of serializing as repeated Lookup calls do —
+// through the trie in lockstep, so the independent reads of the keys, the
+// nodes and the candidates' tuples overlap their cache misses instead of
+// serializing as repeated Lookup calls do —
 // substantially faster for point-lookup-heavy workloads that can amortize
 // batches of 8+ keys. On Tree the returned mask is scratch owned by the
 // tree, valid until the next LookupBatch call; on ConcurrentTree each
