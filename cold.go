@@ -769,11 +769,13 @@ type deltaStream struct {
 }
 
 // seek positions the stream on st's first delta key ≥ from in byte order,
-// the section's; without a delta it is exhausted.
-func (ds *deltaStream) seek(st *shardState, from []byte) {
-	ds.it, ds.st = core.Iterator{}, st
+// the section's, reusing the iterator's stack; buf is scratch for the
+// seek's key load. Without a delta the stream is exhausted.
+func (ds *deltaStream) seek(st *shardState, from, buf []byte) {
+	ds.st = st
+	ds.it.Reset()
 	if d := st.delta.Load(); d != nil {
-		ds.it = d.Iter(from)
+		d.SeekIter(&ds.it, from, buf)
 		ds.resolve()
 		// The trie seeks under zero padding, where a key equals itself
 		// extended by zero bytes; byte order puts it below.
@@ -809,7 +811,7 @@ func (st *shardState) walk(fn persist.EntryFunc) error {
 		return walkSource(st.delta.Load().SnapshotWalk)(fn)
 	}
 	var ds deltaStream
-	ds.seek(st, nil)
+	ds.seek(st, nil, nil)
 	// below streams the delta's entries up to key (all of them for nil)
 	// and reports whether the last was key itself.
 	below := func(key []byte) (bool, error) {
@@ -894,13 +896,16 @@ type coldCursor struct {
 // file handle; the iterators' key buffers stay for the next seek.
 func (c *coldCursor) release() {
 	c.st, c.page, c.delta = nil, nil, false
-	c.ds.it, c.ds.st = core.Iterator{}, nil
+	c.ds.it.Reset()
+	c.ds.st = nil
 }
 
-func (c *coldCursor) seek(st *shardState, from []byte) {
+// seek positions the cursor on st's first key ≥ from; buf is scratch for
+// the delta's seek.
+func (c *coldCursor) seek(st *shardState, from, buf []byte) {
 	c.st = st
 	c.page = nil
-	c.ds.seek(st, from)
+	c.ds.seek(st, from, buf)
 	if st.pr.Blocks() > 0 {
 		c.blk = 0
 		if from != nil {

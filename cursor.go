@@ -6,7 +6,8 @@ import "github.com/hotindex/hot/internal/core"
 // materializing them, the pull-based counterpart of Scan. Obtain one with
 // Tree.Iter or ConcurrentTree.Iter.
 type Cursor struct {
-	it core.Iterator
+	it  core.Iterator
+	buf []byte // SeekCursor's scratch for the loader
 }
 
 // Valid reports whether the cursor is positioned on an entry.
@@ -30,7 +31,10 @@ func (t *Tree) Iter(start []byte) *Cursor {
 // internal storage: repositioning an already-used cursor allocates nothing.
 // The cursor may be zero-valued or previously exhausted.
 func (t *Tree) SeekCursor(c *Cursor, start []byte) {
-	t.t.SeekIter(&c.it, start)
+	if c.buf == nil {
+		c.buf = make([]byte, 0, 64)
+	}
+	t.t.SeekIter(&c.it, start, c.buf[:0])
 }
 
 // Iter returns a cursor positioned at the first key ≥ start. Like the

@@ -153,14 +153,14 @@ func (st *batchState) lookup(keys [][]byte, out []TID, found []bool) {
 			// retire the lane.
 			w := 0
 			for j := 0; j < live; j++ {
-				s := st.nodes[j].slot(st.idx[j])
-				if c := s.loadChild(); c != nil {
+				c, tid := st.nodes[j].entry(st.idx[j])
+				if c != nil {
 					st.lane[w], st.nodes[w] = st.lane[j], c
 					w++
 					continue
 				}
 				i := st.lane[j]
-				out[i], found[i] = s.loadTID(), true
+				out[i], found[i] = tid, true
 			}
 			live = w
 		}

@@ -150,7 +150,7 @@ func BenchmarkScan100(b *testing.B) {
 }
 
 // BenchmarkSeekIter measures repositioning a reused iterator, which must
-// not allocate: the candidate key load goes through the trie's scratch
+// not allocate: the candidate key load goes through the caller's scratch
 // buffer and the path stack is recycled.
 func BenchmarkSeekIter(b *testing.B) {
 	tr, _, keys := benchTrie(b, dataset.Integer, 200000)
@@ -160,10 +160,11 @@ func BenchmarkSeekIter(b *testing.B) {
 		starts[i] = keys[rng.Intn(len(keys))]
 	}
 	var it Iterator
+	buf := make([]byte, 0, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.SeekIter(&it, starts[i%len(starts)])
+		tr.SeekIter(&it, starts[i%len(starts)], buf)
 		if !it.Valid() {
 			b.Fatal("seek missed an existing key")
 		}
@@ -270,7 +271,7 @@ func BenchmarkNodeSearch(b *testing.B) {
 				best[nd.layout()] = pick{nd, s.Key(minLeafTID(nd), nil)}
 			}
 			for i := range int(nd.n) {
-				if c := nd.slot(i).loadChild(); c != nil {
+				if c := nd.child(i); c != nil {
 					walk(c)
 				}
 			}
@@ -293,11 +294,11 @@ func BenchmarkNodeSearch(b *testing.B) {
 // minLeafTID returns the TID of the leftmost leaf under nd.
 func minLeafTID(nd *node) TID {
 	for {
-		s := nd.slot(0)
-		if c := s.loadChild(); c != nil {
+		c, tid := nd.entry(0)
+		if c != nil {
 			nd = c
 			continue
 		}
-		return s.tid
+		return tid
 	}
 }

@@ -237,7 +237,7 @@ func TestSearchPathsAgree(t *testing.T) {
 				}
 			}
 			for i := range int(nd.n) {
-				if c := nd.slot(i).loadChild(); c != nil {
+				if c := nd.child(i); c != nil {
 					walk(c)
 				}
 			}

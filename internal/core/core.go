@@ -5,19 +5,23 @@
 // distributions.
 //
 // Every compound node linearizes a k-constrained binary Patricia trie into
-// an array of sparse partial keys searched data-parallel (SWAR, standing in
-// for the paper's AVX2 kernels — see internal/bits). The four structure
-// adaptation cases of the paper's insertion algorithm (normal insert,
-// leaf-node pushdown, parent pull up, intermediate node creation) keep the
-// overall height minimal: like a B-tree, the height only grows when a new
-// root is created.
+// an array of sparse partial keys searched data-parallel: one PEXT of the
+// key's discriminative bits, one SSE2 compare over all partial keys and a
+// bit scan, in native amd64 kernels with a portable Go fallback (see
+// internal/bits). The four structure adaptation cases of the paper's
+// insertion algorithm (normal insert, leaf-node pushdown, parent pull up,
+// intermediate node creation) keep the overall height minimal: like a
+// B-tree, the height only grows when a new root is created.
 //
 // A node is one allocation: a 32-byte header (sizes and the extraction
-// word), the partial keys, the slots, then what only writers read — the
-// discriminative bit positions, the lock and the obsolete flag. The block
-// is a Go type of its class, one per (entry count, partial-key width)
-// (node.go), so the GC traces the child pointers precisely, and a node
-// visit reads the header's cache line, where the keys start, and one slot.
+// word), the partial keys, the entry values, then what only writers read —
+// the discriminative bit positions, the lock and the obsolete flag. The
+// block is a Go type of its class, one per (leaf-ness, entry count,
+// partial-key width) (node.go). A leaf node (height 1, about 95 % of all
+// nodes) stores each entry as a bare 8-byte TID, the paper's layout, and
+// holds no pointer, so the GC never scans it; an inner node stores 16-byte
+// slots, a TID and a child pointer the GC traces precisely. A node visit
+// reads the header's cache line, where the keys start, and one value.
 //
 // The package provides two tries sharing one node representation and one
 // write body (tree.write, tree.del), which three writers run:
@@ -33,7 +37,7 @@
 //     so readers stay wait-free, but no locks, validation or restarts.
 //
 // On every writer an upsert of a present key copies nothing: it stores the
-// new TID into the leaf slot with one atomic store (under ROWEX, holding
+// new TID into the leaf entry with one atomic store (under ROWEX, holding
 // the leaf node's lock alone).
 //
 // Keys are arbitrary []byte (up to MaxKeyLen) compared as zero-padded bit

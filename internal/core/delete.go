@@ -61,16 +61,19 @@ func (t *tree) execDelete(plan deletePlan, replaced []*node) []*node {
 		t.size.Add(-1)
 		return append(replaced, a.nd)
 	case delUnderflowRoot:
-		other := *a.nd.slot(1 - a.idx)
-		if c := other.loadChild(); c != nil {
+		if c, tid := a.nd.entry(1 - a.idx); c != nil {
 			t.root.Store(&rootBox{n: c})
 		} else {
-			t.root.Store(&rootBox{tid: other.tid, leaf: true})
+			t.root.Store(&rootBox{tid: tid, leaf: true})
 		}
 		t.size.Add(-1)
 		return append(replaced, a.nd)
 	default: // delUnderflowInner
-		other := *a.nd.slot(1 - a.idx)
+		c, tid := a.nd.entry(1 - a.idx)
+		other := leafSlot(tid)
+		if c != nil {
+			other = childSlot(c)
+		}
 		p := stack[last-1]
 		p2 := p.nd.withSlotReplaced(p.idx, other, t.pool)
 		t.replaceAt(stack, last-1, p2)

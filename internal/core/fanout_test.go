@@ -46,7 +46,7 @@ func TestFanoutRange(t *testing.T) {
 				maxSeen = int(nd.n)
 			}
 			for i := range int(nd.n) {
-				if c := nd.slot(i).loadChild(); c != nil {
+				if c := nd.child(i); c != nil {
 					walk(c)
 				}
 			}

@@ -5,22 +5,34 @@ import (
 	"testing"
 )
 
-// classShape returns the entry count and width of class cls (the inverse
-// of classOf).
-func classShape(cls int) (n int, width uint8) {
-	return cls % (MaxFanout + 1), 8 << (cls / (MaxFanout + 1))
+// classShape returns the entry count, width and leaf-ness of class cls
+// (the inverse of classOf).
+func classShape(cls int) (n int, width uint8, leaf bool) {
+	leaf = cls >= leafClasses
+	cls %= leafClasses
+	return cls % (MaxFanout + 1), 8 << (cls / (MaxFanout + 1)), leaf
+}
+
+// classInput is what newNode builds a node of one class from.
+type classInput struct {
+	height uint8
+	d      []uint16
+	pks    []uint32
+	slots  []slot
 }
 
 // classNodes returns, for every node class that can hold minCols
-// discriminative bits, the inputs of a node of that class: its entry
-// count's leaves and placeholder partial keys, and the most discriminative
-// bits its width holds, placed by pos.
-func classNodes(minCols int, pos func(col int) uint16) (ds [][]uint16, pks [][]uint32, slots [][]slot) {
+// discriminative bits, the inputs of a node of that class: the most
+// discriminative bits its width holds, placed by pos, placeholder partial
+// keys and its entry count's leaves — at height 1 for a leaf class, and at
+// height 2 with entry 0 a link to child for an inner class.
+func classNodes(minCols int, pos func(col int) uint16, child *node) []classInput {
+	var in []classInput
 	for cls := range classes {
 		if classes[cls].typ == nil {
 			continue
 		}
-		n, width := classShape(cls)
+		n, width, leaf := classShape(cls)
 		d := make([]uint16, min(n-1, maxCols(width)))
 		if len(d) < minCols {
 			continue
@@ -33,34 +45,39 @@ func classNodes(minCols int, pos func(col int) uint16) (ds [][]uint16, pks [][]u
 		for i := range p {
 			p[i], s[i] = uint32(i), leafSlot(TID(i))
 		}
-		ds, pks, slots = append(ds, d), append(pks, p), append(slots, s)
+		height := uint8(1)
+		if !leaf {
+			height, s[0] = 2, childSlot(child)
+		}
+		in = append(in, classInput{height, d, p, s})
 	}
-	return ds, pks, slots
+	return in
 }
 
-// checkGoBytes builds 1000 nodes of every class that holds minCols
-// discriminative bits, placed by pos, requires each to have the kind ok accepts, and checks
-// goBytes against what the allocator handed out: never more, and less only
-// by Go's size-class rounding (at most 12.5%).
+// checkGoBytes builds 1000 nodes of every class — leaf and inner — that
+// holds minCols discriminative bits, placed by pos, requires each to have
+// the kind ok accepts and to land in the class it was built for, and
+// checks goBytes against what the allocator handed out: never more, and
+// less only by Go's size-class rounding (at most 12.5%).
 func checkGoBytes(t *testing.T, minCols int, pos func(col int) uint16, ok func(extractKind) bool) {
 	const reps = 1000
-	ds, pks, slots := classNodes(minCols, pos)
+	in := classNodes(minCols, pos, specNode([]uint16{0}))
 	live := make([]*node, reps)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	sum := 0
-	for c := range ds {
+	for _, c := range in {
 		for r := range live {
-			live[r] = newNode(nil, 1, ds[c], pks[c], slots[c])
+			live[r] = newNode(nil, c.height, c.d, c.pks, c.slots)
 			sum += live[r].goBytes()
 		}
-		if !ok(live[0].kind) {
-			t.Fatalf("n=%d ncols=%d: kind %v", live[0].n, live[0].ncols, live[0].kind)
+		if !ok(live[0].kind) || live[0].isLeaf() != (c.height == 1) {
+			t.Fatalf("n=%d ncols=%d height=%d: kind %v, class %d", live[0].n, live[0].ncols, c.height, live[0].kind, live[0].cls)
 		}
 	}
 	runtime.ReadMemStats(&after)
 	alloc := int(after.TotalAlloc - before.TotalAlloc)
-	t.Logf("%d classes: Σ goBytes %d, allocated %d (%.3f×)", len(ds), sum, alloc, float64(alloc)/float64(sum))
+	t.Logf("%d classes: Σ goBytes %d, allocated %d (%.3f×)", len(in), sum, alloc, float64(alloc)/float64(sum))
 	if alloc < sum || alloc > sum*9/8 {
 		t.Fatalf("allocated %d bytes for Σ goBytes = %d; want within [1, 1.125]×", alloc, sum)
 	}

@@ -108,9 +108,9 @@ func (nd *node) spliceAndBuild(op spliceOp, pool *nodePool, k int) (res *node, l
 		}
 	}
 
-	slots := append(eb.slots[:0], nd.slots()[:insertAt]...)
+	slots := nd.appendSlots(eb.slots[:0], 0, insertAt)
 	slots = append(slots, op.newSlot)
-	slots = append(slots, nd.slots()[insertAt:]...)
+	slots = nd.appendSlots(slots, insertAt, n)
 	if op.refReplace != nil {
 		ri := op.refIdx
 		if insertAt <= ri {
@@ -176,7 +176,7 @@ func nodeFrom2(bit uint16, s0, s1 slot, pool *nodePool) *node {
 func (nd *node) withSlotReplaced(idx int, s slot, pool *nodePool) *node {
 	eb := bufPool.Get().(*entryBuf)
 	pks := nd.pks(eb.pks[:0])
-	slots := append(eb.slots[:0], nd.slots()...)
+	slots := nd.appendSlots(eb.slots[:0], 0, int(nd.n))
 	slots[idx] = s
 	res := newNode(pool, maxChildHeight(slots)+1, nd.dbits(), pks, slots)
 	bufPool.Put(eb)
@@ -193,8 +193,8 @@ func (nd *node) withoutEntry(idx int, pool *nodePool) *node {
 	var db [MaxFanout]uint16
 	var pb [MaxFanout]uint32
 	d, cpks := canonicalize(nd.dbits(), pks, db[:0], pb[:0])
-	slots := append(eb.slots[:0], nd.slots()[:idx]...)
-	slots = append(slots, nd.slots()[idx+1:]...)
+	slots := nd.appendSlots(eb.slots[:0], 0, idx)
+	slots = nd.appendSlots(slots, idx+1, int(nd.n))
 	res := newNode(pool, maxChildHeight(slots)+1, d, cpks, slots)
 	bufPool.Put(eb)
 	return res

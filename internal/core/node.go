@@ -11,13 +11,16 @@ import (
 	"github.com/hotindex/hot/internal/bits"
 )
 
-// slot is one node entry value: either a leaf holding a TID (child == nil)
-// or a link to a child node. Both words may change in place after the node
-// is published — by a ROWEX writer only while it holds the node's lock, and
-// always through atomic operations, so wait-free readers observe either the
-// old or the new value: tid when an upsert of the leaf's key stores its new
-// TID, child on leaf-node pushdown, copy-on-write child replacement and
-// intermediate node creation.
+// slot is one entry of an inner node: either a leaf holding a TID (child
+// == nil) or a link to a child node. It is also the value every entry
+// sequence is built from (newNode, the structure modifications), for leaf
+// and inner nodes alike; a leaf node stores only the tid word (see node).
+// Both words may change in place after the node is published — by a ROWEX
+// writer only while it holds the node's lock, and always through atomic
+// operations, so wait-free readers observe either the old or the new
+// value: tid when an upsert of the leaf's key stores its new TID, child on
+// leaf-node pushdown, copy-on-write child replacement and intermediate
+// node creation.
 // child and tid are plain words rather than atomic.Pointer[node] and
 // atomic.Uint64 so that slots are plain copyable values during node
 // construction; child always holds either nil or a *node, so the GC traces
@@ -74,17 +77,27 @@ func (s *slot) subtreeHeight() uint8 {
 //
 //	header  this struct, 32 bytes: the extraction word and the sizes
 //	keys    n partial keys, width bits each, padded to 8 bytes
-//	slots   n slots, 16 bytes each
+//	values  a leaf node's n TIDs, 8 bytes each, or an inner node's n
+//	        slots, 16 bytes each
 //	dbits   the ncols discriminative bit positions, ascending
 //	cold    the ROWEX lock and the obsolete flag
 //
+// A leaf node (height 1) never takes a child: pushdown, intermediate node
+// creation and child replacement all store into nodes of height > 1. So a
+// leaf node's entries are bare TIDs, the paper's one 8-byte value per
+// entry, and its block holds no pointer at all: the GC allocates it noscan
+// and never scans it. Leaf-ness is the class's (isLeaf), not the height
+// field's, so the accessors read a block by its allocation's layout
+// whatever else its header says.
+//
 // A lookup reads the header and the keys, which start on the header's
-// cache line, then one slot; dbits and cold are for writers only. Every
-// offset follows from n and width, so no slice header is loaded on the
-// way. All of the block except the slots' child pointers and TIDs and the
-// cold part is immutable after the node is published: an upsert of a
-// present key stores its TID in place, while inserts and deletes replace
-// the whole node (copy-on-write).
+// cache line, then one value; dbits and cold are for writers only. Every
+// offset follows from the class, n and width, so no slice header is loaded
+// on the way. All of the block except the entries' child pointers and
+// TIDs and the cold part is immutable after the node is published: an
+// upsert of a present key stores its TID in place, while inserts and
+// deletes replace the whole node (copy-on-write). The entries are read and
+// written through entry, child, storeTID, storeChild and appendSlots.
 type node struct {
 	// mask is the PEXT mask applied to the node's extraction word: a bit
 	// per discriminative bit, in a big-endian window of 8 key bytes
@@ -100,7 +113,7 @@ type node struct {
 	n      uint8 // number of entries
 	width  uint8 // partial key width in bits: 8, 16 or 32
 	ncols  uint8 // number of discriminative bits, in [1, MaxFanout-1]
-	cls    uint8 // the node's class: index into classes
+	cls    uint8 // the node's class: index into classes; leaf classes from leafClasses on
 }
 
 // The header fits in 32 bytes, so the keys start on its cache line.
@@ -116,25 +129,35 @@ type nodeCold struct {
 	obsolete atomic.Bool // set when replaced by a copy
 }
 
-// nodeClass is one block type: every node with the same entry count and
-// partial-key width shares it. Each class is a Go struct type built once
-// by reflect.StructOf, so the GC traces exactly the slots' child words and
-// nothing else in the block.
+// nodeClass is one block type: every node with the same entry count,
+// partial-key width and leaf-ness shares it. Each class is a Go struct
+// type built once by reflect.StructOf, so the GC traces exactly the inner
+// slots' child words and nothing else in the block, and a leaf class holds
+// no pointer at all.
 type nodeClass struct {
 	typ  reflect.Type
 	size int     // the block's size in bytes
 	cold uintptr // offset of the nodeCold
 }
 
-// classes holds one class per (width, entry count): index classOf(n,
-// width). Classes no node can have (a width wider than n-1 columns need)
-// are left zero.
+// leafClasses is the number of inner classes: classes below it are inner
+// classes, whose values are slots, and classes from it on are leaf
+// classes, whose values are bare TIDs.
+const leafClasses = 3 * (MaxFanout + 1)
+
+// classes holds one class per (leaf-ness, width, entry count): index
+// classOf(n, width, leaf). Classes no node can have (a width wider than
+// n-1 columns need) are left zero.
 var classes = buildClasses()
 
 // classOf returns the class index of a node of n entries and the given
-// partial-key width.
-func classOf(n int, width uint8) uint8 {
-	return uint8((mathbits.TrailingZeros8(width)-3)*(MaxFanout+1) + n)
+// partial-key width, in the leaf half when leaf.
+func classOf(n int, width uint8, leaf bool) uint8 {
+	cls := (mathbits.TrailingZeros8(width)-3)*(MaxFanout+1) + n
+	if leaf {
+		cls += leafClasses
+	}
+	return uint8(cls)
 }
 
 // maxCols is the number of discriminative bits a width holds: columns
@@ -146,28 +169,45 @@ func maxCols(width uint8) int {
 	return int(width)
 }
 
-func buildClasses() (cs [3 * (MaxFanout + 1)]nodeClass) {
+// valueSize is the size of one entry's value: a bare TID in a leaf node,
+// a slot in an inner node.
+func valueSize(leaf bool) int {
+	if leaf {
+		return tidSize
+	}
+	return slotSize
+}
+
+const tidSize = int(unsafe.Sizeof(TID(0)))
+
+func buildClasses() (cs [2 * leafClasses]nodeClass) {
 	hdr := reflect.TypeOf(node{})
-	for _, width := range []uint8{8, 16, 32} {
-		for n := 2; n <= MaxFanout; n++ {
-			ncols := min(n-1, maxCols(width))
-			if pkWidth(ncols) != width {
-				continue // every column count n allows fits a narrower width
+	for _, leaf := range []bool{false, true} {
+		value := reflect.StructField{Name: "Slots", Type: reflect.TypeOf(slot{})}
+		if leaf {
+			value = reflect.StructField{Name: "TIDs", Type: reflect.TypeOf(TID(0))}
+		}
+		for _, width := range []uint8{8, 16, 32} {
+			for n := 2; n <= MaxFanout; n++ {
+				ncols := min(n-1, maxCols(width))
+				if pkWidth(ncols) != width {
+					continue // every column count n allows fits a narrower width
+				}
+				typ := reflect.StructOf([]reflect.StructField{
+					{Name: "Header", Type: hdr},
+					{Name: "Keys", Type: reflect.ArrayOf(keyBytes(n, width), reflect.TypeOf(byte(0)))},
+					{Name: value.Name, Type: reflect.ArrayOf(n, value.Type)},
+					{Name: "Dbits", Type: reflect.ArrayOf(ncols, reflect.TypeOf(uint16(0)))},
+					{Name: "Cold", Type: reflect.TypeOf(nodeCold{})},
+				})
+				// The accessors compute these offsets; the type must agree.
+				if kb := keyBytes(n, width); typ.Field(1).Offset != headerSize ||
+					typ.Field(2).Offset != uintptr(headerSize+kb) ||
+					typ.Field(3).Offset != uintptr(headerSize+kb+n*valueSize(leaf)) {
+					panic("core: node block layout disagrees with its accessors")
+				}
+				cs[classOf(n, width, leaf)] = nodeClass{typ: typ, size: int(typ.Size()), cold: typ.Field(4).Offset}
 			}
-			typ := reflect.StructOf([]reflect.StructField{
-				{Name: "Header", Type: hdr},
-				{Name: "Keys", Type: reflect.ArrayOf(keyBytes(n, width), reflect.TypeOf(byte(0)))},
-				{Name: "Slots", Type: reflect.ArrayOf(n, reflect.TypeOf(slot{}))},
-				{Name: "Dbits", Type: reflect.ArrayOf(ncols, reflect.TypeOf(uint16(0)))},
-				{Name: "Cold", Type: reflect.TypeOf(nodeCold{})},
-			})
-			// The accessors compute these offsets; the type must agree.
-			if kb := keyBytes(n, width); typ.Field(1).Offset != headerSize ||
-				typ.Field(2).Offset != uintptr(headerSize+kb) ||
-				typ.Field(3).Offset != uintptr(headerSize+kb+n*slotSize) {
-				panic("core: node block layout disagrees with its accessors")
-			}
-			cs[classOf(n, width)] = nodeClass{typ: typ, size: int(typ.Size()), cold: typ.Field(4).Offset}
 		}
 	}
 	return cs
@@ -191,25 +231,89 @@ func pkWidth(nbits int) uint8 {
 	}
 }
 
+// isLeaf reports whether nd's block is of a leaf class: its entries are
+// bare TIDs and it has no child.
+func (nd *node) isLeaf() bool { return nd.cls >= leafClasses }
+
 // keys returns the node's partial keys: n little-endian lanes of width
 // bits, padded to a multiple of 8 bytes.
 func (nd *node) keys() []byte {
 	return unsafe.Slice((*byte)(unsafe.Add(unsafe.Pointer(nd), headerSize)), keyBytes(int(nd.n), nd.width))
 }
 
-// slot returns entry i's slot.
-func (nd *node) slot(i int) *slot {
-	return (*slot)(unsafe.Add(unsafe.Pointer(nd), headerSize+keyBytes(int(nd.n), nd.width)+i*slotSize))
+// values returns the address of the node's first entry value.
+func (nd *node) values() unsafe.Pointer {
+	return unsafe.Add(unsafe.Pointer(nd), headerSize+keyBytes(int(nd.n), nd.width))
 }
 
-// slots returns the node's n slots.
+// slot returns entry i's slot; nd must be an inner node.
+func (nd *node) slot(i int) *slot {
+	return (*slot)(unsafe.Add(nd.values(), i*slotSize))
+}
+
+// slots returns an inner node's n slots.
 func (nd *node) slots() []slot {
 	return unsafe.Slice(nd.slot(0), nd.n)
 }
 
+// leafTID returns entry i's TID word; nd must be a leaf node.
+func (nd *node) leafTID(i int) *TID {
+	return (*TID)(unsafe.Add(nd.values(), i*tidSize))
+}
+
+// entry returns entry i: its child node, or nil and its TID. The TID
+// beside a child is meaningless.
+func (nd *node) entry(i int) (*node, TID) {
+	vals := nd.values() // computed once: entry must stay inlinable
+	if nd.isLeaf() {
+		return nil, atomic.LoadUint64((*TID)(unsafe.Add(vals, i*tidSize)))
+	}
+	s := (*slot)(unsafe.Add(vals, i*slotSize))
+	return s.loadChild(), s.loadTID()
+}
+
+// child returns entry i's child node, nil when the entry is a leaf.
+func (nd *node) child(i int) *node {
+	if nd.isLeaf() {
+		return nil
+	}
+	return nd.slot(i).loadChild()
+}
+
+// storeTID publishes leaf entry i's new TID in place.
+func (nd *node) storeTID(i int, tid TID) {
+	if nd.isLeaf() {
+		atomic.StoreUint64(nd.leafTID(i), tid)
+		return
+	}
+	nd.slot(i).storeTID(tid)
+}
+
+// storeChild publishes a new child node in entry i in place; only an inner
+// node has room for one.
+func (nd *node) storeChild(i int, c *node) {
+	if nd.isLeaf() {
+		panic("core: child stored into a leaf node")
+	}
+	nd.slot(i).storeChild(c)
+}
+
+// appendSlots appends entries [lo, hi) to dst as slots, the form the
+// structure modifications build new nodes from. The caller holds the node
+// still (its lock, or exclusive access).
+func (nd *node) appendSlots(dst []slot, lo, hi int) []slot {
+	if !nd.isLeaf() {
+		return append(dst, nd.slots()[lo:hi]...)
+	}
+	for i := lo; i < hi; i++ {
+		dst = append(dst, leafSlot(*nd.leafTID(i)))
+	}
+	return dst
+}
+
 // dbits returns the discriminative bit positions, ascending.
 func (nd *node) dbits() []uint16 {
-	off := headerSize + keyBytes(int(nd.n), nd.width) + int(nd.n)*slotSize
+	off := headerSize + keyBytes(int(nd.n), nd.width) + int(nd.n)*valueSize(nd.isLeaf())
 	return unsafe.Slice((*uint16)(unsafe.Add(unsafe.Pointer(nd), off)), nd.ncols)
 }
 
@@ -220,11 +324,12 @@ func (nd *node) cold() *nodeCold {
 
 // newNode builds a node from ascending discriminative bit positions d,
 // sparse partial keys pks (dense-packed: column i at bit len(d)-1-i) and
-// entry slots. All inputs are copied into the node's block, so callers may
-// pass scratch buffers; the block is drawn from pool when one is given.
+// entry slots. A node of height 1 is a leaf node, every other an inner
+// node. All inputs are copied into the node's block, so callers may pass
+// scratch buffers; the block is drawn from pool when one is given.
 func newNode(pool *nodePool, height uint8, d []uint16, pks []uint32, slots []slot) *node {
 	n, width := len(slots), pkWidth(len(d))
-	cls := classOf(n, width)
+	cls := classOf(n, width, height == 1)
 	nd := pool.get(cls)
 	if nd == nil {
 		nd = (*node)(reflect.New(classes[cls].typ).UnsafePointer())
@@ -232,7 +337,17 @@ func newNode(pool *nodePool, height uint8, d []uint16, pks []uint32, slots []slo
 	*nd = node{height: height, n: uint8(n), width: width, ncols: uint8(len(d)), cls: cls}
 	nd.setSpec(d)
 	copy(nd.dbits(), d)
-	copy(nd.slots(), slots)
+	if nd.isLeaf() {
+		tids := unsafe.Slice(nd.leafTID(0), n)
+		for i := range slots {
+			if slots[i].child != nil {
+				panic("core: child entry in a leaf node")
+			}
+			tids[i] = slots[i].tid
+		}
+	} else {
+		copy(nd.slots(), slots)
+	}
 	keys := nd.keys()
 	for i, pk := range pks {
 		switch width {

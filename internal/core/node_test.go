@@ -4,6 +4,7 @@ import (
 	"fmt"
 	mathbits "math/bits"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"unsafe"
@@ -12,31 +13,85 @@ import (
 	"github.com/hotindex/hot/internal/key"
 )
 
-// TestNodeClassAlignment checks that every class places its slots, and so
-// every slot's tid, at a multiple of 8 bytes from the block's start, which
-// Go aligns to 8 bytes (the first word of an allocated struct): a 64-bit
-// atomic faults on a word that is not 8-byte aligned on 32-bit targets
-// (`GOARCH=386 go test` runs this), and a misaligned class should fail
-// here by name rather than in a random store.
+// TestNodeClassAlignment checks that every class places its values — a
+// leaf class's TID array, an inner class's slots and so every slot's tid —
+// at a multiple of 8 bytes from the block's start, which Go aligns to 8
+// bytes (the first word of an allocated struct): a 64-bit atomic faults on
+// a word that is not 8-byte aligned on 32-bit targets (`GOARCH=386 go
+// test` runs this), and a misaligned class should fail here by name rather
+// than in a random store.
 func TestNodeClassAlignment(t *testing.T) {
 	tidOff := unsafe.Offsetof(slot{}.tid)
 	for cls, c := range classes {
 		if c.typ == nil {
 			continue
 		}
-		n, width := classShape(cls)
-		name := fmt.Sprintf("n=%d/width=%d", n, width)
-		slots := c.typ.Field(2).Offset
-		if slots%8 != 0 || (slots+tidOff)%8 != 0 || slotSize%8 != 0 {
+		n, width, leaf := classShape(cls)
+		name := fmt.Sprintf("n=%d/width=%d/leaf=%v", n, width, leaf)
+		if got := classOf(n, width, leaf); int(got) != cls {
+			t.Fatalf("class %d: shape %s maps back to class %d", cls, name, got)
+		}
+		vals := c.typ.Field(2).Offset
+		if leaf {
+			if vals%8 != 0 || tidSize != 8 {
+				t.Errorf("class %s: TIDs at %d, TID size %d: TIDs not 8-byte aligned", name, vals, tidSize)
+			}
+			continue
+		}
+		if vals%8 != 0 || (vals+tidOff)%8 != 0 || slotSize%8 != 0 {
 			t.Errorf("class %s: slots at %d, tid at +%d, slot size %d: tid not 8-byte aligned",
-				name, slots, tidOff, slotSize)
+				name, vals, tidOff, slotSize)
 		}
 	}
 }
 
+// TestNodeClassPointers walks every class's Go type: a leaf class must
+// hold no pointer, so the GC allocates its blocks noscan, and an inner
+// class exactly its slots' child words.
+func TestNodeClassPointers(t *testing.T) {
+	childOff := unsafe.Offsetof(slot{}.child)
+	for cls, c := range classes {
+		if c.typ == nil {
+			continue
+		}
+		n, width, leaf := classShape(cls)
+		got := pointerWords(c.typ, 0, nil)
+		var want []uintptr
+		if !leaf {
+			vals := uintptr(headerSize + keyBytes(n, width))
+			for i := range n {
+				want = append(want, vals+uintptr(i*slotSize)+childOff)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("class n=%d/width=%d/leaf=%v: pointers at %v, want %v", n, width, leaf, got, want)
+		}
+	}
+}
+
+// pointerWords appends the offsets of every pointer-holding field of typ,
+// placed at base, to dst in ascending order.
+func pointerWords(typ reflect.Type, base uintptr, dst []uintptr) []uintptr {
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := range typ.NumField() {
+			dst = pointerWords(typ.Field(i).Type, base+typ.Field(i).Offset, dst)
+		}
+	case reflect.Array:
+		for i := range typ.Len() {
+			dst = pointerWords(typ.Elem(), base+uintptr(i)*typ.Elem().Size(), dst)
+		}
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan, reflect.Func,
+		reflect.Interface, reflect.Slice, reflect.String:
+		dst = append(dst, base)
+	}
+	return dst
+}
+
 // FuzzNodeBlock builds a node from random sorted discriminative bits,
-// partial keys and slots, checks every accessor against its inputs — also
-// after the block went through the pool — and checks search against a
+// partial keys and slots — a leaf node at height 1, an inner node with
+// some child entries above — checks every accessor against its inputs,
+// also after the block went through the pool, and checks search against a
 // linear scan with the scalar comply reference, on both search paths.
 func FuzzNodeBlock(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(8), uint16(40), []byte("http://example.com/a"))
@@ -64,15 +119,15 @@ func FuzzNodeBlock(f *testing.F) {
 		}
 		slices.Sort(pks)
 		child := specNode([]uint16{0})
+		height := uint8(1 + rng.Intn(8))
 		slots := make([]slot, n)
 		for i := range slots {
-			if rng.Intn(4) == 0 {
+			if height > 1 && rng.Intn(4) == 0 {
 				slots[i] = childSlot(child)
 			} else {
 				slots[i] = leafSlot(TID(rng.Int63()))
 			}
 		}
-		height := uint8(1 + rng.Intn(8))
 
 		pool := &nodePool{}
 		nd := newNode(pool, height, d, pks, slots)
@@ -93,11 +148,17 @@ func checkBlock(t *testing.T, nd *node, height uint8, d []uint16, pks []uint32, 
 		t.Fatalf("header n=%d h=%d dbits=%v pks=%v, want n=%d h=%d dbits=%v pks=%v",
 			nd.n, nd.height, nd.dbits(), nd.pks(nil), n, height, d, pks)
 	}
+	if nd.isLeaf() != (height == 1) || nd.goBytes() != int(classes[nd.cls].typ.Size()) {
+		t.Fatalf("height %d: class %d, leaf=%v, %d bytes", height, nd.cls, nd.isLeaf(), nd.goBytes())
+	}
 	for i := range slots {
-		s := nd.slot(i)
-		if s.loadChild() != slots[i].loadChild() || s.loadTID() != slots[i].tid {
-			t.Fatalf("slot %d = (%p, %d), want (%p, %d)", i, s.loadChild(), s.loadTID(), slots[i].loadChild(), slots[i].tid)
+		c, tid := nd.entry(i)
+		if c != slots[i].loadChild() || c != nd.child(i) || (c == nil && tid != slots[i].tid) {
+			t.Fatalf("entry %d = (%p, %d), want (%p, %d)", i, c, tid, slots[i].loadChild(), slots[i].tid)
 		}
+	}
+	if got := nd.appendSlots(nil, 0, n); !slices.Equal(got, slots) {
+		t.Fatalf("appendSlots = %v, want %v", got, slots)
 	}
 	if c := nd.cold(); c.obsolete.Load() || !c.mu.TryLock() {
 		t.Fatal("fresh node is obsolete or locked")

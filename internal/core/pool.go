@@ -34,8 +34,11 @@ func (p *nodePool) put(nd *node) {
 	if p == nil || nd == nil || len(p.lists[nd.cls]) >= poolClassCap {
 		return
 	}
-	// Drop references so recycled nodes do not retain subtrees.
-	clear(nd.slots())
+	// Drop references so recycled nodes do not retain subtrees; a leaf
+	// node holds none.
+	if !nd.isLeaf() {
+		clear(nd.slots())
+	}
 	*nd.cold() = nodeCold{}
 	p.lists[nd.cls] = append(p.lists[nd.cls], nd)
 }

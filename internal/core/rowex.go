@@ -20,7 +20,7 @@ import (
 //	(c) validate that none is obsolete (restart otherwise),
 //	(d) apply the modification: an insert or delete copies the affected
 //	    nodes and marks the replaced ones obsolete, an upsert of a present
-//	    key stores its new TID into the leaf slot in place,
+//	    key stores its new TID into the leaf entry in place,
 //	(e) unlock top-down.
 //
 // A writer that is alone by construction uses Writer instead, which runs
@@ -204,11 +204,11 @@ func (t *ConcurrentTrie) lock(stack []pathEntry, lo int, useRoot bool, cand TID)
 		// A concurrent writer that changed a traversal link would have had
 		// to lock stack[i], which excludes us.
 		valid = !stack[i].nd.cold().obsolete.Load() &&
-			(i == last || stack[i].nd.slot(stack[i].idx).loadChild() == stack[i+1].nd)
+			(i == last || stack[i].nd.child(stack[i].idx) == stack[i+1].nd)
 	}
 	if valid {
-		s := stack[last].nd.slot(stack[last].idx)
-		valid = s.loadChild() == nil && s.loadTID() == cand
+		c, tid := stack[last].nd.entry(stack[last].idx)
+		valid = c == nil && tid == cand
 	}
 	// A window that starts at the root (always so with useRoot) is reached
 	// through the root box, which must still hold it.

@@ -23,7 +23,8 @@ func (it *Iterator) TID() TID {
 		return it.leafTID
 	}
 	top := &it.stack[len(it.stack)-1]
-	return top.nd.slot(top.idx).loadTID()
+	_, tid := top.nd.entry(top.idx)
+	return tid
 }
 
 // Next advances to the next leaf in key order.
@@ -52,7 +53,7 @@ func (it *Iterator) Next() {
 func (it *Iterator) descendLeftmost() {
 	for {
 		top := &it.stack[len(it.stack)-1]
-		c := top.nd.slot(top.idx).loadChild()
+		c := top.nd.child(top.idx)
 		if c == nil {
 			return
 		}
@@ -80,7 +81,7 @@ func (t *tree) seek(root *node, start, buf []byte, stack []pathEntry) Iterator {
 	// Find the candidate leaf for start, keeping the path.
 	it.stack, _ = descend(root, start, it.stack)
 	top := &it.stack[len(it.stack)-1]
-	cand := top.nd.slot(top.idx).loadTID()
+	_, cand := top.nd.entry(top.idx)
 	mb, differ := key.MismatchBit(t.load(cand, buf), start)
 	if !differ {
 		it.valid = true
@@ -124,6 +125,22 @@ func (t *tree) seek(root *node, start, buf []byte, stack []pathEntry) Iterator {
 // trie it behaves like the paper's wait-free readers.
 func (t *tree) Iter(start []byte) Iterator {
 	return t.iter(start, nil, nil)
+}
+
+// SeekIter repositions it at the first key ≥ start (nil start: the
+// smallest key), reusing the iterator's stack storage; buf is scratch for
+// the seek's one candidate key load (nil: the loader may allocate). With a
+// buf that holds the key, repositioning a used iterator allocates nothing.
+// The iterator may be zero-valued or previously exhausted.
+func (t *tree) SeekIter(it *Iterator, start, buf []byte) {
+	*it = t.iter(start, buf, it.stack)
+}
+
+// Reset invalidates it and drops its hold on the trie's nodes, keeping its
+// stack storage for the next SeekIter.
+func (it *Iterator) Reset() {
+	clear(it.stack[:cap(it.stack)])
+	*it = Iterator{stack: it.stack[:0]}
 }
 
 // iter implements Iter with caller-provided scratch: buf for the seek's

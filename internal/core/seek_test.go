@@ -140,7 +140,7 @@ func TestSeekRandomizedOracle(t *testing.T) {
 }
 
 // TestSeekIterAllocs asserts that repositioning an iterator is
-// allocation-free: the loader writes into the trie's scratch buffer and
+// allocation-free: the loader writes into the caller's scratch buffer and
 // the iterator's stack storage is reused. (A fresh Iter still allocates
 // its stack once; repositioning must not.)
 func TestSeekIterAllocs(t *testing.T) {
@@ -156,10 +156,11 @@ func TestSeekIterAllocs(t *testing.T) {
 		starts[i] = tidstore.Uint64Key(uint64(i*997+13), nil)
 	}
 	var it Iterator
-	tr.SeekIter(&it, starts[0]) // warm the stack storage
+	buf := make([]byte, 0, 8)
+	tr.SeekIter(&it, starts[0], buf) // warm the stack storage
 	i := 0
 	if allocs := testing.AllocsPerRun(200, func() {
-		tr.SeekIter(&it, starts[i%len(starts)])
+		tr.SeekIter(&it, starts[i%len(starts)], buf)
 		if !it.Valid() {
 			t.Fatal("seek landed invalid")
 		}

@@ -38,6 +38,18 @@ func shapeOf(tr *Trie) trieShape {
 	}
 }
 
+// buildShapeTrie builds the seeded 100k-key trie of kind the shape tests
+// measure, returning it and its keys.
+func buildShapeTrie(kind dataset.Kind) (*Trie, [][]byte) {
+	keys := dataset.Generate(kind, 100000, 1)
+	s := &tidstore.Store{}
+	tr := New(s.Key)
+	for _, k := range keys {
+		tr.Insert(k, s.Add(k))
+	}
+	return tr, keys
+}
+
 // TestNodeShapeFixture builds seeded 100k-key tries over the url and
 // integer data sets, then deletes every fourth key, and compares the shape
 // after each phase with testdata/shape-<kind>.json. The physical node
@@ -45,12 +57,7 @@ func shapeOf(tr *Trie) trieShape {
 // with -update-shape only when the trie itself is meant to change.
 func TestNodeShapeFixture(t *testing.T) {
 	for _, kind := range []dataset.Kind{dataset.URL, dataset.Integer} {
-		keys := dataset.Generate(kind, 100000, 1)
-		s := &tidstore.Store{}
-		tr := New(s.Key)
-		for _, k := range keys {
-			tr.Insert(k, s.Add(k))
-		}
+		tr, keys := buildShapeTrie(kind)
 		got := map[string]trieShape{"loaded": shapeOf(tr)}
 		for i := 0; i < len(keys); i += 4 {
 			tr.Delete(keys[i])
@@ -80,6 +87,25 @@ func TestNodeShapeFixture(t *testing.T) {
 			if !reflect.DeepEqual(got[phase], want[phase]) {
 				t.Errorf("%v %s: shape changed\ngot  %+v\nwant %+v", kind, phase, got[phase], want[phase])
 			}
+		}
+	}
+}
+
+// TestGoBytesPerKey bounds the Go heap the nodes of TestNodeShapeFixture's
+// loaded tries take per key — the figure the fixture leaves out, since
+// the representation may change: a layout that regresses memory fails
+// here, not only in the benchmark. Leaf nodes hold bare 8-byte TIDs, so
+// the tries sit near 14.9 (url) and 13.6 (integer) B/key.
+func TestGoBytesPerKey(t *testing.T) {
+	for _, c := range []struct {
+		kind  dataset.Kind
+		bound float64
+	}{{dataset.URL, 15.5}, {dataset.Integer, 14.0}} {
+		tr, keys := buildShapeTrie(c.kind)
+		perKey := float64(tr.Memory().GoBytes) / float64(len(keys))
+		t.Logf("%v: %.2f B/key", c.kind, perKey)
+		if perKey > c.bound {
+			t.Errorf("%v: nodes take %.2f B/key, want ≤ %.1f", c.kind, perKey, c.bound)
 		}
 	}
 }

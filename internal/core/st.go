@@ -49,13 +49,6 @@ func (t *Trie) Iter(start []byte) Iterator {
 	return t.iter(start, t.sc.buf[:0], nil)
 }
 
-// SeekIter repositions it at the first key ≥ start, reusing the iterator's
-// stack storage; steady-state repositioning allocates nothing. The
-// iterator may be zero-valued or previously exhausted.
-func (t *Trie) SeekIter(it *Iterator, start []byte) {
-	*it = t.iter(start, t.sc.buf[:0], it.stack)
-}
-
 // Scan invokes fn for up to max entries in ascending key order starting at
 // the first key ≥ start (nil start scans from the smallest key). It returns
 // the number of entries visited; fn returning false stops the scan early.

@@ -124,7 +124,7 @@ func (t *tree) Depths() DepthStats {
 	var walk func(nd *node, d int)
 	walk = func(nd *node, d int) {
 		for i := range int(nd.n) {
-			if c := nd.slot(i).loadChild(); c != nil {
+			if c := nd.child(i); c != nil {
 				walk(c, d+1)
 				continue
 			}
@@ -161,7 +161,7 @@ func (t *tree) Memory() MemoryStats {
 		m.Layouts[nd.layout()]++
 		m.FanoutSum += int(nd.n)
 		for i := range int(nd.n) {
-			if c := nd.slot(i).loadChild(); c != nil {
+			if c := nd.child(i); c != nil {
 				walk(c)
 			}
 		}

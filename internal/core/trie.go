@@ -113,12 +113,12 @@ func descend(root *node, k []byte, stack []pathEntry) ([]pathEntry, TID) {
 	for {
 		idx := nd.search(k)
 		stack = append(stack, pathEntry{nd, idx})
-		s := nd.slot(idx)
-		if c := s.loadChild(); c != nil {
+		c, tid := nd.entry(idx)
+		if c != nil {
 			nd = c
 			continue
 		}
-		return stack, s.loadTID()
+		return stack, tid
 	}
 }
 
@@ -130,13 +130,11 @@ func (t *tree) lookup(k, buf []byte) (TID, bool) {
 	case rb.n != nil:
 		nd := rb.n
 		for {
-			idx := nd.search(k)
-			s := nd.slot(idx)
-			if c := s.loadChild(); c != nil {
+			c, tid := nd.entry(nd.search(k))
+			if c != nil {
 				nd = c
 				continue
 			}
-			tid := s.loadTID()
 			if !key.Equal(t.load(tid, buf), k) {
 				return 0, false
 			}
@@ -261,14 +259,15 @@ func (t *tree) execInsert(plan insertPlan, tid TID, replaced []*node) []*node {
 	a := stack[plan.ai]
 
 	if plan.what == casePushdown {
-		existing := *a.nd.slot(a.idx) // leaf slot, stable under the node lock
+		_, cand := a.nd.entry(a.idx) // a leaf, stable under the node lock
+		existing := leafSlot(cand)
 		var c *node
 		if plan.bitv == 1 {
 			c = nodeFrom2(uint16(plan.mb), existing, leafSlot(tid), t.pool)
 		} else {
 			c = nodeFrom2(uint16(plan.mb), leafSlot(tid), existing, t.pool)
 		}
-		a.nd.slot(a.idx).storeChild(c)
+		a.nd.storeChild(a.idx, c)
 		t.size.Add(1)
 		t.ops.pushdown.Add(1)
 		return replaced
@@ -317,7 +316,7 @@ func (t *tree) execInsert(plan insertPlan, tid TID, replaced []*node) []*node {
 			// Intermediate node creation keeps the overall height unchanged.
 			t.ops.intermediate.Add(1)
 			m := nodeFrom2(splitBit, left, right, t.pool)
-			parent.nd.slot(parent.idx).storeChild(m)
+			parent.nd.storeChild(parent.idx, m)
 			t.size.Add(1)
 			return replaced
 		}
@@ -390,17 +389,17 @@ func (t *tree) write(k []byte, tid TID, upsert bool, sc *scratch, latch *Concurr
 		if !upsert {
 			return false, 0, false, true // duplicate: nothing to lock
 		}
-		// A present key: store its new TID in the leaf slot. Nothing is
+		// A present key: store its new TID in its leaf entry. Nothing is
 		// copied, published or retired, so the latch locks the leaf's node
 		// alone — never its parent or the root box — and its validation is
 		// what makes the store safe: the node is not obsolete (no copy of it
-		// can lose the store), the slot is still a leaf holding cand (no
+		// can lose the store), the entry is still a leaf holding cand (no
 		// pushdown races it), and at depth 0 the root box still holds it.
 		last := len(stack) - 1
 		if latch != nil && !latch.lock(stack, last, false, cand) {
 			return false, 0, false, false
 		}
-		stack[last].nd.slot(stack[last].idx).storeTID(tid)
+		stack[last].nd.storeTID(stack[last].idx, tid)
 		if latch != nil {
 			latch.unlock(stack, last, false)
 		}
@@ -441,12 +440,5 @@ func (t *tree) replaceAt(stack []pathEntry, level int, repl *node) {
 		return
 	}
 	p := stack[level-1]
-	p.nd.slot(p.idx).storeChild(repl)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	p.nd.storeChild(p.idx, repl)
 }

@@ -393,10 +393,10 @@ func TestInsertionOrderIndependence(t *testing.T) {
 		walk = func(nd *node) {
 			b = append(b, fmt.Sprintf("[h%d d%v p%v ", nd.height, nd.dbits(), nd.pks(nil))...)
 			for i := range int(nd.n) {
-				if c := nd.slot(i).loadChild(); c != nil {
+				if c, tid := nd.entry(i); c != nil {
 					walk(c)
 				} else {
-					b = append(b, fmt.Sprintf("k%q ", s.Key(nd.slot(i).tid, nil))...)
+					b = append(b, fmt.Sprintf("k%q ", s.Key(tid, nil))...)
 				}
 			}
 			b = append(b, ']')

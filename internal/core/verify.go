@@ -40,6 +40,10 @@ const (
 	InvLookup
 	// InvLeafCount: the number of reachable leaves differs from Len().
 	InvLeafCount
+	// InvNodeClass: a node's block class disagrees with its height — a
+	// leaf class (bare TIDs, no room for a child) must have height 1, an
+	// inner class height ≥ 2.
+	InvNodeClass
 )
 
 var invariantNames = [...]string{
@@ -52,6 +56,7 @@ var invariantNames = [...]string{
 	InvLeafOrder:          "leaf key ordering",
 	InvLookup:             "lookup self-consistency",
 	InvLeafCount:          "leaf count",
+	InvNodeClass:          "node class",
 }
 
 // String names the invariant for reports.
@@ -135,6 +140,11 @@ func (t *tree) verify(strictHeights bool) error {
 // bit nd may use (one past the deepest BiNode on the path leading to nd).
 // It returns the subtree height in compound nodes.
 func (v *verifier) walk(nd *node, minBit int) (uint8, *CorruptionError) {
+	// The class decides the block's layout, so a leaf class above height 1
+	// is reported before anything past the header is read.
+	if nd.isLeaf() && nd.height != 1 {
+		return 0, v.corrupt(InvNodeClass, -1, "leaf class %d at height %d, want 1", nd.cls, nd.height)
+	}
 	if nd.cold().obsolete.Load() {
 		return 0, v.corrupt(InvObsoleteReachable, -1, "reachable node is marked obsolete")
 	}
@@ -192,7 +202,8 @@ func (v *verifier) walk(nd *node, minBit int) (uint8, *CorruptionError) {
 				pathMax = b
 			}
 		}
-		if c := nd.slot(i).loadChild(); c != nil {
+		c, stored := nd.entry(i)
+		if c != nil {
 			v.path = append(v.path, i)
 			h, err := v.walk(c, pathMax+1)
 			v.path = v.path[:len(v.path)-1]
@@ -205,7 +216,6 @@ func (v *verifier) walk(nd *node, minBit int) (uint8, *CorruptionError) {
 			continue
 		}
 		v.leaves++
-		stored := nd.slot(i).loadTID()
 		k := v.t.load(stored, nil)
 		if v.prevKey != nil && key.Compare(v.prevKey, k) >= 0 {
 			return 0, v.corrupt(InvLeafOrder, i, "%q then %q", v.prevKey, k)
@@ -224,6 +234,9 @@ func (v *verifier) walk(nd *node, minBit int) (uint8, *CorruptionError) {
 	if nd.height < maxChild+1 {
 		return 0, v.corrupt(InvHeightBound, -1,
 			"height %d below subtree height %d", nd.height, maxChild+1)
+	}
+	if !nd.isLeaf() && nd.height < 2 {
+		return 0, v.corrupt(InvNodeClass, -1, "inner class %d at height %d, want ≥ 2", nd.cls, nd.height)
 	}
 	return nd.height, nil
 }
@@ -253,7 +266,7 @@ func equalU32(a, b []uint32) bool {
 }
 
 // Verify checks the trie's structural invariants — fanout and height
-// bounds, discriminative-bit monotonicity, partial-key ordering and
+// bounds, node classes, discriminative-bit monotonicity, partial-key ordering and
 // canonical encoding, leaf key order, obsolete-node reachability and
 // lookup self-consistency — returning nil or a *CorruptionError describing
 // the first violation. It walks every node and resolves every stored key

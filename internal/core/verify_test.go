@@ -26,7 +26,7 @@ func buildCorruptible(t *testing.T) (*Trie, *node) {
 func firstChild(t *testing.T, nd *node) *node {
 	t.Helper()
 	for i := 0; i < int(nd.n); i++ {
-		if c := nd.slot(i).loadChild(); c != nil {
+		if c := nd.child(i); c != nil {
 			return c
 		}
 	}
@@ -62,6 +62,11 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 		}},
 		{"height-bound", InvHeightBound, func(t *testing.T, tr *Trie, root *node) {
 			root.height = 1 // root must sit above its subtrees
+		}},
+		{"class-swap", InvNodeClass, func(t *testing.T, tr *Trie, root *node) {
+			// The root is inner (it has children); its leaf twin has the
+			// same entry count and width but no room for a child.
+			root.cls += leafClasses
 		}},
 		{"leaf-count", InvLeafCount, func(t *testing.T, tr *Trie, root *node) {
 			tr.size.Add(1)

@@ -454,10 +454,16 @@ func (c *ShardedCursor) Key() []byte {
 	if c.cc.valid() {
 		return c.cc.key()
 	}
+	return c.t.loader(c.it.TID(), c.scratch())
+}
+
+// scratch returns the cursor's key buffer for the loader, allocated on
+// first use.
+func (c *ShardedCursor) scratch() []byte {
 	if c.buf == nil {
 		c.buf = make([]byte, 0, 64)
 	}
-	return c.t.loader(c.it.TID(), c.buf[:0])
+	return c.buf[:0]
 }
 
 // Next advances to the next entry in global key order; on an exhausted or
@@ -481,15 +487,16 @@ func (c *ShardedCursor) settle() {
 }
 
 // open captures shard c.s's current state and positions on its first key
-// ≥ from. A cold image stays readable after a concurrent promotion (the
-// section file is open and immutable), as a retired trie root does.
+// ≥ from, reusing the cursor's path stack and key buffer. A cold image
+// stays readable after a concurrent promotion (the section file is open
+// and immutable), as a retired trie root does.
 func (c *ShardedCursor) open(from []byte) {
 	if st := c.t.shards[c.s].Load(); st.pr == nil {
-		c.it = st.delta.Load().Iter(from)
+		st.delta.Load().SeekIter(&c.it, from, c.scratch())
 		c.cc.release()
 	} else {
-		c.it = core.Iterator{}
-		c.cc.seek(st, from)
+		c.it.Reset()
+		c.cc.seek(st, from, c.scratch())
 	}
 }
 
@@ -520,6 +527,18 @@ func (t *ShardedTree) seekCursorN(c *ShardedCursor, start []byte, limit int) {
 	c.settle()
 }
 
+// scanCursors recycles scanN's cursors with their path stacks and key
+// buffers, so a steady-state scan allocates nothing.
+var scanCursors = sync.Pool{New: func() any { return new(ShardedCursor) }}
+
+// release drops what the cursor holds of its tree — the tree, the open
+// shard's path and image — keeping its storage for the next seek.
+func (c *ShardedCursor) release() {
+	c.t = nil
+	c.it.Reset()
+	c.cc.release()
+}
+
 // scanN is the one bounded cursor loop under Scan and Follower.Scan: fn
 // sees up to max entries ≥ start out of the first limit shards, in order,
 // and stops the walk by returning false.
@@ -527,15 +546,17 @@ func (t *ShardedTree) scanN(start []byte, max, limit int, fn func(*ShardedCursor
 	if max <= 0 {
 		return 0
 	}
-	var c ShardedCursor
-	t.seekCursorN(&c, start, limit)
+	c := scanCursors.Get().(*ShardedCursor)
+	t.seekCursorN(c, start, limit)
 	n := 0
 	for c.Valid() && n < max {
 		n++
-		if !fn(&c) {
+		if !fn(c) {
 			break
 		}
 		c.Next()
 	}
+	c.release()
+	scanCursors.Put(c)
 	return n
 }

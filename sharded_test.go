@@ -236,52 +236,81 @@ func TestShardedCursorReuse(t *testing.T) {
 // TestShardedScanOpensOneShard: a scan pays for the shard it is in, not for
 // the shards it will never reach. A TID-only 50-entry scan that stays
 // inside shard 1 resolves at most one key (the seek's candidate compare)
-// and allocates the same small amount on 8 shards and on 64.
+// and allocates nothing on 8 shards and on 64, nor does a reused cursor's
+// reposition. Both kinds of loader run: a
+// tuple store's, which ignores its buffer, and the embedded 8-byte one,
+// which writes the key into it.
 func TestShardedScanOpensOneShard(t *testing.T) {
-	keys := dataset.Generate(dataset.URL, 8000, 29)
 	s := &tidstore.Store{}
-	for _, k := range keys {
+	urls := dataset.Generate(dataset.URL, 8000, 29)
+	for _, k := range urls {
 		s.Add(k)
 	}
-	sorted := dataset.SortedCopy(keys)
-	var loads atomic.Int64
-	loader := func(tid TID, buf []byte) []byte {
-		loads.Add(1)
-		return s.Key(tid, buf)
+	vals := make([]uint64, 8000)
+	rng := rand.New(rand.NewSource(29))
+	for i := range vals {
+		vals[i] = uint64(rng.Int63())
 	}
-	for _, shards := range []int{8, 64} {
-		st := NewShardedTree(loader, shards, keys)
-		for i, k := range keys {
-			st.Insert(k, TID(i))
+	for _, src := range []struct {
+		name string
+		keys [][]byte
+		tid  func(i int) TID
+		load Loader
+	}{
+		{"url", urls, func(i int) TID { return TID(i) }, s.Key},
+		{"embedded", u64Keys(vals), func(i int) TID { return vals[i] }, tidstore.Uint64Key},
+	} {
+		sorted := dataset.SortedCopy(src.keys)
+		var loads atomic.Int64
+		loader := func(tid TID, buf []byte) []byte {
+			loads.Add(1)
+			return src.load(tid, buf)
 		}
-		if st.Shards() != shards || st.ShardLen(1) < 50 {
-			t.Fatalf("%d shards requested: got %d, shard 1 holds %d keys", shards, st.Shards(), st.ShardLen(1))
-		}
-		start := st.Boundaries()[0] // shard 1's lower bound
-		at := sort.Search(len(sorted), func(i int) bool { return bytes.Compare(sorted[i], start) >= 0 })
-		var got []TID
-		scan := func() {
-			got = got[:0]
-			st.Scan(start, 50, func(tid TID) bool {
-				got = append(got, tid)
-				return true
-			})
-		}
-		loads.Store(0)
-		scan()
-		if n := loads.Load(); n > 1 {
-			t.Fatalf("%d shards: a TID-only scan inside one shard called the loader %d times", shards, n)
-		}
-		for i, tid := range got {
-			if !bytes.Equal(s.Key(tid, nil), sorted[at+i]) {
-				t.Fatalf("%d shards: entry %d is %q, want %q", shards, i, s.Key(tid, nil), sorted[at+i])
+		for _, shards := range []int{8, 64} {
+			name := fmt.Sprintf("%s/%d shards", src.name, shards)
+			st := NewShardedTree(loader, shards, src.keys)
+			for i, k := range src.keys {
+				st.Insert(k, src.tid(i))
 			}
-		}
-		if len(got) != 50 {
-			t.Fatalf("%d shards: scan yields %d entries, want 50", shards, len(got))
-		}
-		if allocs := testing.AllocsPerRun(100, scan); allocs > 4 {
-			t.Fatalf("%d shards: a 50-entry scan allocates %.0f times", shards, allocs)
+			if st.Shards() != shards || st.ShardLen(1) < 50 {
+				t.Fatalf("%s: got %d shards, shard 1 holds %d keys", name, st.Shards(), st.ShardLen(1))
+			}
+			start := st.Boundaries()[0] // shard 1's lower bound
+			at := sort.Search(len(sorted), func(i int) bool { return bytes.Compare(sorted[i], start) >= 0 })
+			var got []TID
+			scan := func() {
+				got = got[:0]
+				st.Scan(start, 50, func(tid TID) bool {
+					got = append(got, tid)
+					return true
+				})
+			}
+			loads.Store(0)
+			scan()
+			if n := loads.Load(); n > 1 {
+				t.Fatalf("%s: a TID-only scan inside one shard called the loader %d times", name, n)
+			}
+			for i, tid := range got {
+				if k := src.load(tid, nil); !bytes.Equal(k, sorted[at+i]) {
+					t.Fatalf("%s: entry %d is %q, want %q", name, i, k, sorted[at+i])
+				}
+			}
+			if len(got) != 50 {
+				t.Fatalf("%s: scan yields %d entries, want 50", name, len(got))
+			}
+			// A scan borrows its cursor from a pool, which -race drops at
+			// random.
+			if allocs := testing.AllocsPerRun(100, scan); allocs > 0 && !raceEnabled {
+				t.Fatalf("%s: a 50-entry scan allocates %.0f times", name, allocs)
+			}
+			var c ShardedCursor
+			st.SeekCursor(&c, start)
+			if allocs := testing.AllocsPerRun(100, func() { st.SeekCursor(&c, start) }); allocs != 0 {
+				t.Fatalf("%s: repositioning a reused cursor allocates %.0f times", name, allocs)
+			}
+			if !c.Valid() || !bytes.Equal(c.Key(), sorted[at]) {
+				t.Fatalf("%s: reused cursor is not on shard 1's first key", name)
+			}
 		}
 	}
 }

@@ -104,7 +104,7 @@ func (b *statsBase) Height() int { return b.ic.Height() }
 func (b *statsBase) Memory() MemoryStats { return b.ic.Memory() }
 
 // Verify checks the underlying trie's structural invariants — fanout and
-// height bounds, discriminative-bit monotonicity, partial-key ordering and
+// height bounds, node classes, discriminative-bit monotonicity, partial-key ordering and
 // canonical encoding, leaf key order and lookup self-consistency — and
 // returns nil or a *CorruptionError describing the first violation. It
 // walks every node and resolves every stored key, so it is intended for
