@@ -127,11 +127,12 @@ fuzz:
 	$(GO) test -fuzz FuzzSearch -fuzztime $(FUZZTIME) ./internal/bits/
 	$(GO) test -fuzz FuzzNodeBlock -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -fuzz FuzzServerFrame -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -fuzz FuzzKeyMap -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -fuzz FuzzWireResume -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz FuzzClientReply -fuzztime $(FUZZTIME) ./internal/hotclient/
 
 bench:
-	$(GO) test -bench . -benchtime 1s -run - . ./internal/persist ./internal/bits ./internal/core
+	$(GO) test -bench . -benchtime 1s -run - . ./internal/persist ./internal/bits ./internal/core ./internal/server
 
 # Code-only line table — non-test Go lines that are neither blank nor a
 # comment line, for the root package, every internal/* and cmd/* package,

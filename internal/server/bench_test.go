@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"github.com/hotindex/hot/internal/wire"
@@ -106,6 +108,23 @@ func BenchmarkServeConn(b *testing.B) {
 
 var sinkKey []byte
 
+// boundKeyMap returns a KeyMap with TIDs [0, n) bound to 16-byte keys, and
+// 64 Ki random bound TIDs to load.
+func boundKeyMap(b *testing.B, n int) (*KeyMap, []uint64) {
+	km := new(KeyMap)
+	for i := 0; i < n; i++ {
+		if _, err := km.Bind(fmt.Appendf(nil, "key-%012d", i), uint64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	r := rand.New(rand.NewSource(3))
+	tids := make([]uint64, 1<<16)
+	for i := range tids {
+		tids[i] = uint64(r.Intn(n))
+	}
+	return km, tids
+}
+
 // BenchmarkKeyMapKey is one tuple load — a served GET's final compare, one
 // SCAN entry — for a random bound TID.
 func BenchmarkKeyMapKey(b *testing.B) {
@@ -114,17 +133,7 @@ func BenchmarkKeyMapKey(b *testing.B) {
 		n    int
 	}{{"50k", 50_000}, {"1M", 1_000_000}} {
 		b.Run(bc.name, func(b *testing.B) {
-			var km KeyMap
-			for i := 0; i < bc.n; i++ {
-				if _, err := km.Bind(fmt.Appendf(nil, "key-%012d", i), uint64(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			r := rand.New(rand.NewSource(3))
-			tids := make([]uint64, 1<<16)
-			for i := range tids {
-				tids[i] = uint64(r.Intn(bc.n))
-			}
+			km, tids := boundKeyMap(b, bc.n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -133,3 +142,69 @@ func BenchmarkKeyMapKey(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkKeyMapKeys is a SCAN's tuple loads: one Keys call resolving 50
+// random bound TIDs out of 1M. ns/key divides by the 50.
+func BenchmarkKeyMapKeys(b *testing.B) {
+	b.Run("50", func(b *testing.B) {
+		km, tids := boundKeyMap(b, 1_000_000)
+		out := make([][]byte, 50)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			lo := (i * 50) & (len(tids) - 1)
+			km.Keys(tids[lo:min(lo+50, len(tids))], out)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(50*b.N), "ns/key")
+	})
+}
+
+// BenchmarkKeyMapBind is one served SET's Bind of a fresh TID to a 55-byte
+// key. The table starts over every 1M binds, so a run measures the growth
+// it pays on the way there.
+func BenchmarkKeyMapBind(b *testing.B) {
+	const n = 1 << 20
+	keys := benchURLs(1 << 16)
+	km := new(KeyMap)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%n == 0 && i > 0 {
+			km = new(KeyMap)
+		}
+		if _, err := km.Bind(keys[i&(len(keys)-1)], uint64(i%n)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkKeyMapParallel runs 4 goroutines (RunParallel over GOMAXPROCS ×
+// parallelism) against one table of 1M bound TIDs: each loads random bound
+// TIDs and binds a fresh one every 64th op, so readers and the writer meet
+// on the one lock.
+func BenchmarkKeyMapParallel(b *testing.B) {
+	km, tids := boundKeyMap(b, 1_000_000)
+	keys := benchURLs(1 << 10)
+	var fresh atomic.Uint64
+	fresh.Store(1_000_000)
+	b.SetParallelism(max(1, 4/runtime.GOMAXPROCS(0)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		var sink int
+		for i := 0; pb.Next(); i++ {
+			if i%64 == 63 {
+				tid := fresh.Add(1)
+				if _, err := km.Bind(keys[tid&(uint64(len(keys))-1)], tid); err != nil {
+					b.Error(err)
+					return
+				}
+				continue
+			}
+			sink += len(km.Key(tids[i&(len(tids)-1)], nil))
+		}
+		sinkLen.Add(uint64(sink))
+	})
+}
+
+var sinkLen atomic.Uint64

@@ -390,7 +390,8 @@ func (s *Server) ServeConn(rw io.ReadWriter) {
 	bw := bufio.NewWriterSize(d, 64<<10)
 	defer bw.Flush()
 	var rbuf, wbuf []byte
-	var tids []hot.TID // a leader's BATCH lookups land here
+	var tids []hot.TID // a leader's BATCH lookups and SCAN entries land here
+	var keys [][]byte  // and a leader's SCAN keys, resolved in one batch
 	// A leader's SCANs reposition this one cursor. Between SCANs it keeps the
 	// backing of the one shard it stopped in reachable, until the next SCAN
 	// or the idle timeout.
@@ -497,12 +498,24 @@ func (s *Server) ServeConn(rw io.ReadWriter) {
 					continue
 				}
 			} else {
-				s.tree.SeekCursor(&cur, start)
-				for cur.Valid() && n < int(max) {
-					if !add(cur.Key(), cur.TID()) {
+				// Collect the TIDs first and resolve their keys in one
+				// KeyMap call, whose misses overlap, instead of one tuple
+				// load per entry. Every TID the cursor yields is bound —
+				// cold sections' TIDs too, by the durable open's
+				// RecoverEntry walk — so the keys are the cursor's own.
+				tids = tids[:0]
+				for s.tree.SeekCursor(&cur, start); cur.Valid() && len(tids) < int(max); cur.Next() {
+					tids = append(tids, cur.TID())
+				}
+				if cap(keys) < len(tids) {
+					keys = make([][]byte, len(tids))
+				}
+				keys = keys[:len(tids)]
+				s.km.Keys(tids, keys)
+				for i, key := range keys {
+					if !add(key, tids[i]) {
 						break
 					}
-					cur.Next()
 				}
 			}
 			binary.LittleEndian.PutUint32(wbuf[:4], uint32(n))
@@ -651,8 +664,9 @@ func appendBatchHit(b []byte, found bool, tid hot.TID) []byte {
 
 // serverRows are the server's own STATS rows, after the store's: a
 // follower's replication feed (on a leader every shard is ready and the
-// feed's rows read 0), then the connections. TestServerRowsCoverEveryCounter
-// fails when a counter of Server, Follower or ReplicaClient has no row.
+// feed's rows read 0), then the connections, then the tuple table.
+// TestServerRowsCoverEveryCounter fails when a counter of Server, Follower
+// or ReplicaClient has no row.
 var serverRows = [...]wire.Row[*Server]{
 	{Name: "ready", Unit: "shards", Gauge: true, Read: role(func(s *Server) uint64 { return uint64(s.tree.Shards()) },
 		func(rc *hot.ReplicaClient) uint64 { return uint64(rc.Follower().Ready()) })},
@@ -667,6 +681,10 @@ var serverRows = [...]wire.Row[*Server]{
 	// declined; a follower the sessions it consumed and its re-bootstraps.
 	{Name: "resumes", Unit: "count", Read: role(func(s *Server) uint64 { return s.resumeSessions.Load() }, (*hot.ReplicaClient).Resumes)},
 	{Name: "full_resyncs", Unit: "count", Read: role(func(s *Server) uint64 { return s.fullResyncs.Load() }, (*hot.ReplicaClient).FullResyncs)},
+	// The tuple table, on both roles: its bound TIDs, and its arena chunks
+	// plus slot array. Not part of the index's Memory().
+	{Name: "keymap_keys", Unit: "keys", Gauge: true, Read: func(s *Server) uint64 { return uint64(s.km.Len()) }},
+	{Name: "keymap_bytes", Unit: "bytes", Gauge: true, Read: func(s *Server) uint64 { return uint64(s.km.Bytes()) }},
 }
 
 // role reads a row from the leader, or on a follower from its feed.

@@ -57,6 +57,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -265,37 +266,58 @@ func eachStat(s string, fn func(Stat)) error {
 }
 
 // WriteFrame writes one frame. Callers batch frames through a buffered
-// writer; WriteFrame itself issues two writes (header, body).
+// writer; WriteFrame itself issues two writes (header, body). Through a
+// *bufio.Writer the header is built in the writer's own free space, so a
+// frame costs no allocation; any other io.Writer gets a header array that
+// escapes through the interface call.
 func WriteFrame(w io.Writer, op byte, body []byte) error {
 	if len(body) > MaxFrame {
 		return fmt.Errorf("wire: frame body %d bytes exceeds MaxFrame %d", len(body), MaxFrame)
 	}
-	var h [5]byte
-	binary.LittleEndian.PutUint32(h[:4], uint32(len(body)))
-	h[4] = op
-	if _, err := w.Write(h[:]); err != nil {
+	var err error
+	if bw, ok := w.(*bufio.Writer); ok {
+		_, err = bw.Write(append(binary.LittleEndian.AppendUint32(bw.AvailableBuffer(), uint32(len(body))), op))
+	} else {
+		var h [5]byte
+		binary.LittleEndian.PutUint32(h[:4], uint32(len(body)))
+		h[4] = op
+		_, err = w.Write(h[:])
+	}
+	if err != nil {
 		return err
 	}
 	if len(body) == 0 {
 		return nil
 	}
-	_, err := w.Write(body)
+	_, err = w.Write(body)
 	return err
 }
 
 // ReadFrame reads one frame, reusing buf's storage when it is large enough
 // (pass the returned body back as buf to amortize the allocation). A clean
 // EOF before the first header byte is returned as io.EOF; a frame cut off
-// midway is io.ErrUnexpectedEOF.
+// midway is io.ErrUnexpectedEOF. Through a *bufio.Reader the header is
+// read in place (Peek, then Discard), so a frame whose body fits buf costs
+// no allocation.
 func ReadFrame(r io.Reader, buf []byte) (op byte, body []byte, err error) {
-	var h [5]byte
-	if _, err := io.ReadFull(r, h[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return 0, nil, io.ErrUnexpectedEOF
+	var n uint32
+	if br, ok := r.(*bufio.Reader); ok {
+		h, err := br.Peek(5)
+		if err != nil {
+			if err == io.EOF && len(h) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, err
 		}
-		return 0, nil, err
+		n, op = binary.LittleEndian.Uint32(h[:4]), h[4]
+		br.Discard(5) // cannot fail: Peek buffered all five
+	} else {
+		var h [5]byte
+		if _, err := io.ReadFull(r, h[:]); err != nil {
+			return 0, nil, err
+		}
+		n, op = binary.LittleEndian.Uint32(h[:4]), h[4]
 	}
-	n := binary.LittleEndian.Uint32(h[:4])
 	if n > MaxFrame {
 		return 0, nil, fmt.Errorf("wire: frame length %d exceeds MaxFrame %d", n, MaxFrame)
 	}
@@ -310,7 +332,7 @@ func ReadFrame(r io.Reader, buf []byte) (op byte, body []byte, err error) {
 		}
 		return 0, nil, err
 	}
-	return h[4], body, nil
+	return op, body, nil
 }
 
 // AppendUint32 appends v little-endian.

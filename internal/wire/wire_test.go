@@ -1,41 +1,89 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
 	"testing"
 )
 
+// bufWrap is how a test hands frames to WriteFrame and ReadFrame: as the
+// plain stream, or through the *bufio.Writer / *bufio.Reader fast path.
+var bufWrap = []struct {
+	name string
+	r    func(io.Reader) io.Reader
+	w    func(io.Writer) (io.Writer, func() error)
+}{
+	{"plain", func(r io.Reader) io.Reader { return r }, func(w io.Writer) (io.Writer, func() error) { return w, func() error { return nil } }},
+	{"bufio", func(r io.Reader) io.Reader { return bufio.NewReaderSize(r, 16) }, func(w io.Writer) (io.Writer, func() error) {
+		bw := bufio.NewWriterSize(w, 16) // small: headers land across flushes
+		return bw, bw.Flush
+	}},
+}
+
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	frames := []struct {
-		op   byte
-		body []byte
-	}{
-		{OpGet, []byte("key")},
-		{OpFlush, nil},
-		{RepValue, AppendUint64(nil, 42)},
-		{RepTail, AppendTail(nil, 3, 1, 100, 7, []byte("k"))},
+	for _, wr := range bufWrap {
+		t.Run(wr.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			frames := []struct {
+				op   byte
+				body []byte
+			}{
+				{OpGet, []byte("key")},
+				{OpFlush, nil},
+				{RepValue, AppendUint64(nil, 42)},
+				{RepTail, AppendTail(nil, 3, 1, 100, 7, []byte("k"))},
+				{OpStats, nil},
+			}
+			w, flush := wr.w(&buf)
+			for _, f := range frames {
+				if err := WriteFrame(w, f.op, f.body); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := flush(); err != nil {
+				t.Fatal(err)
+			}
+			r := wr.r(&buf)
+			var rbuf []byte
+			for i, f := range frames {
+				op, body, err := ReadFrame(r, rbuf)
+				if err != nil {
+					t.Fatalf("frame %d: %v", i, err)
+				}
+				rbuf = body
+				if op != f.op || !bytes.Equal(body, f.body) {
+					t.Fatalf("frame %d: got (%#x, %q), want (%#x, %q)", i, op, body, f.op, f.body)
+				}
+			}
+			if _, _, err := ReadFrame(r, rbuf); err != io.EOF {
+				t.Fatalf("read past end: %v, want io.EOF", err)
+			}
+		})
 	}
-	for _, f := range frames {
-		if err := WriteFrame(&buf, f.op, f.body); err != nil {
+}
+
+// TestFrameBufioAllocs: through a *bufio.Writer and a *bufio.Reader a
+// frame costs no allocation once buf holds its body — the header does not
+// escape.
+func TestFrameBufioAllocs(t *testing.T) {
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	br := bufio.NewReader(&buf)
+	body, rbuf := []byte("a key"), make([]byte, 16)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := WriteFrame(bw, OpGet, body); err != nil {
 			t.Fatal(err)
 		}
-	}
-	var rbuf []byte
-	for i, f := range frames {
-		op, body, err := ReadFrame(&buf, rbuf)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
 		}
-		rbuf = body
-		if op != f.op || !bytes.Equal(body, f.body) {
-			t.Fatalf("frame %d: got (%#x, %q), want (%#x, %q)", i, op, body, f.op, f.body)
+		if _, _, err := ReadFrame(br, rbuf); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, _, err := ReadFrame(&buf, rbuf); err != io.EOF {
-		t.Fatalf("read past end: %v, want io.EOF", err)
+	}); n != 0 {
+		t.Fatalf("a frame written and read through bufio allocates %.1f times", n)
 	}
 }
 
@@ -57,10 +105,12 @@ func TestFrameTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	for cut := 1; cut < len(full); cut++ {
-		_, _, err := ReadFrame(bytes.NewReader(full[:cut]), nil)
-		if err != io.ErrUnexpectedEOF {
-			t.Fatalf("cut at %d: %v, want io.ErrUnexpectedEOF", cut, err)
+	for _, wr := range bufWrap {
+		for cut := 1; cut < len(full); cut++ {
+			_, _, err := ReadFrame(wr.r(bytes.NewReader(full[:cut])), nil)
+			if err != io.ErrUnexpectedEOF {
+				t.Fatalf("%s: cut at %d: %v, want io.ErrUnexpectedEOF", wr.name, cut, err)
+			}
 		}
 	}
 }
