@@ -115,7 +115,6 @@ net-chaos:
 fuzz:
 	$(GO) test -fuzz FuzzTreeVerify -fuzztime $(FUZZTIME) .
 	$(GO) test -fuzz FuzzMap -fuzztime $(FUZZTIME) .
-	$(GO) test -fuzz FuzzUint64Set -fuzztime $(FUZZTIME) .
 	$(GO) test -fuzz FuzzLookupBatch -fuzztime $(FUZZTIME) .
 	$(GO) test -fuzz FuzzSnapshotLoad -fuzztime $(FUZZTIME) .
 	$(GO) test -fuzz FuzzShardedSnapshotLoad -fuzztime $(FUZZTIME) .

@@ -215,12 +215,12 @@ func snapOne(kind dataset.Kind, n int, seed int64, codec hot.SnapshotCodec, inde
 	}
 	orig, _ := build()
 
-	save := orig.SaveFile
+	save := func() error { return hot.SaveFile(path, orig) }
 	if indexed {
-		save = orig.SaveIndexedFile
+		save = func() error { return saveIndexed(path, orig, loader, codec) }
 	}
 	start := time.Now()
-	if err := save(path); err != nil {
+	if err := save(); err != nil {
 		return snapRecord{}, err
 	}
 	saveDur := time.Since(start)
@@ -230,7 +230,13 @@ func snapOne(kind dataset.Kind, n int, seed int64, codec hot.SnapshotCodec, inde
 	}
 
 	start = time.Now()
-	loaded, err := hot.LoadTreeFile(path, loader)
+	loaded := hot.New(loader)
+	f, err := os.Open(path)
+	if err != nil {
+		return snapRecord{}, err
+	}
+	_, err = hot.Load(f, loaded, false)
+	f.Close()
 	if err != nil {
 		return snapRecord{}, err
 	}
@@ -282,6 +288,22 @@ func snapOne(kind dataset.Kind, n int, seed int64, codec hot.SnapshotCodec, inde
 		rec.Sections = append(rec.Sections, s)
 	}
 	return rec, nil
+}
+
+// saveIndexed writes tr's snapshot to path like hot.SaveFile, with the
+// sparse per-block key index appended after the trailer — the layout a
+// durable shard's cut writes, whose HIDX bytes the sections report.
+func saveIndexed(path string, tr *hot.Tree, loader hot.Loader, codec hot.SnapshotCodec) error {
+	return persist.SaveIndexedFile(path, persist.KindTree, func(sw *persist.Writer) error {
+		sw.SetCodec(codec)
+		var err error
+		buf := make([]byte, 0, 64)
+		tr.Scan(nil, tr.Len(), func(tid hot.TID) bool {
+			err = sw.WriteEntry(loader(tid, buf), tid)
+			return err == nil
+		})
+		return err
+	})
 }
 
 // sameTree reports whether got is structurally valid and indexes exactly

@@ -157,15 +157,15 @@ func TestCodecSnapshotSkew(t *testing.T) {
 	}
 	tr.SetSnapshotCodec(SnapshotCodecPacked)
 	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
+	if err := Save(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadTree(bytes.NewReader(buf.Bytes()), store.Key); err != nil {
+	if _, err := Load(bytes.NewReader(buf.Bytes()), New(store.Key), false); err != nil {
 		t.Fatalf("packed snapshot failed to load: %v", err)
 	}
 	blob := buf.Bytes()
 	blob[16+3] = 0x7F // stamp an unknown codec on the first block
-	_, err := LoadTree(bytes.NewReader(blob), store.Key)
+	_, err := Load(bytes.NewReader(blob), New(store.Key), false)
 	var se *SnapshotError
 	if !errors.As(err, &se) || se.Kind != SnapErrUnsupportedCodec {
 		t.Fatalf("unknown-codec load returned %v, want SnapErrUnsupportedCodec", err)

@@ -204,7 +204,9 @@ func (t *ShardedTree) cut(s int, demote bool) error {
 		dir = ct.dir
 	}
 	path := filepath.Join(dir, snapFileName(s))
-	if err := writeSnapshotFile(path, persist.KindTree, t.SnapshotCodec(), true, st.walk); err != nil {
+	if err := persist.AtomicFile(path, func(w io.Writer) error {
+		return writeSnapshot(w, persist.KindTree, t.SnapshotCodec(), true, st.walk)
+	}); err != nil {
 		return err
 	}
 	if d != nil {

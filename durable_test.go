@@ -2,6 +2,7 @@ package hot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -24,6 +25,20 @@ import (
 func openDurableU64(dir string, shards int, sample []uint64, opts DurableOptions) (*ShardedTree, RecoveryInfo, error) {
 	opts.RecoverEntry = checkSetEntry
 	return OpenDurableShardedTree(dir, tidstore.Uint64Key, shards, u64Keys(sample), opts)
+}
+
+// checkSetEntry validates the embedded-key convention of integer-set
+// entries: the 8-byte big-endian key must decode to exactly the stored TID.
+func checkSetEntry(key []byte, tid TID) error {
+	if len(key) != 8 {
+		return &SnapshotError{Kind: persist.ErrCorrupt,
+			Detail: fmt.Sprintf("set key length %d, want 8", len(key))}
+	}
+	if v := binary.BigEndian.Uint64(key); v != tid {
+		return &SnapshotError{Kind: persist.ErrCorrupt,
+			Detail: fmt.Sprintf("set key decodes to %d, TID is %d", v, tid)}
+	}
+	return nil
 }
 
 func TestDurableShardedEmbeddedKeyRoundTrip(t *testing.T) {
@@ -394,7 +409,7 @@ func TestDurableShardedForeignDirectoryRefusal(t *testing.T) {
 		m.Set([]byte(fmt.Sprintf("key-%04d", i)), uint64(i))
 	}
 	snap, log := filepath.Join(dir, durableSnapName), filepath.Join(dir, "wal.log")
-	if err := m.SaveFile(snap); err != nil {
+	if err := SaveFile(snap, m); err != nil {
 		t.Fatal(err)
 	}
 	w, err := persist.CreateWAL(log, 0, 0)

@@ -638,14 +638,14 @@ func loadEntrances(fx loadFixture) []loadEntrance {
 	}
 	out := []loadEntrance{
 		{"LoadShardedTreeFile", true, func(t *testing.T) loadOutcome {
-			tr, err := LoadShardedTreeFile(file(t), fx.store.Key)
+			tr, _, err := loadShardedFile(file(t), fx.store.Key, false)
 			if err != nil {
 				return loadOutcome{err: err}
 			}
 			return loadOutcome{got: treeEntries(tr)}
 		}},
 		{"RecoverShardedTreeFile", false, func(t *testing.T) loadOutcome {
-			tr, rep, err := RecoverShardedTreeFile(file(t), fx.store.Key)
+			tr, rep, err := loadShardedFile(file(t), fx.store.Key, true)
 			if err != nil {
 				return loadOutcome{err: err}
 			}

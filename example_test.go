@@ -82,13 +82,21 @@ func ExampleMap_Range() {
 	// bonn
 }
 
-func ExampleUint64Set() {
-	s := hot.NewUint64Set()
-	for _, v := range []uint64{42, 7, 99, 7} {
-		s.Insert(v)
+// An integer set needs no tuple store: a loader that writes the TID's 8
+// big-endian bytes makes every value its own key and TID, the paper's
+// embedded-key optimization.
+func ExampleTree_integerKeys() {
+	embedded := func(tid hot.TID, buf []byte) []byte {
+		return binary.BigEndian.AppendUint64(buf[:0], tid)
 	}
-	fmt.Println("size:", s.Len())
-	s.Ascend(10, -1, func(v uint64) bool {
+	key := func(v uint64) []byte { return binary.BigEndian.AppendUint64(nil, v) }
+
+	set := hot.New(embedded)
+	for _, v := range []uint64{42, 7, 99, 7} {
+		set.Insert(key(v), v) // the second 7 is refused
+	}
+	fmt.Println("size:", set.Len())
+	set.Scan(key(10), set.Len(), func(v hot.TID) bool {
 		fmt.Println(v)
 		return true
 	})
@@ -98,10 +106,9 @@ func ExampleUint64Set() {
 	// 99
 }
 
-// A ShardedTree of integers needs no tuple store: a loader that writes the
-// TID's 8 big-endian bytes makes every value its own key and TID, the
-// paper's embedded-key optimization. The same loader serves every sharded
-// entrance — OpenDurableShardedTree, LoadShardedTreeFile, NewFollower.
+// The same embedded-key loader makes a ShardedTree the concurrent,
+// range-partitioned integer set, and serves every sharded entrance —
+// OpenDurableShardedTree, LoadShardedTree, NewFollower.
 func ExampleShardedTree_integerKeys() {
 	embedded := func(tid hot.TID, buf []byte) []byte {
 		return binary.BigEndian.AppendUint64(buf[:0], tid)

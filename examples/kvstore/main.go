@@ -3,9 +3,10 @@
 // The first half is hot.Map: a workload of puts, overwrites, deletes and
 // range queries over URL keys, demonstrating that Map accepts arbitrary
 // byte keys (including embedded zero bytes) while keeping them in
-// lexicographic order. It persists by snapshot — SaveFile at the end of a
-// run (temp file, fsync, atomic rename), RecoverMapFile at the start of the
-// next, which salvages the longest valid prefix should the file be damaged.
+// lexicographic order. It persists by snapshot — hot.SaveFile at the end of
+// a run (temp file, fsync, atomic rename), a salvaging hot.Load at the
+// start of the next, which keeps the longest valid prefix should the file
+// be damaged.
 //
 // The second half is the durable store: the same keys in a range-sharded
 // concurrent tree opened with hot.OpenDurableShardedTree, so every write
@@ -79,11 +80,14 @@ func fail(what string, err error) {
 func main() {
 	// Reopen the last run's map, or start empty on the first run.
 	mapFile := filepath.Join(os.TempDir(), "hot-kvstore-map.hot")
-	store, rep, err := hot.RecoverMapFile(mapFile)
-	if errors.Is(err, os.ErrNotExist) {
-		store, err = hot.NewMap(), nil
+	store := hot.NewMap()
+	var rep hot.RecoveryReport
+	f, err := os.Open(mapFile)
+	if err == nil {
+		rep, err = hot.Load(f, store, true)
+		f.Close()
 	}
-	if err != nil {
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		fail("open map snapshot", err)
 	}
 	fmt.Printf("recovered %d keys from %s\n", store.Len(), mapFile)
@@ -143,7 +147,7 @@ func main() {
 	// Persist: one crash-safe snapshot file. A crash mid-save leaves the
 	// previous file intact; what a Map cannot promise is the writes since
 	// its last save — that is what the durable store below is for.
-	if err := store.SaveFile(mapFile); err != nil {
+	if err := hot.SaveFile(mapFile, store); err != nil {
 		fail("save map snapshot", err)
 	}
 	mfi, _ := os.Stat(mapFile)

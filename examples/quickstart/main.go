@@ -1,13 +1,47 @@
-// Quickstart: the three public entry points of the hot package in two
-// minutes — Map for arbitrary byte keys, Uint64Set for integer sets, and
-// the index-style Tree with an external tuple store.
+// Quickstart: the hot package in two minutes — Map for arbitrary byte
+// keys, an integer set built from a Tree whose keys live in their TIDs,
+// and the index-style Tree with an external tuple store.
 package main
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	hot "github.com/hotindex/hot"
 )
+
+// intSet is a sorted set of 63-bit integers: a Tree over the paper's
+// embedded-key loader, which writes a TID's 8 big-endian bytes as its
+// key, so every value is its own key and TID and no tuple store is needed.
+type intSet struct {
+	t   *hot.Tree
+	buf [8]byte
+}
+
+func newIntSet() *intSet {
+	return &intSet{t: hot.New(func(tid hot.TID, buf []byte) []byte {
+		return binary.BigEndian.AppendUint64(buf[:0], tid)
+	})}
+}
+
+func (s *intSet) key(v uint64) []byte {
+	binary.BigEndian.PutUint64(s.buf[:], v)
+	return s.buf[:]
+}
+
+// Insert adds v (< 2^63), reporting false if it is already present.
+func (s *intSet) Insert(v uint64) bool { return s.t.Insert(s.key(v), v) }
+
+// Contains reports whether v is in the set.
+func (s *intSet) Contains(v uint64) bool {
+	_, ok := s.t.Lookup(s.key(v))
+	return ok
+}
+
+// Ascend calls fn for every value ≥ from in ascending order.
+func (s *intSet) Ascend(from uint64, fn func(uint64) bool) {
+	s.t.Scan(s.key(from), s.t.Len(), fn)
+}
 
 func main() {
 	// Map: ordered map from arbitrary []byte keys to uint64 values.
@@ -33,13 +67,13 @@ func main() {
 		return true
 	})
 
-	// Uint64Set: a sorted integer set with keys embedded in the TIDs.
-	s := hot.NewUint64Set()
+	// An integer set: a Tree with the keys embedded in the TIDs.
+	s := newIntSet()
 	for _, v := range []uint64{42, 7, 99, 7, 1000000} {
 		s.Insert(v) // duplicate 7 is rejected
 	}
-	fmt.Println("\nset size:", s.Len())
-	s.Ascend(10, -1, func(v uint64) bool {
+	fmt.Println("\nset size:", s.t.Len(), "contains 99:", s.Contains(99))
+	s.Ascend(10, func(v uint64) bool {
 		fmt.Println("  >= 10:", v)
 		return true
 	})

@@ -2,6 +2,7 @@ package hot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -100,11 +101,15 @@ func mapHas(m map[string]uint64, k []byte) bool {
 // FuzzTreeVerify interleaves inserts, deletes and lookups on a Tree from an
 // operation tape and runs the full structural-invariant walk (Verify) after
 // every batch of operations, so the fuzzer searches directly for histories
-// that corrupt the trie rather than only for wrong answers.
+// that corrupt the trie rather than only for wrong answers. The same tape,
+// read as a stream of 63-bit values, then drives a second Tree over the
+// embedded-key loader as an integer set (see checkIntegerSet).
 func FuzzTreeVerify(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add([]byte("\x01\x00\x00\x00\x00\x00\x00\x00a\x02\x00\x00\x00\x00\x00\x00\x00a"))
 	f.Add(bytes.Repeat([]byte{3, 7, 1, 0, 0, 255, 128, 64, 32}, 8))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		s := &tidstore.Store{}
 		tr := New(s.Key)
@@ -147,7 +152,51 @@ func FuzzTreeVerify(f *testing.F) {
 		if tr.Len() != len(oracle) {
 			t.Fatalf("len %d != %d", tr.Len(), len(oracle))
 		}
+		checkIntegerSet(t, tape)
 	})
+}
+
+// checkIntegerSet reads tape as 8-byte big-endian values, each shifted to
+// 63 bits, and drives a Tree over the embedded-key loader with them: a
+// value not in the set is inserted, a value in it is inserted again (which
+// must be refused) and deleted. The tree must then hold exactly the
+// oracle's values, and a full Scan must return them in ascending order.
+func checkIntegerSet(t *testing.T, tape []byte) {
+	set := New(tidstore.Uint64Key)
+	oracle := map[uint64]bool{}
+	for i := 0; i+8 <= len(tape); i += 8 {
+		v := binary.BigEndian.Uint64(tape[i:]) >> 1
+		if !oracle[v] {
+			if !set.Insert(u64Key(v), v) {
+				t.Fatalf("insert %d failed", v)
+			}
+			oracle[v] = true
+			continue
+		}
+		if set.Insert(u64Key(v), v) {
+			t.Fatalf("duplicate insert %d succeeded", v)
+		}
+		if !set.Delete(u64Key(v)) {
+			t.Fatalf("delete %d failed", v)
+		}
+		delete(oracle, v)
+	}
+	if err := set.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if set.Len() != len(oracle) {
+		t.Fatalf("set len %d != %d", set.Len(), len(oracle))
+	}
+	prev := int64(-1)
+	if n := set.Scan(nil, set.Len(), func(v TID) bool {
+		if int64(v) <= prev || !oracle[v] {
+			t.Fatalf("set scan order/content broken at %d", v)
+		}
+		prev = int64(v)
+		return true
+	}); n != len(oracle) {
+		t.Fatalf("set scan visited %d of %d", n, len(oracle))
+	}
 }
 
 // FuzzLookupBatch cross-checks batched lookups against scalar Lookup: a
@@ -215,49 +264,6 @@ func FuzzLookupBatch(f *testing.F) {
 	})
 }
 
-// FuzzUint64Set exercises the integer set with a value stream.
-func FuzzUint64Set(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 1})
-	f.Fuzz(func(t *testing.T, tape []byte) {
-		s := NewUint64Set()
-		oracle := map[uint64]bool{}
-		for i := 0; i+8 <= len(tape); i += 8 {
-			var v uint64
-			for j := 0; j < 8; j++ {
-				v = v<<8 | uint64(tape[i+j])
-			}
-			v >>= 1 // 63-bit
-			switch {
-			case !oracle[v]:
-				if !s.Insert(v) {
-					t.Fatalf("insert %d failed", v)
-				}
-				oracle[v] = true
-			default:
-				if s.Insert(v) {
-					t.Fatalf("duplicate insert %d succeeded", v)
-				}
-				if !s.Delete(v) {
-					t.Fatalf("delete %d failed", v)
-				}
-				delete(oracle, v)
-			}
-		}
-		if s.Len() != len(oracle) {
-			t.Fatalf("len %d != %d", s.Len(), len(oracle))
-		}
-		prev := int64(-1)
-		s.Ascend(0, -1, func(v uint64) bool {
-			if int64(v) <= prev || !oracle[v] {
-				t.Fatalf("ascend order/content broken at %d", v)
-			}
-			prev = int64(v)
-			return true
-		})
-	})
-}
-
 // FuzzSnapshotLoad feeds arbitrary bytes to every snapshot loader: none may
 // panic, and whatever loads without error must pass the structural Verify
 // walk. The seeds are valid snapshots of each kind so the fuzzer starts
@@ -276,7 +282,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 			tr.Insert([]byte(k), s.Add([]byte(k)))
 		}
 		var buf bytes.Buffer
-		err := tr.Save(&buf)
+		err := Save(&buf, tr)
 		return buf.Bytes(), err
 	})
 	seed(func() ([]byte, error) {
@@ -284,35 +290,31 @@ func FuzzSnapshotLoad(f *testing.F) {
 		m.Set([]byte("k\x00ey"), 7)
 		m.Set([]byte("k\xffey"), 9)
 		var buf bytes.Buffer
-		err := m.Save(&buf)
+		err := Save(&buf, m)
 		return buf.Bytes(), err
 	})
 	seed(func() ([]byte, error) {
-		s := NewUint64Set()
+		set := New(tidstore.Uint64Key)
 		for v := uint64(1); v < 100; v += 7 {
-			s.Insert(v)
+			set.Insert(u64Key(v), v)
 		}
 		var buf bytes.Buffer
-		err := s.Save(&buf)
+		err := Save(&buf, set)
 		return buf.Bytes(), err
 	})
 	f.Add([]byte{})
 	f.Add([]byte("HOTSNAP\x01"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if m, err := LoadMap(bytes.NewReader(data)); err == nil {
+		m := NewMap()
+		if _, err := Load(bytes.NewReader(data), m, false); err == nil {
 			if verr := m.Verify(); verr != nil {
 				t.Fatalf("loaded map fails Verify: %v", verr)
-			}
-		}
-		if s, err := LoadUint64Set(bytes.NewReader(data)); err == nil {
-			if verr := s.Verify(); verr != nil {
-				t.Fatalf("loaded set fails Verify: %v", verr)
 			}
 		}
 		// Tree loads need a loader resolving every TID in the snapshot; feed
 		// one from the entries themselves, recorded before each insert. A
 		// TID claimed twice for different keys breaks the loader contract
-		// LoadTree documents, so the harness rejects it like corruption.
+		// Load documents, so the harness rejects it like corruption.
 		store := map[uint64][]byte{}
 		tr := New(func(tid TID, _ []byte) []byte { return store[tid] })
 		insert := loadInto(tr.t.Insert)
@@ -364,7 +366,7 @@ func FuzzShardedSnapshotLoad(f *testing.F) {
 			tr.Insert(k, s.Add(k))
 		}
 		var buf bytes.Buffer
-		err := tr.Snapshot(&buf)
+		err := Save(&buf, tr)
 		return buf.Bytes(), err
 	})
 	seed(func() ([]byte, error) {
@@ -373,7 +375,7 @@ func FuzzShardedSnapshotLoad(f *testing.F) {
 			set.Insert(u64Key(v), v)
 		}
 		var buf bytes.Buffer
-		err := set.Snapshot(&buf)
+		err := Save(&buf, set)
 		return buf.Bytes(), err
 	})
 	f.Add([]byte{})
@@ -406,7 +408,7 @@ func FuzzShardedSnapshotLoad(f *testing.F) {
 			return
 		}
 		loader := func(tid TID, _ []byte) []byte { return store[uint64(tid)] }
-		if tr, err := LoadShardedTree(bytes.NewReader(data), loader); err == nil {
+		if tr, _, err := LoadShardedTree(bytes.NewReader(data), loader, false); err == nil {
 			if verr := tr.Verify(); verr != nil {
 				t.Fatalf("loaded sharded tree fails Verify: %v", verr)
 			}
@@ -433,11 +435,11 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := tr.Save(&buf); err != nil {
+		if err := Save(&buf, tr); err != nil {
 			t.Fatalf("save: %v", err)
 		}
-		got, err := LoadTree(bytes.NewReader(buf.Bytes()), s.Key)
-		if err != nil {
+		got := New(s.Key)
+		if _, err := Load(bytes.NewReader(buf.Bytes()), got, false); err != nil {
 			t.Fatalf("load: %v", err)
 		}
 		if got.Len() != tr.Len() {
@@ -479,11 +481,11 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			i = end
 		}
 		buf.Reset()
-		if err := m.Save(&buf); err != nil {
+		if err := Save(&buf, m); err != nil {
 			t.Fatalf("map save: %v", err)
 		}
-		gm, err := LoadMap(bytes.NewReader(buf.Bytes()))
-		if err != nil {
+		gm := NewMap()
+		if _, err := Load(bytes.NewReader(buf.Bytes()), gm, false); err != nil {
 			t.Fatalf("map load: %v", err)
 		}
 		if gm.Len() != m.Len() {

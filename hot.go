@@ -26,15 +26,17 @@
 //     it keeps its own key storage, accepts arbitrary byte keys (an
 //     order-preserving escape makes them prefix-free) and maps them to
 //     uint64 values.
-//   - Uint64Set stores 63-bit integers with the keys embedded directly in
-//     the TIDs (the paper's optimization for fixed-size keys ≤ 8 bytes). The
-//     embedded key is a choice of Loader, not of type: a ShardedTree whose
-//     loader writes the TID's 8 big-endian bytes is the concurrent,
-//     range-partitioned integer set (see ExampleShardedTree_integerKeys).
+//   - An integer set needs no type of its own: with fixed-size keys of at
+//     most 8 bytes the key is embedded directly in the TID (the paper's
+//     optimization), so a Tree or ShardedTree whose loader writes the TID's
+//     8 big-endian bytes stores 63-bit integers with no tuple store at all
+//     (see ExampleTree_integerKeys and ExampleShardedTree_integerKeys).
 //
-// All of them share one method surface — the Index interface — implemented
-// once in the shared surface layer (surface.go), so callers can swap
-// synchronization strategies without code changes.
+// The TID-keyed types share one method surface — the Index interface —
+// implemented once in the shared surface layer (surface.go), so callers can
+// swap synchronization strategies without code changes. All four persist
+// through one pair of functions, Save/SaveFile, and load back through Load
+// (LoadShardedTree for the sharded tree).
 //
 // Keys are compared lexicographically; all range operations are in
 // ascending key order.

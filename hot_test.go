@@ -195,41 +195,6 @@ func sign(x int) int {
 	return 0
 }
 
-func TestUint64Set(t *testing.T) {
-	s := NewUint64Set()
-	vals := []uint64{5, 1, 9, 3, 7, 1 << 62, 0}
-	for _, v := range vals {
-		if !s.Insert(v) {
-			t.Fatalf("insert %d failed", v)
-		}
-	}
-	if s.Insert(5) {
-		t.Fatal("duplicate insert")
-	}
-	for _, v := range vals {
-		if !s.Contains(v) {
-			t.Fatalf("missing %d", v)
-		}
-	}
-	if s.Contains(4) {
-		t.Fatal("phantom 4")
-	}
-	if mn, ok := s.Min(); !ok || mn != 0 {
-		t.Fatalf("min = %d,%v", mn, ok)
-	}
-	var got []uint64
-	s.Ascend(3, -1, func(v uint64) bool {
-		got = append(got, v)
-		return true
-	})
-	if fmt.Sprint(got) != fmt.Sprint([]uint64{3, 5, 7, 9, 1 << 62}) {
-		t.Fatalf("ascend = %v", got)
-	}
-	if !s.Delete(9) || s.Contains(9) || s.Len() != len(vals)-1 {
-		t.Fatal("delete failed")
-	}
-}
-
 func TestConcurrentTreePublicAPI(t *testing.T) {
 	s := &tidstore.Store{}
 	keys := make([][]byte, 5000)

@@ -56,6 +56,19 @@ func crashKeys() (*tidstore.Store, [][]byte) {
 	return s, keys
 }
 
+// loadTreeFile loads the tree snapshot at path into a fresh tree, strictly
+// or salvaging.
+func loadTreeFile(path string, loader hot.Loader, salvage bool) (*hot.Tree, hot.RecoveryReport, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, hot.RecoveryReport{}, err
+	}
+	defer f.Close()
+	tr := hot.New(loader)
+	rep, err := hot.Load(f, tr, salvage)
+	return tr, rep, err
+}
+
 func buildTree(s *tidstore.Store, keys [][]byte, n int) *hot.Tree {
 	tr := hot.New(s.Key)
 	for i := 0; i < n; i++ {
@@ -100,7 +113,7 @@ func crashChild(pointName, dir, codecName string) {
 	reg := chaos.New(crashSeed)
 	reg.On(point, 1, chaos.Exit(crashExitCode))
 	reg.Arm()
-	err = tr.SaveFile(filepath.Join(dir, "snap.hot"))
+	err = hot.SaveFile(filepath.Join(dir, "snap.hot"), tr)
 	chaos.Disarm()
 	fmt.Fprintf(os.Stderr, "point %s never fired (save err: %v)\n", pointName, err)
 	os.Exit(5)
@@ -136,7 +149,7 @@ func runCrashPoint(t *testing.T, store *tidstore.Store, keys [][]byte, point cha
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.hot")
 	// The previous snapshot the crashed writer was replacing.
-	if err := buildTree(store, keys, crashPrevKeys).SaveFile(path); err != nil {
+	if err := hot.SaveFile(path, buildTree(store, keys, crashPrevKeys)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -152,10 +165,9 @@ func runCrashPoint(t *testing.T, store *tidstore.Store, keys [][]byte, point cha
 
 	// Recovery: strict load first; if that fails, salvage. One of
 	// the two must restore a verifiable tree.
-	tr, err := hot.LoadTreeFile(path, store.Key)
+	tr, rep, err := loadTreeFile(path, store.Key, false)
 	if err != nil {
-		var rep hot.RecoveryReport
-		tr, rep, err = hot.RecoverTreeFile(path, store.Key)
+		tr, rep, err = loadTreeFile(path, store.Key, true)
 		if err != nil {
 			t.Fatalf("snapshot unrecoverable after crash: %v", err)
 		}
@@ -196,7 +208,12 @@ func runCrashPoint(t *testing.T, store *tidstore.Store, keys [][]byte, point cha
 	if _, statErr := os.Stat(tmp); statErr == nil {
 		newOracle := sortedOracle(keys, crashNextKeys)
 		j := 0
-		rep, err := persist.RecoverFile(tmp, persist.KindTree, func(k []byte, tid uint64) error {
+		f, err := os.Open(tmp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		rep, err := persist.Recover(f, persist.KindTree, func(k []byte, tid uint64) error {
 			if j >= len(newOracle) || !bytes.Equal(k, newOracle[j]) {
 				t.Fatalf("torn temp entry %d diverges from the new image", j)
 			}

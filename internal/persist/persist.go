@@ -64,8 +64,11 @@ const (
 	KindTree uint16 = 1
 	// KindMap marks a Map snapshot: raw (unescaped) keys mapped to values.
 	KindMap uint16 = 2
-	// KindUint64Set marks a Uint64Set snapshot: 8-byte big-endian keys
-	// whose TID equals the decoded value.
+	// KindUint64Set marks the integer-set snapshot of an earlier build:
+	// 8-byte big-endian keys whose TID equals the decoded value. The root
+	// package has no integer-set type any more (an integer set is a Tree
+	// over the embedded-key loader, saved as KindTree), so every loader
+	// refuses this kind with ErrWrongKind; the number stays reserved.
 	KindUint64Set uint16 = 3
 	// KindShardManifest marks the manifest section of a sharded snapshot:
 	// the boundary keys of the range partitioning, each entry's TID its

@@ -51,16 +51,6 @@ func ReadFile(path string, wantKind uint16, fn EntryFunc) (uint64, error) {
 	return Read(f, wantKind, fn)
 }
 
-// RecoverFile is Recover over the file at path.
-func RecoverFile(path string, wantKind uint16, fn EntryFunc) (RecoveryReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return RecoveryReport{}, err
-	}
-	defer f.Close()
-	return Recover(f, wantKind, fn)
-}
-
 // reader is the sequential driver: it pulls a section's units off an
 // io.Reader in file order and hands each to the decoders in decode.go. Every
 // whole-section walk runs through it — Read and Recover directly, PageReader's

@@ -4,24 +4,25 @@ import (
 	"fmt"
 
 	"github.com/hotindex/hot/internal/core"
+	"github.com/hotindex/hot/internal/tidstore"
 )
 
 // Map is an ordered map from arbitrary []byte keys to uint64 values backed
 // by a Height Optimized Trie. Unlike Tree it needs no external tuple
-// store: keys are kept in an internal append-only arena, and an
+// store: keys are kept in an internal append-only tuple store, and an
 // order-preserving escape (0x00 → 0x00 0xFF, terminated by 0x00 0x01)
 // makes arbitrary keys prefix-free, so keys may contain any bytes
 // including 0x00.
 //
-// Deleted keys' arena space is not reclaimed (append-only storage); Map is
+// Deleted keys' space is not reclaimed (append-only storage); Map is
 // intended for index-style workloads where inserts dominate. Map is not
 // safe for concurrent use. Because the escape can double a key's length,
 // Map keys are limited to MaxMapKeyLen bytes.
 type Map struct {
-	statsBase // shared Len/Height/Memory/Verify surface (key arena not included in Memory)
+	statsBase // shared Len/Height/Memory/Verify surface (key store not included in Memory)
 	codecOpt
 	t    *core.Trie
-	keys arena
+	keys tidstore.Store // escaped keys; a key's TID indexes vals
 	vals []uint64
 	buf  []byte
 
@@ -33,25 +34,6 @@ type Map struct {
 	btids []uint64
 }
 
-// arena stores encoded keys back to back.
-type arena struct {
-	data []byte
-	offs []uint64 // offset<<16 | length
-}
-
-func (a *arena) add(k []byte) uint64 {
-	off := uint64(len(a.data))
-	a.data = append(a.data, k...)
-	a.offs = append(a.offs, off<<16|uint64(len(k)))
-	return uint64(len(a.offs) - 1)
-}
-
-func (a *arena) key(id uint64) []byte {
-	e := a.offs[id]
-	off, n := e>>16, e&0xFFFF
-	return a.data[off : off+n]
-}
-
 // MaxMapKeyLen is the maximum Map key length in bytes: the worst-case
 // escape (every byte a zero) doubles the key and adds a two-byte
 // terminator, which must still fit in MaxKeyLen.
@@ -60,7 +42,7 @@ const MaxMapKeyLen = (MaxKeyLen - 2) / 2
 // NewMap returns an empty Map.
 func NewMap() *Map {
 	m := &Map{vals: make([]uint64, 0, 16), buf: make([]byte, 0, 64)}
-	m.t = core.New(func(tid core.TID, _ []byte) []byte { return m.keys.key(tid) })
+	m.t = core.New(m.keys.Key)
 	m.statsBase = statsBase{m.t}
 	return m
 }
@@ -90,7 +72,7 @@ func (m *Map) Set(key []byte, val uint64) bool {
 		m.vals[tid] = val
 		return false
 	}
-	tid := m.keys.add(ek)
+	tid := m.keys.Add(ek)
 	m.vals = append(m.vals, val)
 	m.t.Insert(ek, tid)
 	return true
@@ -166,7 +148,7 @@ func (m *Map) Range(start []byte, max int, fn func(key []byte, val uint64) bool)
 	}
 	var dec []byte
 	return m.t.Scan(es, max, func(tid core.TID) bool {
-		dec = unescapeKey(dec[:0], m.keys.key(tid))
+		dec = unescapeKey(dec[:0], m.keys.Key(tid, nil))
 		return fn(dec, m.vals[tid])
 	})
 }

@@ -31,8 +31,8 @@ import (
 // scans and cursors walk the shards one after the next (a range
 // partition's global order, so only the shard a scan is in is ever open),
 // and the statistics and Verify methods aggregate across shards.
-// Snapshots multiplex all shards into one crash-safe file (see Snapshot and
-// LoadShardedTreeFile).
+// Snapshots multiplex all shards into one crash-safe file (see Save and
+// LoadShardedTree).
 //
 // Boundaries are fixed at construction from a sampled key table; a key
 // equal to a boundary routes to the shard above it.

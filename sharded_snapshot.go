@@ -4,25 +4,22 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 
 	"github.com/hotindex/hot/internal/core"
 	"github.com/hotindex/hot/internal/persist"
 	"github.com/hotindex/hot/internal/shard"
 )
 
-// Sharded snapshot persistence: a ShardedTree multiplexes its whole state
-// into ONE crash-safe file — a manifest section holding the boundary key
+// Sharded snapshot persistence: Save multiplexes a ShardedTree's whole
+// state into ONE stream — a manifest section holding the boundary key
 // table (kind KindShardManifest, entry i's TID is its boundary position)
 // followed by one complete snapshot section per shard, each a full
 // header/blocks/trailer stream of the internal/persist format. Sections
 // carry their own checksums, so damage is localized to the section it
-// hits: the Recover loaders rebuild every shard before the first damaged
-// byte and report exactly what was lost. SnapshotFile uses the same
-// tmp+fsync+rename protocol as every other SaveFile in this package, so a
-// crash mid-save never clobbers the previous snapshot. The durable
-// directory (durable_sharded.go) stores the same two section shapes as
-// separate files; the replication bootstrap (replicate.go) frames them.
+// hits: a salvaging LoadShardedTree rebuilds every shard before the first
+// damaged byte and reports exactly what was lost. The durable directory
+// (durable_sharded.go) stores the same two section shapes as separate
+// files; the replication bootstrap (replicate.go) frames them.
 
 // writeManifest streams the manifest section: the boundary key table.
 func (t *ShardedTree) writeManifest(w io.Writer) error {
@@ -44,8 +41,8 @@ func (t *ShardedTree) writeShard(w io.Writer, i int) error {
 	return writeSnapshot(w, persist.KindTree, t.SnapshotCodec(), false, t.shards[i].Load().walk)
 }
 
-// writeSections streams the manifest plus one data section per shard.
-func (t *ShardedTree) writeSections(w io.Writer) error {
+// save streams the manifest plus one data section per shard (see Save).
+func (t *ShardedTree) save(w io.Writer) error {
 	if err := t.writeManifest(w); err != nil {
 		return err
 	}
@@ -57,23 +54,10 @@ func (t *ShardedTree) writeSections(w io.Writer) error {
 	return nil
 }
 
-// Snapshot writes a snapshot of the live sharded tree to w without
-// blocking concurrent writers: each shard section walks its shard under an
-// epoch guard exactly like ConcurrentTree.Snapshot. The sections are taken
-// one after another; entries committed while the snapshot streams may or
-// may not be included, and each included entry is a value its key held
-// during its section's walk (wait-free reader semantics).
-func (t *ShardedTree) Snapshot(w io.Writer) error {
-	return t.writeSections(w)
-}
-
-// SnapshotFile atomically writes a snapshot of the live sharded tree to
-// path: manifest and all shard sections stream to path+".tmp", which is
-// fsynced, renamed over path, and the directory is fsynced. On any error
-// path is left untouched.
-func (t *ShardedTree) SnapshotFile(path string) error {
-	return persist.AtomicFile(path, t.Snapshot)
-}
+// SnapshotFile is SaveFile(path, t). It goes once the benchmark ladder
+// seeds its durable directory through Checkpoint instead of through a
+// single-file snapshot.
+func (t *ShardedTree) SnapshotFile(path string) error { return SaveFile(path, t) }
 
 // load is the one way a sorted section enters shard i: it returns the sink
 // that vets each entry and inserts it into tr — the shard's trie, or the
@@ -176,7 +160,7 @@ func foreign(err error) bool {
 // readManifest parses a manifest section from r and returns the empty tree
 // its boundary table defines, resolving through loader and vetting every
 // entry that enters it with check. Every consumer of a manifest — the file
-// loaders above, the durable open and the replication follower — starts
+// loader above, the durable open and the replication follower — starts
 // here.
 func readManifest(r io.Reader, loader Loader, check persist.EntryFunc) (*ShardedTree, error) {
 	var bounds [][]byte
@@ -197,43 +181,20 @@ func readManifest(r io.Reader, loader Loader, check persist.EntryFunc) (*Sharded
 }
 
 // LoadShardedTree rebuilds a ShardedTree from a sharded snapshot,
-// restoring the original shard boundaries, validating checksums, key
-// order, per-shard key routing and prefix-freeness as it streams, and
-// returning a typed *SnapshotError (with the absolute byte offset of the
-// damage) on any corruption. The loader must resolve every TID stored in
-// the snapshot, exactly as it did when the snapshot was saved.
-func LoadShardedTree(r io.Reader, loader Loader) (*ShardedTree, error) {
-	t, _, err := readSharded(r, mustLoader(loader), nil, false)
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// LoadShardedTreeFile is LoadShardedTree over the file at path.
-func LoadShardedTreeFile(path string, loader Loader) (*ShardedTree, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadShardedTree(f, loader)
-}
-
-// RecoverShardedTreeFile rebuilds a ShardedTree from the longest valid
-// prefix of a possibly damaged sharded snapshot: every shard section
-// before the first damage is restored completely, the damaged section
-// contributes its valid block prefix, and later shards are left empty.
-// The report says how much was salvaged and what damage stopped the read;
-// the error is non-nil only when nothing could be loaded at all (an
-// unreadable file or manifest) or a section is of another index kind — a
-// file that is not a ShardedTree's, which salvage must not cut down.
-func RecoverShardedTreeFile(path string, loader Loader) (*ShardedTree, RecoveryReport, error) {
-	mustLoader(loader)
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, RecoveryReport{}, err
-	}
-	defer f.Close()
-	return readSharded(f, loader, nil, true)
+// restoring the original shard boundaries and validating checksums, key
+// order, per-shard key routing and prefix-freeness as it streams. The
+// loader must resolve every TID stored in the snapshot, exactly as it did
+// when the snapshot was saved.
+//
+// In strict mode (salvage false) any damage is a typed *SnapshotError
+// carrying the absolute byte offset of the damage. With salvage true,
+// every shard section before the first damage is restored completely, the
+// damaged section contributes its valid block prefix, and later shards are
+// left empty; the report says how much was salvaged and what damage
+// stopped the read. In either mode the error is non-nil, and the tree nil,
+// when nothing could be loaded at all (an unreadable manifest) or a section
+// is of another index kind — a file that is not a ShardedTree's, which
+// salvage must not cut down.
+func LoadShardedTree(r io.Reader, loader Loader, salvage bool) (*ShardedTree, RecoveryReport, error) {
+	return readSharded(r, mustLoader(loader), nil, salvage)
 }

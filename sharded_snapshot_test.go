@@ -16,6 +16,16 @@ import (
 	"github.com/hotindex/hot/internal/tidstore"
 )
 
+// loadShardedFile is LoadShardedTree over the file at path.
+func loadShardedFile(path string, loader Loader, salvage bool) (*ShardedTree, RecoveryReport, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, RecoveryReport{}, err
+	}
+	defer f.Close()
+	return LoadShardedTree(f, loader, salvage)
+}
+
 // TestShardedSnapshotRoundTrip: snapshot → load must preserve the boundary
 // table, every shard's contents, and the global iteration order for all
 // data-set shapes and shard counts.
@@ -31,10 +41,10 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 				orig, _ := buildPair(keys, s, shards)
 
 				var buf bytes.Buffer
-				if err := orig.Snapshot(&buf); err != nil {
+				if err := Save(&buf, orig); err != nil {
 					t.Fatal(err)
 				}
-				got, err := LoadShardedTree(bytes.NewReader(buf.Bytes()), s.Key)
+				got, _, err := LoadShardedTree(bytes.NewReader(buf.Bytes()), s.Key, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -81,17 +91,17 @@ func TestShardedSnapshotFileRoundTrip(t *testing.T) {
 	}
 	orig, _ := buildPair(keys, s, 4)
 	path := filepath.Join(t.TempDir(), "sharded.hot")
-	if err := orig.SnapshotFile(path); err != nil {
+	if err := SaveFile(path, orig); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadShardedTreeFile(path, s.Key)
+	got, _, err := loadShardedFile(path, s.Key, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != orig.Len() {
 		t.Fatalf("Len %d != %d", got.Len(), orig.Len())
 	}
-	rec, rep, err := RecoverShardedTreeFile(path, s.Key)
+	rec, rep, err := loadShardedFile(path, s.Key, true)
 	if err != nil || !rep.Complete || rep.Damage != nil {
 		t.Fatalf("recover of clean file: err=%v rep=%+v", err, rep)
 	}
@@ -103,7 +113,7 @@ func TestShardedSnapshotFileRoundTrip(t *testing.T) {
 // TestShardedSnapshotDamageSweep truncates and bit-flips a sharded
 // snapshot at offsets throughout the file. Strict load must never succeed
 // on a damaged image with silently missing data unless the damage is
-// outside validated bytes; Recover must either fail loudly (manifest
+// outside validated bytes; a salvaging load must either fail loudly (manifest
 // damage) or salvage a verifiable tree whose scan is exactly a prefix of
 // the global sorted key order — the shard sections are laid out in key
 // order, so the salvage guarantee is a *global* prefix.
@@ -115,7 +125,7 @@ func TestShardedSnapshotDamageSweep(t *testing.T) {
 	}
 	orig, _ := buildPair(keys, s, 4)
 	var buf bytes.Buffer
-	if err := orig.Snapshot(&buf); err != nil {
+	if err := Save(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
 	img := buf.Bytes()
@@ -130,11 +140,11 @@ func TestShardedSnapshotDamageSweep(t *testing.T) {
 		if err := os.WriteFile(path, damaged, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rec, rep, err := RecoverShardedTreeFile(path, s.Key)
+		rec, rep, err := loadShardedFile(path, s.Key, true)
 		if err != nil {
 			// Unsalvageable: must be manifest-level damage, and the strict
 			// loader must agree it is unloadable.
-			if _, lerr := LoadShardedTreeFile(path, s.Key); lerr == nil {
+			if _, _, lerr := loadShardedFile(path, s.Key, false); lerr == nil {
 				t.Fatalf("recover failed (%v) but strict load succeeded", err)
 			}
 			return
@@ -186,10 +196,10 @@ func TestShardedSnapshotKindMismatch(t *testing.T) {
 	plain := New(s.Key)
 	plain.Insert(k, s.Add(k))
 	var pb bytes.Buffer
-	if err := plain.Save(&pb); err != nil {
+	if err := Save(&pb, plain); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadShardedTree(bytes.NewReader(pb.Bytes()), s.Key); err == nil {
+	if _, _, err := LoadShardedTree(bytes.NewReader(pb.Bytes()), s.Key, false); err == nil {
 		t.Fatal("plain snapshot loaded as sharded")
 	} else if se, ok := err.(*SnapshotError); !ok || se.Kind != SnapErrWrongKind {
 		t.Fatalf("want ErrWrongKind, got %v", err)
@@ -197,10 +207,10 @@ func TestShardedSnapshotKindMismatch(t *testing.T) {
 
 	sharded, _ := buildPair([][]byte{k}, s, 2)
 	var sb bytes.Buffer
-	if err := sharded.Snapshot(&sb); err != nil {
+	if err := Save(&sb, sharded); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadTree(bytes.NewReader(sb.Bytes()), s.Key); err == nil {
+	if _, err := Load(bytes.NewReader(sb.Bytes()), New(s.Key), false); err == nil {
 		t.Fatal("sharded snapshot loaded as plain")
 	}
 	// Nor does a sharded image whose sections hold another kind: the
@@ -221,15 +231,10 @@ func TestShardedSnapshotKindMismatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	path := filepath.Join(t.TempDir(), "set.hot")
-	if err := os.WriteFile(path, setb.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := LoadShardedTree(bytes.NewReader(setb.Bytes()), tidstore.Uint64Key)
-	_, _, rerr := RecoverShardedTreeFile(path, tidstore.Uint64Key)
-	for _, err := range []error{err, rerr} {
+	for _, salvage := range []bool{false, true} {
+		_, _, err := LoadShardedTree(bytes.NewReader(setb.Bytes()), tidstore.Uint64Key, salvage)
 		if se, ok := err.(*SnapshotError); !ok || se.Kind != SnapErrWrongKind {
-			t.Fatalf("sharded image of integer-set sections: want ErrWrongKind, got %v", err)
+			t.Fatalf("sharded image of integer-set sections (salvage %v): want ErrWrongKind, got %v", salvage, err)
 		}
 	}
 }
@@ -274,10 +279,10 @@ func TestShardedEmbeddedKeySnapshotRoundTrip(t *testing.T) {
 		set.Insert(u64Key(v), v)
 	}
 	path := filepath.Join(t.TempDir(), "set.hot")
-	if err := set.SnapshotFile(path); err != nil {
+	if err := SaveFile(path, set); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadShardedTreeFile(path, tidstore.Uint64Key)
+	got, _, err := loadShardedFile(path, tidstore.Uint64Key, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +297,7 @@ func TestShardedEmbeddedKeySnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("value %d after round trip: (%d, %v)", v, tid, ok)
 		}
 	}
-	rec, rep, err := RecoverShardedTreeFile(path, tidstore.Uint64Key)
+	rec, rep, err := loadShardedFile(path, tidstore.Uint64Key, true)
 	if err != nil || !rep.Complete {
 		t.Fatalf("recover clean file: err=%v rep=%+v", err, rep)
 	}
@@ -354,7 +359,7 @@ func shardedCrashChild(pointName, dir string) {
 	reg := chaos.New(shardedCrashSeed)
 	reg.On(point, 1, chaos.Exit(shardedCrashExit))
 	reg.Arm()
-	err := tr.SnapshotFile(filepath.Join(dir, "sharded.hot"))
+	err := SaveFile(filepath.Join(dir, "sharded.hot"), tr)
 	chaos.Disarm()
 	fmt.Fprintf(os.Stderr, "point %s never fired (save err: %v)\n", pointName, err)
 	os.Exit(5)
@@ -378,7 +383,7 @@ func TestShardedCrashMatrix(t *testing.T) {
 		t.Run(point.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "sharded.hot")
-			if err := buildShardedCrashTree(store, keys, shardedCrashPrev).SnapshotFile(path); err != nil {
+			if err := SaveFile(path, buildShardedCrashTree(store, keys, shardedCrashPrev)); err != nil {
 				t.Fatal(err)
 			}
 
@@ -391,10 +396,9 @@ func TestShardedCrashMatrix(t *testing.T) {
 				t.Fatalf("writer did not crash at the point (err=%v):\n%s", err, out)
 			}
 
-			tr, err := LoadShardedTreeFile(path, store.Key)
+			tr, rep, err := loadShardedFile(path, store.Key, false)
 			if err != nil {
-				var rep RecoveryReport
-				tr, rep, err = RecoverShardedTreeFile(path, store.Key)
+				tr, rep, err = loadShardedFile(path, store.Key, true)
 				if err != nil {
 					t.Fatalf("sharded snapshot unrecoverable after crash: %v", err)
 				}
@@ -444,7 +448,7 @@ func TestShardedCrashMatrix(t *testing.T) {
 				if err := os.WriteFile(ttmp, blob, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				rec, rep, rerr2 := RecoverShardedTreeFile(ttmp, store.Key)
+				rec, rep, rerr2 := loadShardedFile(ttmp, store.Key, true)
 				if rerr2 == nil {
 					if err := rec.Verify(); err != nil {
 						t.Fatalf("torn temp salvage fails Verify: %v", err)
@@ -484,7 +488,7 @@ func TestShardedSnapshotSectionKindGuard(t *testing.T) {
 		}
 	}
 	s := &tidstore.Store{}
-	if _, err := LoadShardedTree(bytes.NewReader(buf.Bytes()), s.Key); err == nil {
+	if _, _, err := LoadShardedTree(bytes.NewReader(buf.Bytes()), s.Key, false); err == nil {
 		t.Fatal("wrong section kind accepted")
 	} else if se, ok := err.(*SnapshotError); !ok || se.Kind != SnapErrWrongKind {
 		t.Fatalf("want ErrWrongKind, got %v", err)

@@ -1,7 +1,7 @@
 package hot
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -10,15 +10,18 @@ import (
 	"github.com/hotindex/hot/internal/persist"
 )
 
-// Snapshot persistence: every index type can save a versioned, checksummed
+// Snapshot persistence: every index type saves a versioned, checksummed
 // binary snapshot (internal/persist format: magic + header, per-block
-// CRC32, trailer with the authoritative entry count) and load it back.
-// SaveFile variants are crash-safe — temp file, fsync, atomic rename,
-// directory fsync — so a crash mid-save leaves the previous snapshot
-// intact. Load variants validate everything (checksums, key order, entry
-// counts) and return typed *SnapshotError values with exact byte offsets;
-// Recover variants additionally salvage the longest valid prefix of a
-// damaged file.
+// CRC32, trailer with the authoritative entry count) through Save, or
+// crash-safely through SaveFile — temp file, fsync, atomic rename,
+// directory fsync — the one place this package applies that protocol to a
+// snapshot. Load fills an empty Tree, ConcurrentTree or Map back from one,
+// and LoadShardedTree rebuilds a ShardedTree with the boundaries its file
+// records. Both validate everything (checksums, key order, entry counts)
+// and return typed *SnapshotError values with exact byte offsets, or, asked
+// to salvage, keep the longest valid prefix of a damaged file. A section's
+// kind byte names the index type that wrote it, and every loader refuses
+// another type's section.
 
 // SnapshotError is the typed error the snapshot loaders return for a
 // damaged or incompatible file: the damage kind, the exact byte offset of
@@ -36,7 +39,7 @@ const (
 	// format version.
 	SnapErrVersionSkew = persist.ErrVersionSkew
 	// SnapErrWrongKind: the snapshot holds a different index type (e.g. a
-	// Map snapshot loaded as a Uint64Set).
+	// Map snapshot loaded into a Tree).
 	SnapErrWrongKind = persist.ErrWrongKind
 	// SnapErrTruncated: the file ends mid-structure (torn tail).
 	SnapErrTruncated = persist.ErrTruncated
@@ -76,7 +79,7 @@ func ParseSnapshotCodec(s string) (SnapshotCodec, error) { return persist.ParseC
 type codecOpt struct{ codec atomic.Uint32 }
 
 // SetSnapshotCodec selects the block codec used by this index's subsequent
-// Save/Snapshot/checkpoint writes. The default is SnapshotCodecRaw; the
+// Save/SaveFile/checkpoint writes. The default is SnapshotCodecRaw; the
 // choice affects only files written from now on — every reader accepts
 // both codecs regardless of this setting.
 func (c *codecOpt) SetSnapshotCodec(codec SnapshotCodec) { c.codec.Store(uint32(codec)) }
@@ -84,70 +87,92 @@ func (c *codecOpt) SetSnapshotCodec(codec SnapshotCodec) { c.codec.Store(uint32(
 // SnapshotCodec returns the codec subsequent snapshot writes will use.
 func (c *codecOpt) SnapshotCodec() SnapshotCodec { return SnapshotCodec(c.codec.Load()) }
 
-// RecoveryReport describes what a Recover* loader salvaged: how many
-// entries were delivered from the valid prefix, whether the snapshot was in
-// fact complete, and the first damage found (nil when complete).
+// RecoveryReport describes what a load delivered: how many entries came
+// from the valid prefix, whether the snapshot was in fact complete, and the
+// first damage found (nil when complete).
 type RecoveryReport = persist.RecoveryReport
 
-// ---- Tree ----
+// snapshotter is the sealed set of index types Save and SaveFile accept:
+// *Tree, *ConcurrentTree, *ShardedTree and *Map.
+type snapshotter interface {
+	save(w io.Writer) error
+}
 
-// Save writes a snapshot of the tree — every (key, TID) entry in ascending
-// key order, keys resolved through the loader — to w. Use SaveFile for
-// crash-safe on-disk snapshots.
-func (t *Tree) Save(w io.Writer) error {
+// Save writes a snapshot of x — a *Tree, *ConcurrentTree, *ShardedTree or
+// *Map — to w under x's SnapshotCodec: every entry in ascending key order,
+// a Tree's keys resolved through its loader, a Map's in their original
+// (unescaped) bytes. A ShardedTree's snapshot is its manifest (the shard
+// boundary table) followed by one section per shard.
+//
+// A ConcurrentTree or ShardedTree is saved without blocking concurrent
+// writers: each walk runs under an epoch guard, so inserts and deletes
+// proceed copy-on-write (their retired nodes are simply not reclaimed until
+// the walk finishes) and upserts of present keys in place. Entries
+// committed while the snapshot streams may or may not be included, exactly
+// like the paper's wait-free scans: each included entry is a value its key
+// held during the walk, and the sequence is always ascending and
+// structurally consistent. A ShardedTree's shards are walked one after
+// another.
+func Save(w io.Writer, x snapshotter) error { return x.save(w) }
+
+// SaveFile atomically writes Save's snapshot of x to path: the stream goes
+// to path+".tmp", is fsynced, renamed over path, and the directory is
+// fsynced, so a crash mid-save leaves the previous snapshot intact. On any
+// error path is left untouched.
+func SaveFile(path string, x snapshotter) error { return persist.AtomicFile(path, x.save) }
+
+func (t *Tree) save(w io.Writer) error {
 	return writeSnapshot(w, persist.KindTree, t.SnapshotCodec(), false, walkSource(t.t.Walk))
 }
 
-// SaveFile atomically writes a snapshot of the tree to path: the stream
-// goes to path+".tmp", is fsynced, renamed over path, and the directory is
-// fsynced. On any error path is left untouched.
-func (t *Tree) SaveFile(path string) error {
-	return writeSnapshotFile(path, persist.KindTree, t.SnapshotCodec(), false, walkSource(t.t.Walk))
+func (t *ConcurrentTree) save(w io.Writer) error {
+	return writeSnapshot(w, persist.KindTree, t.SnapshotCodec(), false, walkSource(t.t.SnapshotWalk))
 }
 
-// SaveIndexedFile is SaveFile with the sparse per-block key index
-// appended after the trailer, so the snapshot can later serve point
-// lookups directly from disk (via the cold tier's page cache) without
-// being loaded. The file remains fully readable by LoadTreeFile and
-// older readers, which stop at the trailer.
-func (t *Tree) SaveIndexedFile(path string) error {
-	return writeSnapshotFile(path, persist.KindTree, t.SnapshotCodec(), true, walkSource(t.t.Walk))
+func (m *Map) save(w io.Writer) error {
+	return writeSnapshot(w, persist.KindMap, m.SnapshotCodec(), false, walkSource(m.walk))
 }
 
-// LoadTree rebuilds a Tree from a snapshot, validating checksums, key
-// order and prefix-freeness as it streams entries, and returns a typed
-// *SnapshotError (with the byte offset of the damage) on any corruption.
-// The loader must resolve every TID stored in the snapshot, exactly as it
-// did when the snapshot was saved.
-func LoadTree(r io.Reader, loader Loader) (*Tree, error) {
-	t := New(loader)
-	if _, err := persist.Read(r, persist.KindTree, loadInto(t.t.Insert)); err != nil {
-		return nil, err
+// loadTarget is the sealed set of index types Load fills: *Tree,
+// *ConcurrentTree and *Map. sink returns the section kind the type reads
+// and the function every loaded entry goes through.
+type loadTarget interface {
+	Len() int
+	sink() (kind uint16, fn persist.EntryFunc)
+}
+
+// Load fills x — an empty *Tree, *ConcurrentTree or *Map — from the
+// snapshot in r, validating checksums, key order, prefix-freeness and the
+// entry count as it streams. A Tree's loader must resolve every TID stored
+// in the snapshot, exactly as it did when the snapshot was saved.
+//
+// In strict mode (salvage false) any damage is returned as a typed
+// *SnapshotError carrying the byte offset of the damaged unit. With salvage
+// true, Load keeps the longest valid prefix of a damaged snapshot instead:
+// the report says how many entries were salvaged and what damage stopped
+// the read, and the error is non-nil only when nothing could be loaded at
+// all (an unreadable header, or a snapshot of another index kind, which
+// leaves x empty). After a strict-mode error x holds the entries before
+// the damage and should be discarded.
+func Load(r io.Reader, x loadTarget, salvage bool) (RecoveryReport, error) {
+	if x.Len() != 0 {
+		return RecoveryReport{}, errors.New("hot: Load into a non-empty index")
 	}
-	return t, nil
+	kind, fn := x.sink()
+	if salvage {
+		return persist.Recover(r, kind, fn)
+	}
+	n, err := persist.Read(r, kind, fn)
+	rep := RecoveryReport{Entries: n, Complete: err == nil}
+	errors.As(err, &rep.Damage)
+	return rep, err
 }
 
-// LoadTreeFile is LoadTree over the file at path.
-func LoadTreeFile(path string, loader Loader) (*Tree, error) {
-	t := New(loader)
-	if _, err := persist.ReadFile(path, persist.KindTree, loadInto(t.t.Insert)); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
+// sink loads tree entries into a Tree or a ConcurrentTree.
+func (b *base) sink() (uint16, persist.EntryFunc) { return persist.KindTree, loadInto(b.ic.Insert) }
 
-// RecoverTreeFile rebuilds a Tree from the longest valid prefix of a
-// possibly damaged snapshot. The report says how much was salvaged and what
-// damage stopped the read; the error is non-nil only when nothing could be
-// loaded at all (unreadable file, or not a tree snapshot).
-func RecoverTreeFile(path string, loader Loader) (*Tree, RecoveryReport, error) {
-	t := New(loader)
-	rep, err := persist.RecoverFile(path, persist.KindTree, loadInto(t.t.Insert))
-	if err != nil {
-		return nil, rep, err
-	}
-	return t, rep, nil
-}
+// sink loads map entries, keys in their original bytes.
+func (m *Map) sink() (uint16, persist.EntryFunc) { return persist.KindMap, m.loadEntry }
 
 // loadInto returns the sink every tree-shaped load ends in — Tree and a
 // shard's writer batch alike: insert, converting a rejection (a duplicate
@@ -180,7 +205,7 @@ func walkSource(walk func(func(key []byte, tid core.TID) bool) int) entrySource 
 	}
 }
 
-// writeSnapshot is the write side of every Save/Snapshot entry point: one
+// writeSnapshot is the write side of every snapshot and cut: one
 // complete section of the given kind — header, src's entries as blocks under
 // codec, trailer, and the HIDX block index when indexed — streamed to w.
 func writeSnapshot(w io.Writer, kind uint16, codec SnapshotCodec, indexed bool, src entrySource) error {
@@ -198,82 +223,9 @@ func writeSnapshot(w io.Writer, kind uint16, codec SnapshotCodec, indexed bool, 
 	return sw.Close()
 }
 
-// writeSnapshotFile is writeSnapshot under the crash-safe file protocol:
-// temp file, fsync, atomic rename, directory fsync.
-func writeSnapshotFile(path string, kind uint16, codec SnapshotCodec, indexed bool, src entrySource) error {
-	return persist.AtomicFile(path, func(w io.Writer) error {
-		return writeSnapshot(w, kind, codec, indexed, src)
-	})
-}
-
-// ---- ConcurrentTree ----
-
-// Snapshot writes a snapshot of the live tree to w without blocking
-// concurrent writers: the walk runs under a single epoch guard, so writers
-// proceed — inserts and deletes copy-on-write, their retired nodes simply
-// not reclaimed until the snapshot finishes, and upserts of present keys in
-// place. Entries committed while the snapshot streams may or may not be
-// included, exactly like the paper's wait-free scans: each included entry
-// is a value its key held during the walk, and what is included is always
-// a structurally consistent ascending key sequence.
-func (t *ConcurrentTree) Snapshot(w io.Writer) error {
-	return writeSnapshot(w, persist.KindTree, t.SnapshotCodec(), false, walkSource(t.t.SnapshotWalk))
-}
-
-// SnapshotFile atomically writes a snapshot of the live tree to path (see
-// Snapshot for the concurrency semantics and SaveFile for the durability
-// protocol).
-func (t *ConcurrentTree) SnapshotFile(path string) error {
-	return writeSnapshotFile(path, persist.KindTree, t.SnapshotCodec(), false, walkSource(t.t.SnapshotWalk))
-}
-
-// ---- Map ----
-
-// Save writes a snapshot of the map — every (key, value) pair in ascending
-// key order, keys in their original (unescaped) bytes — to w.
-func (m *Map) Save(w io.Writer) error {
-	return writeSnapshot(w, persist.KindMap, m.SnapshotCodec(), false, walkSource(m.walk))
-}
-
-// SaveFile atomically writes a snapshot of the map to path (see
-// Tree.SaveFile for the durability protocol).
-func (m *Map) SaveFile(path string) error {
-	return writeSnapshotFile(path, persist.KindMap, m.SnapshotCodec(), false, walkSource(m.walk))
-}
-
 // walk hands out every pair with its original (unescaped) key bytes.
 func (m *Map) walk(emit func(key []byte, val uint64) bool) int {
 	return m.Range(nil, -1, emit)
-}
-
-// LoadMap rebuilds a Map from a snapshot, returning a typed
-// *SnapshotError on any corruption.
-func LoadMap(r io.Reader) (*Map, error) {
-	m := NewMap()
-	if _, err := persist.Read(r, persist.KindMap, m.loadEntry); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// LoadMapFile is LoadMap over the file at path.
-func LoadMapFile(path string) (*Map, error) {
-	m := NewMap()
-	if _, err := persist.ReadFile(path, persist.KindMap, m.loadEntry); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// RecoverMapFile rebuilds a Map from the longest valid prefix of a
-// possibly damaged snapshot (see RecoverTreeFile).
-func RecoverMapFile(path string) (*Map, RecoveryReport, error) {
-	m := NewMap()
-	rep, err := persist.RecoverFile(path, persist.KindMap, m.loadEntry)
-	if err != nil {
-		return nil, rep, err
-	}
-	return m, rep, nil
 }
 
 func (m *Map) loadEntry(key []byte, val uint64) error {
@@ -284,66 +236,6 @@ func (m *Map) loadEntry(key []byte, val uint64) error {
 	if !m.Set(key, val) {
 		return &SnapshotError{Kind: persist.ErrCorrupt,
 			Detail: fmt.Sprintf("duplicate map key %q", key)}
-	}
-	return nil
-}
-
-// ---- Uint64Set ----
-
-// Save writes a snapshot of the set — every value as its 8-byte big-endian
-// key with the value embedded as the TID — to w.
-func (s *Uint64Set) Save(w io.Writer) error {
-	return writeSnapshot(w, persist.KindUint64Set, s.SnapshotCodec(), false, walkSource(s.t.Walk))
-}
-
-// SaveFile atomically writes a snapshot of the set to path (see
-// Tree.SaveFile for the durability protocol).
-func (s *Uint64Set) SaveFile(path string) error {
-	return writeSnapshotFile(path, persist.KindUint64Set, s.SnapshotCodec(), false, walkSource(s.t.Walk))
-}
-
-// LoadUint64Set rebuilds a Uint64Set from a snapshot, returning a typed
-// *SnapshotError on any corruption.
-func LoadUint64Set(r io.Reader) (*Uint64Set, error) {
-	s := NewUint64Set()
-	if _, err := persist.Read(r, persist.KindUint64Set, s.loadEntry); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// LoadUint64SetFile is LoadUint64Set over the file at path.
-func LoadUint64SetFile(path string) (*Uint64Set, error) {
-	s := NewUint64Set()
-	if _, err := persist.ReadFile(path, persist.KindUint64Set, s.loadEntry); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// checkSetEntry validates the embedded-key convention of integer-set
-// entries: the 8-byte big-endian key must decode to exactly the stored TID.
-func checkSetEntry(key []byte, tid TID) error {
-	if len(key) != 8 {
-		return &SnapshotError{Kind: persist.ErrCorrupt,
-			Detail: fmt.Sprintf("set key length %d, want 8", len(key))}
-	}
-	if v := binary.BigEndian.Uint64(key); v != tid {
-		return &SnapshotError{Kind: persist.ErrCorrupt,
-			Detail: fmt.Sprintf("set key decodes to %d, TID is %d", v, tid)}
-	}
-	return nil
-}
-
-// loadEntry holds the entry to the embedded-key convention (checkSetEntry)
-// before inserting it.
-func (s *Uint64Set) loadEntry(key []byte, tid TID) error {
-	if err := checkSetEntry(key, tid); err != nil {
-		return err
-	}
-	if !s.Insert(tid) {
-		return &SnapshotError{Kind: persist.ErrCorrupt,
-			Detail: fmt.Sprintf("duplicate set value %d", tid)}
 	}
 	return nil
 }

@@ -11,21 +11,43 @@ import (
 
 	"github.com/hotindex/hot/internal/chaos"
 	"github.com/hotindex/hot/internal/dataset"
+	"github.com/hotindex/hot/internal/persist"
 	"github.com/hotindex/hot/internal/tidstore"
 )
 
+// loadFile is Load over the file at path.
+func loadFile(path string, x loadTarget, salvage bool) (RecoveryReport, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return RecoveryReport{}, err
+	}
+	defer f.Close()
+	return Load(f, x, salvage)
+}
+
+// loadTree strictly loads a tree snapshot from blob through loader.
+func loadTree(t *testing.T, blob []byte, loader Loader) *Tree {
+	t.Helper()
+	tr := New(loader)
+	if _, err := Load(bytes.NewReader(blob), tr, false); err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 // collectKeys returns the tree's full key sequence in scan order.
-func collectKeys(t *Tree, s *tidstore.Store) [][]byte {
+func collectKeys(t *Tree, loader Loader) [][]byte {
 	var out [][]byte
 	t.Scan(nil, t.Len(), func(tid TID) bool {
-		out = append(out, append([]byte(nil), s.Key(tid, nil)...))
+		out = append(out, append([]byte(nil), loader(tid, nil)...))
 		return true
 	})
 	return out
 }
 
 // TestSnapshotRoundTripDatasets is the acceptance round trip: for each of
-// the paper's four data-set shapes, save/load must be byte-exact on Len,
+// the paper's four data-set shapes over a tuple store, and for integer
+// keys embedded in their TIDs, save/load must be byte-exact on Len,
 // iteration order, and lookups.
 func TestSnapshotRoundTripDatasets(t *testing.T) {
 	for _, kind := range dataset.Kinds() {
@@ -36,46 +58,77 @@ func TestSnapshotRoundTripDatasets(t *testing.T) {
 			for _, k := range keys {
 				orig.Insert(k, s.Add(k))
 			}
-
-			var buf bytes.Buffer
-			if err := orig.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			got, err := LoadTree(bytes.NewReader(buf.Bytes()), s.Key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Len() != orig.Len() {
-				t.Fatalf("Len %d != %d", got.Len(), orig.Len())
-			}
-			if err := got.Verify(); err != nil {
-				t.Fatal(err)
-			}
-			wantSeq := collectKeys(orig, s)
-			gotSeq := collectKeys(got, s)
-			for i := range wantSeq {
-				if !bytes.Equal(wantSeq[i], gotSeq[i]) {
-					t.Fatalf("iteration order diverges at %d: %q vs %q", i, gotSeq[i], wantSeq[i])
-				}
-			}
-			for _, k := range keys {
-				wantTID, _ := orig.Lookup(k)
-				gotTID, ok := got.Lookup(k)
-				if !ok || gotTID != wantTID {
-					t.Fatalf("lookup %q = (%d,%v), want (%d,true)", k, gotTID, ok, wantTID)
-				}
-			}
-
-			// A second save must produce byte-identical output: the format
-			// has no timestamps or nondeterminism.
-			var buf2 bytes.Buffer
-			if err := got.Save(&buf2); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-				t.Fatal("re-saved snapshot differs byte-for-byte")
-			}
+			checkSnapshotRoundTrip(t, orig, keys, s.Key)
 		})
+	}
+	t.Run("embedded", func(t *testing.T) {
+		orig := New(tidstore.Uint64Key)
+		var keys [][]byte
+		for i := uint64(0); i < 5000; i++ {
+			v := i*i + 1
+			keys = append(keys, u64Key(v))
+			orig.Insert(u64Key(v), v)
+		}
+		checkSnapshotRoundTrip(t, orig, keys, tidstore.Uint64Key)
+	})
+}
+
+// checkSnapshotRoundTrip saves orig, loads it back through loader and
+// compares the two on Len, Verify, iteration order and the lookup of every
+// key. Saving the loaded tree again, saving orig through SaveFile, and
+// loading into a ConcurrentTree and saving that must all reproduce the
+// first snapshot byte for byte: the format has no timestamps or
+// nondeterminism, and both tree types read and write the same kind.
+func checkSnapshotRoundTrip(t *testing.T, orig *Tree, keys [][]byte, loader Loader) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Save(&buf, orig); err != nil {
+		t.Fatal(err)
+	}
+	got := loadTree(t, buf.Bytes(), loader)
+	if got.Len() != orig.Len() {
+		t.Fatalf("Len %d != %d", got.Len(), orig.Len())
+	}
+	if err := got.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	wantSeq := collectKeys(orig, loader)
+	gotSeq := collectKeys(got, loader)
+	for i := range wantSeq {
+		if !bytes.Equal(wantSeq[i], gotSeq[i]) {
+			t.Fatalf("iteration order diverges at %d: %q vs %q", i, gotSeq[i], wantSeq[i])
+		}
+	}
+	for _, k := range keys {
+		wantTID, _ := orig.Lookup(k)
+		gotTID, ok := got.Lookup(k)
+		if !ok || gotTID != wantTID {
+			t.Fatalf("lookup %q = (%d,%v), want (%d,true)", k, gotTID, ok, wantTID)
+		}
+	}
+
+	ct := NewConcurrent(loader)
+	if _, err := Load(bytes.NewReader(buf.Bytes()), ct, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := ct.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []snapshotter{got, ct} {
+		var buf2 bytes.Buffer
+		if err := Save(&buf2, x); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+			t.Fatalf("%T re-saved snapshot differs byte-for-byte", x)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "tree.hot")
+	if err := SaveFile(path, orig); err != nil {
+		t.Fatal(err)
+	}
+	if blob, err := os.ReadFile(path); err != nil || !bytes.Equal(blob, buf.Bytes()) {
+		t.Fatalf("SaveFile wrote a different snapshot than Save (err %v)", err)
 	}
 }
 
@@ -87,12 +140,12 @@ func TestSnapshotEdgeShapes(t *testing.T) {
 
 	t.Run("empty", func(t *testing.T) {
 		var buf bytes.Buffer
-		if err := New(s.Key).Save(&buf); err != nil {
+		if err := Save(&buf, New(s.Key)); err != nil {
 			t.Fatal(err)
 		}
-		got, err := LoadTree(bytes.NewReader(buf.Bytes()), s.Key)
-		if err != nil || got.Len() != 0 {
-			t.Fatalf("empty round trip: len=%d err=%v", got.Len(), err)
+		got := loadTree(t, buf.Bytes(), s.Key)
+		if got.Len() != 0 {
+			t.Fatalf("empty round trip: len=%d", got.Len())
 		}
 		if err := got.Verify(); err != nil {
 			t.Fatal(err)
@@ -104,15 +157,19 @@ func TestSnapshotEdgeShapes(t *testing.T) {
 		k := []byte("solitary")
 		tr.Insert(k, s.Add(k))
 		var buf bytes.Buffer
-		if err := tr.Save(&buf); err != nil {
+		if err := Save(&buf, tr); err != nil {
 			t.Fatal(err)
 		}
-		got, err := LoadTree(bytes.NewReader(buf.Bytes()), s.Key)
-		if err != nil || got.Len() != 1 {
-			t.Fatalf("single round trip: len=%d err=%v", got.Len(), err)
+		got := loadTree(t, buf.Bytes(), s.Key)
+		if got.Len() != 1 {
+			t.Fatalf("single round trip: len=%d", got.Len())
 		}
 		if tid, ok := got.Lookup(k); !ok || s.Key(tid, nil) == nil {
 			t.Fatal("single entry lost")
+		}
+		// Load fills only an empty index.
+		if _, err := Load(bytes.NewReader(buf.Bytes()), got, true); err == nil || got.Len() != 1 {
+			t.Fatalf("load into a non-empty tree: err %v, len %d", err, got.Len())
 		}
 	})
 
@@ -125,12 +182,12 @@ func TestSnapshotEdgeShapes(t *testing.T) {
 			tr.Insert(k, s.Add(k))
 		}
 		var buf bytes.Buffer
-		if err := tr.Save(&buf); err != nil {
+		if err := Save(&buf, tr); err != nil {
 			t.Fatal(err)
 		}
-		got, err := LoadTree(bytes.NewReader(buf.Bytes()), s.Key)
-		if err != nil || got.Len() != len(keys) {
-			t.Fatalf("long-key round trip: len=%d err=%v", got.Len(), err)
+		got := loadTree(t, buf.Bytes(), s.Key)
+		if got.Len() != len(keys) {
+			t.Fatalf("long-key round trip: len=%d", got.Len())
 		}
 		for _, k := range keys {
 			if _, ok := got.Lookup(k); !ok {
@@ -161,24 +218,17 @@ func TestSnapshotMidDeletes(t *testing.T) {
 		}
 		if i == len(keys)/2 {
 			var buf bytes.Buffer
-			if err := tr.Save(&buf); err != nil {
+			if err := Save(&buf, tr); err != nil {
 				t.Fatal(err)
 			}
-			mid, err := LoadTree(bytes.NewReader(buf.Bytes()), s.Key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			snaps = append(snaps, mid)
+			snaps = append(snaps, loadTree(t, buf.Bytes(), s.Key))
 		}
 	}
 	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
+	if err := Save(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	final, err := LoadTree(bytes.NewReader(buf.Bytes()), s.Key)
-	if err != nil {
-		t.Fatal(err)
-	}
+	final := loadTree(t, buf.Bytes(), s.Key)
 	snaps = append(snaps, final)
 	for _, got := range snaps {
 		if err := got.Verify(); err != nil {
@@ -253,11 +303,11 @@ func TestConcurrentSnapshotUnderChaosDeletes(t *testing.T) {
 	snapshots := 0
 	for time.Now().Before(deadline) {
 		var buf bytes.Buffer
-		if err := tr.Snapshot(&buf); err != nil {
+		if err := Save(&buf, tr); err != nil {
 			t.Fatalf("snapshot under churn: %v", err)
 		}
-		got, err := LoadTree(bytes.NewReader(buf.Bytes()), store.Key)
-		if err != nil {
+		got := New(store.Key)
+		if _, err := Load(bytes.NewReader(buf.Bytes()), got, false); err != nil {
 			t.Fatalf("loading churn snapshot: %v", err)
 		}
 		if err := got.Verify(); err != nil {
@@ -282,7 +332,7 @@ func TestConcurrentSnapshotUnderChaosDeletes(t *testing.T) {
 }
 
 // TestMapSnapshotRoundTrip round-trips a Map with binary keys (embedded
-// zeros exercise the escape) through Save/LoadMap and SaveFile/LoadMapFile.
+// zeros exercise the escape) through a stream and through a file.
 func TestMapSnapshotRoundTrip(t *testing.T) {
 	m := NewMap()
 	var keys [][]byte
@@ -292,11 +342,11 @@ func TestMapSnapshotRoundTrip(t *testing.T) {
 		m.Set(k, uint64(i)*3)
 	}
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := Save(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadMap(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	got := NewMap()
+	if _, err := Load(bytes.NewReader(buf.Bytes()), got, false); err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != m.Len() {
@@ -329,66 +379,66 @@ func TestMapSnapshotRoundTrip(t *testing.T) {
 
 	// File round trip.
 	path := filepath.Join(t.TempDir(), "map.hot")
-	if err := m.SaveFile(path); err != nil {
+	if err := SaveFile(path, m); err != nil {
 		t.Fatal(err)
 	}
-	got2, err := LoadMapFile(path)
-	if err != nil || got2.Len() != m.Len() {
+	got2 := NewMap()
+	if _, err := loadFile(path, got2, false); err != nil || got2.Len() != m.Len() {
 		t.Fatalf("file round trip: len=%d err=%v", got2.Len(), err)
-	}
-}
-
-// TestUint64SetSnapshotRoundTrip round-trips the integer set, through a
-// stream and through a file.
-func TestUint64SetSnapshotRoundTrip(t *testing.T) {
-	s := NewUint64Set()
-	for i := uint64(0); i < 5000; i++ {
-		s.Insert(i*i + 1)
-	}
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadUint64Set(bytes.NewReader(buf.Bytes()))
-	if err != nil || got.Len() != s.Len() {
-		t.Fatalf("set round trip: len=%d err=%v", got.Len(), err)
-	}
-	for i := uint64(0); i < 5000; i++ {
-		if !got.Contains(i*i + 1) {
-			t.Fatalf("value %d lost", i*i+1)
-		}
-	}
-
-	path := filepath.Join(t.TempDir(), "set.hot")
-	if err := s.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got2, err := LoadUint64SetFile(path)
-	if err != nil || got2.Len() != s.Len() {
-		t.Fatalf("file round trip: len=%d err=%v", got2.Len(), err)
-	}
-	if err := got2.Verify(); err != nil {
-		t.Fatal(err)
 	}
 }
 
 // TestSnapshotKindMismatch: loading a snapshot into the wrong index type
-// must fail with a typed SnapErrWrongKind error, not garbage data.
+// must fail with a typed SnapErrWrongKind error, strictly and salvaging
+// alike, and leave the target empty. That includes a section of the
+// integer-set kind an earlier build wrote, which no type reads any more.
 func TestSnapshotKindMismatch(t *testing.T) {
 	m := NewMap()
 	m.Set([]byte("a"), 1)
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	var mapSnap bytes.Buffer
+	if err := Save(&mapSnap, m); err != nil {
 		t.Fatal(err)
 	}
-	_, err := LoadUint64Set(bytes.NewReader(buf.Bytes()))
-	se, ok := err.(*SnapshotError)
-	if !ok || se.Kind != SnapErrWrongKind {
-		t.Fatalf("wrong-kind load: %v", err)
+	var setSnap bytes.Buffer
+	kind, write := u64SetUnit(0)
+	sw, err := persist.NewWriter(&setSnap, kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := write(sw); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	newTree := func() loadTarget { return New(tidstore.Uint64Key) }
+	newMap := func() loadTarget { return NewMap() }
+	for _, c := range []struct {
+		name   string
+		blob   []byte
+		target func() loadTarget
+	}{
+		{"map-into-tree", mapSnap.Bytes(), newTree},
+		{"map-into-concurrent", mapSnap.Bytes(), func() loadTarget { return NewConcurrent(tidstore.Uint64Key) }},
+		{"uint64set-into-tree", setSnap.Bytes(), newTree},
+		{"uint64set-into-map", setSnap.Bytes(), newMap},
+	} {
+		for _, salvage := range []bool{false, true} {
+			x := c.target()
+			if _, err := Load(bytes.NewReader(c.blob), x, salvage); !foreign(err) || x.Len() != 0 {
+				t.Fatalf("%s (salvage %v): err %v, %d entries loaded", c.name, salvage, err, x.Len())
+			}
+		}
+	}
+	for _, salvage := range []bool{false, true} {
+		tr, _, err := LoadShardedTree(bytes.NewReader(setSnap.Bytes()), tidstore.Uint64Key, salvage)
+		if !foreign(err) || tr != nil {
+			t.Fatalf("uint64set as sharded (salvage %v): err %v", salvage, err)
+		}
 	}
 }
 
-// TestRecoverFileDamaged: RecoverMapFile on a truncated file salvages a
+// TestRecoverFileDamaged: a salvaging Load of a truncated file keeps a
 // prefix and reports the damage with its offset.
 func TestRecoverFileDamaged(t *testing.T) {
 	m := NewMap()
@@ -398,7 +448,7 @@ func TestRecoverFileDamaged(t *testing.T) {
 		m.Set([]byte(fmt.Sprintf("key-%024d", i)), uint64(i))
 	}
 	path := filepath.Join(t.TempDir(), "map.hot")
-	if err := m.SaveFile(path); err != nil {
+	if err := SaveFile(path, m); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := os.ReadFile(path)
@@ -408,7 +458,8 @@ func TestRecoverFileDamaged(t *testing.T) {
 	if err := os.WriteFile(path, blob[:len(blob)*2/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, rep, err := RecoverMapFile(path)
+	got := NewMap()
+	rep, err := loadFile(path, got, true)
 	if err != nil {
 		t.Fatal(err)
 	}

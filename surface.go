@@ -4,12 +4,11 @@ import "github.com/hotindex/hot/internal/core"
 
 // This file is the shared index-surface layer: the one place the public
 // operations common to every index type are implemented. Tree,
-// ConcurrentTree and the sharded types expose the same method set — the
-// Index interface below — and the delegating types (Tree, ConcurrentTree,
-// Map, Uint64Set) obtain their shared methods by embedding base or
-// statsBase instead of hand-duplicating the delegation per type.
-// ShardedTree implements Index with its own fan-out logic on top of the
-// same surface.
+// ConcurrentTree and ShardedTree expose the same method set — the Index
+// interface below — and the delegating types (Tree, ConcurrentTree, Map)
+// obtain their shared methods by embedding base or statsBase instead of
+// hand-duplicating the delegation per type. ShardedTree implements Index
+// with its own fan-out logic on top of the same surface.
 
 // Index is the unified index surface: the method set shared by every
 // TID-keyed index type in this package (Tree, ConcurrentTree, ShardedTree).
@@ -57,8 +56,8 @@ var (
 )
 
 // statsCore is the introspection sub-surface of a core trie, shared by
-// every type that wraps one — including Map and the integer sets, whose
-// mutation APIs differ but whose statistics delegate identically.
+// every type that wraps one — including Map, whose mutation API differs
+// but whose statistics delegate identically.
 type statsCore interface {
 	Len() int
 	Height() int
@@ -87,7 +86,7 @@ var (
 )
 
 // statsBase implements the shared introspection surface over any core
-// trie. Map and the integer sets embed it.
+// trie. Map embeds it.
 type statsBase struct {
 	ic statsCore
 }
@@ -116,7 +115,7 @@ func (b *statsBase) Verify() error { return b.ic.Verify() }
 // base implements the full shared index surface over any core trie. Tree
 // and ConcurrentTree embed it; their remaining methods are the ones whose
 // semantics genuinely differ between the synchronization variants
-// (cursors, snapshots, reclamation stats).
+// (cursors, snapshot walks, reclamation stats).
 type base struct {
 	statsBase
 	ic coreIndex
