@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/hotindex/hot/internal/bits"
@@ -24,15 +25,15 @@ func benchTrie(b *testing.B, kind dataset.Kind, n int) (*Trie, *tidstore.Store, 
 	return tr, s, keys
 }
 
+// BenchmarkInsert measures inserts per data set two ways: 200k is a
+// stream of inserts that restarts from an empty trie every 200 000 keys,
+// load1M one whole load of 1 M keys in generation order (random for the
+// integers) per iteration, the load phase of the embedded benchmark
+// workloads, reported as ns and allocations per insert.
 func BenchmarkInsert(b *testing.B) {
 	for _, kind := range dataset.Kinds() {
-		b.Run(kind.String(), func(b *testing.B) {
-			keys := dataset.Generate(kind, 200000, 1)
-			s := &tidstore.Store{}
-			tids := make([]TID, len(keys))
-			for i, k := range keys {
-				tids[i] = s.Add(k)
-			}
+		b.Run(kind.String()+"/200k", func(b *testing.B) {
+			s, keys, tids := insertKeys(kind, 200000)
 			b.ReportAllocs()
 			b.ResetTimer()
 			var tr *Trie
@@ -44,7 +45,38 @@ func BenchmarkInsert(b *testing.B) {
 				tr.Insert(keys[j], tids[j])
 			}
 		})
+		b.Run(kind.String()+"/load1M", func(b *testing.B) {
+			s, keys, tids := insertKeys(kind, 1_000_000)
+			var ms runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			m0 := ms.Mallocs
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr := New(s.Key)
+				for j, k := range keys {
+					tr.Insert(k, tids[j])
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms)
+			inserts := float64(b.N * len(keys))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/inserts, "ns/insert")
+			b.ReportMetric(float64(ms.Mallocs-m0)/inserts, "allocs/insert")
+		})
 	}
+}
+
+// insertKeys generates n keys of kind and stores them, returning the
+// store, the keys and their TIDs.
+func insertKeys(kind dataset.Kind, n int) (*tidstore.Store, [][]byte, []TID) {
+	keys := dataset.Generate(kind, n, 1)
+	s := &tidstore.Store{}
+	tids := make([]TID, len(keys))
+	for i, k := range keys {
+		tids[i] = s.Add(k)
+	}
+	return s, keys, tids
 }
 
 func BenchmarkLookup(b *testing.B) {

@@ -22,8 +22,8 @@ const (
 )
 
 // setSpec derives the smallest extraction representation for the
-// discriminative bit positions d (ascending) into nd's header, which must
-// be zero but for the sizes. Extraction turns a search key into its dense
+// discriminative bit positions d (ascending) into nd's header, replacing
+// whatever spec it held. Extraction turns a search key into its dense
 // partial key: the node's discriminative bits gathered MSB-first (column 0
 // = most significant discriminative bit = most significant partial-key
 // bit). It is the per-node hot path of every lookup; the PEXT-based
@@ -32,6 +32,7 @@ const (
 // multi16 and multi32 nodes extract the bits of further key bytes one by
 // one from dbits.
 func (nd *node) setSpec(d []uint16) {
+	nd.mask, nd.offs, nd.noff = 0, [8]uint16{}, 0
 	first := int(d[0]) >> 3
 	if int(d[len(d)-1])-first*8 < 64 {
 		nd.kind = extractSingle
@@ -60,6 +61,20 @@ func (nd *node) setSpec(d []uint16) {
 		}
 		nd.mask |= 1 << (63 - 8*uint(nd.noff-1) - uint(p&7))
 	}
+}
+
+// addSpecBit adds bit position p to a single-mask node's mask when p falls
+// in the 8-byte window the node extracts from, the one the spec of its
+// bits plus p would also use. It reports false, changing nothing, when
+// that spec differs (p before the window's first byte or past its end,
+// or a multi-mask node): the caller then re-derives it with setSpec.
+func (nd *node) addSpecBit(p uint16) bool {
+	off := int(p) - 8*int(nd.offs[0])
+	if nd.kind != extractSingle || off < 0 || off >= 64 {
+		return false
+	}
+	nd.mask |= 1 << (63 - off)
+	return true
 }
 
 // keyBytesSpanned returns the number of distinct key bytes the bit

@@ -1,6 +1,10 @@
 package core
 
-import "sync"
+import (
+	"encoding/binary"
+	"sync"
+	"unsafe"
+)
 
 // This file implements the structure-modifying node operations of Sections
 // 3.2 and 4.4: splicing a new entry next to the subtree it diverges from,
@@ -9,10 +13,19 @@ import "sync"
 // published nodes are never mutated except for atomic child pointer and
 // TID stores.
 //
-// newNode copies all of its inputs, so the transient entry sequences live
-// in pooled scratch buffers rather than garbage (copy-on-write makes
-// insertion allocation-heavy by design; the pool keeps it to the node's
-// own block).
+// A splice that fits the node (splice) and a child replacement
+// (withSlotReplaced) edit the stored form, as the paper's insert does: the
+// partial keys move at their stored width and the values as they are
+// stored, around a one-entry gap; the keys are recoded (the PDEP step)
+// only when the splice adds a column, and widened only when that column
+// takes the node past 8 or 16 of them; the extraction spec changes in
+// place while the new bit falls in a single-mask node's window, and is
+// re-derived otherwise.
+//
+// The operations that recanonicalize — an overflow's split and a delete's
+// entry removal — decode the node instead: its partial keys widened to
+// uint32 and its values to slots, in pooled scratch buffers rather than
+// garbage, then built into fresh nodes by newNode, which copies them.
 
 // entryBuf holds one transient entry sequence of up to MaxFanout+1 entries
 // (an overflowed node before its split).
@@ -34,18 +47,33 @@ var bufPool = sync.Pool{New: func() any {
 // to the subtree of a reference entry, discriminated by a (possibly new)
 // bit position mb.
 type spliceOp struct {
-	mb         uint16 // absolute bit position of the discriminating BiNode
-	newBit     uint   // the new entry's key bit at mb (0: before subtree, 1: after)
-	newSlot    slot   // value of the new entry
-	refIdx     int    // an entry inside the affected subtree (from the traversal path)
-	refReplace *slot  // non-nil: additionally replace the reference entry's slot (parent pull up)
+	mb      uint16 // absolute bit position of the discriminating BiNode
+	newBit  uint   // the new entry's key bit at mb (0: before subtree, 1: after)
+	newSlot slot   // value of the new entry
+	refIdx  int    // an entry inside the affected subtree (from the traversal path)
+	pullUp  bool   // additionally replace the reference entry's slot with refSlot
+	refSlot slot   // the reference entry's new value on a parent pull up
 }
 
 // spliceAndBuild applies op to nd's entries (Section 4.4) and either
-// builds the resulting node or, on overflow, splits the sequence at its
-// root BiNode (Section 3.2). The returned left/right slots are either
-// existing entries (singleton halves hang directly in the parent) or links
-// to fresh nodes.
+// builds the resulting node or, when it would exceed k entries, splits the
+// sequence at its root BiNode (Section 3.2). The returned left/right slots
+// are either existing entries (singleton halves hang directly in the
+// parent) or links to fresh nodes.
+func (nd *node) spliceAndBuild(op spliceOp, pool *nodePool, k int) (res *node, left, right slot, splitBit uint16, overflow bool) {
+	if int(nd.n) < k {
+		return nd.splice(op, pool), slot{}, slot{}, 0, false
+	}
+	eb := bufPool.Get().(*entryBuf)
+	defer bufPool.Put(eb)
+	d, pks, slots := nd.spliceEntries(op, eb)
+	left, right, splitBit = split(d, pks, slots, pool)
+	return nil, left, right, splitBit, true
+}
+
+// splice builds the node nd becomes with op applied, which must leave it
+// within its fanout, by editing nd's stored form into a block of the next
+// class.
 //
 // Sparse partial key mechanics: if mb is not yet a discriminative bit of
 // the node, all partial keys are recoded (the PDEP step) to make room for
@@ -55,10 +83,135 @@ type spliceOp struct {
 // entry takes the 1-branch and get the column bit set when it takes the
 // 0-branch; the new entry's partial key is the shared prefix plus its own
 // bit, placed directly before or after the affected range.
-func (nd *node) spliceAndBuild(op spliceOp, pool *nodePool, k int) (res *node, left, right slot, splitBit uint16, overflow bool) {
-	eb := bufPool.Get().(*entryBuf)
-	defer bufPool.Put(eb)
+//
+// The node keeps its height when a leaf joins: nothing leaves. A pull-up
+// replaces the tallest child with its split halves, and they may both be
+// shorter, so then the height is recomputed from the children. Neither
+// changes leaf-ness: a pull-up's parent is an inner node and keeps a
+// child, as one split half always has two entries or more.
+func (nd *node) splice(op spliceOp, pool *nodePool) *node {
+	n, ncols, width := int(nd.n), int(nd.ncols), nd.width
+	pos, present := nd.columnOf(op.mb)
+	lo, hi := nd.prefixRange(op.refIdx, pos) // the affected range
+	newCols, refPk := ncols, nd.pk(op.refIdx)
+	if !present {
+		newCols++
+		refPk = insertColumn(refPk, ncols, pos)
+	}
+	colBit := uint32(1) << uint(newCols-1-pos)
+	newPk := refPk &^ (colBit<<1 - 1) // the columns above mb
+	insertAt := lo
+	if op.newBit == 1 {
+		newPk |= colBit
+		insertAt = hi + 1
+	}
 
+	newWidth := pkWidth(newCols)
+	cls := classOf(n+1, newWidth, nd.isLeaf())
+	res := allocNode(pool, cls)
+	*res = *nd
+	res.n, res.width, res.ncols, res.cls = uint8(n+1), newWidth, uint8(newCols), cls
+
+	d, od := res.dbits(), nd.dbits()
+	copy(d, od[:pos])
+	if present {
+		copy(d[pos:], od[pos:])
+	} else {
+		d[pos] = op.mb
+		copy(d[pos+1:], od[pos:])
+		if !res.addSpecBit(op.mb) {
+			res.setSpec(d)
+		}
+	}
+
+	keys, oldKeys := res.keys(), nd.keys()
+	if newWidth == width {
+		lb := int(width / 8)
+		copy(keys[:insertAt*lb], oldKeys)
+		copy(keys[(insertAt+1)*lb:], oldKeys[insertAt*lb:n*lb])
+		if !present {
+			insertColumnLanes(keys, width, n+1, ncols, pos)
+		}
+	} else {
+		for i := 0; i < n; i++ {
+			j := i
+			if i >= insertAt {
+				j++
+			}
+			putLane(keys, newWidth, j, insertColumn(lane(oldKeys, width, i), ncols, pos))
+		}
+	}
+	if op.newBit == 0 {
+		// The affected entries, now one lane up, take the 1-branch of the
+		// new BiNode.
+		for i := lo + 1; i <= hi+1; i++ {
+			putLane(keys, newWidth, i, lane(keys, newWidth, i)|colBit)
+		}
+	}
+	putLane(keys, newWidth, insertAt, newPk)
+
+	ri := op.refIdx
+	if insertAt <= ri {
+		ri++
+	}
+	if res.isLeaf() {
+		tids, old := unsafe.Slice(res.leafTID(0), n+1), unsafe.Slice(nd.leafTID(0), n)
+		copy(tids, old[:insertAt])
+		copy(tids[insertAt+1:], old[insertAt:])
+		tids[insertAt] = leafValue(op.newSlot)
+		if op.pullUp {
+			tids[ri] = leafValue(op.refSlot)
+		}
+		return res
+	}
+	// A typed copy: the GC must see the child pointers move.
+	slots, old := res.slots(), nd.slots()
+	copy(slots, old[:insertAt])
+	copy(slots[insertAt+1:], old[insertAt:])
+	slots[insertAt] = op.newSlot
+	res.height = max(nd.height, subtreeHeight(op.newSlot)+1)
+	if op.pullUp {
+		slots[ri] = op.refSlot
+		res.height = max(subtreeHeight(op.newSlot), subtreeHeight(op.refSlot)) + 1
+		if res.height < nd.height {
+			// Both halves are shorter than the child they replace, which
+			// may have been the only one of its height.
+			res.height = maxChildHeight(slots) + 1
+		}
+	}
+	return res
+}
+
+// insertColumnLanes applies insertColumn(·, ncols, pos) to lanes [0, n) of
+// a partial-key array of the given width, which must hold ncols+1 columns.
+func insertColumnLanes(keys []byte, width uint8, n, ncols, pos int) {
+	s := uint(ncols - pos)
+	switch width {
+	case 8:
+		low := uint8(1)<<s - 1
+		for i, pk := range keys[:n] {
+			keys[i] = (pk>>s)<<(s+1) | pk&low
+		}
+	case 16:
+		low := uint16(1)<<s - 1
+		for i := 0; i < 2*n; i += 2 {
+			pk := binary.LittleEndian.Uint16(keys[i:])
+			binary.LittleEndian.PutUint16(keys[i:], (pk>>s)<<(s+1)|pk&low)
+		}
+	default:
+		low := uint32(1)<<s - 1
+		for i := 0; i < 4*n; i += 4 {
+			pk := binary.LittleEndian.Uint32(keys[i:])
+			binary.LittleEndian.PutUint32(keys[i:], (pk>>s)<<(s+1)|pk&low)
+		}
+	}
+}
+
+// spliceEntries applies op to nd's entries decoded into eb: the
+// discriminative bits, the partial keys widened to uint32 and the values
+// as slots of the resulting sequence, which an overflow splits (see splice
+// for the mechanics).
+func (nd *node) spliceEntries(op spliceOp, eb *entryBuf) (d []uint16, pks []uint32, slots []slot) {
 	dbits := nd.dbits()
 	ncols := len(dbits)
 	pos, present := nd.columnOf(op.mb)
@@ -67,14 +220,14 @@ func (nd *node) spliceAndBuild(op spliceOp, pool *nodePool, k int) (res *node, l
 	if !present {
 		newCols++
 	}
-	d := append(eb.d[:0], dbits[:pos]...)
+	d = append(eb.d[:0], dbits[:pos]...)
 	if !present {
 		d = append(d, op.mb)
 	}
 	d = append(d, dbits[pos:]...)
 
 	n := int(nd.n)
-	pks := nd.pks(eb.pks[:0])
+	pks = nd.pks(eb.pks[:0])
 	if !present {
 		for i, pk := range pks {
 			pks[i] = insertColumn(pk, ncols, pos)
@@ -108,26 +261,21 @@ func (nd *node) spliceAndBuild(op spliceOp, pool *nodePool, k int) (res *node, l
 		}
 	}
 
-	slots := nd.appendSlots(eb.slots[:0], 0, insertAt)
+	slots = nd.appendSlots(eb.slots[:0], 0, insertAt)
 	slots = append(slots, op.newSlot)
 	slots = nd.appendSlots(slots, insertAt, n)
-	if op.refReplace != nil {
+	if op.pullUp {
 		ri := op.refIdx
 		if insertAt <= ri {
 			ri++
 		}
-		slots[ri] = *op.refReplace
+		slots[ri] = op.refSlot
 	}
 
 	pks = append(pks, 0)
 	copy(pks[insertAt+1:], pks[insertAt:])
 	pks[insertAt] = newPk
-
-	if len(slots) <= k {
-		return newNode(pool, maxChildHeight(slots)+1, d, pks, slots), slot{}, slot{}, 0, false
-	}
-	left, right, splitBit = split(d, pks, slots, pool)
-	return nil, left, right, splitBit, true
+	return d, pks, slots
 }
 
 // split cuts an overflowed entry sequence at its root BiNode (column 0 =
@@ -161,25 +309,42 @@ func buildHalf(d []uint16, pks []uint32, slots []slot, pool *nodePool) slot {
 // nodeFrom2 builds a two-entry node discriminated by a single bit (used
 // for leaf-node pushdown, intermediate node creation and new roots).
 func nodeFrom2(bit uint16, s0, s1 slot, pool *nodePool) *node {
-	h := s0.subtreeHeight()
-	if h2 := s1.subtreeHeight(); h2 > h {
-		h = h2
-	}
+	h := max(subtreeHeight(s0), subtreeHeight(s1))
 	var db [1]uint16
 	var pb, sb = [2]uint32{0, 1}, [2]slot{s0, s1}
 	db[0] = bit
 	return newNode(pool, h+1, db[:], pb[:], sb[:])
 }
 
-// withSlotReplaced returns a copy of nd whose entry idx holds s (same
-// discriminative bits and partial keys).
+// withSlotReplaced returns a copy of the inner node nd whose entry idx
+// holds s (same discriminative bits and partial keys). The copy's height is
+// recomputed, since s may be shorter than what it replaces; when s was the
+// last child, the copy is a leaf node.
 func (nd *node) withSlotReplaced(idx int, s slot, pool *nodePool) *node {
-	eb := bufPool.Get().(*entryBuf)
-	pks := nd.pks(eb.pks[:0])
-	slots := nd.appendSlots(eb.slots[:0], 0, int(nd.n))
+	old := nd.slots()
+	h := subtreeHeight(s)
+	for i := range old {
+		if i != idx {
+			h = max(h, subtreeHeight(old[i]))
+		}
+	}
+	cls := classOf(int(nd.n), nd.width, h == 0)
+	res := allocNode(pool, cls)
+	*res = *nd
+	res.height, res.cls = h+1, cls
+	copy(res.keys(), nd.keys())
+	copy(res.dbits(), nd.dbits())
+	if res.isLeaf() {
+		tids := unsafe.Slice(res.leafTID(0), len(old))
+		for i := range old {
+			tids[i] = old[i].tid
+		}
+		tids[idx] = s.tid
+		return res
+	}
+	slots := res.slots()
+	copy(slots, old)
 	slots[idx] = s
-	res := newNode(pool, maxChildHeight(slots)+1, nd.dbits(), pks, slots)
-	bufPool.Put(eb)
 	return res
 }
 

@@ -61,10 +61,12 @@ func (s *slot) storeTID(tid TID) {
 	atomic.StoreUint64(&s.tid, tid)
 }
 
-// subtreeHeight is the paper's h() of whatever hangs in the slot: 0 for a
-// leaf entry, the node height for a child link.
-func (s *slot) subtreeHeight() uint8 {
-	if c := s.loadChild(); c != nil {
+// subtreeHeight is the paper's h() of whatever hangs in s: 0 for a leaf
+// entry, the node height for a child link. It reads the child word
+// plainly: s is a copy, or lies in an unpublished block or in a node its
+// writer holds still.
+func subtreeHeight(s slot) uint8 {
+	if c := (*node)(s.child); c != nil {
 		return c.height
 	}
 	return 0
@@ -330,42 +332,49 @@ func (nd *node) cold() *nodeCold {
 func newNode(pool *nodePool, height uint8, d []uint16, pks []uint32, slots []slot) *node {
 	n, width := len(slots), pkWidth(len(d))
 	cls := classOf(n, width, height == 1)
-	nd := pool.get(cls)
-	if nd == nil {
-		nd = (*node)(reflect.New(classes[cls].typ).UnsafePointer())
-	}
+	nd := allocNode(pool, cls)
 	*nd = node{height: height, n: uint8(n), width: width, ncols: uint8(len(d)), cls: cls}
 	nd.setSpec(d)
 	copy(nd.dbits(), d)
 	if nd.isLeaf() {
 		tids := unsafe.Slice(nd.leafTID(0), n)
 		for i := range slots {
-			if slots[i].child != nil {
-				panic("core: child entry in a leaf node")
-			}
-			tids[i] = slots[i].tid
+			tids[i] = leafValue(slots[i])
 		}
 	} else {
 		copy(nd.slots(), slots)
 	}
 	keys := nd.keys()
 	for i, pk := range pks {
-		switch width {
-		case 8:
-			keys[i] = uint8(pk)
-		case 16:
-			binary.LittleEndian.PutUint16(keys[2*i:], uint16(pk))
-		default:
-			binary.LittleEndian.PutUint32(keys[4*i:], pk)
-		}
+		putLane(keys, width, i, pk)
 	}
 	return nd
 }
 
-// pk returns entry i's sparse partial key widened to 32 bits.
-func (nd *node) pk(i int) uint32 {
-	keys := nd.keys()
-	switch nd.width {
+// allocNode returns a block of class cls, recycled from pool when it holds
+// one. Only its entries' values and dbits may hold stale data, and the
+// caller overwrites the ones its node uses; the partial keys' padding
+// lanes are never written, so they stay zero.
+func allocNode(pool *nodePool, cls uint8) *node {
+	if nd := pool.get(cls); nd != nil {
+		return nd
+	}
+	return (*node)(reflect.New(classes[cls].typ).UnsafePointer())
+}
+
+// leafValue returns the TID a leaf node stores for s, which must be a leaf
+// entry.
+func leafValue(s slot) TID {
+	if s.child != nil {
+		panic("core: child entry in a leaf node")
+	}
+	return s.tid
+}
+
+// lane returns lane i of a partial-key array of the given width, widened
+// to 32 bits.
+func lane(keys []byte, width uint8, i int) uint32 {
+	switch width {
 	case 8:
 		return uint32(keys[i])
 	case 16:
@@ -375,8 +384,27 @@ func (nd *node) pk(i int) uint32 {
 	}
 }
 
-// pks materializes all partial keys into dst (used by structure
-// modifications, which operate on uint32 regardless of storage width).
+// putLane stores pk, which must fit the width, in lane i of a partial-key
+// array.
+func putLane(keys []byte, width uint8, i int, pk uint32) {
+	switch width {
+	case 8:
+		keys[i] = uint8(pk)
+	case 16:
+		binary.LittleEndian.PutUint16(keys[2*i:], uint16(pk))
+	default:
+		binary.LittleEndian.PutUint32(keys[4*i:], pk)
+	}
+}
+
+// pk returns entry i's sparse partial key widened to 32 bits.
+func (nd *node) pk(i int) uint32 {
+	return lane(nd.keys(), nd.width, i)
+}
+
+// pks materializes all partial keys into dst (used by the structure
+// modifications that recanonicalize — split and delete — which operate on
+// uint32 regardless of storage width).
 func (nd *node) pks(dst []uint32) []uint32 {
 	dst = dst[:0]
 	for i := 0; i < int(nd.n); i++ {
@@ -402,6 +430,19 @@ func (nd *node) search(k []byte) int {
 		return bits.Search(nd.gather(k), nd.mask, nd.keys(), int(nd.n), int(nd.width))
 	}
 	return bits.SearchProbe(nd.extractMulti(k), nd.keys(), int(nd.n), int(nd.width))
+}
+
+// prefixRange returns the contiguous range [lo, hi] of entries whose
+// partial keys equal entry idx's on the columns before pos (the more
+// significant ones): the subtree below the BiNode that a bit position
+// between columns pos-1 and pos, or at column pos, splits on idx's path.
+func (nd *node) prefixRange(idx, pos int) (lo, hi int) {
+	ncols := int(nd.ncols)
+	prefixMask := lowMask32(ncols) &^ lowMask32(ncols-pos)
+	if prefixMask == 0 {
+		return 0, int(nd.n) - 1
+	}
+	return nd.complyRangeOf(nd.pk(idx)&prefixMask, prefixMask)
 }
 
 // complyRangeOf returns the contiguous index range [lo, hi] of entries whose
@@ -456,8 +497,20 @@ func divergeBit(d []uint16, a, b uint32) int {
 
 // columnOf returns the index of absolute bit position p in nd.dbits() and
 // whether it is present; when absent, the returned index is where p would
-// be inserted.
+// be inserted. A single-mask node answers from its mask: the columns
+// before p are the mask bits above p's.
 func (nd *node) columnOf(p uint16) (int, bool) {
+	if nd.kind == extractSingle {
+		off := int(p) - 8*int(nd.offs[0])
+		switch {
+		case off < 0:
+			return 0, false
+		case off >= 64:
+			return int(nd.ncols), false
+		}
+		bit := uint64(1) << (63 - off)
+		return mathbits.OnesCount64(nd.mask &^ (bit<<1 - 1)), nd.mask&bit != 0
+	}
 	d := nd.dbits()
 	lo, hi := 0, len(d)
 	for lo < hi {
@@ -476,7 +529,7 @@ func (nd *node) columnOf(p uint16) (int, bool) {
 func maxChildHeight(slots []slot) uint8 {
 	var h uint8
 	for i := range slots {
-		if sh := slots[i].subtreeHeight(); sh > h {
+		if sh := subtreeHeight(slots[i]); sh > h {
 			h = sh
 		}
 	}

@@ -93,6 +93,9 @@ func pointerWords(typ reflect.Type, base uintptr, dst []uintptr) []uintptr {
 // some child entries above — checks every accessor against its inputs,
 // also after the block went through the pool, and checks search against a
 // linear scan with the scalar comply reference, on both search paths.
+// Then it canonicalizes the same keys into a valid node and checks the
+// in-block splice and slot replacement against the decoded oracle (see
+// checkSplices).
 func FuzzNodeBlock(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(8), uint16(40), []byte("http://example.com/a"))
 	f.Add(int64(2), uint8(32), uint8(31), uint16(2000), []byte("x"))
@@ -137,6 +140,7 @@ func FuzzNodeBlock(f *testing.F) {
 			t.Fatal("pool did not hand back the block of the same class")
 		}
 		checkBlock(t, nd, height, d, pks, slots, k)
+		checkSplices(t, rng, d, pks, span)
 	})
 }
 

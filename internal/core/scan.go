@@ -93,7 +93,8 @@ func (t *tree) seek(root *node, start, buf []byte, stack []pathEntry) Iterator {
 	// sorts after it (the subtree's successor is the lower bound).
 	ai, _ := affectedLevel(it.stack, mb)
 	a := it.stack[ai]
-	lo, hi := affectedRange(a.nd, a.idx, mb)
+	pos, _ := a.nd.columnOf(uint16(mb))
+	lo, hi := a.nd.prefixRange(a.idx, pos)
 	it.stack = it.stack[:ai+1]
 	if key.Bit(start, mb) == 0 {
 		it.stack[ai].idx = lo

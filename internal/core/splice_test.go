@@ -1,0 +1,370 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+	"unsafe"
+
+	"github.com/hotindex/hot/internal/key"
+)
+
+// TestInsertAllocs pins the allocations of a non-overflowing normal
+// insert below the root — the case a node splice serves without a split —
+// at none for a Trie (its pool recycles replaced nodes' blocks, so the new
+// block nearly always comes from there) and one for a ConcurrentTrie's
+// exclusive Writer (the block: replaced nodes go to the garbage
+// collector). Each measured key is chosen just before its insert by
+// planning it against the current trie. testing.AllocsPerRun truncates
+// the mean, so a pool miss now and then does not count.
+func TestInsertAllocs(t *testing.T) {
+	const n, measured = 20000, 500
+	s, keys := concurrentKeys(n+20*measured, 41)
+	st := New(s.Key)
+	ct := NewConcurrent(s.Key)
+	w := ct.Writer()
+	for _, c := range []struct {
+		name   string
+		tr     *tree
+		insert func([]byte, TID) bool
+		want   float64
+	}{
+		{"Trie", &st.tree, st.Insert, 0},
+		{"Writer", &ct.tree, w.Insert, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for i, k := range keys[:n] {
+				c.insert(k, TID(i))
+			}
+			next := n
+			stack, buf := make([]pathEntry, 0, 16), make([]byte, 0, 64)
+			allocs := testing.AllocsPerRun(measured, func() {
+				for ; next < len(keys); next++ {
+					if isSpliceInsert(c.tr, keys[next], stack, buf) {
+						break
+					}
+				}
+				if next == len(keys) {
+					t.Fatal("ran out of keys that splice without a split")
+				}
+				if !c.insert(keys[next], TID(next)) {
+					t.Fatalf("Insert(%d) found the key present", next)
+				}
+				next++
+			})
+			if allocs > c.want {
+				t.Errorf("a non-overflowing insert allocates %v per call, want ≤ %v", allocs, c.want)
+			}
+		})
+	}
+}
+
+// isSpliceInsert reports whether inserting k into tr is a normal insert
+// into a node below the root that has room for one more entry.
+func isSpliceInsert(tr *tree, k []byte, stack []pathEntry, buf []byte) bool {
+	stack, cand := descend(tr.root.Load().n, k, stack[:0])
+	mb, differ := key.MismatchBit(tr.load(cand, buf[:0]), k)
+	if !differ {
+		return false
+	}
+	p := planInsert(stack, cand, mb, key.Bit(k, mb), tr.k)
+	return p.what == caseNormal && p.ai > 0 && int(stack[p.ai].nd.n) < tr.k
+}
+
+// checkSplices canonicalizes the sorted distinct dense partial keys over
+// the bit positions d (the positions below span) into a valid node, once
+// as a leaf node and once as an inner node, and checks a random splice of
+// each, and a slot replacement of the inner one, against the decoded
+// oracle: newNode over the entry sequence spliceEntries decodes.
+func checkSplices(t *testing.T, rng *rand.Rand, d []uint16, dense []uint32, span int) {
+	t.Helper()
+	if len(dense) >= MaxFanout {
+		dense = dense[:MaxFanout-1] // room for the new entry
+	}
+	cd, cpks := canonicalize(d, dense, nil, nil)
+	for _, leaf := range []bool{true, false} {
+		slots := randomSlots(rng, len(cpks), leaf)
+		nd := newNode(nil, maxChildHeight(slots)+1, cd, cpks, slots)
+		op := randomSplice(rng, nd, span)
+		checkSplice(t, rng, nd, op)
+		if !leaf {
+			checkSlotReplaced(t, rng, nd, rng.Intn(int(nd.n)), randomSlot(rng, rng.Intn(2) == 0))
+		}
+	}
+}
+
+// heightNodes[h] is a two-entry node of height h: a child of that height.
+var heightNodes = func() (hs [5]*node) {
+	for h := 1; h < len(hs); h++ {
+		hs[h] = newNode(nil, uint8(h), []uint16{0}, []uint32{0, 1}, []slot{leafSlot(1), leafSlot(2)})
+	}
+	return hs
+}()
+
+// randomSlot returns a leaf entry, or a child of a random height when
+// child is set.
+func randomSlot(rng *rand.Rand, child bool) slot {
+	if child {
+		return childSlot(heightNodes[1+rng.Intn(len(heightNodes)-1)])
+	}
+	return leafSlot(TID(rng.Int63n(int64(MaxTID))))
+}
+
+// randomSlots returns n leaf entries, or for an inner node a mix of leaf
+// entries and at least one child.
+func randomSlots(rng *rand.Rand, n int, leaf bool) []slot {
+	slots := make([]slot, n)
+	for i := range slots {
+		slots[i] = randomSlot(rng, !leaf && rng.Intn(3) == 0)
+	}
+	if !leaf {
+		slots[rng.Intn(n)] = randomSlot(rng, true)
+	}
+	return slots
+}
+
+// randomSplice returns a splice of nd at an existing or a new column, on
+// either side of an entry at either end or in between, with or without a
+// pull-up's replacement of that entry. A splice into an inner node with a
+// pull-up hangs a child, as the split halves always include one.
+func randomSplice(rng *rand.Rand, nd *node, span int) spliceOp {
+	op := spliceOp{newBit: uint(rng.Intn(2)), pullUp: rng.Intn(2) == 0}
+	if rng.Intn(2) == 0 {
+		op.mb = nd.dbits()[rng.Intn(int(nd.ncols))]
+	} else {
+		for {
+			op.mb = uint16(rng.Intn(span + 64))
+			if _, present := nd.columnOf(op.mb); !present {
+				break
+			}
+		}
+	}
+	switch n := int(nd.n); rng.Intn(3) {
+	case 0:
+		op.refIdx = 0
+	case 1:
+		op.refIdx = n - 1
+	default:
+		op.refIdx = rng.Intn(n)
+	}
+	inner := !nd.isLeaf()
+	op.newSlot = randomSlot(rng, inner && (op.pullUp || rng.Intn(2) == 0))
+	if op.pullUp {
+		op.refSlot = randomSlot(rng, inner && rng.Intn(2) == 0)
+	}
+	return op
+}
+
+// checkSplice checks nd.splice(op) against newNode over the decoded
+// splice, on a fresh block and on a recycled one.
+func checkSplice(t *testing.T, rng *rand.Rand, nd *node, op spliceOp) {
+	t.Helper()
+	d, pks, slots := nd.spliceEntries(op, &entryBuf{})
+	want := newNode(nil, maxChildHeight(slots)+1, d, pks, slots)
+	checkBuild(t, rng, want, func(pool *nodePool) *node { return nd.splice(op, pool) })
+}
+
+// checkSlotReplaced checks nd.withSlotReplaced(idx, s) against newNode
+// over nd's decoded entries with s in entry idx.
+func checkSlotReplaced(t *testing.T, rng *rand.Rand, nd *node, idx int, s slot) {
+	t.Helper()
+	slots := nd.appendSlots(nil, 0, int(nd.n))
+	slots[idx] = s
+	want := newNode(nil, maxChildHeight(slots)+1, nd.dbits(), nd.pks(nil), slots)
+	checkBuild(t, rng, want, func(pool *nodePool) *node { return nd.withSlotReplaced(idx, s, pool) })
+}
+
+// checkBuild checks that build makes a node equal to want in every byte a
+// node's accessors read — the header, the partial keys with their padding
+// lanes, the values and the discriminative bits — once into a fresh block
+// and once into a recycled block of want's class that is left dirty.
+func checkBuild(t *testing.T, rng *rand.Rand, want *node, build func(*nodePool) *node) {
+	t.Helper()
+	sameNode(t, "fresh block", build(nil), want)
+	dirty := dirtyBlock(rng, want.cls)
+	pool := &nodePool{}
+	pool.put(dirty)
+	got := build(pool)
+	if got != dirty {
+		t.Fatal("the build did not take the pooled block of its class")
+	}
+	sameNode(t, "pooled block", got, want)
+}
+
+// dirtyBlock returns a block of class cls whose header, partial keys (all
+// but the padding lanes, which no node writes), values and dbits hold
+// random bytes.
+func dirtyBlock(rng *rand.Rand, cls uint8) *node {
+	n, width, leaf := classShape(int(cls))
+	b := allocNode(nil, cls)
+	*b = node{n: uint8(n), width: width, cls: cls, ncols: uint8(min(n-1, maxCols(width)))}
+	rng.Read(b.keys()[:n*int(width)/8])
+	for i, d := range b.dbits() {
+		b.dbits()[i] = d ^ uint16(rng.Intn(1<<16))
+	}
+	for i := range n {
+		if leaf {
+			*b.leafTID(i) = TID(rng.Int63())
+		} else {
+			*b.slot(i) = randomSlot(rng, true)
+		}
+	}
+	var hdr [headerSize]byte
+	rng.Read(hdr[:])
+	h := *(*node)(unsafe.Pointer(&hdr))
+	b.mask, b.offs, b.noff, b.kind, b.height = h.mask, h.offs, h.noff, h.kind, h.height
+	return b
+}
+
+// sameNode fails unless got and want agree in their header, partial keys
+// (padding lanes included), values and discriminative bits.
+func sameNode(t *testing.T, what string, got, want *node) {
+	t.Helper()
+	if *got != *want {
+		t.Fatalf("%s: header %+v, want %+v", what, *got, *want)
+	}
+	if !bytes.Equal(got.keys(), want.keys()) {
+		t.Fatalf("%s: keys %x, want %x", what, got.keys(), want.keys())
+	}
+	if !slices.Equal(got.dbits(), want.dbits()) {
+		t.Fatalf("%s: dbits %v, want %v", what, got.dbits(), want.dbits())
+	}
+	n := int(want.n)
+	if want.isLeaf() {
+		if g, w := unsafe.Slice(got.leafTID(0), n), unsafe.Slice(want.leafTID(0), n); !slices.Equal(g, w) {
+			t.Fatalf("%s: TIDs %v, want %v", what, g, w)
+		}
+	} else if !slices.Equal(got.slots(), want.slots()) {
+		t.Fatalf("%s: slots %v, want %v", what, got.slots(), want.slots())
+	}
+}
+
+// chainNode returns a node over the bit positions d whose BiNodes form a
+// chain: entry i takes the 1-branch at columns 0..i-1 and the 0-branch at
+// column i, the last entry the 1-branch everywhere. Entries are leaves
+// unless children names some of them.
+func chainNode(d []uint16, children map[int]*node) *node {
+	n := len(d) + 1
+	pks, slots := make([]uint32, n), make([]slot, n)
+	for i := range pks {
+		pks[i] = lowMask32(len(d)) &^ lowMask32(len(d)-i)
+		slots[i] = leafSlot(TID(i))
+		if c := children[i]; c != nil {
+			slots[i] = childSlot(c)
+		}
+	}
+	return newNode(nil, maxChildHeight(slots)+1, d, pks, slots)
+}
+
+// positions returns the bit positions from, from+1, ..., from+n-1.
+func positions(from, n int) []uint16 {
+	d := make([]uint16, n)
+	for i := range d {
+		d[i] = uint16(from + i)
+	}
+	return d
+}
+
+// TestSpliceTransitions drives the in-block splice through each of its
+// fallbacks and boundaries — a width change, an extraction spec that
+// cannot change in place, a pull-up that lowers the height, a child
+// replacement that leaves a leaf node, and the fanout limit at which a
+// splice overflows into a split — checking each result against the
+// decoded oracle and that the row really crossed its boundary.
+func TestSpliceTransitions(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	last := func(d []uint16) int { return len(d) }
+	for _, c := range []struct {
+		name  string
+		nd    *node
+		op    spliceOp
+		check func(nd, res *node) bool
+	}{
+		{"ncols 8 to 9 widens keys 8 to 16", chainNode(positions(0, 8), nil),
+			spliceOp{mb: 8, newBit: 1, refIdx: last(positions(0, 8)), newSlot: leafSlot(99)},
+			func(nd, res *node) bool { return nd.width == 8 && res.width == 16 && res.ncols == 9 }},
+		{"ncols 16 to 17 widens keys 16 to 32", chainNode(positions(0, 16), nil),
+			spliceOp{mb: 16, newBit: 1, refIdx: last(positions(0, 16)), newSlot: leafSlot(99)},
+			func(nd, res *node) bool { return nd.width == 16 && res.width == 32 && res.ncols == 17 }},
+		{"mb past the window: single to multi8", chainNode(positions(0, 4), nil),
+			spliceOp{mb: 100, newBit: 1, refIdx: 4, newSlot: leafSlot(99)},
+			func(nd, res *node) bool { return nd.kind == extractSingle && res.kind == extractMulti8 }},
+		{"mb before the window's first byte: the window moves", chainNode(positions(40, 4), nil),
+			spliceOp{mb: 3, newBit: 0, refIdx: 0, newSlot: leafSlot(99)},
+			func(nd, res *node) bool { return nd.offs[0] == 5 && res.kind == extractSingle && res.offs[0] == 0 }},
+		{"mb below d[0] in the window's first byte: mask in place", chainNode(positions(42, 3), nil),
+			spliceOp{mb: 40, newBit: 1, refIdx: 2, newSlot: leafSlot(99)},
+			func(nd, res *node) bool {
+				return res.kind == extractSingle && res.offs[0] == nd.offs[0] && res.mask == nd.mask|1<<63
+			}},
+		{"existing column", chainNode(positions(0, 5), nil),
+			spliceOp{mb: 2, newBit: 0, refIdx: 3, newSlot: leafSlot(99)},
+			func(nd, res *node) bool { return res.ncols == nd.ncols && res.n == nd.n+1 }},
+		{"multi8 node re-derives its spec", chainNode([]uint16{0, 100, 200}, nil),
+			spliceOp{mb: 150, newBit: 1, refIdx: 3, newSlot: leafSlot(99)},
+			func(nd, res *node) bool { return res.kind == extractMulti8 && res.noff == 4 }},
+		{"pull-up replacing the only tallest child lowers the height",
+			chainNode(positions(0, 2), map[int]*node{0: heightNodes[2]}),
+			spliceOp{mb: 10, newBit: 1, refIdx: 0, pullUp: true,
+				refSlot: childSlot(heightNodes[1]), newSlot: childSlot(heightNodes[1])},
+			func(nd, res *node) bool { return nd.height == 3 && res.height == 2 }},
+		{"pull-up beside a child as tall keeps the height",
+			chainNode(positions(0, 2), map[int]*node{0: heightNodes[2], 2: heightNodes[2]}),
+			spliceOp{mb: 10, newBit: 1, refIdx: 0, pullUp: true,
+				refSlot: childSlot(heightNodes[1]), newSlot: leafSlot(99)},
+			func(nd, res *node) bool { return nd.height == 3 && res.height == 3 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res, _, _, _, overflow := c.nd.spliceAndBuild(c.op, nil, MaxFanout)
+			if overflow {
+				t.Fatal("splice overflowed")
+			}
+			d, pks, slots := c.nd.spliceEntries(c.op, &entryBuf{})
+			sameNode(t, "spliceAndBuild", res, newNode(nil, maxChildHeight(slots)+1, d, pks, slots))
+			checkSplice(t, rng, c.nd, c.op)
+			if !c.check(c.nd, res) {
+				t.Errorf("boundary not crossed: node %+v, result %+v", *c.nd, *res)
+			}
+		})
+	}
+
+	t.Run("replacing the last child leaves a leaf node", func(t *testing.T) {
+		nd := chainNode(positions(0, 3), map[int]*node{1: heightNodes[1]})
+		checkSlotReplaced(t, rng, nd, 1, leafSlot(99))
+		if res := nd.withSlotReplaced(1, leafSlot(99), nil); !res.isLeaf() || res.height != 1 {
+			t.Errorf("result leaf=%v height %d, want a leaf node", res.isLeaf(), res.height)
+		}
+	})
+
+	// A node of k entries overflows; one of k-1 takes the new entry.
+	for _, k := range []int{MaxFanout, 4} {
+		t.Run(fmt.Sprintf("overflow at k=%d", k), func(t *testing.T) {
+			for n := k - 1; n <= k; n++ {
+				d := positions(0, n-1)
+				nd := chainNode(d, nil)
+				op := spliceOp{mb: uint16(n), newBit: 1, refIdx: n - 1, newSlot: leafSlot(99)}
+				res, left, right, splitBit, overflow := nd.spliceAndBuild(op, nil, k)
+				if overflow != (n == k) {
+					t.Fatalf("n=%d: overflow=%v", n, overflow)
+				}
+				if !overflow {
+					if int(res.n) != k {
+						t.Fatalf("n=%d: result of %d entries", n, res.n)
+					}
+					continue
+				}
+				entries := func(s slot) int {
+					if c := (*node)(s.child); c != nil {
+						return int(c.n)
+					}
+					return 1
+				}
+				if got := entries(left) + entries(right); got != k+1 || splitBit != d[0] {
+					t.Fatalf("split into %d entries at bit %d, want %d at %d", got, splitBit, k+1, d[0])
+				}
+			}
+		})
+	}
+}

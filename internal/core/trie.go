@@ -235,20 +235,6 @@ func planInsert(stack []pathEntry, cand TID, mb int, bitv uint, k int) insertPla
 	}
 }
 
-// affectedRange computes, in nd's current partial-key space, the contiguous
-// entry range forming the subtree below the BiNode that bit position mb
-// splits on the path through entry idx.
-func affectedRange(nd *node, idx, mb int) (lo, hi int) {
-	pos, _ := nd.columnOf(uint16(mb))
-	ncols := int(nd.ncols)
-	// Columns strictly above mb (more significant discriminative bits).
-	prefixMask := lowMask32(ncols) &^ lowMask32(ncols-pos)
-	if prefixMask == 0 {
-		return 0, int(nd.n) - 1
-	}
-	return nd.complyRangeOf(nd.pk(idx)&prefixMask, prefixMask)
-}
-
 // execInsert applies plan, storing tid as the new leaf. It appends the
 // nodes that were replaced by copies (to be marked obsolete / retired) to
 // replaced and returns it. The caller must guarantee exclusive write
@@ -296,11 +282,12 @@ func (t *tree) execInsert(plan insertPlan, tid TID, replaced []*node) []*node {
 			// Parent pull up: the split halves replace the link in the parent.
 			t.ops.pullup.Add(1)
 			nd2, left, right, splitBit, overflow = parent.nd.spliceAndBuild(spliceOp{
-				mb:         splitBit,
-				newBit:     1,
-				newSlot:    right,
-				refIdx:     parent.idx,
-				refReplace: &left,
+				mb:      splitBit,
+				newBit:  1,
+				newSlot: right,
+				refIdx:  parent.idx,
+				pullUp:  true,
+				refSlot: left,
 			}, t.pool, t.k)
 			if !overflow {
 				replaced = append(replaced, parent.nd)
