@@ -1097,6 +1097,42 @@ func TestColdCacheHoldsStoredBytes(t *testing.T) {
 	}
 }
 
+// TestColdLookupAllocs pins a resident cold point read over url keys at
+// zero allocations in both codecs: a packed page rebuilds the keys it
+// steps over in a buffer on the reader's stack.
+func TestColdLookupAllocs(t *testing.T) {
+	keys := dataset.Generate(dataset.URL, 20000, 5)
+	store := &tidstore.Store{}
+	for _, k := range keys {
+		store.Add(k)
+	}
+	for _, codec := range []SnapshotCodec{SnapshotCodecRaw, SnapshotCodecPacked} {
+		st, _ := buildPair(keys, store, 2)
+		st.SetSnapshotCodec(codec)
+		if err := st.EnableColdTier(ColdTierConfig{Dir: t.TempDir()}); err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < st.Shards(); s++ {
+			if err := st.Demote(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, k := range keys { // every page resident
+			st.Lookup(k)
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			i = (i + 7919) % len(keys)
+			if tid, ok := st.Lookup(keys[i]); !ok || tid != TID(i) {
+				t.Fatalf("%v: cold lookup %q = (%d, %v)", codec, keys[i], tid, ok)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%v: a resident cold lookup allocates %v times", codec, allocs)
+		}
+	}
+}
+
 // TestParentWrittenDirectoryServes opens testdata/durable-pr22 — a durable
 // directory written by the commit before pages were served from the stored
 // block (PR 22: packed codec, four shards, shards 0 and 1 demoted to cold

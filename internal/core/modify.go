@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"sync"
 	"unsafe"
+
+	"github.com/hotindex/hot/internal/bits"
 )
 
 // This file implements the structure-modifying node operations of Sections
@@ -22,10 +24,12 @@ import (
 // place while the new bit falls in a single-mask node's window, and is
 // re-derived otherwise.
 //
-// The operations that recanonicalize — an overflow's split and a delete's
-// entry removal — decode the node instead: its partial keys widened to
-// uint32 and its values to slots, in pooled scratch buffers rather than
-// garbage, then built into fresh nodes by newNode, which copies them.
+// An overflow's split and a delete's entry removal decode the node
+// instead: its partial keys widened to uint32 and its values to slots, in
+// pooled scratch buffers rather than garbage, then built into fresh nodes
+// by newNode, which copies them. A split half is a subtree of a canonical
+// sequence and only drops the columns it does not use; a removal may leave
+// stale bits behind and recanonicalizes.
 
 // entryBuf holds one transient entry sequence of up to MaxFanout+1 entries
 // (an overflowed node before its split).
@@ -288,22 +292,39 @@ func split(d []uint16, pks []uint32, slots []slot, pool *nodePool) (left, right 
 	for at < len(pks) && pks[at]&rootBit == 0 {
 		at++
 	}
-	left = buildHalf(d, pks[:at], slots[:at], pool)
-	right = buildHalf(d, pks[at:], slots[at:], pool)
+	left = buildHalf(d, pks[:at], slots[:at], rootBit, pool)
+	right = buildHalf(d, pks[at:], slots[at:], rootBit, pool)
 	return left, right, splitBit
 }
 
 // buildHalf turns one side of a split into a slot: the entry itself for a
-// singleton, otherwise a fresh node over the canonicalized column subset.
-func buildHalf(d []uint16, pks []uint32, slots []slot, pool *nodePool) slot {
+// singleton, otherwise a fresh node over the half's own columns. The
+// sequence is canonical (sparse partial keys, every column a BiNode), so a
+// half is a subtree of it and needs no rebuild: its columns are exactly
+// the bits its partial keys set, minus the root BiNode's, which every key
+// of the right half carries, and one PEXT per key drops the others.
+func buildHalf(d []uint16, pks []uint32, slots []slot, rootBit uint32, pool *nodePool) slot {
 	if len(slots) == 1 {
 		return slots[0]
 	}
-	eb := bufPool.Get().(*entryBuf)
-	hd, hpks := canonicalize(d, pks, eb.d[:0], eb.pks[:0])
-	nd := newNode(pool, maxChildHeight(slots)+1, hd, hpks, slots)
-	bufPool.Put(eb)
-	return childSlot(nd)
+	var used uint32
+	for _, pk := range pks {
+		used |= pk
+	}
+	used &^= rootBit
+	var db [MaxFanout]uint16
+	var pb [MaxFanout]uint32
+	hd := db[:0]
+	for i, last := 0, len(d)-1; i <= last; i++ {
+		if used&(1<<(last-i)) != 0 {
+			hd = append(hd, d[i])
+		}
+	}
+	hpks := pb[:len(pks)]
+	for i, pk := range pks {
+		hpks[i] = bits.Pext32(pk, used)
+	}
+	return childSlot(newNode(pool, maxChildHeight(slots)+1, hd, hpks, slots))
 }
 
 // nodeFrom2 builds a two-entry node discriminated by a single bit (used

@@ -76,11 +76,16 @@ func isSpliceInsert(tr *tree, k []byte, stack []pathEntry, buf []byte) bool {
 // checkSplices canonicalizes the sorted distinct dense partial keys over
 // the bit positions d (the positions below span) into a valid node, once
 // as a leaf node and once as an inner node, and checks a random splice of
-// each, and a slot replacement of the inner one, against the decoded
-// oracle: newNode over the entry sequence spliceEntries decodes.
+// each, its overflow and a slot replacement of the inner one, against the
+// decoded oracle: newNode over the entry sequence spliceEntries decodes.
 func checkSplices(t *testing.T, rng *rand.Rand, d []uint16, dense []uint32, span int) {
 	t.Helper()
 	if len(dense) >= MaxFanout {
+		// A full node overflows at the design fanout.
+		cd, cpks := canonicalize(d, dense[:MaxFanout], nil, nil)
+		slots := randomSlots(rng, MaxFanout, rng.Intn(2) == 0)
+		nd := newNode(nil, maxChildHeight(slots)+1, cd, cpks, slots)
+		checkSplit(t, rng, nd, span)
 		dense = dense[:MaxFanout-1] // room for the new entry
 	}
 	cd, cpks := canonicalize(d, dense, nil, nil)
@@ -89,6 +94,7 @@ func checkSplices(t *testing.T, rng *rand.Rand, d []uint16, dense []uint32, span
 		nd := newNode(nil, maxChildHeight(slots)+1, cd, cpks, slots)
 		op := randomSplice(rng, nd, span)
 		checkSplice(t, rng, nd, op)
+		checkSplit(t, rng, nd, span)
 		if !leaf {
 			checkSlotReplaced(t, rng, nd, rng.Intn(int(nd.n)), randomSlot(rng, rng.Intn(2) == 0))
 		}
@@ -164,6 +170,55 @@ func checkSplice(t *testing.T, rng *rand.Rand, nd *node, op spliceOp) {
 	d, pks, slots := nd.spliceEntries(op, &entryBuf{})
 	want := newNode(nil, maxChildHeight(slots)+1, d, pks, slots)
 	checkBuild(t, rng, want, func(pool *nodePool) *node { return nd.splice(op, pool) })
+}
+
+// checkSplit overflows nd with a random splice that an insert could make
+// — a fanout limit of nd's own entry count — and checks both split halves
+// against canonicalize and newNode over the decoded sequence's two sides,
+// a singleton half against its entry.
+func checkSplit(t *testing.T, rng *rand.Rand, nd *node, span int) {
+	t.Helper()
+	op := randomSplice(rng, nd, span)
+	d, pks, slots := nd.spliceEntries(op, &entryBuf{})
+	for !isCanonical(d, pks) { // an existing column on the reference entry's path
+		op = randomSplice(rng, nd, span)
+		d, pks, slots = nd.spliceEntries(op, &entryBuf{})
+	}
+	_, left, right, splitBit, overflow := nd.spliceAndBuild(op, nil, int(nd.n))
+	if !overflow || splitBit != d[0] {
+		t.Fatalf("overflow %v at bit %d, want a split at %d", overflow, splitBit, d[0])
+	}
+	at := 0
+	for pks[at]&(1<<(len(d)-1)) == 0 {
+		at++
+	}
+	for _, h := range []struct {
+		got    slot
+		lo, hi int
+	}{{left, 0, at}, {right, at, len(pks)}} {
+		if h.hi-h.lo == 1 {
+			if h.got != slots[h.lo] {
+				t.Fatalf("singleton half %v, want %v", h.got, slots[h.lo])
+			}
+			continue
+		}
+		hd, hpks := canonicalize(d, pks[h.lo:h.hi], nil, nil)
+		half := slots[h.lo:h.hi]
+		sameNode(t, "split half", h.got.loadChild(), newNode(nil, maxChildHeight(half)+1, hd, hpks, half))
+	}
+}
+
+// isCanonical reports whether the partial keys ascend strictly and
+// canonicalize leaves the sequence as it is: a binary Patricia trie whose
+// every column is a BiNode, in sparse partial keys.
+func isCanonical(d []uint16, pks []uint32) bool {
+	for i := 1; i < len(pks); i++ {
+		if pks[i] <= pks[i-1] {
+			return false
+		}
+	}
+	cd, cpks := canonicalize(d, pks, nil, nil)
+	return slices.Equal(cd, d) && slices.Equal(cpks, pks)
 }
 
 // checkSlotReplaced checks nd.withSlotReplaced(idx, s) against newNode

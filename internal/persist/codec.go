@@ -331,7 +331,8 @@ func (it *blockIter) next() (bad string) {
 			return bad
 		}
 		if it.i >= 0 && bytes.Compare(it.key, key) >= 0 {
-			return fmt.Sprintf("keys not strictly ascending: %q then %q", it.key, key)
+			// A copy of it.key: its buffer may be a point read's stack (rebuild).
+			return fmt.Sprintf("keys not strictly ascending: %q then %q", string(it.key), key)
 		}
 		it.key, it.tid, it.pos = key, tid, it.pos+size
 	case formFront:
@@ -358,12 +359,11 @@ func (it *blockIter) next() (bad string) {
 		if it.i >= 0 && bytes.Compare(it.key[lcp:], suffix) >= 0 {
 			return "keys not strictly ascending"
 		}
-		it.buf = append(it.buf[:lcp], suffix...)
-		it.key, it.pos = it.buf, it.pos+slen
+		it.rebuild(lcp, suffix)
+		it.pos += slen
 	case formFixed64:
 		if it.i < 0 {
-			it.buf = append(it.buf[:0], p[it.b.keys:it.b.keys+8]...)
-			it.key = it.buf
+			it.rebuild(0, p[it.b.keys:it.b.keys+8])
 			break
 		}
 		v := binary.BigEndian.Uint64(it.key)
@@ -375,6 +375,22 @@ func (it *blockIter) next() (bad string) {
 	}
 	it.i++
 	return ""
+}
+
+// rebuild makes the current key the first lcp bytes of the last one
+// followed by suffix, in buf. It grows buf by a fresh allocation, never by
+// an append through it, and hands no byte of it to anything that keeps it:
+// that is what lets a point read put buf on its own stack (Page.Lookup).
+func (it *blockIter) rebuild(lcp int, suffix []byte) {
+	n := lcp + len(suffix)
+	if n > cap(it.buf) {
+		b := make([]byte, n, max(2*n, 64))
+		copy(b, it.buf[:lcp])
+		it.buf = b
+	}
+	it.buf = it.buf[:n]
+	copy(it.buf[lcp:], suffix)
+	it.key = it.buf
 }
 
 // mustNext is next over a unit walkBlock has already vouched for, where a

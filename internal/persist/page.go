@@ -163,9 +163,14 @@ func (p *Page) at(buf []byte, i int) blockIter {
 	return it
 }
 
+// pointReadBuf is how much of a point read's rebuilt key lives on its
+// stack; a longer key moves to the heap.
+const pointReadBuf = 256
+
 // Lookup returns the TID stored under key.
 func (p *Page) Lookup(key []byte) (uint64, bool) {
-	it := p.seek(nil, key)
+	var buf [pointReadBuf]byte
+	it := p.seek(buf[:0], key)
 	if it.i == p.n || !bytes.Equal(it.key, key) {
 		return 0, false
 	}
@@ -176,7 +181,8 @@ func (p *Page) Lookup(key []byte) (uint64, bool) {
 // when absent, the returned index is where key would be inserted (the
 // first entry > key).
 func (p *Page) Find(key []byte) (int, bool) {
-	it := p.seek(nil, key)
+	var buf [pointReadBuf]byte
+	it := p.seek(buf[:0], key)
 	return it.i, it.i < p.n && bytes.Equal(it.key, key)
 }
 
@@ -185,7 +191,8 @@ func (p *Page) TID(i int) uint64 {
 	if p.form != formRaw && !p.embedded {
 		return p.tidBase + bits.PackedAt(p.unit[p.tids:], i, p.tidWidth)
 	}
-	it := p.at(nil, i)
+	var buf [pointReadBuf]byte
+	it := p.at(buf[:0], i)
 	return it.curTID()
 }
 
