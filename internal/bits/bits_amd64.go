@@ -1,5 +1,7 @@
 package bits
 
+import "unsafe"
+
 // The kernels in bits_amd64.s use SSE2, part of every amd64 CPU, plus
 // BMI2 (PEXT, BZHI, SHLX) and LZCNT, which hasNative checks for.
 
@@ -20,6 +22,14 @@ func pext(v, mask uint64) uint64
 
 // pextNative is a single PEXT instruction.
 func pextNative(v, mask uint64) uint64
+
+// Prefetch asks the CPU to start loading the PrefetchLines cache lines
+// from p (PREFETCHT0, into every cache level) and returns at once. A
+// prefetch never faults, so p may be nil or reach past the end of its
+// allocation into unmapped memory.
+//
+//go:noescape
+func Prefetch(p unsafe.Pointer)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

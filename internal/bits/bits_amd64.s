@@ -170,6 +170,21 @@ TEXT ·pextNative(SB), NOSPLIT, $0-24
 	MOVQ  AX, ret+16(FP)
 	RET
 
+// func Prefetch(p unsafe.Pointer)
+//
+// PrefetchLines (8) consecutive lines; keep the two in step.
+TEXT ·Prefetch(SB), NOSPLIT, $0-8
+	MOVQ       p+0(FP), AX
+	PREFETCHT0 (AX)
+	PREFETCHT0 64(AX)
+	PREFETCHT0 128(AX)
+	PREFETCHT0 192(AX)
+	PREFETCHT0 256(AX)
+	PREFETCHT0 320(AX)
+	PREFETCHT0 384(AX)
+	PREFETCHT0 448(AX)
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

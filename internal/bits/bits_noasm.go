@@ -2,8 +2,10 @@
 
 package bits
 
+import "unsafe"
+
 // Without the amd64 kernels Native is always false and every search and
-// PEXT takes the portable path.
+// PEXT takes the portable path, and Prefetch does nothing.
 
 func hasNative() bool { return false }
 
@@ -20,3 +22,6 @@ func searchNative(w, mask uint64, keys []byte, n, width int) int {
 func pextNative(v, mask uint64) uint64 {
 	panic("bits: no native PEXT on this architecture")
 }
+
+// Prefetch is a no-op: Go has no portable prefetch.
+func Prefetch(p unsafe.Pointer) {}

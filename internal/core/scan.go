@@ -57,6 +57,7 @@ func (it *Iterator) descendLeftmost() {
 		if c == nil {
 			return
 		}
+		c.prefetch()
 		it.stack = append(it.stack, pathEntry{c, 0})
 	}
 }

@@ -107,7 +107,8 @@ type pathEntry struct {
 }
 
 // descend walks from root to the result candidate leaf for k, appending the
-// path to stack and returning it together with the candidate TID.
+// path to stack and returning it together with the candidate TID. Every
+// child is prefetched as soon as its pointer is loaded.
 func descend(root *node, k []byte, stack []pathEntry) ([]pathEntry, TID) {
 	nd := root
 	for {
@@ -115,6 +116,7 @@ func descend(root *node, k []byte, stack []pathEntry) ([]pathEntry, TID) {
 		stack = append(stack, pathEntry{nd, idx})
 		c, tid := nd.entry(idx)
 		if c != nil {
+			c.prefetch()
 			nd = c
 			continue
 		}
@@ -132,6 +134,7 @@ func (t *tree) lookup(k, buf []byte) (TID, bool) {
 		for {
 			c, tid := nd.entry(nd.search(k))
 			if c != nil {
+				c.prefetch()
 				nd = c
 				continue
 			}

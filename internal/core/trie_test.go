@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/hotindex/hot/internal/dataset"
 	"github.com/hotindex/hot/internal/tidstore"
 )
 
@@ -500,5 +501,46 @@ func TestEmbeddedIntegerKeys(t *testing.T) {
 		if tid, ok := tr.Lookup(buf); !ok || tid != v {
 			t.Fatalf("lookup %x = (%x,%v)", v, tid, ok)
 		}
+	}
+}
+
+// TestLookupAllocs pins point lookups at 0 allocations on both trie types,
+// over url and integer keys in a tuple store, for present and absent keys:
+// nothing on the read path — the descent, its child prefetch, the key load
+// and the final compare — may move anything to the heap.
+func TestLookupAllocs(t *testing.T) {
+	for _, kind := range []dataset.Kind{dataset.URL, dataset.Integer} {
+		t.Run(kind.String(), func(t *testing.T) {
+			keys := dataset.Generate(kind, 20000, 5)
+			stored, absent := keys[:len(keys)/2], keys[len(keys)/2:]
+			s := &tidstore.Store{}
+			tr, ct := New(s.Key), NewConcurrent(s.Key)
+			for _, k := range stored {
+				tid := s.Add(k)
+				tr.Insert(k, tid)
+				ct.Insert(k, tid)
+			}
+			for _, c := range []struct {
+				name   string
+				lookup func([]byte) (TID, bool)
+			}{
+				{"Trie", tr.Lookup},
+				{"ConcurrentTrie", ct.Lookup},
+			} {
+				i := 0
+				allocs := testing.AllocsPerRun(1000, func() {
+					if _, ok := c.lookup(stored[i%len(stored)]); !ok {
+						t.Fatalf("%s: stored key %d not found", c.name, i)
+					}
+					if _, ok := c.lookup(absent[i%len(absent)]); ok {
+						t.Fatalf("%s: absent key %d found", c.name, i)
+					}
+					i++
+				})
+				if allocs != 0 {
+					t.Errorf("%s.Lookup allocates %v per two calls, want 0", c.name, allocs)
+				}
+			}
+		})
 	}
 }

@@ -9,7 +9,11 @@
 // in the public API append a 0x00 terminator).
 package key
 
-import "bytes"
+import (
+	"bytes"
+	"encoding/binary"
+	mathbits "math/bits"
+)
 
 // Bit returns bit pos of k (0 = MSB of byte 0). Positions past the end of
 // the key read as 0.
@@ -34,21 +38,18 @@ func Byte(k []byte, i int) byte {
 // padded keys are identical (i.e. one is the other plus trailing zero
 // bytes — for prefix-free key sets this means a == b).
 func MismatchBit(a, b []byte) (int, bool) {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+	n := min(len(a), len(b))
 	i := 0
-	// Word-at-a-time over the shared prefix.
+	// Word-at-a-time over the shared prefix: read big-endian, the first
+	// word that differs holds the mismatch at its highest set XOR bit.
 	for ; i+8 <= n; i += 8 {
-		if !bytes.Equal(a[i:i+8], b[i:i+8]) {
-			break
+		if x := binary.BigEndian.Uint64(a[i:]) ^ binary.BigEndian.Uint64(b[i:]); x != 0 {
+			return i*8 + mathbits.LeadingZeros64(x), true
 		}
 	}
 	for ; i < n; i++ {
-		if a[i] != b[i] {
-			x := a[i] ^ b[i]
-			return i*8 + leadingZeros8(x), true
+		if x := a[i] ^ b[i]; x != 0 {
+			return i*8 + mathbits.LeadingZeros8(x), true
 		}
 	}
 	// One key is a byte-prefix of the other: the first 1-bit of the longer
@@ -59,19 +60,10 @@ func MismatchBit(a, b []byte) (int, bool) {
 	}
 	for ; i < len(longer); i++ {
 		if longer[i] != 0 {
-			return i*8 + leadingZeros8(longer[i]), true
+			return i*8 + mathbits.LeadingZeros8(longer[i]), true
 		}
 	}
 	return 0, false
-}
-
-func leadingZeros8(x byte) int {
-	n := 0
-	for x&0x80 == 0 {
-		x <<= 1
-		n++
-	}
-	return n
 }
 
 // Equal reports whether a and b are equal as zero-padded bit strings. The

@@ -144,3 +144,35 @@ func TestByte(t *testing.T) {
 		t.Error("Byte access wrong")
 	}
 }
+
+// mismatchBitRef is MismatchBit one bit at a time, through Bit.
+func mismatchBitRef(a, b []byte) (int, bool) {
+	for i := 0; i < 8*max(len(a), len(b)); i++ {
+		if Bit(a, i) != Bit(b, i) {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// FuzzMismatchBit compares prefix+a with prefix+b against the bit-by-bit
+// reference, so that the two keys share a prefix of any length (the word
+// loop), differ anywhere after it (the byte tail) and may differ in
+// length with a tail of zero bytes (the padding rule).
+func FuzzMismatchBit(f *testing.F) {
+	f.Add([]byte{}, []byte{}, []byte{})
+	f.Add([]byte("http://www.example.com/"), []byte("a"), []byte("b"))
+	f.Add([]byte("01234567"), []byte{0, 0, 0}, []byte{})
+	f.Add([]byte("0123456789abcdef"), []byte{0, 0, 0, 0, 0, 0, 0, 0, 1}, []byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, []byte{0x80, 0, 0, 0, 0, 0, 0, 0}, []byte{0x7f})
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{9, 10, 11, 12, 13, 14, 15, 16}, []byte{9, 10, 11, 12, 13, 14, 15, 17})
+	f.Fuzz(func(t *testing.T, prefix, a, b []byte) {
+		ka := append(append([]byte{}, prefix...), a...)
+		kb := append(append([]byte{}, prefix...), b...)
+		pos, ok := MismatchBit(ka, kb)
+		wantPos, wantOK := mismatchBitRef(ka, kb)
+		if pos != wantPos || ok != wantOK {
+			t.Fatalf("MismatchBit(%x, %x) = (%d, %v), want (%d, %v)", ka, kb, pos, ok, wantPos, wantOK)
+		}
+	})
+}
