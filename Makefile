@@ -125,6 +125,7 @@ fuzz:
 	$(GO) test -fuzz FuzzBlockCodec -fuzztime $(FUZZTIME) ./internal/persist/
 	$(GO) test -fuzz FuzzSearch -fuzztime $(FUZZTIME) ./internal/bits/
 	$(GO) test -fuzz FuzzNodeBlock -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -fuzz FuzzScan -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -fuzz FuzzStore -fuzztime $(FUZZTIME) ./internal/tidstore/
 	$(GO) test -fuzz FuzzMismatchBit -fuzztime $(FUZZTIME) ./internal/key/
 	$(GO) test -fuzz FuzzServerFrame -fuzztime $(FUZZTIME) ./internal/server/

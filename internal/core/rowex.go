@@ -43,7 +43,7 @@ func NewConcurrent(loader Loader) *ConcurrentTrie {
 // Lookup returns the TID stored under k. It is wait-free.
 func (t *ConcurrentTrie) Lookup(k []byte) (TID, bool) {
 	g := t.gc.Enter()
-	tid, ok := t.lookup(k, nil)
+	tid, ok := t.lookup(k, g.Scratch())
 	g.Exit()
 	return tid, ok
 }
@@ -73,7 +73,7 @@ func (t *ConcurrentTrie) LookupBatch(keys [][]byte, out []TID) []bool {
 // atomically: concurrent writers may commit before or after each step.
 func (t *ConcurrentTrie) Scan(start []byte, max int, fn func(TID) bool) int {
 	g := t.gc.Enter()
-	n := t.scan(start, max, fn, nil)
+	n := t.scan(start, max, fn, g.Scratch())
 	g.Exit()
 	return n
 }

@@ -117,100 +117,115 @@ func TestConcurrentInsertRacingSameKeys(t *testing.T) {
 	}
 }
 
+// TestConcurrentReadersDuringWrites runs lookups and scans against ROWEX
+// writers over two loaders: the tuple store's, which ignores its buffer,
+// and the embedded 8-byte one, which writes each candidate key into the
+// reader's epoch pin-slot buffer that successive readers share.
 func TestConcurrentReadersDuringWrites(t *testing.T) {
 	const n = 20000
 	s, keys := concurrentKeys(n, 3)
-	tr := NewConcurrent(s.Key)
-	// Pre-insert the first half.
-	for i := 0; i < n/2; i++ {
-		tr.Insert(keys[i], TID(i))
-	}
-	stop := make(chan struct{})
-	var readerErr atomic.Value
-	var wg sync.WaitGroup
-	// Readers: first-half keys must always be visible; second-half keys may
-	// appear but must then carry the right TID.
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
+	for _, src := range []struct {
+		name string
+		load Loader
+		tid  func(i int) TID
+	}{
+		{"store", s.Key, func(i int) TID { return TID(i) }},
+		{"embedded", tidstore.Uint64Key, func(i int) TID { return binary.BigEndian.Uint64(keys[i]) }},
+	} {
+		t.Run(src.name, func(t *testing.T) {
+			tr := NewConcurrent(src.load)
+			// Pre-insert the first half.
+			for i := 0; i < n/2; i++ {
+				tr.Insert(keys[i], src.tid(i))
+			}
+			stop := make(chan struct{})
+			var readerErr atomic.Value
+			var wg sync.WaitGroup
+			// Readers: first-half keys must always be visible; second-half keys may
+			// appear but must then carry the right TID.
+			for r := 0; r < 4; r++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed))
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						i := rng.Intn(n)
+						tid, found := tr.Lookup(keys[i])
+						if found && tid != src.tid(i) {
+							readerErr.Store(fmt.Sprintf("key %d resolved to tid %d", i, tid))
+							return
+						}
+						if !found && i < n/2 {
+							readerErr.Store(fmt.Sprintf("pre-inserted key %d vanished", i))
+							return
+						}
+					}
+				}(int64(r))
+			}
+			// Scanners: results must always be in strictly ascending key order.
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					var prev []byte
+					bad := false
+					tr.Scan(nil, 1000, func(tid TID) bool {
+						k := src.load(tid, nil)
+						if prev != nil && string(prev) >= string(k) {
+							bad = true
+							return false
+						}
+						prev = append(prev[:0], k...)
+						return true
+					})
+					if bad {
+						readerErr.Store("scan out of order")
+						return
+					}
 				}
-				i := rng.Intn(n)
-				tid, found := tr.Lookup(keys[i])
-				if found && tid != TID(i) {
-					readerErr.Store(fmt.Sprintf("key %d resolved to tid %d", i, tid))
-					return
+			}()
+			// Writers insert the second half.
+			workers := 4
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := n/2 + w; i < n; i += workers {
+						tr.Insert(keys[i], src.tid(i))
+					}
+				}(w)
+			}
+			// Wait for writers (they are the last `workers` goroutines); use a
+			// separate waitgroup pattern: writers signal via channel.
+			done := make(chan struct{})
+			go func() {
+				// Poll until all keys inserted.
+				for tr.Len() < n {
 				}
-				if !found && i < n/2 {
-					readerErr.Store(fmt.Sprintf("pre-inserted key %d vanished", i))
-					return
+				close(done)
+			}()
+			<-done
+			close(stop)
+			wg.Wait()
+			if e := readerErr.Load(); e != nil {
+				t.Fatal(e)
+			}
+			for i, k := range keys {
+				if tid, ok := tr.Lookup(k); !ok || tid != src.tid(i) {
+					t.Fatalf("final lookup %d = (%d,%v)", i, tid, ok)
 				}
 			}
-		}(int64(r))
-	}
-	// Scanners: results must always be in strictly ascending key order.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			var prev []byte
-			bad := false
-			tr.Scan(nil, 1000, func(tid TID) bool {
-				k := s.Key(tid, nil)
-				if prev != nil && string(prev) >= string(k) {
-					bad = true
-					return false
-				}
-				prev = append(prev[:0], k...)
-				return true
-			})
-			if bad {
-				readerErr.Store("scan out of order")
-				return
-			}
-		}
-	}()
-	// Writers insert the second half.
-	workers := 4
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := n/2 + w; i < n; i += workers {
-				tr.Insert(keys[i], TID(i))
-			}
-		}(w)
-	}
-	// Wait for writers (they are the last `workers` goroutines); use a
-	// separate waitgroup pattern: writers signal via channel.
-	done := make(chan struct{})
-	go func() {
-		// Poll until all keys inserted.
-		for tr.Len() < n {
-		}
-		close(done)
-	}()
-	<-done
-	close(stop)
-	wg.Wait()
-	if e := readerErr.Load(); e != nil {
-		t.Fatal(e)
-	}
-	for i, k := range keys {
-		if tid, ok := tr.Lookup(k); !ok || tid != TID(i) {
-			t.Fatalf("final lookup %d = (%d,%v)", i, tid, ok)
-		}
+		})
 	}
 }
 

@@ -1,6 +1,10 @@
 package core
 
-import "github.com/hotindex/hot/internal/key"
+import (
+	"sync"
+
+	"github.com/hotindex/hot/internal/key"
+)
 
 // Iterator walks the trie's leaves in ascending key order. Entries are
 // yielded as TIDs; keys, when needed, are resolved through the loader by
@@ -50,21 +54,83 @@ func (it *Iterator) Next() {
 }
 
 // descendLeftmost pushes frames until the top of stack points at a leaf.
+// Landing on a leaf node, it starts loading the node the walk reaches
+// after it (see prefetchSibling).
 func (it *Iterator) descendLeftmost() {
-	for {
-		top := &it.stack[len(it.stack)-1]
-		c := top.nd.child(top.idx)
-		if c == nil {
-			return
-		}
+	top := &it.stack[len(it.stack)-1]
+	c := top.nd.child(top.idx)
+	if c == nil {
+		return
+	}
+	for c != nil {
 		c.prefetch()
 		it.stack = append(it.stack, pathEntry{c, 0})
+		c = c.child(0)
+	}
+	it.prefetchSibling()
+}
+
+// prefetchSibling starts loading the parent's next child when the top of
+// stack is in a leaf node: the next leaf in key order, or the inner node
+// above it. A scan consuming this leaf's run overlaps that miss instead
+// of waiting on it at the leaf boundary. One node ahead suffices: a leaf's
+// run (about 20 entries over 1 M keys) outlasts one memory latency.
+func (it *Iterator) prefetchSibling() {
+	n := len(it.stack)
+	if n < 2 || !it.stack[n-1].nd.isLeaf() {
+		return
+	}
+	p := it.stack[n-2]
+	if p.idx+1 < int(p.nd.n) {
+		if s := p.nd.child(p.idx + 1); s != nil {
+			s.prefetch()
+		}
 	}
 }
 
+// Scan hands fn up to max entries in key order from the iterator's
+// position, a leaf node's remaining entries in one loop at a time (a leaf
+// entry of an inner node is a run of one), stepping to the next leaf with
+// one Next. It returns the number of entries handed out and whether fn
+// stopped the walk by returning false. A stopped iterator stays on the
+// entry fn refused; otherwise it is left on the entry after the last one
+// handed out, or invalid when the trie is exhausted. TIDs are read
+// atomically, as ROWEX upserts store them in place.
+func (it *Iterator) Scan(max int, fn func(TID) bool) (n int, stopped bool) {
+	if it.leafOnly {
+		if !it.valid || max <= 0 {
+			return 0, false
+		}
+		if !fn(it.leafTID) {
+			return 1, true
+		}
+		it.valid = false
+		return 1, false
+	}
+	for it.valid && n < max {
+		top := &it.stack[len(it.stack)-1]
+		nd, i := top.nd, top.idx
+		end := i + 1
+		if nd.isLeaf() {
+			end = int(nd.n)
+		}
+		for end = min(end, i+max-n); i < end; i++ {
+			_, tid := nd.entry(i)
+			n++
+			if !fn(tid) {
+				top.idx = i
+				return n, true
+			}
+		}
+		top.idx = i - 1
+		it.Next()
+	}
+	return n, false
+}
+
 // seek returns an iterator positioned at the first key ≥ start (nil
-// start: the smallest key). Single-entry trees are handled by the callers
-// (scan), since they have no nodes to stack. buf is scratch for the one
+// start: the smallest key). Single-entry trees are handled by the caller
+// (iter), since they have no nodes to stack. buf is scratch for the one
 // candidate key load; stack, when non-nil, is reused as the iterator's
 // path storage so repositioning a cursor allocates nothing.
 func (t *tree) seek(root *node, start, buf []byte, stack []pathEntry) Iterator {
@@ -81,6 +147,7 @@ func (t *tree) seek(root *node, start, buf []byte, stack []pathEntry) Iterator {
 	}
 	// Find the candidate leaf for start, keeping the path.
 	it.stack, _ = descend(root, start, it.stack)
+	it.prefetchSibling()
 	top := &it.stack[len(it.stack)-1]
 	_, cand := top.nd.entry(top.idx)
 	mb, differ := key.MismatchBit(t.load(cand, buf), start)
@@ -163,32 +230,21 @@ func (t *tree) iter(start, buf []byte, stack []pathEntry) Iterator {
 	return t.seek(rb.n, start, buf, stack)
 }
 
+// scanIters recycles scan's iterators with their path stacks, so a scan
+// allocates nothing.
+var scanIters = sync.Pool{New: func() any { return new(Iterator) }}
+
 // scan invokes fn for up to max entries in ascending key order starting at
 // the first key ≥ start, returning the number visited. fn returning false
-// stops early. buf is scratch for key loads.
+// stops early. buf is scratch for the seek's key load.
 func (t *tree) scan(start []byte, max int, fn func(TID) bool, buf []byte) int {
 	if max <= 0 {
 		return 0
 	}
-	rb := t.root.Load()
-	switch {
-	case rb.n == nil && !rb.leaf:
-		return 0
-	case rb.leaf:
-		if start != nil && key.Compare(t.load(rb.tid, buf), start) < 0 {
-			return 0
-		}
-		fn(rb.tid)
-		return 1
-	}
-	it := t.seek(rb.n, start, buf, nil)
-	n := 0
-	for it.Valid() && n < max {
-		n++
-		if !fn(it.TID()) {
-			break
-		}
-		it.Next()
-	}
+	it := scanIters.Get().(*Iterator)
+	t.SeekIter(it, start, buf)
+	n, _ := it.Scan(max, fn)
+	it.Reset()
+	scanIters.Put(it)
 	return n
 }

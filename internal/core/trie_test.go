@@ -505,18 +505,35 @@ func TestEmbeddedIntegerKeys(t *testing.T) {
 }
 
 // TestLookupAllocs pins point lookups at 0 allocations on both trie types,
-// over url and integer keys in a tuple store, for present and absent keys:
-// nothing on the read path — the descent, its child prefetch, the key load
-// and the final compare — may move anything to the heap.
+// for present and absent keys, over url and integer keys in a tuple store,
+// whose loader ignores its buffer, and over integer keys embedded in their
+// TIDs, whose loader writes the key into it: nothing on the read path —
+// the descent, its child prefetch, the key load and the final compare —
+// may move anything to the heap.
 func TestLookupAllocs(t *testing.T) {
-	for _, kind := range []dataset.Kind{dataset.URL, dataset.Integer} {
-		t.Run(kind.String(), func(t *testing.T) {
-			keys := dataset.Generate(kind, 20000, 5)
+	for _, src := range []struct {
+		name     string
+		kind     dataset.Kind
+		embedded bool
+	}{
+		{"url", dataset.URL, false},
+		{"integer", dataset.Integer, false},
+		{"integer/embedded", dataset.Integer, true},
+	} {
+		t.Run(src.name, func(t *testing.T) {
+			keys := dataset.Generate(src.kind, 20000, 5)
 			stored, absent := keys[:len(keys)/2], keys[len(keys)/2:]
 			s := &tidstore.Store{}
-			tr, ct := New(s.Key), NewConcurrent(s.Key)
+			loader := s.Key
+			if src.embedded {
+				loader = tidstore.Uint64Key
+			}
+			tr, ct := New(loader), NewConcurrent(loader)
 			for _, k := range stored {
-				tid := s.Add(k)
+				tid := binary.BigEndian.Uint64(k)
+				if !src.embedded {
+					tid = s.Add(k)
+				}
 				tr.Insert(k, tid)
 				ct.Insert(k, tid)
 			}

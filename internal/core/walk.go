@@ -1,5 +1,7 @@
 package core
 
+import "math"
+
 // walkAll invokes fn for every entry in ascending key order, resolving
 // each TID's key through the loader. The key slice passed to fn is only
 // valid during the call (it may alias loader scratch). fn returning false
@@ -9,25 +11,7 @@ package core
 // leaves that streams (key, TID) pairs to a writer without materializing
 // the key set.
 func (t *tree) walkAll(fn func(key []byte, tid TID) bool, buf []byte) int {
-	rb := t.root.Load()
-	switch {
-	case rb.n == nil && !rb.leaf:
-		return 0
-	case rb.leaf:
-		fn(t.load(rb.tid, buf), rb.tid)
-		return 1
-	}
-	it := t.seek(rb.n, nil, buf, nil)
-	n := 0
-	for it.Valid() {
-		tid := it.TID()
-		n++
-		if !fn(t.load(tid, buf), tid) {
-			break
-		}
-		it.Next()
-	}
-	return n
+	return t.scan(nil, math.MaxInt, func(tid TID) bool { return fn(t.load(tid, buf), tid) }, buf)
 }
 
 // Walk invokes fn for every (key, TID) entry in ascending key order,
@@ -51,5 +35,5 @@ func (t *Trie) Walk(fn func(key []byte, tid TID) bool) int {
 func (t *ConcurrentTrie) SnapshotWalk(fn func(key []byte, tid TID) bool) int {
 	g := t.gc.Enter()
 	defer g.Exit()
-	return t.walkAll(fn, nil)
+	return t.walkAll(fn, g.Scratch())
 }

@@ -49,9 +49,13 @@ type Manager struct {
 }
 
 type paddedPin struct {
-	epoch atomic.Uint64 // idle or the epoch the operation entered at
-	_     [7]uint64     // avoid false sharing between neighbouring pins
+	epoch   atomic.Uint64      // idle or the epoch the operation entered at
+	scratch [scratchBytes]byte // the pinned operation's buffer (Guard.Scratch)
 }
+
+// scratchBytes pads a pin to a 64-byte cache line, so neighbouring pins do
+// not share one; the pad is the pin's scratch buffer.
+const scratchBytes = 56
 
 // Guard represents one pinned operation (a reader or writer critical
 // section). It must be released exactly once.
@@ -87,6 +91,15 @@ func (m *Manager) Enter() Guard {
 // Exit releases the guard.
 func (g Guard) Exit() {
 	g.m.pins[g.slot].epoch.Store(idle)
+}
+
+// Scratch returns the guard's pin-slot buffer, empty, with room for a key
+// of up to scratchBytes (a longer one makes the caller's append allocate).
+// The slot is the guard's alone until Exit, so a pinned reader has a key
+// buffer without allocating and without a lock. The buffer must not be
+// used after Exit.
+func (g Guard) Scratch() []byte {
+	return g.m.pins[g.slot].scratch[:0]
 }
 
 // Retire schedules free to run once two epoch advances have passed, i.e.

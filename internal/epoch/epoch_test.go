@@ -157,6 +157,30 @@ func TestNilRetire(t *testing.T) {
 	}
 }
 
+// TestScratchPerSlot: two pinned operations get buffers that do not alias,
+// a slot's next holder gets its buffer back empty, and pinning a reader
+// and using its buffer allocates nothing.
+func TestScratchPerSlot(t *testing.T) {
+	var m Manager
+	g1, g2 := m.Enter(), m.Enter()
+	b1 := append(g1.Scratch(), "one"...)
+	b2 := append(g2.Scratch(), "two"...)
+	if string(b1) != "one" || string(b2) != "two" || cap(b1) != scratchBytes {
+		t.Fatalf("pinned buffers %q (cap %d) and %q share storage", b1, cap(b1), b2)
+	}
+	g2.Exit()
+	g1.Exit()
+	if allocs := testing.AllocsPerRun(100, func() {
+		g := m.Enter()
+		if b := g.Scratch(); len(b) != 0 || cap(b) != scratchBytes {
+			t.Fatalf("reused buffer has len %d, cap %d", len(b), cap(b))
+		}
+		g.Exit()
+	}); allocs != 0 {
+		t.Fatalf("Enter, Scratch, Exit allocates %v", allocs)
+	}
+}
+
 func BenchmarkEnterExit(b *testing.B) {
 	var m Manager
 	b.RunParallel(func(pb *testing.PB) {

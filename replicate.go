@@ -606,7 +606,8 @@ func (f *Follower) Scan(start []byte, max int, fn func(key []byte, tid TID) bool
 	if shard.Find(t.bounds, start) >= ready {
 		return 0, ErrNotReady
 	}
-	return t.scanN(start, max, ready, func(c *ShardedCursor) bool { return fn(c.Key(), c.TID()) }), nil
+	var key []byte
+	return t.scanN(start, max, ready, func(tid TID) bool { return fn(key, tid) }, &key), nil
 }
 
 // Verify runs structural invariant checks over the ready shard prefix.

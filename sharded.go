@@ -267,7 +267,7 @@ var shardBatchPool = sync.Pool{New: func() any { return new(shardBatch) }}
 // the union of the shards; concurrent writers may commit before or after
 // any step (wait-free reader semantics per shard).
 func (t *ShardedTree) Scan(start []byte, max int, fn func(TID) bool) int {
-	return t.scanN(start, max, len(t.shards), func(c *ShardedCursor) bool { return fn(c.TID()) })
+	return t.scanN(start, max, len(t.shards), fn, nil)
 }
 
 // Len returns the total number of stored keys across all shards (see
@@ -539,22 +539,43 @@ func (c *ShardedCursor) release() {
 	c.cc.release()
 }
 
-// scanN is the one bounded cursor loop under Scan and Follower.Scan: fn
-// sees up to max entries ≥ start out of the first limit shards, in order,
-// and stops the walk by returning false.
-func (t *ShardedTree) scanN(start []byte, max, limit int, fn func(*ShardedCursor) bool) int {
+// scanN is the one bounded loop under Scan and Follower.Scan: fn sees up
+// to max entries ≥ start out of the first limit shards, in order, and
+// stops the walk by returning false. A hot shard is consumed a leaf run at
+// a time through its trie iterator, a cold one an entry at a time through
+// its page cursor. With a non-nil key, *key holds each entry's key while
+// fn runs.
+func (t *ShardedTree) scanN(start []byte, max, limit int, fn func(TID) bool, key *[]byte) int {
 	if max <= 0 {
 		return 0
 	}
 	c := scanCursors.Get().(*ShardedCursor)
 	t.seekCursorN(c, start, limit)
+	run := fn
+	if key != nil {
+		run = func(tid TID) bool {
+			*key = t.loader(tid, c.scratch())
+			return fn(tid)
+		}
+	}
 	n := 0
 	for c.Valid() && n < max {
-		n++
-		if !fn(c) {
-			break
+		if c.cc.valid() {
+			if key != nil {
+				*key = c.cc.key()
+			}
+			n++
+			if !fn(c.cc.tid()) {
+				break
+			}
+			c.cc.next()
+		} else {
+			k, stopped := c.it.Scan(max-n, run)
+			if n += k; stopped {
+				break
+			}
 		}
-		c.Next()
+		c.settle()
 	}
 	c.release()
 	scanCursors.Put(c)
