@@ -114,7 +114,10 @@ func (it *Iterator) Scan(max int, fn func(TID) bool) (n int, stopped bool) {
 		if nd.isLeaf() {
 			end = int(nd.n)
 		}
-		for end = min(end, i+max-n); i < end; i++ {
+		if r := max - n; end-i > r { // i+(max-n) overflows when max is math.MaxInt
+			end = i + r
+		}
+		for ; i < end; i++ {
 			_, tid := nd.entry(i)
 			n++
 			if !fn(tid) {

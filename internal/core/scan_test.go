@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -13,15 +14,16 @@ import (
 
 // FuzzScan checks Scan on both trie types against a sorted oracle after a
 // random insert/delete sequence: from a nil start, a stored key and an
-// absent one, with a random max and a random index at which fn stops the
-// scan, the TIDs handed out and the returned count must be the oracle's.
+// absent one, with a random max (math.MaxInt among them, the unbounded
+// scan) and a random index at which fn stops the scan, the TIDs handed out
+// and the returned count must be the oracle's.
 // Short sequences leave 0-, 1- and 2-entry tries; long ones over the
 // variable-length keys grow inner nodes that hold leaf entries, the runs
 // of one a scan steps through between leaf nodes.
 func FuzzScan(f *testing.F) {
 	// Seeds: an empty trie; 1- and 2-entry tries; scans that max ends in
 	// mid-leaf (stop = max: fn never refuses) and ones fn stops; a scan
-	// with max 0; one past the end.
+	// with max 0; one past the end; unbounded ones, stopped and not.
 	f.Add(int64(1), uint16(0), false, uint8(10), uint8(10))
 	f.Add(int64(2), uint16(1), false, uint8(3), uint8(0))
 	f.Add(int64(3), uint16(2), true, uint8(5), uint8(5))
@@ -29,7 +31,11 @@ func FuzzScan(f *testing.F) {
 	f.Add(int64(5), uint16(900), true, uint8(37), uint8(37))
 	f.Add(int64(6), uint16(600), false, uint8(33), uint8(21))
 	f.Add(int64(7), uint16(700), true, uint8(0), uint8(9))
-	f.Add(int64(8), uint16(500), false, uint8(255), uint8(200))
+	f.Add(int64(8), uint16(500), false, uint8(254), uint8(200))
+	f.Add(int64(9), uint16(1), false, uint8(255), uint8(255))
+	f.Add(int64(10), uint16(2), true, uint8(255), uint8(255))
+	f.Add(int64(11), uint16(600), false, uint8(255), uint8(255))
+	f.Add(int64(12), uint16(900), true, uint8(255), uint8(40))
 	f.Fuzz(func(t *testing.T, seed int64, opsIn uint16, fixed bool, maxIn, stopIn uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		gen := func() []byte {
@@ -69,17 +75,22 @@ func FuzzScan(f *testing.F) {
 		if len(sorted) > 0 {
 			starts = append(starts, []byte(sorted[rng.Intn(len(sorted))]))
 		}
-		max := int(maxIn) % 70
-		if maxIn >= 250 {
+		max, stop := int(maxIn)%70, int(stopIn) // fn refuses entry stop; none when stop ≥ len(want)
+		switch {
+		case maxIn == 255:
+			max = math.MaxInt // unbounded
+		case maxIn >= 250:
 			max = len(sorted) + 1 // beyond the end
+		}
+		if max < math.MaxInt {
+			stop %= max + 1
 		}
 		for _, start := range starts {
 			lb := sort.Search(len(sorted), func(i int) bool { return bytes.Compare([]byte(sorted[i]), start) >= 0 })
 			var want []TID
-			for _, k := range sorted[lb:min(len(sorted), lb+max)] {
+			for _, k := range sorted[lb:][:min(len(sorted)-lb, max)] {
 				want = append(want, oracle[k])
 			}
-			stop := int(stopIn) % (max + 1) // fn refuses entry stop; none when stop ≥ len(want)
 			if stop < len(want) {
 				want = want[:stop+1]
 			}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -19,9 +20,10 @@ import (
 // the keys after inserts, upserts and deletes in every shard. Scans start
 // at nil, at stored and absent keys and just below each shard boundary, so
 // they cross leaf nodes, hot and cold shards and shard boundaries; they
-// take a random max and stop early at a random entry. Follower.Scan runs
-// its keyed loop over the same tree, handed to it as the follower's with a
-// ready prefix of all eight shards and of six.
+// take a random max (math.MaxInt among them, the unbounded scan) and stop
+// early at a random entry. Follower.Scan runs its keyed loop over the same
+// tree, handed to it as the follower's with a ready prefix of all eight
+// shards and of six.
 func TestShardedScanMatchesModel(t *testing.T) {
 	all := dataset.Generate(dataset.URL, 9000, 43)
 	keys, extra := all[:6000], all[6000:]
@@ -89,9 +91,9 @@ func TestShardedScanMatchesModel(t *testing.T) {
 	fol.tree.Store(st)
 	for _, start := range starts {
 		lb := sort.Search(len(sorted), func(i int) bool { return bytes.Compare(sorted[i], start) >= 0 })
-		max := []int{1, 2, 17, 50, 333, len(sorted) + 1}[rng.Intn(6)]
-		stop := rng.Intn(max + 1) // fn refuses entry stop; max: never
-		want := sorted[lb:min(len(sorted), lb+max)]
+		max := []int{1, 2, 17, 50, 333, len(sorted) + 1, math.MaxInt}[rng.Intn(7)]
+		stop := rng.Intn(min(max, len(sorted)+1) + 1) // fn refuses entry stop; ≥ len(want): never
+		want := sorted[lb:][:min(len(sorted)-lb, max)]
 		if stop < len(want) {
 			want = want[:stop+1]
 		}
