@@ -516,10 +516,12 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 
 // FuzzWALReplay feeds arbitrary bytes to the write-ahead-log replayer: it
 // may never panic, the salvage report must be internally consistent (LSNs
-// account for every delivered record, ValidSize never exceeds the input),
-// and re-replaying the salvaged prefix must be clean and idempotent — the
-// property the post-crash tail truncation relies on.
+// account for every delivered record, ValidSize never exceeds the input, a
+// complete log has nothing but zeros past ValidSize), and re-replaying the
+// salvaged prefix must be clean and idempotent — the property the
+// post-crash tail truncation relies on.
 func FuzzWALReplay(f *testing.F) {
+	var committed []byte // the 25-write log, zero tail and all
 	seed := func(base uint64, writes int) {
 		path := filepath.Join(f.TempDir(), "seed.wal")
 		w, err := persist.CreateWAL(path, base, 0)
@@ -540,10 +542,22 @@ func FuzzWALReplay(f *testing.F) {
 		w.Close()
 		if blob, err := os.ReadFile(path); err == nil {
 			f.Add(blob)
+			committed = blob
 		}
 	}
 	seed(0, 0)
 	seed(7, 25)
+	// The same log with one non-zero byte in its zero tail: damage, with
+	// every record salvaged.
+	if n := len(committed); n > 0 && committed[n-1] == 0 {
+		stray := append([]byte(nil), committed...)
+		stray[n-1] = 0x40
+		rep, err := persist.ReplayWAL(bytes.NewReader(stray), func(persist.WalOp, []byte, uint64) error { return nil })
+		if err != nil || rep.Complete || rep.Damage == nil || rep.Records != 25 {
+			f.Fatalf("stray byte in the zero tail: rep=%+v err=%v, want damage after 25 records", rep, err)
+		}
+		f.Add(stray)
+	}
 	// A log whose first record is a data record (LSN 1, no checkpoint
 	// record): the 12-byte checkpoint record is cut out from behind the
 	// 16-byte header. One rule for it in ReplayWAL and WALTailer alike.
@@ -576,8 +590,8 @@ func FuzzWALReplay(f *testing.F) {
 		if rep.LastLSN != rep.Base+rep.Records {
 			t.Fatalf("LSN accounting broken: base %d + %d records != last %d", rep.Base, rep.Records, rep.LastLSN)
 		}
-		if rep.Complete && (rep.Damage != nil || rep.ValidSize != int64(len(data))) {
-			t.Fatalf("Complete log reports damage %v at ValidSize %d of %d", rep.Damage, rep.ValidSize, len(data))
+		if rep.Complete && (rep.Damage != nil || bytes.ContainsFunc(data[rep.ValidSize:], func(r rune) bool { return r != 0 })) {
+			t.Fatalf("Complete log reports damage %v or non-zero bytes past ValidSize %d of %d", rep.Damage, rep.ValidSize, len(data))
 		}
 		if !rep.Complete && rep.Damage == nil {
 			t.Fatal("incomplete log with no damage report")

@@ -129,6 +129,11 @@ const (
 	// off the log: a crash here must leave recovery re-runnable (the same
 	// valid prefix salvages again).
 	WalTruncate
+	// WalExtend fires after a commit has written the zero chunk that grows
+	// the log file but before it writes its records: a crash here leaves a
+	// longer file whose new bytes are all zeros, which replay must read as
+	// the log's clean end.
+	WalExtend
 
 	// NumPoints is the number of named injection points.
 	NumPoints = int(iota)
@@ -156,6 +161,7 @@ var pointNames = [NumPoints]string{
 	"wal/sync",
 	"wal/rotate",
 	"wal/truncate",
+	"wal/extend",
 }
 
 // String returns the point's catalog name.

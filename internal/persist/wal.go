@@ -29,9 +29,18 @@ import (
 // all reported as typed *FormatError values, never panics, with the
 // longest valid record prefix salvaged.
 //
+// The records may be followed by a zero tail: the log ends at the first
+// record boundary past which every byte is zero (a zero length prefix, which
+// no record carries, or a file end). A non-zero byte anywhere past that
+// boundary is damage. The tail is how a commit avoids growing the file: a
+// small commit whose records would cross the file's end first writes one
+// walZeroChunk of zeros behind them, and the commits after it overwrite
+// those zeros in place, so their sync has only data to flush — an fdatasync,
+// not an fsync that also waits for a metadata journal commit.
+//
 // Durability is group-committed: Append only buffers, Commit makes every
-// record up to an LSN durable with a single write+fsync shared by all
-// goroutines that committed while the fsync was in flight. Rotate installs
+// record up to an LSN durable with a single write+fdatasync shared by all
+// goroutines that committed while the sync was in flight. Rotate installs
 // a fresh log with a higher base after a checkpoint snapshot has been made
 // durable, atomically (tmp + fsync + rename + dir fsync) so a crash at any
 // step leaves a replayable log.
@@ -82,10 +91,11 @@ type WALReplayReport struct {
 	// Records is the number of data records delivered.
 	Records uint64
 	// ValidSize is the byte length of the longest valid record prefix —
-	// the offset a torn tail is truncated to before appending resumes.
+	// the offset a torn tail is truncated to before appending resumes, and
+	// where a complete log's zero tail begins.
 	ValidSize int64
-	// Complete reports whether the log read cleanly to EOF; when true,
-	// Damage is nil.
+	// Complete reports whether the log read cleanly to its end: the file's
+	// end, or a zero tail. When true, Damage is nil.
 	Complete bool
 	// Damage is the first damage encountered, nil when Complete. Records
 	// before ValidSize were salvaged; everything after it was discarded.
@@ -122,13 +132,18 @@ func ReplayWAL(r io.Reader, fn WALEntryFunc) (WALReplayReport, error) {
 	for {
 		recOff := rd.off
 		var prefix [8]byte
-		if damage := rd.readFull(prefix[:], "record header"); damage != nil {
-			if rd.err == io.EOF {
-				// A WAL has no trailer; it simply ends at a record boundary.
-				rep.Complete = true
-				return rep, nil
+		short := rd.readFull(prefix[:], "record header")
+		if short != nil || binary.LittleEndian.Uint32(prefix[:]) == 0 {
+			// A WAL has no trailer: it ends at a record boundary followed
+			// by nothing but zeros — the file's end, or its zero tail.
+			if damage := walZeroTail(rd, prefix[:rd.off-recOff]); damage != nil {
+				if short != nil {
+					damage = short // a torn record header
+				}
+				return stop(damage)
 			}
-			return stop(damage)
+			rep.Complete = true
+			return rep, nil
 		}
 		length, damage := walRecordLen(prefix[:], recOff)
 		if damage != nil {
@@ -160,6 +175,37 @@ func ReplayWALFile(path string, fn WALEntryFunc) (WALReplayReport, error) {
 	}
 	defer f.Close()
 	return ReplayWAL(f, fn)
+}
+
+// walZeroTail checks that read — the bytes just read, ending at rd.off —
+// and everything after them in rd are zero, reporting the first non-zero
+// byte as damage.
+func walZeroTail(rd *reader, read []byte) *FormatError {
+	check := func(p []byte, off int64) *FormatError {
+		for i, c := range p {
+			if c != 0 {
+				return formatErr(ErrCorrupt, off+int64(i), "byte %#x in the zero tail", c)
+			}
+		}
+		return nil
+	}
+	if damage := check(read, rd.off-int64(len(read))); damage != nil {
+		return damage
+	}
+	var buf [4096]byte
+	for rd.err == nil {
+		off := rd.off
+		n, err := io.ReadFull(rd.r, buf[:])
+		rd.off += int64(n)
+		if damage := check(buf[:n], off); damage != nil {
+			return damage
+		}
+		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+			return formatErr(ErrTruncated, rd.off, "zero tail unreadable: %v", err)
+		}
+		rd.err = err
+	}
+	return nil
 }
 
 // walRecordLen validates the 8-byte prefix of the record at off and returns
@@ -245,6 +291,7 @@ type WAL struct {
 	durable uint64 // highest LSN known durable
 	base    uint64 // checkpoint LSN of the current file
 	size    int64  // valid bytes in f
+	alloc   int64  // length of f; the bytes from size to alloc are zeros
 	syncing bool   // a group-commit leader owns the file descriptor
 	err     error  // sticky failure
 }
@@ -270,17 +317,19 @@ func CreateWAL(path string, base uint64, delay time.Duration) (*WAL, error) {
 	}
 	syncDir(filepath.Dir(path))
 	w := &WAL{path: path, delay: delay, f: f,
-		lastLSN: base, durable: base, base: base, size: int64(len(blob))}
+		lastLSN: base, durable: base, base: base, size: int64(len(blob)), alloc: int64(len(blob))}
 	w.cond = sync.NewCond(&w.mu)
 	return w, nil
 }
 
 // ContinueWAL reopens an existing log for appending after a replay:
-// rep must be the report ReplayWALFile produced for path. A torn tail —
-// bytes past the valid record prefix — is truncated off first (the
-// wal/truncate chaos point fires before the truncation), so appended
-// records always follow a valid record boundary. Appends continue at
-// rep.LastLSN + 1.
+// rep must be the report ReplayWALFile produced for path. A complete log
+// keeps its zero tail, which the next commits overwrite. A damaged one —
+// bytes past the valid record prefix that are not all zeros — is truncated
+// to the prefix first (the wal/truncate chaos point fires before the
+// truncation): a commit overwrites only zeros, so no byte of an
+// unacknowledged write can follow the records it appends and be replayed
+// with them later. Appends continue at rep.LastLSN + 1.
 func ContinueWAL(path string, rep WALReplayReport, delay time.Duration) (*WAL, error) {
 	if rep.ValidSize < headerSize {
 		return nil, formatErr(ErrTruncated, 0, "log header unsalvageable; recreate the log")
@@ -294,7 +343,8 @@ func ContinueWAL(path string, rep WALReplayReport, delay time.Duration) (*WAL, e
 		f.Close()
 		return nil, err
 	}
-	if st.Size() > rep.ValidSize {
+	alloc := st.Size()
+	if alloc > rep.ValidSize && !rep.Complete {
 		if chaos.Fire(chaos.WalTruncate) {
 			f.Close()
 			return nil, ErrInjected
@@ -303,17 +353,14 @@ func ContinueWAL(path string, rep WALReplayReport, delay time.Duration) (*WAL, e
 			f.Close()
 			return nil, err
 		}
+		alloc = rep.ValidSize
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
 		return nil, err
 	}
-	if _, err := f.Seek(rep.ValidSize, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
 	w := &WAL{path: path, delay: delay, f: f,
-		lastLSN: rep.LastLSN, durable: rep.LastLSN, base: rep.Base, size: rep.ValidSize}
+		lastLSN: rep.LastLSN, durable: rep.LastLSN, base: rep.Base, size: rep.ValidSize, alloc: alloc}
 	w.cond = sync.NewCond(&w.mu)
 	return w, nil
 }
@@ -368,10 +415,10 @@ func (w *WAL) Append(op WalOp, key []byte, tid uint64) (uint64, error) {
 }
 
 // Commit makes every record with LSN ≤ lsn durable and returns once it is.
-// Concurrent commits group: one caller becomes the fsync leader (after the
+// Concurrent commits group: one caller becomes the sync leader (after the
 // configured accumulation delay), writes the whole buffer and issues a
-// single fsync that acknowledges every record buffered so far; the others
-// wait on it. A failed write or sync poisons the log.
+// single fdatasync that acknowledges every record buffered so far; the
+// others wait on it. A failed write or sync poisons the log.
 func (w *WAL) Commit(lsn uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -398,16 +445,9 @@ func (w *WAL) Commit(lsn uint64) error {
 		w.buf = w.spare[:0]
 		w.spare = nil
 		target := w.lastLSN
-		f := w.f
+		f, off, alloc := w.f, w.size, w.alloc
 		w.mu.Unlock()
-		err := walWrite(f, buf)
-		if err == nil {
-			if chaos.Fire(chaos.WalSync) {
-				err = ErrInjected
-			} else {
-				err = f.Sync()
-			}
-		}
+		alloc, err := walCommit(f, buf, off, alloc)
 		w.mu.Lock()
 		w.syncing = false
 		if err != nil {
@@ -416,6 +456,7 @@ func (w *WAL) Commit(lsn uint64) error {
 			return err
 		}
 		w.size += int64(len(buf))
+		w.alloc = alloc
 		w.spare = buf[:0]
 		if target > w.durable {
 			w.durable = target
@@ -424,10 +465,51 @@ func (w *WAL) Commit(lsn uint64) error {
 	}
 }
 
-// walWrite issues buffered records to the log file. When a chaos registry
-// is armed the bytes go out as two writes with the WalTornWrite point
-// between them, so an injected crash leaves a genuinely torn tail record.
-func walWrite(f *os.File, p []byte) error {
+// walZeroChunk is the zero tail a small commit that would cross the log
+// file's end leaves behind its records, for the next commits to overwrite
+// without changing the file's size. It bounds the tail, so it is the most
+// disk a log spends beyond its records. One 4 KiB
+// filesystem block holds about fifty url-key records: on the served
+// durable benchmark 4 KiB kept the whole gain of 8 KiB at half the disk,
+// and 2 KiB gave some of it back.
+const walZeroChunk = 4 << 10
+
+// walZeros is the zero chunk every extending commit writes.
+var walZeros [walZeroChunk]byte
+
+// walCommit writes the records p at off and syncs the file's data. A
+// commit that would end past alloc, the file's length, grows the file. One
+// smaller than a chunk first writes a zero chunk behind where its records
+// will end, so the commits after it overwrite zeros; a larger one (a
+// pipelined batch) just appends, as a chunk would not hold the next such
+// batch either. It returns the file's new length.
+func walCommit(f *os.File, p []byte, off, alloc int64) (int64, error) {
+	if end := off + int64(len(p)); end > alloc {
+		alloc = end
+		if len(p) < walZeroChunk {
+			if _, err := f.WriteAt(walZeros[:], end); err != nil {
+				return alloc, err
+			}
+			alloc = end + walZeroChunk
+			if chaos.Fire(chaos.WalExtend) {
+				return alloc, ErrInjected
+			}
+		}
+	}
+	if err := walWrite(f, p, off); err != nil {
+		return alloc, err
+	}
+	if chaos.Fire(chaos.WalSync) {
+		return alloc, ErrInjected
+	}
+	return alloc, datasync(f)
+}
+
+// walWrite issues buffered records to the log file at off. When a chaos
+// registry is armed the bytes go out as two writes with the WalTornWrite
+// point between them, so an injected crash leaves a genuinely torn tail
+// record.
+func walWrite(f *os.File, p []byte, off int64) error {
 	if len(p) == 0 {
 		return nil
 	}
@@ -435,17 +517,17 @@ func walWrite(f *os.File, p []byte) error {
 		return ErrInjected
 	}
 	if !chaos.Armed() {
-		_, err := f.Write(p)
+		_, err := f.WriteAt(p, off)
 		return err
 	}
 	half := len(p) / 2
-	if _, err := f.Write(p[:half]); err != nil {
+	if _, err := f.WriteAt(p[:half], off); err != nil {
 		return err
 	}
 	if chaos.Fire(chaos.WalTornWrite) {
 		return ErrInjected
 	}
-	_, err := f.Write(p[half:])
+	_, err := f.WriteAt(p[half:], off+int64(half))
 	return err
 }
 
@@ -513,6 +595,7 @@ func (w *WAL) Rotate(base uint64) error {
 	w.base = base
 	w.buf = w.buf[:0] // records ≤ base: the snapshot covers them
 	w.size = int64(len(blob))
+	w.alloc = w.size
 	if base > w.durable {
 		w.durable = base // the snapshot made everything ≤ base durable
 	}

@@ -68,6 +68,36 @@ func replayAll(t *testing.T, path string) ([]walRec, WALReplayReport) {
 	return got, rep
 }
 
+// checkZeroTail fails unless everything in blob past the records' end is
+// zeros, at most one walZeroChunk of them.
+func checkZeroTail(t *testing.T, blob []byte, end int64) {
+	t.Helper()
+	tail := blob[end:]
+	if len(tail) > walZeroChunk {
+		t.Fatalf("zero tail of %d bytes, want at most %d", len(tail), walZeroChunk)
+	}
+	if i := bytes.IndexFunc(tail, func(r rune) bool { return r != 0 }); i >= 0 {
+		t.Fatalf("non-zero byte at %d in the tail after %d", end+int64(i), end)
+	}
+}
+
+// recordsEnd walks a log's framing from the header to its end marker and
+// returns the offset where the records stop and the zero tail starts, with
+// the end offset of every record (the checkpoint record first).
+func recordsEnd(blob []byte) (int64, []int64) {
+	var boundaries []int64
+	off := int64(headerSize)
+	for off+8 <= int64(len(blob)) {
+		l := binary.LittleEndian.Uint32(blob[off:])
+		if l == 0 {
+			break
+		}
+		off += 8 + int64(l)
+		boundaries = append(boundaries, off)
+	}
+	return off, boundaries
+}
+
 func sameRecs(a, b []walRec) bool {
 	if len(a) != len(b) {
 		return false
@@ -94,9 +124,17 @@ func TestWALRoundTrip(t *testing.T) {
 	if !sameRecs(got, rs) {
 		t.Fatalf("replayed records diverge from appended")
 	}
-	st, _ := os.Stat(path)
-	if rep.ValidSize != st.Size() {
-		t.Fatalf("ValidSize %d, file size %d", rep.ValidSize, st.Size())
+	// The 500 records went out in one commit larger than a zero chunk,
+	// which appends them and writes no zero tail.
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end, _ := recordsEnd(blob); rep.ValidSize != end || end-int64(len(walFileProlog(7))) <= walZeroChunk {
+		t.Fatalf("ValidSize %d, records end at %d: want one commit of more than %d bytes", rep.ValidSize, end, walZeroChunk)
+	}
+	if int64(len(blob)) != rep.ValidSize {
+		t.Fatalf("a commit larger than the zero chunk left %d bytes of tail", int64(len(blob))-rep.ValidSize)
 	}
 }
 
@@ -152,6 +190,28 @@ func TestWALAppendAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkWALCommit is one synced write: a ~70-byte record appended and
+// committed on its own, as an acknowledged durable write pays it. Most
+// commits overwrite the zero tail; one in about sixty extends the file.
+func BenchmarkWALCommit(b *testing.B) {
+	w, err := CreateWAL(filepath.Join(b.TempDir(), "wal.log"), 0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lsn, err := w.Append(WalUpsert, typicalURLKey, uint64(i))
+		if err == nil {
+			err = w.Commit(lsn)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkWALAppend is the cost of logging one record of a typical url
 // key, one Commit (write + fsync) per 1 024 appends amortized in.
 func BenchmarkWALAppend(b *testing.B) {
@@ -190,7 +250,8 @@ func TestWALEmpty(t *testing.T) {
 
 // TestWALTruncationSweep cuts the log at every byte offset: replay must
 // never error, must salvage exactly the records whose bytes fully precede
-// the cut, and must report the damage.
+// the cut, and must report the damage — unless the cut falls on a record
+// boundary or inside the zero tail, which is a clean end.
 func TestWALTruncationSweep(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	rs := genWalRecs(120)
@@ -202,12 +263,9 @@ func TestWALTruncationSweep(t *testing.T) {
 	// Record boundaries: walk the framing (offset after header, then each
 	// record is 8 bytes of framing plus its payload). boundaries[i] is the
 	// end offset of record i (record 0 is the checkpoint).
-	var boundaries []int64
-	off := int64(headerSize)
-	for off < int64(len(blob)) {
-		l := binary.LittleEndian.Uint32(blob[off:])
-		off += 8 + int64(l)
-		boundaries = append(boundaries, off)
+	end, boundaries := recordsEnd(blob)
+	if int64(len(blob)) == end {
+		t.Fatal("log has no zero tail to cut into")
 	}
 	for cut := 0; cut <= len(blob); cut++ {
 		var got []walRec
@@ -245,9 +303,11 @@ func TestWALTruncationSweep(t *testing.T) {
 			t.Fatalf("cut=%d: salvaged records diverge", cut)
 		}
 		// A cut landing exactly on a record boundary is indistinguishable
-		// from a log that simply ends there (a WAL has no trailer), so it
-		// reads as complete; everywhere else the torn tail must be damage.
-		if int64(cut) == wantValid {
+		// from a log that simply ends there (a WAL has no trailer), and a
+		// cut inside the zero tail leaves only zeros past the last record,
+		// so both read as complete; everywhere else the torn tail must be
+		// damage.
+		if int64(cut) == wantValid || int64(cut) >= end {
 			if !rep.Complete || rep.Damage != nil {
 				t.Fatalf("cut=%d: boundary cut reported damaged: %+v", cut, rep)
 			}
@@ -259,7 +319,7 @@ func TestWALTruncationSweep(t *testing.T) {
 
 // TestWALBitFlipSweep flips one byte at every offset: replay must never
 // panic, must detect the damage, and must deliver only a true record
-// prefix.
+// prefix — all of the records when the flip lands in the zero tail.
 func TestWALBitFlipSweep(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	rs := genWalRecs(80)
@@ -267,6 +327,10 @@ func TestWALBitFlipSweep(t *testing.T) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	end, _ := recordsEnd(blob)
+	if int64(len(blob)) == end {
+		t.Fatal("log has no zero tail to flip")
 	}
 	mut := make([]byte, len(blob))
 	for off := 0; off < len(blob); off++ {
@@ -285,6 +349,10 @@ func TestWALBitFlipSweep(t *testing.T) {
 		}
 		if !sameRecs(got, rs[:len(got)]) {
 			t.Fatalf("off=%d: salvaged records diverge from the original", off)
+		}
+		if int64(off) >= end && (len(got) != len(rs) || rep.ValidSize != end) {
+			t.Fatalf("off=%d: flip in the zero tail salvaged %d of %d records, ValidSize %d of %d",
+				off, len(got), len(rs), rep.ValidSize, end)
 		}
 	}
 }
@@ -419,48 +487,136 @@ func TestWALRotateCompletesPendingCommits(t *testing.T) {
 	}
 }
 
-// TestWALContinue appends garbage to a clean log, replays (detecting the
-// torn tail), resumes with ContinueWAL (truncating it) and appends more:
-// the final log must replay clean and LSN-continuous.
+// TestWALContinue resumes a log both ways ContinueWAL can: a complete log
+// keeps its zero tail and the next commit overwrites it in place; a log
+// with garbage past its records (a torn tail) is truncated to them first.
+// Either way the final log must replay clean and LSN-continuous.
 func TestWALContinue(t *testing.T) {
+	for _, torn := range []bool{false, true} {
+		name := "keep"
+		if torn {
+			name = "truncate"
+		}
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "wal.log")
+			rs := genWalRecs(30)
+			buildWAL(t, path, 0, rs)
+			if torn {
+				f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.Write([]byte{0xDE, 0xAD, 0xBE}); err != nil {
+					t.Fatal(err)
+				}
+				f.Close()
+			}
+			before, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			got, rep := replayAll(t, path)
+			if rep.Complete == torn || (rep.Damage != nil) != torn || int(rep.Records) != len(rs) {
+				t.Fatalf("replay: rep=%+v", rep)
+			}
+			if !sameRecs(got, rs) {
+				t.Fatal("tail corrupted the valid prefix")
+			}
+			w, err := ContinueWAL(path, rep, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := before.Size(); torn {
+				if after.Size() != rep.ValidSize {
+					t.Fatalf("torn log continued at %d bytes, want it cut to %d", after.Size(), rep.ValidSize)
+				}
+			} else if after.Size() != want || want <= rep.ValidSize {
+				t.Fatalf("complete log continued at %d bytes, want its zero tail kept (%d, records end at %d)",
+					after.Size(), want, rep.ValidSize)
+			}
+			if w.LastLSN() != rep.LastLSN {
+				t.Fatalf("resumed at LSN %d, want %d", w.LastLSN(), rep.LastLSN)
+			}
+			if _, err := w.Append(WalUpsert, []byte("after"), 99); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if final, err := os.Stat(path); err != nil || (!torn && final.Size() != before.Size()) {
+				t.Fatalf("a commit into the zero tail resized the log: %v", err)
+			}
+			got, rep = replayAll(t, path)
+			if !rep.Complete || rep.Damage != nil {
+				t.Fatalf("resumed log damaged: %+v", rep)
+			}
+			if len(got) != len(rs)+1 || string(got[len(got)-1].key) != "after" {
+				t.Fatalf("resumed log has %d records", len(got))
+			}
+			blob, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkZeroTail(t, blob, rep.ValidSize)
+		})
+	}
+}
+
+// TestWALStaleRecordAfterZeros builds what a power loss can leave when a
+// commit's pages reach the disk out of order: the records of earlier
+// commits, zeros where the commit's first record should be, then its
+// second record, well-formed and carrying the LSN after the lost one.
+// Replay must call that damage and salvage the prefix, and recovery must cut
+// the stale record off: once a new record has taken the lost one's LSN and
+// place, a log that kept it would deliver it as the next record.
+func TestWALStaleRecordAfterZeros(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	rs := genWalRecs(30)
+	const n = 20
+	rs := genWalRecs(n + 2)
 	buildWAL(t, path, 0, rs)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte{0xDE, 0xAD, 0xBE}); err != nil {
+	_, boundaries := recordsEnd(blob)
+	lost := blob[boundaries[n]:boundaries[n+1]] // record n+1; boundaries[0] is the checkpoint
+	clear(lost)
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
 
 	got, rep := replayAll(t, path)
-	if rep.Complete || rep.Damage == nil || int(rep.Records) != len(rs) {
-		t.Fatalf("torn log: rep=%+v", rep)
+	if rep.Complete || rep.Damage == nil {
+		t.Fatalf("stale record past zeros replayed clean: %+v", rep)
 	}
-	if !sameRecs(got, rs) {
-		t.Fatal("torn tail corrupted the valid prefix")
+	if !sameRecs(got, rs[:n]) || rep.ValidSize != boundaries[n] || rep.LastLSN != n {
+		t.Fatalf("salvaged %d records to %d (LSN %d), want %d to %d", len(got), rep.ValidSize, rep.LastLSN, n, boundaries[n])
 	}
 	w, err := ContinueWAL(path, rep, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.LastLSN() != rep.LastLSN {
-		t.Fatalf("resumed at LSN %d, want %d", w.LastLSN(), rep.LastLSN)
-	}
-	if _, err := w.Append(WalUpsert, []byte("after"), 99); err != nil {
+	// The new record has exactly the lost one's length, so it fills the
+	// zeros and ends where the stale record starts.
+	fresh := walRec{rs[n].op, bytes.Repeat([]byte("z"), len(rs[n].key)), rs[n].tid}
+	if _, err := w.Append(fresh.op, fresh.key, fresh.tid); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	got, rep = replayAll(t, path)
-	if !rep.Complete || rep.Damage != nil {
-		t.Fatalf("resumed log still damaged: %+v", rep)
+	if !sameRecs(got, append(rs[:n:n], fresh)) {
+		t.Fatalf("after recovery and one append, replay delivered %d records (LSN %d), want %d ending with the new one",
+			len(got), rep.LastLSN, n+1)
 	}
-	if len(got) != len(rs)+1 || string(got[len(got)-1].key) != "after" {
-		t.Fatalf("resumed log has %d records", len(got))
+	if !rep.Complete {
+		t.Fatalf("recovered log damaged: %+v", rep)
 	}
 }
 
@@ -598,6 +754,51 @@ func TestWALInjection(t *testing.T) {
 			}
 		})
 	}
+
+	// A small commit that outgrows the zero tail writes the next zero chunk
+	// before its records: failing there leaves a longer file that still
+	// ends cleanly after the durable prefix.
+	t.Run(chaos.WalExtend.String(), func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "wal.log")
+		w, err := CreateWAL(path, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		commit := func(key []byte) error {
+			lsn, err := w.Append(WalUpsert, key, 1)
+			if err == nil {
+				err = w.Commit(lsn)
+			}
+			return err
+		}
+		// The log's first commit grows it; the ones after it fill the tail
+		// until one no longer fits.
+		if err := commit([]byte("pre")); err != nil {
+			t.Fatal(err)
+		}
+		reg := chaos.New(1)
+		reg.On(chaos.WalExtend, 1, nil)
+		reg.Arm()
+		acked := uint64(1)
+		var cerr error
+		for cerr == nil && acked <= walZeroChunk {
+			if cerr = commit(typicalURLKey); cerr == nil {
+				acked++
+			}
+		}
+		chaos.Disarm()
+		if !errors.Is(cerr, ErrInjected) || reg.Fired(chaos.WalExtend) != 1 {
+			t.Fatalf("commit error = %v, wal/extend fired %d times", cerr, reg.Fired(chaos.WalExtend))
+		}
+		w.Close()
+		got, rep := replayAll(t, path)
+		if !rep.Complete || rep.Records != acked || !bytes.Equal(got[0].key, []byte("pre")) {
+			t.Fatalf("log after a failed extension: %+v, want %d records", rep, acked)
+		}
+		if st, err := os.Stat(path); err != nil || st.Size() <= rep.ValidSize+walZeroChunk {
+			t.Fatalf("failed extension left no grown zero tail: %v", err)
+		}
+	})
 
 	t.Run(chaos.WalRotate.String(), func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "wal.log")

@@ -219,8 +219,16 @@ func walCrashChild(pointName, dir, phase string, async bool) {
 			os.Exit(4)
 		}
 	}
+	// A log grows only at its first commit after a cut rotated it: these
+	// logs never outgrow one zero chunk between cuts. wal/extend spares the
+	// first such commit, so the kill lands while another shard's log already
+	// holds a record past its base — in the fold phase, a delta tail.
+	var skip uint64
+	if point == chaos.WalExtend {
+		skip = 1
+	}
 	reg := chaos.New(walCrashSeed)
-	reg.On(point, 1, chaos.Exit(walCrashExit))
+	reg.OnAfter(point, skip, 1, chaos.Exit(walCrashExit))
 	reg.Arm()
 	if !async {
 		// The fold phase cuts one op later, so that its first armed event
@@ -498,8 +506,10 @@ func TestWALCrashMatrix(t *testing.T) {
 		prefix, async := prefix, prefix != ""
 
 		// Log write points: the kill lands mid-write — and, in the fold
-		// phase, mid-way through a delta write to a cold shard.
-		for _, point := range []chaos.Point{chaos.WalAppend, chaos.WalTornWrite, chaos.WalSync} {
+		// phase, mid-way through a delta write to a cold shard. WalExtend
+		// kills the first commit that grows a log, between its zero chunk
+		// and its records.
+		for _, point := range []chaos.Point{chaos.WalAppend, chaos.WalTornWrite, chaos.WalSync, chaos.WalExtend} {
 			for _, phase := range []string{"snap", "fold"} {
 				point, phase := point, phase
 				name := prefix + point.String()
@@ -560,7 +570,7 @@ func TestWALCrashMatrix(t *testing.T) {
 // subprocess receives.
 func TestWALCrashMatrixPointNames(t *testing.T) {
 	for _, p := range []chaos.Point{chaos.WalAppend, chaos.WalTornWrite, chaos.WalSync,
-		chaos.WalRotate, chaos.WalTruncate, chaos.SnapClose} {
+		chaos.WalExtend, chaos.WalRotate, chaos.WalTruncate, chaos.SnapClose} {
 		found := false
 		for _, q := range chaos.Points() {
 			if q.String() == p.String() {
