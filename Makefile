@@ -91,10 +91,14 @@ chaos:
 # a checkpoint's, a demotion's and a checkpoint's fold of cold shards'
 # deltas — and requires recovery of every acknowledged write; it runs
 # under -race because group commit is the one multi-goroutine WAL path.
+# The async wal/extend rows run twenty times more: their kill waits on a
+# commit another goroutine is still writing, a timing one run rarely
+# varies.
 crash:
 	$(GO) test -run 'TestCrashMatrix' -count=1 -v ./internal/persist/
 	$(GO) test -run 'TestShardedCrashMatrix' -count=1 -v .
 	$(GO) test -race -run 'TestWALCrashMatrix' -count=1 -v .
+	$(GO) test -race -run 'TestWALCrashMatrix/async/wal/extend' -count=20 .
 
 # End-to-end network smoke: a durable leader on a loopback socket, a
 # client loading and reading over the wire, and a follower bootstrapped by

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"sync"
 	"unsafe"
 
 	"github.com/hotindex/hot/internal/bits"
@@ -10,42 +9,25 @@ import (
 
 // This file implements the structure-modifying node operations of Sections
 // 3.2 and 4.4: splicing a new entry next to the subtree it diverges from,
-// splitting an overflowed entry sequence at its root BiNode, and the
-// copy-on-write helpers used by deletes. All operations build fresh nodes;
-// published nodes are never mutated except for atomic child pointer and
-// TID stores.
+// splitting an overflowed node at its root BiNode, and the copy-on-write
+// helpers used by deletes. All operations build fresh nodes; published
+// nodes are never mutated except for atomic child pointer and TID stores.
 //
-// A splice that fits the node (splice) and a child replacement
-// (withSlotReplaced) edit the stored form, as the paper's insert does: the
-// partial keys move at their stored width and the values as they are
-// stored, around a one-entry gap; the keys are recoded (the PDEP step)
-// only when the splice adds a column, and widened only when that column
-// takes the node past 8 or 16 of them; the extraction spec changes in
-// place while the new bit falls in a single-mask node's window, and is
-// re-derived otherwise.
+// A splice (splice) and a child replacement (withSlotReplaced) edit the
+// stored form, as the paper's insert does: the partial keys move at their
+// stored width and the values as they are stored, around a one-entry gap;
+// the keys are recoded (the PDEP step) only when the splice adds a column,
+// and widened only when that column takes the node past 8 or 16 of them;
+// the extraction spec changes in place while the new bit falls in a
+// single-mask node's window, and is re-derived otherwise.
 //
-// An overflow's split and a delete's entry removal decode the node
-// instead: its partial keys widened to uint32 and its values to slots, in
-// pooled scratch buffers rather than garbage, then built into fresh nodes
-// by newNode, which copies them. A split half is a subtree of a canonical
-// sequence and only drops the columns it does not use; a removal may leave
-// stale bits behind and recanonicalizes.
-
-// entryBuf holds one transient entry sequence of up to MaxFanout+1 entries
-// (an overflowed node before its split).
-type entryBuf struct {
-	d     []uint16
-	pks   []uint32
-	slots []slot
-}
-
-var bufPool = sync.Pool{New: func() any {
-	return &entryBuf{
-		d:     make([]uint16, 0, MaxFanout+1),
-		pks:   make([]uint32, 0, MaxFanout+1),
-		slots: make([]slot, 0, MaxFanout+1),
-	}
-}}
+// An overflow first cuts the node's own entries at its root BiNode and
+// then splices the new entry into the half it joins, with the same splice
+// (see spliceAndBuild). A half is a subtree of a canonical node and only
+// drops the columns it does not use, so the cut decodes the partial keys
+// to uint32 and the values to slots, in stack arrays, and builds each half
+// with newNode. A delete's entry removal decodes the same way, but may
+// leave stale bits behind, so it recanonicalizes.
 
 // spliceOp describes the insertion of one new entry into a node, adjacent
 // to the subtree of a reference entry, discriminated by a (possibly new)
@@ -59,20 +41,68 @@ type spliceOp struct {
 	refSlot slot   // the reference entry's new value on a parent pull up
 }
 
-// spliceAndBuild applies op to nd's entries (Section 4.4) and either
-// builds the resulting node or, when it would exceed k entries, splits the
-// sequence at its root BiNode (Section 3.2). The returned left/right slots
-// are either existing entries (singleton halves hang directly in the
-// parent) or links to fresh nodes.
+// spliceAndBuild applies op to nd (Section 4.4) and either builds the
+// resulting node or, when it would exceed k entries, splits it at its root
+// BiNode (Section 3.2). The returned left/right slots are either existing
+// entries (singleton halves hang directly in the parent) or links to fresh
+// nodes.
+//
+// An overflow cuts nd's own n entries at the root BiNode, d[0], and then
+// applies op to the half that holds op.refIdx: a splice when that half is a
+// node, a two-entry node when it is the entry alone. This builds the same
+// halves as splitting the n+1 entries because of three facts about the
+// splices an insert makes, which the decoded sequence never needed:
+//   - op.mb is never d[0]: the new key agrees with its candidate on every
+//     bit of the candidate's path, and d[0] is on every path. A bit before
+//     d[0] becomes the root BiNode itself, with the new entry one half and
+//     the whole node the other.
+//   - a pull-up's bit lies after d[0] and op.refIdx holds a child: the
+//     split child's root BiNode lies below every BiNode on the child's path
+//     in nd. So the joined half is an inner node and keeps a child.
+//   - a splice that is not a pull-up inserts a leaf, which a leaf half
+//     takes as well as an inner one.
 func (nd *node) spliceAndBuild(op spliceOp, pool *nodePool, k int) (res *node, left, right slot, splitBit uint16, overflow bool) {
 	if int(nd.n) < k {
 		return nd.splice(op, pool), slot{}, slot{}, 0, false
 	}
-	eb := bufPool.Get().(*entryBuf)
-	defer bufPool.Put(eb)
-	d, pks, slots := nd.spliceEntries(op, eb)
-	left, right, splitBit = split(d, pks, slots, pool)
-	return nil, left, right, splitBit, true
+	d := nd.dbits()
+	var pb [MaxFanout]uint32
+	var sb [MaxFanout]slot
+	pks, slots := nd.pks(pb[:0]), nd.appendSlots(sb[:0], 0, int(nd.n))
+	if pos, present := nd.columnOf(op.mb); pos == 0 && !present {
+		left, right = op.newSlot, buildHalf(d, pks, slots, 0, pool)
+		if op.newBit == 1 {
+			left, right = right, left
+		}
+		return nil, left, right, op.mb, true
+	}
+	rootBit := uint32(1) << (len(d) - 1)
+	at := 0
+	for pks[at]&rootBit == 0 {
+		at++
+	}
+	left = buildHalf(d, pks[:at], slots[:at], rootBit, pool)
+	right = buildHalf(d, pks[at:], slots[at:], rootBit, pool)
+	joined, size := &left, at
+	if op.refIdx >= at {
+		joined, size, op.refIdx = &right, len(pks)-at, op.refIdx-at
+	}
+	if size > 1 {
+		half := (*node)(joined.child)
+		*joined = childSlot(half.splice(op, pool))
+		pool.put(half) // never published
+		return nil, left, right, d[0], true
+	}
+	ref := *joined
+	if op.pullUp {
+		ref = op.refSlot
+	}
+	s0, s1 := ref, op.newSlot
+	if op.newBit == 0 {
+		s0, s1 = s1, s0
+	}
+	*joined = childSlot(nodeFrom2(op.mb, s0, s1, pool))
+	return nil, left, right, d[0], true
 }
 
 // splice builds the node nd becomes with op applied, which must leave it
@@ -211,98 +241,13 @@ func insertColumnLanes(keys []byte, width uint8, n, ncols, pos int) {
 	}
 }
 
-// spliceEntries applies op to nd's entries decoded into eb: the
-// discriminative bits, the partial keys widened to uint32 and the values
-// as slots of the resulting sequence, which an overflow splits (see splice
-// for the mechanics).
-func (nd *node) spliceEntries(op spliceOp, eb *entryBuf) (d []uint16, pks []uint32, slots []slot) {
-	dbits := nd.dbits()
-	ncols := len(dbits)
-	pos, present := nd.columnOf(op.mb)
-
-	newCols := ncols
-	if !present {
-		newCols++
-	}
-	d = append(eb.d[:0], dbits[:pos]...)
-	if !present {
-		d = append(d, op.mb)
-	}
-	d = append(d, dbits[pos:]...)
-
-	n := int(nd.n)
-	pks = nd.pks(eb.pks[:0])
-	if !present {
-		for i, pk := range pks {
-			pks[i] = insertColumn(pk, ncols, pos)
-		}
-	}
-
-	colShift := uint(newCols - 1 - pos)
-	colBit := uint32(1) << colShift
-	// Columns above (more significant than) the new one.
-	prefixMask := lowMask32(newCols) &^ (colBit<<1 - 1)
-	prefix := pks[op.refIdx] & prefixMask
-
-	// Affected range: contiguous, contains refIdx.
-	lo, hi := op.refIdx, op.refIdx
-	for lo > 0 && pks[lo-1]&prefixMask == prefix {
-		lo--
-	}
-	for hi+1 < n && pks[hi+1]&prefixMask == prefix {
-		hi++
-	}
-
-	newPk := prefix
-	insertAt := lo
-	if op.newBit == 1 {
-		newPk |= colBit
-		insertAt = hi + 1
-	} else {
-		// Affected entries now take the 1-branch of the new BiNode.
-		for i := lo; i <= hi; i++ {
-			pks[i] |= colBit
-		}
-	}
-
-	slots = nd.appendSlots(eb.slots[:0], 0, insertAt)
-	slots = append(slots, op.newSlot)
-	slots = nd.appendSlots(slots, insertAt, n)
-	if op.pullUp {
-		ri := op.refIdx
-		if insertAt <= ri {
-			ri++
-		}
-		slots[ri] = op.refSlot
-	}
-
-	pks = append(pks, 0)
-	copy(pks[insertAt+1:], pks[insertAt:])
-	pks[insertAt] = newPk
-	return d, pks, slots
-}
-
-// split cuts an overflowed entry sequence at its root BiNode (column 0 =
-// the smallest discriminative bit; in a Patricia trie bit positions grow
-// along every path, so the root BiNode carries the minimum).
-func split(d []uint16, pks []uint32, slots []slot, pool *nodePool) (left, right slot, splitBit uint16) {
-	splitBit = d[0]
-	rootBit := uint32(1) << (len(d) - 1)
-	at := 0
-	for at < len(pks) && pks[at]&rootBit == 0 {
-		at++
-	}
-	left = buildHalf(d, pks[:at], slots[:at], rootBit, pool)
-	right = buildHalf(d, pks[at:], slots[at:], rootBit, pool)
-	return left, right, splitBit
-}
-
-// buildHalf turns one side of a split into a slot: the entry itself for a
-// singleton, otherwise a fresh node over the half's own columns. The
-// sequence is canonical (sparse partial keys, every column a BiNode), so a
-// half is a subtree of it and needs no rebuild: its columns are exactly
-// the bits its partial keys set, minus the root BiNode's, which every key
-// of the right half carries, and one PEXT per key drops the others.
+// buildHalf turns one side of a node cut at its root BiNode into a slot:
+// the entry itself for a singleton, otherwise a fresh node over the half's
+// own columns. The node is canonical (sparse partial keys, every column a
+// BiNode), so a half is a subtree of it and needs no rebuild: its columns
+// are exactly the bits its partial keys set, minus rootBit, the root
+// BiNode's, which every key of the right half carries, and one PEXT per
+// key drops the others. A rootBit of 0 copies the whole node.
 func buildHalf(d []uint16, pks []uint32, slots []slot, rootBit uint32, pool *nodePool) slot {
 	if len(slots) == 1 {
 		return slots[0]
@@ -373,15 +318,13 @@ func (nd *node) withSlotReplaced(idx int, s slot, pool *nodePool) *node {
 // discriminative bit set re-canonicalized (nd must have ≥ 3 entries;
 // 2-entry nodes underflow and are eliminated by the caller instead).
 func (nd *node) withoutEntry(idx int, pool *nodePool) *node {
-	eb := bufPool.Get().(*entryBuf)
-	pks := nd.pks(eb.pks[:0])
-	pks = append(pks[:idx], pks[idx+1:]...)
+	var pb, cb [MaxFanout]uint32
 	var db [MaxFanout]uint16
-	var pb [MaxFanout]uint32
-	d, cpks := canonicalize(nd.dbits(), pks, db[:0], pb[:0])
-	slots := nd.appendSlots(eb.slots[:0], 0, idx)
+	var sb [MaxFanout]slot
+	pks := nd.pks(pb[:0])
+	pks = append(pks[:idx], pks[idx+1:]...)
+	d, cpks := canonicalize(nd.dbits(), pks, db[:0], cb[:0])
+	slots := nd.appendSlots(sb[:0], 0, idx)
 	slots = nd.appendSlots(slots, idx+1, int(nd.n))
-	res := newNode(pool, maxChildHeight(slots)+1, d, cpks, slots)
-	bufPool.Put(eb)
-	return res
+	return newNode(pool, maxChildHeight(slots)+1, d, cpks, slots)
 }

@@ -306,9 +306,10 @@ func (nd *node) storeChild(i int, c *node) {
 	nd.slot(i).storeChild(c)
 }
 
-// appendSlots appends entries [lo, hi) to dst as slots, the form the
-// structure modifications build new nodes from. The caller holds the node
-// still (its lock, or exclusive access).
+// appendSlots appends entries [lo, hi) to dst as slots, the form newNode
+// builds from: an overflow's cut at the root BiNode and a delete decode a
+// node's values with it. The caller holds the node still (its lock, or
+// exclusive access).
 func (nd *node) appendSlots(dst []slot, lo, hi int) []slot {
 	if !nd.isLeaf() {
 		return append(dst, nd.slots()[lo:hi]...)
@@ -408,9 +409,9 @@ func (nd *node) pk(i int) uint32 {
 	return lane(nd.keys(), nd.width, i)
 }
 
-// pks materializes all partial keys into dst (used by the structure
-// modifications that recanonicalize — split and delete — which operate on
-// uint32 regardless of storage width).
+// pks materializes all partial keys into dst, widened to uint32 whatever
+// the stored width: an overflow's cut at the root BiNode and a delete
+// decode a node's keys with it.
 func (nd *node) pks(dst []uint32) []uint32 {
 	dst = dst[:0]
 	for i := 0; i < int(nd.n); i++ {

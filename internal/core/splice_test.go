@@ -8,7 +8,9 @@ import (
 	"testing"
 	"unsafe"
 
+	"github.com/hotindex/hot/internal/dataset"
 	"github.com/hotindex/hot/internal/key"
+	"github.com/hotindex/hot/internal/tidstore"
 )
 
 // TestInsertAllocs pins the allocations of a non-overflowing normal
@@ -77,7 +79,8 @@ func isSpliceInsert(tr *tree, k []byte, stack []pathEntry, buf []byte) bool {
 // the bit positions d (the positions below span) into a valid node, once
 // as a leaf node and once as an inner node, and checks a random splice of
 // each, its overflow and a slot replacement of the inner one, against the
-// decoded oracle: newNode over the entry sequence spliceEntries decodes.
+// decoded oracle: newNode over the entry sequence spliceEntries decodes,
+// and for an overflow over each side of its root BiNode.
 func checkSplices(t *testing.T, rng *rand.Rand, d []uint16, dense []uint32, span int) {
 	t.Helper()
 	if len(dense) >= MaxFanout {
@@ -163,28 +166,116 @@ func randomSplice(rng *rand.Rand, nd *node, span int) spliceOp {
 	return op
 }
 
+// spliceEntries is the decoded oracle of a splice: op applied to nd's
+// entries decoded to the discriminative bits, the partial keys widened to
+// uint32 and the values as slots of the resulting sequence (see splice for
+// the mechanics).
+func spliceEntries(nd *node, op spliceOp) (d []uint16, pks []uint32, slots []slot) {
+	dbits := nd.dbits()
+	ncols := len(dbits)
+	pos, present := nd.columnOf(op.mb)
+
+	newCols := ncols
+	if !present {
+		newCols++
+	}
+	d = append(d, dbits[:pos]...)
+	if !present {
+		d = append(d, op.mb)
+	}
+	d = append(d, dbits[pos:]...)
+
+	n := int(nd.n)
+	pks = nd.pks(nil)
+	if !present {
+		for i, pk := range pks {
+			pks[i] = insertColumn(pk, ncols, pos)
+		}
+	}
+
+	colBit := uint32(1) << uint(newCols-1-pos)
+	// Columns above (more significant than) the new one.
+	prefixMask := lowMask32(newCols) &^ (colBit<<1 - 1)
+	prefix := pks[op.refIdx] & prefixMask
+
+	// Affected range: contiguous, contains refIdx.
+	lo, hi := op.refIdx, op.refIdx
+	for lo > 0 && pks[lo-1]&prefixMask == prefix {
+		lo--
+	}
+	for hi+1 < n && pks[hi+1]&prefixMask == prefix {
+		hi++
+	}
+
+	newPk := prefix
+	insertAt := lo
+	if op.newBit == 1 {
+		newPk |= colBit
+		insertAt = hi + 1
+	} else {
+		// Affected entries now take the 1-branch of the new BiNode.
+		for i := lo; i <= hi; i++ {
+			pks[i] |= colBit
+		}
+	}
+
+	slots = nd.appendSlots(nil, 0, insertAt)
+	slots = append(slots, op.newSlot)
+	slots = nd.appendSlots(slots, insertAt, n)
+	if op.pullUp {
+		ri := op.refIdx
+		if insertAt <= ri {
+			ri++
+		}
+		slots[ri] = op.refSlot
+	}
+
+	pks = slices.Insert(pks, insertAt, newPk)
+	return d, pks, slots
+}
+
 // checkSplice checks nd.splice(op) against newNode over the decoded
 // splice, on a fresh block and on a recycled one.
 func checkSplice(t *testing.T, rng *rand.Rand, nd *node, op spliceOp) {
 	t.Helper()
-	d, pks, slots := nd.spliceEntries(op, &entryBuf{})
+	d, pks, slots := spliceEntries(nd, op)
 	want := newNode(nil, maxChildHeight(slots)+1, d, pks, slots)
 	checkBuild(t, rng, want, func(pool *nodePool) *node { return nd.splice(op, pool) })
 }
 
+// realizable reports whether an insert can make op on nd (see
+// spliceAndBuild): its bit is not the root BiNode's, a pull-up's lies after
+// it and replaces a child, and any other splice inserts a leaf.
+func realizable(nd *node, op spliceOp) bool {
+	if op.pullUp {
+		return op.mb > nd.dbits()[0] && nd.child(op.refIdx) != nil
+	}
+	return op.mb != nd.dbits()[0] && op.newSlot.child == nil
+}
+
 // checkSplit overflows nd with a random splice that an insert could make
-// — a fanout limit of nd's own entry count — and checks both split halves
-// against canonicalize and newNode over the decoded sequence's two sides,
-// a singleton half against its entry.
+// — realizable, and leaving a canonical sequence — at a fanout limit of
+// nd's own entry count, and checks it with checkOverflow.
 func checkSplit(t *testing.T, rng *rand.Rand, nd *node, span int) {
 	t.Helper()
-	op := randomSplice(rng, nd, span)
-	d, pks, slots := nd.spliceEntries(op, &entryBuf{})
-	for !isCanonical(d, pks) { // an existing column on the reference entry's path
-		op = randomSplice(rng, nd, span)
-		d, pks, slots = nd.spliceEntries(op, &entryBuf{})
+	for {
+		op := randomSplice(rng, nd, span)
+		if d, pks, _ := spliceEntries(nd, op); realizable(nd, op) && isCanonical(d, pks) {
+			checkOverflow(t, nd, op, int(nd.n), nil)
+			return
+		}
 	}
-	_, left, right, splitBit, overflow := nd.spliceAndBuild(op, nil, int(nd.n))
+}
+
+// checkOverflow runs nd.spliceAndBuild(op) at fanout k, which nd's entries
+// fill, building into pool, and checks both split halves against
+// canonicalize and newNode over the two sides of the decoded sequence's
+// root BiNode, a singleton half against its entry. It returns the halves
+// and the split bit.
+func checkOverflow(t *testing.T, nd *node, op spliceOp, k int, pool *nodePool) (left, right slot, splitBit uint16) {
+	t.Helper()
+	d, pks, slots := spliceEntries(nd, op)
+	_, left, right, splitBit, overflow := nd.spliceAndBuild(op, pool, k)
 	if !overflow || splitBit != d[0] {
 		t.Fatalf("overflow %v at bit %d, want a split at %d", overflow, splitBit, d[0])
 	}
@@ -206,6 +297,7 @@ func checkSplit(t *testing.T, rng *rand.Rand, nd *node, span int) {
 		half := slots[h.lo:h.hi]
 		sameNode(t, "split half", h.got.loadChild(), newNode(nil, maxChildHeight(half)+1, hd, hpks, half))
 	}
+	return left, right, splitBit
 }
 
 // isCanonical reports whether the partial keys ascend strictly and
@@ -376,7 +468,7 @@ func TestSpliceTransitions(t *testing.T) {
 			if overflow {
 				t.Fatal("splice overflowed")
 			}
-			d, pks, slots := c.nd.spliceEntries(c.op, &entryBuf{})
+			d, pks, slots := spliceEntries(c.nd, c.op)
 			sameNode(t, "spliceAndBuild", res, newNode(nil, maxChildHeight(slots)+1, d, pks, slots))
 			checkSplice(t, rng, c.nd, c.op)
 			if !c.check(c.nd, res) {
@@ -422,4 +514,130 @@ func TestSpliceTransitions(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOverflowMatchesOracle drives real inserts of integer and url keys
+// through tries of fanouts 2 to 8 and MaxFanout. Before each insert that
+// overflows, it replays the overflow on the trie's nodes as execInsert
+// runs it — the affected node's split, then each parent pull-up — and
+// holds every split's halves, and the splice a pull-up chain ends in, byte
+// for byte to the decoded oracle. The replay builds into a pool of its own
+// earlier results, so into dirty blocks as well as fresh ones.
+func TestOverflowMatchesOracle(t *testing.T) {
+	var aboveRoot, singletons int
+	for _, kind := range []dataset.Kind{dataset.Integer, dataset.URL} {
+		all := dataset.Generate(kind, 50000, 1)
+		for _, k := range []int{2, 3, 4, 5, 6, 7, 8, MaxFanout} {
+			keys := all[:5000] // thousands of overflows at a small fanout
+			if k == MaxFanout {
+				keys = all
+			}
+			t.Run(fmt.Sprintf("%v/k=%d", kind, k), func(t *testing.T) {
+				s := &tidstore.Store{}
+				tr := NewWithFanout(s.Key, k)
+				r := overflowReplay{t: t, tr: &tr.tree, rng: rand.New(rand.NewSource(int64(k))), pool: &nodePool{}}
+				for _, kb := range keys {
+					if tr.root.Load().n != nil {
+						r.replay(kb)
+					}
+					if !tr.Insert(kb, s.Add(kb)) {
+						t.Fatalf("Insert(%q) found the key present", kb)
+					}
+				}
+				if err := tr.Verify(); err != nil {
+					t.Fatal(err)
+				}
+				if r.overflows == 0 || r.pullUps == 0 {
+					t.Fatalf("%d overflows, %d pull-ups: the keys did not reach both", r.overflows, r.pullUps)
+				}
+				t.Logf("%d overflows, %d pull-ups, %d above the root BiNode, %d into a singleton", r.overflows, r.pullUps, r.aboveRoot, r.singletons)
+				aboveRoot += r.aboveRoot
+				singletons += r.singletons
+			})
+		}
+	}
+	if aboveRoot == 0 || singletons == 0 {
+		t.Fatalf("%d overflows at a bit above the root BiNode, %d into a singleton half: want both", aboveRoot, singletons)
+	}
+}
+
+// overflowReplay replays the overflows of real inserts into tr, counting
+// what it checked.
+type overflowReplay struct {
+	t                                         *testing.T
+	tr                                        *tree
+	rng                                       *rand.Rand
+	pool                                      *nodePool
+	stack                                     []pathEntry
+	buf                                       []byte
+	fresh                                     []*node
+	overflows, pullUps, aboveRoot, singletons int
+}
+
+// replay checks the overflow an insert of k would make, if any, without
+// changing the trie, and then recycles every node it built.
+func (r *overflowReplay) replay(k []byte) {
+	t, tr := r.t, r.tr
+	t.Helper()
+	stack, cand := descend(tr.root.Load().n, k, r.stack[:0])
+	r.stack = stack
+	mb, differ := key.MismatchBit(tr.load(cand, r.buf[:0]), k)
+	if !differ {
+		t.Fatalf("%q is present before its insert", k)
+	}
+	plan := planInsert(stack, cand, mb, key.Bit(k, mb), tr.k)
+	a := stack[plan.ai]
+	if plan.what != caseNormal || int(a.nd.n) < tr.k {
+		return
+	}
+	op := spliceOp{mb: uint16(mb), newBit: plan.bitv, newSlot: leafSlot(MaxTID), refIdx: a.idx}
+	for cur, oldH := plan.ai, a.nd.height; ; {
+		nd := stack[cur].nd
+		if pos, present := nd.columnOf(op.mb); pos == 0 && !present {
+			r.aboveRoot++
+		} else if lo, hi := nd.prefixRange(op.refIdx, 1); lo == hi {
+			r.singletons++
+		}
+		left, right, splitBit := checkOverflow(t, nd, op, tr.k, r.pool)
+		r.overflows++
+		for _, h := range []slot{left, right} {
+			if isFresh(h, nd, op) {
+				r.fresh = append(r.fresh, (*node)(h.child))
+			}
+		}
+		if cur == 0 {
+			break
+		}
+		parent := stack[cur-1]
+		if int(oldH)+1 < int(parent.nd.height) {
+			break // intermediate node creation: no pull-up
+		}
+		r.pullUps++
+		op = spliceOp{mb: splitBit, newBit: 1, newSlot: right, refIdx: parent.idx, pullUp: true, refSlot: left}
+		if int(parent.nd.n) < tr.k {
+			checkSplice(t, r.rng, parent.nd, op)
+			break
+		}
+		cur, oldH = cur-1, parent.nd.height
+	}
+	for _, nd := range r.fresh {
+		r.pool.put(nd)
+	}
+	r.fresh = r.fresh[:0]
+}
+
+// isFresh reports whether half s of nd's overflow under op is a node the
+// overflow built, not an entry it moved: one of nd's children or op's
+// slots, which the trie or an earlier step owns.
+func isFresh(s slot, nd *node, op spliceOp) bool {
+	c := (*node)(s.child)
+	if c == nil || s == op.newSlot || s == op.refSlot {
+		return false
+	}
+	for i := range int(nd.n) {
+		if nd.child(i) == c {
+			return false
+		}
+	}
+	return true
 }

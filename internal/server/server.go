@@ -392,10 +392,7 @@ func (s *Server) ServeConn(rw io.ReadWriter) {
 	var rbuf, wbuf []byte
 	var tids []hot.TID // a leader's BATCH lookups and SCAN entries land here
 	var keys [][]byte  // and a leader's SCAN keys, resolved in one batch
-	// A leader's SCANs reposition this one cursor. Between SCANs it keeps the
-	// backing of the one shard it stopped in reachable, until the next SCAN
-	// or the idle timeout.
-	var cur hot.ShardedCursor
+	collect := func(tid hot.TID) bool { tids = append(tids, tid); return true }
 	for {
 		if br.Buffered() == 0 {
 			if err := bw.Flush(); err != nil {
@@ -500,13 +497,11 @@ func (s *Server) ServeConn(rw io.ReadWriter) {
 			} else {
 				// Collect the TIDs first and resolve their keys in one
 				// KeyMap call, whose misses overlap, instead of one tuple
-				// load per entry. Every TID the cursor yields is bound —
+				// load per entry. Every TID the scan yields is bound —
 				// cold sections' TIDs too, by the durable open's
-				// RecoverEntry walk — so the keys are the cursor's own.
+				// RecoverEntry walk — so the keys are the scan's own.
 				tids = tids[:0]
-				for s.tree.SeekCursor(&cur, start); cur.Valid() && len(tids) < int(max); cur.Next() {
-					tids = append(tids, cur.TID())
-				}
+				s.tree.Scan(start, int(max), collect)
 				if cap(keys) < len(tids) {
 					keys = make([][]byte, len(tids))
 				}

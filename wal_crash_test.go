@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/hotindex/hot/internal/chaos"
 )
@@ -141,7 +142,11 @@ func walCrashChild(pointName, dir, phase string, async bool) {
 	// Each lifecycle event notes the kind of its first cut before it runs,
 	// so the parent can tell which kind of cut a kill interrupted (a kill
 	// point fires at its first hit, so in that event's first cut).
+	var rearm func() // re-aims wal/extend at the cut's second extending commit
 	noteCut := func(demote bool, first int) {
+		if rearm != nil {
+			rearm()
+		}
 		dest := walCrashFirstCut(set, demote, first)
 		if _, err := fmt.Fprintln(cutlog, dest); err == nil {
 			err = cutlog.Sync()
@@ -221,14 +226,22 @@ func walCrashChild(pointName, dir, phase string, async bool) {
 	}
 	// A log grows only at its first commit after a cut rotated it: these
 	// logs never outgrow one zero chunk between cuts. wal/extend spares the
-	// first such commit, so the kill lands while another shard's log already
-	// holds a record past its base — in the fold phase, a delta tail.
-	var skip uint64
-	if point == chaos.WalExtend {
-		skip = 1
-	}
+	// first such commit after each cut and kills the second, once another
+	// shard's log holds a durable record past its base — in the fold phase,
+	// a delta tail. A Flush syncs its shards on concurrent goroutines, so
+	// the spared commit may still be writing its records when the second
+	// one extends; the kill waits for them.
 	reg := chaos.New(walCrashSeed)
-	reg.OnAfter(point, skip, 1, chaos.Exit(walCrashExit))
+	if point == chaos.WalExtend {
+		kill := func() {
+			walCrashAwaitRecordPastBase(set)
+			os.Exit(walCrashExit)
+		}
+		rearm = func() { reg.OnAfter(point, reg.Hits(point)+1, 1, kill) }
+		rearm()
+	} else {
+		reg.On(point, 1, chaos.Exit(walCrashExit))
+	}
 	reg.Arm()
 	if !async {
 		// The fold phase cuts one op later, so that its first armed event
@@ -279,6 +292,21 @@ func walCrashChild(pointName, dir, phase string, async bool) {
 	chaos.Disarm()
 	fmt.Fprintf(os.Stderr, "point %s never fired\n", pointName)
 	os.Exit(5)
+}
+
+// walCrashAwaitRecordPastBase returns once some shard's log holds a
+// durable record past its base, and ends the child with an error if none
+// does within ten seconds.
+func walCrashAwaitRecordPastBase(set *ShardedTree) {
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(100 * time.Microsecond) {
+		for _, w := range set.dur.wals {
+			if w.DurableLSN() > w.Base() {
+				return
+			}
+		}
+	}
+	fmt.Fprintln(os.Stderr, "no log holds a durable record past its base")
+	os.Exit(4)
 }
 
 type walCrashLoggedOp struct {
