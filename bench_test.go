@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -32,6 +33,7 @@ import (
 	"github.com/hotindex/hot/internal/masstree"
 	"github.com/hotindex/hot/internal/patricia"
 	"github.com/hotindex/hot/internal/striped"
+	"github.com/hotindex/hot/internal/tidstore"
 	"github.com/hotindex/hot/internal/ycsb"
 )
 
@@ -352,6 +354,63 @@ func BenchmarkDurableAsyncLoad(b *testing.B) {
 	b.ReportMetric(float64(reg.Hits(chaos.WalSync))/window, "fsyncs/op")
 	if err := tr.Close(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkAsyncSkew is the async path at its worst skew: 8 goroutines
+// upsert zipf-picked keys out of 100 k integer keys that all route to
+// shard 0 of 8, so every writer convoys on one shard's writer lock. mem is
+// an in-memory tree; durable is a write-ahead-logged one, whose closing
+// Flush (timed) pays the fsyncs the upserts left owed. One op is one
+// UpsertAsync of a present key.
+func BenchmarkAsyncSkew(b *testing.B) {
+	const n, shards, workers = 100_000, 8, 8
+	sample := make([]uint64, 256) // a uniform split of the first key byte: every key below 1<<56 is in shard 0
+	for i := range sample {
+		sample[i] = uint64(i) << 56
+	}
+	keys := make([][]byte, n)
+	for k := range keys {
+		keys[k] = u64Key(uint64(k))
+	}
+	for _, mode := range []string{"mem", "durable"} {
+		b.Run(mode, func(b *testing.B) {
+			var tr *ShardedTree
+			if mode == "mem" {
+				tr = NewShardedTree(tidstore.Uint64Key, shards, u64Keys(sample))
+			} else {
+				var err error
+				if tr, _, err = openDurableU64(b.TempDir(), shards, sample, DurableOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for k, key := range keys {
+				if tr.Shard(key) != 0 {
+					b.Fatalf("key %d routes to shard %d, want 0", k, tr.Shard(key))
+				}
+				tr.InsertAsync(key, TID(k))
+			}
+			tr.Flush()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					rng, picker := rand.New(rand.NewSource(benchSeed+int64(w))), ycsb.NewPicker(ycsb.Zipfian, n)
+					for i := w; i < b.N; i += workers {
+						k := picker.Next(rng)
+						tr.UpsertAsync(keys[k], TID(k))
+					}
+				}(w)
+			}
+			wg.Wait()
+			tr.Flush()
+			b.StopTimer()
+			if err := tr.Close(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -8,9 +8,9 @@
 // restart/backoff/validation and epoch-contention counters.
 //
 // With -shards N the same fault pressure is aimed at the range-sharded
-// writer path instead: the shard writer lock, the submission queues and
-// the shards' epoch domains. A shard runs no ROWEX — its writes are
-// serialized by the lock — so the three lock-window points
+// writer path instead: the shard writer lock and the shards' epoch
+// domains. A shard runs no ROWEX — its writes are serialized by the lock —
+// so the three lock-window points
 // (rowex/between-locks, before-validate, before-unlock) are never reached
 // and restarts stay 0, while after-traverse (every write) and mid-copy
 // (every insert and delete; an upsert of a present key stores its TID in
@@ -18,9 +18,9 @@
 // rounds each shard is verified individually (structural invariants plus
 // shard-range containment) while the aggregate Len is checked against a
 // full cross-shard scan oracle. Sharded runs additionally route half of
-// the mutations through the asynchronous submission-queue path
-// (UpsertAsync/DeleteAsync) with the queue-push and writer-handoff fault
-// points armed, and Flush the queues before each round's verification.
+// the mutations through the async methods (UpsertAsync/DeleteAsync), which
+// apply under the same writer lock, and Flush before each round's
+// verification.
 // They also run over a cold tier: the tree is seeded with every key, a
 // tier is armed in a temporary directory and every other shard demoted,
 // and a few times a round one worker demotes every other shard again — so
@@ -101,8 +101,6 @@ func main() {
 		reg.On(chaos.RowexBeforeUnlock, *prob, chaos.Yield(1))
 		reg.On(chaos.EpochEnter, *prob, chaos.Yield(1))
 		reg.On(chaos.EpochAdvance, *prob, chaos.Sleep(50*time.Microsecond))
-		reg.On(chaos.ShardQueuePush, *prob, chaos.Yield(2))
-		reg.On(chaos.ShardWriterHandoff, *prob, chaos.Yield(2))
 		reg.Arm()
 		defer chaos.Disarm()
 	}
@@ -120,7 +118,7 @@ func main() {
 	for r := 0; r < *rounds; r++ {
 		runRound(tr, store, keys, *workers, perRound, *seed+int64(r)*997, &scanFaults)
 		if ai, ok := tr.(asyncIndex); ok {
-			ai.Flush() // drain the submission queues before verification
+			ai.Flush()
 		}
 		// All workers joined: the trie is quiescent and must verify clean.
 		// On a sharded tree Verify covers every shard's structural
@@ -183,7 +181,7 @@ func main() {
 	fmt.Println("OK: zero corruption errors")
 }
 
-// asyncIndex is the submission-queue surface; only hot.ShardedTree
+// asyncIndex is the async write surface; only hot.ShardedTree
 // provides it, so single-tree runs stay all-synchronous.
 type asyncIndex interface {
 	UpsertAsync(k []byte, tid hot.TID)
@@ -289,9 +287,9 @@ func genKeys(n int, seed int64) (*tidstore.Store, [][]byte) {
 
 // runRound fires ops operations at the trie from workers goroutines: a
 // 45/25/20/10 mix of upserts, deletes, lookups and bounded ordered scans.
-// On a sharded tree half the mutations go through the async submission
-// queues; upserts always write the key's canonical TID, so sync/async
-// reorderings never change a stored value and the lookup probe stays
+// On a sharded tree half the mutations go through the async methods;
+// upserts always write the key's canonical TID, so sync/async reorderings
+// never change a stored value and the lookup probe stays
 // valid. Scans double as wait-free-reader integrity probes: observed keys
 // must be strictly ascending. On a sharded tree worker 0 also demotes
 // every other shard four times a round, each time twice two of its ops

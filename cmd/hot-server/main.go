@@ -31,7 +31,6 @@ func main() {
 	addr := flag.String("addr", ":7070", "listen address")
 	shards := flag.Int("shards", 8, "shard count for a fresh index")
 	dir := flag.String("dir", "", "durable directory (empty: in-memory)")
-	commitDelay := flag.Duration("commit-delay", 0, "group-commit fsync accumulation window")
 	follow := flag.String("follow", "", "leader address to follow (read-only replica mode)")
 	maxConns := flag.Int("max-conns", 0, "connection limit; accepts past it get a typed busy rejection (0 = unlimited)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "close connections idle past this (0 = 5m default, negative disables; never applies to replication streams)")
@@ -52,16 +51,15 @@ func main() {
 	}
 
 	s, err := server.New(server.Options{
-		Shards:           *shards,
-		Dir:              *dir,
-		GroupCommitDelay: *commitDelay,
-		Follow:           *follow,
-		MaxConns:         *maxConns,
-		IdleTimeout:      *idleTimeout,
-		WriteTimeout:     *writeTimeout,
-		DialTimeout:      *dialTimeout,
-		MemoryBudget:     *memBudget,
-		CacheBytes:       *cacheBytes,
+		Shards:       *shards,
+		Dir:          *dir,
+		Follow:       *follow,
+		MaxConns:     *maxConns,
+		IdleTimeout:  *idleTimeout,
+		WriteTimeout: *writeTimeout,
+		DialTimeout:  *dialTimeout,
+		MemoryBudget: *memBudget,
+		CacheBytes:   *cacheBytes,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hot-server:", err)

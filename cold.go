@@ -53,19 +53,16 @@ import (
 // down to one, then folds the largest deltas, so the resident set tracks
 // the write skew while the full key space stays serviceable.
 //
-// Write guard. Every write path — synchronous, durable and the async
-// submission queues — holds the shard's wmu in shared mode across its ring
-// deposits, writer-token acquisitions and applies, and applies to the state
+// Write guard. Every write — synchronous or async, durable or not — holds
+// the shard's wmu in shared mode across its apply, and applies to the state
 // it loaded under it (lockShardWrite). Transitions take wmu exclusively, so
-// a transition observes a quiescent shard whose submission ring it can
-// drain inline into the state it replaces (the writer token is necessarily
-// free under the exclusive lock) and never races an apply.
+// a transition observes a quiescent shard and never races an apply.
 //
 // Demotion, fold and Checkpoint are one cut (ShardedTree.cut in
 // durable_sharded.go), which always writes the indexed snap-NNN.hot: under
 // d.ckpt (serializing against Checkpoint, Close and replication sessions),
 // and the exclusive write guard when the file is to be served, the shard's
-// drained stream is written out, its log is rotated to its last LSN, and
+// stream is written out, its log is rotated to its last LSN, and
 // the file becomes the section of a shard that had one or is being demoted. The cut is exact — every logged
 // operation of the shard is in the base, nothing after the base is logged —
 // so a shard's durable state is always its base plus the log tail past it,
@@ -428,9 +425,6 @@ func (ct *coldTier) promote(s int) error {
 	w := &ct.ws[s]
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	// Writes deposited while cold go to the delta first, so the trie is
-	// built from the shard's complete state.
-	t.drainExclusive(s, st)
 	tr := t.newTrie()
 	if err := st.walk(t.load(s, tr)); err != nil {
 		return fmt.Errorf("hot: promoting shard %d: %w", s, err)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"time"
 
 	"github.com/hotindex/hot/internal/persist"
 )
@@ -24,18 +23,18 @@ import (
 //     returns.
 //   - Asynchronous writes (InsertAsync/...): durable when Flush returns.
 //     An async write is appended to its shard's log and applied — visible
-//     to every reader — as soon as its shard gets to it, with no fsync:
-//     that is left owed to the shard's next barrier. Flush is the barrier
-//     a caller asks for: once everything submitted before it is applied,
-//     it syncs every shard whose log runs ahead of its durable LSN, all of
-//     them at once. The others come for free: Close; a synchronous write
-//     to the same shard (its commit covers every earlier record); a cut of
-//     the shard by Checkpoint or a demotion, and a replication bootstrap
-//     (both sync before they read the shard's state); a follower's poll
-//     (each pass of a replication tailer syncs first, so a follower is
-//     only ever sent durable records); and a bound — the run that finds
-//     256 KiB of a shard's records waiting commits before it returns, so
-//     a submitter that never flushes risks at most that much per shard.
+//     to every reader — before the call returns, with no fsync: that is
+//     left owed to the shard's next barrier. Flush is the barrier a caller
+//     asks for: it syncs every shard whose log runs ahead of its durable
+//     LSN, all of them at once. The others come for free: Close; a
+//     synchronous write to the same shard (its commit covers every earlier
+//     record); a cut of the shard by Checkpoint or a demotion, and a
+//     replication bootstrap (both sync before they read the shard's
+//     state); a follower's poll (each pass of a replication tailer syncs
+//     first, so a follower is only ever sent durable records); and a bound
+//     — the async write that finds 256 KiB of a shard's records waiting
+//     commits before it returns, so a submitter that never flushes risks
+//     at most that much per shard.
 //     Writes no barrier has covered were never acknowledged: a crash may
 //     lose them — of one goroutine's un-flushed stream each shard keeps
 //     some prefix — and a reader may have seen a value the crash then
@@ -48,13 +47,6 @@ import (
 
 // DurableOptions tunes an index opened in durable mode.
 type DurableOptions struct {
-	// GroupCommitDelay is the fsync accumulation window: a commit leader
-	// waits this long before its fsync so concurrent writers share it —
-	// higher throughput at the cost of that much acknowledgement latency.
-	// Zero syncs immediately (every sync write pays its own fsync unless a
-	// concurrent commit is already in flight to piggyback on).
-	GroupCommitDelay time.Duration
-
 	// RecoverEntry, when non-nil, receives every (key, TID) pair about to
 	// be restored during an OpenDurableShardedTree — each snapshot entry
 	// and each replayed insert/upsert log record, before it is applied to
@@ -155,10 +147,10 @@ func (e *OrphanedLogError) Error() string {
 // off at the last valid record; a log whose header is unsalvageable is
 // recreated empty. The returned report carries what was replayed and any
 // damage tolerated.
-func resumeWAL(path string, fn persist.WALEntryFunc, delay time.Duration) (*persist.WAL, persist.WALReplayReport, error) {
+func resumeWAL(path string, fn persist.WALEntryFunc) (*persist.WAL, persist.WALReplayReport, error) {
 	if _, err := os.Stat(path); err != nil {
 		if os.IsNotExist(err) {
-			w, cerr := persist.CreateWAL(path, 0, delay)
+			w, cerr := persist.CreateWAL(path, 0, 0)
 			return w, persist.WALReplayReport{}, cerr
 		}
 		return nil, persist.WALReplayReport{}, err
@@ -176,7 +168,7 @@ func resumeWAL(path string, fn persist.WALEntryFunc, delay time.Duration) (*pers
 			rep.Damage = fe
 		}
 	}
-	w, err := persist.ContinueWAL(path, rep, delay)
+	w, err := persist.ContinueWAL(path, rep, 0)
 	if err != nil {
 		var fe *persist.FormatError
 		if !errors.As(err, &fe) {
@@ -184,7 +176,7 @@ func resumeWAL(path string, fn persist.WALEntryFunc, delay time.Duration) (*pers
 		}
 		// Not even the header survived: nothing was replayable, so a
 		// fresh log loses nothing further.
-		w, err = persist.CreateWAL(path, 0, delay)
+		w, err = persist.CreateWAL(path, 0, 0)
 		if err != nil {
 			return nil, rep, err
 		}

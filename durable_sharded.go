@@ -94,15 +94,15 @@ func (d *durableState) commit(s int, lsn uint64) {
 	}
 }
 
-// maxOwedBytes bounds the fsync debt one shard may carry: an async run that
-// finds this many bytes of appended records not yet written to the log
+// maxOwedBytes bounds the fsync debt one shard may carry: an async write
+// that finds this many bytes of appended records not yet written to the log
 // commits before it returns (ShardedTree.run). About 3 700 records of a
 // 55-byte key — far more than any submitter that reaches a barrier now and
 // then accumulates, and little enough that one that never does holds at
 // most this much per shard in memory and at risk.
 const maxOwedBytes = 256 << 10
 
-// settle pays the fsyncs async runs left owed. An async write is appended
+// settle pays the fsyncs async writes left owed. An async write is appended
 // and applied at once and becomes durable at the shard's next barrier:
 // this one (Flush), a synchronous write to the shard (its commit covers
 // every earlier record), a cut or a replication bootstrap of the shard
@@ -166,10 +166,10 @@ func (d *durableState) clean(s int) bool {
 // ordering rule of the file comment). The fresh file becomes the shard's
 // section — served through the cold tier (coldTier.install) — when the shard
 // already had one or demote is set; a hot shard's Checkpoint cut leaves it
-// hot. Serving is a transition: it drains the shard under its exclusive
-// write guard first, and callers hold the tier's ct.mu. The sync comes first
-// because a cut may fall between an async run's append and the fsync it left
-// owed: the base would cover those records, and a crash after the base is
+// hot. Serving is a transition: it holds the shard's exclusive write guard,
+// and callers hold the tier's ct.mu. The sync comes first because a cut may
+// fall between an async write's append and the fsync it left owed: the
+// base would cover those records, and a crash after the base is
 // installed but before the rotation would replay a log that stops short of
 // its own base — some keys restored at the base's LSN, others rolled back to
 // the log's. With the log synced first the rule holds as stated: the log on
@@ -184,14 +184,10 @@ func (t *ShardedTree) cut(s int, demote bool) error {
 	d, ct, st := t.dur, t.cold.Load(), t.shards[s].Load()
 	serve := ct != nil && (demote || st.pr != nil)
 	if serve {
-		// Under the exclusive guard no writer is mid-apply and none can
-		// deposit; drain what the ring already holds so the cut below is the
-		// shard's complete state.
 		ct.ws[s].wmu.Lock()
 		defer ct.ws[s].wmu.Unlock()
-		t.drainExclusive(s, st)
 	}
-	w := &t.async.ws[s]
+	w := &t.async[s]
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var dir string
@@ -286,17 +282,15 @@ func (t *ShardedTree) Checkpoint() error {
 	return nil
 }
 
-// Close waits for the async backlog to apply, makes every logged write
-// durable — owed async writes included — and closes the logs, returning
-// the first log error instead of panicking on it as Flush would. On a
-// non-durable tree it is just the Flush barrier.
+// Close makes every logged write durable — owed async writes included —
+// and closes the logs, returning the first log error instead of panicking
+// on it as Flush would. On a non-durable tree it does nothing.
 // Close is idempotent — a second call returns nil without touching the
 // logs. The tree must not be written after Close: durable writes panic
 // with a clear error instead of failing deep inside the log layer.
 func (t *ShardedTree) Close() error {
 	d := t.dur
 	if d == nil {
-		t.barrier()
 		return nil
 	}
 	d.ckpt.Lock()
@@ -304,11 +298,10 @@ func (t *ShardedTree) Close() error {
 	if d.closed.Load() {
 		return nil
 	}
-	t.barrier()
 	// Set the closed flag under every writer lock, so it is ordered against
 	// all in-flight appends: any write that got its lock first is logged and
 	// closed out below; any write that gets its lock later panics cleanly.
-	ws := t.async.ws
+	ws := t.async
 	for s := range ws {
 		ws[s].mu.Lock()
 	}
@@ -409,7 +402,7 @@ func OpenDurableShardedTree(dir string, loader Loader, shards int, sample [][]by
 		}
 		w, rep, err := resumeWAL(filepath.Join(dir, durableWalName(s)), func(op persist.WalOp, key []byte, tid uint64) error {
 			return t.replay(s, shard.Op{Key: key, TID: tid, Kind: shard.OpKind(op)})
-		}, opts.GroupCommitDelay)
+		})
 		if err != nil {
 			return fail(fmt.Errorf("hot: recovering shard %d log: %w", s, err))
 		}

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/hotindex/hot/internal/chaos"
 	"github.com/hotindex/hot/internal/dataset"
@@ -245,9 +244,9 @@ func TestDurableAsyncOwedBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The smallest record an 8-byte key makes: length|CRC word, op, one-byte
-	// LSN, key length, key, one-byte TID. One run may overshoot the bound by
-	// what it holds, at most a drain slice.
-	const maxOwed = maxOwedBytes/(8+1+1+1+8+1) + drainSlice
+	// LSN, key length, key, one-byte TID. The write that crosses the bound
+	// is the one that commits.
+	const maxOwed = maxOwedBytes/(8+1+1+1+8+1) + 1
 	var settled uint64
 	for i := uint64(0); i < n; i++ {
 		set.InsertAsync(u64Key(i*7919%n), i*7919%n) // 7919 is coprime to n: a permutation, interleaving the shards
@@ -349,8 +348,7 @@ func TestDurableCheckpointTruncatesLogs(t *testing.T) {
 
 func TestDurableGroupCommitConcurrent(t *testing.T) {
 	dir := t.TempDir()
-	set, _, err := openDurableU64(dir, 4, walCrashSample(),
-		DurableOptions{GroupCommitDelay: 200 * time.Microsecond})
+	set, _, err := openDurableU64(dir, 4, walCrashSample(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

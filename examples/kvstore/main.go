@@ -167,9 +167,7 @@ func main() {
 	})
 	// Recovery = per shard, its base file plus a replay of its log,
 	// salvaging the longest valid prefix of either if a crash tore them.
-	// The sample seeds the shard boundaries on the first open only. A
-	// writer per shard gains nothing from a group-commit accumulation
-	// window, so leave GroupCommitDelay zero.
+	// The sample seeds the shard boundaries on the first open only.
 	const nShards = 4
 	table := &keyTable{keys: make(map[hot.TID][]byte)}
 	dir := filepath.Join(os.TempDir(), "hot-kvstore-durable")

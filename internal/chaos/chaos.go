@@ -86,23 +86,6 @@ const (
 	// networked filesystems and must not be swallowed).
 	SnapClose
 
-	// Shard submission-queue fault points (the sharded async write path).
-	// Armed yields here force the protocol's narrow races — deposits
-	// overlapping a writer handoff, stolen drains, full-ring retries — to
-	// occur at high frequency.
-
-	// ShardQueuePush fires after an async op is deposited into a busy
-	// shard's submission ring but before the depositor re-checks the writer
-	// token: delaying here leaves a published op whose drainer may already
-	// have released (the lost-wakeup race the token re-check closes, and
-	// the state stolen drains harvest).
-	ShardQueuePush
-	// ShardWriterHandoff fires after a shard's drainer releases the writer
-	// token but before it re-checks the ring for late deposits: delaying
-	// here leaves a free token next to a non-empty ring, the state both the
-	// handoff re-check and work stealing must recover from.
-	ShardWriterHandoff
-
 	// Write-ahead-log I/O fault points (internal/persist WAL). Like the
 	// snap/* points, a nil action injects persist.ErrInjected and an Exit
 	// action simulates a process crash at exactly that I/O step; the WAL
@@ -154,8 +137,6 @@ var pointNames = [NumPoints]string{
 	"snap/rename",
 	"snap/dir-sync",
 	"snap/close",
-	"shard/queue-push",
-	"shard/writer-handoff",
 	"wal/append",
 	"wal/torn-write",
 	"wal/sync",

@@ -66,34 +66,6 @@ func TestOpStatsStringAndSub(t *testing.T) {
 	}
 }
 
-func TestOpStatsQueueCounters(t *testing.T) {
-	a := OpStats{Normal: 1, Enqueued: 10, Steals: 3, Drains: 4, Drained: 9,
-		QueueFull: 2, QueueDepth: 5}
-	b := OpStats{Enqueued: 4, Drains: 1, Drained: 2, QueueDepth: 7}
-	d := a.Sub(b)
-	// Counters subtract; QueueDepth is a gauge and passes through.
-	if d.Enqueued != 6 || d.Steals != 3 || d.Drains != 3 || d.Drained != 7 ||
-		d.QueueFull != 2 || d.QueueDepth != 5 {
-		t.Fatalf("Sub = %+v", d)
-	}
-	sum := a.Add(b)
-	if sum.Enqueued != 14 || sum.Drained != 11 || sum.QueueDepth != 12 {
-		t.Fatalf("Add = %+v", sum)
-	}
-	want := "normal=1 pushdown=0 pullup=0 intermediate=0 newroot=0 " +
-		"restarts=0 backoffs=0 validationfails=0 contended=0 " +
-		"enqueued=10 steals=3 drains=4 drained=9 queuefull=2 queuedepth=5"
-	if got := a.String(); got != want {
-		t.Fatalf("String() = %q, want %q", got, want)
-	}
-	// The queue block stays out of unsharded reports.
-	plain := OpStats{Normal: 2}
-	if got, want := plain.String(), "normal=2 pushdown=0 pullup=0 intermediate=0 newroot=0 "+
-		"restarts=0 backoffs=0 validationfails=0 contended=0"; got != want {
-		t.Fatalf("String() = %q, want %q", got, want)
-	}
-}
-
 // TestOpStatsTableCoversEveryField is the drift guard of opStatsFields:
 // every field of the struct is a uint64 counter with exactly one row, so a
 // counter added without its row fails here instead of silently staying out
@@ -123,26 +95,13 @@ func TestOpStatsTableCoversEveryField(t *testing.T) {
 }
 
 // TestOpStatsStringFixtures pins String's bytes — the drivers' logs are
-// compared across builds — for the two shapes a report takes: plain and
-// submission queues active.
+// compared across builds.
 func TestOpStatsStringFixtures(t *testing.T) {
-	const plain = "normal=1 pushdown=2 pullup=3 intermediate=4 newroot=5 " +
+	const want = "normal=1 pushdown=2 pullup=3 intermediate=4 newroot=5 " +
 		"restarts=6 backoffs=7 validationfails=8 contended=9"
-	base := OpStats{Normal: 1, Pushdown: 2, PullUp: 3, Intermediate: 4, NewRoot: 5,
+	s := OpStats{Normal: 1, Pushdown: 2, PullUp: 3, Intermediate: 4, NewRoot: 5,
 		Restarts: 6, Backoffs: 7, ValidationFails: 8, Contended: 9}
-	queues := base
-	queues.QueueDepth = 15
-	for _, c := range []struct {
-		s    OpStats
-		want string
-	}{
-		{base, plain},
-		{queues, plain + " enqueued=0 steals=0 drains=0 drained=0 queuefull=0 queuedepth=15"},
-		{base.Add(OpStats{Enqueued: 10, Steals: 11, Drains: 12, Drained: 13, QueueFull: 14, QueueDepth: 15}),
-			plain + " enqueued=10 steals=11 drains=12 drained=13 queuefull=14 queuedepth=15"},
-	} {
-		if got := c.s.String(); got != c.want {
-			t.Errorf("String() = %q, want %q", got, c.want)
-		}
+	if got := s.String(); got != want {
+		t.Errorf("String() = %q, want %q", got, want)
 	}
 }

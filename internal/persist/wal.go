@@ -300,7 +300,9 @@ type WAL struct {
 // given checkpoint base, writes its header and checkpoint record durably,
 // and returns the log ready for appends. delay is the group-commit
 // accumulation window: a commit leader waits that long before its fsync so
-// concurrent committers share it (0 syncs immediately).
+// concurrent committers share it (0 syncs immediately). The index passes 0;
+// the parameter stays only because the benchmark's ladder
+// (benchmark/ladder.go) calls CreateWAL with it (ROADMAP item 1).
 func CreateWAL(path string, base uint64, delay time.Duration) (*WAL, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -329,7 +331,8 @@ func CreateWAL(path string, base uint64, delay time.Duration) (*WAL, error) {
 // to the prefix first (the wal/truncate chaos point fires before the
 // truncation): a commit overwrites only zeros, so no byte of an
 // unacknowledged write can follow the records it appends and be replayed
-// with them later. Appends continue at rep.LastLSN + 1.
+// with them later. Appends continue at rep.LastLSN + 1. delay is CreateWAL's,
+// kept for the same reason: the index passes 0.
 func ContinueWAL(path string, rep WALReplayReport, delay time.Duration) (*WAL, error) {
 	if rep.ValidSize < headerSize {
 		return nil, formatErr(ErrTruncated, 0, "log header unsalvageable; recreate the log")

@@ -6,10 +6,12 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"github.com/hotindex/hot/internal/wire"
+	"github.com/hotindex/hot/internal/ycsb"
 )
 
 // requestStream is a run of encoded request frames; ends[i] is where frame
@@ -102,6 +104,73 @@ func BenchmarkServeConn(b *testing.B) {
 				rs.serve(s, m, io.Discard)
 				done += m
 			}
+		})
+	}
+}
+
+// BenchmarkServeConns is the server's write path under skew: 4 concurrent
+// ServeConn streams, each 4 096 pipelined SETs of zipf-picked url keys plus
+// a FLUSH, against an 8-shard server whose 100 k keys all route to shard
+// 0, so every connection's writes convoy on one shard's writer lock. mem
+// serves in memory; durable from a write-ahead-logged directory, where each
+// FLUSH pays the fsyncs its SETs left owed. One op is one round of all four
+// streams; ns/SET divides by its 16 384 SETs.
+func BenchmarkServeConns(b *testing.B) {
+	const n, conns, per = 100_000, 4, 4096
+	// The sample spans every site; the served keys are all site0000's,
+	// below the first boundary.
+	sample := benchURLs(50_000)
+	r := rand.New(rand.NewSource(1))
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = fmt.Appendf(nil, "http://www.site0000.example.org/articles/%08x/p%d.html", r.Uint32(), i)
+	}
+	for _, mode := range []string{"mem", "durable"} {
+		b.Run(mode, func(b *testing.B) {
+			opts := Options{Shards: 8, Sample: sample}
+			if mode == "durable" {
+				opts.Dir = b.TempDir()
+			}
+			s, err := New(opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			for i, k := range keys {
+				if sh := s.Tree().Shard(k); sh != 0 {
+					b.Fatalf("key %d routes to shard %d, want 0", i, sh)
+				}
+			}
+			streams := make([]requestStream, conns)
+			for c := range streams {
+				rng, picker := rand.New(rand.NewSource(int64(c))), ycsb.NewPicker(ycsb.Zipfian, n)
+				for i := 0; i < per; i++ {
+					k := picker.Next(rng)
+					streams[c].add(wire.OpSet, wire.AppendKeyTID(nil, keys[k], uint64(k)))
+				}
+				streams[c].add(wire.OpFlush, nil)
+			}
+			// The one reply of a stream is its FLUSHED: no SET was refused.
+			for c := range streams {
+				var out bytes.Buffer
+				streams[c].serve(s, len(streams[c].ends), &out)
+				if op, _, err := wire.ReadFrame(&out, nil); err != nil || op != wire.RepFlushed || out.Len() != 0 {
+					b.Fatalf("stream %d: reply op %#x, err %v, %d bytes left; want one FLUSHED", c, op, err, out.Len())
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				for c := range streams {
+					wg.Add(1)
+					go func(rs *requestStream) {
+						defer wg.Done()
+						rs.serve(s, len(rs.ends), io.Discard)
+					}(&streams[c])
+				}
+				wg.Wait()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*conns*per), "ns/SET")
 		})
 	}
 }

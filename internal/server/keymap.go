@@ -94,9 +94,8 @@ func (k *KeyMap) load(tid uint64) []byte {
 	return nil
 }
 
-// Bind records key as tid's key and returns the map's stable copy of it —
-// safe to hand to the index's async write path, which requires keys to stay
-// valid until the next Flush. Binding a TID twice with the same key is a
+// Bind records key as tid's key and returns the map's stable copy of it,
+// the bytes the index's loader resolves tid to from then on. Binding a TID twice with the same key is a
 // no-op; a different key is an error, and so is a TID above hot.MaxTID or a
 // key longer than hot.MaxKeyLen.
 func (k *KeyMap) Bind(key []byte, tid uint64) ([]byte, error) {

@@ -2,10 +2,9 @@
 // multiplexing any number of client connections onto one sharded HOT
 // index over the wire package's length-prefixed protocol. Reads run
 // straight on the epoch-protected shards (wait-free, no server-side
-// locks); writes go through the index's async submission path, so a
-// connection can pipeline writes back to back — each is applied, and
-// readable, as it arrives — and use FLUSH as its completion barrier and, on
-// a durable server, its durability point: writes no FLUSH has covered yet
+// locks); writes go through the index's async methods, so a connection can
+// pipeline writes back to back — each is applied, and readable, as it
+// arrives — and use FLUSH as its durability point on a durable server: writes no FLUSH has covered yet
 // are not promised to survive a crash. A server is either a leader (owns the
 // index, optionally durable) or a follower (bootstraps from a leader's
 // replication stream and serves reads from the replicated shard prefix).
@@ -37,8 +36,6 @@ type Options struct {
 	// Sample seeds the shard boundaries of a fresh index (see
 	// hot.NewShardedTree); ignored when Dir already holds a snapshot.
 	Sample [][]byte
-	// GroupCommitDelay is the durable mode's fsync accumulation window.
-	GroupCommitDelay time.Duration
 	// Follow, when non-empty, makes this server a read-only follower of
 	// the leader at that address: it dials, bootstraps over the leader's
 	// replication stream, and serves reads from the ready shard prefix
@@ -148,7 +145,7 @@ func New(opts Options) (*Server, error) {
 		})
 		s.fol = s.rc.Follower()
 	case opts.Dir != "":
-		dopts := hot.DurableOptions{GroupCommitDelay: opts.GroupCommitDelay, RecoverEntry: bind}
+		dopts := hot.DurableOptions{RecoverEntry: bind}
 		if opts.MemoryBudget > 0 {
 			dopts.ColdTier = &hot.ColdTierConfig{MemoryBudget: opts.MemoryBudget, CacheBytes: opts.CacheBytes}
 		}
@@ -464,9 +461,7 @@ func (s *Server) ServeConn(rw io.ReadWriter) {
 				writeErr(bw, "DEL: bad key or read-only follower")
 				return
 			}
-			// The async path needs the key until the op is applied; body
-			// aliases the reusable read buffer, so copy.
-			s.tree.DeleteAsync(append([]byte(nil), body...))
+			s.tree.DeleteAsync(body)
 
 		case wire.OpScan:
 			start, max, ok := wire.Scan(body)

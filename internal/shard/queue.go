@@ -2,22 +2,21 @@ package shard
 
 import "sync/atomic"
 
-// This file is the write-submission substrate of the sharded async path: a
-// fixed-capacity multi-producer single-consumer ring into which any worker
-// can deposit an insert/upsert/delete op for a shard whose writer is busy.
-// Whichever goroutine holds the shard's writer token is the single consumer
-// and drains the ring in batches before releasing the token (the combining
-// discipline lives in the hot package; the ring only promises MPSC safety).
+// This file holds Op, the one write a shard applies, and Queue, a
+// fixed-capacity multi-producer single-consumer ring of Ops. No write path
+// uses Queue: the sharded index applies every write under its shard's
+// writer lock. It stays only because the benchmark's per-layer ladder times
+// it (shard.queue_pushpop_ns, benchmark/ladder.go), and it goes when that
+// rung does (ROADMAP item 1(i)).
 //
 // The design is the classic bounded sequence-number ring (Vyukov): every
 // slot carries a sequence counter that encodes whose turn the slot is on.
 // Producers claim a slot by CASing the tail cursor and publish the op by
 // storing seq = tail+1; the consumer accepts a slot only once that store is
 // visible and frees it for the next lap by storing seq = head+capacity.
-// Both sides are lock-free; a full ring fails the push instead of blocking,
-// which is what lets the submitting worker go steal work elsewhere.
+// Both sides are lock-free; a full ring fails the push instead of blocking.
 
-// OpKind discriminates the write operations a submission queue carries.
+// OpKind discriminates the write operations a shard applies.
 // The values are the write-ahead log's record codes (persist.WalInsert..
 // WalDelete; the hot package pins the equality at compile time), so an op
 // is logged and replayed by conversion, and the zero Op is "no operation".
@@ -34,9 +33,8 @@ const (
 	OpDelete
 )
 
-// Op is one queued write submission. The Key slice is not copied: it must
-// remain valid and immutable until the op has been applied (Flush on the
-// sharded index is the completion barrier).
+// Op is one write to a shard. A Queue does not copy the Key slice: it must
+// remain valid and immutable until the op is popped.
 type Op struct {
 	Key  []byte
 	TID  uint64
@@ -50,8 +48,8 @@ type qslot struct {
 
 // Queue is a bounded multi-producer single-consumer ring of write
 // submissions. Any number of goroutines may TryPush concurrently; TryPop
-// must only be called by the single goroutine currently holding the owning
-// shard's writer token. Len and Cap are safe from anywhere.
+// must only be called by one goroutine at a time, the single consumer. Len
+// and Cap are safe from anywhere.
 type Queue struct {
 	cap   uint64 // logical capacity: TryPush fails at this depth
 	mask  uint64
@@ -124,8 +122,7 @@ func (q *Queue) TryPush(op Op) bool {
 
 // TryPop removes the oldest op, reporting false when the ring is empty (or
 // the oldest claimed slot is not yet published, which callers must treat as
-// empty — the publisher's post-push token re-check guarantees the op is
-// still drained). Single consumer only.
+// empty and retry later). Single consumer only.
 func (q *Queue) TryPop() (Op, bool) {
 	head := q.head.Load()
 	s := &q.slots[head&q.mask]

@@ -1,7 +1,7 @@
 // Package shard implements the range-partitioning substrate of the sharded
 // HOT index: boundary selection from a sampled key table, key→shard
-// routing, the range check every entry entering a shard must pass, and the
-// per-shard submission queue of the async write path. Because the shards
+// routing, the range check every entry entering a shard must pass, and Op,
+// the one write a shard applies. Because the shards
 // partition the key space by range, the globally ordered stream is shard
 // i's stream followed by shard i+1's; scans need no merge.
 //

@@ -174,7 +174,7 @@ func (s *ReplicationSession) StreamSnapshot() error {
 		return err
 	}
 	for i := range s.cuts {
-		w := &s.t.async.ws[i]
+		w := &s.t.async[i]
 		w.mu.Lock()
 		s.cuts[i] = s.d.wals[i].LastLSN()
 		w.mu.Unlock()
@@ -570,7 +570,7 @@ func (f *Follower) Len() int {
 
 // Stats snapshots the store's STATS rows as a follower has them: the keys
 // of the ready shard prefix and the shard count; a follower is neither
-// durable nor tiered and queues no writes.
+// durable nor tiered.
 func (f *Follower) Stats() wire.Stats {
 	s := storeStats{len: f.Len(), shards: f.Shards()}
 	return wire.AppendRows(nil, storeRows[:], &s)

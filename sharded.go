@@ -43,8 +43,8 @@ type ShardedTree struct {
 	// RecoverEntry while the open runs, a follower's onEntry.
 	check  persist.EntryFunc
 	shards []shardSlot
-	bounds [][]byte // len(shards)-1 ascending boundary keys
-	async  *asyncState
+	bounds [][]byte                 // len(shards)-1 ascending boundary keys
+	async  []asyncShard             // per shard: writer lock and async accounting
 	dur    *durableState            // non-nil when opened in durable (WAL) mode
 	cold   atomic.Pointer[coldTier] // non-nil once EnableColdTier armed the pager
 }
@@ -100,7 +100,7 @@ func newShardedFromBounds(loader Loader, bounds [][]byte) *ShardedTree {
 	for i := range t.shards {
 		t.shards[i].Store(hotState(t.newTrie()))
 	}
-	t.async = newAsyncState(len(t.shards), defaultQueueCapacity)
+	t.async = make([]asyncShard, len(t.shards))
 	return t
 }
 
@@ -136,7 +136,7 @@ func (t *ShardedTree) Boundaries() [][]byte {
 // group-commit fsynced before Insert returns. A cold owning shard takes it
 // into its delta, rejecting a key its section holds unless it was deleted.
 func (t *ShardedTree) Insert(key []byte, tid TID) bool {
-	_, ok := t.writeSync(shard.Op{Key: key, TID: tid, Kind: shard.OpInsert})
+	_, ok := t.run(shard.Op{Key: key, TID: tid, Kind: shard.OpInsert}, false)
 	return ok
 }
 
@@ -146,7 +146,7 @@ func (t *ShardedTree) Insert(key []byte, tid TID) bool {
 // delta; the TID replaced is the delta's, or the section's when the delta
 // held none — nothing when the key was deleted.
 func (t *ShardedTree) Upsert(key []byte, tid TID) (old TID, replaced bool) {
-	return t.writeSync(shard.Op{Key: key, TID: tid, Kind: shard.OpUpsert})
+	return t.run(shard.Op{Key: key, TID: tid, Kind: shard.OpUpsert}, false)
 }
 
 // Lookup returns the TID stored under key. It is wait-free: a cold
@@ -164,21 +164,8 @@ func (t *ShardedTree) Lookup(key []byte) (TID, bool) {
 // before Delete returns. A cold owning shard stays cold: a key its section
 // holds leaves a tombstone in its delta.
 func (t *ShardedTree) Delete(key []byte) bool {
-	_, ok := t.writeSync(shard.Op{Key: key, Kind: shard.OpDelete})
+	_, ok := t.run(shard.Op{Key: key, Kind: shard.OpDelete}, false)
 	return ok
-}
-
-// writeSync is the synchronous entrance to run (sharded_async.go): validate
-// before any lock is held, route, load the shard's state under its shared
-// write guard, run the one op, release. It returns what the op's method returns
-// (old is Upsert's).
-func (t *ShardedTree) writeSync(op shard.Op) (old TID, ok bool) {
-	checkOp(op.Key, op.TID)
-	s := shard.Find(t.bounds, op.Key)
-	st := t.lockShardWrite(s)
-	old, ok, _ = t.run(s, st, op, 0, true)
-	t.unlockShardWrite(s)
-	return old, ok
 }
 
 // LookupBatch looks up all keys as one batch (see Tree.LookupBatch). Every
@@ -314,9 +301,7 @@ func (t *ShardedTree) Memory() MemoryStats {
 
 // OpStats returns the insertion-case counters summed across all shards'
 // tries, cold shards' deltas included (shards run no ROWEX, so their
-// restart and validation counters stay 0), plus the async submission-queue
-// counters (deposits, stolen drains, drain batches, full-ring rejections
-// and the current queue depth across all shards). Counters of replaced
+// restart and validation counters stay 0). Counters of replaced
 // tries are carried forward, so aggregates never decrease across a
 // transition. The cold tier's counters are in ColdStats.
 func (t *ShardedTree) OpStats() OpStats {
@@ -327,7 +312,6 @@ func (t *ShardedTree) OpStats() OpStats {
 		ct.statsMu.Unlock()
 	}
 	t.eachDelta(func(d *core.ConcurrentTrie) { o = o.Add(d.OpStats()) })
-	t.async.queueOpStats(&o)
 	return o
 }
 
@@ -351,10 +335,10 @@ func (t *ShardedTree) ReclaimStats() (freed uint64, pending int64) {
 // storeStats is one STATS snapshot of a sharded store, read once; every
 // row of storeRows reads it. A follower fills only len and shards.
 type storeStats struct {
-	len, shards, pending int
-	durable              bool
-	logBytes             int64
-	cold                 ColdTierStats
+	len, shards int
+	durable     bool
+	logBytes    int64
+	cold        ColdTierStats
 }
 
 // storeRows is the one table of a sharded store's STATS rows: one per
@@ -366,7 +350,6 @@ var storeRows = [...]wire.Row[*storeStats]{
 	{Name: "shards", Unit: "shards", Gauge: true, Read: func(s *storeStats) uint64 { return uint64(s.shards) }},
 	{Name: "durable", Unit: "bool", Gauge: true, Read: func(s *storeStats) uint64 { return wire.Flag(s.durable) }},
 	{Name: "log_bytes", Unit: "bytes", Gauge: true, Read: func(s *storeStats) uint64 { return uint64(s.logBytes) }},
-	{Name: "pending", Unit: "ops", Gauge: true, Read: func(s *storeStats) uint64 { return uint64(s.pending) }},
 	{Name: "cold_tier", Unit: "bool", Gauge: true, Read: func(s *storeStats) uint64 { return wire.Flag(s.cold.Enabled) }},
 	{Name: "mem_budget", Unit: "bytes", Gauge: true, Read: func(s *storeStats) uint64 { return uint64(s.cold.MemoryBudget) }},
 	{Name: "resident_shards", Unit: "shards", Gauge: true, Read: func(s *storeStats) uint64 { return uint64(s.cold.ResidentShards) }},
@@ -384,10 +367,10 @@ var storeRows = [...]wire.Row[*storeStats]{
 }
 
 // Stats snapshots the store's STATS rows: key count, shards, durability,
-// log bytes, the async backlog and every ColdTierStats field. Read one
+// log bytes and every ColdTierStats field. Read one
 // with Get; String formats them all.
 func (t *ShardedTree) Stats() wire.Stats {
-	s := storeStats{len: t.Len(), shards: t.Shards(), pending: t.AsyncPending(),
+	s := storeStats{len: t.Len(), shards: t.Shards(),
 		durable: t.Durable(), logBytes: t.LogSize(), cold: t.ColdStats()}
 	return wire.AppendRows(nil, storeRows[:], &s)
 }

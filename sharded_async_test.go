@@ -11,14 +11,6 @@ import (
 	"github.com/hotindex/hot/internal/tidstore"
 )
 
-// withQueueCapacity gives every shard of st, which must not have been
-// written yet, a submission ring of capacity ops: a small ring drives the
-// full-ring paths (self-drains, steals, backoff) that the default rarely
-// reaches.
-func withQueueCapacity(st *ShardedTree, capacity int) {
-	st.async = newAsyncState(len(st.shards), capacity)
-}
-
 // asyncFixtureKeys generates n distinct 8-byte keys whose top byte is drawn
 // from hotFrac-weighted ranges: hotFrac of the keys land below boundary
 // byte 64 (shards 0–1 of a uniform 8-way split), the rest are uniform. The
@@ -75,9 +67,6 @@ func TestAsyncInsertOracle(t *testing.T) {
 			if applied != uint64(len(keys)) || rejected != 0 {
 				t.Fatalf("Flush = (%d, %d), want (%d, 0)", applied, rejected, len(keys))
 			}
-			if st.AsyncPending() != 0 {
-				t.Fatalf("AsyncPending = %d after Flush", st.AsyncPending())
-			}
 			if st.Len() != len(keys) {
 				t.Fatalf("Len = %d, want %d", st.Len(), len(keys))
 			}
@@ -89,104 +78,28 @@ func TestAsyncInsertOracle(t *testing.T) {
 			if err := st.Verify(); err != nil {
 				t.Fatal(err)
 			}
-			if o := st.OpStats(); o.QueueDepth != 0 {
-				t.Fatalf("queue depth %d after Flush", o.QueueDepth)
-			}
 		})
 	}
 }
 
-// TestAsyncZipfHotShard is the skew stress test: ≥8 workers aim 85% of an
+// TestAsyncZipfHotShard is the skew stress test: 8 workers aim 85% of an
 // async insert stream at the two lowest shards of an 8-way tree whose
-// boundaries were fixed uniformly, with small rings and the shard-queue
-// chaos points armed to widen the handoff races. Both hot rings run full,
-// so workers convoying on one backlogged shard harvest the other's ring —
-// the steal path. After Flush the contents must be oracle-identical, and
-// the steal/drain counters must show the combining path actually engaged.
-// Run under -race this is the acceptance churn for the submission-queue
-// protocol.
+// boundaries were fixed uniformly, with a yield armed inside the trie's
+// write so the hot shards' writer locks are often held by a descheduled
+// writer while the others convoy on them. After Flush the contents must be
+// oracle-identical and the skew must have landed on the two hot shards.
 func TestAsyncZipfHotShard(t *testing.T) {
 	const (
 		workers = 8
 		nKeys   = 24000
 	)
 	reg := chaos.New(99)
-	// The rowex yield makes appliers reschedule while holding a writer
-	// token (on few-core hosts the token is otherwise never observed busy);
-	// the queue-push and handoff yields widen the deposit/release races the
-	// steal path harvests.
 	reg.On(chaos.RowexAfterTraverse, 0.3, chaos.Yield(2))
-	reg.On(chaos.ShardQueuePush, 0.3, chaos.Yield(2))
-	reg.On(chaos.ShardWriterHandoff, 0.3, chaos.Yield(2))
 	reg.Arm()
 	defer chaos.Disarm()
 
-	for round := 0; ; round++ {
-		store, keys, sample := asyncFixtureKeys(nKeys, 0.85, 1000+int64(round))
-		st := NewShardedTree(store.Key, 8, sample)
-		withQueueCapacity(st, 4)
-		if hot := st.Shard(keys[0][:8]); hot < 0 { // routing sanity only
-			t.Fatal("unreachable")
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(keys); i += workers {
-					st.InsertAsync(keys[i], TID(i))
-				}
-			}(w)
-		}
-		wg.Wait()
-		applied, rejected := st.Flush()
-		if applied != nKeys || rejected != 0 {
-			t.Fatalf("Flush = (%d, %d), want (%d, 0)", applied, rejected, nKeys)
-		}
-		// (a) oracle-identical contents.
-		if st.Len() != nKeys {
-			t.Fatalf("Len = %d, want %d", st.Len(), nKeys)
-		}
-		for i, k := range keys {
-			if tid, ok := st.Lookup(k); !ok || tid != TID(i) {
-				t.Fatalf("lookup %x = (%d, %v), want (%d, true)", k, tid, ok, i)
-			}
-		}
-		if err := st.Verify(); err != nil {
-			t.Fatal(err)
-		}
-		// The skew really concentrated on the two hot shards.
-		if hot := st.ShardLen(0) + st.ShardLen(1); hot < nKeys/2 {
-			t.Fatalf("hot shards hold %d of %d keys — skew fixture broken", hot, nKeys)
-		}
-		// (b) the queue path engaged: deposits, drains and steals all fired.
-		o := st.OpStats()
-		t.Logf("round %d: %s", round, o)
-		if o.Enqueued == 0 || o.Drains == 0 || o.Drained == 0 {
-			t.Fatalf("async path not exercised: %s", o)
-		}
-		if o.Steals > 0 {
-			return // success: all assertions held including nonzero steals
-		}
-		// Steals ride a narrow scheduling window; retry with a fresh seed
-		// rather than flake. The op budget across rounds bounds the loop.
-		if round >= 9 {
-			t.Fatalf("no steals after %d rounds: %s", round+1, o)
-		}
-	}
-}
-
-// TestAsyncQueueCapacityOne pins the degenerate configuration: single-slot
-// rings force constant full-ring handling (self-drains, steals, backoff)
-// yet must lose or reorder nothing.
-func TestAsyncQueueCapacityOne(t *testing.T) {
-	store, keys, sample := asyncFixtureKeys(6000, 0.5, 3)
-	st := NewShardedTree(store.Key, 4, sample)
-	withQueueCapacity(st, 1)
-	if got := st.async.ws[0].q.Cap(); got != 1 {
-		t.Fatalf("queue capacity = %d, want 1", got)
-	}
-	const workers = 8
+	store, keys, sample := asyncFixtureKeys(nKeys, 0.85, 1000)
+	st := NewShardedTree(store.Key, 8, sample)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -198,16 +111,70 @@ func TestAsyncQueueCapacityOne(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if applied, rejected := st.Flush(); applied != uint64(len(keys)) || rejected != 0 {
-		t.Fatalf("Flush = (%d, %d), want (%d, 0)", applied, rejected, len(keys))
+	applied, rejected := st.Flush()
+	if applied != nKeys || rejected != 0 {
+		t.Fatalf("Flush = (%d, %d), want (%d, 0)", applied, rejected, nKeys)
 	}
-	if st.Len() != len(keys) {
-		t.Fatalf("Len = %d, want %d", st.Len(), len(keys))
+	if st.Len() != nKeys {
+		t.Fatalf("Len = %d, want %d", st.Len(), nKeys)
 	}
 	for i, k := range keys {
 		if tid, ok := st.Lookup(k); !ok || tid != TID(i) {
-			t.Fatalf("lookup %x = (%d, %v)", k, tid, ok)
+			t.Fatalf("lookup %x = (%d, %v), want (%d, true)", k, tid, ok, i)
 		}
+	}
+	if err := st.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	// The skew really concentrated on the two hot shards.
+	if hot := st.ShardLen(0) + st.ShardLen(1); hot < nKeys/2 {
+		t.Fatalf("hot shards hold %d of %d keys — skew fixture broken", hot, nKeys)
+	}
+}
+
+// TestAsyncAppliedOnReturn pins the async contract's eager apply: an async
+// write is applied before its call returns. Eight goroutines upsert their
+// own keys, zipf-skewed and all routed to one shard of eight, with a yield
+// armed inside the trie's write so the shard's writer lock is often held by
+// a descheduled writer; each looks its key up as soon as UpsertAsync
+// returns and must read the TID it just wrote.
+func TestAsyncAppliedOnReturn(t *testing.T) {
+	reg := chaos.New(41)
+	reg.On(chaos.RowexAfterTraverse, 0.3, chaos.Yield(2))
+	reg.Arm()
+	defer chaos.Disarm()
+
+	store, keys, sample := asyncFixtureKeys(8000, 1, 43)
+	st := NewShardedTree(store.Key, 8, sample)
+	var hot [][]byte
+	var tids [][2]TID // two TIDs per key, so every upsert changes its value
+	for i, k := range keys {
+		if st.Shard(k) == 0 {
+			hot = append(hot, k)
+			tids = append(tids, [2]TID{TID(i), store.Add(k)})
+		}
+	}
+	const workers, perW = 8, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			zipf := rand.NewZipf(rand.New(rand.NewSource(int64(w))), 1.2, 1, uint64(len(hot)/workers-1))
+			for i := 0; i < perW; i++ {
+				ki := w + workers*int(zipf.Uint64()) // worker w's keys only
+				tid := tids[ki][i%2]
+				st.UpsertAsync(hot[ki], tid)
+				if got, ok := st.Lookup(hot[ki]); !ok || got != tid {
+					t.Errorf("worker %d op %d: Lookup after UpsertAsync = (%d, %v), want (%d, true)", w, i, got, ok, tid)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if applied, rejected := st.Flush(); applied != workers*perW || rejected != 0 {
+		t.Fatalf("Flush = (%d, %d), want (%d, 0)", applied, rejected, workers*perW)
 	}
 	if err := st.Verify(); err != nil {
 		t.Fatal(err)
@@ -244,21 +211,18 @@ func TestAsyncOrderingAndRejects(t *testing.T) {
 }
 
 // TestAsyncMixedSyncChurn interleaves synchronous writers, async writers
-// and wait-free readers under armed chaos across every rowex, epoch and
-// shard-queue fault point — the async analogue of the sharded churn test.
+// and wait-free readers under armed chaos across the rowex fault points —
+// the async analogue of the sharded churn test.
 func TestAsyncMixedSyncChurn(t *testing.T) {
 	reg := chaos.New(17)
 	reg.On(chaos.RowexAfterTraverse, 0.02, chaos.Yield(2))
 	reg.On(chaos.RowexBetweenLocks, 0.02, chaos.Yield(1))
 	reg.On(chaos.RowexBeforeValidate, 0.02, chaos.Yield(1))
-	reg.On(chaos.ShardQueuePush, 0.05, chaos.Yield(1))
-	reg.On(chaos.ShardWriterHandoff, 0.05, chaos.Yield(1))
 	reg.Arm()
 	defer chaos.Disarm()
 
 	store, keys, sample := asyncFixtureKeys(4000, 0.7, 23)
 	st := NewShardedTree(store.Key, 4, sample)
-	withQueueCapacity(st, 8)
 	const (
 		workers = 8
 		perW    = 4000
@@ -297,9 +261,6 @@ func TestAsyncMixedSyncChurn(t *testing.T) {
 	}
 	wg.Wait()
 	st.Flush()
-	if st.AsyncPending() != 0 {
-		t.Fatalf("AsyncPending = %d after Flush", st.AsyncPending())
-	}
 	if err := st.Verify(); err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +303,6 @@ func TestShardWritesTakeNoROWEXLock(t *testing.T) {
 		alt[i] = store.Add(k)
 	}
 	st := NewShardedTree(store.Key, 4, sample)
-	withQueueCapacity(st, 8)
 	const workers = 8
 	models := make([]map[int]TID, workers)
 	var wg sync.WaitGroup
