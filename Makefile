@@ -28,12 +28,13 @@ ci: all
 # must never be copied by value — keep
 # internal/shard, internal/core and internal/epoch in the vet set when
 # narrowing the package list.
-# The next three lines vet and build the !amd64 side of internal/bits
-# (bits_noasm.go), which an amd64 build never compiles, and run
-# internal/core as a 32-bit program: its 64-bit atomic TID stores fault on
-# a word that is not 8-byte aligned there (see core's slot layout). The
-# last two vet and build for other operating systems, which compile
-# internal/persist's non-Linux datasync (a plain fsync) instead of
+# The next four lines vet and build the !amd64 side of internal/bits
+# (bits_noasm.go), which an amd64 build never compiles, run its tests
+# there — the portable PEXT and search are all a 386 build has —
+# and run internal/core as a 32-bit program: its 64-bit atomic TID stores
+# fault on a word that is not 8-byte aligned there (see core's slot
+# layout). The last two vet and build for other operating systems, which
+# compile internal/persist's non-Linux datasync (a plain fsync) instead of
 # fdatasync.
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -45,6 +46,7 @@ check:
 	$(GO) -C benchmark test ./...
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) build ./...
+	GOARCH=386 $(GO) test ./internal/bits
 	GOARCH=386 $(GO) test ./internal/core
 	GOOS=darwin GOARCH=arm64 $(GO) vet ./...
 	GOOS=windows $(GO) build ./...

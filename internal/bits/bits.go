@@ -12,8 +12,8 @@
 //
 // Prefetch is the one memory hint: the trie's descent issues it on a
 // child node's block as soon as it has loaded the child pointer, so the
-// block's later lines (the value a search picks, a writer's dbits and
-// copy) load alongside the header line instead of after it. It is
+// block's later lines (the value a search picks, a writer's block copy)
+// load alongside the header line instead of after it. It is
 // PREFETCHT0 on amd64 and a no-op everywhere else.
 //
 // Partial-key arrays are byte-packed little-endian lanes (8, 16 or 32 bits
@@ -30,10 +30,11 @@ import (
 )
 
 // PrefetchLines is the number of 64-byte cache lines Prefetch requests:
-// 512 bytes, the largest Go size class of a leaf node's block, so one
-// prefetch covers a whole leaf (header, partial keys, TIDs and
-// discriminative bits) and the first 512 bytes of an inner node. The
-// amd64 kernel unrolls exactly this many PREFETCHT0s.
+// 512 bytes, at least the largest Go size class of a leaf node's block
+// (core's TestPrefetchCoversLeafBlocks), so one prefetch covers a whole
+// leaf (header, partial keys, TIDs and any tail) and the first 512 bytes
+// of an inner node. The amd64 kernel unrolls exactly this many
+// PREFETCHT0s.
 const PrefetchLines = 8
 
 // Native reports whether Search, SearchProbe and Pext64 run as native

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	mathbits "math/bits"
 
 	"github.com/hotindex/hot/internal/bits"
 	"github.com/hotindex/hot/internal/key"
@@ -28,9 +27,11 @@ const (
 // = most significant discriminative bit = most significant partial-key
 // bit). It is the per-node hot path of every lookup; the PEXT-based
 // layouts mirror the paper's extractSingleMask / extractMultiMask8
-// primitives. A multi-mask word holds the first 8 (offset, mask) pairs;
-// multi16 and multi32 nodes extract the bits of further key bytes one by
-// one from dbits.
+// primitives. The spec is the node's only record of d (see node.dbits),
+// except that a multi-mask word holds only the first 8 (offset, mask)
+// pairs: multi16 and multi32 nodes keep the positions in further key bytes
+// in their block's tail, which the caller stores (setTail), and extract
+// them one by one.
 func (nd *node) setSpec(d []uint16) {
 	nd.mask, nd.offs, nd.noff = 0, [8]uint16{}, 0
 	first := int(d[0]) >> 3
@@ -106,7 +107,7 @@ func (nd *node) gather(k []byte) uint64 {
 // (multi16, multi32) one by one.
 func (nd *node) extractMulti(k []byte) uint32 {
 	pk := uint32(bits.Pext64(nd.gather(k), nd.mask))
-	for _, p := range nd.dbits()[mathbits.OnesCount64(nd.mask):] {
+	for _, p := range nd.tail() {
 		pk = pk<<1 | uint32(key.Bit(k, int(p)))
 	}
 	return pk

@@ -24,10 +24,11 @@ import (
 // An overflow first cuts the node's own entries at its root BiNode and
 // then splices the new entry into the half it joins, with the same splice
 // (see spliceAndBuild). A half is a subtree of a canonical node and only
-// drops the columns it does not use, so the cut decodes the partial keys
-// to uint32 and the values to slots, in stack arrays, and builds each half
-// with newNode. A delete's entry removal decodes the same way, but may
-// leave stale bits behind, so it recanonicalizes.
+// drops the columns it does not use, so the cut decodes the bit positions
+// from the header, the partial keys to uint32 and the values to slots, in
+// stack arrays, and builds each half with newNode. A delete's entry
+// removal decodes the same way, but may leave stale bits behind, so it
+// recanonicalizes.
 
 // spliceOp describes the insertion of one new entry into a node, adjacent
 // to the subtree of a reference entry, discriminated by a (possibly new)
@@ -45,7 +46,9 @@ type spliceOp struct {
 // resulting node or, when it would exceed k entries, splits it at its root
 // BiNode (Section 3.2). The returned left/right slots are either existing
 // entries (singleton halves hang directly in the parent) or links to fresh
-// nodes.
+// nodes. Blocks come from pool, except the half the splice joins, which is
+// spliced and never published: it comes from and goes back to spare, a
+// pool only the calling writer uses.
 //
 // An overflow cuts nd's own n entries at the root BiNode, d[0], and then
 // applies op to the half that holds op.refIdx: a splice when that half is a
@@ -61,11 +64,12 @@ type spliceOp struct {
 //     in nd. So the joined half is an inner node and keeps a child.
 //   - a splice that is not a pull-up inserts a leaf, which a leaf half
 //     takes as well as an inner one.
-func (nd *node) spliceAndBuild(op spliceOp, pool *nodePool, k int) (res *node, left, right slot, splitBit uint16, overflow bool) {
+func (nd *node) spliceAndBuild(op spliceOp, pool, spare *nodePool, k int) (res *node, left, right slot, splitBit uint16, overflow bool) {
 	if int(nd.n) < k {
 		return nd.splice(op, pool), slot{}, slot{}, 0, false
 	}
-	d := nd.dbits()
+	var db [MaxFanout]uint16
+	d := nd.dbits(db[:0])
 	var pb [MaxFanout]uint32
 	var sb [MaxFanout]slot
 	pks, slots := nd.pks(pb[:0]), nd.appendSlots(sb[:0], 0, int(nd.n))
@@ -81,16 +85,21 @@ func (nd *node) spliceAndBuild(op spliceOp, pool *nodePool, k int) (res *node, l
 	for pks[at]&rootBit == 0 {
 		at++
 	}
-	left = buildHalf(d, pks[:at], slots[:at], rootBit, pool)
-	right = buildHalf(d, pks[at:], slots[at:], rootBit, pool)
+	joinsRight := op.refIdx >= at
+	lp, rp := spare, pool
+	if joinsRight {
+		lp, rp = pool, spare
+	}
+	left = buildHalf(d, pks[:at], slots[:at], rootBit, lp)
+	right = buildHalf(d, pks[at:], slots[at:], rootBit, rp)
 	joined, size := &left, at
-	if op.refIdx >= at {
+	if joinsRight {
 		joined, size, op.refIdx = &right, len(pks)-at, op.refIdx-at
 	}
 	if size > 1 {
 		half := (*node)(joined.child)
 		*joined = childSlot(half.splice(op, pool))
-		pool.put(half) // never published
+		spare.put(half)
 		return nil, left, right, d[0], true
 	}
 	ref := *joined
@@ -141,21 +150,23 @@ func (nd *node) splice(op spliceOp, pool *nodePool) *node {
 	}
 
 	newWidth := pkWidth(newCols)
-	cls := classOf(n+1, newWidth, nd.isLeaf())
-	res := allocNode(pool, cls)
-	*res = *nd
-	res.n, res.width, res.ncols, res.cls = uint8(n+1), newWidth, uint8(newCols), cls
-
-	d, od := res.dbits(), nd.dbits()
-	copy(d, od[:pos])
-	if present {
-		copy(d[pos:], od[pos:])
-	} else {
+	h := *nd
+	h.n, h.width, h.ncols = uint8(n+1), newWidth, uint8(newCols)
+	var db [MaxFanout]uint16
+	var d []uint16 // the new positions, decoded only to re-derive the spec
+	if !present && !h.addSpecBit(op.mb) {
+		d = nd.dbits(db[:0])
+		d = append(d[:pos+1], d[pos:]...)
 		d[pos] = op.mb
-		copy(d[pos+1:], od[pos:])
-		if !res.addSpecBit(op.mb) {
-			res.setSpec(d)
-		}
+		h.setSpec(d)
+	}
+	h.cls = classOf(n+1, newWidth, nd.isLeaf(), h.hasTail())
+	res := allocNode(pool, h.cls)
+	*res = h
+	if d != nil {
+		res.setTail(d)
+	} else {
+		copy(res.tail(), nd.tail()) // the spec is nd's, or nd's single mask plus op.mb
 	}
 
 	keys, oldKeys := res.keys(), nd.keys()
@@ -294,12 +305,12 @@ func (nd *node) withSlotReplaced(idx int, s slot, pool *nodePool) *node {
 			h = max(h, subtreeHeight(old[i]))
 		}
 	}
-	cls := classOf(int(nd.n), nd.width, h == 0)
+	cls := classOf(int(nd.n), nd.width, h == 0, nd.hasTail())
 	res := allocNode(pool, cls)
 	*res = *nd
 	res.height, res.cls = h+1, cls
 	copy(res.keys(), nd.keys())
-	copy(res.dbits(), nd.dbits())
+	copy(res.tail(), nd.tail())
 	if res.isLeaf() {
 		tids := unsafe.Slice(res.leafTID(0), len(old))
 		for i := range old {
@@ -319,11 +330,11 @@ func (nd *node) withSlotReplaced(idx int, s slot, pool *nodePool) *node {
 // 2-entry nodes underflow and are eliminated by the caller instead).
 func (nd *node) withoutEntry(idx int, pool *nodePool) *node {
 	var pb, cb [MaxFanout]uint32
-	var db [MaxFanout]uint16
+	var db, cdb [MaxFanout]uint16
 	var sb [MaxFanout]slot
 	pks := nd.pks(pb[:0])
 	pks = append(pks[:idx], pks[idx+1:]...)
-	d, cpks := canonicalize(nd.dbits(), pks, db[:0], cb[:0])
+	d, cpks := canonicalize(nd.dbits(db[:0]), pks, cdb[:0], cb[:0])
 	slots := nd.appendSlots(sb[:0], 0, idx)
 	slots = nd.appendSlots(slots, idx+1, int(nd.n))
 	return newNode(pool, maxChildHeight(slots)+1, d, cpks, slots)

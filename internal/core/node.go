@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	mathbits "math/bits"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -77,12 +78,19 @@ func subtreeHeight(s slot) uint8 {
 // A node is one allocation, a block of its class (see nodeClass), laid out
 // in the order a search touches it (Figure 6):
 //
-//	header  this struct, 32 bytes: the extraction word and the sizes
+//	header  this struct, 32 bytes: the extraction spec and the sizes
 //	keys    n partial keys, width bits each, padded to 8 bytes
 //	values  a leaf node's n TIDs, 8 bytes each, or an inner node's n
 //	        slots, 16 bytes each
-//	dbits   the ncols discriminative bit positions, ascending
+//	tail    multi16 and multi32 nodes only: the bit positions past the
+//	        first 8 (offset, mask) pairs, ascending
 //	cold    the ROWEX lock and the obsolete flag
+//
+// The discriminative bit positions are not stored: the extraction spec in
+// the header implies them, as in the paper's layout (see dbits and
+// columnOf). Only a spec of more than 8 pairs does not fit the header, so
+// multi16 and multi32 nodes, rare on real keys, take blocks of a class
+// family of their own that ends in the tail.
 //
 // A leaf node (height 1) never takes a child: pushdown, intermediate node
 // creation and child replacement all store into nodes of height > 1. So a
@@ -93,7 +101,8 @@ func subtreeHeight(s slot) uint8 {
 // whatever else its header says.
 //
 // A lookup reads the header and the keys, which start on the header's
-// cache line, then one value; dbits and cold are for writers only. Every
+// cache line, then one value (and a multi16 or multi32 node's tail); cold
+// is for writers only. Every
 // offset follows from the class, n and width, so no slice header is loaded
 // on the way. All of the block except the entries' child pointers and
 // TIDs and the cold part is immutable after the node is published: an
@@ -132,34 +141,48 @@ type nodeCold struct {
 }
 
 // nodeClass is one block type: every node with the same entry count,
-// partial-key width and leaf-ness shares it. Each class is a Go struct
-// type built once by reflect.StructOf, so the GC traces exactly the inner
-// slots' child words and nothing else in the block, and a leaf class holds
-// no pointer at all.
+// partial-key width, leaf-ness and tail-ness shares it. Each class is a Go
+// struct type built once by reflect.StructOf, so the GC traces exactly the
+// inner slots' child words and nothing else in the block, and a leaf class
+// holds no pointer at all.
 type nodeClass struct {
-	typ  reflect.Type
-	size int     // the block's size in bytes
-	cold uintptr // offset of the nodeCold
+	typ   reflect.Type
+	size  int     // the block's size in bytes
+	cold  uintptr // offset of the nodeCold
+	n     uint8   // entries
+	width uint8   // partial-key width in bits
+	tail  uint8   // room for tail positions; 0 outside the tail family
 }
 
-// leafClasses is the number of inner classes: classes below it are inner
-// classes, whose values are slots, and classes from it on are leaf
-// classes, whose values are bare TIDs.
-const leafClasses = 3 * (MaxFanout + 1)
+// leafClasses is the first leaf class: classes below it are inner classes,
+// whose values are slots, and classes from it on are leaf classes, whose
+// values are bare TIDs. A leaf class is its inner twin plus leafClasses.
+const leafClasses = 128
 
-// classes holds one class per (leaf-ness, width, entry count): index
-// classOf(n, width, leaf). Classes no node can have (a width wider than
-// n-1 columns need) are left zero.
-var classes = buildClasses()
+// classes holds every block class by index, and classIndex maps a class's
+// shape to its index (see classOf). A shape no class takes maps to
+// noClass, whose typ is nil, so allocating it panics.
+var classes, classIndex = buildClasses()
+
+// noClass is a class index no class takes: the last inner one.
+const noClass = leafClasses - 1
 
 // classOf returns the class index of a node of n entries and the given
-// partial-key width, in the leaf half when leaf.
-func classOf(n int, width uint8, leaf bool) uint8 {
-	cls := (mathbits.TrailingZeros8(width)-3)*(MaxFanout+1) + n
-	if leaf {
-		cls += leafClasses
+// partial-key width: a leaf class when leaf, of the tail family when tail.
+func classOf(n int, width uint8, leaf, tail bool) uint8 {
+	return classIndex[shapeIndex(n, width, leaf, tail)]
+}
+
+// shapeIndex numbers the class shapes for classIndex.
+func shapeIndex(n int, width uint8, leaf, tail bool) int {
+	i := (mathbits.TrailingZeros8(width)-3)*(MaxFanout+1) + n
+	if tail {
+		i += 3 * (MaxFanout + 1)
 	}
-	return uint8(cls)
+	if leaf {
+		i += 6 * (MaxFanout + 1)
+	}
+	return i
 }
 
 // maxCols is the number of discriminative bits a width holds: columns
@@ -182,37 +205,61 @@ func valueSize(leaf bool) int {
 
 const tidSize = int(unsafe.Sizeof(TID(0)))
 
-func buildClasses() (cs [2 * leafClasses]nodeClass) {
+func buildClasses() (cs [2 * leafClasses]nodeClass, index [12 * (MaxFanout + 1)]uint8) {
 	hdr := reflect.TypeOf(node{})
+	for i := range index {
+		index[i] = noClass
+	}
 	for _, leaf := range []bool{false, true} {
 		value := reflect.StructField{Name: "Slots", Type: reflect.TypeOf(slot{})}
+		first := 0
 		if leaf {
 			value = reflect.StructField{Name: "TIDs", Type: reflect.TypeOf(TID(0))}
+			first = leafClasses
 		}
-		for _, width := range []uint8{8, 16, 32} {
-			for n := 2; n <= MaxFanout; n++ {
-				ncols := min(n-1, maxCols(width))
-				if pkWidth(ncols) != width {
-					continue // every column count n allows fits a narrower width
+		next := first
+		for _, tail := range []bool{false, true} {
+			for _, width := range []uint8{8, 16, 32} {
+				for n := 2; n <= MaxFanout; n++ {
+					ncols := min(n-1, maxCols(width))
+					if pkWidth(ncols) != width {
+						continue // every column count n allows fits a narrower width
+					}
+					room := 0
+					if tail {
+						// Each of the header's 8 pairs holds a bit at least.
+						if room = ncols - len(node{}.offs); room <= 0 {
+							continue
+						}
+					}
+					fields := []reflect.StructField{
+						{Name: "Header", Type: hdr},
+						{Name: "Keys", Type: reflect.ArrayOf(keyBytes(n, width), reflect.TypeOf(byte(0)))},
+						{Name: value.Name, Type: reflect.ArrayOf(n, value.Type)},
+					}
+					if tail {
+						fields = append(fields, reflect.StructField{Name: "Tail", Type: reflect.ArrayOf(room, reflect.TypeOf(uint16(0)))})
+					}
+					typ := reflect.StructOf(append(fields, reflect.StructField{Name: "Cold", Type: reflect.TypeOf(nodeCold{})}))
+					// The accessors compute these offsets (the tail's, or
+					// an empty tail's at the cold part); the type must agree.
+					if kb := keyBytes(n, width); typ.Field(1).Offset != headerSize ||
+						typ.Field(2).Offset != uintptr(headerSize+kb) ||
+						typ.Field(3).Offset != uintptr(headerSize+kb+n*valueSize(leaf)) {
+						panic("core: node block layout disagrees with its accessors")
+					}
+					cs[next] = nodeClass{typ: typ, size: int(typ.Size()), cold: typ.Field(typ.NumField() - 1).Offset,
+						n: uint8(n), width: width, tail: uint8(room)}
+					index[shapeIndex(n, width, leaf, tail)] = uint8(next)
+					next++
 				}
-				typ := reflect.StructOf([]reflect.StructField{
-					{Name: "Header", Type: hdr},
-					{Name: "Keys", Type: reflect.ArrayOf(keyBytes(n, width), reflect.TypeOf(byte(0)))},
-					{Name: value.Name, Type: reflect.ArrayOf(n, value.Type)},
-					{Name: "Dbits", Type: reflect.ArrayOf(ncols, reflect.TypeOf(uint16(0)))},
-					{Name: "Cold", Type: reflect.TypeOf(nodeCold{})},
-				})
-				// The accessors compute these offsets; the type must agree.
-				if kb := keyBytes(n, width); typ.Field(1).Offset != headerSize ||
-					typ.Field(2).Offset != uintptr(headerSize+kb) ||
-					typ.Field(3).Offset != uintptr(headerSize+kb+n*valueSize(leaf)) {
-					panic("core: node block layout disagrees with its accessors")
-				}
-				cs[classOf(n, width, leaf)] = nodeClass{typ: typ, size: int(typ.Size()), cold: typ.Field(4).Offset}
 			}
 		}
+		if next-first >= leafClasses-1 {
+			panic("core: more node classes than class indices")
+		}
 	}
-	return cs
+	return cs, index
 }
 
 // keyBytes is the size of the partial-key array of n entries of the given
@@ -277,7 +324,8 @@ func (nd *node) entry(i int) (*node, TID) {
 // prefetch starts loading nd's block, up to bits.PrefetchLines lines, so
 // a descent that has just loaded nd's pointer waits on one miss per visit
 // instead of two: the header's line and the line of the value search
-// picks (or a writer's dbits) arrive together. It reads nothing itself.
+// picks (or of a writer's block copy) arrive together. It reads nothing
+// itself.
 func (nd *node) prefetch() { bits.Prefetch(unsafe.Pointer(nd)) }
 
 // child returns entry i's child node, nil when the entry is a leaf.
@@ -320,10 +368,43 @@ func (nd *node) appendSlots(dst []slot, lo, hi int) []slot {
 	return dst
 }
 
-// dbits returns the discriminative bit positions, ascending.
-func (nd *node) dbits() []uint16 {
+// hasTail reports whether nd's extraction spec has more than 8 (offset,
+// mask) pairs (multi16, multi32), so its block is of the tail family.
+func (nd *node) hasTail() bool { return nd.kind >= extractMulti16 }
+
+// tail returns the bit positions past the extraction mask's, ascending:
+// the columns the header's spec leaves out, none outside the tail family.
+func (nd *node) tail() []uint16 {
 	off := headerSize + keyBytes(int(nd.n), nd.width) + int(nd.n)*valueSize(nd.isLeaf())
-	return unsafe.Slice((*uint16)(unsafe.Add(unsafe.Pointer(nd), off)), nd.ncols)
+	return unsafe.Slice((*uint16)(unsafe.Add(unsafe.Pointer(nd), off)), int(nd.ncols)-mathbits.OnesCount64(nd.mask))
+}
+
+// setTail stores the positions of d, nd's discriminative bits, that the
+// extraction mask leaves out into nd's tail.
+func (nd *node) setTail(d []uint16) {
+	copy(nd.tail(), d[mathbits.OnesCount64(nd.mask):])
+}
+
+// dbits appends the discriminative bit positions to dst, ascending: the
+// extraction mask's bits from the top, placed by the offsets, then the
+// tail. Writers decode into a stack array where they need the slice.
+func (nd *node) dbits(dst []uint16) []uint16 {
+	for m := nd.mask; m != 0; {
+		z := mathbits.LeadingZeros64(m)
+		dst = append(dst, nd.maskBit(z))
+		m &^= 1 << (63 - z)
+	}
+	return append(dst, nd.tail()...)
+}
+
+// maskBit returns the bit position the extraction mask's bit z, counted
+// from the top, selects: bit z of the single-mask window, or bit z%8 of a
+// multi-mask node's key byte offs[z/8].
+func (nd *node) maskBit(z int) uint16 {
+	if nd.kind == extractSingle {
+		return uint16(8*int(nd.offs[0]) + z)
+	}
+	return uint16(8*int(nd.offs[z>>3]) + z&7)
 }
 
 // cold returns the node's lock and obsolete flag.
@@ -338,11 +419,12 @@ func (nd *node) cold() *nodeCold {
 // scratch buffers; the block is drawn from pool when one is given.
 func newNode(pool *nodePool, height uint8, d []uint16, pks []uint32, slots []slot) *node {
 	n, width := len(slots), pkWidth(len(d))
-	cls := classOf(n, width, height == 1)
-	nd := allocNode(pool, cls)
-	*nd = node{height: height, n: uint8(n), width: width, ncols: uint8(len(d)), cls: cls}
-	nd.setSpec(d)
-	copy(nd.dbits(), d)
+	h := node{height: height, n: uint8(n), width: width, ncols: uint8(len(d))}
+	h.setSpec(d)
+	h.cls = classOf(n, width, height == 1, h.hasTail())
+	nd := allocNode(pool, h.cls)
+	*nd = h
+	nd.setTail(d)
 	if nd.isLeaf() {
 		tids := unsafe.Slice(nd.leafTID(0), n)
 		for i := range slots {
@@ -359,7 +441,7 @@ func newNode(pool *nodePool, height uint8, d []uint16, pks []uint32, slots []slo
 }
 
 // allocNode returns a block of class cls, recycled from pool when it holds
-// one. Only its entries' values and dbits may hold stale data, and the
+// one. Only its entries' values and tail may hold stale data, and the
 // caller overwrites the ones its node uses; the partial keys' padding
 // lanes are never written, so they stay zero.
 func allocNode(pool *nodePool, cls uint8) *node {
@@ -473,39 +555,41 @@ func (nd *node) complyRangeOf(prefix, prefixMask uint32) (lo, hi int) {
 	return lo, hi
 }
 
-// pathMaxBit returns the largest discriminative bit position on the
+// pathMaxCol returns the column of the largest discriminative bit on the
 // conceptual path from the node's root BiNode to entry idx. The deepest
 // BiNode on that path is the divergence point with the nearest neighbour
-// entry, so it is the higher of the two adjacent divergence columns.
-func (nd *node) pathMaxBit(idx int) int {
-	d := nd.dbits()
-	best := -1
+// entry, so it is the later of the two adjacent divergence columns. Entry
+// idx and a neighbour branch apart at their most significant differing
+// partial-key bit hb, which is column ncols-1-hb: the later column is the
+// lower bit.
+func (nd *node) pathMaxCol(idx int) int {
+	pk, hb := nd.pk(idx), 31
 	if idx > 0 {
-		if b := divergeBit(d, nd.pk(idx-1), nd.pk(idx)); b > best {
-			best = b
-		}
+		hb = mathbits.Len32(nd.pk(idx-1)^pk) - 1
 	}
 	if idx+1 < int(nd.n) {
-		if b := divergeBit(d, nd.pk(idx), nd.pk(idx+1)); b > best {
-			best = b
-		}
+		hb = min(hb, mathbits.Len32(pk^nd.pk(idx+1))-1)
 	}
-	return best
+	return int(nd.ncols) - 1 - hb
 }
 
-// divergeBit returns the discriminative bit of the BiNode where the
-// adjacent partial keys a < b branch apart: the most significant differing
-// column. Columns are ordered most significant first, so column c maps to
-// partial-key bit len(d)-1-c.
-func divergeBit(d []uint16, a, b uint32) int {
-	hb := mathbits.Len32(a^b) - 1
-	return int(d[len(d)-1-hb])
+// beforePathMax reports whether bit position p lies before the largest
+// discriminative bit on entry idx's path, without deriving that bit: the
+// columns at or before p must be no more than its column.
+func (nd *node) beforePathMax(idx int, p uint16) bool {
+	pos, present := nd.columnOf(p)
+	if present {
+		pos++
+	}
+	return pos <= nd.pathMaxCol(idx)
 }
 
-// columnOf returns the index of absolute bit position p in nd.dbits() and
-// whether it is present; when absent, the returned index is where p would
-// be inserted. A single-mask node answers from its mask: the columns
-// before p are the mask bits above p's.
+// columnOf returns the index of absolute bit position p among nd's
+// discriminative bits and whether it is present; when absent, the
+// returned index is where p would be inserted. It counts from the header
+// without decoding the positions: the columns before p are the mask bits
+// above p's, and on a multi16/multi32 node past the mask's last byte the
+// tail's entries below p.
 func (nd *node) columnOf(p uint16) (int, bool) {
 	if nd.kind == extractSingle {
 		off := int(p) - 8*int(nd.offs[0])
@@ -518,17 +602,25 @@ func (nd *node) columnOf(p uint16) (int, bool) {
 		bit := uint64(1) << (63 - off)
 		return mathbits.OnesCount64(nd.mask &^ (bit<<1 - 1)), nd.mask&bit != 0
 	}
-	d := nd.dbits()
-	lo, hi := 0, len(d)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if d[mid] < p {
-			lo = mid + 1
-		} else {
-			hi = mid
+	// Mask byte i, counted from the top, selects bits of key byte offs[i],
+	// ascending, and its top bit is the byte's first; the tail follows.
+	pos, at := 0, int(p>>3)
+	for i, off := range nd.offs {
+		m := uint8(nd.mask >> (56 - 8*i))
+		switch {
+		case m == 0:
+			return pos, false // no pair past here, and so no tail
+		case int(off) < at:
+			pos += mathbits.OnesCount8(m)
+		case int(off) > at:
+			return pos, false
+		default:
+			bit := uint8(0x80) >> (p & 7)
+			return pos + mathbits.OnesCount8(m&^(bit<<1-1)), m&bit != 0
 		}
 	}
-	return lo, lo < len(d) && d[lo] == p
+	i, present := slices.BinarySearch(nd.tail(), p)
+	return pos + i, present
 }
 
 // maxChildHeight returns the maximum height among child nodes reachable
@@ -578,14 +670,15 @@ func (nd *node) layout() layoutKind {
 // paperBytes returns the node's size in the paper's C++ layout: an 8-byte
 // header (height, type, lock, used-entries mask), the bit-position
 // representation (single mask: 1-byte offset + 8-byte mask; multi mask: one
-// byte offset + one 8-bit mask per key byte holding a discriminative bit),
+// byte offset + one 8-bit mask per key byte holding a discriminative bit:
+// the header's pairs, then those of the tail's bytes),
 // n partial keys of the node's width and n 8-byte values.
 func (nd *node) paperBytes() int {
 	sz := 8
 	if nd.kind == extractSingle {
 		sz += 1 + 8
 	} else {
-		sz += 2 * keyBytesSpanned(nd.dbits())
+		sz += 2 * (int(nd.noff) + keyBytesSpanned(nd.tail()))
 	}
 	sz += int(nd.n) * int(nd.width) / 8
 	sz += int(nd.n) * 8

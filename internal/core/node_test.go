@@ -26,9 +26,9 @@ func TestNodeClassAlignment(t *testing.T) {
 		if c.typ == nil {
 			continue
 		}
-		n, width, leaf := classShape(cls)
-		name := fmt.Sprintf("n=%d/width=%d/leaf=%v", n, width, leaf)
-		if got := classOf(n, width, leaf); int(got) != cls {
+		n, width, leaf, tail := classShape(cls)
+		name := fmt.Sprintf("n=%d/width=%d/leaf=%v/tail=%v", n, width, leaf, tail)
+		if got := classOf(n, width, leaf, tail); int(got) != cls {
 			t.Fatalf("class %d: shape %s maps back to class %d", cls, name, got)
 		}
 		vals := c.typ.Field(2).Offset
@@ -43,6 +43,12 @@ func TestNodeClassAlignment(t *testing.T) {
 				name, vals, tidOff, slotSize)
 		}
 	}
+	// A shape no class takes (2 entries have 8-bit keys) must reach a class
+	// without a type, so allocating it panics instead of handing out a
+	// smaller block.
+	if cls := classOf(2, 32, true, false); classes[cls].typ != nil {
+		t.Errorf("shape n=2/width=32 maps to class %d, which has a type", cls)
+	}
 }
 
 // TestNodeClassPointers walks every class's Go type: a leaf class must
@@ -54,7 +60,7 @@ func TestNodeClassPointers(t *testing.T) {
 		if c.typ == nil {
 			continue
 		}
-		n, width, leaf := classShape(cls)
+		n, width, leaf, _ := classShape(cls)
 		got := pointerWords(c.typ, 0, nil)
 		var want []uintptr
 		if !leaf {
@@ -148,12 +154,29 @@ func FuzzNodeBlock(f *testing.F) {
 func checkBlock(t *testing.T, nd *node, height uint8, d []uint16, pks []uint32, slots []slot, k []byte) {
 	t.Helper()
 	n := len(slots)
-	if int(nd.n) != n || nd.height != height || !slices.Equal(nd.dbits(), d) || !slices.Equal(nd.pks(nil), pks) {
+	if int(nd.n) != n || nd.height != height || !slices.Equal(nd.dbits(nil), d) || !slices.Equal(nd.pks(nil), pks) {
 		t.Fatalf("header n=%d h=%d dbits=%v pks=%v, want n=%d h=%d dbits=%v pks=%v",
-			nd.n, nd.height, nd.dbits(), nd.pks(nil), n, height, d, pks)
+			nd.n, nd.height, nd.dbits(nil), nd.pks(nil), n, height, d, pks)
 	}
-	if nd.isLeaf() != (height == 1) || nd.goBytes() != int(classes[nd.cls].typ.Size()) {
-		t.Fatalf("height %d: class %d, leaf=%v, %d bytes", height, nd.cls, nd.isLeaf(), nd.goBytes())
+	for c := range d {
+		for _, p := range []uint16{d[c] - 1, d[c], d[c] + 1} {
+			want, wantPresent := slices.BinarySearch(d, p)
+			if got, present := nd.columnOf(p); got != want || present != wantPresent {
+				t.Fatalf("columnOf(%d) = %d, %v, want %d, %v (dbits %v)", p, got, present, want, wantPresent, d)
+			}
+		}
+	}
+	for i := range slots {
+		pm := d[nd.pathMaxCol(i)]
+		for _, p := range []uint16{0, pm - 1, pm, pm + 1, d[len(d)-1] + 1} {
+			if got := nd.beforePathMax(i, p); got != (p < pm) {
+				t.Fatalf("entry %d: beforePathMax(%d) = %v, path max bit %d (dbits %v)", i, p, got, pm, d)
+			}
+		}
+	}
+	if nd.isLeaf() != (height == 1) || nd.goBytes() != int(classes[nd.cls].typ.Size()) ||
+		nd.hasTail() != (classes[nd.cls].tail > 0) || len(nd.tail()) > int(classes[nd.cls].tail) {
+		t.Fatalf("height %d: class %d, leaf=%v, %d bytes, %v spec with a tail of %d", height, nd.cls, nd.isLeaf(), nd.goBytes(), nd.layout(), len(nd.tail()))
 	}
 	for i := range slots {
 		c, tid := nd.entry(i)

@@ -7,6 +7,9 @@ package core
 // The concurrent trie does not use the pool — its obsolete nodes must
 // survive until the epoch manager retires them and wait-free readers may
 // hold them arbitrarily long, so they are left to the garbage collector.
+// A concurrent trie's writers each keep one more in their scratch
+// (scratch.spare) for the blocks a write builds and never publishes; a
+// Trie's pool serves as its spare too.
 type nodePool struct {
 	lists [len(classes)][]*node
 }

@@ -54,15 +54,23 @@ func buildShapeTrie(kind dataset.Kind) (*Trie, [][]byte) {
 // integer data sets, then deletes every fourth key, and compares the shape
 // after each phase with testdata/shape-<kind>.json. The physical node
 // representation is free to change; the trie it represents is not. Run
-// with -update-shape only when the trie itself is meant to change.
+// with -update-shape only when the trie itself is meant to change. Each
+// phase's trie must also verify: the url trie holds multi16 nodes, whose
+// blocks keep a tail.
 func TestNodeShapeFixture(t *testing.T) {
 	for _, kind := range []dataset.Kind{dataset.URL, dataset.Integer} {
 		tr, keys := buildShapeTrie(kind)
 		got := map[string]trieShape{"loaded": shapeOf(tr)}
+		if err := tr.Verify(); err != nil {
+			t.Fatalf("%v loaded: %v", kind, err)
+		}
 		for i := 0; i < len(keys); i += 4 {
 			tr.Delete(keys[i])
 		}
 		got["deleted"] = shapeOf(tr)
+		if err := tr.Verify(); err != nil {
+			t.Fatalf("%v deleted: %v", kind, err)
+		}
 
 		path := filepath.Join("testdata", "shape-"+kind.String()+".json")
 		if *updateShape {
@@ -94,13 +102,14 @@ func TestNodeShapeFixture(t *testing.T) {
 // TestGoBytesPerKey bounds the Go heap the nodes of TestNodeShapeFixture's
 // loaded tries take per key — the figure the fixture leaves out, since
 // the representation may change: a layout that regresses memory fails
-// here, not only in the benchmark. Leaf nodes hold bare 8-byte TIDs, so
-// the tries sit near 14.9 (url) and 13.6 (integer) B/key.
+// here, not only in the benchmark. Leaf nodes hold bare 8-byte TIDs and no
+// block stores the bit positions its header implies, so the tries sit
+// near 13.5 (url) and 12.6 (integer) B/key.
 func TestGoBytesPerKey(t *testing.T) {
 	for _, c := range []struct {
 		kind  dataset.Kind
 		bound float64
-	}{{dataset.URL, 15.5}, {dataset.Integer, 14.0}} {
+	}{{dataset.URL, 14.2}, {dataset.Integer, 13.0}} {
 		tr, keys := buildShapeTrie(c.kind)
 		perKey := float64(tr.Memory().GoBytes) / float64(len(keys))
 		t.Logf("%v: %.2f B/key", c.kind, perKey)

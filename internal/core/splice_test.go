@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"unsafe"
@@ -13,66 +14,106 @@ import (
 	"github.com/hotindex/hot/internal/tidstore"
 )
 
-// TestInsertAllocs pins the allocations of a non-overflowing normal
-// insert below the root — the case a node splice serves without a split —
-// at none for a Trie (its pool recycles replaced nodes' blocks, so the new
-// block nearly always comes from there) and one for a ConcurrentTrie's
-// exclusive Writer (the block: replaced nodes go to the garbage
-// collector). Each measured key is chosen just before its insert by
-// planning it against the current trie. testing.AllocsPerRun truncates
-// the mean, so a pool miss now and then does not count.
+// TestInsertAllocs pins the allocations of two kinds of insert. A
+// non-overflowing normal insert below the root — the case a node splice
+// serves without a split — allocates none for a Trie (its pool recycles
+// replaced nodes' blocks, so the new block nearly always comes from there)
+// and one for a ConcurrentTrie's exclusive Writer (the block: replaced
+// nodes go to the garbage collector). An overflow below the root into two
+// halves of two entries or more, which the parent takes without
+// overflowing, allocates three blocks for the Writer: the half the new key
+// does not join, the splice of the half it joins, and the parent's splice
+// or intermediate node. The joined half itself is built into the writer's
+// spare pool and recycled there. The keys stream in; each one of the kind
+// a case measures is chosen just before its insert by planning it against
+// the current trie. Like testing.AllocsPerRun, the test truncates the
+// mean, so a pool miss now and then does not count.
 func TestInsertAllocs(t *testing.T) {
 	const n, measured = 20000, 500
-	s, keys := concurrentKeys(n+20*measured, 41)
-	st := New(s.Key)
-	ct := NewConcurrent(s.Key)
-	w := ct.Writer()
+	s, keys := concurrentKeys(n+40*measured, 41)
+	trie := func() (*tree, func([]byte, TID) bool) {
+		st := New(s.Key)
+		return &st.tree, st.Insert
+	}
+	writer := func() (*tree, func([]byte, TID) bool) {
+		ct := NewConcurrent(s.Key)
+		return &ct.tree, ct.Writer().Insert
+	}
 	for _, c := range []struct {
-		name   string
-		tr     *tree
-		insert func([]byte, TID) bool
-		want   float64
+		name string
+		open func() (*tree, func([]byte, TID) bool)
+		pick func(tr *tree, k []byte, stack []pathEntry, buf []byte) bool
+		want uint64
 	}{
-		{"Trie", &st.tree, st.Insert, 0},
-		{"Writer", &ct.tree, w.Insert, 1},
+		{"Trie", trie, isSpliceInsert, 0},
+		{"Writer", writer, isSpliceInsert, 1},
+		{"Writer/overflow", writer, isSplitInsert, 3},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			for i, k := range keys[:n] {
-				c.insert(k, TID(i))
-			}
-			next := n
+			tr, insert := c.open()
 			stack, buf := make([]pathEntry, 0, 16), make([]byte, 0, 64)
-			allocs := testing.AllocsPerRun(measured, func() {
-				for ; next < len(keys); next++ {
-					if isSpliceInsert(c.tr, keys[next], stack, buf) {
-						break
-					}
+			var allocs, picked uint64
+			var ms runtime.MemStats
+			for i, k := range keys {
+				if i < n || picked == measured || !c.pick(tr, k, stack, buf) {
+					insert(k, TID(i))
+					continue
 				}
-				if next == len(keys) {
-					t.Fatal("ran out of keys that splice without a split")
+				runtime.ReadMemStats(&ms)
+				before := ms.Mallocs
+				if !insert(k, TID(i)) {
+					t.Fatalf("Insert(%d) found the key present", i)
 				}
-				if !c.insert(keys[next], TID(next)) {
-					t.Fatalf("Insert(%d) found the key present", next)
-				}
-				next++
-			})
-			if allocs > c.want {
-				t.Errorf("a non-overflowing insert allocates %v per call, want ≤ %v", allocs, c.want)
+				runtime.ReadMemStats(&ms)
+				allocs += ms.Mallocs - before
+				picked++
+			}
+			t.Logf("%.3f allocations per insert", float64(allocs)/float64(picked))
+			if picked < measured {
+				t.Fatalf("%d keys of the kind measured, want %d", picked, measured)
+			}
+			if allocs/picked > c.want {
+				t.Errorf("an insert allocates %.2f per call, want ≤ %d", float64(allocs)/float64(picked), c.want)
 			}
 		})
 	}
 }
 
-// isSpliceInsert reports whether inserting k into tr is a normal insert
-// into a node below the root that has room for one more entry.
-func isSpliceInsert(tr *tree, k []byte, stack []pathEntry, buf []byte) bool {
+// planFor plans the insert of k into tr, reporting false when k is
+// present.
+func planFor(tr *tree, k []byte, stack []pathEntry, buf []byte) (insertPlan, bool) {
 	stack, cand := descend(tr.root.Load().n, k, stack[:0])
 	mb, differ := key.MismatchBit(tr.load(cand, buf[:0]), k)
 	if !differ {
+		return insertPlan{}, false
+	}
+	return planInsert(stack, cand, mb, key.Bit(k, mb), tr.k), true
+}
+
+// isSpliceInsert reports whether inserting k into tr is a normal insert
+// into a node below the root that has room for one more entry.
+func isSpliceInsert(tr *tree, k []byte, stack []pathEntry, buf []byte) bool {
+	p, ok := planFor(tr, k, stack, buf)
+	return ok && p.what == caseNormal && p.ai > 0 && int(p.stack[p.ai].nd.n) < tr.k
+}
+
+// isSplitInsert reports whether inserting k into tr overflows a full node
+// below the root, at a bit after its root BiNode, into halves of two
+// entries or more each, and the node's parent has room for one more.
+func isSplitInsert(tr *tree, k []byte, stack []pathEntry, buf []byte) bool {
+	p, ok := planFor(tr, k, stack, buf)
+	if !ok || p.what != caseNormal || p.ai == 0 {
 		return false
 	}
-	p := planInsert(stack, cand, mb, key.Bit(k, mb), tr.k)
-	return p.what == caseNormal && p.ai > 0 && int(stack[p.ai].nd.n) < tr.k
+	nd := p.stack[p.ai].nd
+	if int(nd.n) < tr.k || int(p.stack[p.ai-1].nd.n) >= tr.k {
+		return false
+	}
+	if pos, present := nd.columnOf(uint16(p.mb)); pos == 0 && !present {
+		return false
+	}
+	lo, hi := nd.prefixRange(0, 1) // the left half
+	return lo == 0 && hi >= 1 && int(nd.n)-hi-1 >= 2
 }
 
 // checkSplices canonicalizes the sorted distinct dense partial keys over
@@ -141,7 +182,7 @@ func randomSlots(rng *rand.Rand, n int, leaf bool) []slot {
 func randomSplice(rng *rand.Rand, nd *node, span int) spliceOp {
 	op := spliceOp{newBit: uint(rng.Intn(2)), pullUp: rng.Intn(2) == 0}
 	if rng.Intn(2) == 0 {
-		op.mb = nd.dbits()[rng.Intn(int(nd.ncols))]
+		op.mb = nd.dbits(nil)[rng.Intn(int(nd.ncols))]
 	} else {
 		for {
 			op.mb = uint16(rng.Intn(span + 64))
@@ -171,7 +212,7 @@ func randomSplice(rng *rand.Rand, nd *node, span int) spliceOp {
 // uint32 and the values as slots of the resulting sequence (see splice for
 // the mechanics).
 func spliceEntries(nd *node, op spliceOp) (d []uint16, pks []uint32, slots []slot) {
-	dbits := nd.dbits()
+	dbits := nd.dbits(nil)
 	ncols := len(dbits)
 	pos, present := nd.columnOf(op.mb)
 
@@ -248,34 +289,48 @@ func checkSplice(t *testing.T, rng *rand.Rand, nd *node, op spliceOp) {
 // it and replaces a child, and any other splice inserts a leaf.
 func realizable(nd *node, op spliceOp) bool {
 	if op.pullUp {
-		return op.mb > nd.dbits()[0] && nd.child(op.refIdx) != nil
+		return op.mb > nd.dbits(nil)[0] && nd.child(op.refIdx) != nil
 	}
-	return op.mb != nd.dbits()[0] && op.newSlot.child == nil
+	return op.mb != nd.dbits(nil)[0] && op.newSlot.child == nil
 }
 
 // checkSplit overflows nd with a random splice that an insert could make
 // — realizable, and leaving a canonical sequence — at a fanout limit of
-// nd's own entry count, and checks it with checkOverflow.
+// nd's own entry count, and checks it with checkOverflow, building into
+// fresh blocks and then into dirty pooled ones.
 func checkSplit(t *testing.T, rng *rand.Rand, nd *node, span int) {
 	t.Helper()
 	for {
 		op := randomSplice(rng, nd, span)
 		if d, pks, _ := spliceEntries(nd, op); realizable(nd, op) && isCanonical(d, pks) {
 			checkOverflow(t, nd, op, int(nd.n), nil)
+			checkOverflow(t, nd, op, int(nd.n), dirtyPool(rng))
 			return
 		}
 	}
 }
 
+// dirtyPool returns a pool holding a dirty block (see dirtyBlock) of every
+// class.
+func dirtyPool(rng *rand.Rand) *nodePool {
+	pool := &nodePool{}
+	for cls := range classes {
+		if classes[cls].typ != nil {
+			pool.put(dirtyBlock(rng, uint8(cls)))
+		}
+	}
+	return pool
+}
+
 // checkOverflow runs nd.spliceAndBuild(op) at fanout k, which nd's entries
-// fill, building into pool, and checks both split halves against
-// canonicalize and newNode over the two sides of the decoded sequence's
-// root BiNode, a singleton half against its entry. It returns the halves
-// and the split bit.
+// fill, building into pool (also as the spare pool), and checks both
+// split halves against canonicalize and newNode over the two sides of the
+// decoded sequence's root BiNode, a singleton half against its entry. It
+// returns the halves and the split bit.
 func checkOverflow(t *testing.T, nd *node, op spliceOp, k int, pool *nodePool) (left, right slot, splitBit uint16) {
 	t.Helper()
 	d, pks, slots := spliceEntries(nd, op)
-	_, left, right, splitBit, overflow := nd.spliceAndBuild(op, pool, k)
+	_, left, right, splitBit, overflow := nd.spliceAndBuild(op, pool, pool, k)
 	if !overflow || splitBit != d[0] {
 		t.Fatalf("overflow %v at bit %d, want a split at %d", overflow, splitBit, d[0])
 	}
@@ -319,14 +374,15 @@ func checkSlotReplaced(t *testing.T, rng *rand.Rand, nd *node, idx int, s slot) 
 	t.Helper()
 	slots := nd.appendSlots(nil, 0, int(nd.n))
 	slots[idx] = s
-	want := newNode(nil, maxChildHeight(slots)+1, nd.dbits(), nd.pks(nil), slots)
+	want := newNode(nil, maxChildHeight(slots)+1, nd.dbits(nil), nd.pks(nil), slots)
 	checkBuild(t, rng, want, func(pool *nodePool) *node { return nd.withSlotReplaced(idx, s, pool) })
 }
 
 // checkBuild checks that build makes a node equal to want in every byte a
 // node's accessors read — the header, the partial keys with their padding
-// lanes, the values and the discriminative bits — once into a fresh block
-// and once into a recycled block of want's class that is left dirty.
+// lanes, the values and the tail, so also the discriminative bits they
+// derive — once into a fresh block and once into a recycled block of
+// want's class that is left dirty.
 func checkBuild(t *testing.T, rng *rand.Rand, want *node, build func(*nodePool) *node) {
 	t.Helper()
 	sameNode(t, "fresh block", build(nil), want)
@@ -341,15 +397,15 @@ func checkBuild(t *testing.T, rng *rand.Rand, want *node, build func(*nodePool) 
 }
 
 // dirtyBlock returns a block of class cls whose header, partial keys (all
-// but the padding lanes, which no node writes), values and dbits hold
+// but the padding lanes, which no node writes), values and tail hold
 // random bytes.
 func dirtyBlock(rng *rand.Rand, cls uint8) *node {
-	n, width, leaf := classShape(int(cls))
+	n, width, leaf, _ := classShape(int(cls))
 	b := allocNode(nil, cls)
-	*b = node{n: uint8(n), width: width, cls: cls, ncols: uint8(min(n-1, maxCols(width)))}
+	*b = node{n: uint8(n), width: width, cls: cls, ncols: classes[cls].tail} // an empty mask: all of the tail
 	rng.Read(b.keys()[:n*int(width)/8])
-	for i, d := range b.dbits() {
-		b.dbits()[i] = d ^ uint16(rng.Intn(1<<16))
+	for i := range b.tail() {
+		b.tail()[i] = uint16(rng.Intn(1 << 16))
 	}
 	for i := range n {
 		if leaf {
@@ -366,7 +422,9 @@ func dirtyBlock(rng *rand.Rand, cls uint8) *node {
 }
 
 // sameNode fails unless got and want agree in their header, partial keys
-// (padding lanes included), values and discriminative bits.
+// (padding lanes included), values and tail, and so in the discriminative
+// bits they derive: byte for byte, all of the block that an accessor reads
+// but the cold part.
 func sameNode(t *testing.T, what string, got, want *node) {
 	t.Helper()
 	if *got != *want {
@@ -375,9 +433,10 @@ func sameNode(t *testing.T, what string, got, want *node) {
 	if !bytes.Equal(got.keys(), want.keys()) {
 		t.Fatalf("%s: keys %x, want %x", what, got.keys(), want.keys())
 	}
-	if !slices.Equal(got.dbits(), want.dbits()) {
-		t.Fatalf("%s: dbits %v, want %v", what, got.dbits(), want.dbits())
+	if !slices.Equal(got.dbits(nil), want.dbits(nil)) {
+		t.Fatalf("%s: dbits %v, want %v", what, got.dbits(nil), want.dbits(nil))
 	}
+
 	n := int(want.n)
 	if want.isLeaf() {
 		if g, w := unsafe.Slice(got.leafTID(0), n), unsafe.Slice(want.leafTID(0), n); !slices.Equal(g, w) {
@@ -385,6 +444,13 @@ func sameNode(t *testing.T, what string, got, want *node) {
 		}
 	} else if !slices.Equal(got.slots(), want.slots()) {
 		t.Fatalf("%s: slots %v, want %v", what, got.slots(), want.slots())
+	}
+	block := func(nd *node) []byte { // up to the tail's last position in use
+		end := unsafe.Add(unsafe.Pointer(unsafe.SliceData(nd.tail())), 2*len(nd.tail()))
+		return unsafe.Slice((*byte)(unsafe.Pointer(nd)), uintptr(end)-uintptr(unsafe.Pointer(nd)))
+	}
+	if !bytes.Equal(block(got), block(want)) {
+		t.Fatalf("%s: block %x, want %x", what, block(got), block(want))
 	}
 }
 
@@ -464,7 +530,7 @@ func TestSpliceTransitions(t *testing.T) {
 			func(nd, res *node) bool { return nd.height == 3 && res.height == 3 }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			res, _, _, _, overflow := c.nd.spliceAndBuild(c.op, nil, MaxFanout)
+			res, _, _, _, overflow := c.nd.spliceAndBuild(c.op, nil, nil, MaxFanout)
 			if overflow {
 				t.Fatal("splice overflowed")
 			}
@@ -492,7 +558,7 @@ func TestSpliceTransitions(t *testing.T) {
 				d := positions(0, n-1)
 				nd := chainNode(d, nil)
 				op := spliceOp{mb: uint16(n), newBit: 1, refIdx: n - 1, newSlot: leafSlot(99)}
-				res, left, right, splitBit, overflow := nd.spliceAndBuild(op, nil, k)
+				res, left, right, splitBit, overflow := nd.spliceAndBuild(op, nil, nil, k)
 				if overflow != (n == k) {
 					t.Fatalf("n=%d: overflow=%v", n, overflow)
 				}

@@ -18,6 +18,7 @@ func NewWithFanout(loader Loader, k int) *Trie {
 	t := &Trie{}
 	t.init(loader, k)
 	t.pool = &nodePool{}
+	t.sc.spare = t.pool // no reader reaches a retired block either
 	return t
 }
 

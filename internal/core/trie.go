@@ -181,7 +181,7 @@ type insertPlan struct {
 // every path bit the mismatch is at the candidate leaf itself (pastPath).
 func affectedLevel(stack []pathEntry, mb int) (level int, pastPath bool) {
 	for i := range stack {
-		if mb < stack[i].nd.pathMaxBit(stack[i].idx) {
+		if stack[i].nd.beforePathMax(stack[i].idx, uint16(mb)) {
 			return i, false
 		}
 	}
@@ -240,10 +240,11 @@ func planInsert(stack []pathEntry, cand TID, mb int, bitv uint, k int) insertPla
 
 // execInsert applies plan, storing tid as the new leaf. It appends the
 // nodes that were replaced by copies (to be marked obsolete / retired) to
-// replaced and returns it. The caller must guarantee exclusive write
-// access to the nodes at stack levels [plan.lockTop, len(stack)-1] and,
-// when plan.useRoot, the root box.
-func (t *tree) execInsert(plan insertPlan, tid TID, replaced []*node) []*node {
+// replaced and returns it; an overflow's never-published half goes back to
+// spare, the writer's own pool (see spliceAndBuild). The caller must
+// guarantee exclusive write access to the nodes at stack levels
+// [plan.lockTop, len(stack)-1] and, when plan.useRoot, the root box.
+func (t *tree) execInsert(plan insertPlan, tid TID, spare *nodePool, replaced []*node) []*node {
 	stack := plan.stack
 	a := stack[plan.ai]
 
@@ -268,7 +269,7 @@ func (t *tree) execInsert(plan insertPlan, tid TID, replaced []*node) []*node {
 		newBit:  plan.bitv,
 		newSlot: leafSlot(tid),
 		refIdx:  a.idx,
-	}, t.pool, t.k)
+	}, t.pool, spare, t.k)
 	replaced = append(replaced, a.nd)
 	cur := plan.ai
 	oldH := a.nd.height
@@ -291,7 +292,7 @@ func (t *tree) execInsert(plan insertPlan, tid TID, replaced []*node) []*node {
 				refIdx:  parent.idx,
 				pullUp:  true,
 				refSlot: left,
-			}, t.pool, t.k)
+			}, t.pool, spare, t.k)
 			if !overflow {
 				replaced = append(replaced, parent.nd)
 				t.replaceAt(stack, cur-1, nd2)
@@ -321,6 +322,11 @@ type scratch struct {
 	buf      []byte      // the loader's key buffer
 	stack    []pathEntry // the descent path
 	replaced []*node     // the nodes the write replaced
+	// spare recycles the blocks a write builds and never publishes (an
+	// overflow's half before its splice), so it never holds a node a
+	// reader can reach: a Trie's pool, or made on the first insert that
+	// copies.
+	spare *nodePool
 }
 
 func newScratch() scratch {
@@ -399,7 +405,10 @@ func (t *tree) write(k []byte, tid TID, upsert bool, sc *scratch, latch *Concurr
 	if latch != nil && !latch.lock(stack, plan.lockTop, plan.useRoot, cand) {
 		return false, 0, false, false
 	}
-	sc.replaced = t.execInsert(plan, tid, sc.replaced[:0])
+	if sc.spare == nil {
+		sc.spare = &nodePool{}
+	}
+	sc.replaced = t.execInsert(plan, tid, sc.spare, sc.replaced[:0])
 	t.retire(sc.replaced)
 	if latch != nil {
 		latch.unlock(stack, plan.lockTop, plan.useRoot)

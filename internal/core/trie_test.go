@@ -392,7 +392,7 @@ func TestInsertionOrderIndependence(t *testing.T) {
 		rb := tr.root.Load()
 		var walk func(nd *node)
 		walk = func(nd *node) {
-			b = append(b, fmt.Sprintf("[h%d d%v p%v ", nd.height, nd.dbits(), nd.pks(nil))...)
+			b = append(b, fmt.Sprintf("[h%d d%v p%v ", nd.height, nd.dbits(nil), nd.pks(nil))...)
 			for i := range int(nd.n) {
 				if c, tid := nd.entry(i); c != nil {
 					walk(c)

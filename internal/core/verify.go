@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	mathbits "math/bits"
 
 	"github.com/hotindex/hot/internal/key"
 )
@@ -17,6 +18,10 @@ const (
 	// strictly ascending, at least 1 and at most entries-1 of them, and the
 	// node's first bit lies at or below none of the bits on the path that
 	// leads to the node (bit positions grow along every Patricia path).
+	// The positions are the ones the node's extraction spec implies, so the
+	// spec must hold exactly the node's column count — in the mask, or for
+	// a spec of more than 8 (offset, mask) pairs in the mask and its
+	// block's tail — and be the spec those positions derive.
 	InvDiscriminativeBits
 	// InvPartialKeyOrder: sparse partial keys are strictly ascending and
 	// entry 0's partial key is zero (the leftmost path takes 0-branches
@@ -152,11 +157,15 @@ func (v *verifier) walk(nd *node, minBit int) (uint8, *CorruptionError) {
 	if n < 2 || n > v.t.k {
 		return 0, v.corrupt(InvFanout, -1, "%d entries, want 2..%d", n, v.t.k)
 	}
-	d := nd.dbits()
-	if len(d) < 1 || len(d) > n-1 {
+	if ncols := int(nd.ncols); ncols < 1 || ncols > n-1 {
 		return 0, v.corrupt(InvDiscriminativeBits, -1,
-			"%d discriminative bits for %d entries, want 1..%d", len(d), n, n-1)
+			"%d discriminative bits for %d entries, want 1..%d", ncols, n, n-1)
 	}
+	if err := v.checkSpecCount(nd); err != nil {
+		return 0, err
+	}
+	var db [MaxFanout]uint16
+	d := nd.dbits(db[:0])
 	for i := 1; i < len(d); i++ {
 		if d[i-1] >= d[i] {
 			return 0, v.corrupt(InvDiscriminativeBits, i,
@@ -166,6 +175,12 @@ func (v *verifier) walk(nd *node, minBit int) (uint8, *CorruptionError) {
 	if int(d[0]) < minBit {
 		return 0, v.corrupt(InvDiscriminativeBits, -1,
 			"first bit %d below the parent path bound %d", d[0], minBit)
+	}
+	var spec node
+	if spec.setSpec(d); spec.kind != nd.kind || spec.mask != nd.mask || spec.offs != nd.offs || spec.noff != nd.noff {
+		return 0, v.corrupt(InvDiscriminativeBits, -1,
+			"spec %v mask %#x offs %v, but bits %v derive %v mask %#x offs %v",
+			nd.kind, nd.mask, nd.offs, d, spec.kind, spec.mask, spec.offs)
 	}
 
 	pks := nd.pks(nil)
@@ -191,21 +206,10 @@ func (v *verifier) walk(nd *node, minBit int) (uint8, *CorruptionError) {
 		// path, which is where it diverges from the nearer of its two
 		// neighbor entries (bits grow strictly along every Patricia path,
 		// so the deepest divergence is the immediate parent).
-		pathMax := -1
-		if i > 0 {
-			if b := divergeBit(d, pks[i-1], pks[i]); b > pathMax {
-				pathMax = b
-			}
-		}
-		if i < n-1 {
-			if b := divergeBit(d, pks[i], pks[i+1]); b > pathMax {
-				pathMax = b
-			}
-		}
 		c, stored := nd.entry(i)
 		if c != nil {
 			v.path = append(v.path, i)
-			h, err := v.walk(c, pathMax+1)
+			h, err := v.walk(c, int(d[nd.pathMaxCol(i)])+1)
 			v.path = v.path[:len(v.path)-1]
 			if err != nil {
 				return 0, err
@@ -239,6 +243,25 @@ func (v *verifier) walk(nd *node, minBit int) (uint8, *CorruptionError) {
 		return 0, v.corrupt(InvNodeClass, -1, "inner class %d at height %d, want ≥ 2", nd.cls, nd.height)
 	}
 	return nd.height, nil
+}
+
+// checkSpecCount checks that nd's extraction spec holds its ncols
+// discriminative bits, so that decoding them reads only nd's block: all in
+// the mask, or for a multi16 or multi32 node, which takes a block of the
+// tail family, at least one past the mask and no more than the tail holds.
+func (v *verifier) checkSpecCount(nd *node) *CorruptionError {
+	room := int(classes[nd.cls].tail)
+	inMask := mathbits.OnesCount64(nd.mask)
+	switch tail := int(nd.ncols) - inMask; {
+	case nd.hasTail() != (room > 0):
+		return v.corrupt(InvDiscriminativeBits, -1, "extraction kind %d in class %d, which has room for %d tail bits", nd.kind, nd.cls, room)
+	case !nd.hasTail() && tail != 0:
+		return v.corrupt(InvDiscriminativeBits, -1, "%d discriminative bits, but %d in the mask", nd.ncols, inMask)
+	case nd.hasTail() && (tail < 1 || tail > room):
+		return v.corrupt(InvDiscriminativeBits, -1,
+			"%d discriminative bits, %d in the mask: a tail of %d, want 1..%d", nd.ncols, inMask, tail, room)
+	}
+	return nil
 }
 
 func equalU16(a, b []uint16) bool {

@@ -3,12 +3,15 @@ package core
 import (
 	"errors"
 	"fmt"
+	mathbits "math/bits"
+	"strings"
 	"testing"
 )
 
 // buildCorruptible returns a multi-level trie plus its root node, ready to
 // be surgically damaged. Each caller gets a fresh trie: the mutations below
-// are irreversible.
+// are irreversible. Beside short keys, whose nodes are single-mask, it holds
+// keys that differ in bytes 0 and 20, so one node is multi-mask.
 func buildCorruptible(t *testing.T) (*Trie, *node) {
 	t.Helper()
 	tr, s := newTestTrie()
@@ -16,11 +19,39 @@ func buildCorruptible(t *testing.T) (*Trie, *node) {
 		k := fmt.Sprintf("key-%04d", i)
 		tr.Insert([]byte(k), s.AddString(k))
 	}
+	for i := 0; i < 12; i++ {
+		k := fmt.Sprintf("%c%s%c", 'p'+i%3, strings.Repeat("-", 19), 'a'+i/3)
+		tr.Insert([]byte(k), s.AddString(k))
+	}
 	rb := tr.root.Load()
 	if rb.n == nil || rb.n.height < 2 {
 		t.Fatal("test trie too shallow to corrupt meaningfully")
 	}
 	return tr, rb.n
+}
+
+// findNode returns the first node below nd, depth first, that match accepts.
+func findNode(t *testing.T, nd *node, match func(*node) bool) *node {
+	t.Helper()
+	var find func(nd *node) *node
+	find = func(nd *node) *node {
+		if match(nd) {
+			return nd
+		}
+		for i := 0; i < int(nd.n); i++ {
+			if c := nd.child(i); c != nil {
+				if f := find(c); f != nil {
+					return f
+				}
+			}
+		}
+		return nil
+	}
+	if f := find(nd); f != nil {
+		return f
+	}
+	t.Fatal("no node matches")
+	return nil
 }
 
 func firstChild(t *testing.T, nd *node) *node {
@@ -48,14 +79,23 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 			firstChild(t, root).n = 1
 		}},
 		{"dbits-order", InvDiscriminativeBits, func(t *testing.T, tr *Trie, root *node) {
-			d := firstChild(t, root).dbits()
-			if len(d) < 2 {
-				t.Skip("child has a single discriminative bit")
-			}
-			d[0], d[1] = d[1], d[0]
+			// A multi8 node's key bytes must ascend, or so would not its bits.
+			nd := findNode(t, root, func(nd *node) bool { return nd.kind == extractMulti8 })
+			nd.offs[0], nd.offs[1] = nd.offs[1], nd.offs[0]
 		}},
 		{"dbits-path-bound", InvDiscriminativeBits, func(t *testing.T, tr *Trie, root *node) {
-			firstChild(t, root).dbits()[0] = 0 // bits must grow along the path
+			// A window at byte 0 whose mask starts at its top bit puts
+			// the child's first bit at 0, at or above every parent bit.
+			c := firstChild(t, root)
+			if c.kind != extractSingle {
+				t.Fatalf("child has a %v spec, want a single mask", c.layout())
+			}
+			c.offs[0] = 0
+			c.mask <<= mathbits.LeadingZeros64(c.mask)
+		}},
+		{"dbits-count", InvDiscriminativeBits, func(t *testing.T, tr *Trie, root *node) {
+			c := firstChild(t, root)
+			c.mask &= c.mask - 1 // one column fewer than ncols
 		}},
 		{"obsolete-reachable", InvObsoleteReachable, func(t *testing.T, tr *Trie, root *node) {
 			firstChild(t, root).cold().obsolete.Store(true)
