@@ -28,14 +28,16 @@ ci: all
 # must never be copied by value — keep
 # internal/shard, internal/core and internal/epoch in the vet set when
 # narrowing the package list.
-# The next four lines vet and build the !amd64 side of internal/bits
+# The next five lines vet and build the !amd64 side of internal/bits
 # (bits_noasm.go), which an amd64 build never compiles, run its tests
 # there — the portable PEXT and search are all a 386 build has —
 # and run internal/core as a 32-bit program: its 64-bit atomic TID stores
 # fault on a word that is not 8-byte aligned there (see core's slot
-# layout). The last two vet and build for other operating systems, which
-# compile internal/persist's non-Linux datasync (a plain fsync) instead of
-# fdatasync.
+# layout). internal/tidstore runs there too: a slot's offset is a uint64
+# product that indexes a slice, and a TID whose offset wraps must panic
+# with a 32-bit int as well. The last two vet and build for other
+# operating systems, which compile internal/persist's non-Linux datasync
+# (a plain fsync) instead of fdatasync.
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
@@ -48,6 +50,7 @@ check:
 	GOARCH=386 $(GO) build ./...
 	GOARCH=386 $(GO) test ./internal/bits
 	GOARCH=386 $(GO) test ./internal/core
+	GOARCH=386 $(GO) test ./internal/tidstore
 	GOOS=darwin GOARCH=arm64 $(GO) vet ./...
 	GOOS=windows $(GO) build ./...
 
