@@ -19,6 +19,7 @@ package hot
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"sync"
@@ -485,10 +486,13 @@ func BenchmarkColdLookup(b *testing.B) {
 // are made of: a 50-entry TID-only Scan of url keys from a uniform start
 // key, with every shard hot or every shard demoted to a packed section
 // under a cache that holds them all, on 1 and on 8 shards — a scan's cost
-// must not grow with the shards it never reaches.
+// must not grow with the shards it never reaches. cold-delta gives the
+// cold shards inserts, upserts and deletes on 1 % of their keys, so that
+// scans meet delta entries, ties and tombstones inside their pages and
+// pay the seek that ends a page run at each delta key.
 func BenchmarkShardedScan(b *testing.B) {
 	d := benchData(b, dataset.URL)
-	for _, tier := range []string{"hot", "cold"} {
+	for _, tier := range []string{"hot", "cold", "cold-delta"} {
 		for _, shards := range []int{1, 8} {
 			b.Run(fmt.Sprintf("%s/shards=%d", tier, shards), func(b *testing.B) {
 				t := NewShardedTree(d.Store.Key, shards, d.Keys[:benchKeys])
@@ -496,7 +500,7 @@ func BenchmarkShardedScan(b *testing.B) {
 				for i := 0; i < benchKeys; i++ {
 					t.Insert(d.Keys[i], d.TIDs[i])
 				}
-				if tier == "cold" {
+				if tier != "hot" {
 					if err := t.EnableColdTier(ColdTierConfig{Dir: b.TempDir(), CacheBytes: 1 << 40}); err != nil {
 						b.Fatal(err)
 					}
@@ -505,7 +509,23 @@ func BenchmarkShardedScan(b *testing.B) {
 							b.Fatal(err)
 						}
 					}
-					t.Scan(nil, benchKeys, func(TID) bool { return true }) // every page faulted once
+				}
+				if tier == "cold-delta" {
+					rng := rand.New(rand.NewSource(benchSeed + 1))
+					for j := 0; j < benchKeys/300; j++ { // a third of 1 % each
+						t.Insert(d.Keys[benchKeys+j], d.TIDs[benchKeys+j])
+						i := rng.Intn(benchKeys)
+						t.Upsert(d.Keys[i], d.TIDs[i])
+						t.Delete(d.Keys[rng.Intn(benchKeys)])
+					}
+					for s := 0; s < t.Shards(); s++ {
+						if !t.IsCold(s) {
+							b.Fatalf("shard %d promoted by its delta writes", s)
+						}
+					}
+				}
+				if tier != "hot" {
+					t.Scan(nil, math.MaxInt, func(TID) bool { return true }) // every page faulted once
 				}
 				rng := rand.New(rand.NewSource(benchSeed))
 				sink := uint64(0)

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/hotindex/hot/internal/bits"
 	"github.com/hotindex/hot/internal/core"
 	"github.com/hotindex/hot/internal/pager"
 	"github.com/hotindex/hot/internal/persist"
@@ -689,18 +690,15 @@ func (st *shardState) find(key []byte) (tomb TID, held bool) {
 
 // ---- cold reads ----
 
-// key is a cold shard's delta loader: a tombstone resolves to a copy of
-// the key of the section entry it names, every other TID through the
-// tree's loader. The copy is fresh: buf may alias what the tree's loader
-// returned last (a tuple store's key), and the next buf may alias this
-// result, which the tree's loader may write into.
+// key is a cold shard's delta loader: a tombstone resolves to the key of
+// the section entry it names, written into buf, every other TID through
+// the tree's loader. buf must be scratch the caller owns, never a key a
+// loader returned (a tuple store's), which the write would overwrite.
 func (st *shardState) key(tid TID, buf []byte) []byte {
 	if tid&tombBit == 0 {
 		return st.ct.t.loader(tid, buf)
 	}
-	var it persist.PageIter
-	st.mustPage(int(tid&^tombBit>>tombShift)).SeekIndex(&it, int(tid&(1<<tombShift-1)))
-	return bytes.Clone(it.Key())
+	return st.mustPage(int(tid&^tombBit>>tombShift)).AppendKey(buf[:0], int(tid&(1<<tombShift-1)))
 }
 
 // page fetches block b of the cold image through the page cache.
@@ -755,11 +753,13 @@ func (st *shardState) len() int {
 
 // deltaStream is a cold shard's delta as one ordered stream: the trie's
 // iterator and the key it is on, resolved through the delta's loader once
-// per step.
+// per step. A tombstone's key is read into tombKey, a buffer the stream
+// owns: key may be a tuple store's, which the loader must not write into.
 type deltaStream struct {
-	it  core.Iterator
-	key []byte
-	st  *shardState
+	it      core.Iterator
+	key     []byte
+	tombKey []byte
+	st      *shardState
 }
 
 // seek positions the stream on st's first delta key ≥ from in byte order,
@@ -789,7 +789,12 @@ func (ds *deltaStream) next() {
 }
 
 func (ds *deltaStream) resolve() {
-	if ds.it.Valid() {
+	switch {
+	case !ds.it.Valid():
+	case ds.tomb():
+		ds.tombKey = ds.st.key(ds.it.TID(), ds.tombKey)
+		ds.key = ds.tombKey
+	default:
 		ds.key = ds.st.key(ds.it.TID(), ds.key[:0])
 	}
 }
@@ -875,13 +880,19 @@ func (st *shardState) verify(s int, bounds [][]byte) error {
 // captures the state it was seeked on, so a concurrent transition does not
 // disturb it: the section file stays open and immutable, the cursor simply
 // observes the shard as of its seek (the same wait-free semantics as a trie
-// cursor observing an old root).
+// cursor observing an old root). Stepped, it rebuilds each section key;
+// scanned, it hands out a packed page's TIDs by index and rebuilds none.
 type coldCursor struct {
 	st   *shardState
 	blk  int
 	page *persist.Page // nil: the section stream is exhausted
 	it   persist.PageIter
-	ds   deltaStream
+	// lag is how far the section entry under the cursor lies past the
+	// page iterator's (behind it when negative): a run that ends inside a
+	// page leaves the iterator where it was, and key, tid and next seek it
+	// onto the entry only when they are called.
+	lag int
+	ds  deltaStream
 	// delta reports that the entry under the cursor is the delta's.
 	delta bool
 }
@@ -889,7 +900,7 @@ type coldCursor struct {
 // release drops the image, and with it the cursor's hold on the section's
 // file handle; the iterators' key buffers stay for the next seek.
 func (c *coldCursor) release() {
-	c.st, c.page, c.delta = nil, nil, false
+	c.st, c.page, c.delta, c.lag = nil, nil, false, 0
 	c.ds.it.Reset()
 	c.ds.st = nil
 }
@@ -898,7 +909,7 @@ func (c *coldCursor) release() {
 // the delta's seek.
 func (c *coldCursor) seek(st *shardState, from, buf []byte) {
 	c.st = st
-	c.page = nil
+	c.page, c.lag = nil, 0
 	c.ds.seek(st, from, buf)
 	if st.pr.Blocks() > 0 {
 		c.blk = 0
@@ -954,6 +965,15 @@ func (c *coldCursor) stepPage() {
 	}
 }
 
+// catchUp seeks the page iterator onto the section entry a run left the
+// cursor on.
+func (c *coldCursor) catchUp() {
+	if c.lag != 0 {
+		c.page.SeekIndex(&c.it, c.it.Index()+c.lag)
+		c.lag = 0
+	}
+}
+
 func (c *coldCursor) valid() bool { return c.page != nil || c.ds.valid() }
 
 // key is stepped off the stored page, or resolved for a delta entry, and
@@ -962,6 +982,7 @@ func (c *coldCursor) key() []byte {
 	if c.delta {
 		return c.ds.key
 	}
+	c.catchUp()
 	return c.it.Key()
 }
 
@@ -969,6 +990,7 @@ func (c *coldCursor) tid() uint64 {
 	if c.delta {
 		return c.ds.tid()
 	}
+	c.catchUp()
 	return c.it.TID()
 }
 
@@ -976,7 +998,73 @@ func (c *coldCursor) next() {
 	if c.delta {
 		c.ds.next()
 	} else {
+		c.catchUp()
 		c.stepPage()
 	}
 	c.pick()
+}
+
+// scan is core.Iterator.Scan over the cold shard: it hands fn up to max
+// entries from the cursor on and reports how many and whether fn stopped
+// the walk, leaving the cursor on the entry fn refused, else on the one
+// after the last handed out. A packed page's section entries go out in
+// runs; a delta entry, and every entry of a page whose reader must step
+// it, one step at a time.
+func (c *coldCursor) scan(max int, fn func(TID) bool) (n int, stopped bool) {
+	for c.valid() && n < max {
+		k, stop := c.run(max-n, fn)
+		if k == 0 {
+			if k, stop = 1, !fn(c.tid()); !stop {
+				c.next()
+			}
+		}
+		if n += k; stop {
+			return n, true
+		}
+	}
+	return n, false
+}
+
+// run hands fn the section entries from the cursor's up to the page end,
+// the delta's next key or max, whichever comes first, read straight off
+// the page's packed TID array: no key is rebuilt. The delta's key is found
+// with one seek of the page, whose iterator then stands on the first entry
+// at or after it for pick to settle a tie or a tombstone. run hands out
+// nothing when the entry under the cursor is the delta's or its page has
+// no packed TIDs.
+func (c *coldCursor) run(max int, fn func(TID) bool) (n int, stopped bool) {
+	if c.delta {
+		return 0, false
+	}
+	tids, base, width, ok := c.page.PackedTIDs()
+	if !ok {
+		return 0, false
+	}
+	i, end := c.it.Index()+c.lag, c.page.Len()
+	c.lag = 0
+	if c.ds.valid() && (c.blk+1 == c.st.pr.Blocks() || bytes.Compare(c.ds.key, c.st.pr.FirstKey(c.blk+1)) < 0) {
+		c.page.Seek(&c.it, c.ds.key)
+		end = c.it.Index()
+	}
+	stop := end
+	if stop-i > max { // i+max overflows when max is math.MaxInt
+		stop = i + max
+	}
+	for ; i < stop; i++ {
+		n++
+		if !fn(base + bits.PackedAt(tids, i, width)) {
+			c.lag = i - c.it.Index()
+			return n, true
+		}
+	}
+	if stop < end {
+		c.lag = stop - c.it.Index()
+		return n, false
+	}
+	if end == c.page.Len() {
+		c.blk++
+		c.loadBlock(nil)
+	}
+	c.pick()
+	return n, false
 }

@@ -3,6 +3,7 @@ package hot
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -1213,11 +1214,14 @@ func TestParentWrittenDirectoryServes(t *testing.T) {
 // FuzzTieredShardOps drives a three-shard tree under a cold tier with an
 // operation tape and holds it to a map: the reply of every write and the
 // Lookup of its key after every step, and after every lifecycle event Len,
-// a full cursor walk, Verify and a tier directory without cold-NNN.hot. The tape starts on every other key of the
-// table cut to sections, so deletes meet section keys, delta keys and keys
-// the delta renewed. An op is three bytes: its kind in the low three bits
-// of the first (the TID variant above them), then a big-endian index into
-// the key table.
+// a full cursor walk, Verify and a tier directory without cold-NNN.hot.
+// Each tape runs twice, its sections cut raw and packed: a scan steps a
+// raw page's entries and reads a packed page's TIDs in runs. The tape
+// starts on every other key of the table cut to sections, so deletes meet
+// section keys, delta keys and keys the delta renewed. An op is three
+// bytes: its kind in the low three bits of the first (the TID variant, or
+// for a scan its max and the entry its callback refuses, above them), then
+// a big-endian index into the key table.
 func FuzzTieredShardOps(f *testing.F) {
 	const n, variants = 3600, 2
 	keys := dataset.Generate(dataset.URL, n, 17)
@@ -1239,8 +1243,12 @@ func FuzzTieredShardOps(f *testing.F) {
 		opPromote
 		opFold
 	)
-	open := func(t testing.TB) (*ShardedTree, map[string]TID, string) {
+	// A scan's selector is max (20, 1, all) plus 3 times one more than
+	// the index of the entry its callback refuses (0: none).
+	scanMax := []int{20, 1, math.MaxInt}
+	open := func(t testing.TB, codec SnapshotCodec) (*ShardedTree, map[string]TID, string) {
 		tr := newShardedFromBounds(store.Key, bounds)
+		tr.SetSnapshotCodec(codec)
 		model := make(map[string]TID, n)
 		for i := 0; i < n; i += 2 {
 			tr.Insert(keys[i], TID(i))
@@ -1260,19 +1268,52 @@ func FuzzTieredShardOps(f *testing.F) {
 	step := func(kind byte, variant, i int) []byte {
 		return []byte{kind | byte(variant)<<3, byte(i >> 8), byte(i)}
 	}
+	scan := func(max, refuse, i int) []byte { return step(opScan, max+3*(refuse+1), i) }
 	tape := func(steps ...[]byte) []byte { return bytes.Join(steps, nil) }
 	// Key 4 and 6 start in a section, key 7 does not; first is the first
-	// key of a block.
-	tr, _, _ := open(f)
-	fk := tr.shards[1].Load().pr.FirstKey(1)
-	first := slices.IndexFunc(keys, func(k []byte) bool { return bytes.Equal(k, fk) })
+	// key of a block, page lists that block's section keys (the same in
+	// both codecs: a block is sealed by its raw size), gaps holds keys
+	// between them that the section does not, and before is the key just
+	// below the block.
+	index := make(map[string]int, n)
+	for i, k := range keys {
+		index[string(k)] = i
+	}
+	tr, _, _ := open(f, SnapshotCodecPacked)
+	pr := tr.shards[1].Load().pr
+	first := index[string(pr.FirstKey(1))]
+	var page, gaps []int
+	before := 0
+	for _, k := range sorted {
+		if bytes.Compare(k, pr.FirstKey(1)) < 0 {
+			before = index[string(k)]
+			continue
+		}
+		if bytes.Compare(k, bounds[1]) >= 0 || pr.Blocks() > 2 && bytes.Compare(k, pr.FirstKey(2)) >= 0 {
+			break
+		}
+		if i := index[string(k)]; i%2 == 0 {
+			page = append(page, i)
+		} else if len(page) > 4 && len(gaps) < 3 {
+			gaps = append(gaps, i)
+		}
+	}
+	last, mid, gap := page[len(page)-1], page[len(page)/2], gaps[len(gaps)-1]
 	f.Add(tape(step(opDelete, 0, first), step(opLookup, 0, first), step(opInsert, 1, first), step(opFold, 0, first)))
 	f.Add(tape(step(opDelete, 0, 4), step(opFold, 0, 4), step(opLookup, 0, 4)))
 	f.Add(tape(step(opDelete, 0, first), step(opPromote, 0, first), step(opScan, 0, first)))
 	f.Add(tape(step(opUpsert, 1, first), step(opDelete, 0, first), step(opScan, 0, first), step(opDemote, 0, first)))
 	f.Add(tape(step(opDelete, 0, 6), step(opDelete, 0, 6), step(opInsert, 0, 7), step(opDelete, 0, 7), step(opUpsert, 1, 6)))
-	f.Fuzz(func(t *testing.T, ops []byte) {
-		tr, model, dir := open(t)
+	// A delta insert, ties and tombstones inside one page, at its first
+	// and its last entry, scanned across with every max and early stops.
+	f.Add(tape(step(opUpsert, 1, first), step(opInsert, 1, gap), step(opDelete, 0, mid), step(opDelete, 0, last),
+		scan(2, -1, before), scan(0, -1, first), scan(1, -1, first), scan(0, 3, before), scan(2, 5, gaps[0]),
+		scan(0, -1, mid), scan(2, -1, last)))
+	f.Add(tape(step(opDelete, 0, first), step(opInsert, 0, gaps[0]), step(opUpsert, 1, mid), step(opUpsert, 1, last),
+		scan(2, -1, before), scan(0, 0, first), scan(0, -1, gaps[0]), scan(2, 9, mid), scan(1, -1, last), step(opFold, 0, last),
+		scan(2, -1, before)))
+	run := func(t *testing.T, codec SnapshotCodec, ops []byte) {
+		tr, model, dir := open(t, codec)
 		check := func() {
 			t.Helper()
 			// Every cut writes the one base kind.
@@ -1311,17 +1352,19 @@ func FuzzTieredShardOps(f *testing.F) {
 				delete(model, string(k))
 			case opLookup:
 			case opScan:
+				sel := int(ops[0] >> 3)
+				max, refuse := scanMax[sel%3], sel/3-1
 				var got []TID
-				tr.Scan(k, 20, func(tid TID) bool { got = append(got, tid); return true })
+				handed := tr.Scan(k, max, func(tid TID) bool { got = append(got, tid); return len(got)-1 != refuse })
 				j := sort.Search(n, func(j int) bool { return bytes.Compare(sorted[j], k) >= 0 })
 				var want []TID
-				for ; j < n && len(want) < 20; j++ {
+				for ; j < n && len(want) < max && (refuse < 0 || len(want) <= refuse); j++ {
 					if tid, ok := model[string(sorted[j])]; ok {
 						want = append(want, tid)
 					}
 				}
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("Scan(%d) = %v, want %v", i, got, want)
+				if handed != len(got) || fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%v: Scan(%d, max %d, refusing entry %d) = %d %v, want %v", codec, i, max, refuse, handed, got, want)
 				}
 			case opDemote, opPromote, opFold:
 				var err error
@@ -1345,10 +1388,112 @@ func FuzzTieredShardOps(f *testing.F) {
 			}
 		}
 		check()
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		for _, codec := range []SnapshotCodec{SnapshotCodecRaw, SnapshotCodecPacked} {
+			run(t, codec, ops)
+		}
 	})
 }
 
 func hasKey(m map[string]TID, k []byte) bool {
 	_, ok := m[string(k)]
 	return ok
+}
+
+// TestColdCursorScan holds coldCursor.scan to core.Iterator.Scan's
+// contract on a cold shard whose delta inserts keys, renews section keys
+// (a tie the delta wins) and deletes them (tombstones), cut raw and
+// packed: from random keys, scans of every length that fn may stop early
+// are interleaved with single steps, and every entry handed out or stepped
+// onto must be the sorted model's next. A scan that ends inside a page
+// leaves its iterator behind, so the steps after it check the catch-up.
+func TestColdCursorScan(t *testing.T) {
+	const n = 6000
+	keys := dataset.Generate(dataset.URL, n, 29)
+	store := &tidstore.Store{}
+	for v := 0; v < 2; v++ {
+		for _, k := range keys {
+			store.Add(k) // TID v*n+i resolves to keys[i]
+		}
+	}
+	for _, codec := range []SnapshotCodec{SnapshotCodecRaw, SnapshotCodecPacked} {
+		tr := NewShardedTree(store.Key, 1, nil)
+		tr.SetSnapshotCodec(codec)
+		model := make(map[string]TID, n)
+		for i := 0; i < n; i += 2 {
+			tr.Insert(keys[i], TID(i))
+			model[string(keys[i])] = TID(i)
+		}
+		if err := tr.EnableColdTier(ColdTierConfig{Dir: t.TempDir()}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Demote(0); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(5))
+		for j := 0; j < 300; j++ {
+			k := keys[rng.Intn(n)]
+			if j%3 == 0 {
+				tr.Delete(k)
+				delete(model, string(k))
+			} else {
+				tid := TID(n*(j%2) + slices.IndexFunc(keys, func(x []byte) bool { return bytes.Equal(x, k) }))
+				tr.Upsert(k, tid)
+				model[string(k)] = tid
+			}
+		}
+		var want []pathEntry
+		for _, k := range dataset.SortedCopy(keys) {
+			if tid, ok := model[string(k)]; ok {
+				want = append(want, pathEntry{k, tid})
+			}
+		}
+		st := tr.shards[0].Load()
+		if st.pr == nil || st.delta.Load() == nil {
+			t.Fatalf("%v: the shard is not cold with a delta", codec)
+		}
+		var c coldCursor
+		for trial := 0; trial < 300; trial++ {
+			from := keys[rng.Intn(n)]
+			pos := sort.Search(len(want), func(j int) bool { return bytes.Compare(want[j].key, from) >= 0 })
+			c.seek(st, from, make([]byte, 0, 64))
+			for c.valid() {
+				if pos == len(want) {
+					t.Fatalf("%v: cursor from %q runs past the model's end", codec, from)
+				}
+				if rng.Intn(3) == 0 {
+					if !bytes.Equal(c.key(), want[pos].key) || c.tid() != want[pos].tid {
+						t.Fatalf("%v: step onto entry %d is (%q, %d), want (%q, %d)", codec, pos, c.key(), c.tid(), want[pos].key, want[pos].tid)
+					}
+					c.next()
+					pos++
+					continue
+				}
+				max, refuse := []int{1, 2, 7, 40, math.MaxInt}[rng.Intn(5)], rng.Intn(80)-20
+				var got []TID
+				k, stopped := c.scan(max, func(tid TID) bool { got = append(got, tid); return len(got)-1 != refuse })
+				end := min(len(want), pos+min(max, len(want)-pos))
+				wantStop := refuse >= 0 && pos+refuse < end
+				if wantStop {
+					end = pos + refuse + 1
+				}
+				if k != end-pos || stopped != wantStop || len(got) != k {
+					t.Fatalf("%v: scan(%d) refusing entry %d from entry %d = (%d, %v), want (%d, %v)", codec, max, refuse, pos, k, stopped, end-pos, wantStop)
+				}
+				for j, tid := range got {
+					if tid != want[pos+j].tid {
+						t.Fatalf("%v: scan from entry %d hands out %d as entry %d, want %d", codec, pos, tid, pos+j, want[pos+j].tid)
+					}
+				}
+				if pos = end; stopped {
+					pos-- // the cursor stays on the entry fn refused
+				}
+			}
+			if pos != len(want) {
+				t.Fatalf("%v: cursor from %q ends at entry %d of %d", codec, from, pos, len(want))
+			}
+		}
+		c.release()
+	}
 }

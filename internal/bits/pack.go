@@ -60,14 +60,20 @@ func AppendPacked(dst []byte, vals []uint64, width uint) []byte {
 }
 
 // PackedAt extracts value i from a packed stream written by AppendPacked.
-// src must hold at least PackedLen(i+1, width) bytes.
+// src must hold at least PackedLen(i+1, width) bytes. A value of at most
+// 56 bits spans at most 8 bytes from its first, so while 8 remain it is
+// one load, a shift and a mask; the stream's tail and wider values take
+// the byte loop.
 func PackedAt(src []byte, i int, width uint) uint64 {
-	if width == 0 {
-		return 0
-	}
 	bit := uint64(i) * uint64(width)
 	pos := bit >> 3
 	shift := uint(bit & 7)
+	if width <= 56 && pos+8 <= uint64(len(src)) {
+		return binary.LittleEndian.Uint64(src[pos:]) >> shift & (1<<width - 1)
+	}
+	if width == 0 {
+		return 0
+	}
 	var v uint64
 	var got uint
 	for got < width {

@@ -75,6 +75,36 @@ func TestPackRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPackedAtEveryIndex reads back every index of streams of 1 to 24
+// values at every width: a value whose first byte has 8 bytes behind it is
+// one word load, and the last values of each stream (every value of a
+// stream under 8 bytes, and every value wider than 56 bits) take the byte
+// loop, so both paths and the boundary between them meet AppendPacked's
+// input, including all-ones values that fill their width.
+func TestPackedAtEveryIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for width := uint(0); width <= 64; width++ {
+		mask := ^uint64(0)
+		if width < 64 {
+			mask = 1<<width - 1
+		}
+		for n := 1; n <= 24; n++ {
+			vals := make([]uint64, n)
+			for i := range vals {
+				if vals[i] = rng.Uint64() & mask; i%3 == 0 {
+					vals[i] = mask
+				}
+			}
+			packed := AppendPacked(nil, vals, width)
+			for i, want := range vals {
+				if got := PackedAt(packed, i, width); got != want {
+					t.Fatalf("width %d, %d values: PackedAt(%d) = %#x, want %#x", width, n, i, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestPackTruncatesWide verifies values wider than the declared width keep
 // only their low bits, matching the doc contract.
 func TestPackTruncatesWide(t *testing.T) {

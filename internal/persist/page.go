@@ -186,10 +186,31 @@ func (p *Page) Find(key []byte) (int, bool) {
 	return it.i, it.i < p.n && bytes.Equal(it.key, key)
 }
 
-// TID returns entry i's TID.
+// AppendKey appends entry i's key to dst; i must be in [0, Len). The key
+// is rebuilt on the stack, so only a dst without room allocates.
+func (p *Page) AppendKey(dst []byte, i int) []byte {
+	var buf [pointReadBuf]byte
+	it := p.at(buf[:0], i)
+	return append(dst, it.key...)
+}
+
+// PackedTIDs returns a packed block's TID array: entry i's TID is base +
+// bits.PackedAt(tids, i, width), read without rebuilding a key. ok is
+// false for a raw block, which keeps each TID beside its key, and for a
+// packed block of keys that embed their TIDs, which stores none: their
+// readers step the entries.
+func (p *Page) PackedTIDs() (tids []byte, base uint64, width uint, ok bool) {
+	if p.form == formRaw || p.embedded {
+		return nil, 0, 0, false
+	}
+	return p.unit[p.tids:], p.tidBase, p.tidWidth, true
+}
+
+// TID returns entry i's TID: one read of the packed array when the page
+// has one, else a step from the restart point before i.
 func (p *Page) TID(i int) uint64 {
-	if p.form != formRaw && !p.embedded {
-		return p.tidBase + bits.PackedAt(p.unit[p.tids:], i, p.tidWidth)
+	if tids, base, width, ok := p.PackedTIDs(); ok {
+		return base + bits.PackedAt(tids, i, width)
 	}
 	var buf [pointReadBuf]byte
 	it := p.at(buf[:0], i)
@@ -213,6 +234,9 @@ func (p *Page) SeekIndex(it *PageIter, i int) { it.p, it.it = p, p.at(it.it.buf,
 
 // Valid reports whether the iterator is on an entry.
 func (it *PageIter) Valid() bool { return it.it.i < it.p.n }
+
+// Index returns the current entry's index in the page, Len when invalid.
+func (it *PageIter) Index() int { return it.it.i }
 
 // Key returns the current entry's key, valid until the next Next or Seek.
 func (it *PageIter) Key() []byte { return it.it.key }

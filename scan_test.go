@@ -16,14 +16,15 @@ import (
 )
 
 // TestShardedScanMatchesModel runs ShardedTree.Scan and Follower.Scan over
-// eight shards, three of them cold with deltas, against a sorted model of
-// the keys after inserts, upserts and deletes in every shard. Scans start
-// at nil, at stored and absent keys and just below each shard boundary, so
-// they cross leaf nodes, hot and cold shards and shard boundaries; they
-// take a random max (math.MaxInt among them, the unbounded scan) and stop
-// early at a random entry. Follower.Scan runs its keyed loop over the same
-// tree, handed to it as the follower's with a ready prefix of all eight
-// shards and of six.
+// eight shards, three of them cold with deltas (two cut raw, whose pages a
+// scan steps, and one packed, whose pages it reads in runs), against a
+// sorted model of the keys after inserts, upserts and deletes in every
+// shard. Scans start at nil, at stored and absent keys and just below each
+// shard boundary, so they cross leaf nodes, hot and cold shards and shard
+// boundaries; they take a random max (math.MaxInt among them, the
+// unbounded scan) and stop early at a random entry. Follower.Scan runs its
+// keyed loop over the same tree, handed to it as the follower's with a
+// ready prefix of all eight shards and of six.
 func TestShardedScanMatchesModel(t *testing.T) {
 	all := dataset.Generate(dataset.URL, 9000, 43)
 	keys, extra := all[:6000], all[6000:]
@@ -36,6 +37,9 @@ func TestShardedScanMatchesModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range []int{1, 2, 5} {
+		if s == 5 {
+			st.SetSnapshotCodec(SnapshotCodecPacked)
+		}
 		if err := st.Demote(s); err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +154,11 @@ func TestShardedScanMatchesModel(t *testing.T) {
 // TestScanAllocs pins a 50-entry TID-only scan at 0 allocations on Tree,
 // ConcurrentTree and ShardedTree, over url keys in a tuple store and
 // integer keys embedded in their TIDs, whose loader writes the seek's key
-// into its buffer. Under -race sync.Pool drops a share of its Puts, so the
+// into its buffer. The sharded tree is also scanned with all eight shards
+// demoted to packed sections whose pages are resident, without deltas and
+// with delta inserts, upserts and deletes: url pages are read in runs and
+// embedded-key pages stepped, and the delta's tombstones resolve their
+// section keys. Under -race sync.Pool drops a share of its Puts, so the
 // counts are only pinned outside it.
 func TestScanAllocs(t *testing.T) {
 	if raceEnabled {
@@ -164,10 +172,12 @@ func TestScanAllocs(t *testing.T) {
 			ct.Insert(k, src.tids[i])
 			st.Insert(k, src.tids[i])
 		}
+		cold, delta := coldScanTree(t, src, false), coldScanTree(t, src, true)
 		for _, c := range []struct {
 			name string
 			scan func([]byte, int, func(TID) bool) int
-		}{{"Tree", tr.Scan}, {"ConcurrentTree", ct.Scan}, {"ShardedTree", st.Scan}} {
+		}{{"Tree", tr.Scan}, {"ConcurrentTree", ct.Scan}, {"ShardedTree", st.Scan},
+			{"ShardedTree/cold", cold.Scan}, {"ShardedTree/cold-delta", delta.Scan}} {
 			i, sum := 0, TID(0)
 			fn := func(tid TID) bool { sum += tid; return true } // made once: a closure passed through a func value escapes
 			allocs := testing.AllocsPerRun(500, func() {
@@ -181,6 +191,43 @@ func TestScanAllocs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// coldScanTree returns src's keys but its last 100 in an eight-shard tree
+// whose shards are all demoted to packed sections, every page faulted into
+// a cache that holds them all. With deltas, the last 100 keys go to the
+// shards' deltas, and 100 section keys are upserted (a tie) and 100
+// deleted (a tombstone).
+func coldScanTree(t *testing.T, src keySource, deltas bool) *ShardedTree {
+	t.Helper()
+	n := len(src.keys) - 100
+	st := NewShardedTree(src.load, 8, src.keys)
+	st.SetSnapshotCodec(SnapshotCodecPacked)
+	for i, k := range src.keys[:n] {
+		st.Insert(k, src.tids[i])
+	}
+	if err := st.EnableColdTier(ColdTierConfig{Dir: t.TempDir(), CacheBytes: 1 << 30}); err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < st.Shards(); s++ {
+		if err := st.Demote(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if deltas {
+		for j := 0; j < 100; j++ {
+			st.Insert(src.keys[n+j], src.tids[n+j])
+			st.Upsert(src.keys[j*97], src.tids[j*97])
+			st.Delete(src.keys[j*97+50])
+		}
+	}
+	for s := 0; s < st.Shards(); s++ {
+		if !st.IsCold(s) {
+			t.Fatalf("%s: shard %d is not cold", src.name, s)
+		}
+	}
+	st.Scan(nil, math.MaxInt, func(TID) bool { return true })
+	return st
 }
 
 // TestEmbeddedLookupAllocs pins point lookups over integer keys embedded

@@ -525,9 +525,9 @@ func (c *ShardedCursor) release() {
 // scanN is the one bounded loop under Scan and Follower.Scan: fn sees up
 // to max entries ≥ start out of the first limit shards, in order, and
 // stops the walk by returning false. A hot shard is consumed a leaf run at
-// a time through its trie iterator, a cold one an entry at a time through
-// its page cursor. With a non-nil key, *key holds each entry's key while
-// fn runs.
+// a time through its trie iterator, a cold one a page run at a time
+// through its page cursor. With a non-nil key, *key holds each entry's key
+// while fn runs, so a cold shard is stepped an entry at a time.
 func (t *ShardedTree) scanN(start []byte, max, limit int, fn func(TID) bool, key *[]byte) int {
 	if max <= 0 {
 		return 0
@@ -543,20 +543,21 @@ func (t *ShardedTree) scanN(start []byte, max, limit int, fn func(TID) bool, key
 	}
 	n := 0
 	for c.Valid() && n < max {
-		if c.cc.valid() {
-			if key != nil {
-				*key = c.cc.key()
+		var k int
+		var stopped bool
+		switch {
+		case !c.cc.valid():
+			k, stopped = c.it.Scan(max-n, run)
+		case key == nil:
+			k, stopped = c.cc.scan(max-n, fn)
+		default:
+			*key = c.cc.key()
+			if k, stopped = 1, !fn(c.cc.tid()); !stopped {
+				c.cc.next()
 			}
-			n++
-			if !fn(c.cc.tid()) {
-				break
-			}
-			c.cc.next()
-		} else {
-			k, stopped := c.it.Scan(max-n, run)
-			if n += k; stopped {
-				break
-			}
+		}
+		if n += k; stopped {
+			break
 		}
 		c.settle()
 	}
