@@ -308,6 +308,16 @@ type blockIter struct {
 
 func (b *block) iter() blockIter { return blockIter{b: b, i: -1, pos: b.keys} }
 
+// firstKeyAt returns where the block's first key lies in unit: every key
+// form stores it whole.
+func (b *block) firstKeyAt() (off, n int) {
+	if b.form == formFixed64 {
+		return b.keys, 8
+	}
+	n, m, _ := checkedLen(b.unit[b.keys:], MaxKeyLen)
+	return b.keys + m, n
+}
+
 // more reports whether an entry follows the current one. A raw block's
 // count is only known once its stream has been walked to the end.
 func (it *blockIter) more() bool {
@@ -336,31 +346,19 @@ func (it *blockIter) next() (bad string) {
 		}
 		it.key, it.tid, it.pos = key, tid, it.pos+size
 	case formFront:
-		lcp := 0
+		prev := -1
 		if it.i >= 0 {
-			var m int
-			var ok bool
-			if lcp, m, ok = checkedLen(p[it.pos:], len(it.key)); !ok {
-				return "bad key prefix length"
-			}
-			it.pos += m
+			prev = len(it.key)
 		}
-		// slen is bounded by what lcp leaves of MaxKeyLen, so the two are
-		// never summed unchecked.
-		slen, m, ok := checkedLen(p[it.pos:], MaxKeyLen-lcp)
-		if !ok {
-			return "bad key length"
+		lcp, suffix, end, bad := frontStep(p, it.pos, prev)
+		if bad != "" {
+			return bad
 		}
-		it.pos += m
-		if slen > len(p)-it.pos {
-			return "key suffix runs past payload end"
-		}
-		suffix := p[it.pos : it.pos+slen]
 		if it.i >= 0 && bytes.Compare(it.key[lcp:], suffix) >= 0 {
 			return "keys not strictly ascending"
 		}
 		it.rebuild(lcp, suffix)
-		it.pos += slen
+		it.pos = end
 	case formFixed64:
 		if it.i < 0 {
 			it.rebuild(0, p[it.b.keys:it.b.keys+8])
@@ -375,6 +373,35 @@ func (it *blockIter) next() (bad string) {
 	}
 	it.i++
 	return ""
+}
+
+// frontStep decodes the front-coded entry at pos of unit p that follows a
+// key of prev bytes — prev < 0: the block's first entry, stored whole — and
+// returns its lcp with that key, its stored suffix and where the next entry
+// starts, or what is wrong with it. It is the only decoder of a front-coded
+// step and checks bounds alone: lcp within the previous key, the key within
+// MaxKeyLen, the suffix within the unit. Order is next's to check; a Page's
+// search (page.go) steps a unit the walk has vouched for, and panics if a
+// step fails there.
+func frontStep(p []byte, pos, prev int) (lcp int, suffix []byte, end int, bad string) {
+	if prev >= 0 {
+		var m int
+		var ok bool
+		if lcp, m, ok = checkedLen(p[pos:], prev); !ok {
+			return 0, nil, 0, "bad key prefix length"
+		}
+		pos += m
+	}
+	// slen is bounded by what lcp leaves of MaxKeyLen, so the two are never
+	// summed unchecked.
+	slen, m, ok := checkedLen(p[pos:], MaxKeyLen-lcp)
+	if !ok {
+		return 0, nil, 0, "bad key length"
+	}
+	if pos += m; slen > len(p)-pos {
+		return 0, nil, 0, "key suffix runs past payload end"
+	}
+	return lcp, p[pos : pos+slen], pos + slen, ""
 }
 
 // rebuild makes the current key the first lcp bytes of the last one
@@ -395,8 +422,12 @@ func (it *blockIter) rebuild(lcp int, suffix []byte) {
 
 // mustNext is next over a unit walkBlock has already vouched for, where a
 // failing step can only be a bug.
-func (it *blockIter) mustNext() {
-	if bad := it.next(); bad != "" {
+func (it *blockIter) mustNext() { validated(it.next()) }
+
+// validated panics on what a step reports wrong with a unit walkBlock has
+// vouched for: that can only be a bug.
+func validated(bad string) {
+	if bad != "" {
 		panic("persist: validated block no longer steps: " + bad)
 	}
 }

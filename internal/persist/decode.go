@@ -23,6 +23,10 @@ const anyKind uint16 = 0
 // before the int conversion and before the caller can add it to anything, so
 // a hostile length can neither go negative nor wrap a sum.
 func checkedLen(p []byte, max int) (v, n int, ok bool) {
+	// Nearly every length of a block fits one byte.
+	if len(p) > 0 && p[0] < 0x80 && int(p[0]) <= max {
+		return int(p[0]), 1, true
+	}
 	u, n := binary.Uvarint(p)
 	if n <= 0 || u > uint64(max) {
 		return 0, 0, false
@@ -265,38 +269,41 @@ func decodeBlock(unit []byte, off int64, ord *keyOrder, fn EntryFunc) (n uint64,
 
 // decodeIndex parses the HIDX block index idx of a section whose trailer
 // sits at trailerOff, requiring exactly contiguous blocks from the header
-// to the trailer with strictly ascending first keys. The index is an
-// accelerator, never an authority: any inconsistency just reports false.
-func decodeIndex(idx []byte, trailerOff int64) ([]BlockInfo, bool) {
+// to the trailer with strictly ascending first keys, which it returns in
+// one arena (PageReader.setBlocks points the blocks into it). The index is
+// an accelerator, never an authority: any inconsistency just reports false.
+func decodeIndex(idx []byte, trailerOff int64) ([]BlockInfo, *firstKeys, bool) {
 	var blocks []BlockInfo
+	firsts := &firstKeys{arena: make([]byte, 0, len(idx))}
 	off, end := int64(0), int64(headerSize)
 	var prevKey []byte
 	for pos := 0; pos < len(idx); {
 		d, n := binary.Uvarint(idx[pos:])
 		if n <= 0 || d > uint64(trailerOff) {
-			return nil, false
+			return nil, nil, false
 		}
 		pos += n
 		length, n, ok := checkedLen(idx[pos:], maxBlockLen)
 		if !ok || length == 0 {
-			return nil, false
+			return nil, nil, false
 		}
 		pos += n
 		klen, n, ok := checkedLen(idx[pos:], MaxKeyLen)
 		if !ok || klen > len(idx)-pos-n {
-			return nil, false
+			return nil, nil, false
 		}
 		pos += n
-		key := append([]byte{}, idx[pos:pos+klen]...)
+		key := idx[pos : pos+klen]
 		pos += klen
 		if off += int64(d); off != end {
-			return nil, false
+			return nil, nil, false
 		}
 		if len(blocks) > 0 && bytes.Compare(prevKey, key) >= 0 {
-			return nil, false
+			return nil, nil, false
 		}
-		blocks = append(blocks, BlockInfo{Off: off, Len: length, FirstKey: key})
+		firsts.add(key)
+		blocks = append(blocks, BlockInfo{Off: off, Len: length})
 		prevKey, end = key, off+8+int64(length)
 	}
-	return blocks, end == trailerOff
+	return blocks, firsts, end == trailerOff
 }

@@ -55,15 +55,20 @@ type restart struct {
 
 // Page is one snapshot block as stored: the CRC-verified unit kept whole —
 // a packed block is never expanded — plus a sparse restart table recorded
-// by the validating walk that admitted it. Reads binary-search the restart
-// keys and step at most restartEvery entries of the stored stream. The
-// restarts live here and not on disk because that walk must visit every key
-// anyway; the file format owes them nothing. The page is immutable once
-// returned and safe for concurrent readers, each with its own PageIter.
+// by the validating walk that admitted it. Reads check the page prefix once,
+// binary-search the restart keys past it and step at most restartEvery
+// entries of the stored stream. The restarts live here and not on disk
+// because that walk must visit every key anyway; the file format owes them
+// nothing. The page is immutable once returned and safe for concurrent
+// readers, each with its own PageIter.
 type Page struct {
 	block
 	restarts []restart
-	arena    []byte // restart keys, back to back
+	arena    []byte // restart keys past the page prefix, back to back
+	// pfx and plen locate the page prefix in unit, inside the first key,
+	// which every key form stores whole: the bytes the first key shares with
+	// the last, and so with every key of the page.
+	pfx, plen uint32
 	// Bytes is the page's heap footprint — this struct, the stored unit and
 	// the restart table — the unit the page cache's budget is accounted in.
 	Bytes int
@@ -75,13 +80,24 @@ func newPage(unit []byte, off int64) (*Page, *FormatError) {
 	// Room for most blocks' tables at once; the exact-size copy below drops
 	// the slack either way.
 	p := &Page{restarts: make([]restart, 0, 64), arena: make([]byte, 0, 4<<10)}
+	var ord keyOrder
 	var damage *FormatError
-	if p.block, _, _, damage, _ = walkBlock(unit, off, &keyOrder{}, p, nil); damage != nil {
+	if p.block, _, _, damage, _ = walkBlock(unit, off, &ord, p, nil); damage != nil {
 		return nil, damage
 	}
-	// Append's growth would otherwise keep up to twice the table alive.
+	first, n := p.firstKeyAt()
+	plen := lcpLen(unit[first:first+n], ord.last)
+	p.pfx, p.plen = uint32(first), uint32(plen)
+	// Append's growth would otherwise keep up to twice the table alive, and
+	// every restart key starts with the page prefix, which the copy drops.
+	arena := make([]byte, 0, len(p.arena)-len(p.restarts)*plen)
+	start := 0
+	for j, r := range p.restarts {
+		arena = append(arena, p.arena[start+plen:r.kend]...)
+		start, p.restarts[j].kend = int(r.kend), uint32(len(arena))
+	}
 	p.restarts = append(make([]restart, 0, len(p.restarts)), p.restarts...)
-	p.arena = append(make([]byte, 0, len(p.arena)), p.arena...)
+	p.arena = arena
 	p.Bytes = int(unsafe.Sizeof(*p)) + cap(p.unit) + cap(p.restarts)*int(unsafe.Sizeof(restart{})) + cap(p.arena)
 	return p, nil
 }
@@ -106,15 +122,46 @@ func (p *Page) rewind(buf []byte, r int) blockIter {
 	it.buf = buf[:0]
 	if r > 0 {
 		it.i, it.pos = r*restartEvery-1, int(p.restarts[r-1].pos)
-		if it.key = p.restartKey(r - 1); p.form != formRaw {
-			it.buf = append(it.buf, it.key...)
-			it.key = it.buf
-		}
+		it.buf = append(append(it.buf, p.prefix()...), p.restartKey(r-1)...)
+		it.key = it.buf
 	}
 	return it
 }
 
-// restartKey returns the key restart j recorded.
+// prefix returns the page prefix, which every key of the page starts with.
+func (p *Page) prefix() []byte { return p.unit[p.pfx : p.pfx+p.plen] }
+
+// pastPrefix returns key past the page prefix and 0 when key starts with
+// it, else nil and -1 when key sorts before every key of the page, +1 when
+// after.
+func (p *Page) pastPrefix(key []byte) ([]byte, int) {
+	pre := p.prefix()
+	if bytes.HasPrefix(key, pre) {
+		return key[len(pre):], 0
+	}
+	return nil, bytes.Compare(key, pre)
+}
+
+// restartsBelow binary-searches the restart keys for rest, a key past the
+// page prefix: it returns how many sort below rest, and whether the next one
+// is rest. Every entry up to a restart key below rest sorts below it too.
+func (p *Page) restartsBelow(rest []byte) (int, bool) {
+	lo, hi := 0, len(p.restarts)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		switch c := bytes.Compare(p.restartKey(mid), rest); {
+		case c < 0:
+			lo = mid + 1
+		case c > 0:
+			hi = mid
+		default:
+			return mid, true
+		}
+	}
+	return lo, false
+}
+
+// restartKey returns the key restart j recorded, past the page prefix.
 func (p *Page) restartKey(j int) []byte {
 	start := uint32(0)
 	if j > 0 {
@@ -134,24 +181,80 @@ func (p *Page) step(it *blockIter) {
 }
 
 // seek returns an iterator on the first entry whose key is ≥ key, at index
-// Len when there is none: a binary search of the restart keys, then at most
-// restartEvery steps of the stored stream.
+// Len when there is none: the page prefix, a binary search of the restart
+// keys, then at most restartEvery steps of the stored stream, each
+// rebuilding its key.
 func (p *Page) seek(buf, key []byte) blockIter {
-	// Every entry up to a restart key below key sorts below it too.
-	lo, hi := 0, len(p.restarts)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(p.restartKey(mid), key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	r := 0
+	if rest, c := p.pastPrefix(key); c > 0 {
+		r = len(p.restarts)
+	} else if c == 0 {
+		r, _ = p.restartsBelow(rest)
 	}
-	it := p.rewind(buf, lo)
+	it := p.rewind(buf, r)
 	for p.step(&it); it.i < p.n && bytes.Compare(it.key, key) < 0; {
 		p.step(&it)
 	}
 	return it
+}
+
+// search is the point read: it returns the index of the first entry whose
+// key is ≥ key — Len when there is none — and whether that entry is key.
+// A raw or delta-packed page is searched as seek searches it. After the
+// page prefix and the restart keys, a front-coded page is stepped as stored
+// (lcp, suffix) pairs without rebuilding a key, tracking m, how much of key
+// the last entry stepped over matches. That entry sorts below key, so an
+// entry whose lcp exceeds m shares its byte at m and sorts below key too,
+// with nothing compared; otherwise it is the first lcp bytes of key
+// followed by its suffix, and only the suffix is compared, with key past
+// lcp. No order is checked: the walk vouched for the unit.
+func (p *Page) search(key []byte) (int, bool) {
+	if p.form != formFront {
+		var buf [pointReadBuf]byte
+		it := p.seek(buf[:0], key)
+		return it.i, it.i < p.n && bytes.Equal(it.key, key)
+	}
+	rest, c := p.pastPrefix(key)
+	switch {
+	case c < 0:
+		return 0, false
+	case c > 0:
+		return p.n, false
+	}
+	r, hit := p.restartsBelow(rest)
+	if hit {
+		return (r+1)*restartEvery - 1, true
+	}
+	plen := int(p.plen)
+	// Entry 0 follows no key: it is stepped as the page prefix followed by
+	// the rest of the first key, against m = plen.
+	i, pos, prev, m := 0, p.keys, -1, plen
+	if r > 0 {
+		rk := p.restartKey(r - 1)
+		i, pos, prev, m = r*restartEvery, int(p.restarts[r-1].pos), plen+len(rk), plen+lcpLen(rk, rest)
+	}
+	for ; i < p.n; i++ {
+		lcp, suffix, end, bad := frontStep(p.unit, pos, prev)
+		validated(bad)
+		pos, prev = end, lcp+len(suffix)
+		if i == 0 {
+			lcp, suffix = plen, suffix[plen:]
+		}
+		if lcp > m {
+			continue
+		}
+		j := lcpLen(suffix, key[lcp:])
+		if m = lcp + j; j == len(suffix) {
+			if m == len(key) {
+				return i, true
+			}
+			continue // a proper prefix of key
+		}
+		if m == len(key) || suffix[j] > key[m] {
+			return i, false
+		}
+	}
+	return p.n, false
 }
 
 // at returns an iterator on entry i, which must be in [0, Len).
@@ -169,22 +272,30 @@ const pointReadBuf = 256
 
 // Lookup returns the TID stored under key.
 func (p *Page) Lookup(key []byte) (uint64, bool) {
-	var buf [pointReadBuf]byte
-	it := p.seek(buf[:0], key)
-	if it.i == p.n || !bytes.Equal(it.key, key) {
-		return 0, false
+	if p.form == formRaw {
+		// A raw entry keeps its TID beside its key: take it off the step
+		// that found the key rather than step there twice.
+		var buf [pointReadBuf]byte
+		it := p.seek(buf[:0], key)
+		if it.i == p.n || !bytes.Equal(it.key, key) {
+			return 0, false
+		}
+		return it.tid, true
 	}
-	return it.curTID(), true
+	i, ok := p.search(key)
+	switch {
+	case !ok:
+		return 0, false
+	case p.embedded:
+		return binary.BigEndian.Uint64(key), true
+	}
+	return p.tidBase + bits.PackedAt(p.unit[p.tids:], i, p.tidWidth), true
 }
 
 // Find returns the position of key in the page and whether it is present;
 // when absent, the returned index is where key would be inserted (the
 // first entry > key).
-func (p *Page) Find(key []byte) (int, bool) {
-	var buf [pointReadBuf]byte
-	it := p.seek(buf[:0], key)
-	return it.i, it.i < p.n && bytes.Equal(it.key, key)
-}
+func (p *Page) Find(key []byte) (int, bool) { return p.search(key) }
 
 // AppendKey appends entry i's key to dst; i must be in [0, Len). The key
 // is rebuilt on the stack, so only a dst without room allocates.
@@ -253,11 +364,14 @@ func (it *PageIter) Next() { it.p.step(&it.it) }
 // which it serves as stored. All methods are safe for concurrent use; each
 // ReadBlock is one ReaderAt call plus one walk of at most maxBlockLen bytes.
 type PageReader struct {
-	r       io.ReaderAt
-	f       *os.File // owned when opened via OpenPageReaderFile
-	size    int64
-	count   uint64
-	blocks  []BlockInfo
+	r      io.ReaderAt
+	f      *os.File // owned when opened via OpenPageReaderFile
+	size   int64
+	count  uint64
+	blocks []BlockInfo
+	// plen is how many bytes the first keys of the first and the last block
+	// share, and so every block's first key: FindBlock compares past them.
+	plen    int
 	indexed bool // footer parsed (false: index rebuilt by sequential scan)
 }
 
@@ -299,21 +413,49 @@ func OpenPageReader(r io.ReaderAt, size int64, wantKind uint16) (*PageReader, er
 	}
 	// No usable footer: rebuild the index with the sequential driver,
 	// noting each block's first key as its entries stream past.
-	var first []byte
+	var firsts firstKeys
+	first := true
 	count, damage, _ := rd.blocks(func(key []byte, _ uint64) error {
-		if first == nil {
-			first = append([]byte{}, key...)
+		if first {
+			firsts.add(key)
+			first = false
 		}
 		return nil
 	}, func(off int64, _ Codec, stored, _ int) {
-		pr.blocks = append(pr.blocks, BlockInfo{Off: off, Len: stored, FirstKey: first})
-		first = nil
+		pr.blocks = append(pr.blocks, BlockInfo{Off: off, Len: stored})
+		first = true
 	})
 	if damage != nil {
 		return nil, damage
 	}
+	pr.setBlocks(pr.blocks, &firsts)
 	pr.count = count
 	return pr, nil
+}
+
+// firstKeys collects the blocks' first keys into one arena.
+type firstKeys struct {
+	arena []byte
+	ends  []int
+}
+
+func (f *firstKeys) add(key []byte) {
+	f.arena = append(f.arena, key...)
+	f.ends = append(f.ends, len(f.arena))
+}
+
+// setBlocks installs blocks, pointing each one's FirstKey into the arena of
+// firsts, and records the prefix their first keys share.
+func (pr *PageReader) setBlocks(blocks []BlockInfo, firsts *firstKeys) {
+	start := 0
+	for i, end := range firsts.ends {
+		blocks[i].FirstKey = firsts.arena[start:end:end]
+		start = end
+	}
+	pr.blocks, pr.plen = blocks, 0
+	if n := len(blocks); n > 0 {
+		pr.plen = lcpLen(blocks[0].FirstKey, blocks[n-1].FirstKey)
+	}
 }
 
 // openFooter attempts to load the block index from the HIDX footer,
@@ -346,11 +488,12 @@ func (pr *PageReader) openFooter() bool {
 		return false
 	}
 	count, damage := decodeTrailer(tail[:trailerSize], trailerOff)
-	blocks, ok := decodeIndex(idx, trailerOff)
+	blocks, firsts, ok := decodeIndex(idx, trailerOff)
 	if damage != nil || !ok || (count == 0) != (len(blocks) == 0) {
 		return false
 	}
-	pr.blocks, pr.count, pr.indexed = blocks, count, true
+	pr.setBlocks(blocks, firsts)
+	pr.count, pr.indexed = count, true
 	return true
 }
 
@@ -381,24 +524,31 @@ func (pr *PageReader) FirstKey(i int) []byte { return pr.blocks[i].FirstKey }
 
 // FindBlock returns the index of the only block that can contain key: the
 // last block whose first key is ≤ key (block 0 when key sorts before all
-// entries, -1 only for an empty file).
+// entries, -1 only for an empty file). It checks the prefix every first key
+// shares once, then binary-searches the first keys past it.
 func (pr *PageReader) FindBlock(key []byte) int {
-	lo, hi := 0, len(pr.blocks)
+	n := len(pr.blocks)
+	if n == 0 {
+		return -1
+	}
+	pre := pr.blocks[0].FirstKey[:pr.plen]
+	if !bytes.HasPrefix(key, pre) {
+		if bytes.Compare(key, pre) < 0 {
+			return 0
+		}
+		return n - 1
+	}
+	rest := key[pr.plen:]
+	lo, hi := 0, n
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(pr.blocks[mid].FirstKey, key) <= 0 {
+		mid := int(uint(lo+hi) >> 1)
+		if bytes.Compare(pr.blocks[mid].FirstKey[pr.plen:], rest) <= 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo == 0 {
-		if len(pr.blocks) == 0 {
-			return -1
-		}
-		return 0
-	}
-	return lo - 1
+	return max(lo-1, 0)
 }
 
 // ReadBlock is the random-access driver: one ReaderAt call fetches block i
@@ -419,7 +569,7 @@ func (pr *PageReader) ReadBlock(i int) (*Page, error) {
 	if damage != nil {
 		return nil, damage
 	}
-	if it := p.at(nil, 0); !bytes.Equal(it.key, info.FirstKey) {
+	if first, n := p.firstKeyAt(); !bytes.Equal(p.unit[first:first+n], info.FirstKey) {
 		return nil, formatErr(ErrCorrupt, info.Off, "block first key disagrees with index")
 	}
 	return p, nil

@@ -3,11 +3,15 @@ package persist
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
+
+	"github.com/hotindex/hot/internal/dataset"
 )
 
 // buildIndexedSnap is buildSnap with the per-block index enabled, the
@@ -63,6 +67,9 @@ func checkPointReads(t *testing.T, pr *PageReader, es []entry) {
 		}
 	}
 	for _, probe := range [][]byte{[]byte(""), []byte("zzzz-absent"), []byte("00000000x")} {
+		if slices.ContainsFunc(es, func(e entry) bool { return bytes.Equal(e.key, probe) }) {
+			continue // a shape may hold the empty key
+		}
 		if b := pr.FindBlock(probe); b >= 0 {
 			page, err := pr.ReadBlock(b)
 			if err != nil {
@@ -232,8 +239,9 @@ func FuzzPageReader(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xa5}, 64))
 	// The cold tier's files are packed: one indexed seed per key and TID
 	// stream form (front-coded, delta-packed, embedded), two blocks each.
-	for _, shape := range []string{"strings", "int-store", "int-embedded"} {
-		blob, packed := buildSnapCodec(f, KindTree, codecShapes()[shape][:3500], CodecPacked, true)
+	for _, shape := range []string{"strings", "int-store", "int-embedded", "prefix-chain"} {
+		es := codecShapes()[shape]
+		blob, packed := buildSnapCodec(f, KindTree, es[:min(len(es), 3500)], CodecPacked, true)
 		if packed < 2 {
 			f.Fatalf("%s: %d packed blocks", shape, packed)
 		}
@@ -267,11 +275,7 @@ func FuzzPageReader(f *testing.F) {
 			if prevLast != nil && bytes.Compare(prevLast, es[0].key) >= 0 {
 				ordered = false
 			}
-			for i, e := range es {
-				if j, ok := page.Find(e.key); !ok || j != i || page.TID(j) != e.tid {
-					t.Fatalf("block %d: Find(%q) = (%d, %v), want (%d, true)", b, e.key, j, ok, i)
-				}
-			}
+			checkPageReads(t, fmt.Sprintf("block %d", b), page, es)
 			paged = append(paged, es...)
 			prevLast = es[len(es)-1].key
 			total += uint64(page.Len())
@@ -310,13 +314,50 @@ func FuzzPageReader(f *testing.F) {
 	})
 }
 
+// checkPageReads holds a page's point reads to es, the entries its iterator
+// yields: every key is found by Find at its own index and by Lookup with its
+// TID, and absent probes — the empty key and the first key less its last
+// byte below the first key, just above every key (key+0x00, unless that is
+// the next key) and above them all — are missed by both, Find naming where
+// each would go. The probes run the search's
+// every branch: the page prefix missed either way, an entry skipped on its
+// lcp alone, a suffix compared below, above or used up.
+func checkPageReads(t *testing.T, name string, page *Page, es []entry) {
+	t.Helper()
+	for i, e := range es {
+		if j, ok := page.Find(e.key); !ok || j != i || page.TID(j) != e.tid {
+			t.Fatalf("%s: Find(%q) = (%d, %v), want (%d, true)", name, e.key, j, ok, i)
+		}
+		if tid, ok := page.Lookup(e.key); !ok || tid != e.tid {
+			t.Fatalf("%s: Lookup(%q) = (%d, %v), want %d", name, e.key, tid, ok, e.tid)
+		}
+	}
+	probe := func(key []byte, want int) {
+		t.Helper()
+		i, ok := page.Find(key)
+		tid, found := page.Lookup(key)
+		if ok || found || i != want {
+			t.Fatalf("%s: absent %q: Find = (%d, %v), Lookup = (%d, %v); want index %d", name, key, i, ok, tid, found, want)
+		}
+	}
+	if first := es[0].key; len(first) > 0 {
+		probe([]byte{}, 0)
+		probe(first[:len(first)-1], 0)
+	}
+	for i, e := range es {
+		if above := append(append([]byte{}, e.key...), 0); i+1 == len(es) || !bytes.Equal(above, es[i+1].key) {
+			probe(above, i+1)
+		}
+	}
+	probe(bytes.Repeat([]byte{0xff}, len(es[len(es)-1].key)+1), len(es))
+}
+
 // TestPageMatchesModel holds a Page to the sorted entry list it stands for:
 // every codecShapes() shape under both codecs, in blocks of 1, 15, 16 and 17
 // entries (either side of the first restart) and at full size. The iterator
-// from the start is Read's stream; every key finds its own index and TID;
-// a probe before the first key, between every pair of neighbours and after
-// the last finds its insertion index; a seek at every 7th key yields the
-// sorted tail. (The same seeks across block boundaries, through the cold
+// from the start is Read's stream; the point reads pass checkPageReads;
+// SeekIndex lands on every entry; a seek at every 7th key yields the sorted
+// tail. (The same seeks across block boundaries, through the cold
 // cursor, are TestColdCursorMatchesModel in the root package.)
 func TestPageMatchesModel(t *testing.T) {
 	for name, all := range codecShapes() {
@@ -368,32 +409,11 @@ func checkPageModel(t *testing.T, name string, p *Page, model []entry) {
 		}
 	}
 	same("iterator from the start", pageEntries(p), model)
-	probe := func(key []byte, idx int) {
-		t.Helper()
-		if i, ok := p.Find(key); ok || i != idx {
-			t.Fatalf("%s: Find(absent %q) = (%d, %v), want (%d, false)", name, key, i, ok, idx)
-		}
-		if _, ok := p.Lookup(key); ok {
-			t.Fatalf("%s: Lookup(absent %q) found it", name, key)
-		}
-	}
-	if len(model[0].key) > 0 {
-		probe([]byte{}, 0)
-	}
+	checkPageReads(t, name, p, model)
 	var it PageIter
 	for i, e := range model {
-		if j, ok := p.Find(e.key); !ok || j != i || p.TID(i) != e.tid {
-			t.Fatalf("%s: Find(%q) = (%d, %v), TID %d; want (%d, true), %d", name, e.key, j, ok, p.TID(i), i, e.tid)
-		}
-		if tid, ok := p.Lookup(e.key); !ok || tid != e.tid {
-			t.Fatalf("%s: Lookup(%q) = (%d, %v), want %d", name, e.key, tid, ok, e.tid)
-		}
 		if p.SeekIndex(&it, i); it.it.i != i || !bytes.Equal(it.Key(), e.key) || it.TID() != e.tid {
 			t.Fatalf("%s: SeekIndex(%d) lands on %d %q/%d", name, i, it.it.i, it.Key(), it.TID())
-		}
-		// The smallest key above e's: absent unless the next entry is it.
-		if above := append(append([]byte{}, e.key...), 0); i+1 == len(model) || !bytes.Equal(above, model[i+1].key) {
-			probe(above, i+1)
 		}
 		if i%7 == 0 {
 			var tail []entry
@@ -402,6 +422,30 @@ func checkPageModel(t *testing.T, name string, p *Page, model []entry) {
 			}
 			same(fmt.Sprintf("seek at entry %d", i), tail, model[i:])
 		}
+	}
+}
+
+// TestPageSearchShortLCP holds a page to its keys when its front coding
+// stores lcps shorter than the keys share — canonical, shortened by up to
+// two bytes, or none at all, each key whole. The walk admits all three, so
+// an entry whose lcp is below the match length is not thereby above the
+// key: the search must compare its suffix.
+func TestPageSearchShortLCP(t *testing.T) {
+	keys := shortLCPKeys()
+	model := make([]entry, len(keys))
+	for i, k := range keys {
+		model[i] = entry{k, uint64(i) + 1}
+	}
+	for name, lcpOf := range map[string]func(i, lcp int) int{
+		"canonical": func(_, l int) int { return l },
+		"short":     func(i, l int) int { return max(0, l-i%3) },
+		"none":      func(int, int) int { return 0 },
+	} {
+		page, damage := newPage(frameBlock(CodecPacked, frontPayload(keys, lcpOf)), 0)
+		if damage != nil {
+			t.Fatalf("%s: %v", name, damage)
+		}
+		checkPageModel(t, name, page, model)
 	}
 }
 
@@ -479,6 +523,47 @@ func BenchmarkReadBlock(b *testing.B) {
 			b.ReportMetric(float64(len(es))/float64(pr.Blocks()), "entries/block")
 		})
 	}
+}
+
+// BenchmarkPageLookup is a cold point read with every page resident: one
+// packed section of 62 500 url keys — the size of one cold-url shard — with
+// every block admitted up front, then FindBlock and Page.Lookup over a fixed
+// uniform stream of its keys. It prices the page search alone, without a
+// tree to build or a page cache to consult; pageB/key is the admitted
+// pages' Bytes per key.
+func BenchmarkPageLookup(b *testing.B) {
+	const n = 62_500
+	rng := rand.New(rand.NewSource(2018))
+	es := make([]entry, n)
+	for i, k := range dataset.SortedCopy(dataset.Generate(dataset.URL, n, 2018)) {
+		es[i] = entry{key: k, tid: uint64(rng.Intn(1 << 22))}
+	}
+	blob, _ := buildSnapCodec(b, KindTree, es, CodecPacked, true)
+	pr, err := OpenPageReader(bytes.NewReader(blob), int64(len(blob)), KindTree)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pages := make([]*Page, pr.Blocks())
+	pageBytes := 0
+	for i := range pages {
+		if pages[i], err = pr.ReadBlock(i); err != nil {
+			b.Fatal(err)
+		}
+		pageBytes += pages[i].Bytes
+	}
+	picks := make([]int32, 1<<16)
+	for i := range picks {
+		picks[i] = int32(rng.Intn(n))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := es[picks[i%len(picks)]]
+		if tid, ok := pages[pr.FindBlock(e.key)].Lookup(e.key); !ok || tid != e.tid {
+			b.Fatalf("Lookup(%q) = (%d, %v), want %d", e.key, tid, ok, e.tid)
+		}
+	}
+	b.ReportMetric(float64(pageBytes)/n, "pageB/key")
 }
 
 var benchSink int
