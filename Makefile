@@ -9,7 +9,7 @@ GO ?= go
 # FUZZTIME=20s to fit its time box.
 FUZZTIME ?= 30s
 
-.PHONY: all ci check race chaos crash server-smoke net-chaos fuzz bench loc clean
+.PHONY: all ci check race chaos crash server-smoke net-chaos fuzz bench ab loc clean
 
 all: check race chaos crash server-smoke net-chaos
 
@@ -28,16 +28,17 @@ ci: all
 # must never be copied by value — keep
 # internal/shard, internal/core and internal/epoch in the vet set when
 # narrowing the package list.
-# The next five lines vet and build the !amd64 side of internal/bits
+# The next six lines vet and build the !amd64 side of internal/bits
 # (bits_noasm.go), which an amd64 build never compiles, run its tests
 # there — the portable PEXT and search are all a 386 build has —
 # and run internal/core as a 32-bit program: its 64-bit atomic TID stores
 # fault on a word that is not 8-byte aligned there (see core's slot
 # layout). internal/tidstore runs there too: a slot's offset is a uint64
 # product that indexes a slice, and a TID whose offset wraps must panic
-# with a 32-bit int as well. The last two vet and build for other
-# operating systems, which compile internal/persist's non-Linux datasync
-# (a plain fsync) instead of fdatasync.
+# with a 32-bit int as well. So does internal/persist: a length decode
+# refuses what the platform's int cannot hold. The last two vet and build
+# for other operating systems, which compile internal/persist's non-Linux
+# datasync (a plain fsync) instead of fdatasync.
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
@@ -51,6 +52,7 @@ check:
 	GOARCH=386 $(GO) test ./internal/bits
 	GOARCH=386 $(GO) test ./internal/core
 	GOARCH=386 $(GO) test ./internal/tidstore
+	GOARCH=386 $(GO) test ./internal/persist
 	GOOS=darwin GOARCH=arm64 $(GO) vet ./...
 	GOOS=windows $(GO) build ./...
 
@@ -151,6 +153,21 @@ fuzz:
 
 bench:
 	$(GO) test -bench . -benchtime 1s -run - . ./internal/persist ./internal/bits ./internal/core ./internal/server
+
+# A/B of Go benchmarks across code layouts: PKG's test binary at PARENT and
+# in the working tree, each built under K linker layout seeds, BENCH run
+# ROUNDS times on every binary, sides alternating; prints each side's
+# median of its layout medians, their spread, and the change's delta.
+# BENCH is passed unexpanded, so a regex may hold '$'. Not a tier of all.
+# Example:
+#   make ab BENCH='NodeSearch' PKG=./internal/core PARENT=HEAD K=3 ROUNDS=5
+PARENT ?= HEAD
+PKG ?= ./internal/core
+K ?= 3
+ROUNDS ?= 5
+BENCHTIME ?= 1s
+ab:
+	PARENT='$(PARENT)' PKG='$(PKG)' BENCH='$(value BENCH)' K='$(K)' ROUNDS='$(ROUNDS)' BENCHTIME='$(BENCHTIME)' GO='$(GO)' bash scripts/ab.sh
 
 # Code-only line table — non-test Go lines that are neither blank nor a
 # comment line, for the root package, every internal/* and cmd/* package,

@@ -3,6 +3,7 @@ package hot
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
@@ -1246,24 +1247,48 @@ func FuzzTieredShardOps(f *testing.F) {
 	// A scan's selector is max (20, 1, all) plus 3 times one more than
 	// the index of the entry its callback refuses (0: none).
 	scanMax := []int{20, 1, math.MaxInt}
-	open := func(t testing.TB, codec SnapshotCodec) (*ShardedTree, map[string]TID, string) {
+	// The base every tape starts on — every other key, each shard demoted
+	// — is built and cut once per codec; a tape serves copies of its
+	// section files, so its cuts never touch another tape's.
+	model := make(map[string]TID, n)
+	for i := 0; i < n; i += 2 {
+		model[string(keys[i])] = TID(i)
+	}
+	baseDir := map[SnapshotCodec]string{}
+	var base *ShardedTree // the packed base, which the seeds are read off
+	for _, codec := range []SnapshotCodec{SnapshotCodecRaw, SnapshotCodecPacked} {
 		tr := newShardedFromBounds(store.Key, bounds)
 		tr.SetSnapshotCodec(codec)
-		model := make(map[string]TID, n)
 		for i := 0; i < n; i += 2 {
 			tr.Insert(keys[i], TID(i))
-			model[string(keys[i])] = TID(i)
 		}
-		dir := t.TempDir()
-		if err := tr.EnableColdTier(ColdTierConfig{Dir: dir}); err != nil {
-			t.Fatal(err)
+		baseDir[codec] = f.TempDir()
+		if err := tr.EnableColdTier(ColdTierConfig{Dir: baseDir[codec]}); err != nil {
+			f.Fatal(err)
 		}
 		for s := 0; s < tr.Shards(); s++ {
 			if err := tr.Demote(s); err != nil {
-				t.Fatal(err)
+				f.Fatal(err)
 			}
 		}
-		return tr, model, dir
+		base = tr
+	}
+	open := func(t *testing.T, codec SnapshotCodec) (*ShardedTree, map[string]TID, string) {
+		tr := newShardedFromBounds(store.Key, bounds)
+		tr.SetSnapshotCodec(codec)
+		dir := copyDir(t, baseDir[codec])
+		ct, err := tr.armCold(ColdTierConfig{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := range tr.shards {
+			pr, err := persist.OpenPageReaderFile(filepath.Join(dir, snapFileName(s)), persist.KindTree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.shards[s].Store(ct.section(s, pr))
+		}
+		return tr, maps.Clone(model), dir
 	}
 	step := func(kind byte, variant, i int) []byte {
 		return []byte{kind | byte(variant)<<3, byte(i >> 8), byte(i)}
@@ -1279,8 +1304,7 @@ func FuzzTieredShardOps(f *testing.F) {
 	for i, k := range keys {
 		index[string(k)] = i
 	}
-	tr, _, _ := open(f, SnapshotCodecPacked)
-	pr := tr.shards[1].Load().pr
+	pr := base.shards[1].Load().pr
 	first := index[string(pr.FirstKey(1))]
 	var page, gaps []int
 	before := 0

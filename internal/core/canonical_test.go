@@ -135,7 +135,7 @@ func specNode(d []uint16) *node {
 func (nd *node) extract(k []byte) uint32 {
 	switch nd.kind {
 	case extractSingle:
-		return uint32(bits.Pext64(beWindow(k, int(nd.offs[0])), nd.mask))
+		return uint32(bits.Pext64(beWindow(k, int(nd.off)), nd.mask))
 	case extractMulti8:
 		return uint32(bits.Pext64(nd.gather(k), nd.mask))
 	}
@@ -145,7 +145,7 @@ func (nd *node) extract(k []byte) uint32 {
 func TestBuildSpecSingleVsMulti(t *testing.T) {
 	// Bits within one 8-byte window → single mask.
 	nd := specNode([]uint16{3, 9, 60})
-	if nd.kind != extractSingle || nd.offs[0] != 0 {
+	if nd.kind != extractSingle || nd.off != 0 {
 		t.Errorf("header = %+v, want single mask at byte 0", *nd)
 	}
 	// Spread beyond 64 bits → multi mask.

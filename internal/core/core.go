@@ -13,15 +13,17 @@
 // intermediate node creation) keep the overall height minimal: like a
 // B-tree, the height only grows when a new root is created.
 //
-// A node is one allocation: a 32-byte header (sizes and the extraction
-// word), the partial keys, the entry values, then what only writers read —
-// the discriminative bit positions, the lock and the obsolete flag. The
-// block is a Go type of its class, one per (leaf-ness, entry count,
-// partial-key width) (node.go). A leaf node (height 1, about 95 % of all
-// nodes) stores each entry as a bare 8-byte TID, the paper's layout, and
-// holds no pointer, so the GC never scans it; an inner node stores 16-byte
-// slots, a TID and a child pointer the GC traces precisely. A node visit
-// reads the header's cache line, where the keys start, and one value.
+// A node is one allocation: a 24-byte header (sizes, the extraction mask
+// and its first key byte, the obsolete word), the partial keys and the
+// entry values — plus, for the rare multi-mask node, its further pair
+// offsets and bit positions. The ROWEX lock is not in it: a ConcurrentTrie
+// keeps a table of lock stripes. The block is a Go type of its class, one
+// per (leaf-ness, block family, entry count, partial-key width) (node.go).
+// A leaf node (height 1, about 95 % of all nodes) stores each entry as a
+// bare 8-byte TID, the paper's layout, and holds no pointer, so the GC
+// never scans it; an inner node stores 16-byte slots, a TID and a child
+// pointer the GC traces precisely. A node visit reads the header's cache
+// line, where the keys start, and one value.
 //
 // The package provides two tries sharing one node representation and one
 // write body (tree.write, tree.del), which three writers run:

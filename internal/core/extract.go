@@ -27,17 +27,17 @@ const (
 // = most significant discriminative bit = most significant partial-key
 // bit). It is the per-node hot path of every lookup; the PEXT-based
 // layouts mirror the paper's extractSingleMask / extractMultiMask8
-// primitives. The spec is the node's only record of d (see node.dbits),
-// except that a multi-mask word holds only the first 8 (offset, mask)
-// pairs: multi16 and multi32 nodes keep the positions in further key bytes
-// in their block's tail, which the caller stores (setTail), and extract
-// them one by one.
+// primitives. The spec is the node's only record of d (see node.dbits).
+// The header holds the mask, the first key byte and the pair count; a
+// multi-mask node's other pair offsets, and a multi16 or multi32 node's
+// positions in key bytes past its first 8 pairs (its tail, extracted one
+// by one), go into its block, which the caller stores (setExt).
 func (nd *node) setSpec(d []uint16) {
-	nd.mask, nd.offs, nd.noff = 0, [8]uint16{}, 0
+	nd.mask, nd.noff = 0, 0
 	first := int(d[0]) >> 3
+	nd.off = uint16(first)
 	if int(d[len(d)-1])-first*8 < 64 {
 		nd.kind = extractSingle
-		nd.offs[0] = uint16(first)
 		for _, p := range d {
 			nd.mask |= 1 << (63 - (int(p) - first*8))
 		}
@@ -52,12 +52,13 @@ func (nd *node) setSpec(d []uint16) {
 		nd.kind = extractMulti32
 	}
 	// One byte of the word per (offset, mask) pair, first pair highest.
+	prev := -1
 	for _, p := range d {
-		if b := p >> 3; nd.noff == 0 || nd.offs[nd.noff-1] != b {
-			if int(nd.noff) == len(nd.offs) {
+		if b := int(p >> 3); b != prev {
+			if nd.noff == 1+moreOffs {
 				break
 			}
-			nd.offs[nd.noff] = b
+			prev = b
 			nd.noff++
 		}
 		nd.mask |= 1 << (63 - 8*uint(nd.noff-1) - uint(p&7))
@@ -70,7 +71,7 @@ func (nd *node) setSpec(d []uint16) {
 // that spec differs (p before the window's first byte or past its end,
 // or a multi-mask node): the caller then re-derives it with setSpec.
 func (nd *node) addSpecBit(p uint16) bool {
-	off := int(p) - 8*int(nd.offs[0])
+	off := int(p) - 8*int(nd.off)
 	if nd.kind != extractSingle || off < 0 || off >= 64 {
 		return false
 	}
@@ -95,9 +96,9 @@ func keyBytesSpanned(d []uint16) int {
 // word, the word its mask extracts from; bytes past the end of k read as
 // zero.
 func (nd *node) gather(k []byte) uint64 {
-	var w uint64
-	for i := 0; i < int(nd.noff); i++ {
-		w |= uint64(key.Byte(k, int(nd.offs[i]))) << (56 - 8*i)
+	w := uint64(key.Byte(k, int(nd.off))) << 56
+	for i, off := range nd.offs()[:nd.noff-1] {
+		w |= uint64(key.Byte(k, int(off))) << (48 - 8*i)
 	}
 	return w
 }

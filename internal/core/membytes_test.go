@@ -7,16 +7,16 @@ import (
 	"github.com/hotindex/hot/internal/bits"
 )
 
-// classShape returns the entry count, width, leaf-ness and tail-ness of
-// class cls (the inverse of classOf).
-func classShape(cls int) (n int, width uint8, leaf, tail bool) {
+// classShape returns the entry count, width, leaf-ness and block family
+// of class cls (the inverse of classOf).
+func classShape(cls int) (n int, width uint8, leaf bool, fam blockFamily) {
 	c := classes[cls]
-	return int(c.n), c.width, cls >= leafClasses, c.tail > 0
+	return int(c.n), c.width, cls >= leafClasses, c.fam
 }
 
 // classInput is what newNode builds a node of one class from.
 type classInput struct {
-	cls    uint8
+	cls    uint16
 	height uint8
 	d      []uint16
 	pks    []uint32
@@ -28,14 +28,14 @@ type classInput struct {
 // the most discriminative bits its width holds, placeholder partial keys
 // and its entry count's leaves — at height 1 for a leaf class, and at
 // height 2 with entry 0 a link to child for an inner class. A class whose
-// tail-ness the bits' spec does not have is left out.
+// family the bits' spec does not take is left out.
 func classNodes(minCols int, pos func(col int) uint16, child *node) []classInput {
 	var in []classInput
 	for cls := range classes {
 		if classes[cls].typ == nil {
 			continue
 		}
-		n, width, leaf, tail := classShape(cls)
+		n, width, leaf, fam := classShape(cls)
 		d := make([]uint16, min(n-1, maxCols(width)))
 		if len(d) < minCols {
 			continue
@@ -44,7 +44,7 @@ func classNodes(minCols int, pos func(col int) uint16, child *node) []classInput
 			d[i] = pos(i)
 		}
 		var spec node
-		if spec.setSpec(d); spec.hasTail() != tail {
+		if spec.setSpec(d); spec.kind.family() != fam {
 			continue
 		}
 		p := make([]uint32, n)
@@ -56,7 +56,7 @@ func classNodes(minCols int, pos func(col int) uint16, child *node) []classInput
 		if !leaf {
 			height, s[0] = 2, childSlot(child)
 		}
-		in = append(in, classInput{uint8(cls), height, d, p, s})
+		in = append(in, classInput{uint16(cls), height, d, p, s})
 	}
 	return in
 }
@@ -99,11 +99,13 @@ func TestGoBytesSingleMask(t *testing.T) {
 
 // TestGoBytesMultiMask checks goBytes against the allocator for
 // multi-mask nodes: one discriminative bit every 9 key bytes, so every
-// column is a pair of its own (multi8, multi16 or multi32 by count). A
-// single bit always fits one window, so 2-entry nodes are left out.
+// column is a pair of its own (multi8, multi16 or multi32 by count), then
+// four bits in each such byte, so up to 31 columns stay multi8. A single
+// bit always fits one window, so 2-entry nodes are left out.
 func TestGoBytesMultiMask(t *testing.T) {
-	checkGoBytes(t, 2, func(col int) uint16 { return uint16(col * 72) },
-		func(k extractKind) bool { return k != extractSingle })
+	multi := func(k extractKind) bool { return k != extractSingle }
+	checkGoBytes(t, 2, func(col int) uint16 { return uint16(col * 72) }, multi)
+	checkGoBytes(t, 5, func(col int) uint16 { return uint16(col/4*72 + col%4) }, multi)
 }
 
 // TestPrefetchCoversLeafBlocks checks that one prefetch covers a whole
@@ -121,15 +123,15 @@ func TestPrefetchCoversLeafBlocks(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := range live {
-		live[i] = allocNode(nil, uint8(largest))
+		live[i] = allocNode(nil, uint16(largest))
 	}
 	runtime.ReadMemStats(&after)
 	// Size classes this large are multiples of 16 bytes; rounding down
 	// drops what else the runtime allocated meanwhile.
 	allocated := int(after.TotalAlloc-before.TotalAlloc) / reps &^ 15
-	n, width, _, tail := classShape(largest)
-	t.Logf("largest leaf block: n=%d width=%d tail=%v, %d B in a %d B size class; prefetch %d B",
-		n, width, tail, classes[largest].size, allocated, bits.PrefetchLines*64)
+	n, width, _, fam := classShape(largest)
+	t.Logf("largest leaf block: n=%d width=%d family=%d, %d B in a %d B size class; prefetch %d B",
+		n, width, fam, classes[largest].size, allocated, bits.PrefetchLines*64)
 	if bits.PrefetchLines*64 < allocated {
 		t.Errorf("a prefetch of %d lines covers %d B, but the largest leaf block takes %d B", bits.PrefetchLines, bits.PrefetchLines*64, allocated)
 	}

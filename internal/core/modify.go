@@ -160,13 +160,13 @@ func (nd *node) splice(op spliceOp, pool *nodePool) *node {
 		d[pos] = op.mb
 		h.setSpec(d)
 	}
-	h.cls = classOf(n+1, newWidth, nd.isLeaf(), h.hasTail())
+	h.cls = classOf(n+1, newWidth, nd.isLeaf(), h.kind.family())
 	res := allocNode(pool, h.cls)
 	*res = h
 	if d != nil {
-		res.setTail(d)
+		res.setExt(d)
 	} else {
-		copy(res.tail(), nd.tail()) // the spec is nd's, or nd's single mask plus op.mb
+		res.copyExt(nd) // the spec is nd's, or nd's single mask plus op.mb
 	}
 
 	keys, oldKeys := res.keys(), nd.keys()
@@ -305,12 +305,12 @@ func (nd *node) withSlotReplaced(idx int, s slot, pool *nodePool) *node {
 			h = max(h, subtreeHeight(old[i]))
 		}
 	}
-	cls := classOf(int(nd.n), nd.width, h == 0, nd.hasTail())
+	cls := classOf(int(nd.n), nd.width, h == 0, nd.kind.family())
 	res := allocNode(pool, cls)
 	*res = *nd
 	res.height, res.cls = h+1, cls
 	copy(res.keys(), nd.keys())
-	copy(res.tail(), nd.tail())
+	res.copyExt(nd)
 	if res.isLeaf() {
 		tids := unsafe.Slice(res.leafTID(0), len(old))
 		for i := range old {

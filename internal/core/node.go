@@ -5,7 +5,6 @@ import (
 	mathbits "math/bits"
 	"reflect"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -17,7 +16,7 @@ import (
 // sequence is built from (newNode, the structure modifications), for leaf
 // and inner nodes alike; a leaf node stores only the tid word (see node).
 // Both words may change in place after the node is published — by a ROWEX
-// writer only while it holds the node's lock, and always through atomic
+// writer only while it holds the node's lock stripe, and always through atomic
 // operations, so wait-free readers observe either the old or the new
 // value: tid when an upsert of the leaf's key stores its new TID, child on
 // leaf-node pushdown, copy-on-write child replacement and intermediate
@@ -78,19 +77,28 @@ func subtreeHeight(s slot) uint8 {
 // A node is one allocation, a block of its class (see nodeClass), laid out
 // in the order a search touches it (Figure 6):
 //
-//	header  this struct, 32 bytes: the extraction spec and the sizes
+//	header  this struct, 24 bytes: the extraction mask, the first key
+//	        byte it reads, the sizes and the obsolete word
 //	keys    n partial keys, width bits each, padded to 8 bytes
 //	values  a leaf node's n TIDs, 8 bytes each, or an inner node's n
 //	        slots, 16 bytes each
+//	offs    multi-mask nodes only: the key bytes of the (offset, mask)
+//	        pairs past the first, 7 of them
 //	tail    multi16 and multi32 nodes only: the bit positions past the
-//	        first 8 (offset, mask) pairs, ascending
-//	cold    the ROWEX lock and the obsolete flag
+//	        first 8 pairs, ascending
 //
-// The discriminative bit positions are not stored: the extraction spec in
-// the header implies them, as in the paper's layout (see dbits and
-// columnOf). Only a spec of more than 8 pairs does not fit the header, so
-// multi16 and multi32 nodes, rare on real keys, take blocks of a class
-// family of their own that ends in the tail.
+// The discriminative bit positions are not stored: the extraction spec
+// implies them, as in the paper's layout (see dbits and columnOf). A
+// single-mask node, nearly all of them, reads one key byte offset, which
+// the header holds; a multi-mask node's other pair offsets and a multi16
+// or multi32 node's tail do not fit it, so those nodes, rare on real keys,
+// take blocks of class families of their own (see blockFamily).
+//
+// The ROWEX writer lock is not in the block: a ConcurrentTrie keeps its
+// locks in a table of stripes indexed by the node's address (see
+// ConcurrentTrie.lock), so a Trie's and a Writer's blocks carry none. Only
+// the obsolete word, which a writer sets when it replaces the node by a
+// copy, stays, in the header's spare bytes.
 //
 // A leaf node (height 1) never takes a child: pushdown, intermediate node
 // creation and child replacement all store into nodes of height > 1. So a
@@ -101,63 +109,94 @@ func subtreeHeight(s slot) uint8 {
 // whatever else its header says.
 //
 // A lookup reads the header and the keys, which start on the header's
-// cache line, then one value (and a multi16 or multi32 node's tail); cold
-// is for writers only. Every
-// offset follows from the class, n and width, so no slice header is loaded
-// on the way. All of the block except the entries' child pointers and
-// TIDs and the cold part is immutable after the node is published: an
-// upsert of a present key stores its TID in place, while inserts and
-// deletes replace the whole node (copy-on-write). The entries are read and
-// written through entry, child, storeTID, storeChild and appendSlots.
+// cache line, then one value (and a multi-mask node's offs, a multi16 or
+// multi32 node's tail). Every offset follows from the class, n and width,
+// so no slice header is loaded on the way. All of the block except the
+// entries' child pointers and TIDs and the obsolete word is immutable
+// after the node is published: an upsert of a present key stores its TID
+// in place, while inserts and deletes replace the whole node
+// (copy-on-write). The entries are read and written through entry, child,
+// storeTID, storeChild and appendSlots.
 type node struct {
 	// mask is the PEXT mask applied to the node's extraction word: a bit
 	// per discriminative bit, in a big-endian window of 8 key bytes
-	// (single mask) or over the key bytes offs names (multi mask).
+	// (single mask) or over the key bytes the pairs name (multi mask).
 	mask uint64
-	// offs[0] is the single-mask window's first byte; a multi-mask node
-	// gathers key bytes offs[:noff] into its word (the first 8 of its
-	// bytes; see extractMulti for the rest).
-	offs   [8]uint16
+	// off is the single-mask window's first byte, or a multi-mask node's
+	// first pair's key byte: a multi-mask node gathers key bytes
+	// offAt(0..noff-1) into its word (the first 8 of its bytes; see
+	// extractMulti for the rest).
+	off    uint16
 	noff   uint8
 	kind   extractKind
-	height uint8 // paper's h(n): 1 + max height of child nodes, 1 if leaves only
-	n      uint8 // number of entries
-	width  uint8 // partial key width in bits: 8, 16 or 32
-	ncols  uint8 // number of discriminative bits, in [1, MaxFanout-1]
-	cls    uint8 // the node's class: index into classes; leaf classes from leafClasses on
+	height uint8  // paper's h(n): 1 + max height of child nodes, 1 if leaves only
+	n      uint8  // number of entries
+	width  uint8  // partial key width in bits: 8, 16 or 32
+	ncols  uint8  // number of discriminative bits, in [1, MaxFanout-1]
+	cls    uint16 // the node's class: index into classes; leaf classes from leafClasses on
+	// obsolete is set, atomically, when a writer replaces the node by a
+	// copy: a ROWEX writer that locks the node afterwards fails validation
+	// (see ConcurrentTrie.lock). Readers never read it.
+	obsolete uint32
 }
 
-// The header fits in 32 bytes, so the keys start on its cache line.
-const headerSize = 32
+// The header takes 24 bytes on every platform, so the keys start on its
+// cache line.
+const headerSize = 24
 
-var _ [headerSize - unsafe.Sizeof(node{})]struct{}
+var (
+	_ [headerSize - unsafe.Sizeof(node{})]struct{}
+	_ [unsafe.Sizeof(node{}) - headerSize]struct{}
+)
 
 const slotSize = int(unsafe.Sizeof(slot{}))
 
-// nodeCold is the writers' state at the end of a node's block.
-type nodeCold struct {
-	mu       sync.Mutex  // ROWEX writer lock (ignored by readers)
-	obsolete atomic.Bool // set when replaced by a copy
+// moreOffs is the number of pair offsets a multi-mask block keeps past
+// its values: the first 8 pairs' but the header's.
+const moreOffs = 7
+
+// blockFamily is what a block holds past its values, decided by the
+// extraction kind: nothing (single mask), the pair offsets past the first
+// (multi8), or those and the tail (multi16, multi32).
+type blockFamily uint8
+
+const (
+	famSingle blockFamily = iota
+	famMulti
+	famTail
+	numFamilies
+)
+
+// family returns the block family of a node with extraction kind k.
+func (k extractKind) family() blockFamily {
+	switch k {
+	case extractSingle:
+		return famSingle
+	case extractMulti8:
+		return famMulti
+	}
+	return famTail
 }
 
 // nodeClass is one block type: every node with the same entry count,
-// partial-key width, leaf-ness and tail-ness shares it. Each class is a Go
-// struct type built once by reflect.StructOf, so the GC traces exactly the
-// inner slots' child words and nothing else in the block, and a leaf class
-// holds no pointer at all.
+// partial-key width, leaf-ness and block family shares it. Each class is a
+// Go struct type built once by reflect.StructOf, so the GC traces exactly
+// the inner slots' child words and nothing else in the block, and a leaf
+// class holds no pointer at all.
 type nodeClass struct {
 	typ   reflect.Type
-	size  int     // the block's size in bytes
-	cold  uintptr // offset of the nodeCold
-	n     uint8   // entries
-	width uint8   // partial-key width in bits
-	tail  uint8   // room for tail positions; 0 outside the tail family
+	size  int    // the block's size in bytes
+	ext   uint16 // offset of the block's offs: the end of its values
+	n     uint8  // entries
+	width uint8  // partial-key width in bits
+	fam   blockFamily
+	tail  uint8 // room for tail positions; 0 outside the tail family
 }
 
 // leafClasses is the first leaf class: classes below it are inner classes,
 // whose values are slots, and classes from it on are leaf classes, whose
 // values are bare TIDs. A leaf class is its inner twin plus leafClasses.
-const leafClasses = 128
+const leafClasses = 256
 
 // classes holds every block class by index, and classIndex maps a class's
 // shape to its index (see classOf). A shape no class takes maps to
@@ -168,19 +207,16 @@ var classes, classIndex = buildClasses()
 const noClass = leafClasses - 1
 
 // classOf returns the class index of a node of n entries and the given
-// partial-key width: a leaf class when leaf, of the tail family when tail.
-func classOf(n int, width uint8, leaf, tail bool) uint8 {
-	return classIndex[shapeIndex(n, width, leaf, tail)]
+// partial-key width, a leaf class when leaf, of block family fam.
+func classOf(n int, width uint8, leaf bool, fam blockFamily) uint16 {
+	return classIndex[shapeIndex(n, width, leaf, fam)]
 }
 
 // shapeIndex numbers the class shapes for classIndex.
-func shapeIndex(n int, width uint8, leaf, tail bool) int {
-	i := (mathbits.TrailingZeros8(width)-3)*(MaxFanout+1) + n
-	if tail {
-		i += 3 * (MaxFanout + 1)
-	}
+func shapeIndex(n int, width uint8, leaf bool, fam blockFamily) int {
+	i := ((mathbits.TrailingZeros8(width)-3)+3*int(fam))*(MaxFanout+1) + n
 	if leaf {
-		i += 6 * (MaxFanout + 1)
+		i += 3 * int(numFamilies) * (MaxFanout + 1)
 	}
 	return i
 }
@@ -205,7 +241,7 @@ func valueSize(leaf bool) int {
 
 const tidSize = int(unsafe.Sizeof(TID(0)))
 
-func buildClasses() (cs [2 * leafClasses]nodeClass, index [12 * (MaxFanout + 1)]uint8) {
+func buildClasses() (cs [2 * leafClasses]nodeClass, index [2 * 3 * int(numFamilies) * (MaxFanout + 1)]uint16) {
 	hdr := reflect.TypeOf(node{})
 	for i := range index {
 		index[i] = noClass
@@ -218,7 +254,7 @@ func buildClasses() (cs [2 * leafClasses]nodeClass, index [12 * (MaxFanout + 1)]
 			first = leafClasses
 		}
 		next := first
-		for _, tail := range []bool{false, true} {
+		for fam := range numFamilies {
 			for _, width := range []uint8{8, 16, 32} {
 				for n := 2; n <= MaxFanout; n++ {
 					ncols := min(n-1, maxCols(width))
@@ -226,9 +262,14 @@ func buildClasses() (cs [2 * leafClasses]nodeClass, index [12 * (MaxFanout + 1)]
 						continue // every column count n allows fits a narrower width
 					}
 					room := 0
-					if tail {
-						// Each of the header's 8 pairs holds a bit at least.
-						if room = ncols - len(node{}.offs); room <= 0 {
+					switch fam {
+					case famMulti:
+						if ncols < 2 {
+							continue // one bit always fits a single mask's window
+						}
+					case famTail:
+						// Each of the first 8 pairs holds a bit at least.
+						if room = ncols - (1 + moreOffs); room <= 0 {
 							continue
 						}
 					}
@@ -237,20 +278,24 @@ func buildClasses() (cs [2 * leafClasses]nodeClass, index [12 * (MaxFanout + 1)]
 						{Name: "Keys", Type: reflect.ArrayOf(keyBytes(n, width), reflect.TypeOf(byte(0)))},
 						{Name: value.Name, Type: reflect.ArrayOf(n, value.Type)},
 					}
-					if tail {
+					if fam != famSingle {
+						fields = append(fields, reflect.StructField{Name: "Offs", Type: reflect.TypeOf([moreOffs]uint16{})})
+					}
+					if fam == famTail {
 						fields = append(fields, reflect.StructField{Name: "Tail", Type: reflect.ArrayOf(room, reflect.TypeOf(uint16(0)))})
 					}
-					typ := reflect.StructOf(append(fields, reflect.StructField{Name: "Cold", Type: reflect.TypeOf(nodeCold{})}))
-					// The accessors compute these offsets (the tail's, or
-					// an empty tail's at the cold part); the type must agree.
-					if kb := keyBytes(n, width); typ.Field(1).Offset != headerSize ||
-						typ.Field(2).Offset != uintptr(headerSize+kb) ||
-						typ.Field(3).Offset != uintptr(headerSize+kb+n*valueSize(leaf)) {
+					typ := reflect.StructOf(fields)
+					// The accessors compute these offsets; the type must
+					// agree.
+					kb := keyBytes(n, width)
+					ext := uintptr(headerSize + kb + n*valueSize(leaf))
+					if typ.Field(1).Offset != headerSize || typ.Field(2).Offset != uintptr(headerSize+kb) ||
+						(fam != famSingle && typ.Field(3).Offset != ext) ||
+						(fam == famTail && typ.Field(4).Offset != ext+2*moreOffs) {
 						panic("core: node block layout disagrees with its accessors")
 					}
-					cs[next] = nodeClass{typ: typ, size: int(typ.Size()), cold: typ.Field(typ.NumField() - 1).Offset,
-						n: uint8(n), width: width, tail: uint8(room)}
-					index[shapeIndex(n, width, leaf, tail)] = uint8(next)
+					cs[next] = nodeClass{typ: typ, size: int(typ.Size()), ext: uint16(ext), n: uint8(n), width: width, fam: fam, tail: uint8(room)}
+					index[shapeIndex(n, width, leaf, fam)] = uint16(next)
 					next++
 				}
 			}
@@ -372,17 +417,65 @@ func (nd *node) appendSlots(dst []slot, lo, hi int) []slot {
 // mask) pairs (multi16, multi32), so its block is of the tail family.
 func (nd *node) hasTail() bool { return nd.kind >= extractMulti16 }
 
-// tail returns the bit positions past the extraction mask's, ascending:
-// the columns the header's spec leaves out, none outside the tail family.
-func (nd *node) tail() []uint16 {
-	off := headerSize + keyBytes(int(nd.n), nd.width) + int(nd.n)*valueSize(nd.isLeaf())
-	return unsafe.Slice((*uint16)(unsafe.Add(unsafe.Pointer(nd), off)), int(nd.ncols)-mathbits.OnesCount64(nd.mask))
+// ext returns the address just past the node's values, where a multi-mask
+// block keeps its offs and then its tail: an offset the class table holds,
+// so a multi-mask search's extraction reaches it with one load.
+func (nd *node) ext() unsafe.Pointer {
+	return unsafe.Add(unsafe.Pointer(nd), classes[nd.cls].ext)
 }
 
-// setTail stores the positions of d, nd's discriminative bits, that the
-// extraction mask leaves out into nd's tail.
-func (nd *node) setTail(d []uint16) {
+// offs returns the key bytes of a multi-mask node's pairs past the first:
+// offAt(1..noff-1), then zeros. nd must not be a single-mask node.
+func (nd *node) offs() *[moreOffs]uint16 {
+	return (*[moreOffs]uint16)(nd.ext())
+}
+
+// offAt returns the key byte of pair i, i < noff, of a multi-mask node;
+// offAt(0) is a single-mask node's window start.
+func (nd *node) offAt(i int) uint16 {
+	if i == 0 {
+		return nd.off
+	}
+	return nd.offs()[i-1]
+}
+
+// tail returns the bit positions past the extraction mask's, ascending:
+// the columns the first 8 pairs leave out, none outside the tail family.
+func (nd *node) tail() []uint16 {
+	if !nd.hasTail() {
+		return nil
+	}
+	return unsafe.Slice((*uint16)(unsafe.Add(nd.ext(), 2*moreOffs)), int(nd.ncols)-mathbits.OnesCount64(nd.mask))
+}
+
+// setExt stores what of nd's spec over d, its discriminative bits, the
+// header has no room for: a multi-mask node's pair offsets past the first
+// (setSpec derived the rest) and a multi16 or multi32 node's tail.
+func (nd *node) setExt(d []uint16) {
+	if nd.kind == extractSingle {
+		return
+	}
+	offs := nd.offs()
+	i, prev := 0, nd.off
+	for _, p := range d {
+		if b := p >> 3; b != prev {
+			if i == moreOffs {
+				break
+			}
+			offs[i], prev = b, b
+			i++
+		}
+	}
+	clear(offs[i:])
 	copy(nd.tail(), d[mathbits.OnesCount64(nd.mask):])
+}
+
+// copyExt copies src's offs and tail into nd, whose spec is src's.
+func (nd *node) copyExt(src *node) {
+	if nd.kind != extractSingle {
+		*nd.offs() = *src.offs()
+		copy(nd.tail(), src.tail())
+	}
 }
 
 // dbits appends the discriminative bit positions to dst, ascending: the
@@ -399,18 +492,19 @@ func (nd *node) dbits(dst []uint16) []uint16 {
 
 // maskBit returns the bit position the extraction mask's bit z, counted
 // from the top, selects: bit z of the single-mask window, or bit z%8 of a
-// multi-mask node's key byte offs[z/8].
+// multi-mask node's key byte offAt(z/8).
 func (nd *node) maskBit(z int) uint16 {
 	if nd.kind == extractSingle {
-		return uint16(8*int(nd.offs[0]) + z)
+		return uint16(8*int(nd.off) + z)
 	}
-	return uint16(8*int(nd.offs[z>>3]) + z&7)
+	return uint16(8*int(nd.offAt(z>>3)) + z&7)
 }
 
-// cold returns the node's lock and obsolete flag.
-func (nd *node) cold() *nodeCold {
-	return (*nodeCold)(unsafe.Add(unsafe.Pointer(nd), classes[nd.cls].cold))
-}
+// markObsolete records that nd has been replaced by a copy.
+func (nd *node) markObsolete() { atomic.StoreUint32(&nd.obsolete, 1) }
+
+// isObsolete reports whether nd has been replaced by a copy.
+func (nd *node) isObsolete() bool { return atomic.LoadUint32(&nd.obsolete) != 0 }
 
 // newNode builds a node from ascending discriminative bit positions d,
 // sparse partial keys pks (dense-packed: column i at bit len(d)-1-i) and
@@ -421,10 +515,10 @@ func newNode(pool *nodePool, height uint8, d []uint16, pks []uint32, slots []slo
 	n, width := len(slots), pkWidth(len(d))
 	h := node{height: height, n: uint8(n), width: width, ncols: uint8(len(d))}
 	h.setSpec(d)
-	h.cls = classOf(n, width, height == 1, h.hasTail())
+	h.cls = classOf(n, width, height == 1, h.kind.family())
 	nd := allocNode(pool, h.cls)
 	*nd = h
-	nd.setTail(d)
+	nd.setExt(d)
 	if nd.isLeaf() {
 		tids := unsafe.Slice(nd.leafTID(0), n)
 		for i := range slots {
@@ -441,10 +535,10 @@ func newNode(pool *nodePool, height uint8, d []uint16, pks []uint32, slots []slo
 }
 
 // allocNode returns a block of class cls, recycled from pool when it holds
-// one. Only its entries' values and tail may hold stale data, and the
-// caller overwrites the ones its node uses; the partial keys' padding
-// lanes are never written, so they stay zero.
-func allocNode(pool *nodePool, cls uint8) *node {
+// one. Only its header, entries' values, offs and tail may hold stale
+// data, and the caller overwrites the ones its node uses; the partial
+// keys' padding lanes are never written, so they stay zero.
+func allocNode(pool *nodePool, cls uint16) *node {
 	if nd := pool.get(cls); nd != nil {
 		return nd
 	}
@@ -514,7 +608,7 @@ func (nd *node) pks(dst []uint32) []uint32 {
 func (nd *node) search(k []byte) int {
 	switch nd.kind {
 	case extractSingle:
-		return bits.Search(beWindow(k, int(nd.offs[0])), nd.mask, nd.keys(), int(nd.n), int(nd.width))
+		return bits.Search(beWindow(k, int(nd.off)), nd.mask, nd.keys(), int(nd.n), int(nd.width))
 	case extractMulti8:
 		return bits.Search(nd.gather(k), nd.mask, nd.keys(), int(nd.n), int(nd.width))
 	}
@@ -592,7 +686,7 @@ func (nd *node) beforePathMax(idx int, p uint16) bool {
 // tail's entries below p.
 func (nd *node) columnOf(p uint16) (int, bool) {
 	if nd.kind == extractSingle {
-		off := int(p) - 8*int(nd.offs[0])
+		off := int(p) - 8*int(nd.off)
 		switch {
 		case off < 0:
 			return 0, false
@@ -602,14 +696,13 @@ func (nd *node) columnOf(p uint16) (int, bool) {
 		bit := uint64(1) << (63 - off)
 		return mathbits.OnesCount64(nd.mask &^ (bit<<1 - 1)), nd.mask&bit != 0
 	}
-	// Mask byte i, counted from the top, selects bits of key byte offs[i],
-	// ascending, and its top bit is the byte's first; the tail follows.
+	// Mask byte i, counted from the top, selects bits of key byte
+	// offAt(i), ascending, and its top bit is the byte's first; the tail
+	// follows.
 	pos, at := 0, int(p>>3)
-	for i, off := range nd.offs {
+	for i := range int(nd.noff) {
 		m := uint8(nd.mask >> (56 - 8*i))
-		switch {
-		case m == 0:
-			return pos, false // no pair past here, and so no tail
+		switch off := nd.offAt(i); {
 		case int(off) < at:
 			pos += mathbits.OnesCount8(m)
 		case int(off) > at:

@@ -26,9 +26,9 @@ func TestNodeClassAlignment(t *testing.T) {
 		if c.typ == nil {
 			continue
 		}
-		n, width, leaf, tail := classShape(cls)
-		name := fmt.Sprintf("n=%d/width=%d/leaf=%v/tail=%v", n, width, leaf, tail)
-		if got := classOf(n, width, leaf, tail); int(got) != cls {
+		n, width, leaf, fam := classShape(cls)
+		name := fmt.Sprintf("n=%d/width=%d/leaf=%v/family=%d", n, width, leaf, fam)
+		if got := classOf(n, width, leaf, fam); int(got) != cls {
 			t.Fatalf("class %d: shape %s maps back to class %d", cls, name, got)
 		}
 		vals := c.typ.Field(2).Offset
@@ -46,7 +46,7 @@ func TestNodeClassAlignment(t *testing.T) {
 	// A shape no class takes (2 entries have 8-bit keys) must reach a class
 	// without a type, so allocating it panics instead of handing out a
 	// smaller block.
-	if cls := classOf(2, 32, true, false); classes[cls].typ != nil {
+	if cls := classOf(2, 32, true, famSingle); classes[cls].typ != nil {
 		t.Errorf("shape n=2/width=32 maps to class %d, which has a type", cls)
 	}
 }
@@ -175,7 +175,7 @@ func checkBlock(t *testing.T, nd *node, height uint8, d []uint16, pks []uint32, 
 		}
 	}
 	if nd.isLeaf() != (height == 1) || nd.goBytes() != int(classes[nd.cls].typ.Size()) ||
-		nd.hasTail() != (classes[nd.cls].tail > 0) || len(nd.tail()) > int(classes[nd.cls].tail) {
+		nd.kind.family() != classes[nd.cls].fam || len(nd.tail()) > int(classes[nd.cls].tail) {
 		t.Fatalf("height %d: class %d, leaf=%v, %d bytes, %v spec with a tail of %d", height, nd.cls, nd.isLeaf(), nd.goBytes(), nd.layout(), len(nd.tail()))
 	}
 	for i := range slots {
@@ -187,10 +187,8 @@ func checkBlock(t *testing.T, nd *node, height uint8, d []uint16, pks []uint32, 
 	if got := nd.appendSlots(nil, 0, n); !slices.Equal(got, slots) {
 		t.Fatalf("appendSlots = %v, want %v", got, slots)
 	}
-	if c := nd.cold(); c.obsolete.Load() || !c.mu.TryLock() {
-		t.Fatal("fresh node is obsolete or locked")
-	} else {
-		c.mu.Unlock()
+	if nd.isObsolete() {
+		t.Fatal("fresh node is obsolete")
 	}
 
 	// The layout follows from the bits alone.

@@ -18,7 +18,7 @@ type nodePool struct {
 const poolClassCap = 32
 
 // get returns a recycled block of class cls, or nil.
-func (p *nodePool) get(cls uint8) *node {
+func (p *nodePool) get(cls uint16) *node {
 	if p == nil {
 		return nil
 	}
@@ -42,6 +42,5 @@ func (p *nodePool) put(nd *node) {
 	if !nd.isLeaf() {
 		clear(nd.slots())
 	}
-	*nd.cold() = nodeCold{}
 	p.lists[nd.cls] = append(p.lists[nd.cls], nd)
 }

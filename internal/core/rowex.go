@@ -2,8 +2,11 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"github.com/hotindex/hot/internal/chaos"
 	"github.com/hotindex/hot/internal/epoch"
@@ -16,19 +19,68 @@ import (
 // paper's five writer steps:
 //
 //	(a) traverse and determine the set of affected nodes,
-//	(b) lock them bottom-up,
+//	(b) lock them (their lock stripes in ascending order, see lock),
 //	(c) validate that none is obsolete (restart otherwise),
 //	(d) apply the modification: an insert or delete copies the affected
 //	    nodes and marks the replaced ones obsolete, an upsert of a present
 //	    key stores its new TID into the leaf entry in place,
-//	(e) unlock top-down.
+//	(e) unlock.
 //
 // A writer that is alone by construction uses Writer instead, which runs
 // the same body without (b), (c), (e) and the restart. Obsolete nodes are
 // retired to an epoch-based reclamation manager either way.
 type ConcurrentTrie struct {
 	tree
+	// locks is the ROWEX writers' lock table, allocated by the first lock
+	// call: a trie only a Writer writes never has one.
+	locks  atomic.Pointer[lockTable]
 	rootMu sync.Mutex // guards root-box swaps (the "lock above the root")
+}
+
+// lockStripeBits sizes the lock table: 2^lockStripeBits stripes. Nodes
+// that share a stripe share a lock, which costs only concurrency.
+const lockStripeBits = 10
+
+// lockTable is a ConcurrentTrie's node locks: a node's lock is the stripe
+// its address hashes to (see stripeOf).
+type lockTable [1 << lockStripeBits]sync.Mutex
+
+// stripeOf returns the index of nd's lock stripe: a Fibonacci hash of its
+// address, which never changes (the Go heap does not move blocks).
+func stripeOf(nd *node) uint16 {
+	return uint16(uint64(uintptr(unsafe.Pointer(nd))) * 0x9E3779B97F4A7C15 >> (64 - lockStripeBits))
+}
+
+// stripes returns, in dst's storage, the distinct lock stripes of the
+// nodes on path in ascending order: the order lock takes them in.
+func stripes(path []pathEntry, dst []uint16) []uint16 {
+	for _, e := range path {
+		dst = append(dst, stripeOf(e.nd))
+	}
+	slices.Sort(dst)
+	return slices.Compact(dst)
+}
+
+// lockTable returns the trie's lock table, allocating it on first use.
+func (t *ConcurrentTrie) lockTable() *lockTable {
+	if lt := t.locks.Load(); lt != nil {
+		return lt
+	}
+	t.locks.CompareAndSwap(nil, new(lockTable))
+	return t.locks.Load()
+}
+
+// HasLockTable reports whether a ROWEX write has allocated the trie's
+// lock table.
+func (t *ConcurrentTrie) HasLockTable() bool { return t.locks.Load() != nil }
+
+// Memory is tree.Memory plus the lock table, once allocated, in GoBytes.
+func (t *ConcurrentTrie) Memory() MemoryStats {
+	m := t.tree.Memory()
+	if t.HasLockTable() {
+		m.GoBytes += int(unsafe.Sizeof(lockTable{}))
+	}
+	return m
 }
 
 // NewConcurrent returns an empty concurrent HOT trie. The loader must be
@@ -184,15 +236,24 @@ func (t *ConcurrentTrie) lockRoot(rb *rootBox) bool {
 }
 
 // lock implements steps (b) and (c) for stack levels [lo, last]: acquire
-// the nodes' locks bottom-up (deepest first, the root lock last when
-// useRoot) and validate that every locked node is still reachable and not
-// obsolete, that the path links between locked levels are intact, and that
-// the final slot still holds the candidate leaf. On validation failure
-// everything is unlocked and false is returned (the caller restarts).
+// the nodes' lock stripes, each once and in ascending order, then the root
+// lock when useRoot, and validate that every locked node is not obsolete,
+// that the path links between locked levels are intact, and that the final
+// slot still holds the candidate leaf. On validation failure everything is
+// unlocked and false is returned (the caller restarts). Every writer takes
+// its stripes in one global order and the root lock last (lockRoot takes
+// it alone), so two writers never wait on each other in a cycle.
+//
+// The obsolete check is what refuses a stale window whose top node a
+// cascaded pull-up replaced: that pull-up copies the grandparent too, so
+// the old grandparent, unchanged, still links to the replaced node, and a
+// check of the link one level above the window would pass.
 func (t *ConcurrentTrie) lock(stack []pathEntry, lo int, useRoot bool, cand TID) bool {
 	last := len(stack) - 1
-	for i := last; i >= lo; i-- {
-		stack[i].nd.cold().mu.Lock()
+	lt := t.lockTable()
+	var sb [32]uint16
+	for _, s := range stripes(stack[lo:], sb[:0]) {
+		lt[s].Lock()
 		chaos.Fire(chaos.RowexBetweenLocks)
 	}
 	if useRoot {
@@ -203,7 +264,7 @@ func (t *ConcurrentTrie) lock(stack []pathEntry, lo int, useRoot bool, cand TID)
 	for i := lo; i <= last && valid; i++ {
 		// A concurrent writer that changed a traversal link would have had
 		// to lock stack[i], which excludes us.
-		valid = !stack[i].nd.cold().obsolete.Load() &&
+		valid = !stack[i].nd.isObsolete() &&
 			(i == last || stack[i].nd.child(stack[i].idx) == stack[i+1].nd)
 	}
 	if valid {
@@ -223,15 +284,17 @@ func (t *ConcurrentTrie) lock(stack []pathEntry, lo int, useRoot bool, cand TID)
 	return true
 }
 
-// unlock implements step (e), top-down; with an empty stack it releases
-// what lockRoot took.
+// unlock implements step (e): the root lock, then the stripes lock took;
+// with an empty stack it releases what lockRoot took.
 func (t *ConcurrentTrie) unlock(stack []pathEntry, lo int, useRoot bool) {
 	chaos.Fire(chaos.RowexBeforeUnlock)
 	if useRoot {
 		t.rootMu.Unlock()
 	}
-	for i := lo; i < len(stack); i++ {
-		stack[i].nd.cold().mu.Unlock()
+	lt := t.locks.Load()
+	var sb [32]uint16
+	for _, s := range stripes(stack[lo:], sb[:0]) {
+		lt[s].Unlock()
 	}
 }
 

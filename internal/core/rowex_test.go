@@ -7,7 +7,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
+	"github.com/hotindex/hot/internal/key"
 	"github.com/hotindex/hot/internal/tidstore"
 )
 
@@ -346,5 +348,121 @@ func TestConcurrentSmallTreeChurn(t *testing.T) {
 		if tid, ok := tr.Lookup(k); ok && tid != tids[i] {
 			t.Fatalf("key %s has foreign tid", k)
 		}
+	}
+}
+
+// TestLockStripes checks the stripe set lock takes: every node's stripe,
+// each once, in ascending order — a path that repeats a node, and one
+// whose distinct nodes share a stripe, collapse to one entry per stripe.
+func TestLockStripes(t *testing.T) {
+	a := specNode([]uint16{1})
+	if got := stripes([]pathEntry{{nd: a}, {nd: a}, {nd: a}}, nil); len(got) != 1 || got[0] != stripeOf(a) {
+		t.Fatalf("one node thrice: stripes %v, want [%d]", got, stripeOf(a))
+	}
+	// More nodes than stripes: two of them must share one.
+	byStripe := map[uint16]*node{}
+	var b *node
+	for range 1<<lockStripeBits + 1 {
+		nd := specNode([]uint16{1})
+		if prev := byStripe[stripeOf(nd)]; prev != nil {
+			a, b = prev, nd
+			break
+		}
+		byStripe[stripeOf(nd)] = nd
+	}
+	if b == nil {
+		t.Fatal("no two nodes share a stripe")
+	}
+	rng := rand.New(rand.NewSource(1))
+	path := []pathEntry{{nd: b}, {nd: a}}
+	for range 12 {
+		path = append(path, pathEntry{nd: specNode([]uint16{1})})
+	}
+	rng.Shuffle(len(path), func(i, j int) { path[i], path[j] = path[j], path[i] })
+	want := map[uint16]bool{}
+	for _, e := range path {
+		want[stripeOf(e.nd)] = true
+	}
+	got := stripes(path, nil)
+	if len(got) != len(want) {
+		t.Fatalf("stripes %v: %d of them, want %d distinct", got, len(got), len(want))
+	}
+	for i, s := range got {
+		if !want[s] || (i > 0 && got[i-1] >= s) {
+			t.Fatalf("stripes %v: not the path's stripes in strictly ascending order", got)
+		}
+	}
+}
+
+// TestLockRefusesStaleCascade hands lock a stale window: the path an
+// insert descended, after that insert's cascaded pull-up replaced the
+// window's nodes and copied the node above it too. The old node above
+// still links to the window's top node, so only the obsolete word tells
+// the window is stale; lock must refuse it.
+func TestLockRefusesStaleCascade(t *testing.T) {
+	s, keys := concurrentKeys(100000, 7)
+	tr := NewConcurrent(s.Key)
+	for i, k := range keys {
+		var stale []pathEntry
+		var cand TID
+		var plan insertPlan
+		if rb := tr.root.Load(); rb.n != nil {
+			stale, cand = descend(rb.n, k, nil)
+			mb, _ := key.MismatchBit(s.Key(cand, nil), k)
+			plan = planInsert(stale, cand, mb, key.Bit(k, mb), tr.k)
+		}
+		pullups := tr.ops.pullup.Load()
+		tr.Insert(k, TID(i))
+		// Two pull-ups: the candidate's node split into its parent, which
+		// split into the grandparent, which took the half and was copied.
+		if tr.ops.pullup.Load()-pullups != 2 || plan.ai < 2 {
+			continue
+		}
+		lo := plan.ai - 1
+		above, top := stale[lo-1], stale[lo]
+		if !above.nd.isObsolete() || above.nd.child(above.idx) != top.nd {
+			t.Fatalf("insert %d: the node above the window is not a copied-away grandparent that still links to the window", i)
+		}
+		if tr.lock(stale, lo, false, cand) {
+			tr.unlock(stale, lo, false)
+			t.Fatalf("insert %d: lock took a window of levels %d..%d that a cascaded pull-up replaced", i, lo, len(stale)-1)
+		}
+		// The refusal released every stripe: a fresh path locks.
+		fresh, c := descend(tr.root.Load().n, k, nil)
+		if !tr.lock(fresh, 0, true, c) {
+			t.Fatal("lock refused a fresh path")
+		}
+		tr.unlock(fresh, 0, true)
+		return
+	}
+	t.Fatal("no insert cascaded two pull-ups")
+}
+
+// TestLockTableBytes checks that a trie only its exclusive Writer writes
+// never allocates a lock table, and that a ROWEX write's table is counted
+// in GoBytes once allocated.
+func TestLockTableBytes(t *testing.T) {
+	s, keys := concurrentKeys(2000, 3)
+	tr := NewConcurrent(s.Key)
+	w := tr.Writer()
+	for i, k := range keys[:1000] {
+		w.Insert(k, TID(i))
+	}
+	w.Delete(keys[0])
+	w.Upsert(keys[1], 1)
+	if tr.HasLockTable() {
+		t.Fatal("Writer allocated a lock table")
+	}
+	nodes := tr.tree.Memory().GoBytes
+	if got := tr.Memory().GoBytes; got != nodes {
+		t.Fatalf("GoBytes %d without a lock table, want the nodes' %d", got, nodes)
+	}
+	tr.Insert(keys[1000], 1000)
+	if !tr.HasLockTable() {
+		t.Fatal("a ROWEX insert left no lock table")
+	}
+	nodes = tr.tree.Memory().GoBytes
+	if got, want := tr.Memory().GoBytes, nodes+int(unsafe.Sizeof(lockTable{})); got != want {
+		t.Fatalf("GoBytes %d with a lock table, want %d", got, want)
 	}
 }

@@ -102,14 +102,17 @@ func TestNodeShapeFixture(t *testing.T) {
 // TestGoBytesPerKey bounds the Go heap the nodes of TestNodeShapeFixture's
 // loaded tries take per key — the figure the fixture leaves out, since
 // the representation may change: a layout that regresses memory fails
-// here, not only in the benchmark. Leaf nodes hold bare 8-byte TIDs and no
-// block stores the bit positions its header implies, so the tries sit
-// near 13.5 (url) and 12.6 (integer) B/key.
+// here, not only in the benchmark. Leaf nodes hold bare 8-byte TIDs, no
+// block stores the bit positions its spec implies, the header takes 24
+// bytes and the ROWEX lock lives outside the block, so the tries read
+// 12.41 (url) and 11.47 (integer) B/key. The url trie reads above its
+// 1 M-key twin's 12.02: a fifth of its nodes are multi-mask, whose blocks
+// keep 16 more bytes of pair offsets, against 2 % at 1 M keys.
 func TestGoBytesPerKey(t *testing.T) {
 	for _, c := range []struct {
 		kind  dataset.Kind
 		bound float64
-	}{{dataset.URL, 14.2}, {dataset.Integer, 13.0}} {
+	}{{dataset.URL, 12.5}, {dataset.Integer, 11.7}} {
 		tr, keys := buildShapeTrie(c.kind)
 		perKey := float64(tr.Memory().GoBytes) / float64(len(keys))
 		t.Logf("%v: %.2f B/key", c.kind, perKey)

@@ -316,7 +316,7 @@ func dirtyPool(rng *rand.Rand) *nodePool {
 	pool := &nodePool{}
 	for cls := range classes {
 		if classes[cls].typ != nil {
-			pool.put(dirtyBlock(rng, uint8(cls)))
+			pool.put(dirtyBlock(rng, uint16(cls)))
 		}
 	}
 	return pool
@@ -396,14 +396,21 @@ func checkBuild(t *testing.T, rng *rand.Rand, want *node, build func(*nodePool) 
 	sameNode(t, "pooled block", got, want)
 }
 
-// dirtyBlock returns a block of class cls whose header, partial keys (all
-// but the padding lanes, which no node writes), values and tail hold
-// random bytes.
-func dirtyBlock(rng *rand.Rand, cls uint8) *node {
-	n, width, leaf, _ := classShape(int(cls))
+// dirtyBlock returns a block of class cls whose header, obsolete word
+// included, partial keys (all but the padding lanes, which no node
+// writes), values, offs and tail hold random bytes.
+func dirtyBlock(rng *rand.Rand, cls uint16) *node {
+	n, width, leaf, fam := classShape(int(cls))
 	b := allocNode(nil, cls)
-	*b = node{n: uint8(n), width: width, cls: cls, ncols: classes[cls].tail} // an empty mask: all of the tail
+	// An empty mask: all of a tail-family block's tail.
+	kind := [...]extractKind{famSingle: extractSingle, famMulti: extractMulti8, famTail: extractMulti16}[fam]
+	*b = node{n: uint8(n), width: width, cls: cls, ncols: classes[cls].tail, kind: kind}
 	rng.Read(b.keys()[:n*int(width)/8])
+	if fam != famSingle {
+		for i := range b.offs() {
+			b.offs()[i] = uint16(rng.Intn(1 << 16))
+		}
+	}
 	for i := range b.tail() {
 		b.tail()[i] = uint16(rng.Intn(1 << 16))
 	}
@@ -417,14 +424,14 @@ func dirtyBlock(rng *rand.Rand, cls uint8) *node {
 	var hdr [headerSize]byte
 	rng.Read(hdr[:])
 	h := *(*node)(unsafe.Pointer(&hdr))
-	b.mask, b.offs, b.noff, b.kind, b.height = h.mask, h.offs, h.noff, h.kind, h.height
+	b.mask, b.off, b.noff, b.kind, b.height, b.obsolete = h.mask, h.off, h.noff, h.kind, h.height, h.obsolete
 	return b
 }
 
 // sameNode fails unless got and want agree in their header, partial keys
-// (padding lanes included), values and tail, and so in the discriminative
-// bits they derive: byte for byte, all of the block that an accessor reads
-// but the cold part.
+// (padding lanes included), values, offs and tail, and so in the
+// discriminative bits they derive: byte for byte, all of the block that an
+// accessor reads.
 func sameNode(t *testing.T, what string, got, want *node) {
 	t.Helper()
 	if *got != *want {
@@ -445,9 +452,12 @@ func sameNode(t *testing.T, what string, got, want *node) {
 	} else if !slices.Equal(got.slots(), want.slots()) {
 		t.Fatalf("%s: slots %v, want %v", what, got.slots(), want.slots())
 	}
-	block := func(nd *node) []byte { // up to the tail's last position in use
-		end := unsafe.Add(unsafe.Pointer(unsafe.SliceData(nd.tail())), 2*len(nd.tail()))
-		return unsafe.Slice((*byte)(unsafe.Pointer(nd)), uintptr(end)-uintptr(unsafe.Pointer(nd)))
+	block := func(nd *node) []byte { // up to the last byte in use: the values', offs' or tail's
+		end := headerSize + keyBytes(int(nd.n), nd.width) + int(nd.n)*valueSize(nd.isLeaf())
+		if nd.kind != extractSingle {
+			end += 2 * (moreOffs + len(nd.tail()))
+		}
+		return unsafe.Slice((*byte)(unsafe.Pointer(nd)), end)
 	}
 	if !bytes.Equal(block(got), block(want)) {
 		t.Fatalf("%s: block %x, want %x", what, block(got), block(want))
@@ -506,11 +516,11 @@ func TestSpliceTransitions(t *testing.T) {
 			func(nd, res *node) bool { return nd.kind == extractSingle && res.kind == extractMulti8 }},
 		{"mb before the window's first byte: the window moves", chainNode(positions(40, 4), nil),
 			spliceOp{mb: 3, newBit: 0, refIdx: 0, newSlot: leafSlot(99)},
-			func(nd, res *node) bool { return nd.offs[0] == 5 && res.kind == extractSingle && res.offs[0] == 0 }},
+			func(nd, res *node) bool { return nd.off == 5 && res.kind == extractSingle && res.off == 0 }},
 		{"mb below d[0] in the window's first byte: mask in place", chainNode(positions(42, 3), nil),
 			spliceOp{mb: 40, newBit: 1, refIdx: 2, newSlot: leafSlot(99)},
 			func(nd, res *node) bool {
-				return res.kind == extractSingle && res.offs[0] == nd.offs[0] && res.mask == nd.mask|1<<63
+				return res.kind == extractSingle && res.off == nd.off && res.mask == nd.mask|1<<63
 			}},
 		{"existing column", chainNode(positions(0, 5), nil),
 			spliceOp{mb: 2, newBit: 0, refIdx: 3, newSlot: leafSlot(99)},

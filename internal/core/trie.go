@@ -425,7 +425,7 @@ func (t *tree) retire(nodes []*node) {
 			t.pool.put(nd)
 			continue
 		}
-		nd.cold().obsolete.Store(true)
+		nd.markObsolete()
 		t.gc.Retire(nil)
 	}
 }

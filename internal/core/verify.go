@@ -45,9 +45,9 @@ const (
 	InvLookup
 	// InvLeafCount: the number of reachable leaves differs from Len().
 	InvLeafCount
-	// InvNodeClass: a node's block class disagrees with its height — a
-	// leaf class (bare TIDs, no room for a child) must have height 1, an
-	// inner class height ≥ 2.
+	// InvNodeClass: a node's class names no block type, or disagrees
+	// with its height — a leaf class (bare TIDs, no room for a child) must
+	// have height 1, an inner class height ≥ 2.
 	InvNodeClass
 )
 
@@ -145,12 +145,16 @@ func (t *tree) verify(strictHeights bool) error {
 // bit nd may use (one past the deepest BiNode on the path leading to nd).
 // It returns the subtree height in compound nodes.
 func (v *verifier) walk(nd *node, minBit int) (uint8, *CorruptionError) {
-	// The class decides the block's layout, so a leaf class above height 1
-	// is reported before anything past the header is read.
+	// The class decides the block's layout, so a class no block has, or a
+	// leaf class above height 1, is reported before anything past the
+	// header is read.
+	if int(nd.cls) >= len(classes) || classes[nd.cls].typ == nil {
+		return 0, v.corrupt(InvNodeClass, -1, "class %d has no block type", nd.cls)
+	}
 	if nd.isLeaf() && nd.height != 1 {
 		return 0, v.corrupt(InvNodeClass, -1, "leaf class %d at height %d, want 1", nd.cls, nd.height)
 	}
-	if nd.cold().obsolete.Load() {
+	if nd.isObsolete() {
 		return 0, v.corrupt(InvObsoleteReachable, -1, "reachable node is marked obsolete")
 	}
 	n := int(nd.n)
@@ -177,10 +181,10 @@ func (v *verifier) walk(nd *node, minBit int) (uint8, *CorruptionError) {
 			"first bit %d below the parent path bound %d", d[0], minBit)
 	}
 	var spec node
-	if spec.setSpec(d); spec.kind != nd.kind || spec.mask != nd.mask || spec.offs != nd.offs || spec.noff != nd.noff {
+	if spec.setSpec(d); spec.kind != nd.kind || spec.mask != nd.mask || spec.off != nd.off || spec.noff != nd.noff {
 		return 0, v.corrupt(InvDiscriminativeBits, -1,
-			"spec %v mask %#x offs %v, but bits %v derive %v mask %#x offs %v",
-			nd.kind, nd.mask, nd.offs, d, spec.kind, spec.mask, spec.offs)
+			"spec %v mask %#x off %d, %d pairs, but bits %v derive %v mask %#x off %d, %d pairs",
+			nd.kind, nd.mask, nd.off, nd.noff, d, spec.kind, spec.mask, spec.off, spec.noff)
 	}
 
 	pks := nd.pks(nil)
@@ -246,15 +250,18 @@ func (v *verifier) walk(nd *node, minBit int) (uint8, *CorruptionError) {
 }
 
 // checkSpecCount checks that nd's extraction spec holds its ncols
-// discriminative bits, so that decoding them reads only nd's block: all in
-// the mask, or for a multi16 or multi32 node, which takes a block of the
-// tail family, at least one past the mask and no more than the tail holds.
+// discriminative bits, so that decoding them reads only nd's block: its
+// class is of the family its kind needs (a multi-mask node's block has
+// offs), and the bits are all in the mask, or for a multi16 or multi32
+// node, which takes a block of the tail family, at least one past the
+// mask and no more than the tail holds.
 func (v *verifier) checkSpecCount(nd *node) *CorruptionError {
-	room := int(classes[nd.cls].tail)
+	c := classes[nd.cls]
+	room := int(c.tail)
 	inMask := mathbits.OnesCount64(nd.mask)
 	switch tail := int(nd.ncols) - inMask; {
-	case nd.hasTail() != (room > 0):
-		return v.corrupt(InvDiscriminativeBits, -1, "extraction kind %d in class %d, which has room for %d tail bits", nd.kind, nd.cls, room)
+	case nd.kind.family() != c.fam || (nd.kind != extractSingle && (nd.noff < 2 || nd.noff > 1+moreOffs)):
+		return v.corrupt(InvDiscriminativeBits, -1, "extraction kind %d with %d pairs in class %d of block family %d", nd.kind, nd.noff, nd.cls, c.fam)
 	case !nd.hasTail() && tail != 0:
 		return v.corrupt(InvDiscriminativeBits, -1, "%d discriminative bits, but %d in the mask", nd.ncols, inMask)
 	case nd.hasTail() && (tail < 1 || tail > room):

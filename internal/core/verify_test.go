@@ -81,7 +81,7 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 		{"dbits-order", InvDiscriminativeBits, func(t *testing.T, tr *Trie, root *node) {
 			// A multi8 node's key bytes must ascend, or so would not its bits.
 			nd := findNode(t, root, func(nd *node) bool { return nd.kind == extractMulti8 })
-			nd.offs[0], nd.offs[1] = nd.offs[1], nd.offs[0]
+			nd.off, nd.offs()[0] = nd.offs()[0], nd.off
 		}},
 		{"dbits-path-bound", InvDiscriminativeBits, func(t *testing.T, tr *Trie, root *node) {
 			// A window at byte 0 whose mask starts at its top bit puts
@@ -90,7 +90,7 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 			if c.kind != extractSingle {
 				t.Fatalf("child has a %v spec, want a single mask", c.layout())
 			}
-			c.offs[0] = 0
+			c.off = 0
 			c.mask <<= mathbits.LeadingZeros64(c.mask)
 		}},
 		{"dbits-count", InvDiscriminativeBits, func(t *testing.T, tr *Trie, root *node) {
@@ -98,7 +98,7 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 			c.mask &= c.mask - 1 // one column fewer than ncols
 		}},
 		{"obsolete-reachable", InvObsoleteReachable, func(t *testing.T, tr *Trie, root *node) {
-			firstChild(t, root).cold().obsolete.Store(true)
+			firstChild(t, root).markObsolete()
 		}},
 		{"height-bound", InvHeightBound, func(t *testing.T, tr *Trie, root *node) {
 			root.height = 1 // root must sit above its subtrees
@@ -107,6 +107,14 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 			// The root is inner (it has children); its leaf twin has the
 			// same entry count and width but no room for a child.
 			root.cls += leafClasses
+		}},
+		{"class-range", InvNodeClass, func(t *testing.T, tr *Trie, root *node) {
+			// A 2-byte class can name no class at all: past the table, or
+			// a slot of it no shape takes.
+			firstChild(t, root).cls = 1 << 15
+		}},
+		{"class-unused", InvNodeClass, func(t *testing.T, tr *Trie, root *node) {
+			firstChild(t, root).cls = noClass
 		}},
 		{"leaf-count", InvLeafCount, func(t *testing.T, tr *Trie, root *node) {
 			tr.size.Add(1)

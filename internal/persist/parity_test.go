@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 )
 
@@ -24,21 +25,29 @@ func TestCheckedLen(t *testing.T) {
 	if _, damage := blockEntries(frameBlock(CodecPacked, wrap)); damage == nil || damage.Kind != ErrCorrupt {
 		t.Fatalf("wrap reproducer decoded: %v", damage)
 	}
-	for _, tc := range []struct {
+	const maxInt = int(^uint(0) >> 1)
+	maxEnc := binary.AppendUvarint(nil, uint64(maxInt))
+	type checkedLenCase struct {
 		p    []byte
 		max  int
 		v, n int
 		ok   bool
-	}{
+	}
+	cases := []checkedLenCase{
 		{[]byte{0x00}, 0, 0, 1, true},
 		{[]byte{0x05}, 5, 5, 1, true},
 		{[]byte{0x06}, 5, 0, 0, false},
 		{[]byte{0xac, 0x02}, 300, 300, 2, true},
 		{[]byte{0xac}, 300, 0, 0, false}, // cut short
 		{nil, 300, 0, 0, false},          // empty
-		{[]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}, 1 << 30, 0, 0, false},     // overflows uint64
-		{[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, int(^uint(0) >> 1), 0, 0, true}, // 2^63-1 fits an int
-	} {
+		{[]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}, 1 << 30, 0, 0, false}, // overflows uint64
+		{maxEnc, maxInt, maxInt, len(maxEnc), true},                                                // the platform's max int
+	}
+	// 2^63-1 is an int's max only where int has 64 bits; a 32-bit int
+	// cannot hold it, so there it is refused under any max.
+	max63 := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
+	cases = append(cases, checkedLenCase{max63, maxInt, maxInt, len(max63), strconv.IntSize == 64})
+	for _, tc := range cases {
 		v, n, ok := checkedLen(tc.p, tc.max)
 		if ok != tc.ok || (ok && tc.v != 0 && (v != tc.v || n != tc.n)) || (!ok && (v != 0 || n != 0)) {
 			t.Errorf("checkedLen(% x, %d) = (%d, %d, %v), want (%d, %d, %v)", tc.p, tc.max, v, n, ok, tc.v, tc.n, tc.ok)

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"github.com/hotindex/hot/internal/core"
 	"github.com/hotindex/hot/internal/dataset"
 	"github.com/hotindex/hot/internal/tidstore"
 	"github.com/hotindex/hot/internal/wire"
@@ -683,6 +684,50 @@ func TestShardedStatsAggregate(t *testing.T) {
 	_ = freed
 	if pending < 0 {
 		t.Fatalf("negative pending reclaim %d", pending)
+	}
+}
+
+// TestShardedNoLockTable: every ShardedTree write, async or not, and
+// every load of a snapshot runs a shard trie's exclusive Writer under the
+// shard's own lock, so no shard trie allocates the ROWEX lock table.
+func TestShardedNoLockTable(t *testing.T) {
+	keys := dataset.Generate(dataset.URL, 8000, 53)
+	s := &tidstore.Store{}
+	for _, k := range keys {
+		s.Add(k)
+	}
+	st, _ := buildPair(keys, s, 4)
+	for i, k := range keys[:1000] {
+		switch i % 4 {
+		case 0:
+			st.Delete(k)
+		case 1:
+			st.Upsert(k, TID(i))
+		case 2:
+			st.DeleteAsync(k)
+		default:
+			st.UpsertAsync(k, TID(i))
+		}
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, st); err != nil {
+		t.Fatal(err)
+	}
+	loaded, _, err := LoadShardedTree(&buf, s.Key, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tr := range map[string]*ShardedTree{"written": st, "loaded": loaded} {
+		tries := 0
+		tr.eachDelta(func(d *core.ConcurrentTrie) {
+			tries++
+			if d.HasLockTable() {
+				t.Errorf("%s: a shard trie allocated a lock table", name)
+			}
+		})
+		if tries != tr.Shards() {
+			t.Fatalf("%s: %d shard tries, want %d", name, tries, tr.Shards())
+		}
 	}
 }
 
