@@ -22,12 +22,12 @@ ci: all
 # fail here, not at the next benchmark run.
 # go vet's copylocks/atomic/unusedresult analyzers are the ones that bite
 # here: the alignment- and padding-sensitive structs (asyncShard, the
-# shard writer lock and its async counters padded to a cache line; the
-# epoch pin slots; the slot array of shard.Queue, which only the
-# benchmark's ladder still uses) embed sync/atomic types and locks that
-# must never be copied by value — keep
-# internal/shard, internal/core and internal/epoch in the vet set when
-# narrowing the package list.
+# shard writer lock and its async counters padded to a cache line; core's
+# table of readers' key buffers, a leased flag per cache line; the slot
+# array of shard.Queue, which only the benchmark's ladder still uses) embed
+# sync/atomic types and locks that must never be copied by value — keep
+# internal/shard and internal/core in the vet set when narrowing the
+# package list.
 # The next six lines vet and build the !amd64 side of internal/bits
 # (bits_noasm.go), which an amd64 build never compiles, run its tests
 # there — the portable PEXT and search are all a 386 build has —
@@ -58,7 +58,9 @@ check:
 
 # Concurrency tier: every package under the race detector, twice (ordering
 # flakes rarely repeat). This covers the root concurrent/sharded churn
-# tests, the ROWEX writer path, epoch reclamation and the snapshot layer.
+# tests, the ROWEX writer path, readers of nodes replaced under constant
+# garbage collection (the collector is the only reclamation) and the
+# snapshot layer.
 # No test below is gated by -short or an environment variable, so this
 # one command is also, under -race:
 #   - the cold-tier e2e (TestColdTier*, internal/pager, the page-reader
@@ -126,30 +128,33 @@ net-chaos:
 	$(GO) test -race -run 'TestNetChaos' -count=1 -v ./internal/server/
 	$(GO) test -race -count=1 ./internal/chaos/ ./internal/hotclient/
 
-# Short exploratory fuzz burst over each public-API fuzz target.
+# Short exploratory fuzz burst over each public-API fuzz target. Each
+# line caps the minimization of a new input at 10 runs of it: the default,
+# 60s, spent most of a 20s burst shrinking one or two inputs instead of
+# running new ones.
 # This list must track the Fuzz* functions across all _test.go files — add
 # a line here whenever a target is added (TestMakefileFuzzListCoversAllTargets
 # fails the build when the two drift apart).
 fuzz:
-	$(GO) test -fuzz FuzzTreeVerify -fuzztime $(FUZZTIME) .
-	$(GO) test -fuzz FuzzMap -fuzztime $(FUZZTIME) .
-	$(GO) test -fuzz FuzzLookupBatch -fuzztime $(FUZZTIME) .
-	$(GO) test -fuzz FuzzSnapshotLoad -fuzztime $(FUZZTIME) .
-	$(GO) test -fuzz FuzzShardedSnapshotLoad -fuzztime $(FUZZTIME) .
-	$(GO) test -fuzz FuzzSnapshotRoundTrip -fuzztime $(FUZZTIME) .
-	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) .
-	$(GO) test -fuzz FuzzTieredShardOps -fuzztime $(FUZZTIME) .
-	$(GO) test -fuzz FuzzPageReader -fuzztime $(FUZZTIME) ./internal/persist/
-	$(GO) test -fuzz FuzzBlockCodec -fuzztime $(FUZZTIME) ./internal/persist/
-	$(GO) test -fuzz FuzzSearch -fuzztime $(FUZZTIME) ./internal/bits/
-	$(GO) test -fuzz FuzzNodeBlock -fuzztime $(FUZZTIME) ./internal/core/
-	$(GO) test -fuzz FuzzScan -fuzztime $(FUZZTIME) ./internal/core/
-	$(GO) test -fuzz FuzzStore -fuzztime $(FUZZTIME) ./internal/tidstore/
-	$(GO) test -fuzz FuzzMismatchBit -fuzztime $(FUZZTIME) ./internal/key/
-	$(GO) test -fuzz FuzzServerFrame -fuzztime $(FUZZTIME) ./internal/server/
-	$(GO) test -fuzz FuzzKeyMap -fuzztime $(FUZZTIME) ./internal/server/
-	$(GO) test -fuzz FuzzWireResume -fuzztime $(FUZZTIME) ./internal/wire/
-	$(GO) test -fuzz FuzzClientReply -fuzztime $(FUZZTIME) ./internal/hotclient/
+	$(GO) test -fuzz FuzzTreeVerify -fuzztime $(FUZZTIME) -fuzzminimizetime 10x .
+	$(GO) test -fuzz FuzzMap -fuzztime $(FUZZTIME) -fuzzminimizetime 10x .
+	$(GO) test -fuzz FuzzLookupBatch -fuzztime $(FUZZTIME) -fuzzminimizetime 10x .
+	$(GO) test -fuzz FuzzSnapshotLoad -fuzztime $(FUZZTIME) -fuzzminimizetime 10x .
+	$(GO) test -fuzz FuzzShardedSnapshotLoad -fuzztime $(FUZZTIME) -fuzzminimizetime 10x .
+	$(GO) test -fuzz FuzzSnapshotRoundTrip -fuzztime $(FUZZTIME) -fuzzminimizetime 10x .
+	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) -fuzzminimizetime 10x .
+	$(GO) test -fuzz FuzzTieredShardOps -fuzztime $(FUZZTIME) -fuzzminimizetime 10x .
+	$(GO) test -fuzz FuzzPageReader -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/persist/
+	$(GO) test -fuzz FuzzBlockCodec -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/persist/
+	$(GO) test -fuzz FuzzSearch -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/bits/
+	$(GO) test -fuzz FuzzNodeBlock -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/core/
+	$(GO) test -fuzz FuzzScan -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/core/
+	$(GO) test -fuzz FuzzStore -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/tidstore/
+	$(GO) test -fuzz FuzzMismatchBit -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/key/
+	$(GO) test -fuzz FuzzServerFrame -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/server/
+	$(GO) test -fuzz FuzzKeyMap -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/server/
+	$(GO) test -fuzz FuzzWireResume -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/wire/
+	$(GO) test -fuzz FuzzClientReply -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/hotclient/
 
 bench:
 	$(GO) test -bench . -benchtime 1s -run - . ./internal/persist ./internal/bits ./internal/core ./internal/server

@@ -568,8 +568,8 @@ func BenchmarkAblationFanout(b *testing.B) {
 
 // BenchmarkAblationROWEXOverhead compares single-threaded insert+lookup
 // throughput of the unsynchronized trie against the ROWEX trie on one
-// thread, isolating the synchronization cost (locks, epoch guards,
-// copy-on-write without node recycling). The insert/exclusive row is the
+// thread, isolating the synchronization cost (locks, copy-on-write without
+// node recycling). The insert/exclusive row is the
 // same ConcurrentTrie written through its exclusive Writer — the path a
 // ShardedTree shard takes — so the three insert rows price the latch and
 // the recycling separately. The three upsert rows store a present url

@@ -2,15 +2,13 @@
 // throughput it tries to break the ROWEX trie. It runs seeded rounds of
 // concurrent inserts, upserts, deletes, lookups and ordered scans with the
 // fault-injection points of internal/chaos armed — widened lock windows,
-// delayed epoch advances, injected pin-slot contention — then verifies the
-// full structural-invariant catalog between rounds and reports how many
-// injected faults the index survived, alongside the writer-path
-// restart/backoff/validation and epoch-contention counters.
+// yields mid copy-on-write — then verifies the full structural-invariant
+// catalog between rounds and reports how many injected faults the index
+// survived, alongside the writer-path restart/backoff/validation counters.
 //
 // With -shards N the same fault pressure is aimed at the range-sharded
-// writer path instead: the shard writer lock and the shards' epoch
-// domains. A shard runs no ROWEX — its writes are serialized by the lock —
-// so the three lock-window points
+// writer path instead: the shard writer lock. A shard runs no ROWEX — its
+// writes are serialized by the lock — so the three lock-window points
 // (rowex/between-locks, before-validate, before-unlock) are never reached
 // and restarts stay 0, while after-traverse (every write) and mid-copy
 // (every insert and delete; an upsert of a present key stores its TID in
@@ -99,8 +97,6 @@ func main() {
 		reg.On(chaos.RowexBeforeValidate, *prob, chaos.Yield(2))
 		reg.On(chaos.RowexMidCopy, *prob, chaos.Yield(1))
 		reg.On(chaos.RowexBeforeUnlock, *prob, chaos.Yield(1))
-		reg.On(chaos.EpochEnter, *prob, chaos.Yield(1))
-		reg.On(chaos.EpochAdvance, *prob, chaos.Sleep(50*time.Microsecond))
 		reg.Arm()
 		defer chaos.Disarm()
 	}
@@ -159,14 +155,12 @@ func main() {
 
 	elapsed := time.Since(start)
 	st := tr.OpStats()
-	freed, pending := tr.ReclaimStats()
 	fmt.Printf("\ntotals after %.2fs (%.3f mops):\n", elapsed.Seconds(),
 		float64(*ops)/elapsed.Seconds()/1e6)
 	fmt.Printf("  opstats: %s\n", st)
 	if sharded {
 		fmt.Printf("  stats: %s\n", sh.Stats())
 	}
-	fmt.Printf("  reclaim: freed=%d pending=%d\n", freed, pending)
 	if !*disarmed {
 		fmt.Printf("  survived faults: %d\n", reg.FiredTotal())
 		for _, p := range chaos.Points() {
@@ -200,7 +194,6 @@ type index interface {
 	Height() int
 	Verify() error
 	OpStats() hot.OpStats
-	ReclaimStats() (uint64, int64)
 }
 
 // oracleScanCount scans the whole index in order, asserting strictly

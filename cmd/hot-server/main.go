@@ -37,7 +37,7 @@ func main() {
 	writeTimeout := flag.Duration("write-timeout", 0, "per-write deadline; evicts wedged consumers (0 = 30s default, negative disables)")
 	dialTimeout := flag.Duration("dial-timeout", 0, "follower's per-attempt bound on dialing its leader (0 = 10s default)")
 	memBudget := flag.Int64("mem-budget", 0, "resident-trie byte budget; past it cold shards are served from disk through a page cache (0 = unbounded; requires -dir)")
-	cacheBytes := flag.Int64("cache-bytes", 0, "cold tier's page cache bound, in stored block bytes (0 = mem-budget/8, floored at 8 MiB)")
+	cacheBytes := flag.Int64("cache-bytes", 0, "cold tier's page cache bound, in stored block bytes (0 = mem-budget/8, floored at 8 MiB; requires -mem-budget)")
 	smoke := flag.Bool("smoke", false, "run a self-contained leader+client+follower smoke test and exit")
 	flag.Parse()
 

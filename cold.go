@@ -171,11 +171,10 @@ type coldTier struct {
 	promotions atomic.Uint64
 	folds      atomic.Uint64
 
-	// Replaced deltas' final counters, folded into the aggregates so
-	// OpStats and ReclaimStats never go backwards across a transition.
-	statsMu      sync.Mutex
-	retired      OpStats
-	retiredFreed uint64
+	// Replaced deltas' final counters, folded into the aggregate so
+	// OpStats never goes backwards across a transition.
+	statsMu sync.Mutex
+	retired OpStats
 }
 
 // shardState is one shard as readers and writers find it: a section under
@@ -392,21 +391,19 @@ func (ct *coldTier) section(s int, pr *persist.PageReader) *shardState {
 }
 
 // retire folds the final counters of st's delta, about to be replaced,
-// into the retired aggregates. It runs before the slot flip: OpStats and
-// ReclaimStats read the aggregates first, then the live deltas, so this
-// order at worst double-counts the delta for an instant — never the
-// transient dip that would break the "aggregates never decrease across a
-// transition" guarantee.
+// into the retired aggregate. It runs before the slot flip: OpStats reads
+// the aggregate first, then the live deltas, so this order at worst
+// double-counts the delta for an instant — never the transient dip that
+// would break the "aggregates never decrease across a transition"
+// guarantee.
 func (ct *coldTier) retire(st *shardState) {
 	d := st.delta.Load()
 	if d == nil {
 		return
 	}
 	ops := d.OpStats()
-	freed, _ := d.ReclaimStats()
 	ct.statsMu.Lock()
 	ct.retired = ct.retired.Add(ops)
-	ct.retiredFreed += freed
 	ct.statsMu.Unlock()
 }
 

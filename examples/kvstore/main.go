@@ -157,9 +157,9 @@ func main() {
 	//
 	// hot.Map is single-threaded and durable only at its saves. A
 	// hot.ShardedTree opened durably is neither: N range partitions, each
-	// an independent writer and epoch domain with its own write-ahead
-	// log. The tree layer has no key escape, so the keys get a NUL
-	// terminator to stay prefix-free.
+	// an independent writer with its own write-ahead log. The tree layer
+	// has no key escape, so the keys get a NUL terminator to stay
+	// prefix-free.
 	skeys := make([][]byte, 0, store.Len())
 	store.Range(nil, -1, func(k []byte, v uint64) bool {
 		skeys = append(skeys, append(append([]byte(nil), k...), 0))

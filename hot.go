@@ -18,7 +18,7 @@
 //     ROWEX synchronization: wait-free readers, lock-only-what-you-modify
 //     writers.
 //   - ShardedTree range-partitions the key space across N independent
-//     concurrent tries, each with its own writer lock and epoch domain, so
+//     concurrent tries, each with its own writer lock, so
 //     writers to different shards never contend — the write-scaling layer.
 //     A shard admits one writer at a time and runs no ROWEX; readers stay
 //     wait-free.
@@ -64,7 +64,7 @@ type (
 	MemoryStats = core.MemoryStats
 	// OpStats counts the insertion structure-adaptation cases and the
 	// ROWEX writer-path robustness events (restarts, backoffs, validation
-	// failures, epoch contention).
+	// failures).
 	OpStats = core.OpStats
 	// CorruptionError is the typed error the Verify methods return: which
 	// structural invariant was violated, at which node path and entry.
@@ -109,9 +109,9 @@ func New(loader Loader) *Tree {
 // ConcurrentTree is a Height Optimized Trie synchronized with the paper's
 // ROWEX protocol: reads and scans are wait-free (they never lock, block or
 // restart); writers lock only the nodes they modify. Inserts and deletes
-// replace them copy-on-write, retiring obsolete nodes through epoch-based
-// reclamation; an upsert of a present key stores its TID in place under
-// the leaf node's lock alone.
+// replace them copy-on-write and mark the originals obsolete, which the
+// garbage collector frees once no reader holds them; an upsert of a
+// present key stores its TID in place under the leaf node's lock alone.
 // All methods are safe for concurrent use; the loader must be too.
 //
 // The shared index surface comes from the embedded surface layer (see
@@ -128,10 +128,4 @@ type ConcurrentTree struct {
 func NewConcurrent(loader Loader) *ConcurrentTree {
 	t := core.NewConcurrent(core.Loader(loader))
 	return &ConcurrentTree{base: newBase(t), t: t}
-}
-
-// ReclaimStats reports epoch reclamation counters: how many obsolete
-// copy-on-write nodes have been reclaimed and how many are pending.
-func (t *ConcurrentTree) ReclaimStats() (freed uint64, pending int64) {
-	return t.t.ReclaimStats()
 }

@@ -224,9 +224,6 @@ func TestConcurrentTreePublicAPI(t *testing.T) {
 			t.Fatalf("lookup %d failed", i)
 		}
 	}
-	if freed, pending := tr.ReclaimStats(); freed+uint64(pending) == 0 {
-		t.Error("no reclamation activity recorded")
-	}
 	if tr.Height() == 0 || tr.Memory().Nodes == 0 || tr.Depths().Leaves != len(keys) {
 		t.Error("stats methods broken")
 	}

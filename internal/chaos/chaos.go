@@ -1,20 +1,18 @@
 // Package chaos is a deterministic, seedable fault-injection registry for
-// stress-testing the ROWEX writer protocol and the epoch reclamation
-// manager under adversarial interleavings.
+// stress-testing the ROWEX writer protocol under adversarial
+// interleavings and the persistence layer under I/O faults.
 //
 // Production code threads named injection points (Fire calls) into the
 // steps of the writer discipline — after traversal, between lock
-// acquisitions, before validation, mid copy-on-write, before unlock — into
-// the epoch manager's Enter and TryAdvance, and into the snapshot persist
-// writer's I/O steps (header, block, fsync, rename), where armed points
-// inject write errors, short "torn tail" writes, or simulated process
-// crashes (Exit). By default no registry is
-// armed and every Fire is a single predictable-branch atomic load, so the
+// acquisitions, before validation, mid copy-on-write, before unlock — and
+// into the persist writers' I/O steps (header, block, fsync, rename),
+// where armed points inject write errors, short "torn tail" writes, or
+// simulated process crashes (Exit). By default no registry is armed and
+// every Fire is a single predictable-branch atomic load, so the
 // points cost nothing on the hot path. Tests and the hot-chaos driver arm
 // a Registry that fires seeded-random actions (yields, parked sleeps) at
-// chosen points to force restart storms, ABA-style races, slot exhaustion
-// and reclamation under load, deterministically enough to reproduce with
-// the same seed.
+// chosen points to force restart storms and ABA-style races,
+// deterministically enough to reproduce with the same seed.
 package chaos
 
 import (
@@ -28,7 +26,7 @@ import (
 
 // Point names one injection site threaded into production code. The
 // catalog mirrors the ROWEX writer steps (Section 5 of the paper) plus the
-// epoch manager's two contention-sensitive operations.
+// persistence layer's I/O steps.
 type Point uint8
 
 const (
@@ -47,12 +45,6 @@ const (
 	RowexMidCopy
 	// RowexBeforeUnlock fires before the top-down unlock of step (e).
 	RowexBeforeUnlock
-	// EpochEnter fires at the start of epoch.Manager.Enter; an armed
-	// action simulates pin-slot contention.
-	EpochEnter
-	// EpochAdvance fires at the start of epoch.Manager.TryAdvance; an
-	// armed action delays the advance, piling up retired nodes.
-	EpochAdvance
 
 	// Snapshot-persistence I/O fault points (internal/persist). An armed
 	// point with a nil action makes the persist writer fail that I/O step
@@ -128,8 +120,6 @@ var pointNames = [NumPoints]string{
 	"rowex/before-validate",
 	"rowex/mid-copy",
 	"rowex/before-unlock",
-	"epoch/enter",
-	"epoch/advance",
 	"snap/write-header",
 	"snap/write-block",
 	"snap/torn-write",

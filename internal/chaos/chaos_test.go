@@ -57,12 +57,12 @@ func TestSeedDeterminism(t *testing.T) {
 	// single-goroutine hit stream.
 	sequence := func(seed int64) []bool {
 		r := New(seed)
-		r.On(EpochAdvance, 0.5, nil)
+		r.On(RowexMidCopy, 0.5, nil)
 		r.Arm()
 		defer Disarm()
 		var got []bool
 		for i := 0; i < 256; i++ {
-			got = append(got, Fire(EpochAdvance))
+			got = append(got, Fire(RowexMidCopy))
 		}
 		return got
 	}

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 
-	"github.com/hotindex/hot/internal/epoch"
 	"github.com/hotindex/hot/internal/key"
 )
 
@@ -39,8 +38,8 @@ const batchLanes = 32
 const laneKeyBytes = 64
 
 // batchState is the reusable scratch of a batched lookup: every key's
-// trie, the live lanes' descent frontier, the epoch guards the call holds
-// and the lanes' key-load buffers for the final false-positive checks.
+// trie, the live lanes' descent frontier and the lanes' key-load buffers
+// for the final false-positive checks.
 // Trie keeps one (steady-state batched lookups allocate nothing, and found
 // is the mask it hands back); the concurrent entries draw from a pool.
 type batchState struct {
@@ -53,9 +52,6 @@ type batchState struct {
 	// chunk holds the key indices of the lanes seeded together, for the
 	// final false-positive checks.
 	chunk [batchLanes]int
-	// guards are the epoch guards of the tries a call pinned, released
-	// when it returns.
-	guards []epoch.Guard
 	// keyBuf backs one laneKeyBytes buffer per lane: a loader may write
 	// the key into its buf, and every candidate of a chunk is loaded
 	// before any is compared. The buffers belong to the state; a slice a
@@ -102,8 +98,6 @@ func (st *batchState) foundSlice(n int) []bool {
 // trie alive.
 func (st *batchState) release() {
 	clear(st.trees)
-	clear(st.guards)
-	st.guards = st.guards[:0]
 }
 
 // lookup resolves keys[i] in st.trees[i] into out[i] and found[i] for
@@ -111,9 +105,8 @@ func (st *batchState) release() {
 // without a trie is left as it was. Lanes start at their tries' roots,
 // loaded when the lane is seeded; in-place child and TID stores still
 // reach a descent, so each answer is a value its key held during the call.
-// The caller holds whatever epoch guards the tries need. The candidates'
-// loaded keys are dropped before it returns, so a pooled state holds no
-// tuple memory.
+// The candidates' loaded keys are dropped before it returns, so a pooled
+// state holds no tuple memory.
 func (st *batchState) lookup(keys [][]byte, out []TID, found []bool) {
 	if st.keyBuf == nil {
 		st.keyBuf = make([]byte, batchLanes*laneKeyBytes)
@@ -202,18 +195,13 @@ func ends(k []byte) uint64 {
 // batch, storing the TID in out[i] (0 when absent) and whether it was found
 // in found[i]; a negative which[i] leaves out[i] and found[i] as they were.
 // The descents of all the tries advance together (see batchState.lookup).
-// Each entry of tries is pinned once for the whole call, so the caller
-// lists every trie once and pinning costs one epoch guard per trie, not per
-// key. Writers are not held off, so each answer is a value its key held
-// during the call. len(which), len(out) and len(found) must be at least
+// Writers are not held off, so each answer is a value its key held during
+// the call. len(which), len(out) and len(found) must be at least
 // len(keys).
 func LookupBatchAcross(tries []*ConcurrentTrie, which []int, keys [][]byte, out []TID, found []bool) {
 	n := len(keys)
 	checkBatch(n, out, found)
 	st := batchStatePool.Get().(*batchState)
-	for _, tr := range tries {
-		st.guards = append(st.guards, tr.gc.Enter())
-	}
 	st.trees = slices.Grow(st.trees[:0], n)[:n]
 	for i, w := range which[:n] {
 		if w < 0 {
@@ -223,9 +211,6 @@ func LookupBatchAcross(tries []*ConcurrentTrie, which []int, keys [][]byte, out 
 		}
 	}
 	st.lookup(keys, out, found)
-	for _, g := range st.guards {
-		g.Exit()
-	}
 	st.release()
 	batchStatePool.Put(st)
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/hotindex/hot/internal/chaos"
-	"github.com/hotindex/hot/internal/epoch"
 )
 
 // armChaos arms reg for the duration of the test. Chaos tests must not run
@@ -95,106 +94,6 @@ func TestChaosRestartStorm(t *testing.T) {
 	t.Logf("stats: %s; injected faults survived: %d", st, reg.FiredTotal())
 }
 
-// TestChaosSlotExhaustion pins every epoch slot so concurrent writers must
-// sweep and yield in Enter (plus injected contention), then releases the
-// slots and checks the writers completed and the trie verifies.
-func TestChaosSlotExhaustion(t *testing.T) {
-	reg := chaos.New(2)
-	reg.On(chaos.EpochEnter, 0.2, chaos.Yield(1))
-	armChaos(t, reg)
-
-	const n = 512
-	s, keys := concurrentKeys(n, 12)
-	tr := NewConcurrent(s.Key)
-
-	guards := make([]epoch.Guard, 0, epoch.Slots)
-	for i := 0; i < epoch.Slots; i++ {
-		guards = append(guards, tr.gc.Enter())
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i, k := range keys {
-			tr.Insert(k, TID(i))
-		}
-	}()
-	// The writer is stuck sweeping for a pin slot; wait until it has
-	// provably counted contention, then release the slots.
-	deadline := time.Now().Add(5 * time.Second)
-	for tr.gc.Contended() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("writer never reported Enter contention")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	for _, g := range guards {
-		g.Exit()
-	}
-	wg.Wait()
-
-	if got := tr.OpStats().Contended; got == 0 {
-		t.Error("Contended stat not surfaced through OpStats")
-	}
-	if err := tr.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != n {
-		t.Fatalf("len = %d, want %d", tr.Len(), n)
-	}
-	t.Logf("contended sweeps: %d; injected faults survived: %d",
-		tr.gc.Contended(), reg.FiredTotal())
-}
-
-// TestChaosDelayedAdvance delays every epoch advance while writers churn
-// inserts and deletes, piling up retired nodes; the trie must stay intact
-// and the backlog must drain once the churn stops.
-func TestChaosDelayedAdvance(t *testing.T) {
-	reg := chaos.New(3)
-	reg.On(chaos.EpochAdvance, 1, chaos.Sleep(100*time.Microsecond))
-	armChaos(t, reg)
-
-	const n = 3000
-	s, keys := concurrentKeys(n, 13)
-	tr := NewConcurrent(s.Key)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for round := 0; round < 3; round++ {
-				for i := w; i < n; i += 4 {
-					tr.Insert(keys[i], TID(i))
-				}
-				for i := w; i < n; i += 8 {
-					tr.Delete(keys[i])
-				}
-				for i := w; i < n; i += 4 {
-					tr.Upsert(keys[i], TID(i))
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	if err := tr.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != n {
-		t.Fatalf("len = %d, want %d", tr.Len(), n)
-	}
-	// Quiescent now: the delayed advances must still drain the backlog.
-	for i := 0; i < 3; i++ {
-		tr.gc.Flush()
-	}
-	freed, pending := tr.ReclaimStats()
-	if freed == 0 {
-		t.Errorf("no retirements reclaimed despite churn (pending %d)", pending)
-	}
-	t.Logf("freed=%d pending=%d; injected faults survived: %d",
-		freed, pending, reg.FiredTotal())
-}
-
 // TestChaosROWEXUpsertNotLost races in-place upserts against structural
 // changes of the same nodes. Goroutine A upserts its keys round after round
 // with increasing TIDs, while goroutine B inserts and deletes the key next
@@ -278,6 +177,90 @@ func TestChaosROWEXUpsertNotLost(t *testing.T) {
 	for i := uint64(0); i < n; i++ {
 		if got, ok := tr.Lookup(key(4 * i)); !ok || got != tid(4*i, rounds+1) {
 			t.Fatalf("key %d holds (%#x, %v), want %#x", 4*i, got, ok, tid(4*i, rounds+1))
+		}
+	}
+	t.Logf("stats: %s; injected faults survived: %d", tr.OpStats(), reg.FiredTotal())
+}
+
+// TestChaosSlotExhaustion leases every reader key-buffer slot, as that many
+// reads in flight at once would, while four writers insert under injected
+// contention and four readers look the keys up and scan them. No operation
+// may wait for a slot: the readers read with a nil buffer and must still
+// see every key its writer has inserted under its own TID. Once the slots
+// are back, the trie must verify and hold every key.
+func TestChaosSlotExhaustion(t *testing.T) {
+	reg := chaos.New(2)
+	reg.On(chaos.RowexAfterTraverse, 0.2, chaos.Yield(1))
+	reg.On(chaos.RowexBetweenLocks, 0.2, chaos.Yield(1))
+	armChaos(t, reg)
+
+	const n = 2048
+	s, keys := concurrentKeys(n, 12)
+	tr := NewConcurrent(s.Key)
+
+	var held []*keyBuf
+	for b := tr.leaseKeyBuf(); b != nil; b = tr.leaseKeyBuf() {
+		held = append(held, b)
+	}
+	if len(held) != keyBufSlots {
+		t.Fatalf("leased %d slots, want %d", len(held), keyBufSlots)
+	}
+	var writers, readers sync.WaitGroup
+	var written atomic.Bool
+	for w := 0; w < 4; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := w; i < n; i += 4 {
+				tr.Insert(keys[i], TID(i))
+			}
+		}(w)
+	}
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for !written.Load() {
+				for i := r; i < n; i += 4 {
+					if tid, ok := tr.Lookup(keys[i]); ok && tid != TID(i) {
+						t.Errorf("Lookup key %d = %d", i, tid)
+						return
+					}
+				}
+				tr.Scan(nil, 64, func(tid TID) bool {
+					if tid >= n {
+						t.Errorf("Scan returned TID %d, never inserted", tid)
+						return false
+					}
+					return true
+				})
+			}
+		}(r)
+	}
+	done := make(chan struct{})
+	go func() {
+		writers.Wait()
+		written.Store(true)
+		readers.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("an operation waited for a key buffer")
+	}
+	for _, b := range held {
+		b.release()
+	}
+	if err := tr.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() != n {
+		t.Fatalf("len = %d, want %d", tr.Len(), n)
+	}
+	for i, k := range keys {
+		if tid, ok := tr.Lookup(k); !ok || tid != TID(i) {
+			t.Fatalf("Lookup key %d = (%d, %v)", i, tid, ok)
 		}
 	}
 	t.Logf("stats: %s; injected faults survived: %d", tr.OpStats(), reg.FiredTotal())

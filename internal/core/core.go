@@ -32,10 +32,11 @@
 //     are recycled straight into its pool.
 //   - ConcurrentTrie: the paper's ROWEX protocol (Section 5) — wait-free
 //     readers, writers lock only the nodes they modify, copy-on-write node
-//     replacement for inserts and deletes, obsolete markers and epoch-based
-//     reclamation.
+//     replacement for inserts and deletes and obsolete markers. Replaced
+//     nodes are reclaimed by the garbage collector once no reader holds
+//     one, which is all the paper's epoch-based reclamation does in C++.
 //   - ConcurrentTrie.Writer: the trie's exclusive writer, for a caller that
-//     already serializes its writes — copy-on-write and epoch retirement,
+//     already serializes its writes — copy-on-write and obsolete marks,
 //     so readers stay wait-free, but no locks, validation or restarts.
 //
 // On every writer an upsert of a present key copies nothing: it stores the

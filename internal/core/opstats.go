@@ -5,7 +5,7 @@ import "fmt"
 // OpStats reports how often each insertion structure-adaptation case fired
 // (Section 3.2) plus the robustness counters of the ROWEX writer path:
 // restarts, backoffs and validation failures (zero on the single-threaded
-// trie) and epoch pin-slot contention.
+// trie).
 type OpStats struct {
 	Normal       uint64 // normal inserts (splice into the affected node)
 	Pushdown     uint64 // leaf-node pushdowns
@@ -16,7 +16,6 @@ type OpStats struct {
 	Restarts        uint64 // write attempts retried after a failed attempt
 	Backoffs        uint64 // restarts that escalated to a parked sleep
 	ValidationFails uint64 // step-(c) validation failures under locks
-	Contended       uint64 // epoch Enter sweeps finding no free pin slot
 }
 
 // opStatsFields is the one table of OpStats' counters: Sub, Add and String
@@ -35,7 +34,6 @@ var opStatsFields = [...]struct {
 	{"restarts", func(s *OpStats) *uint64 { return &s.Restarts }},
 	{"backoffs", func(s *OpStats) *uint64 { return &s.Backoffs }},
 	{"validationfails", func(s *OpStats) *uint64 { return &s.ValidationFails }},
-	{"contended", func(s *OpStats) *uint64 { return &s.Contended }},
 }
 
 // Sub returns s - prev counter-wise: the activity between two snapshots.
@@ -65,9 +63,9 @@ func (s OpStats) String() string {
 	return string(out[1:])
 }
 
-// OpStats returns the insertion-case counters. The robustness counters are
-// populated by the concurrent trie (see ConcurrentTrie.OpStats); on the
-// single-threaded trie they are always zero.
+// OpStats returns the insertion-case counters and the robustness
+// counters, which only ROWEX writers move: on the single-threaded trie and
+// under a ConcurrentTrie's exclusive Writer they stay zero.
 func (t *tree) OpStats() OpStats {
 	return OpStats{
 		Normal:          t.ops.normal.Load(),

@@ -53,14 +53,14 @@ func TestAllInsertCasesOccur(t *testing.T) {
 
 func TestOpStatsStringAndSub(t *testing.T) {
 	a := OpStats{Normal: 10, Pushdown: 2, PullUp: 3, Intermediate: 1, NewRoot: 1,
-		Restarts: 7, Backoffs: 2, ValidationFails: 5, Contended: 4}
+		Restarts: 7, Backoffs: 2, ValidationFails: 5}
 	b := OpStats{Normal: 4, Restarts: 3, ValidationFails: 1}
 	d := a.Sub(b)
-	if d.Normal != 6 || d.Restarts != 4 || d.ValidationFails != 4 || d.Contended != 4 {
+	if d.Normal != 6 || d.Restarts != 4 || d.ValidationFails != 4 || d.Backoffs != 2 {
 		t.Fatalf("Sub = %+v", d)
 	}
 	want := "normal=6 pushdown=2 pullup=3 intermediate=1 newroot=1 " +
-		"restarts=4 backoffs=2 validationfails=4 contended=4"
+		"restarts=4 backoffs=2 validationfails=4"
 	if got := d.String(); got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
 	}
@@ -98,9 +98,9 @@ func TestOpStatsTableCoversEveryField(t *testing.T) {
 // compared across builds.
 func TestOpStatsStringFixtures(t *testing.T) {
 	const want = "normal=1 pushdown=2 pullup=3 intermediate=4 newroot=5 " +
-		"restarts=6 backoffs=7 validationfails=8 contended=9"
+		"restarts=6 backoffs=7 validationfails=8"
 	s := OpStats{Normal: 1, Pushdown: 2, PullUp: 3, Intermediate: 4, NewRoot: 5,
-		Restarts: 6, Backoffs: 7, ValidationFails: 8, Contended: 9}
+		Restarts: 6, Backoffs: 7, ValidationFails: 8}
 	if got := s.String(); got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}

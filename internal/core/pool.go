@@ -4,9 +4,9 @@ package core
 // copy-on-write modification frees exactly one node of a known class, so
 // reusing its block removes most allocator and GC work from the insert
 // path (the C++ implementation leans on a fast allocator in the same way).
-// The concurrent trie does not use the pool — its obsolete nodes must
-// survive until the epoch manager retires them and wait-free readers may
-// hold them arbitrarily long, so they are left to the garbage collector.
+// The concurrent trie does not use the pool — wait-free readers may hold
+// its obsolete nodes arbitrarily long, so they are left to the garbage
+// collector, which frees each once no reader can reach it.
 // A concurrent trie's writers each keep one more in their scratch
 // (scratch.spare) for the blocks a write builds and never publishes; a
 // Trie's pool serves as its spare too.

@@ -9,13 +9,13 @@ import (
 	"unsafe"
 
 	"github.com/hotindex/hot/internal/chaos"
-	"github.com/hotindex/hot/internal/epoch"
 )
 
 // ConcurrentTrie is the ROWEX-synchronized Height Optimized Trie of
 // Section 5. Readers are wait-free: they never take locks and never
 // restart, relying on atomic child-pointer loads and on obsolete nodes
-// remaining intact until reclaimed. Insert, Upsert and Delete perform the
+// remaining intact while a reader holds them, which the garbage collector
+// guarantees (see keyBufs). Insert, Upsert and Delete perform the
 // paper's five writer steps:
 //
 //	(a) traverse and determine the set of affected nodes,
@@ -28,7 +28,7 @@ import (
 //
 // A writer that is alone by construction uses Writer instead, which runs
 // the same body without (b), (c), (e) and the restart. Obsolete nodes are
-// retired to an epoch-based reclamation manager either way.
+// left to the garbage collector either way.
 type ConcurrentTrie struct {
 	tree
 	// locks is the ROWEX writers' lock table, allocated by the first lock
@@ -88,33 +88,30 @@ func (t *ConcurrentTrie) Memory() MemoryStats {
 func NewConcurrent(loader Loader) *ConcurrentTrie {
 	t := &ConcurrentTrie{}
 	t.init(loader, MaxFanout)
-	t.gc = &epoch.Manager{}
 	return t
 }
 
 // Lookup returns the TID stored under k. It is wait-free.
 func (t *ConcurrentTrie) Lookup(k []byte) (TID, bool) {
-	g := t.gc.Enter()
-	tid, ok := t.lookup(k, g.Scratch())
-	g.Exit()
+	b := t.leaseKeyBuf()
+	tid, ok := t.lookup(k, b.bytes())
+	b.release()
 	return tid, ok
 }
 
 // LookupBatch looks up all keys as one batch, storing each key's TID in the
 // corresponding out slot (0 when absent) and returning a mask of which keys
-// were found; len(out) must be at least len(keys). The whole batch runs
-// under one epoch guard, advancing the descents together so their memory
-// stalls overlap (see batchState.lookup). Writers are not held off, so
-// each answer is a value its key held during the call, not a point-in-time
-// view of the whole batch. The returned mask is owned by the caller.
+// were found; len(out) must be at least len(keys). The descents advance
+// together so their memory stalls overlap (see batchState.lookup). Writers
+// are not held off, so each answer is a value its key held during the
+// call, not a point-in-time view of the whole batch. The returned mask is
+// owned by the caller.
 func (t *ConcurrentTrie) LookupBatch(keys [][]byte, out []TID) []bool {
 	found := make([]bool, len(keys))
 	checkBatch(len(keys), out, found)
 	st := batchStatePool.Get().(*batchState)
 	st.every(&t.tree, len(keys))
-	g := t.gc.Enter()
 	st.lookup(keys, out, found)
-	g.Exit()
 	st.release()
 	batchStatePool.Put(st)
 	return found
@@ -124,16 +121,10 @@ func (t *ConcurrentTrie) LookupBatch(keys [][]byte, out []TID) []bool {
 // the first key ≥ start. Like the paper's readers it observes nodes
 // atomically: concurrent writers may commit before or after each step.
 func (t *ConcurrentTrie) Scan(start []byte, max int, fn func(TID) bool) int {
-	g := t.gc.Enter()
-	n := t.scan(start, max, fn, g.Scratch())
-	g.Exit()
+	b := t.leaseKeyBuf()
+	n := t.scan(start, max, fn, b.bytes())
+	b.release()
 	return n
-}
-
-// ReclaimStats reports how many obsolete nodes have been retired and how
-// many the epoch manager has already reclaimed.
-func (t *ConcurrentTrie) ReclaimStats() (freed uint64, pending int64) {
-	return t.gc.Freed(), t.gc.Pending()
 }
 
 // Insert stores tid under k, reporting false if the key already exists.
@@ -149,18 +140,14 @@ func (t *ConcurrentTrie) Upsert(k []byte, tid TID) (old TID, replaced bool) {
 }
 
 // rowexWrite runs the shared write body with the trie as its latch, one
-// epoch-pinned attempt at a time, until an attempt validates.
+// attempt at a time, until an attempt validates.
 func (t *ConcurrentTrie) rowexWrite(k []byte, tid TID, upsert bool) (inserted bool, old TID, replaced bool) {
 	checkKey(k)
 	checkTID(tid)
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	for attempt := 0; ; attempt++ {
-		g := t.gc.Enter()
-		inserted, old, replaced, ok := t.write(k, tid, upsert, sc, t)
-		g.Exit() // unpinned while backing off, so reclamation can advance
-		if ok {
-			t.maybeAdvance()
+		if inserted, old, replaced, ok := t.write(k, tid, upsert, sc, t); ok {
 			return inserted, old, replaced
 		}
 		t.restartBackoff(attempt)
@@ -173,11 +160,7 @@ func (t *ConcurrentTrie) Delete(k []byte) bool {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	for attempt := 0; ; attempt++ {
-		g := t.gc.Enter()
-		deleted, ok := t.del(k, sc, t)
-		g.Exit()
-		if ok {
-			t.maybeAdvance()
+		if deleted, ok := t.del(k, sc, t); ok {
 			return deleted
 		}
 		t.restartBackoff(attempt)
@@ -185,14 +168,14 @@ func (t *ConcurrentTrie) Delete(k []byte) bool {
 }
 
 // Writer is a ConcurrentTrie's exclusive writer: the shared write body
-// without the latch — no epoch pin, no lock, no validation, no restart.
-// Replaced nodes still go to the epoch manager, so readers stay wait-free
-// while it writes. The caller guarantees that no other write of any kind
-// (Writer or ROWEX) runs on the trie at the same time: a ShardedTree shard
-// holds its writer lock, and a section load writes a trie no other writer
-// can reach. Insert and Upsert store any 64-bit TID: their callers validate
-// what they take from outside against MaxTID first, and a sharded delta
-// keeps its tombstones in the bit above it.
+// without the latch — no lock, no validation, no restart. Replaced nodes
+// are still copied and marked obsolete, never recycled, so readers stay
+// wait-free while it writes. The caller guarantees that no other write of
+// any kind (Writer or ROWEX) runs on the trie at the same time: a
+// ShardedTree shard holds its writer lock, and a section load writes a
+// trie no other writer can reach. Insert and Upsert store any 64-bit TID:
+// their callers validate what they take from outside against MaxTID first,
+// and a sharded delta keeps its tombstones in the bit above it.
 type Writer struct{ t *ConcurrentTrie }
 
 // Writer returns the trie's exclusive writer.
@@ -202,7 +185,6 @@ func (t *ConcurrentTrie) Writer() Writer { return Writer{t} }
 func (w Writer) Insert(k []byte, tid TID) bool {
 	checkKey(k)
 	inserted, _, _, _ := w.t.write(k, tid, false, &w.t.sc, nil)
-	w.t.maybeAdvance()
 	return inserted
 }
 
@@ -210,7 +192,6 @@ func (w Writer) Insert(k []byte, tid TID) bool {
 func (w Writer) Upsert(k []byte, tid TID) (old TID, replaced bool) {
 	checkKey(k)
 	_, old, replaced, _ = w.t.write(k, tid, true, &w.t.sc, nil)
-	w.t.maybeAdvance()
 	return old, replaced
 }
 
@@ -218,7 +199,6 @@ func (w Writer) Upsert(k []byte, tid TID) (old TID, replaced bool) {
 func (w Writer) Delete(k []byte) bool {
 	checkKey(k)
 	deleted, _ := w.t.del(k, &w.t.sc, nil)
-	w.t.maybeAdvance()
 	return deleted
 }
 
@@ -296,21 +276,6 @@ func (t *ConcurrentTrie) unlock(stack []pathEntry, lo int, useRoot bool) {
 	for _, s := range stripes(stack[lo:], sb[:0]) {
 		lt[s].Unlock()
 	}
-}
-
-func (t *ConcurrentTrie) maybeAdvance() {
-	if t.gc.Pending() >= 512 {
-		t.gc.TryAdvance()
-	}
-}
-
-// OpStats returns the insertion-case counters plus the writer-path
-// robustness counters: restarts, parked backoffs, step-(c) validation
-// failures, and the epoch manager's pin-slot contention count.
-func (t *ConcurrentTrie) OpStats() OpStats {
-	s := t.tree.OpStats()
-	s.Contended = t.gc.Contended()
-	return s
 }
 
 // Restart/backoff policy: a failed attempt (step (c) validation or a

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"github.com/hotindex/hot/internal/chaos"
-	"github.com/hotindex/hot/internal/epoch"
 	"github.com/hotindex/hot/internal/key"
 )
 
@@ -27,13 +26,10 @@ type tree struct {
 	loader Loader
 	root   atomic.Pointer[rootBox]
 	size   atomic.Int64
-	// Replaced nodes go to exactly one of pool and gc. pool recycles them
-	// and is non-nil only for the single-threaded trie, whose replaced
-	// nodes no reader can still hold; gc is the concurrent trie's epoch
-	// manager, which retires them (reclamation is left to the garbage
-	// collector).
+	// pool recycles replaced nodes and is non-nil only for the
+	// single-threaded trie, whose replaced nodes no reader can still hold;
+	// a concurrent trie leaves them to the garbage collector.
 	pool *nodePool
-	gc   *epoch.Manager
 	// sc is the exclusive writer's scratch — Trie's, or a ConcurrentTrie
 	// Writer's. ROWEX writers run concurrently and bring their own.
 	sc scratch
@@ -418,7 +414,8 @@ func (t *tree) write(k []byte, tid TID, upsert bool, sc *scratch, latch *Concurr
 
 // retire disposes of the nodes a write replaced: straight into the pool
 // when there is one, otherwise marked obsolete — a racing ROWEX writer that
-// locks one fails validation — and retired to the epoch manager.
+// locks one fails validation — and left to the garbage collector, which
+// frees it once no wait-free reader still holds it.
 func (t *tree) retire(nodes []*node) {
 	for _, nd := range nodes {
 		if t.pool != nil {
@@ -426,7 +423,6 @@ func (t *tree) retire(nodes []*node) {
 			continue
 		}
 		nd.markObsolete()
-		t.gc.Retire(nil)
 	}
 }
 

@@ -301,17 +301,10 @@ func equalU32(a, b []uint32) bool {
 // lookup self-consistency — returning nil or a *CorruptionError describing
 // the first violation. It walks every node and resolves every stored key
 // (O(n·height) with key loads), so it is meant for integrity audits,
-// tests and chaos harnesses rather than per-operation use.
-func (t *Trie) Verify() error {
-	return t.verify(false)
-}
-
-// Verify checks the trie's structural invariants like (*Trie).Verify. It
-// pins an epoch guard so the walk is safe against concurrent reclamation,
-// but it should run in a quiescent state (no concurrent writers): a
-// mid-flight writer can make a healthy trie look momentarily inconsistent.
-func (t *ConcurrentTrie) Verify() error {
-	g := t.gc.Enter()
-	defer g.Exit()
+// tests and chaos harnesses rather than per-operation use. On a
+// ConcurrentTrie it should run in a quiescent state (no concurrent
+// writers): a mid-flight writer can make a healthy trie look momentarily
+// inconsistent.
+func (t *tree) Verify() error {
 	return t.verify(false)
 }

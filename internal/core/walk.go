@@ -23,17 +23,16 @@ func (t *Trie) Walk(fn func(key []byte, tid TID) bool) int {
 }
 
 // SnapshotWalk invokes fn for every (key, TID) entry in ascending key
-// order while holding a single epoch guard across the whole walk, so no
-// node it reaches is reclaimed under it. Concurrent writers are never
-// blocked — inserts and deletes proceed copy-on-write and merely cannot
-// reclaim retired nodes until the walk exits, upserts of present keys
-// store in place — so this is the non-blocking feed for persisting a live
-// ConcurrentTrie. Entries committed by writers racing the walk may or may
-// not be observed, exactly like the paper's wait-free scans: each observed
-// TID is one its key held during the walk, and the key order of what is
-// observed is always strictly ascending.
+// order. Concurrent writers are never blocked — inserts and deletes
+// proceed copy-on-write, and a node they replace stays intact while the
+// walk holds it, upserts of present keys store in place — so this is the
+// non-blocking feed for persisting a live ConcurrentTrie. Entries committed
+// by writers racing the walk may or may not be observed, exactly like the
+// paper's wait-free scans: each observed TID is one its key held during
+// the walk, and the key order of what is observed is always strictly
+// ascending.
 func (t *ConcurrentTrie) SnapshotWalk(fn func(key []byte, tid TID) bool) int {
-	g := t.gc.Enter()
-	defer g.Exit()
-	return t.walkAll(fn, g.Scratch())
+	b := t.leaseKeyBuf()
+	defer b.release()
+	return t.walkAll(fn, b.bytes())
 }

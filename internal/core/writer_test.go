@@ -25,12 +25,13 @@ func walkEntries(walk func(func(key []byte, tid TID) bool) int) (keys [][]byte, 
 }
 
 // TestWriter checks that a ConcurrentTrie's exclusive Writer and the
-// single-threaded Trie — the same write body, one retiring to the epoch
-// manager and one recycling into its pool — answer one op sequence
+// single-threaded Trie — the same write body, one marking replaced nodes
+// obsolete and one recycling them into its pool — answer one op sequence
 // identically and end in the same trie, while a reader goroutine looks
 // keys up in the concurrent trie throughout (run it under -race). The
 // sequence starts and ends empty, so it crosses the empty and single-leaf
-// root shapes as well as every insertion and deletion case.
+// root shapes as well as every insertion and deletion case. Midway, one
+// insert and one delete must replace nodes copy-on-write.
 func TestWriter(t *testing.T) {
 	const n = 20000
 	s, keys := concurrentKeys(n, 21)
@@ -65,12 +66,9 @@ func TestWriter(t *testing.T) {
 	}()
 
 	rng := rand.New(rand.NewSource(2))
-	op := func(i int) {
-		tid := TID(i)
-		if rng.Intn(2) == 0 {
-			tid = alt[i]
-		}
-		switch c := rng.Intn(3); c {
+	// do runs op c on key i on both tries: 0 insert, 1 upsert, 2 delete.
+	do := func(c, i int, tid TID) {
+		switch c {
 		case 0:
 			if a, b := st.Insert(keys[i], tid), w.Insert(keys[i], tid); a != b {
 				t.Fatalf("Insert(%d): Trie %v, Writer %v", i, a, b)
@@ -90,6 +88,13 @@ func TestWriter(t *testing.T) {
 			t.Fatalf("after op on %d: Len %d/%d, Height %d/%d", i, st.Len(), ct.Len(), st.Height(), ct.Height())
 		}
 	}
+	op := func(i int) {
+		tid := TID(i)
+		if rng.Intn(2) == 0 {
+			tid = alt[i]
+		}
+		do(rng.Intn(3), i, tid)
+	}
 	for i := 0; i < 2000; i++ {
 		op(rng.Intn(3)) // the root shapes: at most three keys
 	}
@@ -97,6 +102,13 @@ func TestWriter(t *testing.T) {
 		op(rng.Intn(n))
 	}
 
+	for i := range keys {
+		if _, ok := ct.Lookup(keys[i]); !ok {
+			checkCopyOnWrite(t, &ct.tree, keys[i], func() { do(0, i, TID(i)) })
+			checkCopyOnWrite(t, &ct.tree, keys[i], func() { do(2, i, TID(i)) })
+			break
+		}
+	}
 	if err := st.Verify(); err != nil {
 		t.Fatalf("Trie: %v", err)
 	}
@@ -129,8 +141,47 @@ func TestWriter(t *testing.T) {
 	if o := ct.OpStats(); o.Restarts != 0 || o.ValidationFails != 0 {
 		t.Fatalf("the exclusive writer restarted: %s", o)
 	}
-	if freed, pending := ct.ReclaimStats(); freed+uint64(pending) == 0 {
-		t.Fatal("the exclusive writer retired no nodes")
+}
+
+// checkCopyOnWrite runs write, which must change what k's descent in tr
+// reaches, and checks that it replaced at least one node on k's path by a
+// copy: the replaced node is marked obsolete, off k's path and unchanged
+// along it, so a reader that still holds it reads what it read before.
+// No reader pins such a node; the garbage collector keeps it.
+func checkCopyOnWrite(t *testing.T, tr *tree, k []byte, write func()) {
+	t.Helper()
+	path, _ := descend(tr.root.Load().n, k, nil)
+	type link struct {
+		c   *node
+		tid TID
+	}
+	was := make([]link, len(path))
+	for l, e := range path {
+		was[l].c, was[l].tid = e.nd.entry(e.idx)
+	}
+	write()
+	now := map[*node]bool{}
+	if rb := tr.root.Load(); rb.n != nil {
+		p, _ := descend(rb.n, k, nil)
+		for _, e := range p {
+			now[e.nd] = true
+		}
+	}
+	replaced := 0
+	for l, e := range path {
+		if !e.nd.isObsolete() {
+			continue
+		}
+		replaced++
+		if now[e.nd] {
+			t.Fatalf("depth %d: an obsolete node is still on the key's path", l)
+		}
+		if c, tid := e.nd.entry(e.idx); c != was[l].c || tid != was[l].tid {
+			t.Fatalf("depth %d: the replaced node changed under its readers", l)
+		}
+	}
+	if replaced == 0 {
+		t.Fatal("the write replaced no node on the key's path")
 	}
 }
 
@@ -205,8 +256,8 @@ func TestROWEXInterleavedInsertsProgress(t *testing.T) {
 }
 
 // TestUpsertInPlace checks, for each of the three writers, that an upsert
-// of a present key stores its TID in place: it allocates nothing, retires
-// no node, keeps every node on every key's path, and leaves Len, Height and
+// of a present key stores its TID in place: it allocates nothing, replaces
+// no node (every node on every key's path stays), and leaves Len, Height and
 // the in-order key walk unchanged, while Lookup, LookupBatch and Iter
 // return the new TID. On the concurrent trie a reader goroutine runs
 // Lookup, LookupBatch and Scan while the writer flips every key between
@@ -234,7 +285,7 @@ func TestUpsertInPlace(t *testing.T) {
 			Verify() error
 		}
 		walk func(func([]byte, TID) bool) int
-		ct   *ConcurrentTrie // nil for Trie: no concurrent reader, no epoch manager
+		ct   *ConcurrentTrie // nil for Trie: no concurrent reader
 	}{
 		{"Trie", &st.tree, st.Insert, st.Upsert, st, st.Walk, nil},
 		{"Writer", &ct.tree, w.Insert, w.Upsert, ct, ct.SnapshotWalk, ct},
@@ -262,12 +313,6 @@ func TestUpsertInPlace(t *testing.T) {
 			for i, k := range keys {
 				paths[i], _ = descend(c.tr.root.Load().n, k, nil)
 			}
-			var freed uint64
-			var pending int64
-			if c.ct != nil {
-				freed, pending = c.ct.ReclaimStats()
-			}
-
 			next := 0
 			allocs := testing.AllocsPerRun(500, func() {
 				flip(next % n)
@@ -297,11 +342,6 @@ func TestUpsertInPlace(t *testing.T) {
 
 			if c.tr.Len() != wantLen || c.tr.Height() != wantHeight {
 				t.Fatalf("Len %d, Height %d after upserts; want %d, %d", c.tr.Len(), c.tr.Height(), wantLen, wantHeight)
-			}
-			if c.ct != nil {
-				if f, p := c.ct.ReclaimStats(); f != freed || p != pending {
-					t.Fatalf("upserts retired nodes: ReclaimStats (%d, %d), was (%d, %d)", f, p, freed, pending)
-				}
 			}
 			gotKeys, gotTIDs := walkEntries(c.walk)
 			if len(gotKeys) != len(wantKeys) {

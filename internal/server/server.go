@@ -1,13 +1,14 @@
 // Package server is hot-server's network front end: a TCP listener
 // multiplexing any number of client connections onto one sharded HOT
 // index over the wire package's length-prefixed protocol. Reads run
-// straight on the epoch-protected shards (wait-free, no server-side
-// locks); writes go through the index's async methods, so a connection can
-// pipeline writes back to back — each is applied, and readable, as it
-// arrives — and use FLUSH as its durability point on a durable server: writes no FLUSH has covered yet
-// are not promised to survive a crash. A server is either a leader (owns the
-// index, optionally durable) or a follower (bootstraps from a leader's
-// replication stream and serves reads from the replicated shard prefix).
+// straight on the shards (wait-free, no server-side locks); writes go
+// through the index's async methods, so a connection can pipeline writes
+// back to back — each is applied, and readable, as it arrives — and use
+// FLUSH as its durability point on a durable server: writes no FLUSH has
+// covered yet are not promised to survive a crash. A server is either a
+// leader (owns the index, optionally durable) or a follower (bootstraps
+// from a leader's replication stream and serves reads from the replicated
+// shard prefix).
 package server
 
 import (
@@ -66,14 +67,17 @@ type Options struct {
 	// backoff bounds (mainly for tests; zero keeps the defaults).
 	ReconnectMin time.Duration
 	ReconnectMax time.Duration
-	// MemoryBudget, when positive, enables the pager-backed cold tier:
+	// MemoryBudget, when positive, enables the pager-backed cold tier
+	// (zero leaves it off; New refuses a negative one):
 	// once the resident tries exceed the budget, the least-recently-
 	// written shards are demoted to per-shard section files and served
 	// through an LRU page cache (see hot.EnableColdTier). Requires Dir
-	// (the cold sections live in the durable directory).
+	// (the cold sections live in the durable directory), so a follower
+	// refuses it.
 	MemoryBudget int64
 	// CacheBytes bounds the cold tier's page cache — blocks as stored plus
 	// their restart tables; zero selects MemoryBudget/8, floored at 8 MiB.
+	// Requires a positive MemoryBudget.
 	CacheBytes int64
 }
 
@@ -128,6 +132,14 @@ func New(opts Options) (*Server, error) {
 		s.writeTimeout = defaultWriteTimeout
 	} else if s.writeTimeout < 0 {
 		s.writeTimeout = 0
+	}
+	switch {
+	case opts.MemoryBudget < 0 || opts.CacheBytes < 0:
+		return nil, fmt.Errorf("hot-server: MemoryBudget and CacheBytes must not be negative")
+	case opts.Follow != "" && (opts.MemoryBudget != 0 || opts.CacheBytes != 0):
+		return nil, fmt.Errorf("hot-server: a follower has no cold tier (MemoryBudget or CacheBytes set with Follow)")
+	case opts.CacheBytes != 0 && opts.MemoryBudget == 0:
+		return nil, fmt.Errorf("hot-server: CacheBytes requires MemoryBudget (the page cache serves the cold tier)")
 	}
 	bind := func(key []byte, tid hot.TID) error {
 		_, err := s.km.Bind(key, tid)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,6 +22,37 @@ func stat(t *testing.T, st wire.Stats, name string) uint64 {
 		t.Fatalf("STATS has no %q row: %v", name, st)
 	}
 	return v
+}
+
+// TestNewRefusesIgnoredSettings: a setting New would otherwise drop
+// without a word is refused, with an error naming it.
+func TestNewRefusesIgnoredSettings(t *testing.T) {
+	const leader = "127.0.0.1:1" // never dialed: New refuses first
+	for _, c := range []struct {
+		name string
+		opts Options
+		want string
+	}{
+		{"budget-in-memory", Options{MemoryBudget: 1 << 20}, "MemoryBudget requires Dir"},
+		{"durable-follower", Options{Dir: t.TempDir(), Follow: leader}, "Dir and Follow"},
+		{"cache-in-memory", Options{CacheBytes: 1 << 20}, "CacheBytes requires MemoryBudget"},
+		{"cache-durable", Options{Dir: t.TempDir(), CacheBytes: 1 << 20}, "CacheBytes requires MemoryBudget"},
+		{"budget-follower", Options{Follow: leader, MemoryBudget: 1 << 20}, "MemoryBudget or CacheBytes set with Follow"},
+		{"cache-follower", Options{Follow: leader, CacheBytes: 1 << 20}, "MemoryBudget or CacheBytes set with Follow"},
+		{"budget-negative", Options{Dir: t.TempDir(), MemoryBudget: -1}, "must not be negative"},
+		{"cache-negative", Options{Dir: t.TempDir(), MemoryBudget: 1 << 20, CacheBytes: -1}, "must not be negative"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := New(c.opts)
+			if err == nil {
+				s.Close()
+				t.Fatalf("New(%+v) succeeded", c.opts)
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("New(%+v) = %v, want an error naming %q", c.opts, err, c.want)
+			}
+		})
+	}
 }
 
 func newLeader(t *testing.T, durable bool, shards, n int) (*Server, string) {

@@ -158,7 +158,7 @@ func (s *ReplicationSession) flush() error {
 // StreamSnapshot runs the bootstrap phase: manifest, then every shard's
 // section with its log cut, each flushed as it completes, ending with a
 // TAILSTART frame. The snapshot is wait-free for leader writers — each
-// section pins its shard's root under an epoch guard; only the per-shard
+// section walks its shard's trie as a reader does; only the per-shard
 // cut read takes (and immediately releases) that shard's writer lock. The
 // cut is committed, outside the lock, before its section is streamed: the
 // section shows every record up to the cut, owed async ones included, and

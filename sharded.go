@@ -14,13 +14,12 @@ import (
 
 // ShardedTree is a range-partitioned Height Optimized Trie: the key space
 // is split at N-1 boundary keys into N shards, each a concurrent trie with
-// its own writer lock and its own epoch reclamation domain. A shard admits
-// one writer at a time — synchronous or async, durable or not — which
-// writes through the trie's exclusive writer: copy-on-write inserts and
-// deletes with epoch retirement and in-place upserts of present keys, but
-// no node locks, validation or restarts (no ROWEX).
+// its own writer lock. A shard admits one writer at a time — synchronous
+// or async, durable or not — which writes through the trie's exclusive
+// writer: copy-on-write inserts and deletes and in-place upserts of present
+// keys, but no node locks, validation or restarts (no ROWEX).
 // Writers to different shards share no synchronization state at all — no
-// common locks, no common epoch slots, no common counters — so
+// common locks, no common counters — so
 // insert/update/delete throughput scales with the number of concurrently
 // written shards, not with writers per shard. Readers are wait-free exactly
 // as on ConcurrentTree.
@@ -313,23 +312,6 @@ func (t *ShardedTree) OpStats() OpStats {
 	}
 	t.eachDelta(func(d *core.ConcurrentTrie) { o = o.Add(d.OpStats()) })
 	return o
-}
-
-// ReclaimStats reports the epoch reclamation counters summed across all
-// shard domains, cold shards' deltas included, carrying replaced domains'
-// freed totals forward.
-func (t *ShardedTree) ReclaimStats() (freed uint64, pending int64) {
-	if ct := t.cold.Load(); ct != nil {
-		ct.statsMu.Lock()
-		freed += ct.retiredFreed
-		ct.statsMu.Unlock()
-	}
-	t.eachDelta(func(d *core.ConcurrentTrie) {
-		f, p := d.ReclaimStats()
-		freed += f
-		pending += p
-	})
-	return freed, pending
 }
 
 // storeStats is one STATS snapshot of a sharded store, read once; every

@@ -105,9 +105,9 @@ type snapshotter interface {
 // boundary table) followed by one section per shard.
 //
 // A ConcurrentTree or ShardedTree is saved without blocking concurrent
-// writers: each walk runs under an epoch guard, so inserts and deletes
-// proceed copy-on-write (their retired nodes are simply not reclaimed until
-// the walk finishes) and upserts of present keys in place. Entries
+// writers: each walk reads as a wait-free reader does, so inserts and
+// deletes proceed copy-on-write (a node they replace stays intact while the
+// walk holds it) and upserts of present keys in place. Entries
 // committed while the snapshot streams may or may not be included, exactly
 // like the paper's wait-free scans: each included entry is a value its key
 // held during the walk, and the sequence is always ascending and

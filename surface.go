@@ -176,6 +176,5 @@ func (b *base) Depths() DepthStats { return b.ic.Depths() }
 // (normal insert, leaf-node pushdown, parent pull up, intermediate node
 // creation) plus root creations — the only operation that grows the
 // overall tree height — and, on the concurrent types, the ROWEX robustness
-// counters: writer restarts, parked backoffs, validation failures and
-// epoch pin-slot contention.
+// counters: writer restarts, parked backoffs and validation failures.
 func (b *base) OpStats() OpStats { return b.ic.OpStats() }
